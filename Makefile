@@ -1,6 +1,6 @@
 # Convenience targets. The canonical gate is `make check`.
 
-.PHONY: build test bench check check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
+.PHONY: build test bench loc check check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
 
 build:
 	cargo build --release
@@ -21,6 +21,12 @@ bench:
 	cargo run -q --release -p dagfact-bench --bin comm
 	cargo run -q --release -p dagfact-bench --bin distsweep
 	cargo run -q --release -p dagfact-bench --bin kernels_bench
+	cargo run -q --release -p dagfact-bench --bin overhead
+
+# Non-test lines per crate and file -> results/loc.json (the ROADMAP's
+# "report non-test line delta per crate" gate).
+loc:
+	tools/loc.sh
 
 # The full gate: kernels + robustness + static-analysis + memory-budget +
 # observability + concurrency-verification + serving + distributed
@@ -64,7 +70,7 @@ check-memory:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-sparse --test reader_fuzz
 	cargo run -q --release -p dagfact-bench --bin memsweep
 
-# Observability gate: the recorder/analyzer unit suite, the engine-level
+# Observability gate: the recorder/analyzer unit suite, the per-policy
 # span-invariant suite, the Chrome-trace exporter tests, the CLI
 # --trace/--metrics tests, and the release-mode trace sweep (3 proxies x
 # 3 engines + the tracing-overhead guard).

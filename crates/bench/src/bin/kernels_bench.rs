@@ -14,14 +14,11 @@
 //!    host the run **gates** on a ≥[`MIN_SPEEDUP`]× geometric-mean
 //!    speedup over the tall-skinny update shapes; without AVX2 the gate
 //!    is skipped loudly and only portable rates are recorded.
-//! 2. **Update kernels** — the packed pipeline (`pack_b` once +
-//!    `update_scatter_packed` per target) against the unpacked
-//!    buffer-then-scatter baseline on a gappy scatter map.
-//! 3. **Blocking autotune** — sweep `mc/kc/nc` candidates on a large
+//! 2. **Blocking autotune** — sweep `mc/kc/nc` candidates on a large
 //!    update GEMM, apply the winner via [`simd::set_blocking`], and
 //!    persist the choice as a `DAGFACT_KERNELS_BLOCK=mc,kc,nc` line
 //!    (printed and recorded in the JSON for the caller to export).
-//! 4. **End-to-end proxies** — two Table-I proxy factorizations run
+//! 3. **End-to-end proxies** — two Table-I proxy factorizations run
 //!    twice (forced-scalar, then the detected ISA) with span recording:
 //!    wall time, per-kernel GFLOP/s from the trace attribution, and the
 //!    relative residual of a solve. Both runs must reach the same
@@ -33,10 +30,7 @@
 
 use dagfact_bench::{write_results, Json};
 use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverOptions};
-use dagfact_kernels::update::{update_via_buffer, Scatter};
-use dagfact_kernels::{
-    force_isa, gemm, gemm_portable, isa, pack_b, simd, update_scatter_packed, Blocking, Isa, Trans,
-};
+use dagfact_kernels::{force_isa, gemm, gemm_portable, isa, simd, Blocking, Isa, Trans};
 use dagfact_rt::{RunConfig, TraceRecorder};
 use dagfact_sparse::{gen, CscMatrix};
 use dagfact_symbolic::FactoKind;
@@ -130,11 +124,6 @@ fn shape_record(m: usize, n: usize, k: usize, portable: f64, simd_t: Option<f64>
     rec
 }
 
-/// A gappy, strictly increasing scatter map (every other target row).
-fn gappy_rows(m: usize) -> Vec<usize> {
-    (0..m).map(|i| 2 * i).collect()
-}
-
 fn exec_with(rec: std::sync::Arc<TraceRecorder>) -> ExecOptions {
     ExecOptions {
         run: RunConfig {
@@ -219,46 +208,7 @@ fn main() {
         }
     }
 
-    // --- 2. Packed update pipeline ------------------------------------
-    let (m, n, k) = (512usize, 32usize, 64usize);
-    let a1 = filled(m * k, 11);
-    let a2t = filled(n * k, 12); // k rows × n cols, row-major ld = n
-    let rows = gappy_rows(m);
-    let ldc = 2 * m;
-    let mut c = filled(ldc * n, 13);
-    let scatter = Scatter {
-        row_map: &rows,
-        col_offset: 0,
-    };
-    let mut work = Vec::new();
-    let t_unpacked = time_median(|| {
-        update_via_buffer(
-            m, n, k, -1.0,
-            black_box(&a1), m,
-            black_box(&a2t), n,
-            None, &mut work, &mut c, ldc, scatter,
-        );
-    });
-    let mut pack = vec![0.0; k * n];
-    let t_packed = time_median(|| {
-        pack_b(n, k, None, black_box(&a2t), n, &mut pack);
-        update_scatter_packed(m, n, k, -1.0, black_box(&a1), m, &pack, &mut c, ldc, scatter);
-    });
-    println!(
-        "\nupdate {m}x{n}x{k} (gappy scatter): buffer {:.2} GF/s, packed {:.2} GF/s ({:.2}x)",
-        gflops(m, n, k, t_unpacked),
-        gflops(m, n, k, t_packed),
-        t_unpacked / t_packed
-    );
-    let update_record = Json::obj()
-        .field("m", m as i64)
-        .field("n", n as i64)
-        .field("k", k as i64)
-        .field("buffer_gflops", gflops(m, n, k, t_unpacked))
-        .field("packed_gflops", gflops(m, n, k, t_packed))
-        .field("speedup", t_unpacked / t_packed);
-
-    // --- 3. Blocking autotune -----------------------------------------
+    // --- 2. Blocking autotune -----------------------------------------
     let mut autotune_trials = Vec::new();
     let default_blocking = simd::blocking();
     let mut best = (default_blocking, f64::INFINITY);
@@ -338,7 +288,7 @@ fn main() {
             .field("skipped", "host has no AVX2")
     };
 
-    // --- 4. End-to-end proxies, scalar vs detected ISA ----------------
+    // --- 3. End-to-end proxies, scalar vs detected ISA ----------------
     let nthreads = std::thread::available_parallelism().map_or(4, |v| v.get().min(8));
     let problems: Vec<(&str, CscMatrix<f64>, FactoKind)> = vec![
         ("audi-proxy", gen::grid_laplacian_3d(16, 16, 16), FactoKind::Cholesky),
@@ -406,7 +356,6 @@ fn main() {
     let doc = Json::obj()
         .field("isa", detected.name())
         .field("gemm", gemm_records)
-        .field("update", update_record)
         .field("autotune", autotune_record)
         .field("gate", gate_record)
         .field("end_to_end", e2e_records);

@@ -6,40 +6,44 @@
 //! cargo run -p dagfact-bench --bin overhead --release
 //! ```
 //!
-//! Scenarios, all with no-op (or near-no-op) task bodies so nothing but
-//! the runtime itself is on the clock:
+//! Scenarios, all with no-op task bodies so nothing but the runtime
+//! itself is on the clock — each one DAG, run under all three placement
+//! policies (`native/…`, `dataflow/…`, `ptg/…`):
 //!
-//! * `native/independent` — 10k independent tasks over all workers: the
-//!   per-task floor (queue push/pop + supervisor accounting).
-//! * `native/chains`      — 64 chains: every task release runs the
-//!   fan-in CAS and a ready-queue push.
-//! * `native/steal_heavy` — all tasks owned by worker 0: idle workers
-//!   hammer the steal path (victim scan + batched steal) the whole run.
-//! * `native/steal_chains` — chains all owned by worker 0: every release
-//!   refills worker 0's deque while the thieves batch-steal, so the
-//!   owner-pop/steal race of the chase-lev protocol stays hot.
-//! * `dataflow/independent`, `ptg/independent` — same floor for the
-//!   other engines.
+//! * `independent_1w`, `chains_1w` — one worker: the clean per-task floor
+//!   (queue push/pop + supervisor accounting; for chains also the fan-in
+//!   CAS), free of context-switch noise.
+//! * `independent` — 10k independent tasks over all workers.
+//! * `chains`      — 64 chains: every task release runs the fan-in CAS
+//!   and a ready-queue push.
+//! * `steal_heavy` — all tasks owned by worker 0: under the static-owner
+//!   policy idle workers hammer the steal path (victim scan + batched
+//!   steal) the whole run; the other two policies ignore owners and show
+//!   their shared-queue cost instead.
+//! * `steal_chains` — chains all owned by worker 0: every release refills
+//!   one deque while the thieves batch-steal, so the owner-pop/steal race
+//!   of the chase-lev protocol stays hot.
 //! * `kernels/ldlt_update` — the LDLᵀ buffered update on a small panel:
 //!   per-call cost including any scratch management.
 //!
-//! Every `native/*` scenario is timed as an interleaved A/A pair (the
+//! Every scheduler scenario is timed as an interleaved A/A pair (the
 //! tracesweep overhead-guard pattern): two independent sample streams of
 //! the *same* configuration, alternating run by run. If their medians
 //! disagree by more than [`MAX_AA_SKEW`] the box is too noisy for the
 //! number to mean anything, and the bench fails instead of letting a
-//! before/after gate pass on noise.
+//! before/after gate pass on noise. It also fails when the central queue
+//! costs more than [`MAX_DATAFLOW_RATIO`]× the deque floor
+//! (`dataflow/independent_1w` vs `native/independent_1w`, re-measured as
+//! one interleaved pair).
 //!
 //! Output: ns/task (ns/call for the kernel) per scenario, median of
 //! [`REPS`] runs (+ `aa_skew` for guarded scenarios), written to
-//! `results/overhead.json` — the trend file ROADMAP item 5 gates on.
+//! `results/overhead.json` — the trend file ROADMAP item 2 gates on.
 
 use dagfact_bench::{write_results, Json};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
-use dagfact_rt::dataflow::DataflowGraph;
-use dagfact_rt::native::{run_native, NativeTask};
-use dagfact_rt::ptg::{run_ptg, PtgProgram};
-use dagfact_rt::AccessMode;
+use dagfact_rt::native::{NativeDag, NativeTask};
+use dagfact_rt::{exec, RunConfig, RuntimeKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -49,6 +53,10 @@ const REPS: usize = 9;
 /// declared noise. Looser than tracesweep's 10% because these runs are
 /// milliseconds, not seconds, and single-core boxes jitter more.
 const MAX_AA_SKEW: f64 = 0.15;
+/// Largest tolerated `dataflow/independent_1w ÷ native/independent_1w`:
+/// one shared queue may cost more per task than a private deque, but not
+/// a multiple of it.
+const MAX_DATAFLOW_RATIO: f64 = 1.5;
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
@@ -68,23 +76,21 @@ fn time_median<F: FnMut()>(mut f: F) -> f64 {
     median(&mut samples)
 }
 
-/// Interleaved A/A timing (tracesweep's overhead-guard pattern): two
-/// sample streams of the same `f`, alternating run by run so drift hits
-/// both equally. Returns `(best_median_seconds, aa_skew)` where skew is
-/// the relative gap between the stream medians — the run-to-run noise
-/// floor any before/after claim has to clear.
-fn time_median_aa<F: FnMut()>(mut f: F) -> (f64, f64) {
-    f(); // warmup
-    let (mut a, mut b): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
+/// Median seconds of `a` and of `b`, sampled alternately run by run (one
+/// warmup each) so a drift in host speed hits both streams equally.
+fn time_interleaved(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let (mut sa, mut sb): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for _ in 0..REPS {
-        for out in [&mut a, &mut b] {
-            let t0 = Instant::now();
-            f();
-            out.push(t0.elapsed().as_secs_f64());
-        }
+        let t0 = Instant::now();
+        a();
+        sa.push(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        b();
+        sb.push(t0.elapsed().as_secs_f64());
     }
-    let (ma, mb) = (median(&mut a), median(&mut b));
-    (ma.min(mb), (ma - mb).abs() / ma.min(mb).max(f64::MIN_POSITIVE))
+    (median(&mut sa), median(&mut sb))
 }
 
 fn independent_tasks(threads: usize) -> Vec<NativeTask> {
@@ -144,61 +150,32 @@ fn steal_chain_tasks() -> Vec<NativeTask> {
         .collect()
 }
 
-/// A/A-guarded native-engine timing: `(seconds, aa_skew)`.
-fn bench_native(tasks: &[NativeTask], threads: usize) -> (f64, f64) {
-    time_median_aa(|| {
-        let count = AtomicUsize::new(0);
-        // ORDERING: completion tally; the engine joins its workers
+/// One run of `tasks` under `kind`, checked to have executed every task.
+fn run_dag(tasks: &[NativeTask], kind: RuntimeKind, threads: usize) {
+    let count = AtomicUsize::new(0);
+    let dag = NativeDag {
+        tasks,
+        // ORDERING: completion tally; the executor joins its workers
         // before returning, which orders the final load.
-        run_native(tasks, threads, |_, _| {
+        execute: |_, _| {
             count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), NTASKS);
-    })
+        },
+    };
+    if let Err(e) = exec::run(&dag, kind, threads, RunConfig::default()) {
+        eprintln!("overhead: {kind:?} run failed: {e}");
+        std::process::exit(1);
+    }
+    assert_eq!(count.load(Ordering::Relaxed), NTASKS);
 }
 
-fn bench_dataflow(threads: usize) -> f64 {
-    time_median(|| {
-        let count = AtomicUsize::new(0);
-        let mut g = DataflowGraph::new(64);
-        // ORDERING: completion tally; `execute` joins its workers
-        // before returning, which orders the final load.
-        for i in 0..NTASKS {
-            let count = &count;
-            g.submit(&[(i % 64, AccessMode::ReadWrite)], 0.0, move |_| {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        g.execute(threads);
-        assert_eq!(count.load(Ordering::Relaxed), NTASKS);
-    })
-}
-
-struct Flat<'a> {
-    count: &'a AtomicUsize,
-}
-impl PtgProgram for Flat<'_> {
-    fn num_tasks(&self) -> usize {
-        NTASKS
-    }
-    fn num_predecessors(&self, _t: usize) -> u32 {
-        0
-    }
-    fn successors(&self, _t: usize, _out: &mut Vec<usize>) {}
-    fn execute(&self, _t: usize, _w: usize) {
-        // ORDERING: completion tally; the engine's join orders the
-        // final load in `bench_ptg`.
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn bench_ptg(threads: usize) -> f64 {
-    time_median(|| {
-        let count = AtomicUsize::new(0);
-        run_ptg(&Flat { count: &count }, threads);
-        // ORDERING: completion tally; `run_ptg` joined its workers.
-        assert_eq!(count.load(Ordering::Relaxed), NTASKS);
-    })
+/// A/A-guarded timing (tracesweep's overhead-guard pattern): two sample
+/// streams of the *same* run, interleaved. Returns `(best_median_seconds,
+/// aa_skew)` where skew is the relative gap between the stream medians —
+/// the run-to-run noise floor any before/after claim has to clear.
+fn bench_dag(tasks: &[NativeTask], kind: RuntimeKind, threads: usize) -> (f64, f64) {
+    let run = || run_dag(tasks, kind, threads);
+    let (ma, mb) = time_interleaved(run, run);
+    (ma.min(mb), (ma - mb).abs() / ma.min(mb).max(f64::MIN_POSITIVE))
 }
 
 /// LDLᵀ buffered update on an afshell-sized small panel, many calls per
@@ -239,58 +216,43 @@ fn main() {
     let mut noisy = 0usize;
 
     println!("overhead: tiny-task scheduler sweep ({NTASKS} tasks, {threads} workers, median of {REPS})");
-    println!("{:<24} {:>12} {:>10}", "scenario", "ns/task", "A/A skew");
+    println!("{:<26} {:>12} {:>10}", "scenario", "ns/task", "A/A skew");
 
-    fn push(scenarios: &mut Vec<(String, f64, Option<f64>)>, name: &str, per_task_ns: f64) {
-        println!("{name:<24} {per_task_ns:>12.1} {:>10}", "-");
-        scenarios.push((name.to_string(), per_task_ns, None));
-    }
-    fn push_aa(
-        scenarios: &mut Vec<(String, f64, Option<f64>)>,
-        noisy: &mut usize,
-        name: &str,
-        per_task_ns: f64,
-        skew: f64,
-    ) {
-        println!("{name:<24} {per_task_ns:>12.1} {:>9.1}%", skew * 100.0);
-        if skew > MAX_AA_SKEW {
-            eprintln!(
-                "overhead: {name} A/A skew {:.1}% exceeds the {:.0}% noise bound — \
-                 this number cannot support a before/after claim",
-                skew * 100.0,
-                MAX_AA_SKEW * 100.0
-            );
-            *noisy += 1;
+    let dags = [
+        ("independent_1w", independent_tasks(1), 1),
+        ("chains_1w", chain_tasks(1), 1),
+        ("independent", independent_tasks(threads), threads),
+        ("chains", chain_tasks(threads), threads),
+        ("steal_heavy", steal_heavy_tasks(), threads),
+        ("steal_chains", steal_chain_tasks(), threads),
+    ];
+    for (kind, policy) in [
+        (RuntimeKind::Native, "native"),
+        (RuntimeKind::Dataflow, "dataflow"),
+        (RuntimeKind::Ptg, "ptg"),
+    ] {
+        for (scenario, tasks, workers) in &dags {
+            let name = format!("{policy}/{scenario}");
+            let (sec, skew) = bench_dag(tasks, kind, *workers);
+            let per_task_ns = sec * 1e9 / NTASKS as f64;
+            println!("{name:<26} {per_task_ns:>12.1} {:>9.1}%", skew * 100.0);
+            if skew > MAX_AA_SKEW {
+                eprintln!(
+                    "overhead: {name} A/A skew {:.1}% exceeds the {:.0}% noise bound — \
+                     this number cannot support a before/after claim",
+                    skew * 100.0,
+                    MAX_AA_SKEW * 100.0
+                );
+                noisy += 1;
+            }
+            scenarios.push((name, per_task_ns, Some(skew)));
         }
-        scenarios.push((name.to_string(), per_task_ns, Some(skew)));
     }
-
-    let (sec, skew) = bench_native(&independent_tasks(1), 1);
-    push_aa(&mut scenarios, &mut noisy, "native/independent_1w", sec * 1e9 / NTASKS as f64, skew);
-
-    let (sec, skew) = bench_native(&chain_tasks(1), 1);
-    push_aa(&mut scenarios, &mut noisy, "native/chains_1w", sec * 1e9 / NTASKS as f64, skew);
-
-    let (sec, skew) = bench_native(&independent_tasks(threads), threads);
-    push_aa(&mut scenarios, &mut noisy, "native/independent", sec * 1e9 / NTASKS as f64, skew);
-
-    let (sec, skew) = bench_native(&chain_tasks(threads), threads);
-    push_aa(&mut scenarios, &mut noisy, "native/chains", sec * 1e9 / NTASKS as f64, skew);
-
-    let (sec, skew) = bench_native(&steal_heavy_tasks(), threads);
-    push_aa(&mut scenarios, &mut noisy, "native/steal_heavy", sec * 1e9 / NTASKS as f64, skew);
-
-    let (sec, skew) = bench_native(&steal_chain_tasks(), threads);
-    push_aa(&mut scenarios, &mut noisy, "native/steal_chains", sec * 1e9 / NTASKS as f64, skew);
-
-    let sec = bench_dataflow(1);
-    push(&mut scenarios, "dataflow/independent_1w", sec * 1e9 / NTASKS as f64);
-
-    let sec = bench_ptg(1);
-    push(&mut scenarios, "ptg/independent_1w", sec * 1e9 / NTASKS as f64);
 
     let (sec, calls) = bench_ldlt_update();
-    push(&mut scenarios, "kernels/ldlt_update", sec * 1e9 / calls as f64);
+    let per_call_ns = sec * 1e9 / calls as f64;
+    println!("{:<26} {per_call_ns:>12.1} {:>10}", "kernels/ldlt_update", "-");
+    scenarios.push(("kernels/ldlt_update".to_string(), per_call_ns, None));
 
     let mut arr: Vec<Json> = Vec::new();
     for (name, ns, skew) in &scenarios {
@@ -302,12 +264,25 @@ fn main() {
         }
         arr.push(obj);
     }
+    // The central-queue gate compares two scenarios, so it is measured
+    // on its own interleaved pair: a host speed shift between two rows of
+    // the table above can neither fake nor hide it.
+    let floor = independent_tasks(1);
+    let (native, dataflow) = time_interleaved(
+        || run_dag(&floor, RuntimeKind::Native, 1),
+        || run_dag(&floor, RuntimeKind::Dataflow, 1),
+    );
+    let ratio = dataflow / native;
+    println!("dataflow/native independent_1w, interleaved: {ratio:.2}x (gate {MAX_DATAFLOW_RATIO}x)");
+
     let doc = Json::obj()
         .field("bench", "overhead")
         .field("ntasks", NTASKS as i64)
         .field("workers", threads as i64)
         .field("reps", REPS as i64)
         .field("max_aa_skew", MAX_AA_SKEW)
+        .field("dataflow_native_1w_ratio", ratio)
+        .field("max_dataflow_native_1w_ratio", MAX_DATAFLOW_RATIO)
         .field("scenarios", Json::Arr(arr));
     match write_results("overhead", &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
@@ -318,6 +293,10 @@ fn main() {
     }
     if noisy > 0 {
         eprintln!("overhead: A/A guard FAILED on {noisy} scenario(s)");
+        std::process::exit(1);
+    }
+    if ratio > MAX_DATAFLOW_RATIO {
+        eprintln!("overhead: central-queue gate FAILED ({ratio:.2}x > {MAX_DATAFLOW_RATIO}x)");
         std::process::exit(1);
     }
 }

@@ -7,20 +7,21 @@
 //!   sub-panel at-and-below `b` to the facing panel (the sparse GEMM,
 //!   buffer-then-scatter on CPUs).
 //!
-//! The LDLᵀ kernels reproduce the paper's §V-A observation: the native
-//! engine materializes `D·Lᵀ` once per 1D task in a per-worker buffer so
-//! updates are plain GEMMs, while the generic runtimes "perform the full
-//! LDLᵀ operation at each update" — the reason PaStiX wins on `pmlDF` and
-//! `Serena`.
+//! Every policy runs the same two task bodies; a native 1D task is
+//! `panel(c)` followed by the panel's `update(c, ·)` bodies. The LDLᵀ
+//! update rescales by `D` inside each call ("the full LDLᵀ operation at
+//! each update", §V-A). PaStiX's per-panel `D·Lᵀ` buffer trick — the
+//! reason it wins on `pmlDF` and `Serena` in the paper — measured no
+//! end-to-end gain here and is modelled only in the simulator
+//! (`gpusim::kernelmodel`).
 //!
 //! # Memory-budgeted execution
 //!
 //! When [`ExecOptions::run`] carries a [`MemoryBudget`], every large
 //! allocation of the factorization is charged to it: the coefficient
 //! panels (through the pager in [`CoefTab`]), the per-worker GEMM buffers
-//! (`site::WORKSPACE`), the native engine's per-supernode packed B-panel
-//! (`site::DLT` — plain `Lᵀ` for Cholesky, `D·Lᵀ` for LDLᵀ) and the
-//! pivot diagonal (`site::DIAG`). Under a hard cap the tasks
+//! (`site::WORKSPACE`) and the pivot diagonal (`site::DIAG`). Under a
+//! hard cap the tasks
 //! degrade instead of failing, in pressure order:
 //!
 //! 1. **shed** — GEMM updates narrow their scatter buffer to a few
@@ -34,7 +35,7 @@
 //!
 //! Task bodies pin every panel they touch *before* mutating anything, so
 //! an injected allocation failure (`AllocFail`) at a pin is retry-safe:
-//! fine-grained engines re-run the task, the native engine and the
+//! the two-level DAGs re-run the task, the fused 1D tasks and the
 //! adaptive solver retry the factorization without escalating the pivot
 //! threshold.
 
@@ -44,15 +45,12 @@ use crate::tasks::{OneDGraph, TaskGraph, TaskKind};
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
-use dagfact_kernels::update::{
-    pack_b, update_scatter_direct, update_scatter_packed, update_via_buffer,
-    update_via_buffer_packed, Scatter,
-};
+use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
 use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, potrf, Scalar};
 use dagfact_rt::budget::{site, MemoryBudget, PressureLevel};
 use dagfact_rt::dataflow::DataflowGraph;
-use dagfact_rt::native::{run_native_checked, NativeTask};
-use dagfact_rt::ptg::{run_ptg_checked, PtgProgram};
+use dagfact_rt::native::{NativeDag, NativeTask};
+use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
 use dagfact_rt::{
     AccessMode, EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice,
@@ -401,20 +399,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     // ------------------------------------------------------------------
 
     /// Apply update task of global block `bi` from panel `c` onto its
-    /// facing panel. `pack` optionally carries the native engine's
-    /// per-supernode packed B-panel (k × below, column per source row):
-    /// plain `Lᵀ` for Cholesky, `D·Lᵀ` for LDLᵀ. `lock_target` must be
-    /// true when the caller's DAG does not order updates into a common
-    /// target against each other (the native 1D graph): the write then
-    /// becomes a lock-protected accumulation.
-    pub(crate) fn update_task(
-        &self,
-        c: usize,
-        bi: usize,
-        worker: usize,
-        pack: Option<&[T]>,
-        lock_target: bool,
-    ) {
+    /// facing panel. `lock_target` must be true when the caller's DAG
+    /// does not order updates into a common target against each other
+    /// (the native 1D graph): the write then becomes a lock-protected
+    /// accumulation.
+    pub(crate) fn update_task(&self, c: usize, bi: usize, worker: usize, lock_target: bool) {
         if self.failed() {
             return;
         }
@@ -467,7 +456,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             Some((us, ud)) => (Some(unsafe { us.slice() }), Some(unsafe { ud.slice_mut() })),
             None => (None, None),
         };
-        self.update_kernel(c, bi, ws, cols_l, pack, lsrc, usrc, ldst, udst);
+        self.update_kernel(c, bi, ws, cols_l, lsrc, usrc, ldst, udst);
         // This update has consumed its read of panel c; the last one
         // hands the panel to the pager as a preferred spill victim.
         if self.remaining_reads[c].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -518,7 +507,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // buffers are exclusively owned by the caller.
         let lsrc = unsafe { lsrc_pin.slice() };
         let usrc = usrc_pin.as_ref().map(|p| unsafe { p.slice() });
-        self.update_kernel(c, bi, ws, cols_l, None, lsrc, usrc, ldst, udst);
+        self.update_kernel(c, bi, ws, cols_l, lsrc, usrc, ldst, udst);
         !self.failed()
     }
 
@@ -526,8 +515,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// [`NumericCtx::update_task`] (destination = the live target panel)
     /// and [`NumericCtx::update_into`] (destination = a fan-in pair
     /// buffer with the target panel's layout). `cols_l` is the
-    /// pre-decided scatter-buffer plan for the m×n L-side GEMM; `pack`
-    /// is the supernode's packed B-panel when the 1D task built one.
+    /// pre-decided scatter-buffer plan for the m×n L-side GEMM.
     #[allow(clippy::too_many_arguments)]
     fn update_kernel(
         &self,
@@ -535,7 +523,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         bi: usize,
         ws: &mut Workspace<T>,
         cols_l: Option<usize>,
-        pack: Option<&[T]>,
         lsrc: &[T],
         usrc: Option<&[T]>,
         ldst: &mut [T],
@@ -554,40 +541,19 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let a1 = &lsrc[block.local_offset..];
         let a2 = &lsrc[block.local_offset..];
         match self.analysis.facto {
-            FactoKind::Cholesky => match pack {
-                Some(w_panel) => {
-                    // Native path: the supernode's Lᵀ B-panel was packed
-                    // once by the 1D task; every update of the panel reads
-                    // the same contiguous cache-blocked columns.
-                    let col0 = block.local_offset - cb.width();
-                    let pk = &w_panel[col0 * k..(col0 + n) * k];
-                    match cols_l {
-                        Some(cols) => chunked_update_packed(
-                            cols, m, n, k,
-                            -T::one(),
-                            a1, cb.stride,
-                            pk,
-                            &mut ws.tmp,
-                            ldst, tcb.stride,
-                            &ws.row_map, col_off,
-                        ),
-                        None => update_scatter_packed(
-                            m, n, k,
-                            -T::one(),
-                            a1, cb.stride,
-                            pk,
-                            ldst, tcb.stride,
-                            Scatter { row_map: &ws.row_map, col_offset: col_off },
-                        ),
-                    }
-                }
-                None => match cols_l {
+            FactoKind::Cholesky | FactoKind::Ldlt => {
+                // LDLᵀ rescales by D inside every update ("the full LDLᵀ
+                // operation at each update", §V-A).
+                // SAFETY: d[cols of c] was finalized by panel(c).
+                let d = (self.analysis.facto == FactoKind::Ldlt)
+                    .then(|| unsafe { self.d.range(cb.fcol..cb.lcol) });
+                match cols_l {
                     Some(cols) => chunked_update(
                         cols, m, n, k,
                         -T::one(),
                         a1, cb.stride,
                         a2, cb.stride,
-                        None,
+                        d,
                         &mut ws.tmp,
                         ldst, tcb.stride,
                         &ws.row_map, col_off,
@@ -597,70 +563,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                         -T::one(),
                         a1, cb.stride,
                         a2, cb.stride,
-                        None,
+                        d,
                         ldst, tcb.stride,
                         Scatter { row_map: &ws.row_map, col_offset: col_off },
                     ),
-                },
-            },
-            FactoKind::Ldlt => {
-                match pack {
-                    Some(w_panel) => {
-                        // Native path: W = D·Lᵀ was packed once per panel;
-                        // pick the columns of block bi and run a plain
-                        // GEMM (the PaStiX temp-buffer trick), or the
-                        // fused GEMM-scatter when the pressure ladder
-                        // forbids the staging buffer.
-                        let col0 = block.local_offset - cb.width();
-                        let pk = &w_panel[col0 * k..(col0 + n) * k];
-                        match cols_l {
-                            Some(cols) => chunked_update_packed(
-                                cols, m, n, k,
-                                -T::one(),
-                                a1, cb.stride,
-                                pk,
-                                &mut ws.tmp,
-                                ldst, tcb.stride,
-                                &ws.row_map, col_off,
-                            ),
-                            None => update_scatter_packed(
-                                m, n, k,
-                                -T::one(),
-                                a1, cb.stride,
-                                pk,
-                                ldst, tcb.stride,
-                                Scatter { row_map: &ws.row_map, col_offset: col_off },
-                            ),
-                        }
-                    }
-                    None => {
-                        // Generic-runtime path: rescale by D inside every
-                        // update ("a less efficient kernel that performs
-                        // the full LDLᵀ operation at each update", §V-A).
-                        // SAFETY: d[cols of c] was finalized by panel(c).
-                        let d = unsafe { self.d.range(cb.fcol..cb.lcol) };
-                        match cols_l {
-                            Some(cols) => chunked_update(
-                                cols, m, n, k,
-                                -T::one(),
-                                a1, cb.stride,
-                                a2, cb.stride,
-                                Some(d),
-                                &mut ws.tmp,
-                                ldst, tcb.stride,
-                                &ws.row_map, col_off,
-                            ),
-                            None => update_scatter_direct(
-                                m, n, k,
-                                -T::one(),
-                                a1, cb.stride,
-                                a2, cb.stride,
-                                Some(d),
-                                ldst, tcb.stride,
-                                Scatter { row_map: &ws.row_map, col_offset: col_off },
-                            ),
-                        }
-                    }
                 }
             }
             FactoKind::Lu => {
@@ -764,82 +670,13 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         }
     }
 
-    /// The fused 1D task of the native engine: panel + all its updates,
-    /// with the per-supernode packed B-panel (`Lᵀ` for Cholesky, `D·Lᵀ`
-    /// for LDLᵀ) built once and reused by every trailing update.
+    /// The fused 1D task of the native policy (§III): the panel body
+    /// followed by the bodies of all its updates.
     fn one_d_task(&self, c: usize, worker: usize) {
         self.panel_task(c, worker);
-        if self.failed() {
-            return;
-        }
-        let symbol = &self.analysis.symbol;
-        let cb = &symbol.cblks[c];
-        let mut pack_charged = 0usize;
-        let wants_pack = matches!(
-            self.analysis.facto,
-            FactoKind::Cholesky | FactoKind::Ldlt
-        );
-        let pack_panel: Option<Vec<T>> = if wants_pack {
-            let below = cb.stride - cb.width();
-            let k = cb.width();
-            let granted = below > 0 && {
-                match &self.budget {
-                    None => true,
-                    Some(b) => {
-                        let bytes = k * below * std::mem::size_of::<T>();
-                        match b.try_charge(bytes, site::DLT) {
-                            Ok(()) => {
-                                pack_charged = bytes;
-                                true
-                            }
-                            Err(_) => {
-                                // Refused (pressure or injected fault):
-                                // the generic per-update kernel needs no
-                                // packed panel.
-                                b.note_shed();
-                                false
-                            }
-                        }
-                    }
-                }
-            };
-            if granted {
-                match self.tab.pin_l(symbol, c) {
-                    Ok(pin) => {
-                        // SAFETY: panel(c) is complete and ours to read.
-                        let l = unsafe { pin.slice() };
-                        let d = (self.analysis.facto == FactoKind::Ldlt)
-                            // SAFETY: d[cols of c] was finalized by panel(c).
-                            .then(|| unsafe { self.d.range(cb.fcol..cb.lcol) });
-                        let mut w = vec![T::zero(); k * below];
-                        pack_b(below, k, d, &l[k..], cb.stride, &mut w);
-                        Some(w)
-                    }
-                    Err(_) => {
-                        // Could not read our own panel back (injected
-                        // fault or spill IO): degrade to the generic
-                        // update kernel; it re-pins and reports properly.
-                        if let Some(b) = &self.budget {
-                            b.release(pack_charged);
-                        }
-                        pack_charged = 0;
-                        None
-                    }
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let cb = &self.analysis.symbol.cblks[c];
         for bi in (cb.block_begin + 1)..cb.block_end {
-            self.update_task(c, bi, worker, pack_panel.as_deref(), true);
-        }
-        drop(pack_panel);
-        if pack_charged > 0 {
-            if let Some(b) = &self.budget {
-                b.release(pack_charged);
-            }
+            self.update_task(c, bi, worker, true);
         }
     }
 }
@@ -875,42 +712,6 @@ fn chunked_update<T: Scalar>(
             a1, lda1,
             &a2[j0..], lda2,
             d,
-            work,
-            c, ldc,
-            Scatter { row_map, col_offset: col_offset + j0 },
-        );
-        j0 += nc;
-    }
-}
-
-/// Column-chunked twin of [`chunked_update`] over a panel packed by
-/// [`pack_b`]: the per-chunk B slice is a contiguous `k×nc` subrange of
-/// the supernode's pack, so every chunk is a plain `NoTrans×NoTrans`
-/// GEMM (or the fused SIMD GEMM-scatter inside the kernel crate).
-#[allow(clippy::too_many_arguments)]
-fn chunked_update_packed<T: Scalar>(
-    cols: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a1: &[T],
-    lda1: usize,
-    pack: &[T],
-    work: &mut Vec<T>,
-    c: &mut [T],
-    ldc: usize,
-    row_map: &[usize],
-    col_offset: usize,
-) {
-    let mut j0 = 0;
-    while j0 < n {
-        let nc = cols.min(n - j0);
-        update_via_buffer_packed(
-            m, nc, k,
-            alpha,
-            a1, lda1,
-            &pack[j0 * k..(j0 + nc) * k],
             work,
             c, ldc,
             Scatter { row_map, col_offset: col_offset + j0 },
@@ -1125,11 +926,7 @@ impl Analysis {
             panel_locks: (0..self.symbol.ncblk()).map(|_| Mutex::new(())).collect(),
         };
         let run_numeric = || -> Result<RunReport, SolverError> {
-            let report = match runtime {
-                RuntimeKind::Native => self.run_native_engine(&ctx, nthreads, exec.run.clone()),
-                RuntimeKind::Dataflow => self.run_dataflow_engine(&ctx, nthreads, exec.run.clone()),
-                RuntimeKind::Ptg => self.run_ptg_engine(&ctx, nthreads, exec.run.clone()),
-            };
+            let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the
             // engine drains cleanly around it); otherwise an engine error
             // is fatal on its own.
@@ -1213,144 +1010,93 @@ impl Analysis {
         Ok(())
     }
 
-    fn run_native_engine<T: Scalar>(
+    /// Build `runtime`'s DAG — the 1D graph with static owners, a hazard-
+    /// inferred submission, or the two-level [`TaskGraph`] — and run it.
+    fn run_engine<T: Scalar>(
         &self,
         ctx: &NumericCtx<'_, T>,
+        runtime: RuntimeKind,
         nthreads: usize,
         config: RunConfig,
     ) -> Result<RunReport, EngineError> {
-        let graph = OneDGraph::build(&self.symbol);
+        let symbol = &self.symbol;
         let costs = self.costs(T::IS_COMPLEX);
         let prio = self.priorities(&costs);
-        let owners = self.static_owners(&costs, nthreads);
-        let tasks: Vec<NativeTask> = (0..self.symbol.ncblk())
-            .map(|c| NativeTask {
-                owner: owners[c],
-                npred: graph.npred[c],
-                succs: graph.succs[c].clone(),
-                priority: prio[c],
-            })
-            .collect();
-        if let Some(rec) = &config.trace {
-            // Fused 1D tasks: the task id IS the panel; the flop count
-            // bundles the panel with all its updates (the cost model's
-            // task_1d, so GFLOP/s matches the schedule's denominator).
-            for c in 0..self.symbol.ncblk() {
-                rec.set_task_meta(c, "1d-panel", c, costs.task_1d(&self.symbol, c));
-            }
-            rec.set_edges(
-                tasks
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, task)| task.succs.iter().map(move |&s| (t, s)))
-                    .collect(),
-            );
-        }
-        run_native_checked(&tasks, nthreads, config, |c, worker| ctx.one_d_task(c, worker))
-    }
-
-    fn run_dataflow_engine<T: Scalar>(
-        &self,
-        ctx: &NumericCtx<'_, T>,
-        nthreads: usize,
-        config: RunConfig,
-    ) -> Result<RunReport, EngineError> {
-        // Sequential submission in the solver's program order — panel k,
-        // then the updates it generates, ascending k — exactly "the simple
-        // sequential submission loops typically used with STARPU" (§IV).
-        // The engine infers the DAG from the R/RW hazards alone.
-        let costs = self.costs(T::IS_COMPLEX);
-        let prio = self.priorities(&costs);
-        let mut g = DataflowGraph::new(self.symbol.ncblk());
-        for (cblk, &pr) in prio.iter().enumerate().take(self.symbol.ncblk()) {
-            let id = g.submit(&[(cblk, AccessMode::ReadWrite)], pr, move |w| {
-                ctx.panel_task(cblk, w)
-            });
-            if let Some(rec) = &config.trace {
-                rec.set_task_meta(id, "panel", cblk, costs.panel[cblk]);
-            }
-            let cb = &self.symbol.cblks[cblk];
-            for block in (cb.block_begin + 1)..cb.block_end {
-                let target = self.symbol.blocks[block].facing;
-                let id = g.submit(
-                    &[(cblk, AccessMode::Read), (target, AccessMode::ReadWrite)],
-                    pr,
-                    move |w| ctx.update_task(cblk, block, w, None, false),
-                );
-                if let Some(rec) = &config.trace {
-                    rec.set_task_meta(id, "update", cblk, costs.update[block]);
-                }
-            }
-        }
-        if let Some(rec) = &config.trace {
-            rec.set_edges(g.edges());
-        }
-        g.execute_checked(nthreads, config)
-    }
-
-    fn run_ptg_engine<T: Scalar>(
-        &self,
-        ctx: &NumericCtx<'_, T>,
-        nthreads: usize,
-        config: RunConfig,
-    ) -> Result<RunReport, EngineError> {
-        struct Program<'c, 'a, T: Scalar> {
-            ctx: &'c NumericCtx<'a, T>,
-            graph: TaskGraph,
-            prio: Vec<f64>,
-        }
-        impl<T: Scalar> PtgProgram for Program<'_, '_, T> {
-            fn num_tasks(&self) -> usize {
-                self.graph.len()
-            }
-            fn num_predecessors(&self, t: usize) -> u32 {
-                self.graph.npred[t]
-            }
-            fn successors(&self, t: usize, out: &mut Vec<usize>) {
-                out.extend_from_slice(&self.graph.succs[t]);
-            }
-            fn priority(&self, t: usize) -> f64 {
-                match self.graph.tasks[t] {
-                    TaskKind::Panel { cblk } => self.prio[cblk],
-                    TaskKind::Update { cblk, .. } => self.prio[cblk],
-                }
-            }
-            fn execute(&self, t: usize, worker: usize) {
-                match self.graph.tasks[t] {
-                    TaskKind::Panel { cblk } => self.ctx.panel_task(cblk, worker),
-                    TaskKind::Update { cblk, block, .. } => {
-                        self.ctx.update_task(cblk, block, worker, None, false)
-                    }
-                }
-            }
-        }
-        let costs = self.costs(T::IS_COMPLEX);
-        let program = Program {
-            ctx,
-            graph: TaskGraph::build(&self.symbol),
-            prio: self.priorities(&costs),
+        let body = |task: TaskKind, worker: usize| match task {
+            TaskKind::Panel { cblk } => ctx.panel_task(cblk, worker),
+            TaskKind::Update { cblk, block, .. } => ctx.update_task(cblk, block, worker, false),
         };
-        if let Some(rec) = &config.trace {
-            for t in 0..program.graph.len() {
-                match program.graph.tasks[t] {
-                    TaskKind::Panel { cblk } => {
-                        rec.set_task_meta(t, "panel", cblk, costs.panel[cblk]);
-                    }
-                    TaskKind::Update { cblk, block, .. } => {
-                        rec.set_task_meta(t, "update", cblk, costs.update[block]);
+        let meta = |task: TaskKind| match task {
+            TaskKind::Panel { cblk } => ("panel", cblk, costs.panel[cblk]),
+            TaskKind::Update { cblk, block, .. } => ("update", cblk, costs.update[block]),
+        };
+        match runtime {
+            RuntimeKind::Native => {
+                // Fused 1D tasks: the task id IS the panel, and its flops are
+                // the cost model's task_1d (the schedule's own denominator).
+                let graph = OneDGraph::build(symbol);
+                let owners = self.static_owners(&costs, nthreads);
+                let tasks: Vec<NativeTask> = (graph.succs.into_iter().zip(graph.npred).enumerate())
+                    .map(|(c, (succs, npred))| NativeTask { owner: owners[c], npred, succs, priority: prio[c] })
+                    .collect();
+                let dag = NativeDag { tasks: &tasks, execute: |c, worker| ctx.one_d_task(c, worker) };
+                launch(&dag, |c| ("1d-panel", c, costs.task_1d(symbol, c)), runtime, nthreads, config)
+            }
+            RuntimeKind::Dataflow => {
+                // Program-order submission — panel k, then the updates it
+                // generates, ascending k: "the simple sequential submission
+                // loops typically used with STARPU" (§IV). The DAG is
+                // inferred from the R/RW hazards alone.
+                let mut g = DataflowGraph::new(symbol.ncblk());
+                let mut kinds: Vec<TaskKind> = Vec::new();
+                for (cblk, cb) in symbol.cblks.iter().enumerate() {
+                    let task = TaskKind::Panel { cblk };
+                    g.submit(&[(cblk, AccessMode::ReadWrite)], prio[cblk], move |w| body(task, w));
+                    kinds.push(task);
+                    for block in (cb.block_begin + 1)..cb.block_end {
+                        let target = symbol.blocks[block].facing;
+                        let task = TaskKind::Update { cblk, block, target };
+                        let accesses = [(cblk, AccessMode::Read), (target, AccessMode::ReadWrite)];
+                        g.submit(&accesses, prio[cblk], move |w| body(task, w));
+                        kinds.push(task);
                     }
                 }
+                launch(&g, |t| meta(kinds[t]), runtime, nthreads, config)
             }
-            rec.set_edges(
-                program
-                    .graph
-                    .succs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, succs)| succs.iter().map(move |&s| (t, s)))
-                    .collect(),
-            );
+            RuntimeKind::Ptg => {
+                let TaskGraph { tasks: kinds, succs, npred, .. } = TaskGraph::build(symbol);
+                let tasks: Vec<NativeTask> = (succs.into_iter().zip(npred).zip(&kinds))
+                    .map(|((succs, npred), &kind)| {
+                        let (TaskKind::Panel { cblk } | TaskKind::Update { cblk, .. }) = kind;
+                        NativeTask { owner: 0, npred, succs, priority: prio[cblk] }
+                    })
+                    .collect();
+                let dag = NativeDag { tasks: &tasks, execute: |t, worker| body(kinds[t], worker) };
+                launch(&dag, |t| meta(kinds[t]), runtime, nthreads, config)
+            }
         }
-        run_ptg_checked(&program, nthreads, config)
     }
+}
+
+/// Register `dag`'s edges and each task's `meta` — (kind, panel, flops) —
+/// with the run's trace recorder, if any, then execute it.
+fn launch<D: PtgProgram>(
+    dag: &D,
+    meta: impl Fn(usize) -> (&'static str, usize, f64),
+    runtime: RuntimeKind,
+    nthreads: usize,
+    config: RunConfig,
+) -> Result<RunReport, EngineError> {
+    if let Some(rec) = &config.trace {
+        let (mut edges, mut succs) = (Vec::new(), Vec::new());
+        for t in 0..dag.num_tasks() {
+            let (kind, panel, flops) = meta(t);
+            rec.set_task_meta(t, kind, panel, flops);
+            succs.clear();
+            dag.successors(t, &mut succs);
+            edges.extend(succs.iter().map(|&s| (t, s)));
+        }
+        rec.set_edges(edges);
+    }
+    dagfact_rt::exec::run(dag, runtime, nthreads, config)
 }

@@ -17,14 +17,23 @@ use crate::tasks::OneDGraph;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::Scalar;
-use dagfact_rt::ptg::{run_ptg, PtgProgram};
-use dagfact_rt::SharedSlice;
+use dagfact_rt::ptg::PtgProgram;
+use dagfact_rt::{exec, RunConfig, RuntimeKind, SharedSlice};
 use dagfact_symbolic::FactoKind;
 use dagfact_rt::sync::Mutex;
 
+/// Run one sweep's DAG to completion. The sweeps have no recoverable
+/// failure mode (the factors are read-only and already validated), so an
+/// executor error is a bug and panics on the calling thread.
+fn run_sweep<D: PtgProgram>(dag: &D, nthreads: usize) {
+    if let Err(e) = exec::run(dag, RuntimeKind::Ptg, nthreads, RunConfig::default()) {
+        panic!("parallel solve sweep failed: {e}");
+    }
+}
+
 impl<T: Scalar> Factors<'_, T> {
     /// Solve `A·x = b` with both sweeps parallelized on `nthreads` workers
-    /// of the PaRSEC-like engine. Results match [`Factors::solve`] to
+    /// under the PaRSEC-like policy. Results match [`Factors::solve`] to
     /// roundoff (contributions into a panel are applied in a potentially
     /// different order).
     pub fn solve_parallel(&self, b: &[T], nthreads: usize) -> Vec<T> {
@@ -75,20 +84,18 @@ impl<T: Scalar> Factors<'_, T> {
                 self.f.forward_panel(c, self.x, self.locks, self.nrhs);
             }
         }
-        run_ptg(
-            &Forward {
-                f: self,
-                x: &x,
-                locks: &locks,
-                graph: &graph,
-                nrhs,
-            },
-            nthreads,
-        );
+        let forward = Forward {
+            f: self,
+            x: &x,
+            locks: &locks,
+            graph: &graph,
+            nrhs,
+        };
+        run_sweep(&forward, nthreads);
 
         // ---- diagonal sweep (LDLᵀ) -------------------------------------
         if self.analysis.facto == FactoKind::Ldlt {
-            // SAFETY: `run_ptg` has returned, which joins every worker
+            // SAFETY: `run_sweep` has returned, which joins every worker
             // thread — no other reference to `x` exists; this phase is
             // single-threaded (upheld by the engine's join barrier).
             let xs = unsafe { x.slice_mut() };
@@ -133,16 +140,14 @@ impl<T: Scalar> Factors<'_, T> {
                 self.f.backward_panel(c, self.x, self.nrhs);
             }
         }
-        run_ptg(
-            &Backward {
-                f: self,
-                x: &x,
-                succs_rev: &succs_rev,
-                npred_rev: &npred_rev,
-                nrhs,
-            },
-            nthreads,
-        );
+        let backward = Backward {
+            f: self,
+            x: &x,
+            succs_rev: &succs_rev,
+            npred_rev: &npred_rev,
+            nrhs,
+        };
+        run_sweep(&backward, nthreads);
 
         let xs = x.into_vec();
         let mut out = vec![T::zero(); n * nrhs];

@@ -123,23 +123,63 @@ fn complex_lu() {
     assert!(residual(&a, &x, &b) < 1e-9);
 }
 
-#[test]
-fn runtimes_agree_bitwise_on_factor_values_single_thread() {
-    // With one worker each runtime executes a sequential schedule; the
-    // update chains force identical operation order per panel, so the
-    // factors must agree to high precision (not necessarily bitwise, as
-    // execution order across panels differs; compare solutions instead).
-    let a = grid_laplacian_3d(6, 6, 6);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let b = rhs_real(a.nrows());
-    let solutions: Vec<Vec<f64>> = RuntimeKind::ALL
-        .iter()
-        .map(|&rt| analysis.factorize(&a, rt, 1).unwrap().solve(&b))
-        .collect();
-    for sol in &solutions[1..] {
-        for (u, v) in solutions[0].iter().zip(sol) {
-            assert!((u - v).abs() < 1e-12);
+/// Every stored factor coefficient of a factorization, in panel order:
+/// the L panels, the U panels (LU), then the LDLᵀ diagonal.
+fn factor_values(analysis: &Analysis, a: &CscMatrix<f64>, rt: RuntimeKind, threads: usize) -> Vec<f64> {
+    let f = analysis
+        .factorize(a, rt, threads)
+        .unwrap_or_else(|e| panic!("{:?}/{rt:?}/{threads}: {e}", analysis.facto));
+    let symbol = &analysis.symbol;
+    let mut values = Vec::new();
+    for c in 0..symbol.ncblk() {
+        // SAFETY: the factorization has returned; nothing mutates `f`.
+        values.extend_from_slice(unsafe { f.tab.pin_l(symbol, c).unwrap().slice() });
+        if f.tab.has_u() {
+            // SAFETY: as above.
+            values.extend_from_slice(unsafe { f.tab.pin_u(symbol, c).unwrap().slice() });
         }
+    }
+    values.extend_from_slice(&f.d);
+    values
+}
+
+/// The cross-policy oracle. The two-level DAG chains the updates into a
+/// target panel in source order, so under the ptg and dataflow policies
+/// only *scheduling* differs: their factors are bitwise equal, at any
+/// worker count. The native policy's fused 1D tasks accumulate into a
+/// target in completion order instead, so it agrees with them to
+/// roundoff: componentwise `|Δ| ≤ 1e-12·(1 + |x|)`.
+#[test]
+fn policies_agree_on_factor_values() {
+    let cases: [(FactoKind, CscMatrix<f64>); 3] = [
+        (FactoKind::Cholesky, grid_laplacian_3d(6, 6, 6)),
+        (FactoKind::Ldlt, shifted_laplacian_3d(6, 6, 6, 1.0)),
+        (FactoKind::Lu, convection_diffusion_3d(6, 6, 6, 0.3)),
+    ];
+    for (facto, a) in &cases {
+        let analysis = Analysis::new(a.pattern(), *facto, &SolverOptions::default());
+        let reference = factor_values(&analysis, a, RuntimeKind::Ptg, 1);
+        assert!(reference.iter().all(|v| v.is_finite()));
+        for rt in [RuntimeKind::Ptg, RuntimeKind::Dataflow] {
+            for threads in [1usize, 4] {
+                let values = factor_values(&analysis, a, rt, threads);
+                assert!(values == reference, "{facto:?}: {rt:?}/{threads} differs bitwise from ptg/1");
+            }
+        }
+        for threads in [1usize, 4] {
+            let native = factor_values(&analysis, a, RuntimeKind::Native, threads);
+            assert_eq!(native.len(), reference.len());
+            for (i, (&x, &y)) in reference.iter().zip(&native).enumerate() {
+                assert!(
+                    (x - y).abs() <= 1e-12 * (1.0 + x.abs()),
+                    "{facto:?}: native/{threads} @{i}: {y:e} vs {x:e}"
+                );
+            }
+        }
+        // One worker is a sequential schedule: every policy reproduces
+        // itself bitwise.
+        let native = factor_values(&analysis, a, RuntimeKind::Native, 1);
+        assert!(native == factor_values(&analysis, a, RuntimeKind::Native, 1), "{facto:?}");
     }
 }
 

@@ -171,14 +171,25 @@ pub fn ldlt_apply_diag<T: Scalar>(m: usize, n: usize, d: &[T], b: &mut [T], ldb:
 }
 
 /// Form `W = D·Bᵀ` for a block `B` (`m×n`) into `w` (`n×m`, column-major):
-/// `w[i, j] = d_i · b[j, i]`. This is the PaStiX temporary-buffer trick
-/// (§V-A): the native scheduler materializes `D·Lᵀ` once per panel so every
-/// update becomes a plain GEMM, whereas the generic runtimes recompute the
-/// scaling inside each update task.
+/// `w[i, j] = d_i · b[j, i]` — the staging step of the blocked [`ldlt`],
+/// which turns its trailing update into a plain GEMM.
 pub fn ldlt_scale_transpose<T: Scalar>(m: usize, n: usize, d: &[T], b: &[T], ldb: usize, w: &mut [T]) {
-    // Same packed layout as the generalized panel packer — one code path
-    // for the D·Lᵀ buffer and the Cholesky/LU B-panels.
-    crate::update::pack_b(m, n, Some(d), b, ldb, w);
+    if m == 0 || n == 0 {
+        return;
+    }
+    assert!(w.len() >= n * m, "ldlt_scale_transpose: w too small for n={n} m={m}");
+    assert!(d.len() >= n, "ldlt_scale_transpose: d.len()={} < n={n}", d.len());
+    assert!(
+        ldb >= m && b.len() >= ldb * (n - 1) + m,
+        "ldlt_scale_transpose: B too small for m={m} n={n} ldb={ldb}"
+    );
+    // BOUNDS: j < m, i < n against the asserts above.
+    for j in 0..m {
+        let wj = &mut w[j * n..j * n + n];
+        for (i, wi) in wj.iter_mut().enumerate() {
+            *wi = d[i] * b[i * ldb + j];
+        }
+    }
 }
 
 #[cfg(test)]

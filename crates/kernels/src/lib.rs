@@ -37,7 +37,6 @@ pub use potrf::potrf;
 pub use scalar::{Scalar, C64};
 pub use simd::{force_isa, isa, Blocking, Isa};
 pub use trsm::{trsm, Diag, Side, Uplo};
-pub use update::{pack_b, update_scatter_packed, update_via_buffer_packed};
 
 /// Error raised by the diagonal-block factorization kernels.
 #[derive(Debug, Clone, PartialEq)]

@@ -348,13 +348,12 @@ pub(crate) fn try_gemm_a_notrans<T: Scalar>(
 /// Attempt the fused AVX2 GEMM-scatter: `C[row_map, col_offset..] +=
 /// α · A · diag(d?) · op(B)` with the scatter folded into the register
 /// tile's epilogue (zero scratch memory — the direct-scatter pressure
-/// rung). `b_trans` selects `op(B)[l,j] = b[l*ldb+j]` (outer-product
-/// layout) vs `b[j*ldb+l]` (packed panel). Returns `false` when the
-/// caller must run the portable scalar loops.
+/// rung), where `op(B)[l,j] = b[l*ldb+j]` (the outer-product layout of a
+/// source panel). Returns `false` when the caller must run the portable
+/// scalar loops.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn try_update_scatter<T: Scalar>(
-    b_trans: bool,
     m: usize,
     n: usize,
     k: usize,
@@ -385,11 +384,7 @@ pub(crate) fn try_update_scatter<T: Scalar>(
             },
         };
         let Some(cf) = as_f64_mut(c) else { return false };
-        let layout = if b_trans {
-            avx2::BLayout::Trans { ldb }
-        } else {
-            avx2::BLayout::NoTrans { ldb }
-        };
+        let layout = avx2::BLayout::Trans { ldb };
         // SAFETY: isa() == Avx2 certifies avx2+fma; shape contracts
         // (row_map.len() == m, d.len() >= k, the A/B strides, and the
         // destination: every row_map value < ldc and the last written
@@ -416,9 +411,7 @@ pub(crate) fn try_update_scatter<T: Scalar>(
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        let _ = (
-            b_trans, m, n, k, alpha, a1, lda1, b, ldb, d, c, ldc, row_map, col_offset,
-        );
+        let _ = (m, n, k, alpha, a1, lda1, b, ldb, d, c, ldc, row_map, col_offset);
         false
     }
 }

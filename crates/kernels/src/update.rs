@@ -212,7 +212,6 @@ pub fn update_scatter_direct<T: Scalar>(
     // speed): the k-reduction runs in the 8×4 register tile and only the
     // finished tile is scattered through row_map.
     if simd::try_update_scatter(
-        true,
         m,
         n,
         k,
@@ -245,182 +244,6 @@ pub fn update_scatter_direct<T: Scalar>(
             let a1l = &a1[l * lda1..l * lda1 + m];
             // BOUNDS: i < m = row_map.len(); row_map values address the
             // destination rows by the symbolic-structure construction.
-            for (i, &av) in a1l.iter().enumerate() {
-                cj[scatter.row_map[i]] += s * av;
-            }
-        }
-    }
-}
-
-/// Pack `op(B) = diag(d?)·A₂ᵀ` for a source panel block into a contiguous
-/// column-major `k×n` panel (`ldb == k`): `w[j·k + l] = d?[l]·a2[l·lda2 + j]`.
-///
-/// Packing once per *supernode* and slicing per-update column subranges out
-/// of the result turns every trailing update into a plain `NoTrans×NoTrans`
-/// GEMM over a cache-resident panel — the packed layout is byte-identical
-/// to what [`crate::ldlt::ldlt_scale_transpose`] produced for the LDLᵀ
-/// case, generalized here to the `d = None` (Cholesky/LU) factorizations.
-pub fn pack_b<T: Scalar>(n: usize, k: usize, d: Option<&[T]>, a2: &[T], lda2: usize, w: &mut [T]) {
-    if n == 0 || k == 0 {
-        return;
-    }
-    assert!(w.len() >= k * n, "pack_b: panel buffer too small for k={k} n={n}");
-    assert!(
-        lda2 >= n && a2.len() >= lda2 * (k - 1) + n,
-        "pack_b: A2 too small for n={n} k={k} lda2={lda2}"
-    );
-    if let Some(d) = d {
-        assert!(d.len() >= k, "pack_b: d.len()={} < k={k}", d.len());
-        // BOUNDS: j < n, l < k against the asserts above.
-        for j in 0..n {
-            let wj = &mut w[j * k..j * k + k];
-            for (l, wl) in wj.iter_mut().enumerate() {
-                *wl = d[l] * a2[l * lda2 + j];
-            }
-        }
-    } else {
-        // BOUNDS: j < n, l < k against the asserts above.
-        for j in 0..n {
-            let wj = &mut w[j * k..j * k + k];
-            for (l, wl) in wj.iter_mut().enumerate() {
-                *wl = a2[l * lda2 + j];
-            }
-        }
-    }
-}
-
-/// Buffer-then-scatter update consuming a panel packed by [`pack_b`]
-/// (`pack` is the `k×n` column subrange facing this update; any `diag(d)`
-/// was folded in at pack time). Identical result to [`update_via_buffer`]
-/// with the same operands, at packed-panel GEMM speed.
-#[allow(clippy::too_many_arguments)]
-pub fn update_via_buffer_packed<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a1: &[T],
-    lda1: usize,
-    pack: &[T],
-    work: &mut Vec<T>,
-    c: &mut [T],
-    ldc: usize,
-    scatter: Scatter<'_>,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    assert_eq!(scatter.row_map.len(), m, "update_via_buffer_packed: row_map/m mismatch");
-    let scratch = m * n;
-    if work.len() < scratch {
-        // ALLOC: grow-only pooled workspace, same amortization as
-        // update_via_buffer; stale contents are overwritten by beta = 0.
-        work.resize(scratch, T::zero());
-    }
-    // BOUNDS: work.len() >= m*n by the resize above.
-    let w1 = &mut work[..scratch];
-    gemm(
-        Trans::NoTrans,
-        Trans::NoTrans,
-        m,
-        n,
-        k,
-        T::one(),
-        a1,
-        lda1,
-        pack,
-        k.max(1),
-        T::zero(),
-        w1,
-        m,
-    );
-    // Scatter-add the contiguous result into the gappy destination panel.
-    for j in 0..n {
-        // BOUNDS: w1 is exactly m*n; j < n so j*m+m <= m*n, and row_map
-        // values address the destination panel rows by construction of
-        // the symbolic structure (verified in core::verify).
-        let wj = &w1[j * m..j * m + m];
-        let cj = &mut c[(scatter.col_offset + j) * ldc..];
-        for (i, &w) in wj.iter().enumerate() {
-            cj[scatter.row_map[i]] += alpha * w;
-        }
-    }
-}
-
-/// Direct-scatter update consuming a panel packed by [`pack_b`]: the fused
-/// GEMM-scatter register tile reads the contiguous packed panel and writes
-/// straight into the gappy destination — zero scratch memory, for the
-/// pressure rung where the Red ladder forbids the staging buffer.
-#[allow(clippy::too_many_arguments)]
-pub fn update_scatter_packed<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a1: &[T],
-    lda1: usize,
-    pack: &[T],
-    c: &mut [T],
-    ldc: usize,
-    scatter: Scatter<'_>,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    assert_eq!(scatter.row_map.len(), m, "update_scatter_packed: row_map/m mismatch");
-    assert!(
-        k == 0 || (lda1 >= m && a1.len() >= lda1 * (k - 1) + m),
-        "update_scatter_packed: A1 too small for m={m} k={k} lda1={lda1}"
-    );
-    assert!(pack.len() >= k * n, "update_scatter_packed: pack too small for k={k} n={n}");
-    // Same destination contract as update_scatter_direct: the SIMD tier
-    // writes C through raw pointers, so prove the bounds before dispatch.
-    let max_row = scatter.row_map.iter().copied().max().unwrap_or(0);
-    assert!(
-        max_row < ldc,
-        "update_scatter_packed: row_map max {max_row} >= ldc={ldc}"
-    );
-    let last = scatter
-        .col_offset
-        .checked_add(n - 1)
-        .and_then(|j| j.checked_mul(ldc))
-        .and_then(|o| o.checked_add(max_row));
-    assert!(
-        last.is_some_and(|last| last < c.len()),
-        "update_scatter_packed: C too small for n={n} ldc={ldc} col_offset={} max row_map {max_row}",
-        scatter.col_offset
-    );
-    if simd::try_update_scatter(
-        false,
-        m,
-        n,
-        k,
-        alpha,
-        a1,
-        lda1,
-        pack,
-        k.max(1),
-        None,
-        c,
-        ldc,
-        scatter.row_map,
-        scatter.col_offset,
-    ) {
-        return;
-    }
-    // Portable tier: per-l axpy into the scattered destination rows, same
-    // association as update_scatter_direct.
-    // BOUNDS: l < k, j < n against the asserts above; row_map values
-    // address destination panel rows by the symbolic structure.
-    for j in 0..n {
-        let cj = &mut c[(scatter.col_offset + j) * ldc..];
-        for l in 0..k {
-            let s = alpha * pack[j * k + l];
-            if s == T::zero() {
-                continue;
-            }
-            let a1l = &a1[l * lda1..l * lda1 + m];
-            // BOUNDS: i < m = row_map.len().
             for (i, &av) in a1l.iter().enumerate() {
                 cj[scatter.row_map[i]] += s * av;
             }
@@ -572,18 +395,6 @@ mod tests {
         let mut c = vec![0.0f64; 10];
         let scatter = Scatter { row_map: &row_map, col_offset: 1 };
         update_scatter_direct(m, n, k, 1.0, &a1, m, &a2, n, None, &mut c, 4, scatter);
-    }
-
-    #[test]
-    #[should_panic(expected = "C too small")]
-    fn packed_scatter_rejects_short_c() {
-        let (m, n, k) = (2, 2, 1);
-        let a1 = [1.0f64; 2];
-        let pack = [1.0f64; 2];
-        let row_map = [0usize, 3];
-        let mut c = vec![0.0f64; 10];
-        let scatter = Scatter { row_map: &row_map, col_offset: 1 };
-        update_scatter_packed(m, n, k, 1.0, &a1, m, &pack, &mut c, 4, scatter);
     }
 
     #[test]

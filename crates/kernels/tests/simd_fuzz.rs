@@ -16,10 +16,7 @@
 //! magnitude of the operands themselves.
 
 use dagfact_kernels::gemm::{gemm, gemm_portable, Trans};
-use dagfact_kernels::update::{
-    pack_b, update_scatter_direct, update_scatter_packed, update_via_buffer,
-    update_via_buffer_packed, Scatter,
-};
+use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
 
 /// SplitMix64 — the seeded generator of the sweep.
 struct SplitMix64(u64);
@@ -182,69 +179,6 @@ fn update_scatter_direct_matches_buffer_variant_over_sweep() {
                         assert!(
                             close(x, y, mag),
                             "direct vs buffer: m={m} n={n} k={k} d={d_present} @{i}: {x} vs {y}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn packed_variants_match_unpacked_over_sweep() {
-    let mut rng = SplitMix64(0xBADC_0FFE);
-    for &m in &[1usize, 8, 9, 33] {
-        for &n in &[1usize, 4, 5, 17] {
-            for &k in &[1usize, 8, 31] {
-                for d_present in [false, true] {
-                    let lda1 = m + 3;
-                    let lda2 = n + 1;
-                    let a1 = rng.fill(lda1 * k);
-                    let a2 = rng.fill(lda2 * k);
-                    let d = rng.fill(k);
-                    let dref = d_present.then_some(&d[..]);
-                    let mut pack = vec![0.0f64; k * n];
-                    pack_b(n, k, dref, &a2, lda2, &mut pack);
-                    let rows = 2 * m + 2;
-                    let row_map = gappy_row_map(&mut rng, m, rows);
-                    let ldc = rows;
-                    let c0 = rng.fill(ldc * (n + 1));
-                    let scatter = Scatter { row_map: &row_map, col_offset: 0 };
-                    let mag = mag_bound(k, 1.0, &a1, &a2, 1.0, &c0)
-                        * if d_present { 2.0 } else { 1.0 };
-
-                    // Buffered: packed vs unpacked.
-                    let mut c_ref = c0.clone();
-                    let mut work = Vec::new();
-                    update_via_buffer(
-                        m, n, k, -0.5, &a1, lda1, &a2, lda2, dref, &mut work, &mut c_ref, ldc,
-                        scatter,
-                    );
-                    let mut c_pk = c0.clone();
-                    let mut work2 = Vec::new();
-                    update_via_buffer_packed(
-                        m, n, k, -0.5, &a1, lda1, &pack, &mut work2, &mut c_pk, ldc, scatter,
-                    );
-                    for (i, (&x, &y)) in c_pk.iter().zip(&c_ref).enumerate() {
-                        assert!(
-                            close(x, y, mag),
-                            "buffered packed: m={m} n={n} k={k} d={d_present} @{i}: {x} vs {y}"
-                        );
-                    }
-
-                    // Direct-scatter: packed vs unpacked.
-                    let mut c_dref = c0.clone();
-                    update_scatter_direct(
-                        m, n, k, -0.5, &a1, lda1, &a2, lda2, dref, &mut c_dref, ldc, scatter,
-                    );
-                    let mut c_dpk = c0.clone();
-                    update_scatter_packed(
-                        m, n, k, -0.5, &a1, lda1, &pack, &mut c_dpk, ldc, scatter,
-                    );
-                    for (i, (&x, &y)) in c_dpk.iter().zip(&c_dref).enumerate() {
-                        assert!(
-                            close(x, y, mag),
-                            "scatter packed: m={m} n={n} k={k} d={d_present} @{i}: {x} vs {y}"
                         );
                     }
                 }

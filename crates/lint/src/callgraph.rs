@@ -48,9 +48,9 @@ pub const METHOD_STOPLIST: &[&str] = &[
     "wrapping_add", "wrapping_sub", "copy_from_slice", "clone_from_slice", "fill", "swap_remove",
     // Generic dispatch names that alias std combinators or trait hooks:
     // `bool::then` / `Option::and_then` vs `Permutation::then`, and the
-    // `PtgProgram::execute` task hook vs the engines' `execute` entry
-    // points. Hot implementations must be declared as roots instead
-    // (see lint-hotpaths.toml).
+    // `PtgProgram::execute` task hook, which would pull every task body
+    // into the executor's reachable set. Hot implementations must be
+    // declared as roots instead (see lint-hotpaths.toml).
     "then", "execute",
 ];
 

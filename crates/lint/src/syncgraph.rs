@@ -9,7 +9,7 @@
 //! * Every `Mutex`/`RwLock` acquisition site (`.lock()`, empty-argument
 //!   `.read()`/`.write()`, `.try_lock()`) is classified by a *lock
 //!   identity*: the receiver's field path rooted at the `impl` type
-//!   (`CentralQueue.queue`), a parameter's declared type
+//!   (`Injector.queue`), a parameter's declared type
 //!   (`Queues.ready` for `fn steal(queues: &Queues)`), an upper-case
 //!   static, or — when the root cannot be resolved — a function-scoped
 //!   pseudo-identity. The scheme is conservative: two identities that

@@ -50,8 +50,8 @@ pub mod site {
     pub const DIAG: usize = 3;
     /// Per-worker GEMM temp buffers.
     pub const WORKSPACE: usize = 4;
-    /// LDLᵀ `D·Lᵀ` staging buffer (native 1D path).
-    pub const DLT: usize = 5;
+    // 5 is retired (the native path's packed `D·Lᵀ` panel); ids stay
+    // stable because fault plans name sites by number.
     /// Lazy-assembly entry plan (per-panel scatter lists).
     pub const ASSEMBLY: usize = 6;
     /// Fault-in of a spilled panel during solve or update.

@@ -1,57 +1,32 @@
-//! The StarPU-like engine: sequential task submission with data access
-//! modes, inferred dependencies, and a centralized scheduler.
+//! StarPU-style task submission: sequential insertion with data access
+//! modes and dependencies inferred from data hazards.
 //!
 //! Mirrors the StarPU programming model of §IV: "applications submit
 //! computational tasks […] and STARPU schedules these tasks and associated
 //! data transfers". Tasks are inserted by one thread in program order with
-//! `(data, access-mode)` pairs; the engine derives the dependency graph
-//! from data hazards:
+//! `(data, access-mode)` pairs; the graph derives its edges from data
+//! hazards:
 //!
 //! * **RAW** — a reader depends on the last writer;
 //! * **WAR** — a writer depends on every reader since the last writer;
 //! * **WAW** — writers on the same datum are chained.
 //!
-//! Execution pulls from a single centralized priority queue ("STARPU
-//! relies on a centralized strategy", §IV); there is deliberately no
-//! per-worker locality structure, reflecting the paper's observation that
-//! StarPU "does not have a data-reuse policy on CPU-shared memory systems"
-//! (§IV/§V-A).
-//!
-//! Two execution paths share the scheduler:
-//! [`DataflowGraph::execute_checked`] runs under the fault-tolerant layer
-//! of [`crate::fault`] (panic capture, transient retry, watchdog) and
-//! returns `Result<RunReport, EngineError>`; the legacy
-//! [`DataflowGraph::execute`] wraps it and panics on the *calling* thread
-//! if the run fails.
+//! The submitted graph is a [`PtgProgram`]; run under
+//! [`crate::RuntimeKind::Dataflow`] every ready task goes through the
+//! executor's single shared queue ("STARPU relies on a centralized
+//! strategy", §IV) with no per-worker locality, reflecting the paper's
+//! observation that StarPU "does not have a data-reuse policy on
+//! CPU-shared memory systems" (§IV/§V-A).
 
-use crate::fault::{EngineError, RunConfig, RunReport, Supervisor, TaskOutcome};
-use crate::shared::release_pending;
-use crate::sync::atomic::AtomicU32;
-use crate::sync::{Condvar, Mutex};
-use crate::trace::{Lane, SpanKind};
+use crate::ptg::PtgProgram;
 use crate::{AccessMode, DataId, TaskId};
-use std::collections::{BinaryHeap, VecDeque};
 
-/// Which central scheduling strategy the engine uses — the CPU-side
-/// members of StarPU's scheduler family (§IV: "it allows scheduling
-/// experts … to implement custom scheduling policies in a portable
-/// fashion").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// StarPU's `eager`: plain FIFO, no priorities.
-    Eager,
-    /// StarPU's `prio`/`dmda` CPU behaviour: highest priority first
-    /// (default).
-    #[default]
-    Priority,
-}
-
-/// A submitted task: body + metadata. Bodies are `FnMut` so a transiently
-/// failed attempt can be retried by the checked execution path. The
-/// declared accesses are retained so the verifier
-/// ([`DataflowGraph::to_spec`]) can re-derive the hazard contract.
+/// A submitted task: body + metadata. Bodies are `Fn` so a transiently
+/// failed attempt can simply be called again. The declared accesses are
+/// retained so the verifier ([`DataflowGraph::to_spec`]) can re-derive
+/// the hazard contract.
 struct Task<'a> {
-    body: Box<dyn FnMut(usize) + Send + 'a>,
+    body: Box<dyn Fn(usize) + Send + Sync + 'a>,
     priority: f64,
     npred: u32,
     succs: Vec<TaskId>,
@@ -100,8 +75,8 @@ struct DataState {
 
 /// Sequential-submission dataflow graph under construction.
 ///
-/// Usage: `submit` tasks in program order, then [`DataflowGraph::execute`]
-/// or [`DataflowGraph::execute_checked`].
+/// Usage: `submit` tasks in program order, then hand the graph to
+/// [`crate::exec::run`].
 pub struct DataflowGraph<'a> {
     tasks: Vec<Task<'a>>,
     data: Vec<DataState>,
@@ -139,7 +114,7 @@ impl<'a> DataflowGraph<'a> {
         &mut self,
         accesses: &[(DataId, AccessMode)],
         priority: f64,
-        body: impl FnMut(usize) + Send + 'a,
+        body: impl Fn(usize) + Send + Sync + 'a,
     ) -> TaskId {
         let id = self.tasks.len();
         let mut preds: Vec<TaskId> = Vec::new();
@@ -217,268 +192,49 @@ impl<'a> DataflowGraph<'a> {
     /// Export the submitted graph (inferred hazard edges + explicit
     /// dependencies + declared accesses) for the static verifier.
     pub fn to_spec(&self) -> crate::verify::GraphSpec {
-        let mut spec = crate::verify::GraphSpec::new(self.tasks.len());
+        let mut spec = crate::verify::GraphSpec::from_dag(self);
         for (t, task) in self.tasks.iter().enumerate() {
             for &(d, mode) in &task.accesses {
                 spec.access(t, d, mode.into());
             }
-            for &s in &task.succs {
-                spec.edge(t, s);
-            }
         }
         spec
     }
-
-    /// Execute the whole graph on `nworkers` threads and consume it,
-    /// using the default [`SchedulerPolicy::Priority`] strategy.
-    ///
-    /// Panics on the calling thread if a task panics; prefer
-    /// [`DataflowGraph::execute_checked`] for structured errors.
-    pub fn execute(self, nworkers: usize) {
-        self.execute_with(nworkers, SchedulerPolicy::Priority)
-    }
-
-    /// Execute with an explicit central scheduling policy (panicking
-    /// error path, see [`DataflowGraph::execute`]).
-    pub fn execute_with(self, nworkers: usize, policy: SchedulerPolicy) {
-        if let Err(e) = self.execute_checked_with(nworkers, policy, RunConfig::default()) {
-            panic!("dataflow engine failed: {e}");
-        }
-    }
-
-    /// Execute under the fault-tolerant layer with the default priority
-    /// policy: task panics are caught and surfaced as [`EngineError`],
-    /// transient failures are retried per `config.retry`, and the
-    /// watchdog converts a stalled scheduler into
-    /// [`EngineError::Stalled`].
-    pub fn execute_checked(
-        self,
-        nworkers: usize,
-        config: RunConfig,
-    ) -> Result<RunReport, EngineError> {
-        self.execute_checked_with(nworkers, SchedulerPolicy::Priority, config)
-    }
-
-    /// [`DataflowGraph::execute_checked`] with an explicit policy.
-    pub fn execute_checked_with(
-        self,
-        nworkers: usize,
-        policy: SchedulerPolicy,
-        config: RunConfig,
-    ) -> Result<RunReport, EngineError> {
-        if nworkers == 0 {
-            return Err(EngineError::NoWorkers);
-        }
-        let ntasks = self.tasks.len();
-        let tracer = config.trace.clone();
-        let sup = Supervisor::new(ntasks, config);
-        if ntasks == 0 {
-            return sup.finish();
-        }
-        // Split bodies (taken per attempt, restored on retry) from the
-        // shared metadata.
-        let mut bodies: Vec<Mutex<BodySlot<'a>>> = Vec::with_capacity(ntasks);
-        let mut meta: Vec<(f64, Vec<TaskId>)> = Vec::with_capacity(ntasks);
-        let mut pending: Vec<AtomicU32> = Vec::with_capacity(ntasks);
-        let mut initial: Vec<TaskId> = Vec::new();
-        for (i, t) in self.tasks.into_iter().enumerate() {
-            if t.npred == 0 {
-                initial.push(i);
-            }
-            pending.push(AtomicU32::new(t.npred));
-            meta.push((t.priority, t.succs));
-            bodies.push(Mutex::new(Some(t.body)));
-        }
-        let bodies = BodyStore { slots: bodies };
-        let central = CentralQueue {
-            queue: Mutex::new(ReadyQueue::new(policy)),
-            cv: Condvar::new(),
-        };
-        for t in initial {
-            central.push(meta[t].0, t);
-        }
-        let supref = &sup;
-        let traceref = tracer.as_deref();
-        let worker = |w: usize| {
-            let mut lane = Lane::new(traceref, w);
-            loop {
-                // Time spent blocked on the central queue is the engine's
-                // queue-wait (there is no per-worker stealing here).
-                let wait_from = lane.now();
-                let Some(t) = central.pop(supref) else { break };
-                lane.record(SpanKind::QueueWait, Some(t), wait_from);
-                // An empty slot means the scheduler dispatched `t` twice —
-                // surface the engine bug as a structured error, not a panic.
-                let Some(mut body) = bodies.slots[t].lock().take() else {
-                    sup.duplicate_execution(t);
-                    central.wake_all();
-                    break;
-                };
-                let exec_from = lane.now();
-                let outcome = sup.run_task(t, || body(w));
-                lane.record(SpanKind::Execute, Some(t), exec_from);
-                match outcome {
-                    TaskOutcome::Completed => {
-                        drop(body);
-                        // Checked fan-in decrement: a double release
-                        // (duplicate hazard edge / understated npred)
-                        // poisons the run instead of wrapping the counter.
-                        let mut underflow = false;
-                        for &s in &meta[t].1 {
-                            match release_pending(&pending[s], s) {
-                                Ok(true) => central.push(meta[s].0, s),
-                                Ok(false) => {}
-                                Err(e) => {
-                                    sup.poison_with(EngineError::ReleaseUnderflow {
-                                        task: e.succ,
-                                    });
-                                    underflow = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if underflow {
-                            central.wake_all();
-                            break;
-                        }
-                        sup.task_done(t);
-                        if sup.remaining() == 0 {
-                            central.wake_all();
-                        }
-                    }
-                    TaskOutcome::Retry => {
-                        *bodies.slots[t].lock() = Some(body);
-                        central.push(meta[t].0, t);
-                    }
-                    TaskOutcome::Aborted => {
-                        central.wake_all();
-                        break;
-                    }
-                }
-            }
-        };
-        if nworkers == 1 {
-            worker(0);
-        } else {
-            std::thread::scope(|scope| {
-                for w in 1..nworkers {
-                    let worker = &worker;
-                    scope.spawn(move || worker(w));
-                }
-                worker(0);
-            });
-        }
-        sup.finish()
-    }
 }
 
-type BodySlot<'a> = Option<Box<dyn FnMut(usize) + Send + 'a>>;
-
-struct BodyStore<'a> {
-    slots: Vec<Mutex<BodySlot<'a>>>,
-}
-// SAFETY: bodies are Send; each is held and run by exactly one worker at
-// a time (the slot is emptied while an attempt runs).
-unsafe impl Sync for BodyStore<'_> {}
-
-/// Policy-selected ready-task container.
-enum ReadyQueue {
-    Fifo(VecDeque<TaskId>),
-    Prio(BinaryHeap<QEntry>),
-}
-
-impl ReadyQueue {
-    fn new(policy: SchedulerPolicy) -> Self {
-        // ALLOC: empty containers at scheduler construction, once per run.
-        match policy {
-            SchedulerPolicy::Eager => ReadyQueue::Fifo(VecDeque::new()),
-            SchedulerPolicy::Priority => ReadyQueue::Prio(BinaryHeap::new()),
-        }
+impl PtgProgram for DataflowGraph<'_> {
+    fn num_tasks(&self) -> usize {
+        self.tasks.len()
     }
-    fn push(&mut self, priority: f64, task: TaskId) {
-        match self {
-            ReadyQueue::Fifo(q) => q.push_back(task),
-            ReadyQueue::Prio(h) => h.push(QEntry { priority, task }),
-        }
+    // BOUNDS: every accessor is only passed ids < num_tasks().
+    fn num_predecessors(&self, task: usize) -> u32 {
+        self.tasks[task].npred
     }
-    fn pop(&mut self) -> Option<TaskId> {
-        match self {
-            ReadyQueue::Fifo(q) => q.pop_front(),
-            ReadyQueue::Prio(h) => h.pop().map(|e| e.task),
-        }
+    fn successors(&self, task: usize, out: &mut Vec<usize>) {
+        // ALLOC: `out` is the worker's reused high-water buffer.
+        out.extend_from_slice(&self.tasks[task].succs);
     }
-}
-
-struct CentralQueue {
-    queue: Mutex<ReadyQueue>,
-    cv: Condvar,
-}
-
-#[derive(PartialEq)]
-struct QEntry {
-    priority: f64,
-    task: TaskId,
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn execute(&self, task: usize, worker: usize) {
+        (self.tasks[task].body)(worker);
     }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        // total_cmp: NaN priorities order deterministically instead of
-        // panicking inside the scheduler.
-        self.priority
-            .total_cmp(&other.priority)
-            .then_with(|| other.task.cmp(&self.task))
-    }
-}
-
-impl CentralQueue {
-    fn push(&self, priority: f64, task: TaskId) {
-        self.queue.lock().push(priority, task);
-        self.cv.notify_one();
-    }
-
-    /// Pop the highest-priority ready task, blocking while work remains;
-    /// returns `None` once the run is complete, failed, or stalled. The
-    /// wait is timed so blocked workers periodically service the
-    /// supervisor's watchdog.
-    fn pop(&self, sup: &Supervisor) -> Option<TaskId> {
-        let mut queue = self.queue.lock();
-        loop {
-            if sup.halted() {
-                return None;
-            }
-            // Memory-pressure throttle: leave ready tasks queued (and
-            // wait out a tick) while the admission width is saturated.
-            if sup.try_admit() {
-                if let Some(t) = queue.pop() {
-                    return Some(t);
-                }
-            }
-            if sup.remaining() == 0 {
-                self.cv.notify_all();
-                return None;
-            }
-            queue = self.cv.wait_timeout(queue, sup.idle_tick());
-            sup.idle_check();
-        }
-    }
-
-    /// Wake every blocked worker (completion, abort, or stall).
-    fn wake_all(&self) {
-        let _guard = self.queue.lock();
-        self.cv.notify_all();
+    fn priority(&self, task: usize) -> f64 {
+        self.tasks[task].priority
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{exec, RunConfig, RuntimeKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
+
+    /// Run `g` under the central-queue policy it models; consumes the
+    /// graph so the borrows its bodies hold end here.
+    fn execute(g: DataflowGraph<'_>, nworkers: usize) -> crate::RunReport {
+        exec::run(&g, RuntimeKind::Dataflow, nworkers, RunConfig::default())
+            .expect("dataflow run succeeds")
+    }
 
     #[test]
     fn raw_dependency_orders_writer_before_reader() {
@@ -488,7 +244,7 @@ mod tests {
             g.submit(&[(0, AccessMode::Write)], 0.0, |_| log.lock().expect("log lock").push("w"));
             g.submit(&[(0, AccessMode::Read)], 10.0, |_| log.lock().expect("log lock").push("r1"));
             g.submit(&[(0, AccessMode::Read)], 10.0, |_| log.lock().expect("log lock").push("r2"));
-            g.execute(nworkers);
+            execute(g, nworkers);
             let log = log.into_inner().expect("log lock");
             assert_eq!(log[0], "w");
             assert_eq!(log.len(), 3);
@@ -504,7 +260,7 @@ mod tests {
         g.submit(&[(0, AccessMode::Read)], 0.0, |_| log.lock().expect("log lock").push(2));
         // Overwriter must wait for both readers (WAR) and the writer (WAW).
         g.submit(&[(0, AccessMode::ReadWrite)], 100.0, |_| log.lock().expect("log lock").push(3));
-        g.execute(4);
+        execute(g, 4);
         let log = log.into_inner().expect("log lock");
         assert_eq!(*log.last().expect("log is non-empty"), 3);
     }
@@ -525,7 +281,7 @@ mod tests {
                 });
             }
         }
-        g.execute(4);
+        execute(g, 4);
         for c in &counters {
             assert_eq!(c.load(Ordering::SeqCst), 5);
         }
@@ -542,7 +298,7 @@ mod tests {
                 *acc.lock().expect("accumulator lock") += i;
             });
         }
-        g.execute(4);
+        execute(g, 4);
         assert_eq!(*acc.lock().expect("accumulator lock"), (0..50).sum());
     }
 
@@ -554,13 +310,13 @@ mod tests {
         g.submit(&[(0, AccessMode::Write)], 1.0, |_| log.lock().expect("log lock").push(1));
         g.submit(&[(1, AccessMode::Write)], 3.0, |_| log.lock().expect("log lock").push(3));
         g.submit(&[(2, AccessMode::Write)], 2.0, |_| log.lock().expect("log lock").push(2));
-        g.execute(1);
+        execute(g, 1);
         assert_eq!(log.into_inner().expect("log lock"), vec![3, 2, 1]);
     }
 
     #[test]
     fn empty_graph_executes() {
-        DataflowGraph::new(0).execute(3);
+        execute(DataflowGraph::new(0), 3);
     }
 
     #[test]
@@ -574,7 +330,7 @@ mod tests {
         // Run b first despite submission order; the duplicate is a no-op.
         g.add_dependency(b, a).expect("valid edge");
         g.add_dependency(b, a).expect("duplicate edge is accepted");
-        g.execute(4);
+        execute(g, 4);
         assert_eq!(log.into_inner().expect("log lock"), vec!["b", "a"]);
     }
 
@@ -587,7 +343,7 @@ mod tests {
             Err(GraphError::SelfDependency { task: t })
         );
         // The graph is still runnable: the bad edge was not recorded.
-        g.execute(2);
+        execute(g, 2);
     }
 
     #[test]
@@ -602,7 +358,7 @@ mod tests {
             g.add_dependency(9, t),
             Err(GraphError::UnknownTask { task: 9, ntasks: 1 })
         );
-        g.execute(2);
+        execute(g, 2);
     }
 
     #[test]
@@ -619,7 +375,7 @@ mod tests {
         let spec = g.to_spec();
         let report = crate::verify::check_static(&spec);
         assert!(report.is_clean(), "{report}");
-        g.execute(2);
+        execute(g, 2);
         assert_eq!(log.into_inner().expect("log lock"), vec!["a", "b"]);
     }
 
@@ -654,57 +410,10 @@ mod tests {
                 counter.fetch_add(1, Ordering::SeqCst);
             });
         }
-        let report = g
-            .execute_checked(4, RunConfig::default())
-            .expect("checked run succeeds");
+        let report = execute(g, 4);
         assert_eq!(report.ntasks, 10);
         assert_eq!(report.completed, 10);
         assert_eq!(report.retries, 0);
         assert_eq!(counter.load(Ordering::SeqCst), 10);
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    #[test]
-    fn eager_policy_runs_in_submission_order_single_worker() {
-        let log = StdMutex::new(Vec::new());
-        let mut g = DataflowGraph::new(3);
-        // Priorities deliberately inverted: eager must ignore them.
-        g.submit(&[(0, AccessMode::Write)], 1.0, |_| log.lock().expect("log lock").push(0));
-        g.submit(&[(1, AccessMode::Write)], 9.0, |_| log.lock().expect("log lock").push(1));
-        g.submit(&[(2, AccessMode::Write)], 5.0, |_| log.lock().expect("log lock").push(2));
-        g.execute_with(1, SchedulerPolicy::Eager);
-        assert_eq!(log.into_inner().expect("log lock"), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn priority_policy_reorders_independent_tasks() {
-        let log = StdMutex::new(Vec::new());
-        let mut g = DataflowGraph::new(3);
-        g.submit(&[(0, AccessMode::Write)], 1.0, |_| log.lock().expect("log lock").push(0));
-        g.submit(&[(1, AccessMode::Write)], 9.0, |_| log.lock().expect("log lock").push(1));
-        g.submit(&[(2, AccessMode::Write)], 5.0, |_| log.lock().expect("log lock").push(2));
-        g.execute_with(1, SchedulerPolicy::Priority);
-        assert_eq!(log.into_inner().expect("log lock"), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn both_policies_respect_dependencies() {
-        for policy in [SchedulerPolicy::Eager, SchedulerPolicy::Priority] {
-            let log = StdMutex::new(Vec::new());
-            let mut g = DataflowGraph::new(1);
-            for i in 0..32usize {
-                let log = &log;
-                g.submit(&[(0, AccessMode::ReadWrite)], (i % 7) as f64, move |_| {
-                    log.lock().expect("log lock").push(i)
-                });
-            }
-            g.execute_with(4, policy);
-            assert_eq!(log.into_inner().expect("log lock"), (0..32).collect::<Vec<_>>(), "{policy:?}");
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! The fault-tolerant execution layer shared by the three engines.
+//! The fault-tolerant execution layer under the executor core.
 //!
 //! The paper's premise is that a factorization DAG handed to a generic
 //! runtime still completes correctly under asymmetric, unreliable
@@ -7,10 +7,10 @@
 //!
 //! * [`FaultPlan`] — deterministic, seedable injection of task panics,
 //!   transient failures (fail the first *k* attempts), artificial delays
-//!   and output corruption, wired into every engine behind a hook that
+//!   and output corruption, wired into the executor behind a hook that
 //!   costs one branch when no plan is installed;
-//! * [`Supervisor`] — the per-run bookkeeping every `*_checked` entry
-//!   point shares: panic capture, bounded retry with exponential backoff,
+//! * [`Supervisor`] — the per-run bookkeeping of [`crate::exec::run`]:
+//!   panic capture, bounded retry with exponential backoff,
 //!   poison-and-drain cancellation, duplicate-execution detection, and a
 //!   stall watchdog that turns a would-be deadlock into a diagnostic
 //!   [`EngineError::Stalled`];
@@ -916,6 +916,7 @@ impl Supervisor {
         if config.fault_plan.is_some() {
             install_quiet_injection_hook();
         }
+        // ALLOC: run setup — two per-task tables, once per run.
         Supervisor {
             config,
             attempts: (0..ntasks).map(|_| AtomicU32::new(0)).collect(),
@@ -960,15 +961,6 @@ impl Supervisor {
         } else {
             budget.note_throttle();
             false
-        }
-    }
-
-    /// A sensible condvar/poll tick for blocked workers: short enough to
-    /// service the watchdog, long enough to stay cheap.
-    pub fn idle_tick(&self) -> Duration {
-        match self.config.watchdog {
-            Some(w) => (w / 4).clamp(Duration::from_millis(1), Duration::from_millis(50)),
-            None => Duration::from_millis(50),
         }
     }
 
@@ -1034,6 +1026,8 @@ impl Supervisor {
         if self.check_cancel() {
             return TaskOutcome::Aborted;
         }
+        // BOUNDS: the executor only dispatches ids < ntasks, the length of
+        // the `done`/`attempts` tables.
         if self.done[task].load(Ordering::Acquire) {
             self.poison_with(EngineError::DuplicateExecution { task });
             return TaskOutcome::Aborted;
@@ -1082,6 +1076,7 @@ impl Supervisor {
 
     /// Mark `task` completed (call after releasing its successors).
     pub fn task_done(&self, task: TaskId) {
+        // BOUNDS: `task` just ran, so it passed `run_task`'s table lookup.
         self.done[task].store(true, Ordering::Release);
         self.remaining.fetch_sub(1, Ordering::AcqRel);
         self.note_progress();
@@ -1109,6 +1104,7 @@ impl Supervisor {
         if self.start.elapsed().saturating_sub(last) < window {
             return false;
         }
+        // ALLOC: the stall report — built at most once, as the run ends.
         let stuck: Vec<TaskId> = self
             .done
             .iter()
@@ -1123,12 +1119,6 @@ impl Supervisor {
             window,
         });
         true
-    }
-
-    /// Record a duplicate-execution engine bug (used by engines with their
-    /// own dispatch bookkeeping, e.g. the dataflow body slots).
-    pub fn duplicate_execution(&self, task: TaskId) {
-        self.poison_with(EngineError::DuplicateExecution { task });
     }
 
     /// Finish the run: the recorded error, or the success report.

@@ -1,44 +1,49 @@
 //! # dagfact-rt
 //!
-//! Three task-based runtime engines, the Rust stand-ins for the paper's
-//! three schedulers (§IV):
+//! One task-based executor under three placement policies, the Rust
+//! stand-in for the paper's three schedulers (§IV). [`exec::run`] is the
+//! only run entry point and the only worker loop: it takes any task DAG
+//! ([`ptg::PtgProgram`]), a [`RuntimeKind`] and a worker count. The kind
+//! picks nothing but where ready tasks are queued:
 //!
-//! * [`native`] — the PaStiX-style engine: tasks carry an analyze-time
-//!   *static* worker assignment from the cost-model list schedule, each
-//!   worker drains its own priority queue, and idle workers steal — the
-//!   "dynamic scheduler based on a work-stealing strategy [that reduces]
-//!   idle times while preserving a good locality" of \[1\].
-//! * [`dataflow`] — the StarPU-like engine: tasks are *submitted
-//!   sequentially* with data access modes (R/W/RW); the engine infers
-//!   dependencies from data hazards (RAW/WAR/WAW) at submission and
-//!   schedules ready tasks from one **centralized** priority queue.
-//!   Centralization mirrors StarPU's single scheduling domain and is the
-//!   modeled reason for its small multicore overhead ("lack of cache reuse
-//!   policy", §V-A).
-//! * [`ptg`] — the PaRSEC-like engine: the task graph is given
-//!   *algebraically* as a [`ptg::PtgProgram`] (successor/predecessor-count
-//!   functions, the analogue of PaRSEC's parameterized task graph). Tasks
-//!   are never materialized before they are ready; each completion
-//!   *locally* releases its successors onto the finishing worker's LIFO
-//!   deque (data reuse), with Chase-Lev stealing for balance.
+//! * [`RuntimeKind::Native`] — PaStiX-style: tasks carry an analyze-time
+//!   *static* worker assignment from the cost-model list schedule
+//!   ([`native::NativeDag`]); initially-ready tasks are seeded onto their
+//!   owner's deque, successors are released onto the completing worker's,
+//!   and idle workers steal — the "dynamic scheduler based on a
+//!   work-stealing strategy [that reduces] idle times while preserving a
+//!   good locality" of \[1\].
+//! * [`RuntimeKind::Dataflow`] — StarPU-like: tasks are *submitted
+//!   sequentially* with data access modes (R/W/RW) and
+//!   [`dataflow::DataflowGraph`] infers the dependencies from data hazards
+//!   (RAW/WAR/WAW); every ready task goes through one **centralized**
+//!   queue. Centralization mirrors StarPU's single scheduling domain and
+//!   is the modeled reason for its small multicore overhead ("lack of
+//!   cache reuse policy", §V-A).
+//! * [`RuntimeKind::Ptg`] — PaRSEC-like: the graph is given
+//!   *algebraically* (successor/predecessor-count functions, the analogue
+//!   of PaRSEC's parameterized task graph), nothing is materialized before
+//!   it is ready, and each completion *locally* releases its successors
+//!   onto the finishing worker's LIFO deque (data reuse), with Chase-Lev
+//!   stealing for balance.
 //!
-//! The engines run real OS threads and synchronize with atomics + the
-//! internal [`sync`]/[`deque`] primitives; they are exercised by the
-//! solver's factorization (correctness) while the *performance* study of
-//! the paper is reproduced on the deterministic simulator in
-//! `dagfact-gpusim` (see DESIGN.md §2).
+//! Any DAG runs under any policy. The executor runs real OS threads and
+//! synchronizes with atomics + the internal [`sync`]/[`deque`]
+//! primitives; it is exercised by the solver's factorization
+//! (correctness) while the *performance* study of the paper is
+//! reproduced on the deterministic simulator in `dagfact-gpusim` (see
+//! DESIGN.md §2).
 //!
-//! All three engines share the fault-tolerant execution layer of
-//! [`fault`]: a `*_checked` entry point per engine catches task panics,
-//! retries transient failures with bounded backoff, detects stalled
-//! schedulers with a watchdog, and reports per-task attempt counts —
-//! with deterministic fault *injection* ([`fault::FaultPlan`]) for
-//! testing all of it.
+//! Every run goes through the fault-tolerant layer of [`fault`]: task
+//! panics are caught and typed, transient failures retried with bounded
+//! backoff, stalled schedulers detected by a watchdog, per-task attempt
+//! counts reported — with deterministic fault *injection*
+//! ([`fault::FaultPlan`]) for testing all of it.
 //!
-//! The hazard contract the engines enforce (and [`shared::SharedSlice`]
+//! The hazard contract the DAGs encode (and [`shared::SharedSlice`]
 //! relies on) is machine-checked by [`verify`]: static happens-before
-//! race/deadlock analysis over any engine's submitted graph, a dynamic
-//! vector-clock race checker, and a cross-engine equivalence signature.
+//! race/deadlock analysis over any submitted graph, a dynamic
+//! vector-clock race checker, and a cross-policy equivalence signature.
 //! The *runtime primitives* that uphold that contract at execution time
 //! are themselves model-checked: [`sync`] is a dual-backend shim that,
 //! under `--cfg loom`, swaps std synchronization for the in-repo
@@ -52,6 +57,7 @@ pub mod budget;
 pub mod dataflow;
 pub mod deque;
 pub mod distproto;
+pub mod exec;
 pub mod fault;
 pub mod model;
 pub mod native;
@@ -99,15 +105,15 @@ impl AccessMode {
     }
 }
 
-/// Which runtime engine executes the factorization — the axis of the
+/// Which placement policy the executor runs a DAG under — the axis of the
 /// paper's comparison (PaStiX vs. StarPU vs. PaRSEC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
-    /// Native static-schedule + work-stealing engine.
+    /// Static owners seed the deques; successors are released locally.
     Native,
-    /// StarPU-like sequential-submission dataflow engine.
+    /// One central queue for seeds and released successors alike.
     Dataflow,
-    /// PaRSEC-like parameterized-task-graph engine.
+    /// Seeds through the shared queue; successors are released locally.
     Ptg,
 }
 
@@ -121,7 +127,7 @@ impl RuntimeKind {
         }
     }
 
-    /// All engines, in paper order.
+    /// All policies, in paper order.
     pub const ALL: [RuntimeKind; 3] =
         [RuntimeKind::Native, RuntimeKind::Dataflow, RuntimeKind::Ptg];
 }

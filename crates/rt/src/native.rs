@@ -1,38 +1,18 @@
-//! The native (PaStiX-style) engine: static mapping + work stealing.
+//! The PaStiX-style task array: an explicit DAG whose tasks carry a
+//! *static* worker assignment.
 //!
 //! PaStiX computes, at analyze time, a cost-model list schedule that pins
 //! every 1D task to a worker ("this static scheduling associates ready
 //! tasks with the first available resources", §III), then recovers from
-//! model error at run time with work stealing \[1\]. This engine replays
-//! that policy on a **lock-free ready structure**: each worker owns a
-//! bounded Chase-Lev deque ([`crate::deque`]), initially-ready tasks are
-//! seeded onto their *assigned* owner's deque before the workers spawn,
-//! and at run time a completing worker pushes the successors it unlocks
-//! onto its *own* deque (work-first: the freshly written panel is hot in
-//! its cache). A worker that runs dry drains the shared injector (seed
-//! overflow spills), then steals a batch from the most loaded victim's
-//! cold end.
-//!
-//! Priority ordering is a heuristic here, not an invariant: within one
-//! release the unlocked successors are pushed in ascending priority
-//! order, so the owner LIFO-pops the most critical one first and thieves
-//! FIFO-steal the coldest — the same shape the old per-owner binary
-//! heaps produced, without any per-task mutex. (`lint-sync`'s lock-order
-//! graph documents the diff: the `Queues.ready` lock node is gone; the
-//! only ready-path lock left is the seed/overflow `Injector.queue`.)
-//!
-//! [`run_native_checked`] executes under the fault-tolerant layer of
-//! [`crate::fault`]; [`run_native`] is the legacy path that panics on the
-//! calling thread if the run fails.
+//! model error at run time with work stealing \[1\]. [`NativeDag`] is that
+//! schedule as a [`PtgProgram`]; run under [`crate::RuntimeKind::Native`]
+//! the executor seeds each initially-ready task onto its *assigned*
+//! owner's deque and releases successors onto the completing worker's.
 
-use crate::deque::{Injector, Stealer, WorkerDeque};
-use crate::fault::{EngineError, RunConfig, RunReport, Supervisor, TaskOutcome};
-use crate::shared::release_pending;
-use crate::sync::atomic::AtomicU32;
-use crate::trace::{Lane, SpanKind};
+use crate::ptg::PtgProgram;
 use crate::TaskId;
 
-/// A task in the native engine's statically-scheduled DAG.
+/// A task of a statically-scheduled DAG.
 #[derive(Debug, Clone)]
 pub struct NativeTask {
     /// Worker the analyze-time schedule assigned this task to.
@@ -45,422 +25,35 @@ pub struct NativeTask {
     pub priority: f64,
 }
 
-/// Upper bound on tasks moved per steal round: the first comes back to
-/// run immediately, the rest land on the thief's deque so it does not
-/// return to the victim scan after every single task.
-const STEAL_BATCH: usize = 8;
-
-/// Cap on the per-worker ring size; deeper backlogs spill to the
-/// injector, which is correct (just slower) and keeps setup cost bounded
-/// for huge DAGs.
-const MAX_DEQUE_CAP: usize = 8192;
-
-/// Execute a statically-scheduled DAG on `nworkers` threads.
-///
-/// `execute(task, worker)` runs the task body; it is called exactly once
-/// per task, only after all its predecessors completed. Panics on the
-/// calling thread if a task panics; prefer [`run_native_checked`] for
-/// structured errors.
-pub fn run_native<F>(tasks: &[NativeTask], nworkers: usize, execute: F)
-where
-    F: Fn(TaskId, usize) + Sync,
-{
-    if let Err(e) = run_native_checked(tasks, nworkers, RunConfig::default(), execute) {
-        panic!("native engine failed: {e}");
-    }
+/// A task array plus the body that executes a task: `execute(task,
+/// worker)`.
+pub struct NativeDag<'a, F> {
+    /// The statically-scheduled tasks; ids are indices.
+    pub tasks: &'a [NativeTask],
+    /// Task body.
+    pub execute: F,
 }
 
-/// Execute a statically-scheduled DAG under the fault-tolerant layer:
-/// task panics become [`EngineError::TaskPanicked`], transient failures
-/// are retried per `config.retry` (the task is re-queued on the retrying
-/// worker), and the watchdog converts a stalled scheduler into
-/// [`EngineError::Stalled`].
-pub fn run_native_checked<F>(
-    tasks: &[NativeTask],
-    nworkers: usize,
-    config: RunConfig,
-    execute: F,
-) -> Result<RunReport, EngineError>
-where
-    F: Fn(TaskId, usize) + Sync,
-{
-    if nworkers == 0 {
-        return Err(EngineError::NoWorkers);
+impl<F: Fn(TaskId, usize) + Sync> PtgProgram for NativeDag<'_, F> {
+    fn num_tasks(&self) -> usize {
+        self.tasks.len()
     }
-    let ntasks = tasks.len();
-    // ALLOC: run setup — one tracer handle and one counter table per run.
-    let tracer = config.trace.clone();
-    let sup = Supervisor::new(ntasks, config);
-    if ntasks == 0 {
-        return sup.finish();
+    // BOUNDS: every accessor is only passed ids < num_tasks().
+    fn num_predecessors(&self, task: usize) -> u32 {
+        self.tasks[task].npred
     }
-    let pending: Vec<AtomicU32> = tasks.iter().map(|t| AtomicU32::new(t.npred)).collect();
-    // ALLOC: once per run (engine setup) — the rings are bounded and the
-    // per-task push/pop/steal paths below never allocate.
-    let cap = ntasks.min(MAX_DEQUE_CAP);
-    let deques: Vec<WorkerDeque> = (0..nworkers)
-        .map(|_| WorkerDeque::with_capacity(cap))
-        .collect();
-    let stealers: Vec<Stealer> = deques.iter().map(WorkerDeque::stealer).collect();
-    let injector: Injector<TaskId> = Injector::new();
-
-    // Seed initially-ready tasks onto their owners' deques, in ascending
-    // priority order so each owner LIFO-pops its most critical seed
-    // first. Pushing into other workers' deques is an owner-side
-    // operation, but no worker threads exist yet and `thread::scope`'s
-    // spawn edge publishes the rings, so the single-threaded seed phase
-    // is sound.
-    // ALLOC: the seed list is built once, before any worker exists.
-    // BOUNDS: seed ids come from the `0..ntasks` scan; owners are reduced
-    // `% nworkers`.
-    let mut seeds: Vec<TaskId> = (0..ntasks).filter(|&t| tasks[t].npred == 0).collect();
-    seeds.sort_by(|&a, &b| tasks[a].priority.total_cmp(&tasks[b].priority));
-    for t in seeds {
-        if let Err(t) = deques[tasks[t].owner % nworkers].push(t) {
-            injector.push(t);
-        }
+    fn successors(&self, task: usize, out: &mut Vec<usize>) {
+        // ALLOC: `out` is the worker's reused high-water buffer.
+        out.extend_from_slice(&self.tasks[task].succs);
     }
-
-    let supref = &sup;
-    let traceref = tracer.as_deref();
-    let deqref = &deques;
-    let stealref = &stealers;
-    let injref = &injector;
-    let body = |worker: usize| {
-        // BOUNDS: `worker` is the scope-spawn index, < nworkers == deqref.len().
-        let local = &deqref[worker];
-        // Reusable successor-release buffer: sorted so the highest
-        // priority is pushed last (= popped first by the LIFO owner).
-        // ALLOC: once per worker; `sort_unstable_by` is in-place and the
-        // buffer keeps its high-water capacity across tasks.
-        let mut unlocked: Vec<TaskId> = Vec::with_capacity(32);
-        let mut lane = Lane::new(traceref, worker);
-        // Open interval of not-executing time; closed (as QueueWait or
-        // Steal) when the next task is acquired.
-        let mut wait_from = lane.now();
-        loop {
-            if supref.remaining() == 0 || supref.halted() {
-                break;
-            }
-            // 0) Memory-pressure throttle: leave ready tasks queued when
-            // the budget's admission width is saturated.
-            if !supref.try_admit() {
-                if supref.idle_check() {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            }
-            // 1) Own deque first (locality of the static mapping +
-            // work-first releases), 2) injector (seed/overflow spills),
-            // 3) batch-steal from the most loaded victim.
-            let (picked, stolen) = match local.pop() {
-                Some(t) => (Some(t), false),
-                None => match injref.steal() {
-                    Some(t) => (Some(t), true),
-                    None => (steal(stealref, local, injref, worker), true),
-                },
-            };
-            let Some(t) = picked else {
-                // Idle: service the watchdog, then yield to the OS.
-                if supref.idle_check() {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            };
-            let kind = if stolen { SpanKind::Steal } else { SpanKind::QueueWait };
-            lane.record(kind, Some(t), wait_from);
-            let exec_from = lane.now();
-            let outcome = supref.run_task(t, || execute(t, worker));
-            lane.record(SpanKind::Execute, Some(t), exec_from);
-            wait_from = lane.now();
-            match outcome {
-                TaskOutcome::Completed => {
-                    // Release successors via the checked fan-in
-                    // decrement: an underflow (double release /
-                    // corrupted npred) poisons the run instead of
-                    // silently wrapping the counter. Unlocked tasks go
-                    // to *this* worker's deque — only the owner may
-                    // push, and the releaser's cache holds the panel the
-                    // successors read.
-                    let mut underflow = false;
-                    unlocked.clear();
-                    // BOUNDS: `t` and its successors are task ids < ntasks,
-                    // indexing the pre-sized task/pending tables.
-                    // ALLOC: `unlocked` reuses its high-water capacity.
-                    for &s in &tasks[t].succs {
-                        match release_pending(&pending[s], s) {
-                            Ok(true) => unlocked.push(s),
-                            Ok(false) => {}
-                            Err(e) => {
-                                supref.poison_with(EngineError::ReleaseUnderflow { task: e.succ });
-                                underflow = true;
-                                break;
-                            }
-                        }
-                    }
-                    if underflow {
-                        break;
-                    }
-                    // BOUNDS: released ids < ntasks index the task table.
-                    // ALLOC: ring pushes store into the preallocated ring;
-                    // the injector push is the cold overflow-spill path.
-                    unlocked
-                        .sort_unstable_by(|&a, &b| tasks[a].priority.total_cmp(&tasks[b].priority));
-                    for &s in &unlocked {
-                        if let Err(s) = local.push(s) {
-                            injref.push(s);
-                        }
-                    }
-                    supref.task_done(t);
-                }
-                TaskOutcome::Retry => {
-                    // Backoff already applied; retry where it failed.
-                    // ALLOC: store-only ring push; injector only on overflow.
-                    if let Err(t) = local.push(t) {
-                        injref.push(t);
-                    }
-                }
-                TaskOutcome::Aborted => break,
-            }
-        }
-    };
-
-    if nworkers == 1 {
-        body(0);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 1..nworkers {
-                scope.spawn(move || body(w));
-            }
-            body(0);
-        });
+    fn execute(&self, task: usize, worker: usize) {
+        (self.execute)(task, worker);
     }
-    sup.finish()
-}
-
-/// Steal a batch of ready tasks from the most loaded victim's cold
-/// (FIFO) end: the first stolen task is returned to run now, the rest
-/// land on the thief's own deque (spilling to the injector if it is
-/// full, so no task is ever dropped). PaStiX steals "cold" work so the
-/// owner keeps the critical path; here the cold end is the FIFO end by
-/// construction.
-fn steal(
-    stealers: &[Stealer],
-    local: &WorkerDeque,
-    injector: &Injector<TaskId>,
-    thief: usize,
-) -> Option<TaskId> {
-    // Victim scan on the racy length snapshots — no locks, no CAS until
-    // a victim is chosen.
-    let mut victim = None;
-    let mut best_len = 0usize;
-    for (v, s) in stealers.iter().enumerate() {
-        if v == thief {
-            continue;
-        }
-        let len = s.len();
-        if len > best_len {
-            best_len = len;
-            victim = Some(s);
-        }
+    fn priority(&self, task: usize) -> f64 {
+        self.tasks[task].priority
     }
-    victim?.steal_batch(STEAL_BATCH, |t| {
-        // ALLOC: WorkerDeque::push only stores into the preallocated
-        // ring; the injector push (amortized VecDeque growth) runs only
-        // on the capacity-overflow spill path.
-        if let Err(t) = local.push(t) {
-            injector.push(t);
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex as StdMutex;
-
-    /// Build a fork-join diamond: 0 -> {1..=w} -> w+1.
-    fn diamond(width: usize) -> Vec<NativeTask> {
-        let mut tasks = Vec::new();
-        tasks.push(NativeTask {
-            owner: 0,
-            npred: 0,
-            succs: (1..=width).collect(),
-            priority: 10.0,
-        });
-        for i in 1..=width {
-            tasks.push(NativeTask {
-                owner: i % 3,
-                npred: 1,
-                succs: vec![width + 1],
-                priority: 5.0,
-            });
-        }
-        tasks.push(NativeTask {
-            owner: 0,
-            npred: width as u32,
-            succs: vec![],
-            priority: 1.0,
-        });
-        tasks
-    }
-
-    #[test]
-    fn executes_every_task_once_respecting_deps() {
-        for nworkers in [1, 2, 4] {
-            let tasks = diamond(16);
-            let n = tasks.len();
-            let run_count: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let log = StdMutex::new(Vec::new());
-            run_native(&tasks, nworkers, |t, _w| {
-                run_count[t].fetch_add(1, Ordering::SeqCst);
-                log.lock().unwrap().push(t);
-            });
-            for (t, c) in run_count.iter().enumerate() {
-                assert_eq!(c.load(Ordering::SeqCst), 1, "task {t} ran wrong count");
-            }
-            let log = log.into_inner().unwrap();
-            let pos = |t: usize| log.iter().position(|&x| x == t).unwrap();
-            // Source before everything, sink after everything.
-            assert_eq!(pos(0), 0);
-            assert_eq!(pos(n - 1), n - 1);
-        }
-    }
-
-    #[test]
-    fn chain_executes_in_order() {
-        let n = 100;
-        let tasks: Vec<NativeTask> = (0..n)
-            .map(|i| NativeTask {
-                owner: i % 4,
-                npred: u32::from(i > 0),
-                succs: if i + 1 < n { vec![i + 1] } else { vec![] },
-                priority: (n - i) as f64,
-            })
-            .collect();
-        let log = StdMutex::new(Vec::new());
-        run_native(&tasks, 4, |t, _| log.lock().unwrap().push(t));
-        let log = log.into_inner().unwrap();
-        assert_eq!(log, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn work_stealing_rebalances_bad_static_mapping() {
-        // All tasks statically mapped to worker 0; with 4 workers the
-        // thieves must still participate (checked via per-worker counts).
-        let width = 64;
-        let mut tasks = diamond(width);
-        for t in &mut tasks {
-            t.owner = 0;
-        }
-        let worker_hits = [const { AtomicUsize::new(0) }; 4];
-        run_native(&tasks, 4, |_t, w| {
-            worker_hits[w].fetch_add(1, Ordering::SeqCst);
-            // Make the middle tasks long enough for thieves to wake up.
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        });
-        let total: usize = worker_hits.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-        assert_eq!(total, width + 2);
-        let thieves: usize = worker_hits[1..].iter().map(|c| c.load(Ordering::SeqCst)).sum();
-        assert!(thieves > 0, "no stealing happened");
-    }
-
-    #[test]
-    fn priority_guides_the_owner_within_a_release() {
-        // One source unlocks 8 successors with distinct priorities, all
-        // owned by worker 0 and run single-threaded: the owner must
-        // LIFO-pop them most-critical-first.
-        let width = 8usize;
-        let mut tasks = vec![NativeTask {
-            owner: 0,
-            npred: 0,
-            succs: (1..=width).collect(),
-            priority: 100.0,
-        }];
-        for i in 1..=width {
-            tasks.push(NativeTask {
-                owner: 0,
-                npred: 1,
-                succs: vec![],
-                priority: i as f64,
-            });
-        }
-        let log = StdMutex::new(Vec::new());
-        run_native(&tasks, 1, |t, _| log.lock().unwrap().push(t));
-        let log = log.into_inner().unwrap();
-        let expected: Vec<usize> = std::iter::once(0).chain((1..=width).rev()).collect();
-        assert_eq!(log, expected, "successors must run highest-priority first");
-    }
-
-    #[test]
-    fn deque_overflow_spills_to_injector_and_completes() {
-        // 20k independent tasks on 2 workers: the per-worker ring caps at
-        // MAX_DEQUE_CAP, so seeding alone must overflow into the
-        // injector; every task still runs exactly once.
-        let n = 20_000usize;
-        let tasks: Vec<NativeTask> = (0..n)
-            .map(|i| NativeTask {
-                owner: i % 2,
-                npred: 0,
-                succs: vec![],
-                priority: (i % 97) as f64,
-            })
-            .collect();
-        assert!(n / 2 > MAX_DEQUE_CAP, "scenario must exercise the spill path");
-        let run_count: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        run_native(&tasks, 2, |t, _| {
-            run_count[t].fetch_add(1, Ordering::SeqCst);
-        });
-        for (t, c) in run_count.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "task {t} ran wrong count");
-        }
-    }
-
-    #[test]
-    fn empty_dag_returns_immediately() {
-        run_native(&[], 4, |_, _| panic!("no task to run"));
-    }
-
-    #[test]
-    fn duplicate_successor_edge_reports_release_underflow() {
-        // Task 0 lists task 1 twice but task 1 only counts one
-        // predecessor: the second release used to wrap the counter to
-        // u32::MAX and silently mask the corrupted graph.
-        let tasks = vec![
-            NativeTask {
-                owner: 0,
-                npred: 0,
-                succs: vec![1, 1],
-                priority: 1.0,
-            },
-            NativeTask {
-                owner: 0,
-                npred: 1,
-                succs: vec![],
-                priority: 0.0,
-            },
-        ];
-        let err = run_native_checked(&tasks, 2, RunConfig::default(), |_, _| {}).unwrap_err();
-        assert!(
-            matches!(err, EngineError::ReleaseUnderflow { task: 1 }),
-            "expected ReleaseUnderflow for task 1, got: {err}"
-        );
-    }
-
-    #[test]
-    fn checked_run_reports_success() {
-        let tasks = diamond(8);
-        let n = tasks.len();
-        let count = AtomicUsize::new(0);
-        let report = run_native_checked(&tasks, 4, RunConfig::default(), |_, _| {
-            count.fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap();
-        assert_eq!(report.ntasks, n);
-        assert_eq!(report.completed, n);
-        assert_eq!(count.load(Ordering::SeqCst), n);
+    fn static_owner(&self, task: usize) -> usize {
+        // BOUNDS: as above, task < num_tasks().
+        self.tasks[task].owner
     }
 }

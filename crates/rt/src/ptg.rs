@@ -1,29 +1,17 @@
-//! The PaRSEC-like engine: parameterized task graphs with local dependency
-//! release and data-reuse scheduling.
+//! The task-DAG description every policy of [`crate::exec`] runs.
 //!
 //! PaRSEC's defining trait (§IV) is that the DAG is never stored: a
 //! compact, algebraic description lets "each computational unit immediately
 //! release the dependencies of the completed task solely using the local
 //! knowledge of the DAG". [`PtgProgram`] is that description — successor
 //! and predecessor-count *functions* over a dense task index space. The
-//! engine materializes nothing but one atomic counter per task ("tasks do
-//! not exist until they are ready to be executed").
+//! executor materializes nothing but one atomic counter per task ("tasks
+//! do not exist until they are ready to be executed").
 //!
-//! Scheduling follows PaRSEC's data-reuse policy: released successors go to
-//! the front of the releasing worker's LIFO deque (the freshly-written
-//! panel is still hot in its cache), and idle workers steal from the back
-//! of a victim — the owner-LIFO / thief-FIFO discipline of
-//! [`crate::deque`].
-//!
-//! [`run_ptg_checked`] executes under the fault-tolerant layer of
-//! [`crate::fault`]; [`run_ptg`] is the legacy path that panics on the
-//! calling thread if the run fails.
-
-use crate::deque::{Injector, Stealer, WorkerDeque};
-use crate::fault::{EngineError, RunConfig, RunReport, Supervisor, TaskOutcome};
-use crate::shared::release_pending;
-use crate::sync::atomic::AtomicU32;
-use crate::trace::{Lane, SpanKind};
+//! An explicit graph is the special case whose functions read a table:
+//! [`crate::native::NativeDag`] (a task array carrying PaStiX's static
+//! owners) and [`crate::dataflow::DataflowGraph`] (StarPU-style submitted
+//! tasks with hazard-inferred edges) both implement the trait.
 
 /// Algebraic task-graph description (the PTG). Task ids form the dense
 /// range `0..num_tasks()`; the shape functions must be pure.
@@ -37,364 +25,16 @@ pub trait PtgProgram: Sync {
     fn successors(&self, task: usize, out: &mut Vec<usize>);
     /// Execute the task body on `worker`.
     fn execute(&self, task: usize, worker: usize);
-    /// Scheduling priority (higher first); only consulted for steal-order
-    /// tie-breaking and the seed distribution.
+    /// Scheduling priority (higher first) within one seed or release
+    /// batch.
     fn priority(&self, _task: usize) -> f64 {
         0.0
     }
-}
-
-/// Run a [`PtgProgram`] to completion on `nworkers` threads.
-///
-/// Panics on the calling thread if a task panics; prefer
-/// [`run_ptg_checked`] for structured errors.
-pub fn run_ptg<P: PtgProgram>(program: &P, nworkers: usize) {
-    if let Err(e) = run_ptg_checked(program, nworkers, RunConfig::default()) {
-        panic!("ptg engine failed: {e}");
-    }
-}
-
-/// Run a [`PtgProgram`] under the fault-tolerant layer: task panics
-/// become [`EngineError::TaskPanicked`], transient failures are retried
-/// per `config.retry` (the task is re-pushed on the failing worker's
-/// deque), and the watchdog converts a stalled scheduler into
-/// [`EngineError::Stalled`].
-pub fn run_ptg_checked<P: PtgProgram>(
-    program: &P,
-    nworkers: usize,
-    config: RunConfig,
-) -> Result<RunReport, EngineError> {
-    if nworkers == 0 {
-        return Err(EngineError::NoWorkers);
-    }
-    let ntasks = program.num_tasks();
-    // ALLOC: run setup — one tracer handle and one counter table per run.
-    let tracer = config.trace.clone();
-    let sup = Supervisor::new(ntasks, config);
-    if ntasks == 0 {
-        return sup.finish();
-    }
-    // The only per-task state: remaining-predecessor counters.
-    let pending: Vec<AtomicU32> = (0..ntasks)
-        .map(|t| AtomicU32::new(program.num_predecessors(t)))
-        .collect();
-    // ALLOC: per-worker LIFO deques + global injector for the seeds and
-    // the bounded rings' overflow spills — engine setup, once per run.
-    let deques: Vec<WorkerDeque> = (0..nworkers).map(|_| WorkerDeque::new()).collect();
-    let stealers: Vec<Stealer> = deques.iter().map(|d| d.stealer()).collect();
-    let injector: Injector<usize> = Injector::new();
-    // ALLOC: seed roots, collected and pushed once at startup in priority
-    // order so early steals grab urgent work.
-    let mut roots: Vec<usize> = (0..ntasks)
-        .filter(|&t| program.num_predecessors(t) == 0)
-        .collect();
-    roots.sort_by(|&a, &b| program.priority(b).total_cmp(&program.priority(a)));
-    for t in roots {
-        injector.push(t);
-    }
-
-    let supref = &sup;
-    let deques = &deques;
-    let traceref = tracer.as_deref();
-    let body = |w: usize| {
-        // BOUNDS: `w` is the scope-spawn index, < nworkers == deques.len().
-        let local = &deques[w];
-        // ALLOC: per-worker successor buffer, reused across tasks.
-        let mut succ_buf: Vec<usize> = Vec::new();
-        let mut lane = Lane::new(traceref, w);
-        // Open interval of not-executing time; closed (as QueueWait or
-        // Steal) when the next task is acquired.
-        let mut wait_from = lane.now();
-        loop {
-            if supref.remaining() == 0 || supref.halted() {
-                break;
-            }
-            // Memory-pressure throttle: keep ready work queued while the
-            // budget's admission width is saturated.
-            if !supref.try_admit() {
-                if supref.idle_check() {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            }
-            // Local LIFO first (data reuse), then the injector, then steal.
-            // Only the per-worker deque steals count as steals for the
-            // trace: the injector only holds the seed distribution.
-            let mut stolen = false;
-            let task = local
-                .pop()
-                .or_else(|| injector.steal())
-                .or_else(|| {
-                    let hit = stealers.iter().enumerate().find_map(|(v, s)| {
-                        if v == w {
-                            None
-                        } else {
-                            s.steal()
-                        }
-                    });
-                    stolen = hit.is_some();
-                    hit
-                });
-            let Some(t) = task else {
-                // Idle: service the watchdog, then yield to the OS.
-                if supref.idle_check() {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            };
-            let kind = if stolen { SpanKind::Steal } else { SpanKind::QueueWait };
-            lane.record(kind, Some(t), wait_from);
-            let exec_from = lane.now();
-            let outcome = supref.run_task(t, || program.execute(t, w));
-            lane.record(SpanKind::Execute, Some(t), exec_from);
-            wait_from = lane.now();
-            match outcome {
-                TaskOutcome::Completed => {
-                    succ_buf.clear();
-                    program.successors(t, &mut succ_buf);
-                    // Local release: highest-priority successor pushed last
-                    // so the LIFO pop picks it up next (hot data path).
-                    // The checked decrement turns a double release (bad
-                    // num_predecessors / duplicate successors) into a
-                    // poisoned run instead of a wrapped counter.
-                    succ_buf.sort_by(|&a, &b| program.priority(a).total_cmp(&program.priority(b)));
-                    let mut underflow = false;
-                    // BOUNDS: successor ids < ntasks index `pending`.
-                    for &s in &succ_buf {
-                        match release_pending(&pending[s], s) {
-                            Ok(true) => {
-                                // ALLOC: bounded-ring push is store-only; a
-                                // full deque spills to the injector
-                                // (correct, just colder).
-                                if let Err(s) = local.push(s) {
-                                    injector.push(s);
-                                }
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                supref.poison_with(EngineError::ReleaseUnderflow { task: e.succ });
-                                underflow = true;
-                                break;
-                            }
-                        }
-                    }
-                    if underflow {
-                        break;
-                    }
-                    supref.task_done(t);
-                }
-                TaskOutcome::Retry => {
-                    // Backoff already applied; keep the task local.
-                    // ALLOC: store-only ring push; injector only on overflow.
-                    if let Err(t) = local.push(t) {
-                        injector.push(t);
-                    }
-                }
-                TaskOutcome::Aborted => break,
-            }
-        }
-    };
-
-    if nworkers == 1 {
-        body(0);
-    } else {
-        std::thread::scope(|scope| {
-            for w in 1..nworkers {
-                scope.spawn(move || body(w));
-            }
-            body(0);
-        });
-    }
-    sup.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// A 2D "wavefront" program: task (i, j) depends on (i-1, j) and
-    /// (i, j-1) — the classic PTG example from the DPLASMA papers.
-    struct Wavefront {
-        n: usize,
-        log: Mutex<Vec<usize>>,
-    }
-    impl Wavefront {
-        fn idx(&self, i: usize, j: usize) -> usize {
-            i * self.n + j
-        }
-    }
-    impl PtgProgram for Wavefront {
-        fn num_tasks(&self) -> usize {
-            self.n * self.n
-        }
-        fn num_predecessors(&self, t: usize) -> u32 {
-            let (i, j) = (t / self.n, t % self.n);
-            u32::from(i > 0) + u32::from(j > 0)
-        }
-        fn successors(&self, t: usize, out: &mut Vec<usize>) {
-            let (i, j) = (t / self.n, t % self.n);
-            if i + 1 < self.n {
-                out.push(self.idx(i + 1, j));
-            }
-            if j + 1 < self.n {
-                out.push(self.idx(i, j + 1));
-            }
-        }
-        fn execute(&self, t: usize, _w: usize) {
-            self.log.lock().unwrap().push(t);
-        }
-        fn priority(&self, t: usize) -> f64 {
-            // Anti-diagonal depth: earlier waves are more urgent.
-            let (i, j) = (t / self.n, t % self.n);
-            -((i + j) as f64)
-        }
-    }
-
-    #[test]
-    fn wavefront_respects_dependencies() {
-        for nworkers in [1, 2, 4] {
-            let p = Wavefront {
-                n: 12,
-                log: Mutex::new(Vec::new()),
-            };
-            run_ptg(&p, nworkers);
-            let log = p.log.into_inner().unwrap();
-            assert_eq!(log.len(), 144);
-            let mut pos = vec![0usize; 144];
-            for (k, &t) in log.iter().enumerate() {
-                pos[t] = k;
-            }
-            for i in 0..12 {
-                for j in 0..12 {
-                    let t = i * 12 + j;
-                    if i > 0 {
-                        assert!(pos[(i - 1) * 12 + j] < pos[t]);
-                    }
-                    if j > 0 {
-                        assert!(pos[i * 12 + j - 1] < pos[t]);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_task_runs_exactly_once_under_contention() {
-        struct Counter {
-            n: usize,
-            counts: Vec<AtomicUsize>,
-        }
-        impl PtgProgram for Counter {
-            fn num_tasks(&self) -> usize {
-                self.n
-            }
-            fn num_predecessors(&self, _t: usize) -> u32 {
-                0
-            }
-            fn successors(&self, _t: usize, _out: &mut Vec<usize>) {}
-            fn execute(&self, t: usize, _w: usize) {
-                self.counts[t].fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let p = Counter {
-            n: 10_000,
-            counts: (0..10_000).map(|_| AtomicUsize::new(0)).collect(),
-        };
-        run_ptg(&p, 4);
-        assert!(p.counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn single_chain_single_worker() {
-        struct Chain {
-            n: usize,
-            log: Mutex<Vec<usize>>,
-        }
-        impl PtgProgram for Chain {
-            fn num_tasks(&self) -> usize {
-                self.n
-            }
-            fn num_predecessors(&self, t: usize) -> u32 {
-                u32::from(t > 0)
-            }
-            fn successors(&self, t: usize, out: &mut Vec<usize>) {
-                if t + 1 < self.n {
-                    out.push(t + 1);
-                }
-            }
-            fn execute(&self, t: usize, _w: usize) {
-                self.log.lock().unwrap().push(t);
-            }
-        }
-        let p = Chain {
-            n: 500,
-            log: Mutex::new(Vec::new()),
-        };
-        run_ptg(&p, 1);
-        assert_eq!(p.log.into_inner().unwrap(), (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_program_is_noop() {
-        struct Empty;
-        impl PtgProgram for Empty {
-            fn num_tasks(&self) -> usize {
-                0
-            }
-            fn num_predecessors(&self, _: usize) -> u32 {
-                unreachable!()
-            }
-            fn successors(&self, _: usize, _: &mut Vec<usize>) {
-                unreachable!()
-            }
-            fn execute(&self, _: usize, _: usize) {
-                unreachable!()
-            }
-        }
-        run_ptg(&Empty, 2);
-    }
-
-    #[test]
-    fn checked_run_reports_success() {
-        let p = Wavefront {
-            n: 6,
-            log: Mutex::new(Vec::new()),
-        };
-        let report = run_ptg_checked(&p, 4, RunConfig::default()).unwrap();
-        assert_eq!(report.ntasks, 36);
-        assert_eq!(report.completed, 36);
-        assert_eq!(p.log.into_inner().unwrap().len(), 36);
-    }
-
-    #[test]
-    fn understated_predecessor_count_reports_release_underflow() {
-        // Task 0's successors list task 1 twice, but the program claims
-        // one predecessor: the second release underflows and must surface
-        // as a typed error, not a wrapped counter.
-        struct Corrupt;
-        impl PtgProgram for Corrupt {
-            fn num_tasks(&self) -> usize {
-                2
-            }
-            fn num_predecessors(&self, t: usize) -> u32 {
-                u32::from(t == 1)
-            }
-            fn successors(&self, t: usize, out: &mut Vec<usize>) {
-                if t == 0 {
-                    out.push(1);
-                    out.push(1);
-                }
-            }
-            fn execute(&self, _t: usize, _w: usize) {}
-        }
-        let err = run_ptg_checked(&Corrupt, 2, RunConfig::default()).unwrap_err();
-        assert!(
-            matches!(err, EngineError::ReleaseUnderflow { task: 1 }),
-            "expected ReleaseUnderflow for task 1, got: {err}"
-        );
+    /// Worker the analyze-time schedule assigned `task` to (reduced
+    /// modulo the worker count). Only the static-mapping policy
+    /// ([`crate::RuntimeKind::Native`]) consults it, to seed the
+    /// initially-ready tasks.
+    fn static_owner(&self, task: usize) -> usize {
+        task
     }
 }

@@ -9,16 +9,16 @@
 //!
 //! 1. **Static race/deadlock analysis** ([`check_static`]) over a
 //!    [`GraphSpec`] — a uniform happens-before description extracted from
-//!    any engine's submitted graph ([`DataflowGraph::to_spec`] for the
-//!    StarPU-like engine, [`GraphSpec::from_native`] for the PaStiX-style
-//!    task array, [`GraphSpec::from_ptg`] for a PaRSEC-like program).
+//!    any submitted graph ([`GraphSpec::from_dag`] evaluates a
+//!    [`PtgProgram`]'s successor function; `DataflowGraph::to_spec` adds
+//!    the declared accesses of a StarPU-style submission).
 //!    Every pair of tasks touching the same datum with a conflicting mode
 //!    must be transitively ordered by edges; cycles, dangling edges,
 //!    self-edges and duplicate edges are reported too. A clean report
 //!    means *no schedule* of the DAG can race or deadlock.
 //! 2. **Dynamic vector-clock race checking** ([`RaceChecker`]) — a
 //!    FastTrack-style epoch checker fed by instrumented task bodies. The
-//!    [`replay`] harness drives the *real* engines (threads, queues,
+//!    [`replay`] harness drives the *real* executor (threads, queues,
 //!    stealing) over a [`GraphSpec`] with bodies that only log accesses,
 //!    giving an executable oracle for the static pass: a dropped edge is
 //!    flagged by both.
@@ -31,10 +31,8 @@
 //! layers into `Analysis::verify_task_graph` and the `dagfact verify`
 //! CLI command.
 
-use crate::dataflow::DataflowGraph;
 use crate::fault::{EngineError, RunConfig};
-use crate::native::{run_native_checked, NativeTask};
-use crate::ptg::{run_ptg_checked, PtgProgram};
+use crate::ptg::PtgProgram;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crate::{AccessMode, DataId, RuntimeKind, TaskId};
@@ -172,28 +170,16 @@ impl GraphSpec {
         self.edges.len() != before
     }
 
-    /// Extract the happens-before relation of a native-engine task array
-    /// (accesses must be added by the caller; the task array only carries
-    /// structure).
-    pub fn from_native(tasks: &[NativeTask]) -> GraphSpec {
-        let mut spec = GraphSpec::new(tasks.len());
-        for (t, task) in tasks.iter().enumerate() {
-            for &s in &task.succs {
-                spec.edge(t, s);
-            }
-        }
-        spec
-    }
-
-    /// Extract the happens-before relation of a PTG program by evaluating
-    /// its successor function over the dense task range.
-    pub fn from_ptg<P: PtgProgram>(program: &P) -> GraphSpec {
-        let n = program.num_tasks();
+    /// Extract the happens-before relation of a DAG by evaluating its
+    /// successor function over the dense task range (accesses must be
+    /// added by the caller; the trait only carries structure).
+    pub fn from_dag<D: PtgProgram>(dag: &D) -> GraphSpec {
+        let n = dag.num_tasks();
         let mut spec = GraphSpec::new(n);
         let mut buf = Vec::new();
         for t in 0..n {
             buf.clear();
-            program.successors(t, &mut buf);
+            dag.successors(t, &mut buf);
             for &s in &buf {
                 spec.edge(t, s);
             }
@@ -805,11 +791,12 @@ fn upsert(list: &mut Vec<Epoch>, epoch: Epoch) {
     }
 }
 
-/// Drive a *real* engine over `spec` with instrumented no-op task bodies
-/// and return the dynamic checker's verdict.
+/// Drive the *real* executor over `spec` under `engine`'s placement
+/// policy, with instrumented no-op task bodies, and return the dynamic
+/// checker's verdict.
 ///
-/// This is the executable oracle for [`check_static`]: the engine's
-/// actual scheduler (threads, queues, work stealing) executes the graph
+/// This is the executable oracle for [`check_static`]: the actual
+/// scheduler (threads, queues, work stealing) executes the graph
 /// while every declared access goes through a [`RaceChecker`]. Dangling
 /// and self-edges are dropped (the static pass reports them); a cyclic
 /// spec fails with [`EngineError::Stalled`] via the watchdog rather than
@@ -835,63 +822,34 @@ pub fn replay(
         }
         checker.task_end(t, w, &succs[t]);
     };
-    match engine {
-        RuntimeKind::Native => {
-            let tasks: Vec<NativeTask> = (0..n)
-                .map(|t| NativeTask {
-                    owner: t % nworkers,
-                    npred: npred[t],
-                    succs: succs[t].clone(),
-                    priority: (n - t) as f64,
-                })
-                .collect();
-            run_native_checked(&tasks, nworkers, config, run_body)?;
+    struct Replay<'a, F> {
+        succs: &'a [Vec<TaskId>],
+        npred: &'a [u32],
+        body: F,
+    }
+    impl<F: Fn(TaskId, usize) + Sync> PtgProgram for Replay<'_, F> {
+        fn num_tasks(&self) -> usize {
+            self.succs.len()
         }
-        RuntimeKind::Dataflow => {
-            let mut g = DataflowGraph::new(0);
-            for t in 0..n {
-                let run_body = &run_body;
-                g.submit(&[], (n - t) as f64, move |w| run_body(t, w));
-            }
-            for (p, list) in succs.iter().enumerate() {
-                for &s in list {
-                    g.add_dependency(p, s)
-                        .expect("clean_adjacency yields only valid edges");
-                }
-            }
-            g.execute_checked(nworkers, config)?;
+        fn num_predecessors(&self, task: usize) -> u32 {
+            self.npred[task]
         }
-        RuntimeKind::Ptg => {
-            struct Replay<'a, F: Fn(TaskId, usize) + Sync> {
-                succs: &'a [Vec<TaskId>],
-                npred: &'a [u32],
-                body: F,
-            }
-            impl<F: Fn(TaskId, usize) + Sync> PtgProgram for Replay<'_, F> {
-                fn num_tasks(&self) -> usize {
-                    self.succs.len()
-                }
-                fn num_predecessors(&self, task: usize) -> u32 {
-                    self.npred[task]
-                }
-                fn successors(&self, task: usize, out: &mut Vec<usize>) {
-                    out.extend_from_slice(&self.succs[task]);
-                }
-                fn execute(&self, task: usize, worker: usize) {
-                    (self.body)(task, worker);
-                }
-                fn priority(&self, task: usize) -> f64 {
-                    -(task as f64)
-                }
-            }
-            let program = Replay {
-                succs: &succs,
-                npred: &npred,
-                body: run_body,
-            };
-            run_ptg_checked(&program, nworkers, config)?;
+        fn successors(&self, task: usize, out: &mut Vec<usize>) {
+            out.extend_from_slice(&self.succs[task]);
+        }
+        fn execute(&self, task: usize, worker: usize) {
+            (self.body)(task, worker);
+        }
+        fn priority(&self, task: usize) -> f64 {
+            -(task as f64)
         }
     }
+    let dag = Replay {
+        succs: &succs,
+        npred: &npred,
+        body: run_body,
+    };
+    crate::exec::run(&dag, engine, nworkers, config)?;
     Ok(checker.report())
 }
 
@@ -1121,16 +1079,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_extraction_from_native_and_ptg() {
-        let tasks = vec![
-            NativeTask { owner: 0, npred: 0, succs: vec![1], priority: 1.0 },
-            NativeTask { owner: 1, npred: 1, succs: vec![], priority: 0.0 },
-        ];
-        let mut spec = GraphSpec::from_native(&tasks);
-        spec.access(0, 0, Mode::Write);
-        spec.access(1, 0, Mode::Read);
-        assert!(check_static(&spec).is_clean());
-
+    fn spec_extraction_from_a_dag() {
         struct Chain;
         impl PtgProgram for Chain {
             fn num_tasks(&self) -> usize {
@@ -1146,7 +1095,7 @@ mod tests {
             }
             fn execute(&self, _: usize, _: usize) {}
         }
-        let mut spec = GraphSpec::from_ptg(&Chain);
+        let mut spec = GraphSpec::from_dag(&Chain);
         for t in 0..3 {
             spec.access(t, 0, Mode::ReadWrite);
         }

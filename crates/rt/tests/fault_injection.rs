@@ -1,31 +1,31 @@
-//! Cross-engine fault-injection suite: every engine must survive the same
-//! fault plans with identical observable semantics — a mid-DAG panic
-//! surfaces as `Err(EngineError::TaskPanicked)` without hanging or
-//! aborting the process, transient failures are retried to success within
-//! the configured budget, and a broken dependency graph trips the
-//! watchdog instead of deadlocking.
+//! Cross-policy fault-injection suite: one chain DAG, run through
+//! `exec::run` under each placement policy, must survive the same fault
+//! plans with identical observable semantics — a mid-DAG panic surfaces
+//! as `Err(EngineError::TaskPanicked)` without hanging or aborting the
+//! process, transient failures are retried to success within the
+//! configured budget, and a broken dependency graph trips the watchdog
+//! instead of deadlocking.
 //!
-//! Every test runs the engine on a helper thread with a hard timeout so a
-//! regression that re-introduces a hang fails the test instead of wedging
-//! the suite.
+//! Every test runs the executor on a helper thread with a hard timeout so
+//! a regression that re-introduces a hang fails the test instead of
+//! wedging the suite.
 
-use dagfact_rt::dataflow::DataflowGraph;
-use dagfact_rt::native::{run_native_checked, NativeTask};
-use dagfact_rt::ptg::{run_ptg_checked, PtgProgram};
-use dagfact_rt::{AccessMode, EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport};
+use dagfact_rt::exec;
+use dagfact_rt::native::{NativeDag, NativeTask};
+use dagfact_rt::{EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport, RuntimeKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Hard wall-clock bound for one engine run; far above anything the tiny
-/// DAGs here need, far below the CI timeout.
+/// Hard wall-clock bound for one run; far above anything the tiny DAGs
+/// here need, far below the CI timeout.
 const TEST_TIMEOUT: Duration = Duration::from_secs(20);
 
 const NTASKS: usize = 64;
 const NWORKERS: usize = 4;
 
 /// Run `f` on a scoped thread and panic if it exceeds [`TEST_TIMEOUT`]
-/// (the engine hung — exactly the regression this suite guards against).
+/// (the executor hung — exactly the regression this suite guards against).
 fn with_timeout<R: Send>(f: impl FnOnce() -> R + Send) -> R {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::scope(|s| {
@@ -34,7 +34,7 @@ fn with_timeout<R: Send>(f: impl FnOnce() -> R + Send) -> R {
         });
         match rx.recv_timeout(TEST_TIMEOUT) {
             Ok(r) => r,
-            Err(_) => panic!("engine did not finish within {TEST_TIMEOUT:?}: hang regression"),
+            Err(_) => panic!("executor did not finish within {TEST_TIMEOUT:?}: hang regression"),
         }
     })
 }
@@ -53,347 +53,186 @@ fn chain_tasks() -> Vec<NativeTask> {
         .collect()
 }
 
-struct ChainProgram;
-
-impl PtgProgram for ChainProgram {
-    fn num_tasks(&self) -> usize {
-        NTASKS
-    }
-    fn num_predecessors(&self, t: usize) -> u32 {
-        u32::from(t > 0)
-    }
-    fn successors(&self, t: usize, out: &mut Vec<usize>) {
-        if t + 1 < NTASKS {
-            out.push(t + 1);
-        }
-    }
-    fn execute(&self, _t: usize, _w: usize) {}
-}
-
-/// Counting PTG chain for the transient tests.
-struct CountingChain<'a> {
-    count: &'a AtomicUsize,
-}
-
-impl PtgProgram for CountingChain<'_> {
-    fn num_tasks(&self) -> usize {
-        NTASKS
-    }
-    fn num_predecessors(&self, t: usize) -> u32 {
-        u32::from(t > 0)
-    }
-    fn successors(&self, t: usize, out: &mut Vec<usize>) {
-        if t + 1 < NTASKS {
-            out.push(t + 1);
-        }
-    }
-    fn execute(&self, _t: usize, _w: usize) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn panic_config() -> RunConfig {
-    RunConfig {
-        fault_plan: Some(Arc::new(FaultPlan::new().panic_on(NTASKS / 2))),
-        retry: RetryPolicy::default(),
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    }
-}
-
-fn transient_config() -> RunConfig {
-    RunConfig {
-        fault_plan: Some(Arc::new(FaultPlan::new().transient_on(NTASKS / 2, 2))),
-        retry: RetryPolicy::retrying(),
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    }
-}
-
-fn assert_panicked_mid_task(result: Result<RunReport, EngineError>) {
-    match result {
-        Err(EngineError::TaskPanicked { task, attempts, .. }) => {
-            assert_eq!(task, NTASKS / 2);
-            assert_eq!(attempts, 1);
-        }
-        other => panic!("expected TaskPanicked, got {other:?}"),
-    }
-}
-
-fn assert_retried_to_success(report: RunReport, executed: usize) {
-    assert_eq!(report.completed, NTASKS);
-    assert_eq!(executed, NTASKS, "every body runs exactly once");
-    assert!(report.retries >= 2, "two injected failures → ≥2 retries");
-    assert_eq!(report.faults_injected, 2);
-    let (task, attempts) = report.task_attempts[0];
-    assert_eq!(task, NTASKS / 2);
-    assert_eq!(attempts, 3, "fail, fail, succeed");
-}
-
-// ---------------------------------------------------------------------
-// Injected panic → Err(TaskPanicked), no hang, successors cancelled
-// ---------------------------------------------------------------------
-
-#[test]
-fn native_panic_injection_returns_error() {
-    let result = with_timeout(|| {
+/// Run `tasks` under `kind` on a watched thread; returns the result and
+/// how many bodies executed.
+fn run_counted(
+    tasks: &[NativeTask],
+    kind: RuntimeKind,
+    nworkers: usize,
+    config: RunConfig,
+) -> (Result<RunReport, EngineError>, usize) {
+    with_timeout(|| {
         let executed = AtomicUsize::new(0);
-        let tasks = chain_tasks();
-        let r = run_native_checked(&tasks, NWORKERS, panic_config(), |_, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-        });
+        let dag = NativeDag {
+            tasks,
+            execute: |_, _| {
+                executed.fetch_add(1, Ordering::Relaxed);
+            },
+        };
+        let r = exec::run(&dag, kind, nworkers, config);
+        (r, executed.load(Ordering::Relaxed))
+    })
+}
+
+fn watched(window: Duration) -> RunConfig {
+    RunConfig {
+        watchdog: Some(window),
+        ..RunConfig::default()
+    }
+}
+
+/// Injected panic → Err(TaskPanicked), no hang, successors cancelled.
+#[test]
+fn panic_injection_returns_error_under_every_policy() {
+    for kind in RuntimeKind::ALL {
+        let config = RunConfig {
+            fault_plan: Some(Arc::new(FaultPlan::new().panic_on(NTASKS / 2))),
+            ..watched(Duration::from_secs(10))
+        };
+        let (result, executed) = run_counted(&chain_tasks(), kind, NWORKERS, config);
         // The injection fires before the body: the faulty task and its
         // descendants never execute.
-        assert_eq!(executed.load(Ordering::Relaxed), NTASKS / 2);
-        r
-    });
-    assert_panicked_mid_task(result);
-}
-
-#[test]
-fn dataflow_panic_injection_returns_error() {
-    let result = with_timeout(|| {
-        let executed = AtomicUsize::new(0);
-        let mut g = DataflowGraph::new(1);
-        for _ in 0..NTASKS {
-            let executed = &executed;
-            g.submit(&[(0, AccessMode::ReadWrite)], 0.0, move |_| {
-                executed.fetch_add(1, Ordering::Relaxed);
-            });
+        assert_eq!(executed, NTASKS / 2, "{kind:?}");
+        match result {
+            Err(EngineError::TaskPanicked { task, attempts, .. }) => {
+                assert_eq!((task, attempts), (NTASKS / 2, 1), "{kind:?}");
+            }
+            other => panic!("{kind:?}: expected TaskPanicked, got {other:?}"),
         }
-        let r = g.execute_checked(NWORKERS, panic_config());
-        assert_eq!(executed.load(Ordering::Relaxed), NTASKS / 2);
-        r
-    });
-    assert_panicked_mid_task(result);
-}
-
-#[test]
-fn ptg_panic_injection_returns_error() {
-    let result = with_timeout(|| run_ptg_checked(&ChainProgram, NWORKERS, panic_config()));
-    assert_panicked_mid_task(result);
+    }
 }
 
 /// A genuine (non-injected) body panic must also surface as an error with
-/// the original payload preserved, on every engine.
+/// the original payload preserved.
 #[test]
 fn real_body_panic_is_captured_with_message() {
-    let config = || RunConfig {
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    };
     let tasks = chain_tasks();
-    let result = with_timeout(|| {
-        run_native_checked(&tasks, NWORKERS, config(), |t, _| {
-            assert!(t != 7, "numerics exploded");
-        })
-    });
-    match result {
-        Err(EngineError::TaskPanicked { task: 7, message, .. }) => {
-            assert!(message.contains("numerics exploded"), "{message}");
+    for kind in RuntimeKind::ALL {
+        let result = with_timeout(|| {
+            let dag = NativeDag {
+                tasks: &tasks,
+                execute: |t, _| assert!(t != 7, "numerics exploded"),
+            };
+            exec::run(&dag, kind, NWORKERS, watched(Duration::from_secs(10)))
+        });
+        match result {
+            Err(EngineError::TaskPanicked { task: 7, message, .. }) => {
+                assert!(message.contains("numerics exploded"), "{kind:?}: {message}");
+            }
+            other => panic!("{kind:?}: expected TaskPanicked{{task:7}}, got {other:?}"),
         }
-        other => panic!("expected TaskPanicked{{task:7}}, got {other:?}"),
     }
 }
 
-// ---------------------------------------------------------------------
-// Transient fail-twice-then-succeed → completes, retries visible
-// ---------------------------------------------------------------------
-
+/// Transient fail-twice-then-succeed → completes, retries visible.
 #[test]
-fn native_transient_faults_are_retried() {
-    let (report, executed) = with_timeout(|| {
-        let executed = AtomicUsize::new(0);
-        let tasks = chain_tasks();
-        let r = run_native_checked(&tasks, NWORKERS, transient_config(), |_, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-        })
-        .expect("transient faults within budget must not fail the run");
-        (r, executed.load(Ordering::Relaxed))
-    });
-    assert_retried_to_success(report, executed);
-}
-
-#[test]
-fn dataflow_transient_faults_are_retried() {
-    let (report, executed) = with_timeout(|| {
-        let executed = AtomicUsize::new(0);
-        let mut g = DataflowGraph::new(1);
-        for _ in 0..NTASKS {
-            let executed = &executed;
-            g.submit(&[(0, AccessMode::ReadWrite)], 0.0, move |_| {
-                executed.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let r = g
-            .execute_checked(NWORKERS, transient_config())
-            .expect("transient faults within budget must not fail the run");
-        (r, executed.load(Ordering::Relaxed))
-    });
-    assert_retried_to_success(report, executed);
-}
-
-#[test]
-fn ptg_transient_faults_are_retried() {
-    let (report, executed) = with_timeout(|| {
-        let executed = AtomicUsize::new(0);
-        let r = run_ptg_checked(&CountingChain { count: &executed }, NWORKERS, transient_config())
-            .expect("transient faults within budget must not fail the run");
-        (r, executed.load(Ordering::Relaxed))
-    });
-    assert_retried_to_success(report, executed);
+fn transient_faults_are_retried_under_every_policy() {
+    for kind in RuntimeKind::ALL {
+        let config = RunConfig {
+            fault_plan: Some(Arc::new(FaultPlan::new().transient_on(NTASKS / 2, 2))),
+            retry: RetryPolicy::retrying(),
+            ..watched(Duration::from_secs(10))
+        };
+        let (result, executed) = run_counted(&chain_tasks(), kind, NWORKERS, config);
+        let report = result.expect("transient faults within budget must not fail the run");
+        assert_eq!(report.completed, NTASKS, "{kind:?}");
+        assert_eq!(executed, NTASKS, "{kind:?}: every body runs exactly once");
+        assert!(report.retries >= 2, "{kind:?}: two injected failures → ≥2 retries");
+        assert_eq!(report.faults_injected, 2, "{kind:?}");
+        assert_eq!(report.task_attempts, vec![(NTASKS / 2, 3)], "{kind:?}: fail, fail, succeed");
+    }
 }
 
 /// A task that fails transiently more often than the budget allows turns
 /// into `RetryBudgetExhausted` — still an orderly Err, not a hang.
 #[test]
 fn retry_budget_exhaustion_is_an_error() {
-    let config = RunConfig {
-        fault_plan: Some(Arc::new(FaultPlan::new().transient_on(3, 99))),
-        retry: RetryPolicy::retrying(),
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    };
-    let tasks = chain_tasks();
-    let result = with_timeout(|| run_native_checked(&tasks, NWORKERS, config, |_, _| {}));
-    match result {
-        Err(EngineError::RetryBudgetExhausted { task: 3, attempts }) => {
-            assert_eq!(attempts, RetryPolicy::retrying().max_attempts);
+    for kind in RuntimeKind::ALL {
+        let config = RunConfig {
+            fault_plan: Some(Arc::new(FaultPlan::new().transient_on(3, 99))),
+            retry: RetryPolicy::retrying(),
+            ..watched(Duration::from_secs(10))
+        };
+        match run_counted(&chain_tasks(), kind, NWORKERS, config).0 {
+            Err(EngineError::RetryBudgetExhausted { task: 3, attempts }) => {
+                assert_eq!(attempts, RetryPolicy::retrying().max_attempts, "{kind:?}");
+            }
+            other => panic!("{kind:?}: expected RetryBudgetExhausted, got {other:?}"),
         }
-        other => panic!("expected RetryBudgetExhausted, got {other:?}"),
     }
 }
 
-// ---------------------------------------------------------------------
-// Watchdog: a broken DAG stalls → Err(Stalled) instead of deadlock
-// ---------------------------------------------------------------------
-
+/// Watchdog: a broken DAG stalls → Err(Stalled) instead of deadlock.
 #[test]
-fn native_watchdog_detects_unsatisfiable_dag() {
+fn watchdog_detects_unsatisfiable_dag() {
     // Task 1 claims a predecessor that no task releases.
     let tasks = vec![
         NativeTask { owner: 0, npred: 0, succs: vec![], priority: 0.0 },
         NativeTask { owner: 0, npred: 1, succs: vec![], priority: 0.0 },
     ];
-    let config = RunConfig {
-        watchdog: Some(Duration::from_millis(200)),
-        ..RunConfig::default()
-    };
-    let result = with_timeout(|| run_native_checked(&tasks, 2, config, |_, _| {}));
-    match result {
-        Err(EngineError::Stalled { remaining, stuck, .. }) => {
-            assert_eq!(remaining, 1);
-            assert_eq!(stuck, vec![1]);
+    for kind in RuntimeKind::ALL {
+        match run_counted(&tasks, kind, 2, watched(Duration::from_millis(200))).0 {
+            Err(EngineError::Stalled { remaining, stuck, .. }) => {
+                assert_eq!((remaining, stuck), (1, vec![1]), "{kind:?}");
+            }
+            other => panic!("{kind:?}: expected Stalled, got {other:?}"),
         }
-        other => panic!("expected Stalled, got {other:?}"),
     }
 }
 
+/// Sampled (probabilistic) plans: deterministic chaos across a real DAG.
 #[test]
-fn ptg_watchdog_detects_unsatisfiable_dag() {
-    struct Broken;
-    impl PtgProgram for Broken {
-        fn num_tasks(&self) -> usize {
-            2
-        }
-        fn num_predecessors(&self, t: usize) -> u32 {
-            // Task 1 waits forever: nobody lists it as a successor.
-            u32::from(t == 1)
-        }
-        fn successors(&self, _t: usize, _out: &mut Vec<usize>) {}
-        fn execute(&self, _t: usize, _w: usize) {}
-    }
-    let config = RunConfig {
-        watchdog: Some(Duration::from_millis(200)),
-        ..RunConfig::default()
-    };
-    let result = with_timeout(|| run_ptg_checked(&Broken, 2, config));
-    match result {
-        Err(EngineError::Stalled { remaining: 1, stuck, .. }) => assert_eq!(stuck, vec![1]),
-        other => panic!("expected Stalled, got {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sampled (probabilistic) plans: deterministic chaos across a real DAG
-// ---------------------------------------------------------------------
-
-#[test]
-fn random_transients_complete_on_every_engine() {
+fn random_transients_complete_under_every_policy() {
     // ~25% of tasks fail once before succeeding; seeded → reproducible.
-    let plan = || {
-        Some(Arc::new(
-            FaultPlan::with_seed(7).random_transient(0.25, 1),
-        ))
-    };
-    let config = || RunConfig {
-        fault_plan: plan(),
-        retry: RetryPolicy::retrying(),
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    };
-
-    let (native, dataflow, ptg) = with_timeout(|| {
-        let tasks = chain_tasks();
-        let native = run_native_checked(&tasks, NWORKERS, config(), |_, _| {}).unwrap();
-
-        let mut g = DataflowGraph::new(1);
-        for _ in 0..NTASKS {
-            g.submit(&[(0, AccessMode::ReadWrite)], 0.0, |_| {});
-        }
-        let dataflow = g.execute_checked(NWORKERS, config()).unwrap();
-
-        let count = AtomicUsize::new(0);
-        let ptg = run_ptg_checked(&CountingChain { count: &count }, NWORKERS, config()).unwrap();
-        (native, dataflow, ptg)
-    });
-
-    for report in [&native, &dataflow, &ptg] {
+    let reports: Vec<RunReport> = RuntimeKind::ALL
+        .iter()
+        .map(|&kind| {
+            let config = RunConfig {
+                fault_plan: Some(Arc::new(FaultPlan::with_seed(7).random_transient(0.25, 1))),
+                retry: RetryPolicy::retrying(),
+                ..watched(Duration::from_secs(10))
+            };
+            run_counted(&chain_tasks(), kind, NWORKERS, config).0.unwrap()
+        })
+        .collect();
+    for report in &reports {
         assert_eq!(report.completed, NTASKS);
         assert!(report.retries > 0, "seed 7 @ 25% must hit at least one task");
+        // Fault sampling keys on (seed, task), not scheduling order: all
+        // three policies draw the identical fault set.
+        assert_eq!(report.faults_injected, reports[0].faults_injected);
+        assert_eq!(report.task_attempts, reports[0].task_attempts);
     }
-    // Fault sampling keys on (seed, task), not scheduling order: all three
-    // engines draw the identical fault set.
-    assert_eq!(native.faults_injected, dataflow.faults_injected);
-    assert_eq!(native.faults_injected, ptg.faults_injected);
-    assert_eq!(native.task_attempts, dataflow.task_attempts);
-    assert_eq!(native.task_attempts, ptg.task_attempts);
 }
 
 /// Delays alone never fail a run — they only stretch it (and count as
 /// injected faults for observability).
 #[test]
 fn injected_delays_do_not_fail_the_run() {
-    let config = RunConfig {
-        fault_plan: Some(Arc::new(
-            FaultPlan::new()
-                .delay_on(1, Duration::from_millis(5))
-                .delay_on(2, Duration::from_millis(5)),
-        )),
-        watchdog: Some(Duration::from_secs(10)),
-        ..RunConfig::default()
-    };
-    let tasks = chain_tasks();
-    let report =
-        with_timeout(|| run_native_checked(&tasks, NWORKERS, config, |_, _| {}).unwrap());
-    assert_eq!(report.completed, NTASKS);
-    assert_eq!(report.faults_injected, 2);
-    assert!(report.retries == 0);
+    for kind in RuntimeKind::ALL {
+        let config = RunConfig {
+            fault_plan: Some(Arc::new(
+                FaultPlan::new()
+                    .delay_on(1, Duration::from_millis(5))
+                    .delay_on(2, Duration::from_millis(5)),
+            )),
+            ..watched(Duration::from_secs(10))
+        };
+        let report = run_counted(&chain_tasks(), kind, NWORKERS, config).0.unwrap();
+        assert_eq!(report.completed, NTASKS);
+        assert_eq!(report.faults_injected, 2);
+        assert!(report.retries == 0);
+    }
 }
 
 /// Zero workers is a configuration error, rejected as a structured
-/// `EngineError::NoWorkers` by every checked engine instead of an
-/// assert in the entry point (hot-path purity: panic-free engines).
+/// `EngineError::NoWorkers` instead of an assert in the entry point
+/// (hot-path purity: a panic-free executor).
 #[test]
 fn zero_workers_is_a_structured_rejection() {
-    let tasks = chain_tasks();
-    let r = run_native_checked(&tasks, 0, RunConfig::default(), |_, _| {});
-    assert!(matches!(r, Err(EngineError::NoWorkers)), "{r:?}");
-
-    let g = DataflowGraph::new(4);
-    let r = g.execute_checked(0, RunConfig::default());
-    assert!(matches!(r, Err(EngineError::NoWorkers)), "{r:?}");
-
-    let r = run_ptg_checked(&ChainProgram, 0, RunConfig::default());
-    assert!(matches!(r, Err(EngineError::NoWorkers)), "{r:?}");
+    for kind in RuntimeKind::ALL {
+        let (r, executed) = run_counted(&chain_tasks(), kind, 0, RunConfig::default());
+        assert!(matches!(r, Err(EngineError::NoWorkers)), "{kind:?}: {r:?}");
+        assert_eq!(executed, 0);
+    }
 }

@@ -1,73 +1,37 @@
-//! A panicking task body must propagate to the caller instead of
-//! deadlocking the worker pool — for all three engines, at every worker
-//! count.
+//! A panicking task body must reach the caller as a typed
+//! `EngineError::TaskPanicked` instead of deadlocking the worker pool or
+//! unwinding through it — under every policy, at every worker count.
 
-use dagfact_rt::dataflow::DataflowGraph;
-use dagfact_rt::native::{run_native, NativeTask};
-use dagfact_rt::ptg::{run_ptg, PtgProgram};
-use dagfact_rt::AccessMode;
-
-fn expect_panic(f: impl FnOnce() + std::panic::UnwindSafe) {
-    let result = std::panic::catch_unwind(f);
-    assert!(result.is_err(), "task panic was swallowed");
-}
+use dagfact_rt::exec;
+use dagfact_rt::native::{NativeDag, NativeTask};
+use dagfact_rt::{EngineError, RunConfig, RuntimeKind};
 
 #[test]
-fn native_engine_propagates_task_panic() {
-    for nworkers in [1usize, 4] {
-        let tasks: Vec<NativeTask> = (0..64)
-            .map(|i| NativeTask {
-                owner: i % 4,
-                npred: 0,
-                succs: vec![],
-                priority: 0.0,
-            })
-            .collect();
-        expect_panic(move || {
-            run_native(&tasks, nworkers, |t, _| {
-                if t == 13 {
-                    panic!("boom");
-                }
-            });
-        });
-    }
-}
-
-#[test]
-fn dataflow_engine_propagates_task_panic() {
-    for nworkers in [1usize, 4] {
-        expect_panic(move || {
-            let mut g = DataflowGraph::new(4);
-            for i in 0..64usize {
-                g.submit(&[(i % 4, AccessMode::ReadWrite)], 0.0, move |_| {
-                    if i == 17 {
+fn task_panic_is_typed_under_every_policy_and_worker_count() {
+    let tasks: Vec<NativeTask> = (0..64)
+        .map(|i| NativeTask {
+            owner: i % 4,
+            npred: 0,
+            succs: vec![],
+            priority: 0.0,
+        })
+        .collect();
+    for kind in RuntimeKind::ALL {
+        for nworkers in [1usize, 4] {
+            let dag = NativeDag {
+                tasks: &tasks,
+                execute: |t, _| {
+                    if t == 13 {
                         panic!("boom");
                     }
-                });
-            }
-            g.execute(nworkers);
-        });
-    }
-}
-
-#[test]
-fn ptg_engine_propagates_task_panic() {
-    struct Explodes;
-    impl PtgProgram for Explodes {
-        fn num_tasks(&self) -> usize {
-            64
-        }
-        fn num_predecessors(&self, _t: usize) -> u32 {
-            0
-        }
-        fn successors(&self, _t: usize, _out: &mut Vec<usize>) {}
-        fn execute(&self, t: usize, _w: usize) {
-            if t == 21 {
-                panic!("boom");
+                },
+            };
+            match exec::run(&dag, kind, nworkers, RunConfig::default()) {
+                Err(EngineError::TaskPanicked { task: 13, message, attempts: 1 }) => {
+                    assert_eq!(message, "boom", "{kind:?}/{nworkers}");
+                }
+                other => panic!("{kind:?}/{nworkers}: task panic was swallowed: {other:?}"),
             }
         }
-    }
-    for nworkers in [1usize, 4] {
-        expect_panic(move || run_ptg(&Explodes, nworkers));
     }
 }

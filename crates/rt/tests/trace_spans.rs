@@ -1,5 +1,5 @@
 //! Trace-layer integration suite: span guarantees under real concurrent
-//! execution on all three engines.
+//! execution, for every placement policy over the same DAG fixtures.
 //!
 //! Checked invariants:
 //! * every task gets exactly one execute span (no retries configured);
@@ -7,51 +7,65 @@
 //!   timeline, sorted by start, never has a span starting before the
 //!   previous one ended;
 //! * the critical path over the measured DAG is bounded by the wall clock
-//!   below and the heaviest single task above;
+//!   below and the heaviest single task above, and has the fixture's
+//!   dependency depth;
+//! * a `Steal` span is a take from another worker's deque and nothing
+//!   else: the central-queue policy never records one, and no policy does
+//!   on a single worker;
 //! * with tracing disabled nothing is recorded.
 
-use dagfact_rt::dataflow::DataflowGraph;
+use dagfact_rt::exec;
 use dagfact_rt::fault::RunConfig;
-use dagfact_rt::native::{run_native_checked, NativeTask};
-use dagfact_rt::ptg::{run_ptg_checked, PtgProgram};
+use dagfact_rt::native::{NativeDag, NativeTask};
 use dagfact_rt::trace::SpanKind;
-use dagfact_rt::{AccessMode, Trace, TraceRecorder};
+use dagfact_rt::{RuntimeKind, Trace, TraceRecorder};
 use std::sync::Arc;
 use std::time::Duration;
 
 const NWORKERS: usize = 4;
 
-fn traced_config(rec: &Arc<TraceRecorder>) -> RunConfig {
-    RunConfig {
-        trace: Some(rec.clone()),
-        ..RunConfig::default()
+/// Build a DAG from `(predecessor, successor)` edges over `ntasks` tasks.
+fn dag_from_edges(ntasks: usize, edges: &[(usize, usize)]) -> Vec<NativeTask> {
+    let mut tasks: Vec<NativeTask> = (0..ntasks)
+        .map(|t| NativeTask {
+            owner: t % NWORKERS,
+            npred: 0,
+            succs: vec![],
+            priority: (ntasks - t) as f64,
+        })
+        .collect();
+    for &(p, s) in edges {
+        tasks[p].succs.push(s);
+        tasks[s].npred += 1;
     }
+    tasks
 }
 
-/// A fork-join diamond: 0 → {1..=width} → width+1, with sleepy bodies so
-/// several workers genuinely overlap in time.
+/// A fork-join diamond: 0 → {1..=width} → width+1 (depth 3).
 fn diamond(width: usize) -> Vec<NativeTask> {
-    let mut tasks = vec![NativeTask {
-        owner: 0,
-        npred: 0,
-        succs: (1..=width).collect(),
-        priority: 10.0,
-    }];
-    for i in 1..=width {
-        tasks.push(NativeTask {
-            owner: i % NWORKERS,
-            npred: 1,
-            succs: vec![width + 1],
-            priority: 5.0,
-        });
+    let edges: Vec<(usize, usize)> = (1..=width).flat_map(|i| [(0, i), (i, width + 1)]).collect();
+    dag_from_edges(width + 2, &edges)
+}
+
+/// `lanes` independent chains: task i depends on i − lanes (depth
+/// ntasks / lanes).
+fn lanes(ntasks: usize, lanes: usize) -> Vec<NativeTask> {
+    let edges: Vec<(usize, usize)> = (lanes..ntasks).map(|i| (i - lanes, i)).collect();
+    dag_from_edges(ntasks, &edges)
+}
+
+/// An n×n wavefront: (i, j) depends on (i−1, j) and (i, j−1) (depth 2n−1).
+fn wavefront(n: usize) -> Vec<NativeTask> {
+    let mut edges = Vec::new();
+    for t in 0..n * n {
+        if t / n + 1 < n {
+            edges.push((t, t + n));
+        }
+        if t % n + 1 < n {
+            edges.push((t, t + 1));
+        }
     }
-    tasks.push(NativeTask {
-        owner: 0,
-        npred: width as u32,
-        succs: vec![],
-        priority: 1.0,
-    });
-    tasks
+    dag_from_edges(n * n, &edges)
 }
 
 fn edges_of(tasks: &[NativeTask]) -> Vec<(usize, usize)> {
@@ -60,6 +74,26 @@ fn edges_of(tasks: &[NativeTask]) -> Vec<(usize, usize)> {
         .enumerate()
         .flat_map(|(t, task)| task.succs.iter().map(move |&s| (t, s)))
         .collect()
+}
+
+/// Run `tasks` under `kind` with sleepy bodies (so several workers
+/// genuinely overlap in time) and a fresh attached recorder.
+fn traced_run(tasks: &[NativeTask], kind: RuntimeKind, nworkers: usize) -> Trace {
+    let rec = TraceRecorder::shared();
+    rec.set_edges(edges_of(tasks));
+    for t in 0..tasks.len() {
+        rec.set_task_meta(t, "1d-panel", t, 1.0e6);
+    }
+    let dag = NativeDag {
+        tasks,
+        execute: |_t, _w| std::thread::sleep(Duration::from_micros(200)),
+    };
+    let config = RunConfig {
+        trace: Some(Arc::clone(&rec)),
+        ..RunConfig::default()
+    };
+    exec::run(&dag, kind, nworkers, config).unwrap();
+    rec.snapshot()
 }
 
 /// Per-worker spans must be monotonic and non-overlapping: sorted by
@@ -117,149 +151,71 @@ fn assert_critical_path_bounds(trace: &Trace) {
     assert!(!cp.tasks.is_empty());
 }
 
-#[test]
-fn native_engine_spans_are_consistent() {
-    let tasks = diamond(24);
-    let rec = TraceRecorder::shared();
-    rec.set_edges(edges_of(&tasks));
-    run_native_checked(&tasks, NWORKERS, traced_config(&rec), |_t, _w| {
-        std::thread::sleep(Duration::from_micros(300));
-    })
-    .unwrap();
-    let trace = rec.snapshot();
-    assert_one_execute_per_task(&trace, tasks.len());
-    assert_monotone_per_worker(&trace);
-    assert_critical_path_bounds(&trace);
-    // The diamond forces the chain 0 → mid → sink onto the path.
-    let cp = trace.critical_path();
-    assert_eq!(cp.tasks.first(), Some(&0));
-    assert_eq!(cp.tasks.last(), Some(&(tasks.len() - 1)));
-    assert!(trace.parallel_efficiency() > 0.0);
-    assert!(trace.parallel_efficiency() <= 1.0 + 1e-9);
+fn steal_spans(trace: &Trace) -> usize {
+    trace.worker_spans().filter(|s| s.kind == SpanKind::Steal).count()
 }
 
 #[test]
-fn dataflow_engine_spans_are_consistent() {
-    // A RAW chain per datum, WAW-crossed: 32 tasks over 4 data.
-    let ndata = 4;
-    let ntasks = 32;
-    let mut g = DataflowGraph::new(ndata);
-    for i in 0..ntasks {
-        g.submit(
-            &[(i % ndata, AccessMode::ReadWrite)],
-            (ntasks - i) as f64,
-            move |_w| std::thread::sleep(Duration::from_micros(200)),
-        );
+fn spans_are_consistent_under_every_policy() {
+    // (fixture, dependency depth in tasks)
+    let fixtures = [(diamond(24), 3), (lanes(32, 4), 8), (wavefront(8), 15)];
+    for kind in RuntimeKind::ALL {
+        for (tasks, depth) in &fixtures {
+            let trace = traced_run(tasks, kind, NWORKERS);
+            assert_one_execute_per_task(&trace, tasks.len());
+            assert_monotone_per_worker(&trace);
+            assert_critical_path_bounds(&trace);
+            let cp = trace.critical_path();
+            assert_eq!(cp.tasks.len(), *depth, "{kind:?}");
+            // The path starts on a source and ends on a sink.
+            assert_eq!(cp.tasks.first().map(|&t| tasks[t].npred), Some(0), "{kind:?}");
+            assert_eq!(cp.tasks.last().map(|&t| tasks[t].succs.len()), Some(0), "{kind:?}");
+            assert!(trace.parallel_efficiency() > 0.0);
+            assert!(trace.parallel_efficiency() <= 1.0 + 1e-9);
+            if kind == RuntimeKind::Dataflow {
+                assert_eq!(steal_spans(&trace), 0, "the central queue is not stolen from");
+            }
+        }
     }
-    let edges = g.edges();
-    let rec = TraceRecorder::shared();
-    rec.set_edges(edges);
-    g.execute_checked(NWORKERS, traced_config(&rec)).unwrap();
-    let trace = rec.snapshot();
-    assert_one_execute_per_task(&trace, ntasks);
-    assert_monotone_per_worker(&trace);
-    assert_critical_path_bounds(&trace);
-    // 32 tasks in 4 independent chains of 8: the path is one chain.
-    assert_eq!(trace.critical_path().tasks.len(), ntasks / ndata);
 }
 
 #[test]
-fn ptg_engine_spans_are_consistent() {
-    struct Wavefront {
-        n: usize,
+fn a_steal_is_a_take_from_another_workers_deque() {
+    // Every task owned by worker 0 and every body long enough for the
+    // others to wake up: under the static-owner policy they can only get
+    // work by stealing it.
+    let mut tasks = diamond(48);
+    for t in &mut tasks {
+        t.owner = 0;
     }
-    impl Wavefront {
-        fn idx(&self, i: usize, j: usize) -> usize {
-            i * self.n + j
-        }
+    let trace = traced_run(&tasks, RuntimeKind::Native, NWORKERS);
+    assert!(steal_spans(&trace) > 0, "no stealing happened");
+    // One worker has no other deque to take from, whatever the policy.
+    for kind in RuntimeKind::ALL {
+        let trace = traced_run(&tasks, kind, 1);
+        assert_eq!(steal_spans(&trace), 0, "{kind:?}");
+        assert_one_execute_per_task(&trace, tasks.len());
     }
-    impl PtgProgram for Wavefront {
-        fn num_tasks(&self) -> usize {
-            self.n * self.n
-        }
-        fn num_predecessors(&self, t: usize) -> u32 {
-            let (i, j) = (t / self.n, t % self.n);
-            u32::from(i > 0) + u32::from(j > 0)
-        }
-        fn successors(&self, t: usize, out: &mut Vec<usize>) {
-            let (i, j) = (t / self.n, t % self.n);
-            if i + 1 < self.n {
-                out.push(self.idx(i + 1, j));
-            }
-            if j + 1 < self.n {
-                out.push(self.idx(i, j + 1));
-            }
-        }
-        fn execute(&self, _t: usize, _w: usize) {
-            std::thread::sleep(Duration::from_micros(150));
-        }
-    }
-    let p = Wavefront { n: 8 };
-    let mut edges = Vec::new();
-    let mut buf = Vec::new();
-    for t in 0..p.num_tasks() {
-        buf.clear();
-        p.successors(t, &mut buf);
-        edges.extend(buf.iter().map(|&s| (t, s)));
-    }
-    let rec = TraceRecorder::shared();
-    rec.set_edges(edges);
-    run_ptg_checked(&p, NWORKERS, traced_config(&rec)).unwrap();
-    let trace = rec.snapshot();
-    assert_one_execute_per_task(&trace, p.num_tasks());
-    assert_monotone_per_worker(&trace);
-    assert_critical_path_bounds(&trace);
-    // An n×n wavefront's dependency depth is 2n−1 tasks.
-    assert_eq!(trace.critical_path().tasks.len(), 2 * p.n - 1);
 }
 
 #[test]
 fn disabled_tracing_records_nothing() {
-    let tasks = diamond(8);
-    run_native_checked(&tasks, 2, RunConfig::default(), |_t, _w| {}).unwrap();
-
-    let mut g = DataflowGraph::new(2);
-    for i in 0..8 {
-        g.submit(&[(i % 2, AccessMode::ReadWrite)], 1.0, |_w| {});
-    }
-    g.execute_checked(2, RunConfig::default()).unwrap();
-
-    struct Bag;
-    impl PtgProgram for Bag {
-        fn num_tasks(&self) -> usize {
-            8
-        }
-        fn num_predecessors(&self, _t: usize) -> u32 {
-            0
-        }
-        fn successors(&self, _t: usize, _out: &mut Vec<usize>) {}
-        fn execute(&self, _t: usize, _w: usize) {}
-    }
-    run_ptg_checked(&Bag, 2, RunConfig::default()).unwrap();
-
-    // A recorder that was never attached sees nothing — and an attached
-    // one records only for its own run.
+    // A recorder that was never attached sees nothing — an attached one
+    // records only for its own run.
     let rec = TraceRecorder::shared();
-    assert!(rec.is_empty());
-    run_native_checked(&diamond(4), 2, RunConfig::default(), |_t, _w| {}).unwrap();
-    assert!(rec.is_empty(), "untraced run leaked spans into the recorder");
+    let tasks = diamond(8);
+    for kind in RuntimeKind::ALL {
+        let dag = NativeDag { tasks: &tasks, execute: |_t, _w| {} };
+        exec::run(&dag, kind, 2, RunConfig::default()).unwrap();
+        assert!(rec.is_empty(), "{kind:?}: untraced run leaked spans into the recorder");
+    }
 }
 
 /// The report and Gantt renderers stay total on real traces (no panics,
 /// non-empty output) — they feed the CLI `--metrics` path.
 #[test]
 fn renderers_work_on_live_trace() {
-    let tasks = diamond(12);
-    let rec = TraceRecorder::shared();
-    rec.set_edges(edges_of(&tasks));
-    for (t, _) in tasks.iter().enumerate() {
-        rec.set_task_meta(t, "1d-panel", t, 1.0e6);
-    }
-    run_native_checked(&tasks, NWORKERS, traced_config(&rec), |_t, _w| {
-        std::thread::sleep(Duration::from_micros(200));
-    })
-    .unwrap();
-    let trace = rec.snapshot();
+    let trace = traced_run(&diamond(12), RuntimeKind::Native, NWORKERS);
     let report = trace.render_report();
     assert!(report.contains("critical path:"));
     assert!(report.contains("parallel efficiency:"));
