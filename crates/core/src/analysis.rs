@@ -1,11 +1,18 @@
 //! The analysis phase: ordering → symbolic factorization → block
 //! structure → cost model (§III of the paper).
 //!
-//! Everything here is value-free. Thanks to static pivoting, the task DAG
-//! produced once by [`Analysis::new`] is reused by every subsequent
-//! numerical factorization, by all three runtimes, and by the platform
-//! simulator.
+//! Everything here is value-free. Thanks to static pivoting, the block
+//! structure produced once by [`Analysis::new`] fixes every task DAG for
+//! all subsequent factorizations, solves and simulations. Only the coarse
+//! 1D panel graph is *stored* ([`Analysis::one_d`]: the native engine's
+//! DAG, the distributed engine's and the verifier's input and — with its
+//! transpose — the schedule of the triangular sweeps): it is small, and a
+//! cached factor is solved against many times. The fine-grained DAGs (the
+//! two-level [`crate::tasks::TaskGraph`], the hazard-inferred dataflow
+//! submission, the simulator's graph) are rebuilt by each factorization /
+//! simulation that wants one.
 
+use crate::tasks::OneDGraph;
 use dagfact_order::{compute_ordering, OrderingKind, Permutation};
 use dagfact_sparse::SparsityPattern;
 use dagfact_symbolic::cost::{critical_path_priorities, static_schedule, CostModel, TaskCosts};
@@ -82,6 +89,8 @@ pub struct Analysis {
     pub perm: Permutation,
     /// Block symbolic structure of the factor.
     pub symbol: SymbolMatrix,
+    /// The 1D panel graph of `symbol` and its transpose, built once here.
+    pub one_d: OneDGraph,
     /// nnz of the symmetrized pattern (for stats).
     pub nnz_a: usize,
     /// Options the analysis was built with.
@@ -138,6 +147,7 @@ impl Analysis {
         let partition = amalgamate(partition, &options.amalgamation);
         let symbol = SymbolMatrix::from_partition(&partition, &options.split);
         debug_assert_eq!(symbol.validate(), Ok(()));
+        let one_d = OneDGraph::build(&symbol);
         if let (Some(rec), Some(from)) = (trace, symbolic_from) {
             rec.phase_from("symbolic", from);
         }
@@ -145,6 +155,7 @@ impl Analysis {
             facto,
             perm,
             symbol,
+            one_d,
             nnz_a: sym.nnz(),
             options: options.clone(),
         }

@@ -74,7 +74,6 @@
 use crate::analysis::Analysis;
 use crate::coeftab::{CoefTab, MemoryOptions};
 use crate::numeric::{FactorStats, Factors, NumericCtx};
-use crate::tasks::OneDGraph;
 use crate::SolverError;
 use dagfact_gpusim::{ClusterPlatform, EventQueue};
 use dagfact_kernels::Scalar;
@@ -330,13 +329,12 @@ pub fn dist_graph_spec(analysis: &Analysis, complex: bool, nnodes: usize) -> Gra
     let mapping = proportional_mapping(symbol, &costs, nnodes.max(1));
     let scalar_bytes = if complex { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
     let pairs = build_pairs(symbol, &mapping.node_of, scalar_bytes);
-    let graph = OneDGraph::build(symbol);
     let ncblk = symbol.ncblk();
     let npairs = pairs.len();
     let mut spec = GraphSpec::new(ncblk + 2 * npairs);
     for c in 0..ncblk {
         spec.access(c, c, Mode::ReadWrite);
-        for &t in &graph.succs[c] {
+        for &t in analysis.one_d.succs(c) {
             if mapping.node_of[t] == mapping.node_of[c] {
                 spec.access(c, t, Mode::Accum);
                 spec.edge(c, t);
@@ -456,7 +454,6 @@ struct Sim<'s, 'a, T: Scalar> {
     hb_interval: f64,
     hb_timeout: f64,
 
-    graph: OneDGraph,
     node_of: Vec<usize>,
     /// Original node → node currently responsible for its shard.
     alias: Vec<usize>,
@@ -512,12 +509,10 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         let scalar_bytes =
             if T::IS_COMPLEX { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
         let pairs = build_pairs(symbol, &mapping.node_of, scalar_bytes);
-        let graph = OneDGraph::build(symbol);
-
         let mut direct_preds: Vec<Vec<usize>> = vec![Vec::new(); ncblk];
         let mut pending = vec![0u32; ncblk];
         for c in 0..ncblk {
-            for &t in &graph.succs[c] {
+            for &t in analysis.one_d.succs(c) {
                 if mapping.node_of[t] == mapping.node_of[c] {
                     direct_preds[t].push(c);
                     pending[t] += 1;
@@ -577,7 +572,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
             hb_interval: opts.heartbeat_interval.max(1e-6),
             hb_timeout: opts.heartbeat_interval.max(1e-6)
                 * opts.heartbeat_timeout_beats.max(1) as f64,
-            graph,
             node_of: mapping.node_of,
             alias: (0..nnodes).collect(),
             alive: vec![true; nnodes],
@@ -798,7 +792,7 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
                 st.buf = None;
             }
         }
-        let succs = self.graph.succs[c].clone();
+        let succs = self.analysis.one_d.succs(c).to_vec();
         let mut to_ship = BTreeSet::new();
         for p in self.member_of[c].clone() {
             let st = &mut self.pstate[p];

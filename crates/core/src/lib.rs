@@ -30,7 +30,6 @@ pub mod coeftab;
 pub mod dist;
 pub mod distributed;
 pub mod numeric;
-pub mod psolve;
 pub mod refine;
 pub mod service;
 pub mod simulate;

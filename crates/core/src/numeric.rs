@@ -41,7 +41,7 @@
 
 use crate::analysis::Analysis;
 use crate::coeftab::{CoefTab, MemoryOptions, PanelPin};
-use crate::tasks::{OneDGraph, TaskGraph, TaskKind};
+use crate::tasks::{TaskGraph, TaskKind};
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
@@ -1034,10 +1034,10 @@ impl Analysis {
             RuntimeKind::Native => {
                 // Fused 1D tasks: the task id IS the panel, and its flops are
                 // the cost model's task_1d (the schedule's own denominator).
-                let graph = OneDGraph::build(symbol);
+                // Successor lists are slices of the cached graph: no per-task allocation.
                 let owners = self.static_owners(&costs, nthreads);
-                let tasks: Vec<NativeTask> = (graph.succs.into_iter().zip(graph.npred).enumerate())
-                    .map(|(c, (succs, npred))| NativeTask { owner: owners[c], npred, succs, priority: prio[c] })
+                let tasks: Vec<NativeTask<&[usize]>> = (0..symbol.ncblk())
+                    .map(|c| NativeTask { owner: owners[c], npred: self.one_d.preds(c).len() as u32, succs: self.one_d.succs(c), priority: prio[c] })
                     .collect();
                 let dag = NativeDag { tasks: &tasks, execute: |c, worker| ctx.one_d_task(c, worker) };
                 launch(&dag, |c| ("1d-panel", c, costs.task_1d(symbol, c)), runtime, nthreads, config)

@@ -51,7 +51,9 @@ impl<T: Scalar> Factors<'_, T> {
         let mut residuals = Vec::with_capacity(max_iter + 1);
         let mut r = vec![T::zero(); n];
         let mut iterations = 0;
-        let mut best_x: Option<Vec<T>> = None;
+        // Best iterate seen, restored on divergence: one buffer for the
+        // whole refinement, not a clone per improving step.
+        let mut best_x = vec![T::zero(); n];
         let mut best_berr = f64::INFINITY;
         let mut growths = 0usize;
         let mut stalled = false;
@@ -78,7 +80,7 @@ impl<T: Scalar> Factors<'_, T> {
             residuals.push(berr);
             if berr < best_berr {
                 best_berr = berr;
-                best_x = Some(x.clone());
+                best_x.copy_from_slice(&x);
             }
             if growths >= 2 || !berr.is_finite() {
                 stalled = true;
@@ -96,10 +98,8 @@ impl<T: Scalar> Factors<'_, T> {
         if let (Some(rec), Some(from)) = (tracer, refine_from) {
             rec.phase_from("refine", from);
         }
-        if stalled {
-            if let Some(bx) = best_x {
-                x = bx;
-            }
+        if stalled && best_berr < f64::INFINITY {
+            x = best_x;
         }
         RefinedSolve {
             x,

@@ -3,14 +3,14 @@
 //! The repeated-factorization regime the paper's runtime argument is
 //! strongest in (FEM time-stepping, circuit simulation: *same sparsity
 //! pattern, new values* and *same factors, new right-hand side*) needs
-//! the analysis and the numeric factors to outlive a single
-//! [`crate::Solver`] call so a cache can hand them to many requests.
-//! [`SharedFactors`] is that handle: it owns an `Arc<Analysis>`, a clone
-//! of the factorized matrix (for iterative refinement), and the numeric
-//! [`Factors`] borrowing the shared analysis — with the same
-//! self-reference discipline as [`crate::Solver`], made sharable by the
-//! `Arc` (the analysis heap allocation is stable no matter how many
-//! caches and jobs hold the handle).
+//! the analysis and the numeric factors to outlive a single call so a
+//! cache can hand them to many requests. [`SharedFactors`] is that handle:
+//! it owns an `Arc<Analysis>`, a clone of the factorized matrix (for
+//! iterative refinement), and the numeric [`Factors`] borrowing the shared
+//! analysis — the crate's one self-reference, made sharable by the `Arc`
+//! (the analysis heap allocation is stable no matter how many caches and
+//! jobs hold the handle). It also owns the adaptive recovery loop;
+//! [`crate::Solver`] is a thin owner of one handle.
 
 use crate::analysis::Analysis;
 use crate::numeric::{ExecOptions, FactorStats, Factors};
@@ -20,6 +20,17 @@ use dagfact_kernels::Scalar;
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::CscMatrix;
 use std::sync::Arc;
+
+/// Escalation schedule of the adaptive recovery loop: a disabled
+/// threshold restarts at the default, an active one grows geometrically
+/// (capped — past 1e-2·‖A‖∞ the "factorization" is no longer meaningful).
+fn escalate_epsilon(eps: f64) -> f64 {
+    if eps <= 0.0 {
+        1e-8
+    } else {
+        (eps * 100.0).min(1e-2)
+    }
+}
 
 /// Numeric factors bound to a shared (`Arc`ed) analysis, self-contained
 /// enough to be cached and served across requests: the handle carries
@@ -33,9 +44,11 @@ pub struct SharedFactors<T: Scalar> {
 }
 
 impl<T: Scalar> SharedFactors<T> {
-    /// Numerically factorize `a` against the shared `analysis`, with the
-    /// same adaptive recovery loop as [`crate::Solver`]: numeric
-    /// breakdown retries with an escalated static-pivot threshold,
+    /// Numerically factorize `a` against the shared `analysis` under the
+    /// adaptive recovery loop: numeric breakdown (zero / non-finite
+    /// pivots, corrupted coefficients) retries with an escalated
+    /// static-pivot threshold — the symbolic structure is
+    /// threshold-independent, so only the numeric phase re-runs —
     /// injected allocation faults retry at the same threshold, both
     /// bounded by [`crate::SolverOptions::max_refactor_attempts`].
     pub fn factorize(
@@ -45,25 +58,56 @@ impl<T: Scalar> SharedFactors<T> {
         threads: usize,
         exec: &ExecOptions,
     ) -> Result<SharedFactors<T>, SolverError> {
+        let epsilon = exec
+            .epsilon_override
+            .unwrap_or(analysis.options.static_pivot_epsilon);
+        Self::recover(analysis, a, runtime, threads, exec, epsilon, Vec::new())
+    }
+
+    /// Re-factorize the same matrix one escalation step past these
+    /// factors' threshold, continuing their attempt count and history;
+    /// `cause` comes back when the attempt budget is already spent.
+    pub(crate) fn refactorize_escalated(
+        &self,
+        cause: SolverError,
+        runtime: RuntimeKind,
+        threads: usize,
+        exec: &ExecOptions,
+    ) -> Result<SharedFactors<T>, SolverError> {
+        let stats = self.stats();
+        if stats.attempts >= self.analysis.options.max_refactor_attempts {
+            return Err(cause);
+        }
+        let epsilon = escalate_epsilon(stats.epsilon);
+        let history = stats.epsilon_history.clone();
+        Self::recover(self.analysis.clone(), &self.matrix, runtime, threads, exec, epsilon, history)
+    }
+
+    /// The recovery loop. `history` holds the thresholds already spent
+    /// (its length is the attempt count so far); the next attempt runs at
+    /// `epsilon`.
+    fn recover(
+        analysis: Arc<Analysis>,
+        a: &CscMatrix<T>,
+        runtime: RuntimeKind,
+        threads: usize,
+        exec: &ExecOptions,
+        mut epsilon: f64,
+        mut history: Vec<f64>,
+    ) -> Result<SharedFactors<T>, SolverError> {
         // SAFETY: `factors` borrows the analysis through this fake
         // 'static reference. The `Arc` heap allocation is stable for the
         // life of the returned struct (the struct holds a clone of the
         // Arc), the reference is never exposed with the fake lifetime,
         // and the field order drops the borrower first.
         let analysis_ref: &'static Analysis = unsafe { &*Arc::as_ptr(&analysis) };
-        let options = &analysis.options;
-        let mut epsilon = exec
-            .epsilon_override
-            .unwrap_or(options.static_pivot_epsilon);
-        let mut history: Vec<f64> = Vec::new();
-        let mut attempt = 0u32;
+        let max_attempts = analysis.options.max_refactor_attempts;
         let factors = loop {
-            attempt += 1;
             history.push(epsilon);
+            let attempt = history.len() as u32;
             let exec_try = ExecOptions {
-                run: exec.run.clone(),
                 epsilon_override: Some(epsilon),
-                spill_dir: exec.spill_dir.clone(),
+                ..exec.clone()
             };
             match analysis_ref.factorize_with::<T>(a, runtime, threads, &exec_try) {
                 Ok(mut f) => {
@@ -71,14 +115,16 @@ impl<T: Scalar> SharedFactors<T> {
                     f.stats.epsilon_history = history;
                     break f;
                 }
-                Err(e)
-                    if attempt < options.max_refactor_attempts
-                        && e.is_recoverable_by_pivoting() =>
-                {
-                    epsilon = crate::solver::escalate_epsilon(epsilon);
+                // For Cholesky the threshold is unused — the retry still
+                // matters for transient corruption.
+                Err(e) if attempt < max_attempts && e.is_recoverable_by_pivoting() => {
+                    epsilon = escalate_epsilon(epsilon);
                 }
-                Err(e)
-                    if attempt < options.max_refactor_attempts && e.is_transient_alloc() => {}
+                // Injected allocation fault: its per-site failure budget
+                // was consumed on delivery, so the same pivot threshold
+                // will succeed — retry WITHOUT escalating (the factors
+                // must match the unfaulted run exactly).
+                Err(e) if attempt < max_attempts && e.is_transient_alloc() => {}
                 Err(e) => return Err(e),
             }
         };
@@ -87,6 +133,16 @@ impl<T: Scalar> SharedFactors<T> {
             matrix: a.clone(),
             analysis,
         })
+    }
+
+    /// The numeric factors (borrow shortened to `self`'s).
+    pub(crate) fn factors(&self) -> &Factors<'_, T> {
+        &self.factors
+    }
+
+    /// The matrix these factors were built from.
+    pub(crate) fn matrix(&self) -> &CscMatrix<T> {
+        &self.matrix
     }
 
     /// The shared analysis these factors were built against.
@@ -151,7 +207,8 @@ impl Analysis {
     /// symbolic structure) — what a pattern cache should charge to a
     /// [`dagfact_rt::MemoryBudget`] ledger for holding it. An estimate:
     /// the symbol structure dominates and is counted exactly; small
-    /// side tables are approximated.
+    /// side tables (and the 1D graph, two words per edge) are
+    /// approximated.
     pub fn resident_bytes(&self) -> usize {
         let usz = core::mem::size_of::<usize>();
         let perm = self.perm.perm().len().saturating_mul(2 * usz);
@@ -162,7 +219,10 @@ impl Analysis {
             .len()
             .saturating_mul(6 * usz)
             .saturating_add(self.symbol.col_to_cblk.len() * usz);
-        perm.saturating_add(cblks).saturating_add(blocks)
+        let edges: usize = (0..self.symbol.ncblk()).map(|c| self.one_d.succs(c).len()).sum();
+        perm.saturating_add(cblks)
+            .saturating_add(blocks)
+            .saturating_add(edges.saturating_mul(2 * usz))
     }
 }
 

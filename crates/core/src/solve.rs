@@ -1,33 +1,73 @@
-//! Triangular solve phase: forward/diagonal/backward sweeps over the
+//! Triangular solve phase: forward / diagonal / backward sweeps over the
 //! block structure.
 //!
-//! The solve walks the panels in elimination order (forward) and reverse
-//! order (backward); each panel applies its diagonal triangle to the
-//! right-hand-side slice and propagates its off-diagonal blocks. Solves
-//! are a small fraction of factorization time, so they run sequentially
-//! (as the paper's experiments do — only the factorization step is
-//! timed).
+//! There is one solve. Each sweep is a set of per-panel tasks over the 1D
+//! panel graph cached in the analysis ([`crate::tasks::OneDGraph`]):
+//!
+//! * **forward** `L·y = b`: panel `c` solves its rows with its diagonal
+//!   triangle once every panel with a block facing `c` has subtracted its
+//!   contribution, then subtracts `L[R_b, c]·y_c` from the rows of each
+//!   facing panel;
+//! * **backward** `Lᵀ/U·x = y`: the transposed graph — panel `c` gathers
+//!   from its (already solved) facing panels, then solves its own rows.
+//!
+//! The schedule follows from the worker count alone. With one worker —
+//! [`Factors::solve`], [`Factors::solve_many`], refinement, the serving
+//! path — elimination order (reversed for the backward sweep) is a
+//! topological order of the graph, so the sweeps are plain loops: no
+//! executor, no locks, no per-task bookkeeping. With more, the same bodies
+//! run as a [`PtgProgram`] on the shared executor, and the forward sweep's
+//! in-place accumulation into a facing panel's rows takes that panel's
+//! lock — the device the factorization's 1D fan-in uses
+//! (`NumericCtx::panel_locks`): the 1D graph orders every contributor
+//! before its target but not the contributors of a common target.
 
 use crate::numeric::Factors;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::Scalar;
+use dagfact_rt::ptg::PtgProgram;
+use dagfact_rt::sync::Mutex;
+use dagfact_rt::{exec, RunConfig, RuntimeKind, SharedSlice};
 use dagfact_symbolic::FactoKind;
 
 impl<T: Scalar> Factors<'_, T> {
     /// Solve `A·x = b` using the computed factors. `b` is in the
     /// *original* (unpermuted) numbering; so is the returned `x`.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        self.solve_many(b, 1)
+        self.solve_on(b, 1, 1)
     }
 
     /// Solve `A·X = B` for `nrhs` right-hand sides stored column-major in
     /// `b` (length `n·nrhs`). All sweeps are blocked over the RHS columns,
     /// so many-RHS solves run at GEMM speed rather than GEMV speed.
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        let n = self.analysis.symbol.n;
-        assert!(nrhs >= 1);
-        assert_eq!(b.len(), n * nrhs, "b must hold nrhs columns of length n");
+        self.solve_on(b, nrhs, 1)
+    }
+
+    /// [`Factors::solve`] with both sweeps run on `nthreads` workers.
+    /// One worker is exactly [`Factors::solve`]; with more, contributions
+    /// into a panel may be applied in a different order, so results agree
+    /// to roundoff.
+    pub fn solve_parallel(&self, b: &[T], nthreads: usize) -> Vec<T> {
+        self.solve_on(b, 1, nthreads)
+    }
+
+    /// Multi-RHS variant of [`Factors::solve_parallel`].
+    pub fn solve_parallel_many(&self, b: &[T], nrhs: usize, nthreads: usize) -> Vec<T> {
+        self.solve_on(b, nrhs, nthreads)
+    }
+
+    /// The solve: permute in, forward sweep, LDLᵀ diagonal, backward
+    /// sweep, permute out.
+    fn solve_on(&self, b: &[T], nrhs: usize, nthreads: usize) -> Vec<T> {
+        let symbol = &self.analysis.symbol;
+        let n = symbol.n;
+        assert!(
+            nrhs >= 1 && b.len() == n * nrhs,
+            "b must hold nrhs columns of length n (nrhs >= 1)"
+        );
+        let nthreads = nthreads.max(1);
         // x[perm[i], :] = b[i, :]
         let perm = self.analysis.perm.perm();
         let mut x = vec![T::zero(); n * nrhs];
@@ -36,15 +76,31 @@ impl<T: Scalar> Factors<'_, T> {
                 x[r * n + perm[old]] = v;
             }
         }
-        self.forward(&mut x, nrhs);
+        let panel = nrhs * symbol.cblks.iter().map(|cb| cb.width()).max().unwrap_or(0);
+        let nlocks = if nthreads > 1 { symbol.ncblk() } else { 0 };
+        let mut sweep = Sweep {
+            f: self,
+            forward: true,
+            x: SharedSlice::from_vec(x),
+            nrhs,
+            panel,
+            scratch: SharedSlice::from_vec(vec![T::zero(); nthreads * panel]),
+            // ALLOC: multi-worker runs only, once per solve.
+            locks: (0..nlocks).map(|_| Mutex::new(())).collect(),
+        };
+        sweep.run_sweep(nthreads);
         if self.analysis.facto == FactoKind::Ldlt {
+            let mut x = sweep.x.into_vec();
             for r in 0..nrhs {
                 for (xi, &di) in x[r * n..(r + 1) * n].iter_mut().zip(self.d.iter()) {
                     *xi /= di;
                 }
             }
+            sweep.x = SharedSlice::from_vec(x);
         }
-        self.backward(&mut x, nrhs);
+        sweep.forward = false;
+        sweep.run_sweep(nthreads);
+        let x = sweep.x.into_vec();
         // out[i, :] = x[perm[i], :]
         let mut out = vec![T::zero(); n * nrhs];
         for r in 0..nrhs {
@@ -55,153 +111,203 @@ impl<T: Scalar> Factors<'_, T> {
         out
     }
 
-    /// Forward sweep `L·y = b` (unit diagonal for LDLᵀ/LU).
-    fn forward(&self, x: &mut [T], nrhs: usize) {
+    /// Forward task of panel `c`: solve its rows `L_cc·y_c = x_c` (unit
+    /// diagonal for LDLᵀ/LU), then `x[R_b, :] -= L[R_b, c]·y_c` for every
+    /// off-diagonal block. `xc` is the worker's `w × nrhs` scratch;
+    /// `locks` is empty when a single worker runs the sweep.
+    fn forward_panel(&self, c: usize, x: &mut [T], xc: &mut [T], nrhs: usize, locks: &[Mutex<()>]) {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
+        let cb = &symbol.cblks[c];
+        let w = cb.width();
         let diag = match self.analysis.facto {
             FactoKind::Cholesky => Diag::NonUnit,
             FactoKind::Ldlt | FactoKind::Lu => Diag::Unit,
         };
-        // Panel-solution scratch (w × nrhs), reused across panels so the
-        // propagation GEMM can read it while writing other rows of x.
-        let mut xc = Vec::new();
-        for c in 0..symbol.ncblk() {
-            let cb = &symbol.cblks[c];
-            let w = cb.width();
-            let lpin = self.tab.pin_l_solve(symbol, c);
-            // SAFETY: factorization finished; read-only access.
-            let l = unsafe { lpin.slice() };
-            // Diagonal solve on rows fcol..lcol of every RHS column.
-            trsm(
-                Side::Left,
-                Uplo::Lower,
+        let lpin = self.tab.pin_l_solve(symbol, c);
+        // SAFETY: factorization finished and `self` is borrowed shared for
+        // the whole solve, so the factor panels have no writer.
+        let l = unsafe { lpin.slice() };
+        trsm(
+            Side::Left,
+            Uplo::Lower,
+            Trans::NoTrans,
+            diag,
+            w,
+            nrhs,
+            l,
+            cb.stride,
+            &mut x[cb.fcol..],
+            n,
+        );
+        // The propagation GEMM reads the panel solution from the scratch
+        // while it writes other rows of x.
+        gather_rows(x, n, cb.fcol, w, nrhs, xc);
+        for b in symbol.off_blocks(c) {
+            // LOCK: taken only when nthreads > 1 (`locks` is empty on the
+            // 1-worker path): the 1D graph leaves the contributors of a
+            // common facing panel unordered, so their in-place
+            // accumulations into its rows are serialized here.
+            let _accum = locks.get(b.facing).map(|lock| lock.lock());
+            gemm(
                 Trans::NoTrans,
-                diag,
-                w,
+                Trans::NoTrans,
+                b.nrows(),
                 nrhs,
-                l,
+                w,
+                -T::one(),
+                &l[b.local_offset..],
                 cb.stride,
-                &mut x[cb.fcol..],
+                xc,
+                w,
+                T::one(),
+                &mut x[b.frow..],
                 n,
             );
-            gather_rows(x, n, cb.fcol, w, nrhs, &mut xc);
-            // Propagate: x[R_b, :] -= L[R_b, c] · x_c for every off block.
-            for b in symbol.off_blocks(c) {
-                let m = b.nrows();
-                let lb = &l[b.local_offset..];
-                gemm(
-                    Trans::NoTrans,
-                    Trans::NoTrans,
-                    m,
-                    nrhs,
-                    w,
-                    -T::one(),
-                    lb,
-                    cb.stride,
-                    &xc,
-                    w,
-                    T::one(),
-                    &mut x[b.frow..],
-                    n,
-                );
-            }
         }
     }
 
-    /// Backward sweep: `Lᵀ·x = y` (Cholesky/LDLᵀ) or `U·x = y` (LU).
-    fn backward(&self, x: &mut [T], nrhs: usize) {
+    /// Backward task of panel `c`: `x_c -= Lᵀ[c, R_b]·x[R_b, :]` (LU:
+    /// `U[c, R_b]`, stored transposed in the U panel) over its
+    /// off-diagonal blocks, then the diagonal solve `Lᵀ_cc` / `U_cc` — all
+    /// in the scratch `xc`, so the reads of `x` stay immutable.
+    fn backward_panel(&self, c: usize, x: &mut [T], xc: &mut [T], nrhs: usize) {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
+        let cb = &symbol.cblks[c];
+        let w = cb.width();
         let lu = self.analysis.facto == FactoKind::Lu;
-        let mut xc = Vec::new();
-        for c in (0..symbol.ncblk()).rev() {
-            let cb = &symbol.cblks[c];
-            let w = cb.width();
-            let lpin = self.tab.pin_l_solve(symbol, c);
-            // SAFETY: read-only post-factorization access.
-            let l = unsafe { lpin.slice() };
-            // Gather the panel rows, subtract below-block contributions,
-            // then solve the triangle — all in the scratch buffer so the
-            // reads of x stay immutable.
-            gather_rows(x, n, cb.fcol, w, nrhs, &mut xc);
-            // For LU the gathered contribution uses U[cols_c, R_b], which
-            // is stored transposed in the U panel; otherwise Lᵀ.
-            let upin = lu.then(|| self.tab.pin_u_solve(symbol, c));
-            // SAFETY: read-only post-factorization access.
-            let u = match &upin {
-                Some(p) => unsafe { p.slice() },
-                None => l,
-            };
-            for b in symbol.off_blocks(c) {
-                let m = b.nrows();
-                let coeff = &u[b.local_offset..];
-                gemm(
-                    Trans::Trans,
-                    Trans::NoTrans,
-                    w,
-                    nrhs,
-                    m,
-                    -T::one(),
-                    coeff,
-                    cb.stride,
-                    &x[b.frow..],
-                    n,
-                    T::one(),
-                    &mut xc,
-                    w,
-                );
+        let lpin = self.tab.pin_l_solve(symbol, c);
+        let upin = lu.then(|| self.tab.pin_u_solve(symbol, c));
+        // SAFETY: read-only factor panels, as in `forward_panel`.
+        let l = unsafe { lpin.slice() };
+        // SAFETY: as for `l`.
+        let u = upin.as_ref().map_or(l, |p| unsafe { p.slice() });
+        gather_rows(x, n, cb.fcol, w, nrhs, xc);
+        for b in symbol.off_blocks(c) {
+            gemm(
+                Trans::Trans,
+                Trans::NoTrans,
+                w,
+                nrhs,
+                b.nrows(),
+                -T::one(),
+                &u[b.local_offset..],
+                cb.stride,
+                &x[b.frow..],
+                n,
+                T::one(),
+                xc,
+                w,
+            );
+        }
+        let (uplo, trans, diag) = match self.analysis.facto {
+            FactoKind::Lu => (Uplo::Upper, Trans::NoTrans, Diag::NonUnit),
+            FactoKind::Cholesky => (Uplo::Lower, Trans::Trans, Diag::NonUnit),
+            FactoKind::Ldlt => (Uplo::Lower, Trans::Trans, Diag::Unit),
+        };
+        trsm(Side::Left, uplo, trans, diag, w, nrhs, l, cb.stride, xc, w);
+        scatter_rows(xc, x, n, cb.fcol, w, nrhs);
+    }
+}
+
+/// One triangular sweep as a task program: task `c` is panel `c`'s
+/// forward or backward body, ordered by the analysis' 1D graph
+/// (`forward`) or its transpose.
+struct Sweep<'f, 'a, T: Scalar> {
+    f: &'f Factors<'a, T>,
+    forward: bool,
+    /// The right-hand sides, permuted, column-major `n × nrhs`.
+    x: SharedSlice<T>,
+    nrhs: usize,
+    /// Length of one worker's scratch: `w_max × nrhs`.
+    panel: usize,
+    /// One panel-solution buffer per worker, allocated once per solve.
+    scratch: SharedSlice<T>,
+    /// Per-panel accumulation locks; empty when one worker runs the sweep.
+    locks: Vec<Mutex<()>>,
+}
+
+impl<T: Scalar> Sweep<'_, '_, T> {
+    fn run_sweep(&self, nthreads: usize) {
+        let ncblk = self.num_tasks();
+        if nthreads == 1 {
+            for k in 0..ncblk {
+                self.sweep_panel(if self.forward { k } else { ncblk - 1 - k }, 0);
             }
-            // Diagonal solve.
-            if lu {
-                trsm(
-                    Side::Left,
-                    Uplo::Upper,
-                    Trans::NoTrans,
-                    Diag::NonUnit,
-                    w,
-                    nrhs,
-                    l,
-                    cb.stride,
-                    &mut xc,
-                    w,
-                );
-            } else {
-                let diag = if self.analysis.facto == FactoKind::Cholesky {
-                    Diag::NonUnit
-                } else {
-                    Diag::Unit
-                };
-                trsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Trans::Trans,
-                    diag,
-                    w,
-                    nrhs,
-                    l,
-                    cb.stride,
-                    &mut xc,
-                    w,
-                );
-            }
-            scatter_rows(&xc, x, n, cb.fcol, w, nrhs);
+        } else if let Err(e) = exec::run(self, RuntimeKind::Ptg, nthreads, RunConfig::default()) {
+            // The factors are read-only and already validated: a sweep
+            // has no recoverable failure mode, an executor error is a bug.
+            panic!("solve sweep failed: {e}");
+        }
+    }
+
+    /// Task `c` on `worker`: its scratch, the shared `x`, the direction's
+    /// panel body.
+    fn sweep_panel(&self, c: usize, worker: usize) {
+        // BOUNDS: c < ncblk; worker < nthreads and the scratch holds
+        // nthreads panels of `panel` = w_max·nrhs >= cols elements.
+        let cols = self.f.analysis.symbol.cblks[c].width() * self.nrhs;
+        // SAFETY: a worker index names exactly one thread of the run (the
+        // caller's own with one worker), and only that thread touches
+        // elements of scratch panel `worker`.
+        let xc = &mut unsafe { self.scratch.slice_mut() }[worker * self.panel..][..cols];
+        // SAFETY: concurrent tasks touch disjoint elements of `x`, or are
+        // ordered. Forward: panel c's rows are written by its
+        // contributors under `locks[c]` (mutually excluded) and then by
+        // task c, which the graph runs after all of them — the pending
+        // counter's AcqRel release (`release_pending`, the loom fan-in
+        // model) publishes their writes. Backward: task c writes only its
+        // own rows and reads rows of the panels it faces, which completed
+        // before it in the transposed graph. With one worker the loop in
+        // `run_sweep` is sequential.
+        let x = unsafe { self.x.slice_mut() };
+        if self.forward {
+            self.f.forward_panel(c, x, xc, self.nrhs, &self.locks);
+        } else {
+            self.f.backward_panel(c, x, xc, self.nrhs);
         }
     }
 }
 
-/// Copy rows `first..first+rows` of every RHS column into a compact
-/// `rows × nrhs` buffer.
-fn gather_rows<T: Scalar>(x: &[T], n: usize, first: usize, rows: usize, nrhs: usize, out: &mut Vec<T>) {
-    out.clear();
-    out.reserve(rows * nrhs);
+impl<T: Scalar> PtgProgram for Sweep<'_, '_, T> {
+    fn num_tasks(&self) -> usize {
+        self.f.analysis.symbol.ncblk()
+    }
+    fn num_predecessors(&self, c: usize) -> u32 {
+        self.f.analysis.one_d.directed(c, self.forward).0
+    }
+    fn successors(&self, c: usize, out: &mut Vec<usize>) {
+        // ALLOC: `out` is the worker's reused high-water buffer.
+        out.extend_from_slice(self.f.analysis.one_d.directed(c, self.forward).1);
+    }
+    fn priority(&self, c: usize) -> f64 {
+        // Leaves first going down, top separators first coming back up:
+        // the panels that unlock the longest chains.
+        if self.forward {
+            -(c as f64)
+        } else {
+            c as f64
+        }
+    }
+    fn execute(&self, c: usize, worker: usize) {
+        self.sweep_panel(c, worker);
+    }
+}
+
+/// Copy rows `first..first+rows` of every RHS column of the `n × nrhs`
+/// array `x` into the compact `rows × nrhs` buffer `out`.
+fn gather_rows<T: Scalar>(x: &[T], n: usize, first: usize, rows: usize, nrhs: usize, out: &mut [T]) {
+    // BOUNDS: first + rows <= n (a panel's columns), x.len() == n·nrhs,
+    // out.len() == rows·nrhs.
     for r in 0..nrhs {
-        out.extend_from_slice(&x[r * n + first..r * n + first + rows]);
+        out[r * rows..(r + 1) * rows].copy_from_slice(&x[r * n + first..r * n + first + rows]);
     }
 }
 
 /// Inverse of [`gather_rows`].
 fn scatter_rows<T: Scalar>(buf: &[T], x: &mut [T], n: usize, first: usize, rows: usize, nrhs: usize) {
+    // BOUNDS: as in `gather_rows`.
     for r in 0..nrhs {
         x[r * n + first..r * n + first + rows].copy_from_slice(&buf[r * rows..(r + 1) * rows]);
     }

@@ -1,7 +1,7 @@
 //! One-stop convenience API: pick the factorization, analyze, factorize
 //! and solve in a single call chain.
 //!
-//! [`Solver`] wraps the lower-level [`Analysis`]/[`Factors`] pair for
+//! [`Solver`] wraps the lower-level [`Analysis`]/[`crate::Factors`] pair for
 //! users who just want `x = solve(A, b)`:
 //!
 //! ```
@@ -18,24 +18,15 @@
 //! ```
 
 use crate::analysis::{Analysis, SolverOptions};
-use crate::numeric::{ExecOptions, FactorStats, Factors};
+use crate::numeric::{ExecOptions, FactorStats};
 use crate::refine::RefinedSolve;
+use crate::service::SharedFactors;
 use crate::SolverError;
 use dagfact_kernels::Scalar;
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
-
-/// Escalation schedule of the adaptive recovery loop: a disabled
-/// threshold restarts at the default, an active one grows geometrically
-/// (capped — past 1e-2·‖A‖∞ the "factorization" is no longer meaningful).
-pub(crate) fn escalate_epsilon(eps: f64) -> f64 {
-    if eps <= 0.0 {
-        1e-8
-    } else {
-        (eps * 100.0).min(1e-2)
-    }
-}
+use std::sync::Arc;
 
 /// Does this failure indicate the *factorization kind* does not fit the
 /// matrix (as opposed to an engine fault or data corruption)? Drives the
@@ -50,16 +41,12 @@ fn kind_mismatch(e: &SolverError) -> bool {
     )
 }
 
-/// A factorized linear system ready to solve, owning its analysis.
+/// A factorized linear system ready to solve, owning its analysis: one
+/// [`SharedFactors`] handle plus what it takes to re-factorize it. The
+/// recovery loop is the handle's; the kind fallback chain and the
+/// refinement-driven re-factorization are this type's own.
 pub struct Solver<T: Scalar> {
-    analysis: Box<Analysis>,
-    // SAFETY/layout note: `factors` borrows `analysis`; the Box keeps the
-    // borrow stable while both move together. The field order guarantees
-    // `factors` drops first.
-    factors: Option<Factors<'static, T>>,
-    matrix: CscMatrix<T>,
-    facto: FactoKind,
-    options: SolverOptions,
+    shared: SharedFactors<T>,
     exec: ExecOptions,
     runtime: RuntimeKind,
     threads: usize,
@@ -107,8 +94,21 @@ impl<T: Scalar> Solver<T> {
         let nkinds = plan.len();
         let mut last_err = None;
         for (i, kind) in plan.into_iter().enumerate() {
-            match Self::build(a, kind, options, runtime, threads, exec) {
-                Ok(s) => return Ok(s),
+            let analysis = Arc::new(Analysis::new_traced(
+                a.pattern(),
+                kind,
+                options,
+                exec.run.trace.as_deref(),
+            ));
+            match SharedFactors::factorize(analysis, a, runtime, threads, exec) {
+                Ok(shared) => {
+                    return Ok(Solver {
+                        shared,
+                        exec: exec.clone(),
+                        runtime,
+                        threads,
+                    })
+                }
                 // Only an unsuitable-factorization failure justifies
                 // trying the next kind: a non-positive or dead pivot says
                 // "not SPD / needs pivoting", but engine faults and
@@ -122,131 +122,13 @@ impl<T: Scalar> Solver<T> {
         Err(last_err.expect("plan is never empty"))
     }
 
-    fn build(
-        a: &CscMatrix<T>,
-        facto: FactoKind,
-        options: &SolverOptions,
-        runtime: RuntimeKind,
-        threads: usize,
-        exec: &ExecOptions,
-    ) -> Result<Solver<T>, SolverError> {
-        let analysis = Box::new(Analysis::new_traced(
-            a.pattern(),
-            facto,
-            options,
-            exec.run.trace.as_deref(),
-        ));
-        // SAFETY: `factors` borrows the boxed analysis, whose heap
-        // allocation outlives it inside this struct (factors is dropped
-        // and never exposed with the fake 'static lifetime).
-        let analysis_ref: &'static Analysis =
-            unsafe { &*(analysis.as_ref() as *const Analysis) };
-        // Adaptive recovery: numeric breakdown (zero / non-finite pivots,
-        // corrupted coefficients) retries with an escalated static-pivot
-        // threshold — the symbolic structure is threshold-independent, so
-        // only the numeric phase re-runs.
-        let mut epsilon = exec
-            .epsilon_override
-            .unwrap_or(options.static_pivot_epsilon);
-        let mut history: Vec<f64> = Vec::new();
-        let mut attempt = 0u32;
-        let factors = loop {
-            attempt += 1;
-            history.push(epsilon);
-            let exec_try = ExecOptions {
-                run: exec.run.clone(),
-                epsilon_override: Some(epsilon),
-                spill_dir: exec.spill_dir.clone(),
-            };
-            match analysis_ref.factorize_with::<T>(a, runtime, threads, &exec_try) {
-                Ok(mut f) => {
-                    f.stats.attempts = attempt;
-                    f.stats.epsilon_history = history;
-                    break f;
-                }
-                Err(e)
-                    if attempt < options.max_refactor_attempts
-                        && e.is_recoverable_by_pivoting() =>
-                {
-                    // For Cholesky the threshold is unused — the retry
-                    // still matters for transient corruption.
-                    epsilon = escalate_epsilon(epsilon);
-                }
-                Err(e)
-                    if attempt < options.max_refactor_attempts && e.is_transient_alloc() =>
-                {
-                    // Injected allocation fault: its per-site failure
-                    // budget was consumed on delivery, so the same pivot
-                    // threshold will succeed — retry WITHOUT escalating
-                    // (the factors must match the unfaulted run exactly).
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Ok(Solver {
-            analysis,
-            factors: Some(factors),
-            matrix: a.clone(),
-            facto,
-            options: options.clone(),
-            exec: exec.clone(),
-            runtime,
-            threads,
-        })
-    }
-
-    /// Re-factorize with the static-pivot threshold escalated one step
-    /// past the current factors' epsilon, extending the recorded
-    /// escalation history. Fails if the attempt budget is spent.
-    fn refactorize_escalated(&mut self, cause: SolverError) -> Result<(), SolverError> {
-        let stats: FactorStats = self.factors().stats.clone();
-        if stats.attempts >= self.options.max_refactor_attempts {
-            return Err(cause);
-        }
-        let epsilon = escalate_epsilon(stats.epsilon);
-        // SAFETY: same fake-'static discipline as `build` — the new
-        // factors borrow the boxed analysis owned by `self`.
-        let analysis_ref: &'static Analysis =
-            unsafe { &*(self.analysis.as_ref() as *const Analysis) };
-        let exec = ExecOptions {
-            run: self.exec.run.clone(),
-            epsilon_override: Some(epsilon),
-            spill_dir: self.exec.spill_dir.clone(),
-        };
-        self.factors = None; // drop the borrower before replacing it
-        // Transient (injected) allocation faults retry at the same
-        // threshold — their failure budget is consumed on delivery.
-        let mut tries = 0u32;
-        let mut f = loop {
-            match analysis_ref.factorize_with::<T>(
-                &self.matrix,
-                self.runtime,
-                self.threads,
-                &exec,
-            ) {
-                Ok(f) => break f,
-                Err(e)
-                    if tries + 1 < self.options.max_refactor_attempts
-                        && e.is_transient_alloc() =>
-                {
-                    tries += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        f.stats.attempts = stats.attempts + 1;
-        f.stats.epsilon_history = stats.epsilon_history;
-        f.stats.epsilon_history.push(epsilon);
-        self.factors = Some(f);
-        Ok(())
-    }
-
     /// Solve with iterative refinement and adaptive recovery: when
     /// refinement stalls (the factorization is too inaccurate — heavy
     /// static pivoting on an ill-conditioned matrix), re-factorize with a
     /// geometrically escalated pivot threshold and try again, up to
     /// [`SolverOptions::max_refactor_attempts`] total factorizations.
-    /// The escalation history ends up in [`Solver::stats`].
+    /// The escalation history ends up in [`Solver::stats`]. A failed
+    /// re-factorization leaves the previous factors in place.
     pub fn solve_adaptive(
         &mut self,
         b: &[T],
@@ -254,13 +136,12 @@ impl<T: Scalar> Solver<T> {
         tol: f64,
     ) -> Result<RefinedSolve<T>, SolverError> {
         loop {
-            match self
-                .factors()
-                .solve_refined_checked(&self.matrix, b, max_iter, tol)
-            {
+            match self.shared.solve_refined_checked(b, max_iter, tol) {
                 Ok(r) => return Ok(r),
                 Err(e) if e.is_recoverable_by_pivoting() => {
-                    self.refactorize_escalated(e)?;
+                    self.shared =
+                        self.shared
+                            .refactorize_escalated(e, self.runtime, self.threads, &self.exec)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -270,64 +151,54 @@ impl<T: Scalar> Solver<T> {
     /// Execution statistics of the current factorization: engine run
     /// report, pivot-threshold escalation history, attempt count.
     pub fn stats(&self) -> &FactorStats {
-        &self.factors().stats
+        self.shared.stats()
     }
 
     /// The factorization kind actually used.
     pub fn facto(&self) -> FactoKind {
-        self.facto
+        self.analysis().facto
     }
 
     /// The underlying analysis (statistics, symbol structure…).
     pub fn analysis(&self) -> &Analysis {
-        &self.analysis
+        self.shared.analysis()
     }
 
     /// Number of pivots repaired by static pivoting.
     pub fn pivots_repaired(&self) -> usize {
-        self.factors().pivots_repaired
-    }
-
-    fn factors(&self) -> &Factors<'static, T> {
-        self.factors.as_ref().expect("factors always present")
+        self.shared.pivots_repaired()
     }
 
     /// Solve `A·x = b`.
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        self.factors().solve(b)
+        self.shared.solve(b)
     }
 
     /// Solve for several right-hand sides (column-major).
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
-        self.factors().solve_many(b, nrhs)
+        self.shared.solve_many(b, nrhs)
     }
 
     /// Solve with iterative refinement; recommended whenever static
     /// pivoting repaired pivots.
     pub fn solve_refined(&self, b: &[T], max_iter: usize, tol: f64) -> RefinedSolve<T> {
-        self.factors().solve_refined(&self.matrix, b, max_iter, tol)
+        self.shared
+            .factors()
+            .solve_refined(self.shared.matrix(), b, max_iter, tol)
     }
 
     /// Backward error `‖b − A·x‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞)` of a solution.
     pub fn backward_error(&self, x: &[T], b: &[T]) -> f64 {
+        let a = self.shared.matrix();
         let n = b.len();
         let mut r = vec![T::zero(); n];
-        self.matrix.spmv(x, &mut r);
+        a.spmv(x, &mut r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
         let num = crate::refine::inf_norm(&r);
-        let den = self.matrix.norm_inf() * crate::refine::inf_norm(x)
-            + crate::refine::inf_norm(b);
+        let den = a.norm_inf() * crate::refine::inf_norm(x) + crate::refine::inf_norm(b);
         num / den.max(f64::MIN_POSITIVE)
-    }
-}
-
-impl<T: Scalar> Drop for Solver<T> {
-    fn drop(&mut self) {
-        // Drop the borrower before the owner (declaration order already
-        // guarantees this; made explicit for the unsafe self-reference).
-        self.factors = None;
     }
 }
 

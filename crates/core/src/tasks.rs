@@ -145,33 +145,70 @@ impl TaskGraph {
     }
 }
 
-/// The coarse 1D-task DAG used by the native engine: one task per panel
-/// covering the panel operation *and* all its updates (§III).
+/// The coarse 1D-task DAG: one task per panel covering the panel operation
+/// *and* all its updates (§III). It depends on the symbol structure only,
+/// so [`crate::Analysis::new`] builds it once for the native and
+/// distributed engines, the verifier, and the triangular solve (forward
+/// sweep over it, backward sweep over its transpose).
 #[derive(Debug, Clone)]
 pub struct OneDGraph {
-    /// `succs[c]`: panels receiving updates from panel c (deduplicated).
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessor counts.
-    pub npred: Vec<u32>,
+    /// Successor lists, then predecessor lists (the transpose's
+    /// successors), as compressed rows `(ptr, idx)`: panel `c`'s list is
+    /// `idx[ptr[c]..ptr[c + 1]]`. Four allocations, not two per panel: the
+    /// graph lives as long as the analysis, and thousands of small
+    /// long-lived lists fragment the heap the factor panels churn.
+    rows: [(Vec<usize>, Vec<usize>); 2],
 }
 
 impl OneDGraph {
     /// Build from a symbol structure.
     pub fn build(symbol: &SymbolMatrix) -> OneDGraph {
         let ncblk = symbol.ncblk();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ncblk];
-        let mut npred = vec![0u32; ncblk];
-        for (c, sc) in succs.iter_mut().enumerate().take(ncblk) {
-            let mut targets: Vec<usize> =
-                symbol.off_blocks(c).iter().map(|b| b.facing).collect();
-            targets.sort_unstable();
-            targets.dedup();
-            for t in targets {
-                sc.push(t);
-                npred[t] += 1;
+        let compress = |edges: &[(usize, usize)]| {
+            let mut ptr = vec![0usize; ncblk + 1];
+            for &(row, _) in edges {
+                ptr[row + 1] += 1;
             }
-        }
-        OneDGraph { succs, npred }
+            for row in 0..ncblk {
+                ptr[row + 1] += ptr[row];
+            }
+            (ptr, edges.iter().map(|e| e.1).collect())
+        };
+        // (source, facing) pairs, one per couple of panels, in one buffer
+        // sized up front (no growth reallocations inside the analysis);
+        // sorted either way round they are the rows of the graph and of
+        // its transpose.
+        let mut edges = Vec::with_capacity(symbol.blocks.len());
+        edges.extend((0..ncblk).flat_map(|c| symbol.off_blocks(c).iter().map(move |b| (c, b.facing))));
+        edges.sort_unstable();
+        edges.dedup();
+        let succs = compress(&edges);
+        edges.iter_mut().for_each(|e| *e = (e.1, e.0));
+        edges.sort_unstable();
+        OneDGraph { rows: [succs, compress(&edges)] }
+    }
+
+    fn row(&self, transposed: bool, c: usize) -> &[usize] {
+        // BOUNDS: c < ncblk = ptr.len() - 1, and ptr is a prefix sum
+        // ending at idx.len().
+        let (ptr, idx) = &self.rows[transposed as usize];
+        &idx[ptr[c]..ptr[c + 1]]
+    }
+
+    /// Panels receiving updates from panel `c` (deduplicated, ascending).
+    pub fn succs(&self, c: usize) -> &[usize] {
+        self.row(false, c)
+    }
+
+    /// Panels with a block facing panel `c` (ascending).
+    pub fn preds(&self, c: usize) -> &[usize] {
+        self.row(true, c)
+    }
+
+    /// `(predecessor count, successors)` of panel `c` in the graph itself
+    /// (`forward`) or in its transpose.
+    pub fn directed(&self, c: usize, forward: bool) -> (u32, &[usize]) {
+        (self.row(forward, c).len() as u32, self.row(!forward, c))
     }
 }
 
@@ -239,12 +276,20 @@ mod tests {
     fn one_d_graph_is_acyclic_and_forward(){
         let s = symbol();
         let g = OneDGraph::build(&s);
-        for (c, succ) in g.succs.iter().enumerate() {
-            for &t in succ {
-                assert!(t > c, "1D edge goes backward: {c} -> {t}");
-            }
+        let mut nedges = 0;
+        for c in 0..s.ncblk() {
+            let mut facing: Vec<usize> = s.off_blocks(c).iter().map(|b| b.facing).collect();
+            facing.dedup();
+            assert_eq!(g.succs(c), &facing[..], "succs({c}) is the deduplicated facing set");
+            assert!(g.succs(c).iter().all(|&t| t > c), "1D edge goes backward from {c}");
+            // The transpose mirrors the forward lists edge for edge.
+            assert!(g.preds(c).iter().all(|&p| g.succs(p).contains(&c)));
+            assert_eq!(g.directed(c, true), (g.preds(c).len() as u32, g.succs(c)));
+            assert_eq!(g.directed(c, false), (g.succs(c).len() as u32, g.preds(c)));
+            nedges += g.succs(c).len();
         }
+        assert_eq!(nedges, (0..s.ncblk()).map(|c| g.preds(c).len()).sum::<usize>());
         // Roots exist.
-        assert!(g.npred.contains(&0));
+        assert!((0..s.ncblk()).any(|c| g.preds(c).is_empty()));
     }
 }

@@ -39,7 +39,7 @@
 //! per-panel-mutex scatter-add the numeric phase performs.
 
 use crate::analysis::Analysis;
-use crate::tasks::{OneDGraph, TaskGraph, TaskKind};
+use crate::tasks::{TaskGraph, TaskKind};
 use dagfact_rt::verify::{
     check_static, conflict_signature, replay, ClockGranularity, DynamicReport, GraphSpec, Mode,
     StaticReport,
@@ -184,10 +184,10 @@ impl Analysis {
     /// accumulate into a common target unordered, exactly like the
     /// numeric phase.
     fn native_spec(&self) -> GraphSpec {
-        let graph = OneDGraph::build(&self.symbol);
         let ncblk = self.symbol.ncblk();
         let mut spec = GraphSpec::new(ncblk);
-        for (c, succ) in graph.succs.iter().enumerate() {
+        for c in 0..ncblk {
+            let succ = self.one_d.succs(c);
             for &s in succ {
                 spec.edge(c, s);
             }

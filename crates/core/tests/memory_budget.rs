@@ -288,6 +288,21 @@ fn solve_faults_spilled_panels_back_in_through_injected_failures() {
         (e - e_clean).abs() <= 1e-12,
         "spill round-trip drifted the residual: {e:.3e} vs {e_clean:.3e}"
     );
+    // The cap cannot hold the whole factor, so a second solve faults
+    // panels back in again — this time from 4 workers pinning (and so
+    // evicting) concurrently. Same residual as the unbudgeted sequential
+    // solve.
+    let x4 = f.solve_parallel(&b, 4);
+    let after = budget.stats();
+    assert!(
+        after.fault_in_events > live.fault_in_events,
+        "4-worker solve found every panel resident: {after:?}"
+    );
+    let e4 = berr(&a, &x4, &b);
+    assert!(
+        e4 <= 1e-12 && (e4 - e_clean).abs() <= 1e-12,
+        "spilled 4-worker solve: {e4:.3e} vs sequential unbudgeted {e_clean:.3e}"
+    );
 }
 
 // ---------------------------------------------------------------------

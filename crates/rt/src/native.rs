@@ -14,27 +14,27 @@ use crate::TaskId;
 
 /// A task of a statically-scheduled DAG.
 #[derive(Debug, Clone)]
-pub struct NativeTask {
+pub struct NativeTask<S = Vec<TaskId>> {
     /// Worker the analyze-time schedule assigned this task to.
     pub owner: usize,
     /// Number of incoming dependencies.
     pub npred: u32,
-    /// Tasks unlocked by this one's completion.
-    pub succs: Vec<TaskId>,
+    /// Tasks unlocked by this one's completion: an owned list, or a slice of a graph that outlives the run.
+    pub succs: S,
     /// Critical-path priority (higher runs first).
     pub priority: f64,
 }
 
 /// A task array plus the body that executes a task: `execute(task,
 /// worker)`.
-pub struct NativeDag<'a, F> {
+pub struct NativeDag<'a, F, S = Vec<TaskId>> {
     /// The statically-scheduled tasks; ids are indices.
-    pub tasks: &'a [NativeTask],
+    pub tasks: &'a [NativeTask<S>],
     /// Task body.
     pub execute: F,
 }
 
-impl<F: Fn(TaskId, usize) + Sync> PtgProgram for NativeDag<'_, F> {
+impl<F: Fn(TaskId, usize) + Sync, S: AsRef<[TaskId]> + Sync> PtgProgram for NativeDag<'_, F, S> {
     fn num_tasks(&self) -> usize {
         self.tasks.len()
     }
@@ -44,7 +44,7 @@ impl<F: Fn(TaskId, usize) + Sync> PtgProgram for NativeDag<'_, F> {
     }
     fn successors(&self, task: usize, out: &mut Vec<usize>) {
         // ALLOC: `out` is the worker's reused high-water buffer.
-        out.extend_from_slice(&self.tasks[task].succs);
+        out.extend_from_slice(self.tasks[task].succs.as_ref());
     }
     fn execute(&self, task: usize, worker: usize) {
         (self.execute)(task, worker);

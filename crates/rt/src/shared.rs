@@ -57,7 +57,7 @@ impl<T: Clone + Default> SharedSlice<T> {
 }
 
 impl<T> SharedSlice<T> {
-    /// Wrap an existing vector.
+    /// Wrap an existing vector. ALLOC: reuses its buffer (shrinks it only if over-allocated).
     pub fn from_vec(v: Vec<T>) -> Self {
         let len = v.len();
         SharedSlice {

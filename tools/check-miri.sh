@@ -28,13 +28,29 @@ fi
 # Curated: the suites that exercise unsafe code, kept small because Miri
 # is ~100x slower than native. Isolation stays on (no files, no clocks
 # needed by these tests beyond what -Zmiri-disable-isolation would give).
-echo "check-miri: rt shared-slice + sync suites"
-MIRIFLAGS="-Zmiri-disable-isolation" \
-    cargo +nightly miri test -p dagfact-rt shared:: sync::
-echo "check-miri: kernels potrf/gemm suites"
-MIRIFLAGS="-Zmiri-disable-isolation" \
-    cargo +nightly miri test -p dagfact-kernels potrf gemm
-echo "check-miri: core parallel-solve suite"
-MIRIFLAGS="-Zmiri-disable-isolation" \
-    cargo +nightly miri test -p dagfact-core psolve
+#
+# One invocation per filter, and each must run at least one test: a
+# filter that matches nothing (a renamed module, a deleted suite) fails
+# the gate instead of passing vacuously.
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+miri_suite() {
+    echo "check-miri: $*"
+    MIRIFLAGS="-Zmiri-disable-isolation" cargo +nightly miri test "$@" >"$log" 2>&1 || {
+        cat "$log"
+        exit 1
+    }
+    cat "$log"
+    if ! grep -Eq '^test result: ok\. [1-9][0-9]* passed' "$log"; then
+        echo "check-miri: FAILED: 'miri test $*' did not pass a single test" >&2
+        exit 1
+    fi
+}
+miri_suite -p dagfact-rt shared::
+miri_suite -p dagfact-rt sync::
+miri_suite -p dagfact-kernels potrf
+miri_suite -p dagfact-kernels gemm
+# The triangular solve's shared-slice sweeps at 1, 2 and 4 workers (the
+# table shrinks its problems under `cfg(miri)`).
+miri_suite -p dagfact-core --test solve solve_table
 echo "check-miri: clean"
