@@ -3,16 +3,14 @@
 //!
 //! Everything here is value-free. Thanks to static pivoting, the block
 //! structure produced once by [`Analysis::new`] fixes every task DAG for
-//! all subsequent factorizations, solves and simulations. Only the coarse
-//! 1D panel graph is *stored* ([`Analysis::one_d`]: the native engine's
-//! DAG, the distributed engine's and the verifier's input and — with its
-//! transpose — the schedule of the triangular sweeps): it is small, and a
-//! cached factor is solved against many times. The fine-grained DAGs (the
-//! two-level [`crate::tasks::TaskGraph`], the hazard-inferred dataflow
-//! submission, the simulator's graph) are rebuilt by each factorization /
-//! simulation that wants one.
+//! all subsequent factorizations, solves and simulations, so both DAGs are
+//! built here, once ([`crate::tasks`]): the coarse 1D panel graph with its
+//! transpose ([`Analysis::one_d`], also the schedule of the triangular
+//! sweeps) and the two words per block the two-level graph is computed
+//! from ([`Analysis::two_level`]). Only the dataflow policy derives edges
+//! per run: inferring them at submission is that model.
 
-use crate::tasks::OneDGraph;
+use crate::tasks::{OneDGraph, TaskGraph};
 use dagfact_order::{compute_ordering, OrderingKind, Permutation};
 use dagfact_sparse::SparsityPattern;
 use dagfact_symbolic::cost::{critical_path_priorities, static_schedule, CostModel, TaskCosts};
@@ -91,6 +89,8 @@ pub struct Analysis {
     pub symbol: SymbolMatrix,
     /// The 1D panel graph of `symbol` and its transpose, built once here.
     pub one_d: OneDGraph,
+    /// The two-level panel/update graph of `symbol`, built once here.
+    pub two_level: TaskGraph,
     /// nnz of the symmetrized pattern (for stats).
     pub nnz_a: usize,
     /// Options the analysis was built with.
@@ -148,6 +148,7 @@ impl Analysis {
         let symbol = SymbolMatrix::from_partition(&partition, &options.split);
         debug_assert_eq!(symbol.validate(), Ok(()));
         let one_d = OneDGraph::build(&symbol);
+        let two_level = TaskGraph::build(&symbol);
         if let (Some(rec), Some(from)) = (trace, symbolic_from) {
             rec.phase_from("symbolic", from);
         }
@@ -156,6 +157,7 @@ impl Analysis {
             perm,
             symbol,
             one_d,
+            two_level,
             nnz_a: sym.nnz(),
             options: options.clone(),
         }

@@ -22,7 +22,14 @@
 //! exactly like the historical flat allocation — everything is
 //! materialized eagerly at assembly and nothing ever spills — so the
 //! unconstrained numeric path is unchanged.
+//!
+//! Dropping an unbudgeted tab leaves one element allocated (`HEAP_PIN`):
+//! glibc hands the top of the heap back to the OS once a dropped factor
+//! leaves it free, and the next factorization then faults its ~90 MB in
+//! again (DESIGN.md §9).
 
+use std::any::Any;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
@@ -177,8 +184,15 @@ pub struct MemoryOptions {
     pub spill_dir: Option<std::path::PathBuf>,
 }
 
+thread_local! {
+    /// The first element of the highest-addressed panel of the unbudgeted
+    /// tab this thread dropped last (a `Vec<T>`); never read, only kept
+    /// allocated until the next such drop.
+    static HEAP_PIN: RefCell<Option<Box<dyn Any>>> = const { RefCell::new(None) };
+}
+
 /// The numeric storage of a factorization in progress.
-pub struct CoefTab<T> {
+pub struct CoefTab<T: 'static> {
     /// Panel layout shared by both sides.
     pub layout: PanelLayout,
     /// Slots `0..ncblk` are the L side; `ncblk..2·ncblk` the Uᵀ side
@@ -549,9 +563,26 @@ impl<T: Scalar> CoefTab<T> {
     }
 }
 
-impl<T> Drop for CoefTab<T> {
+impl<T: 'static> Drop for CoefTab<T> {
     fn drop(&mut self) {
         let Some(b) = self.budget.take() else {
+            // Free every panel but the highest-addressed one, shrink that
+            // one in place to its first element, and only then free the
+            // previous pin. (A budgeted tab keeps nothing: it would sit
+            // outside the ledger.)
+            let top = (self.slots.drain(..))
+                .filter_map(|slot| match slot.state.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    SlotState::Resident(data) => Some(data.into_vec()),
+                    _ => None,
+                })
+                .max_by_key(|data| data.as_ptr() as usize)
+                .map(|mut data| {
+                    data.truncate(1);
+                    data.shrink_to_fit();
+                    Box::new(data) as Box<dyn Any>
+                });
+            // Not during thread teardown, when the slot is already gone.
+            let _ = HEAP_PIN.try_with(|pin| pin.replace(top));
             return;
         };
         if self.lazy {
@@ -622,6 +653,26 @@ mod tests {
             })
             .sum();
         assert!((total - expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_dropped_unbudgeted_tab_leaves_one_element_as_heap_pin() {
+        let a = grid_laplacian_2d(9, 7);
+        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+        let pinned = || {
+            HEAP_PIN.with(|pin| {
+                let pin = pin.borrow();
+                let data = pin.as_ref().and_then(|p| p.downcast_ref::<Vec<f64>>());
+                data.map(|data| (data.as_ptr() as usize, data.capacity()))
+            })
+        };
+        drop(CoefTab::assemble(&an, &a));
+        let pin = pinned().expect("an unbudgeted drop leaves a pin");
+        assert_eq!(pin.1, 1, "the pin is one element, not a panel");
+        // A budgeted tab's storage all returns to the ledger.
+        let mem = MemoryOptions { budget: Some(MemoryBudget::unbounded()), spill_dir: None };
+        drop(CoefTab::assemble_with(&an, &a, &mem).expect("assembles"));
+        assert_eq!(pinned(), Some(pin), "a budgeted drop must not touch the pin");
     }
 
     #[test]

@@ -41,20 +41,17 @@
 
 use crate::analysis::Analysis;
 use crate::coeftab::{CoefTab, MemoryOptions, PanelPin};
-use crate::tasks::{TaskGraph, TaskKind};
+use crate::tasks::TaskKind;
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
 use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, potrf, Scalar};
 use dagfact_rt::budget::{site, MemoryBudget, PressureLevel};
-use dagfact_rt::dataflow::DataflowGraph;
-use dagfact_rt::native::{NativeDag, NativeTask};
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
 use dagfact_rt::{
-    AccessMode, EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice,
-    TransientFault,
+    EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice, TransientFault,
 };
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
@@ -1010,8 +1007,9 @@ impl Analysis {
         Ok(())
     }
 
-    /// Build `runtime`'s DAG — the 1D graph with static owners, a hazard-
-    /// inferred submission, or the two-level [`TaskGraph`] — and run it.
+    /// Run `runtime`'s [`Analysis::program`] over the task bodies of `ctx`,
+    /// registering each task's (kind, panel, flops) and the edges with the
+    /// run's trace recorder, if any.
     fn run_engine<T: Scalar>(
         &self,
         ctx: &NumericCtx<'_, T>,
@@ -1019,84 +1017,22 @@ impl Analysis {
         nthreads: usize,
         config: RunConfig,
     ) -> Result<RunReport, EngineError> {
-        let symbol = &self.symbol;
-        let costs = self.costs(T::IS_COMPLEX);
-        let prio = self.priorities(&costs);
-        let body = |task: TaskKind, worker: usize| match task {
+        let program = self.program(runtime, nthreads, T::IS_COMPLEX, |task, worker| match task {
             TaskKind::Panel { cblk } => ctx.panel_task(cblk, worker),
             TaskKind::Update { cblk, block, .. } => ctx.update_task(cblk, block, worker, false),
-        };
-        let meta = |task: TaskKind| match task {
-            TaskKind::Panel { cblk } => ("panel", cblk, costs.panel[cblk]),
-            TaskKind::Update { cblk, block, .. } => ("update", cblk, costs.update[block]),
-        };
-        match runtime {
-            RuntimeKind::Native => {
-                // Fused 1D tasks: the task id IS the panel, and its flops are
-                // the cost model's task_1d (the schedule's own denominator).
-                // Successor lists are slices of the cached graph: no per-task allocation.
-                let owners = self.static_owners(&costs, nthreads);
-                let tasks: Vec<NativeTask<&[usize]>> = (0..symbol.ncblk())
-                    .map(|c| NativeTask { owner: owners[c], npred: self.one_d.preds(c).len() as u32, succs: self.one_d.succs(c), priority: prio[c] })
-                    .collect();
-                let dag = NativeDag { tasks: &tasks, execute: |c, worker| ctx.one_d_task(c, worker) };
-                launch(&dag, |c| ("1d-panel", c, costs.task_1d(symbol, c)), runtime, nthreads, config)
+            TaskKind::OneD { cblk } => ctx.one_d_task(cblk, worker),
+        });
+        if let Some(rec) = &config.trace {
+            let (mut edges, mut succs) = (Vec::new(), Vec::new());
+            for t in 0..program.num_tasks() {
+                let task = program.kind(t);
+                rec.set_task_meta(t, task.name(), task.cblk(), program.flops(task));
+                succs.clear();
+                program.successors(t, &mut succs);
+                edges.extend(succs.iter().map(|&s| (t, s)));
             }
-            RuntimeKind::Dataflow => {
-                // Program-order submission — panel k, then the updates it
-                // generates, ascending k: "the simple sequential submission
-                // loops typically used with STARPU" (§IV). The DAG is
-                // inferred from the R/RW hazards alone.
-                let mut g = DataflowGraph::new(symbol.ncblk());
-                let mut kinds: Vec<TaskKind> = Vec::new();
-                for (cblk, cb) in symbol.cblks.iter().enumerate() {
-                    let task = TaskKind::Panel { cblk };
-                    g.submit(&[(cblk, AccessMode::ReadWrite)], prio[cblk], move |w| body(task, w));
-                    kinds.push(task);
-                    for block in (cb.block_begin + 1)..cb.block_end {
-                        let target = symbol.blocks[block].facing;
-                        let task = TaskKind::Update { cblk, block, target };
-                        let accesses = [(cblk, AccessMode::Read), (target, AccessMode::ReadWrite)];
-                        g.submit(&accesses, prio[cblk], move |w| body(task, w));
-                        kinds.push(task);
-                    }
-                }
-                launch(&g, |t| meta(kinds[t]), runtime, nthreads, config)
-            }
-            RuntimeKind::Ptg => {
-                let TaskGraph { tasks: kinds, succs, npred, .. } = TaskGraph::build(symbol);
-                let tasks: Vec<NativeTask> = (succs.into_iter().zip(npred).zip(&kinds))
-                    .map(|((succs, npred), &kind)| {
-                        let (TaskKind::Panel { cblk } | TaskKind::Update { cblk, .. }) = kind;
-                        NativeTask { owner: 0, npred, succs, priority: prio[cblk] }
-                    })
-                    .collect();
-                let dag = NativeDag { tasks: &tasks, execute: |t, worker| body(kinds[t], worker) };
-                launch(&dag, |t| meta(kinds[t]), runtime, nthreads, config)
-            }
+            rec.set_edges(edges);
         }
+        dagfact_rt::exec::run(&program, runtime, nthreads, config)
     }
-}
-
-/// Register `dag`'s edges and each task's `meta` — (kind, panel, flops) —
-/// with the run's trace recorder, if any, then execute it.
-fn launch<D: PtgProgram>(
-    dag: &D,
-    meta: impl Fn(usize) -> (&'static str, usize, f64),
-    runtime: RuntimeKind,
-    nthreads: usize,
-    config: RunConfig,
-) -> Result<RunReport, EngineError> {
-    if let Some(rec) = &config.trace {
-        let (mut edges, mut succs) = (Vec::new(), Vec::new());
-        for t in 0..dag.num_tasks() {
-            let (kind, panel, flops) = meta(t);
-            rec.set_task_meta(t, kind, panel, flops);
-            succs.clear();
-            dag.successors(t, &mut succs);
-            edges.extend(succs.iter().map(|&s| (t, s)));
-        }
-        rec.set_edges(edges);
-    }
-    dagfact_rt::exec::run(dag, runtime, nthreads, config)
 }

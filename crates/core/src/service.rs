@@ -208,7 +208,7 @@ impl Analysis {
     /// [`dagfact_rt::MemoryBudget`] ledger for holding it. An estimate:
     /// the symbol structure dominates and is counted exactly; small
     /// side tables (and the 1D graph, two words per edge) are
-    /// approximated.
+    /// approximated; the two-level graph is two `u32` per block.
     pub fn resident_bytes(&self) -> usize {
         let usz = core::mem::size_of::<usize>();
         let perm = self.perm.perm().len().saturating_mul(2 * usz);
@@ -217,7 +217,7 @@ impl Analysis {
             .symbol
             .blocks
             .len()
-            .saturating_mul(6 * usz)
+            .saturating_mul(6 * usz + 2 * core::mem::size_of::<u32>())
             .saturating_add(self.symbol.col_to_cblk.len() * usz);
         let edges: usize = (0..self.symbol.ncblk()).map(|c| self.one_d.succs(c).len()).sum();
         perm.saturating_add(cblks)

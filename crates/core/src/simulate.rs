@@ -14,8 +14,10 @@
 //!   update tasks GPU-eligible and panel data as the unit of transfer.
 
 use crate::analysis::Analysis;
-use crate::tasks::{TaskGraph, TaskKind};
+use crate::tasks::TaskKind;
 use dagfact_gpusim::{simulate, Platform, SimDag, SimData, SimPolicy, SimReport, SimTask, TaskShape};
+use dagfact_rt::ptg::PtgProgram;
+use dagfact_rt::RuntimeKind;
 
 /// Options for a simulated factorization.
 #[derive(Debug, Clone, Default)]
@@ -59,8 +61,15 @@ pub fn build_sim_dag(
     } else {
         1.0
     };
-    let costs = analysis.costs(options.complex);
-    let prio = analysis.priorities(&costs);
+    // All three policies run the two-level panel/update DAG, exactly what
+    // StarPU/PaRSEC receive — the ptg policy's program, read once. For the
+    // native policy this models PaStiX's fine-grain dynamic scheduler
+    // ([1], and §V: "this functionality dynamically splits update tasks,
+    // so that the critical path of the algorithm can be reduced"): the 1D
+    // cost-model list schedule still provides the static owner, inherited
+    // by a panel's update tasks.
+    let program = analysis.program(RuntimeKind::Ptg, 1, options.complex, |_, _| {});
+    let costs = program.costs();
     let scalar_bytes = if options.complex { 16.0 } else { 8.0 };
     let sides = analysis.facto.sides() as f64;
     let data: Vec<SimData> = symbol
@@ -70,101 +79,92 @@ pub fn build_sim_dag(
             bytes: cb.stride as f64 * cb.width() as f64 * scalar_bytes * sides,
         })
         .collect();
-
-    let tasks = {
-        // All three policies run the two-level panel/update DAG. For the
-        // native policy this models PaStiX's fine-grain dynamic scheduler
-        // ([1], and §V: "this functionality dynamically splits update
-        // tasks, so that the critical path of the algorithm can be
-        // reduced"): the 1D cost-model list schedule still provides the
-        // static owner, inherited by a panel's update tasks.
-        let owners = match policy {
-            SimPolicy::NativeStatic => analysis.static_owners(&costs, platform.cores),
-            _ => vec![0; symbol.ncblk()],
-        };
-        {
-            // Two-level DAG, exactly what StarPU/PaRSEC receive.
-            let graph = TaskGraph::build(symbol);
-            graph
-                .tasks
-                .iter()
-                .enumerate()
-                .map(|(id, &task)| match task {
-                    TaskKind::Panel { cblk } => {
-                        let cb = &symbol.cblks[cblk];
-                        SimTask {
-                            shape: TaskShape::Panel {
-                                width: cb.width(),
-                                height: cb.stride,
-                            },
-                            flops: costs.panel[cblk],
-                            reads: vec![],
-                            writes: cblk,
-                            gpu_eligible: false,
-                            succs: graph.succs[id].clone(),
-                            npred: graph.npred[id],
-                            priority: prio[cblk],
-                            static_owner: owners[cblk],
-                            cpu_multiplier: 1.0,
-                        }
-                    }
-                    TaskKind::Update { cblk, block, target } => {
-                        let cb = &symbol.cblks[cblk];
-                        let b = &symbol.blocks[block];
-                        let m = cb.stride - b.local_offset;
-                        SimTask {
-                            shape: TaskShape::Update {
-                                m,
-                                n: b.nrows(),
-                                k: cb.width(),
-                                target_height: symbol.cblks[target].stride,
-                                ldlt: is_ldlt,
-                            },
-                            flops: costs.update[block],
-                            reads: vec![cblk],
-                            writes: target,
-                            gpu_eligible: true,
-                            succs: graph.succs[id].clone(),
-                            npred: graph.npred[id],
-                            priority: prio[cblk],
-                            // Updates into a panel are chained (serial)
-                            // anyway; running them on the destination
-                            // owner's core keeps the destination panel hot
-                            // across the chain and for its panel task —
-                            // the locality the PaStiX static mapping is
-                            // built around.
-                            static_owner: owners[target],
-                            cpu_multiplier: ldlt_penalty,
-                        }
-                    }
-                })
-                .collect()
-        }
+    let owners = match policy {
+        SimPolicy::NativeStatic => analysis.static_owners(costs, platform.cores),
+        _ => vec![0; symbol.ncblk()],
     };
+    // The simulator breaks ties by task id (ready queues, flop sums) and its
+    // figures are calibrated with every panel task numbered before every
+    // update: simulated task `i` is the program's task `order[i]`.
+    let ntasks = program.num_tasks();
+    let (mut order, updates): (Vec<usize>, Vec<usize>) =
+        (0..ntasks).partition(|&t| matches!(program.kind(t), TaskKind::Panel { .. }));
+    order.extend(updates);
+    let mut sim_id = vec![0; ntasks];
+    for (i, &t) in order.iter().enumerate() {
+        sim_id[t] = i;
+    }
+    let tasks = order
+        .iter()
+        .map(|&t| {
+            let task = program.kind(t);
+            let (shape, static_owner) = match task {
+                TaskKind::Panel { cblk } => {
+                    let cb = &symbol.cblks[cblk];
+                    (TaskShape::Panel { width: cb.width(), height: cb.stride }, owners[cblk])
+                }
+                TaskKind::Update { cblk, block, target } => {
+                    let cb = &symbol.cblks[cblk];
+                    let b = &symbol.blocks[block];
+                    let shape = TaskShape::Update {
+                        m: cb.stride - b.local_offset,
+                        n: b.nrows(),
+                        k: cb.width(),
+                        target_height: symbol.cblks[target].stride,
+                        ldlt: is_ldlt,
+                    };
+                    // Updates into a panel are chained (serial) anyway;
+                    // running them on the destination owner's core keeps
+                    // the destination panel hot across the chain and for
+                    // its panel task — the locality the PaStiX static
+                    // mapping is built around.
+                    (shape, owners[target])
+                }
+                TaskKind::OneD { .. } => unreachable!("the simulator lowers the two-level DAG"),
+            };
+            // Only update tasks are GPU-eligible, and only they pay the
+            // generic runtimes' LDLᵀ penalty.
+            let is_update = matches!(task, TaskKind::Update { .. });
+            // One panel is read-modify-written, at most one other read.
+            let accesses = || task.accesses(&analysis.one_d);
+            let writes = accesses().find(|a| a.1.writes()).expect("every task writes a panel").0;
+            let reads = accesses().filter(|a| !a.1.writes()).map(|a| a.0).collect();
+            let mut succs = Vec::new();
+            program.successors(t, &mut succs);
+            succs.iter_mut().for_each(|s| *s = sim_id[*s]);
+            SimTask {
+                shape,
+                flops: program.flops(task),
+                reads,
+                writes,
+                gpu_eligible: is_update,
+                succs,
+                npred: program.num_predecessors(t),
+                priority: program.priority(t),
+                static_owner,
+                cpu_multiplier: if is_update { ldlt_penalty } else { 1.0 },
+            }
+        })
+        .collect();
     let mut dag = SimDag { tasks, data };
     if let Some(threshold) = options.cluster_flops {
-        let clustering = dagfact_symbolic::subtree_clusters(symbol, &costs, threshold);
+        let clustering = dagfact_symbolic::subtree_clusters(symbol, costs, threshold);
         // A cluster fuses a subtree's panel tasks and *internal* updates.
         // Updates crossing the cluster boundary stay separate singleton
         // tasks: they sit on the serialization chains into shared ancestor
         // panels, and fusing them would make entire sibling subtrees wait
         // on one another (and would also lose their GPU eligibility).
-        let graph = TaskGraph::build(symbol);
         let mut next = clustering.nclusters;
-        let cluster_of_task: Vec<usize> = graph
-            .tasks
+        let cluster_of_task: Vec<usize> = order
             .iter()
-            .map(|&t| match t {
-                TaskKind::Panel { cblk } => clustering.cluster_of[cblk],
-                TaskKind::Update { cblk, target, .. } => {
-                    if clustering.cluster_of[cblk] == clustering.cluster_of[target] {
-                        clustering.cluster_of[cblk]
-                    } else {
-                        let id = next;
-                        next += 1;
-                        id
-                    }
+            .map(|&t| match program.kind(t) {
+                TaskKind::Update { cblk, target, .. }
+                    if clustering.cluster_of[cblk] != clustering.cluster_of[target] =>
+                {
+                    next += 1;
+                    next - 1
                 }
+                task => clustering.cluster_of[task.cblk()],
             })
             .collect();
         dag = contract_dag(&dag, &cluster_of_task, next, platform);

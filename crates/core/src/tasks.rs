@@ -1,15 +1,13 @@
-//! Task-DAG enumeration over the block symbolic structure.
+//! The task DAG of a factorization — the one module that knows its rule.
 //!
-//! The paper's §V decomposition: each panel yields
-//!
-//! * one **panel task** (diagonal-block factorization + off-diagonal
-//!   TRSMs), and
-//! * one **update task per off-diagonal block** — "the updates from
-//!   off-diagonal blocks of the panel to one other panel of the trailing
-//!   sub-matrix"; "the number of tasks is bound by the number of blocks in
-//!   the symbolic structure".
-//!
-//! Dependencies:
+//! The paper's §V decomposition: each panel yields one **panel task**
+//! (diagonal-block factorization + off-diagonal TRSMs) and one **update
+//! task per off-diagonal block** ("the updates from off-diagonal blocks of
+//! the panel to one other panel of the trailing sub-matrix"); "the number
+//! of tasks is bound by the number of blocks in the symbolic structure".
+//! That bound is the numbering: **task `b` is block `b`** — a diagonal
+//! block is its panel's task, an off-diagonal block the update it
+//! generates — so ids ascend in the dataflow policy's submission order.
 //!
 //! * `update(k, b)` runs after `panel(k)` and after the previous update
 //!   into the same destination (updates commute numerically but need
@@ -17,13 +15,23 @@
 //!   them, deterministically, in source order);
 //! * `panel(j)` runs after the last update into `j`.
 //!
-//! The same DAG drives the real engines and the simulator; the native
-//! engine instead uses the coarser 1D-task DAG (panel + all its updates
-//! fused), as PaStiX does (§III).
+//! Nothing stores those edges: [`TaskGraph`] computes them from two words
+//! per block, built once by [`Analysis::new`]. The native policy runs the
+//! coarser [`OneDGraph`] (panel + all its updates fused, as PaStiX does,
+//! §III). [`Analysis::program`] is the only constructor of what a policy
+//! executes — the factorization runs it, the verifier extracts its spec
+//! from it, the simulator lowers it — and [`TaskKind::accesses`] states
+//! once what a task touches.
 
+use crate::analysis::Analysis;
+use dagfact_rt::dataflow::DataflowGraph;
+use dagfact_rt::ptg::PtgProgram;
+use dagfact_rt::verify::Mode;
+use dagfact_rt::RuntimeKind;
+use dagfact_symbolic::cost::TaskCosts;
 use dagfact_symbolic::structure::SymbolMatrix;
 
-/// A task of the two-level DAG.
+/// A task of the factorization DAGs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Factorize panel `c` (POTRF/LDLT/GETRF of the diagonal block + TRSM
@@ -42,106 +50,123 @@ pub enum TaskKind {
         /// Destination column block (the block's facing panel).
         target: usize,
     },
+    /// The fused 1D task of the native policy: `Panel { cblk }` followed by
+    /// every update panel `cblk` generates.
+    OneD {
+        /// Column block index.
+        cblk: usize,
+    },
 }
 
-/// The flattened two-level task DAG.
+impl TaskKind {
+    /// The panel the task factorizes or reads its update from.
+    pub fn cblk(self) -> usize {
+        let (TaskKind::Panel { cblk } | TaskKind::Update { cblk, .. } | TaskKind::OneD { cblk }) =
+            self;
+        cblk
+    }
+
+    /// Trace label of the task class.
+    pub fn name(self) -> &'static str {
+        match self {
+            TaskKind::Panel { .. } => "panel",
+            TaskKind::Update { .. } => "update",
+            TaskKind::OneD { .. } => "1d-panel",
+        }
+    }
+
+    /// The panels the task touches (datum `c` is panel `c`'s coefficient
+    /// storage, L and U halves together) and how: a panel task
+    /// read-modify-writes its own panel; an update reads its source and
+    /// read-modify-writes its target; a 1D task read-modify-writes its own
+    /// panel and *accumulates* into every facing one — the scatter-add
+    /// under the target's mutex that lets two 1D tasks update a common
+    /// target unordered.
+    pub fn accesses(self, one_d: &OneDGraph) -> impl Iterator<Item = (usize, Mode)> + '_ {
+        let (read, own, accum): (Option<usize>, usize, &[usize]) = match self {
+            TaskKind::Panel { cblk } => (None, cblk, &[]),
+            TaskKind::Update { cblk, target, .. } => (Some(cblk), target, &[]),
+            TaskKind::OneD { cblk } => (None, cblk, one_d.succs(cblk)),
+        };
+        (read.map(|c| (c, Mode::Read)).into_iter())
+            .chain([(own, Mode::ReadWrite)])
+            .chain(accum.iter().map(|&t| (t, Mode::Accum)))
+    }
+}
+
+/// The two-level DAG in algebraic form (numbering and rule: module docs).
 #[derive(Debug, Clone)]
 pub struct TaskGraph {
-    /// Task descriptors; panel task of cblk `c` is at index `c`.
-    pub tasks: Vec<TaskKind>,
-    /// Successor lists.
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessor counts.
-    pub npred: Vec<u32>,
-    /// Task id of each block's update task (`usize::MAX` for diagonal
-    /// blocks).
-    pub update_of_block: Vec<usize>,
+    /// Source panel of each block.
+    cblk_of: Vec<u32>,
+    /// The task that follows block `b`'s in the chain into `b`'s facing
+    /// panel: the next update into it, or its panel task. A diagonal block
+    /// faces its own panel and heads that chain — its slot holds the first
+    /// update into the panel (itself when there is none).
+    next_into: Vec<u32>,
 }
 
 impl TaskGraph {
-    /// Build the two-level DAG from a symbol structure.
+    /// Derive the two tables from a symbol structure.
     pub fn build(symbol: &SymbolMatrix) -> TaskGraph {
-        let ncblk = symbol.ncblk();
-        let mut tasks: Vec<TaskKind> = (0..ncblk).map(|c| TaskKind::Panel { cblk: c }).collect();
-        let mut update_of_block = vec![usize::MAX; symbol.blocks.len()];
-        // Update tasks, in (source panel, block) order — the deterministic
-        // submission order of the dataflow engine.
-        for c in 0..ncblk {
-            let cb = &symbol.cblks[c];
-            for (bi, slot) in update_of_block
-                .iter_mut()
-                .enumerate()
-                .take(cb.block_end)
-                .skip(cb.block_begin + 1)
-            {
-                let id = tasks.len();
-                *slot = id;
-                tasks.push(TaskKind::Update {
-                    cblk: c,
-                    block: bi,
-                    target: symbol.blocks[bi].facing,
-                });
+        let nblocks = symbol.blocks.len();
+        assert!(u32::try_from(nblocks).is_ok(), "block ids must fit in 32 bits");
+        let mut cblk_of = Vec::with_capacity(nblocks);
+        for (c, cb) in symbol.cblks.iter().enumerate() {
+            cblk_of.resize(cb.block_end, c as u32);
+        }
+        // Thread every off-diagonal block, in id order, onto the chain into
+        // its facing panel; `open[j]` is the block whose slot ends chain j.
+        let mut next_into = vec![0u32; nblocks];
+        let mut open: Vec<usize> = symbol.cblks.iter().map(|cb| cb.block_begin).collect();
+        for cb in &symbol.cblks {
+            for b in cb.block_begin + 1..cb.block_end {
+                let j = symbol.blocks[b].facing;
+                next_into[open[j]] = b as u32;
+                open[j] = b;
             }
         }
-        let ntasks = tasks.len();
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); ntasks];
-        let mut npred = vec![0u32; ntasks];
-        // Chain updates per destination; the panel task closes the chain.
-        let mut last_into: Vec<Option<usize>> = vec![None; ncblk];
-        for (id, &task) in tasks.iter().enumerate() {
-            if let TaskKind::Update { cblk, target, .. } = task {
-                // panel(source) → update
-                succs[cblk].push(id);
-                npred[id] += 1;
-                // previous update into target → this update
-                if let Some(prev) = last_into[target] {
-                    succs[prev].push(id);
-                    npred[id] += 1;
-                }
-                last_into[target] = Some(id);
-            }
+        // The panel task closes its chain.
+        for (cb, &last) in symbol.cblks.iter().zip(&open) {
+            next_into[last] = cb.block_begin as u32;
         }
-        for c in 0..ncblk {
-            if let Some(last) = last_into[c] {
-                succs[last].push(c);
-                npred[c] += 1;
-            }
-        }
-        TaskGraph {
-            tasks,
-            succs,
-            npred,
-            update_of_block,
+        TaskGraph { cblk_of, next_into }
+    }
+
+    /// Source panel of task `t`.
+    fn cblk(&self, t: usize) -> usize {
+        // BOUNDS: task ids are block ids, < blocks.len() == the tables' length.
+        self.cblk_of[t] as usize
+    }
+
+    fn kind(&self, symbol: &SymbolMatrix, t: usize) -> TaskKind {
+        let cblk = self.cblk(t);
+        // BOUNDS: `cblk_of` holds panel ids; `t` is a block id.
+        if symbol.cblks[cblk].block_begin == t {
+            TaskKind::Panel { cblk }
+        } else {
+            TaskKind::Update { cblk, block: t, target: symbol.blocks[t].facing }
         }
     }
 
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
+    fn num_predecessors(&self, symbol: &SymbolMatrix, t: usize) -> u32 {
+        // Every task but the head of the chain into its facing panel
+        // follows another one in it (a panel task: the last update into its
+        // panel); an update also follows its source's panel task.
+        // BOUNDS: `t` is a block id, `facing` a panel id, `block_begin` a
+        // block id again.
+        let (source, facing) = (self.cblk(t), symbol.blocks[t].facing);
+        let head = self.next_into[symbol.cblks[facing].block_begin] as usize;
+        u32::from(head != t) + u32::from(source != facing)
     }
 
-    /// `true` for an empty DAG.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// A topological order (tasks are constructed so that a stable
-    /// Kahn traversal exists); used by tests and the sequential executor.
-    pub fn topological_order(&self) -> Vec<usize> {
-        let mut npred = self.npred.clone();
-        let mut order = Vec::with_capacity(self.len());
-        let mut stack: Vec<usize> = (0..self.len()).filter(|&t| npred[t] == 0).rev().collect();
-        while let Some(t) = stack.pop() {
-            order.push(t);
-            for &s in &self.succs[t] {
-                npred[s] -= 1;
-                if npred[s] == 0 {
-                    stack.push(s);
-                }
-            }
+    fn successors(&self, symbol: &SymbolMatrix, t: usize, out: &mut Vec<usize>) {
+        // ALLOC: `out` is the worker's reused high-water buffer.
+        // BOUNDS: `kind` returns panel ids; `t` is a block id.
+        match self.kind(symbol, t) {
+            TaskKind::Panel { cblk } => out.extend(t + 1..symbol.cblks[cblk].block_end),
+            _ => out.push(self.next_into[t] as usize),
         }
-        assert_eq!(order.len(), self.len(), "task graph has a cycle");
-        order
     }
 }
 
@@ -200,11 +225,6 @@ impl OneDGraph {
         self.row(false, c)
     }
 
-    /// Panels with a block facing panel `c` (ascending).
-    pub fn preds(&self, c: usize) -> &[usize] {
-        self.row(true, c)
-    }
-
     /// `(predecessor count, successors)` of panel `c` in the graph itself
     /// (`forward`) or in its transpose.
     pub fn directed(&self, c: usize, forward: bool) -> (u32, &[usize]) {
@@ -212,84 +232,234 @@ impl OneDGraph {
     }
 }
 
+/// Which structure a [`Program`] reads: [`Analysis::one_d`],
+/// [`Analysis::two_level`], or the two-level tasks' hazard-inferred edges —
+/// built per program: inferring them at submission *is* the dataflow model.
+enum Graph {
+    OneD,
+    TwoLevel,
+    Inferred(DataflowGraph),
+}
+
+/// What a placement policy executes for an analysis: its DAG, the cost
+/// model's priorities and static owners, and one shared task body.
+pub struct Program<'a, F> {
+    analysis: &'a Analysis,
+    graph: Graph,
+    costs: TaskCosts,
+    /// Critical-path priority per panel; a task inherits its source's.
+    prio: Vec<f64>,
+    /// Static worker per 1D task (native policy only).
+    owners: Vec<usize>,
+    body: F,
+}
+
+impl Analysis {
+    /// `runtime`'s program: the 1D graph with the static owners of an
+    /// `nworkers` list schedule (native), the two-level graph computed from
+    /// the cached tables (ptg) or inferred from a sequential submission
+    /// (dataflow). `body(task, worker)` executes a task; costs and
+    /// priorities are the real or `complex` cost model's.
+    pub fn program<F: Fn(TaskKind, usize) + Sync>(
+        &self,
+        runtime: RuntimeKind,
+        nworkers: usize,
+        complex: bool,
+        body: F,
+    ) -> Program<'_, F> {
+        let costs = self.costs(complex);
+        let prio = self.priorities(&costs);
+        let (graph, owners) = match runtime {
+            RuntimeKind::Native => (Graph::OneD, self.static_owners(&costs, nworkers)),
+            RuntimeKind::Ptg => (Graph::TwoLevel, Vec::new()),
+            RuntimeKind::Dataflow => {
+                // Program-order submission — panel k, then the updates it
+                // generates, ascending k: "the simple sequential submission
+                // loops typically used with STARPU" (§IV).
+                let mut g = DataflowGraph::new(self.symbol.ncblk());
+                for t in 0..self.symbol.blocks.len() {
+                    let task = self.two_level.kind(&self.symbol, t);
+                    g.submit(task.accesses(&self.one_d));
+                }
+                (Graph::Inferred(g), Vec::new())
+            }
+        };
+        Program { analysis: self, graph, costs, prio, owners, body }
+    }
+}
+
+impl<F> Program<'_, F> {
+    /// What task `t` is.
+    pub fn kind(&self, t: usize) -> TaskKind {
+        match self.graph {
+            Graph::OneD => TaskKind::OneD { cblk: t },
+            _ => self.analysis.two_level.kind(&self.analysis.symbol, t),
+        }
+    }
+
+    /// The cost model the priorities and owners were computed from.
+    pub fn costs(&self) -> &TaskCosts {
+        &self.costs
+    }
+
+    /// Flops of `task` under [`Program::costs`].
+    pub fn flops(&self, task: TaskKind) -> f64 {
+        match task {
+            TaskKind::Panel { cblk } => self.costs.panel[cblk],
+            TaskKind::Update { block, .. } => self.costs.update[block],
+            TaskKind::OneD { cblk } => self.costs.task_1d(&self.analysis.symbol, cblk),
+        }
+    }
+}
+
+impl<F: Fn(TaskKind, usize) + Sync> PtgProgram for Program<'_, F> {
+    fn num_tasks(&self) -> usize {
+        match self.graph {
+            Graph::OneD => self.analysis.symbol.ncblk(),
+            _ => self.analysis.symbol.blocks.len(),
+        }
+    }
+    fn num_predecessors(&self, task: usize) -> u32 {
+        let an = self.analysis;
+        match &self.graph {
+            Graph::OneD => an.one_d.directed(task, true).0,
+            Graph::TwoLevel => an.two_level.num_predecessors(&an.symbol, task),
+            Graph::Inferred(g) => g.num_predecessors(task),
+        }
+    }
+    fn successors(&self, task: usize, out: &mut Vec<usize>) {
+        let an = self.analysis;
+        match &self.graph {
+            // ALLOC: `out` is the worker's reused high-water buffer.
+            Graph::OneD => out.extend_from_slice(an.one_d.directed(task, true).1),
+            Graph::TwoLevel => an.two_level.successors(&an.symbol, task, out),
+            Graph::Inferred(g) => g.successors(task, out),
+        }
+    }
+    fn execute(&self, task: usize, worker: usize) {
+        (self.body)(self.kind(task), worker);
+    }
+    fn priority(&self, task: usize) -> f64 {
+        let cblk = match self.graph {
+            Graph::OneD => task,
+            _ => self.analysis.two_level.cblk(task),
+        };
+        // BOUNDS: one priority per panel.
+        self.prio[cblk]
+    }
+    fn static_owner(&self, task: usize) -> usize {
+        self.owners.get(task).copied().unwrap_or(task)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{Analysis, SolverOptions};
+    use crate::analysis::SolverOptions;
     use dagfact_sparse::gen::grid_laplacian_2d;
     use dagfact_symbolic::FactoKind;
 
-    fn symbol() -> SymbolMatrix {
+    fn analysis() -> Analysis {
         let a = grid_laplacian_2d(12, 12);
-        Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default()).symbol
+        Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default())
+    }
+
+    fn succs(p: &impl PtgProgram, t: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        p.successors(t, &mut out);
+        out
+    }
+
+    type NoOp = fn(TaskKind, usize);
+
+    /// Both two-level programs, the computed one and the inferred one.
+    fn two_level(an: &Analysis) -> [Program<'_, NoOp>; 2] {
+        [RuntimeKind::Ptg, RuntimeKind::Dataflow].map(|rt| an.program(rt, 1, false, (|_, _| {}) as NoOp))
     }
 
     #[test]
     fn task_count_matches_block_count() {
-        let s = symbol();
-        let g = TaskGraph::build(&s);
-        assert_eq!(g.len(), s.ncblk() + s.n_update_tasks());
+        let an = analysis();
+        for p in two_level(&an) {
+            assert_eq!(p.num_tasks(), an.symbol.blocks.len());
+            assert_eq!(p.num_tasks(), an.symbol.ncblk() + an.symbol.n_update_tasks());
+        }
+        assert_eq!(an.program(RuntimeKind::Native, 2, false, |_, _| {}).num_tasks(), an.symbol.ncblk());
     }
 
     #[test]
     fn topological_order_visits_updates_between_panels() {
-        let s = symbol();
-        let g = TaskGraph::build(&s);
-        let order = g.topological_order();
-        let mut pos = vec![0usize; g.len()];
-        for (k, &t) in order.iter().enumerate() {
-            pos[t] = k;
-        }
-        for (id, &task) in g.tasks.iter().enumerate() {
-            if let TaskKind::Update { cblk, target, .. } = task {
-                assert!(pos[cblk] < pos[id], "update before its source panel");
-                assert!(pos[id] < pos[target], "update after its target panel");
+        let an = analysis();
+        let panel = |c: usize| an.symbol.cblks[c].block_begin;
+        for p in two_level(&an) {
+            // Kahn traversal; every task must come out (no cycle).
+            let n = p.num_tasks();
+            let mut npred: Vec<u32> = (0..n).map(|t| p.num_predecessors(t)).collect();
+            let mut stack: Vec<usize> = (0..n).filter(|&t| npred[t] == 0).collect();
+            let mut pos = vec![usize::MAX; n];
+            let mut visited = 0;
+            while let Some(t) = stack.pop() {
+                pos[t] = visited;
+                visited += 1;
+                for s in succs(&p, t) {
+                    npred[s] -= 1;
+                    if npred[s] == 0 {
+                        stack.push(s);
+                    }
+                }
+            }
+            assert_eq!(visited, n, "task graph has a cycle");
+            for t in 0..n {
+                if let TaskKind::Update { cblk, target, .. } = p.kind(t) {
+                    assert!(pos[panel(cblk)] < pos[t], "update before its source panel");
+                    assert!(pos[t] < pos[panel(target)], "update after its target panel");
+                }
             }
         }
     }
 
     #[test]
     fn update_chains_serialize_per_target() {
-        let s = symbol();
-        let g = TaskGraph::build(&s);
-        // For each target, collect update tasks in id order; each must be
-        // a predecessor of the next (direct edge).
-        let mut per_target: Vec<Vec<usize>> = vec![Vec::new(); s.ncblk()];
-        for (id, &t) in g.tasks.iter().enumerate() {
-            if let TaskKind::Update { target, .. } = t {
-                per_target[target].push(id);
+        let an = analysis();
+        for p in two_level(&an) {
+            // For each target, its update tasks in id order, then its panel
+            // task: each must be a direct predecessor of the next.
+            let mut per_target: Vec<Vec<usize>> = vec![Vec::new(); an.symbol.ncblk()];
+            for t in 0..p.num_tasks() {
+                if let TaskKind::Update { target, .. } = p.kind(t) {
+                    per_target[target].push(t);
+                }
             }
-        }
-        for chain in per_target.iter().filter(|c| c.len() > 1) {
-            for w in chain.windows(2) {
-                assert!(
-                    g.succs[w[0]].contains(&w[1]),
-                    "missing chain edge {} -> {}",
-                    w[0],
-                    w[1]
-                );
+            for (target, chain) in per_target.iter_mut().enumerate() {
+                chain.push(an.symbol.cblks[target].block_begin);
+                for w in chain.windows(2) {
+                    assert!(succs(&p, w[0]).contains(&w[1]), "missing chain edge {} -> {}", w[0], w[1]);
+                }
             }
         }
     }
 
     #[test]
     fn one_d_graph_is_acyclic_and_forward(){
-        let s = symbol();
+        let s = analysis().symbol;
         let g = OneDGraph::build(&s);
-        let mut nedges = 0;
+        let (mut nedges, mut npreds, mut has_root) = (0, 0, false);
         for c in 0..s.ncblk() {
             let mut facing: Vec<usize> = s.off_blocks(c).iter().map(|b| b.facing).collect();
             facing.dedup();
             assert_eq!(g.succs(c), &facing[..], "succs({c}) is the deduplicated facing set");
             assert!(g.succs(c).iter().all(|&t| t > c), "1D edge goes backward from {c}");
             // The transpose mirrors the forward lists edge for edge.
-            assert!(g.preds(c).iter().all(|&p| g.succs(p).contains(&c)));
-            assert_eq!(g.directed(c, true), (g.preds(c).len() as u32, g.succs(c)));
-            assert_eq!(g.directed(c, false), (g.succs(c).len() as u32, g.preds(c)));
-            nedges += g.succs(c).len();
+            let (npred, succs) = g.directed(c, true);
+            let (nsucc, preds) = g.directed(c, false);
+            assert_eq!((succs, nsucc as usize), (g.succs(c), succs.len()));
+            assert!(preds.iter().all(|&p| g.succs(p).contains(&c)));
+            assert_eq!(npred as usize, preds.len());
+            nedges += succs.len();
+            npreds += preds.len();
+            has_root |= preds.is_empty();
         }
-        assert_eq!(nedges, (0..s.ncblk()).map(|c| g.preds(c).len()).sum::<usize>());
-        // Roots exist.
-        assert!((0..s.ncblk()).any(|c| g.preds(c).is_empty()));
+        assert_eq!(nedges, npreds);
+        assert!(has_root);
     }
 }

@@ -1,20 +1,21 @@
 //! Static analysis of the solver's task graphs.
 //!
-//! The three engines run the *same* factorization from three different
-//! graph descriptions: the native engine's coarse 1D DAG
-//! ([`crate::tasks::OneDGraph`]), the dataflow engine's hazard-inferred
-//! graph, and the PTG engine's algebraic two-level DAG
-//! ([`crate::tasks::TaskGraph`]). Each description carries an implicit
-//! safety claim — the dependency edges order every pair of conflicting
-//! panel accesses — and the `unsafe` borrows of
+//! The three policies run the *same* factorization from three graph
+//! descriptions, all produced by [`Analysis::program`]: the native
+//! policy's coarse 1D DAG, the dataflow policy's hazard-inferred graph,
+//! and the ptg policy's algebraic two-level DAG. Each description carries
+//! an implicit safety claim — the dependency edges order every pair of
+//! conflicting panel accesses — and the `unsafe` borrows of
 //! [`dagfact_rt::SharedSlice`] are sound *only if* that claim holds.
 //!
-//! This module discharges the claim mechanically, per engine:
+//! This module discharges the claim mechanically, per policy:
 //!
-//! 1. **Spec extraction** — [`Analysis::task_graph_spec`] rebuilds the
-//!    exact graph each engine would submit for this analysis (same
-//!    builders, no-op bodies) as a [`GraphSpec`]: tasks, happens-before
-//!    edges, and per-panel access modes.
+//! 1. **Spec extraction** — [`Analysis::task_graph_spec`] evaluates the
+//!    successor function of the program object the factorization runs
+//!    (same constructor, no-op body) into a [`GraphSpec`] and declares
+//!    each task's panel accesses from [`TaskKind::accesses`] — the table
+//!    the dataflow inference reads. Nothing is transcribed: what is
+//!    checked is what runs.
 //! 2. **Static verification** — [`dagfact_rt::verify::check_static`]
 //!    proves race-freedom (every conflicting access pair is transitively
 //!    ordered), deadlock-freedom (no cycles), and structural sanity
@@ -30,21 +31,14 @@
 //!    every declared access — an executable cross-check of the static
 //!    pass on actual schedules.
 //!
-//! The panel-datum model: datum `c` is panel `c`'s coefficient storage
-//! (L *and* U halves — they are always touched together). A panel task
-//! read-modify-writes its own panel; an update task reads its source
-//! panel and read-modify-writes its target; a native 1D task
-//! read-modify-writes its own panel and *accumulates*
-//! ([`Mode::Accum`]) into every facing target, which is exactly the
-//! per-panel-mutex scatter-add the numeric phase performs.
+//! [`TaskKind::accesses`]: crate::tasks::TaskKind::accesses
 
 use crate::analysis::Analysis;
-use crate::tasks::{TaskGraph, TaskKind};
 use dagfact_rt::verify::{
-    check_static, conflict_signature, replay, ClockGranularity, DynamicReport, GraphSpec, Mode,
+    check_static, conflict_signature, replay, ClockGranularity, DynamicReport, GraphSpec,
     StaticReport,
 };
-use dagfact_rt::{dataflow::DataflowGraph, AccessMode, RuntimeKind};
+use dagfact_rt::RuntimeKind;
 use std::fmt;
 
 /// Above this task count the dynamic replay switches from exact per-task
@@ -164,91 +158,20 @@ impl fmt::Display for VerifyOutcome {
 }
 
 impl Analysis {
-    /// The exact task graph `runtime` would execute for this analysis,
-    /// as an engine-independent [`GraphSpec`]: happens-before edges from
-    /// the engine's own graph builder, panel-level access modes from the
-    /// numeric phase's storage contract, and per-task tags (the source
-    /// panel) so [`conflict_signature`] can compare graphs of different
-    /// granularity.
+    /// The task graph `runtime` executes for this analysis, as an
+    /// engine-independent [`GraphSpec`]: happens-before edges from the
+    /// program the factorization runs, panel-level access modes from the
+    /// shared table, and per-task tags (the source panel) so
+    /// [`conflict_signature`] can compare graphs of different granularity.
     pub fn task_graph_spec(&self, runtime: RuntimeKind) -> GraphSpec {
-        match runtime {
-            RuntimeKind::Native => self.native_spec(),
-            RuntimeKind::Dataflow => self.dataflow_spec(),
-            RuntimeKind::Ptg => self.ptg_spec(),
-        }
-    }
-
-    /// The coarse 1D graph: task `c` factorizes panel `c` (read-modify-
-    /// write) and scatter-adds into every facing panel under that
-    /// panel's accumulation mutex ([`Mode::Accum`]) — two 1D tasks may
-    /// accumulate into a common target unordered, exactly like the
-    /// numeric phase.
-    fn native_spec(&self) -> GraphSpec {
-        let ncblk = self.symbol.ncblk();
-        let mut spec = GraphSpec::new(ncblk);
-        for c in 0..ncblk {
-            let succ = self.one_d.succs(c);
-            for &s in succ {
-                spec.edge(c, s);
+        let program = self.program(runtime, 1, false, |_, _| {});
+        let mut spec = GraphSpec::from_dag(&program);
+        for t in 0..spec.ntasks() {
+            let task = program.kind(t);
+            for (panel, mode) in task.accesses(&self.one_d) {
+                spec.access(t, panel, mode);
             }
-            spec.access(c, c, Mode::ReadWrite);
-            // succs[c] is already the deduplicated facing-target set.
-            for &t in succ {
-                spec.access(c, t, Mode::Accum);
-            }
-        }
-        spec
-    }
-
-    /// The dataflow graph, obtained by re-running the engine's
-    /// sequential submission loop with no-op bodies and letting the
-    /// engine's own hazard inference build the edges — the spec checks
-    /// the *inference*, not a transcription of it.
-    fn dataflow_spec(&self) -> GraphSpec {
-        let ncblk = self.symbol.ncblk();
-        let mut g = DataflowGraph::new(ncblk);
-        let mut tags: Vec<u64> = Vec::new();
-        for cblk in 0..ncblk {
-            g.submit(&[(cblk, AccessMode::ReadWrite)], 0.0, |_| {});
-            tags.push(cblk as u64);
-            let cb = &self.symbol.cblks[cblk];
-            for block in (cb.block_begin + 1)..cb.block_end {
-                let target = self.symbol.blocks[block].facing;
-                g.submit(
-                    &[(cblk, AccessMode::Read), (target, AccessMode::ReadWrite)],
-                    0.0,
-                    |_| {},
-                );
-                tags.push(cblk as u64);
-            }
-        }
-        let mut spec = g.to_spec();
-        for (t, &tag) in tags.iter().enumerate() {
-            spec.set_tag(t, tag);
-        }
-        spec
-    }
-
-    /// The two-level PTG: panel and per-block update tasks with the
-    /// algebraic dependency structure of [`TaskGraph`].
-    fn ptg_spec(&self) -> GraphSpec {
-        let g = TaskGraph::build(&self.symbol);
-        let mut spec = GraphSpec::new(g.len());
-        for (t, &task) in g.tasks.iter().enumerate() {
-            match task {
-                TaskKind::Panel { cblk } => {
-                    spec.access(t, cblk, Mode::ReadWrite);
-                    spec.set_tag(t, cblk as u64);
-                }
-                TaskKind::Update { cblk, target, .. } => {
-                    spec.access(t, cblk, Mode::Read);
-                    spec.access(t, target, Mode::ReadWrite);
-                    spec.set_tag(t, cblk as u64);
-                }
-            }
-            for &s in &g.succs[t] {
-                spec.edge(t, s);
-            }
+            spec.set_tag(t, task.cblk() as u64);
         }
         spec
     }
@@ -353,7 +276,7 @@ mod tests {
         let an = analysis();
         let ncblk = an.symbol.ncblk();
         assert_eq!(an.task_graph_spec(RuntimeKind::Native).ntasks(), ncblk);
-        let two_level = TaskGraph::build(&an.symbol).len();
+        let two_level = an.symbol.blocks.len();
         assert_eq!(an.task_graph_spec(RuntimeKind::Dataflow).ntasks(), two_level);
         assert_eq!(an.task_graph_spec(RuntimeKind::Ptg).ntasks(), two_level);
         for rt in RuntimeKind::ALL {

@@ -1,0 +1,88 @@
+//! "Nothing allocates per task per factorization" (ROADMAP standing
+//! gate), checked with a counting global allocator as in
+//! `crates/rt/tests/alloc_counting.rs`: the two-level policies run a graph
+//! with ~6x the native policy's tasks, yet a factorization under them may
+//! cost only a handful of allocations more — the graph is computed from
+//! the analysis (ptg) or inferred into a few flat vectors (dataflow), never
+//! built out of per-task lists and boxed closures.
+//!
+//! ONE `#[test]`: the counter is process-global (see the rt twin).
+
+use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
+use dagfact_sparse::gen::convection_diffusion_3d;
+use dagfact_symbolic::FactoKind;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// System allocator that counts allocations on threads that opted in via
+/// [`MEASURING`] (libtest's harness threads allocate concurrently).
+struct Counting;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+std::thread_local! {
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+// SAFETY: pure pass-through to the System allocator; the only added
+// behavior is a Relaxed counter bump and a const-initialized
+// thread-local read (no allocation, so no reentrancy).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: same layout contract as the caller's, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: ptr came from this allocator's alloc/realloc with
+        // this layout, which forwarded to System.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: ptr/layout/new_size contract forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations performed by THIS thread while running `f`.
+fn allocs_during<F: FnOnce()>(f: F) -> usize {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn two_level_policies_allocate_no_more_per_task_than_native() {
+    // The `shell_lu` benchmark proxy at a third of its side: tiny fronts,
+    // so tasks — not flops — are what there is a lot of.
+    let a = convection_diffusion_3d(56, 56, 3, 0.3);
+    let an = Analysis::new(a.pattern(), FactoKind::Lu, &SolverOptions::default());
+    let ntasks = an.symbol.blocks.len();
+    assert!(ntasks >= 10_000, "only {ntasks} tasks");
+    // One worker: the run stays on this (measured) thread.
+    let count = |rt| {
+        allocs_during(|| {
+            an.factorize(&a, rt, 1).expect("factorization succeeds");
+        })
+    };
+    let native = count(RuntimeKind::Native);
+    for rt in [RuntimeKind::Ptg, RuntimeKind::Dataflow] {
+        let n = count(rt);
+        assert!(
+            n <= native + ntasks / 16,
+            "{}: {n} allocations for {ntasks} tasks, native makes {native}",
+            rt.label()
+        );
+    }
+}

@@ -4,12 +4,14 @@
 //! negative case: a deliberately dropped dependency edge must be caught
 //! by BOTH the static pass and the replay checker.
 
-use dagfact_core::tasks::{TaskGraph, TaskKind};
+use dagfact_core::tasks::TaskKind;
 use dagfact_core::{Analysis, SolverOptions, VerifyOptions};
+use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::verify::{check_static, replay, ClockGranularity};
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_2d, grid_laplacian_3d};
 use dagfact_symbolic::FactoKind;
+use std::collections::BTreeSet;
 
 fn analysis_of(facto: FactoKind) -> Analysis {
     // An unsymmetric-valued pattern so LU is honest; the pattern is
@@ -19,6 +21,47 @@ fn analysis_of(facto: FactoKind) -> Analysis {
         _ => grid_laplacian_3d(5, 5, 4),
     };
     Analysis::new(a.pattern(), facto, &SolverOptions::default())
+}
+
+/// Every edge `successors` reports.
+fn edges_of(program: &impl PtgProgram) -> BTreeSet<(usize, usize)> {
+    let mut succs = Vec::new();
+    (0..program.num_tasks())
+        .flat_map(|t| {
+            succs.clear();
+            program.successors(t, &mut succs);
+            succs.iter().map(|&s| (t, s)).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// The dataflow policy infers its edges from the declared accesses of a
+/// sequential submission; the ptg policy computes them from the block
+/// structure. Both number tasks by block, so the two edge sets must be
+/// *equal* — and every program's predecessor counts must be the in-degrees
+/// of its own successor function, or the executor would hang or underflow.
+#[test]
+fn inferred_edges_equal_the_algebraic_ones() {
+    for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
+        let an = analysis_of(facto);
+        let [native, dataflow, ptg] =
+            RuntimeKind::ALL.map(|rt| an.program(rt, 2, false, |_, _| {}));
+        let algebraic = edges_of(&ptg);
+        assert!(algebraic.len() > an.symbol.ncblk(), "{facto:?}: trivial graph");
+        assert_eq!(edges_of(&dataflow), algebraic, "{facto:?}");
+        for t in 0..ptg.num_tasks() {
+            assert_eq!(dataflow.kind(t), ptg.kind(t), "{facto:?}: task {t}");
+        }
+        for (program, rt) in [&native, &dataflow, &ptg].into_iter().zip(RuntimeKind::ALL) {
+            let mut indegree = vec![0u32; program.num_tasks()];
+            for (_, s) in edges_of(program) {
+                indegree[s] += 1;
+            }
+            for (t, &d) in indegree.iter().enumerate() {
+                assert_eq!(program.num_predecessors(t), d, "{facto:?} {}: task {t}", rt.label());
+            }
+        }
+    }
 }
 
 #[test]
@@ -76,17 +119,15 @@ fn summary_reads_like_a_report() {
 fn dropped_edge_is_flagged_by_static_and_dynamic_checkers() {
     let a = grid_laplacian_2d(8, 8);
     let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let g = TaskGraph::build(&an.symbol);
-    // Find an update → panel edge (the chain-closing edge of a target).
-    let ncblk = an.symbol.ncblk();
-    let (pred, panel, target) = g
-        .tasks
-        .iter()
-        .enumerate()
-        .skip(ncblk)
-        .find_map(|(id, &t)| match t {
-            TaskKind::Update { target, .. } if g.succs[id].contains(&target) => {
-                Some((id, target, target))
+    // Find an update → panel edge (the chain-closing edge of a target) in
+    // the program the ptg policy runs.
+    let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
+    let edges = edges_of(&program);
+    let (pred, panel, target) = (0..program.num_tasks())
+        .find_map(|t| match program.kind(t) {
+            TaskKind::Update { target, .. } => {
+                let panel = an.symbol.cblks[target].block_begin;
+                edges.contains(&(t, panel)).then_some((t, panel, target))
             }
             _ => None,
         })
@@ -131,10 +172,10 @@ fn equivalence_signature_detects_reordered_writers() {
     assert_eq!(base, native);
     // Retagging one update task simulates an engine applying a different
     // source's update in its place.
-    let g = TaskGraph::build(&an.symbol);
+    let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
     let mut spec = an.task_graph_spec(RuntimeKind::Ptg);
-    let update = (0..g.len())
-        .find(|&t| matches!(g.tasks[t], TaskKind::Update { .. }))
+    let update = (0..program.num_tasks())
+        .find(|&t| matches!(program.kind(t), TaskKind::Update { .. }))
         .expect("has updates");
     spec.set_tag(update, u64::MAX);
     let perturbed = conflict_signature(&spec).expect("still acyclic");

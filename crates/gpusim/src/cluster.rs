@@ -8,8 +8,9 @@
 //! PCIe lanes (ROADMAP item 3: "network links with latency/bandwidth
 //! alongside the existing PCIe model").
 //!
-//! [`EventQueue`] is the cluster event loop's core: a binary min-heap of
-//! `(virtual time, sequence number, payload)` entries. The sequence
+//! [`EventQueue`] is the core of both event loops — the single-node GPU
+//! simulator ([`crate::engine`]) and the cluster simulation: a binary
+//! min-heap of `(virtual time, sequence number, payload)` entries. The sequence
 //! number breaks time ties in insertion order, so a simulation that
 //! schedules the same events always pops them in the same order — the
 //! determinism the chaos sweeps rely on (same seed → same schedule →

@@ -6,11 +6,11 @@
 //! (DAG, platform, policy) triple always produces the same schedule —
 //! the property that makes the paper's figures reproducible on any host.
 
+use crate::cluster::EventQueue;
 use crate::dag::{DataId, SimDag, TaskId, TaskShape};
 use crate::kernelmodel::{kernel_ceiling, kernel_rate, GpuKernelKind};
 use crate::platform::Platform;
 use crate::report::{SimReport, SimResource, SimSpan};
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Scheduling policy simulated on top of the platform (see crate docs).
@@ -61,50 +61,6 @@ enum Event {
     GpuCheck { gpu: usize, version: u64 },
     /// A staged task's inbound transfers completed; it may enter a stream.
     GpuTaskReady { gpu: usize, task: TaskId },
-}
-
-struct EventQueue {
-    heap: BinaryHeap<Reverse<(OrdF64, u64, EventSlot)>>,
-    seq: u64,
-}
-
-#[derive(PartialEq, PartialOrd)]
-struct OrdF64(f64);
-impl Eq for OrdF64 {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
-        self.partial_cmp(other).unwrap()
-    }
-}
-
-#[derive(PartialEq, Eq)]
-struct EventSlot(Event);
-impl PartialOrd for EventSlot {
-    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for EventSlot {
-    fn cmp(&self, _other: &Self) -> core::cmp::Ordering {
-        core::cmp::Ordering::Equal // sequence number already breaks ties
-    }
-}
-
-impl EventQueue {
-    fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-    fn push(&mut self, time: f64, ev: Event) {
-        self.seq += 1;
-        self.heap.push(Reverse((OrdF64(time), self.seq, EventSlot(ev))));
-    }
-    fn pop(&mut self) -> Option<(f64, Event)> {
-        self.heap.pop().map(|Reverse((t, _, e))| (t.0, e.0))
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -287,7 +243,7 @@ struct Engine<'a> {
     dag: &'a SimDag,
     platform: &'a Platform,
     policy: SimPolicy,
-    events: EventQueue,
+    events: EventQueue<Event>,
     now: f64,
     pending: Vec<u32>,
     data: Vec<DataState>,
@@ -421,8 +377,8 @@ impl<'a> Engine<'a> {
                     self.policy.label()
                 );
             };
-            debug_assert!(time >= self.now - 1e-12);
-            self.now = time.max(self.now);
+            // The queue pops in nondecreasing time order.
+            self.now = time;
             match ev {
                 Event::CpuFinish { worker, task } => self.on_cpu_finish(worker, task),
                 Event::WorkerWake { worker } => self.try_dispatch_worker(worker),
@@ -640,7 +596,7 @@ impl<'a> Engine<'a> {
         let exec = self.dag.tasks[t].flops
             / (kernel_rate(&self.platform.gpus[g], kind, m, n, k) * 1e9);
         self.gpus[g].expected_free = self.gpus[g].expected_free.max(ready_at) + exec;
-        self.events.push(ready_at, Event::GpuTaskReady { gpu: g, task: t });
+        self.events.push_at(ready_at, Event::GpuTaskReady { gpu: g, task: t });
     }
 
     /// Pin a datum into GPU `g`'s memory, refreshing its LRU stamp. New
@@ -740,7 +696,7 @@ impl<'a> Engine<'a> {
         if let Some(dt) = self.gpus[g].next_completion(peak) {
             let v = self.gpus[g].version;
             self.events
-                .push(self.now + dt.max(0.0), Event::GpuCheck { gpu: g, version: v });
+                .push_at(self.now + dt.max(0.0), Event::GpuCheck { gpu: g, version: v });
         }
     }
 
@@ -931,7 +887,7 @@ impl<'a> Engine<'a> {
             end: finish,
             label: "cpu-task",
         });
-        self.events.push(finish, Event::CpuFinish { worker: w, task: t });
+        self.events.push_at(finish, Event::CpuFinish { worker: w, task: t });
     }
 
     /// Policy-specific CPU work selection for worker `w`.
@@ -994,7 +950,7 @@ impl<'a> Engine<'a> {
     fn wake_worker(&mut self, w: usize) {
         if self.worker_idle[w] {
             self.events
-                .push(self.now.max(self.worker_free[w]), Event::WorkerWake { worker: w });
+                .push_at(self.now.max(self.worker_free[w]), Event::WorkerWake { worker: w });
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! * [`RuntimeKind::Native`] — PaStiX-style: tasks carry an analyze-time
 //!   *static* worker assignment from the cost-model list schedule
-//!   ([`native::NativeDag`]); initially-ready tasks are seeded onto their
+//!   ([`ptg::PtgProgram::static_owner`]); initially-ready tasks are seeded onto their
 //!   owner's deque, successors are released onto the completing worker's,
 //!   and idle workers steal — the "dynamic scheduler based on a
 //!   work-stealing strategy [that reduces] idle times while preserving a
@@ -81,29 +81,6 @@ pub type TaskId = usize;
 
 /// Identifier of a datum (panel, block, …) used for hazard tracking.
 pub type DataId = usize;
-
-/// How a task touches a datum (StarPU-style access modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessMode {
-    /// Read-only.
-    Read,
-    /// Write-only (no previous value observed).
-    Write,
-    /// Read-modify-write.
-    ReadWrite,
-}
-
-impl AccessMode {
-    /// Does the access observe previous writes?
-    pub fn reads(self) -> bool {
-        matches!(self, AccessMode::Read | AccessMode::ReadWrite)
-    }
-
-    /// Does the access produce a new value?
-    pub fn writes(self) -> bool {
-        matches!(self, AccessMode::Write | AccessMode::ReadWrite)
-    }
-}
 
 /// Which placement policy the executor runs a DAG under — the axis of the
 /// paper's comparison (PaStiX vs. StarPU vs. PaRSEC).

@@ -1,40 +1,44 @@
-//! The PaStiX-style task array: an explicit DAG whose tasks carry a
-//! *static* worker assignment.
+//! An explicit task array: a stored DAG whose tasks carry a *static*
+//! worker assignment.
 //!
 //! PaStiX computes, at analyze time, a cost-model list schedule that pins
 //! every 1D task to a worker ("this static scheduling associates ready
 //! tasks with the first available resources", §III), then recovers from
-//! model error at run time with work stealing \[1\]. [`NativeDag`] is that
-//! schedule as a [`PtgProgram`]; run under [`crate::RuntimeKind::Native`]
-//! the executor seeds each initially-ready task onto its *assigned*
-//! owner's deque and releases successors onto the completing worker's.
+//! model error at run time with work stealing \[1\]. [`NativeDag`] is the
+//! table-driven form of such a schedule as a [`PtgProgram`]: run under
+//! [`crate::RuntimeKind::Native`] the executor seeds each initially-ready
+//! task onto its *assigned* owner's deque and releases successors onto the
+//! completing worker's. The solver's own 1D program reads the analysis's
+//! cached panel graph instead of a task array (`dagfact-core`'s
+//! `tasks::Program`); this type serves DAGs that exist only as a table —
+//! the executor's test suites and the scheduler-overhead bench.
 
 use crate::ptg::PtgProgram;
 use crate::TaskId;
 
 /// A task of a statically-scheduled DAG.
 #[derive(Debug, Clone)]
-pub struct NativeTask<S = Vec<TaskId>> {
+pub struct NativeTask {
     /// Worker the analyze-time schedule assigned this task to.
     pub owner: usize,
     /// Number of incoming dependencies.
     pub npred: u32,
-    /// Tasks unlocked by this one's completion: an owned list, or a slice of a graph that outlives the run.
-    pub succs: S,
+    /// Tasks unlocked by this one's completion.
+    pub succs: Vec<TaskId>,
     /// Critical-path priority (higher runs first).
     pub priority: f64,
 }
 
 /// A task array plus the body that executes a task: `execute(task,
 /// worker)`.
-pub struct NativeDag<'a, F, S = Vec<TaskId>> {
+pub struct NativeDag<'a, F> {
     /// The statically-scheduled tasks; ids are indices.
-    pub tasks: &'a [NativeTask<S>],
+    pub tasks: &'a [NativeTask],
     /// Task body.
     pub execute: F,
 }
 
-impl<F: Fn(TaskId, usize) + Sync, S: AsRef<[TaskId]> + Sync> PtgProgram for NativeDag<'_, F, S> {
+impl<F: Fn(TaskId, usize) + Sync> PtgProgram for NativeDag<'_, F> {
     fn num_tasks(&self) -> usize {
         self.tasks.len()
     }
@@ -44,7 +48,7 @@ impl<F: Fn(TaskId, usize) + Sync, S: AsRef<[TaskId]> + Sync> PtgProgram for Nati
     }
     fn successors(&self, task: usize, out: &mut Vec<usize>) {
         // ALLOC: `out` is the worker's reused high-water buffer.
-        out.extend_from_slice(self.tasks[task].succs.as_ref());
+        out.extend_from_slice(&self.tasks[task].succs);
     }
     fn execute(&self, task: usize, worker: usize) {
         (self.execute)(task, worker);

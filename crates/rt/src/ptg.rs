@@ -6,12 +6,15 @@
 //! knowledge of the DAG". [`PtgProgram`] is that description — successor
 //! and predecessor-count *functions* over a dense task index space. The
 //! executor materializes nothing but one atomic counter per task ("tasks
-//! do not exist until they are ready to be executed").
+//! do not exist until they are ready to be executed"), and the solver's
+//! two-level program (`dagfact-core`'s `tasks::Program`) stores no edge
+//! either: it computes both functions from the block structure and one
+//! chain link per block, cached with the analysis.
 //!
 //! An explicit graph is the special case whose functions read a table:
-//! [`crate::native::NativeDag`] (a task array carrying PaStiX's static
-//! owners) and [`crate::dataflow::DataflowGraph`] (StarPU-style submitted
-//! tasks with hazard-inferred edges) both implement the trait.
+//! [`crate::native::NativeDag`] (a task array carrying static owners) and
+//! a program over [`crate::dataflow::DataflowGraph`] (StarPU-style
+//! submitted tasks with hazard-inferred edges).
 
 /// Algebraic task-graph description (the PTG). Task ids form the dense
 /// range `0..num_tasks()`; the shape functions must be pure.

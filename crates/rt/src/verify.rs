@@ -9,9 +9,9 @@
 //!
 //! 1. **Static race/deadlock analysis** ([`check_static`]) over a
 //!    [`GraphSpec`] — a uniform happens-before description extracted from
-//!    any submitted graph ([`GraphSpec::from_dag`] evaluates a
-//!    [`PtgProgram`]'s successor function; `DataflowGraph::to_spec` adds
-//!    the declared accesses of a StarPU-style submission).
+//!    any runnable graph ([`GraphSpec::from_dag`] evaluates a
+//!    [`PtgProgram`]'s successor function — the one the executor calls —
+//!    and the caller declares each task's accesses).
 //!    Every pair of tasks touching the same datum with a conflicting mode
 //!    must be transitively ordered by edges; cycles, dangling edges,
 //!    self-edges and duplicate edges are reported too. A clean report
@@ -35,17 +35,19 @@ use crate::fault::{EngineError, RunConfig};
 use crate::ptg::PtgProgram;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
-use crate::{AccessMode, DataId, RuntimeKind, TaskId};
+use crate::{DataId, RuntimeKind, TaskId};
 use std::fmt;
 use std::time::Duration;
 
-/// How a task touches a datum, as seen by the verifier.
+/// How a task touches a datum: StarPU-style access modes, declared at
+/// submission ([`crate::dataflow::DataflowGraph::submit`]) and checked by
+/// the verifier.
 ///
-/// Extends the engine-facing [`AccessMode`] with [`Mode::Accum`]:
-/// commutative, *mutually excluded* accumulation (StarPU's `REDUX`, or a
-/// scatter-add under a per-panel lock). Two `Accum` accesses to the same
-/// datum need no ordering edge — the lock serializes them and addition
-/// commutes — but `Accum` still conflicts with reads and plain writes.
+/// [`Mode::Accum`] is commutative, *mutually excluded* accumulation
+/// (StarPU's `REDUX`, or a scatter-add under a per-panel lock). Two `Accum`
+/// accesses to the same datum need no ordering edge — the lock serializes
+/// them and addition commutes — but `Accum` still conflicts with reads and
+/// plain writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Read-only.
@@ -79,16 +81,6 @@ impl Mode {
             self
         } else {
             Mode::ReadWrite
-        }
-    }
-}
-
-impl From<AccessMode> for Mode {
-    fn from(m: AccessMode) -> Mode {
-        match m {
-            AccessMode::Read => Mode::Read,
-            AccessMode::Write => Mode::Write,
-            AccessMode::ReadWrite => Mode::ReadWrite,
         }
     }
 }
