@@ -1,6 +1,6 @@
 # Convenience targets. The canonical gate is `make check`.
 
-.PHONY: build test bench loc check check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
+.PHONY: build test bench loc check check-clean check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist check-loom check-miri check-tsan lint-safety lint-hot lint-sync lint-strict clippy
 
 build:
 	cargo build --release
@@ -8,20 +8,21 @@ build:
 test:
 	cargo test -q --workspace
 
-# Regenerate every results/ artifact (tables, figures, sweeps).
+# Regenerate the paper-reproduction artifacts in results/ (Table I,
+# Figures 2-4, ablation, comm study, dist sweep). All simulated or
+# virtual time: the output is byte-identical run to run, so on a tree
+# with current results/ this changes nothing — and fails if it does.
+# Wall-clock numbers come from benchmark/ (BENCHMARK.json) only.
 bench:
+	tools/check-clean.sh snapshot
 	cargo run -q --release -p dagfact-bench --bin table1
 	cargo run -q --release -p dagfact-bench --bin fig2
 	cargo run -q --release -p dagfact-bench --bin fig3
 	cargo run -q --release -p dagfact-bench --bin fig4
 	cargo run -q --release -p dagfact-bench --bin ablation
-	cargo run -q --release -p dagfact-bench --bin memsweep
-	cargo run -q --release -p dagfact-bench --bin tracesweep
-	cargo run -q --release -p dagfact-bench --bin servesweep
 	cargo run -q --release -p dagfact-bench --bin comm
 	cargo run -q --release -p dagfact-bench --bin distsweep
-	cargo run -q --release -p dagfact-bench --bin kernels_bench
-	cargo run -q --release -p dagfact-bench --bin overhead
+	tools/check-clean.sh verify
 
 # Non-test lines per crate and file -> results/loc.json (the ROADMAP's
 # "report non-test line delta per crate" gate).
@@ -30,26 +31,39 @@ loc:
 
 # The full gate: kernels + robustness + static-analysis + memory-budget +
 # observability + concurrency-verification + serving + distributed
-# suites.
-check: check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist
+# suites — bracketed by the working-tree check: a gate that rewrites a
+# tracked file fails here (tools/check-clean.sh).
+check:
+	tools/check-clean.sh snapshot
+	$(MAKE) --no-print-directory check-kernels check-robust check-analysis check-memory check-trace check-concurrency check-serve check-dist
+	$(MAKE) --no-print-directory check-clean
+
+# The closing half of the bracket (the snapshot is taken by `check`).
+check-clean:
+	tools/check-clean.sh verify
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
 # SIMD-vs-portable fuzz suite, a forced-scalar build+test leg
-# (--no-default-features proves the portable tier stands alone), and the
-# release-mode kernel study with its >=1.5x SIMD speedup gate (skipped
-# loudly on hosts without AVX2).
+# (--no-default-features proves the portable tier stands alone), the
+# factorization suite on the portable tier (same residual bounds as the
+# dispatched run in check-robust), and the release-mode >=1.5x
+# dispatched-vs-portable GEMM ratio test (skipped loudly without AVX2).
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --no-default-features
-	cargo run -q --release -p dagfact-bench --bin kernels_bench
+	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-core --test factorize_solve
+	cargo test -q --release -p dagfact-kernels --test simd_fuzz -- --ignored
 
 # Full robustness gate: the whole test suite plus the fault-injection and
-# recovery suites with backtraces on, then a warning-free clippy pass.
+# recovery suites with backtraces on, the release-mode bare-executor
+# ratio test (central queue <= 1.5x the deque floor per task), then a
+# warning-free clippy pass.
 check-robust:
 	RUST_BACKTRACE=1 cargo test -q --workspace
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt --test fault_injection
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test fault_recovery
+	cargo test -q --release -p dagfact-rt --test exec_overhead -- --ignored
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Static-analysis gate: the unwrap lint, the graph-verifier suites, the
@@ -61,37 +75,38 @@ check-analysis: lint-strict
 	cargo run -q --release -p dagfact-bench --bin verify_sweep
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Memory-budget gate: the ledger unit suite, the budgeted-execution and
-# reader-fuzz integration suites, and the release-mode cap sweep (50% of
-# peak must complete through the degradation ladder at full accuracy).
+# Memory-budget gate: the ledger unit suite, the budgeted-execution suite
+# (50% of peak must complete through the degradation ladder at full
+# accuracy on the Table-I proxies) and the reader-fuzz suite.
 check-memory:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt budget
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test memory_budget
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-sparse --test reader_fuzz
-	cargo run -q --release -p dagfact-bench --bin memsweep
 
-# Observability gate: the recorder/analyzer unit suite, the per-policy
-# span-invariant suite, the Chrome-trace exporter tests, the CLI
-# --trace/--metrics tests, and the release-mode trace sweep (3 proxies x
-# 3 engines + the tracing-overhead guard).
+# Observability gate: the recorder/analyzer unit suite with the
+# Chrome-trace exporter tests (engine traces in rt, simulator traces in
+# core), the per-policy span-invariant suite, the same invariants on
+# recorded factorizations (3 factorization kinds x 3 policies), and the
+# CLI --trace/--metrics tests. The cost of attaching a recorder is
+# `rt.trace_overhead_frac` in BENCHMARK.json.
 check-trace:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt trace
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt --test trace_spans
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-bench --lib
+	RUST_BACKTRACE=1 cargo test -q -p dagfact-core trace
+	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test factorize_solve
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli trace
-	cargo run -q --release -p dagfact-bench --bin tracesweep
 
 # Serving gate (DESIGN.md §12): the serve crate's unit suites, the
 # job-spec mutation fuzzer, the fault-injected concurrent soak (random
 # panics/alloc faults/deadlines — no contamination, typed rejections),
-# the CLI serve-mode tests, and the release-mode cache-latency sweep
-# (factor hits must be ≥5x faster than cold).
+# the CLI serve-mode tests, and the release-mode cache ratio test
+# (a factor hit must be ≥5x faster than a cold request).
 check-serve:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-serve
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-serve --test jobspec_fuzz
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-serve --test service_soak
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli serve
-	cargo run -q --release -p dagfact-bench --bin servesweep
+	cargo test -q --release -p dagfact-serve --test service_soak -- --ignored
 
 # Distributed-execution gate (DESIGN.md §14): the dist engine's unit
 # and integration suites (chaos sweep, traffic cross-check, recovery

@@ -13,10 +13,10 @@
 //! cargo run -p dagfact-bench --bin ablation --release
 //! ```
 
-use dagfact_bench::{write_results, Json};
 use dagfact_core::{simulate_factorization, Analysis, SimOptions, SolverOptions};
 use dagfact_gpusim::{Platform, SimPolicy};
 use dagfact_order::OrderingKind;
+use dagfact_rt::{write_results, Json};
 use dagfact_sparse::gen::grid_laplacian_3d;
 use dagfact_symbolic::structure::SplitOptions;
 use dagfact_symbolic::supernode::AmalgamationOptions;

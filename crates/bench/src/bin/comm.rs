@@ -10,8 +10,9 @@
 //!
 //! Output: a human-readable table on stdout plus `results/comm.json`.
 
-use dagfact_bench::{comm_study_json, proxies, write_results, Json};
-use dagfact_core::fan_in_study;
+use dagfact_bench::proxies;
+use dagfact_core::{comm_study_json, fan_in_study};
+use dagfact_rt::{write_results, Json};
 
 const WIDTHS: &[usize] = &[1, 2, 4, 8];
 

@@ -11,9 +11,8 @@
 //! `results/distsweep.json`. Exits non-zero if any run produces a wrong
 //! answer (faulty runs may fail, but only with a typed error).
 
-use dagfact_bench::{write_results, Json};
 use dagfact_core::{factorize_dist, Analysis, DistOptions, SolverOptions};
-use dagfact_rt::FaultPlan;
+use dagfact_rt::{write_results, FaultPlan, Json};
 use dagfact_sparse::gen;
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;

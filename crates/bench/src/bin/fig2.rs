@@ -12,9 +12,10 @@
 //! the generic runtimes trail native PaStiX on the LDLᵀ matrices
 //! (pmlDF, Serena) because they redo the D·Lᵀ product in every update.
 
-use dagfact_bench::{proxies, write_results, Json};
+use dagfact_bench::proxies;
 use dagfact_core::{simulate_factorization, SimOptions};
 use dagfact_gpusim::{Platform, SimPolicy};
+use dagfact_rt::{write_results, Json};
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();

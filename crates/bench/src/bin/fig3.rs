@@ -11,9 +11,9 @@
 //! cargo run -p dagfact-bench --bin fig3 --release
 //! ```
 
-use dagfact_bench::{write_results, Json};
 use dagfact_gpusim::kernelmodel::{stream_bench_gflops, GpuKernelKind};
 use dagfact_gpusim::platform::GpuModel;
+use dagfact_rt::{write_results, Json};
 
 fn main() {
     let gpu = GpuModel::m2070();

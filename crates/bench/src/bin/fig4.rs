@@ -13,9 +13,10 @@
 //! device); afshell10 sees almost nothing ("the amount of Flop produced is
 //! too small to efficiently benefit from the GPUs").
 
-use dagfact_bench::{proxies, write_results, Json};
+use dagfact_bench::proxies;
 use dagfact_core::{simulate_factorization, SimOptions};
 use dagfact_gpusim::{Platform, SimPolicy};
+use dagfact_rt::{write_results, Json};
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();

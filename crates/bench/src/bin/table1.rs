@@ -12,7 +12,8 @@
 //! Output: the table on stdout plus machine-readable
 //! `results/table1.json` (redirect stdout for the `.txt` copy).
 
-use dagfact_bench::{proxies, write_results, Json};
+use dagfact_bench::proxies;
+use dagfact_rt::{write_results, Json};
 
 fn main() {
     println!("Table I — matrix description (paper values vs. synthetic proxies)");

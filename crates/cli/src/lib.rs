@@ -394,9 +394,9 @@ fn dist_cmd<T: Scalar>(opts: &Opts, a: &CscMatrix<T>, complex: bool) -> Result<S
             .filter(|&w| w != opts.nodes)
             .chain(std::iter::once(opts.nodes))
             .collect();
-        let record = dagfact_bench::comm_study_json(&opts.matrix, &analysis, complex, &widths);
-        let doc = dagfact_bench::Json::obj().field("records", vec![record]);
-        let path = dagfact_bench::write_results("comm", &doc)
+        let record = dagfact_core::comm_study_json(&opts.matrix, &analysis, complex, &widths);
+        let doc = dagfact_rt::Json::obj().field("records", vec![record]);
+        let path = dagfact_rt::write_results("comm", &doc)
             .map_err(|e| format!("writing results/comm.json: {e}"))?;
         let _ = writeln!(out, "study        : {}", path.display());
     }
@@ -567,7 +567,7 @@ fn solve<T: Scalar>(opts: &Opts, a: &CscMatrix<T>) -> Result<String, String> {
     if let Some(rec) = &recorder {
         let trace = rec.snapshot();
         if let Some(path) = &opts.trace {
-            let doc = dagfact_bench::chrome_trace(&trace);
+            let doc = dagfact_rt::chrome_trace(&trace);
             std::fs::write(path, doc.to_string() + "\n")
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             let _ = writeln!(
@@ -618,7 +618,7 @@ fn simulate_cmd<T: Scalar>(opts: &Opts, a: &CscMatrix<T>, complex: bool) -> Resu
         report.bytes_d2h / 1e6
     );
     if let Some(path) = &opts.trace {
-        let doc = dagfact_bench::sim_chrome_trace(&report);
+        let doc = dagfact_core::sim_chrome_trace(&report);
         std::fs::write(path, doc.to_string() + "\n")
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(

@@ -81,7 +81,8 @@ use dagfact_rt::distproto::{ApplyLog, SendState};
 use dagfact_rt::verify::{check_static, ClockGranularity, GraphSpec, Mode, RaceChecker};
 use dagfact_rt::{FaultPlan, SharedSlice};
 use dagfact_sparse::CscMatrix;
-use dagfact_symbolic::{proportional_mapping, FactoKind, SymbolMatrix};
+use dagfact_symbolic::mapping::NodeMapping;
+use dagfact_symbolic::{proportional_mapping, FactoKind};
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::sync::Arc;
 
@@ -249,26 +250,34 @@ pub struct DistReport {
 
 /// One fan-in pair: everything node `src_node` will ever contribute to
 /// remote panel `tgt`, accumulated locally and shipped once.
-struct PairInfo {
-    tgt: usize,
-    src_node: usize,
+pub(crate) struct PairInfo {
+    pub(crate) tgt: usize,
+    pub(crate) src_node: usize,
     /// Contributing panels of `src_node` with their block ids into `tgt`.
-    members: Vec<(usize, Vec<usize>)>,
-    /// Wire size in the fan-in study's convention.
-    bytes: f64,
+    pub(crate) members: Vec<(usize, Vec<usize>)>,
+    /// Sum of the members' contribution blocks, (rows at-and-below the
+    /// block) × (rows of the block) each: what fan-out would ship.
+    pub(crate) contrib_bytes: f64,
+    /// Wire size of the accumulated buffer: the contributions overlap
+    /// inside the target panel, so at most the panel itself.
+    pub(crate) bytes: f64,
 }
 
-/// Enumerate the fan-in pairs of a mapping, byte-for-byte in the
-/// convention of [`crate::distributed::fan_in_study`] so the engine's
-/// zero-fault traffic is exactly the study's prediction.
-fn build_pairs(
-    symbol: &SymbolMatrix,
-    node_of: &[usize],
-    scalar_bytes: f64,
-) -> Vec<PairInfo> {
+/// Shard a factorization over `nnodes` by proportional mapping and
+/// enumerate the fan-in pairs of that mapping — the one enumeration under
+/// the engine, its static spec and [`crate::distributed::fan_in_study`],
+/// so the engine's zero-fault traffic is exactly the study's prediction.
+pub(crate) fn build_pairs(
+    analysis: &Analysis,
+    complex: bool,
+    nnodes: usize,
+) -> (NodeMapping, Vec<PairInfo>) {
+    let symbol = &analysis.symbol;
+    let mapping = proportional_mapping(symbol, &analysis.costs(complex), nnodes);
+    let node_of = &mapping.node_of;
+    let scalar_bytes = if complex { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
     let mut index: HashMap<(usize, usize), usize> = HashMap::new();
     let mut pairs: Vec<PairInfo> = Vec::new();
-    let mut accumulated: Vec<f64> = Vec::new();
     for c in 0..symbol.ncblk() {
         let src_node = node_of[c];
         let cb = &symbol.cblks[c];
@@ -285,24 +294,24 @@ fn build_pairs(
                     tgt,
                     src_node,
                     members: Vec::new(),
+                    contrib_bytes: 0.0,
                     bytes: 0.0,
                 });
-                accumulated.push(0.0);
                 pairs.len() - 1
             });
-            accumulated[id] += contrib;
+            pairs[id].contrib_bytes += contrib;
             match pairs[id].members.last_mut() {
                 Some((panel, blocks)) if *panel == c => blocks.push(bi),
                 _ => pairs[id].members.push((c, vec![bi])),
             }
         }
     }
-    for (id, pair) in pairs.iter_mut().enumerate() {
+    for pair in &mut pairs {
         let cb = &symbol.cblks[pair.tgt];
         let panel_bytes = (cb.stride * cb.width()) as f64 * scalar_bytes;
-        pair.bytes = accumulated[id].min(panel_bytes);
+        pair.bytes = pair.contrib_bytes.min(panel_bytes);
     }
-    pairs
+    (mapping, pairs)
 }
 
 // ---------------------------------------------------------------------
@@ -325,10 +334,7 @@ fn build_pairs(
 /// apply → target edge (the negative twin) is flagged as a race.
 pub fn dist_graph_spec(analysis: &Analysis, complex: bool, nnodes: usize) -> GraphSpec {
     let symbol = &analysis.symbol;
-    let costs = analysis.costs(complex);
-    let mapping = proportional_mapping(symbol, &costs, nnodes.max(1));
-    let scalar_bytes = if complex { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
-    let pairs = build_pairs(symbol, &mapping.node_of, scalar_bytes);
+    let (mapping, pairs) = build_pairs(analysis, complex, nnodes.max(1));
     let ncblk = symbol.ncblk();
     let npairs = pairs.len();
     let mut spec = GraphSpec::new(ncblk + 2 * npairs);
@@ -505,10 +511,7 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         let cluster = ClusterPlatform::homogeneous(nnodes, opts.cores_per_node.max(1), 0);
         let costs = analysis.costs(T::IS_COMPLEX);
         let prio = analysis.priorities(&costs);
-        let mapping = proportional_mapping(symbol, &costs, nnodes);
-        let scalar_bytes =
-            if T::IS_COMPLEX { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
-        let pairs = build_pairs(symbol, &mapping.node_of, scalar_bytes);
+        let (mapping, pairs) = build_pairs(analysis, T::IS_COMPLEX, nnodes);
         let mut direct_preds: Vec<Vec<usize>> = vec![Vec::new(); ncblk];
         let mut pending = vec![0u32; ncblk];
         for c in 0..ncblk {
@@ -1299,18 +1302,6 @@ mod tests {
     fn analysis(facto: FactoKind) -> Analysis {
         let a = grid_laplacian_2d(12, 12);
         Analysis::new(a.pattern(), facto, &SolverOptions::default())
-    }
-
-    #[test]
-    fn pair_enumeration_matches_fan_in_study() {
-        let an = analysis(FactoKind::Cholesky);
-        for nnodes in [1usize, 2, 4] {
-            let study = crate::distributed::fan_in_study(&an, false, nnodes);
-            let pairs = build_pairs(&an.symbol, &study.mapping.node_of, 8.0);
-            assert_eq!(pairs.len() as u64, study.fan_in.messages);
-            let total: f64 = pairs.iter().map(|p| p.bytes).sum();
-            assert!((total - study.fan_in.bytes).abs() <= 1e-6 * (1.0 + study.fan_in.bytes));
-        }
     }
 
     #[test]

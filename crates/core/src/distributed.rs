@@ -12,8 +12,9 @@
 //! locally and shipped once).
 
 use crate::analysis::Analysis;
+use crate::dist::build_pairs;
+use dagfact_rt::Json;
 use dagfact_symbolic::mapping::NodeMapping;
-use dagfact_symbolic::proportional_mapping;
 
 /// Communication volume of one distribution strategy.
 #[derive(Debug, Clone)]
@@ -44,60 +45,60 @@ pub struct FanInStudy {
 /// `nnodes` nodes (proportional mapping), for real (`complex = false`) or
 /// complex scalars.
 pub fn fan_in_study(analysis: &Analysis, complex: bool, nnodes: usize) -> FanInStudy {
-    let symbol = &analysis.symbol;
-    let costs = analysis.costs(complex);
-    let mapping = proportional_mapping(symbol, &costs, nnodes);
-    let scalar_bytes = if complex { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
-
-    let mut fan_out = CommStats {
+    let (mapping, pairs) = build_pairs(analysis, complex, nnodes);
+    let zero = || CommStats {
         messages: 0,
         bytes: 0.0,
         sent_per_node: vec![0.0; nnodes],
         buffer_bytes_per_node: vec![0.0; nnodes],
     };
-    // Fan-in accumulators: (target panel, source node) → accumulated bytes.
-    let mut pair_bytes: std::collections::HashMap<(usize, usize), f64> =
-        std::collections::HashMap::new();
-    for c in 0..symbol.ncblk() {
-        let src_node = mapping.node_of[c];
-        let cb = &symbol.cblks[c];
-        for b in symbol.off_blocks(c) {
-            let tgt = b.facing;
-            let tgt_node = mapping.node_of[tgt];
-            if tgt_node == src_node {
-                continue;
-            }
-            // Contribution block: (rows at-and-below b) × (rows of b).
-            let m = cb.stride - b.local_offset;
-            let contrib = (m * b.nrows()) as f64 * scalar_bytes;
-            fan_out.messages += 1;
-            fan_out.bytes += contrib;
-            fan_out.sent_per_node[src_node] += contrib;
-            *pair_bytes.entry((tgt, src_node)).or_insert(0.0) += contrib;
-        }
-    }
-    let mut fan_in = CommStats {
-        messages: 0,
-        bytes: 0.0,
-        sent_per_node: vec![0.0; nnodes],
-        buffer_bytes_per_node: vec![0.0; nnodes],
-    };
-    for (&(tgt, src_node), &accumulated) in &pair_bytes {
-        // The accumulated contributions overlap inside the target panel;
-        // one fan-in buffer (and one message) is at most the panel itself.
-        let cb = &symbol.cblks[tgt];
-        let panel_bytes = (cb.stride * cb.width()) as f64 * scalar_bytes;
-        let shipped = accumulated.min(panel_bytes);
+    let (mut fan_out, mut fan_in) = (zero(), zero());
+    // One pair = everything one node contributes to one remote panel:
+    // fan-out ships each contribution block as it is produced, fan-in
+    // ships the pair's accumulation buffer once.
+    for pair in pairs {
+        let blocks: usize = pair.members.iter().map(|(_, blocks)| blocks.len()).sum();
+        fan_out.messages += blocks as u64;
+        fan_out.bytes += pair.contrib_bytes;
+        fan_out.sent_per_node[pair.src_node] += pair.contrib_bytes;
         fan_in.messages += 1;
-        fan_in.bytes += shipped;
-        fan_in.sent_per_node[src_node] += shipped;
-        fan_in.buffer_bytes_per_node[src_node] += shipped;
+        fan_in.bytes += pair.bytes;
+        fan_in.sent_per_node[pair.src_node] += pair.bytes;
+        fan_in.buffer_bytes_per_node[pair.src_node] += pair.bytes;
     }
     FanInStudy {
         mapping,
         fan_out,
         fan_in,
     }
+}
+
+fn stats_json(s: &CommStats) -> Json {
+    Json::obj()
+        .field("messages", s.messages)
+        .field("bytes", s.bytes)
+        .field("sent_per_node", s.sent_per_node.clone())
+        .field("buffer_bytes_per_node", s.buffer_bytes_per_node.clone())
+}
+
+/// The study record for one matrix in `results/comm.json`: fan-out vs
+/// fan-in traffic predicted by [`fan_in_study`] at each width in `nodes`
+/// — one shape, written by `dagfact dist --study` and the `comm` bench
+/// binary alike.
+pub fn comm_study_json(name: &str, analysis: &Analysis, complex: bool, nodes: &[usize]) -> Json {
+    let width = |&nnodes: &usize| {
+        let study = fan_in_study(analysis, complex, nnodes);
+        Json::obj()
+            .field("nnodes", nnodes)
+            .field("work_per_node", study.mapping.work)
+            .field("fan_out", stats_json(&study.fan_out))
+            .field("fan_in", stats_json(&study.fan_in))
+    };
+    Json::obj()
+        .field("matrix", name)
+        .field("facto", analysis.facto.label())
+        .field("panels", analysis.symbol.ncblk())
+        .field("widths", nodes.iter().map(width).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

@@ -42,12 +42,12 @@ pub mod verify;
 pub use analysis::{Analysis, AnalysisStats, SolverOptions};
 pub use verify::{EngineReport, VerifyOptions, VerifyOutcome};
 pub use dist::{check_dist_static, dist_graph_spec, factorize_dist, DistError, DistOptions, DistReport};
-pub use distributed::{fan_in_study, CommStats, FanInStudy};
+pub use distributed::{comm_study_json, fan_in_study, CommStats, FanInStudy};
 pub use numeric::{ExecOptions, FactorStats, Factors};
 pub use refine::RefinedSolve;
 pub use service::SharedFactors;
 pub use solver::Solver;
-pub use simulate::{build_sim_dag, simulate_factorization, SimOptions};
+pub use simulate::{build_sim_dag, sim_chrome_trace, simulate_factorization, SimOptions};
 
 pub use dagfact_rt::RuntimeKind;
 pub use dagfact_symbolic::FactoKind;

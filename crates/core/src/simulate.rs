@@ -15,9 +15,12 @@
 
 use crate::analysis::Analysis;
 use crate::tasks::TaskKind;
-use dagfact_gpusim::{simulate, Platform, SimDag, SimData, SimPolicy, SimReport, SimTask, TaskShape};
+use dagfact_gpusim::{
+    simulate, Platform, SimDag, SimData, SimPolicy, SimReport, SimResource, SimTask, TaskShape,
+};
 use dagfact_rt::ptg::PtgProgram;
-use dagfact_rt::RuntimeKind;
+use dagfact_rt::trace::{chrome_document, chrome_event, units};
+use dagfact_rt::{Json, RuntimeKind};
 
 /// Options for a simulated factorization.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +45,38 @@ pub fn simulate_factorization(
 ) -> SimReport {
     let dag = build_sim_dag(analysis, options, platform, policy);
     simulate(&dag, platform, policy)
+}
+
+/// Serialize a simulator run's span log to a Chrome-trace document
+/// (the format of [`dagfact_rt::chrome_trace`]). Simulated seconds are
+/// mapped onto the microsecond `ts` axis; CPU workers, GPU streams and
+/// the two PCIe directions get their own `pid` groups so Perfetto renders
+/// each resource class as a track group.
+pub fn sim_chrome_trace(report: &SimReport) -> Json {
+    let mut events: Vec<Json> = Vec::with_capacity(report.spans.len());
+    for s in &report.spans {
+        // Simulated seconds → ns; the float → integer cast saturates on
+        // absurd horizons and clamps negatives to zero.
+        let to_ns = |secs: f64| (secs * units::NS_PER_SEC) as u64;
+        let (pid, tid, group) = match s.resource {
+            SimResource::Cpu(w) => (1usize, w, "cpu"),
+            SimResource::Gpu(g) => (2, g, "gpu"),
+            SimResource::H2d(g) => (3, g, "h2d"),
+            SimResource::D2h(g) => (4, g, "d2h"),
+        };
+        let name = match s.task {
+            Some(t) => format!("{} #{t}", s.label),
+            None => s.label.to_string(),
+        };
+        let start = to_ns(s.start);
+        let end = to_ns(s.end).max(start);
+        let mut args = Json::obj().field("resource", group);
+        if let Some(t) = s.task {
+            args = args.field("task", t);
+        }
+        events.push(chrome_event(name, s.label, pid, tid, start, end - start, args));
+    }
+    chrome_document(events)
 }
 
 /// Lower the analysis to a [`SimDag`] (exposed for the benches and tests).
@@ -424,6 +459,58 @@ mod tests {
                 cpu.gflops()
             );
             assert!(gpu.tasks_on_gpu > 0);
+        }
+    }
+
+    #[test]
+    fn sim_trace_groups_resources_by_pid() {
+        let dag = SimDag {
+            tasks: (0..8)
+                .map(|i| SimTask {
+                    shape: TaskShape::Update {
+                        m: 4096,
+                        n: 128,
+                        k: 128,
+                        target_height: 4096,
+                        ldlt: false,
+                    },
+                    flops: 4e8,
+                    reads: vec![0],
+                    writes: 1 + i,
+                    gpu_eligible: true,
+                    succs: vec![],
+                    npred: 0,
+                    priority: 1.0,
+                    static_owner: i,
+                    cpu_multiplier: 1.0,
+                })
+                .collect(),
+            data: (0..9).map(|_| SimData { bytes: 1e6 }).collect(),
+        };
+        let report = simulate(
+            &dag,
+            &Platform::mirage(4, 1),
+            SimPolicy::ParsecLike { streams: 1 },
+        );
+        assert!(!report.spans.is_empty());
+        let doc = sim_chrome_trace(&report);
+        let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+            panic!("traceEvents is not an array");
+        };
+        assert_eq!(events.len(), report.spans.len());
+        // GPU offload happened, so both kernel and transfer lanes exist.
+        let pids: Vec<i128> = events
+            .iter()
+            .map(|e| match e.get("pid") {
+                Some(Json::Int(p)) => *p,
+                other => panic!("pid {other:?}"),
+            })
+            .collect();
+        assert!(pids.contains(&2), "no gpu-kernel events");
+        assert!(pids.contains(&3), "no h2d events");
+        for ev in events {
+            assert_eq!(ev.get("ph"), Some(&Json::Str("X".into())));
+            assert!(matches!(ev.get("ts"), Some(Json::Num(x)) if *x >= 0.0));
         }
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end correctness of the factorization and solve across every
 //! factorization kind × runtime × arithmetic combination.
 
-use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
+use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverOptions};
 use dagfact_kernels::{Scalar, C64};
+use dagfact_rt::{chrome_trace, Json, RunConfig, SpanKind, Trace, TraceRecorder};
 use dagfact_sparse::gen::{
     convection_diffusion_3d, grid_laplacian_2d, grid_laplacian_3d, helmholtz_3d, random_spd,
     shifted_laplacian_3d,
@@ -32,20 +33,52 @@ fn rhs_complex(n: usize) -> Vec<C64> {
         .collect()
 }
 
+/// What a recorded factorization must satisfy under every policy: one
+/// `Execute` span per task, a critical path inside the wall clock, a sane
+/// parallel efficiency, and a Chrome-trace export with one event per span.
+fn assert_trace_invariants(trace: &Trace, ntasks: usize, label: &str) {
+    assert!(!trace.spans.is_empty(), "{label}: no spans recorded");
+    let mut executed: Vec<usize> = trace
+        .worker_spans()
+        .filter(|s| s.kind == SpanKind::Execute)
+        .map(|s| s.task.expect("execute spans carry their task"))
+        .collect();
+    assert_eq!(executed.len(), ntasks, "{label}: execute spans vs tasks");
+    executed.sort_unstable();
+    executed.dedup();
+    assert_eq!(executed.len(), ntasks, "{label}: a task was executed twice");
+    let (cp, wall) = (trace.critical_path().length_ns, trace.wall_ns());
+    assert!(cp <= wall, "{label}: critical path {cp} ns exceeds wall {wall} ns");
+    let eff = trace.parallel_efficiency();
+    assert!(eff > 0.0 && eff <= 1.0 + 1e-9, "{label}: parallel efficiency {eff}");
+    let doc = chrome_trace(trace);
+    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+        panic!("{label}: traceEvents is not an array");
+    };
+    assert_eq!(events.len(), trace.spans.len(), "{label}: one event per span");
+}
+
 fn check_real(a: &CscMatrix<f64>, facto: FactoKind, tol: f64) {
     let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
     let b = rhs_real(a.nrows());
     for rt in RuntimeKind::ALL {
         for threads in [1usize, 4] {
+            let label = format!("{facto:?} via {rt:?} ({threads} threads)");
+            let rec = TraceRecorder::shared();
+            let exec = ExecOptions {
+                run: RunConfig {
+                    trace: Some(rec.clone()),
+                    ..RunConfig::default()
+                },
+                ..ExecOptions::default()
+            };
             let f = analysis
-                .factorize(a, rt, threads)
-                .unwrap_or_else(|e| panic!("{facto:?}/{rt:?}/{threads}: {e}"));
+                .factorize_with(a, rt, threads, &exec)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
             let x = f.solve(&b);
             let r = residual(a, &x, &b);
-            assert!(
-                r < tol,
-                "{facto:?} via {rt:?} ({threads} threads): residual {r:e}"
-            );
+            assert!(r < tol, "{label}: residual {r:e}");
+            assert_trace_invariants(&rec.snapshot(), f.stats.run.ntasks, &label);
         }
     }
 }

@@ -35,7 +35,7 @@ pub use getrf::{getrf, StaticPivotStats};
 pub use ldlt::{ldlt, ldlt_apply_diag};
 pub use potrf::potrf;
 pub use scalar::{Scalar, C64};
-pub use simd::{force_isa, isa, Blocking, Isa};
+pub use simd::{force_isa, isa, Isa};
 pub use trsm::{trsm, Diag, Side, Uplo};
 
 /// Error raised by the diagonal-block factorization kernels.

@@ -20,8 +20,19 @@
 //! shims in [`super`]) re-assert the LAPACK shape contracts before any
 //! pointer is formed, and `isa()` certifies the CPU features.
 
-use super::{blocking, MR, NR};
+use super::{MR, NR};
 use core::arch::x86_64::*;
+
+// Cache blocking of `gemm_f64`. 8×kc A-tile stream (one cache line per
+// column) against kc×4 B columns: kc=256 keeps the active B block at
+// 8 KiB; mc=128 holds a 128×256 f64 A block in 256 KiB of L2; nc=512
+// bounds the C working set.
+/// Row-block height (a multiple of [`MR`]).
+const MC: usize = 128;
+/// Inner-dimension panel depth.
+const KC: usize = 256;
+/// Column-block width (a multiple of [`NR`]).
+const NC: usize = 512;
 
 /// How `op(B)[l, j]` maps onto the `b` buffer.
 #[derive(Copy, Clone, Debug)]
@@ -78,17 +89,16 @@ pub(crate) unsafe fn gemm_f64(
     c: *mut f64,
     ldc: usize,
 ) {
-    let blk = blocking();
     let mut jc = 0;
     while jc < n {
-        let ncb = blk.nc.min(n - jc);
+        let ncb = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
-            let kcb = blk.kc.min(k - pc);
+            let kcb = KC.min(k - pc);
             let first = pc == 0;
             let mut ic = 0;
             while ic < m {
-                let mcb = blk.mc.min(m - ic);
+                let mcb = MC.min(m - ic);
                 let m_main = mcb - mcb % MR;
                 let mut jr = 0;
                 while jr < ncb {

@@ -11,13 +11,9 @@
 //!   relaxed atomic load, so dispatch is legal inside the hot-path purity
 //!   roots (no allocation, no locks, no panics).
 //! * [`avx2`] — the 8×4 register-tiled f64 GEMM microkernel with
-//!   mc/kc/nc cache blocking, plus the fused GEMM-scatter epilogue used
+//!   mc/kc/nc cache blocking (constants sized for a ~32 KiB L1 /
+//!   ~1 MiB L2 core), plus the fused GEMM-scatter epilogue used
 //!   by the direct-scatter pressure rung.
-//! * [`Blocking`] — the autotunable block sizes. Defaults suit a
-//!   ~32 KiB L1 / ~1 MiB L2 core; `kernels_bench --tune` sweeps
-//!   candidates and persists the winner, which replays through the
-//!   `DAGFACT_KERNELS_BLOCK=mc,kc,nc` environment variable (read once,
-//!   at first dispatch).
 //!
 //! Scalar fallback is the portable kernel itself: every entry point here
 //! returns `false` (or routes to plain loops) when the host lacks AVX2,
@@ -33,7 +29,7 @@
 
 use crate::scalar::Scalar;
 use core::any::TypeId;
-use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU8, Ordering};
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod avx2;
@@ -79,10 +75,6 @@ pub fn isa() -> Isa {
 /// portable and SIMD paths in one process). Overrides detection until
 /// the next call.
 pub fn force_isa(isa: Isa) {
-    // A force ahead of the first isa() call skips detect_and_cache()
-    // entirely, so the persisted autotune choice must be seeded here
-    // too (once-guarded — see load_env_blocking).
-    load_env_blocking();
     let v = match isa {
         Isa::Scalar => 1,
         Isa::Avx2 => 2,
@@ -91,11 +83,10 @@ pub fn force_isa(isa: Isa) {
     ISA_CACHE.store(v, Ordering::Relaxed);
 }
 
-/// Cold path of [`isa()`]: probe the CPU, honor overrides, seed the
-/// blocking knobs from the environment, cache the verdict.
+/// Cold path of [`isa()`]: probe the CPU, honor overrides, cache the
+/// verdict.
 #[cold]
 fn detect_and_cache() -> Isa {
-    load_env_blocking();
     let detected = detect();
     let v = match detected {
         Isa::Scalar => 1,
@@ -128,121 +119,6 @@ fn detect() -> Isa {
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 fn detect() -> Isa {
     Isa::Scalar
-}
-
-// ---------------------------------------------------------------------
-// Autotunable cache blocking
-// ---------------------------------------------------------------------
-
-/// Cache-blocking parameters of the AVX2 GEMM: the `k`-panel depth
-/// (`kc`, L1-resident B columns), the row-block height (`mc`,
-/// L2-resident A block) and the column-block width (`nc`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Blocking {
-    /// Row-block height (multiple of the 8-row register tile).
-    pub mc: usize,
-    /// Inner-dimension panel depth.
-    pub kc: usize,
-    /// Column-block width (multiple of the 4-column register tile).
-    pub nc: usize,
-}
-
-impl Default for Blocking {
-    fn default() -> Self {
-        // 8×kc A-tile stream (one cache line per column) against kc×4
-        // B columns: kc=256 keeps the active B block at 8 KiB; mc=128
-        // holds a 128×256 f64 A block in 256 KiB of L2; nc=512 bounds
-        // the C working set.
-        Blocking { mc: 128, kc: 256, nc: 512 }
-    }
-}
-
-/// 0 means "use the built-in default".
-static MC: AtomicUsize = AtomicUsize::new(0);
-static KC: AtomicUsize = AtomicUsize::new(0);
-static NC: AtomicUsize = AtomicUsize::new(0);
-
-/// The blocking currently in effect.
-#[inline]
-pub fn blocking() -> Blocking {
-    let d = Blocking::default();
-    // ORDERING: independent tuning knobs; any torn combination of old
-    // and new values is still a valid (merely untuned) blocking.
-    let pick = |a: &AtomicUsize, def: usize| match a.load(Ordering::Relaxed) {
-        0 => def,
-        v => v,
-    };
-    Blocking {
-        mc: pick(&MC, d.mc),
-        kc: pick(&KC, d.kc),
-        nc: pick(&NC, d.nc),
-    }
-}
-
-/// Upper bound on any blocking dimension — far above any cache-sane
-/// value, low enough that tile rounding (and mc·kc panel products)
-/// cannot overflow `usize`. A multiple of both register-tile sizes, so
-/// `next_multiple_of` below is overflow-free after the clamp.
-const MAX_BLOCK: usize = 1 << 24;
-
-/// Install autotuned block sizes (values are clamped into
-/// `[tile, MAX_BLOCK]` and rounded to the register-tile granularity —
-/// absurd values from a corrupted `DAGFACT_KERNELS_BLOCK` degrade to the
-/// cap rather than panicking at first dispatch).
-pub fn set_blocking(b: Blocking) {
-    // ORDERING: see `blocking()`.
-    MC.store(b.mc.clamp(MR, MAX_BLOCK).next_multiple_of(MR), Ordering::Relaxed);
-    KC.store(b.kc.clamp(8, MAX_BLOCK), Ordering::Relaxed);
-    NC.store(b.nc.clamp(NR, MAX_BLOCK).next_multiple_of(NR), Ordering::Relaxed);
-}
-
-/// Once-guard for [`load_env_blocking`].
-static ENV_BLOCKING_LOADED: AtomicU8 = AtomicU8::new(0);
-
-/// Parse `DAGFACT_KERNELS_BLOCK=mc,kc,nc` (the persisted autotune
-/// choice) once, at the first dispatch *or* the first [`force_isa`] —
-/// whichever comes first. Malformed values are ignored.
-fn load_env_blocking() {
-    // Once-only: both detect_and_cache() and force_isa() call here; the
-    // guard keeps a later caller from clobbering set_blocking() tuning
-    // installed in between.
-    // ORDERING: the blocking knobs it guards are themselves relaxed and
-    // self-contained (any torn combination is a valid blocking), so the
-    // once-flag needs no happens-before either; racing initializers at
-    // worst both read the same env value.
-    if ENV_BLOCKING_LOADED.swap(1, Ordering::Relaxed) != 0 {
-        return;
-    }
-    let Some(raw) = std::env::var_os("DAGFACT_KERNELS_BLOCK") else {
-        return;
-    };
-    let Some(raw) = raw.to_str() else { return };
-    let mut parts = raw.split(',');
-    let mut next = || parts.next().and_then(parse_usize);
-    if let (Some(mc), Some(kc), Some(nc)) = (next(), next(), next()) {
-        if mc > 0 && kc > 0 && nc > 0 {
-            set_blocking(Blocking { mc, kc, nc });
-        }
-    }
-}
-
-/// Decimal-only `usize` parser. `str::parse` would do, but several
-/// workspace types also have a `parse` and the hot-path lint resolves
-/// method calls by name — a local free function keeps the dispatch
-/// path's call graph self-contained (and allocation-free).
-fn parse_usize(s: &str) -> Option<usize> {
-    let s = s.trim_ascii();
-    if s.is_empty() {
-        return None;
-    }
-    let mut v: usize = 0;
-    for b in s.bytes() {
-        if !b.is_ascii_digit() {
-            return None;
-        }
-        v = v.checked_mul(10)?.checked_add((b - b'0') as usize)?;
-    }
-    Some(v)
 }
 
 /// Register-tile height of the AVX2 microkernel (rows of C per tile).
@@ -469,28 +345,6 @@ mod tests {
         assert_eq!(isa(), Isa::Scalar);
         force_isa(first);
         assert_eq!(isa(), first);
-    }
-
-    #[test]
-    fn blocking_roundtrip_and_clamps() {
-        let prev = blocking();
-        set_blocking(Blocking { mc: 1, kc: 1, nc: 1 });
-        let b = blocking();
-        assert_eq!(b.mc, MR, "mc clamps to the register tile");
-        assert_eq!(b.nc, NR, "nc clamps to the register tile");
-        assert_eq!(b.kc, 8);
-        set_blocking(Blocking { mc: 96, kc: 192, nc: 384 });
-        assert_eq!(blocking(), Blocking { mc: 96, kc: 192, nc: 384 });
-        // Absurd (e.g. corrupted-env) values clamp to the cap instead of
-        // overflowing in next_multiple_of.
-        set_blocking(Blocking {
-            mc: usize::MAX,
-            kc: usize::MAX,
-            nc: usize::MAX,
-        });
-        let b = blocking();
-        assert_eq!(b, Blocking { mc: MAX_BLOCK, kc: MAX_BLOCK, nc: MAX_BLOCK });
-        set_blocking(prev);
     }
 
     #[test]

@@ -303,3 +303,42 @@ fn update_scatter_direct_rejects_short_row_map() {
         Scatter { row_map: &row_map, col_offset: 0 },
     );
 }
+
+/// Release-only ratio gate (`make check-kernels`; prints, writes nothing):
+/// the dispatched GEMM must beat the portable tier by ≥ 1.5× in geometric
+/// mean over the tall-skinny `C ← C − A·Bᵀ` shapes a supernodal update
+/// produces. Absolute rates are `kernels.gemm_*_gflops` in BENCHMARK.json.
+#[test]
+#[ignore = "timing ratio: release mode only, run by `make check-kernels`"]
+fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
+    if dagfact_kernels::isa() != dagfact_kernels::Isa::Avx2 {
+        eprintln!("SKIPPED: host has no AVX2 — the SIMD speedup is not measurable here");
+        return;
+    }
+    const SHAPES: [(usize, usize, usize); 4] =
+        [(256, 32, 32), (512, 32, 64), (1024, 32, 64), (512, 64, 64)];
+    let mut rng = SplitMix64(7);
+    let mut log_speedup = 0.0;
+    for (m, n, k) in SHAPES {
+        let (a, b, mut c) = (rng.fill(m * k), rng.fill(n * k), rng.fill(m * n));
+        let calls = (1 << 26) / (2 * m * n * k); // ~67 MFlop per sample
+        let mut secs = [Vec::new(), Vec::new()]; // [portable, dispatched], interleaved
+        for rep in 0..18 {
+            let kernel = if rep % 2 == 0 { gemm_portable::<f64> } else { gemm::<f64> };
+            let t0 = std::time::Instant::now();
+            for _ in 0..calls {
+                kernel(Trans::NoTrans, Trans::Trans, m, n, k, -1.0, &a, m, &b, n, 1.0, &mut c, m);
+            }
+            secs[rep % 2].push(t0.elapsed().as_secs_f64());
+        }
+        let [portable, dispatched] = secs.map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[s.len() / 2]
+        });
+        println!("gemm {m}x{n}x{k}: dispatched {:.2}x portable", portable / dispatched);
+        log_speedup += (portable / dispatched).ln() / SHAPES.len() as f64;
+    }
+    let speedup = log_speedup.exp();
+    println!("geometric mean: {speedup:.2}x (gate 1.5x)");
+    assert!(speedup >= 1.5, "update-GEMM speedup {speedup:.2}x < 1.5x");
+}

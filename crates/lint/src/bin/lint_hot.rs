@@ -24,11 +24,12 @@ use dagfact_lint::config::parse_hotpaths;
 use dagfact_lint::hotpath::{check_hot_paths, HotFinding};
 use dagfact_lint::lex::Comment;
 use dagfact_lint::parse::parse_file;
+use dagfact_rt::{write_results, Json};
 use std::path::{Path, PathBuf};
 
 const HOTPATHS_TOML: &str = "lint-hotpaths.toml";
 const BASELINE_PATH: &str = "tools/lint-hot-baseline.json";
-const REPORT_PATH: &str = "results/lint-hot.json";
+const REPORT_NAME: &str = "lint-hot";
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -71,52 +72,27 @@ fn module_path(rel: &Path) -> Option<String> {
     Some(segs.join("::"))
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn write_report(findings: &[HotFinding], nfiles: usize, nfns: usize, nreach: usize) {
-    let mut s = String::from("{\n");
-    s.push_str(&format!("  \"files\": {nfiles},\n"));
-    s.push_str(&format!("  \"functions\": {nfns},\n"));
-    s.push_str(&format!("  \"reachable\": {nreach},\n"));
-    s.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        s.push_str("    {");
-        s.push_str(&format!("\"rule\": \"{}\", ", f.rule.key()));
-        s.push_str(&format!("\"file\": \"{}\", ", json_escape(&f.file)));
-        s.push_str(&format!("\"line\": {}, ", f.line));
-        s.push_str(&format!("\"function\": \"{}\", ", json_escape(&f.function)));
-        s.push_str(&format!("\"detail\": \"{}\", ", json_escape(&f.detail)));
-        s.push_str(&format!("\"key\": \"{}\", ", json_escape(&f.key())));
-        s.push_str("\"chain\": [");
-        for (j, link) in f.chain.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\"", json_escape(link)));
-        }
-        s.push_str("]}");
-        if i + 1 < findings.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all("results");
-    if let Err(e) = std::fs::write(REPORT_PATH, s) {
-        eprintln!("lint-hot: warning: could not write {REPORT_PATH}: {e}");
+    let findings: Vec<Json> = findings
+        .iter()
+        .map(|f| {
+            Json::obj()
+                .field("rule", f.rule.key())
+                .field("file", f.file.as_str())
+                .field("line", f.line)
+                .field("function", f.function.as_str())
+                .field("detail", f.detail.as_str())
+                .field("key", f.key())
+                .field("chain", f.chain.clone())
+        })
+        .collect();
+    let doc = Json::obj()
+        .field("files", nfiles)
+        .field("functions", nfns)
+        .field("reachable", nreach)
+        .field("findings", findings);
+    if let Err(e) = write_results(REPORT_NAME, &doc) {
+        eprintln!("lint-hot: warning: could not write results/{REPORT_NAME}.json: {e}");
     }
 }
 
@@ -260,7 +236,7 @@ fn main() {
     if drift.is_clean() {
         println!(
             "lint-hot: clean — {} files, {} functions, {} reachable from {} hot roots; {} \
-             baselined finding(s), 0 new (report: {REPORT_PATH})",
+             baselined finding(s), 0 new (report: results/{REPORT_NAME}.json)",
             nfiles,
             graph.functions.len(),
             nreach,

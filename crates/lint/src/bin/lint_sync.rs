@@ -22,7 +22,7 @@
 //! before/after of a lock-removal PR is diffable — lands in
 //! `results/lint-sync.json` via the shared emitter.
 
-use dagfact_bench::{write_results, Json};
+use dagfact_rt::{write_results, Json};
 use dagfact_lint::atomics::{analyze_atomics, AtomReport};
 use dagfact_lint::baseline::Baseline;
 use dagfact_lint::callgraph::CallGraph;

@@ -1,10 +1,13 @@
-//! Minimal JSON emitter for machine-readable benchmark records.
+//! The workspace's one JSON emitter.
 //!
 //! The workspace takes no external dependencies, so this is the smallest
-//! thing that can serialize the bench binaries' result records: a value
-//! tree with correct string escaping and `null` for non-finite floats
-//! (JSON has no NaN/Infinity). Compact output by default; [`Json::pretty`]
-//! indents for humans.
+//! thing that can serialize every machine-readable record — the served
+//! job responses and `/stats`, Chrome traces, the `results/` files of the
+//! figure binaries and the lint reports: a value tree with correct string
+//! escaping and `null` for non-finite floats (JSON has no NaN/Infinity).
+//! It sits in this leaf crate so that nothing has to link the bench
+//! harness to print a report. Compact output by default;
+//! [`Json::pretty`] indents for humans.
 
 use std::fmt;
 
@@ -33,8 +36,8 @@ impl Json {
         Json::Obj(Vec::new())
     }
 
-    /// Append a field to an object (panics on non-objects: a bench
-    /// binary wiring bug, not a data error).
+    /// Append a field to an object (panics on non-objects: a wiring bug
+    /// in the caller, not a data error).
     #[must_use]
     pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
         match &mut self {
@@ -42,6 +45,15 @@ impl Json {
             other => panic!("field() on non-object {other:?}"),
         }
         self
+    }
+
+    /// The value of an object's field `key` (`None` on other variants or
+    /// a missing key).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
     /// Indented rendering for humans; same data as `Display`.
@@ -68,7 +80,9 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(&INDENT.repeat(depth + 1));
-                    out.push_str(&format!("{}: ", Json::Str(k.clone())));
+                    // Writing into a `String` cannot fail.
+                    let _ = write_str(out, k);
+                    out.push_str(": ");
                     v.write_pretty(out, depth + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
                 }
@@ -82,12 +96,29 @@ impl Json {
 
 /// Write `doc` to `results/<name>.json` (pretty-printed with a trailing
 /// newline), creating the directory if needed. Returns the written path —
-/// the shared sink for every bench binary's machine-readable output.
+/// the shared sink for every binary's machine-readable output.
 pub fn write_results(name: &str, doc: &Json) -> std::io::Result<std::path::PathBuf> {
     let out = std::path::Path::new("results").join(format!("{name}.json"));
     std::fs::create_dir_all("results")?;
     std::fs::write(&out, doc.pretty() + "\n")?;
     Ok(out)
+}
+
+/// Write `s` as a JSON string literal (quoted, escaped).
+fn write_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 impl fmt::Display for Json {
@@ -98,21 +129,7 @@ impl fmt::Display for Json {
             Json::Int(i) => write!(f, "{i}"),
             Json::Num(x) if x.is_finite() => write!(f, "{x}"),
             Json::Num(_) => write!(f, "null"),
-            Json::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        '\n' => write!(f, "\\n")?,
-                        '\r' => write!(f, "\\r")?,
-                        '\t' => write!(f, "\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
+            Json::Str(s) => write_str(f, s),
             Json::Arr(items) => {
                 write!(f, "[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -129,7 +146,8 @@ impl fmt::Display for Json {
                     if i > 0 {
                         write!(f, ",")?;
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_str(f, k)?;
+                    write!(f, ":{v}")?;
                 }
                 write!(f, "}}")
             }
@@ -185,7 +203,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-impl<T: Into<Json> + Clone> From<Option<T>> for Json {
+impl<T: Into<Json>> From<Option<T>> for Json {
     fn from(v: Option<T>) -> Json {
         v.map_or(Json::Null, Into::into)
     }

@@ -59,6 +59,7 @@ pub mod deque;
 pub mod distproto;
 pub mod exec;
 pub mod fault;
+pub mod json;
 pub mod model;
 pub mod native;
 pub mod ptg;
@@ -73,8 +74,9 @@ pub use fault::{
     CancelToken, EngineError, FaultPlan, MsgFate, RetryPolicy, RunConfig, RunReport,
     TransientFault,
 };
+pub use json::{write_results, Json};
 pub use shared::{release_pending, ReleaseUnderflow, SharedSlice};
-pub use trace::{Span, SpanKind, Trace, TraceRecorder};
+pub use trace::{chrome_trace, Span, SpanKind, Trace, TraceRecorder};
 
 /// Identifier of a task within one engine run.
 pub type TaskId = usize;

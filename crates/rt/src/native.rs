@@ -11,7 +11,7 @@
 //! completing worker's. The solver's own 1D program reads the analysis's
 //! cached panel graph instead of a task array (`dagfact-core`'s
 //! `tasks::Program`); this type serves DAGs that exist only as a table —
-//! the executor's test suites and the scheduler-overhead bench.
+//! the executor's test suites and the bare-executor ratio test.
 
 use crate::ptg::PtgProgram;
 use crate::TaskId;

@@ -12,11 +12,13 @@
 //! attribution, per-worker busy/idle shares and parallel efficiency.
 //!
 //! **Cost model.** When no recorder is installed every hook is one branch
-//! on an `Option` — no clock reads, no allocation (verified by the
-//! `traceoverhead` bench gate). When enabled, workers append to a private
+//! on an `Option` — no clock reads, no allocation
+//! (`rt.trace_overhead_frac` in `BENCHMARK.json` is the measured cost of
+//! attaching one). When enabled, workers append to a private
 //! [`Lane`] buffer (no shared state on the hot path) that is merged into
 //! the recorder once, when the worker exits.
 
+use crate::json::Json;
 use crate::sync::{Arc, Mutex};
 use crate::TaskId;
 use std::collections::HashMap;
@@ -751,6 +753,87 @@ impl Trace {
     }
 }
 
+// ---------------------------------------------------------------------
+// Chrome-trace (Perfetto) export
+// ---------------------------------------------------------------------
+//
+// The Trace Event Format consumed by `chrome://tracing` and
+// <https://ui.perfetto.dev>: an object with a `traceEvents` array of
+// complete events (`"ph": "X"`) carrying microsecond `ts`/`dur` plus
+// `pid`/`tid` lane coordinates. Engine traces put phases on `pid`
+// [`PHASE_PID`] and workers on `pid` [`WORKER_PID`] with `tid` = worker
+// index.
+
+/// `pid` of the run-phase lane (order/symbolic/assembly/numeric/…).
+pub const PHASE_PID: usize = 0;
+/// `pid` of the per-worker engine lanes.
+pub const WORKER_PID: usize = 1;
+
+/// One complete event (`ph:"X"`) in Trace Event Format — the event
+/// shape shared by [`chrome_trace`] and the simulator's exporter.
+pub fn chrome_event(
+    name: String,
+    cat: &str,
+    pid: usize,
+    tid: usize,
+    start_ns: u64,
+    dur_ns: u64,
+    args: Json,
+) -> Json {
+    Json::obj()
+        .field("name", name)
+        .field("cat", cat)
+        .field("ph", "X")
+        .field("ts", units::ns_to_micros(start_ns))
+        .field("dur", units::ns_to_micros(dur_ns))
+        .field("pid", pid)
+        .field("tid", tid)
+        .field("args", args)
+}
+
+/// Serialize an engine/solver trace snapshot to a Chrome-trace document.
+/// Load the rendered JSON in Perfetto or `chrome://tracing` as-is.
+pub fn chrome_trace(trace: &Trace) -> Json {
+    let mut events: Vec<Json> = Vec::with_capacity(trace.spans.len());
+    for s in &trace.spans {
+        let (pid, tid, name, cat) = if s.kind == SpanKind::Phase {
+            (PHASE_PID, 0, s.label.to_string(), "phase")
+        } else {
+            let name = match s.task {
+                Some(t) => {
+                    let kernel = trace.meta.get(&t).map_or("task", |m| m.kernel);
+                    if s.kind == SpanKind::Execute {
+                        format!("{kernel} #{t}")
+                    } else {
+                        format!("{} #{t}", s.label)
+                    }
+                }
+                None => s.label.to_string(),
+            };
+            (WORKER_PID, s.worker, name, s.kind.label())
+        };
+        let mut args = Json::obj();
+        if let Some(t) = s.task {
+            args = args.field("task", t);
+            if let Some(m) = trace.meta.get(&t) {
+                args = args
+                    .field("kernel", m.kernel)
+                    .field("panel", m.panel)
+                    .field("flops", m.flops);
+            }
+        }
+        events.push(chrome_event(name, cat, pid, tid, s.start_ns, s.dur_ns(), args));
+    }
+    chrome_document(events)
+}
+
+/// Wrap complete events into a Trace Event Format document.
+pub fn chrome_document(events: Vec<Json>) -> Json {
+    Json::obj()
+        .field("traceEvents", Json::Arr(events))
+        .field("displayTimeUnit", "ms")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -927,5 +1010,70 @@ mod tests {
         assert_eq!(t.critical_path().length_ns, 0);
         assert!(t.kernel_breakdown().is_empty());
         assert_eq!(t.parallel_efficiency(), 0.0);
+    }
+
+    fn field<'a>(j: &'a Json, key: &str) -> &'a Json {
+        j.get(key).unwrap_or_else(|| panic!("missing field {key} in {j:?}"))
+    }
+
+    /// Span schema round-trip: everything recorded reappears as a valid
+    /// complete event with the required ph/ts/dur/pid/tid fields.
+    #[test]
+    fn chrome_trace_schema_round_trip() {
+        let rec = TraceRecorder::new();
+        rec.set_task_meta(0, "panel", 3, 2.0e6);
+        rec.record(Span {
+            kind: SpanKind::Execute,
+            task: Some(0),
+            worker: 1,
+            start_ns: 1_000,
+            end_ns: 4_500,
+            label: SpanKind::Execute.label(),
+        });
+        rec.record(Span {
+            kind: SpanKind::QueueWait,
+            task: Some(0),
+            worker: 1,
+            start_ns: 0,
+            end_ns: 1_000,
+            label: SpanKind::QueueWait.label(),
+        });
+        rec.phase_from("numeric", 0);
+        let doc = chrome_trace(&rec.snapshot());
+        let Json::Arr(events) = field(&doc, "traceEvents") else {
+            panic!("traceEvents is not an array");
+        };
+        assert_eq!(events.len(), 3);
+        for ev in events {
+            assert_eq!(field(ev, "ph"), &Json::Str("X".into()));
+            assert!(matches!(field(ev, "ts"), Json::Num(x) if *x >= 0.0));
+            assert!(matches!(field(ev, "dur"), Json::Num(x) if *x >= 0.0));
+            assert!(matches!(field(ev, "pid"), Json::Int(_)));
+            assert!(matches!(field(ev, "tid"), Json::Int(_)));
+        }
+        // The execute event carries the registered kernel metadata and
+        // microsecond-converted timestamps.
+        let exec = events
+            .iter()
+            .find(|e| matches!(field(e, "cat"), Json::Str(s) if s == "execute"))
+            .unwrap();
+        assert_eq!(field(exec, "name"), &Json::Str("panel #0".into()));
+        assert_eq!(field(exec, "ts"), &Json::Num(1.0));
+        assert_eq!(field(exec, "dur"), &Json::Num(3.5));
+        assert_eq!(field(exec, "pid"), &Json::Int(WORKER_PID as i128));
+        assert_eq!(field(exec, "tid"), &Json::Int(1));
+        let args = field(exec, "args");
+        assert_eq!(field(args, "kernel"), &Json::Str("panel".into()));
+        assert_eq!(field(args, "panel"), &Json::Int(3));
+        // The phase event lands on the phase pid.
+        let phase = events
+            .iter()
+            .find(|e| matches!(field(e, "cat"), Json::Str(s) if s == "phase"))
+            .unwrap();
+        assert_eq!(field(phase, "pid"), &Json::Int(PHASE_PID as i128));
+        // The document renders to parseable-looking JSON text.
+        let text = doc.to_string();
+        assert!(text.starts_with("{\"traceEvents\":["));
+        assert!(text.contains("\"ph\":\"X\""));
     }
 }

@@ -7,7 +7,7 @@
 //! round-trip: `JobSpec::parse(&spec.to_string())` reproduces `spec`
 //! exactly, which the fuzz suite leans on.
 
-use dagfact_rt::RuntimeKind;
+use dagfact_rt::{Json, RuntimeKind};
 use dagfact_symbolic::FactoKind;
 use std::fmt;
 
@@ -420,83 +420,37 @@ impl JobResponse {
     /// Serialize as a compact JSON object. `with_x` controls whether the
     /// (possibly large) solution vector is included.
     pub fn to_json(&self, with_x: bool) -> String {
-        let mut s = String::from("{\"status\":\"ok\"");
-        push_kv(&mut s, "n", &self.n.to_string());
-        push_kv(&mut s, "nrhs", &self.nrhs.to_string());
-        push_kv(&mut s, "iterations", &self.iterations.to_string());
-        match self.berr {
-            Some(b) => push_kv(&mut s, "berr", &format_f64(b)),
-            None => push_kv(&mut s, "berr", "null"),
-        }
-        push_kv(&mut s, "pattern_hit", if self.pattern_hit { "true" } else { "false" });
-        push_kv(&mut s, "factor_hit", if self.factor_hit { "true" } else { "false" });
-        push_kv(&mut s, "generation", &self.generation.to_string());
-        push_kv(&mut s, "attempts", &self.attempts.to_string());
-        push_kv(&mut s, "batched", &self.batched.to_string());
-        push_kv(&mut s, "elapsed_us", &self.elapsed_us.to_string());
+        let mut j = Json::obj()
+            .field("status", "ok")
+            .field("n", self.n)
+            .field("nrhs", self.nrhs)
+            .field("iterations", self.iterations)
+            .field("berr", self.berr)
+            .field("pattern_hit", self.pattern_hit)
+            .field("factor_hit", self.factor_hit)
+            .field("generation", self.generation)
+            .field("attempts", u64::from(self.attempts))
+            .field("batched", self.batched)
+            .field("elapsed_us", self.elapsed_us);
         if let Some(tag) = &self.tag {
-            s.push_str(",\"tag\":");
-            push_json_string(&mut s, tag);
+            j = j.field("tag", tag.as_str());
         }
         if with_x {
-            s.push_str(",\"x\":[");
-            for (i, v) in self.x.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format_f64(*v));
-            }
-            s.push(']');
+            j = j.field("x", Json::Arr(self.x.iter().map(|&v| Json::Num(v)).collect()));
         }
-        s.push('}');
-        s
+        j.to_string()
     }
 }
 
 impl JobError {
     /// Serialize as a JSON error object.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"status\":\"error\",\"kind\":");
-        push_json_string(&mut s, self.kind());
-        s.push_str(",\"message\":");
-        push_json_string(&mut s, &self.to_string());
-        s.push('}');
-        s
+        Json::obj()
+            .field("status", "error")
+            .field("kind", self.kind())
+            .field("message", self.to_string())
+            .to_string()
     }
-}
-
-fn push_kv(s: &mut String, key: &str, raw: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(raw);
-}
-
-fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn push_json_string(s: &mut String, raw: &str) {
-    s.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 #[cfg(test)]
@@ -563,5 +517,65 @@ mod tests {
         assert!(j.contains("\\\\"), "{j}");
         assert!(j.contains("\\n"), "{j}");
         assert_eq!(e.http_status(), 400);
+    }
+
+    fn response() -> JobResponse {
+        JobResponse {
+            x: vec![1.0, -0.5, 1e-7, 2.5e21, f64::NAN, 0.1 + 0.2],
+            n: 3,
+            nrhs: 2,
+            iterations: 2,
+            berr: Some(1.25e-16),
+            pattern_hit: true,
+            factor_hit: false,
+            generation: 7,
+            attempts: 1,
+            batched: 1,
+            elapsed_us: 1234,
+            tag: Some("q\" b\\ n\n c\u{1} é".to_string()),
+        }
+    }
+
+    /// The rendering clients parse, byte for byte as the hand-rolled
+    /// emitter this replaced produced it (strings captured from it).
+    #[test]
+    fn response_json_is_pinned() {
+        const HEAD: &str = "{\"status\":\"ok\",\"n\":3,\"nrhs\":2,\"iterations\":2,";
+        const FLAGS: &str = "\"pattern_hit\":true,\"factor_hit\":false,\"generation\":7,\
+             \"attempts\":1,\"batched\":1,\"elapsed_us\":1234";
+        const TAG: &str = ",\"tag\":\"q\\\" b\\\\ n\\n c\\u0001 é\"";
+        let mut r = response();
+        let berr = "\"berr\":0.000000000000000125,";
+        assert_eq!(r.to_json(false), format!("{HEAD}{berr}{FLAGS}{TAG}}}"));
+        assert_eq!(
+            r.to_json(true),
+            format!(
+                "{HEAD}{berr}{FLAGS}{TAG},\"x\":[1,-0.5,0.0000001,\
+                 2500000000000000000000,null,0.30000000000000004]}}"
+            )
+        );
+        // A non-finite backward error is `null`, like an absent one; no
+        // tag means no `tag` key.
+        r.tag = None;
+        r.x.clear();
+        for berr in [Some(f64::INFINITY), None] {
+            r.berr = berr;
+            assert_eq!(r.to_json(false), format!("{HEAD}\"berr\":null,{FLAGS}}}"));
+        }
+        assert_eq!(r.to_json(true), format!("{HEAD}\"berr\":null,{FLAGS},\"x\":[]}}"));
+    }
+
+    #[test]
+    fn error_json_is_pinned() {
+        assert_eq!(
+            JobError::BadRequest("quote \" and \\ and\nnewline\ttab\r\u{1f}".into()).to_json(),
+            "{\"status\":\"error\",\"kind\":\"bad_request\",\"message\":\
+             \"bad request: quote \\\" and \\\\ and\\nnewline\\ttab\\r\\u001f\"}"
+        );
+        assert_eq!(
+            JobError::ShuttingDown.to_json(),
+            "{\"status\":\"error\",\"kind\":\"shutting_down\",\
+             \"message\":\"service is shutting down\"}"
+        );
     }
 }

@@ -24,7 +24,7 @@ use crate::job::{JobError, JobResponse, JobSpec, MatrixSource, ReusePolicy, RhsS
 use dagfact_core::{Analysis, ExecOptions, SharedFactors, SolverError, SolverOptions};
 use dagfact_rt::budget::{MemoryBudget, PressureLevel};
 use dagfact_rt::sync::{Condvar, Mutex};
-use dagfact_rt::{CancelToken, FaultPlan, RetryPolicy, RunConfig};
+use dagfact_rt::{CancelToken, FaultPlan, Json, RetryPolicy, RunConfig};
 use dagfact_sparse::mm::read_matrix_market_file;
 use dagfact_sparse::{CscMatrix, TripletBuilder};
 use std::collections::VecDeque;
@@ -108,30 +108,28 @@ impl ServiceStats {
     /// Compact JSON rendering for the HTTP `/stats` endpoint.
     pub fn to_json(&self) -> String {
         let cache = |c: &CacheStats| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"poisonings\":{},\
-                 \"resident\":{},\"resident_bytes\":{}}}",
-                c.hits, c.misses, c.evictions, c.poisonings, c.resident, c.resident_bytes
-            )
+            Json::obj()
+                .field("hits", c.hits)
+                .field("misses", c.misses)
+                .field("evictions", c.evictions)
+                .field("poisonings", c.poisonings)
+                .field("resident", c.resident)
+                .field("resident_bytes", c.resident_bytes)
         };
-        format!(
-            "{{\"submitted\":{},\"completed\":{},\"deadlines\":{},\"rejected\":{},\
-             \"panics\":{},\"failed\":{},\"batched\":{},\"batches\":{},\
-             \"sheds\":{},\"queue_depth\":{},\
-             \"pattern_cache\":{},\"factor_cache\":{}}}",
-            self.submitted,
-            self.completed,
-            self.deadlines,
-            self.rejected,
-            self.panics,
-            self.failed,
-            self.batched,
-            self.batches,
-            self.sheds,
-            self.queue_depth,
-            cache(&self.pattern_cache),
-            cache(&self.factor_cache),
-        )
+        Json::obj()
+            .field("submitted", self.submitted)
+            .field("completed", self.completed)
+            .field("deadlines", self.deadlines)
+            .field("rejected", self.rejected)
+            .field("panics", self.panics)
+            .field("failed", self.failed)
+            .field("batched", self.batched)
+            .field("batches", self.batches)
+            .field("sheds", self.sheds)
+            .field("queue_depth", self.queue_depth)
+            .field("pattern_cache", cache(&self.pattern_cache))
+            .field("factor_cache", cache(&self.factor_cache))
+            .to_string()
     }
 }
 
@@ -788,4 +786,47 @@ fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, Jo
         elapsed_us: 0, // stamped by the worker loop
         tag: spec.tag.clone(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `/stats` byte for byte as the hand-rolled emitter this replaced
+    /// produced it (`shared_fills` was never rendered).
+    #[test]
+    fn stats_json_is_pinned() {
+        let cache = |base: u64, resident_bytes: usize| CacheStats {
+            hits: base + 2,
+            misses: base + 3,
+            shared_fills: base + 4,
+            evictions: base + 5,
+            poisonings: base + 6,
+            resident: base as usize + 7,
+            resident_bytes,
+        };
+        let stats = ServiceStats {
+            submitted: 11,
+            completed: 9,
+            deadlines: 1,
+            rejected: 2,
+            panics: 3,
+            failed: 4,
+            batched: 5,
+            batches: 6,
+            sheds: 7,
+            queue_depth: 8,
+            pattern_cache: cache(10, 18),
+            factor_cache: cache(20, 123_456_789_012),
+        };
+        assert_eq!(
+            stats.to_json(),
+            "{\"submitted\":11,\"completed\":9,\"deadlines\":1,\"rejected\":2,\"panics\":3,\
+             \"failed\":4,\"batched\":5,\"batches\":6,\"sheds\":7,\"queue_depth\":8,\
+             \"pattern_cache\":{\"hits\":12,\"misses\":13,\"evictions\":15,\"poisonings\":16,\
+             \"resident\":17,\"resident_bytes\":18},\
+             \"factor_cache\":{\"hits\":22,\"misses\":23,\"evictions\":25,\"poisonings\":26,\
+             \"resident\":27,\"resident_bytes\":123456789012}}"
+        );
+    }
 }

@@ -316,3 +316,36 @@ fn budget_pressure_sheds_caches_before_rejecting() {
     let stats = service.shutdown();
     assert!(stats.completed > 0);
 }
+
+/// Release-only ratio gate (`make check-serve`; prints, writes nothing):
+/// a factor-cache hit pays a refined solve, a cold request pays ordering,
+/// symbolic analysis and factorization too — the cache must buy ≥ 5×.
+/// Absolute latencies are `serve.{cold,hit_p50}_ms` in BENCHMARK.json.
+#[test]
+#[ignore = "timing ratio: release mode only, run by `make check-serve`"]
+fn factor_hit_is_at_least_5x_faster_than_cold() {
+    let src = inline_of(&grid_laplacian_3d(16, 16, 16));
+    let service = Service::start(ServeConfig::default());
+    let timed = |reuse: &str| {
+        let spec = JobSpec::parse(&format!("{src} refine=2 reuse={reuse}")).expect("spec");
+        let t0 = std::time::Instant::now();
+        let resp = service.solve_blocking(spec).expect("job");
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(resp.factor_hit, reuse == "factors", "reuse={reuse}");
+        ms
+    };
+    // Fill both caches (a miss, so not through `timed`).
+    let warm = JobSpec::parse(&format!("{src} refine=2")).expect("spec");
+    service.solve_blocking(warm).expect("warm-up job");
+    let mut samples = [Vec::new(), Vec::new()]; // [cold, hit], interleaved
+    for rep in 0..10 {
+        samples[rep % 2].push(timed(["none", "factors"][rep % 2]));
+    }
+    let [cold, hit] = samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    });
+    println!("cold {cold:.2} ms, factor hit {hit:.2} ms: {:.1}x (gate 5x)", cold / hit);
+    assert!(cold >= 5.0 * hit, "factor-hit speedup {:.1}x < 5x", cold / hit);
+    service.shutdown();
+}
