@@ -43,14 +43,17 @@ check-clean:
 	tools/check-clean.sh verify
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
-# SIMD-vs-portable fuzz suite, a forced-scalar build+test leg
-# (--no-default-features proves the portable tier stands alone), the
-# factorization suite on the portable tier (same residual bounds as the
+# SIMD-vs-portable fuzz suite (again under DAGFACT_FORCE_SCALAR=1: the
+# sparse update against its dense reference on the portable tier of the
+# same build), a forced-scalar build+test leg (--no-default-features
+# proves the portable tier stands alone), the factorization suite on the
+# portable tier (same residual bounds as the
 # dispatched run in check-robust), and the release-mode >=1.5x
 # dispatched-vs-portable GEMM ratio test (skipped loudly without AVX2).
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz
+	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-kernels --test simd_fuzz --test proptest_kernels
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --no-default-features
 	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-core --test factorize_solve
 	cargo test -q --release -p dagfact-kernels --test simd_fuzz -- --ignored
@@ -77,7 +80,8 @@ check-analysis: lint-strict
 
 # Memory-budget gate: the ledger unit suite, the budgeted-execution suite
 # (50% of peak must complete through the degradation ladder at full
-# accuracy on the Table-I proxies) and the reader-fuzz suite.
+# accuracy on the Table-I proxies; capped two-level runs bitwise equal to
+# unconstrained ones; ledger under its cap) and the reader-fuzz suite.
 check-memory:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt budget
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test memory_budget

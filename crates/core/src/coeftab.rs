@@ -42,34 +42,19 @@ use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::structure::SymbolMatrix;
 use dagfact_symbolic::FactoKind;
 
-/// Offsets of each panel inside one flat coefficient array. The layout
-/// is still the canonical description of panel sizes (and what the
-/// simulator costs against) even though storage is per-panel now.
+/// Panel sizes: storage is per panel, this is the canonical description
+/// of how long each one is and of their total.
 #[derive(Debug, Clone)]
 pub struct PanelLayout {
-    /// Start offset of each panel; panel `c` occupies
-    /// `offset[c]..offset[c] + stride_c * width_c`.
-    pub offset: Vec<usize>,
-    /// Total length.
+    /// Total length of all panels of one side.
     pub len: usize,
 }
 
 impl PanelLayout {
     /// Compute the layout for a symbol structure.
     pub fn new(symbol: &SymbolMatrix) -> PanelLayout {
-        let mut offset = Vec::with_capacity(symbol.ncblk());
-        let mut len = 0usize;
-        for cb in &symbol.cblks {
-            offset.push(len);
-            len += cb.stride * cb.width();
-        }
-        PanelLayout { offset, len }
-    }
-
-    /// Range of panel `c` given its symbol.
-    pub fn panel_range(&self, symbol: &SymbolMatrix, c: usize) -> core::ops::Range<usize> {
-        let cb = &symbol.cblks[c];
-        self.offset[c]..self.offset[c] + cb.stride * cb.width()
+        let len = symbol.cblks.iter().map(|cb| cb.stride * cb.width()).sum();
+        PanelLayout { len }
     }
 
     /// Length of panel `c`.
@@ -240,14 +225,7 @@ impl<T: Scalar> CoefTab<T> {
         let ncblk = symbol.ncblk();
         let lu = analysis.facto == FactoKind::Lu;
         let lazy = mem.budget.as_ref().is_some_and(|b| b.cap().is_some());
-        let spill = if lazy {
-            Some(
-                SpillStore::create(mem.spill_dir.as_deref())
-                    .map_err(|e| SolverError::Spill(e.to_string()))?,
-            )
-        } else {
-            None
-        };
+        let spill = lazy.then(|| SpillStore::new(mem.spill_dir.as_deref()));
 
         // Route every entry to its panel-local scatter list, in the same
         // global scan order the historical flat assembly used — per-slot
@@ -474,8 +452,11 @@ impl<T: Scalar> CoefTab<T> {
     /// Charge `bytes` at `site`, evicting cold panels (and finally
     /// overcommitting) to guarantee progress. Only a single request
     /// larger than the whole cap — where spilling provably cannot help —
-    /// or an injected fault is returned as an error.
-    fn charge_grow(&self, bytes: usize, at: usize) -> Result<(), SolverError> {
+    /// or an injected fault is returned as an error. Panels charge here
+    /// as they materialize or fault in, and so do the workers' GEMM
+    /// workspaces as they grow (`numeric.rs`): one pager makes room for
+    /// every large allocation of the numeric phase.
+    pub(crate) fn charge_grow(&self, bytes: usize, at: usize) -> Result<(), SolverError> {
         let Some(b) = &self.budget else {
             return Ok(());
         };

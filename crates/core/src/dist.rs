@@ -1249,7 +1249,7 @@ pub fn factorize_dist<'a, T: Scalar>(
     } else {
         epsilon * a.norm_inf().max(1.0)
     };
-    let ctx = NumericCtx::for_dist(analysis, &tab, &d, threshold, opts.nnodes.max(1));
+    let ctx = NumericCtx::new(analysis, &tab, &d, threshold, opts.nnodes, None);
     let mut sim = Sim::new(analysis, &ctx, &tab, &d, opts);
     let outcome = sim.run();
     let mut report = std::mem::take(&mut sim.report);

@@ -19,35 +19,36 @@
 //!
 //! When [`ExecOptions::run`] carries a [`MemoryBudget`], every large
 //! allocation of the factorization is charged to it: the coefficient
-//! panels (through the pager in [`CoefTab`]), the per-worker GEMM buffers
-//! (`site::WORKSPACE`) and the pivot diagonal (`site::DIAG`). Under a
-//! hard cap the tasks
-//! degrade instead of failing, in pressure order:
+//! panels and the per-worker GEMM buffers (`site::WORKSPACE`) through the
+//! pager in [`CoefTab`], the pivot diagonal (`site::DIAG`) directly. Under
+//! a hard cap the run degrades instead of failing, in pressure order:
 //!
-//! 1. **shed** — GEMM updates narrow their scatter buffer to a few
-//!    columns, and at critical pressure drop it entirely
-//!    (`update_scatter_direct`, zero workspace);
-//! 2. **throttle** — the engines stop admitting new tasks past the
+//! 1. **throttle** — the engines stop admitting new tasks past the
 //!    budget's admission width (see `Supervisor::try_admit`);
-//! 3. **spill** — panels whose consumers are all done are retired to the
-//!    disk-backed [`crate::spill::SpillStore`] and faulted back in on the
-//!    next touch (usually the solve).
+//! 2. **spill** — a charge that does not fit evicts cold panels (those
+//!    whose consumers are all done first, then least recently used) to
+//!    the disk-backed [`crate::spill::SpillStore`]; they fault back in on
+//!    the next touch (usually the solve), and only when nothing is
+//!    evictable is the charge forced over the cap (counted).
 //!
-//! Task bodies pin every panel they touch *before* mutating anything, so
-//! an injected allocation failure (`AllocFail`) at a pin is retry-safe:
-//! the two-level DAGs re-run the task, the fused 1D tasks and the
-//! adaptive solver retry the factorization without escalating the pivot
-//! threshold.
+//! There is one update kernel at every pressure, so a capped run produces
+//! the factors of the unconstrained run bit for bit.
+//!
+//! Task bodies pin every panel they touch and charge their workspace
+//! *before* mutating anything, so an injected allocation failure
+//! (`AllocFail`) at either is retry-safe: the two-level DAGs re-run the
+//! task, the fused 1D tasks and the adaptive solver retry the
+//! factorization without escalating the pivot threshold.
 
 use crate::analysis::Analysis;
-use crate::coeftab::{CoefTab, MemoryOptions, PanelPin};
+use crate::coeftab::{CoefTab, MemoryOptions};
 use crate::tasks::TaskKind;
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
-use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
+use dagfact_kernels::update::{scratch_len, update_via_buffer, Scatter};
 use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, potrf, Scalar};
-use dagfact_rt::budget::{site, MemoryBudget, PressureLevel};
+use dagfact_rt::budget::site;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
 use dagfact_rt::{
@@ -57,10 +58,6 @@ use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Scatter-buffer width under `Yellow` pressure: wide enough to keep the
-/// GEMM efficient, narrow enough to shed most of the workspace.
-const SHED_COLS: usize = 8;
 
 /// Per-worker scratch memory ("constant memory overhead per working
 /// thread", §V-B).
@@ -97,8 +94,6 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
     threshold: f64,
     /// Fault-injection plan for NaN output corruption (testing).
     fault: Option<Arc<FaultPlan>>,
-    /// Memory ledger (None: historical unaccounted behavior).
-    budget: Option<Arc<MemoryBudget>>,
     /// Engine retry budget allows at least one retry: a retry-safe pin
     /// failure may panic with [`TransientFault`] instead of poisoning
     /// the whole factorization.
@@ -121,28 +116,33 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
-    /// Context for the distributed engine (`crate::dist`): no memory
-    /// budget, no engine-level retry semantics, and panels are never
-    /// retired to the pager — crash recovery replays tasks that re-read
-    /// panels whose historical read count is long exhausted, so the
-    /// read countdown is pinned effectively-infinite.
-    pub(crate) fn for_dist(
+    /// Context for `nworkers` workers over `tab`. `run` is the engine
+    /// configuration of a policy run (its fault plan and whether its
+    /// retry budget allows a retry); `None` is the distributed engine
+    /// (`crate::dist`): no injected faults, no engine-level retry, and
+    /// panels are never retired to the pager — crash recovery replays
+    /// tasks that re-read panels whose historical read count is long
+    /// exhausted, so the read countdown is pinned effectively-infinite.
+    pub(crate) fn new(
         analysis: &'a Analysis,
         tab: &'a CoefTab<T>,
         d: &'a SharedSlice<T>,
         threshold: f64,
         nworkers: usize,
+        run: Option<&RunConfig>,
     ) -> NumericCtx<'a, T> {
         NumericCtx {
             analysis,
             tab,
             d,
             threshold,
-            fault: None,
-            budget: None,
-            engine_retries: false,
-            remaining_reads: (0..analysis.symbol.ncblk())
-                .map(|_| AtomicUsize::new(usize::MAX / 2))
+            fault: run.and_then(|r| r.fault_plan.clone()),
+            engine_retries: run.is_some_and(|r| r.retry.max_attempts > 1),
+            remaining_reads: (analysis.symbol.cblks.iter())
+                .map(|cb| match run {
+                    Some(_) => AtomicUsize::new(cb.block_end - cb.block_begin - 1),
+                    None => AtomicUsize::new(usize::MAX / 2),
+                })
                 .collect(),
             pivots_repaired: AtomicUsize::new(0),
             error: Mutex::new(None),
@@ -175,21 +175,17 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         }
     }
 
-    /// Unwrap a pin, routing failures: a transient (injected) allocation
-    /// fault panics with [`TransientFault`] when the failing task is
-    /// retry-safe and the engine has retry budget — the engine re-runs
-    /// it and the consumed per-site fault budget lets the retry succeed.
-    /// Everything else (and transient faults with no retry capacity) is
-    /// recorded, so the factorization drains and the adaptive solver can
-    /// retry without escalating the pivot threshold.
-    fn pin_or_fail<'t>(
-        &self,
-        r: Result<PanelPin<'t, T>, SolverError>,
-        task: usize,
-        retryable: bool,
-    ) -> Option<PanelPin<'t, T>> {
+    /// Unwrap the result of a pin or a workspace charge, routing
+    /// failures: a transient (injected) allocation fault panics with
+    /// [`TransientFault`] when the failing task is retry-safe and the
+    /// engine has retry budget — the engine re-runs it and the consumed
+    /// per-site fault budget lets the retry succeed. Everything else (and
+    /// transient faults with no retry capacity) is recorded, so the
+    /// factorization drains and the adaptive solver can retry without
+    /// escalating the pivot threshold.
+    fn ok_or_fail<R>(&self, r: Result<R, SolverError>, task: usize, retryable: bool) -> Option<R> {
         match r {
-            Ok(pin) => Some(pin),
+            Ok(v) => Some(v),
             Err(e) => {
                 if retryable && self.engine_retries && e.is_transient_alloc() {
                     std::panic::panic_any(TransientFault { task, attempt: 0 });
@@ -201,57 +197,15 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 
     /// Grow the charged high-water of a worker's `tmp` buffer to `elems`
-    /// elements. `false` when the ledger (or an injected fault) refuses.
-    fn ensure_tmp(&self, tmp_charged: &mut usize, elems: usize) -> bool {
-        let Some(b) = &self.budget else {
-            return true;
-        };
+    /// elements, through the pager: cold panels are evicted to make room
+    /// and the charge overcommits only when nothing is evictable.
+    fn charge_workspace(&self, ws: &mut Workspace<T>, elems: usize) -> Result<(), SolverError> {
         let bytes = elems * std::mem::size_of::<T>();
-        if bytes <= *tmp_charged {
-            return true;
+        if bytes > ws.tmp_charged {
+            self.tab.charge_grow(bytes - ws.tmp_charged, site::WORKSPACE)?;
+            ws.tmp_charged = bytes;
         }
-        match b.try_charge(bytes - *tmp_charged, site::WORKSPACE) {
-            Ok(()) => {
-                *tmp_charged = bytes;
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Decide the scatter-buffer width for an `m × n` update under the
-    /// current memory pressure: `Some(cols)` runs the buffered kernel in
-    /// column chunks of `cols` (the full `n` when unconstrained —
-    /// bit-identical to the historical single call), `None` sheds the
-    /// buffer entirely (direct-scatter path).
-    fn plan_cols(&self, tmp_charged: &mut usize, m: usize, n: usize) -> Option<usize> {
-        let Some(b) = &self.budget else {
-            return Some(n);
-        };
-        let want = if b.cap().is_none() {
-            n
-        } else {
-            match b.level() {
-                PressureLevel::Green => n,
-                PressureLevel::Yellow => n.min(SHED_COLS),
-                PressureLevel::Orange => 1,
-                PressureLevel::Red => {
-                    b.note_shed();
-                    return None;
-                }
-            }
-        }
-        .max(1);
-        if self.ensure_tmp(tmp_charged, m * want) {
-            if want < n {
-                b.note_shed();
-            }
-            Some(want)
-        } else {
-            // Even the reduced buffer was refused: zero-workspace path.
-            b.note_shed();
-            None
-        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -270,11 +224,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // Pin before mutating anything: an allocation failure here is
         // retry-safe for every engine (the native 1D task starts with
         // this call, so nothing has been written yet either way).
-        let Some(lpin) = self.pin_or_fail(self.tab.pin_l(symbol, c), c, true) else {
+        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, true) else {
             return;
         };
         let upin = if self.analysis.facto == FactoKind::Lu {
-            match self.pin_or_fail(self.tab.pin_u(symbol, c), c, true) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c), c, true) {
                 Some(p) => Some(p),
                 None => return,
             }
@@ -416,17 +370,17 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // has already been factored, so re-running the task would corrupt
         // it: those failures are recorded instead (solver-level retry).
         let retryable = !lock_target;
-        let Some(lsrc_pin) = self.pin_or_fail(self.tab.pin_l(symbol, c), c, retryable) else {
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, retryable) else {
             return;
         };
-        let Some(ldst_pin) = self.pin_or_fail(self.tab.pin_l(symbol, j), c, retryable) else {
+        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j), c, retryable) else {
             return;
         };
         let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.pin_or_fail(self.tab.pin_u(symbol, c), c, retryable) else {
+            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c), c, retryable) else {
                 return;
             };
-            let Some(ud) = self.pin_or_fail(self.tab.pin_u(symbol, j), c, retryable) else {
+            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j), c, retryable) else {
                 return;
             };
             Some((us, ud))
@@ -435,9 +389,13 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         };
         let mut ws = self.workspaces[worker].lock();
         let ws = &mut *ws;
-        // Pressure-dependent buffer plan, decided before the target lock
-        // so ledger traffic never happens under it.
-        let cols_l = self.plan_cols(&mut ws.tmp_charged, m, n);
+        // Charge the GEMM buffer before the target lock, so ledger and
+        // pager traffic never happens under it, and before any mutation,
+        // so a failure routes like a failed pin.
+        let scratch = scratch_len(m, n, cb.width(), self.analysis.facto == FactoKind::Ldlt);
+        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c, retryable) else {
+            return;
+        };
         // Serialize concurrent accumulations into panel j (native engine
         // only; see `panel_locks`). Taken before the destination borrow so
         // two updaters never hold overlapping `&mut` views.
@@ -453,7 +411,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             Some((us, ud)) => (Some(unsafe { us.slice() }), Some(unsafe { ud.slice_mut() })),
             None => (None, None),
         };
-        self.update_kernel(c, bi, ws, cols_l, lsrc, usrc, ldst, udst);
+        self.update_kernel(c, bi, ws, lsrc, usrc, ldst, udst);
         // This update has consumed its read of panel c; the last one
         // hands the panel to the pager as a preferred spill victim.
         if self.remaining_reads[c].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -482,44 +440,37 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             return false;
         }
         let symbol = &self.analysis.symbol;
-        let cb = &symbol.cblks[c];
-        let block = &symbol.blocks[bi];
-        let n = block.nrows();
-        let m = cb.stride - block.local_offset;
-        let Some(lsrc_pin) = self.pin_or_fail(self.tab.pin_l(symbol, c), c, false) else {
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, false) else {
             return false;
         };
         let usrc_pin = if self.analysis.facto == FactoKind::Lu {
-            match self.pin_or_fail(self.tab.pin_u(symbol, c), c, false) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c), c, false) {
                 Some(p) => Some(p),
                 None => return false,
             }
         } else {
             None
         };
+        // The dist tab carries no ledger: the workspace is not charged.
         let mut ws = self.workspaces[worker].lock();
-        let ws = &mut *ws;
-        let cols_l = self.plan_cols(&mut ws.tmp_charged, m, n);
         // SAFETY: panel c is factored and read-only here; the destination
         // buffers are exclusively owned by the caller.
         let lsrc = unsafe { lsrc_pin.slice() };
         let usrc = usrc_pin.as_ref().map(|p| unsafe { p.slice() });
-        self.update_kernel(c, bi, ws, cols_l, lsrc, usrc, ldst, udst);
+        self.update_kernel(c, bi, &mut ws, lsrc, usrc, ldst, udst);
         !self.failed()
     }
 
     /// The facto-specific GEMM + scatter math of one update, shared by
     /// [`NumericCtx::update_task`] (destination = the live target panel)
     /// and [`NumericCtx::update_into`] (destination = a fan-in pair
-    /// buffer with the target panel's layout). `cols_l` is the
-    /// pre-decided scatter-buffer plan for the m×n L-side GEMM.
+    /// buffer with the target panel's layout).
     #[allow(clippy::too_many_arguments)]
     fn update_kernel(
         &self,
         c: usize,
         bi: usize,
         ws: &mut Workspace<T>,
-        cols_l: Option<usize>,
         lsrc: &[T],
         usrc: Option<&[T]>,
         ldst: &mut [T],
@@ -544,54 +495,32 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 // SAFETY: d[cols of c] was finalized by panel(c).
                 let d = (self.analysis.facto == FactoKind::Ldlt)
                     .then(|| unsafe { self.d.range(cb.fcol..cb.lcol) });
-                match cols_l {
-                    Some(cols) => chunked_update(
-                        cols, m, n, k,
-                        -T::one(),
-                        a1, cb.stride,
-                        a2, cb.stride,
-                        d,
-                        &mut ws.tmp,
-                        ldst, tcb.stride,
-                        &ws.row_map, col_off,
-                    ),
-                    None => update_scatter_direct(
-                        m, n, k,
-                        -T::one(),
-                        a1, cb.stride,
-                        a2, cb.stride,
-                        d,
-                        ldst, tcb.stride,
-                        Scatter { row_map: &ws.row_map, col_offset: col_off },
-                    ),
-                }
+                update_via_buffer(
+                    m, n, k,
+                    -T::one(),
+                    a1, cb.stride,
+                    a2, cb.stride,
+                    d,
+                    &mut ws.tmp,
+                    ldst, tcb.stride,
+                    Scatter { row_map: &ws.row_map, col_offset: col_off },
+                );
             }
             FactoKind::Lu => {
                 let usrc = usrc.expect("LU update without a U source");
                 let udst = udst.expect("LU update without a U destination");
                 let ut = &usrc[block.local_offset..];
                 // C_L -= L[R≥b, c] · (Uᵀ[R_b, c])ᵀ
-                match cols_l {
-                    Some(cols) => chunked_update(
-                        cols, m, n, k,
-                        -T::one(),
-                        a1, cb.stride,
-                        ut, cb.stride,
-                        None,
-                        &mut ws.tmp,
-                        ldst, tcb.stride,
-                        &ws.row_map, col_off,
-                    ),
-                    None => update_scatter_direct(
-                        m, n, k,
-                        -T::one(),
-                        a1, cb.stride,
-                        ut, cb.stride,
-                        None,
-                        ldst, tcb.stride,
-                        Scatter { row_map: &ws.row_map, col_offset: col_off },
-                    ),
-                }
+                update_via_buffer(
+                    m, n, k,
+                    -T::one(),
+                    a1, cb.stride,
+                    ut, cb.stride,
+                    None,
+                    &mut ws.tmp,
+                    ldst, tcb.stride,
+                    Scatter { row_map: &ws.row_map, col_offset: col_off },
+                );
                 // C_U -= Uᵀ[R>b, c] · (L[R_b, c])ᵀ for the rows strictly
                 // below block b (the diagonal part went into C_L's full
                 // square). The destination splits in two:
@@ -603,62 +532,33 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     let mu = m - n;
                     let ut_below = &usrc[block.local_offset + n..];
                     let a2l = &lsrc[block.local_offset..];
-                    match self.plan_cols(&mut ws.tmp_charged, mu, n) {
-                        Some(cols) => {
-                            let mut jj0 = 0;
-                            while jj0 < n {
-                                let nc = cols.min(n - jj0);
-                                ws.tmp.clear();
-                                ws.tmp.resize(mu * nc, T::zero());
-                                gemm(
-                                    Trans::NoTrans,
-                                    Trans::Trans,
-                                    mu, nc, k,
-                                    T::one(),
-                                    ut_below, cb.stride,
-                                    &a2l[jj0..], cb.stride,
-                                    T::zero(),
-                                    &mut ws.tmp, mu,
-                                );
-                                for jj in 0..nc {
-                                    // Column of the target panel.
-                                    let cglob = block.frow + jj0 + jj;
-                                    for ii in 0..mu {
-                                        let r = ws.row_glob[n + ii]; // global row (r > cglob)
-                                        let v = ws.tmp[jj * mu + ii];
-                                        if r < tcb.lcol {
-                                            // U[cglob, r] inside the diagonal block:
-                                            // column r of the L panel, storage row of
-                                            // cglob.
-                                            ldst[(r - tcb.fcol) * tcb.stride + (cglob - tcb.fcol)] -= v;
-                                        } else {
-                                            // Uᵀ[r, cglob] in the U panel.
-                                            udst[(cglob - tcb.fcol) * tcb.stride + ws.row_map[n + ii]] -= v;
-                                        }
-                                    }
-                                }
-                                jj0 += nc;
-                            }
-                        }
-                        None => {
-                            // Zero-workspace fallback for the U side.
-                            for jj in 0..n {
-                                let cglob = block.frow + jj;
-                                for l in 0..k {
-                                    let s = a2l[l * cb.stride + jj];
-                                    if s == T::zero() {
-                                        continue;
-                                    }
-                                    for ii in 0..mu {
-                                        let r = ws.row_glob[n + ii];
-                                        let v = ut_below[l * cb.stride + ii] * s;
-                                        if r < tcb.lcol {
-                                            ldst[(r - tcb.fcol) * tcb.stride + (cglob - tcb.fcol)] -= v;
-                                        } else {
-                                            udst[(cglob - tcb.fcol) * tcb.stride + ws.row_map[n + ii]] -= v;
-                                        }
-                                    }
-                                }
+                    // The L-side call above left `ws.tmp` at least m·n
+                    // long; β = 0 overwrites its stale contents.
+                    let tmp = &mut ws.tmp[..mu * n];
+                    gemm(
+                        Trans::NoTrans,
+                        Trans::Trans,
+                        mu, n, k,
+                        T::one(),
+                        ut_below, cb.stride,
+                        a2l, cb.stride,
+                        T::zero(),
+                        tmp, mu,
+                    );
+                    for jj in 0..n {
+                        // Column of the target panel.
+                        let cglob = block.frow + jj;
+                        for ii in 0..mu {
+                            let r = ws.row_glob[n + ii]; // global row (r > cglob)
+                            let v = tmp[jj * mu + ii];
+                            if r < tcb.lcol {
+                                // U[cglob, r] inside the diagonal block:
+                                // column r of the L panel, storage row of
+                                // cglob.
+                                ldst[(r - tcb.fcol) * tcb.stride + (cglob - tcb.fcol)] -= v;
+                            } else {
+                                // Uᵀ[r, cglob] in the U panel.
+                                udst[(cglob - tcb.fcol) * tcb.stride + ws.row_map[n + ii]] -= v;
                             }
                         }
                     }
@@ -675,45 +575,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         for bi in (cb.block_begin + 1)..cb.block_end {
             self.update_task(c, bi, worker, true);
         }
-    }
-}
-
-/// Run the buffered update kernel in column chunks of `cols` — with
-/// `cols == n` this is exactly one historical `update_via_buffer` call,
-/// and because the kernel computes each output column independently the
-/// chunked result is bit-identical for any chunk width.
-#[allow(clippy::too_many_arguments)]
-fn chunked_update<T: Scalar>(
-    cols: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a1: &[T],
-    lda1: usize,
-    a2: &[T],
-    lda2: usize,
-    d: Option<&[T]>,
-    work: &mut Vec<T>,
-    c: &mut [T],
-    ldc: usize,
-    row_map: &[usize],
-    col_offset: usize,
-) {
-    let mut j0 = 0;
-    while j0 < n {
-        let nc = cols.min(n - j0);
-        update_via_buffer(
-            m, nc, k,
-            alpha,
-            a1, lda1,
-            &a2[j0..], lda2,
-            d,
-            work,
-            c, ldc,
-            Scatter { row_map, col_offset: col_offset + j0 },
-        );
-        j0 += nc;
     }
 }
 
@@ -903,25 +764,7 @@ impl Analysis {
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let ctx = NumericCtx {
-            analysis: self,
-            tab: &tab,
-            d: &d,
-            threshold,
-            fault: exec.run.fault_plan.clone(),
-            budget: exec.run.budget.clone(),
-            engine_retries: exec.run.retry.max_attempts > 1,
-            remaining_reads: self
-                .symbol
-                .cblks
-                .iter()
-                .map(|cb| AtomicUsize::new(cb.block_end - cb.block_begin - 1))
-                .collect(),
-            pivots_repaired: AtomicUsize::new(0),
-            error: Mutex::new(None),
-            workspaces: (0..nthreads).map(|_| Mutex::new(Workspace::default())).collect(),
-            panel_locks: (0..self.symbol.ncblk()).map(|_| Mutex::new(())).collect(),
-        };
+        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, Some(&exec.run));
         let run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the

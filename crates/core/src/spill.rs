@@ -1,13 +1,15 @@
 //! Disk-backed panel store — the last rung of the degradation ladder.
 //!
 //! When the memory budget is capped and pressure stays high after
-//! workspace shedding and throttling, cold factored panels are *spilled*
-//! here and faulted back in on the next touch (usually the solve phase).
-//! One file per panel under a private directory; the format is the raw
+//! throttling, cold factored panels are *spilled* here and faulted back
+//! in on the next touch (usually the solve phase). One file per panel
+//! under a private directory, created by the first spill — a capped run
+//! that never evicts touches no disk; the format is the raw
 //! little-endian `f64` component stream of the panel (8 bytes per real
 //! element, 16 per complex one), so a spill → fault-in round trip is
 //! bit-exact and the capped factorization produces the same factors as
-//! the unconstrained one.
+//! the unconstrained one
+//! (`memory_budget.rs::capped_factors_are_bitwise_equal_to_unconstrained`).
 //!
 //! The store cleans up after itself on drop. It is deliberately dumb —
 //! no compression, no async IO — because the interesting policy (what
@@ -35,9 +37,10 @@ pub struct SpillStore {
 }
 
 impl SpillStore {
-    /// Create a store. With `Some(dir)`, panels land in a fresh
-    /// subdirectory of `dir`; with `None`, of the system temp dir.
-    pub fn create(base: Option<&Path>) -> std::io::Result<SpillStore> {
+    /// Name a store. With `Some(dir)`, panels land in a fresh
+    /// subdirectory of `dir`; with `None`, of the system temp dir. The
+    /// subdirectory is created by the first [`SpillStore::write`].
+    pub fn new(base: Option<&Path>) -> SpillStore {
         let base = base.map(Path::to_path_buf).unwrap_or_else(std::env::temp_dir);
         // ORDERING: process-unique sequence number; only uniqueness
         // matters, no memory is published.
@@ -47,11 +50,10 @@ impl SpillStore {
             std::process::id(),
             seq
         ));
-        std::fs::create_dir_all(&dir)?;
-        Ok(SpillStore {
+        SpillStore {
             dir,
             keys: Mutex::new(HashSet::new()),
-        })
+        }
     }
 
     /// The backing directory.
@@ -84,6 +86,7 @@ impl SpillStore {
                 buf.extend_from_slice(&v.im().to_le_bytes());
             }
         }
+        std::fs::create_dir_all(&self.dir)?;
         let mut f = std::fs::File::create(self.path_for(key))?;
         f.write_all(&buf)?;
         self.keys
@@ -153,7 +156,7 @@ mod tests {
 
     #[test]
     fn roundtrip_is_bit_exact() {
-        let store = SpillStore::create(None).expect("create store");
+        let store = SpillStore::new(None);
         let data: Vec<f64> = (0..257)
             .map(|i| (i as f64).sin() * 1e-3 + f64::EPSILON * i as f64)
             .collect();
@@ -172,7 +175,7 @@ mod tests {
     #[test]
     fn complex_roundtrip_preserves_both_parts() {
         use dagfact_kernels::C64;
-        let store = SpillStore::create(None).expect("create store");
+        let store = SpillStore::new(None);
         let data: Vec<C64> = (0..64)
             .map(|i| C64::new(i as f64 * 0.25, -(i as f64) * 0.5))
             .collect();
@@ -186,9 +189,10 @@ mod tests {
 
     #[test]
     fn store_cleans_directory_on_drop() {
-        let store = SpillStore::create(None).expect("create store");
-        store.write(1, &[1.0f64, 2.0]).expect("write");
+        let store = SpillStore::new(None);
         let dir = store.dir().to_path_buf();
+        assert!(!dir.exists(), "no directory before the first spill");
+        store.write(1, &[1.0f64, 2.0]).expect("write");
         assert!(dir.exists());
         drop(store);
         assert!(!dir.exists(), "spill dir should be removed on drop");

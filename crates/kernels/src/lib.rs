@@ -10,11 +10,11 @@
 //! * column-major [`gemm()`](gemm::gemm), [`trsm()`](trsm::trsm) and the three diagonal-block
 //!   factorizations [`potrf()`](potrf::potrf) (Cholesky), [`ldlt()`](ldlt::ldlt) (LDLᵀ without pivoting)
 //!   and [`getrf()`](getrf::getrf) (LU with static pivoting),
-//! * the two *sparse GEMM* update variants described in §V-B of the paper:
-//!   [`update::update_via_buffer`] (compute into a contiguous scratch buffer
-//!   then scatter — the CPU/PaStiX strategy) and
-//!   [`update::update_scatter_direct`] (write straight into the gappy
-//!   destination panel — the strategy of the GPU kernel derived from ASTRA).
+//! * the CPU *sparse GEMM* update of §V-B of the paper,
+//!   [`update::update_via_buffer`]: compute into a contiguous scratch buffer,
+//!   then scatter into the gappy destination panel — the PaStiX strategy.
+//!   (The paper's direct-scatter form is its GPU kernel, modelled in
+//!   `gpusim`.)
 //!
 //! All matrices are **column-major** with an explicit leading dimension,
 //! matching LAPACK conventions, so the kernels operate directly on the

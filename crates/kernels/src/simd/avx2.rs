@@ -280,109 +280,6 @@ unsafe fn tile_edge(
     }
 }
 
-/// Fused GEMM-scatter: `C[row_map[i], col_offset + j] += Σ_l s(l,j)·A[i,l]`
-/// with `s(l, j) = α·op(B)[l, j]·d?[l]`, the full `k` reduction held in
-/// the register tile and only the final tile scattered through
-/// `row_map` — the direct-scatter pressure rung at SIMD speed with zero
-/// scratch memory.
-///
-/// # Safety
-/// Requires AVX2+FMA; `row_map.len() == m`, `d.len() ≥ k` when present,
-/// and the destination must cover every `(row_map[i], col_offset + j)`
-/// element under `ldc` (asserted by the dispatching update kernel).
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn update_scatter_f64(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    bl: BLayout,
-    d: Option<*const f64>,
-    c: *mut f64,
-    ldc: usize,
-    row_map: &[usize],
-    col_offset: usize,
-) {
-    let m_main = m - m % MR;
-    let mut j0 = 0;
-    while j0 < n {
-        let nt = NR.min(n - j0);
-        if nt == NR {
-            let mut i0 = 0;
-            while i0 < m_main {
-                // SAFETY: 8 rows at i0 and 4 cols at j0 are inside the
-                // m×n update; the caller's contracts cover A/op(B)/d and
-                // every scattered destination element.
-                unsafe {
-                    let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-                    for ll in 0..k {
-                        let al = a.add(ll * lda + i0);
-                        let a0 = _mm256_loadu_pd(al);
-                        let a1 = _mm256_loadu_pd(al.add(4));
-                        let dl = d.map_or(1.0, |d| *d.add(ll));
-                        for (jj, [lo, hi]) in acc.iter_mut().enumerate() {
-                            // Match the portable kernel's scaling order:
-                            // (α·b) · d.
-                            let s = match d {
-                                Some(_) => (alpha * bl.at(b, ll, j0 + jj)) * dl,
-                                None => alpha * bl.at(b, ll, j0 + jj),
-                            };
-                            let vs = _mm256_set1_pd(s);
-                            *lo = _mm256_fmadd_pd(a0, vs, *lo);
-                            *hi = _mm256_fmadd_pd(a1, vs, *hi);
-                        }
-                    }
-                    let mut tile = [0.0f64; MR * NR];
-                    for (jj, &[lo, hi]) in acc.iter().enumerate() {
-                        _mm256_storeu_pd(tile.as_mut_ptr().add(jj * MR), lo);
-                        _mm256_storeu_pd(tile.as_mut_ptr().add(jj * MR + 4), hi);
-                    }
-                    // BOUNDS: i0+ii < m == row_map.len(); jj*MR+ii < 32.
-                    for jj in 0..NR {
-                        let cj = c.add((col_offset + j0 + jj) * ldc);
-                        for ii in 0..MR {
-                            *cj.add(row_map[i0 + ii]) += tile[jj * MR + ii];
-                        }
-                    }
-                }
-                i0 += MR;
-            }
-        }
-        // Remainder rows (nt == NR) or the whole narrow column block:
-        // the portable per-`l` scatter loops, preserving its exact
-        // association on the edge region.
-        let (it0, mt) = if nt == NR { (m_main, m - m_main) } else { (0, m) };
-        if mt > 0 {
-            // SAFETY: same contracts as above, restricted to the edge.
-            unsafe {
-                for jj in 0..nt {
-                    let cj = c.add((col_offset + j0 + jj) * ldc);
-                    for ll in 0..k {
-                        let mut s = alpha * bl.at(b, ll, j0 + jj);
-                        if let Some(d) = d {
-                            s *= *d.add(ll);
-                        }
-                        if s == 0.0 {
-                            continue;
-                        }
-                        let al = a.add(ll * lda + it0);
-                        // BOUNDS: it0+ii < m == row_map.len().
-                        for ii in 0..mt {
-                            *cj.add(row_map[it0 + ii]) =
-                                f64::mul_add(*al.add(ii), s, *cj.add(row_map[it0 + ii]));
-                        }
-                    }
-                }
-            }
-        }
-        j0 += NR;
-    }
-}
-
 /// `y += s·x` over equal-length slices, 4-wide FMA.
 ///
 /// # Safety

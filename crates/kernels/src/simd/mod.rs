@@ -12,8 +12,7 @@
 //!   roots (no allocation, no locks, no panics).
 //! * [`avx2`] — the 8×4 register-tiled f64 GEMM microkernel with
 //!   mc/kc/nc cache blocking (constants sized for a ~32 KiB L1 /
-//!   ~1 MiB L2 core), plus the fused GEMM-scatter epilogue used
-//!   by the direct-scatter pressure rung.
+//!   ~1 MiB L2 core): the one register-tile loop of the crate.
 //!
 //! Scalar fallback is the portable kernel itself: every entry point here
 //! returns `false` (or routes to plain loops) when the host lacks AVX2,
@@ -217,77 +216,6 @@ pub(crate) fn try_gemm_a_notrans<T: Scalar>(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         let _ = (b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        false
-    }
-}
-
-/// Attempt the fused AVX2 GEMM-scatter: `C[row_map, col_offset..] +=
-/// α · A · diag(d?) · op(B)` with the scatter folded into the register
-/// tile's epilogue (zero scratch memory — the direct-scatter pressure
-/// rung), where `op(B)[l,j] = b[l*ldb+j]` (the outer-product layout of a
-/// source panel). Returns `false` when the caller must run the portable
-/// scalar loops.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn try_update_scatter<T: Scalar>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: T,
-    a1: &[T],
-    lda1: usize,
-    b: &[T],
-    ldb: usize,
-    d: Option<&[T]>,
-    c: &mut [T],
-    ldc: usize,
-    row_map: &[usize],
-    col_offset: usize,
-) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if isa() != Isa::Avx2 || m < MR {
-            return false;
-        }
-        let (Some(af), Some(bf)) = (as_f64(a1), as_f64(b)) else {
-            return false;
-        };
-        let df = match d {
-            None => None,
-            Some(d) => match as_f64(d) {
-                Some(df) => Some(df),
-                None => return false,
-            },
-        };
-        let Some(cf) = as_f64_mut(c) else { return false };
-        let layout = avx2::BLayout::Trans { ldb };
-        // SAFETY: isa() == Avx2 certifies avx2+fma; shape contracts
-        // (row_map.len() == m, d.len() >= k, the A/B strides, and the
-        // destination: every row_map value < ldc and the last written
-        // element (col_offset+n-1, max row_map) inside `c`) were
-        // asserted by the calling update kernel before dispatch.
-        unsafe {
-            avx2::update_scatter_f64(
-                m,
-                n,
-                k,
-                alpha.re(),
-                af.as_ptr(),
-                lda1,
-                bf.as_ptr(),
-                layout,
-                df.map(|d| d.as_ptr()),
-                cf.as_mut_ptr(),
-                ldc,
-                row_map,
-                col_offset,
-            );
-        }
-        true
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = (m, n, k, alpha, a1, lda1, b, ldb, d, c, ldc, row_map, col_offset);
         false
     }
 }

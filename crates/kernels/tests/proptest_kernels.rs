@@ -8,8 +8,11 @@ use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::scalar::{Scalar, C64};
 use dagfact_kernels::smallblas::{naive_gemm, reconstruct_ldlt, reconstruct_llt, reconstruct_lu};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
-use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
+use dagfact_kernels::update::{update_via_buffer, Scatter};
 use dagfact_kernels::{getrf, ldlt, potrf};
+
+mod common;
+use common::reference_update;
 
 /// Deterministic parameter source (SplitMix64).
 struct Params {
@@ -296,43 +299,53 @@ fn getrf_roundtrip_random_dominant() {
     }
 }
 
+/// One random update shape: `update_via_buffer` against the dense
+/// reference, through a random strictly-increasing row map, a column
+/// offset, and `d` on or off.
+fn update_case<T: Scalar>(case: u64) {
+    let mut p = Params::new(6000 + case);
+    let (m, n, k) = (p.range(1, 10), p.range(1, 8), p.range(1, 8));
+    let with_d = p.bool();
+    let col_offset = p.range(0, 3);
+    let seed = p.seed();
+    let mut s = seed | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        T::from_parts((s % 200) as f64 / 100.0 - 1.0, ((s >> 9) % 200) as f64 / 100.0 - 1.0)
+    };
+    let a1: Vec<T> = (0..k * m).map(|_| next()).collect();
+    let a2: Vec<T> = (0..k * n).map(|_| next()).collect();
+    let d: Vec<T> = (0..k).map(|_| next() + T::from_f64(2.0)).collect();
+    let dref = with_d.then_some(d.as_slice());
+    // Random strictly-increasing row map into a taller panel.
+    let ldc = m + 5;
+    let mut row_map: Vec<usize> = (0..ldc).collect();
+    // Simple deterministic shuffle-select of m rows.
+    for i in 0..ldc {
+        let j = (seed as usize + i * 7) % ldc;
+        row_map.swap(i, j);
+    }
+    row_map.truncate(m);
+    row_map.sort_unstable();
+    let c0: Vec<T> = (0..ldc * (n + col_offset)).map(|_| next()).collect();
+    let scatter = Scatter { row_map: &row_map, col_offset };
+    let alpha = -T::one();
+    let mut c1 = c0.clone();
+    let mut work = Vec::new();
+    update_via_buffer(m, n, k, alpha, &a1, m, &a2, n, dref, &mut work, &mut c1, ldc, scatter);
+    let mut c2 = c0;
+    reference_update(m, n, k, alpha, &a1, m, &a2, n, dref, &mut c2, ldc, scatter);
+    for (x, y) in c1.iter().zip(c2.iter()) {
+        assert!((*x - *y).modulus() < 1e-10, "case {case}");
+    }
+}
+
 #[test]
-fn update_variants_always_agree() {
+fn update_always_matches_dense_reference() {
     for case in 0..CASES {
-        let mut p = Params::new(6000 + case);
-        let (m, n, k) = (p.range(1, 10), p.range(1, 8), p.range(1, 8));
-        let with_d = p.bool();
-        let seed = p.seed();
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s % 200) as f64 / 100.0 - 1.0
-        };
-        let a1: Vec<f64> = (0..k * m).map(|_| next()).collect();
-        let a2: Vec<f64> = (0..k * n).map(|_| next()).collect();
-        let d: Vec<f64> = (0..k).map(|_| next() + 2.0).collect();
-        let dref = with_d.then_some(d.as_slice());
-        // Random strictly-increasing row map into a taller panel.
-        let ldc = m + 5;
-        let mut row_map: Vec<usize> = (0..ldc).collect();
-        // Simple deterministic shuffle-select of m rows.
-        for i in 0..ldc {
-            let j = (seed as usize + i * 7) % ldc;
-            row_map.swap(i, j);
-        }
-        row_map.truncate(m);
-        row_map.sort_unstable();
-        let c0: Vec<f64> = (0..ldc * n).map(|_| next()).collect();
-        let scatter = Scatter { row_map: &row_map, col_offset: 0 };
-        let mut c1 = c0.clone();
-        let mut work = Vec::new();
-        update_via_buffer(m, n, k, -1.0, &a1, m, &a2, n, dref, &mut work, &mut c1, ldc, scatter);
-        let mut c2 = c0;
-        update_scatter_direct(m, n, k, -1.0, &a1, m, &a2, n, dref, &mut c2, ldc, scatter);
-        for (x, y) in c1.iter().zip(c2.iter()) {
-            assert!((x - y).abs() < 1e-10, "case {case}");
-        }
+        update_case::<f64>(case);
+        update_case::<C64>(case);
     }
 }

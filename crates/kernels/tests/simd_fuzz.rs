@@ -16,7 +16,11 @@
 //! magnitude of the operands themselves.
 
 use dagfact_kernels::gemm::{gemm, gemm_portable, Trans};
-use dagfact_kernels::update::{update_scatter_direct, update_via_buffer, Scatter};
+use dagfact_kernels::update::{update_via_buffer, Scatter};
+use dagfact_kernels::{Scalar, C64};
+
+mod common;
+use common::reference_update;
 
 /// SplitMix64 — the seeded generator of the sweep.
 struct SplitMix64(u64);
@@ -144,47 +148,68 @@ fn gappy_row_map(rng: &mut SplitMix64, m: usize, rows: usize) -> Vec<usize> {
     map
 }
 
-#[test]
-fn update_scatter_direct_matches_buffer_variant_over_sweep() {
-    let mut rng = SplitMix64(0x5EED_CAFE);
+/// `update_via_buffer` on whichever tier dispatch selects (the `make
+/// check-kernels` legs run this suite dispatched, under
+/// `DAGFACT_FORCE_SCALAR=1` and with the `simd` feature off) against the
+/// dense triple-loop reference, over register-tile edges, gappy row maps,
+/// a column offset, padded strides and `d` on/off. The two associate
+/// differently (per-`l` axpys then one scatter-add vs. one dot product per
+/// element), so the bound is rounding at the accumulated magnitude.
+fn update_sweep<T: Scalar>(seed: u64) {
+    let mut rng = SplitMix64(seed);
+    let fill = |rng: &mut SplitMix64, n: usize| -> Vec<T> {
+        (0..n)
+            .map(|_| T::from_parts(rng.unit(), if T::IS_COMPLEX { rng.unit() } else { 0.0 }))
+            .collect()
+    };
+    let max = |v: &[T]| v.iter().fold(0.0f64, |m, x| m.max(x.modulus()));
     for &m in &[1usize, 7, 8, 9, 16, 33] {
         for &n in &[1usize, 3, 4, 5, 32] {
             for &k in &[1usize, 2, 8, 31] {
                 for d_present in [false, true] {
                     let lda1 = m + 1;
                     let lda2 = n + 3;
-                    let a1 = rng.fill(lda1 * k);
-                    let a2 = rng.fill(lda2 * k);
-                    let d = rng.fill(k);
+                    let a1 = fill(&mut rng, lda1 * k);
+                    let a2 = fill(&mut rng, lda2 * k);
+                    let d = fill(&mut rng, k);
                     let dref = d_present.then_some(&d[..]);
                     let rows = 2 * m + 3;
                     let row_map = gappy_row_map(&mut rng, m, rows);
                     let ldc = rows;
                     let ncols = n + 2;
-                    let c0 = rng.fill(ldc * ncols);
+                    let c0 = fill(&mut rng, ldc * ncols);
                     let scatter = Scatter { row_map: &row_map, col_offset: 1 };
-                    let mut c_dir = c0.clone();
-                    update_scatter_direct(
-                        m, n, k, -1.0, &a1, lda1, &a2, lda2, dref, &mut c_dir, ldc, scatter,
+                    let alpha = -T::one();
+                    let mut c_ref = c0.clone();
+                    reference_update(
+                        m, n, k, alpha, &a1, lda1, &a2, lda2, dref, &mut c_ref, ldc, scatter,
                     );
                     let mut c_buf = c0.clone();
                     let mut work = Vec::new();
                     update_via_buffer(
-                        m, n, k, -1.0, &a1, lda1, &a2, lda2, dref, &mut work, &mut c_buf, ldc,
+                        m, n, k, alpha, &a1, lda1, &a2, lda2, dref, &mut work, &mut c_buf, ldc,
                         scatter,
                     );
-                    let mag = mag_bound(k, 1.0, &a1, &a2, 1.0, &c0)
-                        * if d_present { 2.0 } else { 1.0 };
-                    for (i, (&x, &y)) in c_dir.iter().zip(&c_buf).enumerate() {
+                    let dmax = if d_present { max(&d) } else { 1.0 };
+                    let mag = k as f64 * max(&a1) * max(&a2) * dmax + max(&c0);
+                    for (i, (&x, &y)) in c_buf.iter().zip(&c_ref).enumerate() {
+                        let diff = (x - y).modulus();
                         assert!(
-                            close(x, y, mag),
-                            "direct vs buffer: m={m} n={n} k={k} d={d_present} @{i}: {x} vs {y}"
+                            diff <= 8.0 * f64::EPSILON * mag,
+                            "buffer vs reference: m={m} n={n} k={k} d={d_present} @{i}: \
+                             {x:?} vs {y:?} (mag {mag:e})"
                         );
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn update_via_buffer_matches_dense_reference_over_sweep() {
+    update_sweep::<f64>(0x5EED_CAFE);
+    update_sweep::<C64>(0x5EED_C0DE);
 }
 
 // ---------------------------------------------------------------------
@@ -224,34 +249,6 @@ fn update_via_buffer_rejects_short_d() {
     );
 }
 
-/// Same audit on the direct-scatter variant: a short `d` would have
-/// index-panicked mid-scatter *after* partially mutating C; it must fail
-/// before the first write.
-#[test]
-#[should_panic(expected = "update_scatter_direct: d.len()")]
-fn update_scatter_direct_rejects_short_d() {
-    let (m, n, k) = (4, 2, 6);
-    let a1 = vec![1.0f64; m * k];
-    let a2 = vec![1.0f64; n * k];
-    let d_short = vec![2.0f64; 1];
-    let row_map = [0usize, 2, 3, 5];
-    let mut c = vec![0.0f64; 6 * n];
-    update_scatter_direct(
-        m,
-        n,
-        k,
-        -1.0,
-        &a1,
-        m,
-        &a2,
-        n,
-        Some(&d_short),
-        &mut c,
-        6,
-        Scatter { row_map: &row_map, col_offset: 0 },
-    );
-}
-
 /// The `c.len()` contract is a real assert now: an undersized `C` with a
 /// large `ldc` must fail before any element is written, not slice-panic
 /// mid-update in release.
@@ -279,16 +276,16 @@ fn gemm_rejects_undersized_c_before_writing() {
     );
 }
 
-/// Row-map / m mismatches fail up front on both variants.
+/// A row-map / m mismatch fails up front, before the GEMM runs.
 #[test]
-#[should_panic(expected = "row_map/m mismatch")]
-fn update_scatter_direct_rejects_short_row_map() {
+#[should_panic(expected = "update_via_buffer: row_map/m mismatch")]
+fn update_via_buffer_rejects_short_row_map() {
     let (m, n, k) = (4, 2, 2);
     let a1 = vec![1.0f64; m * k];
     let a2 = vec![1.0f64; n * k];
     let row_map = [0usize, 1]; // too short for m = 4
     let mut c = vec![0.0f64; 8 * n];
-    update_scatter_direct(
+    update_via_buffer(
         m,
         n,
         k,
@@ -298,6 +295,7 @@ fn update_scatter_direct_rejects_short_row_map() {
         &a2,
         n,
         None,
+        &mut Vec::new(),
         &mut c,
         8,
         Scatter { row_map: &row_map, col_offset: 0 },

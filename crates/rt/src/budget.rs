@@ -8,17 +8,17 @@
 //! `dagfact-core` charges the ledger before allocating and releases it
 //! when the storage is dropped or spilled.
 //!
-//! The ledger drives a three-rung degradation ladder (DESIGN.md §9):
+//! The ledger drives a two-rung degradation ladder (DESIGN.md §9):
 //!
-//! 1. **Workspace shedding** — under pressure, GEMM updates switch from
-//!    the full temp-buffer+scatter variant to column-chunked buffers and
-//!    finally to the in-place direct-scatter variant.
-//! 2. **Throttling** — the engines narrow their admission width so fewer
+//! 1. **Throttling** — the engines narrow their admission width so fewer
 //!    tasks (and therefore fewer live panels and workspaces) run
 //!    concurrently ([`crate::fault::Supervisor`] consults
 //!    [`MemoryBudget::admission_width`]).
-//! 3. **Spilling** — cold factored panels are written to a disk-backed
-//!    store and faulted back in for the solve phase (`core/src/spill.rs`).
+//! 2. **Spilling** — cold factored panels are written to a disk-backed
+//!    store and faulted back in on the next touch (`core/src/spill.rs`).
+//!    Every charge of the numeric phase — panels and the per-worker GEMM
+//!    workspaces alike — goes through the pager in `core/src/coeftab.rs`,
+//!    which makes room this way before it overcommits.
 //!
 //! A typed [`BudgetError::Exceeded`] is returned only when even spilling
 //! cannot make progress (for example a single panel larger than the
@@ -30,11 +30,9 @@ use crate::fault::FaultPlan;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
 
-/// Pressure at which workspace shedding starts (chunked GEMM buffers).
-pub const PRESSURE_SHED: f64 = 0.80;
 /// Pressure at which the engines throttle admission width to 2.
 pub const PRESSURE_THROTTLE: f64 = 0.90;
-/// Pressure at which updates go direct-scatter and admission width is 1.
+/// Pressure at which admission width is 1.
 pub const PRESSURE_CRITICAL: f64 = 0.97;
 /// Pressure at which retired (cold) panels are eagerly spilled.
 pub const PRESSURE_SPILL: f64 = 0.85;
@@ -111,13 +109,11 @@ impl std::error::Error for BudgetError {}
 /// Degradation rung derived from current pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PressureLevel {
-    /// Below [`PRESSURE_SHED`]: no degradation.
+    /// Below [`PRESSURE_THROTTLE`]: unlimited admission.
     Green,
-    /// Workspace shedding: chunked GEMM buffers.
-    Yellow,
-    /// Shedding + admission throttled to width 2.
+    /// Admission throttled to width 2.
     Orange,
-    /// Direct-scatter updates, admission width 1, eager spill.
+    /// Admission width 1.
     Red,
 }
 
@@ -153,8 +149,6 @@ pub struct MemoryStats {
     pub fault_in_events: usize,
     /// Times an engine worker was denied admission by the throttle.
     pub throttle_events: usize,
-    /// GEMM updates that shed workspace (chunked or direct-scatter).
-    pub shed_events: usize,
     /// Charges forced above the cap because nothing was evictable.
     pub overcommit_events: usize,
     /// Allocation failures injected by the fault plan.
@@ -178,7 +172,6 @@ pub struct MemoryBudget {
     spill_events: AtomicUsize,
     fault_in_events: AtomicUsize,
     throttle_events: AtomicUsize,
-    shed_events: AtomicUsize,
     overcommit_events: AtomicUsize,
     alloc_faults: AtomicUsize,
     phases: Mutex<Vec<PhaseStats>>,
@@ -235,8 +228,6 @@ impl MemoryBudget {
             PressureLevel::Red
         } else if p >= PRESSURE_THROTTLE {
             PressureLevel::Orange
-        } else if p >= PRESSURE_SHED {
-            PressureLevel::Yellow
         } else {
             PressureLevel::Green
         }
@@ -252,7 +243,7 @@ impl MemoryBudget {
     /// watchdog can never see a fully-throttled live graph.
     pub fn admission_width(&self) -> Option<usize> {
         match self.level() {
-            PressureLevel::Green | PressureLevel::Yellow => None,
+            PressureLevel::Green => None,
             PressureLevel::Orange => Some(2),
             PressureLevel::Red => Some(1),
         }
@@ -358,12 +349,6 @@ impl MemoryBudget {
         self.throttle_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a GEMM update that shed workspace (chunked or direct).
-    pub fn note_shed(&self) {
-        // ORDERING: statistics counter; no memory is published.
-        self.shed_events.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Close the current phase under `name`, recording its peak and
     /// spill traffic, and reset the per-phase counters for the next one.
     pub fn end_phase(&self, name: &str) {
@@ -390,7 +375,6 @@ impl MemoryBudget {
             spill_events: self.spill_events.load(Ordering::Relaxed),
             fault_in_events: self.fault_in_events.load(Ordering::Relaxed),
             throttle_events: self.throttle_events.load(Ordering::Relaxed),
-            shed_events: self.shed_events.load(Ordering::Relaxed),
             overcommit_events: self.overcommit_events.load(Ordering::Relaxed),
             alloc_faults: self.alloc_faults.load(Ordering::Relaxed),
             phases: self.phases.lock().clone(),
@@ -436,13 +420,14 @@ mod tests {
     #[test]
     fn pressure_levels_follow_thresholds() {
         let b = MemoryBudget::with_cap(1000);
-        b.try_charge(790, 1).expect("charge");
+        b.try_charge(840, 1).expect("charge");
         assert_eq!(b.level(), PressureLevel::Green);
         assert_eq!(b.admission_width(), None);
+        assert!(!b.should_spill());
         b.try_charge(10, 1).expect("charge");
-        assert_eq!(b.level(), PressureLevel::Yellow);
-        assert_eq!(b.admission_width(), None);
-        b.try_charge(100, 1).expect("charge");
+        assert_eq!(b.level(), PressureLevel::Green);
+        assert!(b.should_spill());
+        b.try_charge(50, 1).expect("charge");
         assert_eq!(b.level(), PressureLevel::Orange);
         assert_eq!(b.admission_width(), Some(2));
         b.try_charge(70, 1).expect("charge");

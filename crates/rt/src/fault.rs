@@ -851,7 +851,7 @@ pub struct RunReport {
     pub fault_plan: Option<String>,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Memory-ledger snapshot (peaks, spill/throttle/shed counters) when
+    /// Memory-ledger snapshot (peaks, spill/throttle/overcommit counters) when
     /// the run carried a [`crate::budget::MemoryBudget`].
     pub memory: Option<crate::budget::MemoryStats>,
 }

@@ -449,11 +449,14 @@ fn budget_ledger_respects_cap_and_drains() {
 
         // Pressure-rung transitions (deterministic prologue).
         b.try_charge(85, 0).expect("fits");
-        assert_eq!(b.level(), PressureLevel::Yellow);
+        assert_eq!(b.level(), PressureLevel::Green);
         b.try_charge(7, 0).expect("fits");
         assert_eq!(b.level(), PressureLevel::Orange);
         assert_eq!(b.admission_width(), Some(2));
-        b.release(92);
+        b.try_charge(5, 0).expect("fits");
+        assert_eq!(b.level(), PressureLevel::Red);
+        assert_eq!(b.admission_width(), Some(1));
+        b.release(97);
         assert_eq!(b.level(), PressureLevel::Green);
 
         // Concurrent admission: 60 + 60 over a cap of 100.
