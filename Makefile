@@ -43,13 +43,15 @@ check-clean:
 	tools/check-clean.sh verify
 
 # Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
-# SIMD-vs-portable fuzz suite (again under DAGFACT_FORCE_SCALAR=1: the
-# sparse update against its dense reference on the portable tier of the
-# same build), a forced-scalar build+test leg (--no-default-features
+# SIMD-vs-portable fuzz suite — GEMM tiers against each other, the sparse
+# update and the blocked TRSM against their dense references — dispatched,
+# again under DAGFACT_FORCE_SCALAR=1 (the portable tier of the same
+# build) and in a forced-scalar build+test leg (--no-default-features
 # proves the portable tier stands alone), the factorization suite on the
 # portable tier (same residual bounds as the
 # dispatched run in check-robust), and the release-mode >=1.5x
-# dispatched-vs-portable GEMM ratio test (skipped loudly without AVX2).
+# dispatched-vs-portable GEMM ratio test over update and solve shapes
+# (skipped loudly without AVX2).
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz

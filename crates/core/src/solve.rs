@@ -11,16 +11,30 @@
 //! * **backward** `Lᵀ/U·x = y`: the transposed graph — panel `c` gathers
 //!   from its (already solved) facing panels, then solves its own rows.
 //!
+//! A panel's off-diagonal blocks are stored one under the other (rows
+//! `w..stride` of its column-major storage), so each task makes **one**
+//! dense product over all of them, through a compact `(stride − w) × nrhs`
+//! scratch: forward `tmp = L[w.., :]·y_c`, then `x[R_b, :] -= tmp[R_b]`
+//! block by block; backward gathers `x[R_b, :]` of every block into `tmp`,
+//! then `x_c -= L[w.., :]ᵀ·tmp`. Those two shapes, and the diagonal
+//! [`trsm`], are what the kernels' SIMD tier is cut for — at one
+//! right-hand side they stream the factor once at memory speed, at many
+//! they run at the microkernel's rate. No kernel lets a column's rounding
+//! depend on the columns beside it, so column `r` of a many-RHS solve is
+//! bitwise the single solve of column `r`.
+//!
 //! The schedule follows from the worker count alone. With one worker —
 //! [`Factors::solve`], [`Factors::solve_many`], refinement, the serving
 //! path — elimination order (reversed for the backward sweep) is a
 //! topological order of the graph, so the sweeps are plain loops: no
 //! executor, no locks, no per-task bookkeeping. With more, the same bodies
 //! run as a [`PtgProgram`] on the shared executor, and the forward sweep's
-//! in-place accumulation into a facing panel's rows takes that panel's
+//! in-place subtraction from a facing panel's rows takes that panel's
 //! lock — the device the factorization's 1D fan-in uses
 //! (`NumericCtx::panel_locks`): the 1D graph orders every contributor
-//! before its target but not the contributors of a common target.
+//! before its target but not the contributors of a common target. The
+//! lock covers the subtraction only; the product ran before it, into the
+//! worker's own scratch.
 
 use crate::numeric::Factors;
 use dagfact_kernels::gemm::{gemm, Trans};
@@ -39,8 +53,12 @@ impl<T: Scalar> Factors<'_, T> {
     }
 
     /// Solve `A·X = B` for `nrhs` right-hand sides stored column-major in
-    /// `b` (length `n·nrhs`). All sweeps are blocked over the RHS columns,
-    /// so many-RHS solves run at GEMM speed rather than GEMV speed.
+    /// `b` (length `n·nrhs`). Every panel makes one `(stride − w) × nrhs`
+    /// product per sweep and one `w × nrhs` triangular solve, all columns
+    /// at once, on the kernels' SIMD tier (module docs) — so the factor is
+    /// read once for all `nrhs` columns and many-RHS solves run at GEMM
+    /// speed rather than GEMV speed. Column `r` of the result is bitwise
+    /// [`Factors::solve`] of column `r`.
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
         self.solve_on(b, nrhs, 1)
     }
@@ -69,14 +87,17 @@ impl<T: Scalar> Factors<'_, T> {
         );
         let nthreads = nthreads.max(1);
         // x[perm[i], :] = b[i, :]
+        // BOUNDS: b.len() == n·nrhs (asserted above) and `perm` is a
+        // bijection on 0..n, here and in the three loops below.
         let perm = self.analysis.perm.perm();
+        // ALLOC: the permuted right-hand sides, once per solve.
         let mut x = vec![T::zero(); n * nrhs];
         for r in 0..nrhs {
             for (old, &v) in b[r * n..(r + 1) * n].iter().enumerate() {
                 x[r * n + perm[old]] = v;
             }
         }
-        let panel = nrhs * symbol.cblks.iter().map(|cb| cb.width()).max().unwrap_or(0);
+        let panel = nrhs * symbol.cblks.iter().map(|cb| cb.height_below()).max().unwrap_or(0);
         let nlocks = if nthreads > 1 { symbol.ncblk() } else { 0 };
         let mut sweep = Sweep {
             f: self,
@@ -84,6 +105,7 @@ impl<T: Scalar> Factors<'_, T> {
             x: SharedSlice::from_vec(x),
             nrhs,
             panel,
+            // ALLOC: the workers' product buffers, once per solve.
             scratch: SharedSlice::from_vec(vec![T::zero(); nthreads * panel]),
             // ALLOC: multi-worker runs only, once per solve.
             locks: (0..nlocks).map(|_| Mutex::new(())).collect(),
@@ -91,6 +113,7 @@ impl<T: Scalar> Factors<'_, T> {
         sweep.run_sweep(nthreads);
         if self.analysis.facto == FactoKind::Ldlt {
             let mut x = sweep.x.into_vec();
+            // BOUNDS: x.len() == n·nrhs.
             for r in 0..nrhs {
                 for (xi, &di) in x[r * n..(r + 1) * n].iter_mut().zip(self.d.iter()) {
                     *xi /= di;
@@ -102,6 +125,8 @@ impl<T: Scalar> Factors<'_, T> {
         sweep.run_sweep(nthreads);
         let x = sweep.x.into_vec();
         // out[i, :] = x[perm[i], :]
+        // BOUNDS: as for the permutation in.
+        // ALLOC: the result, once per solve.
         let mut out = vec![T::zero(); n * nrhs];
         for r in 0..nrhs {
             for old in 0..n {
@@ -112,14 +137,16 @@ impl<T: Scalar> Factors<'_, T> {
     }
 
     /// Forward task of panel `c`: solve its rows `L_cc·y_c = x_c` (unit
-    /// diagonal for LDLᵀ/LU), then `x[R_b, :] -= L[R_b, c]·y_c` for every
-    /// off-diagonal block. `xc` is the worker's `w × nrhs` scratch;
+    /// diagonal for LDLᵀ/LU) in place, form `tmp = L[w.., c]·y_c` over all
+    /// off-diagonal blocks at once, then `x[R_b, :] -= tmp[R_b, :]` block
+    /// by block. `tmp` is the worker's `(stride − w) × nrhs` scratch;
     /// `locks` is empty when a single worker runs the sweep.
-    fn forward_panel(&self, c: usize, x: &mut [T], xc: &mut [T], nrhs: usize, locks: &[Mutex<()>]) {
+    fn forward_panel(&self, c: usize, x: &mut [T], tmp: &mut [T], nrhs: usize, locks: &[Mutex<()>]) {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
+        // BOUNDS: c < ncblk, a task id of the sweep.
         let cb = &symbol.cblks[c];
-        let w = cb.width();
+        let (w, h) = (cb.width(), cb.height_below());
         let diag = match self.analysis.facto {
             FactoKind::Cholesky => Diag::NonUnit,
             FactoKind::Ldlt | FactoKind::Lu => Diag::Unit,
@@ -128,54 +155,45 @@ impl<T: Scalar> Factors<'_, T> {
         // SAFETY: factorization finished and `self` is borrowed shared for
         // the whole solve, so the factor panels have no writer.
         let l = unsafe { lpin.slice() };
-        trsm(
-            Side::Left,
-            Uplo::Lower,
-            Trans::NoTrans,
-            diag,
-            w,
-            nrhs,
-            l,
-            cb.stride,
-            &mut x[cb.fcol..],
-            n,
-        );
-        // The propagation GEMM reads the panel solution from the scratch
-        // while it writes other rows of x.
-        gather_rows(x, n, cb.fcol, w, nrhs, xc);
+        // BOUNDS: fcol + w <= n, so the panel's rows of all nrhs columns
+        // lie in x[fcol..] at leading dimension n.
+        trsm(Side::Left, Uplo::Lower, Trans::NoTrans, diag, w, nrhs, l, cb.stride, &mut x[cb.fcol..], n);
+        if h == 0 {
+            return;
+        }
+        // BOUNDS: the panel holds stride = w + h rows of w columns; y_c is
+        // read in place (rows fcol.., leading dimension n) while the
+        // product lands in the scratch.
+        let yc = &x[cb.fcol..];
+        gemm(Trans::NoTrans, Trans::NoTrans, h, nrhs, w, T::one(), &l[w..], cb.stride, yc, n, T::zero(), tmp, h);
         for b in symbol.off_blocks(c) {
             // LOCK: taken only when nthreads > 1 (`locks` is empty on the
             // 1-worker path): the 1D graph leaves the contributors of a
             // common facing panel unordered, so their in-place
-            // accumulations into its rows are serialized here.
+            // subtractions from its rows are serialized here.
             let _accum = locks.get(b.facing).map(|lock| lock.lock());
-            gemm(
-                Trans::NoTrans,
-                Trans::NoTrans,
-                b.nrows(),
-                nrhs,
-                w,
-                -T::one(),
-                &l[b.local_offset..],
-                cb.stride,
-                xc,
-                w,
-                T::one(),
-                &mut x[b.frow..],
-                n,
-            );
+            // BOUNDS: w <= local_offset and local_offset + nrows <= stride
+            // place the block inside tmp's h rows; frow + nrows <= n.
+            for (xr, tr) in x.chunks_exact_mut(n).zip(tmp.chunks_exact(h)) {
+                let xb = &mut xr[b.frow..b.lrow];
+                for (xi, &ti) in xb.iter_mut().zip(&tr[b.local_offset - w..]) {
+                    *xi -= ti;
+                }
+            }
         }
     }
 
-    /// Backward task of panel `c`: `x_c -= Lᵀ[c, R_b]·x[R_b, :]` (LU:
-    /// `U[c, R_b]`, stored transposed in the U panel) over its
-    /// off-diagonal blocks, then the diagonal solve `Lᵀ_cc` / `U_cc` — all
-    /// in the scratch `xc`, so the reads of `x` stay immutable.
-    fn backward_panel(&self, c: usize, x: &mut [T], xc: &mut [T], nrhs: usize) {
+    /// Backward task of panel `c`: gather `x[R_b, :]` of every
+    /// off-diagonal block into `tmp`, `x_c -= Lᵀ[c, w..]·tmp` (LU:
+    /// `U[c, R_b]`, stored transposed in the U panel) in one product, then
+    /// the diagonal solve `Lᵀ_cc` / `U_cc` — both in place on the panel's
+    /// own rows of `x`, which no concurrent task reads or writes.
+    fn backward_panel(&self, c: usize, x: &mut [T], tmp: &mut [T], nrhs: usize) {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
+        // BOUNDS: c < ncblk, a task id of the sweep.
         let cb = &symbol.cblks[c];
-        let w = cb.width();
+        let (w, h) = (cb.width(), cb.height_below());
         let lu = self.analysis.facto == FactoKind::Lu;
         let lpin = self.tab.pin_l_solve(symbol, c);
         let upin = lu.then(|| self.tab.pin_u_solve(symbol, c));
@@ -183,31 +201,24 @@ impl<T: Scalar> Factors<'_, T> {
         let l = unsafe { lpin.slice() };
         // SAFETY: as for `l`.
         let u = upin.as_ref().map_or(l, |p| unsafe { p.slice() });
-        gather_rows(x, n, cb.fcol, w, nrhs, xc);
-        for b in symbol.off_blocks(c) {
-            gemm(
-                Trans::Trans,
-                Trans::NoTrans,
-                w,
-                nrhs,
-                b.nrows(),
-                -T::one(),
-                &u[b.local_offset..],
-                cb.stride,
-                &x[b.frow..],
-                n,
-                T::one(),
-                xc,
-                w,
-            );
+        if h > 0 {
+            for b in symbol.off_blocks(c) {
+                // BOUNDS: as in `forward_panel`'s subtraction.
+                for (xr, tr) in x.chunks_exact(n).zip(tmp.chunks_exact_mut(h)) {
+                    tr[b.local_offset - w..][..b.nrows()].copy_from_slice(&xr[b.frow..b.lrow]);
+                }
+            }
+            // BOUNDS: as in `forward_panel`'s product, transposed.
+            let xc = &mut x[cb.fcol..];
+            gemm(Trans::Trans, Trans::NoTrans, w, nrhs, h, -T::one(), &u[w..], cb.stride, tmp, h, T::one(), xc, n);
         }
         let (uplo, trans, diag) = match self.analysis.facto {
             FactoKind::Lu => (Uplo::Upper, Trans::NoTrans, Diag::NonUnit),
             FactoKind::Cholesky => (Uplo::Lower, Trans::Trans, Diag::NonUnit),
             FactoKind::Ldlt => (Uplo::Lower, Trans::Trans, Diag::Unit),
         };
-        trsm(Side::Left, uplo, trans, diag, w, nrhs, l, cb.stride, xc, w);
-        scatter_rows(xc, x, n, cb.fcol, w, nrhs);
+        // BOUNDS: as in `forward_panel`'s triangular solve.
+        trsm(Side::Left, uplo, trans, diag, w, nrhs, l, cb.stride, &mut x[cb.fcol..], n);
     }
 }
 
@@ -220,9 +231,10 @@ struct Sweep<'f, 'a, T: Scalar> {
     /// The right-hand sides, permuted, column-major `n × nrhs`.
     x: SharedSlice<T>,
     nrhs: usize,
-    /// Length of one worker's scratch: `w_max × nrhs`.
+    /// Length of one worker's scratch: `nrhs ×` the tallest off-diagonal
+    /// part (`stride − w`) of any panel.
     panel: usize,
-    /// One panel-solution buffer per worker, allocated once per solve.
+    /// One product buffer per worker, allocated once per solve.
     scratch: SharedSlice<T>,
     /// Per-panel accumulation locks; empty when one worker runs the sweep.
     locks: Vec<Mutex<()>>,
@@ -246,26 +258,30 @@ impl<T: Scalar> Sweep<'_, '_, T> {
     /// panel body.
     fn sweep_panel(&self, c: usize, worker: usize) {
         // BOUNDS: c < ncblk; worker < nthreads and the scratch holds
-        // nthreads panels of `panel` = w_max·nrhs >= cols elements.
-        let cols = self.f.analysis.symbol.cblks[c].width() * self.nrhs;
+        // nthreads panels of `panel` >= (stride − w)·nrhs elements.
+        let rows = self.f.analysis.symbol.cblks[c].height_below() * self.nrhs;
         // SAFETY: a worker index names exactly one thread of the run (the
         // caller's own with one worker), and only that thread touches
-        // elements of scratch panel `worker`.
-        let xc = &mut unsafe { self.scratch.slice_mut() }[worker * self.panel..][..cols];
+        // elements of scratch panel `worker` — the column-major
+        // `(stride − w) × nrhs` product of the task it is running.
+        let tmp = &mut unsafe { self.scratch.slice_mut() }[worker * self.panel..][..rows];
         // SAFETY: concurrent tasks touch disjoint elements of `x`, or are
         // ordered. Forward: panel c's rows are written by its
-        // contributors under `locks[c]` (mutually excluded) and then by
-        // task c, which the graph runs after all of them — the pending
-        // counter's AcqRel release (`release_pending`, the loom fan-in
-        // model) publishes their writes. Backward: task c writes only its
-        // own rows and reads rows of the panels it faces, which completed
+        // contributors — each subtracts its finished product under
+        // `locks[c]`, which covers that read-modify-write and nothing
+        // else (the product itself reads only the contributor's own
+        // solved rows and writes its own scratch) — and then by task c,
+        // which the graph runs after all of them: the pending counter's
+        // AcqRel release (`release_pending`, the loom fan-in model)
+        // publishes their writes. Backward: task c writes only its own
+        // rows and reads rows of the panels it faces, which completed
         // before it in the transposed graph. With one worker the loop in
         // `run_sweep` is sequential.
         let x = unsafe { self.x.slice_mut() };
         if self.forward {
-            self.f.forward_panel(c, x, xc, self.nrhs, &self.locks);
+            self.f.forward_panel(c, x, tmp, self.nrhs, &self.locks);
         } else {
-            self.f.backward_panel(c, x, xc, self.nrhs);
+            self.f.backward_panel(c, x, tmp, self.nrhs);
         }
     }
 }
@@ -292,23 +308,5 @@ impl<T: Scalar> PtgProgram for Sweep<'_, '_, T> {
     }
     fn execute(&self, c: usize, worker: usize) {
         self.sweep_panel(c, worker);
-    }
-}
-
-/// Copy rows `first..first+rows` of every RHS column of the `n × nrhs`
-/// array `x` into the compact `rows × nrhs` buffer `out`.
-fn gather_rows<T: Scalar>(x: &[T], n: usize, first: usize, rows: usize, nrhs: usize, out: &mut [T]) {
-    // BOUNDS: first + rows <= n (a panel's columns), x.len() == n·nrhs,
-    // out.len() == rows·nrhs.
-    for r in 0..nrhs {
-        out[r * rows..(r + 1) * rows].copy_from_slice(&x[r * n + first..r * n + first + rows]);
-    }
-}
-
-/// Inverse of [`gather_rows`].
-fn scatter_rows<T: Scalar>(buf: &[T], x: &mut [T], n: usize, first: usize, rows: usize, nrhs: usize) {
-    // BOUNDS: as in `gather_rows`.
-    for r in 0..nrhs {
-        x[r * n + first..r * n + first + rows].copy_from_slice(&buf[r * rows..(r + 1) * rows]);
     }
 }

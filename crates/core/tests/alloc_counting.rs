@@ -4,7 +4,10 @@
 //! with ~6x the native policy's tasks, yet a factorization under them may
 //! cost only a handful of allocations more — the graph is computed from
 //! the analysis (ptg) or inferred into a few flat vectors (dataflow), never
-//! built out of per-task lists and boxed closures.
+//! built out of per-task lists and boxed closures. The triangular solve
+//! holds the same line: its buffers (the permuted right-hand sides, one
+//! product scratch, the result) are allocated once per call, so a warm
+//! `solve_many` costs the same few allocations whatever the panel count.
 //!
 //! ONE `#[test]`: the counter is process-global (see the rt twin).
 
@@ -63,6 +66,11 @@ fn allocs_during<F: FnOnce()>(f: F) -> usize {
 }
 
 #[test]
+fn nothing_allocates_per_task_or_per_panel() {
+    two_level_policies_allocate_no_more_per_task_than_native();
+    warm_solve_allocations_do_not_depend_on_panel_count();
+}
+
 fn two_level_policies_allocate_no_more_per_task_than_native() {
     // The `shell_lu` benchmark proxy at a third of its side: tiny fronts,
     // so tasks — not flops — are what there is a lot of.
@@ -85,4 +93,21 @@ fn two_level_policies_allocate_no_more_per_task_than_native() {
             rt.label()
         );
     }
+}
+
+fn warm_solve_allocations_do_not_depend_on_panel_count() {
+    // (panels, allocations of one warm 16-RHS solve) at a grid side.
+    let measure = |side: usize| {
+        let a = convection_diffusion_3d(side, side, 3, 0.3);
+        let an = Analysis::new(a.pattern(), FactoKind::Lu, &SolverOptions::default());
+        let f = an.factorize(&a, RuntimeKind::Ptg, 1).expect("factorization succeeds");
+        let b = vec![1.0; a.nrows() * 16];
+        f.solve_many(&b, 16);
+        (an.symbol.ncblk(), allocs_during(|| drop(f.solve_many(&b, 16))))
+    };
+    let (few, small) = measure(10);
+    let (many, large) = measure(40);
+    assert!(many >= 8 * few, "{few} vs {many} panels: not a scaling pair");
+    assert_eq!(small, large, "solve_many: {small} allocations at {few} panels, {large} at {many}");
+    assert!(large <= 4, "solve_many made {large} allocations");
 }

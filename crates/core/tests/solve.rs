@@ -1,12 +1,18 @@
 //! The triangular solve, one table: {Cholesky f64, LDLᵀ f64, LDLᵀ C64,
-//! LU f64} × nrhs {1, 3, 16} × workers {1, 2, 4}.
+//! LU f64} × nrhs {1, 2, 3, 4, 5, 16, 17} × workers {1, 2, 4}. The nrhs
+//! set walks the kernels' column tiles (1–3: the narrow tiles alone, 4:
+//! one full tile, 5 and 17: full tiles + remainder, 17 also a second
+//! column chunk of the blocked TRSM).
 //!
 //! * one worker is *the* sequential solve: `solve_parallel_many(b, nrhs,
 //!   1)` is bitwise `solve_many(b, nrhs)`, and `solve_many`'s column `r`
-//!   is bitwise `solve` of column `r`;
+//!   is bitwise `solve` of column `r` — no kernel may let a column's
+//!   rounding depend on how many columns ride with it;
 //! * more workers may apply the contributions into a panel in another
 //!   order: the result agrees with the sequential one componentwise to
-//!   `AGREE · max(1, ‖x‖∞)` and reaches backward error ≤ `BERR`.
+//!   `AGREE · max(1, ‖x‖∞)` and reaches backward error ≤ `BERR`. Every
+//!   fixture has panels with several blocks facing one panel (asserted):
+//!   each block takes the facing panel's lock for its own subtraction.
 //!
 //! (The spilled-factors multi-worker case lives with its fixture in
 //! `memory_budget.rs`.) Problems shrink under Miri, which runs this file
@@ -56,7 +62,15 @@ fn check<T: Scalar>(name: &str, a: &CscMatrix<T>, facto: FactoKind, engine: Runt
     let n = a.nrows();
     let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
     let f = analysis.factorize(a, engine, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
-    for nrhs in [1usize, 3, 16] {
+    let symbol = &analysis.symbol;
+    let repeated_facing = (0..symbol.ncblk())
+        .filter(|&c| symbol.off_blocks(c).windows(2).any(|p| p[0].facing == p[1].facing))
+        .count();
+    assert!(
+        cfg!(miri) || repeated_facing > 0,
+        "{name}: no panel has two blocks facing the same panel"
+    );
+    for nrhs in [1usize, 2, 3, 4, 5, 16, 17] {
         let b: Vec<T> = (0..n * nrhs)
             .map(|i| T::from_parts(((i * 7 + 1) % 19) as f64 - 9.0, (i % 5) as f64 - 2.0))
             .collect();

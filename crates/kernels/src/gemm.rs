@@ -8,9 +8,11 @@
 //! * the portable blocked safe-Rust kernel ([`gemm_portable`]) — the
 //!   baseline-target build that runs everywhere and is the reference the
 //!   differential fuzz suite pins the SIMD tier against, and
-//! * the AVX2+FMA register-tiled microkernel in [`crate::simd`], entered
-//!   through a cached runtime dispatch when the host supports it, the
-//!   element type is `f64`, and the shape is big enough to win.
+//! * the AVX2+FMA register-tiled microkernels in [`crate::simd`] — the
+//!   8×4 axpy tile for `A` untransposed, the 3×4 dot tile for `Aᵀ·B`
+//!   (the backward solve) — entered through a cached runtime dispatch
+//!   when the host supports it, the element type is `f64`, and the shape
+//!   is big enough to win (`m ≥ 8` resp. `k ≥ 4`; any `n`).
 //!
 //! [`gemm`] is the dispatching front door; everything else in the solver
 //! calls it and gets the fastest applicable tier.
@@ -47,8 +49,9 @@ impl Trans {
 /// * Panics if `c` is too small for the described shape (checked before
 ///   any write — a release build must never slice-panic mid-update and
 ///   leave `C` half-mutated); the remaining contracts are debug-checked
-///   on the portable tier and promoted to real asserts on the
-///   `A`-untransposed arms, where the SIMD tier reads raw pointers.
+///   on the portable tier and promoted to real asserts on the arms the
+///   SIMD tier serves through raw pointers (`A` untransposed, and `Aᵀ·B`
+///   with `B` untransposed).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm<T: Scalar>(
     transa: Trans,
@@ -78,10 +81,11 @@ pub fn gemm<T: Scalar>(
         scale_c(m, n, beta, c, ldc);
         return;
     }
+    // HOT: the SIMD tier reads A/B through raw pointers, so the shape
+    // contracts of the arms it serves must hold in release builds too.
+    // Once per call.
     if transa == Trans::NoTrans {
         let b_trans = transb != Trans::NoTrans;
-        // HOT: the SIMD tier reads A/B through raw pointers, so its shape
-        // contracts must hold in release builds too. Once per call.
         assert!(
             lda >= m && a.len() >= lda * (k - 1) + m,
             "gemm: A buffer too small for m={m} k={k} lda={lda}"
@@ -95,6 +99,18 @@ pub fn gemm<T: Scalar>(
             "gemm: B buffer too small for n={n} k={k} ldb={ldb}"
         );
         if simd::try_gemm_a_notrans(b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
+            return;
+        }
+    } else if transb == Trans::NoTrans {
+        assert!(
+            lda >= k && a.len() >= lda * (m - 1) + k,
+            "gemm: A buffer too small for m={m} k={k} lda={lda}"
+        );
+        assert!(
+            ldb >= k && b.len() >= ldb * (n - 1) + k,
+            "gemm: B buffer too small for n={n} k={k} ldb={ldb}"
+        );
+        if simd::try_gemm_a_trans(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
             return;
         }
     }
@@ -185,7 +201,7 @@ fn gemm_body<T: Scalar>(
                     for (&av, &bv) in ai.iter().zip(bj.iter()) {
                         acc += ta.apply(av) * bv;
                     }
-                    *cij = alpha * acc + beta * *cij;
+                    *cij = axpby(alpha, acc, beta, *cij);
                 }
             }
         }
@@ -202,7 +218,7 @@ fn gemm_body<T: Scalar>(
                     for l in 0..k {
                         acc += ta.apply(a[i * lda + l]) * tb.apply(b[l * ldb + j]);
                     }
-                    *cij = alpha * acc + beta * *cij;
+                    *cij = axpby(alpha, acc, beta, *cij);
                 }
             }
         }
@@ -274,6 +290,17 @@ fn gemm_a_notrans<T: Scalar>(
             axpy(s, &a[l * lda..l * lda + m], cj);
         }
         j += 1;
+    }
+}
+
+/// `α·acc + β·c`, with β = 0 a plain store: `c` may be uninitialised
+/// scratch, and `0·NaN` is NaN.
+#[inline]
+fn axpby<T: Scalar>(alpha: T, acc: T, beta: T, c: T) -> T {
+    if beta == T::zero() {
+        alpha * acc
+    } else {
+        alpha * acc + beta * c
     }
 }
 
@@ -419,44 +446,38 @@ mod tests {
     }
 
     #[test]
-    fn beta_zero_overwrites_nan_free() {
-        // beta = 0 must not propagate garbage from C.
-        let a = vec![1.0f64; 4];
-        let b = vec![1.0f64; 4];
-        let mut c = vec![f64::NAN; 4];
-        gemm(
-            Trans::NoTrans,
-            Trans::NoTrans,
-            2,
-            2,
-            2,
-            1.0,
-            &a,
-            2,
-            &b,
-            2,
-            0.0,
-            &mut c,
-            2,
-        );
-        assert!(c.iter().all(|v| v.is_finite()));
+    fn gemm_beta_zero_never_reads_c() {
+        // β = 0 is a store in every arm of both tiers: C may be
+        // uninitialised scratch (the solve's product buffer), and 0·NaN is
+        // NaN. Shapes on both sides of the SIMD dispatch floors.
+        let trans = [Trans::NoTrans, Trans::Trans, Trans::ConjTrans];
+        for &ta in &trans {
+            for &tb in &trans {
+                for (m, n, k) in [(2, 2, 2), (3, 5, 9), (17, 6, 11)] {
+                    let (ar, ac) = if ta == Trans::NoTrans { (m, k) } else { (k, m) };
+                    let (br, bc) = if tb == Trans::NoTrans { (k, n) } else { (n, k) };
+                    let a = fill(ar * ac, 1);
+                    let b = fill(br * bc, 2);
+                    let mut want = vec![0.0; m * n];
+                    naive_gemm(ta, tb, m, n, k, 0.5, &a, ar, &b, br, 0.0, &mut want, m);
+                    for kernel in [gemm::<f64>, gemm_portable::<f64>] {
+                        let mut c = vec![f64::NAN; m * n];
+                        kernel(ta, tb, m, n, k, 0.5, &a, ar, &b, br, 0.0, &mut c, m);
+                        for (x, y) in c.iter().zip(&want) {
+                            assert!((x - y).abs() < 1e-12, "{x} vs {y} ({ta:?},{tb:?}) {m}x{n}x{k}");
+                        }
+                    }
+                    let (ac64, bc64) = (fill_c(ar * ac, 3), fill_c(br * bc, 4));
+                    let mut c = vec![C64::new(f64::NAN, f64::NAN); m * n];
+                    let (half, zero) = (C64::new(0.5, 0.0), C64::new(0.0, 0.0));
+                    gemm(ta, tb, m, n, k, half, &ac64, ar, &bc64, br, zero, &mut c, m);
+                    assert!(c.iter().all(|v| v.is_finite()), "C64 ({ta:?},{tb:?}) {m}x{n}x{k}");
+                }
+            }
+        }
         // k = 0 with beta = 0 zeroes C.
         let mut c2 = vec![f64::NAN; 4];
-        gemm(
-            Trans::NoTrans,
-            Trans::NoTrans,
-            2,
-            2,
-            0,
-            1.0,
-            &a,
-            2,
-            &b,
-            2,
-            0.0,
-            &mut c2,
-            2,
-        );
+        gemm(Trans::NoTrans, Trans::NoTrans, 2, 2, 0, 1.0, &[], 2, &[], 2, 0.0, &mut c2, 2);
         assert_eq!(c2, vec![0.0; 4]);
     }
 

@@ -1,20 +1,33 @@
 //! AVX2 + FMA `f64` microkernels.
 //!
-//! One register-tiled GEMM kernel serves every dispatched entry point:
-//! an 8×4 tile of `C` (two `ymm` rows × four columns = 8 accumulator
-//! registers) is held in registers while the `k` loop streams columns of
-//! `A` (contiguous 8-element loads — `A` is column-major and
-//! untransposed) and broadcasts elements of `op(B)`. `op(B)` is read
-//! through [`BLayout`], so the same kernel covers the `NoTrans×Trans`
-//! outer product of the supernodal update *and* the `NoTrans×NoTrans`
-//! packed-panel product — only the broadcast address differs.
+//! Two register tiles, one per storage order of `A`:
 //!
-//! Accumulation **association matches the portable kernel**: the C tile
-//! is loaded first (β applied on the first `kc` chunk), then one FMA per
-//! `k` step — the same per-`l` axpy order as
-//! [`crate::gemm`]'s `gemm_a_notrans`, with the multiply-add pair
-//! contracted into a single rounding. The differential fuzz suite pins
-//! the resulting drift.
+//! * **`A` untransposed** ([`gemm_f64`]): an 8×`NJ` tile of `C` (two `ymm`
+//!   rows × `NJ ≤ 4` columns) is held in registers while the `k` loop
+//!   streams columns of `A` (contiguous 8-element loads) and broadcasts
+//!   elements of `op(B)`. `op(B)` is read through [`BLayout`], so the same
+//!   tile covers the `NoTrans×Trans` outer product of the supernodal
+//!   update *and* the `NoTrans×NoTrans` product of the forward solve —
+//!   only the broadcast address differs. The tile is const-generic over
+//!   its column count, so the `n mod 4` remainder (and all of `n < 4`: the
+//!   single-RHS solve) vectorizes along `m` like the full tile;
+//!   [`tile_edge`] keeps only the ≤ 7-row remainder.
+//! * **`A` transposed, `B` untransposed** ([`gemm_at_f64`]): the
+//!   contraction runs down contiguous columns of both operands, so a
+//!   3×`NJ` tile of `C` is `3·NJ` `ymm` dot-product accumulators reduced
+//!   once at the end of a `KC` chunk — the backward solve's product, and at
+//!   one right-hand side the backward solve itself.
+//!
+//! Accumulation **association matches the portable kernel** on the
+//! `A`-untransposed tile: the C tile is loaded first (β applied on the
+//! first `kc` chunk), then one FMA per `k` step — the same per-`l` axpy
+//! order as [`crate::gemm`]'s `gemm_a_notrans`, with the multiply-add
+//! pair contracted into a single rounding. The dot tile sums four
+//! interleaved partial dots per element (rounding-level reassociation).
+//! In both, an element of `C` is computed the same way whatever tile or
+//! remainder it falls in and however many columns ride with it, so a
+//! column of a product does not depend on `n`. The differential fuzz
+//! suite pins the drift.
 //!
 //! Everything here is `unsafe fn` + raw pointers: callers (the dispatch
 //! shims in [`super`]) re-assert the LAPACK shape contracts before any
@@ -104,38 +117,30 @@ pub(crate) unsafe fn gemm_f64(
                 while jr < ncb {
                     let nrb = NR.min(ncb - jr);
                     let j0 = jc + jr;
-                    if nrb == NR {
-                        let mut ir = 0;
-                        while ir < m_main {
-                            // SAFETY: (ic+ir .. +MR) ≤ m rows and
-                            // (j0 .. +NR) ≤ n cols stay inside the
-                            // caller's lda/ldc shape contracts.
-                            unsafe {
-                                tile_8x4(
-                                    kcb,
-                                    a.add(pc * lda + ic + ir),
-                                    lda,
-                                    b,
-                                    bl,
-                                    pc,
-                                    j0,
-                                    alpha,
-                                    first,
-                                    beta,
-                                    c.add(j0 * ldc + ic + ir),
-                                    ldc,
-                                );
+                    let mut ir = 0;
+                    while ir < m_main {
+                        // SAFETY: rows (ic+ir .. +MR) ≤ m and columns
+                        // (j0 .. +nrb) ≤ n stay inside the caller's
+                        // lda/ldc shape contracts.
+                        unsafe {
+                            let at = a.add(pc * lda + ic + ir);
+                            let ct = c.add(j0 * ldc + ic + ir);
+                            match nrb {
+                                4 => tile_8xn::<4>(kcb, at, lda, b, bl, pc, j0, alpha, first, beta, ct, ldc),
+                                3 => tile_8xn::<3>(kcb, at, lda, b, bl, pc, j0, alpha, first, beta, ct, ldc),
+                                2 => tile_8xn::<2>(kcb, at, lda, b, bl, pc, j0, alpha, first, beta, ct, ldc),
+                                _ => tile_8xn::<1>(kcb, at, lda, b, bl, pc, j0, alpha, first, beta, ct, ldc),
                             }
-                            ir += MR;
                         }
+                        ir += MR;
                     }
-                    let (mt, it0) = if nrb == NR { (mcb - m_main, ic + m_main) } else { (mcb, ic) };
-                    if mt > 0 {
-                        // SAFETY: the ≤7-row / ≤3-col remainder stays
-                        // inside the same shape contracts.
+                    if mcb > m_main {
+                        let it0 = ic + m_main;
+                        // SAFETY: the ≤7-row remainder of the same
+                        // columns stays inside the same shape contracts.
                         unsafe {
                             tile_edge(
-                                mt,
+                                mcb - m_main,
                                 nrb,
                                 kcb,
                                 a.add(pc * lda + it0),
@@ -162,17 +167,19 @@ pub(crate) unsafe fn gemm_f64(
     }
 }
 
-/// The 8×4 register tile: `C_tile` lives in 8 `ymm` accumulators across
-/// the whole `kk` loop; β is applied when `first` (chunk `pc == 0`).
+/// The 8×`NJ` register tile (`NJ` ∈ 1..=4): `C_tile` lives in `2·NJ`
+/// `ymm` accumulators across the whole `kk` loop; β is applied when
+/// `first` (chunk `pc == 0`). Every column runs the same per-`l` FMA
+/// chain whatever `NJ` is.
 ///
 /// # Safety
-/// Caller guarantees AVX2+FMA, 8 rows × 4 columns of C at `(c, ldc)`,
+/// Caller guarantees AVX2+FMA, 8 rows × `NJ` columns of C at `(c, ldc)`,
 /// `kk` columns of A at `(a, lda)`, and op(B) coverage of rows
-/// `l0..l0+kk` × cols `j0..j0+4`.
+/// `l0..l0+kk` × cols `j0..j0+NJ`.
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 #[inline]
-unsafe fn tile_8x4(
+unsafe fn tile_8xn<const NJ: usize>(
     kk: usize,
     a: *const f64,
     lda: usize,
@@ -186,11 +193,11 @@ unsafe fn tile_8x4(
     c: *mut f64,
     ldc: usize,
 ) {
-    // SAFETY: (whole body) caller guarantees 8 rows and 4 columns of C
+    // SAFETY: (whole body) caller guarantees 8 rows and NJ columns of C
     // at (c, ldc), kk columns of A at (a, lda), and op(B) coverage of
-    // rows l0..l0+kk × cols j0..j0+4.
+    // rows l0..l0+kk × cols j0..j0+NJ.
     unsafe {
-        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
+        let mut acc = [[_mm256_setzero_pd(); 2]; NJ];
         for (jj, [lo, hi]) in acc.iter_mut().enumerate() {
             let cj = c.add(jj * ldc);
             if first {
@@ -228,9 +235,9 @@ unsafe fn tile_8x4(
     }
 }
 
-/// Remainder tile (`mt ≤ 7` rows or `nt ≤ 3` columns): scalar loops with
-/// the same association as [`tile_8x4`] (`mul_add` contracts to a
-/// hardware FMA under the enabled feature).
+/// Row-remainder tile (`mt ≤ 7` rows under a column strip of `nt ≤ 4`):
+/// scalar loops with the same association as [`tile_8xn`] (`mul_add`
+/// contracts to a hardware FMA under the enabled feature).
 ///
 /// # Safety
 /// Caller guarantees AVX2+FMA, `mt` rows × `nt` cols of C at `(c, ldc)`,
@@ -275,6 +282,130 @@ unsafe fn tile_edge(
                     x = f64::mul_add(*a.add(ll * lda + ii), s, x);
                 }
                 *cij = x;
+            }
+        }
+    }
+}
+
+/// `C ← α·Aᵀ·B + β·C` with `A` stored `k×m` and `B` stored `k×n`, both
+/// column-major: every `C[i, j]` is a dot product down two contiguous
+/// columns. The contraction is cut into [`KC`] chunks (β on the first,
+/// accumulation after) so the `B` chunk a row-triple of tiles sweeps
+/// stays cache-resident while `A` streams through once.
+///
+/// # Safety
+/// Requires AVX2+FMA (certified by `isa()`), `lda ≥ k`, `ldb ≥ k`,
+/// `ldc ≥ m`, and buffers sized for the described shapes (asserted by
+/// the dispatching `gemm`).
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn gemm_at_f64(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    let mut pc = 0;
+    while pc < k {
+        let kcb = KC.min(k - pc);
+        let beta = if pc == 0 { beta } else { 1.0 };
+        let mut i = 0;
+        while i < m {
+            // Row remainders (m mod 3) go one row at a time: the same
+            // per-element arithmetic as the full tile.
+            let mi = if m - i >= DOT_MR { DOT_MR } else { 1 };
+            let mut j = 0;
+            while j < n {
+                let nj = NR.min(n - j);
+                // SAFETY: rows pc..pc+kcb ≤ k of columns i..i+mi ≤ m of
+                // A and j..j+nj ≤ n of B, and the mi×nj block of C at
+                // (i, j), stay inside the caller's shape contracts.
+                unsafe {
+                    let (at, bt) = (a.add(i * lda + pc), b.add(j * ldb + pc));
+                    let ct = c.add(j * ldc + i);
+                    match (mi, nj) {
+                        (DOT_MR, 4) => tile_dot::<DOT_MR, 4>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (DOT_MR, 3) => tile_dot::<DOT_MR, 3>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (DOT_MR, 2) => tile_dot::<DOT_MR, 2>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (DOT_MR, _) => tile_dot::<DOT_MR, 1>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (_, 4) => tile_dot::<1, 4>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (_, 3) => tile_dot::<1, 3>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (_, 2) => tile_dot::<1, 2>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                        (_, _) => tile_dot::<1, 1>(kcb, at, lda, bt, ldb, alpha, beta, ct, ldc),
+                    }
+                }
+                j += nj;
+            }
+            i += mi;
+        }
+        pc += kcb;
+    }
+}
+
+/// Rows of `C` per dot tile: 3 columns of `A` held in `ymm` against up to
+/// four columns of `B` — 12 accumulators + 3 + 1 fill the register file.
+const DOT_MR: usize = 3;
+
+/// The `MI×NJ` dot tile: `C[i, j] ← α·(A[:, i]·B[:, j]) + β·C[i, j]` over
+/// `kk` rows. Each element is four interleaved partial dots (one `ymm`
+/// accumulator, one FMA per four rows), reduced as `(s₀+s₂)+(s₁+s₃)`, then
+/// the `kk mod 4` tail by scalar FMA — identical for every `MI`, `NJ`.
+/// β = 0 stores without reading `C`.
+///
+/// # Safety
+/// Caller guarantees AVX2+FMA, `kk` rows of `MI` columns of A at
+/// `(a, lda)` and of `NJ` columns of B at `(b, ldb)`, and `MI` rows ×
+/// `NJ` columns of C at `(c, ldc)`.
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+unsafe fn tile_dot<const MI: usize, const NJ: usize>(
+    kk: usize,
+    a: *const f64,
+    lda: usize,
+    b: *const f64,
+    ldb: usize,
+    alpha: f64,
+    beta: f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    // SAFETY: (whole body) caller guarantees kk rows of MI columns of A,
+    // of NJ columns of B, and the MI×NJ block of C.
+    unsafe {
+        let mut acc = [[_mm256_setzero_pd(); NJ]; MI];
+        let main = kk - kk % 4;
+        let mut l = 0;
+        while l < main {
+            let mut av = [_mm256_setzero_pd(); MI];
+            for (ii, v) in av.iter_mut().enumerate() {
+                *v = _mm256_loadu_pd(a.add(ii * lda + l));
+            }
+            for jj in 0..NJ {
+                let bv = _mm256_loadu_pd(b.add(jj * ldb + l));
+                for (row, &a_ii) in acc.iter_mut().zip(&av) {
+                    // BOUNDS: jj < NJ, the accumulator rows' own length.
+                    row[jj] = _mm256_fmadd_pd(a_ii, bv, row[jj]);
+                }
+            }
+            l += 4;
+        }
+        for (ii, row) in acc.iter().enumerate() {
+            for (jj, &v) in row.iter().enumerate() {
+                let pair = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+                let mut dot = _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+                for l in main..kk {
+                    dot = f64::mul_add(*a.add(ii * lda + l), *b.add(jj * ldb + l), dot);
+                }
+                let cij = c.add(jj * ldc + ii);
+                *cij = if beta == 0.0 { alpha * dot } else { f64::mul_add(alpha, dot, beta * *cij) };
             }
         }
     }

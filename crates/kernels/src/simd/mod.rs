@@ -10,9 +10,11 @@
 //!   (`is_x86_feature_detected!`) runs once; every later call is a single
 //!   relaxed atomic load, so dispatch is legal inside the hot-path purity
 //!   roots (no allocation, no locks, no panics).
-//! * [`avx2`] — the 8×4 register-tiled f64 GEMM microkernel with
+//! * [`avx2`] — the f64 GEMM microkernels: the 8×4 register tile with
 //!   mc/kc/nc cache blocking (constants sized for a ~32 KiB L1 /
-//!   ~1 MiB L2 core): the one register-tile loop of the crate.
+//!   ~1 MiB L2 core) for `A` untransposed, and the 3×4 dot-form tile for
+//!   `Aᵀ·B`. Everything else that wants SIMD (TRSM, the solve sweeps)
+//!   gets it by calling `gemm` with a shape one of the two takes.
 //!
 //! Scalar fallback is the portable kernel itself: every entry point here
 //! returns `false` (or routes to plain loops) when the host lacks AVX2,
@@ -216,6 +218,65 @@ pub(crate) fn try_gemm_a_notrans<T: Scalar>(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         let _ = (b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        false
+    }
+}
+
+/// Contraction length below which the dot-form kernel declines: under
+/// one vector of rows its loop never runs and only the scalar tail would.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+const DOT_K_MIN: usize = 4;
+
+/// Attempt the AVX2 dot-form GEMM for `C ← α·Aᵀ·B + β·C` (`A` stored
+/// `k×m`, `B` stored `k×n`; for `f64` the conjugate transpose is the
+/// transpose). Returns `true` when the SIMD path handled the call.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn try_gemm_a_trans<T: Scalar>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        if isa() != Isa::Avx2 || k < DOT_K_MIN {
+            return false;
+        }
+        let (Some(af), Some(bf)) = (as_f64(a), as_f64(b)) else {
+            return false;
+        };
+        let Some(cf) = as_f64_mut(c) else { return false };
+        // SAFETY: isa() == Avx2 certifies avx2+fma on this CPU; the
+        // shape contracts (lda/ldb ≥ k, ldc ≥ m and the slice lengths)
+        // were asserted by the calling `gemm` before any dispatch.
+        unsafe {
+            avx2::gemm_at_f64(
+                m,
+                n,
+                k,
+                alpha.re(),
+                af.as_ptr(),
+                lda,
+                bf.as_ptr(),
+                ldb,
+                beta.re(),
+                cf.as_mut_ptr(),
+                ldc,
+            );
+        }
+        true
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        let _ = (m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
         false
     }
 }

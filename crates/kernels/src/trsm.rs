@@ -7,7 +7,7 @@
 //! (transposed-stored) U side of LU. All eight side/uplo/trans combinations
 //! are provided so the solve phase can reuse the kernel.
 
-use crate::gemm::axpy;
+use crate::gemm::{axpy, gemm};
 use crate::scalar::Scalar;
 use crate::simd;
 
@@ -44,6 +44,7 @@ pub use crate::gemm::Trans;
 /// is overwritten with the solution `X` of `op(T)·X = B` (left) or
 /// `X·op(T) = B` (right), where `T` is the `k×k` triangle (`k = m` for left,
 /// `k = n` for right) stored in `t` with leading dimension `ldt`.
+/// Panics — before any write — if `t` or `b` is too small for that shape.
 #[allow(clippy::too_many_arguments)]
 pub fn trsm<T: Scalar>(
     side: Side,
@@ -60,6 +61,17 @@ pub fn trsm<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
+    let k = match side {
+        Side::Left => m,
+        Side::Right => n,
+    };
+    // HOT: shape guard, once per call, before the first write — the
+    // blocked left solve forms sub-slices from these, and a release build
+    // must fail here rather than slice-panic with `B` half-solved.
+    assert!(
+        ldt >= k && t.len() >= ldt * (k - 1) + k && ldb >= m && b.len() >= ldb * (n - 1) + m,
+        "trsm: T or B buffer too small for m={m} n={n} ldt={ldt} ldb={ldb}"
+    );
     match side {
         Side::Left => trsm_left(uplo, trans, diag, m, n, t, ldt, b, ldb),
         Side::Right => trsm_right(uplo, trans, diag, m, n, t, ldt, b, ldb),
@@ -72,7 +84,7 @@ pub fn trsm<T: Scalar>(
 #[inline]
 fn tval<T: Scalar>(t: &[T], ldt: usize, trans: Trans, i: usize, j: usize) -> T {
     // BOUNDS: (i, j) inside the stored triangle and the ldt shape
-    // contract debug-asserted by trsm_left/trsm_right (doc above).
+    // contract asserted by `trsm` (doc above).
     match trans {
         Trans::NoTrans => t[j * ldt + i],
         Trans::Trans => t[i * ldt + j],
@@ -91,6 +103,26 @@ fn effective_lower(uplo: Uplo, trans: Trans) -> bool {
     }
 }
 
+/// Rows of the triangle [`trsm_left`] solves by substitution at a time;
+/// everything outside those diagonal blocks is `gemm`.
+const NB: usize = 16;
+/// Right-hand-side columns staged per pass of [`trsm_left`].
+const NCHUNK: usize = 16;
+
+/// Left solve, blocked by [`NB`]: the substitution loop
+/// ([`solve_triangle`]) runs on each `NB×NB` diagonal triangle and the
+/// rest of `op(T)` is applied with `gemm`, so a wide panel's solve runs on
+/// the GEMM tiers. With `T` stored untransposed the sweep is
+/// right-looking (a solved block updates every unsolved row: `A`
+/// untransposed, the axpy tile); with `T` stored transposed it is
+/// left-looking (a block first gathers from every solved row: `Aᵀ·B`,
+/// long contiguous dots). Either way the off-diagonal operand is a row
+/// range of `T`'s *stored* columns `i0..i0+nb` — below the block for a
+/// stored lower triangle, above it for an upper one.
+///
+/// The solved rows and the updated rows interleave in the one
+/// column-major `b`, so the `nb × ≤NCHUNK` block being solved is staged
+/// in a stack array: `gemm` then reads or writes `b` on one side only.
 #[allow(clippy::too_many_arguments)]
 fn trsm_left<T: Scalar>(
     uplo: Uplo,
@@ -103,12 +135,72 @@ fn trsm_left<T: Scalar>(
     b: &mut [T],
     ldb: usize,
 ) {
-    debug_assert!(ldt >= m && t.len() >= ldt * (m - 1) + m);
-    debug_assert!(ldb >= m && b.len() >= ldb * (n - 1) + m);
     let lower = effective_lower(uplo, trans);
+    if m <= NB {
+        solve_triangle(lower, trans, diag, m, n, t, ldt, b, ldb);
+        return;
+    }
+    let nblocks = m.div_ceil(NB);
+    let mut stage = [T::zero(); NB * NCHUNK];
+    for j0 in (0..n).step_by(NCHUNK) {
+        let nc = NCHUNK.min(n - j0);
+        for kb in 0..nblocks {
+            // Forward substitution walks the blocks down, backward up.
+            let i0 = NB * if lower { kb } else { nblocks - 1 - kb };
+            let nb = NB.min(m - i0);
+            // Rows o0..o0+ko of T's stored columns i0..i0+nb: the part of
+            // op(T) that couples this block to the rest.
+            let (o0, ko) = match uplo {
+                Uplo::Lower => (i0 + nb, m - i0 - nb),
+                Uplo::Upper => (0, i0),
+            };
+            // BOUNDS: i0 + nb <= m, o0 + ko <= m and j0 + nc <= n under the
+            // ldt/ldb shape contracts `trsm` asserted; the stage holds
+            // NB·NCHUNK >= nb·nc elements.
+            let toff = &t[i0 * ldt + o0..];
+            let tdiag = &t[i0 * ldt + i0..];
+            let stage = &mut stage[..nb * nc];
+            for (sc, jc) in stage.chunks_exact_mut(nb).zip(j0..) {
+                sc.copy_from_slice(&b[jc * ldb + i0..][..nb]);
+            }
+            let (one, minus_one) = (T::one(), -T::one());
+            if trans != Trans::NoTrans {
+                // BOUNDS: rows o0.. of columns j0..j0+nc, as above.
+                let solved = &b[j0 * ldb + o0..];
+                gemm(trans, Trans::NoTrans, nb, nc, ko, minus_one, toff, ldt, solved, ldb, one, stage, nb);
+            }
+            solve_triangle(lower, trans, diag, nb, nc, tdiag, ldt, stage, nb);
+            // BOUNDS: the rows the stage was copied from.
+            for (sc, jc) in stage.chunks_exact(nb).zip(j0..) {
+                b[jc * ldb + i0..][..nb].copy_from_slice(sc);
+            }
+            if trans == Trans::NoTrans {
+                // BOUNDS: rows o0.. of columns j0..j0+nc, as above.
+                let unsolved = &mut b[j0 * ldb + o0..];
+                gemm(trans, Trans::NoTrans, ko, nc, nb, minus_one, toff, ldt, stage, nb, one, unsolved, ldb);
+            }
+        }
+    }
+}
+
+/// Substitution on one triangle, a right-hand-side column at a time: the
+/// base case of [`trsm_left`] (`m ≤ NB` there, but correct for any `m`).
+#[allow(clippy::too_many_arguments)]
+fn solve_triangle<T: Scalar>(
+    lower: bool,
+    trans: Trans,
+    diag: Diag,
+    m: usize,
+    n: usize,
+    t: &[T],
+    ldt: usize,
+    b: &mut [T],
+    ldb: usize,
+) {
     for j in 0..n {
-        // BOUNDS: j < n and the ldb shape contract asserted above; col
-        // has length m so col[k] with k < m is in range.
+        // BOUNDS: j < n and the ldb shape contract asserted by `trsm`
+        // (or the stage's `nb × nc` extent); col has length m so col[k]
+        // with k < m is in range.
         let col = &mut b[j * ldb..j * ldb + m];
         if lower {
             // Forward substitution.
@@ -174,8 +266,6 @@ fn trsm_right<T: Scalar>(
     b: &mut [T],
     ldb: usize,
 ) {
-    debug_assert!(ldt >= n && t.len() >= ldt * (n - 1) + n);
-    debug_assert!(ldb >= m && b.len() >= ldb * (n - 1) + m);
     // X · op(T) = B. Column j of B couples X[:, l] for l on one side of j:
     //   B[:, j] = Σ_l X[:, l] · op(T)[l, j]
     // op(T) effectively *lower* → l ≥ j → solve j descending;
@@ -216,7 +306,6 @@ fn trsm_right<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
     use crate::scalar::C64;
 
     fn rand_vec(n: usize, seed: u64) -> Vec<f64> {

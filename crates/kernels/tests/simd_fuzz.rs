@@ -3,24 +3,35 @@
 //! The dispatched [`dagfact_kernels::gemm`] front door is compared against
 //! [`dagfact_kernels::gemm_portable`] over a SplitMix64-seeded sweep of all
 //! `Trans` combinations, the shape set `{0,1,2,3,7,8,9,31,32,33}` for each
-//! of `m,n,k` (crossing register-tile edges 7/8/9 and cache-ish 31/32/33),
-//! odd leading-dimension strides, and `alpha/beta ∈ {0,1,-1,0.5}`.
+//! of `m,n,k` (crossing register-tile edges 7/8/9 and cache-ish 31/32/33;
+//! `n` also takes 5 and the `audi_llt` median update width 126 = 31·4 + 2,
+//! the column-remainder tiles), odd leading-dimension strides, and
+//! `alpha/beta ∈ {0,1,-1,0.5}`.
 //!
-//! Tolerance: where the dispatch *declines* (transposed-A arms, tiny `m`,
-//! scalar hosts) both calls run the identical code path and must agree
-//! **bitwise**. Where the AVX2 tier runs, the only licensed difference is
-//! FMA contraction with the portable accumulation order preserved, so the
-//! error is bounded by a few ulp *of the accumulated magnitude*: we assert
-//! `|Δ| ≤ 4·ulp(|y|)` or `|Δ| ≤ 4ε·(|αβ|-scaled magnitude bound)` —
-//! far below any indexing or tile-edge bug, which shows up at the
-//! magnitude of the operands themselves.
+//! Tolerance: where the dispatch *declines* (`B` transposed under a
+//! transposed `A`, tiny `m` under an untransposed one, scalar hosts) both
+//! calls run the identical code path and must agree **bitwise**. Where
+//! the AVX2 tier may run — `A` untransposed with `m ≥ MR`, or `Aᵀ·B` with
+//! `B` untransposed (the dot tile; below its private `k` floor the two
+//! calls share a path and agree bitwise, which the bound admits) — the
+//! licensed differences are FMA contraction and, for the dot tile, four
+//! interleaved partial sums, so the error is bounded by a few ulp *of the
+//! accumulated magnitude*: we assert `|Δ| ≤ 4·ulp(|y|)` or `|Δ| ≤
+//! 4ε·(|αβ|-scaled magnitude bound)` — far below any indexing or
+//! tile-edge bug, which shows up at the magnitude of the operands
+//! themselves.
+//!
+//! The blocked [`dagfact_kernels::trsm`] (small triangles + `gemm`) is
+//! held against a dense substitution reference the same way, on
+//! whichever tier dispatch selects.
 
 use dagfact_kernels::gemm::{gemm, gemm_portable, Trans};
+use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
 use dagfact_kernels::{Scalar, C64};
 
 mod common;
-use common::reference_update;
+use common::{reference_trsm, reference_update};
 
 /// SplitMix64 — the seeded generator of the sweep.
 struct SplitMix64(u64);
@@ -48,6 +59,8 @@ impl SplitMix64 {
 }
 
 const SIZES: [usize; 10] = [0, 1, 2, 3, 7, 8, 9, 31, 32, 33];
+/// `n` also crosses the column-remainder tiles (5 = 4 + 1, 126 = 31·4 + 2).
+const N_SIZES: [usize; 12] = [0, 1, 2, 3, 5, 7, 8, 9, 31, 32, 33, 126];
 const COEFFS: [f64; 4] = [0.0, 1.0, -1.0, 0.5];
 
 /// `|x - y|` within 4 ulp of either value, or within a 4ε-scaled bound of
@@ -80,7 +93,7 @@ fn gemm_simd_matches_portable_across_shapes_trans_and_strides() {
     for &ta in &trans {
         for &tb in &trans {
             for &m in &SIZES {
-                for &n in &SIZES {
+                for &n in &N_SIZES {
                     for &k in &SIZES {
                         // Round-robin the coefficient grid so every
                         // (α, β) pair recurs many times across shapes.
@@ -106,9 +119,15 @@ fn gemm_simd_matches_portable_across_shapes_trans_and_strides() {
                             ta, tb, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c_port, ldc,
                         );
                         let mag = mag_bound(k, alpha, &a, &b, beta, &c0);
-                        let shared_path = dagfact_kernels::isa() != dagfact_kernels::Isa::Avx2
-                            || ta != Trans::NoTrans
-                            || m < dagfact_kernels::simd::MR;
+                        // What dispatch takes: the axpy tile for A
+                        // untransposed and m ≥ MR, the dot tile for AᵀB.
+                        let simd_shape = if ta == Trans::NoTrans {
+                            m >= dagfact_kernels::simd::MR
+                        } else {
+                            tb == Trans::NoTrans
+                        };
+                        let shared_path =
+                            dagfact_kernels::isa() != dagfact_kernels::Isa::Avx2 || !simd_shape;
                         for (i, (&x, &y)) in c_simd.iter().zip(&c_port).enumerate() {
                             if shared_path {
                                 assert!(
@@ -130,7 +149,7 @@ fn gemm_simd_matches_portable_across_shapes_trans_and_strides() {
             }
         }
     }
-    assert_eq!(cases, 9 * SIZES.len().pow(3));
+    assert_eq!(cases, 9 * SIZES.len().pow(2) * N_SIZES.len());
 }
 
 /// Build a strictly-increasing gappy row map of length `m` into `rows`
@@ -212,6 +231,62 @@ fn update_via_buffer_matches_dense_reference_over_sweep() {
     update_sweep::<C64>(0x5EED_C0DE);
 }
 
+/// The blocked `trsm` (substitution on small diagonal triangles, `gemm`
+/// for the rest — dispatched, forced-scalar or feature-off, as the suite
+/// is run) against dense substitution on `op(T)`, over every
+/// side/uplo/trans/diag combination, sizes on both sides of the block
+/// edge, and a padded `ldt`/`ldb`. Off-diagonal entries scale with `1/k`,
+/// so the triangle is diagonally dominant and the bound is rounding at
+/// the solution's magnitude.
+fn trsm_sweep<T: Scalar>(seed: u64) {
+    let mut rng = SplitMix64(seed);
+    let mut draw = |n: usize, scale: f64| -> Vec<T> {
+        (0..n)
+            .map(|_| {
+                let (re, im) = (rng.unit(), if T::IS_COMPLEX { rng.unit() } else { 0.0 });
+                T::from_parts(re * scale, im * scale)
+            })
+            .collect()
+    };
+    for side in [Side::Left, Side::Right] {
+        for uplo in [Uplo::Lower, Uplo::Upper] {
+            for trans in [Trans::NoTrans, Trans::Trans, Trans::ConjTrans] {
+                for diag in [Diag::NonUnit, Diag::Unit] {
+                    for m in [1usize, 7, 8, 31, 32, 33, 65, 200] {
+                        for n in [1usize, 3, 16, 17] {
+                            let k = if side == Side::Left { m } else { n };
+                            let (ldt, ldb) = (k + 3, m + 1);
+                            let mut t = draw(ldt * k, 1.0 / k as f64);
+                            for d in 0..k {
+                                t[d * ldt + d] = T::from_f64(2.0) + t[d * ldt + d].scale(k as f64);
+                            }
+                            let b0 = draw(ldb * n, 1.0);
+                            let mut x = b0.clone();
+                            trsm(side, uplo, trans, diag, m, n, &t, ldt, &mut x, ldb);
+                            let mut x_ref = b0.clone();
+                            reference_trsm(side, uplo, trans, diag, m, n, &t, ldt, &mut x_ref, ldb);
+                            let mag = x_ref.iter().fold(1.0f64, |a, v| a.max(v.modulus()));
+                            for (i, (&u, &v)) in x.iter().zip(&x_ref).enumerate() {
+                                assert!(
+                                    (u - v).modulus() <= 64.0 * f64::EPSILON * mag,
+                                    "trsm vs reference: {side:?} {uplo:?} {trans:?} {diag:?} \
+                                     m={m} n={n} @{i}: {u:?} vs {v:?} (mag {mag:e})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_trsm_matches_dense_reference_over_sweep() {
+    trsm_sweep::<f64>(0x7125_0001);
+    trsm_sweep::<C64>(0x7125_0002);
+}
+
 // ---------------------------------------------------------------------
 // Shape-contract regressions (the PR 9 bug burn-down)
 // ---------------------------------------------------------------------
@@ -276,6 +351,28 @@ fn gemm_rejects_undersized_c_before_writing() {
     );
 }
 
+/// `trsm`'s shape contract is a real assert too: the blocked left solve
+/// forms sub-slices from `ldt`/`ldb`, so a short `T` must fail before `B`
+/// is touched, in release as in debug.
+#[test]
+#[should_panic(expected = "trsm: T or B buffer too small")]
+fn trsm_left_rejects_undersized_t_before_writing() {
+    let (m, n) = (40, 2);
+    let t = vec![1.0f64; m * m - 1];
+    let mut b = vec![1.0f64; m * n];
+    trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, m, n, &t, m, &mut b, m);
+}
+
+/// Same contract from the right: `ldb < m` would alias columns of `B`.
+#[test]
+#[should_panic(expected = "trsm: T or B buffer too small")]
+fn trsm_right_rejects_short_ldb_before_writing() {
+    let (m, n) = (4, 3);
+    let t = vec![1.0f64; n * n];
+    let mut b = vec![1.0f64; m * n];
+    trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, m, n, &t, n, &mut b, m - 1);
+}
+
 /// A row-map / m mismatch fails up front, before the GEMM runs.
 #[test]
 #[should_panic(expected = "update_via_buffer: row_map/m mismatch")]
@@ -304,8 +401,11 @@ fn update_via_buffer_rejects_short_row_map() {
 
 /// Release-only ratio gate (`make check-kernels`; prints, writes nothing):
 /// the dispatched GEMM must beat the portable tier by ≥ 1.5× in geometric
-/// mean over the tall-skinny `C ← C − A·Bᵀ` shapes a supernodal update
-/// produces. Absolute rates are `kernels.gemm_*_gflops` in BENCHMARK.json.
+/// mean over the shapes the solver produces — the tall-skinny `C ← C −
+/// A·Bᵀ` supernodal updates, among them `audi_llt`'s flop-weighted median
+/// 1012×126×120 (a two-column remainder strip), and the backward solve's
+/// `C ← C − Aᵀ·B` at 16 right-hand sides. Absolute rates are
+/// `kernels.gemm_*_gflops` in BENCHMARK.json.
 #[test]
 #[ignore = "timing ratio: release mode only, run by `make check-kernels`"]
 fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
@@ -313,19 +413,28 @@ fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
         eprintln!("SKIPPED: host has no AVX2 — the SIMD speedup is not measurable here");
         return;
     }
-    const SHAPES: [(usize, usize, usize); 4] =
-        [(256, 32, 32), (512, 32, 64), (1024, 32, 64), (512, 64, 64)];
+    const UPDATE: (Trans, Trans) = (Trans::NoTrans, Trans::Trans);
+    const SHAPES: [((Trans, Trans), usize, usize, usize); 6] = [
+        (UPDATE, 256, 32, 32),
+        (UPDATE, 512, 32, 64),
+        (UPDATE, 1024, 32, 64),
+        (UPDATE, 512, 64, 64),
+        (UPDATE, 1012, 126, 120),
+        ((Trans::Trans, Trans::NoTrans), 120, 16, 1000),
+    ];
     let mut rng = SplitMix64(7);
     let mut log_speedup = 0.0;
-    for (m, n, k) in SHAPES {
+    for ((ta, tb), m, n, k) in SHAPES {
         let (a, b, mut c) = (rng.fill(m * k), rng.fill(n * k), rng.fill(m * n));
-        let calls = (1 << 26) / (2 * m * n * k); // ~67 MFlop per sample
+        let lda = if ta == Trans::NoTrans { m } else { k };
+        let ldb = if tb == Trans::NoTrans { k } else { n };
+        let calls = ((1 << 26) / (2 * m * n * k)).max(1); // ~67 MFlop per sample
         let mut secs = [Vec::new(), Vec::new()]; // [portable, dispatched], interleaved
         for rep in 0..18 {
             let kernel = if rep % 2 == 0 { gemm_portable::<f64> } else { gemm::<f64> };
             let t0 = std::time::Instant::now();
             for _ in 0..calls {
-                kernel(Trans::NoTrans, Trans::Trans, m, n, k, -1.0, &a, m, &b, n, 1.0, &mut c, m);
+                kernel(ta, tb, m, n, k, -1.0, &a, lda, &b, ldb, 1.0, &mut c, m);
             }
             secs[rep % 2].push(t0.elapsed().as_secs_f64());
         }
@@ -333,10 +442,14 @@ fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
             s.sort_by(f64::total_cmp);
             s[s.len() / 2]
         });
-        println!("gemm {m}x{n}x{k}: dispatched {:.2}x portable", portable / dispatched);
+        let gflops = (2 * m * n * k * calls) as f64 / dispatched / 1e9;
+        println!(
+            "gemm {ta:?}x{tb:?} {m}x{n}x{k}: dispatched {:.2}x portable ({gflops:.1} GFlop/s)",
+            portable / dispatched
+        );
         log_speedup += (portable / dispatched).ln() / SHAPES.len() as f64;
     }
     let speedup = log_speedup.exp();
     println!("geometric mean: {speedup:.2}x (gate 1.5x)");
-    assert!(speedup >= 1.5, "update-GEMM speedup {speedup:.2}x < 1.5x");
+    assert!(speedup >= 1.5, "solver-shape GEMM speedup {speedup:.2}x < 1.5x");
 }
