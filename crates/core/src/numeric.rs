@@ -47,7 +47,7 @@ use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{scratch_len, update_via_buffer, Scatter};
-use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, potrf, Scalar};
+use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, pack_block, potrf, Scalar};
 use dagfact_rt::budget::site;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
@@ -243,7 +243,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 FactoKind::Cholesky => {
                     potrf(w, l, stride)?;
                     if below > 0 {
-                        copy_lower_triangle(l, stride, w, &mut ws.diag);
+                        copy_diag_block(l, stride, w, &mut ws.diag);
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -266,7 +266,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     // published.
                     self.pivots_repaired.fetch_add(repaired, Ordering::Relaxed);
                     if below > 0 {
-                        copy_lower_triangle(l, stride, w, &mut ws.diag);
+                        copy_diag_block(l, stride, w, &mut ws.diag);
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -293,7 +293,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     };
                     let u = unsafe { up.slice_mut() };
                     if below > 0 {
-                        copy_full_block(l, stride, w, &mut ws.diag);
+                        copy_diag_block(l, stride, w, &mut ws.diag);
                         // L side: A_ik ← A_ik · U_kk⁻¹.
                         trsm(
                             Side::Right,
@@ -578,25 +578,16 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 }
 
-/// Copy the lower triangle (including diagonal) of the leading `w×w` block
-/// into a compact `w×w` buffer; the upper triangle is zero-filled.
-fn copy_lower_triangle<T: Scalar>(panel: &[T], stride: usize, w: usize, out: &mut Vec<T>) {
-    out.clear();
-    out.resize(w * w, T::zero());
-    for j in 0..w {
-        for i in j..w {
-            out[j * w + i] = panel[j * stride + i];
-        }
+/// Copy the leading `w×w` block of a panel into the front of the compact,
+/// grow-only `out` (leading dimension `w`). Every one of the `w²` elements
+/// is overwritten, so nothing is cleared first; the right TRSM reads only
+/// the triangle its `uplo` names, so one full copy serves all three
+/// factorization kinds.
+fn copy_diag_block<T: Scalar>(panel: &[T], stride: usize, w: usize, out: &mut Vec<T>) {
+    if out.len() < w * w {
+        out.resize(w * w, T::zero());
     }
-}
-
-/// Copy the full leading `w×w` block.
-fn copy_full_block<T: Scalar>(panel: &[T], stride: usize, w: usize, out: &mut Vec<T>) {
-    out.clear();
-    out.resize(w * w, T::zero());
-    for j in 0..w {
-        out[j * w..j * w + w].copy_from_slice(&panel[j * stride..j * stride + w]);
-    }
+    pack_block(w, w, panel, stride, out);
 }
 
 /// Destination storage row (`out`) and global index (`glob`) of every

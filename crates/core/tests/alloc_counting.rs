@@ -8,11 +8,13 @@
 //! holds the same line: its buffers (the permuted right-hand sides, one
 //! product scratch, the result) are allocated once per call, so a warm
 //! `solve_many` costs the same few allocations whatever the panel count.
+//! And the panel kernels stage on the stack: an LDLᵀ factorization costs
+//! what a Cholesky of the same structure does, not one `w` per panel task.
 //!
 //! ONE `#[test]`: the counter is process-global (see the rt twin).
 
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
-use dagfact_sparse::gen::convection_diffusion_3d;
+use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d};
 use dagfact_symbolic::FactoKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,6 +71,7 @@ fn allocs_during<F: FnOnce()>(f: F) -> usize {
 fn nothing_allocates_per_task_or_per_panel() {
     two_level_policies_allocate_no_more_per_task_than_native();
     warm_solve_allocations_do_not_depend_on_panel_count();
+    ldlt_panel_tasks_allocate_no_more_than_cholesky_ones();
 }
 
 fn two_level_policies_allocate_no_more_per_task_than_native() {
@@ -110,4 +113,25 @@ fn warm_solve_allocations_do_not_depend_on_panel_count() {
     assert!(many >= 8 * few, "{few} vs {many} panels: not a scaling pair");
     assert_eq!(small, large, "solve_many: {small} allocations at {few} panels, {large} at {many}");
     assert!(large <= 4, "solve_many made {large} allocations");
+}
+
+fn ldlt_panel_tasks_allocate_no_more_than_cholesky_ones() {
+    // One SPD matrix, one ordering, so the two analyses have the same
+    // panels and tasks; what differs is the diagonal-block kernel.
+    let a = grid_laplacian_3d(12, 12, 12);
+    let count = |facto| {
+        let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+        let allocs = allocs_during(|| {
+            an.factorize(&a, RuntimeKind::Native, 1).expect("factorization succeeds");
+        });
+        (an.symbol.ncblk(), allocs)
+    };
+    let (panels, llt) = count(FactoKind::Cholesky);
+    let (same, ldlt) = count(FactoKind::Ldlt);
+    assert_eq!(panels, same, "the two analyses differ");
+    assert!(panels >= 200, "only {panels} panels");
+    assert!(
+        ldlt <= llt + panels / 16,
+        "LDLt: {ldlt} allocations for {panels} panels, Cholesky makes {llt}"
+    );
 }

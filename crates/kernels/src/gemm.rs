@@ -17,6 +17,7 @@
 //! [`gemm`] is the dispatching front door; everything else in the solver
 //! calls it and gets the fastest applicable tier.
 
+use crate::assert_fits;
 use crate::scalar::Scalar;
 use crate::simd;
 
@@ -71,45 +72,26 @@ pub fn gemm<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    // HOT: shape guard, once per call, outside every loop — fails before
-    // the first write instead of slice-panicking mid-update in release.
-    assert!(
-        ldc >= m && c.len() >= ldc * (n - 1) + m,
-        "gemm: C buffer too small for m={m} n={n} ldc={ldc}"
-    );
+    // Shape guard, once per call, outside every loop — fails before the
+    // first write instead of slice-panicking mid-update in release.
+    assert_fits("gemm: C", m, n, ldc, c.len());
     if k == 0 || alpha == T::zero() {
         scale_c(m, n, beta, c, ldc);
         return;
     }
-    // HOT: the SIMD tier reads A/B through raw pointers, so the shape
-    // contracts of the arms it serves must hold in release builds too.
-    // Once per call.
+    // The SIMD tier reads A/B through raw pointers, so the shape contracts
+    // of the arms it serves must hold in release builds too. Once per call.
     if transa == Trans::NoTrans {
         let b_trans = transb != Trans::NoTrans;
-        assert!(
-            lda >= m && a.len() >= lda * (k - 1) + m,
-            "gemm: A buffer too small for m={m} k={k} lda={lda}"
-        );
-        assert!(
-            if b_trans {
-                ldb >= n && b.len() >= ldb * (k - 1) + n
-            } else {
-                ldb >= k && b.len() >= ldb * (n - 1) + k
-            },
-            "gemm: B buffer too small for n={n} k={k} ldb={ldb}"
-        );
+        let (brows, bcols) = if b_trans { (n, k) } else { (k, n) };
+        assert_fits("gemm: A", m, k, lda, a.len());
+        assert_fits("gemm: B", brows, bcols, ldb, b.len());
         if simd::try_gemm_a_notrans(b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
             return;
         }
     } else if transb == Trans::NoTrans {
-        assert!(
-            lda >= k && a.len() >= lda * (m - 1) + k,
-            "gemm: A buffer too small for m={m} k={k} lda={lda}"
-        );
-        assert!(
-            ldb >= k && b.len() >= ldb * (n - 1) + k,
-            "gemm: B buffer too small for n={n} k={k} ldb={ldb}"
-        );
+        assert_fits("gemm: A", k, m, lda, a.len());
+        assert_fits("gemm: B", k, n, ldb, b.len());
         if simd::try_gemm_a_trans(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
             return;
         }
@@ -140,10 +122,7 @@ pub fn gemm_portable<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    assert!(
-        ldc >= m && c.len() >= ldc * (n - 1) + m,
-        "gemm: C buffer too small for m={m} n={n} ldc={ldc}"
-    );
+    assert_fits("gemm: C", m, n, ldc, c.len());
     if k == 0 || alpha == T::zero() {
         scale_c(m, n, beta, c, ldc);
         return;
@@ -330,7 +309,7 @@ fn scale_col<T: Scalar>(beta: T, col: &mut [T]) {
 
 /// `y += s * x` over equal-length slices.
 #[inline]
-pub(crate) fn axpy<T: Scalar>(s: T, x: &[T], y: &mut [T]) {
+fn axpy<T: Scalar>(s: T, x: &[T], y: &mut [T]) {
     for (yi, &xi) in y.iter_mut().zip(x.iter()) {
         *yi += s * xi;
     }

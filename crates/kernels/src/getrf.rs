@@ -8,12 +8,14 @@
 //! the solve phase. This kernel reproduces exactly that behaviour.
 //!
 //! The blocked right-looking sweep (panel LU → TRSM on the U block row →
-//! GEMM on the trailing matrix) keeps wide diagonal blocks at GEMM speed.
+//! GEMM on the trailing matrix, a block column at a time) keeps wide
+//! diagonal blocks at GEMM speed, with one stack tile bounded by `NB` and
+//! no heap.
 
 use crate::gemm::{gemm, Trans};
 use crate::scalar::Scalar;
 use crate::trsm::{trsm, Diag, Side, Uplo};
-use crate::KernelError;
+use crate::{assert_fits, pack_block, KernelError};
 
 /// Statistics returned by the static-pivoting LU kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,79 +33,48 @@ const NB: usize = 48;
 /// On return the strict lower triangle of `a` holds the unit-lower `L` and
 /// the upper triangle (diagonal included) holds `U`. Pivots with modulus
 /// below `small_pivot_threshold` are replaced by `±threshold` and counted.
+/// Panics — before any write — if `a` is too small for `n` and `lda`.
 pub fn getrf<T: Scalar>(
     n: usize,
     a: &mut [T],
     lda: usize,
     small_pivot_threshold: f64,
 ) -> Result<StaticPivotStats, KernelError> {
-    debug_assert!(n == 0 || (lda >= n && a.len() >= lda * (n - 1) + n));
+    assert_fits("getrf: A", n, n, lda, a.len());
     let mut stats = StaticPivotStats::default();
-    let mut k = 0;
-    while k < n {
+    for k in (0..n).step_by(NB) {
         let kb = NB.min(n - k);
+        // BOUNDS: k + kb <= n under the shape contract asserted above, for
+        // every slice of `a` in this loop body.
         // 1) Unblocked LU of the tall panel A[k.., k..k+kb].
-        let sub = getrf_unblocked(
-            n - k,
-            kb,
-            &mut a[k * lda + k..],
-            lda,
-            small_pivot_threshold,
-            k,
-        )?;
+        let sub = getrf_unblocked(n - k, kb, &mut a[k * lda + k..], lda, small_pivot_threshold, k)?;
         stats.repaired += sub.repaired;
         let rest = n - k - kb;
-        if rest > 0 {
-            // 2) U block row: A[k..k+kb, k+kb..] ← L_kk⁻¹ · A[k..k+kb, k+kb..].
-            // The unit-lower tile is copied to sidestep aliased borrows.
-            let mut tile = vec![T::zero(); kb * kb];
-            for j in 0..kb {
-                for i in (j + 1)..kb {
-                    tile[j * kb + i] = a[(k + j) * lda + (k + i)];
-                }
-            }
-            {
-                let urow = &mut a[(k + kb) * lda + k..];
-                trsm(
-                    Side::Left,
-                    Uplo::Lower,
-                    Trans::NoTrans,
-                    Diag::Unit,
-                    kb,
-                    rest,
-                    &tile,
-                    kb,
-                    urow,
-                    lda,
-                );
-            }
-            // 3) Trailing update: A[k+kb.., j] -= L[k+kb.., k..k+kb]·U[k..k+kb, j]
-            //    column by column; the L panel (head) and trailing columns
-            //    (tail) are disjoint slices, and within a trailing column
-            //    the U rows (read) and C rows (write) split cleanly.
-            let (head, tail) = a.split_at_mut((k + kb) * lda);
-            let lpanel = &head[k * lda + (k + kb)..];
-            for j in 0..rest {
-                let col = &mut tail[j * lda..j * lda + k + kb + rest];
-                let (ucol, c) = col.split_at_mut(k + kb);
-                gemm(
-                    Trans::NoTrans,
-                    Trans::NoTrans,
-                    rest,
-                    1,
-                    kb,
-                    -T::one(),
-                    lpanel,
-                    lda,
-                    &ucol[k..],
-                    kb,
-                    T::one(),
-                    c,
-                    rest,
-                );
-            }
+        if rest == 0 {
+            break;
         }
-        k += kb;
+        // The factored panel lives in columns k..k+kb (head, read from here
+        // on), the U block row and the trailing matrix in the columns after
+        // it (tail): one split gives disjoint borrows.
+        // BOUNDS: rows k.. of columns k..k+kb, then of columns k+kb.., of
+        // the same n×n.
+        let (head, tail) = a.split_at_mut((k + kb) * lda);
+        let lkk = &head[k * lda + k..];
+        // 2) U block row: A[k..k+kb, k+kb..] ← L_kk⁻¹ · A[k..k+kb, k+kb..].
+        trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::Unit, kb, rest, lkk, lda, &mut tail[k..], lda);
+        // 3) Trailing update, one block column at a time:
+        //    A[k+kb.., j0..j0+jb] -= L[k+kb.., k..k+kb] · U[k..k+kb, j0..j0+jb].
+        //    Within the tail's columns the U rows (read) and the trailing
+        //    rows (write) interleave, so the U block is staged.
+        let mut tile = [T::zero(); NB * NB];
+        // BOUNDS: j0 + jb <= rest: columns k+kb+j0.. of the same n×n, and
+        // lkk holds kb columns of n - k >= kb rows.
+        for j0 in (0..rest).step_by(NB) {
+            let jb = NB.min(rest - j0);
+            pack_block(kb, jb, &tail[j0 * lda + k..], lda, &mut tile);
+            let c = &mut tail[j0 * lda + k + kb..];
+            gemm(Trans::NoTrans, Trans::NoTrans, rest, jb, kb, -T::one(), &lkk[kb..], lda, &tile, kb, T::one(), c, lda);
+        }
     }
     Ok(stats)
 }
@@ -120,6 +91,7 @@ fn getrf_unblocked<T: Scalar>(
 ) -> Result<StaticPivotStats, KernelError> {
     let mut stats = StaticPivotStats::default();
     for k in 0..n {
+        // BOUNDS: k < n <= m against the caller's m×n extent in `a`.
         let mut piv = a[k * lda + k];
         if !piv.modulus().is_finite() {
             return Err(KernelError::NonFinitePivot { column: col0 + k });
@@ -128,6 +100,7 @@ fn getrf_unblocked<T: Scalar>(
             stats.repaired += 1;
             let sign = if piv.re() < 0.0 { -1.0 } else { 1.0 };
             piv = T::from_f64(sign * small_pivot_threshold);
+            // BOUNDS: as above.
             a[k * lda + k] = piv;
         }
         if piv.modulus() == 0.0 {
@@ -135,6 +108,8 @@ fn getrf_unblocked<T: Scalar>(
         }
         let inv = piv.inv();
         // Scale the pivot column: L[i, k] = A[i, k] / pivot.
+        // BOUNDS: k < i < m, k < j < n against the same m×n extent, here
+        // and in the rank-1 update below.
         for i in (k + 1)..m {
             a[k * lda + i] *= inv;
         }
@@ -146,6 +121,7 @@ fn getrf_unblocked<T: Scalar>(
             }
             // Split so the pivot column (read) and column j (write) borrow
             // disjoint parts of `a`; k < j always holds here.
+            // BOUNDS: rows k+1..m of columns k and j, as above.
             let (head, tail) = a.split_at_mut(j * lda);
             let lcol = &head[k * lda + k + 1..k * lda + m];
             let ccol = &mut tail[k + 1..m];

@@ -11,8 +11,10 @@
 //! into the caller-provided `d` vector, which the update and solve kernels
 //! consume directly.
 
+use crate::gemm::{gemm, Trans};
 use crate::scalar::Scalar;
-use crate::KernelError;
+use crate::trsm::{trsm, Diag, Side, Uplo};
+use crate::{assert_fits, pack_block, KernelError};
 
 /// Blocking factor for the right-looking sweep.
 const NB: usize = 48;
@@ -20,16 +22,20 @@ const NB: usize = 48;
 /// Factor `A = L·D·Lᵀ` in place (lower, column-major, no pivoting).
 ///
 /// On return the strict lower triangle of `a` holds the unit-lower `L`, the
-/// diagonal holds `D`, and `d` (length ≥ `n`) holds a copy of `D`.
+/// diagonal holds `D`, and `d` (length ≥ `n`) holds a copy of `D`. The
+/// strict upper triangle never enters the result; for `n > NB` the part of
+/// it inside the trailing diagonal tiles is overwritten. Panics — before
+/// any write — if `a` or `d` is too small for `n` and `lda`.
 ///
 /// `small_pivot_threshold` implements PaStiX-style static pivoting: a pivot
 /// with modulus below `threshold` is replaced by `±threshold` (sign of the
 /// real part, `+` for zero), and the number of such repairs is returned.
 ///
 /// Blocked right-looking sweep: unblocked LDLᵀ on the diagonal tile, unit
-/// TRSM + diagonal scaling on the panel below, then a `D·Lᵀ`-buffered GEMM
-/// trailing update — the same temp-buffer structure the native scheduler
-/// uses at panel level (§V-A).
+/// TRSM + diagonal scaling on the panel below, then a `D·Pᵀ`-buffered GEMM
+/// per trailing block column — the same temp-buffer structure the native
+/// scheduler uses at panel level (§V-A). The tile copy and the `D·Pᵀ`
+/// staging share one stack array bounded by `NB`; nothing touches the heap.
 pub fn ldlt<T: Scalar>(
     n: usize,
     a: &mut [T],
@@ -37,77 +43,44 @@ pub fn ldlt<T: Scalar>(
     d: &mut [T],
     small_pivot_threshold: f64,
 ) -> Result<usize, KernelError> {
-    debug_assert!(n == 0 || (lda >= n && a.len() >= lda * (n - 1) + n));
-    debug_assert!(d.len() >= n);
+    assert_fits("ldlt: A", n, n, lda, a.len());
+    assert_fits("ldlt: d", n, 1, n, d.len());
     let mut repaired = 0usize;
-    let mut k = 0;
-    while k < n {
+    for k in (0..n).step_by(NB) {
         let kb = NB.min(n - k);
-        repaired += ldlt_unblocked(
-            kb,
-            &mut a[k * lda + k..],
-            lda,
-            &mut d[k..k + kb],
-            small_pivot_threshold,
-            k,
-        )?;
+        // BOUNDS: k + kb <= n under the shape contracts asserted above, for
+        // every slice of `a` and `d` in this loop body.
+        let dk = &mut d[k..k + kb];
+        repaired += ldlt_unblocked(kb, &mut a[k * lda + k..], lda, dk, small_pivot_threshold, k)?;
         let rest = n - k - kb;
-        if rest > 0 {
-            // Panel below the tile: P ← P · L_kk⁻ᵀ · D⁻¹.
-            let mut tile = vec![T::zero(); kb * kb];
-            for j in 0..kb {
-                for i in (j + 1)..kb {
-                    tile[j * kb + i] = a[(k + j) * lda + (k + i)];
-                }
-            }
-            {
-                let panel = &mut a[k * lda + k + kb..];
-                crate::trsm::trsm(
-                    crate::trsm::Side::Right,
-                    crate::trsm::Uplo::Lower,
-                    crate::gemm::Trans::Trans,
-                    crate::trsm::Diag::Unit,
-                    rest,
-                    kb,
-                    &tile,
-                    kb,
-                    panel,
-                    lda,
-                );
-                ldlt_apply_diag(rest, kb, &d[k..k + kb], panel, lda);
-            }
-            // W = D·Pᵀ buffered once (kb × rest, column per panel row).
-            let mut w = vec![T::zero(); kb * rest];
-            ldlt_scale_transpose(rest, kb, &d[k..k + kb], &a[k * lda + k + kb..], lda, &mut w);
-            // Trailing lower triangle: column j gets C[j.., j] -= P[j.., :]·W[:, j].
-            let (head, tail) = a.split_at_mut((k + kb) * lda);
-            for j in 0..rest {
-                let pj = k * lda + (k + kb + j);
-                let cj = j * lda + (k + kb + j);
-                crate::gemm::gemm(
-                    crate::gemm::Trans::NoTrans,
-                    crate::gemm::Trans::NoTrans,
-                    rest - j,
-                    1,
-                    kb,
-                    -T::one(),
-                    &head[pj..],
-                    lda,
-                    &w[j * kb..j * kb + kb],
-                    kb,
-                    T::one(),
-                    &mut tail[cj..],
-                    lda,
-                );
-            }
+        if rest == 0 {
+            break;
         }
-        k += kb;
+        // Panel below the tile: P ← P · L_kk⁻ᵀ · D⁻¹. Tile and panel share
+        // columns of `a`, so the tile is copied.
+        let mut tile = [T::zero(); NB * NB];
+        pack_block(kb, kb, &a[k * lda + k..], lda, &mut tile);
+        let panel = &mut a[k * lda + k + kb..];
+        trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::Unit, rest, kb, &tile, kb, panel, lda);
+        ldlt_apply_diag(rest, kb, dk, panel, lda);
+        // Trailing update, one block column at a time, with W = D·Pᵀ of
+        // the block's rows staged where the tile was:
+        // A[k+kb+j0.., k+kb+j0..+jb] -= P[j0.., :] · W.
+        // BOUNDS: j0 < rest, rows and columns k+kb+j0.. of the same n×n.
+        let (head, tail) = a.split_at_mut((k + kb) * lda);
+        let panel = &head[k * lda + k + kb..];
+        for j0 in (0..rest).step_by(NB) {
+            let jb = NB.min(rest - j0);
+            let (pj, cj) = (&panel[j0..], &mut tail[j0 * lda + k + kb + j0..]);
+            scale_transpose(jb, kb, dk, pj, lda, &mut tile);
+            gemm(Trans::NoTrans, Trans::NoTrans, rest - j0, jb, kb, -T::one(), pj, lda, &tile, kb, T::one(), cj, lda);
+        }
     }
     Ok(repaired)
 }
 
-/// Unblocked left-looking LDLᵀ of the leading `n×n`; `col0` only labels
-/// errors.
+/// Unblocked left-looking LDLᵀ of the leading `n×n`, `n ≤ NB`; `col0` only
+/// labels errors.
 fn ldlt_unblocked<T: Scalar>(
     n: usize,
     a: &mut [T],
@@ -120,7 +93,9 @@ fn ldlt_unblocked<T: Scalar>(
     // Column-by-column left-looking sweep. `w` caches L[j, k] · d_k for the
     // current column to avoid re-reading d with a multiply in the inner
     // loop.
-    let mut w: Vec<T> = vec![T::zero(); n];
+    let mut w = [T::zero(); NB];
+    // BOUNDS: k < j < n <= NB = w.len(), i < n, against the caller's
+    // n×n-in-`a` and n-in-`d` extents, for every index in this loop.
     for j in 0..n {
         // w[k] = l_jk * d_k for k < j.
         for k in 0..j {
@@ -142,6 +117,7 @@ fn ldlt_unblocked<T: Scalar>(
         if dj.modulus() == 0.0 {
             return Err(KernelError::ZeroPivot { column: col0 + j });
         }
+        // BOUNDS: as above, k < j < i < n.
         d[j] = dj;
         a[j * lda + j] = dj;
         let inv = dj.inv();
@@ -164,28 +140,20 @@ pub fn ldlt_apply_diag<T: Scalar>(m: usize, n: usize, d: &[T], b: &mut [T], ldb:
     debug_assert!(d.len() >= n);
     for (j, &dj) in d.iter().enumerate().take(n) {
         let inv = dj.inv();
+        // BOUNDS: j < n against the caller's m×n extent in `b`.
         for v in &mut b[j * ldb..j * ldb + m] {
             *v *= inv;
         }
     }
 }
 
-/// Form `W = D·Bᵀ` for a block `B` (`m×n`) into `w` (`n×m`, column-major):
-/// `w[i, j] = d_i · b[j, i]` — the staging step of the blocked [`ldlt`],
-/// which turns its trailing update into a plain GEMM.
-pub fn ldlt_scale_transpose<T: Scalar>(m: usize, n: usize, d: &[T], b: &[T], ldb: usize, w: &mut [T]) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    assert!(w.len() >= n * m, "ldlt_scale_transpose: w too small for n={n} m={m}");
-    assert!(d.len() >= n, "ldlt_scale_transpose: d.len()={} < n={n}", d.len());
-    assert!(
-        ldb >= m && b.len() >= ldb * (n - 1) + m,
-        "ldlt_scale_transpose: B too small for m={m} n={n} ldb={ldb}"
-    );
-    // BOUNDS: j < m, i < n against the asserts above.
-    for j in 0..m {
-        let wj = &mut w[j * n..j * n + n];
+/// Form `W = D·Bᵀ` for a block `B` (`m×n`) into the front of `w` (`n×m`,
+/// packed): `w[i, j] = d_i · b[j, i]` — the staging step that turns the
+/// trailing update of [`ldlt`] into a plain GEMM.
+fn scale_transpose<T: Scalar>(m: usize, n: usize, d: &[T], b: &[T], ldb: usize, w: &mut [T]) {
+    // BOUNDS: j < m, i < n against ldlt's block extents (`b` holds m×n at
+    // ldb, `d` n, `w` n·m <= NB² elements).
+    for (wj, j) in w[..n * m].chunks_exact_mut(n).zip(0..) {
         for (i, wi) in wj.iter_mut().enumerate() {
             *wi = d[i] * b[i * ldb + j];
         }
@@ -294,7 +262,7 @@ mod tests {
         let b = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let d = vec![10.0, 100.0];
         let mut w = vec![0.0; n * m];
-        ldlt_scale_transpose(m, n, &d, &b, m, &mut w);
+        scale_transpose(m, n, &d, &b, m, &mut w);
         // w[i,j] = d_i * b[j,i]; w is n×m col-major.
         assert_eq!(w, vec![10.0, 400.0, 20.0, 500.0, 30.0, 600.0]);
     }

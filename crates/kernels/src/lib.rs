@@ -38,6 +38,33 @@ pub use scalar::{Scalar, C64};
 pub use simd::{force_isa, isa, Isa};
 pub use trsm::{trsm, Diag, Side, Uplo};
 
+/// The crate's one shape contract: a column-major `rows×cols` operand with
+/// leading dimension `ld` fits in `len` elements. Every kernel checks each
+/// operand here once per call, before its first write, so a release build
+/// fails naming the operand instead of slice-panicking with the output
+/// half-written.
+#[inline]
+#[track_caller]
+pub(crate) fn assert_fits(what: &str, rows: usize, cols: usize, ld: usize, len: usize) {
+    assert!(
+        rows == 0 || cols == 0 || (ld >= rows && len >= ld * (cols - 1) + rows),
+        "{what} buffer too small for {rows}x{cols} ld={ld}"
+    );
+}
+
+/// Copy the `rows×cols` block at `src` (leading dimension `lds`) into the
+/// front of `dst`, packed (leading dimension `rows`): how the blocked
+/// factorizations here, and the solver's panel task, stage a diagonal tile
+/// that shares columns with the block a TRSM writes. `rows > 0`.
+#[inline]
+pub fn pack_block<T: Scalar>(rows: usize, cols: usize, src: &[T], lds: usize, dst: &mut [T]) {
+    // BOUNDS: the caller's block lies inside `src` under its asserted
+    // shape contract, and `dst` holds rows·cols elements.
+    for (dj, j) in dst[..rows * cols].chunks_exact_mut(rows).zip(0..) {
+        dj.copy_from_slice(&src[j * lds..j * lds + rows]);
+    }
+}
+
 /// Error raised by the diagonal-block factorization kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelError {

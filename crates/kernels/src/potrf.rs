@@ -1,20 +1,20 @@
 //! Cholesky factorization of a dense diagonal block (column-major, lower).
 //!
 //! This is step 1 of the paper's 1D panel task (Figure 1): `A_kk = L·Lᵀ`.
-//! A blocked right-looking variant delegates the trailing update to
-//! [`gemm`](crate::gemm::gemm()) so most of the work runs at GEMM speed; the
-//! unblocked base case handles the final tile.
+//! A blocked right-looking variant solves the panel below each diagonal
+//! tile with the right [`trsm`] and hands the trailing update to
+//! [`gemm`](crate::gemm::gemm()) a block column at a time, so everything
+//! outside the `NB×NB` tiles runs at GEMM speed; the unblocked base case
+//! factors the tiles.
 //!
-//! SAFETY audit: this kernel (like the whole `dagfact-kernels` crate)
-//! contains **no** `unsafe` code — the one aliasing temptation (the
-//! diagonal tile feeding the panel TRSM below it) is resolved by copying
-//! the ≤ NB² tile instead. `make lint-strict` (`lint-safety`) keeps it
-//! that way: any future `unsafe` here must carry a SAFETY contract.
+//! No heap and no `unsafe`: the one aliasing temptation (the diagonal tile
+//! feeding the panel TRSM below it, in the same columns of `a`) is resolved
+//! by copying the tile into a stack array bounded by `NB`.
 
 use crate::gemm::{gemm, Trans};
 use crate::scalar::Scalar;
 use crate::trsm::{trsm, Diag, Side, Uplo};
-use crate::KernelError;
+use crate::{assert_fits, pack_block, KernelError};
 
 /// Blocking factor for the right-looking panel sweep.
 const NB: usize = 48;
@@ -22,72 +22,40 @@ const NB: usize = 48;
 /// Factor the lower triangle of the `n×n` column-major block `a` in place:
 /// on success `a`'s lower triangle holds `L` with `A = L·Lᵀ` (`L·L^T` also
 /// for complex symmetric input — the solver uses LDLᵀ or LU for complex
-/// matrices, but the kernel stays generic). The strict upper triangle is
-/// not referenced.
+/// matrices, but the kernel stays generic). The strict upper triangle never
+/// enters the result; for `n > NB` the part of it inside the trailing
+/// diagonal tiles is overwritten (the trailing update is rectangular).
 ///
 /// Fails with [`KernelError::NotPositiveDefinite`] when a pivot's real part
-/// is not strictly positive.
+/// is not strictly positive. Panics — before any write — if `a` is too
+/// small for `n` and `lda`.
 pub fn potrf<T: Scalar>(n: usize, a: &mut [T], lda: usize) -> Result<(), KernelError> {
-    debug_assert!(n == 0 || (lda >= n && a.len() >= lda * (n - 1) + n));
-    let mut k = 0;
-    while k < n {
+    assert_fits("potrf: A", n, n, lda, a.len());
+    for k in (0..n).step_by(NB) {
         let kb = NB.min(n - k);
-        // Factor the diagonal tile A[k..k+kb, k..k+kb].
+        // BOUNDS: k + kb <= n under the shape contract asserted above, for
+        // every slice of `a` in this loop body.
         potrf_unblocked(kb, &mut a[k * lda + k..], lda, k)?;
         let rest = n - k - kb;
-        if rest > 0 {
-            // Panel below the tile: P = A[k+kb.., k..k+kb] ← P · L⁻ᵀ.
-            // The tile (read) and the panel (write) share columns of `a`,
-            // so copy the small (≤ NB²) tile rather than resorting to
-            // unsafe aliasing.
-            let mut tile = vec![T::zero(); kb * kb];
-            for j in 0..kb {
-                for i in j..kb {
-                    tile[j * kb + i] = a[(k + j) * lda + (k + i)];
-                }
-            }
-            {
-                let panel = &mut a[k * lda + k + kb..];
-                trsm(
-                    Side::Right,
-                    Uplo::Lower,
-                    Trans::Trans,
-                    Diag::NonUnit,
-                    rest,
-                    kb,
-                    &tile,
-                    kb,
-                    panel,
-                    lda,
-                );
-            }
-            // Trailing update of the lower triangle: for each trailing
-            // column j, A[k+kb+j.., k+kb+j] -= P[j.., :] · P[j, :]ᵀ. The
-            // panel P lives in columns k..k+kb (head) and the trailing
-            // columns start at k+kb (tail), so one split gives disjoint
-            // borrows and the work runs through the optimized GEMM.
-            let (head, tail) = a.split_at_mut((k + kb) * lda);
-            for j in 0..rest {
-                let pj = k * lda + (k + kb + j);
-                let cj = j * lda + (k + kb + j);
-                gemm(
-                    Trans::NoTrans,
-                    Trans::Trans,
-                    rest - j,
-                    1,
-                    kb,
-                    -T::one(),
-                    &head[pj..],
-                    lda,
-                    &head[pj..],
-                    lda,
-                    T::one(),
-                    &mut tail[cj..],
-                    lda,
-                );
-            }
+        if rest == 0 {
+            break;
         }
-        k += kb;
+        // Panel below the tile: P = A[k+kb.., k..k+kb] ← P · L⁻ᵀ.
+        let mut tile = [T::zero(); NB * NB];
+        pack_block(kb, kb, &a[k * lda + k..], lda, &mut tile);
+        let panel = &mut a[k * lda + k + kb..];
+        trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, rest, kb, &tile, kb, panel, lda);
+        // Trailing update, one block column at a time:
+        // A[k+kb+j0.., k+kb+j0..+jb] -= P[j0.., :] · P[j0..j0+jb, :]ᵀ. The
+        // panel lives in columns k..k+kb (head), the trailing columns start
+        // at k+kb (tail): one split gives disjoint borrows.
+        // BOUNDS: j0 < rest, rows and columns k+kb+j0.. of the same n×n.
+        let (head, tail) = a.split_at_mut((k + kb) * lda);
+        let panel = &head[k * lda + k + kb..];
+        for j0 in (0..rest).step_by(NB) {
+            let (pj, cj) = (&panel[j0..], &mut tail[j0 * lda + k + kb + j0..]);
+            gemm(Trans::NoTrans, Trans::Trans, rest - j0, NB.min(rest - j0), kb, -T::one(), pj, lda, pj, lda, T::one(), cj, lda);
+        }
     }
     Ok(())
 }
@@ -102,6 +70,7 @@ fn potrf_unblocked<T: Scalar>(
 ) -> Result<(), KernelError> {
     for j in 0..n {
         // d = a_jj - Σ_{k<j} l_jk²
+        // BOUNDS: k < j < n against the caller's n×n extent in `a`.
         let mut d = a[j * lda + j];
         for k in 0..j {
             let l = a[k * lda + j];
@@ -124,6 +93,7 @@ fn potrf_unblocked<T: Scalar>(
             });
         }
         let ljj = d.sqrt();
+        // BOUNDS: k < j < i < n against the same n×n extent.
         a[j * lda + j] = ljj;
         let inv = ljj.inv();
         for i in (j + 1)..n {

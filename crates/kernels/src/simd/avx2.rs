@@ -410,53 +410,3 @@ unsafe fn tile_dot<const MI: usize, const NJ: usize>(
         }
     }
 }
-
-/// `y += s·x` over equal-length slices, 4-wide FMA.
-///
-/// # Safety
-/// Requires AVX2+FMA (certified by `isa()`).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn axpy_f64(s: f64, x: &[f64], y: &mut [f64]) {
-    let n = x.len().min(y.len());
-    let vs = _mm256_set1_pd(s);
-    let main = n - n % 4;
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 4 ≤ main ≤ both lengths.
-        unsafe {
-            let xv = _mm256_loadu_pd(xp.add(i));
-            let yv = _mm256_loadu_pd(yp.add(i));
-            _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(xv, vs, yv));
-        }
-        i += 4;
-    }
-    while i < n {
-        // SAFETY: i < n ≤ both lengths.
-        unsafe { *yp.add(i) = f64::mul_add(*xp.add(i), s, *yp.add(i)) };
-        i += 1;
-    }
-}
-
-/// `x *= s`, 4-wide.
-///
-/// # Safety
-/// Requires AVX2 (certified by `isa()`).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn scale_f64(s: f64, x: &mut [f64]) {
-    let n = x.len();
-    let vs = _mm256_set1_pd(s);
-    let main = n - n % 4;
-    let xp = x.as_mut_ptr();
-    let mut i = 0;
-    while i < main {
-        // SAFETY: i + 4 ≤ main ≤ x.len().
-        unsafe { _mm256_storeu_pd(xp.add(i), _mm256_mul_pd(_mm256_loadu_pd(xp.add(i)), vs)) };
-        i += 4;
-    }
-    while i < n {
-        // SAFETY: i < n == x.len().
-        unsafe { *xp.add(i) *= s };
-        i += 1;
-    }
-}

@@ -13,14 +13,18 @@
 //! * [`avx2`] — the f64 GEMM microkernels: the 8×4 register tile with
 //!   mc/kc/nc cache blocking (constants sized for a ~32 KiB L1 /
 //!   ~1 MiB L2 core) for `A` untransposed, and the 3×4 dot-form tile for
-//!   `Aᵀ·B`. Everything else that wants SIMD (TRSM, the solve sweeps)
-//!   gets it by calling `gemm` with a shape one of the two takes.
+//!   `Aᵀ·B`.
 //!
-//! Scalar fallback is the portable kernel itself: every entry point here
-//! returns `false` (or routes to plain loops) when the host lacks AVX2,
-//! the element type is not `f64`, or the crate is built with
-//! `--no-default-features` (feature `simd` off) — that build is how CI
-//! keeps the fallback tested on any host.
+//! `gemm` is the only way in: the two `try_gemm_*` shims below are its
+//! dispatch and nothing else calls them. Everything else that wants SIMD
+//! (both TRSM sides, the diagonal-block factorizations' trailing updates,
+//! the solve sweeps) gets it by calling `gemm` with a shape one of the two
+//! tiles takes — so a new element type or ISA is added in one place.
+//!
+//! Scalar fallback is the portable kernel itself: both shims return
+//! `false` when the host lacks AVX2, the element type is not `f64`, or the
+//! crate is built with `--no-default-features` (feature `simd` off) — that
+//! build is how CI keeps the fallback tested on any host.
 //!
 //! Numerical note: the AVX2 path contracts multiply-add pairs into FMAs
 //! and vectorizes the row loop; results can differ from the portable
@@ -277,47 +281,6 @@ pub(crate) fn try_gemm_a_trans<T: Scalar>(
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         let _ = (m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        false
-    }
-}
-
-/// SIMD `y += s·x`; `true` when handled.
-#[inline]
-pub(crate) fn try_axpy<T: Scalar>(s: T, x: &[T], y: &mut [T]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if isa() != Isa::Avx2 {
-            return false;
-        }
-        let Some(xf) = as_f64(x) else { return false };
-        let Some(yf) = as_f64_mut(y) else { return false };
-        // SAFETY: isa() == Avx2 certifies avx2+fma on this CPU.
-        unsafe { avx2::axpy_f64(s.re(), xf, yf) };
-        true
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = (s, x, y);
-        false
-    }
-}
-
-/// SIMD in-place scale `x *= s`; `true` when handled.
-#[inline]
-pub(crate) fn try_scale<T: Scalar>(s: T, x: &mut [T]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if isa() != Isa::Avx2 {
-            return false;
-        }
-        let Some(xf) = as_f64_mut(x) else { return false };
-        // SAFETY: isa() == Avx2 certifies avx2 on this CPU.
-        unsafe { avx2::scale_f64(s.re(), xf) };
-        true
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        let _ = (s, x);
         false
     }
 }

@@ -6,10 +6,16 @@
 //! of LU, and the analogous unit-diagonal solves for LDLᵀ and the
 //! (transposed-stored) U side of LU. All eight side/uplo/trans combinations
 //! are provided so the solve phase can reuse the kernel.
+//!
+//! Both sides are blocked by one private `NB` onto [`gemm`]: substitution
+//! runs on `NB`-wide diagonal triangles only, everything else — and, on
+//! the right, the column updates inside a triangle too — is a `gemm` call
+//! of a shape its tiers take. There is no TRSM microkernel and no SIMD
+//! entry point of this module's own.
 
-use crate::gemm::{axpy, gemm};
+use crate::assert_fits;
+use crate::gemm::gemm;
 use crate::scalar::Scalar;
-use crate::simd;
 
 /// Which side the triangular matrix multiplies from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -65,16 +71,14 @@ pub fn trsm<T: Scalar>(
         Side::Left => m,
         Side::Right => n,
     };
-    // HOT: shape guard, once per call, before the first write — the
-    // blocked left solve forms sub-slices from these, and a release build
-    // must fail here rather than slice-panic with `B` half-solved.
-    assert!(
-        ldt >= k && t.len() >= ldt * (k - 1) + k && ldb >= m && b.len() >= ldb * (n - 1) + m,
-        "trsm: T or B buffer too small for m={m} n={n} ldt={ldt} ldb={ldb}"
-    );
+    // Shape guard, once per call, before the first write — the blocked
+    // solves form sub-slices from these, and a release build must fail
+    // here rather than slice-panic with `B` half-solved.
+    assert_fits("trsm: T", k, k, ldt, t.len());
+    assert_fits("trsm: B", m, n, ldb, b.len());
     match side {
         Side::Left => trsm_left(uplo, trans, diag, m, n, t, ldt, b, ldb),
-        Side::Right => trsm_right(uplo, trans, diag, m, n, t, ldt, b, ldb),
+        Side::Right => trsm_right(NB, effective_lower(uplo, trans), trans, diag, m, n, t, ldt, b, ldb),
     }
 }
 
@@ -103,8 +107,8 @@ fn effective_lower(uplo: Uplo, trans: Trans) -> bool {
     }
 }
 
-/// Rows of the triangle [`trsm_left`] solves by substitution at a time;
-/// everything outside those diagonal blocks is `gemm`.
+/// Order of the diagonal triangles [`trsm_left`] and [`trsm_right`] solve
+/// by substitution; everything outside those blocks is `gemm`.
 const NB: usize = 16;
 /// Right-hand-side columns staged per pass of [`trsm_left`].
 const NCHUNK: usize = 16;
@@ -238,25 +242,22 @@ fn solve_triangle<T: Scalar>(
     }
 }
 
-/// `B[:, dst] += s · B[:, src]` for two distinct columns of a column-major
-/// buffer.
-#[inline]
-fn col_axpy<T: Scalar>(b: &mut [T], ldb: usize, m: usize, s: T, src: usize, dst: usize) {
-    debug_assert_ne!(src, dst);
-    let (lo, hi) = (src.min(dst), src.max(dst));
-    // BOUNDS: src/dst are column indices < n under trsm_right's ldb
-    // shape contract, so both column slices are inside b.
-    let (head, tail) = b.split_at_mut(hi * ldb);
-    let (col_lo, col_hi) = (&mut head[lo * ldb..lo * ldb + m], &mut tail[..m]);
-    let (x, y) = if src < dst { (col_lo, col_hi) } else { (col_hi, col_lo) };
-    if !simd::try_axpy(s, x, y) {
-        axpy(s, x, y);
-    }
-}
-
+/// Right solve, the blocked twin of [`trsm_left`]: `X·op(T) = B` couples
+/// column `j` of `B` to the solution columns on one side of it,
+///   `B[:, j] = Σ_l X[:, l] · op(T)[l, j]`,
+/// `l ≥ j` when `op(T)` is `lower` (solve descending), `l ≤ j` when upper
+/// (ascending). The sweep is left-looking by `step` columns: a block first
+/// gathers from every solved column in one `gemm` (`A` = the solved
+/// columns of `b`, untransposed — the axpy tile, `k` growing with the
+/// sweep) and is then finished in place — at `step = NB` by this same
+/// sweep over its own columns at `step = 1` (gathers with one output
+/// column, which the 8×N tile takes), at `step = 1` by the division by the
+/// diagonal. Solved columns and the block are disjoint column ranges of
+/// the one `b`, so a split gives `gemm` its operands with no staging.
 #[allow(clippy::too_many_arguments)]
 fn trsm_right<T: Scalar>(
-    uplo: Uplo,
+    step: usize,
+    lower: bool,
     trans: Trans,
     diag: Diag,
     m: usize,
@@ -266,38 +267,32 @@ fn trsm_right<T: Scalar>(
     b: &mut [T],
     ldb: usize,
 ) {
-    // X · op(T) = B. Column j of B couples X[:, l] for l on one side of j:
-    //   B[:, j] = Σ_l X[:, l] · op(T)[l, j]
-    // op(T) effectively *lower* → l ≥ j → solve j descending;
-    // op(T) effectively *upper* → l ≤ j → solve j ascending.
-    let lower = effective_lower(uplo, trans);
-    // Columns solve in descending order when op(T) is lower, ascending
-    // when upper; the already-solved columns coupling into j are then
-    // (j+1)..n resp. 0..j. Plain index arithmetic — no order vector or
-    // boxed iterator on this per-panel-task path.
-    for jj in 0..n {
-        // BOUNDS: jj < n in both branches, so j < n; the solved range
-        // stays within 0..n; the ldb column slice is covered by the
-        // shape contract asserted above.
-        let j = if lower { n - 1 - jj } else { jj };
-        let (solved_lo, solved_hi) = if lower { (j + 1, n) } else { (0, j) };
-        // X[:, j] = (B[:, j] - Σ_{l already solved} X[:, l]·op(T)[l, j]) / op(T)[j, j]
-        for l in solved_lo..solved_hi {
-            let coef = tval(t, ldt, trans, l, j);
-            if coef == T::zero() {
-                continue;
-            }
-            // col_j -= coef * col_l; the two columns are disjoint (l != j).
-            col_axpy(b, ldb, m, -coef, l, j);
+    let nblocks = n.div_ceil(step);
+    for kb in 0..nblocks {
+        let j0 = step * if lower { nblocks - 1 - kb } else { kb };
+        let nb = step.min(n - j0);
+        // Solved columns s0..s0+ks: right of the block for a lower op(T),
+        // left of it for an upper one.
+        let (s0, ks) = if lower { (j0 + nb, n - j0 - nb) } else { (0, j0) };
+        // BOUNDS: j0 + nb <= n and s0 + ks <= n under the ldt/ldb shape
+        // contracts `trsm` asserted; ks > 0 puts the split point at a
+        // column start no later than the last column's.
+        if ks > 0 {
+            let (head, tail) = b.split_at_mut(j0.max(s0) * ldb);
+            let (solved, block) = if lower { (&*tail, &mut head[j0 * ldb..]) } else { (&*head, tail) };
+            // op(T)[s0.., j0..]: stored rows s0.. of columns j0.., or the
+            // transpose of stored rows j0.. of columns s0...
+            let toff = if trans == Trans::NoTrans { &t[j0 * ldt + s0..] } else { &t[s0 * ldt + j0..] };
+            gemm(Trans::NoTrans, trans, m, nb, ks, -T::one(), solved, ldb, toff, ldt, T::one(), block, ldb);
         }
-        if diag == Diag::NonUnit {
-            let d = tval(t, ldt, trans, j, j).inv();
-            // BOUNDS: j < n against the ldb/b-length contract above.
-            let col = &mut b[j * ldb..j * ldb + m];
-            if !simd::try_scale(d, col) {
-                for v in col {
-                    *v *= d;
-                }
+        // BOUNDS: the block's diagonal triangle and its columns, as above.
+        let (tjj, block) = (&t[j0 * ldt + j0..], &mut b[j0 * ldb..]);
+        if step > 1 {
+            trsm_right(1, lower, trans, diag, m, nb, tjj, ldt, block, ldb);
+        } else if diag == Diag::NonUnit {
+            let d = tval(tjj, ldt, trans, 0, 0).inv();
+            for v in &mut block[..m] {
+                *v *= d;
             }
         }
     }

@@ -1,10 +1,12 @@
 //! Counting-allocator proof that the buffered update kernel runs
 //! allocation-free once its caller-pooled workspace reaches the panel
-//! high-water mark — the dynamic twin of the `lint-hot` static rule
-//! that flagged the old per-call `vec![0; k*n]` D·Lᵀ staging buffer
-//! (DESIGN.md §13).
+//! high-water mark, and that the panel kernels (`potrf`/`ldlt`/`getrf`,
+//! both `trsm` sides) never touch the heap at all — the dynamic twin of
+//! the `lint-hot` static rule (DESIGN.md §13).
 
+use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
+use dagfact_kernels::{getrf, ldlt, potrf, Trans};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,4 +90,37 @@ fn warm_update_via_buffer_does_not_allocate() {
     MEASURING.with(|m| m.set(false));
     let during = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(during, 0, "warm update_via_buffer allocated {during} times");
+}
+
+/// The panel task's dense kernels, on both sides of their private block
+/// sizes (`NB` = 48 for the factorizations, 16 for `trsm`): the tile
+/// copies and staging live on the stack.
+#[test]
+fn panel_kernels_do_not_allocate() {
+    for n in [1usize, 48, 49, 200] {
+        // Symmetric and diagonally dominant, so all three factor without
+        // repairs; `a` is refilled from `a0` between them.
+        let a0: Vec<f64> = (0..n * n)
+            .map(|i| if i / n == i % n { 2.0 * n as f64 } else { ((i / n + i % n) % 7) as f64 * 0.125 - 0.375 })
+            .collect();
+        let (mut a, mut d) = (a0.clone(), vec![0.0f64; n]);
+        let m = 40;
+        let mut b = vec![1.0f64; m.max(n) * n.max(m)];
+
+        let before = ALLOCS.load(Ordering::Relaxed);
+        MEASURING.with(|f| f.set(true));
+        potrf(n, &mut a, n).expect("dominant block is SPD");
+        trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, m, n, &a, n, &mut b, m);
+        trsm(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, n, m, &a, n, &mut b, n);
+        a.copy_from_slice(&a0);
+        ldlt(n, &mut a, n, &mut d, 0.0).expect("dominant block has no zero pivot");
+        trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::Unit, m, n, &a, n, &mut b, m);
+        a.copy_from_slice(&a0);
+        getrf(n, &mut a, n, 0.0).expect("dominant block has no zero pivot");
+        trsm(Side::Right, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, m, n, &a, n, &mut b, m);
+        trsm(Side::Left, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, n, m, &a, n, &mut b, n);
+        MEASURING.with(|f| f.set(false));
+        let during = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(during, 0, "panel kernels at n={n} allocated {during} times");
+    }
 }

@@ -28,7 +28,7 @@
 use dagfact_kernels::gemm::{gemm, gemm_portable, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
-use dagfact_kernels::{Scalar, C64};
+use dagfact_kernels::{getrf, ldlt, potrf, Scalar, C64};
 
 mod common;
 use common::{reference_trsm, reference_update};
@@ -252,8 +252,12 @@ fn trsm_sweep<T: Scalar>(seed: u64) {
         for uplo in [Uplo::Lower, Uplo::Upper] {
             for trans in [Trans::NoTrans, Trans::Trans, Trans::ConjTrans] {
                 for diag in [Diag::NonUnit, Diag::Unit] {
+                    // The triangle's order is `m` on the left, `n` on the
+                    // right: each side gets the sizes that cross its blocks.
+                    let ns: &[usize] =
+                        if side == Side::Left { &[1, 3, 16, 17] } else { &[1, 3, 16, 17, 33, 48, 120, 250] };
                     for m in [1usize, 7, 8, 31, 32, 33, 65, 200] {
-                        for n in [1usize, 3, 16, 17] {
+                        for &n in ns {
                             let k = if side == Side::Left { m } else { n };
                             let (ldt, ldb) = (k + 3, m + 1);
                             let mut t = draw(ldt * k, 1.0 / k as f64);
@@ -355,7 +359,7 @@ fn gemm_rejects_undersized_c_before_writing() {
 /// forms sub-slices from `ldt`/`ldb`, so a short `T` must fail before `B`
 /// is touched, in release as in debug.
 #[test]
-#[should_panic(expected = "trsm: T or B buffer too small")]
+#[should_panic(expected = "trsm: T buffer too small")]
 fn trsm_left_rejects_undersized_t_before_writing() {
     let (m, n) = (40, 2);
     let t = vec![1.0f64; m * m - 1];
@@ -365,12 +369,39 @@ fn trsm_left_rejects_undersized_t_before_writing() {
 
 /// Same contract from the right: `ldb < m` would alias columns of `B`.
 #[test]
-#[should_panic(expected = "trsm: T or B buffer too small")]
+#[should_panic(expected = "trsm: B buffer too small")]
 fn trsm_right_rejects_short_ldb_before_writing() {
     let (m, n) = (4, 3);
     let t = vec![1.0f64; n * n];
     let mut b = vec![1.0f64; m * n];
     trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, m, n, &t, n, &mut b, m - 1);
+}
+
+/// The three diagonal-block factorizations hold the same contract: with
+/// `debug_assert!` only, a release build slice-panicked somewhere in the
+/// sweep with the block half-factored.
+#[test]
+#[should_panic(expected = "potrf: A buffer too small")]
+fn potrf_rejects_short_buffer_before_writing() {
+    let n = 60;
+    let mut a = vec![1.0f64; n * n - 1];
+    let _ = potrf(n, &mut a, n);
+}
+
+#[test]
+#[should_panic(expected = "ldlt: A buffer too small")]
+fn ldlt_rejects_short_buffer_before_writing() {
+    let n = 60;
+    let (mut a, mut d) = (vec![1.0f64; n * n - 1], vec![0.0f64; n]);
+    let _ = ldlt(n, &mut a, n, &mut d, 0.0);
+}
+
+#[test]
+#[should_panic(expected = "getrf: A buffer too small")]
+fn getrf_rejects_short_buffer_before_writing() {
+    let n = 60;
+    let mut a = vec![1.0f64; n * (n - 1)];
+    let _ = getrf(n, &mut a, n - 1, 0.0);
 }
 
 /// A row-map / m mismatch fails up front, before the GEMM runs.
@@ -448,6 +479,30 @@ fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
             portable / dispatched
         );
         log_speedup += (portable / dispatched).ln() / SHAPES.len() as f64;
+    }
+    // The panel task's right solve `X·Lᵀ = B` (m·n² flops), printed beside
+    // what this loop measured on the reference host for the
+    // column-at-a-time solve on the axpy tier PR 20 deleted. Not gated:
+    // the tier under it is the one gated above.
+    for (m, n, before) in [(892usize, 120usize, 9.3), (400, 60, 9.3), (200, 24, 10.4), (100, 8, 12.0)] {
+        let mut t = rng.fill(n * n);
+        for d in 0..n {
+            t[d * n + d] = 2.0 + n as f64 * t[d * n + d].abs();
+        }
+        let (b0, mut x) = (rng.fill(m * n), vec![0.0; m * n]);
+        let calls = ((1 << 26) / (m * n * n)).max(1);
+        let mut secs = Vec::new();
+        for _ in 0..9 {
+            let t0 = std::time::Instant::now();
+            for _ in 0..calls {
+                x.copy_from_slice(&b0);
+                trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, m, n, &t, n, &mut x, m);
+            }
+            secs.push(t0.elapsed().as_secs_f64());
+        }
+        secs.sort_by(f64::total_cmp);
+        let gflops = (m * n * n * calls) as f64 / secs[secs.len() / 2] / 1e9;
+        println!("trsm Right Lower Trans {m}x{n}: {gflops:.1} GFlop/s (column-at-a-time: {before})");
     }
     let speedup = log_speedup.exp();
     println!("geometric mean: {speedup:.2}x (gate 1.5x)");

@@ -1,8 +1,8 @@
 //! # dagfact-sparse
 //!
 //! Sparse-matrix infrastructure for the `dagfact` supernodal solver: the
-//! Rust substrate for what the paper gets from the Harwell-Boeing files of
-//! the University of Florida collection and PaStiX's internal CSC handling.
+//! Rust substrate for what the paper gets from the files of the University
+//! of Florida collection and PaStiX's internal CSC handling.
 //!
 //! * [`SparsityPattern`] — compressed-column structure (no values), with
 //!   transposition, permutation and the `A + Aᵀ` symmetrization that PaStiX
@@ -15,15 +15,12 @@
 //! * [`gen`] — synthetic problem generators standing in for the paper's
 //!   nine UF matrices (2D/3D grid stencils, real/complex, SPD/indefinite/
 //!   unsymmetric),
-//! * [`mm`] — Matrix Market I/O for interoperability,
-//! * [`hb`] — a minimal Harwell-Boeing reader (the collection's native
-//!   distribution format).
+//! * [`mm`] — Matrix Market I/O for interoperability.
 
 pub mod coo;
 pub mod csc;
 pub mod gen;
 pub mod graph;
-pub mod hb;
 pub mod mm;
 pub mod pattern;
 

@@ -1,10 +1,10 @@
 //! Matrix Market coordinate-format I/O.
 //!
 //! The paper's matrices come from the University of Florida collection,
-//! distributed in Matrix Market / Harwell-Boeing form. This module
-//! implements the coordinate Matrix Market dialect (`real`/`complex`/
-//! `pattern` × `general`/`symmetric`) so users can run `dagfact` on the
-//! genuine UF files when they have them.
+//! which distributes them in Matrix Market form. This module implements
+//! the coordinate Matrix Market dialect (`real`/`complex`/`pattern` ×
+//! `general`/`symmetric`) so users can run `dagfact` on the genuine UF
+//! files when they have them.
 
 use crate::coo::TripletBuilder;
 use crate::csc::CscMatrix;

@@ -1,13 +1,11 @@
-//! Mutation-fuzz and property tests for the untrusted-input readers
-//! (Matrix Market and Harwell-Boeing): on *any* byte stream the readers
-//! must return `Ok` or a typed [`SparseError`] — never panic, never
-//! abort on an absurd declared size. Cases are driven by a deterministic
+//! Mutation-fuzz and property tests for the untrusted-input reader
+//! (Matrix Market): on *any* byte stream the reader must return `Ok` or a
+//! typed [`SparseError`] — never panic, never abort on an absurd declared
+//! size. Cases are driven by a deterministic
 //! SplitMix64 sweep (the repo's no-external-framework property idiom),
 //! so failures reproduce exactly from the printed seed.
 
-use dagfact_sparse::hb::read_harwell_boeing;
 use dagfact_sparse::mm::read_matrix_market;
-use dagfact_sparse::CscMatrix;
 
 /// Deterministic parameter source (SplitMix64).
 struct Params {
@@ -36,7 +34,7 @@ impl Params {
 }
 
 // ---------------------------------------------------------------------
-// Seed corpus: one valid exemplar per dialect
+// Seed corpus: one valid exemplar per field/symmetry dialect
 // ---------------------------------------------------------------------
 
 const MM_CORPUS: &[&str] = &[
@@ -45,32 +43,6 @@ const MM_CORPUS: &[&str] = &[
     "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",
     "%%MatrixMarket matrix coordinate complex symmetric\n2 2 2\n1 1 1.0 0.5\n2 1 -1.0 0.25\n",
     "%%MatrixMarket matrix coordinate integer general\n2 2 1\n2 2 7\n",
-];
-
-const HB_CORPUS: &[&str] = &[
-    "title                                                                   KEY1
-             3             1             1             1             0
-RSA                        3             3             5             0
-(16I5)          (16I5)          (5E16.8)
-    1    3    5    6
-    1    2    2    3    3
-  2.00000000E+00 -1.00000000E+00  2.00000000E+00 -1.00000000E+00  2.00000000E+00
-",
-    "title                                                                   KEY2
-             3             1             1             1
-RUA                        2             2             3             0
-(16I5)          (16I5)          (4E20.12)
-    1    3    4
-    1    2    2
-  4.000000000000E+00 -1.000000000000E+00  3.000000000000E+00
-",
-    "title                                                                   KEY3
-             2             1             1             0             0
-PSA                        2             2             2             0
-(16I5)          (16I5)
-    1    2    3
-    1    2
-",
 ];
 
 /// Tokens a fuzzer loves: overflow bait, signs, NaN, empty.
@@ -85,7 +57,6 @@ const EVIL_TOKENS: &[&str] = &[
     "",
     "(",
     "%%MatrixMarket",
-    "RSA",
     "1.0.0",
     "0x10",
 ];
@@ -192,21 +163,6 @@ fn matrix_market_reader_never_panics_on_mutated_input() {
 }
 
 #[test]
-fn harwell_boeing_reader_never_panics_on_mutated_input() {
-    for case in 0..4000u64 {
-        let mut p = Params::new(case ^ 0x4853_4253);
-        let mut text = HB_CORPUS[p.range(0, HB_CORPUS.len())].as_bytes().to_vec();
-        for _ in 0..p.range(1, 5) {
-            mutate(&mut p, &mut text);
-        }
-        let input = text.clone();
-        assert_no_panic("harwell-boeing", case, &input, move || {
-            let _ = read_harwell_boeing::<f64, _>(&text[..]);
-        });
-    }
-}
-
-#[test]
 fn successful_parses_of_mutated_input_are_structurally_sound() {
     // When a mutated file still parses, the result must be a coherent
     // matrix: canonical column order, in-bounds indices, finite-or-not
@@ -252,13 +208,6 @@ fn absurd_declared_sizes_are_typed_errors() {
             Ok(_) => panic!("absurd header must not parse: {text:?}"),
         }
     }
-    let huge_hb = format!(
-        "t\n 3 1 1 1\nRSA {} {} {} 0\n(16I5) (16I5) (5E16.8)\n    1\n    1\n  1.0\n",
-        usize::MAX,
-        usize::MAX,
-        usize::MAX
-    );
-    assert!(read_harwell_boeing::<f64, _>(huge_hb.as_bytes()).is_err());
 }
 
 #[test]
@@ -267,15 +216,4 @@ fn declared_entry_count_is_enforced_both_ways() {
     assert!(read_matrix_market::<f64, _>(extra.as_bytes()).is_err());
     let missing = "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n";
     assert!(read_matrix_market::<f64, _>(missing.as_bytes()).is_err());
-}
-
-#[test]
-fn readers_agree_on_the_same_matrix() {
-    // The HB exemplar is the 3-point Laplacian; its Matrix Market
-    // transcription must produce the identical CscMatrix.
-    let hb: CscMatrix<f64> = read_harwell_boeing(HB_CORPUS[0].as_bytes()).unwrap();
-    let mm_text = "%%MatrixMarket matrix coordinate real symmetric\n\
-                   3 3 5\n1 1 2.0\n2 1 -1.0\n2 2 2.0\n3 2 -1.0\n3 3 2.0\n";
-    let mm: CscMatrix<f64> = read_matrix_market(mm_text.as_bytes()).unwrap();
-    assert_eq!(hb, mm);
 }
