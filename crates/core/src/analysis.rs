@@ -4,10 +4,11 @@
 //! Everything here is value-free. Thanks to static pivoting, the block
 //! structure produced once by [`Analysis::new`] fixes every task DAG for
 //! all subsequent factorizations, solves and simulations, so both DAGs are
-//! built here, once ([`crate::tasks`]): the coarse 1D panel graph with its
-//! transpose ([`Analysis::one_d`], also the schedule of the triangular
-//! sweeps) and the two words per block the two-level graph is computed
-//! from ([`Analysis::two_level`]). Only the dataflow policy derives edges
+//! built here, once ([`crate::tasks`]): the two words per block the
+//! factorization's two-level graph is computed from
+//! ([`Analysis::two_level`]) and the coarse 1D panel graph with its
+//! transpose ([`Analysis::one_d`]: the schedule of the triangular sweeps
+//! and of the distributed engine). Only the dataflow policy derives edges
 //! per run: inferring them at submission is that model.
 
 use crate::tasks::{OneDGraph, TaskGraph};
@@ -178,8 +179,9 @@ impl Analysis {
         critical_path_priorities(&self.symbol, costs)
     }
 
-    /// Static worker assignment of the 1D tasks (PaStiX analyze-time
-    /// mapping) for `nworkers`.
+    /// Static worker per panel for `nworkers` (PaStiX analyze-time
+    /// mapping: the list schedule of the panels' 1D costs); the native
+    /// policy's seed placement.
     pub fn static_owners(&self, costs: &TaskCosts, nworkers: usize) -> Vec<usize> {
         static_schedule(&self.symbol, costs, nworkers).owner
     }

@@ -769,7 +769,7 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
                 if let Some(ch) = &self.checker {
                     ch.access(tgt, Mode::Accum, c, node);
                 }
-                self.ctx.update_task(c, bi, node, false);
+                self.ctx.update_task(c, bi, node);
             } else {
                 let pair = self.pair_of(tgt, my_node);
                 if let Some(ch) = &self.checker {
@@ -1138,7 +1138,7 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
                 let scb = &symbol.cblks[s];
                 for bi in (scb.block_begin + 1)..scb.block_end {
                     if symbol.blocks[bi].facing == c {
-                        self.ctx.update_task(s, bi, adopter, false);
+                        self.ctx.update_task(s, bi, adopter);
                     }
                 }
             }

@@ -7,13 +7,12 @@
 //!   sub-panel at-and-below `b` to the facing panel (the sparse GEMM,
 //!   buffer-then-scatter on CPUs).
 //!
-//! Every policy runs the same two task bodies; a native 1D task is
-//! `panel(c)` followed by the panel's `update(c, ·)` bodies. The LDLᵀ
-//! update rescales by `D` inside each call ("the full LDLᵀ operation at
-//! each update", §V-A). PaStiX's per-panel `D·Lᵀ` buffer trick — the
-//! reason it wins on `pmlDF` and `Serena` in the paper — measured no
-//! end-to-end gain here and is modelled only in the simulator
-//! (`gpusim::kernelmodel`).
+//! Every policy runs these two task bodies over the one two-level DAG
+//! ([`crate::tasks`]). The LDLᵀ update rescales by `D` inside each call
+//! ("the full LDLᵀ operation at each update", §V-A). PaStiX's per-panel
+//! `D·Lᵀ` buffer trick — the reason it wins on `pmlDF` and `Serena` in
+//! the paper — measured no end-to-end gain here and is modelled only in
+//! the simulator (`gpusim::kernelmodel`).
 //!
 //! # Memory-budgeted execution
 //!
@@ -36,9 +35,10 @@
 //!
 //! Task bodies pin every panel they touch and charge their workspace
 //! *before* mutating anything, so an injected allocation failure
-//! (`AllocFail`) at either is retry-safe: the two-level DAGs re-run the
-//! task, the fused 1D tasks and the adaptive solver retry the
-//! factorization without escalating the pivot threshold.
+//! (`AllocFail`) at either is retry-safe: the engine re-runs the task
+//! under every policy, and with no engine retry budget the adaptive
+//! solver retries the factorization without escalating the pivot
+//! threshold.
 
 use crate::analysis::Analysis;
 use crate::coeftab::{CoefTab, MemoryOptions};
@@ -105,14 +105,6 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
     /// First error; once set, remaining tasks no-op.
     error: Mutex<Option<SolverError>>,
     workspaces: Vec<Mutex<Workspace<T>>>,
-    /// Per-panel accumulation locks for the native engine: the coarse 1D
-    /// DAG orders every updater *before* its target's 1D task but not the
-    /// updaters of a common target against each other (fan-in from
-    /// disjoint subtrees), so their scatter-adds are serialized here —
-    /// PaStiX's per-cblk mutex. The verifier models these accesses as
-    /// `Mode::Accum`: commutative, mutually excluded. The fine-grained
-    /// engines order updates by dependency edges and skip the lock.
-    panel_locks: Vec<Mutex<()>>,
 }
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
@@ -149,7 +141,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             workspaces: (0..nworkers.max(1))
                 .map(|_| Mutex::new(Workspace::default()))
                 .collect(),
-            panel_locks: (0..analysis.symbol.ncblk()).map(|_| Mutex::new(())).collect(),
         }
     }
 
@@ -182,7 +173,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// per-site fault budget lets the retry succeed. Everything else (and
     /// transient faults with no retry capacity) is recorded, so the
     /// factorization drains and the adaptive solver can retry without
-    /// escalating the pivot threshold.
+    /// escalating the pivot threshold. Every pin of a factorization task
+    /// is `retryable`; the parameter exists for
+    /// [`NumericCtx::update_into`], whose caller (`crate::dist`) runs no
+    /// retrying engine.
     fn ok_or_fail<R>(&self, r: Result<R, SolverError>, task: usize, retryable: bool) -> Option<R> {
         match r {
             Ok(v) => Some(v),
@@ -222,8 +216,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
         // Pin before mutating anything: an allocation failure here is
-        // retry-safe for every engine (the native 1D task starts with
-        // this call, so nothing has been written yet either way).
+        // retry-safe.
         let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, true) else {
             return;
         };
@@ -350,11 +343,9 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     // ------------------------------------------------------------------
 
     /// Apply update task of global block `bi` from panel `c` onto its
-    /// facing panel. `lock_target` must be true when the caller's DAG
-    /// does not order updates into a common target against each other
-    /// (the native 1D graph): the write then becomes a lock-protected
-    /// accumulation.
-    pub(crate) fn update_task(&self, c: usize, bi: usize, worker: usize, lock_target: bool) {
+    /// facing panel. The caller's DAG must order the updates into a common
+    /// target against each other (the chain into the panel, `crate::tasks`).
+    pub(crate) fn update_task(&self, c: usize, bi: usize, worker: usize) {
         if self.failed() {
             return;
         }
@@ -365,22 +356,18 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let n = block.nrows();
         let m = cb.stride - block.local_offset;
         // Pin every panel up front, before any mutation: a pin failure is
-        // then retry-safe — but only for the fine-grained engines, whose
-        // update is a task of its own. Inside a native 1D task the panel
-        // has already been factored, so re-running the task would corrupt
-        // it: those failures are recorded instead (solver-level retry).
-        let retryable = !lock_target;
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, retryable) else {
+        // then retry-safe.
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, true) else {
             return;
         };
-        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j), c, retryable) else {
+        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j), c, true) else {
             return;
         };
         let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c), c, retryable) else {
+            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c), c, true) else {
                 return;
             };
-            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j), c, retryable) else {
+            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j), c, true) else {
                 return;
             };
             Some((us, ud))
@@ -389,21 +376,15 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         };
         let mut ws = self.workspaces[worker].lock();
         let ws = &mut *ws;
-        // Charge the GEMM buffer before the target lock, so ledger and
-        // pager traffic never happens under it, and before any mutation,
-        // so a failure routes like a failed pin.
+        // Charge the GEMM buffer before any mutation, so a failure routes
+        // like a failed pin.
         let scratch = scratch_len(m, n, cb.width(), self.analysis.facto == FactoKind::Ldlt);
-        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c, retryable) else {
+        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c, true) else {
             return;
         };
-        // Serialize concurrent accumulations into panel j (native engine
-        // only; see `panel_locks`). Taken before the destination borrow so
-        // two updaters never hold overlapping `&mut` views.
-        let _accum_guard = lock_target.then(|| self.panel_locks[j].lock());
-        // SAFETY: the DAG guarantees panel c is read-only here, and either
-        // serializes updates into panel j (fine-grained engines) or the
-        // accumulation lock above excludes concurrent updaters (native);
-        // the two panels are distinct allocations held by their pins.
+        // SAFETY: the DAG guarantees panel c is read-only here, and the
+        // chain into panel j orders its writers; the two panels are
+        // distinct allocations held by their pins.
         let lsrc = unsafe { lsrc_pin.slice() };
         let ldst = unsafe { ldst_pin.slice_mut() };
         let (usrc, udst) = match &upins {
@@ -564,16 +545,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     }
                 }
             }
-        }
-    }
-
-    /// The fused 1D task of the native policy (§III): the panel body
-    /// followed by the bodies of all its updates.
-    fn one_d_task(&self, c: usize, worker: usize) {
-        self.panel_task(c, worker);
-        let cb = &self.analysis.symbol.cblks[c];
-        for bi in (cb.block_begin + 1)..cb.block_end {
-            self.update_task(c, bi, worker, true);
         }
     }
 }
@@ -853,8 +824,7 @@ impl Analysis {
     ) -> Result<RunReport, EngineError> {
         let program = self.program(runtime, nthreads, T::IS_COMPLEX, |task, worker| match task {
             TaskKind::Panel { cblk } => ctx.panel_task(cblk, worker),
-            TaskKind::Update { cblk, block, .. } => ctx.update_task(cblk, block, worker, false),
-            TaskKind::OneD { cblk } => ctx.one_d_task(cblk, worker),
+            TaskKind::Update { cblk, block, .. } => ctx.update_task(cblk, block, worker),
         });
         if let Some(rec) = &config.trace {
             let (mut edges, mut succs) = (Vec::new(), Vec::new());

@@ -7,11 +7,11 @@
 //!
 //! Faithful to the systems being modeled:
 //!
-//! * the **native** policy simulates PaStiX's coarse 1D tasks with their
-//!   analyze-time static mapping,
-//! * the **StarPU/PaRSEC** policies simulate the two-level
-//!   panel/update DAG actually handed to those runtimes (§V), with only
-//!   update tasks GPU-eligible and panel data as the unit of transfer.
+//! * every policy simulates the two-level panel/update DAG the solver
+//!   runs (§V), with only update tasks GPU-eligible and panel data as the
+//!   unit of transfer;
+//! * the **native** policy adds PaStiX's analyze-time static mapping: the
+//!   list schedule's owner per panel, as in the solver's native program.
 
 use crate::analysis::Analysis;
 use crate::tasks::TaskKind;
@@ -155,13 +155,12 @@ pub fn build_sim_dag(
                     // mapping is built around.
                     (shape, owners[target])
                 }
-                TaskKind::OneD { .. } => unreachable!("the simulator lowers the two-level DAG"),
             };
             // Only update tasks are GPU-eligible, and only they pay the
             // generic runtimes' LDLᵀ penalty.
             let is_update = matches!(task, TaskKind::Update { .. });
             // One panel is read-modify-written, at most one other read.
-            let accesses = || task.accesses(&analysis.one_d);
+            let accesses = || task.accesses();
             let writes = accesses().find(|a| a.1.writes()).expect("every task writes a panel").0;
             let reads = accesses().filter(|a| !a.1.writes()).map(|a| a.0).collect();
             let mut succs = Vec::new();

@@ -30,8 +30,7 @@
 //! executor, no locks, no per-task bookkeeping. With more, the same bodies
 //! run as a [`PtgProgram`] on the shared executor, and the forward sweep's
 //! in-place subtraction from a facing panel's rows takes that panel's
-//! lock — the device the factorization's 1D fan-in uses
-//! (`NumericCtx::panel_locks`): the 1D graph orders every contributor
+//! lock (PaStiX's per-cblk mutex): the 1D graph orders every contributor
 //! before its target but not the contributors of a common target. The
 //! lock covers the subtraction only; the product ran before it, into the
 //! worker's own scratch.

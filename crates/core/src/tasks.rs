@@ -16,9 +16,13 @@
 //! * `panel(j)` runs after the last update into `j`.
 //!
 //! Nothing stores those edges: [`TaskGraph`] computes them from two words
-//! per block, built once by [`Analysis::new`]. The native policy runs the
-//! coarser [`OneDGraph`] (panel + all its updates fused, as PaStiX does,
-//! §III). [`Analysis::program`] is the only constructor of what a policy
+//! per block, built once by [`Analysis::new`]. All three policies run that
+//! one graph; PaStiX's analyze-time static mapping (§III) survives as the
+//! native policy's *seed placement* — a task's static owner is the
+//! cost-model list schedule's owner of its source panel. The coarser
+//! [`OneDGraph`] (one node per panel) schedules the triangular sweeps and
+//! the distributed engine, not the factorization.
+//! [`Analysis::program`] is the only constructor of what a policy
 //! executes — the factorization runs it, the verifier extracts its spec
 //! from it, the simulator lowers it — and [`TaskKind::accesses`] states
 //! once what a task touches.
@@ -31,7 +35,7 @@ use dagfact_rt::RuntimeKind;
 use dagfact_symbolic::cost::TaskCosts;
 use dagfact_symbolic::structure::SymbolMatrix;
 
-/// A task of the factorization DAGs.
+/// A task of the factorization DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// Factorize panel `c` (POTRF/LDLT/GETRF of the diagonal block + TRSM
@@ -50,19 +54,12 @@ pub enum TaskKind {
         /// Destination column block (the block's facing panel).
         target: usize,
     },
-    /// The fused 1D task of the native policy: `Panel { cblk }` followed by
-    /// every update panel `cblk` generates.
-    OneD {
-        /// Column block index.
-        cblk: usize,
-    },
 }
 
 impl TaskKind {
     /// The panel the task factorizes or reads its update from.
     pub fn cblk(self) -> usize {
-        let (TaskKind::Panel { cblk } | TaskKind::Update { cblk, .. } | TaskKind::OneD { cblk }) =
-            self;
+        let (TaskKind::Panel { cblk } | TaskKind::Update { cblk, .. }) = self;
         cblk
     }
 
@@ -71,26 +68,19 @@ impl TaskKind {
         match self {
             TaskKind::Panel { .. } => "panel",
             TaskKind::Update { .. } => "update",
-            TaskKind::OneD { .. } => "1d-panel",
         }
     }
 
     /// The panels the task touches (datum `c` is panel `c`'s coefficient
     /// storage, L and U halves together) and how: a panel task
     /// read-modify-writes its own panel; an update reads its source and
-    /// read-modify-writes its target; a 1D task read-modify-writes its own
-    /// panel and *accumulates* into every facing one — the scatter-add
-    /// under the target's mutex that lets two 1D tasks update a common
-    /// target unordered.
-    pub fn accesses(self, one_d: &OneDGraph) -> impl Iterator<Item = (usize, Mode)> + '_ {
-        let (read, own, accum): (Option<usize>, usize, &[usize]) = match self {
-            TaskKind::Panel { cblk } => (None, cblk, &[]),
-            TaskKind::Update { cblk, target, .. } => (Some(cblk), target, &[]),
-            TaskKind::OneD { cblk } => (None, cblk, one_d.succs(cblk)),
+    /// read-modify-writes its target.
+    pub fn accesses(self) -> impl Iterator<Item = (usize, Mode)> {
+        let (read, own) = match self {
+            TaskKind::Panel { cblk } => (None, cblk),
+            TaskKind::Update { cblk, target, .. } => (Some(cblk), target),
         };
-        (read.map(|c| (c, Mode::Read)).into_iter())
-            .chain([(own, Mode::ReadWrite)])
-            .chain(accum.iter().map(|&t| (t, Mode::Accum)))
+        (read.map(|c| (c, Mode::Read)).into_iter()).chain([(own, Mode::ReadWrite)])
     }
 }
 
@@ -172,9 +162,9 @@ impl TaskGraph {
 
 /// The coarse 1D-task DAG: one task per panel covering the panel operation
 /// *and* all its updates (§III). It depends on the symbol structure only,
-/// so [`crate::Analysis::new`] builds it once for the native and
-/// distributed engines, the verifier, and the triangular solve (forward
-/// sweep over it, backward sweep over its transpose).
+/// so [`crate::Analysis::new`] builds it once for the distributed engine
+/// and the triangular solve (forward sweep over it, backward sweep over
+/// its transpose).
 #[derive(Debug, Clone)]
 pub struct OneDGraph {
     /// Successor lists, then predecessor lists (the transpose's
@@ -232,11 +222,10 @@ impl OneDGraph {
     }
 }
 
-/// Which structure a [`Program`] reads: [`Analysis::one_d`],
-/// [`Analysis::two_level`], or the two-level tasks' hazard-inferred edges —
-/// built per program: inferring them at submission *is* the dataflow model.
+/// Where a [`Program`] reads its edges: computed from
+/// [`Analysis::two_level`], or the same tasks' hazard-inferred edges — built
+/// per program: inferring them at submission *is* the dataflow model.
 enum Graph {
-    OneD,
     TwoLevel,
     Inferred(DataflowGraph),
 }
@@ -249,17 +238,18 @@ pub struct Program<'a, F> {
     costs: TaskCosts,
     /// Critical-path priority per panel; a task inherits its source's.
     prio: Vec<f64>,
-    /// Static worker per 1D task (native policy only).
+    /// The list schedule's worker per panel (native policy on more than
+    /// one worker; empty otherwise); a task inherits its source's.
     owners: Vec<usize>,
     body: F,
 }
 
 impl Analysis {
-    /// `runtime`'s program: the 1D graph with the static owners of an
-    /// `nworkers` list schedule (native), the two-level graph computed from
-    /// the cached tables (ptg) or inferred from a sequential submission
-    /// (dataflow). `body(task, worker)` executes a task; costs and
-    /// priorities are the real or `complex` cost model's.
+    /// `runtime`'s program: the two-level graph computed from the cached
+    /// tables (ptg; native, with the static owners of an `nworkers` list
+    /// schedule as seed placement) or inferred from a sequential
+    /// submission (dataflow). `body(task, worker)` executes a task; costs
+    /// and priorities are the real or `complex` cost model's.
     pub fn program<F: Fn(TaskKind, usize) + Sync>(
         &self,
         runtime: RuntimeKind,
@@ -269,9 +259,14 @@ impl Analysis {
     ) -> Program<'_, F> {
         let costs = self.costs(complex);
         let prio = self.priorities(&costs);
-        let (graph, owners) = match runtime {
-            RuntimeKind::Native => (Graph::OneD, self.static_owners(&costs, nworkers)),
-            RuntimeKind::Ptg => (Graph::TwoLevel, Vec::new()),
+        // One worker owns everything: no list schedule to compute.
+        let owners = if runtime == RuntimeKind::Native && nworkers > 1 {
+            self.static_owners(&costs, nworkers)
+        } else {
+            Vec::new()
+        };
+        let graph = match runtime {
+            RuntimeKind::Native | RuntimeKind::Ptg => Graph::TwoLevel,
             RuntimeKind::Dataflow => {
                 // Program-order submission — panel k, then the updates it
                 // generates, ascending k: "the simple sequential submission
@@ -279,9 +274,9 @@ impl Analysis {
                 let mut g = DataflowGraph::new(self.symbol.ncblk());
                 for t in 0..self.symbol.blocks.len() {
                     let task = self.two_level.kind(&self.symbol, t);
-                    g.submit(task.accesses(&self.one_d));
+                    g.submit(task.accesses());
                 }
-                (Graph::Inferred(g), Vec::new())
+                Graph::Inferred(g)
             }
         };
         Program { analysis: self, graph, costs, prio, owners, body }
@@ -291,10 +286,7 @@ impl Analysis {
 impl<F> Program<'_, F> {
     /// What task `t` is.
     pub fn kind(&self, t: usize) -> TaskKind {
-        match self.graph {
-            Graph::OneD => TaskKind::OneD { cblk: t },
-            _ => self.analysis.two_level.kind(&self.analysis.symbol, t),
-        }
+        self.analysis.two_level.kind(&self.analysis.symbol, t)
     }
 
     /// The cost model the priorities and owners were computed from.
@@ -307,22 +299,17 @@ impl<F> Program<'_, F> {
         match task {
             TaskKind::Panel { cblk } => self.costs.panel[cblk],
             TaskKind::Update { block, .. } => self.costs.update[block],
-            TaskKind::OneD { cblk } => self.costs.task_1d(&self.analysis.symbol, cblk),
         }
     }
 }
 
 impl<F: Fn(TaskKind, usize) + Sync> PtgProgram for Program<'_, F> {
     fn num_tasks(&self) -> usize {
-        match self.graph {
-            Graph::OneD => self.analysis.symbol.ncblk(),
-            _ => self.analysis.symbol.blocks.len(),
-        }
+        self.analysis.symbol.blocks.len()
     }
     fn num_predecessors(&self, task: usize) -> u32 {
         let an = self.analysis;
         match &self.graph {
-            Graph::OneD => an.one_d.directed(task, true).0,
             Graph::TwoLevel => an.two_level.num_predecessors(&an.symbol, task),
             Graph::Inferred(g) => g.num_predecessors(task),
         }
@@ -330,8 +317,6 @@ impl<F: Fn(TaskKind, usize) + Sync> PtgProgram for Program<'_, F> {
     fn successors(&self, task: usize, out: &mut Vec<usize>) {
         let an = self.analysis;
         match &self.graph {
-            // ALLOC: `out` is the worker's reused high-water buffer.
-            Graph::OneD => out.extend_from_slice(an.one_d.directed(task, true).1),
             Graph::TwoLevel => an.two_level.successors(&an.symbol, task, out),
             Graph::Inferred(g) => g.successors(task, out),
         }
@@ -340,15 +325,11 @@ impl<F: Fn(TaskKind, usize) + Sync> PtgProgram for Program<'_, F> {
         (self.body)(self.kind(task), worker);
     }
     fn priority(&self, task: usize) -> f64 {
-        let cblk = match self.graph {
-            Graph::OneD => task,
-            _ => self.analysis.two_level.cblk(task),
-        };
         // BOUNDS: one priority per panel.
-        self.prio[cblk]
+        self.prio[self.analysis.two_level.cblk(task)]
     }
     fn static_owner(&self, task: usize) -> usize {
-        self.owners.get(task).copied().unwrap_or(task)
+        self.owners.get(self.analysis.two_level.cblk(task)).copied().unwrap_or(task)
     }
 }
 
@@ -372,26 +353,26 @@ mod tests {
 
     type NoOp = fn(TaskKind, usize);
 
-    /// Both two-level programs, the computed one and the inferred one.
-    fn two_level(an: &Analysis) -> [Program<'_, NoOp>; 2] {
-        [RuntimeKind::Ptg, RuntimeKind::Dataflow].map(|rt| an.program(rt, 1, false, (|_, _| {}) as NoOp))
+    /// Every policy's program: the computed graph (native, ptg) and the
+    /// inferred one (dataflow).
+    fn programs(an: &Analysis) -> [Program<'_, NoOp>; 3] {
+        RuntimeKind::ALL.map(|rt| an.program(rt, 2, false, (|_, _| {}) as NoOp))
     }
 
     #[test]
     fn task_count_matches_block_count() {
         let an = analysis();
-        for p in two_level(&an) {
+        for p in programs(&an) {
             assert_eq!(p.num_tasks(), an.symbol.blocks.len());
             assert_eq!(p.num_tasks(), an.symbol.ncblk() + an.symbol.n_update_tasks());
         }
-        assert_eq!(an.program(RuntimeKind::Native, 2, false, |_, _| {}).num_tasks(), an.symbol.ncblk());
     }
 
     #[test]
     fn topological_order_visits_updates_between_panels() {
         let an = analysis();
         let panel = |c: usize| an.symbol.cblks[c].block_begin;
-        for p in two_level(&an) {
+        for p in programs(&an) {
             // Kahn traversal; every task must come out (no cycle).
             let n = p.num_tasks();
             let mut npred: Vec<u32> = (0..n).map(|t| p.num_predecessors(t)).collect();
@@ -421,7 +402,7 @@ mod tests {
     #[test]
     fn update_chains_serialize_per_target() {
         let an = analysis();
-        for p in two_level(&an) {
+        for p in programs(&an) {
             // For each target, its update tasks in id order, then its panel
             // task: each must be a direct predecessor of the next.
             let mut per_target: Vec<Vec<usize>> = vec![Vec::new(); an.symbol.ncblk()];

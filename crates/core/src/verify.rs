@@ -1,12 +1,13 @@
 //! Static analysis of the solver's task graphs.
 //!
-//! The three policies run the *same* factorization from three graph
-//! descriptions, all produced by [`Analysis::program`]: the native
-//! policy's coarse 1D DAG, the dataflow policy's hazard-inferred graph,
-//! and the ptg policy's algebraic two-level DAG. Each description carries
-//! an implicit safety claim — the dependency edges order every pair of
-//! conflicting panel accesses — and the `unsafe` borrows of
-//! [`dagfact_rt::SharedSlice`] are sound *only if* that claim holds.
+//! The three policies run the *same* two-level DAG, produced by
+//! [`Analysis::program`] in two descriptions: the algebraic one the ptg
+//! and native policies compute (native adds static owners, which are
+//! placement, not edges) and the dataflow policy's hazard-inferred graph.
+//! Each description carries an implicit safety claim — the dependency
+//! edges order every pair of conflicting panel accesses — and the
+//! `unsafe` borrows of [`dagfact_rt::SharedSlice`] are sound *only if*
+//! that claim holds.
 //!
 //! This module discharges the claim mechanically, per policy:
 //!
@@ -20,10 +21,10 @@
 //!    proves race-freedom (every conflicting access pair is transitively
 //!    ordered), deadlock-freedom (no cycles), and structural sanity
 //!    (no dangling/self/duplicate edges, no unreachable tasks).
-//! 3. **Cross-engine equivalence** — the three graphs differ in
-//!    granularity but must induce the *same* order of conflicting panel
-//!    writes; [`dagfact_rt::verify::conflict_signature`] canonicalizes
-//!    each graph's per-panel writer chains and
+//! 3. **Cross-engine equivalence** — computed or inferred, the graphs
+//!    must induce the *same* order of conflicting panel writes;
+//!    [`dagfact_rt::verify::conflict_signature`] canonicalizes each
+//!    graph's per-panel writer chains and
 //!    [`Analysis::verify_task_graph`] asserts all three agree.
 //! 4. **Dynamic oracle** — optionally, [`dagfact_rt::verify::replay`]
 //!    drives the real engine (threads, queues, stealing) over the spec
@@ -162,13 +163,13 @@ impl Analysis {
     /// engine-independent [`GraphSpec`]: happens-before edges from the
     /// program the factorization runs, panel-level access modes from the
     /// shared table, and per-task tags (the source panel) so
-    /// [`conflict_signature`] can compare graphs of different granularity.
+    /// [`conflict_signature`] can compare graphs by what they order.
     pub fn task_graph_spec(&self, runtime: RuntimeKind) -> GraphSpec {
         let program = self.program(runtime, 1, false, |_, _| {});
         let mut spec = GraphSpec::from_dag(&program);
         for t in 0..spec.ntasks() {
             let task = program.kind(t);
-            for (panel, mode) in task.accesses(&self.one_d) {
+            for (panel, mode) in task.accesses() {
                 spec.access(t, panel, mode);
             }
             spec.set_tag(t, task.cblk() as u64);
@@ -274,13 +275,10 @@ mod tests {
     #[test]
     fn spec_task_counts_match_the_engines() {
         let an = analysis();
-        let ncblk = an.symbol.ncblk();
-        assert_eq!(an.task_graph_spec(RuntimeKind::Native).ntasks(), ncblk);
-        let two_level = an.symbol.blocks.len();
-        assert_eq!(an.task_graph_spec(RuntimeKind::Dataflow).ntasks(), two_level);
-        assert_eq!(an.task_graph_spec(RuntimeKind::Ptg).ntasks(), two_level);
         for rt in RuntimeKind::ALL {
-            assert_eq!(an.task_graph_spec(rt).ndata(), ncblk, "{}", rt.label());
+            let spec = an.task_graph_spec(rt);
+            assert_eq!(spec.ntasks(), an.symbol.blocks.len(), "{}", rt.label());
+            assert_eq!(spec.ndata(), an.symbol.ncblk(), "{}", rt.label());
         }
     }
 
@@ -294,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn signatures_agree_across_granularities() {
+    fn signatures_agree_across_policies() {
         let an = analysis();
         let sigs: Vec<_> = RuntimeKind::ALL
             .iter()

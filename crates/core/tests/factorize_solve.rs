@@ -176,12 +176,10 @@ fn factor_values(analysis: &Analysis, a: &CscMatrix<f64>, rt: RuntimeKind, threa
     values
 }
 
-/// The cross-policy oracle. The two-level DAG chains the updates into a
-/// target panel in source order, so under the ptg and dataflow policies
-/// only *scheduling* differs: their factors are bitwise equal, at any
-/// worker count. The native policy's fused 1D tasks accumulate into a
-/// target in completion order instead, so it agrees with them to
-/// roundoff: componentwise `|Δ| ≤ 1e-12·(1 + |x|)`.
+/// The cross-policy oracle. Every policy runs the one two-level DAG,
+/// which chains the updates into a target panel in source order, so only
+/// *scheduling* differs between policies and worker counts: the factors
+/// are bitwise equal across all of them, and from run to run.
 #[test]
 fn policies_agree_on_factor_values() {
     let cases: [(FactoKind, CscMatrix<f64>); 3] = [
@@ -193,26 +191,18 @@ fn policies_agree_on_factor_values() {
         let analysis = Analysis::new(a.pattern(), *facto, &SolverOptions::default());
         let reference = factor_values(&analysis, a, RuntimeKind::Ptg, 1);
         assert!(reference.iter().all(|v| v.is_finite()));
-        for rt in [RuntimeKind::Ptg, RuntimeKind::Dataflow] {
-            for threads in [1usize, 4] {
+        for rt in RuntimeKind::ALL {
+            for threads in 1..=4usize {
                 let values = factor_values(&analysis, a, rt, threads);
                 assert!(values == reference, "{facto:?}: {rt:?}/{threads} differs bitwise from ptg/1");
             }
         }
-        for threads in [1usize, 4] {
-            let native = factor_values(&analysis, a, RuntimeKind::Native, threads);
-            assert_eq!(native.len(), reference.len());
-            for (i, (&x, &y)) in reference.iter().zip(&native).enumerate() {
-                assert!(
-                    (x - y).abs() <= 1e-12 * (1.0 + x.abs()),
-                    "{facto:?}: native/{threads} @{i}: {y:e} vs {x:e}"
-                );
-            }
+        // The static mapping at its widest, repeated: stealing reorders
+        // tasks from run to run, never the writers of a panel.
+        for run in 0..5 {
+            let values = factor_values(&analysis, a, RuntimeKind::Native, 4);
+            assert!(values == reference, "{facto:?}: native/4 run {run} differs bitwise from ptg/1");
         }
-        // One worker is a sequential schedule: every policy reproduces
-        // itself bitwise.
-        let native = factor_values(&analysis, a, RuntimeKind::Native, 1);
-        assert!(native == factor_values(&analysis, a, RuntimeKind::Native, 1), "{facto:?}");
     }
 }
 

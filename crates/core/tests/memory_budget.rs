@@ -2,8 +2,7 @@
 //! hard cap (admission throttling, out-of-core panel spilling), injected
 //! allocation failures across every runtime engine, and the solve-phase
 //! fault-back path — all while the numeric results stay at full accuracy,
-//! and on the two-level policies bit for bit those of the unconstrained
-//! run.
+//! bit for bit those of the unconstrained run under every policy.
 
 use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverError, SolverOptions};
 use dagfact_rt::budget::site;
@@ -209,7 +208,7 @@ fn capped_factors_are_bitwise_equal_to_unconstrained() {
         let analysis = Analysis::new(a.pattern(), kind, &SolverOptions::default());
         let peak = natural_peak(&analysis, &a);
         let b = vec![1.0; a.nrows()];
-        for rt in [RuntimeKind::Ptg, RuntimeKind::Dataflow] {
+        for rt in RuntimeKind::ALL {
             for workers in [1, 4] {
                 let free = exec(MemoryBudget::unbounded(), None, None);
                 let x_free = analysis
@@ -331,19 +330,11 @@ fn workspace_alloc_fault_is_absorbed_on_every_policy() {
         let plan = FaultPlan::new().alloc_fail_on(site::WORKSPACE, 1);
         let opts = exec(MemoryBudget::with_cap(1 << 40), None, Some(plan));
         // The charge precedes every mutation of the update, so the
-        // two-level policies re-run the task. A native 1D task has
-        // factored its panel by then: it records the typed transient
-        // error and the second factorization finds the fault consumed.
-        let f = match analysis.factorize_with(&a, rt, 4, &opts) {
-            Ok(f) => {
-                assert!(f.stats.run.retries >= 1, "{rt:?}: absorbed without a task retry");
-                f
-            }
-            Err(e) if rt == RuntimeKind::Native && e.is_transient_alloc() => analysis
-                .factorize_with(&a, rt, 4, &opts)
-                .unwrap_or_else(|e| panic!("{rt:?}: the retry must succeed, got {e}")),
-            Err(e) => panic!("{rt:?}: a workspace alloc fault must be absorbed, got {e}"),
-        };
+        // engine re-runs the task.
+        let f = analysis
+            .factorize_with(&a, rt, 4, &opts)
+            .unwrap_or_else(|e| panic!("{rt:?}: a workspace alloc fault must be absorbed, got {e}"));
+        assert!(f.stats.run.retries >= 1, "{rt:?}: absorbed without a task retry");
         let mem = f.stats.run.memory.as_ref().expect("accounting was on");
         let injected = opts.run.fault_plan.as_ref().unwrap().faults_injected();
         assert_eq!(injected, 1, "{rt:?}: the fault was delivered");
@@ -364,9 +355,9 @@ fn sampled_alloc_fault_sweep_never_aborts_and_accounts_exactly() {
             let plan = FaultPlan::with_seed(seed).random_alloc_fail(0.2, 1);
             let opts = exec(budget.clone(), None, Some(plan));
             // Sampled faults can land where no engine retry exists —
-            // assembly-phase charges, or pins inside the native engine's
-            // coarse 1D tasks — and then surface as a typed transient
-            // error. The documented recovery is a solver-level re-run;
+            // assembly-phase charges — and then surface as a typed
+            // transient error. The documented recovery is a solver-level
+            // re-run;
             // each delivery consumes that site's failure budget, so the
             // loop is bounded by the number of faulted sites.
             let mut attempts = 0;

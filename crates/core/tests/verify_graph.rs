@@ -36,10 +36,11 @@ fn edges_of(program: &impl PtgProgram) -> BTreeSet<(usize, usize)> {
 }
 
 /// The dataflow policy infers its edges from the declared accesses of a
-/// sequential submission; the ptg policy computes them from the block
-/// structure. Both number tasks by block, so the two edge sets must be
-/// *equal* — and every program's predecessor counts must be the in-degrees
-/// of its own successor function, or the executor would hang or underflow.
+/// sequential submission; the ptg and native policies compute them from
+/// the block structure. All number tasks by block, so the edge sets must
+/// be *equal* — and every program's predecessor counts must be the
+/// in-degrees of its own successor function, or the executor would hang or
+/// underflow.
 #[test]
 fn inferred_edges_equal_the_algebraic_ones() {
     for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
@@ -49,6 +50,7 @@ fn inferred_edges_equal_the_algebraic_ones() {
         let algebraic = edges_of(&ptg);
         assert!(algebraic.len() > an.symbol.ncblk(), "{facto:?}: trivial graph");
         assert_eq!(edges_of(&dataflow), algebraic, "{facto:?}");
+        assert_eq!(edges_of(&native), algebraic, "{facto:?}");
         for t in 0..ptg.num_tasks() {
             assert_eq!(dataflow.kind(t), ptg.kind(t), "{facto:?}: task {t}");
         }
@@ -161,15 +163,34 @@ fn dropped_edge_is_flagged_by_static_and_dynamic_checkers() {
     }
 }
 
+/// The native policy adds nothing to the graph but a seed placement: a
+/// task sits on the list schedule's owner of its source panel, and the
+/// schedule uses every worker.
+#[test]
+fn native_static_owners_are_the_list_schedule_per_source_panel() {
+    let an = analysis_of(FactoKind::Cholesky);
+    let nworkers = 4;
+    let program = an.program(RuntimeKind::Native, nworkers, false, |_, _| {});
+    let owners = an.static_owners(program.costs(), nworkers);
+    let mut used = BTreeSet::new();
+    for t in 0..program.num_tasks() {
+        let owner = program.static_owner(t);
+        assert_eq!(owner, owners[program.kind(t).cblk()], "task {t}");
+        used.insert(owner);
+    }
+    assert_eq!(used, (0..nworkers).collect(), "an idle worker in the mapping");
+}
+
 /// A broken hazard ordering in one engine must break the cross-engine
 /// equivalence signature too (it changes that panel's writer chain).
 #[test]
 fn equivalence_signature_detects_reordered_writers() {
     use dagfact_rt::verify::conflict_signature;
     let an = analysis_of(FactoKind::Cholesky);
+    // The computed graph against the inferred one.
     let base = conflict_signature(&an.task_graph_spec(RuntimeKind::Ptg)).expect("acyclic");
-    let native = conflict_signature(&an.task_graph_spec(RuntimeKind::Native)).expect("acyclic");
-    assert_eq!(base, native);
+    let inferred = conflict_signature(&an.task_graph_spec(RuntimeKind::Dataflow)).expect("acyclic");
+    assert_eq!(base, inferred);
     // Retagging one update task simulates an engine applying a different
     // source's update in its place.
     let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});

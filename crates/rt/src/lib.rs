@@ -8,11 +8,12 @@
 //!
 //! * [`RuntimeKind::Native`] — PaStiX-style: tasks carry an analyze-time
 //!   *static* worker assignment from the cost-model list schedule
-//!   ([`ptg::PtgProgram::static_owner`]); initially-ready tasks are seeded onto their
-//!   owner's deque, successors are released onto the completing worker's,
-//!   and idle workers steal — the "dynamic scheduler based on a
-//!   work-stealing strategy [that reduces] idle times while preserving a
-//!   good locality" of \[1\].
+//!   ([`ptg::PtgProgram::static_owner`]) — placement over the same DAG the
+//!   other two run, not a task model of its own; initially-ready tasks
+//!   are seeded onto their owner's deque, successors are released onto
+//!   the completing worker's, and idle workers steal — the "dynamic
+//!   scheduler based on a work-stealing strategy [that reduces] idle
+//!   times while preserving a good locality" of \[1\].
 //! * [`RuntimeKind::Dataflow`] — StarPU-like: tasks are *submitted
 //!   sequentially* with data access modes (R/W/RW) and
 //!   [`dataflow::DataflowGraph`] infers the dependencies from data hazards

@@ -1,17 +1,13 @@
 //! An explicit task array: a stored DAG whose tasks carry a *static*
 //! worker assignment.
 //!
-//! PaStiX computes, at analyze time, a cost-model list schedule that pins
-//! every 1D task to a worker ("this static scheduling associates ready
-//! tasks with the first available resources", §III), then recovers from
-//! model error at run time with work stealing \[1\]. [`NativeDag`] is the
-//! table-driven form of such a schedule as a [`PtgProgram`]: run under
+//! [`NativeDag`] is a table-driven [`PtgProgram`] for DAGs that exist only
+//! as a table — the executor's test suites and the bare-executor ratio
+//! test. It is not the solver's native program: that is the computed
+//! two-level graph of `dagfact-core`'s `tasks::Program` with PaStiX's
+//! analyze-time list schedule (§III) as static owners. Either way, under
 //! [`crate::RuntimeKind::Native`] the executor seeds each initially-ready
-//! task onto its *assigned* owner's deque and releases successors onto the
-//! completing worker's. The solver's own 1D program reads the analysis's
-//! cached panel graph instead of a task array (`dagfact-core`'s
-//! `tasks::Program`); this type serves DAGs that exist only as a table —
-//! the executor's test suites and the bare-executor ratio test.
+//! task onto its *assigned* owner's deque.
 
 use crate::ptg::PtgProgram;
 use crate::TaskId;

@@ -127,7 +127,7 @@ impl Span {
 /// model flops from the symbolic cost model).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskMeta {
-    /// Kernel family label (`"panel"`, `"update"`, `"1d-panel"`, …).
+    /// Kernel family label (`"panel"`, `"update"`, …).
     pub kernel: &'static str,
     /// Supernode / panel the task writes.
     pub panel: usize,

@@ -47,7 +47,9 @@ use std::time::Duration;
 /// (StarPU's `REDUX`, or a scatter-add under a per-panel lock). Two `Accum`
 /// accesses to the same datum need no ordering edge — the lock serializes
 /// them and addition commutes — but `Accum` still conflicts with reads and
-/// plain writes.
+/// plain writes. The factorization's programs never declare it (a chain
+/// orders the writers of a panel); the distributed engine's spec does
+/// (`dagfact-core`'s `dist_spec`), and the mode stays or goes with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Read-only.
