@@ -11,33 +11,41 @@
 //! And the panel kernels stage on the stack: an LDLᵀ factorization costs
 //! what a Cholesky of the same structure does, not one `w` per panel task.
 //!
-//! ONE `#[test]`: the counter is process-global (see the rt twin).
+//! The counters are per-thread: each `#[test]` measures its own thread.
 
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
-use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d};
+use dagfact_order::{compute_ordering, OrderingKind};
+use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d, grid_laplacian_3d_box};
+use dagfact_sparse::SparsityPattern;
 use dagfact_symbolic::FactoKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// System allocator that counts allocations on threads that opted in via
-/// [`MEASURING`] (libtest's harness threads allocate concurrently).
+/// System allocator that counts the allocations (and the bytes they ask
+/// for) of threads that opted in via [`MEASURING`]; the counters are
+/// per-thread, so the two tests below do not see each other or libtest's
+/// harness threads.
 struct Counting;
-
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 std::thread_local! {
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + bytes));
+    }
 }
 
 // SAFETY: pure pass-through to the System allocator; the only added
-// behavior is a Relaxed counter bump and a const-initialized
-// thread-local read (no allocation, so no reentrancy).
+// behavior is a bump of const-initialized thread-local counters (no
+// allocation, so no reentrancy).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: same layout contract as the caller's, forwarded.
         unsafe { System.alloc(layout) }
     }
@@ -47,9 +55,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(new_size);
         // SAFETY: ptr/layout/new_size contract forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,13 +64,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// `(calls, requested bytes)` of the allocations THIS thread performs
+/// while running `f`.
+fn allocated_during<F: FnOnce()>(f: F) -> (usize, usize) {
+    let before = (ALLOCS.get(), BYTES.get());
+    MEASURING.set(true);
+    f();
+    MEASURING.set(false);
+    (ALLOCS.get() - before.0, BYTES.get() - before.1)
+}
+
 /// Allocations performed by THIS thread while running `f`.
 fn allocs_during<F: FnOnce()>(f: F) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    MEASURING.with(|m| m.set(true));
-    f();
-    MEASURING.with(|m| m.set(false));
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocated_during(f).0
 }
 
 #[test]
@@ -141,4 +153,71 @@ fn ldlt_panel_tasks_allocate_no_more_than_cholesky_ones() {
         ldlt <= llt + panels / 16,
         "LDLt: {ldlt} allocations for {panels} panels, Cholesky makes {llt}"
     );
+}
+
+/// The same gate for the analysis phase: ordering and symbolic
+/// factorization run on one traversal workspace and in-place row lists, so
+/// they allocate per *result* (a part list, a merged row list), not per
+/// visit or per candidate. Bounds are the measured `(calls, bytes)` x 1.5,
+/// and each is checked against what PR 21 — an `n`-long mask, level and
+/// component array per dissection call, a sorted copy per amalgamation
+/// candidate — did on the same input: at most a quarter of its calls, and
+/// for the ordering a tenth of its bytes. On the small 27-point grid the
+/// ordering's floor is the adjacency copy it works on plus its result
+/// (0.6 MB, a tenth of the parent's 5.9 MB by themselves): measured it is a
+/// sixth of the parent's bytes there, and the x 1.5 bound a third.
+#[test]
+fn analysis_allocations_are_bounded() {
+    struct Case {
+        name: &'static str,
+        pattern: SparsityPattern,
+        facto: FactoKind,
+        /// `(calls, bytes)` of `compute_ordering`: bound, PR 21.
+        ordering: [(usize, usize); 2],
+        /// The same for `Analysis::new`.
+        analysis: [(usize, usize); 2],
+        ordering_bytes_divisor: usize,
+    }
+    let cases = [
+        Case {
+            name: "convection_diffusion_3d(60,60,3)",
+            pattern: convection_diffusion_3d(60, 60, 3, 0.3).pattern().clone(),
+            facto: FactoKind::Lu,
+            ordering: [(1_118, 2_800_000), (31_467, 58_865_740)],
+            // Calls: x 1.4, a quarter of the parent's being the tighter limit.
+            analysis: [(31_000, 19_400_000), (124_278, 84_506_888)],
+            ordering_bytes_divisor: 10,
+        },
+        Case {
+            name: "grid_laplacian_3d_box(14,14,14)",
+            pattern: grid_laplacian_3d_box(14, 14, 14).pattern().clone(),
+            facto: FactoKind::Cholesky,
+            ordering: [(2_450, 1_523_000), (15_698, 5_901_128)],
+            analysis: [(8_028, 9_820_000), (35_413, 17_354_616)],
+            ordering_bytes_divisor: 3,
+        },
+    ];
+    for case in &cases {
+        let [order_bound, order_parent] = case.ordering;
+        let [analysis_bound, analysis_parent] = case.analysis;
+        assert!(order_bound.0 <= order_parent.0 / 4, "{}", case.name);
+        assert!(order_bound.1 <= order_parent.1 / case.ordering_bytes_divisor, "{}", case.name);
+        assert!(analysis_bound.0 <= analysis_parent.0 / 4, "{}", case.name);
+        let sym = case.pattern.symmetrize();
+        let order =
+            allocated_during(|| drop(compute_ordering(&sym, OrderingKind::NestedDissection)));
+        let analysis = allocated_during(|| {
+            drop(Analysis::new(&case.pattern, case.facto, &SolverOptions::default()))
+        });
+        println!("{}: ordering {order:?}, Analysis::new {analysis:?}", case.name);
+        for (what, got, bound) in
+            [("ordering", order, order_bound), ("Analysis::new", analysis, analysis_bound)]
+        {
+            assert!(
+                got.0 <= bound.0 && got.1 <= bound.1,
+                "{} {what}: {got:?} (calls, bytes) allocated, the bound is {bound:?}",
+                case.name
+            );
+        }
+    }
 }

@@ -6,43 +6,69 @@
 //! places it is used — ordering nested-dissection leaves (≤ a few hundred
 //! vertices) and small standalone problems — and the simplicity keeps it
 //! obviously correct, which matters more here than AMD-grade speed.
+//!
+//! A subset of `k` vertices costs its own elimination work and nothing
+//! `n`-sized: the global → local index map and the adjacency vectors live
+//! in a caller-owned [`MdWorkspace`]. Every call un-maps the vertices it
+//! mapped and empties the vectors it filled (keeping their capacity), so
+//! the workspace is clean between calls.
 
 use crate::perm::Permutation;
 use dagfact_sparse::graph::Graph;
+
+/// Reusable state of [`minimum_degree_subset`]; grows to the graph's size
+/// on first use.
+#[derive(Debug, Default)]
+pub struct MdWorkspace {
+    /// Local index of a vertex of the current subset, `usize::MAX` else.
+    local_of: Vec<usize>,
+    /// Sorted local adjacency of the live vertices; recycled across calls.
+    adj: Vec<Vec<usize>>,
+    eliminated: Vec<bool>,
+}
 
 /// Order all vertices of `graph` by minimum degree. Ties break toward the
 /// smallest vertex id, making the ordering deterministic.
 pub fn minimum_degree(graph: &Graph) -> Permutation {
     let n = graph.nvertices();
-    let order = minimum_degree_subset(graph, &(0..n).collect::<Vec<_>>());
+    let mut order = Vec::with_capacity(n);
+    let vertices: Vec<usize> = (0..n).collect();
+    minimum_degree_subset(graph, &vertices, &mut MdWorkspace::default(), &mut order);
     Permutation::from_iperm(order)
 }
 
 /// Order the given vertex subset (which must be closed: edges leaving the
-/// subset are ignored) by minimum degree; returns vertex ids in elimination
-/// order.
-pub fn minimum_degree_subset(graph: &Graph, vertices: &[usize]) -> Vec<usize> {
+/// subset are ignored) by minimum degree; appends the vertex ids to `order`
+/// in elimination order.
+pub fn minimum_degree_subset(
+    graph: &Graph,
+    vertices: &[usize],
+    ws: &mut MdWorkspace,
+    order: &mut Vec<usize>,
+) {
     let k = vertices.len();
-    if k == 0 {
-        return Vec::new();
-    }
+    let MdWorkspace { local_of, adj, eliminated } = ws;
+    local_of.resize(graph.nvertices(), usize::MAX);
     // Local adjacency as sorted vectors over local indices.
-    let mut local_of = std::collections::HashMap::with_capacity(k);
     for (li, &v) in vertices.iter().enumerate() {
-        local_of.insert(v, li);
+        debug_assert_eq!(local_of[v], usize::MAX, "vertex {v} is still mapped");
+        local_of[v] = li;
     }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
+    if adj.len() < k {
+        adj.resize_with(k, Vec::new);
+    }
     for (li, &v) in vertices.iter().enumerate() {
-        for &w in graph.neighbors(v) {
-            if let Some(&lw) = local_of.get(&w) {
-                adj[li].push(lw);
-            }
-        }
+        debug_assert!(adj[li].is_empty(), "the previous call left adjacency behind");
+        let local = graph.neighbors(v).iter().map(|&w| local_of[w]);
+        adj[li].extend(local.filter(|&lw| lw != usize::MAX));
         adj[li].sort_unstable();
         adj[li].dedup();
     }
-    let mut eliminated = vec![false; k];
-    let mut order = Vec::with_capacity(k);
+    for &v in vertices {
+        local_of[v] = usize::MAX;
+    }
+    eliminated.clear();
+    eliminated.resize(k, false);
     for _ in 0..k {
         // Pick the minimum-degree live vertex.
         let mut best = usize::MAX;
@@ -60,7 +86,8 @@ pub fn minimum_degree_subset(graph: &Graph, vertices: &[usize]) -> Vec<usize> {
         eliminated[v] = true;
         order.push(vertices[v]);
         // Form the clique among v's live neighbors and detach v.
-        let nbrs: Vec<usize> = adj[v].iter().copied().filter(|&w| !eliminated[w]).collect();
+        let mut nbrs = std::mem::take(&mut adj[v]);
+        nbrs.retain(|&w| !eliminated[w]);
         for &w in &nbrs {
             // Remove v, add all other clique members.
             let aw = &mut adj[w];
@@ -75,9 +102,9 @@ pub fn minimum_degree_subset(graph: &Graph, vertices: &[usize]) -> Vec<usize> {
                 }
             }
         }
-        adj[v] = Vec::new();
+        nbrs.clear();
+        adj[v] = nbrs;
     }
-    order
 }
 
 #[cfg(test)]
@@ -121,8 +148,16 @@ mod tests {
         let a = grid_laplacian_2d(5, 5);
         let g = Graph::from_pattern(a.pattern());
         let subset = vec![0, 1, 2, 5, 6, 7];
-        let order = minimum_degree_subset(&g, &subset);
+        let mut ws = MdWorkspace::default();
+        let mut order = Vec::new();
+        minimum_degree_subset(&g, &subset, &mut ws, &mut order);
         assert_eq!(order.len(), subset.len());
+        // The workspace is clean again: an overlapping subset, then the
+        // same one, order as on a fresh workspace.
+        minimum_degree_subset(&g, &[1, 2, 3, 7, 8], &mut ws, &mut Vec::new());
+        let mut again = Vec::new();
+        minimum_degree_subset(&g, &subset, &mut ws, &mut again);
+        assert_eq!(again, order);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         let mut expect = subset.clone();

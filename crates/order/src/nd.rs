@@ -11,10 +11,18 @@
 //!    become the top supernodes of the elimination tree, exactly the large
 //!    panels the paper's GPU offload feeds on (§V-B);
 //! 4. order leaf subgraphs (≤ `leaf_size`) with minimum degree.
+//!
+//! Cost: `O((n + m) · depth)` for a recursion of that depth on `n`
+//! vertices and `m` edges — a call on `k` vertices touches those vertices
+//! and their edges and allocates its three result lists, nothing
+//! `n`-sized. Everything else lives in one `Workspace` per ordering;
+//! every call leaves it as it found it (see [`dagfact_sparse::graph`] for
+//! the traversal part of that contract), which is what lets siblings
+//! share it.
 
-use crate::md::minimum_degree_subset;
+use crate::md::{minimum_degree_subset, MdWorkspace};
 use crate::perm::Permutation;
-use dagfact_sparse::graph::Graph;
+use dagfact_sparse::graph::{Graph, Traversal};
 
 /// Tuning knobs for nested dissection.
 #[derive(Debug, Clone)]
@@ -35,91 +43,106 @@ impl Default for NdOptions {
     }
 }
 
+/// Side of a vertex that is not in the subgraph being split.
+const NO_SIDE: u8 = u8::MAX;
+
+/// The `n`-sized state of one ordering, shared by every recursive call.
+struct Workspace {
+    traversal: Traversal,
+    /// 0 = A, 1 = B, 2 = separator while a subgraph is being split,
+    /// `NO_SIDE` outside of it.
+    side: Vec<u8>,
+    md: MdWorkspace,
+}
+
 /// Compute a nested-dissection ordering of the whole graph.
 pub fn nested_dissection(graph: &Graph, options: &NdOptions) -> Permutation {
     let n = graph.nvertices();
     let mut order = Vec::with_capacity(n);
-    let vertices: Vec<usize> = (0..n).collect();
-    dissect(graph, vertices, options, &mut order);
+    let mut ws = Workspace {
+        traversal: Traversal::new(n),
+        side: vec![NO_SIDE; n],
+        md: MdWorkspace::default(),
+    };
+    dissect(graph, (0..n).collect(), options, &mut ws, &mut order);
     debug_assert_eq!(order.len(), n);
     Permutation::from_iperm(order)
 }
 
-/// Recursively dissect `vertices`, appending them to `order` in elimination
-/// order.
-fn dissect(graph: &Graph, vertices: Vec<usize>, options: &NdOptions, order: &mut Vec<usize>) {
+/// Recursively dissect the ascending `vertices`, appending them to `order`
+/// in elimination order.
+fn dissect(
+    graph: &Graph,
+    vertices: Vec<usize>,
+    options: &NdOptions,
+    ws: &mut Workspace,
+    order: &mut Vec<usize>,
+) {
     if vertices.len() <= options.leaf_size {
-        order.extend(minimum_degree_subset(graph, &vertices));
+        minimum_degree_subset(graph, &vertices, &mut ws.md, order);
         return;
     }
     // Split into connected components first: dissect each independently
     // (their elimination subtrees are siblings).
-    let mut mask = vec![false; graph.nvertices()];
-    for &v in &vertices {
-        mask[v] = true;
-    }
-    let (comp, ncomp) = graph.components(&mask);
+    ws.traversal.enter(vertices.iter().copied());
+    let ncomp = graph.components(&vertices, &mut ws.traversal);
     if ncomp > 1 {
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
         for &v in &vertices {
-            parts[comp[v]].push(v);
+            let comp = ws.traversal.label(v).expect("components labels every vertex");
+            parts[comp].push(v);
         }
+        ws.traversal.leave(&vertices);
         for part in parts {
-            dissect(graph, part, options, order);
+            dissect(graph, part, options, ws, order);
         }
         return;
     }
-
-    match find_separator(graph, &vertices, &mask, options) {
-        Some((part_a, part_b, separator)) => {
-            dissect(graph, part_a, options, order);
-            dissect(graph, part_b, options, order);
+    let split = find_separator(graph, &vertices, options, ws);
+    ws.traversal.leave(&vertices);
+    match split {
+        Some([part_a, part_b, separator]) => {
+            dissect(graph, part_a, options, ws, order);
+            dissect(graph, part_b, options, ws, order);
             // The separator is numbered last; order it internally by
             // minimum degree for a little extra fill reduction inside the
             // dense-ish separator clique.
-            order.extend(minimum_degree_subset(graph, &separator));
+            minimum_degree_subset(graph, &separator, &mut ws.md, order);
         }
-        None => {
-            // Degenerate split (e.g. a clique): fall back to minimum degree.
-            order.extend(minimum_degree_subset(graph, &vertices));
-        }
+        // Degenerate split (e.g. a clique): fall back to minimum degree.
+        None => minimum_degree_subset(graph, &vertices, &mut ws.md, order),
     }
 }
 
-/// Find a vertex separator of the (connected) masked subgraph. Returns
-/// `(A, B, S)` with `A ∪ B ∪ S = vertices`, no edges between `A` and `B`.
+/// Find a vertex separator of the connected subgraph on `vertices`, which
+/// the traversal has entered. Returns `[A, B, S]` with `A ∪ B ∪ S =
+/// vertices`, no edges between `A` and `B`.
 fn find_separator(
     graph: &Graph,
     vertices: &[usize],
-    mask: &[bool],
     options: &NdOptions,
-) -> Option<(Vec<usize>, Vec<usize>, Vec<usize>)> {
-    let root = graph.pseudo_peripheral(vertices[0], mask);
-    let (levels, depth) = graph.bfs_levels(root, mask);
+    ws: &mut Workspace,
+) -> Option<[Vec<usize>; 3]> {
+    let Workspace { traversal, side, .. } = ws;
+    let (_, depth) = graph.pseudo_peripheral(vertices[0], traversal);
     if depth < 3 {
         // Diameter too small to cut (clique-like); give up.
         return None;
     }
     // Choose the level whose prefix holds ~half the vertices.
-    let mut level_count = vec![0usize; depth];
-    for &v in vertices {
-        level_count[levels[v]] += 1;
-    }
     let half = vertices.len() / 2;
     let mut acc = 0usize;
-    let mut cut_level = 1usize;
-    for (l, &c) in level_count.iter().enumerate() {
-        acc += c;
-        if acc >= half {
-            cut_level = l.max(1).min(depth - 2);
-            break;
-        }
-    }
+    let holds_half = |l: &usize| {
+        acc += traversal.level_set(*l).len();
+        acc >= half
+    };
+    let cut_level = (0..depth).find(holds_half).map_or(1, |l| l.clamp(1, depth - 2));
 
     // side: 0 = A (levels < cut), 1 = B (levels > cut), 2 = S.
-    let mut side = vec![u8::MAX; graph.nvertices()];
     for &v in vertices {
-        side[v] = match levels[v].cmp(&cut_level) {
+        let level = traversal.label(v).expect("the subgraph is connected");
+        debug_assert_eq!(side[v], NO_SIDE, "the previous split left a side behind");
+        side[v] = match level.cmp(&cut_level) {
             core::cmp::Ordering::Less => 0,
             core::cmp::Ordering::Equal => 2,
             core::cmp::Ordering::Greater => 1,
@@ -128,71 +151,41 @@ fn find_separator(
 
     // Refinement: move separator vertices that touch only one side into
     // the other side; this thins level-set separators considerably on grid
-    // graphs.
+    // graphs. Vertices outside the subgraph have no side.
     for _ in 0..options.refine_passes {
         let mut moved = false;
         for &v in vertices {
             if side[v] != 2 {
                 continue;
             }
-            let mut touches_a = false;
-            let mut touches_b = false;
-            for &w in graph.neighbors(v) {
-                if !mask[w] {
-                    continue;
-                }
-                match side[w] {
-                    0 => touches_a = true,
-                    1 => touches_b = true,
-                    _ => {}
-                }
-            }
-            match (touches_a, touches_b) {
-                (true, false) | (false, false) => {
-                    side[v] = 0;
-                    moved = true;
-                }
-                (false, true) => {
-                    side[v] = 1;
-                    moved = true;
-                }
-                (true, true) => {}
+            // Touching one side only, or none: join it (A by default).
+            let touches = |s: u8| graph.neighbors(v).iter().any(|&w| side[w] == s);
+            if !(touches(0) && touches(1)) {
+                side[v] = u8::from(touches(1));
+                moved = true;
             }
         }
         if !moved {
             break;
         }
     }
+    debug_assert!(no_cross_edges(graph, vertices, side), "separator leaks edges");
 
-    let mut part_a = Vec::new();
-    let mut part_b = Vec::new();
-    let mut separator = Vec::new();
+    let mut sizes = [0usize; 3];
     for &v in vertices {
-        match side[v] {
-            0 => part_a.push(v),
-            1 => part_b.push(v),
-            _ => separator.push(v),
-        }
+        sizes[usize::from(side[v])] += 1;
     }
-    if part_a.is_empty() || part_b.is_empty() {
-        return None;
+    let mut parts = sizes.map(Vec::with_capacity);
+    for &v in vertices {
+        parts[usize::from(side[v])].push(v);
+        side[v] = NO_SIDE;
     }
-    debug_assert!(no_cross_edges(graph, &side, mask), "separator leaks edges");
-    Some((part_a, part_b, separator))
+    (sizes[0] > 0 && sizes[1] > 0).then_some(parts)
 }
 
-fn no_cross_edges(graph: &Graph, side: &[u8], mask: &[bool]) -> bool {
-    for v in 0..graph.nvertices() {
-        if !mask[v] || side[v] != 0 {
-            continue;
-        }
-        for &w in graph.neighbors(v) {
-            if mask[w] && side[w] == 1 {
-                return false;
-            }
-        }
-    }
-    true
+fn no_cross_edges(graph: &Graph, vertices: &[usize], side: &[u8]) -> bool {
+    let in_a = vertices.iter().filter(|&&v| side[v] == 0);
+    in_a.flat_map(|&v| graph.neighbors(v)).all(|&w| side[w] != 1)
 }
 
 #[cfg(test)]
@@ -217,18 +210,7 @@ mod tests {
         // On a 1D path the top separator is a single middle vertex and must
         // receive the final number.
         let n = 65;
-        let mut xadj = vec![0usize];
-        let mut adj = Vec::new();
-        for v in 0..n {
-            if v > 0 {
-                adj.push(v - 1);
-            }
-            if v + 1 < n {
-                adj.push(v + 1);
-            }
-            xadj.push(adj.len());
-        }
-        let g = Graph::from_adjacency(xadj, adj);
+        let g = graph_where(n, |v, w| w == v + 1);
         let p = nested_dissection(
             &g,
             &NdOptions {
@@ -260,20 +242,9 @@ mod tests {
     fn disconnected_graph_is_ordered_per_component() {
         let a = random_spd(30, 2, 7);
         let b = random_spd(20, 2, 8);
-        // Block-diagonal union.
-        let mut xadj = vec![0usize];
-        let mut adj = Vec::new();
         let ga = Graph::from_pattern(a.pattern());
         let gb = Graph::from_pattern(b.pattern());
-        for v in 0..30 {
-            adj.extend(ga.neighbors(v));
-            xadj.push(adj.len());
-        }
-        for v in 0..20 {
-            adj.extend(gb.neighbors(v).iter().map(|&w| w + 30));
-            xadj.push(adj.len());
-        }
-        let g = Graph::from_adjacency(xadj, adj);
+        let g = union(&[&ga, &gb], 0);
         let p = nested_dissection(&g, &NdOptions { leaf_size: 8, refine_passes: 2 });
         assert_eq!(p.len(), 50);
     }
@@ -282,18 +253,160 @@ mod tests {
     fn clique_falls_back_gracefully() {
         // Complete graph has no useful separator.
         let n = 12;
+        let g = graph_where(n, |_, _| true);
+        let p = nested_dissection(&g, &NdOptions { leaf_size: 4, refine_passes: 1 });
+        assert_eq!(p.len(), n);
+    }
+    /// PR 21's dissection, kept as the reference: fresh `n`-long mask,
+    /// level and side arrays in every call, nothing shared between calls.
+    fn reference_dissect(graph: &Graph, vertices: Vec<usize>, options: &NdOptions, order: &mut Vec<usize>) {
+        let n = graph.nvertices();
+        let md = |subset: &[usize], order: &mut Vec<usize>| {
+            minimum_degree_subset(graph, subset, &mut MdWorkspace::default(), order)
+        };
+        if vertices.len() <= options.leaf_size {
+            return md(&vertices, order);
+        }
+        let mut mask = vec![false; n];
+        vertices.iter().for_each(|&v| mask[v] = true);
+        // (levels, vertices reached, depth) of a BFS inside the mask.
+        let bfs = |root: usize| {
+            let mut level = vec![usize::MAX; n];
+            level[root] = 0;
+            let mut reached = vec![root];
+            let mut head = 0;
+            while let Some(&v) = reached.get(head) {
+                for &w in graph.neighbors(v) {
+                    if mask[w] && level[w] == usize::MAX {
+                        level[w] = level[v] + 1;
+                        reached.push(w);
+                    }
+                }
+                head += 1;
+            }
+            let depth = level[reached[reached.len() - 1]] + 1;
+            (level, reached, depth)
+        };
+        let mut root = vertices[0];
+        let (mut level, reached, mut depth) = bfs(root);
+        if reached.len() < vertices.len() {
+            // Disconnected: one part per component, by smallest vertex.
+            let mut comp = vec![usize::MAX; n];
+            let mut parts: Vec<Vec<usize>> = Vec::new();
+            for &s in &vertices {
+                if comp[s] == usize::MAX {
+                    bfs(s).1.iter().for_each(|&v| comp[v] = parts.len());
+                    parts.push(Vec::new());
+                }
+                parts[comp[s]].push(s);
+            }
+            return parts.into_iter().for_each(|part| reference_dissect(graph, part, options, order));
+        }
+        // George-Liu: jump to the min-degree vertex of the last level while
+        // the level structure keeps getting deeper.
+        loop {
+            let far = vertices.iter().copied().filter(|&v| level[v] == depth - 1);
+            let candidate = far.min_by_key(|&v| (graph.degree(v), v)).unwrap();
+            if candidate == root {
+                break;
+            }
+            let (next_level, _, next_depth) = bfs(candidate);
+            let deeper = next_depth > depth;
+            (root, level, depth) = (candidate, next_level, next_depth);
+            if !deeper {
+                break;
+            }
+        }
+        if depth < 3 {
+            return md(&vertices, order);
+        }
+        let half = vertices.len() / 2;
+        let below = |l: usize| vertices.iter().filter(|&&v| level[v] <= l).count();
+        let cut = (0..depth).find(|&l| below(l) >= half).unwrap().clamp(1, depth - 2);
+        let mut side = vec![u8::MAX; n];
+        for &v in &vertices {
+            side[v] = [0, 2, 1][(level[v].cmp(&cut) as i8 + 1) as usize];
+        }
+        for _ in 0..options.refine_passes {
+            for &v in &vertices {
+                let touches = |s: u8| graph.neighbors(v).iter().any(|&w| mask[w] && side[w] == s);
+                if side[v] == 2 && !(touches(0) && touches(1)) {
+                    side[v] = u8::from(touches(1));
+                }
+            }
+        }
+        let part = |s: u8| vertices.iter().copied().filter(|&v| side[v] == s).collect::<Vec<_>>();
+        if part(0).is_empty() || part(1).is_empty() {
+            return md(&vertices, order);
+        }
+        reference_dissect(graph, part(0), options, order);
+        reference_dissect(graph, part(1), options, order);
+        md(&part(2), order);
+    }
+
+    /// Block-diagonal union of `blocks`, `isolated` edgeless vertices after
+    /// each of them.
+    fn union(blocks: &[&Graph], isolated: usize) -> Graph {
+        let mut xadj = vec![0usize];
+        let mut adj = Vec::new();
+        for g in blocks {
+            let base = xadj.len() - 1;
+            for v in 0..g.nvertices() {
+                adj.extend(g.neighbors(v).iter().map(|&w| w + base));
+                xadj.push(adj.len());
+            }
+            xadj.extend(std::iter::repeat_n(adj.len(), isolated));
+        }
+        Graph::from_adjacency(xadj, adj)
+    }
+
+    /// Graph on `n` vertices with the edges `adjacent` accepts.
+    fn graph_where(n: usize, adjacent: impl Fn(usize, usize) -> bool) -> Graph {
         let mut xadj = vec![0usize];
         let mut adj = Vec::new();
         for v in 0..n {
-            for w in 0..n {
-                if v != w {
-                    adj.push(w);
-                }
-            }
+            adj.extend((0..n).filter(|&w| w != v && adjacent(v.min(w), v.max(w))));
             xadj.push(adj.len());
         }
-        let g = Graph::from_adjacency(xadj, adj);
-        let p = nested_dissection(&g, &NdOptions { leaf_size: 4, refine_passes: 1 });
-        assert_eq!(p.len(), n);
+        Graph::from_adjacency(xadj, adj)
+    }
+
+    #[test]
+    fn workspace_version_matches_the_fresh_array_reference() {
+        let of = |a: &dagfact_sparse::CscMatrix<f64>| Graph::from_pattern(a.pattern());
+        let grid2 = of(&grid_laplacian_2d(31, 17));
+        let grid3 = of(&grid_laplacian_3d(9, 8, 7));
+        let random = of(&random_spd(300, 3, 11));
+        let sparse_random = of(&random_spd(400, 1, 5));
+        let path = graph_where(150, |v, w| w == v + 1);
+        let star = graph_where(120, |v, _| v == 0);
+        let clique = graph_where(40, |_, _| true);
+        let graphs = [
+            union(&[&grid2], 0),
+            union(&[&grid3], 0),
+            union(&[&random], 0),
+            union(&[&sparse_random], 0),
+            union(&[&path], 0),
+            union(&[&star], 0),
+            union(&[&clique], 0),
+            union(&[&grid2, &clique, &path], 3),
+            union(&[&star, &random, &grid3], 40),
+            union(&[&clique, &clique, &sparse_random, &star], 1),
+        ];
+        let mut cases = 0;
+        for graph in &graphs {
+            for leaf_size in [4, 7, 16, 33, 64, 96] {
+                for refine_passes in 0..=3 {
+                    let options = NdOptions { leaf_size, refine_passes };
+                    let n = graph.nvertices();
+                    let mut expect = Vec::with_capacity(n);
+                    reference_dissect(graph, (0..n).collect(), &options, &mut expect);
+                    let got = nested_dissection(graph, &options);
+                    assert_eq!(got, Permutation::from_iperm(expect), "n = {n}, {options:?}");
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases >= 200);
     }
 }

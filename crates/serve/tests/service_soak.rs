@@ -269,18 +269,25 @@ fn batched_same_factor_jobs_never_mix_results() {
     let n = a.nrows();
     let src = inline_of(&a);
     let warm = JobSpec::parse(&format!("{src} refine=3 tag=warmup")).expect("spec");
-    let warm_ticket = service.submit(warm).expect("warmup admitted");
 
     // Job k carries the RHS k·(A·1), so its solution is exactly k·1 —
     // any cross-member leakage in the blocked solve shows up as a wrong
-    // scale somewhere in x.
+    // scale somewhere in x. The specs are built before anything is
+    // submitted: the followers must all be queued while the warmup still
+    // holds the worker, and formatting them is slower than a small
+    // analysis.
     let mut a1 = vec![0.0; n];
     a.spmv(&vec![1.0; n], &mut a1);
+    let followers: Vec<(usize, JobSpec)> = (1..=6usize)
+        .map(|k| {
+            let rhs: Vec<String> = a1.iter().map(|v| format!("{}", v * k as f64)).collect();
+            let spec = format!("{src} rhs={} tag=k{k}", rhs.join(";"));
+            (k, JobSpec::parse(&spec).expect("spec"))
+        })
+        .collect();
+    let warm_ticket = service.submit(warm).expect("warmup admitted");
     let mut tickets = Vec::new();
-    for k in 1..=6usize {
-        let rhs: Vec<String> = a1.iter().map(|v| format!("{}", v * k as f64)).collect();
-        let spec = JobSpec::parse(&format!("{src} rhs={} tag=k{k}", rhs.join(";")))
-            .expect("spec");
+    for (k, spec) in followers {
         tickets.push((k, service.submit(spec).expect("follower admitted")));
     }
 

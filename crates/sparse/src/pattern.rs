@@ -193,9 +193,20 @@ impl SparsityPattern {
         }
     }
 
-    /// `true` if the pattern is structurally symmetric.
+    /// `true` if the pattern is structurally symmetric. One pass and no
+    /// transpose: reading the columns in order meets each row's entries by
+    /// ascending column, and they must spell that row's own column.
     pub fn is_symmetric(&self) -> bool {
-        self.nrows == self.ncols && *self == self.transpose()
+        if self.nrows != self.ncols {
+            return false;
+        }
+        let mut next = self.colptr.clone();
+        (0..self.ncols).all(|j| {
+            self.col(j).iter().all(|&i| {
+                next[i] += 1;
+                next[i] <= self.colptr[i + 1] && self.rowind[next[i] - 1] == j
+            })
+        })
     }
 
     /// Symmetric permutation `P·A·Pᵀ`: entry `(i, j)` moves to
@@ -308,6 +319,22 @@ mod tests {
         }
         // Entry (2,2) column has only the diagonal.
         assert_eq!(s.col(2), &[2]);
+    }
+
+    #[test]
+    fn is_symmetric_agrees_with_transpose_equality() {
+        let sym = toy().symmetrize();
+        // Each single-entry deletion breaks symmetry (or removes a
+        // diagonal entry and keeps it), as does a non-square shape.
+        let entries: Vec<(usize, usize)> =
+            (0..4).flat_map(|j| sym.col(j).iter().map(move |&i| (i, j))).collect();
+        for skip in 0..entries.len() {
+            let kept = entries.iter().enumerate().filter(|&(k, _)| k != skip).map(|(_, &e)| e);
+            let p = SparsityPattern::from_entries(4, 4, kept);
+            assert_eq!(p.is_symmetric(), p == p.transpose(), "without {:?}", entries[skip]);
+        }
+        assert!(!toy().is_symmetric());
+        assert!(!SparsityPattern::from_entries(3, 2, vec![(0, 0), (1, 1)]).is_symmetric());
     }
 
     #[test]

@@ -41,38 +41,35 @@ pub fn elimination_tree(pattern: &SparsityPattern) -> Vec<usize> {
     parent
 }
 
-/// Children lists of a forest given `parent[]`; children appear in
-/// ascending order.
-pub fn children_lists(parent: &[usize]) -> Vec<Vec<usize>> {
-    let n = parent.len();
-    let mut children = vec![Vec::new(); n];
-    for (c, &p) in parent.iter().enumerate() {
-        if p != NO_PARENT {
-            children[p].push(c);
-        }
-    }
-    children
-}
-
 /// Depth-first postorder of the forest: returns `post` with
 /// `post[k] = old index of the k-th postordered vertex`. Children are
 /// visited in ascending order, giving a deterministic result.
 pub fn postorder(parent: &[usize]) -> Vec<usize> {
     let n = parent.len();
-    let children = children_lists(parent);
+    // Children as first-child / next-sibling links; threading the vertices
+    // in descending order leaves every list ascending.
+    let mut first_child = vec![NO_PARENT; n];
+    let mut next_sibling = vec![NO_PARENT; n];
+    for (c, &p) in parent.iter().enumerate().rev() {
+        if p != NO_PARENT {
+            next_sibling[c] = first_child[p];
+            first_child[p] = c;
+        }
+    }
     let mut post = Vec::with_capacity(n);
-    // Iterative DFS to survive deep trees (band matrices give chains).
-    let mut stack: Vec<(usize, usize)> = Vec::new(); // (vertex, child cursor)
+    // Iterative DFS to survive deep trees (band matrices give chains);
+    // `first_child[v]` is consumed as v's cursor over its children.
+    let mut stack: Vec<usize> = Vec::new();
     for (root, &par) in parent.iter().enumerate() {
         if par != NO_PARENT {
             continue;
         }
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            if *cursor < children[v].len() {
-                let c = children[v][*cursor];
-                *cursor += 1;
-                stack.push((c, 0));
+        stack.push(root);
+        while let Some(&v) = stack.last() {
+            let c = first_child[v];
+            if c != NO_PARENT {
+                first_child[v] = next_sibling[c];
+                stack.push(c);
             } else {
                 post.push(v);
                 stack.pop();
@@ -212,8 +209,9 @@ mod tests {
         let p = SparsityPattern::from_entries(4, 4, entries).symmetrize();
         let parent = elimination_tree(&p);
         assert_eq!(parent, vec![1, NO_PARENT, 3, NO_PARENT]);
-        let post = postorder(&parent);
-        assert_eq!(post.len(), 4);
+        assert_eq!(postorder(&parent), [0, 1, 2, 3]);
+        // Children in ascending order, each subtree before the next child.
+        assert_eq!(postorder(&[2, 4, 4, 2, NO_PARENT]), [1, 0, 3, 2, 4]);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::etree::NO_PARENT;
 use dagfact_sparse::SparsityPattern;
+use std::cmp::Reverse;
 
 /// Options controlling supernode amalgamation.
 #[derive(Debug, Clone)]
@@ -70,22 +71,43 @@ impl SupernodePartition {
         self.first[s + 1] - self.first[s]
     }
 
-    /// nnz(L) under this partition (panels are dense: width·(width+1)/2
-    /// diagonal entries plus width·|rows| below). Saturates instead of
-    /// wrapping on degenerate partitions.
+    /// nnz(L) under this partition. Saturates instead of wrapping on
+    /// degenerate partitions.
     pub fn nnz_factor(&self) -> usize {
         (0..self.len()).fold(0usize, |acc, s| {
-            let w = self.width(s);
-            let tri = w
-                .checked_add(1)
-                .and_then(|w1| w.checked_mul(w1))
-                .map(|x| x / 2);
-            let panel = tri
-                .and_then(|t| w.checked_mul(self.rows[s].len()).and_then(|wr| t.checked_add(wr)))
-                .unwrap_or(usize::MAX);
-            acc.saturating_add(panel)
+            acc.saturating_add(panel_nnz(self.width(s), self.rows[s].len()))
         })
     }
+}
+
+/// nnz of a dense panel of width `w` with `r` rows below it: `w·(w+1)/2`
+/// diagonal-block entries plus `w·r`. Checked arithmetic: a pathological
+/// partition (widths near the usize range) must price as "infinitely
+/// expensive" instead of wrapping and looking cheap.
+fn panel_nnz(w: usize, r: usize) -> usize {
+    let tri = w
+        .checked_add(1)
+        .and_then(|w1| w.checked_mul(w1))
+        .map(|x| x / 2);
+    tri.and_then(|t| w.checked_mul(r).and_then(|wr| t.checked_add(wr)))
+        .unwrap_or(usize::MAX)
+}
+
+/// The entries of a sorted list that are `>= bound`.
+fn at_or_beyond(sorted: &[usize], bound: usize) -> &[usize] {
+    &sorted[sorted.partition_point(|&i| i < bound)..]
+}
+
+/// Walk the union of two sorted, duplicate-free lists in ascending order.
+fn for_each_in_union(a: &[usize], b: &[usize], mut f: impl FnMut(usize)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        f(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&x| f(x));
 }
 
 /// Detect *fundamental-style* supernodes from the elimination tree and
@@ -129,38 +151,27 @@ pub fn build_partition(
         }
     }
     // Row structures bottom-up. The tree is topologically labeled, so a
-    // simple ascending sweep visits children before parents.
+    // simple ascending sweep visits children before parents: when it
+    // reaches `s`, `rows[s]` holds what the children of `s` passed up.
     let mut rows: Vec<Vec<usize>> = vec![Vec::new(); nsup];
-    let mut merge_buf: Vec<usize> = Vec::new();
     for s in 0..nsup {
-        let (fc, lc) = (first[s], first[s + 1]);
-        merge_buf.clear();
+        let lc = first[s + 1];
         // Original pattern entries below the supernode.
-        for j in fc..lc {
-            for &i in pattern.col(j) {
-                if i >= lc {
-                    merge_buf.push(i);
-                }
-            }
+        for j in first[s]..lc {
+            rows[s].extend_from_slice(at_or_beyond(pattern.col(j), lc));
         }
-        // Children contributions were stashed into rows[s] as the children
-        // were finalized (ascending sweep visits children first).
-        merge_buf.extend(rows[s].iter().copied());
-        merge_buf.sort_unstable();
-        merge_buf.dedup();
-        // Everything below lc stays (contributions to ancestors).
-        rows[s] = merge_buf.iter().copied().filter(|&i| i >= lc).collect();
-        // Push this supernode's rows up to the parent (rows beyond the
-        // parent's own columns). The parent's buffer accumulates them
-        // before its own pass.
+        rows[s].sort_unstable();
+        rows[s].dedup();
+        // What the children passed up overlaps, and these lists live until
+        // the block structure is built: give the slack back now.
+        rows[s].shrink_to_fit();
+        // Rows of s that lie beyond the parent's columns flow into the
+        // parent's structure; rows inside the parent's columns are
+        // absorbed by the parent's diagonal block.
         if sparent[s] != NO_PARENT {
             let p = sparent[s];
-            let plc = first[p + 1];
-            // Rows of s that lie beyond the parent's columns flow into the
-            // parent's structure; rows inside the parent's columns are
-            // absorbed by the parent's diagonal block.
-            let inherited: Vec<usize> = rows[s].iter().copied().filter(|&i| i >= plc).collect();
-            rows[p].extend(inherited);
+            let (below, above) = rows.split_at_mut(p);
+            above[0].extend_from_slice(at_or_beyond(&below[s], first[p + 1]));
         }
     }
     SupernodePartition {
@@ -168,6 +179,68 @@ pub fn build_partition(
         snode_of,
         rows,
         parent: sparent,
+    }
+}
+
+/// The groups of merged supernodes while [`amalgamate`] runs, indexed by
+/// the group's *root* supernode id.
+struct Groups {
+    /// Column range `first[g]..last[g]` of a live group; `last` never
+    /// changes for one.
+    first: Vec<usize>,
+    last: Vec<usize>,
+    rows: Vec<Vec<usize>>,
+    nnz: Vec<usize>,
+    /// The un-amalgamated supernode tree.
+    parent: Vec<usize>,
+    /// Union-find link; `merged_into[s] == s` for a live group.
+    merged_into: Vec<usize>,
+    /// Stamp that invalidates stale heap entries after a group takes part
+    /// in a merge.
+    generation: Vec<u32>,
+}
+
+impl Groups {
+    fn find(&mut self, mut s: usize) -> usize {
+        while self.merged_into[s] != s {
+            self.merged_into[s] = self.merged_into[self.merged_into[s]];
+            s = self.merged_into[s];
+        }
+        s
+    }
+
+    /// Rows of child group `c` that stay below the panel once `c` is
+    /// merged into the parent group `p` (the rest become its columns).
+    fn rows_below(&self, c: usize, p: usize) -> &[usize] {
+        at_or_beyond(&self.rows[c], self.last[p])
+    }
+
+    /// Price of merging child group `c` into the contiguous parent group
+    /// `p`: the extra fill, and the length of the merged row list it was
+    /// counted from.
+    fn price(&self, c: usize, p: usize) -> (i64, usize) {
+        let mut merged = 0usize;
+        for_each_in_union(self.rows_below(c, p), &self.rows[p], |_| merged += 1);
+        let new_nnz = panel_nnz(self.last[p] - self.first[c], merged);
+        let old_nnz = self.nnz[c].saturating_add(self.nnz[p]);
+        let fill = i64::try_from(new_nnz)
+            .unwrap_or(i64::MAX)
+            .saturating_sub(i64::try_from(old_nnz).unwrap_or(i64::MAX));
+        (fill, merged)
+    }
+
+    /// Heap entry of the merge of group `s` into its parent group, if the
+    /// two are contiguous: extra fill, `s`, and the generations of both
+    /// groups it was priced under.
+    fn candidate(&mut self, s: usize) -> Option<Reverse<(i64, usize, u32, u32)>> {
+        if self.parent[s] == NO_PARENT {
+            return None;
+        }
+        let p = self.find(self.parent[s]);
+        if p == s || self.first[p] != self.last[s] {
+            return None;
+        }
+        Some(Reverse((self.price(s, p).0, s, self.generation[s], self.generation[p])))
     }
 }
 
@@ -181,124 +254,65 @@ pub fn build_partition(
 /// tiny supernodes at the bottom of the tree (the ones whose tasks would
 /// otherwise be too small for any runtime — and far too small for a GPU,
 /// §V), which is exactly how PaStiX uses it.
+///
+/// A candidate is priced without building anything (two sorted row lists
+/// are walked once); the merged list is materialized when a merge commits.
 pub fn amalgamate(
     partition: SupernodePartition,
     options: &AmalgamationOptions,
 ) -> SupernodePartition {
     let nsup = partition.len();
     let n = partition.snode_of.len();
-    // Group state, indexed by the group's *root* supernode id.
-    let mut live_first: Vec<usize> = (0..nsup).map(|s| partition.first[s]).collect();
-    let live_last: Vec<usize> = (0..nsup).map(|s| partition.first[s + 1]).collect();
-    let mut rows: Vec<Vec<usize>> = partition.rows.clone();
-    let parent: Vec<usize> = partition.parent.clone();
-    let mut alive: Vec<bool> = vec![true; nsup];
-    let mut merged_into: Vec<usize> = (0..nsup).collect();
-    // Checked arithmetic throughout the cost model: a pathological
-    // partition (widths near the usize range) must price a merge as
-    // "infinitely expensive" instead of wrapping and looking cheap.
-    let group_nnz = |w: usize, r: usize| -> usize {
-        let tri = w
-            .checked_add(1)
-            .and_then(|w1| w.checked_mul(w1))
-            .map(|x| x / 2);
-        tri.and_then(|t| w.checked_mul(r).and_then(|wr| t.checked_add(wr)))
-            .unwrap_or(usize::MAX)
-    };
-    let mut cur_nnz: Vec<usize> = (0..nsup)
-        .map(|s| group_nnz(partition.width(s), partition.rows[s].len()))
+    let nnz: Vec<usize> = (0..nsup)
+        .map(|s| panel_nnz(partition.width(s), partition.rows[s].len()))
         .collect();
-    let total_orig: usize = cur_nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
+    let total_orig: usize = nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
     let mut budget = (options.fill_ratio * total_orig as f64) as i64;
-    // A generation stamp per group invalidates stale heap entries after a
-    // group takes part in a merge.
-    let mut generation: Vec<u32> = vec![0; nsup];
-
-    fn find(merged_into: &[usize], mut s: usize) -> usize {
-        while merged_into[s] != s {
-            s = merged_into[s];
-        }
-        s
-    }
-
-    // Candidate merge of child-group `c` into parent-group `p`: extra fill
-    // and the merged row structure.
-    let evaluate = |c: usize,
-                    p: usize,
-                    live_first: &[usize],
-                    rows: &[Vec<usize>],
-                    cur_nnz: &[usize]|
-     -> (i64, Vec<usize>) {
-        let wc = live_last[c] - live_first[c];
-        let wp = live_last[p] - live_first[p];
-        let mut merged: Vec<usize> = rows[c]
-            .iter()
-            .copied()
-            .filter(|&i| i >= live_last[p])
-            .chain(rows[p].iter().copied())
-            .collect();
-        merged.sort_unstable();
-        merged.dedup();
-        let new_nnz = group_nnz(wc.saturating_add(wp), merged.len());
-        let old_nnz = cur_nnz[c].saturating_add(cur_nnz[p]);
-        let fill = i64::try_from(new_nnz)
-            .unwrap_or(i64::MAX)
-            .saturating_sub(i64::try_from(old_nnz).unwrap_or(i64::MAX));
-        (fill, merged)
+    let SupernodePartition { mut first, rows, parent, .. } = partition;
+    let last = first[1..].to_vec();
+    first.truncate(nsup);
+    let mut g = Groups {
+        first,
+        last,
+        rows,
+        nnz,
+        parent,
+        merged_into: (0..nsup).collect(),
+        generation: vec![0; nsup],
     };
 
-    // Min-heap of candidate merges keyed by extra fill; entries carry the
-    // generation stamps they were computed under.
-    use std::cmp::Reverse;
-    let mut heap: std::collections::BinaryHeap<Reverse<(i64, usize, u32, u32)>> =
-        std::collections::BinaryHeap::new();
-    let push_candidate = |heap: &mut std::collections::BinaryHeap<Reverse<(i64, usize, u32, u32)>>,
-                              s: usize,
-                              live_first: &[usize],
-                              rows: &[Vec<usize>],
-                              cur_nnz: &[usize],
-                              merged_into: &[usize],
-                              generation: &[u32]| {
-        let p0 = parent[s];
-        if p0 == NO_PARENT {
-            return;
-        }
-        let p = find(merged_into, p0);
-        if p == s || live_first[p] != live_last[s] {
-            return;
-        }
-        let (fill, _) = evaluate(s, p, live_first, rows, cur_nnz);
-        heap.push(Reverse((fill, s, generation[s], generation[p])));
-    };
+    // Min-heap of candidate merges keyed by extra fill.
+    let mut heap = std::collections::BinaryHeap::new();
     for s in 0..nsup {
-        push_candidate(&mut heap, s, &live_first, &rows, &cur_nnz, &merged_into, &generation);
+        heap.extend(g.candidate(s));
     }
-    // Live group ending at a given column (live_last never changes for a
-    // live group): used to discover children whose contiguity with a
-    // grown parent group only becomes true after a merge.
-    let mut end_map: std::collections::HashMap<usize, usize> =
-        (0..nsup).map(|s| (live_last[s], s)).collect();
+    // Live group ending at a given column: used to discover children whose
+    // contiguity with a grown parent group only becomes true after a merge.
+    let mut ending_at = vec![NO_PARENT; n + 1];
+    for s in 0..nsup {
+        ending_at[g.last[s]] = s;
+    }
 
     while let Some(Reverse((fill, s, gen_s, _gen_p))) = heap.pop() {
-        if !alive[s] || generation[s] != gen_s {
+        if g.merged_into[s] != s || g.generation[s] != gen_s {
             continue;
         }
-        let p = find(&merged_into, parent[s]);
-        if p == s || !alive[p] || live_first[p] != live_last[s] {
+        let p = g.find(g.parent[s]);
+        if p == s || g.first[p] != g.last[s] {
             continue;
         }
         // Re-evaluate: the parent group may have changed since this entry
         // was pushed (its generation moved on).
-        let (fill_now, merged_rows) = evaluate(s, p, &live_first, &rows, &cur_nnz);
+        let (fill_now, merged_len) = g.price(s, p);
         if fill_now > fill {
             // Stale optimistic entry: reinsert with the fresh cost.
-            heap.push(Reverse((fill_now, s, generation[s], generation[p])));
+            heap.push(Reverse((fill_now, s, g.generation[s], g.generation[p])));
             continue;
         }
         // Tiny groups may always merge (their absolute fill is small and
         // the resulting task would otherwise be un-schedulable); larger
         // merges draw from the global budget.
-        let w = live_last[p] - live_first[s];
+        let w = g.last[p] - g.first[s];
         let tiny = w <= options.min_width;
         if !tiny && fill_now > budget {
             continue; // too expensive now; cheaper candidates also popped
@@ -306,33 +320,32 @@ pub fn amalgamate(
         if !tiny {
             budget -= fill_now.max(0);
         }
-        // Commit the merge: p absorbs s.
-        live_first[p] = live_first[s];
-        cur_nnz[p] = group_nnz(w, merged_rows.len());
-        rows[p] = merged_rows;
-        alive[s] = false;
-        merged_into[s] = p;
-        generation[p] += 1;
-        end_map.remove(&live_last[s]);
+        // Commit the merge: p absorbs s, whose row list is released.
+        let mut merged = Vec::with_capacity(merged_len);
+        for_each_in_union(g.rows_below(s, p), &g.rows[p], |i| merged.push(i));
+        g.rows[s] = Vec::new();
+        g.nnz[p] = panel_nnz(w, merged_len);
+        g.rows[p] = merged;
+        g.first[p] = g.first[s];
+        g.merged_into[s] = p;
+        g.generation[p] += 1;
+        ending_at[g.last[s]] = NO_PARENT;
         // New candidates: the merged group into *its* parent, and the
         // group that now abuts p from below (if its tree parent resolves
-        // to p, push_candidate accepts it).
-        push_candidate(&mut heap, p, &live_first, &rows, &cur_nnz, &merged_into, &generation);
-        if let Some(&g) = end_map.get(&live_first[p]) {
-            if alive[g] {
-                push_candidate(&mut heap, g, &live_first, &rows, &cur_nnz, &merged_into, &generation);
-            }
+        // to p, `candidate` accepts it).
+        heap.extend(g.candidate(p));
+        let below = ending_at[g.first[p]];
+        if below != NO_PARENT {
+            heap.extend(g.candidate(below));
         }
     }
 
-    // Rebuild a compact partition.
-    let mut order: Vec<usize> = (0..nsup).filter(|&s| alive[s]).collect();
-    order.sort_by_key(|&s| live_first[s]);
-    let mut first = Vec::with_capacity(order.len() + 1);
-    let mut new_rows = Vec::with_capacity(order.len());
-    for &s in &order {
-        first.push(live_first[s]);
-        new_rows.push(std::mem::take(&mut rows[s]));
+    // Rebuild a compact partition; live groups ascend with their root id.
+    let mut first = Vec::new();
+    let mut new_rows = Vec::new();
+    for s in (0..nsup).filter(|&s| g.merged_into[s] == s) {
+        first.push(g.first[s]);
+        new_rows.push(std::mem::take(&mut g.rows[s]));
     }
     first.push(n);
     let mut snode_of = vec![0usize; n];
@@ -342,9 +355,8 @@ pub fn amalgamate(
     // Recompute the supernode tree from the merged structures: parent =
     // supernode of the smallest row (first ancestor receiving an update),
     // falling back to NO_PARENT for top supernodes.
-    let nlive = order.len();
-    let mut sparent = vec![NO_PARENT; nlive];
-    for s in 0..nlive {
+    let mut sparent = vec![NO_PARENT; new_rows.len()];
+    for s in 0..new_rows.len() {
         if let Some(&r) = new_rows[s].first() {
             sparent[s] = snode_of[r];
         }
@@ -480,6 +492,41 @@ mod tests {
             (nnz1 as f64) < 2.0 * nnz0 as f64,
             "unreasonable fill growth: {nnz0} -> {nnz1}"
         );
+    }
+
+    #[test]
+    fn amalgamated_rows_are_the_union_of_the_members_rows() {
+        for (seed, fill_ratio, min_width) in [(5u64, 0.12, 8), (6, 0.0, 4), (7, 1.0, 1), (8, 0.3, 16)] {
+            let a = random_spd(120, 3, seed);
+            let (p, parent, cc) = prepared(a.pattern());
+            let part = build_partition(&p, &parent, detect_supernodes(&parent, &cc));
+            let merged = amalgamate(part.clone(), &AmalgamationOptions { fill_ratio, min_width });
+            assert!(merged.len() < part.len(), "seed {seed}: no merge happened");
+            for g in 0..merged.len() {
+                let cols = merged.cols(g);
+                let members = part.snode_of[cols.start]..=part.snode_of[cols.end - 1];
+                let mut expect: Vec<usize> = members
+                    .flat_map(|s| part.rows[s].iter().copied())
+                    .filter(|&i| i >= cols.end)
+                    .collect();
+                expect.sort_unstable();
+                expect.dedup();
+                assert_eq!(merged.rows[g], expect, "seed {seed} group {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn union_walk_visits_each_value_once_in_order() {
+        let collect = |a: &[usize], b: &[usize]| {
+            let mut out = Vec::new();
+            for_each_in_union(a, b, |x| out.push(x));
+            out
+        };
+        assert_eq!(collect(&[1, 4, 6], &[0, 4, 5, 9]), [0, 1, 4, 5, 6, 9]);
+        assert_eq!(collect(&[], &[2, 3]), [2, 3]);
+        assert_eq!(collect(&[2, 3], &[]), [2, 3]);
+        assert_eq!(collect(&[7], &[7]), [7]);
     }
 
     #[test]
