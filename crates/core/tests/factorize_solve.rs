@@ -158,7 +158,7 @@ fn complex_lu() {
 
 /// Every stored factor coefficient of a factorization, in panel order:
 /// the L panels, the U panels (LU), then the LDLᵀ diagonal.
-fn factor_values(analysis: &Analysis, a: &CscMatrix<f64>, rt: RuntimeKind, threads: usize) -> Vec<f64> {
+fn factor_values<T: Scalar>(analysis: &Analysis, a: &CscMatrix<T>, rt: RuntimeKind, threads: usize) -> Vec<T> {
     let f = analysis
         .factorize(a, rt, threads)
         .unwrap_or_else(|e| panic!("{:?}/{rt:?}/{threads}: {e}", analysis.facto));
@@ -176,34 +176,41 @@ fn factor_values(analysis: &Analysis, a: &CscMatrix<f64>, rt: RuntimeKind, threa
     values
 }
 
+/// Every policy at 1–4 workers, and native×4 five times over, against
+/// ptg×1 on one problem.
+fn assert_policies_agree<T: Scalar>(facto: FactoKind, a: &CscMatrix<T>) {
+    let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+    let reference = factor_values(&analysis, a, RuntimeKind::Ptg, 1);
+    assert!(reference.iter().all(|v| v.is_finite()));
+    let tag = format!("{}/{facto:?}", T::PREC);
+    for rt in RuntimeKind::ALL {
+        for threads in 1..=4usize {
+            let values = factor_values(&analysis, a, rt, threads);
+            assert!(values == reference, "{tag}: {rt:?}/{threads} differs bitwise from ptg/1");
+        }
+    }
+    // The static mapping at its widest, repeated: stealing reorders
+    // tasks from run to run, never the writers of a panel.
+    for run in 0..5 {
+        let values = factor_values(&analysis, a, RuntimeKind::Native, 4);
+        assert!(values == reference, "{tag}: native/4 run {run} differs bitwise from ptg/1");
+    }
+}
+
 /// The cross-policy oracle. Every policy runs the one two-level DAG,
 /// which chains the updates into a target panel in source order, so only
 /// *scheduling* differs between policies and worker counts: the factors
-/// are bitwise equal across all of them, and from run to run.
+/// are bitwise equal across all of them, and from run to run — for both
+/// element types (with `simd_fuzz` and `solve.rs`'s identities, the
+/// running gates over the raw-pointer register tiles).
 #[test]
 fn policies_agree_on_factor_values() {
-    let cases: [(FactoKind, CscMatrix<f64>); 3] = [
-        (FactoKind::Cholesky, grid_laplacian_3d(6, 6, 6)),
-        (FactoKind::Ldlt, shifted_laplacian_3d(6, 6, 6, 1.0)),
-        (FactoKind::Lu, convection_diffusion_3d(6, 6, 6, 0.3)),
-    ];
-    for (facto, a) in &cases {
-        let analysis = Analysis::new(a.pattern(), *facto, &SolverOptions::default());
-        let reference = factor_values(&analysis, a, RuntimeKind::Ptg, 1);
-        assert!(reference.iter().all(|v| v.is_finite()));
-        for rt in RuntimeKind::ALL {
-            for threads in 1..=4usize {
-                let values = factor_values(&analysis, a, rt, threads);
-                assert!(values == reference, "{facto:?}: {rt:?}/{threads} differs bitwise from ptg/1");
-            }
-        }
-        // The static mapping at its widest, repeated: stealing reorders
-        // tasks from run to run, never the writers of a panel.
-        for run in 0..5 {
-            let values = factor_values(&analysis, a, RuntimeKind::Native, 4);
-            assert!(values == reference, "{facto:?}: native/4 run {run} differs bitwise from ptg/1");
-        }
-    }
+    assert_policies_agree(FactoKind::Cholesky, &grid_laplacian_3d(6, 6, 6));
+    assert_policies_agree(FactoKind::Ldlt, &shifted_laplacian_3d(6, 6, 6, 1.0));
+    assert_policies_agree(FactoKind::Lu, &convection_diffusion_3d(6, 6, 6, 0.3));
+    let z = helmholtz_3d(6, 6, 6, 2.0, 0.5);
+    assert_policies_agree(FactoKind::Ldlt, &z);
+    assert_policies_agree(FactoKind::Lu, &z);
 }
 
 #[test]

@@ -8,11 +8,12 @@
 //! * the portable blocked safe-Rust kernel ([`gemm_portable`]) — the
 //!   baseline-target build that runs everywhere and is the reference the
 //!   differential fuzz suite pins the SIMD tier against, and
-//! * the AVX2+FMA register-tiled microkernels in [`crate::simd`] — the
-//!   8×4 axpy tile for `A` untransposed, the 3×4 dot tile for `Aᵀ·B`
-//!   (the backward solve) — entered through a cached runtime dispatch
-//!   when the host supports it, the element type is `f64`, and the shape
-//!   is big enough to win (`m ≥ 8` resp. `k ≥ 4`; any `n`).
+//! * the AVX2+FMA register-tiled microkernels in [`crate::simd`] — for
+//!   `A` untransposed the axpy tile (8×4 `f64`, 4×4 `C64`), for `Aᵀ·B` /
+//!   `Aᴴ·B` (the backward solve) the dot tile (3×4 `f64`, 2×2 `C64`) —
+//!   entered through a cached runtime dispatch when the host supports it
+//!   and the shape fills one tile (`m ≥ 8` / `4` resp. `k ≥ 4` / `2`;
+//!   any `n`).
 //!
 //! [`gemm`] is the dispatching front door; everything else in the solver
 //! calls it and gets the fastest applicable tier.
@@ -34,7 +35,7 @@ pub enum Trans {
 
 impl Trans {
     #[inline]
-    fn apply<T: Scalar>(self, v: T) -> T {
+    pub(crate) fn apply<T: Scalar>(self, v: T) -> T {
         match self {
             Trans::ConjTrans => v.conj(),
             _ => v,
@@ -82,17 +83,16 @@ pub fn gemm<T: Scalar>(
     // The SIMD tier reads A/B through raw pointers, so the shape contracts
     // of the arms it serves must hold in release builds too. Once per call.
     if transa == Trans::NoTrans {
-        let b_trans = transb != Trans::NoTrans;
-        let (brows, bcols) = if b_trans { (n, k) } else { (k, n) };
+        let (brows, bcols) = if transb == Trans::NoTrans { (k, n) } else { (n, k) };
         assert_fits("gemm: A", m, k, lda, a.len());
         assert_fits("gemm: B", brows, bcols, ldb, b.len());
-        if simd::try_gemm_a_notrans(b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
+        if simd::try_gemm_a_notrans(transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
             return;
         }
     } else if transb == Trans::NoTrans {
         assert_fits("gemm: A", k, m, lda, a.len());
         assert_fits("gemm: B", k, n, ldb, b.len());
-        if simd::try_gemm_a_trans(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
+        if simd::try_gemm_a_trans(transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc) {
             return;
         }
     }
@@ -366,61 +366,25 @@ mod tests {
 
     #[test]
     fn complex_conjugate_transpose_differs_from_transpose() {
-        let m = 4;
-        let a = fill_c(m * m, 5);
-        let b = fill_c(m * m, 6);
-        let mut ct = vec![C64::new(0.0, 0.0); m * m];
-        let mut ch = ct.clone();
-        gemm(
-            Trans::NoTrans,
-            Trans::Trans,
-            m,
-            m,
-            m,
-            C64::new(1.0, 0.0),
-            &a,
-            m,
-            &b,
-            m,
-            C64::new(0.0, 0.0),
-            &mut ct,
-            m,
-        );
-        gemm(
-            Trans::NoTrans,
-            Trans::ConjTrans,
-            m,
-            m,
-            m,
-            C64::new(1.0, 0.0),
-            &a,
-            m,
-            &b,
-            m,
-            C64::new(0.0, 0.0),
-            &mut ch,
-            m,
-        );
-        assert!(ct.iter().zip(&ch).any(|(x, y)| (*x - *y).modulus() > 1e-9));
-        // And both match the naive implementation.
-        let mut r = vec![C64::new(0.0, 0.0); m * m];
-        naive_gemm(
-            Trans::NoTrans,
-            Trans::ConjTrans,
-            m,
-            m,
-            m,
-            C64::new(1.0, 0.0),
-            &a,
-            m,
-            &b,
-            m,
-            C64::new(0.0, 0.0),
-            &mut r,
-            m,
-        );
-        for (x, y) in ch.iter().zip(&r) {
-            assert!((*x - *y).modulus() < 1e-12);
+        // m = 4 is exactly one complex register tile, m = 11 two tiles
+        // and a 3-row remainder.
+        let (one, zero) = (C64::new(1.0, 0.0), C64::new(0.0, 0.0));
+        for m in [4, 11] {
+            let a = fill_c(m * m, 5);
+            let b = fill_c(m * m, 6);
+            let mut ct = vec![zero; m * m];
+            let mut ch = ct.clone();
+            gemm(Trans::NoTrans, Trans::Trans, m, m, m, one, &a, m, &b, m, zero, &mut ct, m);
+            gemm(Trans::NoTrans, Trans::ConjTrans, m, m, m, one, &a, m, &b, m, zero, &mut ch, m);
+            assert!(ct.iter().zip(&ch).any(|(x, y)| (*x - *y).modulus() > 1e-9));
+            // And both match the naive implementation.
+            for (tb, got) in [(Trans::Trans, &ct), (Trans::ConjTrans, &ch)] {
+                let mut r = vec![zero; m * m];
+                naive_gemm(Trans::NoTrans, tb, m, m, m, one, &a, m, &b, m, zero, &mut r, m);
+                for (x, y) in got.iter().zip(&r) {
+                    assert!((*x - *y).modulus() < 1e-12, "{x} vs {y} ({tb:?}, m={m})");
+                }
+            }
         }
     }
 
@@ -428,32 +392,37 @@ mod tests {
     fn gemm_beta_zero_never_reads_c() {
         // β = 0 is a store in every arm of both tiers: C may be
         // uninitialised scratch (the solve's product buffer), and 0·NaN is
-        // NaN. Shapes on both sides of the SIMD dispatch floors.
-        let trans = [Trans::NoTrans, Trans::Trans, Trans::ConjTrans];
-        for &ta in &trans {
-            for &tb in &trans {
-                for (m, n, k) in [(2, 2, 2), (3, 5, 9), (17, 6, 11)] {
-                    let (ar, ac) = if ta == Trans::NoTrans { (m, k) } else { (k, m) };
-                    let (br, bc) = if tb == Trans::NoTrans { (k, n) } else { (n, k) };
-                    let a = fill(ar * ac, 1);
-                    let b = fill(br * bc, 2);
-                    let mut want = vec![0.0; m * n];
-                    naive_gemm(ta, tb, m, n, k, 0.5, &a, ar, &b, br, 0.0, &mut want, m);
-                    for kernel in [gemm::<f64>, gemm_portable::<f64>] {
-                        let mut c = vec![f64::NAN; m * n];
-                        kernel(ta, tb, m, n, k, 0.5, &a, ar, &b, br, 0.0, &mut c, m);
-                        for (x, y) in c.iter().zip(&want) {
-                            assert!((x - y).abs() < 1e-12, "{x} vs {y} ({ta:?},{tb:?}) {m}x{n}x{k}");
+        // NaN. Shapes on both sides of the SIMD dispatch floors of both
+        // element types, and across the dot tile's `KC` chunk boundary.
+        fn check<T: Scalar>(fill: fn(usize, u64) -> Vec<T>) {
+            let trans = [Trans::NoTrans, Trans::Trans, Trans::ConjTrans];
+            let (half, nan) = (T::from_f64(0.5), T::from_parts(f64::NAN, f64::NAN));
+            for &ta in &trans {
+                for &tb in &trans {
+                    for (m, n, k) in [(2, 2, 2), (3, 5, 9), (4, 1, 4), (17, 6, 11), (9, 3, 300)] {
+                        let (ar, ac) = if ta == Trans::NoTrans { (m, k) } else { (k, m) };
+                        let (br, bc) = if tb == Trans::NoTrans { (k, n) } else { (n, k) };
+                        let a = fill(ar * ac, 1);
+                        let b = fill(br * bc, 2);
+                        let mut want = vec![T::zero(); m * n];
+                        naive_gemm(ta, tb, m, n, k, half, &a, ar, &b, br, T::zero(), &mut want, m);
+                        for kernel in [gemm::<T>, gemm_portable::<T>] {
+                            let mut c = vec![nan; m * n];
+                            kernel(ta, tb, m, n, k, half, &a, ar, &b, br, T::zero(), &mut c, m);
+                            for (x, y) in c.iter().zip(&want) {
+                                assert!(
+                                    (*x - *y).modulus() < 1e-12,
+                                    "{} {x} vs {y} ({ta:?},{tb:?}) {m}x{n}x{k}",
+                                    T::PREC
+                                );
+                            }
                         }
                     }
-                    let (ac64, bc64) = (fill_c(ar * ac, 3), fill_c(br * bc, 4));
-                    let mut c = vec![C64::new(f64::NAN, f64::NAN); m * n];
-                    let (half, zero) = (C64::new(0.5, 0.0), C64::new(0.0, 0.0));
-                    gemm(ta, tb, m, n, k, half, &ac64, ar, &bc64, br, zero, &mut c, m);
-                    assert!(c.iter().all(|v| v.is_finite()), "C64 ({ta:?},{tb:?}) {m}x{n}x{k}");
                 }
             }
         }
+        check::<f64>(fill);
+        check::<C64>(fill_c);
         // k = 0 with beta = 0 zeroes C.
         let mut c2 = vec![f64::NAN; 4];
         gemm(Trans::NoTrans, Trans::NoTrans, 2, 2, 0, 1.0, &[], 2, &[], 2, 0.0, &mut c2, 2);

@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD microkernels (ROADMAP item 2).
+//! Runtime-dispatched SIMD microkernels.
 //!
 //! The portable kernels in [`crate::gemm`] / [`crate::update`] are safe
 //! blocked Rust compiled for the baseline target (SSE2 on x86-64). This
@@ -10,10 +10,12 @@
 //!   (`is_x86_feature_detected!`) runs once; every later call is a single
 //!   relaxed atomic load, so dispatch is legal inside the hot-path purity
 //!   roots (no allocation, no locks, no panics).
-//! * [`avx2`] — the f64 GEMM microkernels: the 8×4 register tile with
-//!   mc/kc/nc cache blocking (constants sized for a ~32 KiB L1 /
-//!   ~1 MiB L2 core) for `A` untransposed, and the 3×4 dot-form tile for
-//!   `Aᵀ·B`.
+//! * [`avx2`] — the GEMM microkernels for both element types of the
+//!   solver, `f64` and `C64`: for `A` untransposed a two-`ymm`-tall
+//!   register tile (8×4 real, 4×4 complex on the interleaved `{re, im}`
+//!   storage) under one mc/kc/nc cache-blocking loop (constants sized for
+//!   a ~32 KiB L1 / ~1 MiB L2 core), and for `Aᵀ·B` / `Aᴴ·B` a dot-form
+//!   tile (3×4 real, 2×2 complex).
 //!
 //! `gemm` is the only way in: the two `try_gemm_*` shims below are its
 //! dispatch and nothing else calls them. Everything else that wants SIMD
@@ -22,17 +24,24 @@
 //! tiles takes — so a new element type or ISA is added in one place.
 //!
 //! Scalar fallback is the portable kernel itself: both shims return
-//! `false` when the host lacks AVX2, the element type is not `f64`, or the
-//! crate is built with `--no-default-features` (feature `simd` off) — that
-//! build is how CI keeps the fallback tested on any host.
+//! `false` when the host lacks AVX2, the element type has no tiles (a
+//! third `Scalar` implementation would land here), the shape is under one
+//! tile (`m` < 8 real / 4 complex rows; `k` < 4 / 2 for the dot form), or
+//! the crate is built with `--no-default-features` (feature `simd` off) —
+//! that build is how CI keeps the fallback tested on any host.
 //!
 //! Numerical note: the AVX2 path contracts multiply-add pairs into FMAs
-//! and vectorizes the row loop; results can differ from the portable
-//! kernel by a few ulp (the differential fuzz suite pins the bound at
-//! ≤ 4 ulp). Accumulation *order* over `k` is preserved, so the drift is
-//! rounding-only, never catastrophic.
+//! (a complex multiply-add is four of them, two per component) and
+//! vectorizes the row loop; results can differ from the portable kernel by
+//! a few ulp (the differential fuzz suite pins the bound at ≤ 4 ulp of the
+//! accumulated magnitude, per component). Accumulation *order* over `k`
+//! is preserved, so the drift is rounding-only, never catastrophic.
 
+use crate::gemm::Trans;
 use crate::scalar::Scalar;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+use crate::scalar::C64;
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use core::any::TypeId;
 use core::sync::atomic::{AtomicU8, Ordering};
 
@@ -44,7 +53,7 @@ pub(crate) mod avx2;
 pub enum Isa {
     /// Portable blocked Rust (the baseline-target build of the crate).
     Scalar,
-    /// AVX2 + FMA f64 microkernels.
+    /// AVX2 + FMA microkernels (`f64` and `C64`).
     Avx2,
 }
 
@@ -126,40 +135,11 @@ fn detect() -> Isa {
     Isa::Scalar
 }
 
-/// Register-tile height of the AVX2 microkernel (rows of C per tile).
+/// Register-tile height of the AVX2 `f64` microkernel (rows of C per
+/// tile; two `ymm`, so half as many complex rows).
 pub const MR: usize = 8;
-/// Register-tile width of the AVX2 microkernel (columns of C per tile).
+/// Register-tile width of the AVX2 microkernels (columns of C per tile).
 pub const NR: usize = 4;
-
-// ---------------------------------------------------------------------
-// f64 element-type witness
-// ---------------------------------------------------------------------
-
-/// View a generic scalar slice as `&[f64]` when `T` *is* `f64`.
-#[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-#[inline]
-pub(crate) fn as_f64<T: Scalar>(s: &[T]) -> Option<&[f64]> {
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: TypeId equality proves T == f64; same layout, same
-        // lifetime, shared reference.
-        Some(unsafe { core::slice::from_raw_parts(s.as_ptr().cast::<f64>(), s.len()) })
-    } else {
-        None
-    }
-}
-
-/// Mutable counterpart of [`as_f64`].
-#[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-#[inline]
-pub(crate) fn as_f64_mut<T: Scalar>(s: &mut [T]) -> Option<&mut [f64]> {
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
-        // SAFETY: TypeId equality proves T == f64; same layout, same
-        // lifetime, and the &mut borrow is carried through.
-        Some(unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f64>(), s.len()) })
-    } else {
-        None
-    }
-}
 
 // ---------------------------------------------------------------------
 // Dispatch entry points (called by the portable kernels)
@@ -167,12 +147,12 @@ pub(crate) fn as_f64_mut<T: Scalar>(s: &mut [T]) -> Option<&mut [f64]> {
 
 /// Attempt the AVX2 GEMM for `C ← α·A·op(B) + β·C` with `A` untransposed.
 /// Returns `true` when the SIMD path handled the call; `false` sends the
-/// caller down the portable kernel (wrong type, unsupported layout, host
-/// without AVX2, or a problem too small to win from vectorization).
+/// caller down the portable kernel (an element type without tiles, host
+/// without AVX2, or fewer rows than one register tile).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn try_gemm_a_notrans<T: Scalar>(
-    b_trans: bool,
+    transb: Trans,
     m: usize,
     n: usize,
     k: usize,
@@ -187,56 +167,58 @@ pub(crate) fn try_gemm_a_notrans<T: Scalar>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if isa() != Isa::Avx2 || m < MR {
-            return false;
-        }
-        let (Some(af), Some(bf)) = (as_f64(a), as_f64(b)) else {
-            return false;
-        };
-        let Some(cf) = as_f64_mut(c) else { return false };
-        let layout = if b_trans {
-            avx2::BLayout::Trans { ldb }
-        } else {
-            avx2::BLayout::NoTrans { ldb }
-        };
-        // SAFETY: isa() == Avx2 certifies avx2+fma on this CPU; the
-        // shape contracts (lda/ldb/ldc vs m/n/k and the slice lengths)
-        // were asserted by the calling `gemm` before any dispatch.
-        unsafe {
-            avx2::gemm_f64(
-                m,
-                n,
-                k,
-                alpha.re(),
-                af.as_ptr(),
-                lda,
-                bf.as_ptr(),
-                layout,
-                beta.re(),
-                cf.as_mut_ptr(),
-                ldc,
-            );
-        }
-        true
+        isa() == Isa::Avx2
+            && (a_notrans_as::<T, f64>(transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+                || a_notrans_as::<T, C64>(transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        let _ = (b_trans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        let _ = (transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
         false
     }
 }
 
-/// Contraction length below which the dot-form kernel declines: under
-/// one vector of rows its loop never runs and only the scalar tail would.
+/// [`try_gemm_a_notrans`] for one tiled element type `E`: declines unless
+/// `T` is `E` and there is at least one register tile of rows. The caller
+/// has established `isa() == Avx2`.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const DOT_K_MIN: usize = 4;
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn a_notrans_as<T: Scalar, E: avx2::Tiled>(
+    transb: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) -> bool {
+    if TypeId::of::<T>() != TypeId::of::<E>() || m < E::MR {
+        return false;
+    }
+    let (ae, be, ce) = (a.as_ptr().cast::<E>(), b.as_ptr().cast::<E>(), c.as_mut_ptr().cast::<E>());
+    let (alpha, beta) = (E::from_parts(alpha.re(), alpha.im()), E::from_parts(beta.re(), beta.im()));
+    // SAFETY: the caller's isa() == Avx2 certifies avx2+fma on this CPU;
+    // TypeId equality proves T == E, so the pointers are the slices' own;
+    // the shape contracts (lda/ldb/ldc vs m/n/k and the slice lengths)
+    // were asserted by the calling `gemm` before any dispatch.
+    unsafe { avx2::gemm_an(m, n, k, alpha, ae, lda, be, transb, ldb, beta, ce, ldc) };
+    true
+}
 
-/// Attempt the AVX2 dot-form GEMM for `C ← α·Aᵀ·B + β·C` (`A` stored
-/// `k×m`, `B` stored `k×n`; for `f64` the conjugate transpose is the
-/// transpose). Returns `true` when the SIMD path handled the call.
+/// Attempt the AVX2 dot-form GEMM for `C ← α·op(A)·B + β·C` (`A` stored
+/// `k×m`, `B` stored `k×n`, `transa` `Trans` or `ConjTrans` — the two
+/// differ by a sign in the tile's one reduction). Returns `true` when the
+/// SIMD path handled the call.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn try_gemm_a_trans<T: Scalar>(
+    transa: Trans,
     m: usize,
     n: usize,
     k: usize,
@@ -251,38 +233,49 @@ pub(crate) fn try_gemm_a_trans<T: Scalar>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        if isa() != Isa::Avx2 || k < DOT_K_MIN {
-            return false;
-        }
-        let (Some(af), Some(bf)) = (as_f64(a), as_f64(b)) else {
-            return false;
-        };
-        let Some(cf) = as_f64_mut(c) else { return false };
-        // SAFETY: isa() == Avx2 certifies avx2+fma on this CPU; the
-        // shape contracts (lda/ldb ≥ k, ldc ≥ m and the slice lengths)
-        // were asserted by the calling `gemm` before any dispatch.
-        unsafe {
-            avx2::gemm_at_f64(
-                m,
-                n,
-                k,
-                alpha.re(),
-                af.as_ptr(),
-                lda,
-                bf.as_ptr(),
-                ldb,
-                beta.re(),
-                cf.as_mut_ptr(),
-                ldc,
-            );
-        }
-        true
+        isa() == Isa::Avx2
+            && (a_trans_as::<T, f64>(transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+                || a_trans_as::<T, C64>(transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        let _ = (m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+        let _ = (transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
         false
     }
+}
+
+/// [`try_gemm_a_trans`] for one tiled element type `E`: declines unless
+/// `T` is `E` and the contraction fills one vector. The caller has
+/// established `isa() == Avx2`.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn a_trans_as<T: Scalar, E: avx2::Tiled>(
+    transa: Trans,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: T,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    beta: T,
+    c: &mut [T],
+    ldc: usize,
+) -> bool {
+    if TypeId::of::<T>() != TypeId::of::<E>() || k < E::LANES {
+        return false;
+    }
+    let (ae, be, ce) = (a.as_ptr().cast::<E>(), b.as_ptr().cast::<E>(), c.as_mut_ptr().cast::<E>());
+    let (alpha, beta) = (E::from_parts(alpha.re(), alpha.im()), E::from_parts(beta.re(), beta.im()));
+    let conj_a = transa == Trans::ConjTrans;
+    // SAFETY: the caller's isa() == Avx2 certifies avx2+fma on this CPU;
+    // TypeId equality proves T == E, so the pointers are the slices' own;
+    // the shape contracts (lda/ldb ≥ k, ldc ≥ m and the slice lengths)
+    // were asserted by the calling `gemm` before any dispatch.
+    unsafe { avx2::gemm_at(conj_a, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc) };
+    true
 }
 
 #[cfg(test)]
@@ -297,16 +290,6 @@ mod tests {
         assert_eq!(isa(), Isa::Scalar);
         force_isa(first);
         assert_eq!(isa(), first);
-    }
-
-    #[test]
-    fn f64_witness_accepts_f64_rejects_complex() {
-        let v = [1.0f64, 2.0];
-        assert!(as_f64(&v).is_some());
-        let c = [crate::scalar::C64::new(1.0, 2.0)];
-        assert!(as_f64(&c).is_none());
-        let mut v = [1.0f64];
-        assert!(as_f64_mut(&mut v).is_some());
     }
 
     #[cfg(target_arch = "x86_64")]
