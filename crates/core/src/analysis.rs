@@ -94,6 +94,10 @@ pub struct Analysis {
     pub two_level: TaskGraph,
     /// nnz of the symmetrized pattern (for stats).
     pub nnz_a: usize,
+    /// Symmetrizing the input pattern added no off-diagonal entry: what a
+    /// symmetric factorization kind requires of it (`factorize` answers
+    /// `PatternMismatch` otherwise).
+    pub pattern_symmetric: bool,
     /// Options the analysis was built with.
     pub options: SolverOptions,
 }
@@ -122,6 +126,10 @@ impl Analysis {
             "direct solvers need square matrices"
         );
         let sym = pattern.symmetrize();
+        // `sym` is the input plus its missing mirrors plus its missing
+        // diagonal entries.
+        let missing_diag = (0..pattern.ncols()).filter(|&j| !pattern.contains(j, j)).count();
+        let pattern_symmetric = sym.nnz() == pattern.nnz() + missing_diag;
         // 1) Fill-reducing ordering.
         let order_from = trace.map(dagfact_rt::TraceRecorder::now_ns);
         let fill_perm = compute_ordering(&sym, options.ordering);
@@ -160,6 +168,7 @@ impl Analysis {
             one_d,
             two_level,
             nnz_a: sym.nnz(),
+            pattern_symmetric,
             options: options.clone(),
         }
     }

@@ -6,22 +6,27 @@
 //! and `U`, stored **transposed** so the U panel shares the L panel's row
 //! structure and every kernel stays column-major.
 //!
-//! Storage is *per panel* (one slot each), which is what makes the
-//! memory-budgeted mode possible: a panel can individually be
+//! Storage is *per panel* (one slot each). A panel is
 //!
-//! * **unassembled** — its initial matrix entries held as a compact
-//!   scatter list, materialized (allocated + assembled) on first touch;
-//! * **resident** — a live dense allocation, charged to the
-//!   [`MemoryBudget`];
+//! * **untouched** — no contents yet: its first pin zero-fills it and
+//!   gathers its entries of `A` from a [`PanelSource`] ("coefficient
+//!   initialization"). In a factorization that is whichever task reaches
+//!   the panel first, so assembly is not a serial phase before the graph;
+//! * **resident** — live dense storage;
 //! * **spilled** — written to the disk-backed [`SpillStore`] and faulted
-//!   back in on the next touch.
+//!   back in on the next touch (only under a memory cap).
+//!
+//! The two ledger modes differ only in *when storage is obtained*:
+//! without a cap [`CoefTab::reserve`] takes every panel's capacity up
+//! front, on the calling thread and in slot order (no page is written
+//! until the panel is), and nothing ever spills; under a cap the first pin
+//! allocates and charges the [`MemoryBudget`], so the working set — not
+//! the whole factor — must fit. [`CoefTab::assemble`] ("fully assembled
+//! on return") is a reservation plus a pin of every slot.
 //!
 //! Access goes through [`CoefTab::pin_l`]/[`CoefTab::pin_u`], which
 //! return a [`PanelPin`] guard: while pins are outstanding the pager
-//! will not evict the panel. Without a budget cap the tab behaves
-//! exactly like the historical flat allocation — everything is
-//! materialized eagerly at assembly and nothing ever spills — so the
-//! unconstrained numeric path is unchanged.
+//! will not evict the panel.
 //!
 //! Dropping an unbudgeted tab leaves one element allocated (`HEAP_PIN`):
 //! glibc hands the top of the heap back to the OS once a dropped factor
@@ -59,6 +64,8 @@ impl PanelLayout {
 
     /// Length of panel `c`.
     pub fn panel_len(&self, symbol: &SymbolMatrix, c: usize) -> usize {
+        // BOUNDS: `c` names a column block of `symbol` (caller contract;
+        // anything else is a bug worth the panic).
         let cb = &symbol.cblks[c];
         cb.stride * cb.width()
     }
@@ -66,11 +73,11 @@ impl PanelLayout {
 
 /// Lifecycle of one panel's storage.
 enum SlotState<T> {
-    /// Not yet materialized: the panel's initial entries as
-    /// `(local offset, value)` pairs, scattered on first touch.
-    Unassembled(Vec<(usize, T)>),
+    /// Never pinned: length 0, and without a cap already the panel's
+    /// capacity.
+    Untouched(Vec<T>),
     /// Live dense storage.
-    Resident(Box<[T]>),
+    Resident(Vec<T>),
     /// On disk in the spill store.
     Spilled,
 }
@@ -92,11 +99,12 @@ struct Slot<T> {
 }
 
 impl<T> Slot<T> {
-    fn new(state: SlotState<T>, resident: bool) -> Slot<T> {
+    /// An untouched slot over `storage` (length 0).
+    fn new(storage: Vec<T>) -> Slot<T> {
         Slot {
-            state: Mutex::new(state),
+            state: Mutex::new(SlotState::Untouched(storage)),
             pins: AtomicUsize::new(0),
-            resident: AtomicBool::new(resident),
+            resident: AtomicBool::new(false),
             stamp: AtomicU64::new(0),
             retired: AtomicBool::new(false),
         }
@@ -189,86 +197,104 @@ pub struct CoefTab<T: 'static> {
     lazy: bool,
     budget: Option<Arc<MemoryBudget>>,
     spill: Option<SpillStore>,
-    /// Bytes bulk-charged by the eager path, released on drop.
+    /// Bytes bulk-charged by an uncapped reservation, released on drop.
     eager_charged: usize,
     /// LRU clock.
     clock: AtomicU64,
 }
 
+/// What an untouched panel is filled from: the entries of the *original*
+/// (unpermuted) `A` that fall into it; fill-in stays zero. An L panel
+/// gathers its own columns of `P·A·Pᵀ` (columns `iperm[j]` of `A`); a Uᵀ
+/// panel holds *rows* of the strict upper triangle, so LU keeps `Aᵀ` for
+/// as long as the source lives — the numeric phase.
+pub struct PanelSource<'a, T> {
+    analysis: &'a Analysis,
+    a: &'a CscMatrix<T>,
+    at: Option<CscMatrix<T>>,
+}
+
+impl<'a, T: Scalar> PanelSource<'a, T> {
+    /// Source of `a`'s entries under `analysis`.
+    pub fn new(analysis: &'a Analysis, a: &'a CscMatrix<T>) -> PanelSource<'a, T> {
+        let at = (analysis.facto == FactoKind::Lu).then(|| a.transpose());
+        PanelSource { analysis, a, at }
+    }
+
+    /// Add this source's entries into the zeroed panel of slot `key`; one
+    /// outside the analyzed structure is a [`SolverError::PatternMismatch`].
+    fn gather(&self, key: usize, data: &mut [T]) -> Result<(), SolverError> {
+        let symbol = &self.analysis.symbol;
+        let (perm, iperm) = (self.analysis.perm.perm(), self.analysis.perm.iperm());
+        let upper = key >= symbol.ncblk();
+        let c = key % symbol.ncblk();
+        // BOUNDS: `key` names a slot, so `c < ncblk`.
+        let cb = &symbol.cblks[c];
+        // Whose columns `iperm[col]` to read, and from which permuted row
+        // on their entries are this panel's: L takes `P·A·Pᵀ` from the
+        // diagonal down (LU: from the top of its full, square diagonal
+        // block; a symmetric kind reads only the lower triangle of a fully
+        // stored matrix), Uᵀ the rows of `A` right of the diagonal block.
+        let lu = self.at.is_some();
+        let m = match &self.at {
+            Some(at) if upper => at,
+            _ => self.a,
+        };
+        for (col, out) in (cb.fcol..cb.lcol).zip(data.chunks_exact_mut(cb.stride)) {
+            let first = if upper { cb.lcol } else if lu { cb.fcol } else { col };
+            // BOUNDS: `perm`/`iperm` are bijections of `0..n` and `a` is
+            // `n × n` (`Analysis::accepts`; an `assemble` of another order
+            // is a caller bug), so `col`, `old` and every row index of `m`
+            // are `< n`.
+            let old = iperm[col];
+            for (&i, &v) in m.col_rows(old).iter().zip(m.col_values(old)) {
+                // BOUNDS: as above; `offset` is a storage row of panel
+                // `c`, below its `stride` — the length of `out`.
+                let row = perm[i];
+                if row >= first {
+                    let Some(offset) = symbol.row_offset_in_panel(c, row) else {
+                        // ALLOC: the error message, once per failed run.
+                        return Err(SolverError::PatternMismatch(format!(
+                            "matrix entry at permuted ({row}, {col}) is outside the analyzed pattern"
+                        )));
+                    };
+                    out[offset] += v;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl<T: Scalar> CoefTab<T> {
-    /// Allocate storage eagerly and scatter the permuted matrix entries
-    /// into the panels ("coefficient initialization"), without memory
-    /// accounting — the historical unbudgeted path.
+    /// The fully assembled coefficient storage of `a`, without memory
+    /// accounting: every panel is touched here, on the calling thread.
+    /// Panics if `a` has an entry outside the analyzed pattern.
     pub fn assemble(analysis: &Analysis, a: &CscMatrix<T>) -> CoefTab<T> {
-        match Self::assemble_with(analysis, a, &MemoryOptions::default()) {
+        let src = PanelSource::new(analysis, a);
+        let touched = Self::reserve(analysis, &MemoryOptions::default()).and_then(|tab| {
+            for key in 0..tab.slots.len() {
+                tab.pin(key, tab.layout.panel_len(&analysis.symbol, key % tab.ncblk), Some(&src))?;
+            }
+            Ok(tab)
+        });
+        match touched {
             Ok(tab) => tab,
-            // Unreachable: with no budget nothing can fail.
-            Err(e) => unreachable!("unbudgeted assembly failed: {e}"),
+            // With no budget, the one failure left is the matrix itself.
+            Err(e) => panic!("cannot assemble: {e}"),
         }
     }
 
-    /// Assemble under `mem`. Without a cap, every panel is materialized
-    /// now (charging the ledger, if any, in bulk); with a cap, panels
-    /// hold their entry lists and materialize on first touch so the
-    /// working set — not the whole factor — must fit under the cap.
-    ///
-    /// `a` is the *original* (unpermuted) matrix; entries are routed
-    /// through the analysis permutation. Structural zeros of the factor
-    /// (fill-in) stay zero.
-    pub fn assemble_with(
-        analysis: &Analysis,
-        a: &CscMatrix<T>,
-        mem: &MemoryOptions,
-    ) -> Result<CoefTab<T>, SolverError> {
+    /// One untouched slot per panel under `mem`. Without a cap every
+    /// panel's capacity is reserved now (charging the ledger, if any, in
+    /// bulk); with a cap nothing is allocated until a panel is pinned.
+    pub fn reserve(analysis: &Analysis, mem: &MemoryOptions) -> Result<CoefTab<T>, SolverError> {
         let symbol = &analysis.symbol;
         let layout = PanelLayout::new(symbol);
         let ncblk = symbol.ncblk();
         let lu = analysis.facto == FactoKind::Lu;
         let lazy = mem.budget.as_ref().is_some_and(|b| b.cap().is_some());
-        let spill = lazy.then(|| SpillStore::new(mem.spill_dir.as_deref()));
-
-        // Route every entry to its panel-local scatter list, in the same
-        // global scan order the historical flat assembly used — per-slot
-        // relative order (and therefore duplicate summation order) is
-        // preserved, so the assembled values are bit-identical.
         let nsides = if lu { 2 * ncblk } else { ncblk };
-        let mut entries: Vec<Vec<(usize, T)>> = (0..nsides).map(|_| Vec::new()).collect();
-        let perm = analysis.perm.perm();
-        for oldj in 0..a.ncols() {
-            for (&oldi, &v) in a.col_rows(oldj).iter().zip(a.col_values(oldj)) {
-                let i = perm[oldi];
-                let j = perm[oldj];
-                if i >= j {
-                    // Lower triangle (or diagonal): L panel of cblk(j).
-                    let c = symbol.col_to_cblk[j];
-                    let cb = &symbol.cblks[c];
-                    let row = symbol.row_offset_in_panel(c, i);
-                    entries[c].push(((j - cb.fcol) * cb.stride + row, v));
-                } else if !lu {
-                    // Symmetric storage: the caller may have provided a
-                    // fully-stored symmetric matrix; the upper entry
-                    // mirrors an existing lower one — skip it.
-                    continue;
-                } else {
-                    // Strict upper triangle for LU: U[i, j] with i < j.
-                    let c = symbol.col_to_cblk[i];
-                    let cb = &symbol.cblks[c];
-                    if j < cb.lcol {
-                        // Inside the diagonal block: stored in L's full
-                        // square diagonal block.
-                        let row = symbol.row_offset_in_panel(c, i);
-                        entries[c].push(((j - cb.fcol) * cb.stride + row, v));
-                    } else {
-                        // Below-diagonal U entry, stored transposed:
-                        // Uᵀ[j, i].
-                        let row = symbol.row_offset_in_panel(c, j);
-                        entries[ncblk + c].push(((i - cb.fcol) * cb.stride + row, v));
-                    }
-                }
-            }
-        }
-
-        let esize = std::mem::size_of::<T>();
         let mut tab = CoefTab {
             layout,
             slots: Vec::with_capacity(nsides),
@@ -276,46 +302,27 @@ impl<T: Scalar> CoefTab<T> {
             lu,
             lazy,
             budget: mem.budget.clone(),
-            spill,
+            spill: lazy.then(|| SpillStore::new(mem.spill_dir.as_deref())),
             eager_charged: 0,
             clock: AtomicU64::new(0),
         };
-
-        if lazy {
-            // Charge the entry plan; each panel's share is released as it
-            // materializes. Panels themselves charge on first touch.
-            let entry_size = std::mem::size_of::<(usize, T)>();
-            let plan_bytes: usize = entries.iter().map(|e| e.len() * entry_size).sum();
-            tab.charge_grow(plan_bytes, site::ASSEMBLY)?;
-            for e in entries {
-                tab.slots.push(Slot::new(SlotState::Unassembled(e), false));
-            }
-        } else {
-            // Eager: bulk-charge each side, then materialize everything.
+        if !lazy {
             if let Some(b) = &tab.budget {
-                let l_bytes = tab.layout.len * esize;
-                b.try_charge(l_bytes, site::COEFTAB_L)
+                let side_bytes = tab.layout.len * std::mem::size_of::<T>();
+                b.try_charge(side_bytes, site::COEFTAB_L)
                     .map_err(SolverError::from_budget)?;
-                tab.eager_charged += l_bytes;
+                tab.eager_charged += side_bytes;
                 if lu {
-                    let u_bytes = tab.layout.len * esize;
-                    if let Err(e) = b.try_charge(u_bytes, site::COEFTAB_U) {
-                        b.release(tab.eager_charged);
-                        tab.eager_charged = 0;
-                        return Err(SolverError::from_budget(e));
-                    }
-                    tab.eager_charged += u_bytes;
+                    // A failure here releases the L charge through `Drop`.
+                    b.try_charge(side_bytes, site::COEFTAB_U)
+                        .map_err(SolverError::from_budget)?;
+                    tab.eager_charged += side_bytes;
                 }
             }
-            for (key, e) in entries.into_iter().enumerate() {
-                let c = key % ncblk;
-                let len = tab.layout.panel_len(symbol, c);
-                let mut data = vec![T::zero(); len].into_boxed_slice();
-                for (off, v) in e {
-                    data[off] += v;
-                }
-                tab.slots.push(Slot::new(SlotState::Resident(data), true));
-            }
+        }
+        for key in 0..nsides {
+            let len = if lazy { 0 } else { tab.layout.panel_len(symbol, key % ncblk) };
+            tab.slots.push(Slot::new(Vec::with_capacity(len)));
         }
         Ok(tab)
     }
@@ -325,19 +332,37 @@ impl<T: Scalar> CoefTab<T> {
         self.lu
     }
 
-    /// Pin the L panel of column block `c`, materializing or faulting it
-    /// in if needed.
-    pub fn pin_l(&self, symbol: &SymbolMatrix, c: usize) -> Result<PanelPin<'_, T>, SolverError> {
-        self.pin(c, self.layout.panel_len(symbol, c))
+    /// Pin the L panel of column block `c`, faulting it in if needed. The
+    /// panel's first pin fills it from `src`; `None` is for a tab whose
+    /// panels have all been touched (the solve, [`CoefTab::assemble`]).
+    pub fn pin_l(
+        &self,
+        symbol: &SymbolMatrix,
+        c: usize,
+        src: Option<&PanelSource<'_, T>>,
+    ) -> Result<PanelPin<'_, T>, SolverError> {
+        self.pin(c, self.layout.panel_len(symbol, c), src)
     }
 
     /// Pin the Uᵀ panel of column block `c` (LU only).
-    pub fn pin_u(&self, symbol: &SymbolMatrix, c: usize) -> Result<PanelPin<'_, T>, SolverError> {
+    pub fn pin_u(
+        &self,
+        symbol: &SymbolMatrix,
+        c: usize,
+        src: Option<&PanelSource<'_, T>>,
+    ) -> Result<PanelPin<'_, T>, SolverError> {
         debug_assert!(self.lu, "U panel requested for a non-LU factorization");
-        self.pin(self.ncblk + c, self.layout.panel_len(symbol, c))
+        self.pin(self.ncblk + c, self.layout.panel_len(symbol, c), src)
     }
 
-    fn pin(&self, key: usize, len: usize) -> Result<PanelPin<'_, T>, SolverError> {
+    fn pin(
+        &self,
+        key: usize,
+        len: usize,
+        src: Option<&PanelSource<'_, T>>,
+    ) -> Result<PanelPin<'_, T>, SolverError> {
+        // BOUNDS: `key` is `c` or `ncblk + c` (LU) for a column block `c`
+        // of the analysis the slot table was laid out for.
         let slot = &self.slots[key];
         let mut st = slot.lock();
         // ORDERING: the stamp is an LRU recency hint read under the slot
@@ -347,24 +372,25 @@ impl<T: Scalar> CoefTab<T> {
         let esize = std::mem::size_of::<T>();
         match &mut *st {
             SlotState::Resident(_) => {}
-            SlotState::Unassembled(pending) => {
-                // Materialize: charge, allocate zeroed, scatter entries.
+            SlotState::Untouched(storage) => {
+                let Some(src) = src else {
+                    unreachable!("panel slot {key} pinned without a source before its first touch")
+                };
                 // Nothing is mutated before the charge succeeds, so an
                 // injected failure here is retry-safe at any level.
-                self.charge_grow(len * esize, site::PANEL_BASE + key)?;
-                let entries = std::mem::take(pending);
-                let entry_bytes = entries.len() * std::mem::size_of::<(usize, T)>();
-                let mut data = vec![T::zero(); len].into_boxed_slice();
-                for (off, v) in entries {
-                    data[off] += v;
+                if self.lazy {
+                    self.charge_grow(len * esize, site::PANEL_BASE + key)?;
                 }
+                let mut data = std::mem::take(storage);
+                // ALLOC: once per panel per factorization — into the
+                // capacity `reserve` holds, or the charge just made.
+                data.resize(len, T::zero());
+                let gathered = src.gather(key, &mut data);
+                // Resident (and charged) even when an entry did not fit:
+                // that error fails the factorization that owns the tab.
                 *st = SlotState::Resident(data);
                 slot.resident.store(true, Ordering::Release);
-                if let Some(b) = &self.budget {
-                    // The entry plan's share of the ASSEMBLY charge is no
-                    // longer held.
-                    b.release(entry_bytes);
-                }
+                gathered?;
             }
             SlotState::Spilled => {
                 self.charge_grow(len * esize, site::SPILL_READBACK)?;
@@ -384,7 +410,7 @@ impl<T: Scalar> CoefTab<T> {
                 // The disk copy is stale the moment anyone writes the
                 // panel again; a future eviction rewrites it.
                 spill.remove(key);
-                *st = SlotState::Resident(data);
+                *st = SlotState::Resident(data.into_vec());
                 slot.resident.store(true, Ordering::Release);
                 if let Some(b) = &self.budget {
                     b.note_fault_in();
@@ -406,7 +432,7 @@ impl<T: Scalar> CoefTab<T> {
     /// the pin is simply retried; a genuine spill-store failure panics.
     pub fn pin_l_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
         loop {
-            match self.pin_l(symbol, c) {
+            match self.pin_l(symbol, c, None) {
                 Ok(p) => return p,
                 Err(e) if e.is_transient_alloc() => continue,
                 Err(e) => panic!("cannot fault L panel {c} back in for the solve: {e}"),
@@ -418,7 +444,7 @@ impl<T: Scalar> CoefTab<T> {
     /// [`CoefTab::pin_l_solve`]).
     pub fn pin_u_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
         loop {
-            match self.pin_u(symbol, c) {
+            match self.pin_u(symbol, c, None) {
                 Ok(p) => return p,
                 Err(e) if e.is_transient_alloc() => continue,
                 Err(e) => panic!("cannot fault U panel {c} back in for the solve: {e}"),
@@ -514,6 +540,8 @@ impl<T: Scalar> CoefTab<T> {
         let Some(spill) = self.spill.as_ref() else {
             return false;
         };
+        // BOUNDS: `key` comes from `retire` (`c`, `ncblk + c`) or from the
+        // eviction scan's enumeration of the slot table.
         let slot = &self.slots[key];
         let mut st = match slot.state.try_lock() {
             Ok(g) => g,
@@ -553,7 +581,9 @@ impl<T: 'static> Drop for CoefTab<T> {
             // outside the ledger.)
             let top = (self.slots.drain(..))
                 .filter_map(|slot| match slot.state.into_inner().unwrap_or_else(PoisonError::into_inner) {
-                    SlotState::Resident(data) => Some(data.into_vec()),
+                    // An untouched panel (a failed run) has no element
+                    // to keep.
+                    SlotState::Resident(data) => Some(data),
                     _ => None,
                 })
                 .max_by_key(|data| data.as_ptr() as usize)
@@ -567,13 +597,12 @@ impl<T: 'static> Drop for CoefTab<T> {
             return;
         };
         if self.lazy {
-            let entry_size = std::mem::size_of::<(usize, T)>();
             let esize = std::mem::size_of::<T>();
             for slot in &mut self.slots {
-                match slot.state.get_mut().unwrap_or_else(PoisonError::into_inner) {
-                    SlotState::Resident(d) => b.release(d.len() * esize),
-                    SlotState::Unassembled(e) => b.release(e.len() * entry_size),
-                    SlotState::Spilled => {}
+                if let SlotState::Resident(d) =
+                    slot.state.get_mut().unwrap_or_else(PoisonError::into_inner)
+                {
+                    b.release(d.len() * esize);
                 }
             }
         } else {
@@ -586,55 +615,8 @@ impl<T: 'static> Drop for CoefTab<T> {
 mod tests {
     use super::*;
     use crate::analysis::SolverOptions;
-    use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_2d};
+    use dagfact_sparse::gen::grid_laplacian_2d;
     use dagfact_symbolic::FactoKind;
-
-    #[test]
-    fn assembly_places_every_symmetric_entry() {
-        let a = grid_laplacian_2d(6, 5);
-        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-        let tab = CoefTab::assemble(&an, &a);
-        let symbol = &an.symbol;
-        // Every (i >= j) permuted entry must be found at its slot.
-        let perm = an.perm.perm();
-        let mut placed = 0usize;
-        for oldj in 0..a.ncols() {
-            for (&oldi, &v) in a.col_rows(oldj).iter().zip(a.col_values(oldj)) {
-                let (i, j) = (perm[oldi], perm[oldj]);
-                if i < j {
-                    continue;
-                }
-                let c = symbol.col_to_cblk[j];
-                let cb = &symbol.cblks[c];
-                let row = symbol.row_offset_in_panel(c, i);
-                let pin = tab.pin_l(symbol, c).expect("pin");
-                // SAFETY: single-threaded test — no concurrent writer.
-                let got = unsafe { pin.slice() }[(j - cb.fcol) * cb.stride + row];
-                assert_eq!(got, v, "entry ({oldi},{oldj})");
-                placed += 1;
-            }
-        }
-        // Lower triangle including diagonal of a symmetric matrix.
-        assert_eq!(placed, (a.nnz() - a.nrows()) / 2 + a.nrows());
-        // Total mass conserved (sum of placed values = sum of lower tri).
-        let total: f64 = (0..symbol.ncblk())
-            .map(|c| {
-                let pin = tab.pin_l(symbol, c).expect("pin");
-                // SAFETY: single-threaded test — no concurrent writer.
-                unsafe { pin.slice() }.iter().sum::<f64>()
-            })
-            .sum();
-        let expect: f64 = (0..a.ncols())
-            .flat_map(|j| {
-                a.col_rows(j)
-                    .iter()
-                    .zip(a.col_values(j))
-                    .filter(move |&(&i, _)| perm[i] >= perm[j])
-                    .map(|(_, &v)| v)
-            })
-            .sum();
-        assert!((total - expect).abs() < 1e-12);
-    }
 
     #[test]
     fn a_dropped_unbudgeted_tab_leaves_one_element_as_heap_pin() {
@@ -652,37 +634,10 @@ mod tests {
         assert_eq!(pin.1, 1, "the pin is one element, not a panel");
         // A budgeted tab's storage all returns to the ledger.
         let mem = MemoryOptions { budget: Some(MemoryBudget::unbounded()), spill_dir: None };
-        drop(CoefTab::assemble_with(&an, &a, &mem).expect("assembles"));
+        let budgeted = CoefTab::<f64>::reserve(&an, &mem).expect("reserves");
+        drop(budgeted.pin_l(&an.symbol, 0, Some(&PanelSource::new(&an, &a))).expect("pin"));
+        drop(budgeted);
         assert_eq!(pinned(), Some(pin), "a budgeted drop must not touch the pin");
-    }
-
-    #[test]
-    fn lu_assembly_splits_lower_and_upper() {
-        let a = convection_diffusion_3d(4, 4, 3, 0.3);
-        let an = Analysis::new(a.pattern(), FactoKind::Lu, &SolverOptions::default());
-        let tab = CoefTab::assemble(&an, &a);
-        let symbol = &an.symbol;
-        assert!(tab.has_u());
-        // All value mass present across the two sides.
-        let total: f64 = (0..symbol.ncblk())
-            .map(|c| {
-                let lp = tab.pin_l(symbol, c).expect("pin L");
-                let up = tab.pin_u(symbol, c).expect("pin U");
-                // SAFETY: single-threaded test — no concurrent writer.
-                let l = unsafe { lp.slice() }.iter().sum::<f64>();
-                let u = unsafe { up.slice() }.iter().sum::<f64>();
-                l + u
-            })
-            .sum();
-        let expect: f64 = a.values().iter().sum();
-        assert!((total - expect).abs() < 1e-10, "{total} vs {expect}");
-        // U side is not empty for a convective problem.
-        let any_u = (0..symbol.ncblk()).any(|c| {
-            let up = tab.pin_u(symbol, c).expect("pin U");
-            // SAFETY: single-threaded test — no concurrent writer.
-            unsafe { up.slice() }.iter().any(|&v| v != 0.0)
-        });
-        assert!(any_u);
     }
 
     #[test]
@@ -706,17 +661,19 @@ mod tests {
             budget: Some(budget.clone()),
             spill_dir: None,
         };
-        let lazy = CoefTab::assemble_with(&an, &a, &mem).expect("lazy assemble");
+        let lazy = CoefTab::reserve(&an, &mem).expect("lazy reserve");
+        assert_eq!(budget.used(), 0, "a capped tab holds nothing until a panel is touched");
+        let src = PanelSource::new(&an, &a);
 
         // Touch every panel in order (forces materialize + evictions),
         // then touch them all again (forces fault-ins) and compare.
         for c in 0..symbol.ncblk() {
-            let _ = lazy.pin_l(symbol, c).expect("first touch");
+            let _ = lazy.pin_l(symbol, c, Some(&src)).expect("first touch");
             lazy.retire(c);
         }
         for c in 0..symbol.ncblk() {
-            let lp = lazy.pin_l(symbol, c).expect("second touch");
-            let ep = eager.pin_l(symbol, c).expect("eager pin");
+            let lp = lazy.pin_l(symbol, c, None).expect("second touch");
+            let ep = eager.pin_l(symbol, c, None).expect("eager pin");
             // SAFETY: single-threaded test — no concurrent writer.
             let (lzy, egr) = unsafe { (lp.slice(), ep.slice()) };
             for (x, y) in lzy.iter().zip(egr.iter()) {
@@ -751,13 +708,14 @@ mod tests {
             budget: Some(budget),
             spill_dir: None,
         };
-        let tab = CoefTab::assemble_with(&an, &a, &mem).expect("assemble");
-        let pin0 = tab.pin_l(symbol, 0).expect("pin 0");
+        let tab = CoefTab::reserve(&an, &mem).expect("reserve");
+        let src = PanelSource::new(&an, &a);
+        let pin0 = tab.pin_l(symbol, 0, Some(&src)).expect("pin 0");
         // SAFETY: single-threaded test — no concurrent writer.
         let before = unsafe { pin0.slice() }.to_vec();
         // Hammer the pager: materialize everything else while 0 is pinned.
         for c in 1..symbol.ncblk() {
-            let _ = tab.pin_l(symbol, c).expect("pin");
+            let _ = tab.pin_l(symbol, c, Some(&src)).expect("pin");
         }
         // Panel 0 must still be resident and unchanged under the pin.
         // SAFETY: single-threaded test — no concurrent writer.
@@ -776,8 +734,8 @@ mod tests {
             budget: Some(budget.clone()),
             spill_dir: None,
         };
-        let tab = CoefTab::assemble_with(&an, &a, &mem).expect("assemble");
-        assert!(budget.used() > 0, "eager assembly charges the ledger");
+        let tab = CoefTab::<f64>::reserve(&an, &mem).expect("reserve");
+        assert!(budget.used() > 0, "an uncapped reservation charges the ledger in bulk");
         drop(tab);
         assert_eq!(budget.used(), 0, "drop must release every charge");
         assert!(budget.peak() > 0);

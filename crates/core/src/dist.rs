@@ -72,7 +72,7 @@
 //! themselves are loom-checked in `dagfact-rt` (protocol model 6).
 
 use crate::analysis::Analysis;
-use crate::coeftab::{CoefTab, MemoryOptions};
+use crate::coeftab::CoefTab;
 use crate::numeric::{FactorStats, Factors, NumericCtx};
 use crate::SolverError;
 use dagfact_gpusim::{ClusterPlatform, EventQueue};
@@ -1230,16 +1230,8 @@ pub fn factorize_dist<'a, T: Scalar>(
     opts: &DistOptions,
 ) -> Result<(Factors<'a, T>, DistReport), DistError> {
     let symbol = &analysis.symbol;
-    if a.nrows() != symbol.n || a.ncols() != symbol.n {
-        return Err(DistError::Solver(SolverError::PatternMismatch(format!(
-            "analyzed order {} but matrix is {}x{}",
-            symbol.n,
-            a.nrows(),
-            a.ncols()
-        ))));
-    }
-    let tab = CoefTab::assemble_with(analysis, a, &MemoryOptions::default())
-        .map_err(DistError::Solver)?;
+    analysis.accepts(a).map_err(DistError::Solver)?;
+    let tab = CoefTab::assemble(analysis, a);
     let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); symbol.n]);
     let epsilon = opts
         .epsilon_override
@@ -1249,7 +1241,7 @@ pub fn factorize_dist<'a, T: Scalar>(
     } else {
         epsilon * a.norm_inf().max(1.0)
     };
-    let ctx = NumericCtx::new(analysis, &tab, &d, threshold, opts.nnodes, None);
+    let ctx = NumericCtx::new(analysis, &tab, &d, threshold, opts.nnodes, None, None);
     let mut sim = Sim::new(analysis, &ctx, &tab, &d, opts);
     let outcome = sim.run();
     let mut report = std::mem::take(&mut sim.report);
@@ -1258,9 +1250,6 @@ pub fn factorize_dist<'a, T: Scalar>(
         return Err(DistError::Solver(e));
     }
     outcome?;
-    analysis
-        .sweep_non_finite(&tab, &d)
-        .map_err(DistError::Solver)?;
     let pivots = ctx.pivots();
     drop(ctx);
     report.makespan = report.makespan.max(0.0);

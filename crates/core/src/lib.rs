@@ -65,8 +65,9 @@ pub enum SolverError {
     /// The runtime engine failed: a task panicked, a transient fault
     /// exhausted its retry budget, or the scheduler stalled.
     Engine(dagfact_rt::EngineError),
-    /// The post-factorization sweep found NaN/Inf coefficients — numeric
-    /// breakdown (or injected corruption) that escaped the pivot checks.
+    /// A panel task found NaN/Inf coefficients in the panel it had just
+    /// finished — numeric breakdown (or injected corruption) that escaped
+    /// the pivot checks.
     /// `task` names the storage array (`"L"`, `"U"` or `"D"`), `block` the
     /// panel it sits in.
     NonFinite { task: &'static str, block: usize },
@@ -100,7 +101,7 @@ impl core::fmt::Display for SolverError {
             SolverError::Engine(e) => write!(f, "engine failure: {e}"),
             SolverError::NonFinite { task, block } => write!(
                 f,
-                "non-finite coefficients in {task} panel {block} after factorization"
+                "non-finite coefficients in {task} panel {block} as its panel task finished"
             ),
             SolverError::RefinementStalled { iterations, last_berr } => write!(
                 f,

@@ -8,7 +8,15 @@
 //!   buffer-then-scatter on CPUs).
 //!
 //! Every policy runs these two task bodies over the one two-level DAG
-//! ([`crate::tasks`]). The LDLᵀ update rescales by `D` inside each call
+//! ([`crate::tasks`]), and the factorization *is* that graph. Before it
+//! only the panels' storage is reserved (and `Aᵀ` built for LU — the
+//! recorder's `assembly` span); the first task to pin a panel zero-fills
+//! it and gathers its entries of `A` ([`PanelSource`]), and each panel
+//! task ends by checking the panel it has just made final for NaN/Inf
+//! ([`SolverError::NonFinite`]), so no serial pass precedes or follows
+//! the engine.
+//!
+//! The LDLᵀ update rescales by `D` inside each call
 //! ("the full LDLᵀ operation at each update", §V-A). PaStiX's per-panel
 //! `D·Lᵀ` buffer trick — the reason it wins on `pmlDF` and `Serena` in
 //! the paper — measured no end-to-end gain here and is modelled only in
@@ -41,7 +49,7 @@
 //! threshold.
 
 use crate::analysis::Analysis;
-use crate::coeftab::{CoefTab, MemoryOptions};
+use crate::coeftab::{CoefTab, MemoryOptions, PanelSource};
 use crate::tasks::TaskKind;
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
@@ -88,6 +96,9 @@ struct Workspace<T> {
 pub(crate) struct NumericCtx<'a, T: Scalar> {
     analysis: &'a Analysis,
     tab: &'a CoefTab<T>,
+    /// The matrix entries a panel's first pin fills it from; `None` over
+    /// an already assembled tab (`crate::dist`).
+    source: Option<PanelSource<'a, T>>,
     /// LDLᵀ diagonal (length n; unused otherwise).
     d: &'a SharedSlice<T>,
     /// Absolute static-pivot threshold.
@@ -108,7 +119,8 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
 }
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
-    /// Context for `nworkers` workers over `tab`. `run` is the engine
+    /// Context for `nworkers` workers over `tab`, whose untouched panels
+    /// assemble from `source`. `run` is the engine
     /// configuration of a policy run (its fault plan and whether its
     /// retry budget allows a retry); `None` is the distributed engine
     /// (`crate::dist`): no injected faults, no engine-level retry, and
@@ -122,10 +134,12 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         threshold: f64,
         nworkers: usize,
         run: Option<&RunConfig>,
+        source: Option<PanelSource<'a, T>>,
     ) -> NumericCtx<'a, T> {
         NumericCtx {
             analysis,
             tab,
+            source,
             d,
             threshold,
             fault: run.and_then(|r| r.fault_plan.clone()),
@@ -211,25 +225,31 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if self.failed() {
             return;
         }
-        let symbol = &self.analysis.symbol;
+        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
         let cb = &symbol.cblks[c];
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
         // Pin before mutating anything: an allocation failure here is
         // retry-safe.
-        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, true) else {
+        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, true) else {
             return;
         };
         let upin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c), c, true) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, true) {
                 Some(p) => Some(p),
                 None => return,
             }
         } else {
             None
         };
-        // SAFETY: the DAG gives panel(c) exclusive access to panel c.
+        // SAFETY: the DAG gives panel(c) exclusive access to panel c: its
+        // L side, its U side and its range of the diagonal.
         let l = unsafe { lpin.slice_mut() };
+        let u: &mut [T] = match &upin {
+            Some(up) => unsafe { up.slice_mut() },
+            None => &mut [],
+        };
+        let d = unsafe { self.d.range_mut(cb.fcol..cb.lcol) };
         let mut ws = self.workspaces[worker].lock();
         let result: Result<(), SolverError> = (|| {
             match self.analysis.facto {
@@ -252,8 +272,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     }
                 }
                 FactoKind::Ldlt => {
-                    // SAFETY: panel(c) owns the d-range of its columns.
-                    let d = unsafe { self.d.range_mut(cb.fcol..cb.lcol) };
                     let repaired = ldlt(w, l, stride, d, self.threshold)?;
                     // ORDERING: statistics counter; no memory is
                     // published.
@@ -280,11 +298,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     // ORDERING: statistics counter; no memory is
                     // published.
                     self.pivots_repaired.fetch_add(stats.repaired, Ordering::Relaxed);
-                    // SAFETY: panel(c) also owns its U panel.
-                    let Some(up) = &upin else {
-                        unreachable!("LU panel task without a U pin")
-                    };
-                    let u = unsafe { up.slice_mut() };
                     if below > 0 {
                         copy_diag_block(l, stride, w, &mut ws.diag);
                         // L side: A_ik ← A_ik · U_kk⁻¹.
@@ -318,23 +331,27 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             }
             Ok(())
         })();
-        match result {
-            Err(e) => self.record_error(e),
-            Ok(()) => {
-                // Fault injection: corrupt this panel's output with a NaN
-                // so the post-factorization sweep (and downstream pivot
-                // checks) can be exercised deterministically.
-                if let Some(plan) = &self.fault {
-                    if plan.take_corruption(c) {
-                        l[0] = T::from_f64(f64::NAN);
-                    }
-                }
-                // A panel with no updates is cold as soon as it is
-                // factored.
-                if self.remaining_reads[c].load(Ordering::Acquire) == 0 {
-                    self.tab.retire(c);
-                }
+        if let Err(e) = result {
+            return self.record_error(e);
+        }
+        // Fault injection: a NaN for the check below (and the recovery
+        // above it) to find.
+        if let Some(plan) = &self.fault {
+            if plan.take_corruption(c) {
+                l[0] = T::from_f64(f64::NAN);
             }
+        }
+        // The panel is final from here on, so this is the one place each
+        // of its coefficients is checked: numeric breakdown the pivot
+        // checks cannot see (corruption in off-diagonal blocks no later
+        // pivot touches) must not reach the solve phase.
+        let sides = [("L", &*l), ("U", &*u), ("D", &*d)];
+        if let Some((task, _)) = sides.into_iter().find(|(_, v)| !all_finite(v)) {
+            return self.record_error(SolverError::NonFinite { task, block: c });
+        }
+        // A panel with no updates is cold as soon as it is factored.
+        if self.remaining_reads[c].load(Ordering::Acquire) == 0 {
+            self.tab.retire(c);
         }
     }
 
@@ -349,7 +366,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if self.failed() {
             return;
         }
-        let symbol = &self.analysis.symbol;
+        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
         let cb = &symbol.cblks[c];
         let block = &symbol.blocks[bi];
         let j = block.facing;
@@ -357,17 +374,17 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let m = cb.stride - block.local_offset;
         // Pin every panel up front, before any mutation: a pin failure is
         // then retry-safe.
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, true) else {
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, true) else {
             return;
         };
-        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j), c, true) else {
+        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src), c, true) else {
             return;
         };
         let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c), c, true) else {
+            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, true) else {
                 return;
             };
-            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j), c, true) else {
+            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src), c, true) else {
                 return;
             };
             Some((us, ud))
@@ -420,12 +437,12 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if self.failed() {
             return false;
         }
-        let symbol = &self.analysis.symbol;
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c), c, false) else {
+        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, false) else {
             return false;
         };
         let usrc_pin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c), c, false) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, false) {
                 Some(p) => Some(p),
                 None => return false,
             }
@@ -549,6 +566,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 }
 
+/// No NaN or infinity in `v`.
+fn all_finite<T: Scalar>(v: &[T]) -> bool {
+    v.iter().all(|x| x.modulus().is_finite())
+}
+
 /// Copy the leading `w×w` block of a panel into the front of the compact,
 /// grow-only `out` (leading dimension `w`). Every one of the `w²` elements
 /// is overwritten, so nothing is cleared first; the right TRSM reads only
@@ -668,9 +690,12 @@ impl Analysis {
     /// memory budget (allocation accounting, pressure-aware degradation,
     /// out-of-core spilling), and an optional static-pivot override.
     /// Engine failures (task panics, exhausted retry budgets, scheduler
-    /// stalls) surface as [`SolverError::Engine`]; a post-factorization
-    /// sweep rejects non-finite coefficients with
-    /// [`SolverError::NonFinite`].
+    /// stalls) surface as [`SolverError::Engine`]; every panel task
+    /// checks the panel it just finished, so non-finite coefficients are
+    /// answered with [`SolverError::NonFinite`]. A symmetric kind on an
+    /// analysis whose input pattern was not symmetric is a
+    /// [`SolverError::PatternMismatch`], like a matrix of another order
+    /// or with an entry outside the analyzed pattern.
     pub fn factorize_with<'a, T: Scalar>(
         &'a self,
         a: &CscMatrix<T>,
@@ -678,17 +703,10 @@ impl Analysis {
         nthreads: usize,
         exec: &ExecOptions,
     ) -> Result<Factors<'a, T>, SolverError> {
-        if a.nrows() != self.symbol.n || a.ncols() != self.symbol.n {
-            return Err(SolverError::PatternMismatch(format!(
-                "analyzed order {} but matrix is {}x{}",
-                self.symbol.n,
-                a.nrows(),
-                a.ncols()
-            )));
-        }
+        self.accepts(a)?;
         let nthreads = nthreads.max(1);
-        // Wire the fault plan into the budget before assembly so every
-        // charge — including assembly-phase ones — sees injected faults.
+        // Wire the fault plan into the budget before anything is charged,
+        // so every charge sees injected faults.
         if let (Some(b), Some(plan)) = (&exec.run.budget, &exec.run.fault_plan) {
             b.set_fault_plan(plan.clone());
         }
@@ -703,10 +721,12 @@ impl Analysis {
             // be analyzed (phase spans are kept).
             rec.reset_tasks();
         }
-        let tab = match &tracer {
-            Some(rec) => rec.phase("assembly", || CoefTab::assemble_with(self, a, &mem))?,
-            None => CoefTab::assemble_with(self, a, &mem)?,
-        };
+        // The coefficients arrive inside the graph, at first touch.
+        let reserve = || CoefTab::reserve(self, &mem).map(|tab| (tab, PanelSource::new(self, a)));
+        let (tab, source) = match &tracer {
+            Some(rec) => rec.phase("assembly", reserve),
+            None => reserve(),
+        }?;
         let d_bytes = self.symbol.n * std::mem::size_of::<T>();
         if let Some(b) = &exec.run.budget {
             // The diagonal is O(n) — forced (never degrades), but still
@@ -726,7 +746,8 @@ impl Analysis {
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, Some(&exec.run));
+        let run = Some(&exec.run);
+        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, run, Some(source));
         let run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the
@@ -735,9 +756,7 @@ impl Analysis {
             if let Some(e) = ctx.error.lock().take() {
                 return Err(e);
             }
-            let report = report?;
-            self.sweep_non_finite(&tab, &d)?;
-            Ok(report)
+            Ok(report?)
         };
         let outcome: Result<RunReport, SolverError> = match &tracer {
             Some(rec) => rec.phase("numeric", run_numeric),
@@ -757,8 +776,8 @@ impl Analysis {
         }
         let mut report = outcome?;
         if let Some(b) = &exec.run.budget {
-            // Refresh: the engine's snapshot predates the sweep and the
-            // scratch releases above.
+            // Refresh: the engine's snapshot predates the scratch releases
+            // above.
             report.memory = Some(b.stats());
         }
         // ORDERING: statistics counter, read after the engine's join
@@ -779,35 +798,25 @@ impl Analysis {
         })
     }
 
-    /// Post-factorization scan for NaN/Inf coefficients: numeric breakdown
-    /// the pivot checks cannot see (corruption in off-diagonal blocks
-    /// never touched by a later pivot) must not reach the solve phase.
-    pub(crate) fn sweep_non_finite<T: Scalar>(
-        &self,
-        tab: &CoefTab<T>,
-        d: &SharedSlice<T>,
-    ) -> Result<(), SolverError> {
-        let finite = |v: &[T]| v.iter().all(|x| x.modulus().is_finite());
-        let symbol = &self.symbol;
-        for c in 0..symbol.ncblk() {
-            let lp = tab.pin_l(symbol, c)?;
-            // SAFETY: the engine has quiesced; no worker holds a borrow.
-            if !finite(unsafe { lp.slice() }) {
-                return Err(SolverError::NonFinite { task: "L", block: c });
-            }
-            if tab.has_u() {
-                let up = tab.pin_u(symbol, c)?;
-                if !finite(unsafe { up.slice() }) {
-                    return Err(SolverError::NonFinite { task: "U", block: c });
-                }
-            }
-            if self.facto == FactoKind::Ldlt {
-                let cb = &symbol.cblks[c];
-                let dr = unsafe { d.range(cb.fcol..cb.lcol) };
-                if !finite(dr) {
-                    return Err(SolverError::NonFinite { task: "D", block: c });
-                }
-            }
+    /// Can `a` be factorized on this analysis? The order must match, and
+    /// a symmetric kind reads only the lower triangle of `P·A·Pᵀ` — of a
+    /// pattern that was not symmetric (one stored triangle, say) that is
+    /// part of the entries, and the factors those of a different matrix.
+    pub(crate) fn accepts<T: Scalar>(&self, a: &CscMatrix<T>) -> Result<(), SolverError> {
+        if a.nrows() != self.symbol.n || a.ncols() != self.symbol.n {
+            return Err(SolverError::PatternMismatch(format!(
+                "analyzed order {} but matrix is {}x{}",
+                self.symbol.n,
+                a.nrows(),
+                a.ncols()
+            )));
+        }
+        if self.facto != FactoKind::Lu && !self.pattern_symmetric {
+            return Err(SolverError::PatternMismatch(format!(
+                "{:?} needs both triangles stored but the analyzed pattern is not symmetric; \
+                 expand a lower-stored matrix with `CscMatrix::symmetrize_from_lower`",
+                self.facto
+            )));
         }
         Ok(())
     }

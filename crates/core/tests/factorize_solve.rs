@@ -1,14 +1,14 @@
 //! End-to-end correctness of the factorization and solve across every
 //! factorization kind × runtime × arithmetic combination.
 
-use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverOptions};
+use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverError, SolverOptions};
 use dagfact_kernels::{Scalar, C64};
 use dagfact_rt::{chrome_trace, Json, RunConfig, SpanKind, Trace, TraceRecorder};
 use dagfact_sparse::gen::{
     convection_diffusion_3d, grid_laplacian_2d, grid_laplacian_3d, helmholtz_3d, random_spd,
     shifted_laplacian_3d,
 };
-use dagfact_sparse::CscMatrix;
+use dagfact_sparse::{CscMatrix, TripletBuilder};
 use dagfact_symbolic::FactoKind;
 
 fn residual<T: Scalar>(a: &CscMatrix<T>, x: &[T], b: &[T]) -> f64 {
@@ -166,10 +166,10 @@ fn factor_values<T: Scalar>(analysis: &Analysis, a: &CscMatrix<T>, rt: RuntimeKi
     let mut values = Vec::new();
     for c in 0..symbol.ncblk() {
         // SAFETY: the factorization has returned; nothing mutates `f`.
-        values.extend_from_slice(unsafe { f.tab.pin_l(symbol, c).unwrap().slice() });
+        values.extend_from_slice(unsafe { f.tab.pin_l(symbol, c, None).unwrap().slice() });
         if f.tab.has_u() {
             // SAFETY: as above.
-            values.extend_from_slice(unsafe { f.tab.pin_u(symbol, c).unwrap().slice() });
+            values.extend_from_slice(unsafe { f.tab.pin_u(symbol, c, None).unwrap().slice() });
         }
     }
     values.extend_from_slice(&f.d);
@@ -263,4 +263,74 @@ fn pattern_mismatch_is_reported() {
     let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
     let wrong = grid_laplacian_2d(6, 6);
     assert!(analysis.factorize(&wrong, RuntimeKind::Native, 1).is_err());
+    // Same order, but an entry the analysis never saw: the panel that
+    // would hold it has no row for it, whichever task touches it first.
+    let mut t = TripletBuilder::new(a.nrows(), a.ncols());
+    for j in 0..a.ncols() {
+        for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
+            t.push(i, j, v);
+        }
+    }
+    t.push(24, 0, -0.5);
+    t.push(0, 24, -0.5);
+    let superset = t.build();
+    for rt in RuntimeKind::ALL {
+        match analysis.factorize(&superset, rt, 2) {
+            Err(SolverError::PatternMismatch(msg)) => assert!(msg.contains("outside"), "{msg}"),
+            other => panic!("{rt:?}: expected PatternMismatch, got {:?}", other.map(|_| "factors")),
+        }
+    }
+}
+
+/// One stored triangle of a symmetric matrix (the Matrix Market
+/// `symmetric` convention).
+fn lower_triangle(a: &CscMatrix<f64>) -> CscMatrix<f64> {
+    let mut t = TripletBuilder::new(a.nrows(), a.ncols());
+    for j in 0..a.ncols() {
+        for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
+            if i >= j {
+                t.push(i, j, v);
+            }
+        }
+    }
+    t.build()
+}
+
+/// A symmetric kind reads the lower triangle of `P·A·Pᵀ`, which holds
+/// only part of a one-triangle matrix's entries once it is permuted:
+/// that used to come back `Ok` with the factors of a different matrix
+/// (residual 0.79 against the symmetric one on this input).
+#[test]
+fn symmetric_kinds_reject_a_matrix_stored_as_one_triangle() {
+    let full = grid_laplacian_3d(8, 8, 8);
+    let lower = lower_triangle(&full);
+    let b = rhs_real(full.nrows());
+    for facto in [FactoKind::Cholesky, FactoKind::Ldlt] {
+        let analysis = Analysis::new(lower.pattern(), facto, &SolverOptions::default());
+        match analysis.factorize(&lower, RuntimeKind::Ptg, 2) {
+            Err(SolverError::PatternMismatch(msg)) => {
+                assert!(msg.contains("symmetrize_from_lower"), "{facto:?}: the fix is not named: {msg}")
+            }
+            other => panic!("{facto:?}: expected PatternMismatch, got {:?}", other.map(|_| "factors")),
+        }
+        // The fix it names.
+        let mirrored = lower.symmetrize_from_lower();
+        let analysis = Analysis::new(mirrored.pattern(), facto, &SolverOptions::default());
+        let x = analysis.factorize(&mirrored, RuntimeKind::Ptg, 2).unwrap().solve(&b);
+        assert!(residual(&full, &x, &b) < 1e-10, "{facto:?}");
+    }
+    // LU takes the input as the triangular matrix it is.
+    let analysis = Analysis::new(lower.pattern(), FactoKind::Lu, &SolverOptions::default());
+    let x = analysis.factorize(&lower, RuntimeKind::Ptg, 2).unwrap().solve(&b);
+    assert!(residual(&lower, &x, &b) < 1e-10);
+    // A symmetric pattern with a diagonal entry left out is still one.
+    let mut t = TripletBuilder::new(3, 3);
+    for (i, j, v) in [(0, 0, 2.0), (2, 2, 2.0), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0), (1, 2, 1.0)] {
+        t.push(i, j, v);
+    }
+    let a = t.build();
+    let analysis = Analysis::new(a.pattern(), FactoKind::Ldlt, &SolverOptions::default());
+    assert!(analysis.pattern_symmetric);
+    let x = analysis.factorize(&a, RuntimeKind::Ptg, 1).unwrap().solve(&[1.0, 2.0, 3.0]);
+    assert!(residual(&a, &x, &[1.0, 2.0, 3.0]) < 1e-12);
 }

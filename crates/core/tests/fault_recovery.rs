@@ -7,7 +7,7 @@ use dagfact_core::{
 };
 use dagfact_kernels::KernelError;
 use dagfact_rt::{EngineError, FaultPlan, RetryPolicy, RunConfig};
-use dagfact_sparse::gen::{grid_laplacian_3d, shifted_laplacian_3d};
+use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::{CscMatrix, TripletBuilder};
 use dagfact_symbolic::FactoKind;
 use std::sync::Arc;
@@ -85,36 +85,39 @@ fn injected_panic_surfaces_as_engine_error_on_every_engine() {
 }
 
 // ---------------------------------------------------------------------
-// NaN corruption: the post-factorization sweep catches what pivot
-// checks cannot (the corrupted panel is never consumed downstream)
+// NaN corruption: each panel task checks the panel it has just finished,
+// which catches what pivot checks cannot (the last panel is never
+// consumed downstream) before any consumer reads it
 // ---------------------------------------------------------------------
 
 #[test]
-fn nan_corruption_in_last_panel_is_caught_by_the_sweep() {
-    let a = grid_laplacian_3d(6, 6, 6);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let last = analysis.symbol.ncblk() - 1;
-    let exec = resilient_with(FaultPlan::new().corrupt_panel(last));
-    match analysis.factorize_with(&a, RuntimeKind::Native, 2, &exec) {
-        Err(SolverError::NonFinite { task: "L", block }) => assert_eq!(block, last),
-        Err(other) => panic!("expected NonFinite in panel {last}, got {other:?}"),
-        Ok(_) => panic!("corrupted factorization must be rejected"),
-    }
-}
-
-#[test]
-fn nan_corruption_in_early_panel_is_caught_before_the_solve() {
-    // Corrupting panel 0 propagates NaN through the update chain; either
-    // a downstream pivot check or the final sweep must reject it — it
-    // must never reach the triangular solve silently.
-    let a = shifted_laplacian_3d(5, 5, 5, 1.0);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Ldlt, &SolverOptions::default());
-    let exec = resilient_with(FaultPlan::new().corrupt_panel(0));
-    match analysis.factorize_with(&a, RuntimeKind::Ptg, 2, &exec) {
-        Err(SolverError::NonFinite { .. })
-        | Err(SolverError::Kernel(KernelError::NonFinitePivot { .. })) => {}
-        Err(other) => panic!("expected a non-finite rejection, got {other:?}"),
-        Ok(_) => panic!("corrupted factorization must be rejected"),
+fn nan_corruption_is_caught_by_the_task_that_finished_the_panel() {
+    let spd = grid_laplacian_3d(6, 6, 6);
+    let indefinite = shifted_laplacian_3d(5, 5, 5, 1.0);
+    let unsymmetric = convection_diffusion_3d(6, 6, 4, 0.3);
+    for (a, facto) in [
+        (&spd, FactoKind::Cholesky),
+        (&indefinite, FactoKind::Ldlt),
+        (&unsymmetric, FactoKind::Lu),
+    ] {
+        let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+        // An early panel (its NaN would spread down the update chain) and
+        // the last one (nothing downstream would ever look at it).
+        for panel in [0, analysis.symbol.ncblk() - 1] {
+            for rt in RuntimeKind::ALL {
+                for workers in 1..=4 {
+                    let exec = resilient_with(FaultPlan::new().corrupt_panel(panel));
+                    match analysis.factorize_with(a, rt, workers, &exec) {
+                        Err(SolverError::NonFinite { task: "L", block }) if block == panel => {}
+                        other => panic!(
+                            "{facto:?}, {rt:?} x{workers}: expected NonFinite in L panel {panel}, \
+                             got {:?}",
+                            other.map(|_| "factors")
+                        ),
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -40,18 +40,17 @@ pub const PRESSURE_SPILL: f64 = 0.85;
 /// Stable identifiers for the allocation sites that charge the budget.
 /// Fault plans pin `AllocFail` injections per site (`alloc=SITExK`).
 pub mod site {
-    /// Whole-factor L coefficient storage (eager assembly).
+    /// Whole-factor L coefficient storage (reserved in bulk without a cap).
     pub const COEFTAB_L: usize = 1;
-    /// Whole-factor U coefficient storage (eager assembly, LU only).
+    /// Whole-factor U coefficient storage (the same, LU only).
     pub const COEFTAB_U: usize = 2;
     /// LDLᵀ diagonal vector.
     pub const DIAG: usize = 3;
     /// Per-worker GEMM temp buffers.
     pub const WORKSPACE: usize = 4;
-    // 5 is retired (the native path's packed `D·Lᵀ` panel); ids stay
-    // stable because fault plans name sites by number.
-    /// Lazy-assembly entry plan (per-panel scatter lists).
-    pub const ASSEMBLY: usize = 6;
+    // 5 and 6 are retired (the native path's packed `D·Lᵀ` panel, the
+    // lazy-assembly entry plan); ids stay stable because fault plans name
+    // sites by number.
     /// Fault-in of a spilled panel during solve or update.
     pub const SPILL_READBACK: usize = 7;
     /// Long-lived service caches (analysis / factor handles held across

@@ -964,7 +964,13 @@ impl Supervisor {
         }
     }
 
+    /// Stamp "progress happened now" for the stall watchdog — its only
+    /// reader ([`Supervisor::idle_check`]), so a run without one skips
+    /// the clock read and the store to the shared line (three per task).
     fn note_progress(&self) {
+        if self.config.watchdog.is_none() {
+            return;
+        }
         // Saturating u128 → u64: `as u64` would silently truncate (the
         // elapsed nanos fit for ~584 years, but the convention here is
         // that no timestamp narrows with `as`; see `trace::units`).
@@ -1565,5 +1571,26 @@ mod tests {
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn progress_is_stamped_only_for_a_watchdog() {
+        let stamp_after_a_task = |watchdog| {
+            let sup = Supervisor::new(2, RunConfig { watchdog, ..RunConfig::default() });
+            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(sup.run_task(0, || {}), TaskOutcome::Completed);
+            sup.task_done(0);
+            (sup.last_progress.load(Ordering::Acquire), sup)
+        };
+        let (stamp, _) = stamp_after_a_task(None);
+        assert_eq!(stamp, 0, "no watchdog reads the stamp, so nothing writes it");
+        // With a watchdog the stamp moves, and a run that then goes quiet
+        // with work left still trips `Stalled`.
+        let (stamp, sup) = stamp_after_a_task(Some(Duration::from_millis(20)));
+        assert!(stamp >= 2_000_000, "stamp {stamp} ns predates the task");
+        assert!(!sup.idle_check(), "progress was just made");
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(sup.idle_check());
+        assert!(matches!(sup.finish(), Err(EngineError::Stalled { remaining: 1, .. })));
     }
 }

@@ -189,7 +189,7 @@ mod tests {
         let health = roundtrip(&addr, "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
         assert!(health.contains("\"status\":\"ok\""), "{health}");
-        let body = "inline=2:0,0,4;1,1,4;1,0,1 refine=2";
+        let body = "inline=2:0,0,4;1,1,4;1,0,1;0,1,1 refine=2";
         let req = format!(
             "POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
             body.len(),

@@ -16,7 +16,7 @@
 //! use dagfact_serve::{JobSpec, ServeConfig, Service};
 //!
 //! let service = Service::start(ServeConfig::default());
-//! let spec = JobSpec::parse("inline=2:0,0,4;1,1,4;1,0,1 refine=3").unwrap();
+//! let spec = JobSpec::parse("inline=2:0,0,4;1,1,4;1,0,1;0,1,1 refine=3").unwrap();
 //! let resp = service.solve_blocking(spec).unwrap();
 //! assert_eq!(resp.x.len(), 2);
 //! ```

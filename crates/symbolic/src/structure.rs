@@ -189,11 +189,15 @@ impl SymbolMatrix {
 
     /// Blocks of panel `c` (first entry is the diagonal block).
     pub fn panel_blocks(&self, c: usize) -> &[Block] {
+        // BOUNDS: `c` names a column block (caller contract); its block
+        // range lies inside `blocks` (`validate`).
         &self.blocks[self.cblks[c].block_begin..self.cblks[c].block_end]
     }
 
     /// Off-diagonal blocks of panel `c`.
     pub fn off_blocks(&self, c: usize) -> &[Block] {
+        // BOUNDS: as `panel_blocks`; every panel starts with its diagonal
+        // block, so `block_begin + 1 <= block_end`.
         &self.blocks[self.cblks[c].block_begin + 1..self.cblks[c].block_end]
     }
 
@@ -211,16 +215,17 @@ impl SymbolMatrix {
             .sum()
     }
 
-    /// Locate the storage row of global row `row` inside panel `c`
-    /// (panics if the row is not part of the panel's structure — symbolic
-    /// closure guarantees it for legal updates).
-    pub fn row_offset_in_panel(&self, c: usize, row: usize) -> usize {
-        for b in self.panel_blocks(c) {
-            if row >= b.frow && row < b.lrow {
-                return b.local_offset + (row - b.frow);
-            }
-        }
-        panic!("row {row} absent from panel {c} structure");
+    /// Storage row of global row `row` inside panel `c`, or `None` when the
+    /// row is not part of the panel's structure (symbolic closure rules
+    /// that out for legal updates; a matrix entry outside the analyzed
+    /// pattern is how it happens). The panel's blocks are sorted by `frow`
+    /// and disjoint, so the only one that can hold `row` is the last that
+    /// starts at or before it.
+    pub fn row_offset_in_panel(&self, c: usize, row: usize) -> Option<usize> {
+        let blocks = self.panel_blocks(c);
+        // BOUNDS: `partition_point` returns at most `blocks.len()`.
+        let b = blocks[..blocks.partition_point(|b| b.frow <= row)].last()?;
+        (row < b.lrow).then(|| b.local_offset + (row - b.frow))
     }
 
     /// Total update tasks (couples of panels): one per off-diagonal block.
@@ -344,28 +349,32 @@ mod tests {
     }
 
     #[test]
-    fn row_offset_lookup_is_consistent() {
-        let a = grid_laplacian_2d(9, 9);
-        let sym = symbol_for(a.pattern(), 12);
-        for ci in 0..sym.ncblk() {
-            for b in sym.panel_blocks(ci) {
-                for row in b.frow..b.lrow {
-                    let off = sym.row_offset_in_panel(ci, row);
-                    assert_eq!(off, b.local_offset + (row - b.frow));
+    fn row_lookup_agrees_with_a_linear_scan() {
+        let (a2, a3) = (grid_laplacian_2d(9, 9), grid_laplacian_3d(6, 6, 6));
+        for sym in [symbol_for(a2.pattern(), 12), symbol_for(a3.pattern(), 24)] {
+            let mut present = 0;
+            for ci in 0..sym.ncblk() {
+                for row in 0..sym.n {
+                    let scan = (sym.panel_blocks(ci).iter())
+                        .find(|b| b.frow <= row && row < b.lrow)
+                        .map(|b| b.local_offset + (row - b.frow));
+                    assert_eq!(sym.row_offset_in_panel(ci, row), scan, "panel {ci}, row {row}");
+                    present += usize::from(scan.is_some());
                 }
             }
+            let rows: usize = sym.cblks.iter().map(|cb| cb.stride).sum();
+            assert_eq!(present, rows, "every storage row of every panel is found");
         }
     }
 
     #[test]
-    #[should_panic(expected = "absent from panel")]
-    fn row_offset_panics_outside_structure() {
+    fn row_offset_is_none_outside_the_structure() {
         // Two disconnected 2-vertex components: no panel of the first
         // component can contain a row of the second.
         let entries = vec![(0usize, 0usize), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3)];
         let p = SparsityPattern::from_entries(4, 4, entries);
         let sym = symbol_for(&p, 64);
-        let _ = sym.row_offset_in_panel(0, 3);
+        assert_eq!(sym.row_offset_in_panel(0, 3), None);
     }
 
     #[test]
