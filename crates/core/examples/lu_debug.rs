@@ -24,6 +24,7 @@ fn main() {
         // SAFETY: single-threaded example; factorization finished — no
         // concurrent writer exists.
         let lp = unsafe { lpin.slice() };
+        // SAFETY: as for L.
         let up = unsafe { upin.slice() };
         for (local_j, j) in (cb.fcol..cb.lcol).enumerate() {
             for b in symbol.panel_blocks(c) {

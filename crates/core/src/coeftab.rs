@@ -364,6 +364,7 @@ impl<T: Scalar> CoefTab<T> {
         // BOUNDS: `key` is `c` or `ncblk + c` (LU) for a column block `c`
         // of the analysis the slot table was laid out for.
         let slot = &self.slots[key];
+        // LOCK: this panel's own slot, contended only by its concurrent readers.
         let mut st = slot.lock();
         // ORDERING: the stamp is an LRU recency hint read under the slot
         // lock; a stale value only skews eviction order, never safety.
@@ -373,6 +374,7 @@ impl<T: Scalar> CoefTab<T> {
         match &mut *st {
             SlotState::Resident(_) => {}
             SlotState::Untouched(storage) => {
+                // PANIC: only the factorization touches a panel first, with `src`.
                 let Some(src) = src else {
                     unreachable!("panel slot {key} pinned without a source before its first touch")
                 };
@@ -394,6 +396,7 @@ impl<T: Scalar> CoefTab<T> {
             }
             SlotState::Spilled => {
                 self.charge_grow(len * esize, site::SPILL_READBACK)?;
+                // LOCK: ALLOC: capped ledger only (`read` is the spill file).
                 let spill = self
                     .spill
                     .as_ref()
@@ -420,7 +423,7 @@ impl<T: Scalar> CoefTab<T> {
         slot.pins.fetch_add(1, Ordering::AcqRel);
         let ptr = match &mut *st {
             SlotState::Resident(data) => data.as_mut_ptr(),
-            // Unreachable: both other arms above transition to Resident.
+            // PANIC: unreachable — both other arms above transition to Resident.
             _ => unreachable!("panel not resident after pin transition"),
         };
         Ok(PanelPin { slot, ptr, len })
@@ -429,7 +432,8 @@ impl<T: Scalar> CoefTab<T> {
     /// [`CoefTab::pin_l`] for the solve phase, which has no error
     /// channel: injected allocation faults are transient by construction
     /// (each delivery consumes the plan's per-site failure budget), so
-    /// the pin is simply retried; a genuine spill-store failure panics.
+    /// the pin is simply retried; PANIC: a genuine spill-store failure
+    /// (capped ledger only) panics.
     pub fn pin_l_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
         loop {
             match self.pin_l(symbol, c, None) {
@@ -440,7 +444,7 @@ impl<T: Scalar> CoefTab<T> {
         }
     }
 
-    /// [`CoefTab::pin_u`], solve-phase variant (see
+    /// [`CoefTab::pin_u`], solve-phase variant (PANIC: see
     /// [`CoefTab::pin_l_solve`]).
     pub fn pin_u_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
         loop {
@@ -529,7 +533,7 @@ impl<T: Scalar> CoefTab<T> {
                     key,
                 )
             })
-            .collect();
+            .collect(); // ALLOC: capped ledger only, one list per eviction.
         cands.sort_unstable();
         cands.into_iter().any(|(_, _, key)| self.try_evict(key))
     }
@@ -554,6 +558,7 @@ impl<T: Scalar> CoefTab<T> {
         let SlotState::Resident(data) = &*st else {
             return false;
         };
+        // LOCK: capped ledger only (`write` is the spill file).
         match spill.write(key, data) {
             Ok(written) => {
                 let freed = data.len() * std::mem::size_of::<T>();

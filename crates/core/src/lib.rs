@@ -25,6 +25,9 @@
 //! let x = factors.solve(&b);
 //! ```
 
+// Structured `SolverError`s, not unwraps, in library code (tests: clippy.toml).
+#![deny(clippy::unwrap_used)]
+
 pub mod analysis;
 pub mod coeftab;
 pub mod dist;

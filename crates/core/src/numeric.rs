@@ -246,9 +246,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // L side, its U side and its range of the diagonal.
         let l = unsafe { lpin.slice_mut() };
         let u: &mut [T] = match &upin {
+            // SAFETY: as for L, on the U side.
             Some(up) => unsafe { up.slice_mut() },
             None => &mut [],
         };
+        // SAFETY: as for L, on panel c's range of the diagonal.
         let d = unsafe { self.d.range_mut(cb.fcol..cb.lcol) };
         let mut ws = self.workspaces[worker].lock();
         let result: Result<(), SolverError> = (|| {
@@ -403,6 +405,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // chain into panel j orders its writers; the two panels are
         // distinct allocations held by their pins.
         let lsrc = unsafe { lsrc_pin.slice() };
+        // SAFETY: as above, the chain into panel j orders its writers.
         let ldst = unsafe { ldst_pin.slice_mut() };
         let (usrc, udst) = match &upins {
             // SAFETY: same discipline as the L side.
@@ -454,6 +457,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // SAFETY: panel c is factored and read-only here; the destination
         // buffers are exclusively owned by the caller.
         let lsrc = unsafe { lsrc_pin.slice() };
+        // SAFETY: as for L, on the U side.
         let usrc = usrc_pin.as_ref().map(|p| unsafe { p.slice() });
         self.update_kernel(c, bi, &mut ws, lsrc, usrc, ldst, udst);
         !self.failed()

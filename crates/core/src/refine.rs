@@ -48,6 +48,7 @@ impl<T: Scalar> Factors<'_, T> {
             Some(rec) => rec.phase("solve", || self.solve(b)),
             None => self.solve(b),
         };
+        // ALLOC: TRACE: once per solve — the refinement's buffers and its span.
         let mut residuals = Vec::with_capacity(max_iter + 1);
         let mut r = vec![T::zero(); n];
         let mut iterations = 0;
@@ -77,7 +78,7 @@ impl<T: Scalar> Factors<'_, T> {
                     0
                 };
             }
-            residuals.push(berr);
+            residuals.push(berr); // ALLOC: never grows past the capacity above.
             if berr < best_berr {
                 best_berr = berr;
                 best_x.copy_from_slice(&x);
@@ -96,7 +97,7 @@ impl<T: Scalar> Factors<'_, T> {
             iterations += 1;
         }
         if let (Some(rec), Some(from)) = (tracer, refine_from) {
-            rec.phase_from("refine", from);
+            rec.phase_from("refine", from); // TRACE: once per solve.
         }
         if stalled && best_berr < f64::INFINITY {
             x = best_x;

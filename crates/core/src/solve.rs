@@ -76,7 +76,7 @@ impl<T: Scalar> Factors<'_, T> {
     }
 
     /// The solve: permute in, forward sweep, LDLᵀ diagonal, backward
-    /// sweep, permute out.
+    /// sweep, permute out. PANIC: `b` holds `nrhs ≥ 1` columns of length n.
     fn solve_on(&self, b: &[T], nrhs: usize, nthreads: usize) -> Vec<T> {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
@@ -247,7 +247,7 @@ impl<T: Scalar> Sweep<'_, '_, T> {
                 self.sweep_panel(if self.forward { k } else { ncblk - 1 - k }, 0);
             }
         } else if let Err(e) = exec::run(self, RuntimeKind::Ptg, nthreads, RunConfig::default()) {
-            // The factors are read-only and already validated: a sweep
+            // PANIC: the factors are read-only and already validated: a sweep
             // has no recoverable failure mode, an executor error is a bug.
             panic!("solve sweep failed: {e}");
         }

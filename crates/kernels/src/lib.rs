@@ -38,7 +38,7 @@ pub use scalar::{Scalar, C64};
 pub use simd::{force_isa, isa, Isa};
 pub use trsm::{trsm, Diag, Side, Uplo};
 
-/// The crate's one shape contract: a column-major `rows×cols` operand with
+/// PANIC: the crate's one shape contract: a column-major `rows×cols` operand with
 /// leading dimension `ld` fits in `len` elements. Every kernel checks each
 /// operand here once per call, before its first write, so a release build
 /// fails naming the operand instead of slice-panicking with the output

@@ -377,6 +377,8 @@ pub(crate) unsafe fn gemm_at<E: Tiled>(
 }
 
 /// Sums of the even and of the odd lanes of `v`.
+/// # Safety
+/// AVX2 is available (every caller is an AVX2 tile).
 #[target_feature(enable = "avx2")]
 #[inline]
 fn halves(v: __m256d) -> (f64, f64) {
@@ -586,6 +588,8 @@ impl Tiled for C64 {
 
 /// `i·v` on a `ymm` of two interleaved complex numbers: `(−im, re)` per
 /// element (an in-lane swap and a sign flip of the even lanes).
+/// # Safety
+/// AVX2 is available (every caller is an AVX2 tile).
 #[target_feature(enable = "avx2")]
 #[inline]
 fn times_i(v: __m256d) -> __m256d {

@@ -50,32 +50,6 @@ pub fn naive_gemm<T: Scalar>(
     }
 }
 
-/// Reference dense matrix-vector product `y ← A x` for an `m×n` column-major
-/// `A`.
-pub fn naive_gemv<T: Scalar>(m: usize, n: usize, a: &[T], lda: usize, x: &[T], y: &mut [T]) {
-    for yi in y.iter_mut() {
-        *yi = T::zero();
-    }
-    for (j, &xj) in x.iter().enumerate().take(n) {
-        for i in 0..m {
-            y[i] += a[j * lda + i] * xj;
-        }
-    }
-}
-
-/// Reference lower-triangular solve `L x = b` (non-unit diagonal),
-/// overwriting `b` with the solution. `L` is `n×n` column-major.
-pub fn naive_lower_solve<T: Scalar>(n: usize, l: &[T], ldl: usize, b: &mut [T]) {
-    for j in 0..n {
-        let xj = b[j] / l[j * ldl + j];
-        b[j] = xj;
-        for i in (j + 1)..n {
-            let lij = l[j * ldl + i];
-            b[i] -= lij * xj;
-        }
-    }
-}
-
 /// Dense symmetric reconstruction `L·Lᵀ` (lower `L`, non-unit diagonal) into
 /// a full `n×n` matrix; used to validate `potrf`.
 pub fn reconstruct_llt<T: Scalar>(n: usize, l: &[T], ldl: usize) -> Vec<T> {

@@ -70,7 +70,7 @@ pub fn update_via_buffer<T: Scalar>(
     if m == 0 || n == 0 {
         return;
     }
-    // HOT: shape guards, once per call. `row_map` feeds the scatter and
+    // PANIC: shape guards, once per call. `row_map` feeds the scatter and
     // a short `d` would leave stale pooled-workspace contents in the tail
     // of the D·Lᵀ staging block (the staging loop below walks `d`, not
     // `0..k`) — both must fail loudly before any write.

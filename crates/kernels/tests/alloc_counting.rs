@@ -2,7 +2,7 @@
 //! allocation-free once its caller-pooled workspace reaches the panel
 //! high-water mark, and that the panel kernels (`potrf`/`ldlt`/`getrf`,
 //! both `trsm` sides) never touch the heap at all — the dynamic twin of
-//! the `lint-hot` static rule (DESIGN.md §13).
+//! the `lint` hot-path rule (DESIGN.md §13).
 
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};

@@ -13,8 +13,7 @@
 //!   findings. `AcqRel`/`SeqCst` RMWs count on both sides.
 //! * **Relaxed justification** — a site whose *strongest* ordering is
 //!   `Relaxed` must carry an `// ORDERING:` note within the window
-//!   (same contract as the line-based `lint-safety` rule, but scoped to
-//!   the op and identity instead of the source line).
+//!   (scoped to the op and its identity, not to a source line).
 //! * **compare_exchange failure orderings** — the failure ordering must
 //!   not be stronger than the success ordering's load component
 //!   (`compare_exchange(_, _, Release, Acquire)` smuggles an acquire in
@@ -31,7 +30,8 @@ use crate::callgraph::CallGraph;
 use crate::lex::Tok;
 use crate::parse::Function;
 use crate::syncgraph::{
-    lock_identity, param_types, receiver_chain, sync_marked, FnCtx, SyncFinding, SyncRule,
+    lock_identity, module_exempt, param_types, receiver_chain, sync_marked, FnCtx, SyncFinding,
+    SyncRule,
 };
 use std::collections::BTreeMap;
 
@@ -202,13 +202,6 @@ fn resolvable(id: &str) -> bool {
     first_upper && id.chars().all(|c| c.is_uppercase() || c == '_' || c.is_ascii_digit())
 }
 
-/// Modules exempt from the pass (mirrors the lock analyzer).
-fn module_exempt(module: &str) -> bool {
-    module == "dagfact_rt::sync"
-        || module.starts_with("dagfact_rt::sync::")
-        || module.contains("::model")
-}
-
 /// Extract every atomic site from one function body.
 fn scan_atomics(f: &Function, ctx: &FnCtx) -> Vec<AtomSite> {
     let mut out = Vec::new();
@@ -281,16 +274,14 @@ pub struct AtomReport {
     pub findings: Vec<SyncFinding>,
 }
 
-/// Run the atomics-protocol pass over the whole graph.
-pub fn analyze_atomics(graph: &CallGraph, ctx: &dyn Fn(usize) -> FnCtx) -> AtomReport {
+/// Run the atomics-protocol pass over the whole graph; `ctxs[i]` is the
+/// context of `graph.functions[i]`.
+pub fn analyze_atomics(graph: &CallGraph, ctxs: &[FnCtx]) -> AtomReport {
     let mut sites: Vec<AtomSite> = Vec::new();
-    let mut ctxs: Vec<FnCtx> = Vec::with_capacity(graph.functions.len());
-    for (i, f) in graph.functions.iter().enumerate() {
-        let c = ctx(i);
+    for (f, c) in graph.functions.iter().zip(ctxs) {
         if !module_exempt(&f.module) {
-            sites.extend(scan_atomics(f, &c));
+            sites.extend(scan_atomics(f, c));
         }
-        ctxs.push(c);
     }
     let comments_of: BTreeMap<&str, &FnCtx> = graph
         .functions
@@ -406,25 +397,16 @@ pub fn analyze_atomics(graph: &CallGraph, ctx: &dyn Fn(usize) -> FnCtx) -> AtomR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use std::rc::Rc;
+    use crate::Workspace;
 
     fn run(files: &[(&str, &str)]) -> AtomReport {
-        let parsed: Vec<_> = files.iter().map(|(m, s)| parse_file(s, m)).collect();
-        let mut meta: Vec<FnCtx> = Vec::new();
-        for (i, p) in parsed.iter().enumerate() {
-            let toks = Rc::new(p.tokens.clone());
-            let comments = Rc::new(p.comments.clone());
-            for _ in &p.functions {
-                meta.push(FnCtx {
-                    file: format!("fixture{i}.rs"),
-                    tokens: toks.clone(),
-                    comments: comments.clone(),
-                });
-            }
-        }
-        let g = CallGraph::build(parsed);
-        analyze_atomics(&g, &|i| meta[i].clone())
+        let ws = Workspace::parse(
+            files
+                .iter()
+                .enumerate()
+                .map(|(i, (m, s))| (format!("fixture{i}.rs"), *m, *s)),
+        );
+        analyze_atomics(&ws.graph, &ws.ctxs)
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! |---------|--------------------------------------------------------|----------------------|
 //! | alloc   | `Vec::new`, `.push(…)`, `.collect()`, `vec!`, `clone`… | `// ALLOC:` / `// HOT:` |
 //! | lock    | `.lock()`, `.read()`, `.write()`, `.wait(…)`           | `// LOCK:` / `// HOT:` |
-//! | panic   | `.unwrap()`, `.expect(…)`, `panic!`, `assert!`         | none — fix or baseline |
+//! | panic   | `.unwrap()`, `.expect(…)`, `panic!`, `assert!`         | `// PANIC:` (macros only) |
 //! | index   | `a[i]` slice/array indexing                            | `// BOUNDS:`         |
 //! | io      | `println!`, `File::open`, `thread::sleep`, …           | `// IO:` / `// HOT:` |
 //! | trace   | recorder-only tracing methods (`merge_lane`, `now_ns`…)| `// TRACE:` / `// HOT:` |
 //!
 //! A marker must appear on the event's line or within the preceding
-//! [`crate::WINDOW`] lines (same convention as the SAFETY lint). The
-//! `panic` rule accepts no marker at all: an implicit panic site on the
-//! hot path is either fixed or carried in the baseline as debt.
-//! `debug_assert!` family is exempt — it compiles out of release builds.
+//! [`crate::WINDOW`] lines. An explicit `assert!`/`panic!`/`unreachable!`
+//! is safety code: `// PANIC:` names the precondition or invariant it
+//! checks. `.unwrap()`/`.expect()` accept no marker — an implicit panic
+//! on the hot path is fixed, never justified. The `debug_assert!` family
+//! is exempt — it compiles out of release builds.
 //!
 //! Known approximations (documented, deliberate):
 //! * Macro bodies are not descended into — a `vec!` *inside* another
@@ -30,8 +31,8 @@
 use crate::callgraph::CallGraph;
 use crate::lex::Comment;
 use crate::parse::Event;
+use crate::syncgraph::FnCtx;
 use crate::WINDOW;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Which purity rule a finding violates.
@@ -52,7 +53,7 @@ pub enum HotRule {
 }
 
 impl HotRule {
-    /// Stable lowercase key used in JSON and baseline files.
+    /// Stable lowercase key used in the JSON report.
     pub fn key(self) -> &'static str {
         match self {
             HotRule::Alloc => "alloc",
@@ -64,25 +65,12 @@ impl HotRule {
         }
     }
 
-    /// Parse a baseline key back into a rule.
-    pub fn from_key(s: &str) -> Option<HotRule> {
-        Some(match s {
-            "alloc" => HotRule::Alloc,
-            "lock" => HotRule::Lock,
-            "panic" => HotRule::Panic,
-            "index" => HotRule::Index,
-            "io" => HotRule::Io,
-            "trace" => HotRule::Trace,
-            _ => return None,
-        })
-    }
-
     /// The marker comment that justifies this rule, if any.
     fn markers(self) -> &'static [&'static str] {
         match self {
             HotRule::Alloc => &["ALLOC:", "HOT:"],
             HotRule::Lock => &["LOCK:", "HOT:"],
-            HotRule::Panic => &[],
+            HotRule::Panic => &["PANIC:"],
             HotRule::Index => &["BOUNDS:"],
             HotRule::Io => &["IO:", "HOT:"],
             HotRule::Trace => &["TRACE:", "HOT:"],
@@ -114,9 +102,7 @@ pub struct HotFinding {
 }
 
 impl HotFinding {
-    /// Stable baseline key. Line numbers are deliberately excluded so
-    /// unrelated edits above a grandfathered finding don't churn the
-    /// baseline.
+    /// Line-free key (the report's `key`), stable across unrelated edits.
     pub fn key(&self) -> String {
         format!("{}|{}|{}", self.rule.key(), self.function, self.detail)
     }
@@ -253,22 +239,14 @@ pub(crate) fn judge(ev: &Event) -> Option<(HotRule, String)> {
     }
 }
 
-/// Run the purity rules over every function reachable from `roots`.
-/// `comments_for` maps a function index to its file's comment list and
-/// relative path (for marker checks and reporting).
-pub fn check_hot_paths(
-    graph: &CallGraph,
-    roots: &[usize],
-    file_of: &dyn Fn(usize) -> (String, Vec<Comment>),
-) -> Vec<HotFinding> {
+/// Run the purity rules over every function reachable from `roots`;
+/// `ctxs[i]` is the context of `graph.functions[i]`.
+pub fn check_hot_paths(graph: &CallGraph, roots: &[usize], ctxs: &[FnCtx]) -> Vec<HotFinding> {
     let parent = graph.reach(roots);
     let mut reached: Vec<usize> = parent.keys().copied().collect();
     reached.sort_unstable();
 
     let mut findings = Vec::new();
-    // Cache per-function file lookups (cheap but avoids repeated clones).
-    let mut cache: HashMap<usize, (String, Vec<Comment>)> = HashMap::new();
-
     for &i in &reached {
         let f = &graph.functions[i];
         for ev in &f.events {
@@ -278,13 +256,13 @@ pub fn check_hot_paths(
             if module_exempt(rule, &f.module) {
                 continue;
             }
-            let (file, comments) = cache.entry(i).or_insert_with(|| file_of(i));
-            if justified(rule, comments, ev.line()) {
+            let implicit_panic = rule == HotRule::Panic && matches!(ev, Event::Method { .. });
+            if !implicit_panic && justified(rule, &ctxs[i].comments, ev.line()) {
                 continue;
             }
             findings.push(HotFinding {
                 rule,
-                file: file.clone(),
+                file: ctxs[i].file.clone(),
                 line: ev.line(),
                 function: f.qname.clone(),
                 detail,
@@ -301,15 +279,11 @@ pub fn check_hot_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::parse::parse_file;
+    use crate::Workspace;
 
     fn run(src: &str, root: &str) -> Vec<HotFinding> {
-        let parsed = parse_file(src, "c::m");
-        let comments = parsed.comments.clone();
-        let g = CallGraph::build(vec![parsed]);
-        let roots = g.by_qname[root].clone();
-        check_hot_paths(&g, &roots, &|_| ("mem.rs".to_string(), comments.clone()))
+        let ws = Workspace::parse([("mem.rs".to_string(), "c::m", src)]);
+        check_hot_paths(&ws.graph, &ws.graph.by_qname[root], &ws.ctxs)
     }
 
     fn rules(f: &[HotFinding]) -> Vec<HotRule> {
@@ -361,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_rule_accepts_no_marker() {
+    fn implicit_panic_accepts_no_marker() {
         let f = run(
             "fn hot() {\n  // HOT: justified? no.\n  x.unwrap();\n}",
             "c::m::hot",
@@ -406,7 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_key_is_line_stable() {
+    fn key_is_line_stable() {
         let a = run("fn hot() { x.unwrap(); }", "c::m::hot");
         let b = run("// pushed down\n\nfn hot() { x.unwrap(); }", "c::m::hot");
         assert_eq!(a[0].key(), b[0].key());

@@ -1,301 +1,154 @@
-//! Source-level concurrency lints for the dagfact workspace.
+//! Source analyzers for the dagfact workspace, run as one `lint` binary
+//! (`make lint`): the sources are parsed once into a module-resolved
+//! call graph ([`Workspace`]), then three passes judge it —
 //!
-//! Three rules, all line-based heuristics tuned to this repo's layout
-//! (the test module, when present, is the last item of a file):
+//! * hot-path purity ([`hotpath`], DESIGN.md §13) over everything
+//!   reachable from the roots in `lint-hotpaths.toml`;
+//! * lock discipline ([`syncgraph`]) and the atomics protocol
+//!   ([`atomics`], DESIGN.md §16) over every function;
+//! * the sync shim: rt library code does not `use std::sync` — it goes
+//!   through `crate::sync`, so the `--cfg loom` model backend sees every
+//!   operation. The shim itself and the model checker are exempt.
 //!
-//! 1. **SAFETY contract** — every line with an `unsafe` token (block,
-//!    `unsafe impl`, `unsafe fn`) must have a `// SAFETY:` comment (or a
-//!    `# Safety` doc section, for declarations) on the same line or
-//!    within the preceding [`WINDOW`] lines. The comment is the proof
-//!    obligation: it names the invariant and the verifier upholding it.
-//! 2. **Relaxed justification** — every `Ordering::Relaxed` in non-test
-//!    code must carry a `// ORDERING:` comment in the same window
-//!    explaining why no happens-before edge is needed.
-//! 3. **Sync-shim bypass** — non-test runtime code must not
-//!    `use std::sync` directly: everything goes through `crate::sync`
-//!    so the `--cfg loom` model backend sees every operation. The shim
-//!    itself and the model checker are exempt.
-//!
-//! The rules run as the `lint-safety` binary (wired into `make
-//! lint-strict` / `make check`) and are unit-tested here.
+//! Any finding fails the gate; there is no ledger of accepted ones. The
+//! line-level rules (SAFETY contracts, no `.unwrap()` in rt/core library
+//! code) are clippy configuration: `clippy.toml` and the crates' lints.
 
 pub mod atomics;
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod hotpath;
 pub mod lex;
 pub mod parse;
 pub mod syncgraph;
-pub mod unwrap;
 
-use std::fmt;
+use callgraph::CallGraph;
+use parse::{parse_file, ParsedFile};
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use syncgraph::{ident_at, module_exempt, punct_at, FnCtx, SyncFinding, SyncRule};
 
 /// How many preceding lines a justifying comment may sit above the
 /// construct it justifies (multi-line comments push the marker up).
 pub const WINDOW: usize = 12;
 
-/// Which rule produced a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
-    /// `unsafe` without an adjacent `// SAFETY:` / `# Safety` contract.
-    MissingSafety,
-    /// `Ordering::Relaxed` without an adjacent `// ORDERING:` note.
-    UnjustifiedRelaxed,
-    /// Direct `use std::sync` where `crate::sync` is required.
-    SyncShimBypass,
+/// A set of sources parsed once: the call graph every pass runs on.
+pub struct Workspace {
+    /// The module-resolved call graph over every parsed function.
+    pub graph: CallGraph,
+    /// `ctxs[i]` is the file context of `graph.functions[i]`.
+    pub ctxs: Vec<FnCtx>,
+    /// Sync-shim bypasses found while parsing.
+    pub shim: Vec<SyncFinding>,
+    /// Number of files parsed.
+    pub nfiles: usize,
 }
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Rule::MissingSafety => write!(f, "unsafe without a SAFETY contract"),
-            Rule::UnjustifiedRelaxed => {
-                write!(f, "Ordering::Relaxed without an ORDERING justification")
-            }
-            Rule::SyncShimBypass => {
-                write!(f, "direct `use std::sync` bypasses the crate::sync shim")
-            }
+impl Workspace {
+    /// Parse `(path, module, source)` files and build the call graph.
+    pub fn parse<'a>(files: impl IntoIterator<Item = (String, &'a str, &'a str)>) -> Workspace {
+        let (mut parsed, mut ctxs, mut shim) = (Vec::new(), Vec::new(), Vec::new());
+        for (file, module, src) in files {
+            let mut pf = parse_file(src, module);
+            shim.extend(shim_bypasses(&pf, &file, module));
+            let tokens = Rc::new(std::mem::take(&mut pf.tokens));
+            let comments = Rc::new(std::mem::take(&mut pf.comments));
+            ctxs.extend(pf.functions.iter().map(|_| FnCtx {
+                file: file.clone(),
+                tokens: tokens.clone(),
+                comments: comments.clone(),
+            }));
+            parsed.push(pf);
+        }
+        let nfiles = parsed.len();
+        Workspace {
+            graph: CallGraph::build(parsed),
+            ctxs,
+            shim,
+            nfiles,
+        }
+    }
+
+    /// Every library source of the workspace in the current directory
+    /// (`crates/*/src/**/*.rs`).
+    pub fn load() -> Workspace {
+        let mut paths = Vec::new();
+        for krate in std::fs::read_dir("crates").into_iter().flatten().flatten() {
+            collect_rs(&krate.path().join("src"), &mut paths);
+        }
+        paths.sort();
+        let files: Vec<(String, String, String)> = paths
+            .iter()
+            .filter_map(|p| {
+                let src = std::fs::read_to_string(p).ok()?;
+                Some((p.to_string_lossy().into_owned(), module_path(p)?, src))
+            })
+            .collect();
+        Workspace::parse(
+            files
+                .iter()
+                .map(|(f, m, s)| (f.clone(), m.as_str(), s.as_str())),
+        )
+    }
+}
+
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            collect_rs(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
         }
     }
 }
 
-/// One rule violation at one line.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    /// 1-based line number.
-    pub line: usize,
-    /// The violated rule.
-    pub rule: Rule,
-    /// The offending line, trimmed.
-    pub excerpt: String,
-}
-
-/// Per-file rule selection.
-#[derive(Debug, Clone, Copy)]
-pub struct Options {
-    /// Enforce the ORDERING rule (non-test library code only).
-    pub check_ordering: bool,
-    /// Enforce the shim rule (rt library code only).
-    pub check_shim: bool,
-}
-
-impl Options {
-    /// All rules (rt library sources).
-    pub fn rt_lib() -> Options {
-        Options {
-            check_ordering: true,
-            check_shim: true,
-        }
-    }
-
-    /// SAFETY + ORDERING (non-rt library sources).
-    pub fn lib() -> Options {
-        Options {
-            check_ordering: true,
-            check_shim: false,
-        }
-    }
-
-    /// SAFETY only (tests, examples, benches).
-    pub fn tests() -> Options {
-        Options {
-            check_ordering: false,
-            check_shim: false,
-        }
-    }
-}
-
-/// The code part of a line: everything before a `//` comment, with
-/// doc/comment-only lines reduced to the empty string.
-fn code_part(line: &str) -> &str {
-    match line.find("//") {
-        Some(idx) => &line[..idx],
-        None => line,
-    }
-}
-
-/// Does `code` contain `unsafe` as a standalone token (not as part of an
-/// identifier like `unsafe_op_in_unsafe_fn`)?
-fn has_unsafe_token(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find("unsafe") {
-        let start = from + pos;
-        let end = start + "unsafe".len();
-        let before_ok = start == 0 || {
-            let c = bytes[start - 1] as char;
-            !c.is_alphanumeric() && c != '_'
+/// Module path of a library source: `crates/rt/src/foo/bar.rs` →
+/// `dagfact_rt::foo::bar`; `lib.rs` / `main.rs` / `mod.rs` name the
+/// enclosing module.
+fn module_path(rel: &Path) -> Option<String> {
+    let comps: Vec<&str> = rel.iter().filter_map(|c| c.to_str()).collect();
+    let ["crates", krate, "src", rest @ ..] = comps.as_slice() else {
+        return None;
+    };
+    let mut segs = vec![format!("dagfact_{}", krate.replace('-', "_"))];
+    for (i, seg) in rest.iter().enumerate() {
+        let last = i + 1 == rest.len();
+        let seg = if last {
+            seg.trim_end_matches(".rs")
+        } else {
+            seg
         };
-        let after_ok = end == code.len() || {
-            let c = bytes[end] as char;
-            !c.is_alphanumeric() && c != '_'
-        };
-        if before_ok && after_ok {
-            return true;
+        if !(last && matches!(seg, "lib" | "main" | "mod")) {
+            segs.push(seg.to_string());
         }
-        from = end;
     }
-    false
+    Some(segs.join("::"))
 }
 
-/// Is any line in `lines[lo..=hi]` a justifying marker for `needle`?
-fn window_has(lines: &[&str], hi: usize, needle: &str) -> bool {
-    let lo = hi.saturating_sub(WINDOW);
-    lines[lo..=hi].iter().any(|l| l.contains(needle))
-}
-
-/// First line (0-based) of the trailing test module, if any — the first
-/// `#[cfg(test)]` / `#[cfg(all(test, …))]` attribute. Valid for this
-/// repo's layout, where the test module is the last item of a file.
-fn test_boundary(lines: &[&str]) -> usize {
-    lines
-        .iter()
-        .position(|l| {
-            let t = l.trim_start();
-            t.starts_with("#[cfg(test)]") || t.starts_with("#[cfg(all(test")
+/// `use std::sync` outside test items of an rt module other than the
+/// shim (`dagfact_rt::sync`) and the model checker (`::model`).
+fn shim_bypasses(pf: &ParsedFile, file: &str, module: &str) -> Vec<SyncFinding> {
+    if !(module == "dagfact_rt" || module.starts_with("dagfact_rt::")) || module_exempt(module) {
+        return Vec::new();
+    }
+    let t = &pf.tokens;
+    (0..t.len())
+        .filter(|&i| {
+            ident_at(t, i) == Some("use")
+                && ident_at(t, i + 1) == Some("std")
+                && punct_at(t, i + 2, ':')
+                && punct_at(t, i + 3, ':')
+                && ident_at(t, i + 4) == Some("sync")
+                && !pf.test_spans.iter().any(|&(a, b)| (a..b).contains(&i))
         })
-        .unwrap_or(lines.len())
-}
-
-/// Run the enabled rules over one file's source.
-pub fn check_source(src: &str, opts: Options) -> Vec<Finding> {
-    let lines: Vec<&str> = src.lines().collect();
-    let boundary = test_boundary(&lines);
-    let mut findings = Vec::new();
-
-    for (i, &line) in lines.iter().enumerate() {
-        let code = code_part(line);
-
-        // Rule 1: SAFETY contracts (everywhere, tests included — test
-        // unsafe is still unsafe).
-        if has_unsafe_token(code)
-            && !window_has(&lines, i, "SAFETY:")
-            && !window_has(&lines, i, "# Safety")
-        {
-            findings.push(Finding {
-                line: i + 1,
-                rule: Rule::MissingSafety,
-                excerpt: line.trim().to_string(),
-            });
-        }
-
-        if i >= boundary {
-            continue;
-        }
-
-        // Rule 2: Relaxed needs a written-down reason.
-        if opts.check_ordering
-            && code.contains("Ordering::Relaxed")
-            && !window_has(&lines, i, "ORDERING:")
-        {
-            findings.push(Finding {
-                line: i + 1,
-                rule: Rule::UnjustifiedRelaxed,
-                excerpt: line.trim().to_string(),
-            });
-        }
-
-        // Rule 3: the runtime synchronizes through the shim only.
-        if opts.check_shim && code.trim_start().starts_with("use std::sync") {
-            findings.push(Finding {
-                line: i + 1,
-                rule: Rule::SyncShimBypass,
-                excerpt: line.trim().to_string(),
-            });
-        }
-    }
-    findings
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn commented_unsafe_passes() {
-        let src = "// SAFETY: stripes are disjoint.\nlet s = unsafe { x.slice_mut() };\n";
-        assert!(check_source(src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn bare_unsafe_is_flagged() {
-        let src = "let s = unsafe { x.slice_mut() };\n";
-        let f = check_source(src, Options::rt_lib());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::MissingSafety);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn multi_line_safety_comment_within_window_passes() {
-        let mut src = String::from("// SAFETY: a long argument\n");
-        for _ in 0..(WINDOW - 2) {
-            src.push_str("// continued\n");
-        }
-        src.push_str("unsafe impl Sync for T {}\n");
-        assert!(check_source(&src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn safety_comment_outside_window_is_flagged() {
-        let mut src = String::from("// SAFETY: too far away\n");
-        for _ in 0..(WINDOW + 3) {
-            src.push_str("let x = 1;\n");
-        }
-        src.push_str("unsafe impl Sync for T {}\n");
-        let f = check_source(&src, Options::rt_lib());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::MissingSafety);
-    }
-
-    #[test]
-    fn safety_doc_section_covers_unsafe_fn_decl() {
-        let src = "/// # Safety\n/// Caller must own the range.\npub unsafe fn slice(&self) {}\n";
-        assert!(check_source(src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn unsafe_in_comment_or_identifier_is_not_flagged() {
-        let src = "#![deny(unsafe_op_in_unsafe_fn)]\n// this mentions unsafe aliasing\n";
-        assert!(check_source(src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn relaxed_without_note_is_flagged_in_lib_only() {
-        let src = "a.load(Ordering::Relaxed);\n#[cfg(test)]\nmod tests {\n  // b\n  fn t() { a.load(Ordering::Relaxed); }\n}\n";
-        let f = check_source(src, Options::rt_lib());
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, Rule::UnjustifiedRelaxed);
-        assert_eq!(f[0].line, 1);
-    }
-
-    #[test]
-    fn relaxed_with_note_passes() {
-        let src = "// ORDERING: stats counter.\na.load(Ordering::Relaxed);\n";
-        assert!(check_source(src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn std_sync_import_is_flagged_only_with_shim_rule() {
-        let src = "use std::sync::Arc;\n";
-        let f = check_source(src, Options::rt_lib());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::SyncShimBypass);
-        assert!(check_source(src, Options::lib()).is_empty());
-    }
-
-    #[test]
-    fn std_sync_import_in_tests_is_fine() {
-        let src = "#[cfg(test)]\nmod tests {\n  use std::sync::Arc;\n}\n";
-        assert!(check_source(src, Options::rt_lib()).is_empty());
-    }
-
-    #[test]
-    fn tests_options_still_enforce_safety() {
-        let src = "let s = unsafe { x.slice() };\n";
-        let f = check_source(src, Options::tests());
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::MissingSafety);
-    }
+        .map(|i| SyncFinding {
+            rule: SyncRule::ShimBypass,
+            file: file.to_string(),
+            line: t[i].line,
+            function: module.to_string(),
+            detail: "`use std::sync` bypasses the crate::sync shim".to_string(),
+            chain: vec![module.to_string()],
+        })
+        .collect()
 }

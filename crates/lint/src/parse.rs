@@ -95,6 +95,8 @@ pub struct ParsedFile {
     pub comments: Vec<Comment>,
     /// The file's full token stream ([`Function::body`] indexes into it).
     pub tokens: Vec<Token>,
+    /// Half-open token ranges of the skipped `#[cfg(test)]` items.
+    pub test_spans: Vec<(usize, usize)>,
 }
 
 /// Keywords that must not be mistaken for a call head in expressions.
@@ -242,10 +244,15 @@ impl Parser<'_> {
     /// Parse items until the end of the slice or an unmatched `}`.
     fn items(&mut self, module: &str, self_type: Option<&str>, out: &mut ParsedFile) {
         let mut cfg_test = false;
+        let mut test_from = 0;
         while self.pos < self.toks.len() {
+            let in_test = cfg_test;
             match self.peek(0) {
                 Some(Tok::Punct('#')) => {
-                    cfg_test |= self.attribute_is_cfg_test();
+                    let at = self.pos;
+                    if self.attribute_is_cfg_test() && !cfg_test {
+                        (cfg_test, test_from) = (true, at);
+                    }
                 }
                 Some(Tok::Punct('}')) => {
                     self.bump();
@@ -390,6 +397,9 @@ impl Parser<'_> {
                     }
                 }
                 _ => self.bump(),
+            }
+            if in_test && !cfg_test {
+                out.test_spans.push((test_from, self.pos));
             }
         }
     }

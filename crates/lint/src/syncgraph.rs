@@ -33,8 +33,8 @@
 //!
 //! A `// SYNC:` marker within [`WINDOW`] lines above a site suppresses
 //! held-across findings (the written-down argument for why the hold is
-//! benign); cycle findings accept no marker — like panic findings, the
-//! fix is a lock-order change or a baseline entry.
+//! benign); cycle findings accept no marker — like `.unwrap()` on a hot
+//! path, the fix is a lock-order change.
 //!
 //! The model checker (`dagfact_rt::model*`) and the sync shim
 //! (`dagfact_rt::sync`) are exempt: they are the verification mechanism
@@ -67,10 +67,12 @@ pub enum SyncRule {
     /// A compare_exchange failure ordering stronger than the success
     /// ordering's load component.
     CxFailureOrdering,
+    /// `use std::sync` in rt library code, past the `crate::sync` shim.
+    ShimBypass,
 }
 
 impl SyncRule {
-    /// Stable key fragment for baselines.
+    /// Stable key fragment for reports.
     pub fn key(self) -> &'static str {
         match self {
             SyncRule::LockCycle => "lock-cycle",
@@ -80,22 +82,8 @@ impl SyncRule {
             SyncRule::UnpairedAcquire => "unpaired-acquire",
             SyncRule::UnjustifiedRelaxed => "unjustified-relaxed",
             SyncRule::CxFailureOrdering => "cx-failure-ordering",
+            SyncRule::ShimBypass => "shim-bypass",
         }
-    }
-
-    /// Parse a key fragment back into the rule.
-    pub fn from_key(key: &str) -> Option<SyncRule> {
-        [
-            SyncRule::LockCycle,
-            SyncRule::HeldBlocking,
-            SyncRule::HeldAlloc,
-            SyncRule::UnpairedRelease,
-            SyncRule::UnpairedAcquire,
-            SyncRule::UnjustifiedRelaxed,
-            SyncRule::CxFailureOrdering,
-        ]
-        .into_iter()
-        .find(|r| r.key() == key)
     }
 }
 
@@ -124,7 +112,7 @@ pub struct SyncFinding {
 }
 
 impl SyncFinding {
-    /// Line-free baseline key.
+    /// Line-free key (the report's `key`; findings deduplicate on it).
     pub fn key(&self) -> String {
         format!("{}|{}|{}", self.rule.key(), self.function, self.detail)
     }
@@ -176,9 +164,8 @@ pub struct SyncReport {
     pub findings: Vec<SyncFinding>,
 }
 
-/// Per-function context handed to the analyzer by the driver, aligned
-/// with [`CallGraph::functions`] (same pattern as `check_hot_paths`,
-/// plus the owning file's token stream for the body scan).
+/// Per-function context, aligned with [`CallGraph::functions`] by
+/// [`crate::Workspace::parse`]: what every pass needs of the owning file.
 #[derive(Clone)]
 pub struct FnCtx {
     /// Source path (for reports).
@@ -186,7 +173,7 @@ pub struct FnCtx {
     /// The owning file's full token stream ([`Function::body`] and
     /// [`Function::sig`] index into it).
     pub tokens: Rc<Vec<Token>>,
-    /// The owning file's comments (for `// SYNC:` markers).
+    /// The owning file's comments (for justification markers).
     pub comments: Rc<Vec<Comment>>,
 }
 
@@ -229,7 +216,7 @@ const ALLOC_HEAVY: usize = 3;
 
 /// Modules exempt from the whole analysis: the model checker is the
 /// verification mechanism, the sync shim the sanctioned wrapper.
-fn module_exempt(module: &str) -> bool {
+pub(crate) fn module_exempt(module: &str) -> bool {
     module == "dagfact_rt::sync"
         || module.starts_with("dagfact_rt::sync::")
         || module.contains("::model")
@@ -244,14 +231,14 @@ pub(crate) fn sync_marked(comments: &[Comment], line: usize) -> bool {
     })
 }
 
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
     match toks.get(i).map(|t| &t.kind) {
         Some(Tok::Ident(s)) => Some(s),
         _ => None,
     }
 }
 
-fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
     matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Punct(p)) if *p == c)
 }
 
@@ -649,24 +636,22 @@ pub(crate) fn scan_fn(
     out
 }
 
-/// Run the lock-discipline analysis over the whole graph. `ctx(i)` must
-/// return the file/token/comment context of `graph.functions[i]`.
-pub fn analyze(graph: &CallGraph, ctx: &dyn Fn(usize) -> FnCtx) -> SyncReport {
+/// Run the lock-discipline analysis over the whole graph; `ctxs[i]` is
+/// the context of `graph.functions[i]`.
+pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
     let nf = graph.functions.len();
-    let mut ctxs: Vec<FnCtx> = Vec::with_capacity(nf);
-    let mut scans: Vec<Scan> = Vec::with_capacity(nf);
-    for i in 0..nf {
-        let f = &graph.functions[i];
-        let c = ctx(i);
-        let scan = if module_exempt(&f.module) {
-            Scan::default()
-        } else {
-            let params = param_types(&c.tokens, f.sig);
-            scan_fn(f, &c.tokens, &params)
-        };
-        scans.push(scan);
-        ctxs.push(c);
-    }
+    let scans: Vec<Scan> = graph
+        .functions
+        .iter()
+        .zip(ctxs)
+        .map(|(f, c)| {
+            if module_exempt(&f.module) {
+                Scan::default()
+            } else {
+                scan_fn(f, &c.tokens, &param_types(&c.tokens, f.sig))
+            }
+        })
+        .collect();
     let alloc_score: Vec<usize> = graph
         .functions
         .iter()
@@ -951,27 +936,16 @@ fn find_cycles(edges: &[LockEdge]) -> Vec<SyncFinding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
+    use crate::Workspace;
 
     fn run(files: &[(&str, &str)]) -> SyncReport {
-        let parsed: Vec<_> = files
-            .iter()
-            .map(|(m, s)| parse_file(s, m))
-            .collect();
-        let mut meta: Vec<FnCtx> = Vec::new();
-        for (i, p) in parsed.iter().enumerate() {
-            let toks = Rc::new(p.tokens.clone());
-            let comments = Rc::new(p.comments.clone());
-            for _ in &p.functions {
-                meta.push(FnCtx {
-                    file: format!("fixture{i}.rs"),
-                    tokens: toks.clone(),
-                    comments: comments.clone(),
-                });
-            }
-        }
-        let g = CallGraph::build(parsed);
-        analyze(&g, &|i| meta[i].clone())
+        let ws = Workspace::parse(
+            files
+                .iter()
+                .enumerate()
+                .map(|(i, (m, s))| (format!("fixture{i}.rs"), *m, *s)),
+        );
+        analyze(&ws.graph, &ws.ctxs)
     }
 
     #[test]

@@ -2,40 +2,33 @@
 //!
 //! Each case is a small source snippet with a known-positive or
 //! known-negative outcome per rule, checked against golden findings
-//! (rule, detail, witness chain, baseline key) through the public
-//! pipeline an external consumer sees: `parse_file` → `CallGraph::build`
-//! → `check_hot_paths` → `Baseline::drift`.
+//! (rule, detail, witness chain, key) through the public pipeline the
+//! `lint` binary runs: `Workspace::parse` → `check_hot_paths`. The last
+//! case runs the binary itself on a fixture workspace.
 
-use dagfact_lint::baseline::Baseline;
-use dagfact_lint::callgraph::CallGraph;
 use dagfact_lint::config::parse_hotpaths;
 use dagfact_lint::hotpath::{check_hot_paths, HotFinding, HotRule};
-use dagfact_lint::parse::parse_file;
-use dagfact_lint::unwrap::check_unwrap;
+use dagfact_lint::Workspace;
+use std::path::Path;
+use std::process::Command;
 
 /// Run the analyzer over a set of `(module, source)` fixture files with
 /// one hot root.
 fn analyze(files: &[(&str, &str)], root: &str) -> Vec<HotFinding> {
-    let parsed: Vec<_> = files
-        .iter()
-        .map(|(module, src)| parse_file(src, module))
-        .collect();
-    // Align a (path, comments) record to each function, as lint_hot does.
-    let mut meta = Vec::new();
-    for (i, p) in parsed.iter().enumerate() {
-        for _ in &p.functions {
-            meta.push((format!("fixture{i}.rs"), p.comments.clone()));
-        }
-    }
-    let g = CallGraph::build(parsed);
-    let roots = g.by_qname.get(root).unwrap_or_else(|| {
+    let ws = Workspace::parse(
+        files
+            .iter()
+            .enumerate()
+            .map(|(i, (m, s))| (format!("fixture{i}.rs"), *m, *s)),
+    );
+    let roots = ws.graph.by_qname.get(root).unwrap_or_else(|| {
         panic!("fixture root {root} did not resolve; known: {:?}", {
-            let mut k: Vec<_> = g.by_qname.keys().collect();
+            let mut k: Vec<_> = ws.graph.by_qname.keys().collect();
             k.sort();
             k
         })
     });
-    check_hot_paths(&g, roots, &|i| meta[i].clone())
+    check_hot_paths(&ws.graph, roots, &ws.ctxs)
 }
 
 fn golden(findings: &[HotFinding]) -> Vec<(HotRule, String)> {
@@ -70,7 +63,7 @@ fn alloc_positive_ctor_method_macro_clone() {
             (HotRule::Alloc, ".clone()".into()),
         ]
     );
-    // Baseline keys are line-free and stable.
+    // Keys are line-free and stable.
     assert_eq!(f[0].key(), "alloc|k::gemm::hot|Vec::with_capacity");
 }
 
@@ -130,18 +123,42 @@ fn lock_negative_justified_protocol() {
 // --- rule: panic sites ---------------------------------------------------
 
 #[test]
-fn panic_positive_no_marker_escape_hatch() {
-    // Panic findings accept NO justification marker: the fix is a
-    // structured error or a baseline entry, never a comment.
+fn panic_marker_silences_explicit_checks() {
+    // An assert!/panic!/unreachable! is safety code: `// PANIC:` names
+    // the precondition it checks, and the check stays.
+    let f = analyze(
+        &[(
+            "r::ptg",
+            "pub fn hot(n: usize) {\n\
+             \x20 // PANIC: n is the caller's shape contract.\n\
+             \x20 assert!(n > 0);\n\
+             \x20 if n == 1 { panic!(\"invariant\"); }\n\
+             \x20 unreachable!();\n\
+             }",
+        )],
+        "r::ptg::hot",
+    );
+    assert!(f.is_empty(), "expected clean, got {f:?}");
+    // Only PANIC: does: the generic HOT: marker leaves the check flagged.
+    let f = analyze(
+        &[(
+            "r::ptg",
+            "pub fn hot() {\n  // HOT: not a precondition.\n  assert!(c);\n}",
+        )],
+        "r::ptg::hot",
+    );
+    assert_eq!(golden(&f), vec![(HotRule::Panic, "assert!".into())]);
+}
+
+#[test]
+fn panic_marker_never_silences_unwrap_or_expect() {
     let f = analyze(
         &[(
             "r::ptg",
             "pub fn hot() {\n\
-             \x20 // HOT: this marker must NOT silence a panic site.\n\
+             \x20 // PANIC: an implicit panic is fixed, never justified.\n\
              \x20 x.unwrap();\n\
              \x20 y.expect(\"msg\");\n\
-             \x20 panic!(\"boom\");\n\
-             \x20 assert!(cond);\n\
              }",
         )],
         "r::ptg::hot",
@@ -150,9 +167,7 @@ fn panic_positive_no_marker_escape_hatch() {
         golden(&f),
         vec![
             (HotRule::Panic, ".unwrap()".into()),
-            (HotRule::Panic, ".expect()".into()),
-            (HotRule::Panic, "panic!".into()),
-            (HotRule::Panic, "assert!".into()),
+            (HotRule::Panic, ".expect()".into())
         ]
     );
 }
@@ -304,40 +319,6 @@ fn cfg_test_modules_are_invisible() {
     assert!(f.is_empty(), "test-only twin must not shadow the hot fn");
 }
 
-// --- baseline drift ------------------------------------------------------
-
-#[test]
-fn baseline_gates_new_and_stale_keys() {
-    let f = analyze(
-        &[("k::gemm", "pub fn hot() { v.push(1); }")],
-        "k::gemm::hot",
-    );
-    let keys: Vec<String> = f.iter().map(HotFinding::key).collect();
-
-    // Exact baseline: clean.
-    let b = Baseline::from_json(&format!(
-        "{{\"version\":1,\"keys\":[\"{}\"]}}",
-        keys[0]
-    ))
-    .expect("baseline parses");
-    assert!(b.drift(keys.iter().map(String::as_str)).is_clean());
-
-    // Empty baseline: the finding is NEW and fails the gate.
-    let empty = Baseline::from_json("{\"version\":1,\"keys\":[]}").expect("parses");
-    let d = empty.drift(keys.iter().map(String::as_str));
-    assert_eq!(d.new, keys);
-    assert!(d.stale.is_empty());
-
-    // Baseline with an extra key: STALE (burn-down win) also drifts.
-    let stale = Baseline::from_json(
-        "{\"version\":1,\"keys\":[\"alloc|k::gemm::hot|.push()\",\"lock|gone::fn|.lock()\"]}",
-    )
-    .expect("parses");
-    let d = stale.drift(keys.iter().map(String::as_str));
-    assert!(d.new.is_empty());
-    assert_eq!(d.stale, vec!["lock|gone::fn|.lock()".to_string()]);
-}
-
 // --- hot-roots config ----------------------------------------------------
 
 #[test]
@@ -352,16 +333,60 @@ fn hotpaths_config_roundtrip_and_errors() {
     assert!(parse_hotpaths("[[root]]\nmystery = true\n").is_err());
 }
 
-// --- the consolidated unwrap rule ---------------------------------------
+// --- the driver ----------------------------------------------------------
 
 #[test]
-fn unwrap_rule_strips_cfg_test_modules() {
-    let src = "pub fn lib_code() { x.unwrap(); }\n\
-               #[cfg(test)]\n\
-               mod tests {\n\
-               \x20   fn t() { y.unwrap(); }\n\
-               }\n";
-    let f = check_unwrap(src);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert_eq!(f[0].line, 1);
+fn one_finding_fails_the_gate_with_no_way_to_grandfather_it() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-driver-fixture");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates/fx/src")).unwrap();
+    std::fs::create_dir_all(root.join("tools")).unwrap();
+    let write = |rel: &str, text: &str| std::fs::write(root.join(rel), text).unwrap();
+    write(
+        "lint-hotpaths.toml",
+        "[[root]]\npath = \"dagfact_fx::hot\"\n",
+    );
+    write(
+        "crates/fx/src/lib.rs",
+        "pub fn hot() { let v = Vec::with_capacity(8); }\n",
+    );
+    // What the deleted ledger used to accept: the finding's key on file.
+    write(
+        "tools/lint-hot-baseline.json",
+        "{\"version\": 1, \"keys\": [\"alloc|dagfact_fx::hot|Vec::with_capacity\"]}",
+    );
+    let lint = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_lint"))
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    let (code, stderr) = lint(&[]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("[alloc] Vec::with_capacity in dagfact_fx::hot"),
+        "{stderr}"
+    );
+    let report = std::fs::read_to_string(root.join("results/lint-hot.json")).unwrap();
+    assert!(
+        report.contains("\"key\": \"alloc|dagfact_fx::hot|Vec::with_capacity\""),
+        "{report}"
+    );
+    // No flag accepts it: the binary takes no arguments at all.
+    assert_eq!(lint(&["--grandfather"]).0, Some(2));
+    assert_eq!(lint(&[]).0, Some(1));
+
+    // The way through is the fix or its justification, in place.
+    write(
+        "crates/fx/src/lib.rs",
+        "pub fn hot() {\n  // ALLOC: once per run.\n  let v = Vec::with_capacity(8);\n}\n",
+    );
+    let (code, stderr) = lint(&[]);
+    assert_eq!(code, Some(0), "{stderr}");
 }

@@ -3,41 +3,33 @@
 //!
 //! Each case is a small source snippet with a known-positive or
 //! known-negative outcome per rule, checked against golden findings
-//! (rule, detail, witness chain, baseline key) through the public
-//! pipeline `lint-sync` runs: `parse_file` → `CallGraph::build` →
-//! `syncgraph::analyze` / `atomics::analyze_atomics` →
-//! `Baseline::drift`. Every seeded defect has a clean twin proving the
-//! rule keys on the defect, not on the construct.
+//! (rule, detail, witness chain, key) through the public pipeline the
+//! `lint` binary runs: `Workspace::parse` → `syncgraph::analyze` /
+//! `atomics::analyze_atomics` (and the sync-shim check `parse` runs).
+//! Every seeded defect has a clean twin proving the rule keys on the
+//! defect, not on the construct.
 
 use dagfact_lint::atomics::{analyze_atomics, AtomReport};
-use dagfact_lint::baseline::Baseline;
-use dagfact_lint::callgraph::CallGraph;
-use dagfact_lint::parse::parse_file;
-use dagfact_lint::syncgraph::{analyze, FnCtx, SyncFinding, SyncReport, SyncRule};
-use std::rc::Rc;
+use dagfact_lint::syncgraph::{analyze, SyncFinding, SyncReport, SyncRule};
+use dagfact_lint::Workspace;
+
+fn parse(files: &[(&str, &str)]) -> Workspace {
+    Workspace::parse(
+        files
+            .iter()
+            .enumerate()
+            .map(|(i, (m, s))| (format!("fixture{i}.rs"), *m, *s)),
+    )
+}
 
 /// Run both passes over a set of `(module, source)` fixture files, the
-/// same way the `lint-sync` driver does.
+/// same way the `lint` driver does.
 fn run(files: &[(&str, &str)]) -> (SyncReport, AtomReport) {
-    let parsed: Vec<_> = files
-        .iter()
-        .map(|(module, src)| parse_file(src, module))
-        .collect();
-    let mut meta: Vec<FnCtx> = Vec::new();
-    for (i, p) in parsed.iter().enumerate() {
-        let tokens = Rc::new(p.tokens.clone());
-        let comments = Rc::new(p.comments.clone());
-        for _ in &p.functions {
-            meta.push(FnCtx {
-                file: format!("fixture{i}.rs"),
-                tokens: tokens.clone(),
-                comments: comments.clone(),
-            });
-        }
-    }
-    let g = CallGraph::build(parsed);
-    let ctx = |i: usize| meta[i].clone();
-    (analyze(&g, &ctx), analyze_atomics(&g, &ctx))
+    let ws = parse(files);
+    (
+        analyze(&ws.graph, &ws.ctxs),
+        analyze_atomics(&ws.graph, &ws.ctxs),
+    )
 }
 
 fn golden(findings: &[SyncFinding]) -> Vec<(SyncRule, String)> {
@@ -70,9 +62,17 @@ fn seeded_two_lock_cycle_is_a_deadlock_witness() {
     // The witness chain names both edges with their source locations.
     let f = &r.findings[0];
     assert_eq!(f.chain.len(), 2);
-    assert!(f.chain[0].starts_with("S.a -> S.b in fx::dead::S::ab"), "{:?}", f.chain);
-    assert!(f.chain[1].starts_with("S.b -> S.a in fx::dead::S::ba"), "{:?}", f.chain);
-    // Baseline keys are line-free and stable.
+    assert!(
+        f.chain[0].starts_with("S.a -> S.b in fx::dead::S::ab"),
+        "{:?}",
+        f.chain
+    );
+    assert!(
+        f.chain[1].starts_with("S.b -> S.a in fx::dead::S::ba"),
+        "{:?}",
+        f.chain
+    );
+    // Keys are line-free and stable.
     assert_eq!(
         f.key(),
         "lock-cycle|fx::dead::S::ab|lock-order cycle: S.a <-> S.b"
@@ -175,9 +175,7 @@ fn guard_across_alloc_heavy_callee_is_flagged_with_clean_twin() {
     let heavy = "fn expand() { let mut v = Vec::with_capacity(9); v.push(1); let w = v.clone(); }";
     let (r, _) = run(&[(
         "fx::alloc",
-        &format!(
-            "impl S {{ fn f(&self) {{ let g = self.state.lock(); expand(); }} }} {heavy}"
-        ),
+        &format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); expand(); }} }} {heavy}"),
     )]);
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert_eq!(r.findings[0].rule, SyncRule::HeldAlloc);
@@ -216,7 +214,10 @@ fn seeded_unpaired_release_store_with_site_chain() {
     assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
     let f = &a.findings[0];
     assert_eq!(f.rule, SyncRule::UnpairedRelease);
-    assert_eq!(f.detail, "`S.flag` has Release-side writes but no Acquire load");
+    assert_eq!(
+        f.detail,
+        "`S.flag` has Release-side writes but no Acquire load"
+    );
     assert_eq!(
         f.key(),
         "unpaired-release|fx::atom::S::publish|`S.flag` has Release-side writes but no Acquire load"
@@ -285,9 +286,11 @@ fn cx_failure_ordering_stronger_than_success_load_is_flagged() {
          self.owner.store(0, Ordering::Release); } }",
     )]);
     assert!(
-        a.findings.iter().any(|f| f.rule == SyncRule::CxFailureOrdering
-            && f.detail
-                == "`S.owner` compare_exchange failure ordering SeqCst is stronger than the \
+        a.findings
+            .iter()
+            .any(|f| f.rule == SyncRule::CxFailureOrdering
+                && f.detail
+                    == "`S.owner` compare_exchange failure ordering SeqCst is stronger than the \
                     success load (AcqRel)"),
         "{:?}",
         a.findings
@@ -302,38 +305,34 @@ fn cx_failure_ordering_stronger_than_success_load_is_flagged() {
     assert!(a.findings.is_empty(), "{:?}", a.findings);
 }
 
-// --- baseline drift ------------------------------------------------------
+// --- the sync shim ------------------------------------------------------
 
 #[test]
-fn baseline_gate_fails_drift_in_both_directions() {
-    let (r, _) = run(&[(
-        "fx::chan",
-        "impl S { fn pump(&self) { let g = self.state.lock(); let m = self.rx.recv(); } }",
+fn std_sync_in_rt_library_code_bypasses_the_shim() {
+    let ws = parse(&[(
+        "dagfact_rt::native",
+        "use std::sync::Arc;\n\
+         pub fn run() {\n  use std::sync::Mutex;\n}",
     )]);
-    let keys: Vec<String> = r.findings.iter().map(SyncFinding::key).collect();
-    assert_eq!(keys.len(), 1);
+    let lines: Vec<usize> = ws.shim.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![1, 3], "{:?}", ws.shim);
+    assert_eq!(ws.shim[0].rule, SyncRule::ShimBypass);
+    assert_eq!(ws.shim[0].function, "dagfact_rt::native");
+}
 
-    // Exact baseline: clean.
-    let b = Baseline::from_json(&format!("{{\"version\":1,\"keys\":[\"{}\"]}}", keys[0]))
-        .expect("baseline parses");
-    assert!(b.drift(keys.iter().map(String::as_str)).is_clean());
-
-    // Empty baseline: the finding is NEW and fails the gate.
-    let empty = Baseline::from_json("{\"version\":1,\"keys\":[]}").expect("parses");
-    let d = empty.drift(keys.iter().map(String::as_str));
-    assert_eq!(d.new, keys);
-    assert!(d.stale.is_empty());
-
-    // Baseline with an extra key: STALE (burn-down win) also drifts.
-    let stale = Baseline::from_json(&format!(
-        "{{\"version\":1,\"keys\":[\"{}\",\"lock-cycle|gone::fn|lock-order cycle: A <-> B\"]}}",
-        keys[0]
-    ))
-    .expect("parses");
-    let d = stale.drift(keys.iter().map(String::as_str));
-    assert!(d.new.is_empty());
-    assert_eq!(
-        d.stale,
-        vec!["lock-cycle|gone::fn|lock-order cycle: A <-> B".to_string()]
-    );
+#[test]
+fn std_sync_in_the_shim_model_tests_or_other_crates_is_fine() {
+    let src = "use std::sync::Arc;\n";
+    let test_mod = "use crate::sync::Arc;\n\
+                    #[cfg(test)]\n\
+                    mod tests {\n  use std::sync::Mutex;\n  fn t() { use std::sync::Once; }\n}\n\
+                    #[cfg(all(test, not(loom)))]\n\
+                    use std::sync::Barrier;\n";
+    let ws = parse(&[
+        ("dagfact_rt::sync", src),
+        ("dagfact_rt::model::sched", src),
+        ("dagfact_core::numeric", src),
+        ("dagfact_rt::exec", test_mod),
+    ]);
+    assert!(ws.shim.is_empty(), "{:?}", ws.shim);
 }

@@ -311,6 +311,7 @@ impl MemoryBudget {
     }
 
     fn take_injected_failure(&self, site: usize) -> bool {
+        // LOCK: ALLOC: ledger only, once per charge; the clone is an `Arc` bump.
         let plan = self.fault.lock().clone();
         if let Some(plan) = plan {
             if plan.take_alloc_fail(site) {

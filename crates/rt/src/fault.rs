@@ -893,7 +893,8 @@ pub struct Supervisor {
 /// [`FaultPlan`] — an absorbed transient would otherwise print a full
 /// "thread panicked" backtrace for a run that ends up succeeding. The
 /// hook is installed once, process-wide, and delegates every genuine
-/// panic to whatever hook was active before.
+/// panic to whatever hook was active before. ALLOC: fault injection only,
+/// once per process.
 fn install_quiet_injection_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
@@ -979,6 +980,7 @@ impl Supervisor {
     }
 
     pub(crate) fn poison_with(&self, error: EngineError) {
+        // LOCK: error path only — the first error ends the run.
         let mut guard = self.error.lock();
         if guard.is_none() {
             *guard = Some(error);
@@ -1019,6 +1021,7 @@ impl Supervisor {
                     return;
                 }
             }
+            // IO: error path only — a transient failure's retry backoff.
             std::thread::sleep((total - elapsed).min(Duration::from_millis(1)));
         }
     }
@@ -1128,12 +1131,14 @@ impl Supervisor {
     }
 
     /// Finish the run: the recorded error, or the success report.
+    /// LOCK: ALLOC: once per run, after every worker joined.
     pub fn finish(self) -> Result<RunReport, EngineError> {
         if let Some(e) = self.error.lock().take() {
             return Err(e);
         }
         let ntasks = self.attempts.len();
         let completed = ntasks - self.remaining();
+        // ALLOC: the retried tasks' table, once per run.
         let task_attempts: Vec<(TaskId, u32)> = self
             .attempts
             .iter()
@@ -1156,6 +1161,7 @@ impl Supervisor {
                 .as_deref()
                 .map_or(0, FaultPlan::faults_injected),
             task_attempts,
+            // ALLOC: fault injection only — the plan's text.
             fault_plan: self
                 .config
                 .fault_plan
@@ -1171,7 +1177,8 @@ impl Supervisor {
     }
 }
 
-/// Best-effort stringification of a panic payload.
+/// Best-effort stringification of a panic payload. ALLOC: error path
+/// only — a task panicked.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()

@@ -53,6 +53,8 @@
 //! deque, watchdog shutdown, budget ledger, trace lanes).
 
 #![deny(unsafe_op_in_unsafe_fn)]
+// Typed `EngineError`s, not unwraps, in library code (tests: clippy.toml).
+#![deny(clippy::unwrap_used)]
 
 pub mod budget;
 pub mod dataflow;
@@ -61,6 +63,8 @@ pub mod distproto;
 pub mod exec;
 pub mod fault;
 pub mod json;
+// A model-checker panic IS the counterexample: it must abort exploration.
+#[allow(clippy::unwrap_used)]
 pub mod model;
 pub mod native;
 pub mod ptg;

@@ -37,6 +37,7 @@ struct CellState {
 // (and abort the model run otherwise); the model scheduler additionally
 // runs only one thread at a time, so checked accesses never overlap.
 unsafe impl<T: Send> Send for ModelCell<T> {}
+// SAFETY: the same argument as for `Send`.
 unsafe impl<T: Send> Sync for ModelCell<T> {}
 
 impl<T> ModelCell<T> {

@@ -36,6 +36,7 @@ pub struct Mutex<T: ?Sized> {
 // through a held guard (`held` flag + single running thread), giving the
 // same exclusion guarantee as a real mutex.
 unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
+// SAFETY: the same argument as for `Send`.
 unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
 
 impl<T> Mutex<T> {

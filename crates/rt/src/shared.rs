@@ -44,6 +44,7 @@ pub struct SharedSlice<T> {
 // SAFETY: all mutation goes through the documented unsafe accessors whose
 // callers promise externally-synchronized, non-overlapping access.
 unsafe impl<T: Send> Send for SharedSlice<T> {}
+// SAFETY: the same argument as for `Send`.
 unsafe impl<T: Send> Sync for SharedSlice<T> {}
 
 impl<T: Clone + Default> SharedSlice<T> {

@@ -1,6 +1,6 @@
 //! The runtime's synchronization shim — the **only** place `rt` code is
 //! allowed to get its `Mutex`/`Condvar`/`Arc`/atomics from (enforced by
-//! the `lint-safety` tool; test modules are exempt).
+//! the `lint` binary's shim check; test modules are exempt).
 //!
 //! Two backends, selected at compile time:
 //!

@@ -1,4 +1,4 @@
-//! Dynamic twin of the `lint-hot` static analyzer (DESIGN.md §13): a
+//! Dynamic twin of the `lint` hot-path analyzer (DESIGN.md §13): a
 //! counting global allocator proving that the loops the analyzer holds
 //! allocation-clean really do run at zero heap traffic in steady state.
 //!

@@ -468,52 +468,13 @@ fn run_batch(inner: &Arc<ServiceInner>, batch: &[QueuedJob]) -> Vec<Result<JobRe
             .collect();
     }
 
-    let run = RunConfig {
-        fault_plan: inner.config.fault_plan.clone(),
-        retry: inner.config.retry.clone(),
-        watchdog: inner.config.watchdog,
-        budget: Some(inner.config.budget.clone()),
-        cancel: None, // batch members carry no deadlines by construction
-        ..RunConfig::default()
-    };
-    let exec = ExecOptions {
-        run,
-        epsilon_override: None,
-        spill_dir: None,
-    };
-    let started = batch[0].submitted;
-
-    // Batch members all have reuse == Factors, so both caches are keyed.
-    let phash = pattern_hash(&a);
-    let pkey = hash_words(phash, std::iter::once(lead.facto as u64));
-    let hit = match inner.pattern_cache.get_or_fill(&pkey, || {
-        let an = Analysis::new(a.pattern(), lead.facto, &SolverOptions::default());
-        let bytes = an.resident_bytes();
-        Ok((an, bytes))
-    }) {
-        Ok(h) => h,
+    // Batch members all have reuse == Factors, so both caches are keyed,
+    // and no deadline by construction.
+    let f = match job_factors(inner, lead, &a, None, batch[0].submitted, || Ok(())) {
+        Ok(f) => f,
         Err(e) => return whole(e),
     };
-    let pattern_hit = hit.was_hit;
-    let analysis = hit.value;
-
-    let vhash = values_hash(&a);
-    let fkey = (phash, vhash, lead.facto as u8);
-    let hit = match inner.factor_cache.get_or_fill(&fkey, || {
-        let sf = SharedFactors::factorize(analysis.clone(), &a, lead.engine, lead.threads, &exec)
-            .map_err(|e| map_solver_error(&e, started))?;
-        let bytes = sf.resident_bytes();
-        Ok((sf, bytes))
-    }) {
-        Ok(h) => h,
-        Err(e) => return whole(e),
-    };
-    let factor_hit = hit.was_hit;
-    let generation = hit.generation;
-    let factors = hit.value;
-
-    let x = factors.solve_many(&b, total);
-    let attempts = if factor_hit { 0 } else { factors.stats().attempts };
+    let x = f.factors.solve_many(&b, total);
     let mut off = 0usize;
     batch
         .iter()
@@ -529,10 +490,10 @@ fn run_batch(inner: &Arc<ServiceInner>, batch: &[QueuedJob]) -> Vec<Result<JobRe
                     nrhs: w,
                     iterations: 0,
                     berr: None,
-                    pattern_hit,
-                    factor_hit,
-                    generation,
-                    attempts,
+                    pattern_hit: f.pattern_hit,
+                    factor_hit: f.factor_hit,
+                    generation: f.generation,
+                    attempts: f.attempts,
                     batched: batch.len(),
                     elapsed_us: 0, // stamped by the worker loop
                     tag: job.spec.tag.clone(),
@@ -656,6 +617,84 @@ fn map_solver_error(e: &SolverError, started: Instant) -> JobError {
     }
 }
 
+/// A job's numeric factors with their cache provenance.
+struct JobFactors {
+    factors: Arc<SharedFactors<f64>>,
+    pattern_hit: bool,
+    factor_hit: bool,
+    generation: u64,
+    /// Factorization attempts (0 on a factor-cache hit).
+    attempts: u32,
+}
+
+/// The analysis and numeric factors of `a` for `spec`, through the
+/// pattern and factor caches as far as `spec.reuse` allows — the job body
+/// of [`run_job`] and of a coalesced batch's lead. `cancel` is the job's
+/// deadline token and `checkpoint` its deadline check between the phases.
+fn job_factors(
+    inner: &ServiceInner,
+    spec: &JobSpec,
+    a: &CscMatrix<f64>,
+    cancel: Option<Arc<CancelToken>>,
+    started: Instant,
+    checkpoint: impl Fn() -> Result<(), JobError>,
+) -> Result<JobFactors, JobError> {
+    let exec = ExecOptions {
+        run: RunConfig {
+            fault_plan: inner.config.fault_plan.clone(),
+            retry: inner.config.retry.clone(),
+            watchdog: inner.config.watchdog,
+            budget: Some(inner.config.budget.clone()),
+            cancel,
+            ..RunConfig::default()
+        },
+        epsilon_override: None,
+        spill_dir: None,
+    };
+    let phash = pattern_hash(a);
+    let mut pattern_hit = false;
+    let analysis: Arc<Analysis> = if spec.reuse == ReusePolicy::None {
+        Arc::new(Analysis::new(a.pattern(), spec.facto, &SolverOptions::default()))
+    } else {
+        // Facto kind changes the cost model but not the symbolic
+        // structure the caches key on panels for; key it anyway so LDLᵀ
+        // and Cholesky analyses never mix.
+        let key = hash_words(phash, std::iter::once(spec.facto as u64));
+        let hit = inner.pattern_cache.get_or_fill(&key, || {
+            let an = Analysis::new(a.pattern(), spec.facto, &SolverOptions::default());
+            let bytes = an.resident_bytes();
+            Ok((an, bytes))
+        })?;
+        pattern_hit = hit.was_hit;
+        hit.value
+    };
+    checkpoint()?;
+
+    let factorize = || {
+        SharedFactors::factorize(analysis.clone(), a, spec.engine, spec.threads, &exec)
+            .map_err(|e| map_solver_error(&e, started))
+    };
+    let (factors, factor_hit, generation) = if spec.reuse == ReusePolicy::Factors {
+        let fkey = (phash, values_hash(a), spec.facto as u8);
+        let hit = inner.factor_cache.get_or_fill(&fkey, || {
+            let sf = factorize()?;
+            let bytes = sf.resident_bytes();
+            Ok((sf, bytes))
+        })?;
+        (hit.value, hit.was_hit, hit.generation)
+    } else {
+        (Arc::new(factorize()?), false, 0)
+    };
+    let attempts = if factor_hit { 0 } else { factors.stats().attempts };
+    Ok(JobFactors {
+        factors,
+        pattern_hit,
+        factor_hit,
+        generation,
+        attempts,
+    })
+}
+
 fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, JobError> {
     let spec = &job.spec;
     let started = job.submitted;
@@ -685,67 +724,7 @@ fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, Jo
     let b = build_rhs(spec, &a)?;
     deadline_check()?;
 
-    let run = RunConfig {
-        fault_plan: inner.config.fault_plan.clone(),
-        retry: inner.config.retry.clone(),
-        watchdog: inner.config.watchdog,
-        budget: Some(inner.config.budget.clone()),
-        cancel: Some(token.clone()),
-        ..RunConfig::default()
-    };
-    let exec = ExecOptions {
-        run,
-        epsilon_override: None,
-        spill_dir: None,
-    };
-
-    // --- analysis (pattern cache) -------------------------------------
-    let phash = pattern_hash(&a);
-    let mut pattern_hit = false;
-    let analysis: Arc<Analysis> = if spec.reuse == ReusePolicy::None {
-        Arc::new(Analysis::new(a.pattern(), spec.facto, &SolverOptions::default()))
-    } else {
-        // Facto kind changes the cost model but not the symbolic
-        // structure the caches key on panels for; key it anyway so LDLᵀ
-        // and Cholesky analyses never mix.
-        let key = hash_words(phash, std::iter::once(spec.facto as u64));
-        let hit = inner.pattern_cache.get_or_fill(&key, || {
-            let an = Analysis::new(a.pattern(), spec.facto, &SolverOptions::default());
-            let bytes = an.resident_bytes();
-            Ok((an, bytes))
-        })?;
-        pattern_hit = hit.was_hit;
-        hit.value
-    };
-    deadline_check()?;
-
-    // --- numeric factorization (factor cache) -------------------------
-    let vhash = values_hash(&a);
-    let fkey = (phash, vhash, spec.facto as u8);
-    let mut factor_hit = false;
-    let mut generation = 0u64;
-    let factors: Arc<SharedFactors<f64>> = if spec.reuse == ReusePolicy::Factors {
-        let hit = inner.factor_cache.get_or_fill(&fkey, || {
-            let sf = SharedFactors::factorize(
-                analysis.clone(),
-                &a,
-                spec.engine,
-                spec.threads,
-                &exec,
-            )
-            .map_err(|e| map_solver_error(&e, started))?;
-            let bytes = sf.resident_bytes();
-            Ok((sf, bytes))
-        })?;
-        factor_hit = hit.was_hit;
-        generation = hit.generation;
-        hit.value
-    } else {
-        Arc::new(
-            SharedFactors::factorize(analysis.clone(), &a, spec.engine, spec.threads, &exec)
-                .map_err(|e| map_solver_error(&e, started))?,
-        )
-    };
+    let f = job_factors(inner, spec, &a, Some(token.clone()), started, deadline_check)?;
     deadline_check()?;
 
     // --- solve ---------------------------------------------------------
@@ -756,7 +735,8 @@ fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, Jo
         let mut worst_berr = 0.0f64;
         for r in 0..spec.nrhs {
             let col = &b[r * n..(r + 1) * n];
-            let refined = factors
+            let refined = f
+                .factors
                 .solve_refined_checked(col, spec.refine, spec.tol)
                 .map_err(|e| map_solver_error(&e, started))?;
             iters = iters.max(refined.iterations);
@@ -767,21 +747,20 @@ fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, Jo
         }
         (x, iters, Some(worst_berr))
     } else {
-        (factors.solve_many(&b, spec.nrhs), 0, None)
+        (f.factors.solve_many(&b, spec.nrhs), 0, None)
     };
     deadline_check()?;
 
-    let attempts = if factor_hit { 0 } else { factors.stats().attempts };
     Ok(JobResponse {
         x,
         n,
         nrhs: spec.nrhs,
         iterations,
         berr,
-        pattern_hit,
-        factor_hit,
-        generation,
-        attempts,
+        pattern_hit: f.pattern_hit,
+        factor_hit: f.factor_hit,
+        generation: f.generation,
+        attempts: f.attempts,
         batched: 1,
         elapsed_us: 0, // stamped by the worker loop
         tag: spec.tag.clone(),

@@ -70,7 +70,8 @@ impl<T: Scalar> CscMatrix<T> {
         self.pattern.col(j)
     }
 
-    /// Values of column `j`, parallel to [`Self::col_rows`].
+    /// Values of column `j`, parallel to [`Self::col_rows`] (BOUNDS: `j <
+    /// ncols`; `colptr` has `ncols + 1` nondecreasing entries ≤ nnz).
     pub fn col_values(&self, j: usize) -> &[T] {
         &self.values[self.pattern.colptr()[j]..self.pattern.colptr()[j + 1]]
     }
@@ -83,7 +84,8 @@ impl<T: Scalar> CscMatrix<T> {
         }
     }
 
-    /// Sparse matrix-vector product `y = A·x`.
+    /// Sparse matrix-vector product `y = A·x`. PANIC: `x` and `y` match the
+    /// shape, so (BOUNDS:) every stored row index `i < nrows` is in `y`.
     pub fn spmv(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.ncols());
         assert_eq!(y.len(), self.nrows());
@@ -97,19 +99,6 @@ impl<T: Scalar> CscMatrix<T> {
             for (&i, &v) in self.col_rows(j).iter().zip(self.col_values(j)) {
                 y[i] += v * xj;
             }
-        }
-    }
-
-    /// Transposed product `y = Aᵀ·x` (no conjugation).
-    pub fn spmv_transpose(&self, x: &[T], y: &mut [T]) {
-        assert_eq!(x.len(), self.nrows());
-        assert_eq!(y.len(), self.ncols());
-        for (j, yj) in y.iter_mut().enumerate() {
-            let mut acc = T::zero();
-            for (&i, &v) in self.col_rows(j).iter().zip(self.col_values(j)) {
-                acc += v * x[i];
-            }
-            *yj = acc;
         }
     }
 
@@ -171,7 +160,8 @@ impl<T: Scalar> CscMatrix<T> {
         self.nrows() == self.ncols() && *self == self.transpose()
     }
 
-    /// Infinity norm `max_i Σ_j |a_ij|`.
+    /// Infinity norm `max_i Σ_j |a_ij|`. ALLOC: one row-sum buffer per call
+    /// (once per refined solve); BOUNDS: stored row indices are < nrows.
     pub fn norm_inf(&self) -> f64 {
         let mut rowsum = vec![0.0f64; self.nrows()];
         for j in 0..self.ncols() {
@@ -180,17 +170,6 @@ impl<T: Scalar> CscMatrix<T> {
             }
         }
         rowsum.into_iter().fold(0.0, f64::max)
-    }
-
-    /// Densify into a column-major buffer (tests and tiny examples only).
-    pub fn to_dense(&self) -> Vec<T> {
-        let mut out = vec![T::zero(); self.nrows() * self.ncols()];
-        for j in 0..self.ncols() {
-            for (&i, &v) in self.col_rows(j).iter().zip(self.col_values(j)) {
-                out[j * self.nrows() + i] = v;
-            }
-        }
-        out
     }
 
     /// Mirror the strictly-lower triangle onto the upper one, producing a
@@ -239,9 +218,6 @@ mod tests {
         let mut y = vec![0.0; 3];
         a.spmv(&x, &mut y);
         assert_eq!(y, vec![2.0 + 3.0, 6.0, 4.0 + 15.0]);
-        let mut yt = vec![0.0; 3];
-        a.spmv_transpose(&x, &mut yt);
-        assert_eq!(yt, vec![2.0 + 12.0, 6.0, 1.0 + 15.0]);
     }
 
     #[test]

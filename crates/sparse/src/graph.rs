@@ -133,11 +133,6 @@ impl Graph {
         self.xadj.len() - 1
     }
 
-    /// Number of directed adjacency entries (2× the undirected edge count).
-    pub fn nadjacency(&self) -> usize {
-        self.adjncy.len()
-    }
-
     /// Neighbors of vertex `v`.
     pub fn neighbors(&self, v: usize) -> &[usize] {
         &self.adjncy[self.xadj[v]..self.xadj[v + 1]]

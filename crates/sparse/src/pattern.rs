@@ -109,7 +109,8 @@ impl SparsityPattern {
         &self.rowind
     }
 
-    /// Sorted row indices of column `j`.
+    /// Sorted row indices of column `j` (BOUNDS: `j < ncols`; `colptr` has
+    /// `ncols + 1` nondecreasing entries ≤ nnz).
     pub fn col(&self, j: usize) -> &[usize] {
         &self.rowind[self.colptr[j]..self.colptr[j + 1]]
     }
@@ -242,30 +243,6 @@ impl SparsityPattern {
     pub fn contains(&self, i: usize, j: usize) -> bool {
         self.col(j).binary_search(&i).is_ok()
     }
-
-    /// Strictly-lower-triangular restriction of a square pattern (used by
-    /// elimination-tree construction).
-    pub fn lower_strict(&self) -> SparsityPattern {
-        assert_eq!(self.nrows, self.ncols);
-        let n = self.ncols;
-        let mut colptr = Vec::with_capacity(n + 1);
-        colptr.push(0usize);
-        let mut rowind = Vec::new();
-        for j in 0..n {
-            for &r in self.col(j) {
-                if r > j {
-                    rowind.push(r);
-                }
-            }
-            colptr.push(rowind.len());
-        }
-        SparsityPattern {
-            nrows: n,
-            ncols: n,
-            colptr,
-            rowind,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -360,20 +337,6 @@ mod tests {
     fn identity_permutation_is_noop() {
         let p = toy();
         assert_eq!(p.permute_symmetric(&[0, 1, 2, 3]), p);
-    }
-
-    #[test]
-    fn lower_strict_drops_upper_and_diag() {
-        let s = toy().symmetrize();
-        let l = s.lower_strict();
-        for j in 0..4 {
-            for &i in l.col(j) {
-                assert!(i > j);
-            }
-        }
-        assert!(l.contains(1, 0));
-        assert!(!l.contains(0, 1));
-        assert!(!l.contains(0, 0));
     }
 
     #[test]

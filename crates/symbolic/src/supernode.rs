@@ -66,7 +66,8 @@ impl SupernodePartition {
         self.first[s]..self.first[s + 1]
     }
 
-    /// Width (number of columns) of supernode `s`.
+    /// Width (number of columns) of supernode `s` (BOUNDS: `s < len()`;
+    /// `first` has `len() + 1` entries).
     pub fn width(&self, s: usize) -> usize {
         self.first[s + 1] - self.first[s]
     }
