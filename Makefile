@@ -74,12 +74,16 @@ check-robust:
 
 # Static-analysis gate: the source analyzers, the graph-verifier suites,
 # the 9-proxies x 3-factos x 3-engines sweep (release: the graphs are
-# large), and a warning-free clippy pass (which carries the no-unwrap and
-# SAFETY-contract rules: clippy.toml and the rt/core/kernels manifests).
+# large), the analysis identity at the benchmark's full sizes (the only
+# sizes whose nested dissection forks onto a second thread; the quick
+# sizes run in the workspace tests), and a warning-free clippy pass (which
+# carries the no-unwrap and SAFETY-contract rules: clippy.toml and the
+# rt/core/kernels manifests).
 check-analysis: lint
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt verify
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test verify_graph
 	cargo run -q --release -p dagfact-bench --bin verify_sweep
+	cargo test -q --release -p dagfact-core --test analysis_identity -- --ignored
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Memory-budget gate: the ledger unit suite, the budgeted-execution suite

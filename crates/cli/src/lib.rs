@@ -452,7 +452,8 @@ fn analyze<T: Scalar>(opts: &Opts, a: &CscMatrix<T>, complex: bool) -> Result<St
     let _ = writeln!(out, "nnz(A)      : {} (symmetrized)", st.nnz_a);
     let _ = writeln!(out, "factorization: {}", facto.label());
     let _ = writeln!(out, "nnz(L)      : {}", st.nnz_l);
-    let _ = writeln!(out, "fill factor : {:.1}x", st.nnz_l as f64 / (st.nnz_a as f64 / 2.0));
+    let fill = if st.nnz_a == 0 { 0.0 } else { st.nnz_l as f64 / (st.nnz_a as f64 / 2.0) };
+    let _ = writeln!(out, "fill factor : {fill:.1}x");
     let _ = writeln!(out, "flops       : {:.3} GFlop", flops / 1e9);
     let _ = writeln!(out, "panels      : {}", st.ncblk);
     let _ = writeln!(out, "blocks      : {}", st.nblocks);
@@ -713,6 +714,21 @@ mod tests {
         assert!(out.contains("factorization: LLt"));
         assert!(out.contains("nnz(L)"));
         assert!(out.contains("GFlop"));
+    }
+
+    #[test]
+    fn empty_and_scalar_matrices_analyze_and_solve() {
+        for n in [0, 1] {
+            let path = write_temp(&format!("order-{n}"), &grid_laplacian_3d(n, n, n));
+            let out = run(&args(&["analyze", &path])).unwrap();
+            assert!(out.contains(&format!("panels      : {n}")), "{out}");
+            assert!(!out.contains("NaN"), "{out}");
+            for facto in ["chol", "ldlt", "lu"] {
+                let out = run(&args(&["solve", &path, "--facto", facto, "--refine", "2"]));
+                let out = out.unwrap_or_else(|e| panic!("{n}x{n} {facto}: {e}"));
+                assert!(out.contains("backward err"), "{out}");
+            }
+        }
     }
 
     #[test]

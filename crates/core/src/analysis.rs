@@ -19,7 +19,7 @@ use dagfact_symbolic::counts::column_counts;
 use dagfact_symbolic::etree::{elimination_tree, postorder, relabel_parent};
 use dagfact_symbolic::structure::{SplitOptions, SymbolMatrix};
 use dagfact_symbolic::supernode::{
-    amalgamate, build_partition, detect_supernodes, AmalgamationOptions,
+    amalgamate_counts, build_partition, detect_supernodes, AmalgamationOptions,
 };
 use dagfact_symbolic::FactoKind;
 
@@ -149,11 +149,12 @@ impl Analysis {
         let permuted = permuted.permute_symmetric(post_perm.perm());
         let parent = relabel_parent(&parent, &post);
         let perm = fill_perm.then(&post_perm);
-        // 3) Column counts, supernodes, amalgamation, splitting.
+        // 3) Column counts, supernodes, amalgamation (on the counts alone:
+        //    row lists are built once, for the final groups), splitting.
         let (cc, _nnzl) = column_counts(&permuted, &parent);
         let first = detect_supernodes(&parent, &cc);
+        let first = amalgamate_counts(&parent, &cc, &first, &options.amalgamation);
         let partition = build_partition(&permuted, &parent, first);
-        let partition = amalgamate(partition, &options.amalgamation);
         let symbol = SymbolMatrix::from_partition(&partition, &options.split);
         debug_assert_eq!(symbol.validate(), Ok(()));
         let one_d = OneDGraph::build(&symbol);

@@ -334,3 +334,41 @@ fn symmetric_kinds_reject_a_matrix_stored_as_one_triangle() {
     let x = analysis.factorize(&a, RuntimeKind::Ptg, 1).unwrap().solve(&[1.0, 2.0, 3.0]);
     assert!(residual(&a, &x, &[1.0, 2.0, 3.0]) < 1e-12);
 }
+
+/// The degenerate orders: a 0×0 matrix analyzes to zero panels and
+/// factorizes and solves to empty results, a 1×1 one to its reciprocal,
+/// under every kind and policy and through [`dagfact_core::Solver`].
+#[test]
+fn empty_and_scalar_systems_solve() {
+    for n in [0usize, 1] {
+        let mut t = TripletBuilder::new(n, n);
+        (0..n).for_each(|i| t.push(i, i, 4.0));
+        let a = t.build();
+        let b = vec![2.0; n];
+        for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
+            let label = format!("{n}x{n} {facto:?}");
+            let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+            assert_eq!(an.symbol.ncblk(), n, "{label}: panels");
+            assert_eq!(an.stats().nnz_l, n, "{label}: nnz(L)");
+            for rt in RuntimeKind::ALL {
+                for threads in [1, 2] {
+                    let f = an.factorize(&a, rt, threads);
+                    let f = f.unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(f.solve(&b), vec![0.5; n], "{label}, {rt:?}");
+                    assert_eq!(f.solve_many(&[b.clone(), b.clone()].concat(), 2), vec![0.5; 2 * n]);
+                    let refined = f.solve_refined(&a, &b, 2, 1e-12);
+                    assert_eq!(refined.x, vec![0.5; n], "{label}, {rt:?}");
+                }
+            }
+            let solver = dagfact_core::Solver::with_options(
+                &a,
+                Some(facto),
+                &SolverOptions::default(),
+                RuntimeKind::Ptg,
+                2,
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(solver.solve(&b), vec![0.5; n], "{label}: Solver");
+        }
+    }
+}

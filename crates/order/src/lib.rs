@@ -17,11 +17,13 @@
 //! * [`Permutation`] — validated `old → new` relabeling shared with the
 //!   symbolic phase.
 //!
-//! Every ordering allocates its `n`-sized state once (a
-//! [`dagfact_sparse::graph::Traversal`], a side array, an
+//! Every ordering allocates its `n`-sized state once per thread it runs on
+//! (a [`dagfact_sparse::graph::Traversal`], a side array, an
 //! [`md::MdWorkspace`]) and resets it by walking the vertices a call
 //! touched: dissection costs `O((n + m) · depth)` plus its leaves' minimum
-//! degree, with no `n`-sized work per recursive call.
+//! degree, with no `n`-sized work per recursive call. Nested dissection
+//! orders the two sides of a large split on two threads while the host has
+//! spare ones, with the same result at every thread count.
 
 pub mod md;
 pub mod nd;

@@ -15,10 +15,17 @@
 //! Cost: `O((n + m) · depth)` for a recursion of that depth on `n`
 //! vertices and `m` edges — a call on `k` vertices touches those vertices
 //! and their edges and allocates its three result lists, nothing
-//! `n`-sized. Everything else lives in one `Workspace` per ordering;
-//! every call leaves it as it found it (see [`dagfact_sparse::graph`] for
-//! the traversal part of that contract), which is what lets siblings
-//! share it.
+//! `n`-sized. Everything else lives in one `Workspace` per thread; every
+//! call leaves it as it found it (see [`dagfact_sparse::graph`] for the
+//! traversal part of that contract), which is what lets siblings share it.
+//!
+//! The two sides of a split are independent, so they run on both cores: a
+//! split whose later piece has more than `FORK_FLOOR` vertices, made
+//! while a spare thread remains, dissects that piece on a scoped thread
+//! with its own workspace, while the calling thread dissects the earlier
+//! piece and orders the separator; the orders are spliced `A | B | S`.
+//! Component splits fork the same way. A call's result depends only on its
+//! vertex set, so the permutation is the same at every thread count.
 
 use crate::md::{minimum_degree_subset, MdWorkspace};
 use crate::perm::Permutation;
@@ -43,10 +50,16 @@ impl Default for NdOptions {
     }
 }
 
+/// Pieces of at most this many vertices stay on the thread that cut them:
+/// below it a thread start and an `n`-sized workspace cost about what the
+/// piece's dissection does.
+const FORK_FLOOR: usize = 4096;
+
 /// Side of a vertex that is not in the subgraph being split.
 const NO_SIDE: u8 = u8::MAX;
 
-/// The `n`-sized state of one ordering, shared by every recursive call.
+/// The `n`-sized state of one thread of an ordering, shared by every
+/// recursive call on that thread.
 struct Workspace {
     traversal: Traversal,
     /// 0 = A, 1 = B, 2 = separator while a subgraph is being split,
@@ -55,62 +68,134 @@ struct Workspace {
     md: MdWorkspace,
 }
 
-/// Compute a nested-dissection ordering of the whole graph.
+impl Workspace {
+    fn new(n: usize) -> Self {
+        let (traversal, md) = (Traversal::new(n), MdWorkspace::default());
+        Workspace { traversal, side: vec![NO_SIDE; n], md }
+    }
+}
+
+/// What every call of one ordering reads.
+struct Dissection<'a> {
+    graph: &'a Graph,
+    options: &'a NdOptions,
+    /// Fork a piece only if it has more vertices than this.
+    floor: usize,
+}
+
+/// Compute a nested-dissection ordering of the whole graph, on as many
+/// threads as the host offers.
 pub fn nested_dissection(graph: &Graph, options: &NdOptions) -> Permutation {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    nested_dissection_on(graph, options, threads, FORK_FLOOR)
+}
+
+/// [`nested_dissection`] on at most `threads` threads, forking pieces of
+/// more than `floor` vertices.
+fn nested_dissection_on(
+    graph: &Graph,
+    options: &NdOptions,
+    threads: usize,
+    floor: usize,
+) -> Permutation {
     let n = graph.nvertices();
     let mut order = Vec::with_capacity(n);
-    let mut ws = Workspace {
-        traversal: Traversal::new(n),
-        side: vec![NO_SIDE; n],
-        md: MdWorkspace::default(),
-    };
-    dissect(graph, (0..n).collect(), options, &mut ws, &mut order);
+    let nd = Dissection { graph, options, floor };
+    nd.dissect((0..n).collect(), threads.saturating_sub(1), &mut Workspace::new(n), &mut order);
     debug_assert_eq!(order.len(), n);
     Permutation::from_iperm(order)
 }
 
-/// Recursively dissect the ascending `vertices`, appending them to `order`
-/// in elimination order.
-fn dissect(
-    graph: &Graph,
-    vertices: Vec<usize>,
-    options: &NdOptions,
-    ws: &mut Workspace,
-    order: &mut Vec<usize>,
-) {
-    if vertices.len() <= options.leaf_size {
-        minimum_degree_subset(graph, &vertices, &mut ws.md, order);
-        return;
-    }
-    // Split into connected components first: dissect each independently
-    // (their elimination subtrees are siblings).
-    ws.traversal.enter(vertices.iter().copied());
-    let ncomp = graph.components(&vertices, &mut ws.traversal);
-    if ncomp > 1 {
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-        for &v in &vertices {
-            let comp = ws.traversal.label(v).expect("components labels every vertex");
-            parts[comp].push(v);
+impl Dissection<'_> {
+    /// Recursively dissect the ascending `vertices`, appending them to
+    /// `order` in elimination order, with `spare` more threads to fork onto.
+    fn dissect(
+        &self,
+        vertices: Vec<usize>,
+        spare: usize,
+        ws: &mut Workspace,
+        order: &mut Vec<usize>,
+    ) {
+        let graph = self.graph;
+        if vertices.len() <= self.options.leaf_size {
+            minimum_degree_subset(graph, &vertices, &mut ws.md, order);
+            return;
         }
+        // Split into connected components first: dissect each independently
+        // (their elimination subtrees are siblings).
+        ws.traversal.enter(vertices.iter().copied());
+        let ncomp = graph.components(&vertices, &mut ws.traversal);
+        if ncomp > 1 {
+            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
+            for &v in &vertices {
+                let comp = ws.traversal.label(v).expect("components labels every vertex");
+                parts[comp].push(v);
+            }
+            ws.traversal.leave(&vertices);
+            return self.dissect_parts(parts, &[], spare, ws, order);
+        }
+        let split = find_separator(graph, &vertices, self.options, ws);
         ws.traversal.leave(&vertices);
-        for part in parts {
-            dissect(graph, part, options, ws, order);
-        }
-        return;
-    }
-    let split = find_separator(graph, &vertices, options, ws);
-    ws.traversal.leave(&vertices);
-    match split {
-        Some([part_a, part_b, separator]) => {
-            dissect(graph, part_a, options, ws, order);
-            dissect(graph, part_b, options, ws, order);
+        match split {
             // The separator is numbered last; order it internally by
             // minimum degree for a little extra fill reduction inside the
             // dense-ish separator clique.
-            minimum_degree_subset(graph, &separator, &mut ws.md, order);
+            Some([part_a, part_b, separator]) => {
+                self.dissect_parts(vec![part_a, part_b], &separator, spare, ws, order)
+            }
+            // Degenerate split (e.g. a clique): fall back to minimum degree.
+            None => minimum_degree_subset(graph, &vertices, &mut ws.md, order),
         }
-        // Degenerate split (e.g. a clique): fall back to minimum degree.
-        None => minimum_degree_subset(graph, &vertices, &mut ws.md, order),
+    }
+
+    /// Dissect `parts` in turn, then order `separator` by minimum degree,
+    /// appending all of it to `order`. With a spare thread, the later parts
+    /// — from the split point that balances vertex counts best, if they hold
+    /// more than the floor — go to a scoped thread and their order is
+    /// spliced in before the separator's.
+    fn dissect_parts(
+        &self,
+        mut parts: Vec<Vec<usize>>,
+        separator: &[usize],
+        spare: usize,
+        ws: &mut Workspace,
+        order: &mut Vec<usize>,
+    ) {
+        let total: usize = parts.iter().map(Vec::len).sum();
+        let mut later = total;
+        let split = parts[..parts.len() - 1].iter().enumerate().map(|(i, part)| {
+            later -= part.len();
+            (i + 1, later)
+        });
+        let balanced = split.min_by_key(|&(_, later)| (2 * later).abs_diff(total));
+        let (mid, forked) = balanced.unwrap_or((0, 0));
+        if spare == 0 || forked <= self.floor {
+            for part in parts {
+                self.dissect(part, spare, ws, order);
+            }
+            return minimum_degree_subset(self.graph, separator, &mut ws.md, order);
+        }
+        // The new thread takes half the other spare threads, rounded down.
+        let theirs = (spare - 1) / 2;
+        let tail = parts.split_off(mid);
+        let mut ordered_separator = Vec::with_capacity(separator.len());
+        let tail_order = std::thread::scope(|scope| {
+            let forked = scope.spawn(move || {
+                let mut ws = Workspace::new(self.graph.nvertices());
+                let mut tail_order = Vec::with_capacity(forked);
+                for part in tail {
+                    self.dissect(part, theirs, &mut ws, &mut tail_order);
+                }
+                tail_order
+            });
+            for part in parts {
+                self.dissect(part, spare - 1 - theirs, ws, order);
+            }
+            minimum_degree_subset(self.graph, separator, &mut ws.md, &mut ordered_separator);
+            forked.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        order.extend(tail_order);
+        order.append(&mut ordered_separator);
     }
 }
 
@@ -371,6 +456,7 @@ mod tests {
         Graph::from_adjacency(xadj, adj)
     }
 
+    /// Also at 1–4 threads with every piece forked while a thread is spare.
     #[test]
     fn workspace_version_matches_the_fresh_array_reference() {
         let of = |a: &dagfact_sparse::CscMatrix<f64>| Graph::from_pattern(a.pattern());
@@ -401,8 +487,13 @@ mod tests {
                     let n = graph.nvertices();
                     let mut expect = Vec::with_capacity(n);
                     reference_dissect(graph, (0..n).collect(), &options, &mut expect);
+                    let expect = Permutation::from_iperm(expect);
                     let got = nested_dissection(graph, &options);
-                    assert_eq!(got, Permutation::from_iperm(expect), "n = {n}, {options:?}");
+                    assert_eq!(got, expect, "n = {n}, {options:?}");
+                    for threads in 1..=4 {
+                        let got = nested_dissection_on(graph, &options, threads, 0);
+                        assert_eq!(got, expect, "n = {n}, {options:?}, {threads} threads");
+                    }
                     cases += 1;
                 }
             }

@@ -6,6 +6,13 @@
 //! the paper) merges small supernodes into their parent, accepting bounded
 //! extra fill-in: "the default parameter for amalgamation has been slightly
 //! increased to allow up to 12% more fill-in to build larger blocks" (§V).
+//!
+//! Amalgamation needs no row list. On a postordered elimination tree
+//! `struct(j) ∖ {parent(j)} ⊆ struct(parent(j))`, and a group of merged
+//! supernodes is a connected subtree topped by its last column, so the rows
+//! below a group are its *root* supernode's, `cc[last column] − 1` of them
+//! (the subset lemma). [`amalgamate_counts`] merges on column counts alone
+//! and [`build_partition`] then builds one row list per final group.
 
 use crate::etree::NO_PARENT;
 use dagfact_sparse::SparsityPattern;
@@ -99,23 +106,11 @@ fn at_or_beyond(sorted: &[usize], bound: usize) -> &[usize] {
     &sorted[sorted.partition_point(|&i| i < bound)..]
 }
 
-/// Walk the union of two sorted, duplicate-free lists in ascending order.
-fn for_each_in_union(a: &[usize], b: &[usize], mut f: impl FnMut(usize)) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        f(x.min(y));
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    a[i..].iter().chain(&b[j..]).for_each(|&x| f(x));
-}
-
 /// Detect *fundamental-style* supernodes from the elimination tree and
 /// column counts: columns `j` and `j+1` share a supernode iff
 /// `parent[j] == j+1` and `cc[j+1] == cc[j] - 1` (then
 /// `struct(j+1) = struct(j) ∖ {j}`). Requires a topologically-labeled
-/// (postordered) tree.
+/// (postordered) tree. An empty tree has no supernode: `[0]`.
 pub fn detect_supernodes(parent: &[usize], cc: &[usize]) -> Vec<usize> {
     let n = parent.len();
     let mut first = vec![0usize];
@@ -125,11 +120,14 @@ pub fn detect_supernodes(parent: &[usize], cc: &[usize]) -> Vec<usize> {
             first.push(j);
         }
     }
-    first.push(n);
+    if n > 0 {
+        first.push(n);
+    }
     first
 }
 
-/// Build the full partition: row structures via bottom-up merging (children
+/// Build the full partition of the supernodes (or [`amalgamate_counts`]
+/// groups) `first`: row structures via bottom-up merging (children
 /// structures minus own columns, union the original pattern columns), and
 /// the supernode tree.
 pub fn build_partition(
@@ -175,22 +173,18 @@ pub fn build_partition(
             above[0].extend_from_slice(at_or_beyond(&below[s], first[p + 1]));
         }
     }
-    SupernodePartition {
-        first,
-        snode_of,
-        rows,
-        parent: sparent,
-    }
+    SupernodePartition { first, snode_of, rows, parent: sparent }
 }
 
-/// The groups of merged supernodes while [`amalgamate`] runs, indexed by
-/// the group's *root* supernode id.
+/// The groups of merged supernodes while [`merge_groups`] runs, indexed by
+/// the group's *root* supernode id (its last one).
 struct Groups {
     /// Column range `first[g]..last[g]` of a live group; `last` never
     /// changes for one.
     first: Vec<usize>,
     last: Vec<usize>,
-    rows: Vec<Vec<usize>>,
+    /// Rows below each supernode: by the subset lemma, below its group.
+    nrows: Vec<usize>,
     nnz: Vec<usize>,
     /// The un-amalgamated supernode tree.
     parent: Vec<usize>,
@@ -210,24 +204,13 @@ impl Groups {
         s
     }
 
-    /// Rows of child group `c` that stay below the panel once `c` is
-    /// merged into the parent group `p` (the rest become its columns).
-    fn rows_below(&self, c: usize, p: usize) -> &[usize] {
-        at_or_beyond(&self.rows[c], self.last[p])
-    }
-
-    /// Price of merging child group `c` into the contiguous parent group
-    /// `p`: the extra fill, and the length of the merged row list it was
-    /// counted from.
-    fn price(&self, c: usize, p: usize) -> (i64, usize) {
-        let mut merged = 0usize;
-        for_each_in_union(self.rows_below(c, p), &self.rows[p], |_| merged += 1);
-        let new_nnz = panel_nnz(self.last[p] - self.first[c], merged);
+    /// Extra fill of merging child group `c` into the contiguous parent
+    /// group `p`: the merged panel keeps the rows of `p`.
+    fn price(&self, c: usize, p: usize) -> i64 {
+        let new_nnz = panel_nnz(self.last[p] - self.first[c], self.nrows[p]);
         let old_nnz = self.nnz[c].saturating_add(self.nnz[p]);
-        let fill = i64::try_from(new_nnz)
-            .unwrap_or(i64::MAX)
-            .saturating_sub(i64::try_from(old_nnz).unwrap_or(i64::MAX));
-        (fill, merged)
+        let signed = |x: usize| i64::try_from(x).unwrap_or(i64::MAX);
+        signed(new_nnz).saturating_sub(signed(old_nnz))
     }
 
     /// Heap entry of the merge of group `s` into its parent group, if the
@@ -241,46 +224,36 @@ impl Groups {
         if p == s || self.first[p] != self.last[s] {
             return None;
         }
-        Some(Reverse((self.price(s, p).0, s, self.generation[s], self.generation[p])))
+        Some(Reverse((self.price(s, p), s, self.generation[s], self.generation[p])))
     }
 }
 
-/// Amalgamation following Hénon-Ramet-Roman \[25\]: repeatedly apply the
-/// *cheapest* child→parent merge (smallest extra fill) while the total
-/// extra fill stays within `fill_ratio` of the original factor nnz. A
-/// merge requires the parent's columns to start right after the child's so
-/// the merged panel stays contiguous.
+/// The merge loop of Hénon-Ramet-Roman \[25\] over the supernodes with
+/// column boundaries `first`, `nrows[s]` rows below supernode `s` and tree
+/// `parent`: repeatedly apply the *cheapest* child→parent merge (smallest
+/// extra fill) while the total extra fill stays within `fill_ratio` of the
+/// original factor nnz. A merge requires the parent's columns to start
+/// right after the child's so the merged panel stays contiguous. Returns
+/// the root supernode of every final group, ascending.
 ///
 /// Cheapest-first with a global budget concentrates the allowance on the
 /// tiny supernodes at the bottom of the tree (the ones whose tasks would
 /// otherwise be too small for any runtime — and far too small for a GPU,
 /// §V), which is exactly how PaStiX uses it.
-///
-/// A candidate is priced without building anything (two sorted row lists
-/// are walked once); the merged list is materialized when a merge commits.
-pub fn amalgamate(
-    partition: SupernodePartition,
+fn merge_groups(
+    first: &[usize],
+    nrows: Vec<usize>,
+    parent: Vec<usize>,
     options: &AmalgamationOptions,
-) -> SupernodePartition {
-    let nsup = partition.len();
-    let n = partition.snode_of.len();
-    let nnz: Vec<usize> = (0..nsup)
-        .map(|s| panel_nnz(partition.width(s), partition.rows[s].len()))
-        .collect();
+) -> Vec<usize> {
+    let nsup = nrows.len();
+    let n = first[nsup];
+    let nnz: Vec<usize> = (0..nsup).map(|s| panel_nnz(first[s + 1] - first[s], nrows[s])).collect();
     let total_orig: usize = nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
     let mut budget = (options.fill_ratio * total_orig as f64) as i64;
-    let SupernodePartition { mut first, rows, parent, .. } = partition;
-    let last = first[1..].to_vec();
-    first.truncate(nsup);
-    let mut g = Groups {
-        first,
-        last,
-        rows,
-        nnz,
-        parent,
-        merged_into: (0..nsup).collect(),
-        generation: vec![0; nsup],
-    };
+    let (first, last) = (first[..nsup].to_vec(), first[1..].to_vec());
+    let (merged_into, generation) = ((0..nsup).collect(), vec![0; nsup]);
+    let mut g = Groups { first, last, nrows, nnz, parent, merged_into, generation };
 
     // Min-heap of candidate merges keyed by extra fill.
     let mut heap = std::collections::BinaryHeap::new();
@@ -304,7 +277,7 @@ pub fn amalgamate(
         }
         // Re-evaluate: the parent group may have changed since this entry
         // was pushed (its generation moved on).
-        let (fill_now, merged_len) = g.price(s, p);
+        let fill_now = g.price(s, p);
         if fill_now > fill {
             // Stale optimistic entry: reinsert with the fresh cost.
             heap.push(Reverse((fill_now, s, g.generation[s], g.generation[p])));
@@ -321,12 +294,8 @@ pub fn amalgamate(
         if !tiny {
             budget -= fill_now.max(0);
         }
-        // Commit the merge: p absorbs s, whose row list is released.
-        let mut merged = Vec::with_capacity(merged_len);
-        for_each_in_union(g.rows_below(s, p), &g.rows[p], |i| merged.push(i));
-        g.rows[s] = Vec::new();
-        g.nnz[p] = panel_nnz(w, merged_len);
-        g.rows[p] = merged;
+        // Commit the merge: p absorbs s and keeps its own rows.
+        g.nnz[p] = panel_nnz(w, g.nrows[p]);
         g.first[p] = g.first[s];
         g.merged_into[s] = p;
         g.generation[p] += 1;
@@ -340,34 +309,63 @@ pub fn amalgamate(
             heap.extend(g.candidate(below));
         }
     }
+    (0..nsup).filter(|&s| g.merged_into[s] == s).collect()
+}
 
-    // Rebuild a compact partition; live groups ascend with their root id.
-    let mut first = Vec::new();
-    let mut new_rows = Vec::new();
-    for s in (0..nsup).filter(|&s| g.merged_into[s] == s) {
-        first.push(g.first[s]);
-        new_rows.push(std::mem::take(&mut g.rows[s]));
-    }
-    first.push(n);
-    let mut snode_of = vec![0usize; n];
+/// Column boundaries of the groups rooted at `roots` (each ends with its root).
+fn group_boundaries(first: &[usize], roots: &[usize]) -> Vec<usize> {
+    std::iter::once(0).chain(roots.iter().map(|&r| first[r + 1])).collect()
+}
+
+/// Amalgamation before any row list exists: the merge loop on the
+/// supernodes `first` of [`detect_supernodes`], priced from the column
+/// counts `cc` of the same postordered tree `parent` (the subset lemma).
+/// Returns the group boundaries; [`build_partition`] on them equals
+/// [`amalgamate`] of the fundamental partition.
+pub fn amalgamate_counts(
+    parent: &[usize],
+    cc: &[usize],
+    first: &[usize],
+    options: &AmalgamationOptions,
+) -> Vec<usize> {
+    let ends = &first[1..];
+    let nrows = ends.iter().map(|&e| cc[e - 1] - 1).collect();
+    let supernode_of = |j: usize| first.partition_point(|&f| f <= j) - 1;
+    let sparent = ends.iter().map(|&e| parent[e - 1]);
+    let sparent = sparent.map(|p| if p == NO_PARENT { p } else { supernode_of(p) }).collect();
+    group_boundaries(first, &merge_groups(first, nrows, sparent, options))
+}
+
+/// Amalgamation of a built partition: the merge loop priced from its row
+/// list lengths; each final group keeps its root's list. Precondition:
+/// `partition` is [`build_partition`]'s over a postordered elimination
+/// tree, so that the subset lemma (module docs) holds — checked in debug.
+pub fn amalgamate(
+    partition: SupernodePartition,
+    options: &AmalgamationOptions,
+) -> SupernodePartition {
+    let SupernodePartition { first, mut rows, parent, mut snode_of } = partition;
+    let roots = merge_groups(&first, rows.iter().map(Vec::len).collect(), parent, options);
+    debug_assert!(rows_nest(&first, &rows, &roots), "a member's rows escape its root's");
+    let rows: Vec<Vec<usize>> = roots.iter().map(|&r| std::mem::take(&mut rows[r])).collect();
+    let first = group_boundaries(&first, &roots);
     for (new_s, w) in first.windows(2).enumerate() {
         snode_of[w[0]..w[1]].fill(new_s);
     }
-    // Recompute the supernode tree from the merged structures: parent =
-    // supernode of the smallest row (first ancestor receiving an update),
-    // falling back to NO_PARENT for top supernodes.
-    let mut sparent = vec![NO_PARENT; new_rows.len()];
-    for s in 0..new_rows.len() {
-        if let Some(&r) = new_rows[s].first() {
-            sparent[s] = snode_of[r];
-        }
-    }
-    SupernodePartition {
-        first,
-        snode_of,
-        rows: new_rows,
-        parent: sparent,
-    }
+    // The supernode tree of the groups: parent = group of the smallest row
+    // (first ancestor receiving an update), NO_PARENT for top groups.
+    let parent = rows.iter().map(|r| r.first().map_or(NO_PARENT, |&i| snode_of[i])).collect();
+    SupernodePartition { first, snode_of, rows, parent }
+}
+
+/// The subset lemma on a finished merge: the rows of every member beyond
+/// its group are rows of the group's root.
+fn rows_nest(first: &[usize], rows: &[Vec<usize>], roots: &[usize]) -> bool {
+    let starts = std::iter::once(0).chain(roots.iter().map(|&r| r + 1));
+    roots.iter().zip(starts).all(|(&r, start)| {
+        let in_root = |i: &usize| rows[r].binary_search(i).is_ok();
+        (start..r).all(|s| at_or_beyond(&rows[s], first[r + 1]).iter().all(in_root))
+    })
 }
 
 #[cfg(test)]
@@ -517,6 +515,18 @@ mod tests {
         }
     }
 
+    /// Walk the union of two sorted, duplicate-free lists in ascending order.
+    fn for_each_in_union(a: &[usize], b: &[usize], mut f: impl FnMut(usize)) {
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (x, y) = (a[i], b[j]);
+            f(x.min(y));
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+        a[i..].iter().chain(&b[j..]).for_each(|&x| f(x));
+    }
+
     #[test]
     fn union_walk_visits_each_value_once_in_order() {
         let collect = |a: &[usize], b: &[usize]| {
@@ -528,6 +538,182 @@ mod tests {
         assert_eq!(collect(&[], &[2, 3]), [2, 3]);
         assert_eq!(collect(&[2, 3], &[]), [2, 3]);
         assert_eq!(collect(&[7], &[7]), [7]);
+    }
+
+    /// The union-walk amalgamation, kept as the reference: every candidate
+    /// is priced by walking the child's rows beyond the parent group and the
+    /// parent's rows once, and a commit materializes the merged list. It
+    /// assumes nothing about how the row lists nest.
+    fn reference_amalgamate(
+        partition: SupernodePartition,
+        options: &AmalgamationOptions,
+    ) -> SupernodePartition {
+        struct Groups {
+            first: Vec<usize>,
+            last: Vec<usize>,
+            rows: Vec<Vec<usize>>,
+            nnz: Vec<usize>,
+            parent: Vec<usize>,
+            merged_into: Vec<usize>,
+            generation: Vec<u32>,
+        }
+        impl Groups {
+            fn find(&mut self, mut s: usize) -> usize {
+                while self.merged_into[s] != s {
+                    s = self.merged_into[s];
+                }
+                s
+            }
+            fn rows_below(&self, c: usize, p: usize) -> &[usize] {
+                at_or_beyond(&self.rows[c], self.last[p])
+            }
+            fn price(&self, c: usize, p: usize) -> (i64, usize) {
+                let mut merged = 0usize;
+                for_each_in_union(self.rows_below(c, p), &self.rows[p], |_| merged += 1);
+                let new_nnz = panel_nnz(self.last[p] - self.first[c], merged);
+                let old_nnz = self.nnz[c].saturating_add(self.nnz[p]);
+                (new_nnz as i64 - old_nnz as i64, merged)
+            }
+            fn candidate(&mut self, s: usize) -> Option<Reverse<(i64, usize, u32, u32)>> {
+                if self.parent[s] == NO_PARENT {
+                    return None;
+                }
+                let p = self.find(self.parent[s]);
+                let contiguous = p != s && self.first[p] == self.last[s];
+                let (gen_s, gen_p) = (self.generation[s], self.generation[p]);
+                contiguous.then(|| Reverse((self.price(s, p).0, s, gen_s, gen_p)))
+            }
+        }
+        let nsup = partition.len();
+        let n = partition.snode_of.len();
+        let nnz_of = |s: usize| panel_nnz(partition.width(s), partition.rows[s].len());
+        let nnz: Vec<usize> = (0..nsup).map(nnz_of).collect();
+        let mut budget = (options.fill_ratio * nnz.iter().sum::<usize>() as f64) as i64;
+        let SupernodePartition { mut first, rows, parent, .. } = partition;
+        let last = first[1..].to_vec();
+        first.truncate(nsup);
+        let (merged_into, generation) = ((0..nsup).collect(), vec![0; nsup]);
+        let mut g = Groups { first, last, rows, nnz, parent, merged_into, generation };
+        let mut heap = std::collections::BinaryHeap::new();
+        for s in 0..nsup {
+            heap.extend(g.candidate(s));
+        }
+        let mut ending_at = vec![NO_PARENT; n + 1];
+        for s in 0..nsup {
+            ending_at[g.last[s]] = s;
+        }
+        while let Some(Reverse((fill, s, gen_s, _))) = heap.pop() {
+            if g.merged_into[s] != s || g.generation[s] != gen_s {
+                continue;
+            }
+            let p = g.find(g.parent[s]);
+            if p == s || g.first[p] != g.last[s] {
+                continue;
+            }
+            let (fill_now, merged_len) = g.price(s, p);
+            if fill_now > fill {
+                heap.push(Reverse((fill_now, s, g.generation[s], g.generation[p])));
+                continue;
+            }
+            let w = g.last[p] - g.first[s];
+            let tiny = w <= options.min_width;
+            if !tiny && fill_now > budget {
+                continue;
+            }
+            if !tiny {
+                budget -= fill_now.max(0);
+            }
+            let mut merged = Vec::with_capacity(merged_len);
+            for_each_in_union(g.rows_below(s, p), &g.rows[p], |i| merged.push(i));
+            g.rows[s] = Vec::new();
+            g.nnz[p] = panel_nnz(w, merged_len);
+            g.rows[p] = merged;
+            g.first[p] = g.first[s];
+            g.merged_into[s] = p;
+            g.generation[p] += 1;
+            ending_at[g.last[s]] = NO_PARENT;
+            heap.extend(g.candidate(p));
+            let below = ending_at[g.first[p]];
+            if below != NO_PARENT {
+                heap.extend(g.candidate(below));
+            }
+        }
+        let live: Vec<usize> = (0..nsup).filter(|&s| g.merged_into[s] == s).collect();
+        let mut first: Vec<usize> = live.iter().map(|&s| g.first[s]).collect();
+        first.push(n);
+        let rows: Vec<Vec<usize>> = live.iter().map(|&s| std::mem::take(&mut g.rows[s])).collect();
+        let mut snode_of = vec![0usize; n];
+        for (new_s, w) in first.windows(2).enumerate() {
+            snode_of[w[0]..w[1]].fill(new_s);
+        }
+        let parent = rows.iter().map(|r| r.first().map_or(NO_PARENT, |&i| snode_of[i])).collect();
+        SupernodePartition { first, snode_of, rows, parent }
+    }
+
+    fn assert_same(got: &SupernodePartition, expect: &SupernodePartition, what: &str) {
+        assert_eq!(got.first, expect.first, "{what}: first");
+        assert_eq!(got.rows, expect.rows, "{what}: rows");
+        assert_eq!(got.parent, expect.parent, "{what}: parent");
+        assert_eq!(got.snode_of, expect.snode_of, "{what}: snode_of");
+    }
+
+    #[test]
+    fn both_amalgamation_paths_equal_the_union_walk_reference() {
+        use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d};
+        let nd = |a: &dagfact_sparse::CscMatrix<f64>| {
+            let order = dagfact_order::compute_ordering(
+                &a.pattern().symmetrize(),
+                dagfact_order::OrderingKind::NestedDissection,
+            );
+            a.pattern().symmetrize().permute_symmetric(order.perm())
+        };
+        let mut patterns = vec![
+            ("grid 2d", grid_laplacian_2d(23, 17).pattern().clone()),
+            ("grid 2d, nd", nd(&grid_laplacian_2d(30, 30))),
+            ("grid 3d, nd", nd(&grid_laplacian_3d(9, 8, 7))),
+            ("shell, nd", nd(&convection_diffusion_3d(24, 24, 3, 0.3))),
+        ];
+        for seed in 0..8u64 {
+            let (n, per_col) = (150 + 40 * seed as usize, 1 + seed as usize % 4);
+            patterns.push(("random", random_spd(n, per_col, seed).pattern().clone()));
+            patterns.push(("random, nd", nd(&random_spd(200, 3, 100 + seed))));
+        }
+        // The settings the other tests use, and the corners around them.
+        let settings =
+            [(0.12, 8), (0.0, 4), (1.0, 1), (0.3, 16), (0.0, 1), (0.05, 0), (0.12, 4), (2.0, 32)];
+        let mut merged = 0;
+        for (name, pattern) in &patterns {
+            let (p, parent, cc) = prepared(pattern);
+            let fundamental = detect_supernodes(&parent, &cc);
+            let part = build_partition(&p, &parent, fundamental.clone());
+            for (fill_ratio, min_width) in settings {
+                let options = AmalgamationOptions { fill_ratio, min_width };
+                let what = format!("{name}, n = {}, {options:?}", p.ncols());
+                let expect = reference_amalgamate(part.clone(), &options);
+                assert_same(&amalgamate(part.clone(), &options), &expect, &what);
+                let first = amalgamate_counts(&parent, &cc, &fundamental, &options);
+                assert_same(&build_partition(&p, &parent, first), &expect, &what);
+                merged += part.len() - expect.len();
+            }
+        }
+        assert!(merged > 10_000, "only {merged} merges exercised");
+    }
+
+    #[test]
+    fn empty_and_single_column_patterns() {
+        for n in [0, 1] {
+            let a = grid_laplacian_2d(n, n.min(1));
+            let (p, parent, cc) = prepared(a.pattern());
+            let first = detect_supernodes(&parent, &cc);
+            assert_eq!(first.len(), n + 1, "n = {n}: {first:?}");
+            let options = AmalgamationOptions::default();
+            let counts_first = amalgamate_counts(&parent, &cc, &first, &options);
+            let part = build_partition(&p, &parent, first);
+            let merged = amalgamate(part.clone(), &options);
+            assert_eq!(merged.len(), n);
+            assert_eq!(counts_first, merged.first);
+            assert_same(&merged, &reference_amalgamate(part, &options), "tiny");
+        }
     }
 
     #[test]
