@@ -6,10 +6,11 @@
 //! all subsequent factorizations, solves and simulations, so both DAGs are
 //! built here, once ([`crate::tasks`]): the two words per block the
 //! factorization's two-level graph is computed from
-//! ([`Analysis::two_level`]) and the coarse 1D panel graph with its
-//! transpose ([`Analysis::one_d`]: the schedule of the triangular sweeps
-//! and of the distributed engine). Only the dataflow policy derives edges
-//! per run: inferring them at submission is that model.
+//! ([`Analysis::two_level`]) and the coarse 1D panel graph
+//! ([`Analysis::one_d`]: the schedule of the distributed engine). Only the
+//! dataflow policy derives edges per run: inferring them at submission is
+//! that model. The triangular solve needs no graph: elimination order is
+//! its schedule.
 
 use crate::tasks::{OneDGraph, TaskGraph};
 use dagfact_order::{compute_ordering, OrderingKind, Permutation};
@@ -88,7 +89,7 @@ pub struct Analysis {
     pub perm: Permutation,
     /// Block symbolic structure of the factor.
     pub symbol: SymbolMatrix,
-    /// The 1D panel graph of `symbol` and its transpose, built once here.
+    /// The 1D panel graph of `symbol`, built once here.
     pub one_d: OneDGraph,
     /// The two-level panel/update graph of `symbol`, built once here.
     pub two_level: TaskGraph,

@@ -153,7 +153,7 @@ impl<T> PanelPin<'_, T> {
     /// # Safety
     /// The caller must guarantee *exclusive* access to this panel for
     /// the lifetime of the returned slice — same contract as
-    /// [`dagfact_rt::SharedSlice::slice_mut`].
+    /// [`dagfact_rt::SharedSlice::range_mut`] over the whole panel.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self) -> &mut [T] {
         // SAFETY: as above, with exclusivity guaranteed by the caller.

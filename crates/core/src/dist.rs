@@ -1259,6 +1259,8 @@ pub fn factorize_dist<'a, T: Scalar>(
             tab,
             d: d.into_vec(),
             pivots_repaired: pivots,
+            // The cluster runs in virtual time on this one thread.
+            nthreads: 1,
             stats: FactorStats {
                 epsilon,
                 epsilon_history: vec![epsilon],

@@ -669,6 +669,9 @@ pub struct Factors<'a, T: Scalar> {
     pub d: Vec<T>,
     /// Number of pivots bumped by static pivoting.
     pub pivots_repaired: usize,
+    /// Workers the factorization ran on: [`Factors::solve_many`] splits
+    /// its right-hand sides over up to this many threads.
+    pub nthreads: usize,
     /// Execution statistics (engine report, pivot-escalation history).
     pub stats: FactorStats,
     /// Span recorder inherited from the factorizing [`ExecOptions`]; the
@@ -792,6 +795,7 @@ impl Analysis {
             tab,
             d: d.into_vec(),
             pivots_repaired: pivots,
+            nthreads,
             stats: FactorStats {
                 epsilon,
                 epsilon_history: vec![epsilon],

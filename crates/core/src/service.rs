@@ -165,8 +165,9 @@ impl<T: Scalar> SharedFactors<T> {
         self.factors.solve(b)
     }
 
-    /// Solve for `nrhs` column-major right-hand sides in one blocked
-    /// sweep.
+    /// Solve for `nrhs` column-major right-hand sides in blocked sweeps,
+    /// split by columns over the threads the factors were built on
+    /// ([`Factors::solve_many`]).
     pub fn solve_many(&self, b: &[T], nrhs: usize) -> Vec<T> {
         self.factors.solve_many(b, nrhs)
     }
@@ -207,7 +208,7 @@ impl Analysis {
     /// symbolic structure) — what a pattern cache should charge to a
     /// [`dagfact_rt::MemoryBudget`] ledger for holding it. An estimate:
     /// the symbol structure dominates and is counted exactly; small
-    /// side tables (and the 1D graph, two words per edge) are
+    /// side tables (and the 1D graph, one word per edge) are
     /// approximated; the two-level graph is two `u32` per block.
     pub fn resident_bytes(&self) -> usize {
         let usz = core::mem::size_of::<usize>();
@@ -222,7 +223,7 @@ impl Analysis {
         let edges: usize = (0..self.symbol.ncblk()).map(|c| self.one_d.succs(c).len()).sum();
         perm.saturating_add(cblks)
             .saturating_add(blocks)
-            .saturating_add(edges.saturating_mul(2 * usz))
+            .saturating_add(edges.saturating_mul(usz))
     }
 }
 

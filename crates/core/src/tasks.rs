@@ -20,8 +20,8 @@
 //! one graph; PaStiX's analyze-time static mapping (§III) survives as the
 //! native policy's *seed placement* — a task's static owner is the
 //! cost-model list schedule's owner of its source panel. The coarser
-//! [`OneDGraph`] (one node per panel) schedules the triangular sweeps and
-//! the distributed engine, not the factorization.
+//! [`OneDGraph`] (one node per panel) schedules the distributed engine,
+//! not the factorization.
 //! [`Analysis::program`] is the only constructor of what a policy
 //! executes — the factorization runs it, the verifier extracts its spec
 //! from it, the simulator lowers it — and [`TaskKind::accesses`] states
@@ -162,63 +162,43 @@ impl TaskGraph {
 
 /// The coarse 1D-task DAG: one task per panel covering the panel operation
 /// *and* all its updates (§III). It depends on the symbol structure only,
-/// so [`crate::Analysis::new`] builds it once for the distributed engine
-/// and the triangular solve (forward sweep over it, backward sweep over
-/// its transpose).
+/// so [`crate::Analysis::new`] builds it once for the distributed engine.
 #[derive(Debug, Clone)]
 pub struct OneDGraph {
-    /// Successor lists, then predecessor lists (the transpose's
-    /// successors), as compressed rows `(ptr, idx)`: panel `c`'s list is
-    /// `idx[ptr[c]..ptr[c + 1]]`. Four allocations, not two per panel: the
+    /// Successor lists as compressed rows: panel `c`'s list is
+    /// `idx[ptr[c]..ptr[c + 1]]`. Two allocations, not one per panel: the
     /// graph lives as long as the analysis, and thousands of small
     /// long-lived lists fragment the heap the factor panels churn.
-    rows: [(Vec<usize>, Vec<usize>); 2],
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
 }
 
 impl OneDGraph {
     /// Build from a symbol structure.
     pub fn build(symbol: &SymbolMatrix) -> OneDGraph {
         let ncblk = symbol.ncblk();
-        let compress = |edges: &[(usize, usize)]| {
-            let mut ptr = vec![0usize; ncblk + 1];
-            for &(row, _) in edges {
-                ptr[row + 1] += 1;
-            }
-            for row in 0..ncblk {
-                ptr[row + 1] += ptr[row];
-            }
-            (ptr, edges.iter().map(|e| e.1).collect())
-        };
         // (source, facing) pairs, one per couple of panels, in one buffer
         // sized up front (no growth reallocations inside the analysis);
-        // sorted either way round they are the rows of the graph and of
-        // its transpose.
+        // sorted, they are the rows of the graph.
         let mut edges = Vec::with_capacity(symbol.blocks.len());
         edges.extend((0..ncblk).flat_map(|c| symbol.off_blocks(c).iter().map(move |b| (c, b.facing))));
         edges.sort_unstable();
         edges.dedup();
-        let succs = compress(&edges);
-        edges.iter_mut().for_each(|e| *e = (e.1, e.0));
-        edges.sort_unstable();
-        OneDGraph { rows: [succs, compress(&edges)] }
-    }
-
-    fn row(&self, transposed: bool, c: usize) -> &[usize] {
-        // BOUNDS: c < ncblk = ptr.len() - 1, and ptr is a prefix sum
-        // ending at idx.len().
-        let (ptr, idx) = &self.rows[transposed as usize];
-        &idx[ptr[c]..ptr[c + 1]]
+        let mut ptr = vec![0usize; ncblk + 1];
+        for &(row, _) in &edges {
+            ptr[row + 1] += 1;
+        }
+        for row in 0..ncblk {
+            ptr[row + 1] += ptr[row];
+        }
+        OneDGraph { ptr, idx: edges.iter().map(|e| e.1).collect() }
     }
 
     /// Panels receiving updates from panel `c` (deduplicated, ascending).
     pub fn succs(&self, c: usize) -> &[usize] {
-        self.row(false, c)
-    }
-
-    /// `(predecessor count, successors)` of panel `c` in the graph itself
-    /// (`forward`) or in its transpose.
-    pub fn directed(&self, c: usize, forward: bool) -> (u32, &[usize]) {
-        (self.row(forward, c).len() as u32, self.row(!forward, c))
+        // BOUNDS: c < ncblk = ptr.len() - 1, and ptr is a prefix sum
+        // ending at idx.len().
+        &self.idx[self.ptr[c]..self.ptr[c + 1]]
     }
 }
 
@@ -424,23 +404,14 @@ mod tests {
     fn one_d_graph_is_acyclic_and_forward(){
         let s = analysis().symbol;
         let g = OneDGraph::build(&s);
-        let (mut nedges, mut npreds, mut has_root) = (0, 0, false);
+        let mut has_pred = vec![false; s.ncblk()];
         for c in 0..s.ncblk() {
             let mut facing: Vec<usize> = s.off_blocks(c).iter().map(|b| b.facing).collect();
             facing.dedup();
             assert_eq!(g.succs(c), &facing[..], "succs({c}) is the deduplicated facing set");
             assert!(g.succs(c).iter().all(|&t| t > c), "1D edge goes backward from {c}");
-            // The transpose mirrors the forward lists edge for edge.
-            let (npred, succs) = g.directed(c, true);
-            let (nsucc, preds) = g.directed(c, false);
-            assert_eq!((succs, nsucc as usize), (g.succs(c), succs.len()));
-            assert!(preds.iter().all(|&p| g.succs(p).contains(&c)));
-            assert_eq!(npred as usize, preds.len());
-            nedges += succs.len();
-            npreds += preds.len();
-            has_root |= preds.is_empty();
+            g.succs(c).iter().for_each(|&t| has_pred[t] = true);
         }
-        assert_eq!(nedges, npreds);
-        assert!(has_root);
+        assert!(has_pred.contains(&false), "no root panel");
     }
 }

@@ -441,20 +441,24 @@ fn solve_faults_spilled_panels_back_in_through_injected_failures() {
         "spill round-trip drifted the residual: {e:.3e} vs {e_clean:.3e}"
     );
     // The cap cannot hold the whole factor, so a second solve faults
-    // panels back in again — this time from 4 workers pinning (and so
-    // evicting) concurrently. Same residual as the unbudgeted sequential
-    // solve.
-    let x4 = f.solve_parallel(&b, 4);
+    // panels back in again — this time four column groups, one column
+    // each, on four threads that pin (and so evict and fault back) the
+    // same panels concurrently. Bitwise the one-group solve.
+    let n = b.len();
+    let b4: Vec<f64> = (0..4 * n).map(|i| b[i % n] * (1 + i / n) as f64).collect();
+    let x4 = f.solve_parallel_many(&b4, 4, 4);
     let after = budget.stats();
     assert!(
         after.fault_in_events > live.fault_in_events,
-        "4-worker solve found every panel resident: {after:?}"
+        "4-group solve found every panel resident: {after:?}"
     );
-    let e4 = berr(&a, &x4, &b);
+    let x1 = f.solve_parallel_many(&b4, 4, 1);
     assert!(
-        e4 <= 1e-12 && (e4 - e_clean).abs() <= 1e-12,
-        "spilled 4-worker solve: {e4:.3e} vs sequential unbudgeted {e_clean:.3e}"
+        x4.iter().zip(&x1).all(|(u, v)| u.to_bits() == v.to_bits()),
+        "spilled 4-group solve is not the 1-group one"
     );
+    let e4 = berr(&a, &x4[..n], &b);
+    assert!(e4 <= 1e-12, "spilled 4-group solve: backward error {e4:.3e}");
 }
 
 // ---------------------------------------------------------------------

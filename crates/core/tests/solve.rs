@@ -1,23 +1,24 @@
 //! The triangular solve, one table: {Cholesky f64, LDLᵀ f64, LDLᵀ C64,
-//! LU f64} × nrhs {1, 2, 3, 4, 5, 16, 17} × workers {1, 2, 4}. The nrhs
-//! set walks the kernels' column tiles (1–3: the narrow tiles alone, 4:
-//! one full tile, 5 and 17: full tiles + remainder, 17 also a second
-//! column chunk of the blocked TRSM).
+//! LU f64} × nrhs {1, 2, 3, 4, 5, 16, 17} × column groups {1, 2, 4}. The
+//! nrhs set walks the kernels' column tiles (1–3: the narrow tiles alone,
+//! 4: one full tile, 5 and 17: full tiles + remainder, 17 also a second
+//! column chunk of the blocked TRSM) and the ways columns split into
+//! groups (1–3 under four groups: fewer columns than workers).
 //!
-//! * one worker is *the* sequential solve: `solve_parallel_many(b, nrhs,
-//!   1)` is bitwise `solve_many(b, nrhs)`, and `solve_many`'s column `r`
-//!   is bitwise `solve` of column `r` — no kernel may let a column's
-//!   rounding depend on how many columns ride with it;
-//! * more workers may apply the contributions into a panel in another
-//!   order: the result agrees with the sequential one componentwise to
-//!   `AGREE · max(1, ‖x‖∞)` and reaches backward error ≤ `BERR`. Every
-//!   fixture has panels with several blocks facing one panel (asserted):
-//!   each block takes the facing panel's lock for its own subtraction.
+//! * `solve_many`'s column `r` is bitwise `solve` of column `r` — no
+//!   kernel may let a column's rounding depend on how many columns ride
+//!   with it;
+//! * that identity is the parallel solve, so it is exact:
+//!   `solve_parallel_many(b, nrhs, k)` is bitwise the 1-group solve at
+//!   every `k`, and so is `solve_many` on factors from two workers, which
+//!   splits once the problem is above `SPLIT_FLOOR`
+//!   (`solve_many_splits_above_the_floor` asserts that it does).
 //!
-//! (The spilled-factors multi-worker case lives with its fixture in
+//! (The spilled-factors case lives with its fixture in
 //! `memory_budget.rs`.) Problems shrink under Miri, which runs this file
 //! as the crate's unsafe-bearing solve suite (`tools/check-miri.sh`).
 
+use dagfact_core::solve::SPLIT_FLOOR;
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
 use dagfact_kernels::{Scalar, C64};
 use dagfact_sparse::gen::{
@@ -26,9 +27,6 @@ use dagfact_sparse::gen::{
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
 
-/// Componentwise agreement of a multi-worker solve with the sequential
-/// one, relative to `max(1, ‖x‖∞)`.
-const AGREE: f64 = 1e-10;
 /// Backward-error bound every solve of the table must reach.
 const BERR: f64 = 1e-10;
 
@@ -58,59 +56,39 @@ fn bits<T: Scalar>(v: &[T]) -> Vec<(u64, u64)> {
     v.iter().map(|x| (x.re().to_bits(), x.im().to_bits())).collect()
 }
 
+fn rhs<T: Scalar>(n: usize, nrhs: usize) -> Vec<T> {
+    (0..n * nrhs)
+        .map(|i| T::from_parts(((i * 7 + 1) % 19) as f64 - 9.0, (i % 5) as f64 - 2.0))
+        .collect()
+}
+
 fn check<T: Scalar>(name: &str, a: &CscMatrix<T>, facto: FactoKind, engine: RuntimeKind) {
     let n = a.nrows();
     let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
     let f = analysis.factorize(a, engine, 2).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let symbol = &analysis.symbol;
-    let repeated_facing = (0..symbol.ncblk())
-        .filter(|&c| symbol.off_blocks(c).windows(2).any(|p| p[0].facing == p[1].facing))
-        .count();
-    assert!(
-        cfg!(miri) || repeated_facing > 0,
-        "{name}: no panel has two blocks facing the same panel"
-    );
     for nrhs in [1usize, 2, 3, 4, 5, 16, 17] {
-        let b: Vec<T> = (0..n * nrhs)
-            .map(|i| T::from_parts(((i * 7 + 1) % 19) as f64 - 9.0, (i % 5) as f64 - 2.0))
-            .collect();
-        let seq = f.solve_many(&b, nrhs);
-        let scale = inf_norm(&seq).max(1.0);
+        let b: Vec<T> = rhs(n, nrhs);
+        let seq = bits(&f.solve_parallel_many(&b, nrhs, 1));
         for r in 0..nrhs {
             let col = r * n..(r + 1) * n;
+            let x = f.solve(&b[col.clone()]);
             assert_eq!(
-                bits(&seq[col.clone()]),
-                bits(&f.solve(&b[col.clone()])),
+                seq[col.clone()],
+                bits(&x),
                 "{name}: solve_many column {r} of {nrhs} is not solve of that column"
             );
-            let e = berr(a, &seq[col.clone()], &b[col]);
+            let e = berr(a, &x, &b[col]);
             assert!(e <= BERR, "{name}: nrhs {nrhs} column {r}: backward error {e:.3e}");
         }
-        assert_eq!(
-            bits(&f.solve_parallel_many(&b, nrhs, 1)),
-            bits(&seq),
-            "{name}: nrhs {nrhs}: one worker is not the sequential solve"
-        );
-        for threads in [2usize, 4] {
-            let par = f.solve_parallel_many(&b, nrhs, threads);
-            for (i, (u, v)) in seq.iter().zip(&par).enumerate() {
-                assert!(
-                    (*u - *v).modulus() <= AGREE * scale,
-                    "{name}: nrhs {nrhs}, {threads} workers, entry {i}: {u} vs {v}"
-                );
-            }
-            for r in 0..nrhs {
-                let col = r * n..(r + 1) * n;
-                let e = berr(a, &par[col.clone()], &b[col]);
-                assert!(
-                    e <= BERR,
-                    "{name}: nrhs {nrhs}, {threads} workers, column {r}: backward error {e:.3e}"
-                );
-            }
+        assert_eq!(bits(&f.solve_many(&b, nrhs)), seq, "{name}: nrhs {nrhs}: solve_many");
+        for groups in [2usize, 4] {
+            assert_eq!(
+                bits(&f.solve_parallel_many(&b, nrhs, groups)),
+                seq,
+                "{name}: nrhs {nrhs} in {groups} groups is not the sequential solve"
+            );
         }
     }
-    let b = vec![T::one(); n];
-    assert_eq!(bits(&f.solve_parallel(&b, 1)), bits(&f.solve(&b)), "{name}: solve_parallel");
 }
 
 #[test]
@@ -136,6 +114,33 @@ fn solve_table_ldlt_c64() {
 fn solve_table_lu_f64() {
     let s = side(6);
     check("lu", &convection_diffusion_3d(s, s, s - 1, 0.4), FactoKind::Lu, RuntimeKind::Dataflow);
+}
+
+/// `solve_many` forks by itself: on factors from two workers, 8 and 16
+/// right-hand sides above the floor run in two groups and are bitwise the
+/// sequential solve. Groups narrower than the 4-column tile, problems
+/// below the floor and one-worker factors stay in one group.
+#[test]
+fn solve_many_splits_above_the_floor() {
+    let a = grid_laplacian_3d(12, 12, 12);
+    let n = a.nrows();
+    let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+    assert!(8 * an.stats().nnz_l > SPLIT_FLOOR, "the case is below the floor");
+    let f = an.factorize(&a, RuntimeKind::Ptg, 2).expect("factorization succeeds");
+    assert_eq!(f.nthreads, 2);
+    assert_eq!((f.solve_groups(8), f.solve_groups(16)), (2, 2), "no split above the floor");
+    assert_eq!((f.solve_groups(1), f.solve_groups(4), f.solve_groups(7)), (1, 1, 1));
+    for nrhs in [8, 16] {
+        let b: Vec<f64> = rhs(n, nrhs);
+        assert_eq!(bits(&f.solve_many(&b, nrhs)), bits(&f.solve_parallel_many(&b, nrhs, 1)));
+    }
+    let one = an.factorize(&a, RuntimeKind::Ptg, 1).expect("factorization succeeds");
+    assert_eq!(one.solve_groups(16), 1, "one-worker factors split");
+    let small = grid_laplacian_3d(4, 4, 4);
+    let an = Analysis::new(small.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+    assert!(16 * an.stats().nnz_l < SPLIT_FLOOR / 4);
+    let f = an.factorize(&small, RuntimeKind::Ptg, 2).expect("factorization succeeds");
+    assert_eq!(f.solve_groups(16), 1, "a problem below the floor split");
 }
 
 #[test]

@@ -20,10 +20,11 @@ use core::cell::UnsafeCell;
 ///
 /// # Safety contract
 ///
-/// Callers of [`SharedSlice::slice_mut`] must guarantee — normally via the
+/// Callers of the mutable range accessors ([`SharedSlice::range_mut`],
+/// [`SharedSlice::disjoint_pair`]) must guarantee — normally via the
 /// runtime's dependency tracking — that no other thread accesses an
 /// overlapping range for the duration of the borrow. Disjoint mutable
-/// ranges are always fine.
+/// ranges are always fine; there is no whole-slice mutable view.
 ///
 /// Precisely, each borrow is an *access* of some element range in a mode
 /// (read / exclusive write / lock-protected accumulation), and the
@@ -70,7 +71,7 @@ impl<T> SharedSlice<T> {
     /// Number of elements. Reads a cached field: the previous
     /// implementation dereferenced the `UnsafeCell` to ask the box,
     /// materializing a whole-slice shared reference that could overlap a
-    /// live `slice_mut` borrow on another thread — exactly the kind of
+    /// live `range_mut` borrow on another thread — exactly the kind of
     /// aliasing UB this PR's verification pass exists to remove.
     pub fn len(&self) -> usize {
         self.len
@@ -105,25 +106,6 @@ impl<T> SharedSlice<T> {
         // SAFETY: storage is live and `len` elements long; absence of
         // concurrent writers is the caller's documented obligation.
         unsafe { core::slice::from_raw_parts(self.base_ptr(), self.len) }
-    }
-
-    /// Mutable view of the whole slice.
-    ///
-    /// # Safety
-    /// The caller must hold exclusive access (via runtime dependencies) to
-    /// every element it actually touches, and concurrent callers must
-    /// touch disjoint elements: the borrowing task's writes must be
-    /// ordered by a happens-before edge against every conflicting access
-    /// of the same elements (the invariant [`crate::verify::check_static`]
-    /// verifies per engine graph).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self) -> &mut [T] {
-        // SAFETY: storage is live and `len` elements long; element-wise
-        // exclusivity (disjoint concurrent writers, happens-before
-        // against conflicting accesses) is the caller's documented
-        // obligation, upheld by the engines' dependency graphs and
-        // machine-checked by `crate::verify::check_static`.
-        unsafe { core::slice::from_raw_parts_mut(self.base_ptr(), self.len) }
     }
 
     /// Simultaneous read view of `read` and write view of `write`, which
@@ -280,11 +262,12 @@ mod tests {
                 let shared = Arc::clone(&shared);
                 let counter = &counter;
                 scope.spawn(move || {
-                    // Each thread owns a disjoint stripe.
-                    // SAFETY: stripes are disjoint by construction.
-                    let s = unsafe { shared.slice_mut() };
-                    for i in (t..n).step_by(nthreads) {
-                        s[i] = i as u64 + 1;
+                    // Each thread owns a disjoint block.
+                    let block = t * n / nthreads..(t + 1) * n / nthreads;
+                    // SAFETY: blocks are disjoint by construction.
+                    let s = unsafe { shared.range_mut(block.clone()) };
+                    for (v, i) in s.iter_mut().zip(block) {
+                        *v = i as u64 + 1;
                     }
                     counter.fetch_add(1, Ordering::Release);
                 });
@@ -315,7 +298,7 @@ mod tests {
             let s2 = Arc::clone(&shared);
             scope.spawn(move || {
                 // SAFETY: sole writer; the other thread only calls len().
-                let s = unsafe { s2.slice_mut() };
+                let s = unsafe { s2.range_mut(0..64) };
                 for v in s.iter_mut() {
                     *v = 3;
                 }

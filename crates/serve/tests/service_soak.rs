@@ -3,10 +3,12 @@
 //! never serve a poisoned cache entry, and reject overload with typed
 //! errors (ISSUE 6 acceptance criteria).
 
+use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
 use dagfact_rt::{FaultPlan, MemoryBudget, RetryPolicy};
 use dagfact_serve::{JobError, JobSpec, ServeConfig, Service};
 use dagfact_sparse::gen::{grid_laplacian_2d, grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::CscMatrix;
+use dagfact_symbolic::FactoKind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -315,6 +317,36 @@ fn batched_same_factor_jobs_never_mix_results() {
     assert_eq!(stats.completed, 7);
     assert!(stats.batches >= 1, "no blocked solve recorded: {stats:?}");
     assert_eq!(stats.batched as u32, coalesced);
+}
+
+/// A plain (`refine=0`) job solves on the threads its factors were built
+/// on — the job's `threads` — and its answer does not depend on them:
+/// bitwise the same `x` at `threads=1` and `threads=2`, at 4 right-hand
+/// sides (one column group either way) and at 8 (two groups at two
+/// threads: the problem is above the split floor).
+#[test]
+fn served_solve_is_bitwise_the_same_at_every_thread_count() {
+    let a = grid_laplacian_3d(10, 10, 10);
+    let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+    let f = an.factorize(&a, RuntimeKind::Native, 2).expect("factorization succeeds");
+    assert_eq!((f.solve_groups(4), f.solve_groups(8)), (1, 2), "the split floor moved");
+    let src = inline_of(&a);
+    let service = Service::start(ServeConfig::default());
+    for nrhs in [4, 8] {
+        let x: Vec<Vec<u64>> = [1, 2]
+            .iter()
+            .map(|threads| {
+                // `reuse=pattern`: each job factorizes on its own threads.
+                let spec = format!("{src} nrhs={nrhs} threads={threads} reuse=pattern");
+                let resp = service.solve_blocking(JobSpec::parse(&spec).expect("spec"));
+                let resp = resp.expect("job solves");
+                assert_ones(&resp.x, &format!("nrhs {nrhs}, threads {threads}"));
+                resp.x.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        assert!(x[0] == x[1], "nrhs {nrhs}: threads=1 and threads=2 answer differently");
+    }
+    service.shutdown();
 }
 
 #[test]

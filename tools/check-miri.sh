@@ -50,7 +50,8 @@ miri_suite -p dagfact-rt shared::
 miri_suite -p dagfact-rt sync::
 miri_suite -p dagfact-kernels potrf
 miri_suite -p dagfact-kernels gemm
-# The triangular solve's shared-slice sweeps at 1, 2 and 4 workers (the
-# table shrinks its problems under `cfg(miri)`).
+# The triangular solve's read-only factor pins, with its columns in 1, 2
+# and 4 groups on scoped threads (the table shrinks its problems under
+# `cfg(miri)`).
 miri_suite -p dagfact-core --test solve solve_table
 echo "check-miri: clean"
