@@ -73,12 +73,13 @@ check-robust:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Static-analysis gate: the source analyzers, the graph-verifier suites,
-# the 9-proxies x 3-factos x 3-engines sweep (release: the graphs are
-# large), the analysis identity at the benchmark's full sizes (the only
-# sizes whose nested dissection forks onto a second thread; the quick
-# sizes run in the workspace tests), and a warning-free clippy pass (which
-# carries the no-unwrap and SAFETY-contract rules: clippy.toml and the
-# rt/core/kernels manifests).
+# the sweep over the 9 proxies' task graphs (one facto-independent graph
+# each: the 3 engines' derivation check plus one static proof; release:
+# the graphs are large), the analysis identity at the benchmark's full
+# sizes (the only sizes whose nested dissection forks onto a second
+# thread; the quick sizes run in the workspace tests), and a warning-free
+# clippy pass (which carries the no-unwrap and SAFETY-contract rules:
+# clippy.toml and the rt/core/kernels manifests).
 check-analysis: lint
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt verify
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test verify_graph

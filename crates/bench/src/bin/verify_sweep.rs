@@ -1,82 +1,56 @@
-//! Verify the task graphs of the full evaluation matrix: the nine
-//! Table-I proxy problems × {LLᵀ, LDLᵀ, LU} × the three engines.
+//! Verify the task graph of every Table-I proxy problem.
 //!
 //! ```text
-//! cargo run -p dagfact-bench --bin verify_sweep --release [-- --dynamic]
+//! cargo run -p dagfact-bench --bin verify_sweep --release
 //! ```
 //!
-//! For every combination the static analyzer must prove the engine's
-//! graph race-free and deadlock-free, and the three engines must induce
-//! identical conflicting-access orderings. With `--dynamic`, each graph
-//! is additionally replayed through the real engine under the
-//! vector-clock checker (slower: the full graphs run as no-op task
-//! storms). Exits non-zero on the first failing combination, so `make
-//! check-analysis` can gate on it.
+//! For every proxy, `Analysis::verify_task_graph` checks that the three
+//! engines' programs derive the algebraic graph and proves that graph
+//! race-free and deadlock-free. Exits non-zero on any failing proxy, so
+//! `make check-analysis` can gate on it.
 //!
-//! The symbolic phase is facto-independent (the pattern is symmetrized
-//! either way), so each proxy is analyzed once and re-labelled per
-//! factorization kind — same reuse the solver's own refactorization path
-//! relies on.
+//! One check per proxy covers LLᵀ, LDLᵀ and LU alike: the analysis is
+//! facto-independent (the pattern is symmetrized either way) and so is the
+//! program built from it, which `core/tests/verify_graph.rs` asserts
+//! (`task_graph_spec_is_the_same_for_every_facto`).
 
 use dagfact_bench::proxies;
-use dagfact_core::VerifyOptions;
-use dagfact_symbolic::FactoKind;
 
 fn main() {
-    let dynamic = std::env::args().any(|a| a == "--dynamic");
-    let nthreads = std::thread::available_parallelism().map_or(4, |v| v.get().min(8));
-    let opts = VerifyOptions { nthreads, dynamic };
+    let all = proxies();
+    println!("verify sweep: {} proxies, one graph each", all.len());
     println!(
-        "verify sweep: 9 proxies x 3 factorizations x 3 engines (dynamic replay: {})",
-        if dynamic { "on" } else { "off" }
-    );
-    println!(
-        "{:<10} {:>6} | {:>9} {:>10} {:>9} | {:>6} {:>6} {:>5}",
-        "Matrix", "Method", "tasks", "edges", "pairs", "races", "cycles", "equiv"
+        "{:<10} | {:>9} {:>10} {:>9} | {:>6} {:>6} {:>10}",
+        "Matrix", "tasks", "edges", "pairs", "races", "cycles", "derivation"
     );
     let mut failures = 0usize;
-    for m in proxies() {
-        let mut analysis = m.analyze();
-        for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
-            analysis.facto = facto;
-            let outcome = analysis.verify_task_graph(&opts);
-            // One row per facto; task/edge counts from the largest
-            // (two-level) graph, races/cycles summed over all engines.
-            let races: usize = outcome.engines.iter().map(|e| e.stat.races.len()).sum();
-            let cycles: usize = outcome
-                .engines
-                .iter()
-                .map(|e| e.stat.deadlocked.len())
-                .sum();
-            let pairs: usize = outcome.engines.iter().map(|e| e.stat.pairs_checked).sum();
-            let biggest = outcome
-                .engines
-                .iter()
-                .map(|e| (e.stat.ntasks, e.stat.nedges))
-                .max()
-                .unwrap_or((0, 0));
-            let ok = outcome.is_clean();
-            println!(
-                "{:<10} {:>6} | {:>9} {:>10} {:>9} | {:>6} {:>6} {:>5}{}",
-                m.name,
-                facto.label(),
-                biggest.0,
-                biggest.1,
-                pairs,
-                races,
-                cycles,
-                if outcome.equivalence_errors.is_empty() { "ok" } else { "NO" },
-                if ok { "" } else { "  FAILED" },
-            );
-            if !ok {
-                failures += 1;
-                print!("{outcome}");
-            }
+    for m in &all {
+        let outcome = m.analyze().verify_task_graph();
+        let stat = &outcome.stat;
+        let ok = outcome.is_clean();
+        println!(
+            "{:<10} | {:>9} {:>10} {:>9} | {:>6} {:>6} {:>10}{}",
+            m.name,
+            stat.ntasks,
+            stat.nedges,
+            stat.pairs_checked,
+            stat.races.len(),
+            stat.deadlocked.len(),
+            if outcome.derivation.is_empty() {
+                "ok"
+            } else {
+                "NO"
+            },
+            if ok { "" } else { "  FAILED" },
+        );
+        if !ok {
+            failures += 1;
+            print!("{outcome}");
         }
     }
     if failures > 0 {
-        eprintln!("verify sweep: {failures} combination(s) FAILED");
+        eprintln!("verify sweep: {failures} proxy graph(s) FAILED");
         std::process::exit(1);
     }
-    println!("verify sweep: all 27 combinations clean");
+    println!("verify sweep: all {} proxy graphs clean", all.len());
 }

@@ -22,8 +22,8 @@
 //! * `comm`   — fan-out vs fan-in traffic prediction at 1/2/4/8 nodes;
 //! * `distsweep` — the distributed engine in virtual time: strong
 //!   scaling and recovery overhead under injected faults;
-//! * `verify_sweep` — static race/deadlock proof of every task graph of
-//!   the 9 proxies × 3 factorizations × 3 policies (writes no file).
+//! * `verify_sweep` — derivation check and static race/deadlock proof of
+//!   the task graph of each of the 9 proxies (writes no file).
 //!
 //! The library half hosts the proxy-matrix registry substituting for the
 //! University of Florida set (DESIGN.md §2).

@@ -1,5 +1,5 @@
 //! Fault-tolerant distributed fan-in execution over a lossy cluster model
-//! (ROADMAP item 3; the paper's §VI future-work direction).
+//! (ROADMAP item 7; the paper's §VI future-work direction).
 //!
 //! The elimination tree is partitioned into per-node shards by the same
 //! [`proportional_mapping`] the communication study uses; each simulated
@@ -63,13 +63,11 @@
 //!
 //! # Verification
 //!
-//! Per the house pattern, the message structure is verified twice:
-//! statically, [`dist_graph_spec`] models pair messages as cross-node
-//! edges (1D task → send → apply → target task) and must pass
-//! [`check_static`]; dynamically, a zero-fault run can drive the
-//! vector-clock [`RaceChecker`] over the same task/data ids
-//! ([`DistOptions::verify`]). The retransmit/ack protocol primitives
-//! themselves are loom-checked in `dagfact-rt` (protocol model 6).
+//! The message structure is verified statically: [`dist_graph_spec`]
+//! models pair messages as cross-node edges (1D task → send → apply →
+//! target task) and must pass [`check_static`]. The retransmit/ack
+//! protocol primitives themselves are loom-checked in `dagfact-rt`
+//! (protocol model 6).
 
 use crate::analysis::Analysis;
 use crate::coeftab::CoefTab;
@@ -78,7 +76,7 @@ use crate::SolverError;
 use dagfact_gpusim::{ClusterPlatform, EventQueue};
 use dagfact_kernels::Scalar;
 use dagfact_rt::distproto::{ApplyLog, SendState};
-use dagfact_rt::verify::{check_static, ClockGranularity, GraphSpec, Mode, RaceChecker};
+use dagfact_rt::verify::{check_static, GraphSpec, Mode};
 use dagfact_rt::{FaultPlan, SharedSlice};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::mapping::NodeMapping;
@@ -112,11 +110,6 @@ pub struct DistOptions {
     /// Static-pivot epsilon override (as in
     /// [`crate::numeric::ExecOptions`]).
     pub epsilon_override: Option<f64>,
-    /// Drive the vector-clock [`RaceChecker`] over the run and record
-    /// the verdict in [`DistReport::verified`]. Only meaningful for
-    /// zero-fault runs (replay re-executes task ids, which the checker
-    /// rightly rejects); ignored when the plan injects dist faults.
-    pub verify: bool,
 }
 
 impl Default for DistOptions {
@@ -129,7 +122,6 @@ impl Default for DistOptions {
             heartbeat_interval: 5e-4,
             heartbeat_timeout_beats: 3,
             epsilon_override: None,
-            verify: false,
         }
     }
 }
@@ -240,8 +232,6 @@ pub struct DistReport {
     pub recoveries: u64,
     /// Panels reset to their INITIAL checkpoint for lineage replay.
     pub panels_restored: u64,
-    /// `true` when the vector-clock replay ran and found no race.
-    pub verified: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -328,10 +318,10 @@ pub(crate) fn build_pairs(
 ///   target panel.
 ///
 /// Edges: same-node 1D dependency, contributor → send, send → apply
-/// (tagged `(src_node << 32) | tgt_node`, the cross-node edge), and
-/// apply → target 1D task. [`check_static`] over this spec proves the
-/// message protocol orders every conflicting access; dropping an
-/// apply → target edge (the negative twin) is flagged as a race.
+/// (the cross-node edge), and apply → target 1D task. [`check_static`]
+/// over this spec proves the message protocol orders every conflicting
+/// access; dropping an apply → target edge (the negative twin) is flagged
+/// as a race.
 pub fn dist_graph_spec(analysis: &Analysis, complex: bool, nnodes: usize) -> GraphSpec {
     let symbol = &analysis.symbol;
     let (mapping, pairs) = build_pairs(analysis, complex, nnodes.max(1));
@@ -351,17 +341,14 @@ pub fn dist_graph_spec(analysis: &Analysis, complex: bool, nnodes: usize) -> Gra
         let send = ncblk + p;
         let apply = ncblk + npairs + p;
         let buf = ncblk + p;
-        let tag = ((pair.src_node as u64) << 32) | mapping.node_of[pair.tgt] as u64;
         for (member, _) in &pair.members {
             spec.access(*member, buf, Mode::Accum);
             spec.edge(*member, send);
         }
         spec.access(send, buf, Mode::Read);
-        spec.set_tag(send, tag);
         spec.edge(send, apply);
         spec.access(apply, buf, Mode::Read);
         spec.access(apply, pair.tgt, Mode::Accum);
-        spec.set_tag(apply, tag);
         spec.edge(apply, pair.tgt);
     }
     spec
@@ -494,7 +481,6 @@ struct Sim<'s, 'a, T: Scalar> {
     done_count: usize,
     seq: u64,
     report: DistReport,
-    checker: Option<RaceChecker>,
 }
 
 impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
@@ -550,16 +536,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         let crash_point = (0..nnodes)
             .map(|n| plan.as_ref().and_then(|p| p.node_crash_point(n)))
             .collect();
-        let faults_on = plan.as_ref().is_some_and(|p| p.has_dist_faults());
-        let npairs = pairs.len();
-        let checker = (opts.verify && !faults_on).then(|| {
-            RaceChecker::new(
-                ncblk + 2 * npairs,
-                ncblk + npairs,
-                nnodes,
-                ClockGranularity::PerTask,
-            )
-        });
 
         // Seed the INITIAL checkpoints from the freshly assembled panels.
         let initial = (0..ncblk).map(|c| snapshot(analysis, tab, d, c)).collect();
@@ -606,7 +582,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
                 nnodes,
                 ..DistReport::default()
             },
-            checker,
         }
     }
 
@@ -694,9 +669,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
             self.handle(ev)?;
         }
         self.report.makespan = self.last_progress;
-        if let Some(ch) = &self.checker {
-            self.report.verified = ch.report().is_clean();
-        }
         Ok(())
     }
 
@@ -753,10 +725,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
     /// pair this panel completed.
     fn run_1d(&mut self, c: usize, node: usize) -> Result<(), DistError> {
         let symbol = &self.analysis.symbol;
-        if let Some(ch) = &self.checker {
-            ch.task_begin(c, node);
-            ch.access(c, Mode::ReadWrite, c, node);
-        }
         self.ctx.panel_task(c, node);
         if let Some(e) = self.ctx.take_error() {
             return Err(DistError::Solver(e));
@@ -766,15 +734,9 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         for bi in (cb.block_begin + 1)..cb.block_end {
             let tgt = symbol.blocks[bi].facing;
             if self.node_of[tgt] == my_node {
-                if let Some(ch) = &self.checker {
-                    ch.access(tgt, Mode::Accum, c, node);
-                }
                 self.ctx.update_task(c, bi, node);
             } else {
                 let pair = self.pair_of(tgt, my_node);
-                if let Some(ch) = &self.checker {
-                    ch.access(self.ncblk() + pair, Mode::Accum, c, node);
-                }
                 self.accumulate(pair, c, bi, node);
             }
         }
@@ -803,15 +765,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
             if st.remaining == 0 {
                 to_ship.insert(p);
             }
-        }
-        if let Some(ch) = &self.checker {
-            let mut rel: Vec<usize> = succs
-                .iter()
-                .copied()
-                .filter(|&t| self.node_of[t] == my_node)
-                .collect();
-            rel.extend(self.member_of[c].iter().map(|&p| self.ncblk() + p));
-            ch.task_end(c, node, &rel);
         }
         for &t in &succs {
             if self.node_of[t] == my_node {
@@ -878,15 +831,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         if attempt > 1 {
             self.report.retransmits += 1;
         }
-        if let Some(ch) = &self.checker {
-            // Zero-fault: exactly one transmission per pair — the send
-            // task of the spec.
-            let send_id = self.ncblk() + pair;
-            let host = self.alias[from_node];
-            ch.task_begin(send_id, host);
-            ch.access(self.ncblk() + pair, Mode::Read, send_id, host);
-            ch.task_end(send_id, host, &[self.ncblk() + self.pairs.len() + pair]);
-        }
         let transit = self.cluster.net_time(bytes);
         let fate = self.roll_fate();
         if fate.lost {
@@ -948,17 +892,6 @@ impl<'s, 'a, T: Scalar> Sim<'s, 'a, T> {
         // is deterministic, so any epoch's payload is the same bytes and
         // exactly one application keeps the sum correct.
         if self.log.apply_if_new(pair as u64, 0) {
-            // Detached check: the happens-before replay models the
-            // application as its own task reading the pair buffer and
-            // accumulating into the target panel. Kept out of
-            // `apply_pair` so the hot accumulate stays checker-free.
-            if let Some(ch) = &self.checker {
-                let apply_id = self.ncblk() + self.pairs.len() + pair;
-                ch.task_begin(apply_id, owner);
-                ch.access(self.ncblk() + pair, Mode::Read, apply_id, owner);
-                ch.access(tgt, Mode::Accum, apply_id, owner);
-                ch.task_end(apply_id, owner, &[tgt]);
-            }
             self.apply_pair(pair)?;
             self.pending[tgt] -= 1;
             self.last_progress = self.queue.now();

@@ -43,7 +43,7 @@ pub mod tasks;
 pub mod verify;
 
 pub use analysis::{Analysis, AnalysisStats, SolverOptions};
-pub use verify::{EngineReport, VerifyOptions, VerifyOutcome};
+pub use verify::VerifyOutcome;
 pub use dist::{check_dist_static, dist_graph_spec, factorize_dist, DistError, DistOptions, DistReport};
 pub use distributed::{comm_study_json, fan_in_study, CommStats, FanInStudy};
 pub use numeric::{ExecOptions, FactorStats, Factors};

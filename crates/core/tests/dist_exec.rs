@@ -110,18 +110,6 @@ fn zero_fault_traffic_matches_fan_in_study() {
     }
 }
 
-#[test]
-fn zero_fault_run_is_vector_clock_race_free() {
-    let a = grid_laplacian_3d(6, 6, 6);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let opts = DistOptions {
-        verify: true,
-        ..dist_opts(3)
-    };
-    let (_, report) = factorize_dist(&analysis, &a, &opts).unwrap();
-    assert!(report.verified, "vector-clock replay must come back clean");
-}
-
 // ---------------------------------------------------------------------
 // Seeded chaos sweep: crashes + loss + duplication + reordering
 // ---------------------------------------------------------------------

@@ -1,17 +1,20 @@
-//! End-to-end verification of the engine task graphs: static
-//! race/deadlock analysis, cross-engine equivalence, and the dynamic
-//! vector-clock oracle, over real factorization problems — plus the
-//! negative case: a deliberately dropped dependency edge must be caught
-//! by BOTH the static pass and the replay checker.
+//! End-to-end verification of the task graph over real factorization
+//! problems: every policy's program derives the algebraic graph and that
+//! graph is statically race- and deadlock-free — plus the negative cases:
+//! a program that drops a successor or overstates a predecessor count
+//! fails the derivation check, and a dropped dependency edge fails the
+//! static proof.
 
 use dagfact_core::tasks::TaskKind;
-use dagfact_core::{Analysis, SolverOptions, VerifyOptions};
+use dagfact_core::{Analysis, SolverOptions};
 use dagfact_rt::ptg::PtgProgram;
-use dagfact_rt::verify::{check_static, replay, ClockGranularity};
+use dagfact_rt::verify::check_static;
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_2d, grid_laplacian_3d};
 use dagfact_symbolic::FactoKind;
 use std::collections::BTreeSet;
+
+const FACTOS: [FactoKind; 3] = [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu];
 
 fn analysis_of(facto: FactoKind) -> Analysis {
     // An unsymmetric-valued pattern so LU is honest; the pattern is
@@ -37,92 +40,113 @@ fn edges_of(program: &impl PtgProgram) -> BTreeSet<(usize, usize)> {
 
 /// The dataflow policy infers its edges from the declared accesses of a
 /// sequential submission; the ptg and native policies compute them from
-/// the block structure. All number tasks by block, so the edge sets must
-/// be *equal* — and every program's predecessor counts must be the
-/// in-degrees of its own successor function, or the executor would hang or
-/// underflow.
+/// the block structure. The derivation check holds all three to the
+/// algebraic graph, and the static proof holds that graph race-free.
 #[test]
-fn inferred_edges_equal_the_algebraic_ones() {
-    for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
+fn every_facto_verifies_clean() {
+    for facto in FACTOS {
         let an = analysis_of(facto);
-        let [native, dataflow, ptg] =
-            RuntimeKind::ALL.map(|rt| an.program(rt, 2, false, |_, _| {}));
-        let algebraic = edges_of(&ptg);
-        assert!(algebraic.len() > an.symbol.ncblk(), "{facto:?}: trivial graph");
-        assert_eq!(edges_of(&dataflow), algebraic, "{facto:?}");
-        assert_eq!(edges_of(&native), algebraic, "{facto:?}");
-        for t in 0..ptg.num_tasks() {
-            assert_eq!(dataflow.kind(t), ptg.kind(t), "{facto:?}: task {t}");
-        }
-        for (program, rt) in [&native, &dataflow, &ptg].into_iter().zip(RuntimeKind::ALL) {
-            let mut indegree = vec![0u32; program.num_tasks()];
-            for (_, s) in edges_of(program) {
-                indegree[s] += 1;
-            }
-            for (t, &d) in indegree.iter().enumerate() {
-                assert_eq!(program.num_predecessors(t), d, "{facto:?} {}: task {t}", rt.label());
-            }
-        }
-    }
-}
-
-#[test]
-fn all_factos_and_engines_verify_clean() {
-    for facto in [FactoKind::Cholesky, FactoKind::Ldlt, FactoKind::Lu] {
-        let an = analysis_of(facto);
-        let outcome = an.verify_task_graph(&VerifyOptions {
-            nthreads: 4,
-            dynamic: true,
-        });
+        let outcome = an.verify_task_graph();
         assert!(
             outcome.is_clean(),
             "{facto:?} failed verification:\n{outcome}"
         );
-        assert_eq!(outcome.engines.len(), 3);
-        for e in &outcome.engines {
-            assert!(e.stat.pairs_checked > 0, "{} checked nothing", e.runtime.label());
-            let d = e.dynamic.as_ref().expect("dynamic replay requested");
-            assert!(d.naccesses > 0);
-        }
+        assert!(
+            outcome.stat.nedges > an.symbol.ncblk(),
+            "{facto:?}: trivial graph"
+        );
+        assert!(outcome.stat.pairs_checked > 0, "{facto:?}: checked nothing");
     }
 }
 
+/// `Analysis::program` never reads `facto`: one graph per pattern, which
+/// is what lets `verify_sweep` check each proxy once.
 #[test]
-fn static_only_mode_skips_the_replay() {
-    let an = analysis_of(FactoKind::Cholesky);
-    let outcome = an.verify_task_graph(&VerifyOptions {
-        nthreads: 1,
-        dynamic: false,
-    });
-    assert!(outcome.is_clean(), "{outcome}");
-    assert!(outcome.engines.iter().all(|e| e.dynamic.is_none()));
+fn task_graph_spec_is_the_same_for_every_facto() {
+    let a = grid_laplacian_3d(5, 5, 4);
+    let [llt, ldlt, lu] =
+        FACTOS.map(|f| Analysis::new(a.pattern(), f, &SolverOptions::default()).task_graph_spec());
+    assert!(llt.nedges() > 0);
+    assert_eq!(llt, ldlt);
+    assert_eq!(llt, lu);
 }
 
+/// The ptg program with one successor of `drop_from` dropped or one
+/// predecessor count of `overcount` raised by one.
+struct Mutant<'p, P> {
+    inner: &'p P,
+    drop_from: Option<usize>,
+    overcount: Option<usize>,
+}
+
+impl<P: PtgProgram> PtgProgram for Mutant<'_, P> {
+    fn num_tasks(&self) -> usize {
+        self.inner.num_tasks()
+    }
+    fn num_predecessors(&self, task: usize) -> u32 {
+        self.inner.num_predecessors(task) + u32::from(self.overcount == Some(task))
+    }
+    fn successors(&self, task: usize, out: &mut Vec<usize>) {
+        self.inner.successors(task, out);
+        if self.drop_from == Some(task) {
+            out.pop();
+        }
+    }
+    fn execute(&self, task: usize, worker: usize) {
+        self.inner.execute(task, worker);
+    }
+}
+
+/// The derivation check has teeth: a program that forgets one successor,
+/// or expects one predecessor too many (the executor would never release
+/// it), is reported by task.
 #[test]
-fn summary_reads_like_a_report() {
+fn derivation_check_names_the_broken_task() {
     let an = analysis_of(FactoKind::Cholesky);
-    let outcome = an.verify_task_graph(&VerifyOptions {
-        nthreads: 2,
-        dynamic: true,
-    });
-    let text = outcome.summary();
-    assert!(text.contains("PaStiX-native"), "{text}");
-    assert!(text.contains("StarPU-like"), "{text}");
-    assert!(text.contains("PaRSEC-like"), "{text}");
-    assert!(text.contains("identical conflicting-access orderings"), "{text}");
-    assert!(!text.contains("FAIL"), "{text}");
+    let ptg = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
+    let kind = |t| ptg.kind(t);
+    assert_eq!(
+        an.derivation_errors("ptg", &ptg, kind),
+        Vec::<String>::new()
+    );
+    // The first update task: it has exactly one successor.
+    let t = (0..ptg.num_tasks())
+        .find(|&t| matches!(ptg.kind(t), TaskKind::Update { .. }))
+        .expect("a 3D grid factorization has update tasks");
+    let named = |errors: Vec<String>| {
+        assert!(
+            !errors.is_empty(),
+            "mutant of task {t} passed the derivation check"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains(&format!("task {t} "))),
+            "no message names task {t}: {errors:?}"
+        );
+    };
+    let dropped = Mutant {
+        inner: &ptg,
+        drop_from: Some(t),
+        overcount: None,
+    };
+    named(an.derivation_errors("dropped", &dropped, kind));
+    let overcounted = Mutant {
+        inner: &ptg,
+        drop_from: None,
+        overcount: Some(t),
+    };
+    named(an.derivation_errors("overcounted", &overcounted, kind));
 }
 
 /// The last dependency edge into a panel task orders the final update's
 /// write against the panel factorization's read-modify-write of the same
 /// panel. Dropping it is the canonical "runtime forgot a dependency" bug;
-/// both layers of the verifier must notice.
+/// the static proof must notice.
 #[test]
-fn dropped_edge_is_flagged_by_static_and_dynamic_checkers() {
+fn dropped_edge_is_flagged_by_the_static_proof() {
     let a = grid_laplacian_2d(8, 8);
     let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
     // Find an update → panel edge (the chain-closing edge of a target) in
-    // the program the ptg policy runs.
+    // the algebraic program.
     let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
     let edges = edges_of(&program);
     let (pred, panel, target) = (0..program.num_tasks())
@@ -135,11 +159,11 @@ fn dropped_edge_is_flagged_by_static_and_dynamic_checkers() {
         })
         .expect("a 2D grid factorization has update tasks");
 
-    let mut spec = an.task_graph_spec(RuntimeKind::Ptg);
+    let mut spec = an.task_graph_spec();
     assert!(spec.remove_edge(pred, panel), "edge must exist in the spec");
 
-    // Static pass: the update's write and the panel's RW on `target` are
-    // no longer ordered.
+    // The update's write and the panel's RW on `target` are no longer
+    // ordered.
     let report = check_static(&spec);
     assert!(!report.is_clean());
     assert!(
@@ -149,18 +173,6 @@ fn dropped_edge_is_flagged_by_static_and_dynamic_checkers() {
             .any(|r| r.data == target && (r.first == pred || r.second == pred)),
         "expected a race on panel {target} involving task {pred}: {report}"
     );
-
-    // Dynamic oracle: per-task clocks make the missing edge visible on
-    // any schedule the engine happens to choose.
-    for rt in RuntimeKind::ALL {
-        let dyn_report =
-            replay(&spec, rt, 4, ClockGranularity::PerTask).expect("replay completes");
-        assert!(
-            dyn_report.races.iter().any(|r| r.data == target),
-            "{}: vector clocks missed the dropped edge: {dyn_report:?}",
-            rt.label()
-        );
-    }
 }
 
 /// The native policy adds nothing to the graph but a seed placement: a
@@ -179,26 +191,4 @@ fn native_static_owners_are_the_list_schedule_per_source_panel() {
         used.insert(owner);
     }
     assert_eq!(used, (0..nworkers).collect(), "an idle worker in the mapping");
-}
-
-/// A broken hazard ordering in one engine must break the cross-engine
-/// equivalence signature too (it changes that panel's writer chain).
-#[test]
-fn equivalence_signature_detects_reordered_writers() {
-    use dagfact_rt::verify::conflict_signature;
-    let an = analysis_of(FactoKind::Cholesky);
-    // The computed graph against the inferred one.
-    let base = conflict_signature(&an.task_graph_spec(RuntimeKind::Ptg)).expect("acyclic");
-    let inferred = conflict_signature(&an.task_graph_spec(RuntimeKind::Dataflow)).expect("acyclic");
-    assert_eq!(base, inferred);
-    // Retagging one update task simulates an engine applying a different
-    // source's update in its place.
-    let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
-    let mut spec = an.task_graph_spec(RuntimeKind::Ptg);
-    let update = (0..program.num_tasks())
-        .find(|&t| matches!(program.kind(t), TaskKind::Update { .. }))
-        .expect("has updates");
-    spec.set_tag(update, u64::MAX);
-    let perturbed = conflict_signature(&spec).expect("still acyclic");
-    assert_ne!(base, perturbed, "retagged writer chain must differ");
 }

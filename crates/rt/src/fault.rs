@@ -271,17 +271,6 @@ impl FaultPlan {
         self.injected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Does the plan inject any distributed fault (node crash or message
-    /// loss/duplication/reorder)? Zero-fault dist runs use this to skip
-    /// protocol bookkeeping they cannot need.
-    pub fn has_dist_faults(&self) -> bool {
-        !self.crash_pinned.is_empty()
-            || self.random_crash.is_some()
-            || self.msg_loss.is_some()
-            || self.msg_dup.is_some()
-            || self.msg_reorder.is_some()
-    }
-
     /// Corrupt the output of panel `panel` with NaN, once.
     pub fn corrupt_panel(self, panel: usize) -> Self {
         self.corrupt_panel_times(panel, 1)
@@ -1339,8 +1328,6 @@ mod tests {
         let plan = FaultPlan::new().crash_node_on(2, 3);
         assert_eq!(plan.node_crash_point(2), Some(3));
         assert_eq!(plan.node_crash_point(0), None);
-        assert!(plan.has_dist_faults());
-        assert!(!FaultPlan::new().has_dist_faults());
         // Sampled crashes are deterministic per (seed, node) and hit at
         // roughly the requested rate.
         let decide = |node| FaultPlan::with_seed(13).random_crash(0.25, 1).node_crash_point(node);
@@ -1393,7 +1380,6 @@ mod tests {
         assert_eq!(plan.msg_loss, Some(0.05));
         assert_eq!(plan.msg_dup, Some(0.02));
         assert_eq!(plan.msg_reorder, Some(0.1));
-        assert!(plan.has_dist_faults());
         assert!(FaultPlan::parse("crash=1").is_err());
         assert!(FaultPlan::parse("cprob=0.1").is_err());
         assert!(FaultPlan::parse("mloss=x").is_err());

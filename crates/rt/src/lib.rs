@@ -43,9 +43,7 @@
 //!
 //! The hazard contract the DAGs encode (and [`shared::SharedSlice`]
 //! relies on) is machine-checked by [`verify`]: static happens-before
-//! race/deadlock analysis over any submitted graph, a dynamic
-//! vector-clock race checker, and a cross-policy equivalence signature.
-//! The *runtime primitives* that uphold that contract at execution time
+//! race/deadlock analysis over any submitted graph. The *runtime primitives* that uphold that contract at execution time
 //! are themselves model-checked: [`sync`] is a dual-backend shim that,
 //! under `--cfg loom`, swaps std synchronization for the in-repo
 //! loom-style checker in [`model`], and the `loom_models` test suite

@@ -32,9 +32,8 @@ use core::cell::UnsafeCell;
 /// pair of tasks whose accesses overlap and conflict (not read–read, not
 /// accumulate–accumulate), the engine's dependency graph must contain a
 /// happens-before path between the two tasks. `check_static` proves this
-/// for a whole submitted graph; the vector-clock [`crate::verify::RaceChecker`]
-/// checks it on executed schedules. A graph that passes cannot produce
-/// two live overlapping borrows here, in any schedule.
+/// for a whole submitted graph. A graph that passes cannot produce two
+/// live overlapping borrows here, in any schedule.
 pub struct SharedSlice<T> {
     data: UnsafeCell<Box<[T]>>,
     /// Cached so `len()` never forms a reference to the (possibly
@@ -160,8 +159,7 @@ impl<T> SharedSlice<T> {
         // concurrent borrows of disjoint ranges never alias. Exclusivity
         // of `range` itself is the caller's obligation, upheld by a
         // dependency edge or the per-panel accumulation lock and
-        // machine-checked by `crate::verify` (static graph proof +
-        // vector-clock schedule checker).
+        // machine-checked by `crate::verify` (static graph proof).
         unsafe {
             let base = self.base_ptr();
             core::slice::from_raw_parts_mut(base.add(range.start), range.len())

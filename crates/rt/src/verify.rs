@@ -1,43 +1,24 @@
-//! `dagfact-verify`: static and dynamic verification of engine task
-//! graphs.
+//! `dagfact-verify`: static verification of engine task graphs.
 //!
 //! The whole numeric layer hands aliasable mutable storage
 //! ([`crate::shared::SharedSlice`]) to concurrently running tasks and
 //! relies on the engines' dependency edges to keep conflicting accesses
-//! apart. This module turns that trust into a checked contract, in three
-//! layers:
+//! apart. This module turns that trust into a checked contract:
+//! [`check_static`] runs a race/deadlock analysis over a [`GraphSpec`] — a
+//! uniform happens-before description extracted from any runnable graph
+//! ([`GraphSpec::from_dag`] evaluates a [`PtgProgram`]'s successor
+//! function — the one the executor calls — and the caller declares each
+//! task's accesses). Every pair of tasks touching the same datum with a
+//! conflicting mode must be transitively ordered by edges; cycles,
+//! dangling edges, self-edges and duplicate edges are reported too. A
+//! clean report means *no schedule* of the DAG can race or deadlock.
 //!
-//! 1. **Static race/deadlock analysis** ([`check_static`]) over a
-//!    [`GraphSpec`] — a uniform happens-before description extracted from
-//!    any runnable graph ([`GraphSpec::from_dag`] evaluates a
-//!    [`PtgProgram`]'s successor function — the one the executor calls —
-//!    and the caller declares each task's accesses).
-//!    Every pair of tasks touching the same datum with a conflicting mode
-//!    must be transitively ordered by edges; cycles, dangling edges,
-//!    self-edges and duplicate edges are reported too. A clean report
-//!    means *no schedule* of the DAG can race or deadlock.
-//! 2. **Dynamic vector-clock race checking** ([`RaceChecker`]) — a
-//!    FastTrack-style epoch checker fed by instrumented task bodies. The
-//!    [`replay`] harness drives the *real* executor (threads, queues,
-//!    stealing) over a [`GraphSpec`] with bodies that only log accesses,
-//!    giving an executable oracle for the static pass: a dropped edge is
-//!    flagged by both.
-//! 3. **Cross-engine equivalence** ([`conflict_signature`]) — a canonical
-//!    per-datum ordering of conflicting writes. Two engines with equal
-//!    signatures serialize the numerically non-commuting operations the
-//!    same way, so native/dataflow/ptg runs are interchangeable.
-//!
-//! `dagfact-core` builds specs from an `Analysis` and wires all three
-//! layers into `Analysis::verify_task_graph` and the `dagfact verify`
-//! CLI command.
+//! `dagfact-core` builds the spec from an `Analysis` and checks it in
+//! `Analysis::verify_task_graph` and the `dagfact verify` CLI command.
 
-use crate::fault::{EngineError, RunConfig};
 use crate::ptg::PtgProgram;
-use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::Mutex;
-use crate::{DataId, RuntimeKind, TaskId};
+use crate::{DataId, TaskId};
 use std::fmt;
-use std::time::Duration;
 
 /// How a task touches a datum: StarPU-style access modes, declared at
 /// submission ([`crate::dataflow::DataflowGraph::submit`]) and checked by
@@ -49,7 +30,7 @@ use std::time::Duration;
 /// them and addition commutes — but `Accum` still conflicts with reads and
 /// plain writes. The factorization's programs never declare it (a chain
 /// orders the writers of a panel); the distributed engine's spec does
-/// (`dagfact-core`'s `dist_spec`), and the mode stays or goes with it.
+/// (`dagfact-core`'s `dist_graph_spec`), and the mode stays or goes with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Read-only.
@@ -95,13 +76,12 @@ impl Mode {
 /// [`check_static`] classifies and reports the malformed ones instead of
 /// panicking, so the verifier can describe a broken graph rather than die
 /// on it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphSpec {
     ntasks: usize,
     ndata: usize,
     accesses: Vec<Vec<(DataId, Mode)>>,
     edges: Vec<(TaskId, TaskId)>,
-    tags: Vec<u64>,
 }
 
 impl GraphSpec {
@@ -112,7 +92,6 @@ impl GraphSpec {
             ndata: 0,
             accesses: vec![Vec::new(); ntasks],
             edges: Vec::new(),
-            tags: (0..ntasks as u64).collect(),
         }
     }
 
@@ -149,12 +128,6 @@ impl GraphSpec {
         self.edges.push((pred, succ));
     }
 
-    /// Equivalence-class tag of a task, used by [`conflict_signature`] to
-    /// compare graphs of different granularity (defaults to the task id).
-    pub fn set_tag(&mut self, task: TaskId, tag: u64) {
-        self.tags[task] = tag;
-    }
-
     /// Remove every copy of the edge `pred → succ`; returns whether any
     /// was present. Exists so tests can *break* a graph deliberately and
     /// assert the verifier notices.
@@ -179,27 +152,6 @@ impl GraphSpec {
             }
         }
         spec
-    }
-
-    /// Valid deduplicated adjacency (dangling and self-edges dropped) plus
-    /// per-task predecessor counts — the shape the [`replay`] harness
-    /// feeds to the engines.
-    fn clean_adjacency(&self) -> (Vec<Vec<TaskId>>, Vec<u32>) {
-        let mut succs = vec![Vec::new(); self.ntasks];
-        for &(p, s) in &self.edges {
-            if p < self.ntasks && s < self.ntasks && p != s {
-                succs[p].push(s);
-            }
-        }
-        let mut npred = vec![0u32; self.ntasks];
-        for list in &mut succs {
-            list.sort_unstable();
-            list.dedup();
-            for &s in list.iter() {
-                npred[s] += 1;
-            }
-        }
-        (succs, npred)
     }
 
     /// Per-task accesses with duplicates on the same datum merged
@@ -481,372 +433,6 @@ pub fn check_static(spec: &GraphSpec) -> StaticReport {
     }
 }
 
-/// Canonical per-datum ordering of conflicting *writes* (tags of writing
-/// tasks in topological order, with commutative [`Mode::Accum`] groups
-/// sorted and adjacent repeats collapsed). Two graphs with equal
-/// signatures serialize the non-commuting operations on every datum
-/// identically, even at different task granularities. Returns `None` when
-/// the graph has a cycle.
-pub fn conflict_signature(spec: &GraphSpec) -> Option<Vec<Vec<u64>>> {
-    let (succs, npred) = spec.clean_adjacency();
-    let (order, pos) = topo_order(&succs, &npred);
-    if pos.contains(&UNREACHED) {
-        return None;
-    }
-    let mut events: Vec<Vec<(u64, bool)>> = vec![Vec::new(); spec.ndata];
-    for &t in &order {
-        for (d, mode) in spec.merged_accesses(t) {
-            if mode.writes() {
-                events[d].push((spec.tags[t], mode == Mode::Accum));
-            }
-        }
-    }
-    Some(events.into_iter().map(canonical_write_chain).collect())
-}
-
-fn canonical_write_chain(events: Vec<(u64, bool)>) -> Vec<u64> {
-    let mut out = Vec::with_capacity(events.len());
-    let mut i = 0;
-    while i < events.len() {
-        if events[i].1 {
-            let start = out.len();
-            while i < events.len() && events[i].1 {
-                out.push(events[i].0);
-                i += 1;
-            }
-            out[start..].sort_unstable();
-        } else {
-            out.push(events[i].0);
-            i += 1;
-        }
-    }
-    out.dedup();
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Dynamic vector-clock race checking.
-// ---------------------------------------------------------------------------
-
-/// Granularity of the dynamic checker's vector clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockGranularity {
-    /// One clock component per worker thread (FastTrack/TSan-style):
-    /// cheap and scalable, but two conflicting tasks that happen to run
-    /// on the *same* worker are ordered by program order and not flagged.
-    /// Detects races in the observed schedule.
-    PerWorker,
-    /// One clock component per task: happens-before is exactly the DAG's
-    /// transitive closure, so a missing edge is flagged *deterministically*
-    /// regardless of where tasks land. O(ntasks) per clock — use on small
-    /// and medium graphs.
-    PerTask,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Epoch {
-    comp: u32,
-    clock: u32,
-    task: TaskId,
-}
-
-#[derive(Default)]
-struct DatumState {
-    write: Option<Epoch>,
-    reads: Vec<Epoch>,
-    accums: Vec<Epoch>,
-}
-
-/// A pair of conflicting accesses the dynamic checker observed without a
-/// happens-before path between them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DynamicRace {
-    /// Datum both tasks touched.
-    pub data: DataId,
-    /// Task whose access was recorded first.
-    pub earlier: TaskId,
-    /// Task that raced with it.
-    pub later: TaskId,
-}
-
-/// Result of one instrumented run.
-#[derive(Debug, Clone)]
-pub struct DynamicReport {
-    /// Distinct unordered conflicting pairs observed.
-    pub races: Vec<DynamicRace>,
-    /// Total instrumented accesses.
-    pub naccesses: usize,
-    /// Tasks executed.
-    pub ntasks: usize,
-    /// Clock granularity the run used.
-    pub granularity: ClockGranularity,
-}
-
-impl DynamicReport {
-    /// No races observed.
-    pub fn is_clean(&self) -> bool {
-        self.races.is_empty()
-    }
-}
-
-impl fmt::Display for DynamicReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} tasks, {} accesses ({:?} clocks): {} race(s)",
-            self.ntasks,
-            self.naccesses,
-            self.granularity,
-            self.races.len()
-        )
-    }
-}
-
-/// Vector-clock dynamic race checker.
-///
-/// Usage per task: [`RaceChecker::task_begin`], one
-/// [`RaceChecker::access`] per datum touched, then
-/// [`RaceChecker::task_end`] with the task's successors — called *inside*
-/// the task body, i.e. before the engine decrements successor counters,
-/// so the release clock is published before any successor can start.
-pub struct RaceChecker {
-    granularity: ClockGranularity,
-    /// Per-worker clock of the currently running task.
-    clocks: Vec<Mutex<Vec<u32>>>,
-    /// Per-task join of completed predecessors' clocks.
-    release: Vec<Mutex<Vec<u32>>>,
-    data: Vec<Mutex<DatumState>>,
-    races: Mutex<Vec<DynamicRace>>,
-    naccesses: AtomicUsize,
-    ntasks: usize,
-}
-
-fn vc_join(dst: &mut Vec<u32>, src: &[u32]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        if *d < s {
-            *d = s;
-        }
-    }
-}
-
-fn vc_get(vc: &[u32], comp: usize) -> u32 {
-    vc.get(comp).copied().unwrap_or(0)
-}
-
-fn vc_set_min(vc: &mut Vec<u32>, comp: usize, val: u32) {
-    if vc.len() <= comp {
-        vc.resize(comp + 1, 0);
-    }
-    if vc[comp] < val {
-        vc[comp] = val;
-    }
-}
-
-impl RaceChecker {
-    /// Checker for `ntasks` tasks over `ndata` data handles on `nworkers`
-    /// workers.
-    pub fn new(
-        ntasks: usize,
-        ndata: usize,
-        nworkers: usize,
-        granularity: ClockGranularity,
-    ) -> RaceChecker {
-        RaceChecker {
-            granularity,
-            clocks: (0..nworkers).map(|_| Mutex::new(Vec::new())).collect(),
-            release: (0..ntasks).map(|_| Mutex::new(Vec::new())).collect(),
-            data: (0..ndata).map(|_| Mutex::new(DatumState::default())).collect(),
-            races: Mutex::new(Vec::new()),
-            naccesses: AtomicUsize::new(0),
-            ntasks,
-        }
-    }
-
-    fn comp(&self, task: TaskId, worker: usize) -> usize {
-        match self.granularity {
-            ClockGranularity::PerWorker => worker,
-            ClockGranularity::PerTask => task,
-        }
-    }
-
-    /// Enter `task` on `worker`: acquire the joined clocks of all
-    /// completed predecessors.
-    pub fn task_begin(&self, task: TaskId, worker: usize) {
-        let rel = self.release[task].lock().clone();
-        let mut c = self.clocks[worker].lock();
-        match self.granularity {
-            ClockGranularity::PerWorker => {
-                vc_join(&mut c, &rel);
-                // Epoch clocks must be ≥ 1 so a fresh worker's events are
-                // not vacuously covered by everyone's zero clock.
-                vc_set_min(&mut c, worker, 1);
-            }
-            ClockGranularity::PerTask => {
-                *c = rel;
-                vc_set_min(&mut c, task, 1);
-            }
-        }
-    }
-
-    /// Record an access and flag any concurrent conflicting epoch.
-    pub fn access(&self, data: DataId, mode: Mode, task: TaskId, worker: usize) {
-        // ORDERING: statistics counter; no memory is published.
-        self.naccesses.fetch_add(1, Ordering::Relaxed);
-        let comp = self.comp(task, worker);
-        let c = self.clocks[worker].lock();
-        let epoch = Epoch {
-            comp: comp as u32,
-            clock: vc_get(&c, comp),
-            task,
-        };
-        let mut st = self.data[data].lock();
-        let mut offenders: Vec<TaskId> = Vec::new();
-        {
-            let mut scan = |e: &Epoch| {
-                if e.task != task && e.clock > vc_get(&c, e.comp as usize) {
-                    offenders.push(e.task);
-                }
-            };
-            if let Some(w) = &st.write {
-                if mode.conflicts_with(Mode::Write) || mode.conflicts_with(Mode::ReadWrite) {
-                    scan(w);
-                }
-            }
-            if mode.conflicts_with(Mode::Read) {
-                for e in &st.reads {
-                    scan(e);
-                }
-            }
-            if mode.conflicts_with(Mode::Accum) {
-                for e in &st.accums {
-                    scan(e);
-                }
-            }
-        }
-        match mode {
-            Mode::Read => upsert(&mut st.reads, epoch),
-            Mode::Accum => upsert(&mut st.accums, epoch),
-            Mode::Write | Mode::ReadWrite => {
-                st.write = Some(epoch);
-                st.reads.clear();
-                st.accums.clear();
-            }
-        }
-        drop(st);
-        drop(c);
-        if !offenders.is_empty() {
-            let mut races = self.races.lock();
-            for earlier in offenders {
-                races.push(DynamicRace {
-                    data,
-                    earlier,
-                    later: task,
-                });
-            }
-        }
-    }
-
-    /// Leave `task` on `worker`: publish its clock to `succs`. Must run
-    /// before the engine releases the successors.
-    pub fn task_end(&self, task: TaskId, worker: usize, succs: &[TaskId]) {
-        let mut c = self.clocks[worker].lock();
-        for &s in succs {
-            vc_join(&mut self.release[s].lock(), &c);
-        }
-        if self.granularity == ClockGranularity::PerWorker {
-            let next = vc_get(&c, worker) + 1;
-            vc_set_min(&mut c, worker, next);
-        }
-        let _ = task;
-    }
-
-    /// Snapshot the observed races (sorted, deduplicated).
-    pub fn report(&self) -> DynamicReport {
-        let mut races = self.races.lock().clone();
-        races.sort_unstable_by_key(|r: &DynamicRace| (r.data, r.earlier, r.later));
-        races.dedup();
-        DynamicReport {
-            races,
-            // ORDERING: statistics counter; staleness is acceptable.
-            naccesses: self.naccesses.load(Ordering::Relaxed),
-            ntasks: self.ntasks,
-            granularity: self.granularity,
-        }
-    }
-}
-
-fn upsert(list: &mut Vec<Epoch>, epoch: Epoch) {
-    match list.iter_mut().find(|e| e.comp == epoch.comp) {
-        Some(e) => *e = epoch,
-        None => list.push(epoch),
-    }
-}
-
-/// Drive the *real* executor over `spec` under `engine`'s placement
-/// policy, with instrumented no-op task bodies, and return the dynamic
-/// checker's verdict.
-///
-/// This is the executable oracle for [`check_static`]: the actual
-/// scheduler (threads, queues, work stealing) executes the graph
-/// while every declared access goes through a [`RaceChecker`]. Dangling
-/// and self-edges are dropped (the static pass reports them); a cyclic
-/// spec fails with [`EngineError::Stalled`] via the watchdog rather than
-/// hanging.
-pub fn replay(
-    spec: &GraphSpec,
-    engine: RuntimeKind,
-    nworkers: usize,
-    granularity: ClockGranularity,
-) -> Result<DynamicReport, EngineError> {
-    assert!(nworkers >= 1);
-    let (succs, npred) = spec.clean_adjacency();
-    let n = spec.ntasks;
-    let checker = RaceChecker::new(n, spec.ndata, nworkers, granularity);
-    let config = RunConfig {
-        watchdog: Some(Duration::from_secs(5)),
-        ..RunConfig::default()
-    };
-    let run_body = |t: TaskId, w: usize| {
-        checker.task_begin(t, w);
-        for &(d, mode) in &spec.accesses[t] {
-            checker.access(d, mode, t, w);
-        }
-        checker.task_end(t, w, &succs[t]);
-    };
-    struct Replay<'a, F> {
-        succs: &'a [Vec<TaskId>],
-        npred: &'a [u32],
-        body: F,
-    }
-    impl<F: Fn(TaskId, usize) + Sync> PtgProgram for Replay<'_, F> {
-        fn num_tasks(&self) -> usize {
-            self.succs.len()
-        }
-        fn num_predecessors(&self, task: usize) -> u32 {
-            self.npred[task]
-        }
-        fn successors(&self, task: usize, out: &mut Vec<usize>) {
-            out.extend_from_slice(&self.succs[task]);
-        }
-        fn execute(&self, task: usize, worker: usize) {
-            (self.body)(task, worker);
-        }
-        fn priority(&self, task: usize) -> f64 {
-            -(task as f64)
-        }
-    }
-    let dag = Replay {
-        succs: &succs,
-        npred: &npred,
-        body: run_body,
-    };
-    crate::exec::run(&dag, engine, nworkers, config)?;
-    Ok(checker.report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,133 +529,6 @@ mod tests {
         assert_eq!(report.self_edges, vec![1]);
         assert_eq!(report.dangling_edges, vec![(0, 7)]);
         assert_eq!(report.nedges, 1);
-    }
-
-    #[test]
-    fn signature_collapses_granularity() {
-        // Coarse graph: one task accumulates sources {5, 3} then task
-        // tagged 9 closes. Fine graph: serialized updates 3 then 5, then
-        // 9. Signatures must match.
-        let mut coarse = GraphSpec::new(2);
-        coarse.access(0, 0, Mode::Accum);
-        coarse.access(1, 0, Mode::ReadWrite);
-        coarse.edge(0, 1);
-        coarse.set_tag(0, 5);
-        coarse.set_tag(1, 9);
-        let mut coarse2 = GraphSpec::new(3);
-        coarse2.access(0, 0, Mode::Accum);
-        coarse2.access(1, 0, Mode::Accum);
-        coarse2.access(2, 0, Mode::ReadWrite);
-        coarse2.edge(0, 2);
-        coarse2.edge(1, 2);
-        coarse2.set_tag(0, 5);
-        coarse2.set_tag(1, 3);
-        coarse2.set_tag(2, 9);
-        let mut fine = GraphSpec::new(3);
-        fine.access(0, 0, Mode::ReadWrite);
-        fine.access(1, 0, Mode::ReadWrite);
-        fine.access(2, 0, Mode::ReadWrite);
-        fine.edge(0, 1);
-        fine.edge(1, 2);
-        fine.set_tag(0, 3);
-        fine.set_tag(1, 5);
-        fine.set_tag(2, 9);
-        let c = conflict_signature(&coarse).expect("acyclic");
-        let c2 = conflict_signature(&coarse2).expect("acyclic");
-        let f = conflict_signature(&fine).expect("acyclic");
-        assert_eq!(c2, f);
-        assert_eq!(c[0], vec![5, 9]);
-        assert_eq!(f[0], vec![3, 5, 9]);
-    }
-
-    #[test]
-    fn signature_none_on_cycle() {
-        let mut spec = GraphSpec::new(2);
-        spec.edge(0, 1);
-        spec.edge(1, 0);
-        assert!(conflict_signature(&spec).is_none());
-    }
-
-    #[test]
-    fn vector_clock_checker_flags_unordered_writers() {
-        // Drive the checker directly from two logical workers with no
-        // release edge between the tasks: deterministic dynamic race.
-        let rc = RaceChecker::new(2, 1, 2, ClockGranularity::PerWorker);
-        rc.task_begin(0, 0);
-        rc.access(0, Mode::Write, 0, 0);
-        rc.task_end(0, 0, &[]);
-        rc.task_begin(1, 1);
-        rc.access(0, Mode::Write, 1, 1);
-        rc.task_end(1, 1, &[]);
-        let report = rc.report();
-        assert_eq!(report.races.len(), 1);
-        assert_eq!(report.races[0].earlier, 0);
-        assert_eq!(report.races[0].later, 1);
-    }
-
-    #[test]
-    fn vector_clock_checker_accepts_released_order() {
-        // Same two tasks, but task 0 publishes to task 1 → no race.
-        let rc = RaceChecker::new(2, 1, 2, ClockGranularity::PerWorker);
-        rc.task_begin(0, 0);
-        rc.access(0, Mode::Write, 0, 0);
-        rc.task_end(0, 0, &[1]);
-        rc.task_begin(1, 1);
-        rc.access(0, Mode::Write, 1, 1);
-        rc.task_end(1, 1, &[]);
-        assert!(rc.report().is_clean());
-    }
-
-    #[test]
-    fn replay_clean_spec_on_all_engines() {
-        // Diamond over one datum: 0 writes, 1 and 2 read, 3 rewrites.
-        let mut spec = GraphSpec::new(4);
-        spec.access(0, 0, Mode::Write);
-        spec.access(1, 0, Mode::Read);
-        spec.access(2, 0, Mode::Read);
-        spec.access(3, 0, Mode::ReadWrite);
-        spec.edge(0, 1);
-        spec.edge(0, 2);
-        spec.edge(1, 3);
-        spec.edge(2, 3);
-        assert!(check_static(&spec).is_clean());
-        for engine in RuntimeKind::ALL {
-            for granularity in [ClockGranularity::PerWorker, ClockGranularity::PerTask] {
-                let report = replay(&spec, engine, 4, granularity)
-                    .expect("replay must complete");
-                assert!(report.is_clean(), "{engine:?}/{granularity:?}: {report}");
-                assert_eq!(report.naccesses, 4);
-            }
-        }
-    }
-
-    #[test]
-    fn replay_flags_dropped_edge_on_all_engines() {
-        // W→R chain with the edge dropped: per-task clocks flag it
-        // deterministically on every engine, any schedule.
-        let mut spec = GraphSpec::new(2);
-        spec.access(0, 0, Mode::Write);
-        spec.access(1, 0, Mode::Write);
-        // no edge at all
-        assert_eq!(check_static(&spec).races.len(), 1);
-        for engine in RuntimeKind::ALL {
-            let report = replay(&spec, engine, 2, ClockGranularity::PerTask)
-                .expect("replay must complete");
-            assert_eq!(report.races.len(), 1, "{engine:?}: {report}");
-            assert_eq!(report.races[0].data, 0);
-        }
-    }
-
-    #[test]
-    fn replay_cyclic_spec_stalls_instead_of_hanging() {
-        let mut spec = GraphSpec::new(2);
-        spec.edge(0, 1);
-        spec.edge(1, 0);
-        let err = replay(&spec, RuntimeKind::Native, 2, ClockGranularity::PerWorker);
-        assert!(
-            matches!(err, Err(EngineError::Stalled { .. })),
-            "expected stall, got {err:?}"
-        );
     }
 
     #[test]
