@@ -72,7 +72,8 @@ check-robust:
 	cargo test -q --release -p dagfact-rt --test exec_overhead -- --ignored
 	cargo clippy --workspace --all-targets -- -D warnings
 
-# Static-analysis gate: the source analyzers, the graph-verifier suites,
+# Static-analysis gate: the source analyzers (`lint`: hot paths, lock-order
+# cycles, ORDERING notes, sync shim), the graph-verifier suites,
 # the sweep over the 9 proxies' task graphs (one facto-independent graph
 # each: the 3 engines' derivation check plus one static proof; release:
 # the graphs are large), the analysis identity at the benchmark's full
@@ -153,9 +154,9 @@ check-tsan:
 
 # The source gate (DESIGN.md §13, §16): one pass over every library
 # source — hot-path purity from the roots in lint-hotpaths.toml, the
-# lock-order graph, the atomics protocol, the sync shim — writing
-# results/lint-{hot,sync}.json. Any finding fails; nothing is
-# grandfathered.
+# lock-order graph's cycle check, an ORDERING: note on every all-Relaxed
+# atomic call, the sync shim — writing results/lint-{hot,sync}.json. Any
+# finding fails; nothing is grandfathered.
 lint:
 	cargo run -q -p dagfact-lint --bin lint
 

@@ -806,9 +806,10 @@ mod tests {
     #[test]
     fn bad_fault_plan_spec_is_rejected() {
         let path = write_temp("badplan", &grid_laplacian_3d(3, 3, 3));
-        let err =
-            run(&args(&["solve", &path, "--fault-plan", "frobnicate=yes"])).unwrap_err();
-        assert!(err.contains("--fault-plan"), "{err}");
+        for spec in ["frobnicate=yes", "delay=1:250", "pprob=0.1"] {
+            let err = run(&args(&["solve", &path, "--fault-plan", spec])).unwrap_err();
+            assert!(err.contains("--fault-plan"), "{spec}: {err}");
+        }
     }
 
     #[test]

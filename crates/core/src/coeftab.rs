@@ -469,9 +469,8 @@ impl<T: Scalar> CoefTab<T> {
             .as_ref()
             .is_some_and(|b| b.should_spill() && self.spill.is_some());
         for key in keys.into_iter().flatten() {
-            // SYNC: Release pairs with the Acquire scan of `s.retired`
-            // in the eviction victim loop; the load goes through an
-            // iterator local the pairing pass cannot resolve.
+            // Release pairs with the Acquire load of `retired` in
+            // `evict_one`'s victim scan.
             self.slots[key].retired.store(true, Ordering::Release);
             if eager_spill {
                 self.try_evict(key);
@@ -728,6 +727,30 @@ mod tests {
         for (x, y) in before.iter().zip(after.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    #[test]
+    fn eviction_never_waits_on_a_held_slot() {
+        // `pin` holds its own slot's lock while `charge_grow` evicts
+        // others (DESIGN.md §16): the evictor must only ever try-lock.
+        let a = grid_laplacian_2d(8, 8);
+        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+        let mem = MemoryOptions {
+            budget: Some(MemoryBudget::with_cap(1 << 30)),
+            spill_dir: None,
+        };
+        let tab = CoefTab::<f64>::reserve(&an, &mem).expect("reserve");
+        let src = PanelSource::new(&an, &a);
+        drop(tab.pin_l(&an.symbol, 0, Some(&src)).expect("pin"));
+        let (tab, held) = (&tab, tab.slots[0].lock());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || tx.send(tab.try_evict(0)));
+            let evicted = rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(held);
+            assert_eq!(evicted, Ok(false), "the evictor waited on a held slot");
+        });
+        assert!(tab.try_evict(0), "a released resident slot spills");
     }
 
     #[test]

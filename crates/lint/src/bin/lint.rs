@@ -1,14 +1,14 @@
 //! `lint`: the workspace's source gate (`make lint`, DESIGN.md §13/§16).
 //!
 //! Parses every library source once, resolves the hot roots declared in
-//! `lint-hotpaths.toml`, runs the hot-path purity, lock-discipline,
-//! atomics-protocol and sync-shim passes, writes `results/lint-hot.json`
-//! and `results/lint-sync.json` (the sync report carries the full lock
-//! graph, so the before/after of a lock-removal PR is diffable), and
-//! exits 1 on any finding. There is no ledger of accepted findings: each
-//! one is fixed or justified in place by its marker comment.
+//! `lint-hotpaths.toml`, runs the hot-path purity pass, the lock-order
+//! cycle check and the Relaxed and sync-shim token checks, writes
+//! `results/lint-hot.json` and `results/lint-sync.json` (the sync report
+//! carries the full lock graph, so the before/after of a lock-removal PR
+//! is diffable), and exits 1 on any finding. There is no ledger of
+//! accepted findings: each one is fixed or justified in place by its
+//! marker comment.
 
-use dagfact_lint::atomics::{analyze_atomics, AtomReport};
 use dagfact_lint::config::parse_hotpaths;
 use dagfact_lint::hotpath::{check_hot_paths, HotFinding};
 use dagfact_lint::syncgraph::{analyze, SyncFinding, SyncReport};
@@ -52,7 +52,7 @@ fn write_hot(ws: &Workspace, nreach: usize, findings: &[HotFinding]) {
     write("lint-hot", &doc);
 }
 
-fn write_sync(ws: &Workspace, sync: &SyncReport, atoms: &AtomReport, findings: &[SyncFinding]) {
+fn write_sync(ws: &Workspace, sync: &SyncReport, findings: &[SyncFinding]) {
     let sites: Vec<Json> = sync
         .sites
         .iter()
@@ -78,25 +78,6 @@ fn write_sync(ws: &Workspace, sync: &SyncReport, atoms: &AtomReport, findings: &
                 .field("chain", e.chain.clone())
         })
         .collect();
-    let atom_sites: Vec<Json> = atoms
-        .sites
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .field("id", s.id.as_str())
-                .field("op", s.op.as_str())
-                .field(
-                    "orders",
-                    s.orders
-                        .iter()
-                        .map(|o| format!("{o:?}"))
-                        .collect::<Vec<_>>(),
-                )
-                .field("file", s.file.as_str())
-                .field("line", s.line)
-                .field("function", s.function.as_str())
-        })
-        .collect();
     let findings: Vec<Json> = findings
         .iter()
         .map(|f| {
@@ -120,7 +101,6 @@ fn write_sync(ws: &Workspace, sync: &SyncReport, atoms: &AtomReport, findings: &
                 .field("sites", Json::Arr(sites))
                 .field("edges", Json::Arr(edges)),
         )
-        .field("atomic_sites", Json::Arr(atom_sites))
         .field("findings", Json::Arr(findings));
     write("lint-sync", &doc);
 }
@@ -159,31 +139,28 @@ fn main() {
     let nreach = ws.graph.reach(&roots).len();
     let hot = check_hot_paths(&ws.graph, &roots, &ws.ctxs);
     let sync = analyze(&ws.graph, &ws.ctxs);
-    let atoms = analyze_atomics(&ws.graph, &ws.ctxs);
     let mut findings: Vec<SyncFinding> = sync
         .findings
         .iter()
-        .chain(&atoms.findings)
-        .chain(&ws.shim)
+        .chain(&ws.token_findings)
         .cloned()
         .collect();
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.detail).cmp(&(&b.file, b.line, b.rule, &b.detail))
     });
     write_hot(&ws, nreach, &hot);
-    write_sync(&ws, &sync, &atoms, &findings);
+    write_sync(&ws, &sync, &findings);
 
     if hot.is_empty() && findings.is_empty() {
         println!(
             "lint: clean — {} files, {} functions, {} reachable from {} hot roots; lock graph: {} \
-             sites, {} edges; {} atomic sites (reports: results/lint-{{hot,sync}}.json)",
+             sites, {} edges (reports: results/lint-{{hot,sync}}.json)",
             ws.nfiles,
             ws.graph.functions.len(),
             nreach,
             declared.len(),
             sync.sites.len(),
-            sync.edges.len(),
-            atoms.sites.len()
+            sync.edges.len()
         );
         return;
     }
@@ -205,8 +182,8 @@ fn main() {
     }
     eprintln!(
         "lint: {} finding(s). Fix each, or justify it in place with its marker (// ALLOC: / \
-         LOCK: / BOUNDS: / PANIC: / IO: / TRACE: / HOT: / SYNC: / ORDERING:); nothing is \
-         grandfathered.",
+         LOCK: / BOUNDS: / PANIC: / IO: / TRACE: / ORDERING:; a lock-order cycle takes \
+         none); nothing is grandfathered.",
         hot.len() + findings.len()
     );
     std::process::exit(1);

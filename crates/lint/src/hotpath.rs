@@ -6,12 +6,12 @@
 //!
 //! | rule    | trigger                                                | justification marker |
 //! |---------|--------------------------------------------------------|----------------------|
-//! | alloc   | `Vec::new`, `.push(…)`, `.collect()`, `vec!`, `clone`… | `// ALLOC:` / `// HOT:` |
-//! | lock    | `.lock()`, `.read()`, `.write()`, `.wait(…)`           | `// LOCK:` / `// HOT:` |
+//! | alloc   | `Vec::new`, `.push(…)`, `.collect()`, `vec!`, `clone`… | `// ALLOC:`          |
+//! | lock    | `.lock()`, `.read()`, `.write()`, `.wait(…)`           | `// LOCK:`           |
 //! | panic   | `.unwrap()`, `.expect(…)`, `panic!`, `assert!`         | `// PANIC:` (macros only) |
 //! | index   | `a[i]` slice/array indexing                            | `// BOUNDS:`         |
-//! | io      | `println!`, `File::open`, `thread::sleep`, …           | `// IO:` / `// HOT:` |
-//! | trace   | recorder-only tracing methods (`merge_lane`, `now_ns`…)| `// TRACE:` / `// HOT:` |
+//! | io      | `println!`, `File::open`, `thread::sleep`, …           | `// IO:`             |
+//! | trace   | recorder-only tracing methods (`merge_lane`, `now_ns`…)| `// TRACE:`          |
 //!
 //! A marker must appear on the event's line or within the preceding
 //! [`crate::WINDOW`] lines. An explicit `assert!`/`panic!`/`unreachable!`
@@ -29,10 +29,9 @@
 //!   only `TraceRecorder`-unique names.
 
 use crate::callgraph::CallGraph;
-use crate::lex::Comment;
+use crate::marked;
 use crate::parse::Event;
 use crate::syncgraph::FnCtx;
-use crate::WINDOW;
 use std::fmt;
 
 /// Which purity rule a finding violates.
@@ -65,15 +64,15 @@ impl HotRule {
         }
     }
 
-    /// The marker comment that justifies this rule, if any.
-    fn markers(self) -> &'static [&'static str] {
+    /// The marker comment that justifies this rule.
+    fn marker(self) -> &'static str {
         match self {
-            HotRule::Alloc => &["ALLOC:", "HOT:"],
-            HotRule::Lock => &["LOCK:", "HOT:"],
-            HotRule::Panic => &["PANIC:"],
-            HotRule::Index => &["BOUNDS:"],
-            HotRule::Io => &["IO:", "HOT:"],
-            HotRule::Trace => &["TRACE:", "HOT:"],
+            HotRule::Alloc => "ALLOC:",
+            HotRule::Lock => "LOCK:",
+            HotRule::Panic => "PANIC:",
+            HotRule::Index => "BOUNDS:",
+            HotRule::Io => "IO:",
+            HotRule::Trace => "TRACE:",
         }
     }
 }
@@ -164,18 +163,8 @@ fn module_exempt(rule: HotRule, module: &str) -> bool {
     matches!(rule, HotRule::Trace) && module.ends_with("::trace")
 }
 
-/// Does any marker for `rule` appear within the window above `line`?
-fn justified(rule: HotRule, comments: &[Comment], line: usize) -> bool {
-    let lo = line.saturating_sub(WINDOW);
-    comments.iter().any(|c| {
-        c.line >= lo && c.line <= line && rule.markers().iter().any(|m| c.text.contains(m))
-    })
-}
-
 /// Judge one event. Returns `(rule, detail)` when it violates a rule.
-/// (`pub(crate)`: the sync analyzer reuses the alloc judgement to score
-/// alloc-heavy callees.)
-pub(crate) fn judge(ev: &Event) -> Option<(HotRule, String)> {
+fn judge(ev: &Event) -> Option<(HotRule, String)> {
     match ev {
         Event::Call { path, .. } => {
             if path.len() >= 2 {
@@ -257,7 +246,7 @@ pub fn check_hot_paths(graph: &CallGraph, roots: &[usize], ctxs: &[FnCtx]) -> Ve
                 continue;
             }
             let implicit_panic = rule == HotRule::Panic && matches!(ev, Event::Method { .. });
-            if !implicit_panic && justified(rule, &ctxs[i].comments, ev.line()) {
+            if !implicit_panic && marked(&ctxs[i].comments, ev.line(), rule.marker()) {
                 continue;
             }
             findings.push(HotFinding {
@@ -326,18 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn generic_hot_marker_covers_lock() {
-        let f = run(
-            "fn hot() {\n  // HOT: contended only at shutdown.\n  q.lock();\n}",
-            "c::m::hot",
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
     fn implicit_panic_accepts_no_marker() {
         let f = run(
-            "fn hot() {\n  // HOT: justified? no.\n  x.unwrap();\n}",
+            "fn hot() {\n  // PANIC: justified? no.\n  x.unwrap();\n}",
             "c::m::hot",
         );
         assert_eq!(rules(&f), vec![HotRule::Panic]);
@@ -353,7 +333,7 @@ mod tests {
         );
         assert!(ok.is_empty());
         let wrong_marker = run(
-            "fn hot(a: &[u8]) {\n  // HOT: nope.\n  let x = a[0];\n}",
+            "fn hot(a: &[u8]) {\n  // LOCK: nope.\n  let x = a[0];\n}",
             "c::m::hot",
         );
         assert_eq!(rules(&wrong_marker), vec![HotRule::Index]);

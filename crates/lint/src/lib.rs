@@ -1,12 +1,14 @@
 //! Source analyzers for the dagfact workspace, run as one `lint` binary
 //! (`make lint`): the sources are parsed once into a module-resolved
-//! call graph ([`Workspace`]), then three passes judge it —
+//! call graph ([`Workspace`]), then the passes judge it —
 //!
 //! * hot-path purity ([`hotpath`], DESIGN.md §13) over everything
 //!   reachable from the roots in `lint-hotpaths.toml`;
-//! * lock discipline ([`syncgraph`]) and the atomics protocol
-//!   ([`atomics`], DESIGN.md §16) over every function;
-//! * the sync shim: rt library code does not `use std::sync` — it goes
+//! * the lock-order cycle check ([`syncgraph`], DESIGN.md §16) over
+//!   every function;
+//! * two token checks made while parsing (DESIGN.md §16): an atomic call
+//!   whose literal orderings are all `Relaxed` carries an `// ORDERING:`
+//!   note, and rt library code does not `use std::sync` — it goes
 //!   through `crate::sync`, so the `--cfg loom` model backend sees every
 //!   operation. The shim itself and the model checker are exempt.
 //!
@@ -14,7 +16,6 @@
 //! line-level rules (SAFETY contracts, no `.unwrap()` in rt/core library
 //! code) are clippy configuration: `clippy.toml` and the crates' lints.
 
-pub mod atomics;
 pub mod callgraph;
 pub mod config;
 pub mod hotpath;
@@ -23,14 +24,46 @@ pub mod parse;
 pub mod syncgraph;
 
 use callgraph::CallGraph;
+use lex::{Comment, Tok};
 use parse::{parse_file, ParsedFile};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use syncgraph::{ident_at, module_exempt, punct_at, FnCtx, SyncFinding, SyncRule};
+use syncgraph::{
+    ident_at, match_paren, module_exempt, punct_at, receiver_chain, FnCtx, SyncFinding, SyncRule,
+};
 
 /// How many preceding lines a justifying comment may sit above the
 /// construct it justifies (multi-line comments push the marker up).
 pub const WINDOW: usize = 12;
+
+/// Is `marker` (`"ALLOC:"`, `"ORDERING:"`, …) in a comment on `line` or
+/// within the [`WINDOW`] lines above it?
+pub(crate) fn marked(comments: &[Comment], line: usize, marker: &str) -> bool {
+    let lo = line.saturating_sub(WINDOW);
+    comments
+        .iter()
+        .any(|c| (lo..=line).contains(&c.line) && c.text.contains(marker))
+}
+
+/// Atomic methods whose ordering arguments the Relaxed rule reads.
+const ATOMIC_OPS: &[&str] = &[
+    "load",
+    "store",
+    "swap",
+    "compare_exchange",
+    "compare_exchange_weak",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_and",
+    "fetch_or",
+    "fetch_xor",
+    "fetch_min",
+    "fetch_max",
+    "fetch_nand",
+    "fetch_update",
+];
+
+const ORDERINGS: &[&str] = &["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"];
 
 /// A set of sources parsed once: the call graph every pass runs on.
 pub struct Workspace {
@@ -38,8 +71,9 @@ pub struct Workspace {
     pub graph: CallGraph,
     /// `ctxs[i]` is the file context of `graph.functions[i]`.
     pub ctxs: Vec<FnCtx>,
-    /// Sync-shim bypasses found while parsing.
-    pub shim: Vec<SyncFinding>,
+    /// The token checks' findings (unjustified `Relaxed`, sync-shim
+    /// bypasses), made while parsing.
+    pub token_findings: Vec<SyncFinding>,
     /// Number of files parsed.
     pub nfiles: usize,
 }
@@ -47,10 +81,13 @@ pub struct Workspace {
 impl Workspace {
     /// Parse `(path, module, source)` files and build the call graph.
     pub fn parse<'a>(files: impl IntoIterator<Item = (String, &'a str, &'a str)>) -> Workspace {
-        let (mut parsed, mut ctxs, mut shim) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut parsed, mut ctxs, mut found) = (Vec::new(), Vec::new(), Vec::new());
         for (file, module, src) in files {
             let mut pf = parse_file(src, module);
-            shim.extend(shim_bypasses(&pf, &file, module));
+            if !module_exempt(module) {
+                found.extend(unjustified_relaxed(&pf, &file, module));
+                found.extend(shim_bypasses(&pf, &file, module));
+            }
             let tokens = Rc::new(std::mem::take(&mut pf.tokens));
             let comments = Rc::new(std::mem::take(&mut pf.comments));
             ctxs.extend(pf.functions.iter().map(|_| FnCtx {
@@ -64,7 +101,7 @@ impl Workspace {
         Workspace {
             graph: CallGraph::build(parsed),
             ctxs,
-            shim,
+            token_findings: found,
             nfiles,
         }
     }
@@ -126,10 +163,68 @@ fn module_path(rel: &Path) -> Option<String> {
     Some(segs.join("::"))
 }
 
-/// `use std::sync` outside test items of an rt module other than the
-/// shim (`dagfact_rt::sync`) and the model checker (`::model`).
+fn in_test(pf: &ParsedFile, i: usize) -> bool {
+    pf.test_spans.iter().any(|&(a, b)| (a..b).contains(&i))
+}
+
+fn token_finding(
+    rule: SyncRule,
+    file: &str,
+    line: usize,
+    module: &str,
+    detail: String,
+) -> SyncFinding {
+    SyncFinding {
+        rule,
+        file: file.to_string(),
+        line,
+        function: module.to_string(),
+        detail,
+        chain: vec![module.to_string()],
+    }
+}
+
+/// `.op(…)` atomic calls outside test items whose literal orderings are
+/// all `Relaxed`, with no `// ORDERING:` note within the window. A call
+/// with ordering *variables* (a pass-through helper) names no literal
+/// and is not a site.
+fn unjustified_relaxed(pf: &ParsedFile, file: &str, module: &str) -> Vec<SyncFinding> {
+    let t = &pf.tokens;
+    (0..t.len())
+        .filter_map(|i| {
+            let op =
+                ident_at(t, i + 1).filter(|op| punct_at(t, i, '.') && ATOMIC_OPS.contains(op))?;
+            if !punct_at(t, i + 2, '(') || in_test(pf, i) {
+                return None;
+            }
+            let orders: Vec<&str> = t
+                .get(i + 3..match_paren(t, i + 2))
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|tok| match &tok.kind {
+                    Tok::Ident(s) if ORDERINGS.contains(&s.as_str()) => Some(s.as_str()),
+                    _ => None,
+                })
+                .collect();
+            let line = t[i + 1].line;
+            if orders.is_empty()
+                || orders.iter().any(|&o| o != "Relaxed")
+                || marked(&pf.comments, line, "ORDERING:")
+            {
+                return None;
+            }
+            let receiver = receiver_chain(t, i).join(".");
+            let detail = format!("`{receiver}` {op}(Relaxed) without an ORDERING: note");
+            let rule = SyncRule::UnjustifiedRelaxed;
+            Some(token_finding(rule, file, line, module, detail))
+        })
+        .collect()
+}
+
+/// `use std::sync` outside test items of an rt module (the shim and the
+/// model checker are exempt with the rest of the sync checks).
 fn shim_bypasses(pf: &ParsedFile, file: &str, module: &str) -> Vec<SyncFinding> {
-    if !(module == "dagfact_rt" || module.starts_with("dagfact_rt::")) || module_exempt(module) {
+    if !(module == "dagfact_rt" || module.starts_with("dagfact_rt::")) {
         return Vec::new();
     }
     let t = &pf.tokens;
@@ -140,15 +235,11 @@ fn shim_bypasses(pf: &ParsedFile, file: &str, module: &str) -> Vec<SyncFinding> 
                 && punct_at(t, i + 2, ':')
                 && punct_at(t, i + 3, ':')
                 && ident_at(t, i + 4) == Some("sync")
-                && !pf.test_spans.iter().any(|&(a, b)| (a..b).contains(&i))
+                && !in_test(pf, i)
         })
-        .map(|i| SyncFinding {
-            rule: SyncRule::ShimBypass,
-            file: file.to_string(),
-            line: t[i].line,
-            function: module.to_string(),
-            detail: "`use std::sync` bypasses the crate::sync shim".to_string(),
-            chain: vec![module.to_string()],
+        .map(|i| {
+            let detail = "`use std::sync` bypasses the crate::sync shim".to_string();
+            token_finding(SyncRule::ShimBypass, file, t[i].line, module, detail)
         })
         .collect()
 }

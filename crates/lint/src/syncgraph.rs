@@ -1,10 +1,9 @@
-//! Lock-discipline analyzer (DESIGN.md §16): the workspace lock-order
-//! graph and the held-across-blocking rules behind `lint-sync`.
+//! Lock-order analyzer (DESIGN.md §16): the workspace lock-order graph
+//! behind `lint-sync`, and its cycle check.
 //!
 //! Works on the same artifacts as the hot-path analyzer — the parsed
-//! token stream, per-function events and the module-resolved call graph
-//! — but asks a different question: **which locks can be held at the
-//! same time, and what happens while they are held?**
+//! token stream and the module-resolved call graph — but asks a
+//! different question: **which locks can be held at the same time?**
 //!
 //! * Every `Mutex`/`RwLock` acquisition site (`.lock()`, empty-argument
 //!   `.read()`/`.write()`, `.try_lock()`) is classified by a *lock
@@ -18,55 +17,35 @@
 //! * A linear scan of each body tracks **guard liveness** (named `let`
 //!   guards die at scope end or `drop(g)`; temporaries die at the end
 //!   of their statement). A second acquisition while any guard is live
-//!   adds a lock-order edge; a blocking call (`recv`/`wait`/`join`/
-//!   spill-IO) while a guard is live is a finding. The condvar protocol
-//!   — `cv.wait(guard)` consuming the guard it releases — is exempt for
-//!   the guard named in the wait call's arguments.
+//!   adds a lock-order edge.
 //! * Calls made while a guard is live are resolved through the call
-//!   graph; every acquisition or blocking op reachable from the callee
-//!   becomes a **cross-function** edge/finding carrying the BFS witness
-//!   chain, and a direct callee with ≥3 allocation events (the hot-path
-//!   analyzer's alloc judgement) is flagged as an alloc-heavy callee.
+//!   graph; every acquisition reachable from the callee becomes a
+//!   **cross-function** edge carrying the BFS witness chain.
 //! * Cycles in the lock-order graph (including self-edges: re-acquiring
 //!   an identity while holding it) are reported as potential-deadlock
 //!   witnesses listing every participating edge with its source chain.
-//!
-//! A `// SYNC:` marker within [`WINDOW`] lines above a site suppresses
-//! held-across findings (the written-down argument for why the hold is
-//! benign); cycle findings accept no marker — like `.unwrap()` on a hot
-//! path, the fix is a lock-order change.
+//!   They accept no marker — like `.unwrap()` on a hot path, the fix is
+//!   a lock-order change.
 //!
 //! The model checker (`dagfact_rt::model*`) and the sync shim
 //! (`dagfact_rt::sync`) are exempt: they are the verification mechanism
 //! and the sanctioned wrapper, not subjects.
 
 use crate::callgraph::CallGraph;
-use crate::hotpath::{self, HotRule};
 use crate::lex::{Comment, Tok, Token};
 use crate::parse::Function;
-use crate::WINDOW;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
-/// Which sync rule produced a finding (shared with the atomics pass).
+/// Which sync rule produced a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SyncRule {
     /// A cycle in the lock-order graph (potential deadlock).
     LockCycle,
-    /// A guard live across a blocking operation.
-    HeldBlocking,
-    /// A guard live across an alloc-heavy callee.
-    HeldAlloc,
-    /// A Release store with no Acquire/AcqRel load anywhere.
-    UnpairedRelease,
-    /// An Acquire load with no Release/AcqRel store anywhere.
-    UnpairedAcquire,
-    /// A Relaxed site without an `// ORDERING:` note.
+    /// An atomic call whose literal orderings are all `Relaxed`, without
+    /// an `// ORDERING:` note.
     UnjustifiedRelaxed,
-    /// A compare_exchange failure ordering stronger than the success
-    /// ordering's load component.
-    CxFailureOrdering,
     /// `use std::sync` in rt library code, past the `crate::sync` shim.
     ShimBypass,
 }
@@ -76,12 +55,7 @@ impl SyncRule {
     pub fn key(self) -> &'static str {
         match self {
             SyncRule::LockCycle => "lock-cycle",
-            SyncRule::HeldBlocking => "held-across-blocking",
-            SyncRule::HeldAlloc => "held-across-alloc",
-            SyncRule::UnpairedRelease => "unpaired-release",
-            SyncRule::UnpairedAcquire => "unpaired-acquire",
             SyncRule::UnjustifiedRelaxed => "unjustified-relaxed",
-            SyncRule::CxFailureOrdering => "cx-failure-ordering",
             SyncRule::ShimBypass => "shim-bypass",
         }
     }
@@ -160,7 +134,7 @@ pub struct SyncReport {
     pub sites: Vec<LockSite>,
     /// Deduplicated lock-order edges, sorted by (from, to).
     pub edges: Vec<LockEdge>,
-    /// Rule violations, sorted by (file, line, rule).
+    /// Lock-order cycles, sorted by (file, line).
     pub findings: Vec<SyncFinding>,
 }
 
@@ -181,54 +155,18 @@ pub struct FnCtx {
 /// argument list (`io::Read::read` / `io::Write::write` take buffers).
 const ACQUIRE_METHODS: &[&str] = &["lock", "try_lock", "read", "write"];
 
-/// Blocking methods a guard must not be live across. `join` counts only
-/// with an empty argument list (`str::join` takes a separator).
-const BLOCKING_METHODS: &[&str] = &[
-    "recv",
-    "recv_timeout",
-    "recv_deadline",
-    "wait",
-    "wait_timeout",
-    "wait_while",
-    "join",
-    "park",
-    "write_all",
-    "read_exact",
-    "read_to_end",
-    "sync_all",
-];
-
-/// The condvar wait family: consuming the guard named in the arguments
-/// is the sanctioned protocol (the wait releases and re-acquires it).
-const WAIT_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while"];
-
-/// Methods that count as blocking only when called with no arguments.
-const EMPTY_ARGS_ONLY: &[&str] = &["join", "recv", "park"];
-
 /// Smart-pointer / container heads skipped when inferring a parameter's
 /// nominal type (`&Arc<FaultPlan>` → `FaultPlan`).
 const TYPE_WRAPPERS: &[&str] = &[
     "Arc", "Rc", "Box", "Option", "Vec", "Mutex", "RwLock", "RefCell", "Cell", "Result",
 ];
 
-/// Alloc events in a direct callee before it counts as alloc-heavy.
-const ALLOC_HEAVY: usize = 3;
-
-/// Modules exempt from the whole analysis: the model checker is the
+/// Modules exempt from the sync checks: the model checker is the
 /// verification mechanism, the sync shim the sanctioned wrapper.
 pub(crate) fn module_exempt(module: &str) -> bool {
     module == "dagfact_rt::sync"
         || module.starts_with("dagfact_rt::sync::")
         || module.contains("::model")
-}
-
-/// Is a `// SYNC:` (or `// ORDERING:`) marker within the window above
-/// `line`?
-pub(crate) fn sync_marked(comments: &[Comment], line: usize) -> bool {
-    let lo = line.saturating_sub(WINDOW);
-    comments.iter().any(|c| {
-        c.line >= lo && c.line <= line && (c.text.contains("SYNC:") || c.text.contains("ORDERING:"))
-    })
 }
 
 pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
@@ -265,7 +203,7 @@ fn skip_angles(toks: &[Token], open: usize) -> usize {
 }
 
 /// Index of the `)` matching the `(` at `open`.
-fn match_paren(toks: &[Token], open: usize) -> usize {
+pub(crate) fn match_paren(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < toks.len() {
@@ -339,7 +277,7 @@ pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> Vec<String> {
 }
 
 /// Infer `parameter name → nominal type` from the signature token range.
-pub(crate) fn param_types(tokens: &[Token], sig: (usize, usize)) -> HashMap<String, String> {
+fn param_types(tokens: &[Token], sig: (usize, usize)) -> HashMap<String, String> {
     let mut out = HashMap::new();
     let toks = match tokens.get(sig.0..sig.1) {
         Some(t) => t,
@@ -404,7 +342,7 @@ pub(crate) fn param_types(tokens: &[Token], sig: (usize, usize)) -> HashMap<Stri
 }
 
 /// Classify a receiver chain into a lock identity (see module docs).
-pub(crate) fn lock_identity(
+fn lock_identity(
     chain: &[String],
     f: &Function,
     params: &HashMap<String, String>,
@@ -449,22 +387,17 @@ struct Guard {
 
 /// Raw per-function scan results.
 #[derive(Debug, Default)]
-pub(crate) struct Scan {
+struct Scan {
     /// `(identity, method, line)` per acquisition.
-    pub(crate) acquires: Vec<(String, String, usize)>,
+    acquires: Vec<(String, String, usize)>,
     /// `(held, acquired, line)` intra-function lock-order edges.
-    pub(crate) intra_edges: Vec<(String, String, usize)>,
-    /// `(held identity, op detail, line)` guard-across-blocking hits.
-    pub(crate) blocked: Vec<(String, String, usize)>,
-    /// `(op detail, line)` blocking ops regardless of local guards (for
-    /// callers that hold locks across a call into this function).
-    pub(crate) blocking_ops: Vec<(String, usize)>,
+    intra_edges: Vec<(String, String, usize)>,
     /// `(callee name, line, held identities)` calls made under guards.
-    pub(crate) calls_held: Vec<(String, usize, Vec<String>)>,
+    calls_held: Vec<(String, usize, Vec<String>)>,
 }
 
 /// Scan one function body for guard liveness (see module docs).
-pub(crate) fn scan_fn(
+fn scan_fn(
     f: &Function,
     tokens: &[Token],
     params: &HashMap<String, String>,
@@ -516,10 +449,9 @@ pub(crate) fn scan_fn(
                 }
                 let open = j;
                 let close = match_paren(toks, open);
-                let empty_args = close == open + 1;
                 let is_acquire = name == "lock"
                     || name == "try_lock"
-                    || ((name == "read" || name == "write") && empty_args);
+                    || ((name == "read" || name == "write") && close == open + 1);
                 debug_assert!(ACQUIRE_METHODS.contains(&name.as_str()) || !is_acquire);
                 if is_acquire {
                     let chain = receiver_chain(toks, i);
@@ -546,29 +478,6 @@ pub(crate) fn scan_fn(
                             });
                         }
                     }
-                } else if BLOCKING_METHODS.contains(&name.as_str())
-                    && (!EMPTY_ARGS_ONLY.contains(&name.as_str()) || empty_args)
-                {
-                    let is_wait = WAIT_METHODS.contains(&name.as_str());
-                    let arg_idents: BTreeSet<&str> = toks[open + 1..close]
-                        .iter()
-                        .filter_map(|t| match &t.kind {
-                            Tok::Ident(s) => Some(s.as_str()),
-                            _ => None,
-                        })
-                        .collect();
-                    let exempt = |g: &Guard| {
-                        is_wait && g.name.as_deref().is_some_and(|nm| arg_idents.contains(nm))
-                    };
-                    let mut held = Vec::new();
-                    for g in &guards {
-                        if exempt(g) {
-                            continue;
-                        }
-                        out.blocked.push((g.id.clone(), format!(".{name}()"), line));
-                        held.push(g.id.clone());
-                    }
-                    out.blocking_ops.push((format!(".{name}()"), line));
                 } else if !guards.is_empty() {
                     let held: Vec<String> = guards.iter().map(|g| g.id.clone()).collect();
                     out.calls_held.push((name, line, held));
@@ -589,9 +498,7 @@ pub(crate) fn scan_fn(
                 }
             }
             Tok::Ident(head) => {
-                // Path call: `seg::seg::…::f(…)`, plus `drop(g)` and the
-                // blocking path heads (`thread::sleep`, `File::open`,
-                // `fs::…`).
+                // Path call: `seg::seg::…::f(…)`, plus `drop(g)`.
                 let mut segs: Vec<&str> = vec![head];
                 let mut j = i + 1;
                 while punct_at(toks, j, ':')
@@ -607,26 +514,14 @@ pub(crate) fn scan_fn(
                 }
                 let open = j;
                 let close = match_paren(toks, open);
-                let line = toks[i].line;
                 let last = *segs.last().unwrap_or(&"");
                 if last == "drop" && close == open + 2 {
                     if let Some(nm) = ident_at(toks, open + 1) {
                         guards.retain(|g| g.name.as_deref() != Some(nm));
                     }
-                } else {
-                    let blocking_path = (segs.contains(&"thread") && last == "sleep")
-                        || (segs.contains(&"File") && (last == "open" || last == "create"))
-                        || segs.contains(&"fs");
-                    if blocking_path {
-                        let detail = segs.join("::");
-                        for g in &guards {
-                            out.blocked.push((g.id.clone(), detail.clone(), line));
-                        }
-                        out.blocking_ops.push((detail, line));
-                    } else if !guards.is_empty() && segs.len() <= 3 {
-                        let held: Vec<String> = guards.iter().map(|g| g.id.clone()).collect();
-                        out.calls_held.push((last.to_string(), line, held));
-                    }
+                } else if !guards.is_empty() && segs.len() <= 3 {
+                    let held: Vec<String> = guards.iter().map(|g| g.id.clone()).collect();
+                    out.calls_held.push((last.to_string(), toks[i].line, held));
                 }
                 i = open + 1;
             }
@@ -636,8 +531,8 @@ pub(crate) fn scan_fn(
     out
 }
 
-/// Run the lock-discipline analysis over the whole graph; `ctxs[i]` is
-/// the context of `graph.functions[i]`.
+/// Run the lock-order analysis over the whole graph; `ctxs[i]` is the
+/// context of `graph.functions[i]`.
 pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
     let nf = graph.functions.len();
     let scans: Vec<Scan> = graph
@@ -652,20 +547,9 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
             }
         })
         .collect();
-    let alloc_score: Vec<usize> = graph
-        .functions
-        .iter()
-        .map(|f| {
-            f.events
-                .iter()
-                .filter(|e| matches!(hotpath::judge(e), Some((HotRule::Alloc, _))))
-                .count()
-        })
-        .collect();
 
     let mut sites: Vec<LockSite> = Vec::new();
     let mut edges: Vec<LockEdge> = Vec::new();
-    let mut findings: Vec<SyncFinding> = Vec::new();
 
     for i in 0..nf {
         let f = &graph.functions[i];
@@ -690,25 +574,10 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
                 chain: vec![f.qname.clone()],
             });
         }
-        for (gid, op, line) in &scan.blocked {
-            if sync_marked(&c.comments, *line) {
-                continue;
-            }
-            findings.push(SyncFinding {
-                rule: SyncRule::HeldBlocking,
-                file: c.file.clone(),
-                line: *line,
-                function: f.qname.clone(),
-                detail: format!("guard `{gid}` held across {op}"),
-                chain: vec![f.qname.clone()],
-            });
-        }
     }
 
     // Cross-function pass: resolve calls made under guards through the
-    // call graph; reachable acquisitions become edges, reachable
-    // blocking ops become findings, alloc-heavy direct callees are
-    // flagged.
+    // call graph; reachable acquisitions become edges.
     let mut reach_cache: HashMap<usize, Rc<HashMap<usize, usize>>> = HashMap::new();
     for i in 0..nf {
         if scans[i].calls_held.is_empty() {
@@ -717,7 +586,6 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
         let holder = graph.functions[i].qname.clone();
         let file = ctxs[i].file.clone();
         for (callee, line, held) in &scans[i].calls_held {
-            let marked = sync_marked(&ctxs[i].comments, *line);
             let cands: Vec<usize> = graph.edges[i]
                 .iter()
                 .copied()
@@ -726,21 +594,6 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
             for j in cands {
                 if module_exempt(&graph.functions[j].module) {
                     continue;
-                }
-                if alloc_score[j] >= ALLOC_HEAVY && !marked {
-                    for gid in held {
-                        findings.push(SyncFinding {
-                            rule: SyncRule::HeldAlloc,
-                            file: file.clone(),
-                            line: *line,
-                            function: holder.clone(),
-                            detail: format!(
-                                "guard `{gid}` held across alloc-heavy callee `{}` ({} alloc sites)",
-                                graph.functions[j].qname, alloc_score[j]
-                            ),
-                            chain: vec![holder.clone(), graph.functions[j].qname.clone()],
-                        });
-                    }
                 }
                 let parent = reach_cache
                     .entry(j)
@@ -752,7 +605,7 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
                     if module_exempt(&graph.functions[k].module) {
                         continue;
                     }
-                    if scans[k].acquires.is_empty() && scans[k].blocking_ops.is_empty() {
+                    if scans[k].acquires.is_empty() {
                         continue;
                     }
                     let mut chain = vec![holder.clone()];
@@ -769,23 +622,6 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
                             });
                         }
                     }
-                    if !marked {
-                        for (op, _ol) in &scans[k].blocking_ops {
-                            for gid in held {
-                                findings.push(SyncFinding {
-                                    rule: SyncRule::HeldBlocking,
-                                    file: file.clone(),
-                                    line: *line,
-                                    function: holder.clone(),
-                                    detail: format!(
-                                        "guard `{gid}` held across {op} in `{}`",
-                                        graph.functions[k].qname
-                                    ),
-                                    chain: chain.clone(),
-                                });
-                            }
-                        }
-                    }
                 }
             }
         }
@@ -798,11 +634,7 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
 
     // Cycle detection over lock identities (SCCs; a self-edge is a
     // one-node cycle: re-acquiring an identity while holding it).
-    findings.extend(find_cycles(&edges));
-
-    // Dedup findings by key (cross paths can re-derive the same fact).
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    findings.retain(|f| seen.insert(f.key()));
+    let mut findings = find_cycles(&edges);
 
     sites.sort_by(|a, b| (&a.file, a.line, &a.id).cmp(&(&b.file, b.line, &b.id)));
     edges.sort_by(|a, b| (&a.from, &a.to, &a.function).cmp(&(&b.from, &b.to, &b.function)));
@@ -990,46 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn guard_across_recv_is_flagged_and_sync_marker_suppresses() {
-        let r = run(&[(
-            "r::a",
-            "impl S { fn f(&self) { let g = self.q.lock(); self.rx.recv(); } }",
-        )]);
-        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].rule, SyncRule::HeldBlocking);
-        assert_eq!(r.findings[0].detail, "guard `S.q` held across .recv()");
-        assert_eq!(r.findings[0].key(), "held-across-blocking|r::a::S::f|guard `S.q` held across .recv()");
-        let r = run(&[(
-            "r::a",
-            "impl S { fn f(&self) {\n let g = self.q.lock();\n // SYNC: bounded: rx is pre-filled.\n self.rx.recv(); } }",
-        )]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn condvar_wait_consuming_its_guard_is_sanctioned() {
-        let r = run(&[(
-            "r::a",
-            "impl S { fn f(&self) { let mut q = self.queue.lock(); \
-             loop { q = self.cv.wait_timeout(q, timeout); } } }",
-        )]);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        // …but a *different* guard held at the same wait is flagged.
-        let r = run(&[(
-            "r::a",
-            "impl S { fn f(&self) { let o = self.other.lock(); let mut q = self.queue.lock(); \
-             q = self.cv.wait_timeout(q, timeout); } }",
-        )]);
-        assert!(
-            r.findings
-                .iter()
-                .any(|f| f.rule == SyncRule::HeldBlocking && f.detail.contains("S.other")),
-            "{:?}",
-            r.findings
-        );
-    }
-
-    #[test]
     fn cross_function_edge_carries_witness_chain() {
         let r = run(&[(
             "r::a",
@@ -1101,17 +893,5 @@ mod tests {
         )]);
         assert_eq!(r.sites.len(), 1, "{:?}", r.sites);
         assert_eq!(r.sites[0].method, "read");
-    }
-
-    #[test]
-    fn alloc_heavy_callee_under_guard_is_flagged() {
-        let r = run(&[(
-            "r::a",
-            "impl S { fn f(&self) { let g = self.q.lock(); rebuild(); } }\n\
-             fn rebuild() { let mut v = Vec::new(); v.push(1); v.extend(o); let s = x.to_vec(); }",
-        )]);
-        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].rule, SyncRule::HeldAlloc);
-        assert!(r.findings[0].detail.contains("r::a::rebuild"));
     }
 }

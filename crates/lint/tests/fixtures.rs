@@ -139,11 +139,11 @@ fn panic_marker_silences_explicit_checks() {
         "r::ptg::hot",
     );
     assert!(f.is_empty(), "expected clean, got {f:?}");
-    // Only PANIC: does: the generic HOT: marker leaves the check flagged.
+    // Only PANIC: does: another rule's marker leaves the check flagged.
     let f = analyze(
         &[(
             "r::ptg",
-            "pub fn hot() {\n  // HOT: not a precondition.\n  assert!(c);\n}",
+            "pub fn hot() {\n  // BOUNDS: not a precondition.\n  assert!(c);\n}",
         )],
         "r::ptg::hot",
     );

@@ -1,15 +1,14 @@
-//! Fixture corpus for the lock-discipline & atomics-protocol analyzer
+//! Fixture corpus for the lock-order cycle check and the token checks
 //! (DESIGN.md §16).
 //!
 //! Each case is a small source snippet with a known-positive or
 //! known-negative outcome per rule, checked against golden findings
 //! (rule, detail, witness chain, key) through the public pipeline the
-//! `lint` binary runs: `Workspace::parse` → `syncgraph::analyze` /
-//! `atomics::analyze_atomics` (and the sync-shim check `parse` runs).
-//! Every seeded defect has a clean twin proving the rule keys on the
-//! defect, not on the construct.
+//! `lint` binary runs: `Workspace::parse` (which makes the Relaxed and
+//! sync-shim token checks) → `syncgraph::analyze`. Every seeded defect
+//! has a clean twin proving the rule keys on the defect, not on the
+//! construct.
 
-use dagfact_lint::atomics::{analyze_atomics, AtomReport};
 use dagfact_lint::syncgraph::{analyze, SyncFinding, SyncReport, SyncRule};
 use dagfact_lint::Workspace;
 
@@ -22,14 +21,11 @@ fn parse(files: &[(&str, &str)]) -> Workspace {
     )
 }
 
-/// Run both passes over a set of `(module, source)` fixture files, the
-/// same way the `lint` driver does.
-fn run(files: &[(&str, &str)]) -> (SyncReport, AtomReport) {
+/// Run the lock-order pass over a set of `(module, source)` fixture
+/// files, the same way the `lint` driver does.
+fn run(files: &[(&str, &str)]) -> SyncReport {
     let ws = parse(files);
-    (
-        analyze(&ws.graph, &ws.ctxs),
-        analyze_atomics(&ws.graph, &ws.ctxs),
-    )
+    analyze(&ws.graph, &ws.ctxs)
 }
 
 fn golden(findings: &[SyncFinding]) -> Vec<(SyncRule, String)> {
@@ -43,7 +39,7 @@ fn golden(findings: &[SyncFinding]) -> Vec<(SyncRule, String)> {
 
 #[test]
 fn seeded_two_lock_cycle_is_a_deadlock_witness() {
-    let (r, _) = run(&[(
+    let r = run(&[(
         "fx::dead",
         "impl S {\n\
          \x20 fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
@@ -81,7 +77,7 @@ fn seeded_two_lock_cycle_is_a_deadlock_witness() {
 
 #[test]
 fn consistent_lock_order_clean_twin() {
-    let (r, _) = run(&[(
+    let r = run(&[(
         "fx::dead",
         "impl S {\n\
          \x20 fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
@@ -95,7 +91,7 @@ fn consistent_lock_order_clean_twin() {
 
 #[test]
 fn cross_file_cycle_is_found_through_the_whole_graph() {
-    let (r, _) = run(&[
+    let r = run(&[
         (
             "fx::east",
             "impl S { fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); } }",
@@ -110,199 +106,45 @@ fn cross_file_cycle_is_found_through_the_whole_graph() {
     assert_eq!(r.findings[0].detail, "lock-order cycle: S.a <-> S.b");
 }
 
-// --- guards across blocking calls ----------------------------------------
-
-#[test]
-fn seeded_guard_across_recv_with_golden_key() {
-    let (r, _) = run(&[(
-        "fx::chan",
-        "impl S { fn pump(&self) { let g = self.state.lock(); let m = self.rx.recv(); } }",
-    )]);
-    assert_eq!(
-        golden(&r.findings),
-        vec![(
-            SyncRule::HeldBlocking,
-            "guard `S.state` held across .recv()".to_string()
-        )]
-    );
-    assert_eq!(
-        r.findings[0].key(),
-        "held-across-blocking|fx::chan::S::pump|guard `S.state` held across .recv()"
-    );
-    assert_eq!(r.findings[0].chain, vec!["fx::chan::S::pump".to_string()]);
-}
-
-#[test]
-fn guard_released_before_recv_clean_twin() {
-    let (r, _) = run(&[(
-        "fx::chan",
-        "impl S { fn pump(&self) { { let g = self.state.lock(); } let m = self.rx.recv(); } \
-         fn pump2(&self) { let g = self.state.lock(); drop(g); let m = self.rx.recv(); } }",
-    )]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn guard_across_blocking_callee_carries_witness_chain() {
-    let (r, _) = run(&[(
-        "fx::deep",
-        "impl S {\n\
-         \x20 fn outer(&self) { let g = self.state.lock(); self.drain_inbox(); }\n\
-         \x20 fn drain_inbox(&self) { self.relay(); }\n\
-         \x20 fn relay(&self) { let m = self.rx.recv(); }\n\
-         }",
-    )]);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    let f = &r.findings[0];
-    assert_eq!(f.rule, SyncRule::HeldBlocking);
-    assert_eq!(
-        f.detail,
-        "guard `S.state` held across .recv() in `fx::deep::S::relay`"
-    );
-    // Witness chain: the holder, then the BFS path to the blocking call.
-    assert_eq!(
-        f.chain,
-        vec![
-            "fx::deep::S::outer".to_string(),
-            "fx::deep::S::drain_inbox".to_string(),
-            "fx::deep::S::relay".to_string(),
-        ]
-    );
-}
-
-#[test]
-fn guard_across_alloc_heavy_callee_is_flagged_with_clean_twin() {
-    let heavy = "fn expand() { let mut v = Vec::with_capacity(9); v.push(1); let w = v.clone(); }";
-    let (r, _) = run(&[(
-        "fx::alloc",
-        &format!("impl S {{ fn f(&self) {{ let g = self.state.lock(); expand(); }} }} {heavy}"),
-    )]);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].rule, SyncRule::HeldAlloc);
-    assert_eq!(
-        r.findings[0].detail,
-        "guard `S.state` held across alloc-heavy callee `fx::alloc::expand` (3 alloc sites)"
-    );
-    // Clean twin: same callee invoked after the guard is gone.
-    let (r, _) = run(&[(
-        "fx::alloc",
-        &format!(
-            "impl S {{ fn f(&self) {{ {{ let g = self.state.lock(); }} expand(); }} }} {heavy}"
-        ),
-    )]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-#[test]
-fn condvar_wait_consuming_its_own_guard_is_sanctioned() {
-    let (r, _) = run(&[(
-        "fx::cv",
-        "impl S { fn park(&self) { let mut q = self.queue.lock(); \
-         q = self.cond.wait(q); } }",
-    )]);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-}
-
-// --- atomics pairing -----------------------------------------------------
-
-#[test]
-fn seeded_unpaired_release_store_with_site_chain() {
-    let (_, a) = run(&[(
-        "fx::atom",
-        "impl S { fn publish(&self) { self.flag.store(true, Ordering::Release); } }",
-    )]);
-    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
-    let f = &a.findings[0];
-    assert_eq!(f.rule, SyncRule::UnpairedRelease);
-    assert_eq!(
-        f.detail,
-        "`S.flag` has Release-side writes but no Acquire load"
-    );
-    assert_eq!(
-        f.key(),
-        "unpaired-release|fx::atom::S::publish|`S.flag` has Release-side writes but no Acquire load"
-    );
-    assert_eq!(
-        f.chain,
-        vec!["store(Release) in fx::atom::S::publish (fixture0.rs:1)".to_string()]
-    );
-}
-
-#[test]
-fn paired_release_acquire_clean_twin() {
-    let (_, a) = run(&[(
-        "fx::atom",
-        "impl S { fn publish(&self) { self.flag.store(true, Ordering::Release); } \
-         fn observe(&self) -> bool { self.flag.load(Ordering::Acquire) } }",
-    )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-    assert_eq!(a.sites.len(), 2);
-}
-
-#[test]
-fn unpaired_acquire_load_is_the_mirror_defect() {
-    let (_, a) = run(&[(
-        "fx::atom",
-        "impl S { fn observe(&self) -> bool { self.flag.load(Ordering::Acquire) } }",
-    )]);
-    assert_eq!(a.findings.len(), 1, "{:?}", a.findings);
-    assert_eq!(a.findings[0].rule, SyncRule::UnpairedAcquire);
-    assert_eq!(
-        a.findings[0].detail,
-        "`S.flag` has Acquire loads but no Release-side write"
-    );
-}
+// --- the Relaxed rule ---------------------------------------------------
 
 #[test]
 fn seeded_mismarked_relaxed_and_ordering_note_twin() {
     // Relaxed with no written-down reason: flagged.
-    let (_, a) = run(&[(
+    let ws = parse(&[(
         "fx::atom",
         "impl S { fn bump(&self) { self.hits.fetch_add(1, Ordering::Relaxed); } }",
     )]);
     assert_eq!(
-        golden(&a.findings),
+        golden(&ws.token_findings),
         vec![(
             SyncRule::UnjustifiedRelaxed,
-            "`S.hits` fetch_add(Relaxed) without an ORDERING: note".to_string()
+            "`self.hits` fetch_add(Relaxed) without an ORDERING: note".to_string()
         )]
     );
+    assert_eq!(
+        ws.token_findings[0].key(),
+        "unjustified-relaxed|fx::atom|`self.hits` fetch_add(Relaxed) without an ORDERING: note"
+    );
     // Twin: the note within the marker window suppresses it.
-    let (_, a) = run(&[(
+    let ws = parse(&[(
         "fx::atom",
         "impl S { fn bump(&self) {\n\
          \x20 // ORDERING: statistics counter; no memory is published.\n\
          \x20 self.hits.fetch_add(1, Ordering::Relaxed); } }",
     )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
-}
-
-#[test]
-fn cx_failure_ordering_stronger_than_success_load_is_flagged() {
-    let (_, a) = run(&[(
+    assert!(ws.token_findings.is_empty(), "{:?}", ws.token_findings);
+    // Not sites: a Relaxed failure ordering beside an AcqRel success, a
+    // pass-through helper's ordering variable, a test item.
+    let ws = parse(&[(
         "fx::atom",
         "impl S { fn claim(&self) { \
-         let _ = self.owner.compare_exchange(0, 1, Ordering::AcqRel, Ordering::SeqCst); \
-         self.owner.store(0, Ordering::Release); } }",
+         let _ = self.owner.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed); } \
+         fn load(&self, order: Ordering) -> u32 { self.inner.load(order) } }\n\
+         #[cfg(test)]\n\
+         mod tests { fn t(s: &S) { s.hits.fetch_add(1, Ordering::Relaxed); } }",
     )]);
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.rule == SyncRule::CxFailureOrdering
-                && f.detail
-                    == "`S.owner` compare_exchange failure ordering SeqCst is stronger than the \
-                    success load (AcqRel)"),
-        "{:?}",
-        a.findings
-    );
-    // Twin: failure no stronger than the success ordering's load side.
-    let (_, a) = run(&[(
-        "fx::atom",
-        "impl S { fn claim(&self) { \
-         let _ = self.owner.compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire); \
-         self.owner.store(0, Ordering::Release); } }",
-    )]);
-    assert!(a.findings.is_empty(), "{:?}", a.findings);
+    assert!(ws.token_findings.is_empty(), "{:?}", ws.token_findings);
 }
 
 // --- the sync shim ------------------------------------------------------
@@ -314,10 +156,10 @@ fn std_sync_in_rt_library_code_bypasses_the_shim() {
         "use std::sync::Arc;\n\
          pub fn run() {\n  use std::sync::Mutex;\n}",
     )]);
-    let lines: Vec<usize> = ws.shim.iter().map(|f| f.line).collect();
-    assert_eq!(lines, vec![1, 3], "{:?}", ws.shim);
-    assert_eq!(ws.shim[0].rule, SyncRule::ShimBypass);
-    assert_eq!(ws.shim[0].function, "dagfact_rt::native");
+    let lines: Vec<usize> = ws.token_findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![1, 3], "{:?}", ws.token_findings);
+    assert_eq!(ws.token_findings[0].rule, SyncRule::ShimBypass);
+    assert_eq!(ws.token_findings[0].function, "dagfact_rt::native");
 }
 
 #[test]
@@ -334,5 +176,5 @@ fn std_sync_in_the_shim_model_tests_or_other_crates_is_fine() {
         ("dagfact_core::numeric", src),
         ("dagfact_rt::exec", test_mod),
     ]);
-    assert!(ws.shim.is_empty(), "{:?}", ws.shim);
+    assert!(ws.token_findings.is_empty(), "{:?}", ws.token_findings);
 }

@@ -6,9 +6,10 @@
 //! testable and survivable:
 //!
 //! * [`FaultPlan`] — deterministic, seedable injection of task panics,
-//!   transient failures (fail the first *k* attempts), artificial delays
-//!   and output corruption, wired into the executor behind a hook that
-//!   costs one branch when no plan is installed;
+//!   transient failures (fail the first *k* attempts), output
+//!   corruption, allocation failures and (for the dist engine) node
+//!   crashes and message faults, wired into the executor behind a hook
+//!   that costs one branch when no plan is installed;
 //! * [`Supervisor`] — the per-run bookkeeping of [`crate::exec::run`]:
 //!   panic capture, bounded retry with exponential backoff,
 //!   poison-and-drain cancellation, duplicate-execution detection, and a
@@ -52,14 +53,12 @@ enum FaultKind {
     /// Fail the first `failures` attempts with a [`TransientFault`], then
     /// let the task run.
     Transient { failures: u32 },
-    /// Sleep before running the task (models a slow offload).
-    Delay { micros: u64 },
 }
 
 /// Deterministic, seedable fault-injection plan.
 ///
 /// Faults are either *pinned* to explicit task ids (`panic_on`,
-/// `transient_on`, `delay_on`) or *sampled* per task from the seed
+/// `transient_on`) or *sampled* per task from the seed
 /// (`random_transient`, …): task `t` draws `splitmix64(seed ⊕ t)`, so a
 /// given `(seed, task)` pair always produces the same decision regardless
 /// of scheduling order, worker count or engine.
@@ -70,10 +69,6 @@ pub struct FaultPlan {
     /// Probability ∈ [0, 1] of a sampled transient fault, with its
     /// fail-count.
     random_transient: Option<(f64, u32)>,
-    /// Probability of a sampled fatal panic.
-    random_panic: Option<f64>,
-    /// Probability of a sampled delay, with its duration in µs.
-    random_delay: Option<(f64, u64)>,
     /// Panels whose freshly-computed output should be overwritten with
     /// NaN, with a remaining-injection budget each (so a re-factorization
     /// attempt can succeed). Consumed via [`FaultPlan::take_corruption`].
@@ -145,32 +140,9 @@ impl FaultPlan {
         self
     }
 
-    /// Pin an artificial pre-execution delay to `task`.
-    pub fn delay_on(mut self, task: TaskId, delay: Duration) -> Self {
-        self.pinned.insert(
-            task,
-            FaultKind::Delay {
-                micros: crate::trace::units::micros_u64(delay),
-            },
-        );
-        self
-    }
-
     /// Sample transient faults on roughly `prob · ntasks` tasks.
     pub fn random_transient(mut self, prob: f64, failures: u32) -> Self {
         self.random_transient = Some((prob, failures));
-        self
-    }
-
-    /// Sample fatal panics on roughly `prob · ntasks` tasks.
-    pub fn random_panic(mut self, prob: f64) -> Self {
-        self.random_panic = Some(prob);
-        self
-    }
-
-    /// Sample pre-execution delays on roughly `prob · ntasks` tasks.
-    pub fn random_delay(mut self, prob: f64, delay: Duration) -> Self {
-        self.random_delay = Some((prob, crate::trace::units::micros_u64(delay)));
         self
     }
 
@@ -224,9 +196,9 @@ impl FaultPlan {
     /// After how many task completions does cluster node `node` crash?
     /// `None` = the node survives the run. Pinned crashes take precedence
     /// over the sampled mode; the sampled decision is deterministic per
-    /// `(seed, node)` like every other sampled fault. Pure query — the
-    /// dist engine calls [`FaultPlan::note_injection`] when it actually
-    /// delivers the crash.
+    /// `(seed, node)` like every other sampled fault. Pure query — a
+    /// delivered crash is counted in the dist engine's
+    /// `DistReport::crashes`, not in [`FaultPlan::faults_injected`].
     pub fn node_crash_point(&self, node: usize) -> Option<u32> {
         if let Some(&k) = self.crash_pinned.get(&node) {
             return Some(k);
@@ -261,14 +233,6 @@ impl FaultPlan {
         fate.duplicated = roll(0xD0B1_ED00_5EA5_0002, self.msg_dup);
         fate.reordered = roll(0x2E02_DE2E_5EA5_0003, self.msg_reorder);
         fate
-    }
-
-    /// Record one injected fault delivered outside the plan's own hooks
-    /// (e.g. the dist engine crashing a node at its
-    /// [`FaultPlan::node_crash_point`]).
-    pub fn note_injection(&self) {
-        // ORDERING: statistics counter; no memory is published.
-        self.injected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Corrupt the output of panel `panel` with NaN, once.
@@ -337,20 +301,14 @@ impl FaultPlan {
     }
 
     /// The engine-side hook, called *inside* the supervisor's panic net
-    /// just before the task body. May sleep (delay faults) or panic
-    /// (fatal or transient faults). `attempt` is 1-based.
+    /// just before the task body. May panic (fatal or transient faults).
+    /// `attempt` is 1-based.
     pub fn inject(&self, task: TaskId, attempt: u32) {
         let kind = self.pinned.get(&task).copied().or_else(|| self.sample(task));
         // `injected` is a statistics counter; no memory is published
         // through it, so Relaxed increments suffice at every site below.
-        // IO: the delay fault *is* a deliberate sleep in the task body.
         // ALLOC: panic-payload formatting happens only when a fault fires.
         match kind {
-            Some(FaultKind::Delay { micros }) if attempt == 1 => {
-                // ORDERING: statistics counter; no memory is published.
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(micros));
-            }
             Some(FaultKind::Panic) => {
                 // ORDERING: statistics counter; no memory is published.
                 self.injected.fetch_add(1, Ordering::Relaxed);
@@ -365,42 +323,18 @@ impl FaultPlan {
         }
     }
 
-    /// Deterministic per-task draw for the sampled modes.
+    /// Deterministic per-task draw for the sampled transients.
     fn sample(&self, task: TaskId) -> Option<FaultKind> {
-        let any = self.random_transient.is_some()
-            || self.random_panic.is_some()
-            || self.random_delay.is_some();
-        if !any {
-            return None;
-        }
+        let (p, failures) = self.random_transient?;
         let draw = splitmix64(self.seed ^ (task as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        let mut floor = 0.0;
-        if let Some((p, failures)) = self.random_transient {
-            if unit < floor + p {
-                return Some(FaultKind::Transient { failures });
-            }
-            floor += p;
-        }
-        if let Some(p) = self.random_panic {
-            if unit < floor + p {
-                return Some(FaultKind::Panic);
-            }
-            floor += p;
-        }
-        if let Some((p, micros)) = self.random_delay {
-            if unit < floor + p {
-                return Some(FaultKind::Delay { micros });
-            }
-        }
-        None
+        (unit < p).then_some(FaultKind::Transient { failures })
     }
 
     /// Parse a CLI-style plan: comma-separated directives
-    /// `seed=N`, `panic=T`, `transient=TxK`, `delay=T:MICROS`, `nan=P`
-    /// (or `nan=PxK` for K corruptions), `tprob=P.PxK` (sampled
-    /// transients), `pprob=P.P` (sampled panics), `dprob=P.P:MICROS`
-    /// (sampled delays), `alloc=SITExK` (pinned allocation failures),
+    /// `seed=N`, `panic=T`, `transient=TxK`, `nan=P` (or `nan=PxK` for
+    /// K corruptions), `tprob=P.PxK` (sampled transients),
+    /// `alloc=SITExK` (pinned allocation failures),
     /// `aprob=P.PxK` (sampled allocation failures), `crash=NODExK` (node
     /// NODE dies after K task completions), `cprob=P.PxK` (sampled node
     /// crashes), `mloss=P.P` / `mdup=P.P` / `mreorder=P.P` (message
@@ -424,12 +358,6 @@ impl FaultPlan {
                         .ok_or_else(|| format!("{item:?}: expected transient=TASKxCOUNT"))?;
                     plan = plan.transient_on(num(t)? as usize, num(k)? as u32);
                 }
-                "delay" => {
-                    let (t, us) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("{item:?}: expected delay=TASK:MICROS"))?;
-                    plan = plan.delay_on(num(t)? as usize, Duration::from_micros(num(us)?));
-                }
                 // `nan=P` corrupts panel P once; `nan=PxK` its first K runs.
                 "nan" => match value.split_once('x') {
                     Some((p, k)) => {
@@ -443,17 +371,6 @@ impl FaultPlan {
                         .ok_or_else(|| format!("{item:?}: expected tprob=PROBxCOUNT"))?;
                     let p: f64 = p.parse().map_err(|e| format!("{item:?}: {e}"))?;
                     plan = plan.random_transient(p, num(k)? as u32);
-                }
-                "pprob" => {
-                    let p: f64 = value.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.random_panic(p);
-                }
-                "dprob" => {
-                    let (p, us) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("{item:?}: expected dprob=PROB:MICROS"))?;
-                    let p: f64 = p.parse().map_err(|e| format!("{item:?}: {e}"))?;
-                    plan = plan.random_delay(p, Duration::from_micros(num(us)?));
                 }
                 "alloc" => {
                     let (s, k) = value
@@ -500,80 +417,6 @@ impl FaultPlan {
     }
 }
 
-impl core::fmt::Display for FaultPlan {
-    /// Canonical spec form of the plan, round-trippable through
-    /// [`FaultPlan::parse`]: directives in a fixed order (seed, pinned
-    /// faults sorted by task, corruptions sorted by panel, sampled
-    /// modes, alloc faults), so two plans with the same content render
-    /// identically. Surfaced in [`RunReport::fault_plan`] so a failing
-    /// soak run is reproducible from its report alone.
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let mut parts: Vec<String> = Vec::new();
-        if self.seed != 0 {
-            parts.push(format!("seed={}", self.seed));
-        }
-        let mut pinned: Vec<(usize, FaultKind)> =
-            self.pinned.iter().map(|(&t, &k)| (t, k)).collect();
-        pinned.sort_by_key(|&(t, _)| t);
-        for (task, kind) in pinned {
-            match kind {
-                FaultKind::Panic => parts.push(format!("panic={task}")),
-                FaultKind::Transient { failures } => {
-                    parts.push(format!("transient={task}x{failures}"));
-                }
-                FaultKind::Delay { micros } => parts.push(format!("delay={task}:{micros}")),
-            }
-        }
-        let mut corrupt: Vec<(usize, u32)> =
-            self.corrupt.lock().iter().map(|(&p, &k)| (p, k)).collect();
-        corrupt.sort_by_key(|&(p, _)| p);
-        for (panel, times) in corrupt {
-            if times == 1 {
-                parts.push(format!("nan={panel}"));
-            } else {
-                parts.push(format!("nan={panel}x{times}"));
-            }
-        }
-        if let Some((p, k)) = self.random_transient {
-            parts.push(format!("tprob={p}x{k}"));
-        }
-        if let Some(p) = self.random_panic {
-            parts.push(format!("pprob={p}"));
-        }
-        if let Some((p, micros)) = self.random_delay {
-            parts.push(format!("dprob={p}:{micros}"));
-        }
-        let mut alloc: Vec<(usize, u32)> =
-            self.alloc_pinned.iter().map(|(&s, &k)| (s, k)).collect();
-        alloc.sort_by_key(|&(s, _)| s);
-        for (site, failures) in alloc {
-            parts.push(format!("alloc={site}x{failures}"));
-        }
-        if let Some((p, k)) = self.random_alloc {
-            parts.push(format!("aprob={p}x{k}"));
-        }
-        let mut crash: Vec<(usize, u32)> =
-            self.crash_pinned.iter().map(|(&n, &k)| (n, k)).collect();
-        crash.sort_by_key(|&(n, _)| n);
-        for (node, after) in crash {
-            parts.push(format!("crash={node}x{after}"));
-        }
-        if let Some((p, k)) = self.random_crash {
-            parts.push(format!("cprob={p}x{k}"));
-        }
-        if let Some(p) = self.msg_loss {
-            parts.push(format!("mloss={p}"));
-        }
-        if let Some(p) = self.msg_dup {
-            parts.push(format!("mdup={p}"));
-        }
-        if let Some(p) = self.msg_reorder {
-            parts.push(format!("mreorder={p}"));
-        }
-        write!(f, "{}", parts.join(","))
-    }
-}
-
 /// SplitMix64 — the standard seedable 64-bit mixer.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -586,15 +429,14 @@ fn splitmix64(mut x: u64) -> u64 {
 // Run configuration
 // ---------------------------------------------------------------------
 
-/// Bounded-retry policy for transient task failures.
+/// Bounded-retry policy for transient task failures. The backoff
+/// doubles after each failed attempt.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts allowed per task (1 = no retries).
     pub max_attempts: u32,
     /// Backoff before the first retry.
     pub backoff: Duration,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub backoff_factor: f64,
 }
 
 impl Default for RetryPolicy {
@@ -602,7 +444,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             backoff: Duration::from_millis(1),
-            backoff_factor: 2.0,
         }
     }
 }
@@ -617,8 +458,8 @@ impl RetryPolicy {
     }
 
     fn backoff_for(&self, failed_attempt: u32) -> Duration {
-        let factor = self.backoff_factor.powi(failed_attempt.saturating_sub(1) as i32);
-        self.backoff.mul_f64(factor.clamp(1.0, 1e6))
+        let factor = 2f64.powi(failed_attempt.saturating_sub(1) as i32);
+        self.backoff.mul_f64(factor.min(1e6))
     }
 }
 
@@ -830,14 +671,11 @@ pub struct RunReport {
     pub completed: usize,
     /// Total retries performed across all tasks.
     pub retries: usize,
-    /// Faults the plan injected (panics + transients + delays + NaN).
+    /// Faults the plan injected through its hooks (panics, transients,
+    /// NaN, allocation failures, message fates).
     pub faults_injected: usize,
     /// `(task, attempts)` for every task needing more than one attempt.
     pub task_attempts: Vec<(TaskId, u32)>,
-    /// Canonical spec of the active fault plan (round-trips through
-    /// [`FaultPlan::parse`]), so a failing soak run is reproducible from
-    /// the report alone. `None` when no plan was installed.
-    pub fault_plan: Option<String>,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Memory-ledger snapshot (peaks, spill/throttle/overcommit counters) when
@@ -1150,12 +988,6 @@ impl Supervisor {
                 .as_deref()
                 .map_or(0, FaultPlan::faults_injected),
             task_attempts,
-            // ALLOC: fault injection only — the plan's text.
-            fault_plan: self
-                .config
-                .fault_plan
-                .as_deref()
-                .map(|p| p.to_string()),
             elapsed: self.start.elapsed(),
             memory: self
                 .config
@@ -1222,11 +1054,10 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let plan = FaultPlan::parse("seed=9,transient=3x2,panic=7,delay=1:250,nan=0").unwrap();
+        let plan = FaultPlan::parse("seed=9,transient=3x2,panic=7,nan=0").unwrap();
         assert_eq!(plan.seed, 9);
         assert_eq!(plan.pinned.get(&3), Some(&FaultKind::Transient { failures: 2 }));
         assert_eq!(plan.pinned.get(&7), Some(&FaultKind::Panic));
-        assert_eq!(plan.pinned.get(&1), Some(&FaultKind::Delay { micros: 250 }));
         assert!(plan.take_corruption(0));
         assert!(FaultPlan::parse("bogus").is_err());
         assert!(FaultPlan::parse("frob=1").is_err());
@@ -1298,7 +1129,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 3,
                 backoff: Duration::from_micros(10),
-                backoff_factor: 2.0,
             },
             ..RunConfig::default()
         });
@@ -1386,48 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn display_round_trips_through_parse() {
-        let specs = [
-            "seed=9,transient=3x2,panic=7,delay=1:250,nan=0,tprob=0.05x1",
-            "panic=2,nan=4x3,pprob=0.125,dprob=0.25:100,alloc=64x2,aprob=0.5x3",
-            "seed=8,crash=0x2,crash=3x1,cprob=0.25x4,mloss=0.1,mdup=0.05,mreorder=0.2",
-            "seed=42",
-            "",
-        ];
-        for spec in specs {
-            let plan = FaultPlan::parse(spec).unwrap();
-            let shown = plan.to_string();
-            let reparsed = FaultPlan::parse(&shown)
-                .unwrap_or_else(|e| panic!("display of {spec:?} did not reparse: {e}"));
-            assert_eq!(reparsed.to_string(), shown, "canonical form unstable for {spec:?}");
-        }
-        // Multi-directive plans render sorted and dense.
-        let plan = FaultPlan::with_seed(5).panic_on(9).transient_on(2, 3);
-        assert_eq!(plan.to_string(), "seed=5,transient=2x3,panic=9");
-    }
-
-    #[test]
-    fn run_report_logs_the_active_plan() {
-        let plan = Arc::new(FaultPlan::parse("seed=3,transient=0x1").unwrap());
-        let sup = Supervisor::new(1, RunConfig {
-            fault_plan: Some(plan),
-            retry: RetryPolicy::retrying(),
-            ..RunConfig::default()
-        });
-        assert_eq!(sup.run_task(0, || {}), TaskOutcome::Retry);
-        assert_eq!(sup.run_task(0, || {}), TaskOutcome::Completed);
-        sup.task_done(0);
-        let report = sup.finish().unwrap();
-        let spec = report.fault_plan.expect("plan must be logged");
-        assert_eq!(spec, "seed=3,transient=0x1");
-        // The logged spec is executable as-is.
-        FaultPlan::parse(&spec).unwrap();
-        // Plain runs log nothing.
-        let sup = Supervisor::new(0, RunConfig::default());
-        assert_eq!(sup.finish().unwrap().fault_plan, None);
-    }
-
-    #[test]
     fn zero_task_graph_finishes_immediately() {
         let sup = Supervisor::new(0, RunConfig {
             watchdog: Some(Duration::from_millis(5)),
@@ -1483,7 +1271,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 10,
                 backoff: Duration::from_secs(30),
-                backoff_factor: 2.0,
             },
             cancel: Some(token.clone()),
             ..RunConfig::default()
@@ -1522,7 +1309,6 @@ mod tests {
             retry: RetryPolicy {
                 max_attempts: 10,
                 backoff: Duration::from_secs(30),
-                backoff_factor: 2.0,
             },
             ..RunConfig::default()
         }));

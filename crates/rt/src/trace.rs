@@ -49,12 +49,6 @@ pub mod units {
         u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// A [`Duration`] as whole microseconds, saturating at `u64::MAX`.
-    #[inline]
-    pub fn micros_u64(d: Duration) -> u64 {
-        u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-    }
-
     /// Nanoseconds → seconds (`f64`; exact below 2⁵³ ns ≈ 104 days).
     #[inline]
     pub fn ns_to_secs(ns: u64) -> f64 {
@@ -853,7 +847,6 @@ mod tests {
     #[test]
     fn units_conversions_saturate_not_truncate() {
         assert_eq!(units::nanos_u64(Duration::from_nanos(17)), 17);
-        assert_eq!(units::micros_u64(Duration::from_micros(42)), 42);
         // A duration whose nanos overflow u64 saturates instead of
         // wrapping (the old `as u64` would truncate).
         let huge = Duration::from_secs(u64::MAX / 1_000_000_000 + 10);

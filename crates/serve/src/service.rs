@@ -67,7 +67,6 @@ impl Default for ServeConfig {
             retry: RetryPolicy {
                 max_attempts: 3,
                 backoff: Duration::from_millis(1),
-                backoff_factor: 2.0,
             },
             watchdog: Some(Duration::from_secs(10)),
             fault_plan: None,
@@ -807,5 +806,24 @@ mod tests {
              \"factor_cache\":{\"hits\":22,\"misses\":23,\"evictions\":25,\"poisonings\":26,\
              \"resident\":27,\"resident_bytes\":123456789012}}"
         );
+    }
+
+    /// Idle workers re-take the queue lock to see the drain latch, so
+    /// `drain` must hold no queue guard across its joins.
+    #[test]
+    fn shutdown_joins_idle_workers_promptly() {
+        let service = Service::start(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            let _ = tx.send(service.shutdown());
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("shutdown hung in its joins");
+        closer.join().expect("shutdown thread");
+        assert_eq!(stats.submitted, 0);
     }
 }

@@ -72,7 +72,6 @@ fn soak_concurrent_chaos_no_contamination() {
         retry: RetryPolicy {
             max_attempts: 4,
             backoff: Duration::from_micros(200),
-            backoff_factor: 2.0,
         },
         watchdog: Some(Duration::from_secs(20)),
         fault_plan: Some(plan.clone()),
@@ -164,7 +163,6 @@ fn poisoned_fill_is_never_served_and_refills_with_bumped_generation() {
         retry: RetryPolicy {
             max_attempts: 1,
             backoff: Duration::from_micros(100),
-            backoff_factor: 2.0,
         },
         ..ServeConfig::default()
     });
