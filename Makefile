@@ -1,6 +1,6 @@
 # Convenience targets. The canonical gate is `make check`.
 
-.PHONY: build test bench loc check check-clean check-kernels check-robust check-analysis check-memory check-trace check-serve check-dist check-loom check-miri check-tsan lint clippy
+.PHONY: build test bench loc check check-clean check-kernels check-robust check-analysis check-memory check-trace check-serve check-loom check-miri check-tsan lint clippy
 
 build:
 	cargo build --release
@@ -9,9 +9,10 @@ test:
 	cargo test -q --workspace
 
 # Regenerate the paper-reproduction artifacts in results/ (Table I,
-# Figures 2-4, ablation, comm study, dist sweep). All simulated or
-# virtual time: the output is byte-identical run to run, so on a tree
-# with current results/ this changes nothing — and fails if it does.
+# Figures 2-4, ablation, comm study). All simulated or predicted from
+# the symbolic structure: the output is byte-identical run to run, so on
+# a tree with current results/ this changes nothing — and fails if it
+# does.
 # Wall-clock numbers come from benchmark/ (BENCHMARK.json) only.
 bench:
 	tools/check-clean.sh snapshot
@@ -21,7 +22,6 @@ bench:
 	cargo run -q --release -p dagfact-bench --bin fig4
 	cargo run -q --release -p dagfact-bench --bin ablation
 	cargo run -q --release -p dagfact-bench --bin comm
-	cargo run -q --release -p dagfact-bench --bin distsweep
 	tools/check-clean.sh verify
 
 # Non-test lines per crate and file -> results/loc.json (the ROADMAP's
@@ -30,13 +30,13 @@ loc:
 	tools/loc.sh
 
 # The full gate: kernels + robustness + static-analysis + memory-budget +
-# observability + loom model-checking + serving + distributed suites —
+# observability + loom model-checking + serving suites —
 # bracketed by the working-tree check: a gate that rewrites a tracked
 # file fails here (tools/check-clean.sh). Every step runs on this host;
 # none skips.
 check:
 	tools/check-clean.sh snapshot
-	$(MAKE) --no-print-directory check-kernels check-robust check-analysis check-memory check-trace check-loom check-serve check-dist
+	$(MAKE) --no-print-directory check-kernels check-robust check-analysis check-memory check-trace check-loom check-serve
 	$(MAKE) --no-print-directory check-clean
 
 # The closing half of the bracket (the snapshot is taken by `check`).
@@ -122,18 +122,7 @@ check-serve:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli serve
 	cargo test -q --release -p dagfact-serve --test service_soak -- --ignored
 
-# Distributed-execution gate (DESIGN.md §14): the dist engine's unit
-# and integration suites (chaos sweep, traffic cross-check, recovery
-# edge cases), the CLI dist-mode tests, and the release-mode cluster
-# sweep (strong scaling + recovery overhead; wrong answers fail). The
-# retransmit/ack loom model rides in check-loom.
-check-dist:
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-core dist
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test dist_exec
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli dist
-	cargo run -q --release -p dagfact-bench --bin distsweep
-
-# Model-check the six runtime sync protocols (+ their negative "teeth"
+# Model-check the five runtime sync protocols (+ their negative "teeth"
 # twins) under the in-repo loom-style explorer (DESIGN.md §11). The
 # dedicated target dir keeps --cfg loom artifacts from churning the
 # normal build cache.

@@ -1,8 +1,9 @@
 //! Fan-in communication study over the Table-I proxies: for each matrix,
 //! predict the message/byte traffic of fan-out vs fan-in distribution at
 //! cluster widths 1/2/4/8 and record it as JSON through the same emitter
-//! `dagfact dist --study` uses, so `results/comm.json` has one format
-//! regardless of which tool wrote it.
+//! `dagfact dist --output` uses, so a study has one format regardless of
+//! which tool wrote it. This binary is the one writer of
+//! `results/comm.json`.
 //!
 //! ```text
 //! cargo run -p dagfact-bench --bin comm --release

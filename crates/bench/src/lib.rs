@@ -20,8 +20,6 @@
 //! * `ablation` — design-choice studies beyond the paper (amalgamation
 //!   ratio sweep, 1D vs 2D task split, data-reuse on/off);
 //! * `comm`   — fan-out vs fan-in traffic prediction at 1/2/4/8 nodes;
-//! * `distsweep` — the distributed engine in virtual time: strong
-//!   scaling and recovery overhead under injected faults;
 //! * `verify_sweep` — derivation check and static race/deadlock proof of
 //!   the task graph of each of the 9 proxies (writes no file).
 //!

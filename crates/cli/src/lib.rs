@@ -13,6 +13,7 @@
 //!                  [--policy pastix|starpu|parsec] [--streams N]
 //!                  [--trace <file>]
 //! dagfact verify   <matrix.mtx> [--facto …]
+//! dagfact dist     <matrix.mtx> [--facto …] [--nodes N] [--output <file>]
 //! ```
 //!
 //! `verify` checks the task graph all three engines execute for the
@@ -20,6 +21,11 @@
 //! successors, task kinds and predecessor counts), and one static proof
 //! shows that graph race-free, deadlock-free and well formed. The command
 //! fails (non-zero exit) when either check does.
+//!
+//! `dist` predicts the communication of distributing the factorization
+//! over 1, 2, 4, … up to N nodes (the paper's §VI fan-in vs fan-out
+//! trade): it prints the table and, with `--output`, writes the JSON
+//! record in the shape of `results/comm.json`. It writes no other file.
 //!
 //! `--trace` writes the recorded task/phase timeline as a Chrome-trace
 //! JSON file (load in Perfetto or `chrome://tracing`); `--metrics`
@@ -67,11 +73,8 @@ struct Opts {
     gpus: usize,
     policy: SimPolicy,
     serve: ServeOpts,
-    /// Cluster width for the `dist` subcommand.
+    /// Widest cluster of the `dist` study.
     nodes: usize,
-    /// `dist --study`: also write the fan-in communication study to
-    /// `results/comm.json` (shared emitter with the `comm` bench bin).
-    study: bool,
 }
 
 /// Options specific to the `serve` subcommand.
@@ -105,7 +108,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
 
 /// Usage text.
 pub fn usage() -> &'static str {
-    "usage:\n  dagfact analyze  <matrix.mtx> [--facto auto|chol|ldlt|lu]\n  dagfact solve    <matrix.mtx> [--facto …] [--runtime native|starpu|parsec]\n                   [--threads N] [--rhs file] [--refine N] [--output file]\n                   [--fault-plan spec] [--max-refactor-attempts N]\n                   [--mem-budget bytes[K|M|G]] [--spill-dir path]\n                   [--trace file.json] [--metrics]\n  dagfact simulate <matrix.mtx> [--facto …] [--cores N] [--gpus N]\n                   [--policy pastix|starpu|parsec] [--streams N]\n                   [--trace file.json]\n  dagfact verify   <matrix.mtx> [--facto …]\n  dagfact serve    (--jobs file|- | --listen addr:port) [--workers N]\n                   [--queue-cap N] [--deadline-ms N] [--max-requests N]\n                   [--mem-budget bytes[K|M|G]] [--fault-plan spec]\n  dagfact dist     <matrix.mtx> [--facto …] [--nodes N] [--cores N]\n                   [--fault-plan spec] [--study]"
+    "usage:\n  dagfact analyze  <matrix.mtx> [--facto auto|chol|ldlt|lu]\n  dagfact solve    <matrix.mtx> [--facto …] [--runtime native|starpu|parsec]\n                   [--threads N] [--rhs file] [--refine N] [--output file]\n                   [--fault-plan spec] [--max-refactor-attempts N]\n                   [--mem-budget bytes[K|M|G]] [--spill-dir path]\n                   [--trace file.json] [--metrics]\n  dagfact simulate <matrix.mtx> [--facto …] [--cores N] [--gpus N]\n                   [--policy pastix|starpu|parsec] [--streams N]\n                   [--trace file.json]\n  dagfact verify   <matrix.mtx> [--facto …]\n  dagfact serve    (--jobs file|- | --listen addr:port) [--workers N]\n                   [--queue-cap N] [--deadline-ms N] [--max-requests N]\n                   [--mem-budget bytes[K|M|G]] [--fault-plan spec]\n  dagfact dist     <matrix.mtx> [--facto …] [--nodes N] [--output file]"
 }
 
 fn parse(args: &[String]) -> Result<Opts, String> {
@@ -146,8 +149,7 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             queue_cap: 32,
             ..ServeOpts::default()
         },
-        nodes: 2,
-        study: false,
+        nodes: 8,
     };
     let mut streams = 3usize;
     let mut policy_name = String::from("parsec");
@@ -195,7 +197,6 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             "--metrics" => opts.metrics = true,
             "--cores" => opts.cores = parse_num(&value()?)?,
             "--nodes" => opts.nodes = parse_num(&value()?)?.max(1),
-            "--study" => opts.study = true,
             "--gpus" => opts.gpus = parse_num(&value()?)?,
             "--streams" => streams = parse_num(&value()?)?,
             "--policy" => policy_name = value()?,
@@ -314,87 +315,49 @@ fn serve_cmd(opts: &Opts) -> Result<String, String> {
     Ok(out)
 }
 
-/// The `dist` subcommand: factorize on the simulated cluster with the
-/// fault-tolerant fan-in protocol, verify the answer against `A·1`, and
-/// report the protocol counters. `--study` additionally writes the
-/// analytic communication study to `results/comm.json` through the same
-/// emitter the `comm` bench binary uses.
+/// The `dist` subcommand: the fan-out vs fan-in communication study of
+/// [`dagfact_core::fan_in_study`] at 1, 2, 4, … up to `--nodes` nodes,
+/// as a table, and as the `results/comm.json` record shape at `--output`.
 fn dist_cmd<T: Scalar>(opts: &Opts, a: &CscMatrix<T>, complex: bool) -> Result<String, String> {
-    use dagfact_core::dist::{factorize_dist, DistOptions};
     let facto = pick_facto(opts, a);
     let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
-    let fault_plan = match &opts.fault_plan {
-        Some(spec) => Some(std::sync::Arc::new(
-            FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
-        )),
-        None => None,
-    };
-    let dopts = DistOptions {
-        nnodes: opts.nodes,
-        cores_per_node: opts.cores,
-        fault_plan,
-        ..DistOptions::default()
-    };
-    let (factors, report) =
-        factorize_dist(&analysis, a, &dopts).map_err(|e| format!("dist factorization: {e}"))?;
-    // b = A·1: the residual check proves the recovered factors are the
-    // real ones, not a lucky partial result.
-    let n = a.nrows();
-    let ones = vec![T::one(); n];
-    let mut b = vec![T::zero(); n];
-    a.spmv(&ones, &mut b);
-    let x = factors.solve(&b);
-    let mut ax = vec![T::zero(); n];
-    a.spmv(&x, &mut ax);
-    let resid = ax
-        .iter()
-        .zip(&b)
-        .map(|(&l, &r)| (l - r).modulus())
-        .fold(0.0f64, f64::max)
-        / b.iter().map(|v| v.modulus()).fold(0.0f64, f64::max).max(1e-300);
+    let widths: Vec<usize> = std::iter::successors(Some(1usize), |w| Some(w * 2))
+        .take_while(|&w| w < opts.nodes)
+        .chain(std::iter::once(opts.nodes))
+        .collect();
     let mut out = String::new();
-    let _ = writeln!(out, "factorization: {} over {} nodes", facto.label(), report.nnodes);
-    let _ = writeln!(out, "makespan     : {:.6} s (virtual)", report.makespan);
-    let _ = writeln!(out, "tasks        : {}", report.tasks_executed);
+    let _ = writeln!(out, "matrix       : {}", opts.matrix);
     let _ = writeln!(
         out,
-        "fan-in pairs : {} messages, {:.1} KB",
-        report.data_messages,
-        report.bytes / 1024.0
+        "factorization: {}, {} panels",
+        facto.label(),
+        analysis.symbol.ncblk()
     );
     let _ = writeln!(
         out,
-        "transport    : {} send(s), {} retransmit(s), {} lost, {} dup injected, {} reordered",
-        report.sends,
-        report.retransmits,
-        report.messages_lost,
-        report.duplicates_injected,
-        report.reorders
+        "{:>5} | {:>9} {:>10} | {:>9} {:>10} {:>10} | {:>6}",
+        "nodes", "out msgs", "out MB", "in msgs", "in MB", "buffer MB", "ratio"
     );
-    let _ = writeln!(
-        out,
-        "protocol     : {} duplicate(s) absorbed, {} stale ack(s)",
-        report.duplicates_absorbed, report.stale_acks
-    );
-    if !report.crashes.is_empty() {
+    for &nnodes in &widths {
+        let study = dagfact_core::fan_in_study(&analysis, complex, nnodes);
+        let buffers: f64 = study.fan_in.buffer_bytes_per_node.iter().sum();
         let _ = writeln!(
             out,
-            "failures     : crashed nodes {:?}, {} adoption(s), {} panel(s) replayed",
-            report.crashes, report.recoveries, report.panels_restored
+            "{:>5} | {:>9} {:>10.2} | {:>9} {:>10.2} {:>10.2} | {:>6.3}",
+            nnodes,
+            study.fan_out.messages,
+            study.fan_out.bytes / 1e6,
+            study.fan_in.messages,
+            study.fan_in.bytes / 1e6,
+            buffers / 1e6,
+            study.fan_in.bytes / study.fan_out.bytes.max(f64::MIN_POSITIVE),
         );
     }
-    let _ = writeln!(out, "residual     : {resid:.3e} (b = A·1)");
-    if opts.study {
-        let widths: Vec<usize> = [1usize, 2, 4, 8]
-            .into_iter()
-            .filter(|&w| w != opts.nodes)
-            .chain(std::iter::once(opts.nodes))
-            .collect();
+    if let Some(path) = &opts.output {
         let record = dagfact_core::comm_study_json(&opts.matrix, &analysis, complex, &widths);
         let doc = dagfact_rt::Json::obj().field("records", vec![record]);
-        let path = dagfact_rt::write_results("comm", &doc)
-            .map_err(|e| format!("writing results/comm.json: {e}"))?;
-        let _ = writeln!(out, "study        : {}", path.display());
+        std::fs::write(path, doc.pretty() + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
+        let _ = writeln!(out, "study        : written to {path}");
     }
     Ok(out)
 }
@@ -806,9 +769,15 @@ mod tests {
     #[test]
     fn bad_fault_plan_spec_is_rejected() {
         let path = write_temp("badplan", &grid_laplacian_3d(3, 3, 3));
-        for spec in ["frobnicate=yes", "delay=1:250", "pprob=0.1"] {
+        // Removed directives are unknown, not silently ignored: the delay
+        // fault, sampled panics, and the cluster's crash and message faults.
+        for spec in [
+            "frobnicate=yes", "delay=1:250", "pprob=0.1", "crash=1x1", "cprob=0.1x1",
+            "mloss=0.05", "mdup=0.05", "mreorder=0.05",
+        ] {
             let err = run(&args(&["solve", &path, "--fault-plan", spec])).unwrap_err();
             assert!(err.contains("--fault-plan"), "{spec}: {err}");
+            assert!(err.contains("unknown fault directive"), "{spec}: {err}");
         }
     }
 
@@ -1000,55 +969,5 @@ mod tests {
         assert!(run(&args(&["solve"])).is_err());
         let path = write_temp("badflag", &grid_laplacian_3d(3, 3, 3));
         assert!(run(&args(&["solve", &path, "--bogus"])).is_err());
-    }
-
-    fn dist_residual(out: &str) -> f64 {
-        out.lines()
-            .find(|l| l.starts_with("residual"))
-            .unwrap_or_else(|| panic!("no residual line in {out}"))
-            .split(':')
-            .nth(1)
-            .unwrap()
-            .split_whitespace()
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap()
-    }
-
-    #[test]
-    fn dist_zero_fault_reports_traffic_and_solves() {
-        let path = write_temp("dist", &grid_laplacian_3d(6, 6, 6));
-        let out = run(&args(&["dist", &path, "--nodes", "3"])).unwrap();
-        assert!(out.contains("over 3 nodes"), "{out}");
-        assert!(out.contains("fan-in pairs"), "{out}");
-        assert!(!out.contains("failures"), "{out}");
-        assert!(dist_residual(&out) < 1e-10, "{out}");
-    }
-
-    #[test]
-    fn dist_with_node_crash_recovers_and_reports_it() {
-        let path = write_temp("distcrash", &grid_laplacian_3d(6, 6, 6));
-        let out = run(&args(&[
-            "dist", &path, "--nodes", "3", "--fault-plan", "crash=1x1,mloss=0.05,seed=9",
-        ]))
-        .unwrap();
-        assert!(out.contains("failures"), "{out}");
-        assert!(out.contains("adoption"), "{out}");
-        assert!(dist_residual(&out) < 1e-10, "{out}");
-    }
-
-    #[test]
-    fn dist_study_writes_the_shared_comm_json() {
-        let path = write_temp("diststudy", &grid_laplacian_3d(5, 5, 5));
-        let out = run(&args(&["dist", &path, "--nodes", "2", "--study"])).unwrap();
-        assert!(out.contains("study"), "{out}");
-        let json = std::fs::read_to_string("results/comm.json").unwrap();
-        assert!(json.contains("\"fan_in\""), "{json}");
-        assert!(json.contains("\"messages\""), "{json}");
-        assert!(json.contains("\"nnodes\": 2"), "{json}");
-        // Don't leave test artifacts in the crate directory.
-        let _ = std::fs::remove_file("results/comm.json");
-        let _ = std::fs::remove_dir("results");
     }
 }

@@ -6,13 +6,11 @@
 //! all subsequent factorizations, solves and simulations, so both DAGs are
 //! built here, once ([`crate::tasks`]): the two words per block the
 //! factorization's two-level graph is computed from
-//! ([`Analysis::two_level`]) and the coarse 1D panel graph
-//! ([`Analysis::one_d`]: the schedule of the distributed engine). Only the
-//! dataflow policy derives edges per run: inferring them at submission is
-//! that model. The triangular solve needs no graph: elimination order is
+//! ([`Analysis::two_level`]). Only the dataflow policy derives edges per
+//! run: inferring them at submission is that model. The triangular solve needs no graph: elimination order is
 //! its schedule.
 
-use crate::tasks::{OneDGraph, TaskGraph};
+use crate::tasks::TaskGraph;
 use dagfact_order::{compute_ordering, OrderingKind, Permutation};
 use dagfact_sparse::SparsityPattern;
 use dagfact_symbolic::cost::{critical_path_priorities, static_schedule, CostModel, TaskCosts};
@@ -89,8 +87,6 @@ pub struct Analysis {
     pub perm: Permutation,
     /// Block symbolic structure of the factor.
     pub symbol: SymbolMatrix,
-    /// The 1D panel graph of `symbol`, built once here.
-    pub one_d: OneDGraph,
     /// The two-level panel/update graph of `symbol`, built once here.
     pub two_level: TaskGraph,
     /// nnz of the symmetrized pattern (for stats).
@@ -158,7 +154,6 @@ impl Analysis {
         let partition = build_partition(&permuted, &parent, first);
         let symbol = SymbolMatrix::from_partition(&partition, &options.split);
         debug_assert_eq!(symbol.validate(), Ok(()));
-        let one_d = OneDGraph::build(&symbol);
         let two_level = TaskGraph::build(&symbol);
         if let (Some(rec), Some(from)) = (trace, symbolic_from) {
             rec.phase_from("symbolic", from);
@@ -167,7 +162,6 @@ impl Analysis {
             facto,
             perm,
             symbol,
-            one_d,
             two_level,
             nnz_a: sym.nnz(),
             pattern_symmetric,

@@ -10,11 +10,79 @@
 //! *fan-out* strategy (each cross-node update shipped immediately) versus
 //! the *fan-in* strategy (contributions to one remote panel accumulated
 //! locally and shipped once).
+//!
+//! It is a prediction from the symbolic structure alone: nothing here
+//! executes a factorization over several nodes.
 
 use crate::analysis::Analysis;
-use crate::dist::build_pairs;
 use dagfact_rt::Json;
 use dagfact_symbolic::mapping::NodeMapping;
+use dagfact_symbolic::proportional_mapping;
+use std::collections::HashMap;
+
+/// One fan-in pair: everything node `src_node` will ever contribute to
+/// remote panel `tgt`, accumulated locally and shipped once.
+pub(crate) struct PairInfo {
+    pub(crate) tgt: usize,
+    pub(crate) src_node: usize,
+    /// Contributing panels of `src_node` with their block ids into `tgt`.
+    pub(crate) members: Vec<(usize, Vec<usize>)>,
+    /// Sum of the members' contribution blocks, (rows at-and-below the
+    /// block) × (rows of the block) each: what fan-out would ship.
+    pub(crate) contrib_bytes: f64,
+    /// Wire size of the accumulated buffer: the contributions overlap
+    /// inside the target panel, so at most the panel itself.
+    pub(crate) bytes: f64,
+}
+
+/// Shard a factorization over `nnodes` by proportional mapping and
+/// enumerate the fan-in pairs of that mapping.
+pub(crate) fn build_pairs(
+    analysis: &Analysis,
+    complex: bool,
+    nnodes: usize,
+) -> (NodeMapping, Vec<PairInfo>) {
+    let symbol = &analysis.symbol;
+    let mapping = proportional_mapping(symbol, &analysis.costs(complex), nnodes);
+    let node_of = &mapping.node_of;
+    let scalar_bytes = if complex { 16.0 } else { 8.0 } * analysis.facto.sides() as f64;
+    let mut index: HashMap<(usize, usize), usize> = HashMap::new();
+    let mut pairs: Vec<PairInfo> = Vec::new();
+    for c in 0..symbol.ncblk() {
+        let src_node = node_of[c];
+        let cb = &symbol.cblks[c];
+        for (off, b) in symbol.off_blocks(c).iter().enumerate() {
+            let tgt = b.facing;
+            if node_of[tgt] == src_node {
+                continue;
+            }
+            let bi = cb.block_begin + 1 + off;
+            let m = cb.stride - b.local_offset;
+            let contrib = (m * b.nrows()) as f64 * scalar_bytes;
+            let id = *index.entry((tgt, src_node)).or_insert_with(|| {
+                pairs.push(PairInfo {
+                    tgt,
+                    src_node,
+                    members: Vec::new(),
+                    contrib_bytes: 0.0,
+                    bytes: 0.0,
+                });
+                pairs.len() - 1
+            });
+            pairs[id].contrib_bytes += contrib;
+            match pairs[id].members.last_mut() {
+                Some((panel, blocks)) if *panel == c => blocks.push(bi),
+                _ => pairs[id].members.push((c, vec![bi])),
+            }
+        }
+    }
+    for pair in &mut pairs {
+        let cb = &symbol.cblks[pair.tgt];
+        let panel_bytes = (cb.stride * cb.width()) as f64 * scalar_bytes;
+        pair.bytes = pair.contrib_bytes.min(panel_bytes);
+    }
+    (mapping, pairs)
+}
 
 /// Communication volume of one distribution strategy.
 #[derive(Debug, Clone)]
@@ -83,8 +151,8 @@ fn stats_json(s: &CommStats) -> Json {
 
 /// The study record for one matrix in `results/comm.json`: fan-out vs
 /// fan-in traffic predicted by [`fan_in_study`] at each width in `nodes`
-/// — one shape, written by `dagfact dist --study` and the `comm` bench
-/// binary alike.
+/// — one shape, whether `dagfact dist --output` or the `comm` bench
+/// binary writes it.
 pub fn comm_study_json(name: &str, analysis: &Analysis, complex: bool, nodes: &[usize]) -> Json {
     let width = |&nnodes: &usize| {
         let study = fan_in_study(analysis, complex, nnodes);
@@ -144,6 +212,41 @@ mod tests {
         let s2 = fan_in_study(&an, false, 2);
         let s8 = fan_in_study(&an, false, 8);
         assert!(s8.fan_out.bytes > s2.fan_out.bytes);
+    }
+
+    /// A second opinion on the pair enumeration, by brute force over the
+    /// block structure: fan-out sends one message per off-diagonal block
+    /// whose facing panel lives on another node, fan-in one per distinct
+    /// (facing panel, source node).
+    #[test]
+    fn message_counts_match_a_brute_force_walk_of_the_blocks() {
+        let problems = [
+            (grid_laplacian_3d(9, 9, 9), FactoKind::Cholesky),
+            (dagfact_sparse::gen::shifted_laplacian_3d(8, 8, 8, 1.0), FactoKind::Ldlt),
+            (dagfact_sparse::gen::convection_diffusion_3d(9, 9, 8, 0.3), FactoKind::Lu),
+        ];
+        for (a, facto) in problems {
+            let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+            let symbol = &an.symbol;
+            for nnodes in [1usize, 2, 4, 8] {
+                let study = fan_in_study(&an, false, nnodes);
+                let node_of = &study.mapping.node_of;
+                let mut fan_out = 0u64;
+                let mut pairs = std::collections::BTreeSet::new();
+                for c in 0..symbol.ncblk() {
+                    for b in symbol.off_blocks(c) {
+                        if node_of[b.facing] != node_of[c] {
+                            fan_out += 1;
+                            pairs.insert((b.facing, node_of[c]));
+                        }
+                    }
+                }
+                let what = format!("{facto:?} on {nnodes} node(s)");
+                assert_eq!(study.fan_out.messages, fan_out, "{what}: fan-out");
+                assert_eq!(study.fan_in.messages, pairs.len() as u64, "{what}: fan-in");
+                assert_eq!(nnodes == 1, fan_out == 0, "{what}: traffic iff several nodes");
+            }
+        }
     }
 
     #[test]

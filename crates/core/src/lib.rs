@@ -30,7 +30,6 @@
 
 pub mod analysis;
 pub mod coeftab;
-pub mod dist;
 pub mod distributed;
 pub mod numeric;
 pub mod refine;
@@ -44,7 +43,6 @@ pub mod verify;
 
 pub use analysis::{Analysis, AnalysisStats, SolverOptions};
 pub use verify::VerifyOutcome;
-pub use dist::{check_dist_static, dist_graph_spec, factorize_dist, DistError, DistOptions, DistReport};
 pub use distributed::{comm_study_json, fan_in_study, CommStats, FanInStudy};
 pub use numeric::{ExecOptions, FactorStats, Factors};
 pub use refine::RefinedSolve;

@@ -88,17 +88,11 @@ struct Workspace<T> {
 }
 
 /// Everything the task bodies need, shared across workers.
-///
-/// `pub(crate)`: the distributed engine (`crate::dist`) reuses the task
-/// bodies — panel factorization, local updates, and the
-/// buffer-destination [`NumericCtx::update_into`] that accumulates a
-/// fan-in contribution without touching the target panel.
-pub(crate) struct NumericCtx<'a, T: Scalar> {
+struct NumericCtx<'a, T: Scalar> {
     analysis: &'a Analysis,
     tab: &'a CoefTab<T>,
-    /// The matrix entries a panel's first pin fills it from; `None` over
-    /// an already assembled tab (`crate::dist`).
-    source: Option<PanelSource<'a, T>>,
+    /// The matrix entries a panel's first pin fills it from.
+    source: PanelSource<'a, T>,
     /// LDLᵀ diagonal (length n; unused otherwise).
     d: &'a SharedSlice<T>,
     /// Absolute static-pivot threshold.
@@ -120,21 +114,17 @@ pub(crate) struct NumericCtx<'a, T: Scalar> {
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// Context for `nworkers` workers over `tab`, whose untouched panels
-    /// assemble from `source`. `run` is the engine
-    /// configuration of a policy run (its fault plan and whether its
-    /// retry budget allows a retry); `None` is the distributed engine
-    /// (`crate::dist`): no injected faults, no engine-level retry, and
-    /// panels are never retired to the pager — crash recovery replays
-    /// tasks that re-read panels whose historical read count is long
-    /// exhausted, so the read countdown is pinned effectively-infinite.
-    pub(crate) fn new(
+    /// assemble from `source`. `run` is the engine configuration of the
+    /// policy run: its fault plan and whether its retry budget allows a
+    /// retry.
+    fn new(
         analysis: &'a Analysis,
         tab: &'a CoefTab<T>,
         d: &'a SharedSlice<T>,
         threshold: f64,
         nworkers: usize,
-        run: Option<&RunConfig>,
-        source: Option<PanelSource<'a, T>>,
+        run: &RunConfig,
+        source: PanelSource<'a, T>,
     ) -> NumericCtx<'a, T> {
         NumericCtx {
             analysis,
@@ -142,13 +132,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             source,
             d,
             threshold,
-            fault: run.and_then(|r| r.fault_plan.clone()),
-            engine_retries: run.is_some_and(|r| r.retry.max_attempts > 1),
+            fault: run.fault_plan.clone(),
+            engine_retries: run.retry.max_attempts > 1,
             remaining_reads: (analysis.symbol.cblks.iter())
-                .map(|cb| match run {
-                    Some(_) => AtomicUsize::new(cb.block_end - cb.block_begin - 1),
-                    None => AtomicUsize::new(usize::MAX / 2),
-                })
+                .map(|cb| AtomicUsize::new(cb.block_end - cb.block_begin - 1))
                 .collect(),
             pivots_repaired: AtomicUsize::new(0),
             error: Mutex::new(None),
@@ -156,17 +143,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 .map(|_| Mutex::new(Workspace::default()))
                 .collect(),
         }
-    }
-
-    /// Take the first recorded task error, leaving the context clean.
-    pub(crate) fn take_error(&self) -> Option<SolverError> {
-        self.error.lock().take()
-    }
-
-    /// Pivots bumped by static pivoting so far.
-    pub(crate) fn pivots(&self) -> usize {
-        // ORDERING: statistics counter.
-        self.pivots_repaired.load(Ordering::Relaxed)
     }
 
     fn failed(&self) -> bool {
@@ -182,20 +158,17 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
 
     /// Unwrap the result of a pin or a workspace charge, routing
     /// failures: a transient (injected) allocation fault panics with
-    /// [`TransientFault`] when the failing task is retry-safe and the
-    /// engine has retry budget — the engine re-runs it and the consumed
-    /// per-site fault budget lets the retry succeed. Everything else (and
-    /// transient faults with no retry capacity) is recorded, so the
-    /// factorization drains and the adaptive solver can retry without
-    /// escalating the pivot threshold. Every pin of a factorization task
-    /// is `retryable`; the parameter exists for
-    /// [`NumericCtx::update_into`], whose caller (`crate::dist`) runs no
-    /// retrying engine.
-    fn ok_or_fail<R>(&self, r: Result<R, SolverError>, task: usize, retryable: bool) -> Option<R> {
+    /// [`TransientFault`] when the engine has retry budget — every caller
+    /// pins and charges before it mutates anything, so the engine re-runs
+    /// the task and the consumed per-site fault budget lets the retry
+    /// succeed. Everything else (and transient faults with no retry
+    /// capacity) is recorded, so the factorization drains and the adaptive
+    /// solver can retry without escalating the pivot threshold.
+    fn ok_or_fail<R>(&self, r: Result<R, SolverError>, task: usize) -> Option<R> {
         match r {
             Ok(v) => Some(v),
             Err(e) => {
-                if retryable && self.engine_retries && e.is_transient_alloc() {
+                if self.engine_retries && e.is_transient_alloc() {
                     std::panic::panic_any(TransientFault { task, attempt: 0 });
                 }
                 self.record_error(e);
@@ -221,21 +194,21 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     // ------------------------------------------------------------------
 
     /// Factorize panel `c` in place and solve its off-diagonal blocks.
-    pub(crate) fn panel_task(&self, c: usize, worker: usize) {
+    fn panel_task(&self, c: usize, worker: usize) {
         if self.failed() {
             return;
         }
-        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
+        let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
         let cb = &symbol.cblks[c];
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
         // Pin before mutating anything: an allocation failure here is
         // retry-safe.
-        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, true) else {
+        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c) else {
             return;
         };
         let upin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, true) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c) {
                 Some(p) => Some(p),
                 None => return,
             }
@@ -364,11 +337,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// Apply update task of global block `bi` from panel `c` onto its
     /// facing panel. The caller's DAG must order the updates into a common
     /// target against each other (the chain into the panel, `crate::tasks`).
-    pub(crate) fn update_task(&self, c: usize, bi: usize, worker: usize) {
+    fn update_task(&self, c: usize, bi: usize, worker: usize) {
         if self.failed() {
             return;
         }
-        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
+        let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
         let cb = &symbol.cblks[c];
         let block = &symbol.blocks[bi];
         let j = block.facing;
@@ -376,17 +349,17 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let m = cb.stride - block.local_offset;
         // Pin every panel up front, before any mutation: a pin failure is
         // then retry-safe.
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, true) else {
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c) else {
             return;
         };
-        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src), c, true) else {
+        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src), c) else {
             return;
         };
         let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, true) else {
+            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src), c) else {
                 return;
             };
-            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src), c, true) else {
+            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src), c) else {
                 return;
             };
             Some((us, ud))
@@ -398,7 +371,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // Charge the GEMM buffer before any mutation, so a failure routes
         // like a failed pin.
         let scratch = scratch_len(m, n, cb.width(), self.analysis.facto == FactoKind::Ldlt);
-        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c, true) else {
+        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c) else {
             return;
         };
         // SAFETY: the DAG guarantees panel c is read-only here, and the
@@ -407,91 +380,15 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let lsrc = unsafe { lsrc_pin.slice() };
         // SAFETY: as above, the chain into panel j orders its writers.
         let ldst = unsafe { ldst_pin.slice_mut() };
-        let (usrc, udst) = match &upins {
-            // SAFETY: same discipline as the L side.
-            Some((us, ud)) => (Some(unsafe { us.slice() }), Some(unsafe { ud.slice_mut() })),
-            None => (None, None),
-        };
-        self.update_kernel(c, bi, ws, lsrc, usrc, ldst, udst);
-        // This update has consumed its read of panel c; the last one
-        // hands the panel to the pager as a preferred spill victim.
-        if self.remaining_reads[c].fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.tab.retire(c);
-        }
-    }
-
-    /// Accumulate the update of block `bi` from panel `c` into
-    /// caller-owned buffers laid out exactly like the target panel
-    /// (`tcb.stride × tcb.width()`, zero-initialized) instead of the live
-    /// panel — the distributed engine's fan-in pair buffers. Only the
-    /// *source* panel is pinned; applying the buffer to the real target is
-    /// the receiver's elementwise add. Does not consume a read of panel
-    /// `c` (the dist context never retires panels: recovery replay may
-    /// re-read any factored panel). `false` when a recorded error stopped
-    /// the run.
-    pub(crate) fn update_into(
-        &self,
-        c: usize,
-        bi: usize,
-        worker: usize,
-        ldst: &mut [T],
-        udst: Option<&mut [T]>,
-    ) -> bool {
-        if self.failed() {
-            return false;
-        }
-        let (symbol, src) = (&self.analysis.symbol, self.source.as_ref());
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c, false) else {
-            return false;
-        };
-        let usrc_pin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c, false) {
-                Some(p) => Some(p),
-                None => return false,
-            }
-        } else {
-            None
-        };
-        // The dist tab carries no ledger: the workspace is not charged.
-        let mut ws = self.workspaces[worker].lock();
-        // SAFETY: panel c is factored and read-only here; the destination
-        // buffers are exclusively owned by the caller.
-        let lsrc = unsafe { lsrc_pin.slice() };
-        // SAFETY: as for L, on the U side.
-        let usrc = usrc_pin.as_ref().map(|p| unsafe { p.slice() });
-        self.update_kernel(c, bi, &mut ws, lsrc, usrc, ldst, udst);
-        !self.failed()
-    }
-
-    /// The facto-specific GEMM + scatter math of one update, shared by
-    /// [`NumericCtx::update_task`] (destination = the live target panel)
-    /// and [`NumericCtx::update_into`] (destination = a fan-in pair
-    /// buffer with the target panel's layout).
-    #[allow(clippy::too_many_arguments)]
-    fn update_kernel(
-        &self,
-        c: usize,
-        bi: usize,
-        ws: &mut Workspace<T>,
-        lsrc: &[T],
-        usrc: Option<&[T]>,
-        ldst: &mut [T],
-        udst: Option<&mut [T]>,
-    ) {
-        let symbol = &self.analysis.symbol;
-        let cb = &symbol.cblks[c];
-        let block = &symbol.blocks[bi];
-        let j = block.facing;
         let tcb = &symbol.cblks[j];
         let k = cb.width();
-        let n = block.nrows();
-        let m = cb.stride - block.local_offset;
         build_row_map(symbol, c, bi, j, &mut ws.row_map, &mut ws.row_glob);
         let col_off = block.frow - tcb.fcol;
         let a1 = &lsrc[block.local_offset..];
         let a2 = &lsrc[block.local_offset..];
-        match self.analysis.facto {
-            FactoKind::Cholesky | FactoKind::Ldlt => {
+        // `upins` is there exactly for LU.
+        match &upins {
+            None => {
                 // LDLᵀ rescales by D inside every update ("the full LDLᵀ
                 // operation at each update", §V-A).
                 // SAFETY: d[cols of c] was finalized by panel(c).
@@ -508,9 +405,9 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     Scatter { row_map: &ws.row_map, col_offset: col_off },
                 );
             }
-            FactoKind::Lu => {
-                let usrc = usrc.expect("LU update without a U source");
-                let udst = udst.expect("LU update without a U destination");
+            Some((us, ud)) => {
+                // SAFETY: same discipline as the L side.
+                let (usrc, udst) = unsafe { (us.slice(), ud.slice_mut()) };
                 let ut = &usrc[block.local_offset..];
                 // C_L -= L[R≥b, c] · (Uᵀ[R_b, c])ᵀ
                 update_via_buffer(
@@ -566,6 +463,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     }
                 }
             }
+        }
+        // This update has consumed its read of panel c; the last one
+        // hands the panel to the pager as a preferred spill victim.
+        if self.remaining_reads[c].fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.tab.retire(c);
         }
     }
 }
@@ -753,8 +655,7 @@ impl Analysis {
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let run = Some(&exec.run);
-        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, run, Some(source));
+        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, &exec.run, source);
         let run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the

@@ -19,9 +19,7 @@
 //! per block, built once by [`Analysis::new`]. All three policies run that
 //! one graph; PaStiX's analyze-time static mapping (§III) survives as the
 //! native policy's *seed placement* — a task's static owner is the
-//! cost-model list schedule's owner of its source panel. The coarser
-//! [`OneDGraph`] (one node per panel) schedules the distributed engine,
-//! not the factorization.
+//! cost-model list schedule's owner of its source panel.
 //! [`Analysis::program`] is the only constructor of what a policy
 //! executes — the factorization runs it, the verifier extracts its spec
 //! from it, the simulator lowers it — and [`TaskKind::accesses`] states
@@ -157,48 +155,6 @@ impl TaskGraph {
             TaskKind::Panel { cblk } => out.extend(t + 1..symbol.cblks[cblk].block_end),
             _ => out.push(self.next_into[t] as usize),
         }
-    }
-}
-
-/// The coarse 1D-task DAG: one task per panel covering the panel operation
-/// *and* all its updates (§III). It depends on the symbol structure only,
-/// so [`crate::Analysis::new`] builds it once for the distributed engine.
-#[derive(Debug, Clone)]
-pub struct OneDGraph {
-    /// Successor lists as compressed rows: panel `c`'s list is
-    /// `idx[ptr[c]..ptr[c + 1]]`. Two allocations, not one per panel: the
-    /// graph lives as long as the analysis, and thousands of small
-    /// long-lived lists fragment the heap the factor panels churn.
-    ptr: Vec<usize>,
-    idx: Vec<usize>,
-}
-
-impl OneDGraph {
-    /// Build from a symbol structure.
-    pub fn build(symbol: &SymbolMatrix) -> OneDGraph {
-        let ncblk = symbol.ncblk();
-        // (source, facing) pairs, one per couple of panels, in one buffer
-        // sized up front (no growth reallocations inside the analysis);
-        // sorted, they are the rows of the graph.
-        let mut edges = Vec::with_capacity(symbol.blocks.len());
-        edges.extend((0..ncblk).flat_map(|c| symbol.off_blocks(c).iter().map(move |b| (c, b.facing))));
-        edges.sort_unstable();
-        edges.dedup();
-        let mut ptr = vec![0usize; ncblk + 1];
-        for &(row, _) in &edges {
-            ptr[row + 1] += 1;
-        }
-        for row in 0..ncblk {
-            ptr[row + 1] += ptr[row];
-        }
-        OneDGraph { ptr, idx: edges.iter().map(|e| e.1).collect() }
-    }
-
-    /// Panels receiving updates from panel `c` (deduplicated, ascending).
-    pub fn succs(&self, c: usize) -> &[usize] {
-        // BOUNDS: c < ncblk = ptr.len() - 1, and ptr is a prefix sum
-        // ending at idx.len().
-        &self.idx[self.ptr[c]..self.ptr[c + 1]]
     }
 }
 
@@ -398,20 +354,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn one_d_graph_is_acyclic_and_forward(){
-        let s = analysis().symbol;
-        let g = OneDGraph::build(&s);
-        let mut has_pred = vec![false; s.ncblk()];
-        for c in 0..s.ncblk() {
-            let mut facing: Vec<usize> = s.off_blocks(c).iter().map(|b| b.facing).collect();
-            facing.dedup();
-            assert_eq!(g.succs(c), &facing[..], "succs({c}) is the deduplicated facing set");
-            assert!(g.succs(c).iter().all(|&t| t > c), "1D edge goes backward from {c}");
-            g.succs(c).iter().for_each(|&t| has_pred[t] = true);
-        }
-        assert!(has_pred.contains(&false), "no root panel");
     }
 }

@@ -6,8 +6,8 @@
 //! (DAG, platform, policy) triple always produces the same schedule —
 //! the property that makes the paper's figures reproducible on any host.
 
-use crate::cluster::EventQueue;
 use crate::dag::{DataId, SimDag, TaskId, TaskShape};
+use crate::events::EventQueue;
 use crate::kernelmodel::{kernel_ceiling, kernel_rate, GpuKernelKind};
 use crate::platform::Platform;
 use crate::report::{SimReport, SimResource, SimSpan};

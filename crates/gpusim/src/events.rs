@@ -1,61 +1,13 @@
-//! Cluster substrate: N hybrid nodes + a network, and the deterministic
-//! min-heap event queue that drives discrete-event simulations over them.
-//!
-//! The single-node [`Platform`](crate::platform::Platform) models the
-//! paper's Mirage machine; a [`ClusterPlatform`] is simply N of those
-//! connected by a network link whose latency/bandwidth are modeled with
-//! the same [`LinkModel`](crate::platform::LinkModel) abstraction as the
-//! PCIe lanes (ROADMAP item 3: "network links with latency/bandwidth
-//! alongside the existing PCIe model").
-//!
-//! [`EventQueue`] is the core of both event loops — the single-node GPU
-//! simulator ([`crate::engine`]) and the cluster simulation: a binary
-//! min-heap of `(virtual time, sequence number, payload)` entries. The sequence
+//! The deterministic min-heap event queue that drives the GPU
+//! simulator's discrete-event loop ([`crate::engine`]): a binary min-heap
+//! of `(virtual time, sequence number, payload)` entries. The sequence
 //! number breaks time ties in insertion order, so a simulation that
-//! schedules the same events always pops them in the same order — the
-//! determinism the chaos sweeps rely on (same seed → same schedule →
-//! same faults → same recovery, independent of the host machine).
+//! schedules the same events always pops them in the same order — same
+//! DAG, platform and policy give the same schedule, independent of the
+//! host machine.
 
-use crate::platform::{LinkModel, Platform};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-
-/// N simulated hybrid nodes connected by a network.
-#[derive(Debug, Clone)]
-pub struct ClusterPlatform {
-    /// Per-node machine description (cores, GPUs, PCIe links).
-    pub nodes: Vec<Platform>,
-    /// Inter-node network link (shared model for every pair; the
-    /// simulation charges one traversal per message).
-    pub network: LinkModel,
-}
-
-impl ClusterPlatform {
-    /// A homogeneous cluster of `nnodes` Mirage-style nodes with `cores`
-    /// CPU cores and `ngpus` GPUs each, connected by an
-    /// InfiniBand-flavoured network (12 GB/s, 1.5 µs — an order of
-    /// magnitude more latency than the PCIe model, as on real clusters).
-    pub fn homogeneous(nnodes: usize, cores: usize, ngpus: usize) -> ClusterPlatform {
-        assert!(nnodes >= 1, "a cluster needs at least one node");
-        ClusterPlatform {
-            nodes: vec![Platform::mirage(cores, ngpus); nnodes],
-            network: LinkModel {
-                bandwidth_gbps: 12.0,
-                latency: 1.5e-6,
-            },
-        }
-    }
-
-    /// Number of nodes.
-    pub fn nnodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Network transfer time for a `bytes`-sized message.
-    pub fn net_time(&self, bytes: f64) -> f64 {
-        self.network.time(bytes)
-    }
-}
 
 /// One scheduled event: fires at `time`, ties broken by insertion order.
 struct Entry<E> {
@@ -159,27 +111,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn homogeneous_cluster_matches_inventory() {
-        let c = ClusterPlatform::homogeneous(4, 12, 2);
-        assert_eq!(c.nnodes(), 4);
-        assert_eq!(c.nodes[0].cores, 12);
-        assert_eq!(c.nodes[3].gpus.len(), 2);
-        // Network latency dominates PCIe latency but bandwidth is higher
-        // than one PCIe 2.0 link — the classic cluster trade.
-        assert!(c.network.latency < c.nodes[0].link.latency * 1000.0);
-        assert!(c.network.bandwidth_gbps > c.nodes[0].link.bandwidth_gbps);
-    }
-
-    #[test]
-    fn net_time_includes_latency_and_bandwidth() {
-        let c = ClusterPlatform::homogeneous(2, 1, 0);
-        let small = c.net_time(0.0);
-        assert!((small - c.network.latency).abs() < 1e-12);
-        let big = c.net_time(12e9);
-        assert!((big - 1.0 - c.network.latency).abs() < 1e-9);
-    }
 
     #[test]
     fn events_pop_in_time_order() {

@@ -31,15 +31,15 @@
 //! The simulation is fully deterministic: same DAG + platform + policy →
 //! same schedule, independent of the host machine.
 
-pub mod cluster;
 pub mod dag;
 pub mod engine;
+pub mod events;
 pub mod kernelmodel;
 pub mod platform;
 pub mod report;
 
-pub use cluster::{ClusterPlatform, EventQueue};
 pub use dag::{SimDag, SimData, SimTask, TaskShape};
 pub use engine::{simulate, SimPolicy};
+pub use events::EventQueue;
 pub use platform::{CpuModel, GpuModel, LinkModel, Platform, SchedulerCosts};
 pub use report::{SimReport, SimResource, SimSpan};

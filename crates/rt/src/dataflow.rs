@@ -127,8 +127,7 @@ impl DataflowGraph {
 
     /// Submit a task touching `accesses`; returns its id (the submission
     /// index). Dependencies on previously-submitted tasks are inferred
-    /// from the access modes (RAW, WAR, WAW); there are no reductions, so
-    /// a [`Mode::Accum`] is serialized like any other write.
+    /// from the access modes (RAW, WAR, WAW).
     pub fn submit(&mut self, accesses: impl IntoIterator<Item = (DataId, Mode)>) -> TaskId {
         let id = next_cell(self.tasks.len());
         self.preds.clear();

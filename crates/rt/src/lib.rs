@@ -57,7 +57,6 @@
 pub mod budget;
 pub mod dataflow;
 pub mod deque;
-pub mod distproto;
 pub mod exec;
 pub mod fault;
 pub mod json;
@@ -72,10 +71,8 @@ pub mod trace;
 pub mod verify;
 
 pub use budget::{BudgetError, MemoryBudget, MemoryStats, PhaseStats, PressureLevel};
-pub use distproto::{ApplyLog, RetransmitExhausted, SendState};
 pub use fault::{
-    CancelToken, EngineError, FaultPlan, MsgFate, RetryPolicy, RunConfig, RunReport,
-    TransientFault,
+    CancelToken, EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport, TransientFault,
 };
 pub use json::{write_results, Json};
 pub use shared::{release_pending, ReleaseUnderflow, SharedSlice};

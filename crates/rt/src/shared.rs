@@ -27,11 +27,10 @@ use core::cell::UnsafeCell;
 /// ranges are always fine; there is no whole-slice mutable view.
 ///
 /// Precisely, each borrow is an *access* of some element range in a mode
-/// (read / exclusive write / lock-protected accumulation), and the
-/// obligation is the invariant checked by [`crate::verify`]: for every
-/// pair of tasks whose accesses overlap and conflict (not read–read, not
-/// accumulate–accumulate), the engine's dependency graph must contain a
-/// happens-before path between the two tasks. `check_static` proves this
+/// (read / exclusive write), and the obligation is the invariant checked
+/// by [`crate::verify`]: for every pair of tasks whose accesses overlap
+/// and conflict (not read–read), the engine's dependency graph must
+/// contain a happens-before path between the two tasks. `check_static` proves this
 /// for a whole submitted graph. A graph that passes cannot produce two
 /// live overlapping borrows here, in any schedule.
 pub struct SharedSlice<T> {
@@ -114,8 +113,7 @@ impl<T> SharedSlice<T> {
     /// The caller must guarantee (via runtime dependencies) that no other
     /// thread writes `read` or touches `write` during the borrows — i.e.
     /// the task holds a verified read access on `read` and an exclusive
-    /// (or lock-protected accumulating) access on `write` in the sense of
-    /// [`crate::verify::Mode`].
+    /// access on `write` in the sense of [`crate::verify::Mode`].
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn disjoint_pair(
         &self,
@@ -132,8 +130,8 @@ impl<T> SharedSlice<T> {
         // base pointer is reference-free, so the two views only assert
         // exclusivity over their own ranges. Cross-thread exclusivity on
         // those ranges is the caller's documented obligation (a verified
-        // read access on `read`, an exclusive or lock-protected
-        // accumulating access on `write` — `crate::verify::Mode`).
+        // read access on `read`, an exclusive access on `write` —
+        // `crate::verify::Mode`).
         unsafe {
             let base = self.base_ptr();
             (
@@ -149,17 +147,15 @@ impl<T> SharedSlice<T> {
     /// # Safety
     /// The caller must hold exclusive access to `range` for the duration
     /// of the borrow: every other task accessing an overlapping range must
-    /// be separated from this one by a dependency edge (or, for
-    /// commutative scatter-adds, by the per-panel accumulation lock —
-    /// [`crate::verify::Mode::Accum`]).
+    /// be separated from this one by a dependency edge.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn range_mut(&self, range: core::ops::Range<usize>) -> &mut [T] {
         assert!(range.end <= self.len());
         // SAFETY: in-bounds (asserted); the view covers only `range`, so
         // concurrent borrows of disjoint ranges never alias. Exclusivity
         // of `range` itself is the caller's obligation, upheld by a
-        // dependency edge or the per-panel accumulation lock and
-        // machine-checked by `crate::verify` (static graph proof).
+        // dependency edge and machine-checked by `crate::verify` (static
+        // graph proof).
         unsafe {
             let base = self.base_ptr();
             core::slice::from_raw_parts_mut(base.add(range.start), range.len())

@@ -22,15 +22,8 @@ use std::fmt;
 
 /// How a task touches a datum: StarPU-style access modes, declared at
 /// submission ([`crate::dataflow::DataflowGraph::submit`]) and checked by
-/// the verifier.
-///
-/// [`Mode::Accum`] is commutative, *mutually excluded* accumulation
-/// (StarPU's `REDUX`, or a scatter-add under a per-panel lock). Two `Accum`
-/// accesses to the same datum need no ordering edge — the lock serializes
-/// them and addition commutes — but `Accum` still conflicts with reads and
-/// plain writes. The factorization's programs never declare it (a chain
-/// orders the writers of a panel); the distributed engine's spec does
-/// (`dagfact-core`'s `dist_graph_spec`), and the mode stays or goes with it.
+/// the verifier. There is no commutative-accumulation mode: the
+/// factorization orders every writer of a panel by a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Read-only.
@@ -39,20 +32,15 @@ pub enum Mode {
     Write,
     /// Read-modify-write (exclusive).
     ReadWrite,
-    /// Commutative accumulation under mutual exclusion.
-    Accum,
 }
 
 impl Mode {
     /// Do two accesses in these modes require a happens-before edge?
     pub fn conflicts_with(self, other: Mode) -> bool {
-        !matches!(
-            (self, other),
-            (Mode::Read, Mode::Read) | (Mode::Accum, Mode::Accum)
-        )
+        self.writes() || other.writes()
     }
 
-    /// Does the access modify the datum (including accumulation)?
+    /// Does the access modify the datum?
     pub fn writes(self) -> bool {
         !matches!(self, Mode::Read)
     }
@@ -310,7 +298,6 @@ fn topo_order(succs: &[Vec<TaskId>], npred: &[u32]) -> (Vec<TaskId>, Vec<usize>)
 struct Frontier {
     writer: Option<(TaskId, Mode)>,
     readers: Vec<TaskId>,
-    accums: Vec<TaskId>,
 }
 
 /// Statically verify a [`GraphSpec`]: race-freedom (every conflicting
@@ -400,19 +387,12 @@ pub fn check_static(spec: &GraphSpec) -> StaticReport {
                     check(r, Mode::Read, &mut reach);
                 }
             }
-            if mode.conflicts_with(Mode::Accum) {
-                for &a in &fr.accums {
-                    check(a, Mode::Accum, &mut reach);
-                }
-            }
             let mut fr = fr;
             match mode {
                 Mode::Read => fr.readers.push(t),
-                Mode::Accum => fr.accums.push(t),
                 Mode::Write | Mode::ReadWrite => {
                     fr.writer = Some((t, mode));
                     fr.readers.clear();
-                    fr.accums.clear();
                 }
             }
             frontier[d] = fr;
@@ -488,22 +468,6 @@ mod tests {
         spec.edge(0, 1);
         spec.edge(0, 2);
         assert!(check_static(&spec).is_clean());
-    }
-
-    #[test]
-    fn accum_accum_needs_no_order_but_read_accum_does() {
-        // Two unordered accumulators: fine. An unordered reader: race.
-        let mut spec = GraphSpec::new(4);
-        spec.access(0, 0, Mode::Write);
-        spec.access(1, 0, Mode::Accum);
-        spec.access(2, 0, Mode::Accum);
-        spec.access(3, 0, Mode::Read);
-        spec.edge(0, 1);
-        spec.edge(0, 2);
-        spec.edge(0, 3); // 3 unordered w.r.t. accums 1 and 2
-        let report = check_static(&spec);
-        assert_eq!(report.races.len(), 2, "{report}");
-        assert!(report.races.iter().all(|r| r.second == 3));
     }
 
     #[test]
