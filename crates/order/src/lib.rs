@@ -4,13 +4,14 @@
 //! library the paper links PaStiX against ("SCOTCH 5.1.12b", §V).
 //!
 //! * [`nd::nested_dissection`] — recursive vertex-separator ordering with
-//!   BFS level-set separators, boundary refinement and minimum-degree
-//!   ordered leaves; the default for the solver, and the source of the
-//!   separator tree whose top supernodes become the big GPU-friendly
-//!   panels of the paper.
+//!   BFS level-set separators, boundary refinement, separators numbered by
+//!   first contact with their ordered halves (which sets the block count,
+//!   not the fill) and minimum-degree ordered leaves; the default for the
+//!   solver, and the source of the separator tree whose top supernodes
+//!   become the big GPU-friendly panels of the paper.
 //! * [`md::minimum_degree`] — classic minimum-degree on the elimination
-//!   graph, used for the ND leaves and usable standalone on small
-//!   problems.
+//!   graph, used for the ND leaves and the subgraphs ND finds no separator
+//!   in, and usable standalone on small problems.
 //! * [`rcm::reverse_cuthill_mckee`] — bandwidth-reducing ordering, kept as
 //!   a baseline to show (in the benches) how much nested dissection
 //!   matters for the paper's task DAG.
@@ -18,9 +19,9 @@
 //!   symbolic phase.
 //!
 //! Every ordering allocates its `n`-sized state once per thread it runs on
-//! (a [`dagfact_sparse::graph::Traversal`], a side array, an
-//! [`md::MdWorkspace`]) and resets it by walking the vertices a call
-//! touched: dissection costs `O((n + m) · depth)` plus its leaves' minimum
+//! (a [`dagfact_sparse::graph::Traversal`], a side array, a position
+//! array, an [`md::MdWorkspace`]) and resets it by walking the vertices a
+//! call touched: dissection costs `O((n + m) · depth)` plus its leaves' minimum
 //! degree, with no `n`-sized work per recursive call. Nested dissection
 //! orders the two sides of a large split on two threads while the host has
 //! spare ones, with the same result at every thread count.

@@ -3,9 +3,13 @@
 //! A deliberately simple (no quotient graph, no supervariables) exact
 //! minimum-degree: at each step the lowest-degree vertex is eliminated and
 //! its neighborhood turned into a clique. Complexity is fine for the two
-//! places it is used — ordering nested-dissection leaves (≤ a few hundred
-//! vertices) and small standalone problems — and the simplicity keeps it
-//! obviously correct, which matters more here than AMD-grade speed.
+//! places it is used — ordering nested-dissection leaves (≤ `leaf_size`
+//! vertices) and the subgraphs it finds no separator in, and small
+//! standalone problems — and the simplicity keeps it obviously correct,
+//! which matters more here than AMD-grade speed. It does not order
+//! separators: a step scans the whole live set, `O(k²)` on a `k`-vertex
+//! separator of thousands, and a separator's order sets its block count,
+//! not its fill (see [`crate::nd`]).
 //!
 //! A subset of `k` vertices costs its own elimination work and nothing
 //! `n`-sized: the global → local index map and the adjacency vectors live

@@ -9,8 +9,15 @@
 //!    side (a cheap Fiduccia-Mattheyses-flavoured pass);
 //! 3. recurse on the halves, then number the separator *last* — separators
 //!    become the top supernodes of the elimination tree, exactly the large
-//!    panels the paper's GPU offload feeds on (§V-B);
-//! 4. order leaf subgraphs (≤ `leaf_size`) with minimum degree.
+//!    panels the paper's GPU offload feeds on (§V-B). Within it, vertices
+//!    go by *first contact*: the earliest position any neighbour holds in
+//!    the halves' order `A | B`, ties by vertex id. A separator fills in to
+//!    a near-clique whatever its internal order, so the order barely moves
+//!    fill; what it sets is how the separator's rows fall into the blocks
+//!    of the halves' panels, and rows numbered along the halves' order run
+//!    contiguously (the blocking idea of Pichon et al., SIMAX 2017);
+//! 4. order leaf subgraphs (≤ `leaf_size`), and splits that find no
+//!    separator, with minimum degree.
 //!
 //! Cost: `O((n + m) · depth)` for a recursion of that depth on `n`
 //! vertices and `m` edges — a call on `k` vertices touches those vertices
@@ -18,14 +25,20 @@
 //! `n`-sized. Everything else lives in one `Workspace` per thread; every
 //! call leaves it as it found it (see [`dagfact_sparse::graph`] for the
 //! traversal part of that contract), which is what lets siblings share it.
+//! The one exception is the position each vertex gets when it is ordered,
+//! recorded then (and once more by the joining thread, for a forked
+//! piece) and kept: a separator's first-contact keys read it from the
+//! separator's own adjacency, with no pass over the halves.
 //!
 //! The two sides of a split are independent, so they run on both cores: a
 //! split whose later piece has more than `FORK_FLOOR` vertices, made
 //! while a spare thread remains, dissects that piece on a scoped thread
 //! with its own workspace, while the calling thread dissects the earlier
-//! piece and orders the separator; the orders are spliced `A | B | S`.
-//! Component splits fork the same way. A call's result depends only on its
-//! vertex set, so the permutation is the same at every thread count.
+//! piece; after the join the calling thread records the later piece's
+//! positions, then orders the separator, so the orders are spliced
+//! `A | B | S` with the same keys as unforked. Component splits fork the
+//! same way. A call's result depends only on its vertex set, so the
+//! permutation is the same at every thread count.
 
 use crate::md::{minimum_degree_subset, MdWorkspace};
 use crate::perm::Permutation;
@@ -58,6 +71,9 @@ const FORK_FLOOR: usize = 4096;
 /// Side of a vertex that is not in the subgraph being split.
 const NO_SIDE: u8 = u8::MAX;
 
+/// Position of a vertex this thread has not ordered.
+const UNORDERED: usize = usize::MAX;
+
 /// The `n`-sized state of one thread of an ordering, shared by every
 /// recursive call on that thread.
 struct Workspace {
@@ -65,13 +81,28 @@ struct Workspace {
     /// 0 = A, 1 = B, 2 = separator while a subgraph is being split,
     /// `NO_SIDE` outside of it.
     side: Vec<u8>,
+    /// Index in this thread's order of every vertex it has ordered,
+    /// `UNORDERED` for the rest. A separator's neighbours are its halves,
+    /// itself and the enclosing separators, and only the halves are
+    /// ordered when the separator is, so the positions it reads are theirs.
+    position: Vec<usize>,
+    /// First-contact keys of the separator being ordered.
+    keyed: Vec<(usize, usize)>,
     md: MdWorkspace,
 }
 
 impl Workspace {
     fn new(n: usize) -> Self {
         let (traversal, md) = (Traversal::new(n), MdWorkspace::default());
-        Workspace { traversal, side: vec![NO_SIDE; n], md }
+        let (side, position) = (vec![NO_SIDE; n], vec![UNORDERED; n]);
+        Workspace { traversal, side, position, keyed: Vec::new(), md }
+    }
+
+    /// Record the positions of `order[start..]`, just appended.
+    fn record(&mut self, order: &[usize], start: usize) {
+        for (i, &v) in order.iter().enumerate().skip(start) {
+            self.position[v] = i;
+        }
     }
 }
 
@@ -118,8 +149,7 @@ impl Dissection<'_> {
     ) {
         let graph = self.graph;
         if vertices.len() <= self.options.leaf_size {
-            minimum_degree_subset(graph, &vertices, &mut ws.md, order);
-            return;
+            return self.minimum_degree(&vertices, ws, order);
         }
         // Split into connected components first: dissect each independently
         // (their elimination subtrees are siblings).
@@ -137,18 +167,23 @@ impl Dissection<'_> {
         let split = find_separator(graph, &vertices, self.options, ws);
         ws.traversal.leave(&vertices);
         match split {
-            // The separator is numbered last; order it internally by
-            // minimum degree for a little extra fill reduction inside the
-            // dense-ish separator clique.
+            // The separator is numbered last, by first contact.
             Some([part_a, part_b, separator]) => {
                 self.dissect_parts(vec![part_a, part_b], &separator, spare, ws, order)
             }
             // Degenerate split (e.g. a clique): fall back to minimum degree.
-            None => minimum_degree_subset(graph, &vertices, &mut ws.md, order),
+            None => self.minimum_degree(&vertices, ws, order),
         }
     }
 
-    /// Dissect `parts` in turn, then order `separator` by minimum degree,
+    /// Append `vertices` to `order` by minimum degree.
+    fn minimum_degree(&self, vertices: &[usize], ws: &mut Workspace, order: &mut Vec<usize>) {
+        let start = order.len();
+        minimum_degree_subset(self.graph, vertices, &mut ws.md, order);
+        ws.record(order, start);
+    }
+
+    /// Dissect `parts` in turn, then order `separator` by first contact,
     /// appending all of it to `order`. With a spare thread, the later parts
     /// — from the split point that balances vertex counts best, if they hold
     /// more than the floor — go to a scoped thread and their order is
@@ -173,12 +208,11 @@ impl Dissection<'_> {
             for part in parts {
                 self.dissect(part, spare, ws, order);
             }
-            return minimum_degree_subset(self.graph, separator, &mut ws.md, order);
+            return self.order_separator(separator, ws, order);
         }
         // The new thread takes half the other spare threads, rounded down.
         let theirs = (spare - 1) / 2;
         let tail = parts.split_off(mid);
-        let mut ordered_separator = Vec::with_capacity(separator.len());
         let tail_order = std::thread::scope(|scope| {
             let forked = scope.spawn(move || {
                 let mut ws = Workspace::new(self.graph.nvertices());
@@ -191,11 +225,29 @@ impl Dissection<'_> {
             for part in parts {
                 self.dissect(part, spare - 1 - theirs, ws, order);
             }
-            minimum_degree_subset(self.graph, separator, &mut ws.md, &mut ordered_separator);
             forked.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
+        let start = order.len();
         order.extend(tail_order);
-        order.append(&mut ordered_separator);
+        ws.record(order, start);
+        self.order_separator(separator, ws, order);
+    }
+
+    /// Append `separator` to `order` by first contact with the halves just
+    /// ordered before it: the smallest position among a vertex's
+    /// neighbours, ties (and vertices no half touches) by vertex id.
+    fn order_separator(&self, separator: &[usize], ws: &mut Workspace, order: &mut Vec<usize>) {
+        let Workspace { position, keyed, .. } = ws;
+        let first_contact = |v: usize| {
+            let contacts = self.graph.neighbors(v).iter().map(|&w| position[w]);
+            (contacts.min().unwrap_or(UNORDERED), v)
+        };
+        keyed.extend(separator.iter().map(|&v| first_contact(v)));
+        keyed.sort_unstable();
+        for (_, v) in keyed.drain(..) {
+            position[v] = order.len();
+            order.push(v);
+        }
     }
 }
 
@@ -342,8 +394,9 @@ mod tests {
         let p = nested_dissection(&g, &NdOptions { leaf_size: 4, refine_passes: 1 });
         assert_eq!(p.len(), n);
     }
-    /// PR 21's dissection, kept as the reference: fresh `n`-long mask,
-    /// level and side arrays in every call, nothing shared between calls.
+    /// The dissection without a workspace, kept as the reference: fresh
+    /// `n`-long mask, level, side and position arrays in every call,
+    /// nothing shared between calls.
     fn reference_dissect(graph: &Graph, vertices: Vec<usize>, options: &NdOptions, order: &mut Vec<usize>) {
         let n = graph.nvertices();
         let md = |subset: &[usize], order: &mut Vec<usize>| {
@@ -424,9 +477,15 @@ mod tests {
         if part(0).is_empty() || part(1).is_empty() {
             return md(&vertices, order);
         }
+        let halves = order.len();
         reference_dissect(graph, part(0), options, order);
         reference_dissect(graph, part(1), options, order);
-        md(&part(2), order);
+        let mut position = vec![usize::MAX; n];
+        (halves..order.len()).for_each(|i| position[order[i]] = i);
+        let mut separator = part(2);
+        let first_contact = |v: usize| graph.neighbors(v).iter().map(|&w| position[w]).min();
+        separator.sort_by_key(|&v| (first_contact(v).unwrap_or(usize::MAX), v));
+        order.extend(separator);
     }
 
     /// Block-diagonal union of `blocks`, `isolated` edgeless vertices after
