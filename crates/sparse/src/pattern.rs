@@ -146,9 +146,19 @@ impl SparsityPattern {
     /// structure PaStiX factorizes ("PASTIX works on the matrix A + Aᵀ,
     /// which produces a symmetric pattern", §III). Requires a square
     /// pattern.
+    ///
+    /// An input that already is structurally symmetric with a full
+    /// diagonal comes back as a copy, after a diagonal lookup per column
+    /// and one [`is_symmetric`](Self::is_symmetric) pass. Any other input
+    /// pays that check up to its first missing diagonal entry or unmatched
+    /// entry — at most one pass over the entries — before the transpose
+    /// and merge.
     pub fn symmetrize(&self) -> SparsityPattern {
         assert_eq!(self.nrows, self.ncols, "symmetrize requires a square pattern");
         let n = self.ncols;
+        if (0..n).all(|j| self.contains(j, j)) && self.is_symmetric() {
+            return self.clone();
+        }
         let at = self.transpose();
         let mut colptr = Vec::with_capacity(n + 1);
         colptr.push(0usize);
@@ -312,6 +322,44 @@ mod tests {
         }
         assert!(!toy().is_symmetric());
         assert!(!SparsityPattern::from_entries(3, 2, vec![(0, 0), (1, 1)]).is_symmetric());
+    }
+
+    /// `A + Aᵀ` plus the diagonal, entry by entry.
+    fn mirrored_with_diagonal(p: &SparsityPattern) -> SparsityPattern {
+        let n = p.ncols();
+        let entries = (0..n).flat_map(|j| p.col(j).iter().flat_map(move |&i| [(i, j), (j, i)]));
+        SparsityPattern::from_entries(n, n, entries.chain((0..n).map(|j| (j, j))))
+    }
+
+    #[test]
+    fn symmetrize_returns_a_symmetric_full_diagonal_input_unchanged() {
+        let p = crate::gen::grid_laplacian_3d(3, 4, 2).pattern().clone();
+        assert!(p.is_symmetric());
+        assert_eq!(p.symmetrize(), p);
+    }
+
+    #[test]
+    fn symmetrize_adds_the_one_missing_diagonal_entry() {
+        let full = crate::gen::grid_laplacian_2d(4, 3).pattern().clone();
+        let n = full.ncols();
+        let entries = (0..n).flat_map(|j| full.col(j).iter().map(move |&i| (i, j)));
+        let p = SparsityPattern::from_entries(n, n, entries.filter(|&e| e != (5, 5)));
+        assert!(p.is_symmetric() && !p.contains(5, 5));
+        assert_eq!(p.symmetrize(), full);
+    }
+
+    /// Symmetric except for one entry in its last column: the check runs
+    /// to the end before it fails, and the result is the full merge.
+    #[test]
+    fn symmetrize_merges_an_input_unsymmetric_in_its_last_column() {
+        let sym = crate::gen::grid_laplacian_2d(5, 4).pattern().clone();
+        let n = sym.ncols();
+        let entries = (0..n).flat_map(|j| sym.col(j).iter().map(move |&i| (i, j)));
+        let p = SparsityPattern::from_entries(n, n, entries.chain([(0, n - 1)]));
+        assert!(!p.is_symmetric());
+        let s = p.symmetrize();
+        assert_eq!(s, mirrored_with_diagonal(&p));
+        assert!(s.contains(n - 1, 0) && s.nnz() == sym.nnz() + 2);
     }
 
     #[test]

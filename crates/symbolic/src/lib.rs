@@ -9,8 +9,8 @@
 //!
 //! 1. [`etree::elimination_tree`] — Liu's algorithm with path compression;
 //! 2. [`etree::postorder`] — relabeling that makes supernodes contiguous;
-//! 3. [`counts::column_counts`] — `|struct(L₍:,j₎)|` via row-subtree
-//!    traversal (O(nnz(L)) time, O(n) space);
+//! 3. [`counts::column_counts`] — `|struct(L₍:,j₎)|` by Gilbert–Ng–Peyton
+//!    (O(nnz(A)·α(n)) time, O(n) space);
 //! 4. [`supernode`] — fundamental supernode detection, supernodal row
 //!    structures, and the amalgamation step the paper tunes to "allow up to
 //!    12% more fill-in to build larger blocks" for the GPUs (§V);
