@@ -43,16 +43,20 @@ check:
 check-clean:
 	tools/check-clean.sh verify
 
-# Kernel gate (DESIGN.md §15): the kernels unit suite, the differential
-# SIMD-vs-portable fuzz suite — GEMM tiers against each other, the sparse
-# update and the blocked TRSM against their dense references — dispatched,
-# again under DAGFACT_FORCE_SCALAR=1 (the portable tier of the same
-# build) and in a forced-scalar build+test leg (--no-default-features
-# proves the portable tier stands alone), the factorization suite on the
-# portable tier (same residual bounds as the
-# dispatched run in check-robust), and the release-mode >=1.5x
-# dispatched-vs-portable GEMM ratio test over update and solve shapes
-# (skipped loudly without AVX2).
+# Kernel gate (DESIGN.md §15): the kernels unit suite (with the
+# width-identity test: the zmm tile bitwise the ymm tile on AVX-512
+# hosts), the differential SIMD-vs-portable fuzz suite — GEMM tiers
+# against each other, the sparse update and the blocked TRSM against
+# their dense references — dispatched, again under DAGFACT_FORCE_SCALAR=1
+# (the portable tier of the same build) and in a forced-scalar
+# build+test leg (--no-default-features proves the portable tier stands
+# alone), the factorization suite on the portable tier (same residual
+# bounds as the dispatched run in check-robust), and the release-mode
+# ratio test over update and solve shapes: >=1.5x dispatched over
+# portable (skipped loudly without AVX2) and, on AVX-512 hosts, zmm over
+# ymm >=1.3x f64 / >=1.2x C64. The factors-and-solutions twin of the
+# width identity, core/tests/isa_identity.rs, runs in check-robust's
+# workspace tests.
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz

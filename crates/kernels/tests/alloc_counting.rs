@@ -1,12 +1,12 @@
 //! Counting-allocator proof that the buffered update kernel runs
 //! allocation-free once its caller-pooled workspace reaches the panel
-//! high-water mark, and that the panel kernels (`potrf`/`ldlt`/`getrf`,
-//! both `trsm` sides) never touch the heap at all — the dynamic twin of
-//! the `lint` hot-path rule (DESIGN.md §13).
+//! high-water mark, and that `gemm` and the panel kernels
+//! (`potrf`/`ldlt`/`getrf`, both `trsm` sides) never touch the heap at
+//! all — the dynamic twin of the `lint` hot-path rule (DESIGN.md §13).
 
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
-use dagfact_kernels::{getrf, ldlt, potrf, Scalar, Trans, C64};
+use dagfact_kernels::{gemm, getrf, ldlt, potrf, Scalar, Trans, C64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -143,5 +143,38 @@ fn panel_kernels_do_not_allocate() {
         for (prec, during) in [("d", panel_kernel_allocations::<f64>(n)), ("z", panel_kernel_allocations::<C64>(n))] {
             assert_eq!(during, 0, "{prec} panel kernels at n={n} allocated {during} times");
         }
+    }
+}
+
+/// Warm `gemm` calls on one element type at 100×17×300, under both
+/// `op(B)` the solver uses: the contraction crosses the 256-deep `KC`
+/// chunk, the rows end below a full tile (100 = 4·24 + 4 real, 12·8 + 4
+/// complex) and the columns in a one-column remainder strip, and the
+/// dispatched tier forms its `α·op(B)` strip (a stack array) on every
+/// path. The unmeasured first call detects the tier, which reads the
+/// environment.
+fn warm_gemm_allocations<T: Scalar>() -> usize {
+    let (m, n, k) = (100usize, 17usize, 300usize);
+    let im = |x: f64| if T::IS_COMPLEX { x } else { 0.0 };
+    let a: Vec<T> = (0..m * k).map(|i| T::from_parts((i % 13) as f64 * 0.25 - 1.0, im((i % 7) as f64 * 0.5))).collect();
+    let b: Vec<T> = (0..k * n).map(|i| T::from_parts((i % 11) as f64 * 0.125 - 0.5, im((i % 5) as f64 * 0.25))).collect();
+    let mut c = vec![T::zero(); m * n];
+    let alpha = -T::one();
+    gemm(Trans::NoTrans, Trans::Trans, m, n, k, alpha, &a, m, &b, n, T::one(), &mut c, m);
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    MEASURING.with(|f| f.set(true));
+    for _ in 0..20 {
+        gemm(Trans::NoTrans, Trans::Trans, m, n, k, alpha, &a, m, &b, n, T::one(), &mut c, m);
+        gemm(Trans::NoTrans, Trans::NoTrans, m, n, k, alpha, &a, m, &b, k, T::zero(), &mut c, m);
+    }
+    MEASURING.with(|f| f.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn warm_gemm_does_not_allocate() {
+    for (prec, during) in [("d", warm_gemm_allocations::<f64>()), ("z", warm_gemm_allocations::<C64>())] {
+        assert_eq!(during, 0, "warm {prec} gemm allocated {during} times");
     }
 }

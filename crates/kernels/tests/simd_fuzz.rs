@@ -6,16 +6,17 @@
 //! `ConjTrans ≠ Trans`, so the conjugate arms are not vacuous), the shape
 //! set `{0,1,2,3,7,8,9,31,32,33}` for each of `m,n,k` (crossing
 //! register-tile edges 7/8/9 and cache-ish 31/32/33; `m` also takes 4, 5
-//! and 11 — the 4-row complex tile, its ≤ 3-row remainder — and `n` takes
-//! 5 and the `audi_llt` median update width 126 = 31·4 + 2, the
-//! column-remainder tiles), odd leading-dimension strides, and
-//! `alpha/beta ∈ {0, 1, -1, ½, ½−¼i}` (the last is ½ for `f64`).
+//! and 11 — the 4-row complex tile, its ≤ 3-row remainder — and the `zmm`
+//! tile edges 23/24/25 and 47/48/49, and `n` takes 5, 15/16/17 and the
+//! `audi_llt` median update width 126 = 31·4 + 2 = 15·8 + 6, the
+//! column-remainder tiles of both strips), odd leading-dimension strides,
+//! and `alpha/beta ∈ {0, 1, -1, ½, ½−¼i}` (the last is ½ for `f64`).
 //!
 //! Tolerance: where the dispatch *declines* (`B` transposed under a
 //! transposed `A`, fewer rows than one register tile under an untransposed
 //! one, a contraction shorter than one vector under the dot tile, scalar
 //! hosts) both calls run the identical code path and must agree
-//! **bitwise**. Where the AVX2 tier runs — `A` untransposed with `m ≥ 8`
+//! **bitwise**. Where a SIMD tier runs — `A` untransposed with `m ≥ 8`
 //! real / `4` complex rows, or `op(A)·B` with `B` untransposed and `k ≥ 4`
 //! / `2` — the licensed differences are FMA contraction and, for the dot
 //! tile, one partial sum per vector lane, so the error is bounded by a few
@@ -31,7 +32,7 @@
 use dagfact_kernels::gemm::{gemm, gemm_portable, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{update_via_buffer, Scatter};
-use dagfact_kernels::{getrf, ldlt, potrf, Scalar, C64};
+use dagfact_kernels::{force_isa, getrf, ldlt, potrf, Isa, Scalar, C64};
 
 mod common;
 use common::{reference_trsm, reference_update};
@@ -62,10 +63,12 @@ impl SplitMix64 {
 }
 
 const SIZES: [usize; 10] = [0, 1, 2, 3, 7, 8, 9, 31, 32, 33];
-/// `m` also crosses the 4-row complex tile and its ≤ 3-row remainder.
-const M_SIZES: [usize; 13] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 31, 32, 33];
-/// `n` also crosses the column-remainder tiles (5 = 4 + 1, 126 = 31·4 + 2).
-const N_SIZES: [usize; 12] = [0, 1, 2, 3, 5, 7, 8, 9, 31, 32, 33, 126];
+/// `m` also crosses the 4-row complex tile and its ≤ 3-row remainder, and
+/// the 24-row `zmm` tile once and twice.
+const M_SIZES: [usize; 19] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 23, 24, 25, 31, 32, 33, 47, 48, 49];
+/// `n` also crosses the column-remainder tiles of the 4- and the 8-column
+/// strip (5 = 4 + 1, 17 = 2·8 + 1, 126 = 31·4 + 2 = 15·8 + 6).
+const N_SIZES: [usize; 15] = [0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 126];
 /// `(re, im)` of α and β; the imaginary part is dropped for `f64`.
 const COEFFS: [(f64, f64); 5] = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.5, 0.0), (0.5, -0.25)];
 
@@ -145,7 +148,7 @@ fn gemm_sweep<T: Scalar>(seed: u64) {
                             tb == Trans::NoTrans && k >= lanes
                         };
                         let shared_path =
-                            dagfact_kernels::isa() != dagfact_kernels::Isa::Avx2 || !simd_shape;
+                            dagfact_kernels::isa() == Isa::Scalar || !simd_shape;
                         for (i, (&x, &y)) in c_simd.iter().zip(&c_port).enumerate() {
                             for (x, y) in [(x.re(), y.re()), (x.im(), y.im())] {
                                 if shared_path {
@@ -479,12 +482,16 @@ fn median(mut s: Vec<f64>) -> f64 {
 
 /// Geometric-mean speedup of dispatched over portable `gemm::<T>` on
 /// `shapes`, printing each shape's ratio and rate beside the dispatched
-/// `f64` rate of the same shape measured in the same interleaved loop —
-/// this host's level moves 2× by the minute, so a rate without its control
-/// is not evidence.
-fn gemm_ratio<T: Scalar>(shapes: &[((Trans, Trans), usize, usize, usize)]) -> f64 {
+/// `f64` rate of the same shape measured in the same interleaved loop — a
+/// shared host's level can move 2× by the minute, so a rate without its
+/// control is not evidence. Under `Isa::Avx512` also the geometric-mean
+/// speedup of the dispatched `zmm` tile over the `ymm` one
+/// (`force_isa(Isa::Avx2)`) on the `A`-untransposed shapes, in the same
+/// loop; `None` below it.
+fn gemm_ratio<T: Scalar>(shapes: &[((Trans, Trans), usize, usize, usize)]) -> (f64, Option<f64>) {
+    let tier = dagfact_kernels::isa();
     let mut rng = SplitMix64(7);
-    let mut log_speedup = 0.0;
+    let (mut log_speedup, mut log_width, mut widths) = (0.0, 0.0, 0);
     for &(tt, m, n, k) in shapes {
         let (a, b, mut c) =
             (fill_scalars::<T>(&mut rng, m * k), fill_scalars::<T>(&mut rng, n * k), fill_scalars::<T>(&mut rng, m * n));
@@ -492,15 +499,23 @@ fn gemm_ratio<T: Scalar>(shapes: &[((Trans, Trans), usize, usize, usize)]) -> f6
         let flops = dagfact_kernels::scalar::gemm_flops::<T>(m, n, k);
         let calls = ((1u64 << 26) as f64 / flops).max(1.0) as usize; // ~67 MFlop per sample
         let calls64 = ((1 << 26) / (2 * m * n * k)).max(1);
-        let mut secs = [Vec::new(), Vec::new(), Vec::new()]; // portable, dispatched, f64 control
+        let wide = tier == Isa::Avx512 && tt.0 == Trans::NoTrans;
+        // portable, dispatched, f64 control, dispatched at `ymm` width
+        let mut secs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
         for _ in 0..9 {
             secs[0].push(time_gemm(false, tt, (m, n, k), (&a, &b, &mut c), calls));
             secs[1].push(time_gemm(true, tt, (m, n, k), (&a, &b, &mut c), calls));
             secs[2].push(time_gemm(true, tt, (m, n, k), (&a64, &b64, &mut c64), calls64));
+            if wide {
+                force_isa(Isa::Avx2);
+                secs[3].push(time_gemm(true, tt, (m, n, k), (&a, &b, &mut c), calls));
+                force_isa(tier);
+            }
         }
-        let [portable, dispatched, control] = secs.map(median);
+        let [portable, dispatched, control, ymm] = secs.map(|s| if s.is_empty() { f64::NAN } else { median(s) });
+        let width = if wide { format!("; zmm {:.2}x ymm", ymm / dispatched) } else { String::new() };
         println!(
-            "{}gemm {:?}x{:?} {m}x{n}x{k}: dispatched {:.2}x portable ({:.1} GFlop/s; f64 control {:.1})",
+            "{}gemm {:?}x{:?} {m}x{n}x{k}: dispatched {:.2}x portable ({:.1} GFlop/s; f64 control {:.1}{width})",
             T::PREC,
             tt.0,
             tt.1,
@@ -509,30 +524,38 @@ fn gemm_ratio<T: Scalar>(shapes: &[((Trans, Trans), usize, usize, usize)]) -> f6
             (2 * m * n * k * calls64) as f64 / control / 1e9,
         );
         log_speedup += (portable / dispatched).ln() / shapes.len() as f64;
+        if wide {
+            log_width += (ymm / dispatched).ln();
+            widths += 1;
+        }
     }
-    log_speedup.exp()
+    (log_speedup.exp(), (widths > 0).then(|| (log_width / widths as f64).exp()))
 }
 
 /// Release-only ratio gate (`make check-kernels`; prints, writes nothing):
 /// the dispatched GEMM must beat the portable tier by ≥ 1.5× in geometric
 /// mean over the shapes the solver produces, per element type — the
 /// tall-skinny `C ← C − A·Bᵀ` supernodal updates, among them `audi_llt`'s
-/// flop-weighted median 1012×126×120 (a two-column remainder strip), and
+/// flop-weighted median 1012×126×120 (a two-column remainder strip at
+/// `ymm` width, six at `zmm`), and
 /// the backward solve's `C ← C − Aᵀ·B` at 16 right-hand sides; for `C64`
 /// `pml_zldlt`'s median update 378×115×90 (LDLᵀ stages `D·Lᵀ`, so its
-/// update is `NoTrans×NoTrans`) and its backward sweep. Absolute rates are
+/// update is `NoTrans×NoTrans`) and its backward sweep. On an AVX-512
+/// host the `zmm` tile must also beat the `ymm` one by ≥ 1.3× (`f64`) and
+/// ≥ 1.2× (`C64`) in geometric mean over the update shapes (the backward
+/// solve's dot tile is `ymm` at both tiers). Absolute rates are
 /// `kernels.gemm_*_gflops` in BENCHMARK.json.
 #[test]
 #[ignore = "timing ratio: release mode only, run by `make check-kernels`"]
 fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
-    if dagfact_kernels::isa() != dagfact_kernels::Isa::Avx2 {
+    if dagfact_kernels::isa() == Isa::Scalar {
         eprintln!("SKIPPED: host has no AVX2 — the SIMD speedup is not measurable here");
         return;
     }
     const UPDATE: (Trans, Trans) = (Trans::NoTrans, Trans::Trans);
     const STAGED: (Trans, Trans) = (Trans::NoTrans, Trans::NoTrans);
     const BACKWARD: (Trans, Trans) = (Trans::Trans, Trans::NoTrans);
-    let real = gemm_ratio::<f64>(&[
+    let (real, real_width) = gemm_ratio::<f64>(&[
         (UPDATE, 256, 32, 32),
         (UPDATE, 512, 32, 64),
         (UPDATE, 1024, 32, 64),
@@ -540,7 +563,7 @@ fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
         (UPDATE, 1012, 126, 120),
         (BACKWARD, 120, 16, 1000),
     ]);
-    let complex = gemm_ratio::<C64>(&[
+    let (complex, complex_width) = gemm_ratio::<C64>(&[
         (STAGED, 378, 115, 90),
         (UPDATE, 512, 32, 64),
         (UPDATE, 1000, 16, 120),
@@ -573,4 +596,11 @@ fn dispatched_gemm_is_at_least_1_5x_portable_on_update_shapes() {
     println!("geometric mean: f64 {real:.2}x, C64 {complex:.2}x (gate 1.5x each)");
     assert!(real >= 1.5, "solver-shape f64 GEMM speedup {real:.2}x < 1.5x");
     assert!(complex >= 1.5, "solver-shape C64 GEMM speedup {complex:.2}x < 1.5x");
+    let (Some(real_width), Some(complex_width)) = (real_width, complex_width) else {
+        eprintln!("SKIPPED: host has no AVX-512 — the zmm-over-ymm ratio is not measurable here");
+        return;
+    };
+    println!("zmm over ymm, update shapes: f64 {real_width:.2}x (gate 1.3x), C64 {complex_width:.2}x (gate 1.2x)");
+    assert!(real_width >= 1.3, "f64 zmm tile speedup over ymm {real_width:.2}x < 1.3x");
+    assert!(complex_width >= 1.2, "C64 zmm tile speedup over ymm {complex_width:.2}x < 1.2x");
 }
