@@ -424,9 +424,12 @@ fn solve<T: Scalar>(opts: &Opts, a: &CscMatrix<T>) -> Result<String, String> {
     if let Some(n) = opts.max_refactor_attempts {
         options.max_refactor_attempts = n.max(1);
     }
-    // Production solves run under the fault-tolerant layer: retries,
-    // stall watchdog, and (for chaos testing) an injection plan.
-    let mut run = RunConfig::resilient();
+    // Production solves run under the fault-tolerant layer: a stall
+    // watchdog, and (for chaos testing) an injection plan.
+    let mut run = RunConfig {
+        watchdog: Some(std::time::Duration::from_secs(30)),
+        ..RunConfig::default()
+    };
     if let Some(spec) = &opts.fault_plan {
         let plan = FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
         run.fault_plan = Some(std::sync::Arc::new(plan));
@@ -482,14 +485,8 @@ fn solve<T: Scalar>(opts: &Opts, a: &CscMatrix<T>) -> Result<String, String> {
             stats.attempts, stats.epsilon_history
         );
     }
-    if stats.run.retries > 0 || stats.run.faults_injected > 0 {
-        let _ = writeln!(
-            out,
-            "engine       : {} task retr{}, {} fault(s) injected",
-            stats.run.retries,
-            if stats.run.retries == 1 { "y" } else { "ies" },
-            stats.run.faults_injected
-        );
+    if stats.run.faults_injected > 0 {
+        let _ = writeln!(out, "engine       : {} fault(s) injected", stats.run.faults_injected);
     }
     if let Some(mem) = &stats.run.memory {
         let _ = writeln!(
@@ -740,16 +737,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_transient_faults_are_absorbed() {
+    fn fault_plan_nan_is_recovered_by_refactorization() {
         let path = write_temp("faultplan", &grid_laplacian_3d(6, 6, 6));
-        // Task 1 fails twice then succeeds: the solve must still reach
-        // machine precision and report the retries.
+        // Panel 1 comes out NaN on the first two factorizations: the
+        // third succeeds, the solve still reaches machine precision and
+        // the report names the recovery.
         let out = run(&args(&[
             "solve", &path, "--runtime", "parsec", "--threads", "2", "--fault-plan",
-            "transient=1x2",
+            "nan=1x2",
         ]))
         .unwrap();
-        assert!(out.contains("2 task retries"), "{out}");
+        let recovery = out.lines().find(|l| l.starts_with("recovery")).expect(&out);
+        assert!(recovery.contains(": 3 attempt(s)"), "{out}");
         assert!(out.contains("2 fault(s) injected"), "{out}");
         let err_line = out.lines().find(|l| l.starts_with("backward err")).unwrap();
         let val: f64 = err_line.split(':').nth(1).unwrap().trim().parse().unwrap();
@@ -770,10 +769,12 @@ mod tests {
     fn bad_fault_plan_spec_is_rejected() {
         let path = write_temp("badplan", &grid_laplacian_3d(3, 3, 3));
         // Removed directives are unknown, not silently ignored: the delay
-        // fault, sampled panics, and the cluster's crash and message faults.
+        // fault, sampled panics, the cluster's crash and message faults,
+        // the seed, transient task faults and allocation faults.
         for spec in [
             "frobnicate=yes", "delay=1:250", "pprob=0.1", "crash=1x1", "cprob=0.1x1",
-            "mloss=0.05", "mdup=0.05", "mreorder=0.05",
+            "mloss=0.05", "mdup=0.05", "mreorder=0.05", "seed=1", "transient=3x2",
+            "tprob=0.1x1", "alloc=64x1", "aprob=0.5x1",
         ] {
             let err = run(&args(&["solve", &path, "--fault-plan", spec])).unwrap_err();
             assert!(err.contains("--fault-plan"), "{spec}: {err}");

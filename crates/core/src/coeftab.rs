@@ -42,7 +42,7 @@ use crate::analysis::Analysis;
 use crate::spill::SpillStore;
 use crate::SolverError;
 use dagfact_kernels::Scalar;
-use dagfact_rt::budget::{site, BudgetError, MemoryBudget};
+use dagfact_rt::budget::{site, MemoryBudget};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::structure::SymbolMatrix;
 use dagfact_symbolic::FactoKind;
@@ -378,8 +378,7 @@ impl<T: Scalar> CoefTab<T> {
                 let Some(src) = src else {
                     unreachable!("panel slot {key} pinned without a source before its first touch")
                 };
-                // Nothing is mutated before the charge succeeds, so an
-                // injected failure here is retry-safe at any level.
+                // Nothing is mutated before the charge succeeds.
                 if self.lazy {
                     self.charge_grow(len * esize, site::PANEL_BASE + key)?;
                 }
@@ -430,30 +429,18 @@ impl<T: Scalar> CoefTab<T> {
     }
 
     /// [`CoefTab::pin_l`] for the solve phase, which has no error
-    /// channel: injected allocation faults are transient by construction
-    /// (each delivery consumes the plan's per-site failure budget), so
-    /// the pin is simply retried; PANIC: a genuine spill-store failure
-    /// (capped ledger only) panics.
+    /// channel. PANIC: a spill-store failure or a panel larger than the
+    /// whole cap (capped ledger only) panics.
     pub fn pin_l_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
-        loop {
-            match self.pin_l(symbol, c, None) {
-                Ok(p) => return p,
-                Err(e) if e.is_transient_alloc() => continue,
-                Err(e) => panic!("cannot fault L panel {c} back in for the solve: {e}"),
-            }
-        }
+        self.pin_l(symbol, c, None)
+            .unwrap_or_else(|e| panic!("cannot fault L panel {c} back in for the solve: {e}"))
     }
 
     /// [`CoefTab::pin_u`], solve-phase variant (PANIC: see
     /// [`CoefTab::pin_l_solve`]).
     pub fn pin_u_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
-        loop {
-            match self.pin_u(symbol, c, None) {
-                Ok(p) => return p,
-                Err(e) if e.is_transient_alloc() => continue,
-                Err(e) => panic!("cannot fault U panel {c} back in for the solve: {e}"),
-            }
-        }
+        self.pin_u(symbol, c, None)
+            .unwrap_or_else(|e| panic!("cannot fault U panel {c} back in for the solve: {e}"))
     }
 
     /// Mark column block `c`'s panels cold: the factorization will no
@@ -481,7 +468,7 @@ impl<T: Scalar> CoefTab<T> {
     /// Charge `bytes` at `site`, evicting cold panels (and finally
     /// overcommitting) to guarantee progress. Only a single request
     /// larger than the whole cap — where spilling provably cannot help —
-    /// or an injected fault is returned as an error. Panels charge here
+    /// is returned as an error. Panels charge here
     /// as they materialize or fault in, and so do the workers' GEMM
     /// workspaces as they grow (`numeric.rs`): one pager makes room for
     /// every large allocation of the numeric phase.
@@ -489,25 +476,19 @@ impl<T: Scalar> CoefTab<T> {
         let Some(b) = &self.budget else {
             return Ok(());
         };
-        loop {
-            match b.try_charge(bytes, at) {
-                Ok(()) => return Ok(()),
-                Err(e @ BudgetError::Injected { .. }) => {
-                    return Err(SolverError::from_budget(e))
-                }
-                Err(e @ BudgetError::Exceeded { .. }) => {
-                    if b.cap().is_some_and(|cap| bytes > cap) {
-                        // Even an empty ledger could not hold it.
-                        return Err(SolverError::from_budget(e));
-                    }
-                    if !self.evict_one() {
-                        // Nothing evictable (everything pinned or already
-                        // spilled): overcommit rather than deadlock.
-                        return b.charge_forced(bytes, at).map_err(SolverError::from_budget);
-                    }
-                }
+        while let Err(e) = b.try_charge(bytes, at) {
+            if b.cap().is_some_and(|cap| bytes > cap) {
+                // Even an empty ledger could not hold it.
+                return Err(SolverError::from_budget(e));
+            }
+            if !self.evict_one() {
+                // Nothing evictable (everything pinned or already
+                // spilled): overcommit rather than deadlock.
+                b.charge_forced(bytes);
+                break;
             }
         }
+        Ok(())
     }
 
     /// Spill one unpinned resident panel — retired panels first, then

@@ -63,8 +63,8 @@ pub enum SolverError {
     /// The matrix handed to `factorize` does not match the analyzed
     /// pattern.
     PatternMismatch(String),
-    /// The runtime engine failed: a task panicked, a transient fault
-    /// exhausted its retry budget, or the scheduler stalled.
+    /// The runtime engine failed: a task panicked, the scheduler stalled,
+    /// or the run was cancelled.
     Engine(dagfact_rt::EngineError),
     /// A panel task found NaN/Inf coefficients in the panel it had just
     /// finished — numeric breakdown (or injected corruption) that escaped
@@ -85,10 +85,6 @@ pub enum SolverError {
         cap: usize,
         site: usize,
     },
-    /// A fault plan injected an allocation failure (`AllocFail`) at this
-    /// budget site. Transient by construction: the plan's per-site
-    /// failure budget is consumed, so a retry of the same phase succeeds.
-    AllocFault { site: usize },
     /// The disk-backed spill store failed (I/O error writing or faulting
     /// a panel back in).
     Spill(String),
@@ -120,9 +116,6 @@ impl core::fmt::Display for SolverError {
                  site {site} with {used} B of {cap} B charged (even spilling cannot \
                  make progress)"
             ),
-            SolverError::AllocFault { site } => {
-                write!(f, "injected allocation failure at budget site {site}")
-            }
             SolverError::Spill(msg) => write!(f, "spill store failure: {msg}"),
         }
     }
@@ -171,29 +164,19 @@ impl SolverError {
         )
     }
 
-    /// `true` when the failure was an *injected* allocation fault whose
-    /// per-site budget is consumed on delivery: retrying the same phase
-    /// (same pivot threshold — no escalation needed) will succeed once
-    /// the plan runs out of failures.
-    pub fn is_transient_alloc(&self) -> bool {
-        matches!(self, SolverError::AllocFault { .. })
-    }
-
     /// Map a budget-layer refusal into the solver error space.
     pub fn from_budget(e: dagfact_rt::BudgetError) -> Self {
-        match e {
-            dagfact_rt::BudgetError::Exceeded {
-                requested,
-                used,
-                cap,
-                site,
-            } => SolverError::BudgetExceeded {
-                requested,
-                used,
-                cap,
-                site,
-            },
-            dagfact_rt::BudgetError::Injected { site } => SolverError::AllocFault { site },
+        let dagfact_rt::BudgetError::Exceeded {
+            requested,
+            used,
+            cap,
+            site,
+        } = e;
+        SolverError::BudgetExceeded {
+            requested,
+            used,
+            cap,
+            site,
         }
     }
 }

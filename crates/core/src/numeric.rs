@@ -27,7 +27,7 @@
 //! When [`ExecOptions::run`] carries a [`MemoryBudget`], every large
 //! allocation of the factorization is charged to it: the coefficient
 //! panels and the per-worker GEMM buffers (`site::WORKSPACE`) through the
-//! pager in [`CoefTab`], the pivot diagonal (`site::DIAG`) directly. Under
+//! pager in [`CoefTab`], the pivot diagonal directly. Under
 //! a hard cap the run degrades instead of failing, in pressure order:
 //!
 //! 1. **throttle** — the engines stop admitting new tasks past the
@@ -42,11 +42,8 @@
 //! the factors of the unconstrained run bit for bit.
 //!
 //! Task bodies pin every panel they touch and charge their workspace
-//! *before* mutating anything, so an injected allocation failure
-//! (`AllocFail`) at either is retry-safe: the engine re-runs the task
-//! under every policy, and with no engine retry budget the adaptive
-//! solver retries the factorization without escalating the pivot
-//! threshold.
+//! *before* mutating anything, so a refused charge (`BudgetExceeded`)
+//! fails the factorization without leaving a half-written panel.
 
 use crate::analysis::Analysis;
 use crate::coeftab::{CoefTab, MemoryOptions, PanelSource};
@@ -59,9 +56,7 @@ use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, pack_block, potrf, Scalar};
 use dagfact_rt::budget::site;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
-use dagfact_rt::{
-    EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice, TransientFault,
-};
+use dagfact_rt::{EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,10 +94,6 @@ struct NumericCtx<'a, T: Scalar> {
     threshold: f64,
     /// Fault-injection plan for NaN output corruption (testing).
     fault: Option<Arc<FaultPlan>>,
-    /// Engine retry budget allows at least one retry: a retry-safe pin
-    /// failure may panic with [`TransientFault`] instead of poisoning
-    /// the whole factorization.
-    engine_retries: bool,
     /// Updates still reading each source panel; at zero the panel is
     /// retired to the pager (preferred spill victim).
     remaining_reads: Vec<AtomicUsize>,
@@ -114,16 +105,14 @@ struct NumericCtx<'a, T: Scalar> {
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// Context for `nworkers` workers over `tab`, whose untouched panels
-    /// assemble from `source`. `run` is the engine configuration of the
-    /// policy run: its fault plan and whether its retry budget allows a
-    /// retry.
+    /// assemble from `source`; `fault` corrupts panel outputs (testing).
     fn new(
         analysis: &'a Analysis,
         tab: &'a CoefTab<T>,
         d: &'a SharedSlice<T>,
         threshold: f64,
         nworkers: usize,
-        run: &RunConfig,
+        fault: Option<Arc<FaultPlan>>,
         source: PanelSource<'a, T>,
     ) -> NumericCtx<'a, T> {
         NumericCtx {
@@ -132,8 +121,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             source,
             d,
             threshold,
-            fault: run.fault_plan.clone(),
-            engine_retries: run.retry.max_attempts > 1,
+            fault,
             remaining_reads: (analysis.symbol.cblks.iter())
                 .map(|cb| AtomicUsize::new(cb.block_end - cb.block_begin - 1))
                 .collect(),
@@ -156,25 +144,11 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         }
     }
 
-    /// Unwrap the result of a pin or a workspace charge, routing
-    /// failures: a transient (injected) allocation fault panics with
-    /// [`TransientFault`] when the engine has retry budget — every caller
-    /// pins and charges before it mutates anything, so the engine re-runs
-    /// the task and the consumed per-site fault budget lets the retry
-    /// succeed. Everything else (and transient faults with no retry
-    /// capacity) is recorded, so the factorization drains and the adaptive
-    /// solver can retry without escalating the pivot threshold.
-    fn ok_or_fail<R>(&self, r: Result<R, SolverError>, task: usize) -> Option<R> {
-        match r {
-            Ok(v) => Some(v),
-            Err(e) => {
-                if self.engine_retries && e.is_transient_alloc() {
-                    std::panic::panic_any(TransientFault { task, attempt: 0 });
-                }
-                self.record_error(e);
-                None
-            }
-        }
+    /// Unwrap the result of a pin or a workspace charge; a failure is
+    /// recorded, so the remaining tasks no-op and the factorization
+    /// returns it.
+    fn ok_or_fail<R>(&self, r: Result<R, SolverError>) -> Option<R> {
+        r.map_err(|e| self.record_error(e)).ok()
     }
 
     /// Grow the charged high-water of a worker's `tmp` buffer to `elems`
@@ -202,13 +176,13 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let cb = &symbol.cblks[c];
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
-        // Pin before mutating anything: an allocation failure here is
-        // retry-safe.
-        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c) else {
+        // Pin before mutating anything: a refused charge leaves the
+        // panel untouched.
+        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src)) else {
             return;
         };
         let upin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c, src), c) {
+            match self.ok_or_fail(self.tab.pin_u(symbol, c, src)) {
                 Some(p) => Some(p),
                 None => return,
             }
@@ -347,19 +321,19 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let j = block.facing;
         let n = block.nrows();
         let m = cb.stride - block.local_offset;
-        // Pin every panel up front, before any mutation: a pin failure is
-        // then retry-safe.
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src), c) else {
+        // Pin every panel up front, before any mutation: a pin failure
+        // then leaves every panel as it was.
+        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src)) else {
             return;
         };
-        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src), c) else {
+        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src)) else {
             return;
         };
         let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src), c) else {
+            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src)) else {
                 return;
             };
-            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src), c) else {
+            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src)) else {
                 return;
             };
             Some((us, ud))
@@ -371,7 +345,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // Charge the GEMM buffer before any mutation, so a failure routes
         // like a failed pin.
         let scratch = scratch_len(m, n, cb.width(), self.analysis.facto == FactoKind::Ldlt);
-        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch), c) else {
+        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch)) else {
             return;
         };
         // SAFETY: the DAG guarantees panel c is read-only here, and the
@@ -531,7 +505,7 @@ fn build_row_map(
 /// loop.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Runtime fault layer: injection plan, retry policy, stall watchdog,
+    /// Runtime fault layer: injection plan, stall watchdog, cancellation,
     /// and the memory budget (`RunConfig::budget`) every allocation is
     /// charged to.
     pub run: RunConfig,
@@ -556,8 +530,8 @@ pub struct FactorStats {
     pub epsilon_history: Vec<f64>,
     /// Factorization attempts performed by the recovery loop (≥ 1).
     pub attempts: u32,
-    /// The runtime engine's execution report (task counts, retries,
-    /// injected faults, memory counters, elapsed time).
+    /// The runtime engine's execution report (task counts, injected
+    /// faults, memory counters, elapsed time).
     pub run: RunReport,
 }
 
@@ -595,13 +569,13 @@ impl Analysis {
     }
 
     /// [`Analysis::factorize`] with explicit execution options: a fault
-    /// plan and retry/watchdog configuration for the engine, an optional
-    /// memory budget (allocation accounting, pressure-aware degradation,
-    /// out-of-core spilling), and an optional static-pivot override.
-    /// Engine failures (task panics, exhausted retry budgets, scheduler
-    /// stalls) surface as [`SolverError::Engine`]; every panel task
-    /// checks the panel it just finished, so non-finite coefficients are
-    /// answered with [`SolverError::NonFinite`]. A symmetric kind on an
+    /// plan and watchdog for the engine, an optional memory budget
+    /// (allocation accounting, pressure-aware degradation, out-of-core
+    /// spilling), and an optional static-pivot override. Engine failures
+    /// (task panics, scheduler stalls, cancellation) surface as
+    /// [`SolverError::Engine`]; every panel task checks the panel it just
+    /// finished, so non-finite coefficients are answered with
+    /// [`SolverError::NonFinite`]. A symmetric kind on an
     /// analysis whose input pattern was not symmetric is a
     /// [`SolverError::PatternMismatch`], like a matrix of another order
     /// or with an entry outside the analyzed pattern.
@@ -614,11 +588,6 @@ impl Analysis {
     ) -> Result<Factors<'a, T>, SolverError> {
         self.accepts(a)?;
         let nthreads = nthreads.max(1);
-        // Wire the fault plan into the budget before anything is charged,
-        // so every charge sees injected faults.
-        if let (Some(b), Some(plan)) = (&exec.run.budget, &exec.run.fault_plan) {
-            b.set_fault_plan(plan.clone());
-        }
         let mem = MemoryOptions {
             budget: exec.run.budget.clone(),
             spill_dir: exec.spill_dir.clone(),
@@ -639,9 +608,8 @@ impl Analysis {
         let d_bytes = self.symbol.n * std::mem::size_of::<T>();
         if let Some(b) = &exec.run.budget {
             // The diagonal is O(n) — forced (never degrades), but still
-            // visible to accounting and injection.
-            b.charge_forced(d_bytes, site::DIAG)
-                .map_err(SolverError::from_budget)?;
+            // visible to accounting.
+            b.charge_forced(d_bytes);
             b.end_phase("assembly");
         }
         let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); self.symbol.n]);
@@ -655,7 +623,8 @@ impl Analysis {
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, &exec.run, source);
+        let fault = exec.run.fault_plan.clone();
+        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, fault, source);
         let run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the

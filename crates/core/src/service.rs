@@ -48,9 +48,8 @@ impl<T: Scalar> SharedFactors<T> {
     /// adaptive recovery loop: numeric breakdown (zero / non-finite
     /// pivots, corrupted coefficients) retries with an escalated
     /// static-pivot threshold — the symbolic structure is
-    /// threshold-independent, so only the numeric phase re-runs —
-    /// injected allocation faults retry at the same threshold, both
-    /// bounded by [`crate::SolverOptions::max_refactor_attempts`].
+    /// threshold-independent, so only the numeric phase re-runs — up to
+    /// [`crate::SolverOptions::max_refactor_attempts`] attempts.
     pub fn factorize(
         analysis: Arc<Analysis>,
         a: &CscMatrix<T>,
@@ -120,11 +119,6 @@ impl<T: Scalar> SharedFactors<T> {
                 Err(e) if attempt < max_attempts && e.is_recoverable_by_pivoting() => {
                     epsilon = escalate_epsilon(epsilon);
                 }
-                // Injected allocation fault: its per-site failure budget
-                // was consumed on delivery, so the same pivot threshold
-                // will succeed — retry WITHOUT escalating (the factors
-                // must match the unfaulted run exactly).
-                Err(e) if attempt < max_attempts && e.is_transient_alloc() => {}
                 Err(e) => return Err(e),
             }
         };

@@ -73,7 +73,7 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// [`Solver::with_options`] plus execution options: fault-injection
-    /// plan, retry policy and stall watchdog for the runtime engine.
+    /// plan, stall watchdog and memory budget for the runtime engine.
     pub fn with_exec(
         a: &CscMatrix<T>,
         facto: Option<FactoKind>,

@@ -1,12 +1,11 @@
 //! Memory-budgeted execution, end to end: the degradation ladder under a
-//! hard cap (admission throttling, out-of-core panel spilling), injected
-//! allocation failures across every runtime engine, and the solve-phase
-//! fault-back path — all while the numeric results stay at full accuracy,
-//! bit for bit those of the unconstrained run under every policy.
+//! hard cap (admission throttling, out-of-core panel spilling) across
+//! every runtime engine, and the solve-phase fault-back path — all while
+//! the numeric results stay at full accuracy, bit for bit those of the
+//! unconstrained run under every policy.
 
 use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverError, SolverOptions};
-use dagfact_rt::budget::site;
-use dagfact_rt::{FaultPlan, MemoryBudget, RetryPolicy, RunConfig};
+use dagfact_rt::{MemoryBudget, RunConfig};
 use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
@@ -45,19 +44,12 @@ impl Drop for SpillDir {
     }
 }
 
-fn exec(
-    budget: Arc<MemoryBudget>,
-    spill: Option<&SpillDir>,
-    plan: Option<FaultPlan>,
-) -> ExecOptions {
+fn exec(budget: Arc<MemoryBudget>, spill: Option<&SpillDir>) -> ExecOptions {
     ExecOptions {
         run: RunConfig {
-            fault_plan: plan.map(Arc::new),
-            retry: RetryPolicy::retrying(),
             watchdog: Some(Duration::from_secs(30)),
             budget: Some(budget),
-            trace: None,
-            cancel: None,
+            ..RunConfig::default()
         },
         epsilon_override: None,
         spill_dir: spill.map(|s| s.0.clone()),
@@ -95,7 +87,7 @@ fn half_peak_cap_completes_at_unconstrained_accuracy_on_table_i_proxies() {
         // Unconstrained run, with accounting on, to measure the natural
         // high-water mark. Single-threaded native so the baseline and
         // capped runs schedule identically.
-        let free = exec(MemoryBudget::unbounded(), None, None);
+        let free = exec(MemoryBudget::unbounded(), None);
         let f = analysis
             .factorize_with(&a, RuntimeKind::Native, 1, &free)
             .unwrap_or_else(|e| panic!("{name}: unconstrained run failed: {e}"));
@@ -108,7 +100,7 @@ fn half_peak_cap_completes_at_unconstrained_accuracy_on_table_i_proxies() {
         // Same problem under half the measured peak: the run must finish
         // by degrading (spill / throttle / overcommit), not fail.
         let dir = SpillDir::new(name);
-        let capped = exec(MemoryBudget::with_cap(peak / 2), Some(&dir), None);
+        let capped = exec(MemoryBudget::with_cap(peak / 2), Some(&dir));
         let f = analysis
             .factorize_with(&a, RuntimeKind::Native, 1, &capped)
             .unwrap_or_else(|e| panic!("{name}: 50%-cap run failed: {e}"));
@@ -144,7 +136,7 @@ fn capped_runs_are_stable_across_every_engine() {
     let peak = natural_peak(&analysis, &a);
     for rt in RuntimeKind::ALL {
         let dir = SpillDir::new(&format!("engines-{rt:?}"));
-        let capped = exec(MemoryBudget::with_cap(peak * 6 / 10), Some(&dir), None);
+        let capped = exec(MemoryBudget::with_cap(peak * 6 / 10), Some(&dir));
         let f = analysis
             .factorize_with(&a, rt, 4, &capped)
             .unwrap_or_else(|e| panic!("{rt:?}: capped run failed: {e}"));
@@ -161,7 +153,7 @@ fn capped_runs_are_stable_across_every_engine() {
 /// Ledger high-water of the unconstrained single-worker native run — what
 /// the caps below are fractions of.
 fn natural_peak(analysis: &Analysis, a: &CscMatrix<f64>) -> usize {
-    let free = exec(MemoryBudget::unbounded(), None, None);
+    let free = exec(MemoryBudget::unbounded(), None);
     let f = analysis
         .factorize_with(a, RuntimeKind::Native, 1, &free)
         .expect("unconstrained run");
@@ -181,7 +173,7 @@ fn capped_run(
 ) -> (Vec<f64>, dagfact_rt::MemoryStats) {
     let cap = peak * percent / 100;
     let dir = SpillDir::new(&format!("{name}-{rt:?}-{workers}-{percent}"));
-    let capped = exec(MemoryBudget::with_cap(cap), Some(&dir), None);
+    let capped = exec(MemoryBudget::with_cap(cap), Some(&dir));
     let f = analysis
         .factorize_with(a, rt, workers, &capped)
         .unwrap_or_else(|e| panic!("{name} {rt:?}x{workers} at {percent}%: {e}"));
@@ -210,7 +202,7 @@ fn capped_factors_are_bitwise_equal_to_unconstrained() {
         let b = vec![1.0; a.nrows()];
         for rt in RuntimeKind::ALL {
             for workers in [1, 4] {
-                let free = exec(MemoryBudget::unbounded(), None, None);
+                let free = exec(MemoryBudget::unbounded(), None);
                 let x_free = analysis
                     .factorize_with(&a, rt, workers, &free)
                     .expect("unconstrained run")
@@ -274,7 +266,7 @@ fn spill_directory_appears_with_the_first_eviction() {
     let entries = |dir: &SpillDir| std::fs::read_dir(&dir.0).expect("scratch dir").count();
     // A cap that never binds: lazy panels, but nothing is ever evicted.
     let roomy = SpillDir::new("lazy-dir-roomy");
-    let opts = exec(MemoryBudget::with_cap(1 << 40), Some(&roomy), None);
+    let opts = exec(MemoryBudget::with_cap(1 << 40), Some(&roomy));
     let f = analysis
         .factorize_with(&a, RuntimeKind::Native, 1, &opts)
         .expect("roomy run");
@@ -282,7 +274,7 @@ fn spill_directory_appears_with_the_first_eviction() {
     drop(f);
     // Half the peak spills, and the panels are on disk while the factors live.
     let tight = SpillDir::new("lazy-dir-tight");
-    let opts = exec(MemoryBudget::with_cap(peak / 2), Some(&tight), None);
+    let opts = exec(MemoryBudget::with_cap(peak / 2), Some(&tight));
     let f = analysis
         .factorize_with(&a, RuntimeKind::Native, 1, &opts)
         .expect("capped run");
@@ -292,109 +284,16 @@ fn spill_directory_appears_with_the_first_eviction() {
 }
 
 // ---------------------------------------------------------------------
-// Injected allocation failures: pinned and sampled, on every engine
+// Solve-phase fault-back: spilled panels return through the infallible
+// pins, bitwise, also when column groups pin them concurrently
 // ---------------------------------------------------------------------
 
 #[test]
-fn pinned_alloc_faults_are_retried_transparently_on_every_engine() {
-    let a = grid_laplacian_3d(7, 7, 7);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let b = vec![1.0; a.nrows()];
-    for rt in RuntimeKind::ALL {
-        // A roomy cap keeps pressure at Green but switches the coeftab to
-        // lazy (first-touch) mode, so panel materialization goes through
-        // the fallible charge path the faults are injected into.
-        let budget = MemoryBudget::with_cap(1 << 40);
-        let plan = FaultPlan::new()
-            .alloc_fail_on(site::PANEL_BASE, 1)
-            .alloc_fail_on(site::PANEL_BASE + 3, 1);
-        let opts = exec(budget, None, Some(plan));
-        let f = analysis
-            .factorize_with(&a, rt, 4, &opts)
-            .unwrap_or_else(|e| panic!("{rt:?}: pinned alloc faults must be absorbed, got {e}"));
-        let mem = f.stats.run.memory.as_ref().expect("accounting was on");
-        assert_eq!(mem.alloc_faults, 2, "{rt:?}: ledger fault count");
-        assert_eq!(f.stats.run.faults_injected, 2, "{rt:?}: plan fault count");
-        assert!(f.stats.run.retries >= 2, "{rt:?}: {:?}", f.stats.run);
-        let e = berr(&a, &f.solve(&b), &b);
-        assert!(e <= 1e-12, "{rt:?}: backward error {e:.3e}");
-    }
-}
-
-#[test]
-fn workspace_alloc_fault_is_absorbed_on_every_policy() {
-    let a = grid_laplacian_3d(7, 7, 7);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-    let b = vec![1.0; a.nrows()];
-    for rt in RuntimeKind::ALL {
-        let plan = FaultPlan::new().alloc_fail_on(site::WORKSPACE, 1);
-        let opts = exec(MemoryBudget::with_cap(1 << 40), None, Some(plan));
-        // The charge precedes every mutation of the update, so the
-        // engine re-runs the task.
-        let f = analysis
-            .factorize_with(&a, rt, 4, &opts)
-            .unwrap_or_else(|e| panic!("{rt:?}: a workspace alloc fault must be absorbed, got {e}"));
-        assert!(f.stats.run.retries >= 1, "{rt:?}: absorbed without a task retry");
-        let mem = f.stats.run.memory.as_ref().expect("accounting was on");
-        let injected = opts.run.fault_plan.as_ref().unwrap().faults_injected();
-        assert_eq!(injected, 1, "{rt:?}: the fault was delivered");
-        assert_eq!(mem.alloc_faults, injected, "{rt:?}: ledger vs plan disagree");
-        let e = berr(&a, &f.solve(&b), &b);
-        assert!(e <= 1e-12, "{rt:?}: backward error {e:.3e}");
-    }
-}
-
-#[test]
-fn sampled_alloc_fault_sweep_never_aborts_and_accounts_exactly() {
-    let a = shifted_laplacian_3d(6, 6, 6, 1.0);
-    let analysis = Analysis::new(a.pattern(), FactoKind::Ldlt, &SolverOptions::default());
-    let b = vec![1.0; a.nrows()];
-    for seed in [11u64, 42, 20260807] {
-        for rt in RuntimeKind::ALL {
-            let budget = MemoryBudget::with_cap(1 << 40);
-            let plan = FaultPlan::with_seed(seed).random_alloc_fail(0.2, 1);
-            let opts = exec(budget.clone(), None, Some(plan));
-            // Sampled faults can land where no engine retry exists —
-            // assembly-phase charges — and then surface as a typed
-            // transient error. The documented recovery is a solver-level
-            // re-run;
-            // each delivery consumes that site's failure budget, so the
-            // loop is bounded by the number of faulted sites.
-            let mut attempts = 0;
-            let f = loop {
-                attempts += 1;
-                match analysis.factorize_with(&a, rt, 4, &opts) {
-                    Ok(f) => break f,
-                    Err(e) if e.is_transient_alloc() && attempts < 20 => continue,
-                    Err(e) => panic!("{rt:?}/seed {seed}: attempt {attempts} failed: {e}"),
-                }
-            };
-            let mem = f.stats.run.memory.as_ref().expect("accounting was on");
-            // The plan injects nothing but allocation faults, and each
-            // delivery is observed by exactly one ledger: the two tallies
-            // must agree even across the engine's retries.
-            assert_eq!(
-                mem.alloc_faults,
-                opts.run.fault_plan.as_ref().unwrap().faults_injected(),
-                "{rt:?}/seed {seed}: ledger vs plan disagree"
-            );
-            let e = berr(&a, &f.solve(&b), &b);
-            assert!(e <= 1e-12, "{rt:?}/seed {seed}: backward error {e:.3e}");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Solve-phase fault-back: spilled panels must return through the
-// infallible pins even when the readback charge is faulted
-// ---------------------------------------------------------------------
-
-#[test]
-fn solve_faults_spilled_panels_back_in_through_injected_failures() {
+fn solve_faults_spilled_panels_back_in() {
     let a = grid_laplacian_3d(8, 8, 8);
     let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
     let b = vec![1.0; a.nrows()];
-    let free = exec(MemoryBudget::unbounded(), None, None);
+    let free = exec(MemoryBudget::unbounded(), None);
     let clean = analysis
         .factorize_with(&a, RuntimeKind::Native, 1, &free)
         .expect("unconstrained run");
@@ -408,7 +307,7 @@ fn solve_faults_spilled_panels_back_in_through_injected_failures() {
     let e_clean = berr(&a, &clean.solve(&b), &b);
 
     let dir = SpillDir::new("faultback");
-    let capped = exec(MemoryBudget::with_cap(peak / 2), Some(&dir), None);
+    let capped = exec(MemoryBudget::with_cap(peak / 2), Some(&dir));
     let f = analysis
         .factorize_with(&a, RuntimeKind::Native, 1, &capped)
         .expect("capped factorization");
@@ -419,20 +318,12 @@ fn solve_faults_spilled_panels_back_in_through_injected_failures() {
         peak / 2,
         peak
     );
-    // Arm the injection only now, so both deliveries are guaranteed to
-    // land in the solve's readback charges (during factorization they
-    // could be consumed by mid-run evict/fault-back cycles instead).
-    let budget = capped.run.budget.as_ref().expect("budget installed");
-    let plan = Arc::new(FaultPlan::new().alloc_fail_on(site::SPILL_READBACK, 2));
-    budget.set_fault_plan(plan.clone());
-    // The solve pins every panel, faulting spilled ones back in; the two
-    // injected readback failures are absorbed by the pin retry loop. The
+    // The solve pins every panel, faulting spilled ones back in. The
     // factor's report is a factorize-time snapshot, so post-solve counts
-    // come from the live ledger and plan.
+    // come from the live ledger.
+    let budget = capped.run.budget.as_ref().expect("budget installed");
     let x = f.solve(&b);
-    assert_eq!(plan.faults_injected(), 2, "both injected failures delivered");
     let live = budget.stats();
-    assert_eq!(live.alloc_faults, 2, "ledger saw the same two deliveries");
     assert!(live.fault_in_events > 0, "spilled panels came back: {live:?}");
     let e = berr(&a, &x, &b);
     assert!(e <= 1e-12, "faulted-back solve backward error {e:.3e}");
@@ -472,7 +363,7 @@ fn impossible_cap_is_a_typed_budget_error() {
     let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
     // 1 KiB cannot hold even the assembly entry plan, and no amount of
     // spilling helps a single request larger than the whole cap.
-    let opts = exec(MemoryBudget::with_cap(1024), None, None);
+    let opts = exec(MemoryBudget::with_cap(1024), None);
     match analysis.factorize_with(&a, RuntimeKind::Native, 2, &opts) {
         Err(SolverError::BudgetExceeded { cap: 1024, .. }) => {}
         Err(other) => panic!("expected BudgetExceeded, got {other:?}"),

@@ -20,13 +20,12 @@
 //!    workspaces alike — goes through the pager in `core/src/coeftab.rs`,
 //!    which makes room this way before it overcommits.
 //!
-//! A typed [`BudgetError::Exceeded`] is returned only when even spilling
-//! cannot make progress (for example a single panel larger than the
-//! whole cap). The [`crate::fault::FaultPlan`] `AllocFail` kind injects
-//! failures at [`MemoryBudget::try_charge`] so the whole ladder — and
-//! the PR-1 recovery loop above it — stays exercised by tests.
+//! A typed [`BudgetError::Exceeded`] is the ledger's one refusal; the
+//! pager turns it into a spill or an overcommit, and only a request that
+//! even spilling cannot make room for (a single panel larger than the
+//! whole cap) reaches the caller. The ledger counts bytes and does not
+//! allocate: a real allocation failure aborts the process.
 
-use crate::fault::FaultPlan;
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
 
@@ -37,20 +36,15 @@ pub const PRESSURE_CRITICAL: f64 = 0.97;
 /// Pressure at which retired (cold) panels are eagerly spilled.
 pub const PRESSURE_SPILL: f64 = 0.85;
 
-/// Stable identifiers for the allocation sites that charge the budget.
-/// Fault plans pin `AllocFail` injections per site (`alloc=SITExK`).
+/// Identifiers for the allocation sites that charge the budget; a
+/// [`BudgetError::Exceeded`] names the site that was refused.
 pub mod site {
     /// Whole-factor L coefficient storage (reserved in bulk without a cap).
     pub const COEFTAB_L: usize = 1;
     /// Whole-factor U coefficient storage (the same, LU only).
     pub const COEFTAB_U: usize = 2;
-    /// LDLᵀ diagonal vector.
-    pub const DIAG: usize = 3;
     /// Per-worker GEMM temp buffers.
     pub const WORKSPACE: usize = 4;
-    // 5 and 6 are retired (the native path's packed `D·Lᵀ` panel, the
-    // lazy-assembly entry plan); ids stay stable because fault plans name
-    // sites by number.
     /// Fault-in of a spilled panel during solve or update.
     pub const SPILL_READBACK: usize = 7;
     /// Long-lived service caches (analysis / factor handles held across
@@ -64,8 +58,8 @@ pub mod site {
 /// Why a charge was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BudgetError {
-    /// The hard cap would be exceeded and the caller asked for a strict
-    /// charge (no spill/overcommit escape).
+    /// The hard cap would be exceeded by a strict charge (no
+    /// spill/overcommit escape).
     Exceeded {
         /// Bytes the caller asked for.
         requested: usize,
@@ -73,11 +67,6 @@ pub enum BudgetError {
         used: usize,
         /// The configured hard cap.
         cap: usize,
-        /// Allocation site (see [`site`]).
-        site: usize,
-    },
-    /// A fault plan injected an allocation failure at this site.
-    Injected {
         /// Allocation site (see [`site`]).
         site: usize,
     },
@@ -96,9 +85,6 @@ impl std::fmt::Display for BudgetError {
                 "memory budget exceeded: requested {requested} B at site {site} \
                  with {used} B of {cap} B in use"
             ),
-            BudgetError::Injected { site } => {
-                write!(f, "injected allocation failure at site {site}")
-            }
         }
     }
 }
@@ -150,8 +136,6 @@ pub struct MemoryStats {
     pub throttle_events: usize,
     /// Charges forced above the cap because nothing was evictable.
     pub overcommit_events: usize,
-    /// Allocation failures injected by the fault plan.
-    pub alloc_faults: usize,
     /// Per-phase peaks, in the order the phases ended.
     pub phases: Vec<PhaseStats>,
 }
@@ -172,9 +156,7 @@ pub struct MemoryBudget {
     fault_in_events: AtomicUsize,
     throttle_events: AtomicUsize,
     overcommit_events: AtomicUsize,
-    alloc_faults: AtomicUsize,
     phases: Mutex<Vec<PhaseStats>>,
-    fault: Mutex<Option<Arc<FaultPlan>>>,
 }
 
 impl MemoryBudget {
@@ -194,12 +176,6 @@ impl MemoryBudget {
     /// The configured hard cap, if any.
     pub fn cap(&self) -> Option<usize> {
         self.cap
-    }
-
-    /// Attach a fault plan whose `AllocFail` kinds fire inside
-    /// [`Self::try_charge`].
-    pub fn set_fault_plan(&self, plan: Arc<FaultPlan>) {
-        *self.fault.lock() = Some(plan);
     }
 
     /// Bytes currently charged.
@@ -248,13 +224,10 @@ impl MemoryBudget {
         }
     }
 
-    /// Charge `bytes` at `site`, failing if an injected fault fires or
-    /// the hard cap would be exceeded. On `Ok(())` the caller owns the
-    /// charge and must pair it with [`Self::release`].
+    /// Charge `bytes` at `site`, failing if the hard cap would be
+    /// exceeded. On `Ok(())` the caller owns the charge and must pair it
+    /// with [`Self::release`].
     pub fn try_charge(&self, bytes: usize, site: usize) -> Result<(), BudgetError> {
-        if self.take_injected_failure(site) {
-            return Err(BudgetError::Injected { site });
-        }
         // ORDERING: optimistic first read of a CAS loop — a stale value
         // only costs one extra CAS iteration.
         let mut cur = self.used.load(Ordering::Relaxed);
@@ -287,13 +260,9 @@ impl MemoryBudget {
         }
     }
 
-    /// Charge `bytes` at `site` unconditionally (overcommit): used when
-    /// an allocation is required for progress and nothing is evictable.
-    /// Still consults the fault plan so injection reaches forced sites.
-    pub fn charge_forced(&self, bytes: usize, site: usize) -> Result<(), BudgetError> {
-        if self.take_injected_failure(site) {
-            return Err(BudgetError::Injected { site });
-        }
+    /// Charge `bytes` unconditionally (overcommit): used when an
+    /// allocation is required for progress and nothing is evictable.
+    pub fn charge_forced(&self, bytes: usize) {
         let next = self.used.fetch_add(bytes, Ordering::AcqRel) + bytes;
         if let Some(cap) = self.cap {
             if next > cap {
@@ -302,25 +271,11 @@ impl MemoryBudget {
             }
         }
         self.bump_peak(next);
-        Ok(())
     }
 
     /// Release a previous charge.
     pub fn release(&self, bytes: usize) {
         self.used.fetch_sub(bytes, Ordering::AcqRel);
-    }
-
-    fn take_injected_failure(&self, site: usize) -> bool {
-        // LOCK: ALLOC: ledger only, once per charge; the clone is an `Arc` bump.
-        let plan = self.fault.lock().clone();
-        if let Some(plan) = plan {
-            if plan.take_alloc_fail(site) {
-                // ORDERING: statistics counter; no memory is published.
-                self.alloc_faults.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
     }
 
     fn bump_peak(&self, next: usize) {
@@ -376,7 +331,6 @@ impl MemoryBudget {
             fault_in_events: self.fault_in_events.load(Ordering::Relaxed),
             throttle_events: self.throttle_events.load(Ordering::Relaxed),
             overcommit_events: self.overcommit_events.load(Ordering::Relaxed),
-            alloc_faults: self.alloc_faults.load(Ordering::Relaxed),
             phases: self.phases.lock().clone(),
         }
     }
@@ -390,7 +344,7 @@ mod tests {
     fn charge_release_tracks_peak() {
         let b = MemoryBudget::unbounded();
         b.try_charge(100, site::WORKSPACE).expect("charge");
-        b.try_charge(50, site::DIAG).expect("charge");
+        b.try_charge(50, site::CACHE).expect("charge");
         assert_eq!(b.used(), 150);
         b.release(100);
         assert_eq!(b.used(), 50);
@@ -440,7 +394,7 @@ mod tests {
     fn forced_charge_overcommits_and_counts() {
         let b = MemoryBudget::with_cap(100);
         b.try_charge(90, 1).expect("charge");
-        b.charge_forced(50, 2).expect("forced");
+        b.charge_forced(50);
         assert_eq!(b.used(), 140);
         let stats = b.stats();
         assert_eq!(stats.overcommit_events, 1);
@@ -467,29 +421,5 @@ mod tests {
         assert_eq!(stats.phases[1].spill_bytes, 16);
         assert_eq!(stats.phases[1].spill_events, 1);
         assert_eq!(stats.spill_events, 1);
-    }
-
-    #[test]
-    fn injected_alloc_failure_consumes_budget() {
-        let plan = Arc::new(FaultPlan::new().alloc_fail_on(site::WORKSPACE, 2));
-        let b = MemoryBudget::with_cap(1 << 20);
-        b.set_fault_plan(plan);
-        assert_eq!(
-            b.try_charge(8, site::WORKSPACE),
-            Err(BudgetError::Injected {
-                site: site::WORKSPACE
-            })
-        );
-        assert_eq!(
-            b.try_charge(8, site::WORKSPACE),
-            Err(BudgetError::Injected {
-                site: site::WORKSPACE
-            })
-        );
-        // Failure budget consumed: third attempt succeeds.
-        b.try_charge(8, site::WORKSPACE).expect("third try fits");
-        assert_eq!(b.stats().alloc_faults, 2);
-        // Other sites unaffected.
-        b.try_charge(8, site::DIAG).expect("other site");
     }
 }

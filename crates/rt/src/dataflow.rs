@@ -480,7 +480,6 @@ mod tests {
         });
         assert_eq!(report.ntasks, 10);
         assert_eq!(report.completed, 10);
-        assert_eq!(report.retries, 0);
         assert_eq!(counter.load(Ordering::SeqCst), 10);
     }
 }

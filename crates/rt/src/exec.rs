@@ -22,7 +22,7 @@
 //! Every worker runs the same loop: admit (memory-pressure throttle) →
 //! own deque → injector → batch-steal from the most loaded victim →
 //! [`Supervisor::run_task`] → checked fan-in release of the successors →
-//! place them → `task_done` (or re-place on retry, drain on abort). Ready
+//! place them → `task_done` (or drain on abort). Ready
 //! tasks live in bounded Chase-Lev rings ([`crate::deque`]) that spill to
 //! the mutex-backed [`Injector`] on overflow, so correctness never depends
 //! on a capacity.
@@ -74,11 +74,9 @@ const MAX_DEQUE_CAP: usize = 8192;
 /// Run `dag` to completion on `nworkers` threads under `kind`'s placement
 /// policy.
 ///
-/// `dag.execute(task, worker)` is called exactly once per task (once per
-/// *attempt* under a retrying [`RunConfig`]), only after all of the
-/// task's predecessors completed. Task panics become
-/// [`EngineError::TaskPanicked`], transient failures are retried per
-/// `config.retry`, a malformed DAG surfaces as
+/// `dag.execute(task, worker)` is called exactly once per task, only
+/// after all of the task's predecessors completed. Task panics become
+/// [`EngineError::TaskPanicked`], a malformed DAG surfaces as
 /// [`EngineError::ReleaseUnderflow`] or — via the watchdog —
 /// [`EngineError::Stalled`], and zero workers is
 /// [`EngineError::NoWorkers`].
@@ -187,8 +185,6 @@ pub fn run<D: PtgProgram>(
                     place(dag, &mut ready, release_place, |_| local, &injector);
                     sup.task_done(t);
                 }
-                // Backoff already applied; re-queue like a fresh release.
-                TaskOutcome::Retry => place(dag, &mut [t], release_place, |_| local, &injector),
                 TaskOutcome::Aborted => break,
             }
         }
@@ -358,7 +354,7 @@ mod tests {
                     log.lock().unwrap().push(t);
                 })
                 .unwrap();
-                assert_eq!((report.ntasks, report.completed, report.retries), (n, n, 0));
+                assert_eq!((report.ntasks, report.completed), (n, n));
                 for (t, c) in run_count.iter().enumerate() {
                     assert_eq!(c.load(Ordering::SeqCst), 1, "{kind:?}: task {t} ran wrong count");
                 }

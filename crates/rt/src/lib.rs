@@ -36,10 +36,9 @@
 //! DESIGN.md §2).
 //!
 //! Every run goes through the fault-tolerant layer of [`fault`]: task
-//! panics are caught and typed, transient failures retried with bounded
-//! backoff, stalled schedulers detected by a watchdog, per-task attempt
-//! counts reported — with deterministic fault *injection*
-//! ([`fault::FaultPlan`]) for testing all of it.
+//! panics are caught, typed and drain the run, stalled schedulers are
+//! detected by a watchdog — with deterministic fault *injection*
+//! ([`fault::FaultPlan`]) for testing both. No task is ever re-run.
 //!
 //! The hazard contract the DAGs encode (and [`shared::SharedSlice`]
 //! relies on) is machine-checked by [`verify`]: static happens-before
@@ -71,9 +70,7 @@ pub mod trace;
 pub mod verify;
 
 pub use budget::{BudgetError, MemoryBudget, MemoryStats, PhaseStats, PressureLevel};
-pub use fault::{
-    CancelToken, EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport, TransientFault,
-};
+pub use fault::{CancelToken, EngineError, FaultPlan, RunConfig, RunReport};
 pub use json::{write_results, Json};
 pub use shared::{release_pending, ReleaseUnderflow, SharedSlice};
 pub use trace::{chrome_trace, Span, SpanKind, Trace, TraceRecorder};

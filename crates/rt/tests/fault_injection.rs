@@ -2,9 +2,8 @@
 //! `exec::run` under each placement policy, must survive the same fault
 //! plans with identical observable semantics — a mid-DAG panic surfaces
 //! as `Err(EngineError::TaskPanicked)` without hanging or aborting the
-//! process, transient failures are retried to success within the
-//! configured budget, and a broken dependency graph trips the watchdog
-//! instead of deadlocking.
+//! process, and a broken dependency graph trips the watchdog instead of
+//! deadlocking.
 //!
 //! Every test runs the executor on a helper thread with a hard timeout so
 //! a regression that re-introduces a hang fails the test instead of
@@ -12,7 +11,7 @@
 
 use dagfact_rt::exec;
 use dagfact_rt::native::{NativeDag, NativeTask};
-use dagfact_rt::{EngineError, FaultPlan, RetryPolicy, RunConfig, RunReport, RuntimeKind};
+use dagfact_rt::{EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,8 +93,8 @@ fn panic_injection_returns_error_under_every_policy() {
         // descendants never execute.
         assert_eq!(executed, NTASKS / 2, "{kind:?}");
         match result {
-            Err(EngineError::TaskPanicked { task, attempts, .. }) => {
-                assert_eq!((task, attempts), (NTASKS / 2, 1), "{kind:?}");
+            Err(EngineError::TaskPanicked { task, .. }) => {
+                assert_eq!(task, NTASKS / 2, "{kind:?}");
             }
             other => panic!("{kind:?}: expected TaskPanicked, got {other:?}"),
         }
@@ -124,44 +123,6 @@ fn real_body_panic_is_captured_with_message() {
     }
 }
 
-/// Transient fail-twice-then-succeed → completes, retries visible.
-#[test]
-fn transient_faults_are_retried_under_every_policy() {
-    for kind in RuntimeKind::ALL {
-        let config = RunConfig {
-            fault_plan: Some(Arc::new(FaultPlan::new().transient_on(NTASKS / 2, 2))),
-            retry: RetryPolicy::retrying(),
-            ..watched(Duration::from_secs(10))
-        };
-        let (result, executed) = run_counted(&chain_tasks(), kind, NWORKERS, config);
-        let report = result.expect("transient faults within budget must not fail the run");
-        assert_eq!(report.completed, NTASKS, "{kind:?}");
-        assert_eq!(executed, NTASKS, "{kind:?}: every body runs exactly once");
-        assert!(report.retries >= 2, "{kind:?}: two injected failures → ≥2 retries");
-        assert_eq!(report.faults_injected, 2, "{kind:?}");
-        assert_eq!(report.task_attempts, vec![(NTASKS / 2, 3)], "{kind:?}: fail, fail, succeed");
-    }
-}
-
-/// A task that fails transiently more often than the budget allows turns
-/// into `RetryBudgetExhausted` — still an orderly Err, not a hang.
-#[test]
-fn retry_budget_exhaustion_is_an_error() {
-    for kind in RuntimeKind::ALL {
-        let config = RunConfig {
-            fault_plan: Some(Arc::new(FaultPlan::new().transient_on(3, 99))),
-            retry: RetryPolicy::retrying(),
-            ..watched(Duration::from_secs(10))
-        };
-        match run_counted(&chain_tasks(), kind, NWORKERS, config).0 {
-            Err(EngineError::RetryBudgetExhausted { task: 3, attempts }) => {
-                assert_eq!(attempts, RetryPolicy::retrying().max_attempts, "{kind:?}");
-            }
-            other => panic!("{kind:?}: expected RetryBudgetExhausted, got {other:?}"),
-        }
-    }
-}
-
 /// Watchdog: a broken DAG stalls → Err(Stalled) instead of deadlock.
 #[test]
 fn watchdog_detects_unsatisfiable_dag() {
@@ -177,31 +138,6 @@ fn watchdog_detects_unsatisfiable_dag() {
             }
             other => panic!("{kind:?}: expected Stalled, got {other:?}"),
         }
-    }
-}
-
-/// Sampled (probabilistic) plans: deterministic chaos across a real DAG.
-#[test]
-fn random_transients_complete_under_every_policy() {
-    // ~25% of tasks fail once before succeeding; seeded → reproducible.
-    let reports: Vec<RunReport> = RuntimeKind::ALL
-        .iter()
-        .map(|&kind| {
-            let config = RunConfig {
-                fault_plan: Some(Arc::new(FaultPlan::with_seed(7).random_transient(0.25, 1))),
-                retry: RetryPolicy::retrying(),
-                ..watched(Duration::from_secs(10))
-            };
-            run_counted(&chain_tasks(), kind, NWORKERS, config).0.unwrap()
-        })
-        .collect();
-    for report in &reports {
-        assert_eq!(report.completed, NTASKS);
-        assert!(report.retries > 0, "seed 7 @ 25% must hit at least one task");
-        // Fault sampling keys on (seed, task), not scheduling order: all
-        // three policies draw the identical fault set.
-        assert_eq!(report.faults_injected, reports[0].faults_injected);
-        assert_eq!(report.task_attempts, reports[0].task_attempts);
     }
 }
 
@@ -223,7 +159,7 @@ fn injected_delays_do_not_fail_the_run() {
         })
         .unwrap();
         assert_eq!(report.completed, NTASKS, "{kind:?}");
-        assert_eq!((report.retries, report.faults_injected), (0, 0), "{kind:?}");
+        assert_eq!(report.faults_injected, 0, "{kind:?}");
     }
 }
 

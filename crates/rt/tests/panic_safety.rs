@@ -27,7 +27,7 @@ fn task_panic_is_typed_under_every_policy_and_worker_count() {
                 },
             };
             match exec::run(&dag, kind, nworkers, RunConfig::default()) {
-                Err(EngineError::TaskPanicked { task: 13, message, attempts: 1 }) => {
+                Err(EngineError::TaskPanicked { task: 13, message }) => {
                     assert_eq!(message, "boom", "{kind:?}/{nworkers}");
                 }
                 other => panic!("{kind:?}/{nworkers}: task panic was swallowed: {other:?}"),

@@ -2,7 +2,7 @@
 //! execution, for every placement policy over the same DAG fixtures.
 //!
 //! Checked invariants:
-//! * every task gets exactly one execute span (no retries configured);
+//! * every task gets exactly one execute span (a task never re-runs);
 //! * per-worker spans are monotonic and non-overlapping — a worker's
 //!   timeline, sorted by start, never has a span starting before the
 //!   previous one ended;

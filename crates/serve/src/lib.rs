@@ -8,9 +8,10 @@
 //! The paper's task-based runtime argument is strongest when the same
 //! sparsity pattern is factorized again and again (FEM time-stepping,
 //! circuit simulation); this crate turns the runtime substrate built in
-//! `dagfact-rt`/`dagfact-core` — supervisor with watchdog/retry, memory
-//! budget pressure ladder, cooperative cancellation — into exactly that
-//! serving loop. See DESIGN.md §12 for the service model.
+//! `dagfact-rt`/`dagfact-core` — supervisor with panic capture and a
+//! watchdog, pivot-escalating refactorization, memory budget pressure
+//! ladder, cooperative cancellation — into exactly that serving loop.
+//! See DESIGN.md §12 for the service model.
 //!
 //! ```no_run
 //! use dagfact_serve::{JobSpec, ServeConfig, Service};

@@ -24,7 +24,7 @@ use crate::job::{JobError, JobResponse, JobSpec, MatrixSource, ReusePolicy, RhsS
 use dagfact_core::{Analysis, ExecOptions, SharedFactors, SolverError, SolverOptions};
 use dagfact_rt::budget::{MemoryBudget, PressureLevel};
 use dagfact_rt::sync::{Condvar, Mutex};
-use dagfact_rt::{CancelToken, FaultPlan, Json, RetryPolicy, RunConfig};
+use dagfact_rt::{CancelToken, FaultPlan, Json, RunConfig};
 use dagfact_sparse::mm::read_matrix_market_file;
 use dagfact_sparse::{CscMatrix, TripletBuilder};
 use std::collections::VecDeque;
@@ -48,9 +48,6 @@ pub struct ServeConfig {
     pub budget: Arc<MemoryBudget>,
     /// Deadline applied to jobs that do not carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Engine-level retry policy for transient task failures, and the
-    /// cap for the service-level refactorization retries.
-    pub retry: RetryPolicy,
     /// Stall watchdog handed to every job's engine run.
     pub watchdog: Option<Duration>,
     /// Fault-injection plan (chaos testing) applied to every job.
@@ -64,10 +61,6 @@ impl Default for ServeConfig {
             queue_cap: 32,
             budget: MemoryBudget::unbounded(),
             default_deadline_ms: None,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::from_millis(1),
-            },
             watchdog: Some(Duration::from_secs(10)),
             fault_plan: None,
         }
@@ -641,7 +634,6 @@ fn job_factors(
     let exec = ExecOptions {
         run: RunConfig {
             fault_plan: inner.config.fault_plan.clone(),
-            retry: inner.config.retry.clone(),
             watchdog: inner.config.watchdog,
             budget: Some(inner.config.budget.clone()),
             cancel,

@@ -1,10 +1,10 @@
-//! Fault-injected soak of the solve service: concurrent clients, random
-//! panics, allocation faults and deadlines — the daemon must never die,
+//! Fault-injected soak of the solve service: concurrent clients, task
+//! panics, NaN panels and deadlines — the daemon must never die,
 //! never serve a poisoned cache entry, and reject overload with typed
 //! errors (ISSUE 6 acceptance criteria).
 
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
-use dagfact_rt::{FaultPlan, MemoryBudget, RetryPolicy};
+use dagfact_rt::{FaultPlan, MemoryBudget};
 use dagfact_serve::{JobError, JobSpec, ServeConfig, Service};
 use dagfact_sparse::gen::{grid_laplacian_2d, grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::CscMatrix;
@@ -47,32 +47,46 @@ fn soak_concurrent_chaos_no_contamination() {
     // Three distinct problems so cache keys interleave; two SPD and one
     // indefinite under LDLᵀ, so the only legitimate failures are the
     // injected ones.
-    let problems: Vec<(String, usize)> = vec![
-        (inline_of(&grid_laplacian_2d(12, 12)), 144),
-        (inline_of(&grid_laplacian_3d(5, 5, 5)), 125),
-        (inline_of(&shifted_laplacian_3d(4, 4, 4, 1.0)) + " facto=ldlt", 64),
+    let problems: Vec<(CscMatrix<f64>, FactoKind, &str)> = vec![
+        (grid_laplacian_2d(13, 13), FactoKind::Cholesky, ""),
+        (grid_laplacian_3d(5, 5, 5), FactoKind::Cholesky, ""),
+        (
+            shifted_laplacian_3d(4, 4, 4, 1.0),
+            FactoKind::Ldlt,
+            " facto=ldlt",
+        ),
     ];
-    // A sampled transient fails its task three times, one fewer than the
-    // engine's `max_attempts`, so it is absorbed whichever task ids the
-    // draw lands on (it is keyed on the id: a count the retry budget
-    // cannot outlast fails every job whose id range contains a sampled
-    // one, every time). The pinned allocation fault refuses the first ten
-    // coefficient-table charges: a fill makes four attempts and three
-    // fills run at once, so at least one exhausts its attempts and poisons
-    // its cache entry, and — ten not being a multiple of four — at least
-    // one succeeds on a later attempt. Seeded → reproducible.
-    let plan = Arc::new(
-        FaultPlan::parse("seed=42,tprob=0.02x3,alloc=1x10").expect("valid plan"),
+    // Panel and task ids are per problem, and concurrent fills share the
+    // plan, so each fault is aimed at one problem alone: a panel number
+    // only the 2D grid has, a task id only the 3D grid has. Every fill of
+    // the 3D grid panics (typed, poisoned, refilled by the next request
+    // and poisoned again); the 2D grid's first fill — which runs in a
+    // client's first three rounds, before any deadline job — meets NaN
+    // on two attempts and succeeds on its third, and every later 2D
+    // request is a factor-cache hit. The shifted problem runs clean.
+    let shape = |(a, facto, _): &(CscMatrix<f64>, FactoKind, &str)| {
+        let an = Analysis::new(a.pattern(), *facto, &SolverOptions::default());
+        (an.symbol.ncblk(), an.symbol.blocks.len())
+    };
+    let [(panels2d, tasks2d), (panels3d, tasks3d), (panels_s, tasks_s)] =
+        [0, 1, 2].map(|p| shape(&problems[p]));
+    let (nan_panel, panic_task) = (panels3d.max(panels_s), tasks2d.max(tasks_s));
+    assert!(
+        nan_panel < panels2d && panic_task < tasks3d,
+        "faults would not be problem-local"
     );
+    let plan = Arc::new(
+        FaultPlan::parse(&format!("nan={nan_panel}x2,panic={panic_task}")).expect("valid plan"),
+    );
+    let problems: Vec<(String, usize)> = problems
+        .iter()
+        .map(|(a, _, facto)| (inline_of(a) + facto, a.nrows()))
+        .collect();
     let service = Arc::new(Service::start(ServeConfig {
         workers: 3,
         queue_cap: 64,
         budget: MemoryBudget::unbounded(),
         default_deadline_ms: None,
-        retry: RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::from_micros(200),
-        },
         watchdog: Some(Duration::from_secs(20)),
         fault_plan: Some(plan.clone()),
     }));
@@ -87,8 +101,8 @@ fn soak_concurrent_chaos_no_contamination() {
             let engine = ["native", "dataflow", "ptg"][c % 3];
             for round in 0..10 {
                 let (src, n) = &problems[(c + round) % problems.len()];
-                // Every few jobs, a hostile one: a panicking fill (via a
-                // non-square... no — use a deadline so short it cancels).
+                // Every few jobs, a hostile one: a deadline so short it
+                // cancels.
                 let deadline = if round % 4 == 3 { " deadline_ms=1" } else { "" };
                 let spec = JobSpec::parse(&format!(
                     "{src} refine=3 engine={engine} tag=c{c}r{round}{deadline}"
@@ -111,12 +125,11 @@ fn soak_concurrent_chaos_no_contamination() {
                     Err(JobError::Overloaded(_)) | Err(JobError::ShuttingDown) => {
                         panic!("admission rejected under an uncapped budget")
                     }
-                    // The allocation fault that exhausted a fill's
-                    // attempts surfaces typed; the daemon must keep
-                    // serving. Nothing else may fail a job: the sampled
-                    // transients fit the engine's retry budget.
+                    // The injected panic fails the 3D grid's fills typed;
+                    // the daemon must keep serving. Nothing else may fail
+                    // a job: the NaN budget fits the 2D grid's recovery.
                     Err(JobError::Failed(msg)) => {
-                        assert!(msg.contains("injected allocation failure"), "{engine}: {msg}");
+                        assert!(msg.contains("injected fault"), "{engine}: {msg}");
                         outcomes.2 += 1;
                     }
                     Err(e) => panic!("unexpected error class: {e:?}"),
@@ -130,13 +143,14 @@ fn soak_concurrent_chaos_no_contamination() {
         let (ok, dl, other, re) = cl.join().expect("client thread must not die");
         total = (total.0 + ok, total.1 + dl, total.2 + other, total.3 + re);
     }
-    // The daemon survived 60 jobs of chaos; most non-deadline jobs
-    // succeeded (retries absorb the transient faults).
-    assert!(total.0 >= 30, "too few successes: {total:?}");
-    // And it was chaos: the allocation faults and some transients were
-    // delivered, a fill died of them, another recovered by refactorizing.
-    assert!(plan.faults_injected() > 10, "only {} faults injected", plan.faults_injected());
-    assert!(total.2 >= 1 && total.3 >= 1, "no fill failed or none retried: {total:?}");
+    // The daemon survived 60 jobs of chaos; every non-deadline job of the
+    // two problems without a panic succeeded (32 of them).
+    assert!(total.0 >= 32, "too few successes: {total:?}");
+    // And it was chaos: both NaNs and a panic per non-deadline 3D job (16
+    // of them) were delivered, those fills died, and exactly one job —
+    // the 2D grid's first fill — recovered by refactorizing.
+    assert!(plan.faults_injected() >= 18, "only {} faults injected", plan.faults_injected());
+    assert!(total.2 >= 16 && total.3 == 1, "fills failed or retried off plan: {total:?}");
     let stats = Arc::try_unwrap(service)
         .unwrap_or_else(|_| panic!("clients still hold the service"))
         .shutdown();
@@ -151,31 +165,28 @@ fn soak_concurrent_chaos_no_contamination() {
 
 #[test]
 fn poisoned_fill_is_never_served_and_refills_with_bumped_generation() {
-    // A pinned allocation fault consumes its per-site failure budget on
-    // delivery: `alloc=1x4` (site COEFTAB_L, 4 failures) kills all four
-    // solver-level retries of the first job's fill — poisoning the cache
-    // entry — and is then spent, so the second identical job refills.
-    let plan = FaultPlan::parse("seed=7,alloc=1x4").expect("plan");
+    // A NaN budget is consumed on delivery: `nan=0x4` corrupts panel 0 on
+    // all four attempts of the first job's fill — the recovery loop's
+    // ε escalation cannot help, so the fill fails typed and poisons the
+    // cache entry — and is then spent, so the second identical job
+    // refills.
+    let plan = FaultPlan::parse("nan=0x4").expect("plan");
     let service = Service::start(ServeConfig {
         workers: 1,
         queue_cap: 8,
         fault_plan: Some(Arc::new(plan)),
-        retry: RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::from_micros(100),
-        },
         ..ServeConfig::default()
     });
     let src = inline_of(&grid_laplacian_2d(8, 8));
     let spec = JobSpec::parse(&format!("{src} refine=2")).expect("spec");
-    // First job: the injected faults exhaust the fill's retry budget
-    // (their per-site budget is consumed, so later jobs run clean).
+    // First job: the injected faults exhaust the fill's attempts (the
+    // budget is spent with them, so later jobs run clean).
     let first = service.solve_blocking(spec.clone());
     let second = service.solve_blocking(spec.clone());
     let third = service.solve_blocking(spec);
     match first {
         Err(JobError::Failed(msg)) => {
-            assert!(msg.contains("injected"), "first job should report the fault: {msg}")
+            assert!(msg.contains("non-finite"), "first job should report the fault: {msg}")
         }
         other => panic!("first job should fail from the injected fault, got {other:?}"),
     }
