@@ -134,8 +134,8 @@ impl<T: Scalar> SharedFactors<T> {
         &self.factors
     }
 
-    /// The matrix these factors were built from.
-    pub(crate) fn matrix(&self) -> &CscMatrix<T> {
+    /// The matrix these factors were built from (and refine against).
+    pub fn matrix(&self) -> &CscMatrix<T> {
         &self.matrix
     }
 

@@ -10,6 +10,14 @@
 //! [`MemoryBudget`] ledger at [`site::CACHE`]; when a charge is refused,
 //! least-recently-used Ready entries are evicted first, and the admission
 //! controller may shed the whole cache under pressure.
+//!
+//! A Ready entry may also carry [`Alias`]es: second keys, cheap to compute
+//! from a job's source as sent, under which the entry is *found*. Finding
+//! is not serving: an alias hit is decided by an exact check of the source
+//! against the entry's own value ([`GenCache::get_aliased`]). Aliases are
+//! charged to the ledger with their entry and leave with it, on eviction
+//! and on shed. They live under the cache's one lock, so there is no
+//! second lock to order against it.
 
 use crate::job::JobError;
 use dagfact_rt::budget::{site, MemoryBudget};
@@ -53,9 +61,61 @@ enum Slot<V> {
     Poisoned { gen: u64 },
 }
 
+/// How the triplets of one inline source, in the order sent, map onto
+/// the CSC matrix a Ready entry was built from. Found under a cheap key
+/// of the source; only ever a candidate, never proof of identity.
+#[derive(Debug)]
+pub struct Alias {
+    /// Pattern hash of the entry's matrix (the pattern-cache key's base),
+    /// so a write of new values on the same positions skips hashing it.
+    pub pattern_hash: u64,
+    /// Fingerprint of the source's sampled values: turns most
+    /// value-changed resends away before the exact check.
+    pub values_sample: u64,
+    /// `slots[k]`: the position of triplet `k` in the entry's CSC arrays.
+    pub slots: Box<[u32]>,
+}
+
+/// An alias in its bucket, with the entry it points to.
+struct AliasRef<K> {
+    target: K,
+    alias: Arc<Alias>,
+    /// Charged to the ledger at [`site::CACHE`].
+    bytes: usize,
+}
+
 struct Inner<K, V> {
     map: HashMap<K, Slot<V>>,
+    /// Source key → aliases of Ready entries. An alias is only ever
+    /// present while its target is Ready.
+    aliases: HashMap<u64, Vec<AliasRef<K>>>,
     stats: CacheStats,
+}
+
+impl<K: std::hash::Hash + Eq, V> Inner<K, V> {
+    /// Remove the Ready entry `key` and every alias pointing to it,
+    /// releasing their charges; returns the bytes released (0 when `key`
+    /// is not Ready).
+    fn evict(&mut self, key: &K, budget: &MemoryBudget) -> usize {
+        let Some(Slot::Ready { bytes, .. }) = self.map.remove(key) else {
+            return 0;
+        };
+        let mut freed = bytes;
+        self.aliases.retain(|_, bucket| {
+            bucket.retain(|r| {
+                let keep = r.target != *key;
+                if !keep {
+                    freed += r.bytes;
+                }
+                keep
+            });
+            !bucket.is_empty()
+        });
+        budget.release(freed);
+        self.stats.resident_bytes -= freed;
+        self.stats.evictions += 1;
+        freed
+    }
 }
 
 /// See the module docs. `K` is a content hash (pattern hash, or
@@ -89,6 +149,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
         GenCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                aliases: HashMap::new(),
                 stats: CacheStats::default(),
             }),
             cond: Condvar::new(),
@@ -241,11 +302,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
                         .map(|(_, k)| k.clone());
                     match victim {
                         Some(k) => {
-                            if let Some(Slot::Ready { bytes: b, .. }) = inner.map.remove(&k) {
-                                self.budget.release(b);
-                                inner.stats.resident_bytes -= b;
-                                inner.stats.evictions += 1;
-                            }
+                            inner.evict(&k, &self.budget);
                         }
                         None => return None,
                     }
@@ -266,17 +323,99 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
                 _ => None,
             })
             .collect();
-        let mut freed = 0usize;
-        for k in keys {
-            if let Some(Slot::Ready { bytes, .. }) = inner.map.remove(&k) {
-                self.budget.release(bytes);
-                inner.stats.resident_bytes -= bytes;
-                inner.stats.evictions += 1;
-                freed += bytes;
-            }
-        }
+        let freed: usize = keys.iter().map(|k| inner.evict(k, &self.budget)).sum();
         inner.stats.resident = inner.map.len();
         freed
+    }
+
+    /// Record `alias` under the source key `akey` for the Ready entry
+    /// `target`, charging it to the ledger at [`site::CACHE`]; an alias
+    /// the bucket already holds for `target` is replaced. Nothing is
+    /// recorded when `target` is not Ready (evicted meanwhile, or served
+    /// uncached) or the ledger refuses: an alias never evicts an entry.
+    pub fn add_alias(&self, akey: u64, target: &K, alias: Alias) -> bool {
+        let bytes = std::mem::size_of::<Alias>() + std::mem::size_of_val(&*alias.slots);
+        let mut inner = self.inner.lock();
+        if !matches!(inner.map.get(target), Some(Slot::Ready { .. }))
+            || self.budget.try_charge(bytes, site::CACHE).is_err()
+        {
+            return false;
+        }
+        let Inner { aliases, stats, .. } = &mut *inner;
+        let bucket = aliases.entry(akey).or_default();
+        if let Some(old) = bucket.iter().position(|r| r.target == *target) {
+            let old = bucket.swap_remove(old);
+            self.budget.release(old.bytes);
+            stats.resident_bytes -= old.bytes;
+        }
+        bucket.push(AliasRef {
+            target: target.clone(),
+            alias: Arc::new(alias),
+            bytes,
+        });
+        stats.resident_bytes += bytes;
+        true
+    }
+
+    /// The first alias under `akey` that `accept` takes, with its Ready
+    /// entry's value and generation. Moves no counter: whatever the
+    /// caller does with the value, it checks it first.
+    pub fn peek_alias(
+        &self,
+        akey: u64,
+        accept: impl Fn(&K, &Alias) -> bool,
+    ) -> Option<(Arc<Alias>, Arc<V>, u64)> {
+        // LOCK: one short critical section per aliased lookup — a hash
+        // probe and a scan of one bucket; the check runs after it.
+        let inner = self.inner.lock();
+        let r = inner.aliases.get(&akey)?.iter().find(|r| accept(&r.target, &r.alias))?;
+        match inner.map.get(&r.target) {
+            Some(Slot::Ready { value, gen, .. }) => {
+                Some((Arc::clone(&r.alias), Arc::clone(value), *gen))
+            }
+            // Aliases leave with their entry, so their target is Ready.
+            _ => None,
+        }
+    }
+
+    /// A hit through an alias: the entry [`GenCache::peek_alias`] finds
+    /// under `akey`, served only when `verify` holds of it — the exact
+    /// check, run outside the lock, decides the hit. A verified hit counts
+    /// as a hit and refreshes the entry's LRU stamp; a failed one moves
+    /// nothing and is the caller's miss.
+    pub fn get_aliased(
+        &self,
+        akey: u64,
+        accept: impl Fn(&K, &Alias) -> bool,
+        verify: impl FnOnce(&Alias, &V) -> bool,
+    ) -> Option<CacheHit<V>> {
+        let (alias, value, generation) = self.peek_alias(akey, accept)?;
+        if !verify(&alias, &value) {
+            return None;
+        }
+        // ORDERING: pure LRU clock; only monotonicity matters.
+        let now = self.clock.fetch_add(1, Ordering::Relaxed);
+        // LOCK: a second short critical section, only on a verified hit.
+        let mut inner = self.inner.lock();
+        let Inner {
+            map,
+            aliases,
+            stats,
+        } = &mut *inner;
+        stats.hits += 1;
+        let target = aliases
+            .get(&akey)
+            .and_then(|bucket| bucket.iter().find(|r| Arc::ptr_eq(&r.alias, &alias)));
+        // An entry evicted since the lookup is still served: the check
+        // held against its value.
+        if let Some(Slot::Ready { last_used, .. }) = target.and_then(|r| map.get_mut(&r.target)) {
+            *last_used = now;
+        }
+        Some(CacheHit {
+            value,
+            generation,
+            was_hit: true,
+        })
     }
 
     /// Snapshot of the counters.
@@ -392,6 +531,56 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(fills.load(Ordering::SeqCst), 1, "exactly one fill");
+    }
+
+    fn alias(len: u32) -> Alias {
+        Alias {
+            pattern_hash: 0,
+            values_sample: 0,
+            slots: (0..len).collect(),
+        }
+    }
+
+    #[test]
+    fn alias_is_charged_and_leaves_with_its_entry() {
+        let budget = MemoryBudget::with_cap(100_000);
+        let c: GenCache<u64, String> = GenCache::new(budget.clone());
+        c.get_or_fill(&1, || Ok(("a".into(), 100))).unwrap();
+        c.get_or_fill(&2, || Ok(("b".into(), 100))).unwrap();
+        assert!(!c.add_alias(9, &3, alias(8)), "no alias for an entry that is not Ready");
+        assert!(c.add_alias(9, &1, alias(1000)));
+        assert!(c.add_alias(9, &1, alias(1000)), "same target: replaced, not stacked");
+        assert!(c.add_alias(7, &2, alias(10)));
+        let with_aliases = c.stats().resident_bytes;
+        assert!(with_aliases >= 200 + 4000 + 40, "{with_aliases}");
+        assert_eq!(budget.used(), with_aliases);
+        // A failed check is a miss that moves no counter.
+        assert!(c.get_aliased(9, |_, _| true, |_, _| false).is_none());
+        assert_eq!(c.stats().hits, 0);
+        let hit = c.get_aliased(9, |k, _| *k == 1, |a, v| a.slots.len() == 1000 && v == "a");
+        assert_eq!(hit.map(|h| (h.was_hit, h.generation)), Some((true, 1)));
+        assert_eq!(c.stats().hits, 1);
+        assert!(c.peek_alias(9, |k, _| *k == 2).is_none(), "accept filters the bucket");
+        // Shedding drops the entries and their aliases, charges and all.
+        let freed = c.shed();
+        assert_eq!(freed, with_aliases);
+        assert_eq!((c.stats().resident_bytes, budget.used()), (0, 0));
+        assert!(c.peek_alias(9, |_, _| true).is_none());
+    }
+
+    #[test]
+    fn lru_eviction_drops_the_victims_aliases() {
+        let budget = MemoryBudget::with_cap(2_000);
+        let c: GenCache<u64, String> = GenCache::new(budget.clone());
+        c.get_or_fill(&1, || Ok(("a".into(), 800))).unwrap();
+        assert!(c.add_alias(5, &1, alias(10)));
+        c.get_or_fill(&2, || Ok(("b".into(), 800))).unwrap();
+        // Entry 1 is the LRU victim; its alias must go with it.
+        c.get_or_fill(&3, || Ok(("c".into(), 800))).unwrap();
+        assert_eq!(c.stats().evictions, 1);
+        assert!(c.peek_alias(5, |_, _| true).is_none());
+        assert_eq!(budget.used(), 1600);
+        assert_eq!(c.stats().resident_bytes, 1600);
     }
 
     #[test]

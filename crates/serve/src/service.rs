@@ -15,11 +15,15 @@
 //! 3. **caching** — the ordering+symbolic analysis is keyed by a content
 //!    hash of the sparsity pattern, numeric factors by pattern+values;
 //!    both live in [`GenCache`]s whose entries carry a generation and an
-//!    integrity state, so a fill that panics poisons only itself;
+//!    integrity state, so a fill that panics poisons only itself. A key
+//!    only picks an entry: factors are served only when the job's matrix
+//!    is exactly the one they were built from. An inline source that
+//!    was seen before finds its entry through an [`Alias`] without
+//!    building its matrix at all;
 //! 4. **response** — a typed [`JobResponse`] (with cache provenance) or
 //!    a typed [`JobError`]; the daemon survives either.
 
-use crate::cache::{panic_message, CacheStats, GenCache};
+use crate::cache::{panic_message, Alias, CacheStats, GenCache};
 use crate::job::{JobError, JobResponse, JobSpec, MatrixSource, ReusePolicy, RhsSource};
 use dagfact_core::{Analysis, ExecOptions, SharedFactors, SolverError, SolverOptions};
 use dagfact_rt::budget::{MemoryBudget, PressureLevel};
@@ -438,13 +442,13 @@ fn coalescable(lead: &JobSpec, follower: &JobSpec) -> bool {
 fn run_batch(inner: &Arc<ServiceInner>, batch: &[QueuedJob]) -> Vec<Result<JobResponse, JobError>> {
     let lead = &batch[0].spec;
     let whole = |e: JobError| batch.iter().map(|_| Err(e.clone())).collect::<Vec<_>>();
-    let a = match load_matrix(lead) {
-        Ok(a) => a,
+    let source = match resolve(inner, lead) {
+        Ok(source) => source,
         Err(e) => return whole(e),
     };
-    let n = a.nrows();
+    let n = source.matrix().nrows();
     let rhs: Vec<Result<Vec<f64>, JobError>> =
-        batch.iter().map(|j| build_rhs(&j.spec, &a)).collect();
+        batch.iter().map(|j| build_rhs(&j.spec, source.matrix())).collect();
     let mut b = Vec::new();
     let mut total = 0usize;
     for (job, r) in batch.iter().zip(&rhs) {
@@ -462,9 +466,14 @@ fn run_batch(inner: &Arc<ServiceInner>, batch: &[QueuedJob]) -> Vec<Result<JobRe
 
     // Batch members all have reuse == Factors, so both caches are keyed,
     // and no deadline by construction.
-    let f = match job_factors(inner, lead, &a, None, batch[0].submitted, || Ok(())) {
-        Ok(f) => f,
-        Err(e) => return whole(e),
+    let f = match source {
+        JobMatrix::Served(f) => f,
+        JobMatrix::Built(a, phash) => {
+            match job_factors(inner, lead, &a, phash, None, batch[0].submitted, || Ok(())) {
+                Ok(f) => f,
+                Err(e) => return whole(e),
+            }
+        }
     };
     let x = f.factors.solve_many(&b, total);
     let mut off = 0usize;
@@ -547,6 +556,188 @@ fn values_hash(a: &CscMatrix<f64>) -> u64 {
     hash_words(0x5eed, a.values().iter().map(|v| v.to_bits()))
 }
 
+/// Whether `a` and `b` are the same matrix: equal patterns, and values
+/// equal bit for bit.
+fn same_matrix(a: &CscMatrix<f64>, b: &CscMatrix<f64>) -> bool {
+    a.pattern() == b.pattern()
+        && a.values().iter().zip(b.values()).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Evenly spaced triplets an inline source's cheap keys read.
+const ALIAS_SAMPLES: usize = 64;
+
+/// The triplets the cheap keys read: [`ALIAS_SAMPLES`] evenly spaced ones
+/// from the first, and the last.
+fn sampled(triplets: &[(usize, usize, f64)]) -> impl Iterator<Item = &(usize, usize, f64)> {
+    let step = (triplets.len() / ALIAS_SAMPLES).max(1);
+    triplets
+        .iter()
+        .step_by(step)
+        .take(ALIAS_SAMPLES)
+        .chain(triplets.last())
+}
+
+/// The bucket an inline source's aliases live in: its order, its
+/// triplet count and the positions of its sampled triplets, as sent. It
+/// reads ≤ 65 triplets and sorts nothing; it only picks a bucket.
+fn source_key(n: usize, triplets: &[(usize, usize, f64)]) -> u64 {
+    let h = hash_words(n as u64, std::iter::once(triplets.len() as u64));
+    hash_words(h, sampled(triplets).flat_map(|&(i, j, _)| [i as u64, j as u64]))
+}
+
+/// Fingerprint of an inline source's sampled values ([`Alias::values_sample`]).
+fn values_sample(triplets: &[(usize, usize, f64)]) -> u64 {
+    hash_words(0x5eed, sampled(triplets).map(|t| t.2.to_bits()))
+}
+
+/// The alias of an inline source whose CSC is exactly `a` (built from
+/// it, or checked equal to what was): where each triplet sits in `a`.
+/// `None` when the source has duplicate positions — `TripletBuilder`
+/// sums them, so `a` has fewer entries than the source has triplets — or
+/// when `a` is too large for 32-bit slots. Otherwise the positions are
+/// distinct, so the slots are a permutation of `0..nnz`.
+fn alias_of(triplets: &[(usize, usize, f64)], a: &CscMatrix<f64>, pattern_hash: u64) -> Option<Alias> {
+    if triplets.len() != a.nnz() || u32::try_from(a.nnz()).is_err() {
+        return None;
+    }
+    let p = a.pattern();
+    let slots = triplets
+        .iter()
+        .map(|&(i, j, _)| {
+            let (&lo, &hi) = (p.colptr().get(j)?, p.colptr().get(j + 1)?);
+            let k = p.rowind().get(lo..hi)?.binary_search(&i).ok()?;
+            u32::try_from(lo + k).ok()
+        })
+        .collect::<Option<Box<[u32]>>>()?;
+    Some(Alias {
+        pattern_hash,
+        values_sample: values_sample(triplets),
+        slots,
+    })
+}
+
+/// The exact check behind every alias hit: for every `k`, triplet `k` is
+/// entry `slots[k]` of the `n × n` matrix `a` — the same row and column
+/// and, with `values`, the same value bit for bit. There are as many
+/// triplets as entries and the slots are a permutation ([`alias_of`]),
+/// so a match means the source builds exactly `a` (exactly its pattern,
+/// without `values`).
+fn source_matches(
+    n: usize,
+    triplets: &[(usize, usize, f64)],
+    slots: &[u32],
+    a: &CscMatrix<f64>,
+    values: bool,
+) -> bool {
+    let (colptr, rowind, vals) = (a.pattern().colptr(), a.pattern().rowind(), a.values());
+    a.nrows() == n
+        && a.ncols() == n
+        && triplets.len() == slots.len()
+        && slots.len() == rowind.len()
+        && triplets.iter().zip(slots).all(|(&(i, j, v), &s)| {
+            let s = s as usize;
+            let in_col = matches!(
+                (colptr.get(j), colptr.get(j + 1)),
+                (Some(&lo), Some(&hi)) if lo <= s && s < hi
+            );
+            in_col
+                && rowind.get(s) == Some(&i)
+                && (!values || vals.get(s).map(|x| x.to_bits()) == Some(v.to_bits()))
+        })
+}
+
+/// The factor-cache hit of an inline `reuse=factors` source through its
+/// alias: the cached factors — whose matrix is then the job's `A` — when
+/// the triplets as sent match the entry exactly. `None` is a plain miss,
+/// decided without building the matrix, hashing it or asking the
+/// pattern cache. The whole hit is this lookup plus one pass over the
+/// triplets.
+fn alias_factors(inner: &ServiceInner, spec: &JobSpec) -> Option<JobFactors> {
+    let MatrixSource::Inline { n, triplets } = &spec.matrix else {
+        return None;
+    };
+    if spec.reuse != ReusePolicy::Factors {
+        return None;
+    }
+    let (akey, sample) = (source_key(*n, triplets), values_sample(triplets));
+    factors_by_alias(inner, akey, sample, *n, triplets, spec.facto as u8)
+}
+
+/// [`alias_factors`] under given keys (a test forges them).
+fn factors_by_alias(
+    inner: &ServiceInner,
+    akey: u64,
+    sample: u64,
+    n: usize,
+    triplets: &[(usize, usize, f64)],
+    facto: u8,
+) -> Option<JobFactors> {
+    let hit = inner.factor_cache.get_aliased(
+        akey,
+        |key, alias| key.2 == facto && alias.values_sample == sample,
+        |alias, f| source_matches(n, triplets, &alias.slots, f.matrix(), true),
+    )?;
+    Some(JobFactors {
+        factors: hit.value,
+        pattern_hit: true,
+        factor_hit: true,
+        generation: hit.generation,
+        attempts: 0,
+    })
+}
+
+/// The matrix of an inline `reuse=pattern` source whose positions match
+/// an alias exactly: its values gathered onto the cached pattern through
+/// the slot map, with the pattern hash the alias recorded — no sort and
+/// no hash. `None` sends the job to [`load_matrix`].
+fn matrix_by_alias(inner: &ServiceInner, spec: &JobSpec) -> Option<(CscMatrix<f64>, u64)> {
+    let MatrixSource::Inline { n, triplets } = &spec.matrix else {
+        return None;
+    };
+    let (alias, f, _) = inner.factor_cache.peek_alias(source_key(*n, triplets), |_, _| true)?;
+    let a = f.matrix();
+    if !source_matches(*n, triplets, &alias.slots, a, false) {
+        return None;
+    }
+    let mut values = vec![0.0; triplets.len()];
+    for (&(_, _, v), &s) in triplets.iter().zip(alias.slots.iter()) {
+        values[s as usize] = v;
+    }
+    Some((CscMatrix::new(a.pattern().clone(), values), alias.pattern_hash))
+}
+
+/// A job's `A`: the matrix of the factors an alias served, or one built
+/// for the canonical path, with its pattern hash.
+enum JobMatrix {
+    Served(JobFactors),
+    Built(CscMatrix<f64>, u64),
+}
+
+impl JobMatrix {
+    fn matrix(&self) -> &CscMatrix<f64> {
+        match self {
+            JobMatrix::Served(f) => f.factors.matrix(),
+            JobMatrix::Built(a, _) => a,
+        }
+    }
+}
+
+/// Resolve a job's matrix: through an alias when its source allows, by
+/// building it from the source otherwise.
+fn resolve(inner: &ServiceInner, spec: &JobSpec) -> Result<JobMatrix, JobError> {
+    if let Some(f) = alias_factors(inner, spec) {
+        return Ok(JobMatrix::Served(f));
+    }
+    if spec.reuse == ReusePolicy::Pattern {
+        if let Some((a, phash)) = matrix_by_alias(inner, spec) {
+            return Ok(JobMatrix::Built(a, phash));
+        }
+    }
+    let a = load_matrix(spec)?;
+    let phash = pattern_hash(&a);
+    Ok(JobMatrix::Built(a, phash))
+}
+
 fn load_matrix(spec: &JobSpec) -> Result<CscMatrix<f64>, JobError> {
     let a = match &spec.matrix {
         MatrixSource::Path(path) => read_matrix_market_file::<f64>(path)
@@ -619,14 +810,40 @@ struct JobFactors {
     attempts: u32,
 }
 
-/// The analysis and numeric factors of `a` for `spec`, through the
-/// pattern and factor caches as far as `spec.reuse` allows — the job body
-/// of [`run_job`] and of a coalesced batch's lead. `cancel` is the job's
-/// deadline token and `checkpoint` its deadline check between the phases.
+/// The factor-cache entry under `fkey` when it holds exactly `a`, filled
+/// by `factorize` on a miss: `(factors, hit, generation)`. A Ready entry
+/// built from another matrix — two matrices whose 64-bit hashes collide —
+/// is never served; `a` is factorized uncached instead (generation 0), as
+/// a fill that cannot make room is. The refused entry still counts as a
+/// hit in the cache's stats.
+fn cached_factors(
+    inner: &ServiceInner,
+    fkey: (u64, u64, u8),
+    a: &CscMatrix<f64>,
+    factorize: impl Fn() -> Result<SharedFactors<f64>, JobError>,
+) -> Result<(Arc<SharedFactors<f64>>, bool, u64), JobError> {
+    let hit = inner.factor_cache.get_or_fill(&fkey, || {
+        let sf = factorize()?;
+        let bytes = sf.resident_bytes();
+        Ok((sf, bytes))
+    })?;
+    if hit.was_hit && !same_matrix(hit.value.matrix(), a) {
+        return Ok((Arc::new(factorize()?), false, 0));
+    }
+    Ok((hit.value, hit.was_hit, hit.generation))
+}
+
+/// The analysis and numeric factors of `a` (pattern hash `phash`) for
+/// `spec`, through the pattern and factor caches as far as `spec.reuse`
+/// allows — the canonical path of [`run_job`] and of a coalesced batch's
+/// lead. An inline source served from the factor cache leaves an alias
+/// behind. `cancel` is the job's deadline token and `checkpoint` its
+/// deadline check between the phases.
 fn job_factors(
     inner: &ServiceInner,
     spec: &JobSpec,
     a: &CscMatrix<f64>,
+    phash: u64,
     cancel: Option<Arc<CancelToken>>,
     started: Instant,
     checkpoint: impl Fn() -> Result<(), JobError>,
@@ -642,7 +859,6 @@ fn job_factors(
         epsilon_override: None,
         spill_dir: None,
     };
-    let phash = pattern_hash(a);
     let mut pattern_hit = false;
     let analysis: Arc<Analysis> = if spec.reuse == ReusePolicy::None {
         Arc::new(Analysis::new(a.pattern(), spec.facto, &SolverOptions::default()))
@@ -667,12 +883,14 @@ fn job_factors(
     };
     let (factors, factor_hit, generation) = if spec.reuse == ReusePolicy::Factors {
         let fkey = (phash, values_hash(a), spec.facto as u8);
-        let hit = inner.factor_cache.get_or_fill(&fkey, || {
-            let sf = factorize()?;
-            let bytes = sf.resident_bytes();
-            Ok((sf, bytes))
-        })?;
-        (hit.value, hit.was_hit, hit.generation)
+        let cached = cached_factors(inner, fkey, a, factorize)?;
+        // Generation 0 is an uncached answer: there is no entry to alias.
+        if let (MatrixSource::Inline { n, triplets }, 1..) = (&spec.matrix, cached.2) {
+            if let Some(alias) = alias_of(triplets, a, phash) {
+                inner.factor_cache.add_alias(source_key(*n, triplets), &fkey, alias);
+            }
+        }
+        cached
     } else {
         (Arc::new(factorize()?), false, 0)
     };
@@ -711,15 +929,20 @@ fn run_job(inner: &Arc<ServiceInner>, job: &QueuedJob) -> Result<JobResponse, Jo
         }
     };
 
-    let a = load_matrix(spec)?;
-    let b = build_rhs(spec, &a)?;
+    let source = resolve(inner, spec)?;
+    let b = build_rhs(spec, source.matrix())?;
     deadline_check()?;
 
-    let f = job_factors(inner, spec, &a, Some(token.clone()), started, deadline_check)?;
+    let f = match source {
+        JobMatrix::Served(f) => f,
+        JobMatrix::Built(a, phash) => {
+            job_factors(inner, spec, &a, phash, Some(token.clone()), started, deadline_check)?
+        }
+    };
     deadline_check()?;
 
     // --- solve ---------------------------------------------------------
-    let n = a.nrows();
+    let n = f.factors.matrix().nrows();
     let (x, iterations, berr) = if spec.refine > 0 {
         let mut x = Vec::with_capacity(n * spec.nrhs);
         let mut iters = 0usize;
@@ -798,6 +1021,62 @@ mod tests {
              \"factor_cache\":{\"hits\":22,\"misses\":23,\"evictions\":25,\"poisonings\":26,\
              \"resident\":27,\"resident_bytes\":123456789012}}"
         );
+    }
+
+    fn triplets_of(a: &CscMatrix<f64>) -> Vec<(usize, usize, f64)> {
+        (0..a.ncols())
+            .flat_map(|j| a.col_rows(j).iter().zip(a.col_values(j)).map(move |(&i, &v)| (i, j, v)))
+            .collect()
+    }
+
+    /// Two matrices under one forged factor-cache key: no lookup serves
+    /// either the other's factors — not the canonical path, not an alias.
+    #[test]
+    fn a_forged_key_never_serves_another_matrix() {
+        use dagfact_core::RuntimeKind;
+        use dagfact_sparse::gen::grid_laplacian_2d;
+        use dagfact_symbolic::FactoKind;
+
+        let service = Service::start(ServeConfig::default());
+        let inner = &service.inner;
+        let a = grid_laplacian_2d(6, 6);
+        let b = CscMatrix::new(a.pattern().clone(), a.values().iter().map(|v| 2.0 * v).collect());
+        let factorize = |m: &CscMatrix<f64>| {
+            let an = Arc::new(Analysis::new(m.pattern(), FactoKind::Cholesky, &SolverOptions::default()));
+            let m = m.clone();
+            move || {
+                SharedFactors::factorize(an.clone(), &m, RuntimeKind::Native, 1, &ExecOptions::default())
+                    .map_err(|e| JobError::Failed(e.to_string()))
+            }
+        };
+        let key = (1, 2, FactoKind::Cholesky as u8);
+        let solves_ones = |f: &SharedFactors<f64>, m: &CscMatrix<f64>| {
+            let mut rhs = vec![0.0; m.nrows()];
+            m.spmv(&vec![1.0; m.nrows()], &mut rhs);
+            f.solve(&rhs).iter().all(|x| (x - 1.0).abs() < 1e-10)
+        };
+
+        let (fa, hit, generation) = cached_factors(inner, key, &a, factorize(&a)).unwrap();
+        assert_eq!((hit, generation), (false, 1));
+        let (fb, hit, generation) = cached_factors(inner, key, &b, factorize(&b)).unwrap();
+        assert_eq!((hit, generation), (false, 0), "a colliding key served another matrix");
+        assert!(same_matrix(fb.matrix(), &b) && solves_ones(&fb, &b));
+        let (again, hit, _) =
+            cached_factors(inner, key, &a, || -> Result<SharedFactors<f64>, JobError> {
+                panic!("the entry holds exactly `a`")
+            })
+            .unwrap();
+        assert!(hit && Arc::ptr_eq(&fa, &again));
+
+        // Through an alias: `a`'s keys with `b`'s triplets.
+        let (ta, tb) = (triplets_of(&a), triplets_of(&b));
+        let alias = alias_of(&ta, &a, pattern_hash(&a)).expect("no duplicates");
+        assert!(inner.factor_cache.add_alias(7, &key, alias));
+        let sample = values_sample(&ta);
+        assert!(factors_by_alias(inner, 7, sample, a.nrows(), &tb, key.2).is_none());
+        let served = factors_by_alias(inner, 7, sample, a.nrows(), &ta, key.2).expect("alias hit");
+        assert!(Arc::ptr_eq(&served.factors, &fa) && solves_ones(&served.factors, &a));
+        service.shutdown();
     }
 
     /// Idle workers re-take the queue lock to see the drain latch, so

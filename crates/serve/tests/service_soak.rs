@@ -5,7 +5,7 @@
 
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
 use dagfact_rt::{FaultPlan, MemoryBudget};
-use dagfact_serve::{JobError, JobSpec, ServeConfig, Service};
+use dagfact_serve::{JobError, JobSpec, ServeConfig, Service, ServiceStats};
 use dagfact_sparse::gen::{grid_laplacian_2d, grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
@@ -358,6 +358,190 @@ fn served_solve_is_bitwise_the_same_at_every_thread_count() {
     service.shutdown();
 }
 
+/// The triplets of `a`, column by column (the order `inline_of` sends).
+fn triplets_of(a: &CscMatrix<f64>) -> Vec<(usize, usize, f64)> {
+    let mut t = Vec::with_capacity(a.nnz());
+    for j in 0..a.ncols() {
+        for (&i, &v) in a.col_rows(j).iter().zip(a.col_values(j)) {
+            t.push((i, j, v));
+        }
+    }
+    t
+}
+
+/// An inline source sending `triplets` in the order given.
+fn inline_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> String {
+    let t: Vec<String> = triplets.iter().map(|(i, j, v)| format!("{i},{j},{v}")).collect();
+    format!("inline={n}:{}", t.join(";"))
+}
+
+/// Solve `src` once (`refine=2`; `rhs=aones` unless `src` sets one whose
+/// answer is the ones vector too), check the answer, and return the
+/// response with the stats it left behind.
+fn served(service: &Service, src: &str, label: &str) -> (dagfact_serve::JobResponse, ServiceStats) {
+    let spec = JobSpec::parse(&format!("{src} refine=2 tag={label}")).expect("spec");
+    let resp = service.solve_blocking(spec).expect(label);
+    assert_ones(&resp.x, label);
+    (resp, service.stats())
+}
+
+/// Pattern-cache traffic: an alias hit leaves it where it was.
+fn pattern_lookups(s: &ServiceStats) -> u64 {
+    s.pattern_cache.hits + s.pattern_cache.misses
+}
+
+#[test]
+fn identical_resend_is_served_through_its_alias() {
+    let service = Service::start(ServeConfig::default());
+    let src = inline_of(&grid_laplacian_3d(6, 6, 6));
+    let (first, s1) = served(&service, &src, "first");
+    assert!(!first.factor_hit);
+    for round in 0..3 {
+        let (resp, s2) = served(&service, &src, &format!("resend{round}"));
+        assert!(resp.factor_hit && resp.pattern_hit);
+        assert_eq!(resp.generation, 1);
+        assert_eq!(pattern_lookups(&s2), pattern_lookups(&s1), "round {round}");
+        assert_eq!(s2.factor_cache.hits, s1.factor_cache.hits + 1 + round);
+        assert_eq!(s2.factor_cache.misses, s1.factor_cache.misses);
+    }
+    service.shutdown();
+}
+
+#[test]
+fn reordered_resend_misses_its_alias_once_then_hits() {
+    let service = Service::start(ServeConfig::default());
+    let a = grid_laplacian_3d(6, 6, 6);
+    let mut t = triplets_of(&a);
+    let sent = inline_triplets(a.nrows(), &t);
+    t.reverse();
+    let reordered = inline_triplets(a.nrows(), &t);
+    let (_, s0) = served(&service, &sent, "sent");
+    // Same entries in another order: no alias yet, so the canonical path
+    // (pattern cache, then the factor cache's exact check) answers, and
+    // leaves an alias of this order behind.
+    let (resp, s1) = served(&service, &reordered, "reordered");
+    assert!(resp.factor_hit);
+    assert_eq!(s1.pattern_cache.hits, s0.pattern_cache.hits + 1);
+    assert_eq!(s1.factor_cache.hits, s0.factor_cache.hits + 1);
+    // Both orders now hit through their own aliases.
+    let mut last = s1;
+    for (src, label) in [(&reordered, "reordered_again"), (&sent, "sent_again")] {
+        let (resp, s) = served(&service, src, label);
+        assert!(resp.factor_hit, "{label}");
+        assert_eq!(pattern_lookups(&s), pattern_lookups(&last), "{label}");
+        assert_eq!(s.factor_cache.hits, last.factor_cache.hits + 1, "{label}");
+        last = s;
+    }
+    service.shutdown();
+}
+
+/// Same positions, one diagonal value changed: the two matrices share
+/// every alias bucket, and neither may ever be answered with the other's
+/// factors, whichever comes first. Each job sends its own `A·1` as the
+/// right-hand side (`rhs=aones` would be computed from whatever matrix
+/// served it). The change sits on the first triplet, which every key
+/// samples, or on one of three consecutive diagonal triplets, which the
+/// keys cannot all sample.
+#[test]
+fn a_changed_value_never_gets_the_other_matrixs_factors() {
+    let a = grid_laplacian_3d(6, 6, 6);
+    let t = triplets_of(&a);
+    let n = a.nrows();
+    let diagonals: Vec<usize> = (0..t.len()).filter(|&k| t[k].0 == t[k].1).collect();
+    let job = |t: &[(usize, usize, f64)]| {
+        let mut b = vec![0.0; n];
+        for &(i, _, v) in t {
+            b[i] += v;
+        }
+        let b: Vec<String> = b.iter().map(|v| v.to_string()).collect();
+        format!("{} rhs={}", inline_triplets(n, t), b.join(";"))
+    };
+    for changed in [0, diagonals[n / 2], diagonals[n / 2 + 1], diagonals[n / 2 + 2]] {
+        let mut t2 = t.clone();
+        t2[changed].2 += 0.5;
+        let (src, src2) = (job(&t), job(&t2));
+        for order in [[&src, &src2], [&src2, &src]] {
+            let service = Service::start(ServeConfig::default());
+            let (first, _) = served(&service, order[0], "first");
+            let (second, _) = served(&service, order[1], "second");
+            assert!(!first.factor_hit && !second.factor_hit, "entry {changed}");
+            // And again, now that both have factors and aliases.
+            for (k, src) in order.iter().enumerate() {
+                let (resp, _) = served(&service, src, &format!("again{k}"));
+                assert!(resp.factor_hit, "entry {changed}");
+            }
+            let stats = service.shutdown();
+            assert_eq!(stats.factor_cache.misses, 2, "entry {changed}");
+        }
+    }
+}
+
+#[test]
+fn duplicate_triplets_get_no_alias_and_are_answered_right() {
+    let service = Service::start(ServeConfig::default());
+    let a = grid_laplacian_3d(6, 6, 6);
+    let mut t = triplets_of(&a);
+    // Split the first diagonal entry in two: `TripletBuilder` sums them
+    // back to the same matrix, but a triplet no longer has a slot of its own.
+    let (i, j, v) = t[0];
+    t[0].2 = v - 2.0;
+    t.push((i, j, 2.0));
+    let dup = inline_triplets(a.nrows(), &t);
+    let (first, s1) = served(&service, &dup, "dup");
+    assert!(!first.factor_hit);
+    let (resp, s2) = served(&service, &dup, "dup_again");
+    assert!(resp.factor_hit, "the canonical key still finds the factors");
+    assert_eq!(
+        pattern_lookups(&s2),
+        pattern_lookups(&s1) + 1,
+        "a source with duplicates must take the canonical path every time"
+    );
+    // The duplicate-free source of the same matrix shares the entry.
+    let (resp, _) = served(&service, &inline_of(&a), "plain");
+    assert!(resp.factor_hit);
+    service.shutdown();
+}
+
+#[test]
+fn a_coalesced_batch_lead_is_served_through_the_alias() {
+    // As in `batched_same_factor_jobs_never_mix_results`: one worker, a
+    // refined warmup that fills the caches (and the alias) while the
+    // followers queue behind it and coalesce.
+    let service = Service::start(ServeConfig {
+        workers: 1,
+        queue_cap: 32,
+        ..ServeConfig::default()
+    });
+    let a = grid_laplacian_3d(6, 6, 6);
+    let src = inline_of(&a);
+    let followers: Vec<JobSpec> = (0..6)
+        .map(|k| JobSpec::parse(&format!("{src} tag=f{k}")).expect("spec"))
+        .collect();
+    let warm = service
+        .submit(JobSpec::parse(&format!("{src} refine=3 tag=warmup")).expect("spec"))
+        .expect("warmup admitted");
+    let tickets: Vec<_> = followers
+        .into_iter()
+        .map(|spec| service.submit(spec).expect("follower admitted"))
+        .collect();
+    warm.wait().expect("warmup solves");
+    let mut coalesced = 0;
+    for t in tickets {
+        let resp = t.wait().expect("follower solves");
+        // rhs=aones: the ones vector solves every member.
+        assert_ones(&resp.x, "follower");
+        assert!(resp.factor_hit);
+        coalesced += usize::from(resp.batched >= 2);
+    }
+    let stats = service.shutdown();
+    assert!(coalesced >= 2 && stats.batches >= 1, "never coalesced: {stats:?}");
+    assert_eq!(
+        (stats.pattern_cache.hits, stats.pattern_cache.misses),
+        (0, 1),
+        "only the warmup may ask the pattern cache: {stats:?}"
+    );
+}
+
 #[test]
 fn budget_pressure_sheds_caches_before_rejecting() {
     // Cap sized so one set of factors fits but pressure rises past the
@@ -391,6 +575,39 @@ fn budget_pressure_sheds_caches_before_rejecting() {
         }
     }
     assert!(budget.peak() <= (8 << 20), "ledger exceeded its cap");
+    // An identical resend is served through its alias, so aliases are
+    // resident next to the factors when the shed comes.
+    let src = &problems[0];
+    for tag in ["fill", "resend"] {
+        let spec = JobSpec::parse(&format!("{src} refine=2 tag={tag}")).expect("spec");
+        assert_ones(&service.solve_blocking(spec).expect("job").x, tag);
+    }
+    let before = service.stats();
+    let spec = JobSpec::parse(&format!("{src} refine=2 tag=alias")).expect("spec");
+    let resp = service.solve_blocking(spec).expect("alias hit");
+    assert_ones(&resp.x, "alias");
+    let after = service.stats();
+    assert!(resp.factor_hit);
+    assert_eq!(after.factor_cache.hits, before.factor_cache.hits + 1);
+    assert_eq!(
+        (after.pattern_cache.hits, after.pattern_cache.misses),
+        (before.pattern_cache.hits, before.pattern_cache.misses),
+        "an alias hit must not touch the pattern cache"
+    );
+    assert!(after.factor_cache.resident_bytes > 0);
+    // Hold the ledger at Red: the next submission sheds both caches —
+    // entries and aliases — and is still rejected. Nothing stays charged.
+    budget.charge_forced(8 << 20);
+    let spec = JobSpec::parse(&format!("{src} refine=2 tag=shed")).expect("spec");
+    assert!(matches!(service.submit(spec), Err(JobError::Overloaded(_))));
+    let shed = service.stats();
+    assert_eq!(
+        (shed.factor_cache.resident_bytes, shed.pattern_cache.resident_bytes),
+        (0, 0),
+        "a shed must release every cached byte, aliases included"
+    );
+    budget.release(8 << 20);
+    assert_eq!(budget.used(), 0, "the ledger still holds cache bytes after a shed");
     let stats = service.shutdown();
     assert!(stats.completed > 0);
 }
