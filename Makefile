@@ -93,8 +93,8 @@ check-analysis: lint
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Memory-budget gate: the ledger unit suite, the budgeted-execution suite
-# (50% of peak must complete through the degradation ladder at full
-# accuracy on the Table-I proxies; capped two-level runs bitwise equal to
+# (50% of peak must complete through the demand pager at full accuracy
+# on the Table-I proxies; capped two-level runs bitwise equal to
 # unconstrained ones; ledger under its cap) and the reader-fuzz suite.
 check-memory:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt budget

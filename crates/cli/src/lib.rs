@@ -498,14 +498,13 @@ fn solve<T: Scalar>(opts: &Opts, a: &CscMatrix<T>) -> Result<String, String> {
                 None => String::new(),
             }
         );
-        if mem.spill_events > 0 || mem.throttle_events > 0 || mem.overcommit_events > 0 {
+        if mem.spill_events > 0 || mem.overcommit_events > 0 {
             let _ = writeln!(
                 out,
-                "degradation  : {} panel(s) spilled ({:.1} MB), {} faulted back, {} throttle(s), {} overcommit(s)",
+                "degradation  : {} panel(s) spilled ({:.1} MB), {} faulted back, {} overcommit(s)",
                 mem.spill_events,
                 mem.spill_bytes as f64 / (1 << 20) as f64,
                 mem.fault_in_events,
-                mem.throttle_events,
                 mem.overcommit_events
             );
         }

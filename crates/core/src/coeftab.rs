@@ -271,30 +271,39 @@ impl<T: Scalar> CoefTab<T> {
     /// accounting: every panel is touched here, on the calling thread.
     /// Panics if `a` has an entry outside the analyzed pattern.
     pub fn assemble(analysis: &Analysis, a: &CscMatrix<T>) -> CoefTab<T> {
+        let tab = Self::reserve(analysis, &MemoryOptions::default());
         let src = PanelSource::new(analysis, a);
-        let touched = Self::reserve(analysis, &MemoryOptions::default()).and_then(|tab| {
-            for key in 0..tab.slots.len() {
-                tab.pin(key, tab.layout.panel_len(&analysis.symbol, key % tab.ncblk), Some(&src))?;
-            }
-            Ok(tab)
-        });
-        match touched {
-            Ok(tab) => tab,
+        for key in 0..tab.slots.len() {
+            let len = tab.layout.panel_len(&analysis.symbol, key % tab.ncblk);
             // With no budget, the one failure left is the matrix itself.
-            Err(e) => panic!("cannot assemble: {e}"),
+            if let Err(e) = tab.pin(key, len, Some(&src)) {
+                panic!("cannot assemble: {e}");
+            }
         }
+        tab
     }
 
     /// One untouched slot per panel under `mem`. Without a cap every
     /// panel's capacity is reserved now (charging the ledger, if any, in
-    /// bulk); with a cap nothing is allocated until a panel is pinned.
-    pub fn reserve(analysis: &Analysis, mem: &MemoryOptions) -> Result<CoefTab<T>, SolverError> {
+    /// one step); with a cap nothing is allocated until a panel is pinned.
+    pub fn reserve(analysis: &Analysis, mem: &MemoryOptions) -> CoefTab<T> {
         let symbol = &analysis.symbol;
         let layout = PanelLayout::new(symbol);
         let ncblk = symbol.ncblk();
         let lu = analysis.facto == FactoKind::Lu;
         let lazy = mem.budget.as_ref().is_some_and(|b| b.cap().is_some());
-        let nsides = if lu { 2 * ncblk } else { ncblk };
+        let sides = if lu { 2 } else { 1 };
+        let nsides = sides * ncblk;
+        // An uncapped ledger cannot refuse: the whole factor is counted
+        // in one step.
+        let eager_charged = match &mem.budget {
+            Some(b) if !lazy => {
+                let bytes = sides * layout.len * std::mem::size_of::<T>();
+                b.charge_forced(bytes);
+                bytes
+            }
+            _ => 0,
+        };
         let mut tab = CoefTab {
             layout,
             slots: Vec::with_capacity(nsides),
@@ -303,28 +312,14 @@ impl<T: Scalar> CoefTab<T> {
             lazy,
             budget: mem.budget.clone(),
             spill: lazy.then(|| SpillStore::new(mem.spill_dir.as_deref())),
-            eager_charged: 0,
+            eager_charged,
             clock: AtomicU64::new(0),
         };
-        if !lazy {
-            if let Some(b) = &tab.budget {
-                let side_bytes = tab.layout.len * std::mem::size_of::<T>();
-                b.try_charge(side_bytes, site::COEFTAB_L)
-                    .map_err(SolverError::from_budget)?;
-                tab.eager_charged += side_bytes;
-                if lu {
-                    // A failure here releases the L charge through `Drop`.
-                    b.try_charge(side_bytes, site::COEFTAB_U)
-                        .map_err(SolverError::from_budget)?;
-                    tab.eager_charged += side_bytes;
-                }
-            }
-        }
         for key in 0..nsides {
             let len = if lazy { 0 } else { tab.layout.panel_len(symbol, key % ncblk) };
             tab.slots.push(Slot::new(Vec::with_capacity(len)));
         }
-        Ok(tab)
+        tab
     }
 
     /// Does this tab carry a U side?
@@ -444,24 +439,16 @@ impl<T: Scalar> CoefTab<T> {
     }
 
     /// Mark column block `c`'s panels cold: the factorization will no
-    /// longer touch them (all updates consuming them are done). Under
-    /// high pressure they are spilled immediately; either way they are
-    /// the preferred eviction victims from now on. The solve phase
-    /// faults them back in through the pins.
+    /// longer touch them (all updates consuming them are done), so they
+    /// are the pager's preferred eviction victims from now on. The solve
+    /// phase faults them back in through the pins.
     pub fn retire(&self, c: usize) {
         let keys: [Option<usize>; 2] =
             [Some(c), if self.lu { Some(self.ncblk + c) } else { None }];
-        let eager_spill = self
-            .budget
-            .as_ref()
-            .is_some_and(|b| b.should_spill() && self.spill.is_some());
         for key in keys.into_iter().flatten() {
             // Release pairs with the Acquire load of `retired` in
             // `evict_one`'s victim scan.
             self.slots[key].retired.store(true, Ordering::Release);
-            if eager_spill {
-                self.try_evict(key);
-            }
         }
     }
 
@@ -524,8 +511,8 @@ impl<T: Scalar> CoefTab<T> {
         let Some(spill) = self.spill.as_ref() else {
             return false;
         };
-        // BOUNDS: `key` comes from `retire` (`c`, `ncblk + c`) or from the
-        // eviction scan's enumeration of the slot table.
+        // BOUNDS: `key` comes from the eviction scan's enumeration of the
+        // slot table.
         let slot = &self.slots[key];
         let mut st = match slot.state.try_lock() {
             Ok(g) => g,
@@ -619,7 +606,7 @@ mod tests {
         assert_eq!(pin.1, 1, "the pin is one element, not a panel");
         // A budgeted tab's storage all returns to the ledger.
         let mem = MemoryOptions { budget: Some(MemoryBudget::unbounded()), spill_dir: None };
-        let budgeted = CoefTab::<f64>::reserve(&an, &mem).expect("reserves");
+        let budgeted = CoefTab::<f64>::reserve(&an, &mem);
         drop(budgeted.pin_l(&an.symbol, 0, Some(&PanelSource::new(&an, &a))).expect("pin"));
         drop(budgeted);
         assert_eq!(pinned(), Some(pin), "a budgeted drop must not touch the pin");
@@ -646,7 +633,7 @@ mod tests {
             budget: Some(budget.clone()),
             spill_dir: None,
         };
-        let lazy = CoefTab::reserve(&an, &mem).expect("lazy reserve");
+        let lazy = CoefTab::reserve(&an, &mem);
         assert_eq!(budget.used(), 0, "a capped tab holds nothing until a panel is touched");
         let src = PanelSource::new(&an, &a);
 
@@ -693,7 +680,7 @@ mod tests {
             budget: Some(budget),
             spill_dir: None,
         };
-        let tab = CoefTab::reserve(&an, &mem).expect("reserve");
+        let tab = CoefTab::reserve(&an, &mem);
         let src = PanelSource::new(&an, &a);
         let pin0 = tab.pin_l(symbol, 0, Some(&src)).expect("pin 0");
         // SAFETY: single-threaded test — no concurrent writer.
@@ -720,7 +707,7 @@ mod tests {
             budget: Some(MemoryBudget::with_cap(1 << 30)),
             spill_dir: None,
         };
-        let tab = CoefTab::<f64>::reserve(&an, &mem).expect("reserve");
+        let tab = CoefTab::<f64>::reserve(&an, &mem);
         let src = PanelSource::new(&an, &a);
         drop(tab.pin_l(&an.symbol, 0, Some(&src)).expect("pin"));
         let (tab, held) = (&tab, tab.slots[0].lock());
@@ -736,17 +723,23 @@ mod tests {
 
     #[test]
     fn budget_release_on_drop_balances_ledger() {
+        // An uncapped reservation charges every side of the whole factor
+        // in one step (LLᵀ one side, LU two), and drop returns it all.
         let a = grid_laplacian_2d(6, 6);
-        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-        let budget = MemoryBudget::unbounded();
-        let mem = MemoryOptions {
-            budget: Some(budget.clone()),
-            spill_dir: None,
-        };
-        let tab = CoefTab::<f64>::reserve(&an, &mem).expect("reserve");
-        assert!(budget.used() > 0, "an uncapped reservation charges the ledger in bulk");
-        drop(tab);
-        assert_eq!(budget.used(), 0, "drop must release every charge");
-        assert!(budget.peak() > 0);
+        for (facto, sides) in [(FactoKind::Cholesky, 1), (FactoKind::Lu, 2)] {
+            let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+            let budget = MemoryBudget::unbounded();
+            let mem = MemoryOptions {
+                budget: Some(budget.clone()),
+                spill_dir: None,
+            };
+            let tab = CoefTab::<f64>::reserve(&an, &mem);
+            let whole = sides * tab.layout.len * std::mem::size_of::<f64>();
+            assert!(whole > 0);
+            assert_eq!((budget.used(), budget.peak()), (whole, whole), "{facto:?}");
+            drop(tab);
+            assert_eq!(budget.used(), 0, "{facto:?}: drop must release every charge");
+            assert_eq!(budget.stats().overcommit_events, 0);
+        }
     }
 }

@@ -76,8 +76,8 @@ pub enum SolverError {
     /// consecutive corrections — the factorization is too inaccurate for
     /// refinement to recover (typically after heavy static pivoting).
     RefinementStalled { iterations: usize, last_berr: f64 },
-    /// The memory budget's hard cap cannot be met even after throttling
-    /// and spilling — e.g. a single panel larger than the whole cap.
+    /// The memory budget's hard cap cannot be met even by spilling — a
+    /// single panel or workspace larger than the whole cap.
     /// `site` is the budget allocation site (`dagfact_rt::budget::site`).
     BudgetExceeded {
         requested: usize,

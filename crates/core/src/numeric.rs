@@ -27,16 +27,13 @@
 //! When [`ExecOptions::run`] carries a [`MemoryBudget`], every large
 //! allocation of the factorization is charged to it: the coefficient
 //! panels and the per-worker GEMM buffers (`site::WORKSPACE`) through the
-//! pager in [`CoefTab`], the pivot diagonal directly. Under
-//! a hard cap the run degrades instead of failing, in pressure order:
-//!
-//! 1. **throttle** — the engines stop admitting new tasks past the
-//!    budget's admission width (see `Supervisor::try_admit`);
-//! 2. **spill** — a charge that does not fit evicts cold panels (those
-//!    whose consumers are all done first, then least recently used) to
-//!    the disk-backed [`crate::spill::SpillStore`]; they fault back in on
-//!    the next touch (usually the solve), and only when nothing is
-//!    evictable is the charge forced over the cap (counted).
+//! pager in [`CoefTab`], the pivot diagonal directly. Under a hard cap
+//! the run degrades instead of failing, by demand paging alone: a charge
+//! that does not fit evicts cold panels (those whose consumers are all
+//! done first, then least recently used) to the disk-backed
+//! [`crate::spill::SpillStore`]; they fault back in on the next touch
+//! (usually the solve), and only when nothing is evictable is the charge
+//! forced over the cap (counted).
 //!
 //! There is one update kernel at every pressure, so a capped run produces
 //! the factors of the unconstrained run bit for bit.
@@ -600,17 +597,16 @@ impl Analysis {
             rec.reset_tasks();
         }
         // The coefficients arrive inside the graph, at first touch.
-        let reserve = || CoefTab::reserve(self, &mem).map(|tab| (tab, PanelSource::new(self, a)));
+        let reserve = || (CoefTab::reserve(self, &mem), PanelSource::new(self, a));
         let (tab, source) = match &tracer {
             Some(rec) => rec.phase("assembly", reserve),
             None => reserve(),
-        }?;
+        };
         let d_bytes = self.symbol.n * std::mem::size_of::<T>();
         if let Some(b) = &exec.run.budget {
             // The diagonal is O(n) — forced (never degrades), but still
             // visible to accounting.
             b.charge_forced(d_bytes);
-            b.end_phase("assembly");
         }
         let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); self.symbol.n]);
         // Static pivoting threshold ε·‖A‖∞ (PaStiX-style); Cholesky has
@@ -649,7 +645,6 @@ impl Analysis {
                 ws.tmp_charged = 0;
             }
             b.release(d_bytes);
-            b.end_phase("factorization");
         }
         let mut report = outcome?;
         if let Some(b) = &exec.run.budget {

@@ -1,8 +1,8 @@
-//! Disk-backed panel store — the last rung of the degradation ladder.
+//! Disk-backed panel store — the backing store of the demand pager.
 //!
-//! When the memory budget is capped and pressure stays high after
-//! throttling, cold factored panels are *spilled* here and faulted back
-//! in on the next touch (usually the solve phase). One file per panel
+//! When the memory budget is capped and a charge does not fit, cold
+//! factored panels are *spilled* here and faulted back in on the next
+//! touch (usually the solve phase). One file per panel
 //! under a private directory, created by the first spill — a capped run
 //! that never evicts touches no disk; the format is the raw
 //! little-endian `f64` component stream of the panel (8 bytes per real

@@ -101,7 +101,7 @@ fn assert_first_touch_is_the_dense_scatter<T: Scalar>(name: &str, facto: FactoKi
     let dir = std::env::temp_dir().join(format!("dagfact-assembly-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("spill dir");
     let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: Some(dir.clone()) };
-    let tab = CoefTab::reserve(&an, &mem).expect("reserve");
+    let tab = CoefTab::reserve(&an, &mem);
     let src = PanelSource::new(&an, a);
     for c in 0..ncblk {
         drop(tab.pin_l(symbol, c, Some(&src)).expect("first touch"));

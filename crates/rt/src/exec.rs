@@ -19,11 +19,10 @@
 //! queue with no locality ("does not have a data-reuse policy on
 //! CPU-shared memory systems", §V-A).
 //!
-//! Every worker runs the same loop: admit (memory-pressure throttle) →
-//! own deque → injector → batch-steal from the most loaded victim →
-//! [`Supervisor::run_task`] → checked fan-in release of the successors →
-//! place them → `task_done` (or drain on abort). Ready
-//! tasks live in bounded Chase-Lev rings ([`crate::deque`]) that spill to
+//! Every worker runs the same loop: own deque → injector → batch-steal
+//! from the most loaded victim → [`Supervisor::run_task`] → checked
+//! fan-in release of the successors → place them → `task_done` (or drain
+//! on abort). Ready tasks live in bounded Chase-Lev rings ([`crate::deque`]) that spill to
 //! the mutex-backed [`Injector`] on overflow, so correctness never depends
 //! on a capacity.
 //!
@@ -133,22 +132,17 @@ pub fn run<D: PtgProgram>(
         // Steal) when the next task is acquired.
         let mut wait_from = lane.now();
         while sup.remaining() > 0 && !sup.halted() {
-            // Memory-pressure throttle first (ready tasks stay queued
-            // while the budget's admission width is saturated), then own
-            // deque (locality), injector (seeds, overflow spills, the
-            // central queue), and last a steal — the only acquisition
-            // recorded as `Steal`: a take from another worker's deque.
-            let next = if sup.try_admit() {
-                local
-                    .pop()
-                    .or_else(|| injector.steal())
-                    .map(|t| (t, SpanKind::QueueWait))
-                    .or_else(|| {
-                        steal(&stealers, local, &injector, worker).map(|t| (t, SpanKind::Steal))
-                    })
-            } else {
-                None
-            };
+            // Own deque first (locality), then the injector (seeds,
+            // overflow spills, the central queue), and last a steal — the
+            // only acquisition recorded as `Steal`: a take from another
+            // worker's deque.
+            let next = local
+                .pop()
+                .or_else(|| injector.steal())
+                .map(|t| (t, SpanKind::QueueWait))
+                .or_else(|| {
+                    steal(&stealers, local, &injector, worker).map(|t| (t, SpanKind::Steal))
+                });
             let Some((t, acquired_by)) = next else {
                 // Idle: service the watchdog, then yield to the OS.
                 if sup.idle_check() {

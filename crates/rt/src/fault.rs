@@ -192,9 +192,8 @@ pub struct RunConfig {
     /// while tasks remain and no worker is executing, the run fails with
     /// [`EngineError::Stalled`] instead of deadlocking. `None` disables.
     pub watchdog: Option<Duration>,
-    /// Optional memory ledger. When set, the engines consult
-    /// [`crate::budget::MemoryBudget::admission_width`] before dispatching
-    /// (pressure-aware throttling) and the final [`RunReport`] carries a
+    /// Optional memory ledger. When set, the task bodies charge it
+    /// through their pager and the final [`RunReport`] carries a
     /// [`crate::budget::MemoryStats`] snapshot.
     pub budget: Option<Arc<crate::budget::MemoryBudget>>,
     /// Optional span recorder. When set, every engine records per-worker
@@ -307,7 +306,7 @@ pub struct RunReport {
     pub faults_injected: usize,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Memory-ledger snapshot (peaks, spill/throttle/overcommit counters) when
+    /// Memory-ledger snapshot (peak, spill and overcommit counters) when
     /// the run carried a [`crate::budget::MemoryBudget`].
     pub memory: Option<crate::budget::MemoryStats>,
 }
@@ -390,28 +389,6 @@ impl Supervisor {
     /// Tasks not yet completed.
     pub fn remaining(&self) -> usize {
         self.remaining.load(Ordering::Acquire)
-    }
-
-    /// Pressure-aware admission throttle. Returns `false` when the
-    /// memory budget's admission width is saturated by already-running
-    /// tasks — the worker should idle briefly instead of dispatching.
-    /// Always admits when nothing is running, so a throttled run can
-    /// never starve (and the watchdog can never see a fully-throttled
-    /// live graph stall forever).
-    pub fn try_admit(&self) -> bool {
-        let Some(budget) = self.config.budget.as_ref() else {
-            return true;
-        };
-        let Some(width) = budget.admission_width() else {
-            return true;
-        };
-        let running = self.running.load(Ordering::Acquire);
-        if running < width.max(1) {
-            true
-        } else {
-            budget.note_throttle();
-            false
-        }
     }
 
     /// Stamp "progress happened now" for the stall watchdog — its only

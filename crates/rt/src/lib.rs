@@ -69,7 +69,7 @@ pub mod sync;
 pub mod trace;
 pub mod verify;
 
-pub use budget::{BudgetError, MemoryBudget, MemoryStats, PhaseStats, PressureLevel};
+pub use budget::{BudgetError, MemoryBudget, MemoryStats};
 pub use fault::{CancelToken, EngineError, FaultPlan, RunConfig, RunReport};
 pub use json::{write_results, Json};
 pub use shared::{release_pending, ReleaseUnderflow, SharedSlice};

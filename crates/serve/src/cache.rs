@@ -21,6 +21,7 @@
 
 use crate::job::JobError;
 use dagfact_rt::budget::{site, MemoryBudget};
+use dagfact_rt::fault::panic_message;
 use dagfact_rt::sync::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -276,7 +277,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
                 // Waiters are already unblocked; format the panic payload
                 // (which allocates) outside the critical section.
                 drop(inner);
-                Err(JobError::Panicked(panic_message(&panic)))
+                Err(JobError::Panicked(panic_message(&*panic)))
             }
         }
     }
@@ -424,17 +425,6 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
     }
 }
 
-/// Best-effort panic payload extraction (mirrors the engine's).
-pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,7 +455,8 @@ mod tests {
                 panic!("boom in fill")
             })
             .unwrap_err();
-        assert!(matches!(err, JobError::Panicked(_)), "{err:?}");
+        // The payload, not the box it was caught in, reaches the error.
+        assert_eq!(err, JobError::Panicked("boom in fill".into()));
         // The refill must run (not serve the poisoned slot) and must
         // carry a bumped generation.
         let again = c

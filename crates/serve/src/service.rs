@@ -23,10 +23,11 @@
 //! 4. **response** — a typed [`JobResponse`] (with cache provenance) or
 //!    a typed [`JobError`]; the daemon survives either.
 
-use crate::cache::{panic_message, Alias, CacheStats, GenCache};
+use crate::cache::{Alias, CacheStats, GenCache};
 use crate::job::{JobError, JobResponse, JobSpec, MatrixSource, ReusePolicy, RhsSource};
 use dagfact_core::{Analysis, ExecOptions, SharedFactors, SolverError, SolverOptions};
-use dagfact_rt::budget::{MemoryBudget, PressureLevel};
+use dagfact_rt::budget::MemoryBudget;
+use dagfact_rt::fault::panic_message;
 use dagfact_rt::sync::{Condvar, Mutex};
 use dagfact_rt::{CancelToken, FaultPlan, Json, RunConfig};
 use dagfact_sparse::mm::read_matrix_market_file;
@@ -37,6 +38,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Ledger pressure (share of the cap in use) at which `submit` sheds
+/// both caches, and past which it rejects a job.
+const SHED_PRESSURE: f64 = 0.97;
 
 /// Service configuration.
 #[derive(Clone)]
@@ -239,13 +244,13 @@ impl Service {
         if inner.shutting_down.load(Ordering::Acquire) {
             return Err(JobError::ShuttingDown);
         }
-        // Degradation ladder: at critical memory pressure shed the cached
-        // factors (largest reclaimable residents) before giving up; only
-        // reject when even that leaves the ledger past the throttle line.
-        if inner.config.budget.level() >= PressureLevel::Red {
+        // Shed rung: at critical memory pressure drop both caches whole
+        // (the largest reclaimable residents) before giving up; only
+        // reject when even that leaves the ledger at the shed line.
+        if inner.config.budget.pressure() >= SHED_PRESSURE {
             let freed = inner.factor_cache.shed() + inner.pattern_cache.shed();
             inner.shed_events.fetch_add(1, Ordering::Relaxed);
-            if inner.config.budget.level() >= PressureLevel::Red {
+            if inner.config.budget.pressure() >= SHED_PRESSURE {
                 let mut c = inner.counters.lock();
                 c.rejected += 1;
                 return Err(JobError::Overloaded(format!(
@@ -370,10 +375,10 @@ fn worker_loop(inner: &Arc<ServiceInner>) {
         // to a typed error and the worker lives on.
         let outcomes: Vec<Result<JobResponse, JobError>> = if batch.len() == 1 {
             vec![catch_unwind(AssertUnwindSafe(|| run_job(inner, &batch[0])))
-                .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(&p))))]
+                .unwrap_or_else(|p| Err(JobError::Panicked(panic_message(&*p))))]
         } else {
             catch_unwind(AssertUnwindSafe(|| run_batch(inner, &batch))).unwrap_or_else(|p| {
-                let e = JobError::Panicked(panic_message(&p));
+                let e = JobError::Panicked(panic_message(&*p));
                 batch.iter().map(|_| Err(e.clone())).collect()
             })
         };
