@@ -115,8 +115,9 @@ check-trace:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-cli trace
 
 # Serving gate (DESIGN.md §12): the serve crate's unit suites, the
-# job-spec mutation fuzzer, the fault-injected concurrent soak (task
-# panics/NaN panels/deadlines — no contamination, typed rejections),
+# job-spec mutation fuzzer, the concurrent soak under faults (injected
+# task panics, an overflowing matrix, deadlines — no contamination,
+# typed rejections),
 # the CLI serve-mode tests, and the release-mode cache ratio test
 # (a factor hit must be ≥5x faster than a cold request).
 check-serve:

@@ -485,9 +485,6 @@ fn solve<T: Scalar>(opts: &Opts, a: &CscMatrix<T>) -> Result<String, String> {
             stats.attempts, stats.epsilon_history
         );
     }
-    if stats.run.faults_injected > 0 {
-        let _ = writeln!(out, "engine       : {} fault(s) injected", stats.run.faults_injected);
-    }
     if let Some(mem) = &stats.run.memory {
         let _ = writeln!(
             out,
@@ -736,25 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_nan_is_recovered_by_refactorization() {
-        let path = write_temp("faultplan", &grid_laplacian_3d(6, 6, 6));
-        // Panel 1 comes out NaN on the first two factorizations: the
-        // third succeeds, the solve still reaches machine precision and
-        // the report names the recovery.
-        let out = run(&args(&[
-            "solve", &path, "--runtime", "parsec", "--threads", "2", "--fault-plan",
-            "nan=1x2",
-        ]))
-        .unwrap();
-        let recovery = out.lines().find(|l| l.starts_with("recovery")).expect(&out);
-        assert!(recovery.contains(": 3 attempt(s)"), "{out}");
-        assert!(out.contains("2 fault(s) injected"), "{out}");
-        let err_line = out.lines().find(|l| l.starts_with("backward err")).unwrap();
-        let val: f64 = err_line.split(':').nth(1).unwrap().trim().parse().unwrap();
-        assert!(val < 1e-12, "{out}");
-    }
-
-    #[test]
     fn fault_plan_panic_fails_the_solve_cleanly() {
         let path = write_temp("faultpanic", &grid_laplacian_3d(5, 5, 5));
         let err = run(&args(&[
@@ -769,11 +747,12 @@ mod tests {
         let path = write_temp("badplan", &grid_laplacian_3d(3, 3, 3));
         // Removed directives are unknown, not silently ignored: the delay
         // fault, sampled panics, the cluster's crash and message faults,
-        // the seed, transient task faults and allocation faults.
+        // the seed, transient task faults, allocation faults and NaN
+        // output corruption.
         for spec in [
             "frobnicate=yes", "delay=1:250", "pprob=0.1", "crash=1x1", "cprob=0.1x1",
             "mloss=0.05", "mdup=0.05", "mreorder=0.05", "seed=1", "transient=3x2",
-            "tprob=0.1x1", "alloc=64x1", "aprob=0.5x1",
+            "tprob=0.1x1", "alloc=64x1", "aprob=0.5x1", "nan=1", "nan=1x2",
         ] {
             let err = run(&args(&["solve", &path, "--fault-plan", spec])).unwrap_err();
             assert!(err.contains("--fault-plan"), "{spec}: {err}");

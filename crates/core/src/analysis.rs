@@ -37,10 +37,12 @@ pub struct SolverOptions {
     /// pivot repair.
     pub static_pivot_epsilon: f64,
     /// Upper bound on total factorization attempts in the adaptive
-    /// recovery loop ([`crate::Solver`]): on numeric breakdown (zero or
-    /// non-finite pivots, corrupted coefficients, stalled refinement) the
-    /// solver re-factorizes with the static-pivot threshold escalated
-    /// ×100 per attempt, up to this many attempts. 1 disables recovery.
+    /// recovery loop ([`crate::Solver`], [`crate::SharedFactors`]): on a
+    /// numeric breakdown of LDLᵀ or LU with finite input (zero or
+    /// non-finite pivot, non-finite panel, stalled refinement) the solver
+    /// re-factorizes at the next static-pivot ε of 1e-8, 1e-6, 1e-4,
+    /// 1e-2, never at one already tried, up to this many attempts.
+    /// Cholesky never re-factorizes. 1 disables recovery.
     pub max_refactor_attempts: u32,
 }
 

@@ -698,6 +698,31 @@ mod tests {
     }
 
     #[test]
+    fn a_retired_panel_is_evicted_before_an_older_live_one() {
+        // Panels 0 and 1 fill the cap exactly; 0 is the least recently
+        // used, but only 1 is retired. Room for one more panel 1 must
+        // come from panel 1 alone: LRU order would take panel 0 first.
+        let a = grid_laplacian_2d(8, 8);
+        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+        let symbol = &an.symbol;
+        let layout = PanelLayout::new(symbol);
+        let bytes = |c| layout.panel_len(symbol, c) * std::mem::size_of::<f64>();
+        let budget = MemoryBudget::with_cap(bytes(0) + bytes(1));
+        let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: None };
+        let tab = CoefTab::<f64>::reserve(&an, &mem);
+        let src = PanelSource::new(&an, &a);
+        for c in [0, 1] {
+            drop(tab.pin_l(symbol, c, Some(&src)).expect("first touch"));
+        }
+        tab.retire(1);
+        tab.charge_grow(bytes(1), site::WORKSPACE).expect("room by eviction");
+        let resident = |key: usize| tab.slots[key].resident.load(Ordering::Acquire);
+        assert!(!resident(1), "the retired panel was not the victim");
+        assert!(resident(0), "a live panel was evicted while a retired one was resident");
+        assert_eq!((budget.stats().spill_events, budget.stats().overcommit_events), (1, 0));
+    }
+
+    #[test]
     fn eviction_never_waits_on_a_held_slot() {
         // `pin` holds its own slot's lock while `charge_grow` evicts
         // others (DESIGN.md §16): the evictor must only ever try-lock.

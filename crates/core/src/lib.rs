@@ -67,8 +67,10 @@ pub enum SolverError {
     /// or the run was cancelled.
     Engine(dagfact_rt::EngineError),
     /// A panel task found NaN/Inf coefficients in the panel it had just
-    /// finished — numeric breakdown (or injected corruption) that escaped
-    /// the pivot checks.
+    /// finished: a non-finite input entry, or a finite one whose update
+    /// overflowed, that escaped the pivot checks. Only the second can be
+    /// rescued by a larger static-pivot threshold, so the recovery loop
+    /// re-factorizes only when every input value is finite.
     /// `task` names the storage array (`"L"`, `"U"` or `"D"`), `block` the
     /// panel it sits in.
     NonFinite { task: &'static str, block: usize },
@@ -136,22 +138,6 @@ impl From<dagfact_rt::EngineError> for SolverError {
 }
 
 impl SolverError {
-    /// `true` when escalating the static-pivot threshold and
-    /// re-factorizing has a chance of succeeding: numeric breakdowns
-    /// (zero / non-finite pivots, corrupted coefficients, stalled
-    /// refinement) are recoverable, structural and engine failures are
-    /// not.
-    pub fn is_recoverable_by_pivoting(&self) -> bool {
-        matches!(
-            self,
-            SolverError::Kernel(
-                dagfact_kernels::KernelError::ZeroPivot { .. }
-                    | dagfact_kernels::KernelError::NonFinitePivot { .. }
-            ) | SolverError::NonFinite { .. }
-                | SolverError::RefinementStalled { .. }
-        )
-    }
-
     /// `true` when the run was cancelled through a
     /// [`dagfact_rt::CancelToken`] (deadline, shutdown): the factors
     /// never materialized, nothing about the problem itself is wrong,

@@ -53,11 +53,10 @@ use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, pack_block, potrf, Scalar};
 use dagfact_rt::budget::site;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
-use dagfact_rt::{EngineError, FaultPlan, RunConfig, RunReport, RuntimeKind, SharedSlice};
+use dagfact_rt::{EngineError, RunConfig, RunReport, RuntimeKind, SharedSlice};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Per-worker scratch memory ("constant memory overhead per working
 /// thread", §V-B).
@@ -89,8 +88,6 @@ struct NumericCtx<'a, T: Scalar> {
     d: &'a SharedSlice<T>,
     /// Absolute static-pivot threshold.
     threshold: f64,
-    /// Fault-injection plan for NaN output corruption (testing).
-    fault: Option<Arc<FaultPlan>>,
     /// Updates still reading each source panel; at zero the panel is
     /// retired to the pager (preferred spill victim).
     remaining_reads: Vec<AtomicUsize>,
@@ -102,14 +99,13 @@ struct NumericCtx<'a, T: Scalar> {
 
 impl<'a, T: Scalar> NumericCtx<'a, T> {
     /// Context for `nworkers` workers over `tab`, whose untouched panels
-    /// assemble from `source`; `fault` corrupts panel outputs (testing).
+    /// assemble from `source`.
     fn new(
         analysis: &'a Analysis,
         tab: &'a CoefTab<T>,
         d: &'a SharedSlice<T>,
         threshold: f64,
         nworkers: usize,
-        fault: Option<Arc<FaultPlan>>,
         source: PanelSource<'a, T>,
     ) -> NumericCtx<'a, T> {
         NumericCtx {
@@ -118,7 +114,6 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             source,
             d,
             threshold,
-            fault,
             remaining_reads: (analysis.symbol.cblks.iter())
                 .map(|cb| AtomicUsize::new(cb.block_end - cb.block_begin - 1))
                 .collect(),
@@ -280,17 +275,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if let Err(e) = result {
             return self.record_error(e);
         }
-        // Fault injection: a NaN for the check below (and the recovery
-        // above it) to find.
-        if let Some(plan) = &self.fault {
-            if plan.take_corruption(c) {
-                l[0] = T::from_f64(f64::NAN);
-            }
-        }
         // The panel is final from here on, so this is the one place each
         // of its coefficients is checked: numeric breakdown the pivot
-        // checks cannot see (corruption in off-diagonal blocks no later
-        // pivot touches) must not reach the solve phase.
+        // checks cannot see (a non-finite entry in an off-diagonal block
+        // no later pivot touches) must not reach the solve phase.
         let sides = [("L", &*l), ("U", &*u), ("D", &*d)];
         if let Some((task, _)) = sides.into_iter().find(|(_, v)| !all_finite(v)) {
             return self.record_error(SolverError::NonFinite { task, block: c });
@@ -610,17 +598,17 @@ impl Analysis {
         }
         let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); self.symbol.n]);
         // Static pivoting threshold ε·‖A‖∞ (PaStiX-style); Cholesky has
-        // its own positivity check instead.
+        // its own positivity check instead, and ε = 0 turns repair off even
+        // when ‖A‖∞ is infinite.
         let epsilon = exec
             .epsilon_override
             .unwrap_or(self.options.static_pivot_epsilon);
-        let threshold = if self.facto == FactoKind::Cholesky {
+        let threshold = if self.facto == FactoKind::Cholesky || epsilon <= 0.0 {
             0.0
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let fault = exec.run.fault_plan.clone();
-        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, fault, source);
+        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, source);
         let run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the
@@ -647,11 +635,9 @@ impl Analysis {
             b.release(d_bytes);
         }
         let mut report = outcome?;
-        if let Some(b) = &exec.run.budget {
-            // Refresh: the engine's snapshot predates the scratch releases
-            // above.
-            report.memory = Some(b.stats());
-        }
+        // The ledger's counters, read after the scratch releases above
+        // (the engine takes no snapshot of its own).
+        report.memory = exec.run.budget.as_ref().map(|b| b.stats());
         // ORDERING: statistics counter, read after the engine's join
         // barrier — no concurrent writer remains.
         let pivots = ctx.pivots_repaired.load(Ordering::Relaxed);

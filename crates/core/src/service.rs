@@ -9,27 +9,56 @@
 //! iterative refinement), and the numeric [`Factors`] borrowing the shared
 //! analysis — the crate's one self-reference, made sharable by the `Arc`
 //! (the analysis heap allocation is stable no matter how many caches and
-//! jobs hold the handle). It also owns the adaptive recovery loop;
-//! [`crate::Solver`] is a thin owner of one handle.
+//! jobs hold the handle). It also owns the adaptive recovery loop and its
+//! one rule, `escalation`; [`crate::Solver`] is a thin owner of one
+//! handle.
 
 use crate::analysis::Analysis;
 use crate::numeric::{ExecOptions, FactorStats, Factors};
 use crate::refine::RefinedSolve;
 use crate::SolverError;
-use dagfact_kernels::Scalar;
+use dagfact_kernels::{KernelError, Scalar};
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::CscMatrix;
+use dagfact_symbolic::FactoKind;
 use std::sync::Arc;
 
-/// Escalation schedule of the adaptive recovery loop: a disabled
-/// threshold restarts at the default, an active one grows geometrically
-/// (capped — past 1e-2·‖A‖∞ the "factorization" is no longer meaningful).
-fn escalate_epsilon(eps: f64) -> f64 {
-    if eps <= 0.0 {
-        1e-8
-    } else {
-        (eps * 100.0).min(1e-2)
+/// Every static-pivot ε the recovery loop may move to, in order: from
+/// ε = 0 (pivot repair off) or the default 1e-8 up to 1e-2, past which
+/// the "factorization" is no longer meaningful.
+const EPSILON_SCHEDULE: [f64; 4] = [1e-8, 1e-6, 1e-4, 1e-2];
+
+/// The recovery loop's one rule: the ε to re-factorize `a` at after `err`,
+/// or `None` when another factorization cannot change the outcome. It
+/// re-runs only when all of these hold, so a factorization runs at most
+/// `min(max_refactor_attempts, 1 + the ε steps left)` times:
+/// - the error is a numeric breakdown (zero or non-finite pivot,
+///   non-finite panel, stalled refinement);
+/// - the kind reads ε (Cholesky's threshold is 0 whatever ε is);
+/// - attempts remain under [`crate::SolverOptions::max_refactor_attempts`];
+/// - the input is finite: a non-finite entry breaks down at every ε (one
+///   pass over the values, on this error path only);
+/// - a larger ε is left on [`EPSILON_SCHEDULE`], so none is tried twice.
+fn escalation<T: Scalar>(
+    analysis: &Analysis,
+    a: &CscMatrix<T>,
+    history: &[f64],
+    err: &SolverError,
+) -> Option<f64> {
+    use KernelError::{NonFinitePivot, ZeroPivot};
+    let non_finite = match err {
+        SolverError::Kernel(NonFinitePivot { .. }) | SolverError::NonFinite { .. } => true,
+        SolverError::Kernel(ZeroPivot { .. }) | SolverError::RefinementStalled { .. } => false,
+        _ => return None,
+    };
+    if analysis.facto == FactoKind::Cholesky
+        || history.len() >= analysis.options.max_refactor_attempts as usize
+        || (non_finite && !a.values().iter().all(|v| v.is_finite()))
+    {
+        return None;
     }
+    let last = history.last().copied().unwrap_or(0.0);
+    EPSILON_SCHEDULE.into_iter().find(|&e| e > last)
 }
 
 /// Numeric factors bound to a shared (`Arc`ed) analysis, self-contained
@@ -45,11 +74,10 @@ pub struct SharedFactors<T: Scalar> {
 
 impl<T: Scalar> SharedFactors<T> {
     /// Numerically factorize `a` against the shared `analysis` under the
-    /// adaptive recovery loop: numeric breakdown (zero / non-finite
-    /// pivots, corrupted coefficients) retries with an escalated
-    /// static-pivot threshold — the symbolic structure is
-    /// threshold-independent, so only the numeric phase re-runs — up to
-    /// [`crate::SolverOptions::max_refactor_attempts`] attempts.
+    /// adaptive recovery loop: a breakdown that a larger static-pivot
+    /// threshold can change (`escalation`) re-runs at the next ε — the
+    /// symbolic structure is threshold-independent, so only the numeric
+    /// phase re-runs.
     pub fn factorize(
         analysis: Arc<Analysis>,
         a: &CscMatrix<T>,
@@ -65,7 +93,7 @@ impl<T: Scalar> SharedFactors<T> {
 
     /// Re-factorize the same matrix one escalation step past these
     /// factors' threshold, continuing their attempt count and history;
-    /// `cause` comes back when the attempt budget is already spent.
+    /// `cause` comes back when `escalation` allows no further step.
     pub(crate) fn refactorize_escalated(
         &self,
         cause: SolverError,
@@ -73,12 +101,10 @@ impl<T: Scalar> SharedFactors<T> {
         threads: usize,
         exec: &ExecOptions,
     ) -> Result<SharedFactors<T>, SolverError> {
-        let stats = self.stats();
-        if stats.attempts >= self.analysis.options.max_refactor_attempts {
+        let history = self.stats().epsilon_history.clone();
+        let Some(epsilon) = escalation(&self.analysis, &self.matrix, &history, &cause) else {
             return Err(cause);
-        }
-        let epsilon = escalate_epsilon(stats.epsilon);
-        let history = stats.epsilon_history.clone();
+        };
         Self::recover(self.analysis.clone(), &self.matrix, runtime, threads, exec, epsilon, history)
     }
 
@@ -100,7 +126,6 @@ impl<T: Scalar> SharedFactors<T> {
         // Arc), the reference is never exposed with the fake lifetime,
         // and the field order drops the borrower first.
         let analysis_ref: &'static Analysis = unsafe { &*Arc::as_ptr(&analysis) };
-        let max_attempts = analysis.options.max_refactor_attempts;
         let factors = loop {
             history.push(epsilon);
             let attempt = history.len() as u32;
@@ -114,12 +139,10 @@ impl<T: Scalar> SharedFactors<T> {
                     f.stats.epsilon_history = history;
                     break f;
                 }
-                // For Cholesky the threshold is unused — the retry still
-                // matters for transient corruption.
-                Err(e) if attempt < max_attempts && e.is_recoverable_by_pivoting() => {
-                    epsilon = escalate_epsilon(epsilon);
-                }
-                Err(e) => return Err(e),
+                Err(e) => match escalation(&analysis, a, &history, &e) {
+                    Some(next) => epsilon = next,
+                    None => return Err(e),
+                },
             }
         };
         Ok(SharedFactors {

@@ -29,7 +29,7 @@ use dagfact_symbolic::FactoKind;
 use std::sync::Arc;
 
 /// Does this failure indicate the *factorization kind* does not fit the
-/// matrix (as opposed to an engine fault or data corruption)? Drives the
+/// matrix (as opposed to an engine fault or non-finite data)? Drives the
 /// auto-selection fallback chain in [`Solver::with_exec`].
 fn kind_mismatch(e: &SolverError) -> bool {
     matches!(
@@ -112,7 +112,7 @@ impl<T: Scalar> Solver<T> {
                 // Only an unsuitable-factorization failure justifies
                 // trying the next kind: a non-positive or dead pivot says
                 // "not SPD / needs pivoting", but engine faults and
-                // corrupted coefficients say nothing about the matrix —
+                // non-finite coefficients say nothing about the kind —
                 // falling back there would mask the real failure (and
                 // mislabel, e.g., an injected fault as indefiniteness).
                 Err(e) if i + 1 < nkinds && kind_mismatch(&e) => last_err = Some(e),
@@ -124,11 +124,13 @@ impl<T: Scalar> Solver<T> {
 
     /// Solve with iterative refinement and adaptive recovery: when
     /// refinement stalls (the factorization is too inaccurate — heavy
-    /// static pivoting on an ill-conditioned matrix), re-factorize with a
-    /// geometrically escalated pivot threshold and try again, up to
-    /// [`SolverOptions::max_refactor_attempts`] total factorizations.
-    /// The escalation history ends up in [`Solver::stats`]. A failed
-    /// re-factorization leaves the previous factors in place.
+    /// static pivoting on an ill-conditioned matrix), re-factorize at the
+    /// next static-pivot threshold and try again, under the handle's one
+    /// escalation rule: never for Cholesky, never at an ε already tried,
+    /// and at most [`SolverOptions::max_refactor_attempts`] total
+    /// factorizations. The escalation history ends up in
+    /// [`Solver::stats`]. A failed re-factorization leaves the previous
+    /// factors in place.
     pub fn solve_adaptive(
         &mut self,
         b: &[T],
@@ -138,12 +140,11 @@ impl<T: Scalar> Solver<T> {
         loop {
             match self.shared.solve_refined_checked(b, max_iter, tol) {
                 Ok(r) => return Ok(r),
-                Err(e) if e.is_recoverable_by_pivoting() => {
+                Err(e) => {
                     self.shared =
                         self.shared
                             .refactorize_escalated(e, self.runtime, self.threads, &self.exec)?;
                 }
-                Err(e) => return Err(e),
             }
         }
     }

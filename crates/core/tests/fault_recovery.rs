@@ -1,14 +1,15 @@
 //! End-to-end fault tolerance of the solver stack: injected task panics,
-//! NaN output corruption, non-finite input, numeric breakdown and the
-//! adaptive pivot-escalation recovery loop, across all three runtime
-//! engines.
+//! non-finite input, finite overflow, numeric breakdown and the adaptive
+//! pivot-escalation recovery loop with its cost bound, across all three
+//! runtime engines. Factorizations are counted as the recorder's
+//! `"numeric"` phase spans, one per run of the numeric phase.
 
 use dagfact_core::{
     Analysis, ExecOptions, RuntimeKind, Solver, SolverError, SolverOptions,
 };
 use dagfact_kernels::KernelError;
-use dagfact_rt::{EngineError, FaultPlan, RunConfig};
-use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d, shifted_laplacian_3d};
+use dagfact_rt::{EngineError, FaultPlan, RunConfig, SpanKind, TraceRecorder};
+use dagfact_sparse::gen::{grid_laplacian_3d, shifted_laplacian_3d};
 use dagfact_sparse::{CscMatrix, TripletBuilder};
 use dagfact_symbolic::FactoKind;
 use std::sync::Arc;
@@ -53,86 +54,60 @@ fn injected_panic_surfaces_as_engine_error_on_every_engine() {
             Err(other) => panic!("{rt:?}: expected Engine(TaskPanicked), got {other:?}"),
             Ok(_) => panic!("{rt:?}: factorization must not survive an injected panic"),
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// NaN corruption: each panel task checks the panel it has just finished,
-// which catches what pivot checks cannot (the last panel is never
-// consumed downstream) before any consumer reads it
-// ---------------------------------------------------------------------
-
-#[test]
-fn nan_corruption_is_caught_by_the_task_that_finished_the_panel() {
-    let spd = grid_laplacian_3d(6, 6, 6);
-    let indefinite = shifted_laplacian_3d(5, 5, 5, 1.0);
-    let unsymmetric = convection_diffusion_3d(6, 6, 4, 0.3);
-    for (a, facto) in [
-        (&spd, FactoKind::Cholesky),
-        (&indefinite, FactoKind::Ldlt),
-        (&unsymmetric, FactoKind::Lu),
-    ] {
-        let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
-        // An early panel (its NaN would spread down the update chain) and
-        // the last one (nothing downstream would ever look at it).
-        for panel in [0, analysis.symbol.ncblk() - 1] {
-            for rt in RuntimeKind::ALL {
-                for workers in 1..=4 {
-                    let exec = watched_with(FaultPlan::new().corrupt_panel(panel));
-                    match analysis.factorize_with(a, rt, workers, &exec) {
-                        Err(SolverError::NonFinite { task: "L", block }) if block == panel => {}
-                        other => panic!(
-                            "{facto:?}, {rt:?} x{workers}: expected NonFinite in L panel {panel}, \
-                             got {:?}",
-                            other.map(|_| "factors")
-                        ),
-                    }
-                }
-            }
+        // Through the solver, under a kind that reads ε: an engine error
+        // is never re-factorized.
+        let (rec, mut exec) = traced();
+        exec.run.fault_plan = Some(Arc::new(FaultPlan::new().panic_on(0)));
+        let options = SolverOptions::default();
+        match Solver::with_exec(&a, Some(FactoKind::Ldlt), &options, rt, 4, &exec) {
+            Err(SolverError::Engine(EngineError::TaskPanicked { task: 0, .. })) => {}
+            other => panic!("{rt:?}: solver: expected TaskPanicked, got {:?}", other.err()),
         }
+        assert_eq!(factorizations(&rec), 1, "{rt:?}: a task panic was re-factorized");
     }
 }
 
-/// The solver-level recovery loop: the corruption budget is consumed on
-/// the first attempt, so the automatic re-factorization comes out clean.
-#[test]
-fn solver_recovers_from_transient_output_corruption() {
-    let a = grid_laplacian_3d(6, 6, 6);
-    let exec = {
-        let analysis =
-            Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-        watched_with(FaultPlan::new().corrupt_panel(analysis.symbol.ncblk() - 1))
+// ---------------------------------------------------------------------
+// Non-finite input, nothing injected: the panel check answers it, and the
+// recovery loop runs no second factorization
+// ---------------------------------------------------------------------
+
+/// Execution options with a fresh span recorder attached.
+fn traced() -> (Arc<TraceRecorder>, ExecOptions) {
+    let rec = TraceRecorder::shared();
+    let exec = ExecOptions {
+        run: RunConfig {
+            trace: Some(rec.clone()),
+            ..RunConfig::default()
+        },
+        ..ExecOptions::default()
     };
-    let mut s = Solver::with_exec(
-        &a,
-        Some(FactoKind::Cholesky),
-        &SolverOptions::default(),
-        RuntimeKind::Native,
-        2,
-        &exec,
-    )
-    .expect("one corruption with budget 1 must be absorbed by the retry");
-    assert_eq!(s.stats().attempts, 2, "first attempt corrupted, second clean");
-    let b = vec![1.0; a.nrows()];
-    let r = s.solve_adaptive(&b, 3, 1e-12).unwrap();
-    assert!(*r.residuals.last().unwrap() <= 1e-12);
+    (rec, exec)
 }
 
-// ---------------------------------------------------------------------
-// Non-finite input, nothing injected: the same panel check answers it
-// ---------------------------------------------------------------------
+/// Factorizations recorded so far: one `"numeric"` phase span each.
+fn factorizations(rec: &TraceRecorder) -> usize {
+    let spans = rec.snapshot().spans;
+    spans
+        .iter()
+        .filter(|sp| sp.kind == SpanKind::Phase && sp.label == "numeric")
+        .count()
+}
 
-/// A grid Laplacian with one infinite off-diagonal entry (stored in both
-/// triangles): the panel task that owns the entry's column must answer
-/// `NonFinite` under every policy, directly and after the recovery loop's
-/// escalations — never factors, never a panic. The entry couples two
-/// different panels, so the infinity sits in an off-diagonal block that
-/// no pivot reads before the panel check does.
-#[test]
-fn infinite_matrix_entry_is_a_typed_error_on_every_engine() {
-    let a = grid_laplacian_3d(6, 6, 6);
-    let options = SolverOptions::default();
-    let analysis = Analysis::new(a.pattern(), FactoKind::Cholesky, &options);
+/// Which stored entries of `a` the infinity replaces, in the analysis'
+/// permuted order: the lower one (an L panel), the upper one (LU's Uᵀ
+/// panel), or both.
+#[derive(Clone, Copy, Debug)]
+enum Side {
+    Lower,
+    Upper,
+    Both,
+}
+
+/// `a` with an infinity at an entry coupling two different panels of
+/// `analysis` — an off-diagonal block no pivot reads before the panel
+/// check does — and the panel whose task must report it.
+fn with_infinity(a: &CscMatrix<f64>, analysis: &Analysis, side: Side) -> (CscMatrix<f64>, usize) {
     let perm = analysis.perm.perm();
     let cblks = &analysis.symbol.cblks;
     let panel_of = |k: usize| {
@@ -144,38 +119,178 @@ fn infinite_matrix_entry_is_a_typed_error_on_every_engine() {
     let entries: Vec<(usize, usize)> = (0..a.ncols())
         .flat_map(|j| a.col_rows(j).iter().map(move |&i| (i, j)))
         .collect();
+    // Upper in the permuted order: row before column.
     let (i, j) = *entries
         .iter()
-        .find(|&&(i, j)| panel_of(perm[i]) != panel_of(perm[j]))
+        .find(|&&(i, j)| perm[i] < perm[j] && panel_of(perm[i]) != panel_of(perm[j]))
         .expect("a grid couples different panels");
-    let panel = panel_of(perm[i].min(perm[j]));
+    let hit = |e: (usize, usize)| match side {
+        Side::Upper => e == (i, j),
+        Side::Lower => e == (j, i),
+        Side::Both => e == (i, j) || e == (j, i),
+    };
     let values = entries
         .iter()
         .zip(a.values())
-        .map(|(&e, &v)| {
-            if e == (i, j) || e == (j, i) {
-                f64::INFINITY
-            } else {
-                v
-            }
-        })
+        .map(|(&e, &v)| if hit(e) { f64::INFINITY } else { v })
         .collect();
-    let bad = CscMatrix::new(a.pattern().clone(), values);
+    (CscMatrix::new(a.pattern().clone(), values), panel_of(perm[i]))
+}
+
+/// A grid Laplacian with one infinite entry coupling two panels, under
+/// every kind, policy and worker count: a typed error, never factors,
+/// never a panic. With pivot repair off (ε = 0) the panel task that owns
+/// the entry answers `NonFinite` in the array that holds it — L for every
+/// kind, LU's Uᵀ for an entry of the strict upper triangle. No threshold
+/// makes an infinite entry finite, so the solver runs exactly one
+/// factorization at either ε, even with ten attempts allowed.
+#[test]
+fn infinite_matrix_entry_is_a_typed_error_on_every_engine() {
+    let a = grid_laplacian_3d(6, 6, 6);
+    for (facto, side, task) in [
+        (FactoKind::Cholesky, Side::Both, "L"),
+        (FactoKind::Ldlt, Side::Both, "L"),
+        (FactoKind::Lu, Side::Lower, "L"),
+        (FactoKind::Lu, Side::Upper, "U"),
+    ] {
+        for epsilon in [0.0, 1e-8] {
+            let options = SolverOptions {
+                static_pivot_epsilon: epsilon,
+                max_refactor_attempts: 10,
+                ..SolverOptions::default()
+            };
+            let analysis = Analysis::new(a.pattern(), facto, &options);
+            let (bad, panel) = with_infinity(&a, &analysis, side);
+            // With repair on, ‖A‖∞ = ∞ makes every pivot's threshold
+            // infinite: the pivot check (LDLᵀ) or the L check of whichever
+            // panel finishes first (LU) may answer instead.
+            let repairs = facto != FactoKind::Cholesky && epsilon > 0.0;
+            let expected = |e: &SolverError| match e {
+                SolverError::NonFinite { task: t, block } if *t == task && *block == panel => true,
+                SolverError::NonFinite { .. }
+                | SolverError::Kernel(KernelError::NonFinitePivot { .. }) => repairs,
+                _ => false,
+            };
+            for rt in RuntimeKind::ALL {
+                for workers in 1..=4 {
+                    let label = format!("{facto:?} {side:?} ε={epsilon}, {rt:?} x{workers}");
+                    match analysis.factorize_with(&bad, rt, workers, &ExecOptions::default()) {
+                        Err(e) if expected(&e) => {}
+                        other => panic!(
+                            "{label}: expected NonFinite in {task} panel {panel}, got {:?}",
+                            other.map(|_| "factors")
+                        ),
+                    }
+                    let (rec, exec) = traced();
+                    match Solver::with_exec(&bad, Some(facto), &options, rt, workers, &exec) {
+                        Err(e) if expected(&e) => {}
+                        other => panic!(
+                            "{label}: solver: expected NonFinite in {task} panel {panel}, got {:?}",
+                            other.map(|_| "solver")
+                        ),
+                    }
+                    assert_eq!(factorizations(&rec), 1, "{label}: the input was re-factorized");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Finite overflow: the breakdown a larger threshold does rescue
+// ---------------------------------------------------------------------
+
+/// A 16×16 chain of `[[0, b], [b, 1]]` blocks, each coupled to the next
+/// by a unit entry. At ε = 1e-8 the zero pivot is repaired to
+/// τ ≈ 1e-8·b and the next pivot `1 − b²/τ` overflows; at ε = 1e-6 it is
+/// finite.
+fn overflow_chain(b: f64) -> CscMatrix<f64> {
+    let n = 16;
+    let mut t = TripletBuilder::new(n, n);
+    for k in (0..n).step_by(2) {
+        t.push(k, k, 0.0);
+        t.push(k + 1, k + 1, 1.0);
+        t.push(k, k + 1, b);
+        t.push(k + 1, k, b);
+        if k + 2 < n {
+            t.push(k + 1, k + 2, 1.0);
+            t.push(k + 2, k + 1, 1.0);
+        }
+    }
+    t.build()
+}
+
+#[test]
+fn finite_overflow_is_rescued_at_the_next_epsilon() {
+    let a = overflow_chain(1e301);
+    assert!(a.values().iter().all(|v| v.is_finite()));
+    let b = vec![1.0; a.nrows()];
+    for facto in [FactoKind::Ldlt, FactoKind::Lu] {
+        for rt in RuntimeKind::ALL {
+            let (rec, exec) = traced();
+            let mut s = Solver::with_exec(&a, Some(facto), &SolverOptions::default(), rt, 2, &exec)
+                .unwrap_or_else(|e| panic!("{facto:?} {rt:?}: overflow not rescued: {e}"));
+            assert_eq!(s.stats().epsilon_history, [1e-8, 1e-6], "{facto:?} {rt:?}");
+            assert_eq!(s.stats().attempts, 2, "{facto:?} {rt:?}");
+            assert_eq!(factorizations(&rec), 2, "{facto:?} {rt:?}");
+            let r = s.solve_adaptive(&b, 10, 1e-12).expect("refined solve");
+            let e = berr(&a, &r.x, &b);
+            assert!(e <= 1e-12, "{facto:?} {rt:?}: refined backward error {e:.3e}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Refinement stalls: Cholesky never re-runs, LDLᵀ walks the schedule once
+// ---------------------------------------------------------------------
+
+/// Cholesky's threshold is 0 whatever ε is, so a tolerance refinement
+/// cannot reach is answered after one factorization.
+#[test]
+fn cholesky_stall_is_answered_without_refactorizing() {
+    let a = grid_laplacian_3d(6, 6, 6);
+    let b = vec![1.0; a.nrows()];
     for rt in RuntimeKind::ALL {
-        match analysis.factorize_with(&bad, rt, 2, &ExecOptions::default()) {
-            Err(SolverError::NonFinite { task: "L", block }) if block == panel => {}
-            other => panic!(
-                "{rt:?}: expected NonFinite in L panel {panel}, got {:?}",
-                other.map(|_| "factors")
-            ),
+        let (rec, exec) = traced();
+        let mut s = Solver::with_exec(
+            &a,
+            Some(FactoKind::Cholesky),
+            &SolverOptions::default(),
+            rt,
+            2,
+            &exec,
+        )
+        .expect("SPD factorizes");
+        match s.solve_adaptive(&b, 3, 1e-30) {
+            Err(SolverError::RefinementStalled { .. }) => {}
+            other => panic!("{rt:?}: expected RefinementStalled, got {:?}", other.map(|_| "x")),
         }
-        match Solver::with_options(&bad, Some(FactoKind::Cholesky), &options, rt, 2) {
-            Err(SolverError::NonFinite { task: "L", block }) if block == panel => {}
-            other => panic!(
-                "{rt:?}: recovery loop: expected NonFinite in L panel {panel}, got {:?}",
-                other.map(|_| "solver")
-            ),
+        assert_eq!(factorizations(&rec), 1, "{rt:?}");
+        assert_eq!(s.stats().epsilon_history, [1e-8], "{rt:?}");
+    }
+}
+
+/// Under LDLᵀ and LU a stall does re-factorize, at each larger ε of the
+/// schedule exactly once: three steps from the default 1e-8, however many
+/// attempts are allowed.
+#[test]
+fn refinement_stall_walks_the_epsilon_schedule_once() {
+    let a = shifted_laplacian_3d(5, 5, 5, 1.0);
+    let b = vec![1.0; a.nrows()];
+    let options = SolverOptions {
+        max_refactor_attempts: 10,
+        ..SolverOptions::default()
+    };
+    for facto in [FactoKind::Ldlt, FactoKind::Lu] {
+        let (rec, exec) = traced();
+        let mut s = Solver::with_exec(&a, Some(facto), &options, RuntimeKind::Ptg, 2, &exec)
+            .expect("factorizes");
+        match s.solve_adaptive(&b, 3, 1e-30) {
+            Err(SolverError::RefinementStalled { .. }) => {}
+            other => panic!("{facto:?}: expected RefinementStalled, got {:?}", other.map(|_| "x")),
         }
+        assert_eq!(s.stats().epsilon_history, [1e-8, 1e-6, 1e-4, 1e-2], "{facto:?}");
+        assert_eq!(factorizations(&rec), 4, "{facto:?}");
     }
 }
 
@@ -230,24 +345,22 @@ fn epsilon_escalation_rescues_the_zero_pivot_matrix() {
         max_refactor_attempts: 4,
         ..SolverOptions::default()
     };
-    let mut s =
-        Solver::with_options(&a, Some(FactoKind::Ldlt), &options, RuntimeKind::Ptg, 2)
+    for facto in [FactoKind::Ldlt, FactoKind::Lu] {
+        let (rec, exec) = traced();
+        let mut s = Solver::with_exec(&a, Some(facto), &options, RuntimeKind::Ptg, 2, &exec)
             .expect("escalation must rescue the factorization");
-    let stats = s.stats().clone();
-    assert!(stats.attempts >= 2, "attempt 1 (ε=0) must have failed");
-    assert_eq!(stats.epsilon_history[0], 0.0);
-    assert!(
-        stats.epsilon_history.windows(2).all(|w| w[1] > w[0]),
-        "escalation must be monotone: {:?}",
-        stats.epsilon_history
-    );
-    assert_eq!(stats.epsilon, *stats.epsilon_history.last().unwrap());
-    assert!(s.pivots_repaired() > 0, "the zero pivots were bumped");
+        let stats = s.stats().clone();
+        // Attempt 1 (ε = 0) breaks down; the first step repairs it.
+        assert_eq!(stats.epsilon_history, [0.0, 1e-8], "{facto:?}");
+        assert_eq!((stats.attempts, stats.epsilon), (2, 1e-8), "{facto:?}");
+        assert!(s.pivots_repaired() > 0, "{facto:?}: the zero pivots were bumped");
 
-    let b = vec![1.0; a.nrows()];
-    let r = s.solve_adaptive(&b, 10, 1e-12).unwrap();
-    let e = berr(&a, &r.x, &b);
-    assert!(e <= 1e-12, "refined backward error {e:.3e}");
+        let b = vec![1.0; a.nrows()];
+        let r = s.solve_adaptive(&b, 10, 1e-12).unwrap();
+        let e = berr(&a, &r.x, &b);
+        assert!(e <= 1e-12, "{facto:?}: refined backward error {e:.3e}");
+        assert_eq!(factorizations(&rec), 2, "{facto:?}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -73,9 +73,9 @@ pub enum KernelError {
     /// LDLᵀ or LU hit an exactly-zero pivot that static pivoting could not
     /// repair (only possible when the static-pivot threshold is zero).
     ZeroPivot { column: usize },
-    /// A pivot came out NaN or infinite — upstream data corruption (bad
-    /// input, a faulty update, injected NaN) that would otherwise spread
-    /// silently through the trailing matrix.
+    /// A pivot came out NaN or infinite — a non-finite input entry or an
+    /// update that overflowed, which would otherwise spread silently
+    /// through the trailing matrix.
     NonFinitePivot { column: usize },
 }
 
@@ -90,7 +90,7 @@ impl core::fmt::Display for KernelError {
                 write!(f, "exactly zero pivot at column {column}")
             }
             KernelError::NonFinitePivot { column } => {
-                write!(f, "non-finite pivot at column {column} (corrupted data)")
+                write!(f, "non-finite pivot at column {column} (non-finite input or overflow)")
             }
         }
     }

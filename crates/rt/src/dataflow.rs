@@ -46,39 +46,6 @@ struct Node {
     last_succ: u32,
 }
 
-/// A malformed explicit dependency passed to
-/// [`DataflowGraph::add_dependency`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphError {
-    /// An endpoint is not a submitted task id.
-    UnknownTask {
-        /// The offending id.
-        task: TaskId,
-        /// Tasks submitted so far.
-        ntasks: usize,
-    },
-    /// `pred == succ`: the edge would deadlock the task against itself.
-    SelfDependency {
-        /// The offending id.
-        task: TaskId,
-    },
-}
-
-impl core::fmt::Display for GraphError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            GraphError::UnknownTask { task, ntasks } => {
-                write!(f, "task {task} does not exist ({ntasks} submitted)")
-            }
-            GraphError::SelfDependency { task } => {
-                write!(f, "task {task} cannot depend on itself")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GraphError {}
-
 /// Per-datum hazard-tracking state during submission.
 #[derive(Clone, Copy)]
 struct DataState {
@@ -89,8 +56,7 @@ struct DataState {
 }
 
 /// Sequential-submission dataflow graph: `submit` tasks in program order,
-/// optionally [`DataflowGraph::add_dependency`] control edges, then read
-/// the structure back through
+/// then read the structure back through
 /// [`DataflowGraph::num_predecessors`] / [`DataflowGraph::successors`].
 pub struct DataflowGraph {
     tasks: Vec<Node>,
@@ -165,37 +131,8 @@ impl DataflowGraph {
         id as TaskId
     }
 
-    /// Add an explicit `pred → succ` edge on top of the inferred hazards
-    /// (e.g. a control dependency with no shared datum). Both tasks must
-    /// already be submitted ([`GraphError::UnknownTask`] otherwise) and
-    /// distinct ([`GraphError::SelfDependency`] — a self-edge could never
-    /// become ready and would hang the run). Duplicate edges are
-    /// deduplicated and succeed as no-ops.
-    pub fn add_dependency(&mut self, pred: TaskId, succ: TaskId) -> Result<(), GraphError> {
-        let ntasks = self.tasks.len();
-        for t in [pred, succ] {
-            if t >= ntasks {
-                return Err(GraphError::UnknownTask { task: t, ntasks });
-            }
-        }
-        if pred == succ {
-            return Err(GraphError::SelfDependency { task: pred });
-        }
-        let mut cell = self.tasks[pred].first_succ;
-        while cell != NIL {
-            let (s, next) = self.links[cell as usize];
-            if s as TaskId == succ {
-                return Ok(());
-            }
-            cell = next;
-        }
-        self.link(pred as u32, succ as u32);
-        self.tasks[succ].npred += 1;
-        Ok(())
-    }
-
-    /// Append `succ` to `pred`'s successor list (inferred edges come in
-    /// submission order, i.e. ascending).
+    /// Append `succ` to `pred`'s successor list (edges come in submission
+    /// order, i.e. ascending).
     fn link(&mut self, pred: u32, succ: u32) {
         let cell = next_cell(self.links.len());
         self.links.push((succ, NIL));
@@ -376,62 +313,6 @@ mod tests {
     #[test]
     fn empty_graph_executes() {
         execute(&DataflowGraph::new(0), &[], 3, |_| {});
-    }
-
-    #[test]
-    fn explicit_dependency_orders_unrelated_tasks() {
-        let mut g = DataflowGraph::new(2);
-        // Two tasks on disjoint data — no inferred edge; the explicit
-        // control dependency must still order them.
-        let a = g.submit([(0, Write)]);
-        let b = g.submit([(1, Write)]);
-        // Run b first despite submission order; the duplicate is a no-op.
-        g.add_dependency(b, a).expect("valid edge");
-        g.add_dependency(b, a).expect("duplicate edge is accepted");
-        assert_eq!(execution_order(&g, &[0.0, 100.0], 4), vec![b, a]);
-    }
-
-    #[test]
-    fn add_dependency_rejects_self_dependency() {
-        let mut g = DataflowGraph::new(1);
-        let t = g.submit([(0, Write)]);
-        assert_eq!(
-            g.add_dependency(t, t),
-            Err(GraphError::SelfDependency { task: t })
-        );
-        // The graph is still runnable: the bad edge was not recorded.
-        execute(&g, &[], 2, |_| {});
-    }
-
-    #[test]
-    fn add_dependency_rejects_dangling_task_ids() {
-        let mut g = DataflowGraph::new(1);
-        let t = g.submit([(0, Write)]);
-        assert_eq!(
-            g.add_dependency(t, 7),
-            Err(GraphError::UnknownTask { task: 7, ntasks: 1 })
-        );
-        assert_eq!(
-            g.add_dependency(9, t),
-            Err(GraphError::UnknownTask { task: 9, ntasks: 1 })
-        );
-        execute(&g, &[], 2, |_| {});
-    }
-
-    #[test]
-    fn duplicate_edges_do_not_inflate_predecessor_counts() {
-        // A duplicated explicit edge must not leave `npred` too high —
-        // that would make the successor wait forever (silent hang).
-        let mut g = DataflowGraph::new(2);
-        let a = g.submit([(0, Write)]);
-        let b = g.submit([(1, Write)]);
-        for _ in 0..3 {
-            g.add_dependency(a, b).expect("valid edge");
-        }
-        assert_eq!(g.num_predecessors(b), 1);
-        let report = check_static(&spec_of(&g, &[&[(0, Write)], &[(1, Write)]]));
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(execution_order(&g, &[], 2), vec![a, b]);
     }
 
     /// The spec of a submitted graph: inferred edges through

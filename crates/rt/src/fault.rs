@@ -4,15 +4,15 @@
 //! runtime still completes correctly, or fails cleanly, under execution
 //! it does not control. This module makes that testable and survivable:
 //!
-//! * [`FaultPlan`] — deterministic injection of task panics and panel
-//!   output corruption, wired into the executor behind a hook that costs
-//!   one branch when no plan is installed;
+//! * [`FaultPlan`] — deterministic injection of task panics, wired into
+//!   the executor behind a hook that costs one branch when no plan is
+//!   installed;
 //! * [`Supervisor`] — the per-run bookkeeping of [`crate::exec::run`]:
 //!   panic capture, poison-and-drain cancellation, duplicate-execution
 //!   detection, and a stall watchdog that turns a would-be deadlock into
 //!   a diagnostic [`EngineError::Stalled`];
-//! * [`RunReport`] — per-run statistics (task counts, injected faults,
-//!   memory counters) surfaced to the solver's `FactorStats`.
+//! * [`RunReport`] — per-run statistics (task counts, elapsed time; the
+//!   solver adds its memory counters) surfaced to its `FactorStats`.
 //!
 //! A task is never re-executed: any panic of a task body aborts the run
 //! with [`EngineError::TaskPanicked`]. Recovery from numeric breakdown
@@ -21,26 +21,21 @@
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, Once};
 use crate::TaskId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Fault plans
 // ---------------------------------------------------------------------
 
-/// Deterministic fault-injection plan: faults are pinned to explicit
-/// task ids (`panic_on`) and panel numbers (`corrupt_panel`), so a plan
-/// fires the same faults regardless of scheduling order, worker count
-/// or policy.
+/// Deterministic fault-injection plan: panics are pinned to explicit
+/// task ids (`panic_on`), so a plan fires the same faults regardless of
+/// scheduling order, worker count or policy.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Tasks that panic every time they run.
     panics: HashSet<TaskId>,
-    /// Panels whose freshly-computed output should be overwritten with
-    /// NaN, with a remaining-injection budget each (so a re-factorization
-    /// attempt can succeed). Consumed via [`FaultPlan::take_corruption`].
-    corrupt: Mutex<HashMap<usize, u32>>,
-    /// Total faults injected so far (all kinds).
+    /// Total faults injected so far.
     injected: AtomicUsize,
 }
 
@@ -56,38 +51,11 @@ impl FaultPlan {
         self
     }
 
-    /// Corrupt the output of panel `panel` with NaN, once.
-    pub fn corrupt_panel(self, panel: usize) -> Self {
-        self.corrupt_panel_times(panel, 1)
-    }
-
-    /// Corrupt the output of panel `panel` on its first `times` runs.
-    pub fn corrupt_panel_times(self, panel: usize, times: u32) -> Self {
-        self.corrupt.lock().insert(panel, times);
-        self
-    }
-
     /// Number of faults injected so far.
     pub fn faults_injected(&self) -> usize {
         // ORDERING: statistics counter only; readers tolerate staleness
         // and no other memory is published through it.
         self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Does the plan corrupt the output of `panel` this time? Decrements
-    /// the panel's budget; the caller (the solver's panel task) overwrites
-    /// its output with NaN on `true`.
-    pub fn take_corruption(&self, panel: usize) -> bool {
-        let mut map = self.corrupt.lock();
-        match map.get_mut(&panel) {
-            Some(budget) if *budget > 0 => {
-                *budget -= 1;
-                // ORDERING: statistics counter; no memory is published.
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
     }
 
     /// The engine-side hook, called *inside* the supervisor's panic net
@@ -101,8 +69,8 @@ impl FaultPlan {
         }
     }
 
-    /// Parse a CLI-style plan: comma-separated directives `panic=T` and
-    /// `nan=P` (or `nan=PxK` for K corruptions). Example: `panic=7,nan=0x4`.
+    /// Parse a CLI-style plan: comma-separated `panic=T` directives.
+    /// Example: `panic=7,panic=12`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for item in spec.split(',').filter(|s| !s.is_empty()) {
@@ -114,13 +82,6 @@ impl FaultPlan {
             };
             match key {
                 "panic" => plan = plan.panic_on(num(value)? as usize),
-                // `nan=P` corrupts panel P once; `nan=PxK` its first K runs.
-                "nan" => match value.split_once('x') {
-                    Some((p, k)) => {
-                        plan = plan.corrupt_panel_times(num(p)? as usize, num(k)? as u32);
-                    }
-                    None => plan = plan.corrupt_panel(num(value)? as usize),
-                },
                 other => return Err(format!("unknown fault directive {other:?}")),
             }
         }
@@ -192,9 +153,9 @@ pub struct RunConfig {
     /// while tasks remain and no worker is executing, the run fails with
     /// [`EngineError::Stalled`] instead of deadlocking. `None` disables.
     pub watchdog: Option<Duration>,
-    /// Optional memory ledger. When set, the task bodies charge it
-    /// through their pager and the final [`RunReport`] carries a
-    /// [`crate::budget::MemoryStats`] snapshot.
+    /// Optional memory ledger for the task bodies: the engine reads
+    /// nothing of it. The solver's pager charges it, and the solver puts
+    /// its counters in [`RunReport::memory`] after the run.
     pub budget: Option<Arc<crate::budget::MemoryBudget>>,
     /// Optional span recorder. When set, every engine records per-worker
     /// queue-wait / execute / steal spans into it (see [`crate::trace`]);
@@ -302,12 +263,11 @@ pub struct RunReport {
     pub ntasks: usize,
     /// Tasks completed (== `ntasks` on success).
     pub completed: usize,
-    /// Faults the plan injected through its hooks (panics, NaN).
-    pub faults_injected: usize,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// Memory-ledger snapshot (peak, spill and overcommit counters) when
-    /// the run carried a [`crate::budget::MemoryBudget`].
+    /// the run carried a [`crate::budget::MemoryBudget`]; the engine
+    /// leaves it `None` and the solver fills it.
     pub memory: Option<crate::budget::MemoryStats>,
 }
 
@@ -525,17 +485,8 @@ impl Supervisor {
         Ok(RunReport {
             ntasks,
             completed,
-            faults_injected: self
-                .config
-                .fault_plan
-                .as_deref()
-                .map_or(0, FaultPlan::faults_injected),
             elapsed: self.start.elapsed(),
-            memory: self
-                .config
-                .budget
-                .as_deref()
-                .map(crate::budget::MemoryBudget::stats),
+            memory: None,
         })
     }
 }
@@ -569,27 +520,18 @@ mod tests {
     }
 
     #[test]
-    fn corruption_budget_is_consumed() {
-        let plan = FaultPlan::new().corrupt_panel_times(5, 2);
-        assert!(plan.take_corruption(5));
-        assert!(plan.take_corruption(5));
-        assert!(!plan.take_corruption(5));
-        assert!(!plan.take_corruption(6));
-    }
-
-    #[test]
     fn parse_roundtrip() {
-        let plan = FaultPlan::parse("panic=7,nan=0,nan=2x3").unwrap();
-        assert_eq!(plan.panics, HashSet::from([7]));
-        assert!(plan.take_corruption(0));
-        assert!(!plan.take_corruption(0));
-        assert_eq!((0..4).filter(|_| plan.take_corruption(2)).count(), 3);
+        let plan = FaultPlan::parse("panic=7,panic=12").unwrap();
+        assert_eq!(plan.panics, HashSet::from([7, 12]));
         assert!(FaultPlan::parse("bogus").is_err());
-        assert!(FaultPlan::parse("nan=1y2").is_err());
-        // Unknown, not silently ignored: there are no seeded, transient or
-        // allocation-fault directives.
+        assert!(FaultPlan::parse("panic=x").is_err());
+        // Unknown, not silently ignored: there are no output-corruption,
+        // seeded, transient or allocation-fault directives.
         for spec in [
             "frob=1",
+            "nan=0",
+            "nan=1",
+            "nan=1x2",
             "seed=1",
             "transient=3x2",
             "tprob=0.1x1",

@@ -159,7 +159,6 @@ fn injected_delays_do_not_fail_the_run() {
         })
         .unwrap();
         assert_eq!(report.completed, NTASKS, "{kind:?}");
-        assert_eq!(report.faults_injected, 0, "{kind:?}");
     }
 }
 

@@ -450,22 +450,31 @@ mod tests {
     #[test]
     fn panicked_fill_poisons_only_its_generation() {
         let c = cache();
-        let err = c
-            .get_or_fill(&1, || -> Result<(String, usize), JobError> {
-                panic!("boom in fill")
-            })
-            .unwrap_err();
-        // The payload, not the box it was caught in, reaches the error.
-        assert_eq!(err, JobError::Panicked("boom in fill".into()));
-        // The refill must run (not serve the poisoned slot) and must
-        // carry a bumped generation.
-        let again = c
-            .get_or_fill(&1, || Ok(("recovered".to_string(), 10)))
-            .unwrap();
-        assert!(!again.was_hit);
-        assert_eq!(again.generation, 2, "refill must bump the generation");
-        assert_eq!(*again.value, "recovered");
-        assert_eq!(c.stats().poisonings, 1);
+        // A fill that panics, and one that returns an error (a
+        // factorization that broke down), each poison their own entry.
+        let failed = JobError::Failed("non-finite pivot at column 3".into());
+        for (key, panics) in [(1, true), (2, false)] {
+            let err = c
+                .get_or_fill(&key, || -> Result<(String, usize), JobError> {
+                    if panics {
+                        panic!("boom in fill")
+                    }
+                    Err(failed.clone())
+                })
+                .unwrap_err();
+            // The payload, not the box it was caught in, reaches the error.
+            let expected = if panics { JobError::Panicked("boom in fill".into()) } else { failed.clone() };
+            assert_eq!(err, expected);
+            // The refill must run (not serve the poisoned slot) and must
+            // carry a bumped generation.
+            let again = c
+                .get_or_fill(&key, || Ok(("recovered".to_string(), 10)))
+                .unwrap();
+            assert!(!again.was_hit);
+            assert_eq!(again.generation, 2, "refill must bump the generation");
+            assert_eq!(*again.value, "recovered");
+        }
+        assert_eq!(c.stats().poisonings, 2);
     }
 
     #[test]
