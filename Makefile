@@ -82,14 +82,17 @@ check-robust:
 # each: the 3 engines' derivation check plus one static proof; release:
 # the graphs are large), the analysis identity at the benchmark's full
 # sizes (the only sizes whose nested dissection forks onto a second
-# thread; the quick sizes run in the workspace tests), and a warning-free
-# clippy pass (which carries the no-unwrap and SAFETY-contract rules:
-# clippy.toml and the rt/core/kernels manifests).
+# thread; the quick sizes run in the workspace tests) with the full
+# renumbering sweep (10 renumberings of 16³-28³ boxes and grids: nnz(L)
+# within 1%), nested dissection against the plane reference, and a
+# warning-free clippy pass (which carries the no-unwrap and
+# SAFETY-contract rules: clippy.toml and the rt/core/kernels manifests).
 check-analysis: lint
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt verify
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test verify_graph
 	cargo run -q --release -p dagfact-bench --bin verify_sweep
 	cargo test -q --release -p dagfact-core --test analysis_identity -- --ignored
+	cargo test -q --release -p dagfact-core --test plane_reference -- --ignored
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Memory-budget gate: the ledger unit suite, the budgeted-execution suite

@@ -119,8 +119,8 @@ pub fn proxies() -> Vec<MatrixProxy> {
                 nnz_l: 1325e6,
                 tflop: 6.5,
             },
-            proxy_desc: "crankshaft SPD with dense coupling: 32^3 grid, 27-pt",
-            generator: pattern_of!(gen::grid_laplacian_3d_box(32, 32, 32)),
+            proxy_desc: "crankshaft SPD with dense coupling: 37^3 grid, 27-pt",
+            generator: pattern_of!(gen::grid_laplacian_3d_box(37, 37, 37)),
         },
         MatrixProxy {
             name: "MHD",
@@ -132,11 +132,11 @@ pub fn proxies() -> Vec<MatrixProxy> {
                 nnz_l: 1133e6,
                 tflop: 6.6,
             },
-            proxy_desc: "magnetohydrodynamics: 29^3 grid, 27-pt, unsymmetric values",
+            proxy_desc: "magnetohydrodynamics: 34^3 grid, 27-pt, unsymmetric values",
             generator: pattern_of!(gen::grid_operator_3d(
-                29,
-                29,
-                29,
+                34,
+                34,
+                34,
                 gen::Stencil::Box,
                 |i, j| if j > i { -0.8 } else { -1.2 },
                 |_, deg| deg as f64 + 2.0,

@@ -4,15 +4,16 @@
 //! five benchmark patterns, at `--quick` sizes and — `#[ignore]`d, run
 //! with `--release -- --ignored` — at the sizes `benchmark/` times. A
 //! change that means to move the ordering re-captures them; they were
-//! last re-captured when nested dissection began numbering separators by
-//! first contact instead of minimum degree.
+//! last re-captured when nested dissection began relabeling its graph
+//! canonically and cutting 27-point pieces by multilevel separators.
 //!
 //! The fingerprint is FNV-1a over `u64` words.
 
 use dagfact_core::{Analysis, SolverOptions};
 use dagfact_order::{compute_ordering, OrderingKind};
 use dagfact_sparse::gen::{
-    convection_diffusion_3d, grid_laplacian_3d_box, helmholtz_3d, shifted_laplacian_3d,
+    convection_diffusion_3d, grid_laplacian_3d, grid_laplacian_3d_box, helmholtz_3d,
+    shifted_laplacian_3d,
 };
 use dagfact_sparse::SparsityPattern;
 use dagfact_symbolic::FactoKind;
@@ -116,78 +117,128 @@ fn block_count_does_not_depend_on_the_numbering() {
     assert!((fill - 1.0).abs() <= 0.005, "renumbering multiplies nnz(L) by {fill:.5}");
 }
 
+/// nnz(L) of `Analysis::new` on 10 random renumberings of `pattern`,
+/// against the input as given: the largest relative deviation, and how
+/// many renumberings stay within 0.5%.
+fn renumbering_spread(pattern: &SparsityPattern, facto: FactoKind) -> (f64, usize) {
+    let nnz_l = |p: &SparsityPattern| {
+        Analysis::new(p, facto, &SolverOptions::default()).stats().nnz_l
+    };
+    let natural = nnz_l(pattern) as f64;
+    let deviations: Vec<f64> = (1..=10)
+        .map(|seed| pattern.permute_symmetric(&shuffled(pattern.ncols(), seed)))
+        .map(|renumbered| (nnz_l(&renumbered) as f64 / natural - 1.0).abs())
+        .collect();
+    let within = deviations.iter().filter(|&&d| d <= 0.005).count();
+    (deviations.into_iter().fold(0.0, f64::max), within)
+}
+
+/// Nested dissection renumbers its graph canonically before it cuts it, so
+/// the fill of a renumbered box or grid is the fill of the grid order:
+/// at most 1% apart on each of 10 renumberings (0 on cubes, whose
+/// canonical graph is the same for every numbering).
+fn assert_renumbering_keeps_the_fill(sides: &[usize]) {
+    let mut cases: Vec<(String, SparsityPattern, FactoKind)> = Vec::new();
+    for &s in sides {
+        let (boxed, grid) = (grid_laplacian_3d_box(s, s, s), grid_laplacian_3d(s, s, s));
+        cases.push((format!("27-point {s}³"), boxed.pattern().clone(), FactoKind::Cholesky));
+        cases.push((format!("7-point {s}³"), grid.pattern().clone(), FactoKind::Cholesky));
+    }
+    for (name, pattern, facto) in cases {
+        let (worst, within) = renumbering_spread(&pattern, facto);
+        println!("{name}: max |shuffled / natural - 1| = {worst:.5}, {within}/10 within 0.5%");
+        assert!(worst <= 0.01, "{name}: renumbering moves nnz(L) by {worst:.4}");
+    }
+}
+
+#[test]
+fn renumbering_keeps_the_fill() {
+    assert_renumbering_keeps_the_fill(&[16, 20]);
+}
+
+#[test]
+#[ignore = "the full renumbering sweep: run with --release -- --ignored"]
+fn renumbering_sweep() {
+    assert_renumbering_keeps_the_fill(&[16, 20, 24, 28]);
+    let pattern = convection_diffusion_3d(20, 20, 3, 0.3).pattern().clone();
+    let (worst, within) = renumbering_spread(&pattern, FactoKind::Lu);
+    let name = "convection-diffusion 20x20x3";
+    println!("{name}: max |shuffled / natural - 1| = {worst:.5}, {within}/10 within 0.5%");
+    assert!(worst <= 0.01, "{name}: renumbering moves nnz(L) by {worst:.4}");
+}
+
 const QUICK: [Id; 5] = [
     Id {
-        order_perm: 0xfbf9_db8e_e920_762d,
-        perm: 0x258f_b7d1_7d2d_88d7,
-        ncblk: 47,
-        nblocks: 576,
-        block_rows: 0xae8a_eef7_931f_8670,
+        order_perm: 0x4e4c_76eb_a61d_404d,
+        perm: 0x127a_42d0_4ec6_1e97,
+        ncblk: 45,
+        nblocks: 567,
+        block_rows: 0x2d3b_5bf8_631f_6637,
     },
     Id {
-        order_perm: 0x30c6_1ff4_3a3b_76c1,
-        perm: 0x17e7_c672_02bf_ff41,
-        ncblk: 849,
-        nblocks: 5755,
-        block_rows: 0x7b37_b784_5c30_3d25,
+        order_perm: 0x9a42_9f22_f6b6_6905,
+        perm: 0x5315_67ac_672a_88a3,
+        ncblk: 826,
+        nblocks: 5628,
+        block_rows: 0xcd99_e7a2_27d4_36de,
     },
     Id {
-        order_perm: 0x72a1_26f6_2e93_ce91,
-        perm: 0x1896_eba2_2e58_021d,
-        ncblk: 182,
-        nblocks: 1350,
-        block_rows: 0x81d0_64eb_e679_a3d8,
+        order_perm: 0xaf44_b86e_7c63_6485,
+        perm: 0x68c6_47cd_09d1_2c19,
+        ncblk: 183,
+        nblocks: 1339,
+        block_rows: 0xda60_beef_317f_bd1e,
     },
     Id {
-        order_perm: 0xaa0c_5cf0_1a70_e899,
-        perm: 0x225a_29bd_01b2_7765,
-        ncblk: 30,
-        nblocks: 359,
-        block_rows: 0x501a_4f9d_00c8_84d5,
+        order_perm: 0x315d_2043_4b07_9519,
+        perm: 0xb040_75dd_b4cc_7d0b,
+        ncblk: 34,
+        nblocks: 367,
+        block_rows: 0x4ef6_d7c3_8384_e0d5,
     },
     Id {
-        order_perm: 0x72a1_26f6_2e93_ce91,
-        perm: 0x1896_eba2_2e58_021d,
-        ncblk: 182,
-        nblocks: 1350,
-        block_rows: 0x81d0_64eb_e679_a3d8,
+        order_perm: 0xaf44_b86e_7c63_6485,
+        perm: 0x68c6_47cd_09d1_2c19,
+        ncblk: 183,
+        nblocks: 1339,
+        block_rows: 0xda60_beef_317f_bd1e,
     },
 ];
 
 const FULL: [Id; 5] = [
     Id {
-        order_perm: 0x0910_b0ab_80ee_e05d,
-        perm: 0x9b0e_5f0e_79e6_660d,
-        ncblk: 353,
-        nblocks: 9381,
-        block_rows: 0xd999_4018_b84d_5695,
+        order_perm: 0xd0bc_bc4c_a8c8_804f,
+        perm: 0x4056_0a2a_9d21_b139,
+        ncblk: 497,
+        nblocks: 12428,
+        block_rows: 0xdc3e_fb1f_3c60_a976,
     },
     Id {
-        order_perm: 0xc21a_1be4_c033_b7e7,
-        perm: 0x5bc2_7296_9628_74e3,
-        ncblk: 9330,
-        nblocks: 71205,
-        block_rows: 0xe89a_0ae3_8828_a9fc,
+        order_perm: 0x086f_7db1_5079_d5df,
+        perm: 0x1b3f_e5d3_fbfe_cdf9,
+        ncblk: 9543,
+        nblocks: 68792,
+        block_rows: 0x32c1_e44d_91d4_f8c9,
     },
     Id {
-        order_perm: 0xe56f_bcb2_cc15_5b7b,
-        perm: 0x08d2_2c27_1fa1_2b75,
-        ncblk: 2126,
-        nblocks: 23040,
-        block_rows: 0x9e9e_e17c_f9e1_0297,
+        order_perm: 0xb8b2_7487_e97a_9dbd,
+        perm: 0x312d_9d4b_d5b4_e5d9,
+        ncblk: 2181,
+        nblocks: 23301,
+        block_rows: 0x4289_1315_cf87_761a,
     },
     Id {
-        order_perm: 0x17f8_1ef4_3bdd_bcf3,
-        perm: 0x9812_f59f_5b1a_2d09,
-        ncblk: 211,
-        nblocks: 4222,
-        block_rows: 0x00d0_4bd4_8245_1d89,
+        order_perm: 0x5a00_ebdd_4012_8645,
+        perm: 0xda92_95f6_eba3_b95d,
+        ncblk: 225,
+        nblocks: 4636,
+        block_rows: 0x4b0c_b947_d175_8c53,
     },
     Id {
-        order_perm: 0xe56f_bcb2_cc15_5b7b,
-        perm: 0x08d2_2c27_1fa1_2b75,
-        ncblk: 2126,
-        nblocks: 23040,
-        block_rows: 0x9e9e_e17c_f9e1_0297,
+        order_perm: 0xb8b2_7487_e97a_9dbd,
+        perm: 0x312d_9d4b_d5b4_e5d9,
+        ncblk: 2181,
+        nblocks: 23301,
+        block_rows: 0x4289_1315_cf87_761a,
     },
 ];

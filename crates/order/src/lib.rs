@@ -3,18 +3,26 @@
 //! Fill-reducing orderings — the from-scratch substitute for the SCOTCH
 //! library the paper links PaStiX against ("SCOTCH 5.1.12b", §V).
 //!
-//! * [`nd::nested_dissection`] — recursive vertex-separator ordering with
-//!   BFS level-set separators, boundary refinement, separators numbered by
-//!   first contact with their ordered halves (which sets the block count,
-//!   not the fill) and minimum-degree ordered leaves; the default for the
-//!   solver, and the source of the separator tree whose top supernodes
-//!   become the big GPU-friendly panels of the paper.
+//! * [`nd::nested_dissection`] — recursive vertex-separator ordering of a
+//!   canonically relabeled graph (Cuthill–McKee with structural tie-breaks,
+//!   so the permutation depends on the graph, not on its numbering): BFS
+//!   level-set separators with boundary refinement, and multilevel
+//!   separators — heavy-edge coarsening, greedy growing, Fiduccia–Mattheyses
+//!   refinement on the way back, SCOTCH's and METIS's method — where a level
+//!   set is a shell rather than a plane (27-point stencils); separators
+//!   numbered by first contact with their ordered halves (which sets the
+//!   block count, not the fill) and minimum-degree ordered leaves; the
+//!   default for the solver, and the source of the separator tree whose top
+//!   supernodes become the big GPU-friendly panels of the paper.
+//!   [`nd::level_set_dissection`] is the same ordering with level sets only,
+//!   the reference the multilevel splits are held to.
 //! * [`md::minimum_degree`] — classic minimum-degree on the elimination
 //!   graph, used for the ND leaves and the subgraphs ND finds no separator
 //!   in, and usable standalone on small problems.
 //! * [`rcm::reverse_cuthill_mckee`] — bandwidth-reducing ordering, kept as
 //!   a baseline to show (in the benches) how much nested dissection
-//!   matters for the paper's task DAG.
+//!   matters for the paper's task DAG; its numbering is the relabel ND
+//!   starts from.
 //! * [`Permutation`] — validated `old → new` relabeling shared with the
 //!   symbolic phase.
 //!
@@ -27,11 +35,12 @@
 //! spare ones, with the same result at every thread count.
 
 pub mod md;
+mod multilevel;
 pub mod nd;
 pub mod perm;
 pub mod rcm;
 
-pub use nd::{nested_dissection, NdOptions};
+pub use nd::{level_set_dissection, nested_dissection, NdOptions};
 pub use perm::Permutation;
 
 use dagfact_sparse::graph::Graph;

@@ -1,34 +1,50 @@
 //! Nested dissection ordering (the SCOTCH substitute).
 //!
-//! Recursive algorithm on the connectivity graph of `A + Aᵀ`:
+//! Recursive algorithm on the connectivity graph of `A + Aᵀ`, after a
+//! canonical relabel:
 //!
+//! 0. rank the vertices in Cuthill–McKee order from a pseudo-peripheral
+//!    vertex, ties broken by structural keys ([`crate::rcm`]); every step
+//!    below lists vertices in rank order and breaks its ties by rank, so it
+//!    sees the same graph whatever the input's numbering: two numberings
+//!    of a cubic grid or box give one ranked graph, and so one permutation
+//!    of it (up to a symmetry of the cube);
 //! 1. split each connected component with a *vertex separator* found from a
 //!    BFS level structure rooted at a pseudo-peripheral vertex (George-Liu
 //!    style), picking the level that balances the two halves;
 //! 2. refine the separator by dropping vertices with neighbors on only one
 //!    side (a cheap Fiduccia-Mattheyses-flavoured pass);
-//! 3. recurse on the halves, then number the separator *last* — separators
+//! 3. where the level set fails — a connected piece of at least
+//!    `MULTILEVEL_FLOOR` vertices whose separator exceeds `TRIGGER · k^(2/3)`
+//!    — also cut the piece by a multilevel separator (`multilevel.rs`)
+//!    and keep the smaller one. Level sets are spheres of the graph metric:
+//!    diagonal planes on a 7-point grid, which no multilevel cut beats, but
+//!    L∞ shells on a 27-point box, where a multilevel cut finds the axis
+//!    plane (784 vertices instead of 1 519 at the top of a 28³ box);
+//! 4. recurse on the halves, then number the separator *last* — separators
 //!    become the top supernodes of the elimination tree, exactly the large
 //!    panels the paper's GPU offload feeds on (§V-B). Within it, vertices
 //!    go by *first contact*: the earliest position any neighbour holds in
-//!    the halves' order `A | B`, ties by vertex id. A separator fills in to
+//!    the halves' order `A | B`, ties by rank. A separator fills in to
 //!    a near-clique whatever its internal order, so the order barely moves
 //!    fill; what it sets is how the separator's rows fall into the blocks
 //!    of the halves' panels, and rows numbered along the halves' order run
 //!    contiguously (the blocking idea of Pichon et al., SIMAX 2017);
-//! 4. order leaf subgraphs (≤ `leaf_size`), and splits that find no
+//! 5. order leaf subgraphs (≤ `leaf_size`), and splits that find no
 //!    separator, with minimum degree.
 //!
 //! Cost: `O((n + m) · depth)` for a recursion of that depth on `n`
 //! vertices and `m` edges — a call on `k` vertices touches those vertices
-//! and their edges and allocates its three result lists, nothing
-//! `n`-sized. Everything else lives in one `Workspace` per thread; every
-//! call leaves it as it found it (see [`dagfact_sparse::graph`] for the
-//! traversal part of that contract), which is what lets siblings share it.
-//! The one exception is the position each vertex gets when it is ordered,
-//! recorded then (and once more by the joining thread, for a forked
-//! piece) and kept: a separator's first-contact keys read it from the
-//! separator's own adjacency, with no pass over the halves.
+//! and their edges and allocates its result lists (and, for a multilevel
+//! split, its `k`-sized coarse graphs), nothing `n`-sized. Everything else
+//! lives in one `Workspace` per thread; every call leaves it as it found
+//! it (see [`dagfact_sparse::graph`] for the traversal part of that
+//! contract), which is what lets siblings share it. The one exception is
+//! the position each vertex gets when it is ordered, recorded then (and
+//! once more by the joining thread, for a forked piece) and kept: a
+//! separator's first-contact keys read it from the separator's own
+//! adjacency, with no pass over the halves. The ranks cost one
+//! Cuthill–McKee pass and an `n`-long array; the graph is not copied.
 //!
 //! The two sides of a split are independent, so they run on both cores: a
 //! split whose later piece has more than `FORK_FLOOR` vertices, made
@@ -41,7 +57,9 @@
 //! permutation is the same at every thread count.
 
 use crate::md::{minimum_degree_subset, MdWorkspace};
+use crate::multilevel::{self, NONE};
 use crate::perm::Permutation;
+use crate::rcm::cuthill_mckee_all;
 use dagfact_sparse::graph::{Graph, Traversal};
 
 /// Tuning knobs for nested dissection.
@@ -68,6 +86,20 @@ impl Default for NdOptions {
 /// piece's dissection does.
 const FORK_FLOOR: usize = 4096;
 
+/// A connected piece of at least this many vertices whose level-set
+/// separator exceeds `TRIGGER · k^(2/3)` (`k` = its vertex count) is also
+/// cut by a multilevel separator, and the smaller one is kept. The ratio
+/// reads 1.8–2.0 on cube-like pieces of 27-point boxes and 1.06–1.15 on
+/// their slabs, where the plane across the slab is still 1.4× smaller than
+/// the shell; it stays under 0.8 on 7-point grids, quasi-2D shells and
+/// Helmholtz problems, whose orderings the multilevel split leaves alone.
+/// The floor keeps the multilevel splits' analysis time and allocations
+/// near what the level-set dissection spent; a lower one cuts closer to
+/// the planes but allocates more (EXPERIMENTS.md, "Separators that find
+/// planes").
+const MULTILEVEL_FLOOR: usize = 2048;
+const TRIGGER: f64 = 1.0;
+
 /// Side of a vertex that is not in the subgraph being split.
 const NO_SIDE: u8 = u8::MAX;
 
@@ -87,15 +119,18 @@ struct Workspace {
     /// ordered when the separator is, so the positions it reads are theirs.
     position: Vec<usize>,
     /// First-contact keys of the separator being ordered.
-    keyed: Vec<(usize, usize)>,
+    keyed: Vec<(usize, usize, usize)>,
+    /// Index of a vertex in the piece a multilevel split is cutting,
+    /// `NONE` outside of it.
+    local: Vec<usize>,
     md: MdWorkspace,
 }
 
 impl Workspace {
     fn new(n: usize) -> Self {
         let (traversal, md) = (Traversal::new(n), MdWorkspace::default());
-        let (side, position) = (vec![NO_SIDE; n], vec![UNORDERED; n]);
-        Workspace { traversal, side, position, keyed: Vec::new(), md }
+        let (side, position, local) = (vec![NO_SIDE; n], vec![UNORDERED; n], vec![NONE; n]);
+        Workspace { traversal, side, position, keyed: Vec::new(), local, md }
     }
 
     /// Record the positions of `order[start..]`, just appended.
@@ -109,16 +144,31 @@ impl Workspace {
 /// What every call of one ordering reads.
 struct Dissection<'a> {
     graph: &'a Graph,
+    /// The canonical number of every vertex: every tie the dissection
+    /// breaks, it breaks by rank, and its vertex lists run in rank order.
+    rank: &'a [usize],
     options: &'a NdOptions,
     /// Fork a piece only if it has more vertices than this.
     floor: usize,
+    /// Try a multilevel separator where the level set fails.
+    multilevel: bool,
 }
 
 /// Compute a nested-dissection ordering of the whole graph, on as many
 /// threads as the host offers.
 pub fn nested_dissection(graph: &Graph, options: &NdOptions) -> Permutation {
-    let threads = std::thread::available_parallelism().map_or(1, usize::from);
-    nested_dissection_on(graph, options, threads, FORK_FLOOR)
+    nested_dissection_on(graph, options, threads(), FORK_FLOOR)
+}
+
+/// [`nested_dissection`] with level-set separators only, the reference the
+/// multilevel splits are held to: the same canonical ranks, the same
+/// permutation wherever no multilevel split fires.
+pub fn level_set_dissection(graph: &Graph, options: &NdOptions) -> Permutation {
+    canonical_dissection(graph, options, threads(), FORK_FLOOR, false)
+}
+
+fn threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// [`nested_dissection`] on at most `threads` threads, forking pieces of
@@ -129,16 +179,42 @@ fn nested_dissection_on(
     threads: usize,
     floor: usize,
 ) -> Permutation {
-    let n = graph.nvertices();
-    let mut order = Vec::with_capacity(n);
-    let nd = Dissection { graph, options, floor };
-    nd.dissect((0..n).collect(), threads.saturating_sub(1), &mut Workspace::new(n), &mut order);
-    debug_assert_eq!(order.len(), n);
-    Permutation::from_iperm(order)
+    canonical_dissection(graph, options, threads, floor, true)
+}
+
+/// The dissection of `graph` in its Cuthill–McKee ranks ([`crate::rcm`]).
+/// Two numberings of one graph give it the same ranks up to ties of the
+/// numbering's structural keys, and nothing the dissection decides depends
+/// on the order of an adjacency list, so its result depends on the graph,
+/// not on its labels. The ranks cost one Cuthill–McKee pass and an
+/// `n`-long array; the graph is not copied.
+fn canonical_dissection(
+    graph: &Graph,
+    options: &NdOptions,
+    threads: usize,
+    floor: usize,
+    multilevel: bool,
+) -> Permutation {
+    let mut ws = Workspace::new(graph.nvertices());
+    let mut rank = vec![UNORDERED; graph.nvertices()];
+    let by_rank = cuthill_mckee_all(graph, &mut ws.traversal, &mut rank);
+    let nd = Dissection { graph, rank: &rank, options, floor, multilevel };
+    Permutation::from_iperm(nd.run(by_rank, threads, ws))
 }
 
 impl Dissection<'_> {
-    /// Recursively dissect the ascending `vertices`, appending them to
+    /// The elimination order of all of `vertices`, the graph's vertices in
+    /// rank order, on at most `threads` threads, the calling thread's on
+    /// workspace `ws`.
+    fn run(&self, vertices: Vec<usize>, threads: usize, mut ws: Workspace) -> Vec<usize> {
+        let n = self.graph.nvertices();
+        let mut order = Vec::with_capacity(n);
+        self.dissect(vertices, threads.saturating_sub(1), &mut ws, &mut order);
+        debug_assert_eq!(order.len(), n);
+        order
+    }
+
+    /// Recursively dissect `vertices`, in rank order, appending them to
     /// `order` in elimination order, with `spare` more threads to fork onto.
     fn dissect(
         &self,
@@ -151,11 +227,16 @@ impl Dissection<'_> {
         if vertices.len() <= self.options.leaf_size {
             return self.minimum_degree(&vertices, ws, order);
         }
-        // Split into connected components first: dissect each independently
-        // (their elimination subtrees are siblings).
+        // The level structure of the separator search reaches the whole
+        // subgraph if it is connected; if not, split it into connected
+        // components first and dissect each independently (their
+        // elimination subtrees are siblings).
         ws.traversal.enter(vertices.iter().copied());
-        let ncomp = graph.components(&vertices, &mut ws.traversal);
-        if ncomp > 1 {
+        let rank = |v: usize| self.rank[v];
+        let (_, depth) = graph.pseudo_peripheral_by(vertices[0], &mut ws.traversal, rank);
+        let reached: usize = (0..depth).map(|l| ws.traversal.level_set(l).len()).sum();
+        if reached < vertices.len() {
+            let ncomp = graph.components(&vertices, &mut ws.traversal);
             let mut parts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
             for &v in &vertices {
                 let comp = ws.traversal.label(v).expect("components labels every vertex");
@@ -164,7 +245,7 @@ impl Dissection<'_> {
             ws.traversal.leave(&vertices);
             return self.dissect_parts(parts, &[], spare, ws, order);
         }
-        let split = find_separator(graph, &vertices, self.options, ws);
+        let split = find_separator(graph, &vertices, depth, self.options, self.multilevel, ws);
         ws.traversal.leave(&vertices);
         match split {
             // The separator is numbered last, by first contact.
@@ -235,16 +316,16 @@ impl Dissection<'_> {
 
     /// Append `separator` to `order` by first contact with the halves just
     /// ordered before it: the smallest position among a vertex's
-    /// neighbours, ties (and vertices no half touches) by vertex id.
+    /// neighbours, ties (and vertices no half touches) by rank.
     fn order_separator(&self, separator: &[usize], ws: &mut Workspace, order: &mut Vec<usize>) {
         let Workspace { position, keyed, .. } = ws;
         let first_contact = |v: usize| {
             let contacts = self.graph.neighbors(v).iter().map(|&w| position[w]);
-            (contacts.min().unwrap_or(UNORDERED), v)
+            (contacts.min().unwrap_or(UNORDERED), self.rank[v], v)
         };
         keyed.extend(separator.iter().map(|&v| first_contact(v)));
         keyed.sort_unstable();
-        for (_, v) in keyed.drain(..) {
+        for (_, _, v) in keyed.drain(..) {
             position[v] = order.len();
             order.push(v);
         }
@@ -252,16 +333,52 @@ impl Dissection<'_> {
 }
 
 /// Find a vertex separator of the connected subgraph on `vertices`, which
-/// the traversal has entered. Returns `[A, B, S]` with `A ∪ B ∪ S =
-/// vertices`, no edges between `A` and `B`.
+/// the traversal has entered and holds a level structure of `depth` levels
+/// from a pseudo-peripheral vertex of. Returns `[A, B, S]` with `A ∪ B ∪ S
+/// = vertices`, no edges between `A` and `B`.
 fn find_separator(
     graph: &Graph,
     vertices: &[usize],
+    depth: usize,
     options: &NdOptions,
+    multilevel: bool,
     ws: &mut Workspace,
 ) -> Option<[Vec<usize>; 3]> {
-    let Workspace { traversal, side, .. } = ws;
-    let (_, depth) = graph.pseudo_peripheral(vertices[0], traversal);
+    let Workspace { traversal, side, local, .. } = ws;
+    let mut sizes = level_set_separator(graph, vertices, depth, options, traversal, side)?;
+    let k = vertices.len();
+    let shell = sizes[2] as f64 > TRIGGER * (k as f64).powf(2.0 / 3.0);
+    if multilevel && k >= MULTILEVEL_FLOOR && shell {
+        let sides = multilevel::separator(graph, vertices, local);
+        let mut ml = [0usize; 3];
+        sides.iter().for_each(|&s| ml[usize::from(s)] += 1);
+        if ml[2] < sizes[2] && ml[0] > 0 && ml[1] > 0 {
+            vertices.iter().zip(&sides).for_each(|(&v, &s)| side[v] = s);
+            sizes = ml;
+        }
+    }
+    debug_assert!(no_cross_edges(graph, vertices, side), "separator leaks edges");
+    let mut parts = sizes.map(Vec::with_capacity);
+    for &v in vertices {
+        parts[usize::from(side[v])].push(v);
+        side[v] = NO_SIDE;
+    }
+    (sizes[0] > 0 && sizes[1] > 0).then_some(parts)
+}
+
+/// Split the connected `vertices` into `side` 0 and 1 and a separator 2
+/// by a level of the `depth`-level structure `traversal` holds, refined by
+/// moving separator vertices that touch one side into it. Returns the size
+/// of each side, `None` (and no side set) if the subgraph is too shallow to
+/// cut.
+fn level_set_separator(
+    graph: &Graph,
+    vertices: &[usize],
+    depth: usize,
+    options: &NdOptions,
+    traversal: &Traversal,
+    side: &mut [u8],
+) -> Option<[usize; 3]> {
     if depth < 3 {
         // Diameter too small to cut (clique-like); give up.
         return None;
@@ -306,18 +423,11 @@ fn find_separator(
             break;
         }
     }
-    debug_assert!(no_cross_edges(graph, vertices, side), "separator leaks edges");
-
     let mut sizes = [0usize; 3];
     for &v in vertices {
         sizes[usize::from(side[v])] += 1;
     }
-    let mut parts = sizes.map(Vec::with_capacity);
-    for &v in vertices {
-        parts[usize::from(side[v])].push(v);
-        side[v] = NO_SIDE;
-    }
-    (sizes[0] > 0 && sizes[1] > 0).then_some(parts)
+    Some(sizes)
 }
 
 fn no_cross_edges(graph: &Graph, vertices: &[usize], side: &[u8]) -> bool {
@@ -328,7 +438,9 @@ fn no_cross_edges(graph: &Graph, vertices: &[usize], side: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagfact_sparse::gen::{grid_laplacian_2d, grid_laplacian_3d, random_spd};
+    use dagfact_sparse::gen::{
+        grid_laplacian_2d, grid_laplacian_3d, grid_laplacian_3d_box, random_spd,
+    };
 
     #[test]
     fn produces_valid_permutation() {
@@ -362,17 +474,127 @@ mod tests {
         );
     }
 
+    /// nnz of the Cholesky factor of `graph` eliminated in the order of
+    /// `p`, by the row subtrees of its elimination tree.
+    fn nnz_l(graph: &Graph, p: &Permutation) -> usize {
+        let n = graph.nvertices();
+        let (mut parent, mut mark, mut nnz) = (vec![usize::MAX; n], vec![usize::MAX; n], n);
+        for i in 0..n {
+            mark[i] = i;
+            for &w in graph.neighbors(p.old_of(i)) {
+                let mut k = p.new_of(w);
+                while k < i && mark[k] != i {
+                    (mark[k], nnz) = (i, nnz + 1);
+                    if parent[k] == usize::MAX {
+                        parent[k] = i;
+                    }
+                    k = parent[k];
+                }
+            }
+        }
+        nnz
+    }
+
     #[test]
     fn reduces_fill_versus_natural_on_grid() {
-        // Coarse proxy for fill: sum over columns of (max row - col) of the
-        // permuted pattern underestimates fill for natural band ordering
-        // and is drastically cut by dissection on 3D problems only after
-        // full symbolic factorization; here we simply sanity-check that
-        // dissection does not *increase* the profile beyond natural.
-        let a = grid_laplacian_3d(8, 8, 8);
-        let g = Graph::from_pattern(a.pattern());
-        let p = nested_dissection(&g, &NdOptions::default());
-        assert_eq!(p.len(), 512);
+        let cases = [(grid_laplacian_3d(8, 8, 8), 0.5), (grid_laplacian_3d_box(14, 14, 14), 0.75)];
+        for (a, bound) in cases {
+            let g = Graph::from_pattern(a.pattern());
+            let nd = nnz_l(&g, &nested_dissection(&g, &NdOptions::default()));
+            let natural = nnz_l(&g, &Permutation::identity(g.nvertices()));
+            assert!((nd as f64) < bound * natural as f64, "nnz(L) {nd} against {natural} natural");
+        }
+    }
+
+    /// The size of the top separator of an order: the fewest trailing
+    /// vertices whose removal leaves the rest disconnected.
+    fn top_separator(graph: &Graph, p: &Permutation) -> usize {
+        let n = graph.nvertices();
+        let mut root: Vec<usize> = (0..n).collect();
+        fn find(root: &mut [usize], mut x: usize) -> usize {
+            while root[x] != x {
+                (root[x], x) = (root[root[x]], root[x]);
+            }
+            x
+        }
+        let (mut parts, mut split_after) = (0, 0);
+        for i in 0..n {
+            parts += 1;
+            for &w in graph.neighbors(p.old_of(i)) {
+                let (a, b) = (find(&mut root, p.old_of(i)), find(&mut root, w));
+                if p.new_of(w) < i && a != b {
+                    (root[a], parts) = (b, parts - 1);
+                }
+            }
+            if parts >= 2 {
+                split_after = i + 1;
+            }
+        }
+        n - split_after
+    }
+
+    #[test]
+    fn multilevel_split_finds_the_plane_of_a_box() {
+        // Level sets of a 27-point box are L∞ shells; the multilevel split
+        // cuts the axis plane, 16² vertices.
+        let g = Graph::from_pattern(grid_laplacian_3d_box(16, 16, 16).pattern());
+        let options = NdOptions::default();
+        let level_sets = top_separator(&g, &level_set_dissection(&g, &options));
+        assert!(level_sets > 400, "level-set top separator {level_sets}");
+        assert_eq!(top_separator(&g, &nested_dissection(&g, &options)), 256);
+        // A 7-point grid keeps its level-set ordering.
+        let g = Graph::from_pattern(grid_laplacian_3d(16, 16, 16).pattern());
+        assert_eq!(nested_dissection(&g, &options), level_set_dissection(&g, &options));
+    }
+
+    /// The ranks of a renumbered cubic box or grid make it the same graph:
+    /// their structural keys tell every two candidates apart but those a
+    /// symmetry of the cube swaps.
+    #[test]
+    fn ranked_graph_does_not_depend_on_the_numbering() {
+        // Sorted neighbour ranks of each vertex, by rank.
+        let ranked = |g: &Graph| -> Vec<Vec<usize>> {
+            let n = g.nvertices();
+            let mut rank = vec![UNORDERED; n];
+            let by_rank = cuthill_mckee_all(g, &mut Traversal::new(n), &mut rank);
+            let neighbors = |v: usize| {
+                let mut adj: Vec<usize> = g.neighbors(v).iter().map(|&w| rank[w]).collect();
+                adj.sort_unstable();
+                adj
+            };
+            by_rank.into_iter().map(neighbors).collect()
+        };
+        let cubes = [grid_laplacian_3d_box(8, 8, 8), grid_laplacian_3d(9, 9, 9)];
+        for a in cubes.into_iter().chain([grid_laplacian_2d(13, 13)]) {
+            let n = a.ncols();
+            let expect = ranked(&Graph::from_pattern(a.pattern()));
+            for stride in [7, 37, 101] {
+                let renumber: Vec<usize> = (0..n).map(|i| (i * stride + 3) % n).collect();
+                let distinct: std::collections::BTreeSet<_> = renumber.iter().collect();
+                if distinct.len() < n {
+                    continue; // the stride shares a factor with n
+                }
+                let g = Graph::from_pattern(&a.pattern().permute_symmetric(&renumber));
+                assert_eq!(ranked(&g), expect, "n = {n}, stride {stride}");
+            }
+        }
+    }
+
+    /// Where multilevel splits fire, at 1–4 threads with every piece
+    /// forked while a thread is spare.
+    #[test]
+    fn multilevel_permutation_is_the_same_at_every_thread_count() {
+        let of = |a: &dagfact_sparse::CscMatrix<f64>| Graph::from_pattern(a.pattern());
+        let cube = of(&grid_laplacian_3d_box(14, 14, 14));
+        let slab = of(&grid_laplacian_3d_box(24, 18, 6));
+        for graph in [union(&[&cube], 0), union(&[&slab, &cube], 2)] {
+            let options = NdOptions::default();
+            let expect = nested_dissection(&graph, &options);
+            for threads in 1..=4 {
+                let got = nested_dissection_on(&graph, &options, threads, 0);
+                assert_eq!(got, expect, "{threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -515,7 +737,8 @@ mod tests {
         Graph::from_adjacency(xadj, adj)
     }
 
-    /// Also at 1–4 threads with every piece forked while a thread is spare.
+    /// The level-set path, on the graph as numbered, also at 1–4 threads
+    /// with every piece forked while a thread is spare.
     #[test]
     fn workspace_version_matches_the_fresh_array_reference() {
         let of = |a: &dagfact_sparse::CscMatrix<f64>| Graph::from_pattern(a.pattern());
@@ -546,11 +769,15 @@ mod tests {
                     let n = graph.nvertices();
                     let mut expect = Vec::with_capacity(n);
                     reference_dissect(graph, (0..n).collect(), &options, &mut expect);
-                    let expect = Permutation::from_iperm(expect);
-                    let got = nested_dissection(graph, &options);
-                    assert_eq!(got, expect, "n = {n}, {options:?}");
+                    let rank: Vec<usize> = (0..n).collect();
+                    let dissect = |threads, floor| {
+                        let (options, multilevel) = (&options, false);
+                        let nd = Dissection { graph, rank: &rank, options, floor, multilevel };
+                        nd.run(rank.clone(), threads, Workspace::new(n))
+                    };
+                    assert_eq!(dissect(threads(), FORK_FLOOR), expect, "n = {n}, {options:?}");
                     for threads in 1..=4 {
-                        let got = nested_dissection_on(graph, &options, threads, 0);
+                        let got = dissect(threads, 0);
                         assert_eq!(got, expect, "n = {n}, {options:?}, {threads} threads");
                     }
                     cases += 1;

@@ -1,51 +1,154 @@
-//! Reverse Cuthill-McKee ordering (bandwidth reduction).
+//! Reverse Cuthill-McKee ordering (bandwidth reduction), and the
+//! Cuthill–McKee numbering it reverses, which nested dissection also
+//! relabels its graph with ([`crate::nd`]).
 //!
 //! Kept as a baseline ordering: it produces long thin elimination trees
 //! with little task parallelism, which the ablation benches contrast
 //! against nested dissection to show why the paper's DAG shape depends on
 //! the ordering.
+//!
+//! The numbering is as free of the input's labels as structural keys make
+//! it: the candidates of a visit are numbered one at a time by degree and
+//! by their numbered neighbours, then by how many neighbours they share
+//! with those, and by vertex id only when all of these agree. On cubic
+//! grids and boxes the ties that remain are swapped by a symmetry of the
+//! cube, so every numbering of one of them gives the same canonical graph.
+//! It allocates nothing per vertex; a tie the keys cannot break costs one
+//! small list per tied candidate.
 
 use crate::perm::Permutation;
 use dagfact_sparse::graph::{Graph, Traversal};
+use std::cmp::Reverse;
+
+/// Number of a vertex `cuthill_mckee` has not numbered yet.
+const UNNUMBERED: usize = usize::MAX;
 
 /// Compute the reverse Cuthill-McKee ordering. Each connected component is
-/// traversed from a pseudo-peripheral vertex, visiting neighbors by
-/// increasing degree; the concatenated visit order is then reversed.
+/// numbered by Cuthill–McKee (module docs) from a pseudo-peripheral vertex; the
+/// concatenated numbering is then reversed.
 pub fn reverse_cuthill_mckee(graph: &Graph) -> Permutation {
     let n = graph.nvertices();
-    let mut visited = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    // The search from an unvisited vertex stays inside its component, none
-    // of which is visited: the whole graph is entered once.
-    let mut traversal = Traversal::new(n);
+    let mut number = vec![UNNUMBERED; n];
+    let mut order = cuthill_mckee_all(graph, &mut Traversal::new(n), &mut number);
+    order.reverse();
+    Permutation::from_iperm(order)
+}
+
+/// Cuthill–McKee numbering of every component of `graph`, each from a
+/// pseudo-peripheral vertex of it, components by their smallest vertex:
+/// returns the vertices in numbering order and sets `number`, all
+/// `usize::MAX` on entry, to the number of every vertex. `traversal` has
+/// no vertex entered, and is left so.
+pub(crate) fn cuthill_mckee_all(
+    graph: &Graph,
+    traversal: &mut Traversal,
+    number: &mut [usize],
+) -> Vec<usize> {
+    let n = graph.nvertices();
+    let mut order = Vec::with_capacity(n);
+    let (mut pending, mut seen) = (Vec::new(), vec![false; n]);
+    // The search from an unnumbered vertex stays inside its component, none
+    // of which is numbered: the whole graph is entered once.
     traversal.enter(0..n);
-    let mut queue = std::collections::VecDeque::new();
     for start in 0..n {
-        if visited[start] {
-            continue;
+        if number[start] == UNNUMBERED {
+            let (root, _) = graph.pseudo_peripheral(start, traversal);
+            cuthill_mckee(graph, root, number, &mut order, &mut pending, &mut seen);
         }
-        let (root, _) = graph.pseudo_peripheral(start, &mut traversal);
-        visited[root] = true;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> = graph
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&w| !visited[w])
-                .collect();
-            nbrs.sort_unstable_by_key(|&w| (graph.degree(w), w));
-            for w in nbrs {
-                if !visited[w] {
-                    visited[w] = true;
-                    queue.push_back(w);
+    }
+    traversal.leave(&order);
+    order
+}
+
+/// Cuthill–McKee numbering of the component of `root`, none of it numbered
+/// yet: breadth-first from `root`, appending to `order` and recording in
+/// `number`. The unnumbered neighbours of each visited vertex are numbered
+/// one at a time, each time the one first by structural keys: degree, then
+/// the earliest-numbered neighbour other than the vertex being visited
+/// (none sorts last), then the most numbered neighbours, then the least sum
+/// of their numbers, and only then vertex id. Each number given updates the
+/// keys of the neighbours still waiting, so that symmetric candidates are
+/// told apart by the candidates numbered before them. `pending` is scratch
+/// space, left empty.
+fn cuthill_mckee(
+    graph: &Graph,
+    root: usize,
+    number: &mut [usize],
+    order: &mut Vec<usize>,
+    pending: &mut Vec<Key>,
+    seen: &mut [bool],
+) {
+    // A waiting vertex is marked `n + its index in pending`.
+    let n = number.len();
+    number[root] = order.len();
+    order.push(root);
+    let mut head = order.len() - 1;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for &w in graph.neighbors(v) {
+            if number[w] == UNNUMBERED {
+                number[w] = n + pending.len();
+                let mut key = [graph.degree(w), UNNUMBERED, usize::MAX, 0, w];
+                for &u in graph.neighbors(w) {
+                    if u != v && number[u] < n {
+                        add(&mut key, number[u]);
+                    }
+                }
+                pending.push(key);
+            }
+        }
+        while let Some(i) = (0..pending.len()).min_by_key(|&i| &pending[i]) {
+            let i = break_tie(graph, number, pending, i, seen);
+            let w = pending.swap_remove(i)[4];
+            if let Some(moved) = pending.get(i) {
+                number[moved[4]] = n + i;
+            }
+            let x = order.len();
+            number[w] = x;
+            order.push(w);
+            for &u in graph.neighbors(w) {
+                if (n..UNNUMBERED).contains(&number[u]) {
+                    add(&mut pending[number[u] - n], x);
                 }
             }
         }
     }
-    order.reverse();
-    Permutation::from_iperm(order)
+}
+
+/// The candidate to number among those whose keys equal `keys[best]`'s
+/// but for the vertex id: the one that shares the most neighbours with
+/// its earliest-numbered neighbour, then with the next, and so on (a
+/// candidate two hops nearer the numbered vertices goes first); the vertex
+/// id decides only between candidates that agree on all of these. `seen`
+/// is all `false`, and left so.
+fn break_tie(g: &Graph, number: &[usize], keys: &[Key], best: usize, seen: &mut [bool]) -> usize {
+    let tied = |i: &usize| keys[*i][..4] == keys[best][..4];
+    if (0..keys.len()).filter(tied).nth(1).is_none() {
+        return best;
+    }
+    let n = number.len();
+    let shared = |i: usize, seen: &mut [bool]| {
+        let w = keys[i][4];
+        g.neighbors(w).iter().for_each(|&u| seen[u] = true);
+        let mut numbered: Vec<usize> = g.neighbors(w).to_vec();
+        numbered.retain(|&u| number[u] < n);
+        numbered.sort_unstable_by_key(|&u| number[u]);
+        let shared_with = |u: usize| g.neighbors(u).iter().filter(|&&x| seen[x]).count();
+        let common: Vec<_> = numbered.iter().map(|&u| Reverse(shared_with(u))).collect();
+        g.neighbors(w).iter().for_each(|&u| seen[u] = false);
+        (common, w)
+    };
+    (0..keys.len()).filter(tied).min_by_key(|&i| shared(i, seen)).unwrap_or(best)
+}
+
+/// What orders the candidates of one visit in [`cuthill_mckee`]: degree,
+/// earliest number among the numbered neighbours, `usize::MAX` less their
+/// count, the sum of their numbers, and the vertex.
+type Key = [usize; 5];
+
+/// Count numbered neighbour `number` into `key`.
+fn add(key: &mut Key, number: usize) {
+    (key[1], key[2], key[3]) = (key[1].min(number), key[2] - 1, key[3] + number);
 }
 
 #[cfg(test)]

@@ -225,6 +225,40 @@ pub fn complex_unsym_3d(nx: usize, ny: usize, nz: usize) -> CscMatrix<C64> {
     )
 }
 
+/// Geometric nested dissection of the `nx×ny×nz` grid of the generators
+/// above (vertex `(z·ny + y)·nx + x`), the reference a graph ordering's
+/// separators are held to: each box is bisected along its longest axis
+/// (the first such, in x, y, z order) by a one-vertex-thick plane, the two
+/// halves are ordered first and the plane is numbered last; a box no
+/// longer than 2 along every axis is numbered in grid order. Returns the
+/// vertices in elimination order.
+pub fn plane_dissection(nx: usize, ny: usize, nz: usize) -> Vec<usize> {
+    fn dissect(lo: [usize; 3], hi: [usize; 3], dims: [usize; 3], order: &mut Vec<usize>) {
+        let len = [0, 1, 2].map(|a| hi[a] - lo[a]);
+        if len.contains(&0) {
+            return;
+        }
+        let axis = (0..3).fold(0, |best, a| if len[a] > len[best] { a } else { best });
+        let (mut plane_lo, mut plane_hi) = (lo, hi);
+        if len[axis] >= 3 {
+            let mid = lo[axis] + len[axis] / 2;
+            let (mut below, mut above) = (hi, lo);
+            (below[axis], above[axis]) = (mid, mid + 1);
+            dissect(lo, below, dims, order);
+            dissect(above, hi, dims, order);
+            (plane_lo[axis], plane_hi[axis]) = (mid, mid + 1);
+        }
+        for z in plane_lo[2]..plane_hi[2] {
+            for y in plane_lo[1]..plane_hi[1] {
+                order.extend((plane_lo[0]..plane_hi[0]).map(|x| (z * dims[1] + y) * dims[0] + x));
+            }
+        }
+    }
+    let mut order = Vec::with_capacity(nx * ny * nz);
+    dissect([0; 3], [nx, ny, nz], [nx, ny, nz], &mut order);
+    order
+}
+
 /// Random symmetric-pattern SPD matrix: `target_nnz_per_col` random
 /// off-diagonal entries per column mirrored across the diagonal, with a
 /// dominant diagonal. Used heavily by property tests.
@@ -254,6 +288,21 @@ pub fn random_spd(n: usize, target_nnz_per_col: usize, seed: u64) -> CscMatrix<f
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn plane_dissection_numbers_the_middle_plane_last() {
+        let (nx, ny, nz) = (5, 9, 4);
+        let order = plane_dissection(nx, ny, nz);
+        let mut seen = order.clone();
+        seen.sort_unstable();
+        assert!(seen.iter().copied().eq(0..nx * ny * nz), "not a permutation");
+        // y is longest: the last 20 vertices are the plane y = 4.
+        let top = &order[order.len() - nx * nz..];
+        assert!(top.iter().all(|&v| (v / nx) % ny == 4), "{top:?}");
+        // The halves y < 4 and y > 4 come before it, in that order.
+        let half = nx * nz * 4;
+        assert!(order[..half].iter().all(|&v| (v / nx) % ny < 4));
+    }
 
     #[test]
     fn laplacian_2d_structure() {

@@ -173,11 +173,23 @@ impl Graph {
     /// vertex and the depth of its level structure, which is the one left
     /// in `ws`.
     pub fn pseudo_peripheral(&self, start: usize, ws: &mut Traversal) -> (usize, usize) {
+        self.pseudo_peripheral_by(start, ws, |v| v)
+    }
+
+    /// [`pseudo_peripheral`](Self::pseudo_peripheral) with ties between
+    /// farthest vertices of one degree broken by `rank` instead of the
+    /// vertex id.
+    pub fn pseudo_peripheral_by(
+        &self,
+        start: usize,
+        ws: &mut Traversal,
+        rank: impl Fn(usize) -> usize,
+    ) -> (usize, usize) {
         let (mut root, mut ecc) = (start, self.bfs_levels(start, ws));
         loop {
             // Farthest level, pick its minimum-degree vertex.
             let far = ws.level_set(ecc.saturating_sub(1)).iter().copied();
-            let candidate = far.min_by_key(|&v| (self.degree(v), v)).unwrap_or(root);
+            let candidate = far.min_by_key(|&v| (self.degree(v), rank(v))).unwrap_or(root);
             if candidate == root {
                 return (root, ecc);
             }

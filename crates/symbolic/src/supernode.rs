@@ -16,7 +16,6 @@
 
 use crate::etree::NO_PARENT;
 use dagfact_sparse::SparsityPattern;
-use std::cmp::Reverse;
 
 /// Options controlling supernode amalgamation.
 #[derive(Debug, Clone)]
@@ -190,9 +189,6 @@ struct Groups {
     parent: Vec<usize>,
     /// Union-find link; `merged_into[s] == s` for a live group.
     merged_into: Vec<usize>,
-    /// Stamp that invalidates stale heap entries after a group takes part
-    /// in a merge.
-    generation: Vec<u32>,
 }
 
 impl Groups {
@@ -213,10 +209,9 @@ impl Groups {
         signed(new_nnz).saturating_sub(signed(old_nnz))
     }
 
-    /// Heap entry of the merge of group `s` into its parent group, if the
-    /// two are contiguous: extra fill, `s`, and the generations of both
-    /// groups it was priced under.
-    fn candidate(&mut self, s: usize) -> Option<Reverse<(i64, usize, u32, u32)>> {
+    /// Extra fill of the merge of group `s` into its parent group, if the
+    /// two are contiguous.
+    fn candidate(&mut self, s: usize) -> Option<i64> {
         if self.parent[s] == NO_PARENT {
             return None;
         }
@@ -224,17 +219,99 @@ impl Groups {
         if p == s || self.first[p] != self.last[s] {
             return None;
         }
-        Some(Reverse((self.price(s, p), s, self.generation[s], self.generation[p])))
+        Some(self.price(s, p))
+    }
+}
+
+/// Binary min-heap of the candidate merges, at most one per group, keyed by
+/// `(extra fill, group)`, with the heap position of every group so that a
+/// group's key changes in place.
+struct Candidates {
+    heap: Vec<(i64, usize)>,
+    /// `NO_PARENT` for a group without a candidate.
+    at: Vec<usize>,
+}
+
+impl Candidates {
+    /// Give group `s` the candidate `fill`, or none.
+    fn set(&mut self, s: usize, fill: Option<i64>) {
+        match (self.at[s], fill) {
+            (NO_PARENT, None) => {}
+            (NO_PARENT, Some(fill)) => {
+                self.heap.push((fill, s));
+                self.at[s] = self.heap.len() - 1;
+                self.up(self.heap.len() - 1);
+            }
+            (i, Some(fill)) => {
+                self.heap[i].0 = fill;
+                let i = self.up(i);
+                self.down(i);
+            }
+            (i, None) => {
+                self.take(i);
+            }
+        }
+    }
+
+    fn pop(&mut self) -> Option<(i64, usize)> {
+        (!self.heap.is_empty()).then(|| self.take(0))
+    }
+
+    /// Remove and return the entry at heap position `i`.
+    fn take(&mut self, i: usize) -> (i64, usize) {
+        let last = self.heap.len() - 1;
+        self.swap(i, last);
+        let entry = self.heap.pop().expect("the heap holds position i");
+        self.at[entry.1] = NO_PARENT;
+        if i < self.heap.len() {
+            let i = self.up(i);
+            self.down(i);
+        }
+        entry
+    }
+
+    fn swap(&mut self, i: usize, j: usize) {
+        self.heap.swap(i, j);
+        (self.at[self.heap[i].1], self.at[self.heap[j].1]) = (i, j);
+    }
+
+    /// Sift position `i` up; returns where it ends.
+    fn up(&mut self, mut i: usize) -> usize {
+        while i > 0 && self.heap[i] < self.heap[(i - 1) / 2] {
+            self.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+        i
+    }
+
+    fn down(&mut self, mut i: usize) {
+        loop {
+            let children = [2 * i + 1, 2 * i + 2].into_iter().filter(|&c| c < self.heap.len());
+            match children.min_by_key(|&c| self.heap[c]) {
+                Some(c) if self.heap[c] < self.heap[i] => {
+                    self.swap(i, c);
+                    i = c;
+                }
+                _ => return,
+            }
+        }
     }
 }
 
 /// The merge loop of Hénon-Ramet-Roman \[25\] over the supernodes with
 /// column boundaries `first`, `nrows[s]` rows below supernode `s` and tree
 /// `parent`: repeatedly apply the *cheapest* child→parent merge (smallest
-/// extra fill) while the total extra fill stays within `fill_ratio` of the
-/// original factor nnz. A merge requires the parent's columns to start
-/// right after the child's so the merged panel stays contiguous. Returns
-/// the root supernode of every final group, ascending.
+/// extra fill, then smallest group) while the total extra fill stays
+/// within `fill_ratio` of the original factor nnz. A merge requires the
+/// parent's columns to start right after the child's so the merged panel
+/// stays contiguous. Returns the root supernode of every final group,
+/// ascending.
+///
+/// A group's extra fill changes only when it or its parent group takes
+/// part in a merge, and both are re-priced then: the group that absorbed,
+/// and the group that now abuts it from below (the absorbed group's
+/// contiguous child). So the heap holds every candidate at its current
+/// price and each pop is a merge to make or one the budget refuses.
 ///
 /// Cheapest-first with a global budget concentrates the allowance on the
 /// tiny supernodes at the bottom of the tree (the ones whose tasks would
@@ -252,13 +329,13 @@ fn merge_groups(
     let total_orig: usize = nnz.iter().fold(0usize, |a, &x| a.saturating_add(x));
     let mut budget = (options.fill_ratio * total_orig as f64) as i64;
     let (first, last) = (first[..nsup].to_vec(), first[1..].to_vec());
-    let (merged_into, generation) = ((0..nsup).collect(), vec![0; nsup]);
-    let mut g = Groups { first, last, nrows, nnz, parent, merged_into, generation };
+    let merged_into = (0..nsup).collect();
+    let mut g = Groups { first, last, nrows, nnz, parent, merged_into };
 
-    // Min-heap of candidate merges keyed by extra fill.
-    let mut heap = std::collections::BinaryHeap::new();
+    let mut candidates = Candidates { heap: Vec::with_capacity(nsup), at: vec![NO_PARENT; nsup] };
     for s in 0..nsup {
-        heap.extend(g.candidate(s));
+        let fill = g.candidate(s);
+        candidates.set(s, fill);
     }
     // Live group ending at a given column: used to discover children whose
     // contiguity with a grown parent group only becomes true after a merge.
@@ -267,46 +344,33 @@ fn merge_groups(
         ending_at[g.last[s]] = s;
     }
 
-    while let Some(Reverse((fill, s, gen_s, _gen_p))) = heap.pop() {
-        if g.merged_into[s] != s || g.generation[s] != gen_s {
-            continue;
-        }
+    while let Some((fill, s)) = candidates.pop() {
         let p = g.find(g.parent[s]);
-        if p == s || g.first[p] != g.last[s] {
-            continue;
-        }
-        // Re-evaluate: the parent group may have changed since this entry
-        // was pushed (its generation moved on).
-        let fill_now = g.price(s, p);
-        if fill_now > fill {
-            // Stale optimistic entry: reinsert with the fresh cost.
-            heap.push(Reverse((fill_now, s, g.generation[s], g.generation[p])));
-            continue;
-        }
+        debug_assert_eq!(fill, g.price(s, p), "a candidate kept a stale price");
         // Tiny groups may always merge (their absolute fill is small and
         // the resulting task would otherwise be un-schedulable); larger
         // merges draw from the global budget.
         let w = g.last[p] - g.first[s];
         let tiny = w <= options.min_width;
-        if !tiny && fill_now > budget {
-            continue; // too expensive now; cheaper candidates also popped
+        if !tiny && fill > budget {
+            continue; // too expensive now; re-priced if its parent grows
         }
         if !tiny {
-            budget -= fill_now.max(0);
+            budget -= fill.max(0);
         }
         // Commit the merge: p absorbs s and keeps its own rows.
         g.nnz[p] = panel_nnz(w, g.nrows[p]);
         g.first[p] = g.first[s];
         g.merged_into[s] = p;
-        g.generation[p] += 1;
         ending_at[g.last[s]] = NO_PARENT;
-        // New candidates: the merged group into *its* parent, and the
-        // group that now abuts p from below (if its tree parent resolves
-        // to p, `candidate` accepts it).
-        heap.extend(g.candidate(p));
+        // Re-price the merged group into *its* parent, and the group that
+        // now abuts p from below (if its tree parent resolves to p).
+        let fill = g.candidate(p);
+        candidates.set(p, fill);
         let below = ending_at[g.first[p]];
         if below != NO_PARENT {
-            heap.extend(g.candidate(below));
+            let fill = g.candidate(below);
+            candidates.set(below, fill);
         }
     }
     (0..nsup).filter(|&s| g.merged_into[s] == s).collect()
@@ -371,6 +435,7 @@ fn rows_nest(first: &[usize], rows: &[Vec<usize>], roots: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
     use crate::counts::column_counts;
     use crate::etree::{elimination_tree, is_topological, postorder, relabel_parent};
     use dagfact_sparse::gen::{grid_laplacian_2d, random_spd};
