@@ -133,21 +133,22 @@ fn renumbering_spread(pattern: &SparsityPattern, facto: FactoKind) -> (f64, usiz
     (deviations.into_iter().fold(0.0, f64::max), within)
 }
 
+/// Print the renumbering spread of `pattern` and hold it to `bound`.
+fn assert_spread(name: &str, pattern: &SparsityPattern, facto: FactoKind, bound: f64) {
+    let (worst, within) = renumbering_spread(pattern, facto);
+    println!("{name}: max |shuffled / natural - 1| = {worst:.5}, {within}/10 within 0.5%");
+    assert!(worst <= bound, "{name}: renumbering moves nnz(L) by {worst:.4}");
+}
+
 /// Nested dissection renumbers its graph canonically before it cuts it, so
 /// the fill of a renumbered box or grid is the fill of the grid order:
 /// at most 1% apart on each of 10 renumberings (0 on cubes, whose
 /// canonical graph is the same for every numbering).
 fn assert_renumbering_keeps_the_fill(sides: &[usize]) {
-    let mut cases: Vec<(String, SparsityPattern, FactoKind)> = Vec::new();
     for &s in sides {
         let (boxed, grid) = (grid_laplacian_3d_box(s, s, s), grid_laplacian_3d(s, s, s));
-        cases.push((format!("27-point {s}³"), boxed.pattern().clone(), FactoKind::Cholesky));
-        cases.push((format!("7-point {s}³"), grid.pattern().clone(), FactoKind::Cholesky));
-    }
-    for (name, pattern, facto) in cases {
-        let (worst, within) = renumbering_spread(&pattern, facto);
-        println!("{name}: max |shuffled / natural - 1| = {worst:.5}, {within}/10 within 0.5%");
-        assert!(worst <= 0.01, "{name}: renumbering moves nnz(L) by {worst:.4}");
+        assert_spread(&format!("27-point {s}³"), boxed.pattern(), FactoKind::Cholesky, 0.01);
+        assert_spread(&format!("7-point {s}³"), grid.pattern(), FactoKind::Cholesky, 0.01);
     }
 }
 
@@ -156,15 +157,20 @@ fn renumbering_keeps_the_fill() {
     assert_renumbering_keeps_the_fill(&[16, 20]);
 }
 
+/// The cubes, a small convection–diffusion problem, and the limit off the
+/// cube: where no symmetry swaps the root's tied neighbours, the ranks
+/// still follow the numbering there, and a 30×20×15 grid's fill moves by
+/// up to 5.7% (its 27-point box by 0.3%).
 #[test]
 #[ignore = "the full renumbering sweep: run with --release -- --ignored"]
 fn renumbering_sweep() {
     assert_renumbering_keeps_the_fill(&[16, 20, 24, 28]);
     let pattern = convection_diffusion_3d(20, 20, 3, 0.3).pattern().clone();
-    let (worst, within) = renumbering_spread(&pattern, FactoKind::Lu);
-    let name = "convection-diffusion 20x20x3";
-    println!("{name}: max |shuffled / natural - 1| = {worst:.5}, {within}/10 within 0.5%");
-    assert!(worst <= 0.01, "{name}: renumbering moves nnz(L) by {worst:.4}");
+    assert_spread("convection-diffusion 20x20x3", &pattern, FactoKind::Lu, 0.01);
+    let grid = grid_laplacian_3d(30, 20, 15);
+    assert_spread("7-point 30x20x15", grid.pattern(), FactoKind::Cholesky, 0.06);
+    let boxed = grid_laplacian_3d_box(30, 20, 15);
+    assert_spread("27-point 30x20x15", boxed.pattern(), FactoKind::Cholesky, 0.01);
 }
 
 const QUICK: [Id; 5] = [

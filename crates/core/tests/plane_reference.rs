@@ -60,6 +60,10 @@ fn top_separator(graph: &Graph, p: &Permutation) -> usize {
 /// most `NNZ_BOUND` times the plane reference's (level sets alone give
 /// 1.53–1.75×). The residue is the pieces below the multilevel floor,
 /// which level sets still cut by shells.
+///
+/// `NNZ_BOUND` is a regression guard set just above the measured
+/// 1.18–1.32×, not the target: the ordering is meant to reach 1.05×
+/// (ROADMAP item 19, open), and the bound drops to that when it does.
 #[test]
 #[ignore = "release sizes: run with --release -- --ignored"]
 fn boxes_are_cut_by_planes() {

@@ -4,16 +4,12 @@
 //! library the paper links PaStiX against ("SCOTCH 5.1.12b", §V).
 //!
 //! * [`nd::nested_dissection`] — recursive vertex-separator ordering of a
-//!   canonically relabeled graph (Cuthill–McKee with structural tie-breaks,
-//!   so the permutation depends on the graph, not on its numbering): BFS
-//!   level-set separators with boundary refinement, and multilevel
-//!   separators — heavy-edge coarsening, greedy growing, Fiduccia–Mattheyses
-//!   refinement on the way back, SCOTCH's and METIS's method — where a level
-//!   set is a shell rather than a plane (27-point stencils); separators
-//!   numbered by first contact with their ordered halves (which sets the
-//!   block count, not the fill) and minimum-degree ordered leaves; the
-//!   default for the solver, and the source of the separator tree whose top
-//!   supernodes become the big GPU-friendly panels of the paper.
+//!   graph ranked by Cuthill–McKee with structural tie-breaks (a cubic grid
+//!   or box gets one permutation whatever its numbering): BFS level-set
+//!   separators, and SCOTCH's and METIS's multilevel separators where a
+//!   level set is a shell rather than a plane (27-point stencils),
+//!   separators numbered by first contact, minimum-degree leaves; the
+//!   solver's default, whose top separators become the paper's big panels.
 //!   [`nd::level_set_dissection`] is the same ordering with level sets only,
 //!   the reference the multilevel splits are held to.
 //! * [`md::minimum_degree`] — classic minimum-degree on the elimination

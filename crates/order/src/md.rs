@@ -56,6 +56,11 @@ pub fn minimum_degree_subset(
     ws: &mut MdWorkspace,
     order: &mut Vec<usize>,
 ) {
+    eliminate(graph, vertices, ws, order, vertices.len() <= SMALL);
+}
+
+/// [`minimum_degree_subset`], on bit sets if `on_bits` (≤ `SMALL` vertices).
+fn eliminate(graph: &Graph, vertices: &[usize], ws: &mut MdWorkspace, order: &mut Vec<usize>, on_bits: bool) {
     let k = vertices.len();
     let MdWorkspace { local_of, adj, eliminated } = ws;
     local_of.resize(graph.nvertices(), usize::MAX);
@@ -64,7 +69,7 @@ pub fn minimum_degree_subset(
         debug_assert_eq!(local_of[v], usize::MAX, "vertex {v} is still mapped");
         local_of[v] = li;
     }
-    if k <= SMALL {
+    if on_bits {
         return minimum_degree_small(graph, vertices, local_of, order);
     }
     if adj.len() < k {
@@ -225,40 +230,8 @@ mod tests {
         assert_eq!(sorted, expect);
     }
 
-    /// The eliminations on sorted lists, as `minimum_degree_subset` makes
-    /// them above `SMALL` vertices: the reference of the bit-set path.
-    fn eliminate_on_lists(graph: &Graph, vertices: &[usize]) -> Vec<usize> {
-        let local = |w: usize| vertices.iter().position(|&v| v == w);
-        let mut adj: Vec<Vec<usize>> = vertices
-            .iter()
-            .map(|&v| {
-                let mut list: Vec<usize> =
-                    graph.neighbors(v).iter().filter_map(|&w| local(w)).collect();
-                list.sort_unstable();
-                list
-            })
-            .collect();
-        let (mut live, mut order) = (vec![true; vertices.len()], Vec::new());
-        let least = |live: &[bool], adj: &[Vec<usize>]| {
-            (0..live.len()).filter(|&v| live[v]).min_by_key(|&v| (adj[v].len(), v))
-        };
-        while let Some(v) = least(&live, &adj) {
-            live[v] = false;
-            order.push(vertices[v]);
-            let clique = std::mem::take(&mut adj[v]);
-            for &w in &clique {
-                adj[w].retain(|&u| u != v);
-                for &u in clique.iter().filter(|&&u| u != w) {
-                    if let Err(at) = adj[w].binary_search(&u) {
-                        adj[w].insert(at, u);
-                    }
-                }
-            }
-        }
-        order
-    }
-
-    /// The bit-set eliminations are the list eliminations.
+    /// The bit-set eliminations are the list eliminations the path above
+    /// `SMALL` vertices makes.
     #[test]
     fn bit_sets_eliminate_as_lists_do() {
         let graphs = [
@@ -270,9 +243,9 @@ mod tests {
         for g in &graphs {
             for (len, stride) in [(128, 1), (97, 3), (40, 7), (1, 1)] {
                 let subset: Vec<usize> = (0..g.nvertices()).step_by(stride).take(len).collect();
-                let mut on_bits = Vec::new();
+                let (mut on_bits, mut on_lists) = (Vec::new(), Vec::new());
                 minimum_degree_subset(g, &subset, &mut ws, &mut on_bits);
-                let on_lists = eliminate_on_lists(g, &subset);
+                eliminate(g, &subset, &mut ws, &mut on_lists, false);
                 assert_eq!(on_bits, on_lists, "{len} vertices, stride {stride}");
             }
         }

@@ -5,17 +5,17 @@
 //!
 //! 0. rank the vertices in Cuthill–McKee order from a pseudo-peripheral
 //!    vertex, ties broken by structural keys ([`crate::rcm`]); every step
-//!    below lists vertices in rank order and breaks its ties by rank, so it
-//!    sees the same graph whatever the input's numbering: two numberings
-//!    of a cubic grid or box give one ranked graph, and so one permutation
-//!    of it (up to a symmetry of the cube);
+//!    below lists vertices in rank order and breaks its ties by rank: two
+//!    numberings of a cubic grid or box give one ranked graph, so one
+//!    permutation; off the cube the root's ties follow the numbering
+//!    (nnz(L) within 5.7% over ten renumberings of a 30×20×15 grid);
 //! 1. split each connected component with a *vertex separator* found from a
 //!    BFS level structure rooted at a pseudo-peripheral vertex (George-Liu
 //!    style), picking the level that balances the two halves;
 //! 2. refine the separator by dropping vertices with neighbors on only one
 //!    side (a cheap Fiduccia-Mattheyses-flavoured pass);
 //! 3. where the level set fails — a connected piece of at least
-//!    `MULTILEVEL_FLOOR` vertices whose separator exceeds `TRIGGER · k^(2/3)`
+//!    `MULTILEVEL_FLOOR` vertices whose separator exceeds `k^(2/3)`
 //!    — also cut the piece by a multilevel separator (`multilevel.rs`)
 //!    and keep the smaller one. Level sets are spheres of the graph metric:
 //!    diagonal planes on a 7-point grid, which no multilevel cut beats, but
@@ -87,18 +87,15 @@ impl Default for NdOptions {
 const FORK_FLOOR: usize = 4096;
 
 /// A connected piece of at least this many vertices whose level-set
-/// separator exceeds `TRIGGER · k^(2/3)` (`k` = its vertex count) is also
+/// separator exceeds `k^(2/3)` (`k` = its vertex count) is also
 /// cut by a multilevel separator, and the smaller one is kept. The ratio
 /// reads 1.8–2.0 on cube-like pieces of 27-point boxes and 1.06–1.15 on
 /// their slabs, where the plane across the slab is still 1.4× smaller than
 /// the shell; it stays under 0.8 on 7-point grids, quasi-2D shells and
 /// Helmholtz problems, whose orderings the multilevel split leaves alone.
-/// The floor keeps the multilevel splits' analysis time and allocations
-/// near what the level-set dissection spent; a lower one cuts closer to
-/// the planes but allocates more (EXPERIMENTS.md, "Separators that find
-/// planes").
+/// The floor keeps analysis time and allocations near the level-set
+/// dissection's; a lower one cuts closer to the planes but allocates more.
 const MULTILEVEL_FLOOR: usize = 2048;
-const TRIGGER: f64 = 1.0;
 
 /// Side of a vertex that is not in the subgraph being split.
 const NO_SIDE: u8 = u8::MAX;
@@ -157,7 +154,7 @@ struct Dissection<'a> {
 /// Compute a nested-dissection ordering of the whole graph, on as many
 /// threads as the host offers.
 pub fn nested_dissection(graph: &Graph, options: &NdOptions) -> Permutation {
-    nested_dissection_on(graph, options, threads(), FORK_FLOOR)
+    canonical_dissection(graph, options, threads(), FORK_FLOOR, true)
 }
 
 /// [`nested_dissection`] with level-set separators only, the reference the
@@ -171,23 +168,12 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// [`nested_dissection`] on at most `threads` threads, forking pieces of
-/// more than `floor` vertices.
-fn nested_dissection_on(
-    graph: &Graph,
-    options: &NdOptions,
-    threads: usize,
-    floor: usize,
-) -> Permutation {
-    canonical_dissection(graph, options, threads, floor, true)
-}
-
 /// The dissection of `graph` in its Cuthill–McKee ranks ([`crate::rcm`]).
 /// Two numberings of one graph give it the same ranks up to ties of the
 /// numbering's structural keys, and nothing the dissection decides depends
-/// on the order of an adjacency list, so its result depends on the graph,
-/// not on its labels. The ranks cost one Cuthill–McKee pass and an
-/// `n`-long array; the graph is not copied.
+/// on the order of an adjacency list, so its result depends on the labels
+/// only through those ties. On at most `threads` threads, forking pieces
+/// of more than `floor` vertices.
 fn canonical_dissection(
     graph: &Graph,
     options: &NdOptions,
@@ -347,7 +333,7 @@ fn find_separator(
     let Workspace { traversal, side, local, .. } = ws;
     let mut sizes = level_set_separator(graph, vertices, depth, options, traversal, side)?;
     let k = vertices.len();
-    let shell = sizes[2] as f64 > TRIGGER * (k as f64).powf(2.0 / 3.0);
+    let shell = sizes[2] as f64 > (k as f64).powf(2.0 / 3.0);
     if multilevel && k >= MULTILEVEL_FLOOR && shell {
         let sides = multilevel::separator(graph, vertices, local);
         let mut ml = [0usize; 3];
@@ -591,7 +577,7 @@ mod tests {
             let options = NdOptions::default();
             let expect = nested_dissection(&graph, &options);
             for threads in 1..=4 {
-                let got = nested_dissection_on(&graph, &options, threads, 0);
+                let got = canonical_dissection(&graph, &options, threads, 0, true);
                 assert_eq!(got, expect, "{threads} threads");
             }
         }

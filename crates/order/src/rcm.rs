@@ -13,8 +13,8 @@
 //! with those, and by vertex id only when all of these agree. On cubic
 //! grids and boxes the ties that remain are swapped by a symmetry of the
 //! cube, so every numbering of one of them gives the same canonical graph.
-//! It allocates nothing per vertex; a tie the keys cannot break costs one
-//! small list per tied candidate.
+//! It costs `O(m + n log n)` at any degree and allocates nothing per vertex
+//! (a tie the keys cannot break costs one small list per tied candidate).
 
 use crate::perm::Permutation;
 use dagfact_sparse::graph::{Graph, Traversal};
@@ -22,6 +22,13 @@ use std::cmp::Reverse;
 
 /// Number of a vertex `cuthill_mckee` has not numbered yet.
 const UNNUMBERED: usize = usize::MAX;
+
+/// A visit of more candidates (a hub's) is numbered in one sort by their
+/// first keys: one at a time, each number scans them, `O(n²)` on a hub.
+const LARGE_VISIT: usize = 32;
+/// [`break_tie`] skips vertices of higher degree (27-point stencils have
+/// 26), whose adjacency it would scan for each tied candidate.
+const DENSE: usize = 32;
 
 /// Compute the reverse Cuthill-McKee ordering. Each connected component is
 /// numbered by Cuthill–McKee (module docs) from a pseudo-peripheral vertex; the
@@ -68,8 +75,9 @@ pub(crate) fn cuthill_mckee_all(
 /// (none sorts last), then the most numbered neighbours, then the least sum
 /// of their numbers, and only then vertex id. Each number given updates the
 /// keys of the neighbours still waiting, so that symmetric candidates are
-/// told apart by the candidates numbered before them. `pending` is scratch
-/// space, left empty.
+/// told apart by the candidates numbered before them; a visit of more than
+/// `LARGE_VISIT` candidates numbers them by their keys as it begins.
+/// `pending` is scratch space, left empty.
 fn cuthill_mckee(
     graph: &Graph,
     root: usize,
@@ -97,6 +105,13 @@ fn cuthill_mckee(
                 pending.push(key);
             }
         }
+        if pending.len() > LARGE_VISIT {
+            pending.sort_unstable();
+            for [.., w] in pending.drain(..) {
+                number[w] = order.len();
+                order.push(w);
+            }
+        }
         while let Some(i) = (0..pending.len()).min_by_key(|&i| &pending[i]) {
             let i = break_tie(graph, number, pending, i, seen);
             let w = pending.swap_remove(i)[4];
@@ -118,12 +133,12 @@ fn cuthill_mckee(
 /// The candidate to number among those whose keys equal `keys[best]`'s
 /// but for the vertex id: the one that shares the most neighbours with
 /// its earliest-numbered neighbour, then with the next, and so on (a
-/// candidate two hops nearer the numbered vertices goes first); the vertex
-/// id decides only between candidates that agree on all of these. `seen`
-/// is all `false`, and left so.
+/// candidate two hops nearer the numbered vertices goes first; no vertex
+/// above `DENSE` is looked at); the vertex id decides the rest. `seen` is
+/// all `false`, and left so.
 fn break_tie(g: &Graph, number: &[usize], keys: &[Key], best: usize, seen: &mut [bool]) -> usize {
     let tied = |i: &usize| keys[*i][..4] == keys[best][..4];
-    if (0..keys.len()).filter(tied).nth(1).is_none() {
+    if keys[best][0] > DENSE || (0..keys.len()).filter(tied).nth(1).is_none() {
         return best;
     }
     let n = number.len();
@@ -131,7 +146,7 @@ fn break_tie(g: &Graph, number: &[usize], keys: &[Key], best: usize, seen: &mut 
         let w = keys[i][4];
         g.neighbors(w).iter().for_each(|&u| seen[u] = true);
         let mut numbered: Vec<usize> = g.neighbors(w).to_vec();
-        numbered.retain(|&u| number[u] < n);
+        numbered.retain(|&u| number[u] < n && g.degree(u) <= DENSE);
         numbered.sort_unstable_by_key(|&u| number[u]);
         let shared_with = |u: usize| g.neighbors(u).iter().filter(|&&x| seen[x]).count();
         let common: Vec<_> = numbered.iter().map(|&u| Reverse(shared_with(u))).collect();
