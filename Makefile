@@ -47,7 +47,9 @@ check-clean:
 # width-identity test: the zmm tile bitwise the ymm tile on AVX-512
 # hosts), the differential SIMD-vs-portable fuzz suite — GEMM tiers
 # against each other, the sparse update and the blocked TRSM against
-# their dense references — dispatched, again under DAGFACT_FORCE_SCALAR=1
+# their dense references — and the bitwise contracts (a GEMM equals its
+# contraction split into chunks at every tier; the left TRSM equals a
+# column-at-a-time substitution) — dispatched, again under DAGFACT_FORCE_SCALAR=1
 # (the portable tier of the same build) and in a forced-scalar
 # build+test leg (--no-default-features proves the portable tier stands
 # alone), the factorization suite on the portable tier (same residual
@@ -59,10 +61,10 @@ check-clean:
 # workspace tests.
 check-kernels:
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --lib
-	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz
-	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-kernels --test simd_fuzz --test proptest_kernels
+	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --test simd_fuzz --test bitwise
+	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-kernels --test simd_fuzz --test proptest_kernels --test bitwise
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-kernels --no-default-features
-	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-core --test factorize_solve
+	DAGFACT_FORCE_SCALAR=1 cargo test -q -p dagfact-core --test factorize_solve --test solve
 	cargo test -q --release -p dagfact-kernels --test simd_fuzz -- --ignored
 
 # Full robustness gate: the whole test suite plus the fault-injection and

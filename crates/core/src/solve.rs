@@ -19,9 +19,14 @@
 //! scratch: forward `tmp = L[w.., :]·y_c`, then `x[R_b, :] -= tmp[R_b]`
 //! block by block; backward gathers `x[R_b, :]` of every block into `tmp`,
 //! then `x_c -= L[w.., :]ᵀ·tmp`. Those two shapes, and the diagonal
-//! [`trsm`], are what the kernels' SIMD tier is cut for — at one
-//! right-hand side they stream the factor once at memory speed, at many
-//! they run at the microkernel's rate. No kernel lets a column's rounding
+//! [`trsm`], are what the kernels' SIMD tier is cut for: a product one
+//! tile wide streams the factor 16 columns at a time, the `Aᵀ·B` tile
+//! prefetches the factor's next rows, and a triangle runs all of a
+//! group's columns in vector lanes. On `pml_zldlt`'s factors (C64, a
+//! 2-vCPU AVX-512 Xeon) an 8-column group takes ≈ 25 ms, 8 of them in the
+//! forward product and 7 in the backward one, and `solve_many(16)` runs at
+//! ≈ 21 GFlop/s (EXPERIMENTS.md, "Solve sweeps at the tile's rate"). No
+//! kernel lets a column's rounding
 //! depend on the columns beside it, so column `r` of a many-RHS solve is
 //! bitwise the single solve of column `r`.
 //!

@@ -152,3 +152,71 @@ fn solve_rejects_wrong_length() {
     let b = vec![1.0; a.nrows() * 2 - 1];
     let _ = f.solve_many(&b, 2);
 }
+
+/// FNV-1a over the bit patterns of `v`, both components of each element.
+fn fnv1a<T: Scalar>(hash: u64, v: &[T]) -> u64 {
+    v.iter().flat_map(|x| [x.re().to_bits(), x.im().to_bits()]).flat_map(u64::to_le_bytes).fold(hash, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Hashes of every stored factor coefficient (L panels, U panels, the
+/// LDLᵀ diagonal) and of `solve`'s, `solve_many(8)`'s and
+/// `solve_many(16)`'s outputs, in that order.
+fn factor_and_solve_hashes<T: Scalar>(a: &CscMatrix<T>, facto: FactoKind) -> (u64, u64) {
+    let n = a.nrows();
+    let analysis = Analysis::new(a.pattern(), facto, &SolverOptions::default());
+    let f = analysis.factorize(a, RuntimeKind::Ptg, 2).unwrap_or_else(|e| panic!("{facto:?}: {e}"));
+    let symbol = &analysis.symbol;
+    let mut factors = 0xCBF2_9CE4_8422_2325;
+    for c in 0..symbol.ncblk() {
+        // SAFETY: the factorization has returned; nothing mutates `f`.
+        factors = fnv1a(factors, unsafe { f.tab.pin_l(symbol, c, None).unwrap().slice() });
+        if f.tab.has_u() {
+            // SAFETY: as above.
+            factors = fnv1a(factors, unsafe { f.tab.pin_u(symbol, c, None).unwrap().slice() });
+        }
+    }
+    factors = fnv1a(factors, &f.d);
+    let mut solves = fnv1a(0xCBF2_9CE4_8422_2325, &f.solve(&rhs::<T>(n, 1)));
+    for nrhs in [8, 16] {
+        solves = fnv1a(solves, &f.solve_many(&rhs::<T>(n, nrhs), nrhs));
+    }
+    (factors, solves)
+}
+
+/// The factors and solutions of three fixed problems are pinned bit for
+/// bit: a kernel change that claims to keep every bit (a new loop order, a
+/// vectorized triangle) is held to it here. One pin per tier class — the
+/// SIMD tiers are bitwise one another (`isa_identity.rs`), the portable
+/// tier rounds without FMA — so every leg of the kernel gate checks one.
+/// A deliberate change of the arithmetic re-captures them.
+#[test]
+#[cfg_attr(miri, ignore = "the pins are of the full-size problems")]
+fn factors_and_solutions_are_pinned_bitwise() {
+    let simd = dagfact_kernels::isa() != dagfact_kernels::Isa::Scalar;
+    let z: CscMatrix<C64> = helmholtz_3d(8, 8, 8, 2.0, 0.5);
+    let got = [
+        ("f64 LLt", factor_and_solve_hashes(&grid_laplacian_3d(10, 10, 10), FactoKind::Cholesky)),
+        ("f64 LU", factor_and_solve_hashes(&convection_diffusion_3d(10, 10, 6, 0.3), FactoKind::Lu)),
+        ("C64 LDLt", factor_and_solve_hashes(&z, FactoKind::Ldlt)),
+    ];
+    // (factors, solves) per problem: SIMD tiers, then the portable tier.
+    const PINS: [[(u64, u64); 2]; 3] = [
+        [(0x79fe_9135_dcad_441b, 0xf3b7_1c87_2db4_ebb1), (0x3380_3a9e_6c1f_5e39, 0xa7aa_8b7a_6e01_6b3c)],
+        [(0x3c4e_780b_261d_d55a, 0xa38b_8eed_9f29_5d6a), (0x80fc_b754_cffd_6d3c, 0xfee0_1ea6_fc07_19e6)],
+        [(0x29b1_719d_8fc9_81d6, 0x872e_f40d_6552_8566), (0x852a_81b5_94b3_cfb7, 0x642c_111c_404f_85c6)],
+    ];
+    for ((name, got), pins) in got.iter().zip(PINS) {
+        let want = if simd { pins[0] } else { pins[1] };
+        assert!(
+            *got == want,
+            "{name} ({}): hashes {:#018x}, {:#018x} differ from the pinned {:#018x}, {:#018x}",
+            if simd { "SIMD" } else { "portable" },
+            got.0,
+            got.1,
+            want.0,
+            want.1
+        );
+    }
+}

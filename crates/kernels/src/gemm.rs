@@ -3,17 +3,19 @@
 //! The update tasks of the supernodal factorization spend nearly all their
 //! time here (`C ← βC + α·op(A)·op(B)`), so the `NoTrans × Trans` case —
 //! the outer product `L_{i,k} · L_{j,k}ᵀ` of the paper's Figure 1 — gets a
-//! cache-friendly axpy-based fast path. Two tiers serve it:
+//! cache-friendly axpy-based fast path. Three tiers serve it:
 //!
 //! * the portable blocked safe-Rust kernel ([`gemm_portable`]) — the
 //!   baseline-target build that runs everywhere and is the reference the
-//!   differential fuzz suite pins the SIMD tier against, and
-//! * the AVX2+FMA register-tiled microkernels in [`crate::simd`] — for
-//!   `A` untransposed the axpy tile (8×4 `f64`, 4×4 `C64`), for `Aᵀ·B` /
-//!   `Aᴴ·B` (the backward solve) the dot tile (3×4 `f64`, 2×2 `C64`) —
-//!   entered through a cached runtime dispatch when the host supports it
-//!   and the shape fills one tile (`m ≥ 8` / `4` resp. `k ≥ 4` / `2`;
-//!   any `n`).
+//!   differential fuzz suite pins the SIMD tiers against;
+//! * the AVX2+FMA register-tiled microkernels in [`crate::simd`] at `ymm`
+//!   width — for `A` untransposed the axpy tile (8×4 `f64`, 4×4 `C64`),
+//!   for `Aᵀ·B` / `Aᴴ·B` (the backward solve) the dot tile (3×4 `f64`,
+//!   2×2 `C64`);
+//! * the same tiles at `zmm` width on AVX-512F hosts (24×8 / 8×8 axpy,
+//!   3×8 / 2×8 dot), bitwise the `ymm` tier — both entered through a
+//!   cached runtime dispatch when the shape fills one `ymm` tile (`m ≥ 8`
+//!   / `4` resp. `k ≥ 4` / `2`; any `n`).
 //!
 //! [`gemm`] is the dispatching front door; everything else in the solver
 //! calls it and gets the fastest applicable tier.

@@ -16,13 +16,17 @@
 //!   untransposed one register tile under one mc/kc/nc cache-blocking
 //!   loop, written once over the register width and run at `zmm` under
 //!   `Avx512` (24×8 real, 8×8 complex) or `ymm` under `Avx2` (8×4, 4×4),
-//!   bitwise equal; for `Aᵀ·B` / `Aᴴ·B` a `ymm` dot tile under either.
+//!   bitwise equal; for `Aᵀ·B` / `Aᴴ·B` a dot tile written the same way
+//!   (3×8 real, 2×8 complex at `zmm`; 3×4, 2×2 at `ymm`), bitwise equal.
 //!
-//! `gemm` is the only way in: the two `try_gemm_*` shims below are its
-//! dispatch and nothing else calls them. Everything else that wants SIMD
-//! (both TRSM sides, the diagonal-block factorizations' trailing updates,
-//! the solve sweeps) gets it by calling `gemm` with a shape one of the two
-//! tiles takes — so a new element type or ISA is added in one place.
+//! `gemm` is the way in for products: the two `try_gemm_*` shims below
+//! are its dispatch and nothing else calls them. Everything else that
+//! wants SIMD (both TRSM sides, the diagonal-block factorizations'
+//! trailing updates, the solve sweeps) gets it by calling `gemm` with a
+//! shape one of the two tiles takes — so a new element type or ISA is
+//! added in one place. The one other way in, [`try_solve_rows`], runs
+//! the left TRSM's portable triangle body under the tier's target
+//! features: the same bits at every tier, faster (DESIGN.md §15).
 //!
 //! Scalar fallback is the portable kernel itself: both shims return
 //! `false` when the host lacks AVX2, the element type has no tiles (a
@@ -41,13 +45,14 @@
 
 use crate::gemm::Trans;
 use crate::scalar::Scalar;
+use crate::trsm::Diag;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use crate::scalar::C64;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use core::any::TypeId;
 use core::sync::atomic::{AtomicU8, Ordering};
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-use x86::{Tiled, Width};
+use x86::Tiled;
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub(crate) mod x86;
@@ -228,14 +233,14 @@ fn a_notrans_as<T: Scalar, E: Tiled>(
     // were asserted by the calling `gemm` before any dispatch.
     unsafe {
         match isa {
-            Isa::Avx512 => x86::Zmm::gemm_an(m, n, k, alpha, ae, lda, be, transb, ldb, beta, ce, ldc),
-            _ => x86::Ymm::gemm_an(m, n, k, alpha, ae, lda, be, transb, ldb, beta, ce, ldc),
+            Isa::Avx512 => x86::Zmm::gemm(false, transb, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc),
+            _ => x86::Ymm::gemm(false, transb, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc),
         }
     }
     true
 }
 
-/// Attempt the AVX2 dot-form GEMM for `C ← α·op(A)·B + β·C` (`A` stored
+/// Attempt the SIMD dot-form GEMM for `C ← α·op(A)·B + β·C` (`A` stored
 /// `k×m`, `B` stored `k×n`, `transa` `Trans` or `ConjTrans` — the two
 /// differ by a sign in the tile's one reduction). Returns `true` when the
 /// SIMD path handled the call.
@@ -257,9 +262,10 @@ pub(crate) fn try_gemm_a_trans<T: Scalar>(
 ) -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        isa() != Isa::Scalar
-            && (a_trans_as::<T, f64>(transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-                || a_trans_as::<T, C64>(transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
+        let isa = isa();
+        isa != Isa::Scalar
+            && (a_trans_as::<T, f64>(isa, transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+                || a_trans_as::<T, C64>(isa, transa, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc))
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
@@ -268,13 +274,14 @@ pub(crate) fn try_gemm_a_trans<T: Scalar>(
     }
 }
 
-/// [`try_gemm_a_trans`] for one tiled element type `E`: declines unless
-/// `T` is `E` and the contraction fills one vector. The caller has
-/// established a SIMD `isa()`.
+/// [`try_gemm_a_trans`] for one tiled element type `E` at the register
+/// width of `isa`, a SIMD tier the CPU has: declines unless `T` is `E` and
+/// the contraction fills one vector.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn a_trans_as<T: Scalar, E: Tiled>(
+    isa: Isa,
     transa: Trans,
     m: usize,
     n: usize,
@@ -293,14 +300,72 @@ fn a_trans_as<T: Scalar, E: Tiled>(
     }
     let (ae, be, ce) = (a.as_ptr().cast::<E>(), b.as_ptr().cast::<E>(), c.as_mut_ptr().cast::<E>());
     let (alpha, beta) = (E::from_parts(alpha.re(), alpha.im()), E::from_parts(beta.re(), beta.im()));
-    let conj_a = transa == Trans::ConjTrans;
-    // SAFETY: the caller's SIMD isa() certifies avx2+fma on this CPU (both
-    // tiers have them); TypeId equality proves T == E, so the pointers are
-    // the slices' own; the shape contracts (lda/ldb ≥ k, ldc ≥ m and the
-    // slice lengths) were asserted by the calling `gemm` before any
-    // dispatch.
-    unsafe { x86::gemm_at(conj_a, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc) };
+    // SAFETY: `isa` (a SIMD tier the CPU has) certifies the width's
+    // features; TypeId equality proves T == E, so the pointers are the
+    // slices' own; the shape contracts (lda/ldb ≥ k, ldc ≥ m and the slice
+    // lengths) were asserted by the calling `gemm` before any dispatch.
+    unsafe {
+        match isa {
+            Isa::Avx512 => x86::Zmm::gemm(true, transa, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc),
+            _ => x86::Ymm::gemm(true, transa, m, n, k, alpha, ae, lda, be, ldb, beta, ce, ldc),
+        }
+    }
     true
+}
+
+/// Prefetch the leading `m×n` block of the column-major `t` (leading
+/// dimension `ld`) into L1: a triangle is read one column per step of a
+/// substitution whose steps depend on each other, so its lines would
+/// otherwise miss one after another. A hint only; a no-op off x86-64.
+#[inline]
+pub(crate) fn prefetch_block<T>(t: &[T], ld: usize, m: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let step = (64 / core::mem::size_of::<T>()).max(1);
+        for j in 0..n {
+            for i in (0..m).step_by(step) {
+                // SAFETY: SSE is in the x86-64 baseline, and a prefetch
+                // never faults, so the address need not be in bounds
+                // (`wrapping_add` keeps the arithmetic defined).
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(t.as_ptr().wrapping_add(j * ld + i).cast()) };
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (t, ld, m, n);
+}
+
+/// Attempt the left TRSM's diagonal triangle ([`crate::trsm::solve_rows`],
+/// one lane per right-hand side) compiled under the SIMD tier's target
+/// features: the portable body again, not a second tier — it never fuses,
+/// so every instance returns the same bits. `false` (the caller runs the
+/// baseline instance) under [`Isa::Scalar`] or without the `simd` feature.
+#[inline]
+pub(crate) fn try_solve_rows<T: Scalar, const N: usize>(
+    lower: bool,
+    trans: Trans,
+    diag: Diag,
+    t: &[T],
+    ldt: usize,
+    rows: &mut [[T; N]],
+) -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        match isa() {
+            // SAFETY: `isa()` certifies avx512f+avx2+fma on this CPU.
+            Isa::Avx512 => unsafe { x86::Zmm::solve_rows(lower, trans, diag, t, ldt, rows) },
+            // SAFETY: `isa()` certifies avx2+fma on this CPU.
+            Isa::Avx2 => unsafe { x86::Ymm::solve_rows(lower, trans, diag, t, ldt, rows) },
+            Isa::Scalar => return false,
+        }
+        true
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        let _ = (lower, trans, diag, t, ldt, rows);
+        false
+    }
 }
 
 #[cfg(test)]
@@ -343,7 +408,8 @@ mod tests {
     /// The `zmm` width against the `ymm` width, called directly (no global
     /// tier state), bitwise, on every full-tile, one-register-tile and
     /// scalar-edge row count of both, column counts across both strips'
-    /// remainders, contractions across the `KC` = 256 chunk, every `op(B)`,
+    /// remainders (and both dot tiles' odd columns), contractions across
+    /// the `KC` = 256 chunk, every `op(B)` and both transposed `op(A)`,
     /// complex α and β ∈ {0, 1, ½, ½−¼i} (the imaginary part dropped for
     /// `f64`), and padded strides. `op(B)`, β and the padding go round-robin
     /// over the 350 shapes, which keeps the debug build's run to seconds.
@@ -384,6 +450,23 @@ mod tests {
                         assert!(
                             run(Isa::Avx512) == run(Isa::Avx2),
                             "{}: zmm differs from ymm at m={m} n={n} k={k} {transb:?} β={beta}",
+                            E::PREC
+                        );
+                    }
+                    // The dot form, `op(A)·B` with `A` stored k×m (it
+                    // takes a contraction of at least one vector).
+                    if k >= E::LANES {
+                        let transa = [Trans::Trans, Trans::ConjTrans][case % 2];
+                        let (lda, ldb, ldc) = (k + pad, k + 2 * pad, m + pad);
+                        let (a, b, c0) = (draw(lda * m), draw(ldb * n), draw(ldc * n));
+                        let run = |isa| {
+                            let mut c = c0.clone();
+                            assert!(a_trans_as::<E, E>(isa, transa, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc));
+                            c.iter().map(|x| (x.re().to_bits(), x.im().to_bits())).collect::<Vec<_>>()
+                        };
+                        assert!(
+                            run(Isa::Avx512) == run(Isa::Avx2),
+                            "{}: zmm dot tile differs from ymm at m={m} n={n} k={k} {transa:?} β={beta}",
                             E::PREC
                         );
                     }

@@ -8,7 +8,7 @@
 //!   loop streams columns of `A` and broadcasts elements of `s =
 //!   α·op(B)`. One blocking loop and one tile body serve both widths
 //!   ([`Width`]), each instantiated under its own `#[target_feature]`
-//!   ([`Width::gemm_an`]): 8×4 real / 4×4 complex in `ymm`, 24×8 / 8×8 in
+//!   ([`Zmm::gemm`]): 8×4 real / 4×4 complex in `ymm`, 24×8 / 8×8 in
 //!   `zmm`. `s` is formed once per `NR`-column strip under whichever
 //!   `Trans` `B` carries, so the tile covers the update's `NoTrans×Trans`
 //!   and the forward solve's `NoTrans×NoTrans` with a `k` loop of loads
@@ -16,12 +16,12 @@
 //!   [`tile_edge`]'s scalar rows; the tile is const-generic over its
 //!   column count, so `n mod NR` (and the single-RHS solve) vectorizes
 //!   along `m` like the full tile.
-//! * **`A` transposed, `B` untransposed** ([`gemm_at`], `ymm` at either
-//!   width): the contraction runs down contiguous columns of both
-//!   operands, so a tile of `C` (3×4 real, 2×2 complex) is a block of
-//!   `ymm` dot-product accumulators reduced once at the end of a `KC`
-//!   chunk — the backward solve's product, and at one right-hand side the
-//!   backward solve itself.
+//! * **`A` transposed, `B` untransposed** ([`gemm_at`], [`tile_dot`]):
+//!   the contraction runs down contiguous columns of both operands, so a
+//!   tile of `C` is a block of `ymm` dot-product accumulators reduced once
+//!   per `KC` chunk — the backward solve's product. 3×4 real / 2×2 complex
+//!   in `ymm`; 3×8 / 2×8 in `zmm`, whose halves hold two columns' `ymm`
+//!   accumulators. Each tile prefetches the next row tile's `A`.
 //!
 //! Complex arithmetic works on the interleaved `{re, im}` storage as it
 //! is: with `a` a register of complex elements and `i·a = (−a.im, a.re)`
@@ -37,11 +37,13 @@
 //! = α·op(B)[l, j]` formed in scalar as the portable body forms it — the
 //! same per-`l` axpy order as [`crate::gemm`]'s `gemm_a_notrans`, with each
 //! multiply-add pair contracted into a single rounding. The dot tile sums
-//! one partial dot per `ymm` lane (rounding-level reassociation).
+//! one partial dot per `ymm` lane (rounding-level reassociation) — a
+//! `ymm` register, or a `ymm` half of a `zmm`.
 //! In both, an element of `C` is computed the same way whatever tile,
-//! width or remainder it falls in and however many columns ride with it,
-//! so a column of a product does not depend on `n`, and the two widths
-//! are bitwise equal. The differential fuzz suite pins the drift.
+//! width or remainder it falls in (and, for the `A`-untransposed tile,
+//! however its contraction is chunked) and however many columns ride with
+//! it, so a column of a product does not depend on `n`, and the two
+//! widths are bitwise equal. The differential fuzz suite pins the drift.
 //!
 //! Everything here is `unsafe fn` + raw pointers: callers (the dispatch
 //! shims in [`super`]) re-assert the LAPACK shape contracts before any
@@ -54,6 +56,7 @@
 
 use crate::gemm::Trans;
 use crate::scalar::{Scalar, C64};
+use crate::trsm::Diag;
 use core::arch::x86_64::*;
 use core::mem::{size_of, MaybeUninit};
 
@@ -67,10 +70,16 @@ const MC: usize = 192;
 const KC: usize = 256;
 /// Column-block width (a multiple of every [`Width::NR`]).
 const NC: usize = 512;
+/// Inner-dimension depth when `C` is one strip wide (`n ≤ NR`, the
+/// solve's products): a tile walking `KC` columns of `A` at once runs `KC`
+/// streams `lda` apart, which the prefetchers drop. The chunks carry the
+/// accumulators through `C` in `l` order, so the depth moves no bit.
+const KC_NARROW: usize = 16;
 
-/// A vector register width: what the `A`-untransposed tile is written
-/// over, and the blocking loop instantiated under the width's target
-/// features (which every `unsafe fn` here requires of this CPU).
+/// A vector register width: what the tiles are written over, and their
+/// blocking loops instantiated under the width's target features
+/// (the inherent `gemm` and `solve_rows` of each; every `unsafe fn` here
+/// requires them of this CPU).
 pub(crate) trait Width {
     /// The register.
     type V: Copy;
@@ -82,25 +91,11 @@ pub(crate) trait Width {
     const MV_REAL: usize;
     const MV_COMPLEX: usize;
 
-    /// [`gemm_an`] under this width's target features.
-    ///
-    /// # Safety
-    /// This width's features on this CPU, and the contract of [`gemm_an`].
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn gemm_an<E: Tiled>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: E,
-        a: *const E,
-        lda: usize,
-        b: *const E,
-        transb: Trans,
-        ldb: usize,
-        beta: E,
-        c: *mut E,
-        ldc: usize,
-    );
+    /// Columns of `B` one dot-tile register holds, one per `ymm` half.
+    const DOT_COLS: usize;
+    /// Registers of `B` columns per dot tile, real and complex.
+    const DOT_NV_REAL: usize;
+    const DOT_NV_COMPLEX: usize;
 
     /// # Safety
     /// This width's features, and `F64S` readable `f64`s at `p`.
@@ -125,6 +120,31 @@ pub(crate) trait Width {
     /// # Safety
     /// This width's features.
     unsafe fn times_i(v: Self::V) -> Self::V;
+    /// `(v₁, v₀, v₃, v₂, …)`.
+    /// # Safety
+    /// This width's features.
+    unsafe fn swap(v: Self::V) -> Self::V;
+    /// Four `f64`s from each of `DOT_COLS` columns `stride` apart, one
+    /// per `ymm` half.
+    /// # Safety
+    /// This width's features, and four readable `f64`s at each.
+    #[inline(always)]
+    unsafe fn load_cols(p: *const f64, _stride: usize) -> Self::V {
+        // SAFETY: the caller's contract (one column: `F64S` is four).
+        unsafe { Self::load(p) }
+    }
+    /// Four `f64`s at `p` in every `ymm` half.
+    /// # Safety
+    /// This width's features, and four readable `f64`s at `p`.
+    #[inline(always)]
+    unsafe fn broadcast4(p: *const f64) -> Self::V {
+        // SAFETY: as for `load_cols`.
+        unsafe { Self::load(p) }
+    }
+    /// `ymm` half `h < DOT_COLS`.
+    /// # Safety
+    /// This width's features.
+    unsafe fn half(v: Self::V, h: usize) -> __m256d;
 }
 
 /// AVX2 + FMA, 16 `ymm`: 8 accumulators (4 columns × 2) + 2 `A` (+ 2
@@ -137,25 +157,9 @@ impl Width for Ymm {
     const NR: usize = 4;
     const MV_REAL: usize = 2;
     const MV_COMPLEX: usize = 2;
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_an<E: Tiled>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: E,
-        a: *const E,
-        lda: usize,
-        b: *const E,
-        transb: Trans,
-        ldb: usize,
-        beta: E,
-        c: *mut E,
-        ldc: usize,
-    ) {
-        // SAFETY: the caller's contract, under this width's features.
-        unsafe { gemm_an::<Self, E>(m, n, k, alpha, a, lda, b, transb, ldb, beta, c, ldc) }
-    }
+    const DOT_COLS: usize = 1;
+    const DOT_NV_REAL: usize = 4;
+    const DOT_NV_COMPLEX: usize = 2;
 
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -194,6 +198,16 @@ impl Width for Ymm {
     unsafe fn times_i(v: __m256d) -> __m256d {
         _mm256_xor_pd(_mm256_permute_pd::<0b0101>(v), _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0))
     }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn swap(v: __m256d) -> __m256d {
+        _mm256_permute_pd::<0b0101>(v)
+    }
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn half(v: __m256d, _h: usize) -> __m256d {
+        v
+    }
 }
 
 /// AVX-512F, 32 `zmm`. Real: 24 accumulators (8 columns × 3) + 3 `A`, the
@@ -207,25 +221,9 @@ impl Width for Zmm {
     const NR: usize = 8;
     const MV_REAL: usize = 3;
     const MV_COMPLEX: usize = 2;
-
-    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    unsafe fn gemm_an<E: Tiled>(
-        m: usize,
-        n: usize,
-        k: usize,
-        alpha: E,
-        a: *const E,
-        lda: usize,
-        b: *const E,
-        transb: Trans,
-        ldb: usize,
-        beta: E,
-        c: *mut E,
-        ldc: usize,
-    ) {
-        // SAFETY: the caller's contract, under this width's features.
-        unsafe { gemm_an::<Self, E>(m, n, k, alpha, a, lda, b, transb, ldb, beta, c, ldc) }
-    }
+    const DOT_COLS: usize = 2;
+    const DOT_NV_REAL: usize = 4;
+    const DOT_NV_COMPLEX: usize = 4;
 
     #[target_feature(enable = "avx512f")]
     #[inline]
@@ -267,6 +265,135 @@ impl Width for Zmm {
         let swapped = _mm512_castpd_si512(_mm512_permute_pd::<0b0101_0101>(v));
         _mm512_castsi512_pd(_mm512_xor_si512(swapped, sign))
     }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn swap(v: __m512d) -> __m512d {
+        _mm512_permute_pd::<0b0101_0101>(v)
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load_cols(p: *const f64, stride: usize) -> __m512d {
+        // SAFETY: the trait's contract: four readable `f64`s at `p` and
+        // at `p + stride`.
+        unsafe { _mm512_insertf64x4::<1>(_mm512_castpd256_pd512(_mm256_loadu_pd(p)), _mm256_loadu_pd(p.add(stride))) }
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn broadcast4(p: *const f64) -> __m512d {
+        // SAFETY: the trait's contract: four readable `f64`s at `p`.
+        unsafe { _mm512_broadcast_f64x4(_mm256_loadu_pd(p)) }
+    }
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn half(v: __m512d, h: usize) -> __m256d {
+        if h == 0 {
+            _mm512_castpd512_pd256(v)
+        } else {
+            _mm512_extractf64x4_pd::<1>(v)
+        }
+    }
+}
+
+/// Ymm's entry points, each instantiated under its features.
+impl Ymm {
+    /// [`gemm_at`] (`op(A)·B` with `op(A) = Aᴴ` under `ConjTrans`, else
+    /// `Aᵀ`) when `a_trans`, else [`gemm_an`] (`A·op(B)`, `op = trans`).
+    ///
+    /// # Safety
+    /// This width's features on this CPU, and the contract of the loop.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn gemm<E: Tiled>(
+        a_trans: bool,
+        trans: Trans,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: E,
+        a: *const E,
+        lda: usize,
+        b: *const E,
+        ldb: usize,
+        beta: E,
+        c: *mut E,
+        ldc: usize,
+    ) {
+        // SAFETY: the caller's contract, under this width's features.
+        unsafe {
+            if a_trans {
+                gemm_at::<Self, E>(trans == Trans::ConjTrans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+            } else {
+                gemm_an::<Self, E>(m, n, k, alpha, a, lda, b, trans, ldb, beta, c, ldc)
+            }
+        }
+    }
+
+    /// [`crate::trsm::solve_rows`] under this width's features.
+    ///
+    /// # Safety
+    /// This width's features on this CPU.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn solve_rows<T: Scalar, const N: usize>(
+        lower: bool,
+        trans: Trans,
+        diag: Diag,
+        t: &[T],
+        ldt: usize,
+        rows: &mut [[T; N]],
+    ) {
+        crate::trsm::solve_rows(lower, trans, diag, t, ldt, rows)
+    }
+}
+
+/// Zmm's entry points, each instantiated under its features.
+impl Zmm {
+    /// [`gemm_at`] (`op(A)·B` with `op(A) = Aᴴ` under `ConjTrans`, else
+    /// `Aᵀ`) when `a_trans`, else [`gemm_an`] (`A·op(B)`, `op = trans`).
+    ///
+    /// # Safety
+    /// This width's features on this CPU, and the contract of the loop.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn gemm<E: Tiled>(
+        a_trans: bool,
+        trans: Trans,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: E,
+        a: *const E,
+        lda: usize,
+        b: *const E,
+        ldb: usize,
+        beta: E,
+        c: *mut E,
+        ldc: usize,
+    ) {
+        // SAFETY: the caller's contract, under this width's features.
+        unsafe {
+            if a_trans {
+                gemm_at::<Self, E>(trans == Trans::ConjTrans, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+            } else {
+                gemm_an::<Self, E>(m, n, k, alpha, a, lda, b, trans, ldb, beta, c, ldc)
+            }
+        }
+    }
+
+    /// [`crate::trsm::solve_rows`] under this width's features.
+    ///
+    /// # Safety
+    /// This width's features on this CPU.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn solve_rows<T: Scalar, const N: usize>(
+        lower: bool,
+        trans: Trans,
+        diag: Diag,
+        t: &[T],
+        ldt: usize,
+        rows: &mut [[T; N]],
+    ) {
+        crate::trsm::solve_rows(lower, trans, diag, t, ldt, rows)
+    }
 }
 
 /// An element type with register tiles: what the two blocking loops
@@ -278,10 +405,6 @@ pub(crate) trait Tiled: Scalar {
     const LANES: usize;
     /// Fewest rows the `A`-untransposed tile takes: two `ymm`.
     const MR: usize = 2 * Self::LANES;
-    /// Rows of `C` per dot tile.
-    const DOT_MR: usize;
-    /// Columns of `C` per dot tile.
-    const DOT_NR: usize;
 
     /// `x + a·s` as the `A`-untransposed tile rounds it, one element.
     fn madd(a: Self, s: Self, x: Self) -> Self;
@@ -300,27 +423,25 @@ pub(crate) trait Tiled: Scalar {
     /// `W`'s target features.
     unsafe fn times<W: Width>(v: W::V, beta: Self) -> W::V;
 
-    /// The `mi×nj` dot tile, `mi ∈ {DOT_MR, 1}`, `nj ∈ 1..=DOT_NR`, over
-    /// `op(A) = Aᴴ` when `conj_a`, else `Aᵀ`.
+    /// One element of a dot tile from its `ymm` accumulators (`cross` only
+    /// for complex): the lane reduction, the `kk − main` tail rows of the
+    /// columns at `a` and `b`, then `α·dot + β·c` — β = 0 without reading
+    /// `c`.
     ///
     /// # Safety
-    /// Caller guarantees AVX2+FMA, `kk` rows of `mi` columns of A at
-    /// `(a, lda)` and of `nj` columns of B at `(b, ldb)`, and `mi` rows ×
-    /// `nj` columns of C at `(c, ldc)`.
+    /// AVX2, and `kk` readable rows at `a` and at `b`.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn dot_tile(
-        mi: usize,
-        nj: usize,
+    unsafe fn dot_finish(
         conj_a: bool,
-        kk: usize,
+        same: __m256d,
+        cross: __m256d,
         a: *const Self,
-        lda: usize,
         b: *const Self,
-        ldb: usize,
+        main: usize,
+        kk: usize,
         alpha: Self,
         beta: Self,
         c: *mut Self,
-        ldc: usize,
     );
 }
 
@@ -328,7 +449,7 @@ pub(crate) trait Tiled: Scalar {
 /// is `b[j*ldb + l]` under `NoTrans` (`B` stored `k×n`), else `b[l*ldb + j]`
 /// (`B` stored `n×k` — the `L_{i,k}·L_{j,k}ᵀ` outer product), conjugated
 /// under `ConjTrans`. The one blocking loop of both widths: inlined into
-/// each [`Width::gemm_an`], which enables the width's features.
+/// [`Ymm::gemm`] and [`Zmm::gemm`], which enable the width's features.
 ///
 /// # Safety
 /// `W`'s target features enabled in the caller (certified by `isa()`)
@@ -362,12 +483,13 @@ unsafe fn gemm_an<W: Width, E: Tiled>(
     // the widest strip.
     let mut strip = [MaybeUninit::<E>::uninit(); KC * Zmm::NR];
     let s = strip.as_mut_ptr().cast::<E>();
+    let kc = if n <= W::NR { KC_NARROW } else { KC };
     let mut jc = 0;
     while jc < n {
         let ncb = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
-            let kcb = KC.min(k - pc);
+            let kcb = kc.min(k - pc);
             let first = pc == 0;
             let mut ic = 0;
             while ic < m {
@@ -571,15 +693,16 @@ unsafe fn tile_edge<W: Width, E: Tiled>(
 /// a dot product down two contiguous columns. The contraction is cut into
 /// [`KC`] chunks (β on the first, accumulation after) so the `B` chunk a
 /// row-block of tiles sweeps stays cache-resident while `A` streams
-/// through once.
+/// through once. The one blocking loop of both widths: inlined into
+/// [`Ymm::gemm`] and [`Zmm::gemm`], which enable the width's features.
 ///
 /// # Safety
-/// Requires AVX2+FMA (certified by `isa()`), `lda ≥ k`, `ldb ≥ k`,
+/// `W`'s target features (certified by `isa()`), `lda ≥ k`, `ldb ≥ k`,
 /// `ldc ≥ m`, and buffers sized for the described shapes (asserted by
 /// the dispatching `gemm`).
-#[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn gemm_at<E: Tiled>(
+#[inline(always)]
+unsafe fn gemm_at<W: Width, E: Tiled>(
     conj_a: bool,
     m: usize,
     n: usize,
@@ -593,30 +716,170 @@ pub(crate) unsafe fn gemm_at<E: Tiled>(
     c: *mut E,
     ldc: usize,
 ) {
+    let nv_max = if E::IS_COMPLEX { W::DOT_NV_COMPLEX } else { W::DOT_NV_REAL };
     let mut pc = 0;
     while pc < k {
         let kcb = KC.min(k - pc);
         let beta = if pc == 0 { beta } else { E::one() };
         let mut i = 0;
         while i < m {
-            // Row remainders (m mod DOT_MR) go one row at a time: the same
-            // per-element arithmetic as the full tile.
-            let mi = if m - i >= E::DOT_MR { E::DOT_MR } else { 1 };
+            // Full tiles of 3 real / 2 complex rows (12 / 16 accumulators
+            // of the register file at `nv_max`), then one row at a time:
+            // the same per-element arithmetic.
+            let mr = if E::IS_COMPLEX { 2 } else { 3 };
+            let mi = if m - i >= mr { mr } else { 1 };
+            // The first column tile streams this row tile's `A` chunk (the
+            // others re-read it from L1) and prefetches the next one's:
+            // at most `mi` columns from `i + mi`, the chunk's rows.
+            let mut next = (a, mi.min(m - i - mi));
             let mut j = 0;
             while j < n {
-                let nj = E::DOT_NR.min(n - j);
+                // Whole registers of columns; a last odd column of a `zmm`
+                // tile goes to the `ymm` tile, the same arithmetic.
+                let nv = nv_max.min((n - j) / W::DOT_COLS);
                 // SAFETY: rows pc..pc+kcb ≤ k of columns i..i+mi ≤ m of
                 // A and j..j+nj ≤ n of B, and the mi×nj block of C at
-                // (i, j), stay inside the caller's shape contracts.
+                // (i, j), stay inside the caller's shape contracts; so do
+                // the next.1 columns from i + mi of the prefetch. `W`'s
+                // features include the `ymm` tile's.
                 unsafe {
-                    let (at, bt) = (a.add(i * lda + pc), b.add(j * ldb + pc));
-                    E::dot_tile(mi, nj, conj_a, kcb, at, lda, bt, ldb, alpha, beta, c.add(j * ldc + i), ldc);
+                    let (at, bt, ct) = (a.add(i * lda + pc), b.add(j * ldb + pc), c.add(j * ldc + i));
+                    next.0 = a.add((i + mi) * lda + pc);
+                    j += if nv > 0 {
+                        dot_tile::<W, E>(mi, nv, conj_a, kcb, at, lda, bt, ldb, alpha, beta, ct, ldc, next);
+                        nv * W::DOT_COLS
+                    } else {
+                        dot_tile::<Ymm, E>(mi, 1, conj_a, kcb, at, lda, bt, ldb, alpha, beta, ct, ldc, next);
+                        1
+                    };
                 }
-                j += nj;
+                next.1 = 0;
             }
             i += mi;
         }
         pc += kcb;
+    }
+}
+
+/// [`tile_dot`] at `mi` (1, or 3 real / 2 complex) columns of `A` and
+/// `nv ∈ 1..=4` registers of `B` columns.
+///
+/// # Safety
+/// The contract of [`tile_dot`] at `MI = mi`, `NV = nv`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn dot_tile<W: Width, E: Tiled>(
+    mi: usize,
+    nv: usize,
+    conj_a: bool,
+    kk: usize,
+    a: *const E,
+    lda: usize,
+    b: *const E,
+    ldb: usize,
+    alpha: E,
+    beta: E,
+    c: *mut E,
+    ldc: usize,
+    next: (*const E, usize),
+) {
+    // SAFETY: the caller's contract, passed through. `IS_COMPLEX` is
+    // constant, so each element type keeps the arms of its own height.
+    unsafe {
+        match (mi, E::IS_COMPLEX, nv) {
+            (1, _, 4) => tile_dot::<W, E, 1, 4>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (1, _, 3) => tile_dot::<W, E, 1, 3>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (1, _, 2) => tile_dot::<W, E, 1, 2>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (1, _, _) => tile_dot::<W, E, 1, 1>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, true, 4) => tile_dot::<W, E, 2, 4>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, true, 3) => tile_dot::<W, E, 2, 3>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, true, 2) => tile_dot::<W, E, 2, 2>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, true, _) => tile_dot::<W, E, 2, 1>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, false, 4) => tile_dot::<W, E, 3, 4>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, false, 3) => tile_dot::<W, E, 3, 3>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, false, 2) => tile_dot::<W, E, 3, 2>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+            (_, false, _) => tile_dot::<W, E, 3, 1>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc, next),
+        }
+    }
+}
+
+/// The `MI`-column × `NV`-register dot tile: `C[i, j] ← α·(op(A)[i, :]·
+/// B[:, j]) + β·C[i, j]` over `kk` rows, for `MI` columns of `A` and
+/// `NV·W::DOT_COLS` of `B`. Each element of `C` owns one `ymm` accumulator
+/// (two for complex: `a·b` and `a·swap(b)`) — a `ymm`, or half a `zmm`
+/// holding two columns of `B` against `A` broadcast to both halves — so it
+/// takes the same FMAs in the same order at either width and in any tile;
+/// [`Tiled::dot_finish`] reduces it.
+///
+/// # Safety
+/// `W`'s target features, `kk` rows of `MI` columns of A at `(a, lda)` and
+/// of `NV·W::DOT_COLS` columns of B at `(b, ldb)`, that many columns of
+/// `MI` rows of C at `(c, ldc)`, and the prefetch contract of `next`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn tile_dot<W: Width, E: Tiled, const MI: usize, const NV: usize>(
+    conj_a: bool,
+    kk: usize,
+    a: *const E,
+    lda: usize,
+    b: *const E,
+    ldb: usize,
+    alpha: E,
+    beta: E,
+    c: *mut E,
+    ldc: usize,
+    next: (*const E, usize),
+) {
+    // SAFETY: (whole body) the caller's contract; a `ymm` of rows is four
+    // contiguous `f64`s (two `C64`, `#[repr(C)] {re, im}`).
+    unsafe {
+        let stride = ldb * size_of::<E>() / size_of::<f64>();
+        let mut same = [[W::splat(0.0); NV]; MI];
+        let mut cross = [[W::splat(0.0); NV]; MI];
+        let main = kk - kk % E::LANES;
+        let mut l = 0;
+        while l < main {
+            prefetch(next, lda, l);
+            let mut bv = [[W::splat(0.0); 2]; NV];
+            for (v, [bj, bs]) in bv.iter_mut().enumerate() {
+                *bj = W::load_cols(b.add(v * W::DOT_COLS * ldb + l).cast(), stride);
+                if E::IS_COMPLEX {
+                    *bs = W::swap(*bj);
+                }
+            }
+            for (ii, (row_s, row_x)) in same.iter_mut().zip(cross.iter_mut()).enumerate() {
+                let av = W::broadcast4(a.add(ii * lda + l).cast());
+                for ((s, x), [bj, bs]) in row_s.iter_mut().zip(row_x.iter_mut()).zip(&bv) {
+                    *s = W::fmadd(av, *bj, *s);
+                    if E::IS_COMPLEX {
+                        *x = W::fmadd(av, *bs, *x);
+                    }
+                }
+            }
+            l += E::LANES;
+        }
+        for (ii, (row_s, row_x)) in same.iter().zip(&cross).enumerate() {
+            for (v, (&s, &x)) in row_s.iter().zip(row_x).enumerate() {
+                for h in 0..W::DOT_COLS {
+                    let jj = v * W::DOT_COLS + h;
+                    let (s, x) = (W::half(s, h), W::half(x, h));
+                    E::dot_finish(conj_a, s, x, a.add(ii * lda), b.add(jj * ldb), main, kk, alpha, beta, c.add(jj * ldc + ii));
+                }
+            }
+        }
+    }
+}
+
+/// Prefetch row `l` of each of the `next.1` columns at `next.0` (stride
+/// `lda`): a dot tile fetching the next row tile's `A` while it runs.
+///
+/// # Safety
+/// `next.1` columns of at least `l + 1` rows at `(next.0, lda)`.
+#[inline(always)]
+unsafe fn prefetch<E>(next: (*const E, usize), lda: usize, l: usize) {
+    for jj in 0..next.1 {
+        // SAFETY: the caller's contract: row l of column jj is inside A.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(next.0.add(jj * lda + l).cast()) };
     }
 }
 
@@ -639,10 +902,6 @@ const _: () = assert!(<f64 as Tiled>::MR == super::MR);
 
 impl Tiled for f64 {
     const LANES: usize = 4;
-    // 3 columns of `A` held in `ymm` against up to four columns of `B`:
-    // 12 accumulators + 3 + 1 fill the register file.
-    const DOT_MR: usize = 3;
-    const DOT_NR: usize = 4;
 
     #[inline(always)]
     fn madd(a: f64, s: f64, x: f64) -> f64 {
@@ -661,94 +920,30 @@ impl Tiled for f64 {
         unsafe { W::mul(v, W::splat(beta)) }
     }
 
-    /// # Safety
-    /// The contract of [`Tiled::dot_tile`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn dot_tile(
-        mi: usize,
-        nj: usize,
+    /// Four interleaved partial dots (one per lane, one FMA per four
+    /// rows), reduced as `(s₀+s₂)+(s₁+s₃)`, then the `kk mod 4` tail by
+    /// scalar FMA.
+    #[inline(always)]
+    unsafe fn dot_finish(
         _conj_a: bool,
-        kk: usize,
+        same: __m256d,
+        _cross: __m256d,
         a: *const f64,
-        lda: usize,
         b: *const f64,
-        ldb: usize,
+        main: usize,
+        kk: usize,
         alpha: f64,
         beta: f64,
         c: *mut f64,
-        ldc: usize,
     ) {
-        // SAFETY: the caller's contract, passed through.
+        // SAFETY: the caller's contract: kk rows at `a` and `b`, and `c`.
         unsafe {
-            match (mi, nj) {
-                (3, 4) => tile_dot::<3, 4>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (3, 3) => tile_dot::<3, 3>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (3, 2) => tile_dot::<3, 2>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (3, _) => tile_dot::<3, 1>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, 4) => tile_dot::<1, 4>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, 3) => tile_dot::<1, 3>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, 2) => tile_dot::<1, 2>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, _) => tile_dot::<1, 1>(kk, a, lda, b, ldb, alpha, beta, c, ldc),
+            let (even, odd) = halves(same);
+            let mut dot = even + odd;
+            for l in main..kk {
+                dot = f64::mul_add(*a.add(l), *b.add(l), dot);
             }
-        }
-    }
-}
-
-/// The `MI×NJ` dot tile: `C[i, j] ← α·(A[:, i]·B[:, j]) + β·C[i, j]` over
-/// `kk` rows. Each element is four interleaved partial dots (one `ymm`
-/// accumulator, one FMA per four rows), reduced as `(s₀+s₂)+(s₁+s₃)`, then
-/// the `kk mod 4` tail by scalar FMA — identical for every `MI`, `NJ`.
-/// β = 0 stores without reading `C`.
-///
-/// # Safety
-/// Caller guarantees AVX2+FMA, `kk` rows of `MI` columns of A at
-/// `(a, lda)` and of `NJ` columns of B at `(b, ldb)`, and `MI` rows ×
-/// `NJ` columns of C at `(c, ldc)`.
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn tile_dot<const MI: usize, const NJ: usize>(
-    kk: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    alpha: f64,
-    beta: f64,
-    c: *mut f64,
-    ldc: usize,
-) {
-    // SAFETY: (whole body) caller guarantees kk rows of MI columns of A,
-    // of NJ columns of B, and the MI×NJ block of C.
-    unsafe {
-        let mut acc = [[_mm256_setzero_pd(); NJ]; MI];
-        let main = kk - kk % 4;
-        let mut l = 0;
-        while l < main {
-            let mut av = [_mm256_setzero_pd(); MI];
-            for (ii, v) in av.iter_mut().enumerate() {
-                *v = _mm256_loadu_pd(a.add(ii * lda + l));
-            }
-            for jj in 0..NJ {
-                let bv = _mm256_loadu_pd(b.add(jj * ldb + l));
-                for (row, &a_ii) in acc.iter_mut().zip(&av) {
-                    // BOUNDS: jj < NJ, the accumulator rows' own length.
-                    row[jj] = _mm256_fmadd_pd(a_ii, bv, row[jj]);
-                }
-            }
-            l += 4;
-        }
-        for (ii, row) in acc.iter().enumerate() {
-            for (jj, &v) in row.iter().enumerate() {
-                let (even, odd) = halves(v);
-                let mut dot = even + odd;
-                for l in main..kk {
-                    dot = f64::mul_add(*a.add(ii * lda + l), *b.add(jj * ldb + l), dot);
-                }
-                let cij = c.add(jj * ldc + ii);
-                *cij = if beta == 0.0 { alpha * dot } else { f64::mul_add(alpha, dot, beta * *cij) };
-            }
+            *c = if beta == 0.0 { alpha * dot } else { f64::mul_add(alpha, dot, beta * *c) };
         }
     }
 }
@@ -759,10 +954,6 @@ unsafe fn tile_dot<const MI: usize, const NJ: usize>(
 
 impl Tiled for C64 {
     const LANES: usize = 2;
-    // 2 columns of `A` against 2 of `B`, two accumulators per element:
-    // 8 + 2 + 2 (`b` and its swap) `ymm`.
-    const DOT_MR: usize = 2;
-    const DOT_NR: usize = 2;
 
     #[inline(always)]
     fn madd(a: C64, s: C64, x: C64) -> C64 {
@@ -790,98 +981,32 @@ impl Tiled for C64 {
         unsafe { W::add(W::mul(v, W::splat(beta.re)), W::mul(W::times_i(v), W::splat(beta.im))) }
     }
 
-    /// # Safety
-    /// The contract of [`Tiled::dot_tile`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[inline]
-    unsafe fn dot_tile(
-        mi: usize,
-        nj: usize,
+    /// `same = a·b` = `(Σ re·re, Σ im·im)` and `cross = a·swap(b)` =
+    /// `(Σ re·im, Σ im·re)` per lane pair, reduced once: `aᵀb = (rr − ii,
+    /// ri + ir)`, `aᴴb = (rr + ii, ri − ir)`; then the odd last row in
+    /// portable arithmetic.
+    #[inline(always)]
+    unsafe fn dot_finish(
         conj_a: bool,
-        kk: usize,
+        same: __m256d,
+        cross: __m256d,
         a: *const C64,
-        lda: usize,
         b: *const C64,
-        ldb: usize,
+        main: usize,
+        kk: usize,
         alpha: C64,
         beta: C64,
         c: *mut C64,
-        ldc: usize,
     ) {
-        // SAFETY: the caller's contract, passed through.
+        // SAFETY: the caller's contract: kk rows at `a` and `b`, and `c`.
         unsafe {
-            match (mi, nj) {
-                (2, 2) => tile_dot_c64::<2, 2>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (2, _) => tile_dot_c64::<2, 1>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, 2) => tile_dot_c64::<1, 2>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc),
-                (_, _) => tile_dot_c64::<1, 1>(conj_a, kk, a, lda, b, ldb, alpha, beta, c, ldc),
+            let ((rr, im_im), (ri, ir)) = (halves(same), halves(cross));
+            let mut dot = if conj_a { C64::new(rr + im_im, ri - ir) } else { C64::new(rr - im_im, ri + ir) };
+            if main < kk {
+                let a_l = *a.add(main);
+                dot += if conj_a { a_l.conj() } else { a_l } * *b.add(main);
             }
-        }
-    }
-}
-
-/// The `MI×NJ` complex dot tile: `C[i, j] ← α·(op(A)[i, :]·B[:, j]) +
-/// β·C[i, j]` over `kk` rows. Each element keeps two `ymm` accumulators
-/// over row pairs, `a·b` = `(Σ re·re, Σ im·im)` and `a·swap(b)` =
-/// `(Σ re·im, Σ im·re)` per lane pair, reduced once: `aᵀb = (rr − ii,
-/// ri + ir)`, `aᴴb = (rr + ii, ri − ir)`; then the odd last row in
-/// portable arithmetic — identical for every `MI`, `NJ`. β = 0 stores
-/// without reading `C`.
-///
-/// # Safety
-/// Caller guarantees AVX2+FMA, `kk` rows of `MI` columns of A at
-/// `(a, lda)` and of `NJ` columns of B at `(b, ldb)`, and `MI` rows ×
-/// `NJ` columns of C at `(c, ldc)`.
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn tile_dot_c64<const MI: usize, const NJ: usize>(
-    conj_a: bool,
-    kk: usize,
-    a: *const C64,
-    lda: usize,
-    b: *const C64,
-    ldb: usize,
-    alpha: C64,
-    beta: C64,
-    c: *mut C64,
-    ldc: usize,
-) {
-    // SAFETY: (whole body) caller guarantees kk rows of MI columns of A,
-    // of NJ columns of B, and the MI×NJ block of C; two `C64` are 4
-    // contiguous `f64`s.
-    unsafe {
-        let mut acc = [[[_mm256_setzero_pd(); 2]; NJ]; MI];
-        let main = kk - kk % 2;
-        let mut l = 0;
-        while l < main {
-            let mut av = [_mm256_setzero_pd(); MI];
-            for (ii, v) in av.iter_mut().enumerate() {
-                *v = _mm256_loadu_pd(a.add(ii * lda + l).cast());
-            }
-            for jj in 0..NJ {
-                let bv = _mm256_loadu_pd(b.add(jj * ldb + l).cast());
-                let bs = _mm256_permute_pd::<0b0101>(bv);
-                for (row, &a_ii) in acc.iter_mut().zip(&av) {
-                    // BOUNDS: jj < NJ, the accumulator rows' own length.
-                    let [same, cross] = &mut row[jj];
-                    *same = _mm256_fmadd_pd(a_ii, bv, *same);
-                    *cross = _mm256_fmadd_pd(a_ii, bs, *cross);
-                }
-            }
-            l += 2;
-        }
-        for (ii, row) in acc.iter().enumerate() {
-            for (jj, &[same, cross]) in row.iter().enumerate() {
-                let ((rr, im_im), (ri, ir)) = (halves(same), halves(cross));
-                let mut dot = if conj_a { C64::new(rr + im_im, ri - ir) } else { C64::new(rr - im_im, ri + ir) };
-                if main < kk {
-                    let a_l = *a.add(ii * lda + main);
-                    dot += if conj_a { a_l.conj() } else { a_l } * *b.add(jj * ldb + main);
-                }
-                let cij = c.add(jj * ldc + ii);
-                *cij = if beta == C64::zero() { alpha * dot } else { alpha * dot + beta * *cij };
-            }
+            *c = if beta == C64::zero() { alpha * dot } else { alpha * dot + beta * *c };
         }
     }
 }

@@ -10,12 +10,15 @@
 //! Both sides are blocked by one private `NB` onto [`gemm`]: substitution
 //! runs on `NB`-wide diagonal triangles only, everything else — and, on
 //! the right, the column updates inside a triangle too — is a `gemm` call
-//! of a shape its tiers take. There is no TRSM microkernel and no SIMD
-//! entry point of this module's own.
+//! of a shape its tiers take. There is no TRSM microkernel: the left
+//! side's triangles are solved on all right-hand sides at once, one lane
+//! each ([`solve_rows`]), portable code that the SIMD tier only compiles
+//! again under its target features — which moves no bit of it.
 
 use crate::assert_fits;
 use crate::gemm::gemm;
 use crate::scalar::Scalar;
+use crate::simd;
 
 /// Which side the triangular matrix multiplies from.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -113,20 +116,18 @@ const NB: usize = 16;
 /// Right-hand-side columns staged per pass of [`trsm_left`].
 const NCHUNK: usize = 16;
 
-/// Left solve, blocked by [`NB`]: the substitution loop
-/// ([`solve_triangle`]) runs on each `NB×NB` diagonal triangle and the
-/// rest of `op(T)` is applied with `gemm`, so a wide panel's solve runs on
-/// the GEMM tiers. With `T` stored untransposed the sweep is
-/// right-looking (a solved block updates every unsolved row: `A`
-/// untransposed, the axpy tile); with `T` stored transposed it is
-/// left-looking (a block first gathers from every solved row: `Aᵀ·B`,
-/// long contiguous dots). Either way the off-diagonal operand is a row
-/// range of `T`'s *stored* columns `i0..i0+nb` — below the block for a
-/// stored lower triangle, above it for an upper one.
+/// Left solve, blocked by [`NB`]: the substitution ([`solve_rows`]) runs
+/// on each `NB×NB` diagonal triangle and the rest of `op(T)` is applied
+/// with `gemm`, so a wide panel's solve runs on the GEMM tiers. With `T`
+/// stored untransposed the sweep is right-looking (a solved block updates
+/// every unsolved row: `A` untransposed, the axpy tile); with `T` stored
+/// transposed it is left-looking (a block first gathers from every solved
+/// row: `Aᵀ·B`, long contiguous dots). Either way the off-diagonal operand
+/// is a row range of `T`'s *stored* columns `i0..i0+nb` — below the block
+/// for a stored lower triangle, above it for an upper one.
 ///
-/// The solved rows and the updated rows interleave in the one
-/// column-major `b`, so the `nb × ≤NCHUNK` block being solved is staged
-/// in a stack array: `gemm` then reads or writes `b` on one side only.
+/// Right-hand sides go `NCHUNK` at a time, each chunk through
+/// [`left_chunk`] at the power-of-two lane count that holds it.
 #[allow(clippy::too_many_arguments)]
 fn trsm_left<T: Scalar>(
     uplo: Uplo,
@@ -139,109 +140,164 @@ fn trsm_left<T: Scalar>(
     b: &mut [T],
     ldb: usize,
 ) {
-    let lower = effective_lower(uplo, trans);
-    if m <= NB {
-        solve_triangle(lower, trans, diag, m, n, t, ldt, b, ldb);
-        return;
-    }
-    let nblocks = m.div_ceil(NB);
-    let mut stage = [T::zero(); NB * NCHUNK];
     for j0 in (0..n).step_by(NCHUNK) {
         let nc = NCHUNK.min(n - j0);
-        for kb in 0..nblocks {
-            // Forward substitution walks the blocks down, backward up.
-            let i0 = NB * if lower { kb } else { nblocks - 1 - kb };
-            let nb = NB.min(m - i0);
-            // Rows o0..o0+ko of T's stored columns i0..i0+nb: the part of
-            // op(T) that couples this block to the rest.
-            let (o0, ko) = match uplo {
-                Uplo::Lower => (i0 + nb, m - i0 - nb),
-                Uplo::Upper => (0, i0),
-            };
-            // BOUNDS: i0 + nb <= m, o0 + ko <= m and j0 + nc <= n under the
-            // ldt/ldb shape contracts `trsm` asserted; the stage holds
-            // NB·NCHUNK >= nb·nc elements.
-            let toff = &t[i0 * ldt + o0..];
-            let tdiag = &t[i0 * ldt + i0..];
-            let stage = &mut stage[..nb * nc];
-            for (sc, jc) in stage.chunks_exact_mut(nb).zip(j0..) {
-                sc.copy_from_slice(&b[jc * ldb + i0..][..nb]);
-            }
-            let (one, minus_one) = (T::one(), -T::one());
-            if trans != Trans::NoTrans {
-                // BOUNDS: rows o0.. of columns j0..j0+nc, as above.
-                let solved = &b[j0 * ldb + o0..];
-                gemm(trans, Trans::NoTrans, nb, nc, ko, minus_one, toff, ldt, solved, ldb, one, stage, nb);
-            }
-            solve_triangle(lower, trans, diag, nb, nc, tdiag, ldt, stage, nb);
-            // BOUNDS: the rows the stage was copied from.
-            for (sc, jc) in stage.chunks_exact(nb).zip(j0..) {
-                b[jc * ldb + i0..][..nb].copy_from_slice(sc);
-            }
-            if trans == Trans::NoTrans {
-                // BOUNDS: rows o0.. of columns j0..j0+nc, as above.
-                let unsolved = &mut b[j0 * ldb + o0..];
-                gemm(trans, Trans::NoTrans, ko, nc, nb, minus_one, toff, ldt, stage, nb, one, unsolved, ldb);
-            }
+        // BOUNDS: j0 < n, a column start inside `b` under the ldb shape
+        // contract `trsm` asserted.
+        let b = &mut b[j0 * ldb..];
+        match nc.next_power_of_two() {
+            1 => left_chunk::<T, 1>(uplo, trans, diag, m, nc, t, ldt, b, ldb),
+            2 => left_chunk::<T, 2>(uplo, trans, diag, m, nc, t, ldt, b, ldb),
+            4 => left_chunk::<T, 4>(uplo, trans, diag, m, nc, t, ldt, b, ldb),
+            8 => left_chunk::<T, 8>(uplo, trans, diag, m, nc, t, ldt, b, ldb),
+            _ => left_chunk::<T, NCHUNK>(uplo, trans, diag, m, nc, t, ldt, b, ldb),
         }
     }
 }
 
-/// Substitution on one triangle, a right-hand-side column at a time: the
-/// base case of [`trsm_left`] (`m ≤ NB` there, but correct for any `m`).
+/// [`trsm_left`] on `nc ≤ N` columns. The solved rows and the updated
+/// rows interleave in the one column-major `b`, so the `nb × nc` block
+/// being solved is staged: in `rows`, row `i` holding its `nc` columns
+/// (padded to `N` lanes), which [`solve_rows`] sweeps a row at a time and
+/// the right-looking `gemm` reads as `op(B)` under `Trans`; the
+/// left-looking gather first lands in the column-major `cols`, `gemm`'s
+/// `C`. Either way `gemm` reads or writes `b` on one side only.
 #[allow(clippy::too_many_arguments)]
-fn solve_triangle<T: Scalar>(
-    lower: bool,
+fn left_chunk<T: Scalar, const N: usize>(
+    uplo: Uplo,
     trans: Trans,
     diag: Diag,
     m: usize,
-    n: usize,
+    nc: usize,
     t: &[T],
     ldt: usize,
     b: &mut [T],
     ldb: usize,
 ) {
-    for j in 0..n {
-        // BOUNDS: j < n and the ldb shape contract asserted by `trsm`
-        // (or the stage's `nb × nc` extent); col has length m so col[k]
-        // with k < m is in range.
-        let col = &mut b[j * ldb..j * ldb + m];
-        if lower {
-            // Forward substitution.
-            // BOUNDS: k < m == col.len().
-            for k in 0..m {
-                let mut xk = col[k];
-                if diag == Diag::NonUnit {
-                    xk /= tval(t, ldt, trans, k, k);
-                }
-                col[k] = xk;
-                if xk != T::zero() {
-                    for (i, ci) in col.iter_mut().enumerate().skip(k + 1) {
-                        let lik = tval(t, ldt, trans, i, k);
-                        *ci -= lik * xk;
-                    }
+    let lower = effective_lower(uplo, trans);
+    let nblocks = m.div_ceil(NB);
+    let (one, minus_one) = (T::one(), -T::one());
+    let mut rows = [[T::zero(); N]; NB];
+    let mut cols = [[T::zero(); N]; NB];
+    for kb in 0..nblocks {
+        // Forward substitution walks the blocks down, backward up.
+        let i0 = NB * if lower { kb } else { nblocks - 1 - kb };
+        let nb = NB.min(m - i0);
+        // Rows o0..o0+ko of T's stored columns i0..i0+nb: the part of
+        // op(T) that couples this block to the rest.
+        let (o0, ko) = match uplo {
+            Uplo::Lower => (i0 + nb, m - i0 - nb),
+            Uplo::Upper => (0, i0),
+        };
+        // BOUNDS: i0 + nb <= m, o0 + ko <= m and nc columns under the
+        // ldt/ldb shape contracts `trsm` asserted; the stages hold NB rows
+        // of N >= nc lanes.
+        let toff = &t[i0 * ldt + o0..];
+        let tdiag = &t[i0 * ldt + i0..];
+        simd::prefetch_block(tdiag, ldt, nb, nb);
+        let rows = &mut rows[..nb];
+        if trans == Trans::NoTrans {
+            for (j, bc) in b.chunks_mut(ldb).take(nc).enumerate() {
+                for (row, &v) in rows.iter_mut().zip(&bc[i0..i0 + nb]) {
+                    row[j] = v;
                 }
             }
         } else {
-            // Backward substitution.
-            // BOUNDS: k < m == col.len().
-            for k in (0..m).rev() {
-                let mut xk = col[k];
-                if diag == Diag::NonUnit {
-                    xk /= tval(t, ldt, trans, k, k);
+            // BOUNDS: the stage holds NB·N >= nb·nc elements; rows
+            // i0..i0+nb and o0.. of nc columns of `b` and j < nc <= N lanes
+            // of a row, under the shape contracts above.
+            let cols = &mut cols.as_flattened_mut()[..nb * nc];
+            for (sc, bc) in cols.chunks_exact_mut(nb).zip(b.chunks(ldb)) {
+                sc.copy_from_slice(&bc[i0..i0 + nb]);
+            }
+            gemm(trans, Trans::NoTrans, nb, nc, ko, minus_one, toff, ldt, &b[o0..], ldb, one, cols, nb);
+            for (j, sc) in cols.chunks_exact(nb).enumerate() {
+                for (row, &v) in rows.iter_mut().zip(sc) {
+                    row[j] = v;
                 }
-                col[k] = xk;
-                if xk != T::zero() {
-                    for (i, ci) in col.iter_mut().enumerate().take(k) {
-                        let uik = tval(t, ldt, trans, i, k);
-                        *ci -= uik * xk;
-                    }
-                }
+            }
+        }
+        if N == 1 {
+            solve_column(lower, trans, diag, tdiag, ldt, rows.as_flattened_mut());
+        } else if !simd::try_solve_rows(lower, trans, diag, tdiag, ldt, rows) {
+            solve_rows(lower, trans, diag, tdiag, ldt, rows);
+        }
+        // BOUNDS: the rows the stage was copied from.
+        for (j, bc) in b.chunks_mut(ldb).take(nc).enumerate() {
+            for (v, row) in bc[i0..i0 + nb].iter_mut().zip(rows.iter()) {
+                *v = row[j];
+            }
+        }
+        if trans == Trans::NoTrans {
+            // BOUNDS: rows o0.. of the nc columns, as above.
+            let (solved, unsolved) = (rows.as_flattened(), &mut b[o0..]);
+            gemm(trans, Trans::Trans, ko, nc, nb, minus_one, toff, ldt, solved, N, one, unsolved, ldb);
+        }
+    }
+}
+
+/// Substitution on one triangle of order `col.len()` for one right-hand
+/// side: [`solve_rows`] at one lane, looped the other way round so that
+/// the update of the unsolved rows runs down a column of `T` (contiguous
+/// when `T` is stored untransposed) and vectorizes along it.
+fn solve_column<T: Scalar>(lower: bool, trans: Trans, diag: Diag, t: &[T], ldt: usize, col: &mut [T]) {
+    let m = col.len();
+    for step in 0..m {
+        let k = if lower { step } else { m - 1 - step };
+        // BOUNDS: k < m == col.len().
+        let mut xk = col[k];
+        if diag == Diag::NonUnit {
+            xk /= tval(t, ldt, trans, k, k);
+        }
+        col[k] = xk;
+        if xk != T::zero() {
+            let (first, targets) = if lower { (k + 1, &mut col[k + 1..]) } else { (0, &mut col[..k]) };
+            for (i, ci) in (first..).zip(targets) {
+                *ci -= tval(t, ldt, trans, i, k) * xk;
             }
         }
     }
 }
 
+/// Substitution on one triangle of order `rows.len()`, every right-hand
+/// side at once: `rows[i]` holds row `i` of the block, one lane per column.
+/// Each lane takes exactly a column substitution's steps — `x_k /= t_kk`
+/// (unless unit), then `row_i − l_ik·x_k` as a multiply and a subtraction,
+/// never an FMA, skipped where `x_k` is zero — so every lane is bitwise
+/// that column's solve under any target features ([`crate::simd`]).
+#[inline(always)]
+pub(crate) fn solve_rows<T: Scalar, const N: usize>(
+    lower: bool,
+    trans: Trans,
+    diag: Diag,
+    t: &[T],
+    ldt: usize,
+    rows: &mut [[T; N]],
+) {
+    let m = rows.len();
+    for step in 0..m {
+        // Forward substitution updates the rows below k, backward above.
+        let k = if lower { step } else { m - 1 - step };
+        let (above, rest) = rows.split_at_mut(k);
+        // k < m: `rest` starts with row k.
+        let [xk, below @ ..] = rest else { return };
+        if diag == Diag::NonUnit {
+            let d = tval(t, ldt, trans, k, k);
+            for x in xk.iter_mut() {
+                *x /= d;
+            }
+        }
+        // A copy the row updates cannot alias, so they vectorize.
+        let xk = *xk;
+        let (first, targets) = if lower { (k + 1, below) } else { (0, above) };
+        for (i, row) in (first..).zip(targets) {
+            let lik = tval(t, ldt, trans, i, k);
+            for (r, &x) in row.iter_mut().zip(&xk) {
+                *r = if x != T::zero() { *r - lik * x } else { *r };
+            }
+        }
+    }
+}
 /// Right solve, the blocked twin of [`trsm_left`]: `X·op(T) = B` couples
 /// column `j` of `B` to the solution columns on one side of it,
 ///   `B[:, j] = Σ_l X[:, l] · op(T)[l, j]`,

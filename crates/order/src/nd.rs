@@ -183,43 +183,56 @@ fn canonical_dissection(
 ) -> Permutation {
     let mut ws = Workspace::new(graph.nvertices());
     let mut rank = vec![UNORDERED; graph.nvertices()];
-    let by_rank = cuthill_mckee_all(graph, &mut ws.traversal, &mut rank);
+    let (by_rank, levels) = cuthill_mckee_all(graph, &mut ws.traversal, &mut rank);
     let nd = Dissection { graph, rank: &rank, options, floor, multilevel };
-    Permutation::from_iperm(nd.run(by_rank, threads, ws))
+    Permutation::from_iperm(nd.run(by_rank, levels, threads, ws))
 }
 
 impl Dissection<'_> {
     /// The elimination order of all of `vertices`, the graph's vertices in
     /// rank order, on at most `threads` threads, the calling thread's on
-    /// workspace `ws`.
-    fn run(&self, vertices: Vec<usize>, threads: usize, mut ws: Workspace) -> Vec<usize> {
+    /// workspace `ws` — which holds the ranking's level structure, of
+    /// `levels` levels, if the graph is connected.
+    fn run(&self, vertices: Vec<usize>, levels: Option<usize>, threads: usize, mut ws: Workspace) -> Vec<usize> {
         let n = self.graph.nvertices();
         let mut order = Vec::with_capacity(n);
-        self.dissect(vertices, threads.saturating_sub(1), &mut ws, &mut order);
+        self.dissect(vertices, levels, threads.saturating_sub(1), &mut ws, &mut order);
         debug_assert_eq!(order.len(), n);
         order
     }
 
     /// Recursively dissect `vertices`, in rank order, appending them to
     /// `order` in elimination order, with `spare` more threads to fork onto.
+    /// With `levels`, `ws` has `vertices` entered and holds the `levels`-deep
+    /// level structure from `vertices[0]` (the whole graph's, handed over by
+    /// the ranking, which ends on that breadth-first search).
     fn dissect(
         &self,
         vertices: Vec<usize>,
+        levels: Option<usize>,
         spare: usize,
         ws: &mut Workspace,
         order: &mut Vec<usize>,
     ) {
         let graph = self.graph;
         if vertices.len() <= self.options.leaf_size {
+            if levels.is_some() {
+                ws.traversal.leave(&vertices);
+            }
             return self.minimum_degree(&vertices, ws, order);
         }
         // The level structure of the separator search reaches the whole
         // subgraph if it is connected; if not, split it into connected
         // components first and dissect each independently (their
         // elimination subtrees are siblings).
-        ws.traversal.enter(vertices.iter().copied());
         let rank = |v: usize| self.rank[v];
-        let (_, depth) = graph.pseudo_peripheral_by(vertices[0], &mut ws.traversal, rank);
+        let (_, depth) = match levels {
+            Some(depth) => graph.pseudo_peripheral_from(vertices[0], depth, &mut ws.traversal, rank),
+            None => {
+                ws.traversal.enter(vertices.iter().copied());
+                graph.pseudo_peripheral_by(vertices[0], &mut ws.traversal, rank)
+            }
+        };
         let reached: usize = (0..depth).map(|l| ws.traversal.level_set(l).len()).sum();
         if reached < vertices.len() {
             let ncomp = graph.components(&vertices, &mut ws.traversal);
@@ -273,7 +286,7 @@ impl Dissection<'_> {
         let (mid, forked) = balanced.unwrap_or((0, 0));
         if spare == 0 || forked <= self.floor {
             for part in parts {
-                self.dissect(part, spare, ws, order);
+                self.dissect(part, None, spare, ws, order);
             }
             return self.order_separator(separator, ws, order);
         }
@@ -285,12 +298,12 @@ impl Dissection<'_> {
                 let mut ws = Workspace::new(self.graph.nvertices());
                 let mut tail_order = Vec::with_capacity(forked);
                 for part in tail {
-                    self.dissect(part, theirs, &mut ws, &mut tail_order);
+                    self.dissect(part, None, theirs, &mut ws, &mut tail_order);
                 }
                 tail_order
             });
             for part in parts {
-                self.dissect(part, spare - 1 - theirs, ws, order);
+                self.dissect(part, None, spare - 1 - theirs, ws, order);
             }
             forked.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
@@ -542,7 +555,7 @@ mod tests {
         let ranked = |g: &Graph| -> Vec<Vec<usize>> {
             let n = g.nvertices();
             let mut rank = vec![UNORDERED; n];
-            let by_rank = cuthill_mckee_all(g, &mut Traversal::new(n), &mut rank);
+            let (by_rank, _) = cuthill_mckee_all(g, &mut Traversal::new(n), &mut rank);
             let neighbors = |v: usize| {
                 let mut adj: Vec<usize> = g.neighbors(v).iter().map(|&w| rank[w]).collect();
                 adj.sort_unstable();
@@ -759,7 +772,7 @@ mod tests {
                     let dissect = |threads, floor| {
                         let (options, multilevel) = (&options, false);
                         let nd = Dissection { graph, rank: &rank, options, floor, multilevel };
-                        nd.run(rank.clone(), threads, Workspace::new(n))
+                        nd.run(rank.clone(), None, threads, Workspace::new(n))
                     };
                     assert_eq!(dissect(threads(), FORK_FLOOR), expect, "n = {n}, {options:?}");
                     for threads in 1..=4 {

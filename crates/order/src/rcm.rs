@@ -36,7 +36,7 @@ const DENSE: usize = 32;
 pub fn reverse_cuthill_mckee(graph: &Graph) -> Permutation {
     let n = graph.nvertices();
     let mut number = vec![UNNUMBERED; n];
-    let mut order = cuthill_mckee_all(graph, &mut Traversal::new(n), &mut number);
+    let (mut order, _) = cuthill_mckee_all(graph, &mut Traversal::new(n), &mut number);
     order.reverse();
     Permutation::from_iperm(order)
 }
@@ -45,26 +45,34 @@ pub fn reverse_cuthill_mckee(graph: &Graph) -> Permutation {
 /// pseudo-peripheral vertex of it, components by their smallest vertex:
 /// returns the vertices in numbering order and sets `number`, all
 /// `usize::MAX` on entry, to the number of every vertex. `traversal` has
-/// no vertex entered, and is left so.
+/// no vertex entered. If the graph is connected, it is left with every
+/// vertex entered and the level structure from the root (the vertex
+/// numbered first), whose depth is returned too; otherwise it is left
+/// with no vertex entered.
 pub(crate) fn cuthill_mckee_all(
     graph: &Graph,
     traversal: &mut Traversal,
     number: &mut [usize],
-) -> Vec<usize> {
+) -> (Vec<usize>, Option<usize>) {
     let n = graph.nvertices();
     let mut order = Vec::with_capacity(n);
     let (mut pending, mut seen) = (Vec::new(), vec![false; n]);
     // The search from an unnumbered vertex stays inside its component, none
     // of which is numbered: the whole graph is entered once.
     traversal.enter(0..n);
+    let mut levels = None;
     for start in 0..n {
         if number[start] == UNNUMBERED {
-            let (root, _) = graph.pseudo_peripheral(start, traversal);
+            let (root, depth) = graph.pseudo_peripheral(start, traversal);
             cuthill_mckee(graph, root, number, &mut order, &mut pending, &mut seen);
+            // Connected iff the first component is the whole graph.
+            levels = (order.len() == n && start == 0).then_some(depth);
         }
     }
-    traversal.leave(&order);
-    order
+    if levels.is_none() {
+        traversal.leave(&order);
+    }
+    (order, levels)
 }
 
 /// Cuthill–McKee numbering of the component of `root`, none of it numbered

@@ -185,7 +185,21 @@ impl Graph {
         ws: &mut Traversal,
         rank: impl Fn(usize) -> usize,
     ) -> (usize, usize) {
-        let (mut root, mut ecc) = (start, self.bfs_levels(start, ws));
+        let ecc = self.bfs_levels(start, ws);
+        self.pseudo_peripheral_from(start, ecc, ws, rank)
+    }
+
+    /// [`pseudo_peripheral_by`](Self::pseudo_peripheral_by) when `ws`
+    /// already holds the level structure from `start`, of `ecc` levels
+    /// (the last search of an earlier pseudo-peripheral search, say).
+    pub fn pseudo_peripheral_from(
+        &self,
+        start: usize,
+        ecc: usize,
+        ws: &mut Traversal,
+        rank: impl Fn(usize) -> usize,
+    ) -> (usize, usize) {
+        let (mut root, mut ecc) = (start, ecc);
         loop {
             // Farthest level, pick its minimum-degree vertex.
             let far = ws.level_set(ecc.saturating_sub(1)).iter().copied();
