@@ -448,6 +448,7 @@ impl<T: Scalar> CoefTab<T> {
         for key in keys.into_iter().flatten() {
             // Release pairs with the Acquire load of `retired` in
             // `evict_one`'s victim scan.
+            // BOUNDS: c < ncblk, and the U side's keys follow the L side's.
             self.slots[key].retired.store(true, Ordering::Release);
         }
     }

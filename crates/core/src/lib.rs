@@ -26,7 +26,10 @@
 //! ```
 
 // Structured `SolverError`s, not unwraps, in library code (tests: clippy.toml).
-#![deny(clippy::unwrap_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+// No console or file I/O and no sleeping but where a site allows it in
+// place (clippy.toml's disallowed methods).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
 
 pub mod analysis;
 pub mod coeftab;

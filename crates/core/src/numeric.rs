@@ -56,7 +56,7 @@ use dagfact_rt::sync::Mutex;
 use dagfact_rt::{EngineError, RunConfig, RunReport, RuntimeKind, SharedSlice};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Per-worker scratch memory ("constant memory overhead per working
 /// thread", §V-B).
@@ -94,6 +94,9 @@ struct NumericCtx<'a, T: Scalar> {
     pivots_repaired: AtomicUsize,
     /// First error; once set, remaining tasks no-op.
     error: Mutex<Option<SolverError>>,
+    /// Set under `error` when the first error is recorded, so a task's
+    /// "has the run failed" check is one load, not a lock.
+    has_failed: AtomicBool,
     workspaces: Vec<Mutex<Workspace<T>>>,
 }
 
@@ -119,6 +122,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 .collect(),
             pivots_repaired: AtomicUsize::new(0),
             error: Mutex::new(None),
+            has_failed: AtomicBool::new(false),
             workspaces: (0..nworkers.max(1))
                 .map(|_| Mutex::new(Workspace::default()))
                 .collect(),
@@ -126,13 +130,16 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 
     fn failed(&self) -> bool {
-        self.error.lock().is_some()
+        self.has_failed.load(Ordering::Acquire)
     }
 
+    /// Keep `e` unless an error is already recorded: the first one wins.
     fn record_error(&self, e: SolverError) {
+        // LOCK: error path only; the run stops taking tasks after it.
         let mut guard = self.error.lock();
         if guard.is_none() {
             *guard = Some(e);
+            self.has_failed.store(true, Ordering::Release);
         }
     }
 
@@ -165,6 +172,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             return;
         }
         let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
+        // BOUNDS: the DAG's panel ids are < ncblk.
         let cb = &symbol.cblks[c];
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
@@ -191,6 +199,9 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         };
         // SAFETY: as for L, on panel c's range of the diagonal.
         let d = unsafe { self.d.range_mut(cb.fcol..cb.lcol) };
+        // LOCK: the worker's own workspace, never contended: the executor
+        // runs one task at a time per worker id.
+        // BOUNDS: worker < nworkers == workspaces.len().
         let mut ws = self.workspaces[worker].lock();
         let result: Result<(), SolverError> = (|| {
             match self.analysis.facto {
@@ -198,6 +209,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     potrf(w, l, stride)?;
                     if below > 0 {
                         copy_diag_block(l, stride, w, &mut ws.diag);
+                        // BOUNDS: w <= stride: `l[w..]` is the panel's
+                        // off-diagonal rows.
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -219,6 +232,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     self.pivots_repaired.fetch_add(repaired, Ordering::Relaxed);
                     if below > 0 {
                         copy_diag_block(l, stride, w, &mut ws.diag);
+                        // BOUNDS: w <= stride, as in the Cholesky arm.
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -231,6 +245,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                             &mut l[w..],
                             stride,
                         );
+                        // BOUNDS: as above.
                         ldlt_apply_diag(below, w, d, &mut l[w..], stride);
                     }
                 }
@@ -242,6 +257,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     if below > 0 {
                         copy_diag_block(l, stride, w, &mut ws.diag);
                         // L side: A_ik ← A_ik · U_kk⁻¹.
+                        // BOUNDS: w <= stride, as in the Cholesky arm.
                         trsm(
                             Side::Right,
                             Uplo::Upper,
@@ -255,6 +271,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                             stride,
                         );
                         // U side (stored transposed): Uᵀ ← Uᵀ · L_kk⁻ᵀ.
+                        // BOUNDS: the U panel has the L panel's shape.
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -284,6 +301,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             return self.record_error(SolverError::NonFinite { task, block: c });
         }
         // A panel with no updates is cold as soon as it is factored.
+        // BOUNDS: one counter per panel.
         if self.remaining_reads[c].load(Ordering::Acquire) == 0 {
             self.tab.retire(c);
         }
@@ -301,6 +319,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             return;
         }
         let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
+        // BOUNDS: the DAG's update (c, bi) names panel c < ncblk and one
+        // of its blocks bi < nblocks.
         let cb = &symbol.cblks[c];
         let block = &symbol.blocks[bi];
         let j = block.facing;
@@ -325,6 +345,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         } else {
             None
         };
+        // LOCK: the worker's own workspace, as in `panel_task`.
+        // BOUNDS: worker < nworkers == workspaces.len().
         let mut ws = self.workspaces[worker].lock();
         let ws = &mut *ws;
         // Charge the GEMM buffer before any mutation, so a failure routes
@@ -339,6 +361,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let lsrc = unsafe { lsrc_pin.slice() };
         // SAFETY: as above, the chain into panel j orders its writers.
         let ldst = unsafe { ldst_pin.slice_mut() };
+        // BOUNDS: j = block.facing is a panel id, and block b's
+        // local_offset lies inside panel c's stride rows.
         let tcb = &symbol.cblks[j];
         let k = cb.width();
         build_row_map(symbol, c, bi, j, &mut ws.row_map, &mut ws.row_glob);
@@ -367,6 +391,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             Some((us, ud)) => {
                 // SAFETY: same discipline as the L side.
                 let (usrc, udst) = unsafe { (us.slice(), ud.slice_mut()) };
+                // BOUNDS: the U panel has the L panel's shape.
                 let ut = &usrc[block.local_offset..];
                 // C_L -= L[R≥b, c] · (Uᵀ[R_b, c])ᵀ
                 update_via_buffer(
@@ -387,6 +412,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 //     transposed in the L panel (full square);
                 //   * rows beyond go into the target's U panel.
                 if m > n {
+                    // BOUNDS: block b's n rows end inside the panel, and
+                    // the L-side call left `ws.tmp` at least m·n long.
                     let mu = m - n;
                     let ut_below = &usrc[block.local_offset + n..];
                     let a2l = &lsrc[block.local_offset..];
@@ -406,6 +433,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     for jj in 0..n {
                         // Column of the target panel.
                         let cglob = block.frow + jj;
+                        // BOUNDS: maps of m = n + mu rows, tmp mu×n; r < lcol lies
+                        // in the target's diagonal block, others in its U panel.
                         for ii in 0..mu {
                             let r = ws.row_glob[n + ii]; // global row (r > cglob)
                             let v = tmp[jj * mu + ii];
@@ -425,6 +454,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         }
         // This update has consumed its read of panel c; the last one
         // hands the panel to the pager as a preferred spill victim.
+        // BOUNDS: one counter per panel.
         if self.remaining_reads[c].fetch_sub(1, Ordering::AcqRel) == 1 {
             self.tab.retire(c);
         }
@@ -443,6 +473,8 @@ fn all_finite<T: Scalar>(v: &[T]) -> bool {
 /// factorization kinds.
 fn copy_diag_block<T: Scalar>(panel: &[T], stride: usize, w: usize, out: &mut Vec<T>) {
     if out.len() < w * w {
+        // ALLOC: grow-only: each worker's copy reaches the widest panel
+        // once per factorization.
         out.resize(w * w, T::zero());
     }
     pack_block(w, w, panel, stride, out);
@@ -461,6 +493,8 @@ fn build_row_map(
 ) {
     out.clear();
     glob.clear();
+    // BOUNDS: c and bi name the update's panel and block, j its facing
+    // panel; the walk stays inside `tblocks` by the assert below.
     let cb = &symbol.cblks[c];
     let tblocks = symbol.panel_blocks(j);
     let mut ti = 0usize;
@@ -468,11 +502,16 @@ fn build_row_map(
         for row in sb.frow..sb.lrow {
             while !(tblocks[ti].frow <= row && row < tblocks[ti].lrow) {
                 ti += 1;
+                // PANIC: the symbolic closure: every source row has a row
+                // in the target panel. A miss is an analysis bug.
                 assert!(
                     ti < tblocks.len(),
                     "source row {row} missing from target panel {j} (symbolic closure violated)"
                 );
             }
+            // ALLOC: cleared, not freed: each worker's maps grow to the
+            // tallest update once per factorization.
+            // BOUNDS: ti < tblocks.len() by the walk above.
             out.push(tblocks[ti].local_offset + (row - tblocks[ti].frow));
             glob.push(row);
         }

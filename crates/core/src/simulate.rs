@@ -161,6 +161,7 @@ pub fn build_sim_dag(
             let is_update = matches!(task, TaskKind::Update { .. });
             // One panel is read-modify-written, at most one other read.
             let accesses = || task.accesses();
+            #[allow(clippy::expect_used)] // a task without a write is a bug in `tasks`
             let writes = accesses().find(|a| a.1.writes()).expect("every task writes a panel").0;
             let reads = accesses().filter(|a| !a.1.writes()).map(|a| a.0).collect();
             let mut succs = Vec::new();

@@ -74,6 +74,7 @@ impl<T: Scalar> Solver<T> {
 
     /// [`Solver::with_options`] plus execution options: fault-injection
     /// plan, stall watchdog and memory budget for the runtime engine.
+    #[allow(clippy::expect_used)] // the plan is never empty
     pub fn with_exec(
         a: &CscMatrix<T>,
         facto: Option<FactoKind>,

@@ -36,6 +36,8 @@ pub struct SpillStore {
     keys: Mutex<HashSet<usize>>,
 }
 
+// The spill store is the pager's disk: its file I/O is the point.
+#[allow(clippy::disallowed_methods)]
 impl SpillStore {
     /// Name a store. With `Some(dir)`, panels land in a fresh
     /// subdirectory of `dir`; with `None`, of the system temp dir. The
@@ -104,12 +106,11 @@ impl SpillStore {
         let mut f = std::fs::File::open(self.path_for(key))?;
         f.read_exact(&mut buf)?;
         let mut out = Vec::with_capacity(len);
+        let word = |b: &[u8]| f64::from_le_bytes(std::array::from_fn(|k| b[k]));
         for chunk in buf.chunks_exact(per) {
-            let re = f64::from_le_bytes(
-                chunk[..8].try_into().expect("8-byte chunk"),
-            );
+            let re = word(chunk);
             let im = if T::IS_COMPLEX {
-                f64::from_le_bytes(chunk[8..16].try_into().expect("8-byte chunk"))
+                word(&chunk[8..])
             } else {
                 0.0
             };
@@ -134,6 +135,7 @@ impl SpillStore {
     }
 }
 
+#[allow(clippy::disallowed_methods)]
 impl Drop for SpillStore {
     fn drop(&mut self) {
         let keys: Vec<usize> = self

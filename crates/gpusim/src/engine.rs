@@ -40,12 +40,6 @@ impl SimPolicy {
     }
 }
 
-/// LDLᵀ flag for the sparse GPU kernel model: the engine cannot see the
-/// scalar kind, so the solver encodes it in the DAG via this marker datum
-/// convention — unused here; kernels are keyed purely on shape. Kept for
-/// future extension.
-const _: () = ();
-
 // ---------------------------------------------------------------------
 // Events
 // ---------------------------------------------------------------------
@@ -159,7 +153,7 @@ struct GpuState {
 }
 
 impl GpuState {
-    fn share(&self, _peak: f64) -> f64 {
+    fn share(&self) -> f64 {
         let total: f64 = self.active.iter().map(|k| k.alone_rate).sum();
         // Concurrent kernels fill idle SMs but cannot beat the fully-fed
         // device: the aggregate is capped by the best family ceiling
@@ -177,8 +171,8 @@ impl GpuState {
     }
 
     /// Advance remaining work of the active kernels to `now`.
-    fn advance(&mut self, now: f64, peak: f64) {
-        let share = self.share(peak);
+    fn advance(&mut self, now: f64) {
+        let share = self.share();
         let dt = now - self.last_update;
         if dt > 0.0 {
             if !self.active.is_empty() {
@@ -193,12 +187,12 @@ impl GpuState {
 
     /// Time until the earliest active kernel completes (given current
     /// sharing).
-    fn next_completion(&self, peak: f64) -> Option<f64> {
-        let share = self.share(peak);
+    fn next_completion(&self) -> Option<f64> {
+        let share = self.share();
         self.active
             .iter()
             .map(|k| (k.remaining.max(0.0)) / (k.alone_rate * 1e9 * share))
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
+            .min_by(f64::total_cmp)
     }
 }
 
@@ -666,8 +660,7 @@ impl<'a> Engine<'a> {
     }
 
     fn try_start_kernels(&mut self, g: usize) {
-        let peak = self.platform.gpus[g].peak_gflops;
-        self.gpus[g].advance(self.now, peak);
+        self.gpus[g].advance(self.now);
         let mut changed = false;
         while self.gpus[g].active.len() < self.gpus[g].streams {
             let Some(t) = self.gpus[g].ready.pop_front() else {
@@ -691,9 +684,8 @@ impl<'a> Engine<'a> {
     }
 
     fn reschedule_gpu(&mut self, g: usize) {
-        let peak = self.platform.gpus[g].peak_gflops;
         self.gpus[g].version += 1;
-        if let Some(dt) = self.gpus[g].next_completion(peak) {
+        if let Some(dt) = self.gpus[g].next_completion() {
             let v = self.gpus[g].version;
             self.events
                 .push_at(self.now + dt.max(0.0), Event::GpuCheck { gpu: g, version: v });
@@ -704,8 +696,7 @@ impl<'a> Engine<'a> {
         if self.gpus[g].version != version {
             return; // stale
         }
-        let peak = self.platform.gpus[g].peak_gflops;
-        self.gpus[g].advance(self.now, peak);
+        self.gpus[g].advance(self.now);
         let finished: Vec<(TaskId, f64)> = self.gpus[g]
             .active
             .iter()

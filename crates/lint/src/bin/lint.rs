@@ -12,8 +12,9 @@
 use dagfact_lint::config::parse_hotpaths;
 use dagfact_lint::hotpath::{check_hot_paths, HotFinding};
 use dagfact_lint::syncgraph::{analyze, SyncFinding, SyncReport};
-use dagfact_lint::Workspace;
+use dagfact_lint::{Finding, Workspace};
 use dagfact_rt::{write_results, Json};
+use std::fmt;
 use std::path::Path;
 
 const HOTPATHS_TOML: &str = "lint-hotpaths.toml";
@@ -30,20 +31,25 @@ fn write(name: &str, doc: &Json) {
     }
 }
 
+fn finding_json<R: fmt::Display>(f: &Finding<R>) -> Json {
+    Json::obj()
+        .field("rule", f.rule.to_string())
+        .field("file", f.file.as_str())
+        .field("line", f.line)
+        .field("function", f.function.as_str())
+        .field("detail", f.detail.as_str())
+        .field("key", f.key())
+        .field("chain", f.chain.clone())
+}
+
+/// Print `f`; the links of its chain are joined by `sep`.
+fn report<R: fmt::Display>(f: &Finding<R>, sep: &str) {
+    eprintln!("{}:{}: [{}] {} in {}", f.file, f.line, f.rule, f.detail, f.function);
+    eprintln!("    via: {}", f.chain.join(sep));
+}
+
 fn write_hot(ws: &Workspace, nreach: usize, findings: &[HotFinding]) {
-    let findings: Vec<Json> = findings
-        .iter()
-        .map(|f| {
-            Json::obj()
-                .field("rule", f.rule.key())
-                .field("file", f.file.as_str())
-                .field("line", f.line)
-                .field("function", f.function.as_str())
-                .field("detail", f.detail.as_str())
-                .field("key", f.key())
-                .field("chain", f.chain.clone())
-        })
-        .collect();
+    let findings: Vec<Json> = findings.iter().map(finding_json).collect();
     let doc = Json::obj()
         .field("files", ws.nfiles)
         .field("functions", ws.graph.functions.len())
@@ -78,19 +84,7 @@ fn write_sync(ws: &Workspace, sync: &SyncReport, findings: &[SyncFinding]) {
                 .field("chain", e.chain.clone())
         })
         .collect();
-    let findings: Vec<Json> = findings
-        .iter()
-        .map(|f| {
-            Json::obj()
-                .field("rule", f.rule.key())
-                .field("file", f.file.as_str())
-                .field("line", f.line)
-                .field("function", f.function.as_str())
-                .field("detail", f.detail.as_str())
-                .field("key", f.key())
-                .field("chain", f.chain.clone())
-        })
-        .collect();
+    let findings: Vec<Json> = findings.iter().map(finding_json).collect();
     let doc = Json::obj()
         .field("lint", "lint-sync")
         .field("files", ws.nfiles)
@@ -115,7 +109,7 @@ fn main() {
             let _ = std::env::set_current_dir(Path::new(&manifest).join("../.."));
         }
     }
-    let ws = Workspace::load();
+    let ws = Workspace::load(Path::new("."));
 
     let toml = std::fs::read_to_string(HOTPATHS_TOML)
         .unwrap_or_else(|e| fail(format!("cannot read {HOTPATHS_TOML}: {e}")));
@@ -164,26 +158,13 @@ fn main() {
         );
         return;
     }
-    for f in &hot {
-        eprintln!(
-            "{}:{}: [{}] {} in {}",
-            f.file, f.line, f.rule, f.detail, f.function
-        );
-        eprintln!("    via: {}", f.chain.join(" -> "));
-    }
-    for f in &findings {
-        eprintln!(
-            "{}:{}: [{}] {} in {}",
-            f.file, f.line, f.rule, f.detail, f.function
-        );
-        for link in &f.chain {
-            eprintln!("    via: {link}");
-        }
-    }
+    // A hot finding's chain is one call path; a cycle's, one edge a line.
+    hot.iter().for_each(|f| report(f, " -> "));
+    findings.iter().for_each(|f| report(f, "\n    via: "));
     eprintln!(
         "lint: {} finding(s). Fix each, or justify it in place with its marker (// ALLOC: / \
-         LOCK: / BOUNDS: / PANIC: / IO: / TRACE: / ORDERING:; a lock-order cycle takes \
-         none); nothing is grandfathered.",
+         LOCK: / BOUNDS: / PANIC: / TRACE: / ORDERING:; an unexpanded macro and a lock-order \
+         cycle take none); nothing is grandfathered.",
         hot.len() + findings.len()
     );
     std::process::exit(1);

@@ -8,9 +8,12 @@
 //!   type name.
 //! * **Method calls** (`x.f()`) have no receiver types to work with, so
 //!   `.f(…)` links to *every* workspace function named `f` that sits in
-//!   an `impl`/`trait` block — except for a stoplist of std-common names
-//!   (`new`, `push`, `lock`, `clone`, …) whose edges would drag the
-//!   whole workspace into every hot path. Stoplisted operations are
+//!   an `impl`/`trait` block, and so does a call `P::f(…)` through a type
+//!   parameter `P` of the enclosing fn or impl (`W::fmadd` in a tile
+//!   generic over its width) — except for a stoplist of std-common names
+//!   (`new`, `push`, `lock`, `clone`, the atomic operations, …) whose
+//!   edges would drag the whole workspace into every hot path (the
+//!   atomics into the model checker's). Stoplisted operations are
 //!   still visible to the purity rules directly (the rules look at raw
 //!   events, not graph edges), so nothing is lost for rule coverage —
 //!   only transitive reachability through, say, an unrelated `Foo::len`
@@ -23,6 +26,7 @@
 //! `root → f → g → offender`.
 
 use crate::parse::{Event, Function, ParsedFile};
+use crate::ATOMIC_OPS;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
@@ -32,8 +36,7 @@ use std::collections::{HashMap, VecDeque};
 pub const METHOD_STOPLIST: &[&str] = &[
     "new", "default", "len", "is_empty", "clone", "push", "pop", "insert", "remove", "get",
     "get_mut", "contains", "contains_key", "iter", "iter_mut", "into_iter", "next", "collect",
-    "lock", "read", "write", "wait", "notify_one", "notify_all", "load", "store", "swap",
-    "fetch_add", "fetch_sub", "compare_exchange", "compare_exchange_weak", "clear", "drain",
+    "lock", "read", "write", "wait", "notify_one", "notify_all", "into_inner", "clear", "drain",
     "extend", "resize", "reserve", "with_capacity", "take", "replace", "as_ref", "as_mut",
     "as_slice", "as_mut_slice", "as_ptr", "as_mut_ptr", "to_vec", "to_string", "to_owned",
     "unwrap", "expect", "unwrap_or", "unwrap_or_else", "unwrap_or_default", "map", "and_then",
@@ -65,12 +68,6 @@ pub struct CallGraph {
     pub edges: Vec<Vec<usize>>,
 }
 
-/// A function index together with the call-site line that reached it.
-#[derive(Debug, Clone, Copy)]
-struct Resolved {
-    idx: usize,
-}
-
 impl CallGraph {
     /// Build the graph from parsed files. `files` pairs each parse
     /// result with its module path (already baked into the functions).
@@ -93,39 +90,35 @@ impl CallGraph {
         let mut by_modfn: HashMap<(String, String), Vec<usize>> = HashMap::new();
         for (i, f) in functions.iter().enumerate() {
             by_qname.entry(f.qname.clone()).or_default().push(i);
-            if let Some(t) = &f.self_type {
-                by_typefn
-                    .entry((t.clone(), f.name.clone()))
-                    .or_default()
-                    .push(i);
-                by_method.entry(f.name.clone()).or_default().push(i);
-            } else {
-                by_modfn
-                    .entry((f.module.clone(), f.name.clone()))
-                    .or_default()
-                    .push(i);
+            match &f.self_type {
+                Some(t) => {
+                    by_typefn.entry((t.clone(), f.name.clone())).or_default().push(i);
+                    by_method.entry(f.name.clone()).or_default().push(i);
+                }
+                None => by_modfn.entry((f.module.clone(), f.name.clone())).or_default().push(i),
             }
         }
 
         let empty = HashMap::new();
+        // `.f(…)`, and `P::f(…)` through a type parameter `P`: every
+        // impl/trait function named `f`.
+        let methods = |name: &str| match METHOD_STOPLIST.contains(&name) || ATOMIC_OPS.contains(&name) {
+            true => &[][..],
+            false => by_method.get(name).map_or(&[][..], Vec::as_slice),
+        };
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); functions.len()];
         for (i, f) in functions.iter().enumerate() {
             let imp = imports.get(&f.module).unwrap_or(&empty);
             let mut out: Vec<usize> = Vec::new();
             for ev in &f.events {
                 match ev {
+                    Event::Call { path, .. } if path.len() == 2 && f.generics.contains(&path[0]) => {
+                        out.extend(methods(&path[1]));
+                    }
                     Event::Call { path, .. } => {
-                        for r in resolve_path(
-                            path, f, imp, &by_qname, &by_typefn, &by_modfn,
-                        ) {
-                            out.push(r.idx);
-                        }
+                        out.extend(resolve_path(path, f, imp, &by_qname, &by_typefn, &by_modfn));
                     }
-                    Event::Method { name, .. }
-                        if !METHOD_STOPLIST.contains(&name.as_str()) =>
-                    {
-                        out.extend(by_method.get(name).into_iter().flatten().copied());
-                    }
+                    Event::Method { name, .. } => out.extend(methods(name)),
                     _ => {}
                 }
             }
@@ -190,108 +183,57 @@ fn resolve_path(
     by_qname: &HashMap<String, Vec<usize>>,
     by_typefn: &HashMap<(String, String), Vec<usize>>,
     by_modfn: &HashMap<(String, String), Vec<usize>>,
-) -> Vec<Resolved> {
-    let mut out = Vec::new();
-    if path.is_empty() {
-        return out;
-    }
-    let crate_root = caller
-        .module
-        .split("::")
-        .next()
-        .unwrap_or(&caller.module)
-        .to_string();
-
-    // Expand the leading segment through imports / crate / self / super /
-    // Self into absolute candidate paths.
-    let mut candidates: Vec<Vec<String>> = Vec::new();
-    let head = path[0].as_str();
-    match head {
-        "crate" => {
-            let mut p = vec![crate_root.clone()];
-            p.extend(path[1..].iter().cloned());
-            candidates.push(p);
+) -> Vec<usize> {
+    let Some(head) = path.first() else {
+        return Vec::new();
+    };
+    let module: Vec<String> = caller.module.split("::").map(str::to_string).collect();
+    // A path as written or imported, with its `crate` / `self` / `super`
+    // prefix made absolute.
+    let absolute = |p: &[String]| -> Vec<String> {
+        let supers = p.iter().take_while(|s| *s == "super").count();
+        match p.first().map(String::as_str) {
+            Some("crate") => [&module[..1], &p[1..]].concat(),
+            Some("self") => [&module[..], &p[1..]].concat(),
+            Some("super") => [&module[..module.len().saturating_sub(supers)], &p[supers..]].concat(),
+            _ => p.to_vec(),
         }
-        "self" => {
-            let mut p: Vec<String> = caller.module.split("::").map(str::to_string).collect();
-            p.extend(path[1..].iter().cloned());
-            candidates.push(p);
-        }
-        "super" => {
-            let mut segs: Vec<String> = caller.module.split("::").map(str::to_string).collect();
-            let mut rest = path;
-            while rest.first().map(String::as_str) == Some("super") {
-                segs.pop();
-                rest = &rest[1..];
-            }
-            segs.extend(rest.iter().cloned());
-            candidates.push(segs);
-        }
-        "Self" => {
-            if let Some(t) = &caller.self_type {
-                let mut p: Vec<String> =
-                    caller.module.split("::").map(str::to_string).collect();
-                p.push(t.clone());
-                p.extend(path[1..].iter().cloned());
-                candidates.push(p);
-            }
-        }
+    };
+    let mut candidates = Vec::new();
+    match head.as_str() {
+        "Self" => candidates.extend(
+            (caller.self_type.iter()).map(|t| [&module[..], std::slice::from_ref(t), &path[1..]].concat()),
+        ),
+        "crate" | "self" | "super" => candidates.push(absolute(path)),
         _ => {
             if let Some(full) = imports.get(head) {
-                let mut p = full.clone();
-                p.extend(path[1..].iter().cloned());
-                // The imported path itself may start with crate/self/super.
-                match p.first().map(String::as_str) {
-                    Some("crate") => {
-                        let mut q = vec![crate_root.clone()];
-                        q.extend(p[1..].iter().cloned());
-                        candidates.push(q);
-                    }
-                    Some("self") => {
-                        let mut q: Vec<String> =
-                            caller.module.split("::").map(str::to_string).collect();
-                        q.extend(p[1..].iter().cloned());
-                        candidates.push(q);
-                    }
-                    _ => candidates.push(p),
-                }
+                candidates.push(absolute(&[&full[..], &path[1..]].concat()));
             }
-            // Same-module sibling: `helper(…)`.
-            if path.len() == 1 {
-                if let Some(v) = by_modfn.get(&(caller.module.clone(), path[0].clone())) {
-                    out.extend(v.iter().map(|&idx| Resolved { idx }));
-                }
-            }
-            // Unqualified absolute (dagfact_x::…) or module-relative.
-            let mut p: Vec<String> = caller.module.split("::").map(str::to_string).collect();
-            p.extend(path.iter().cloned());
-            candidates.push(p);
+            // Module-relative, or already absolute (`dagfact_x::…`).
+            candidates.push([&module[..], path].concat());
             candidates.push(path.to_vec());
         }
     }
-
-    for cand in &candidates {
-        let q = cand.join("::");
-        if let Some(v) = by_qname.get(&q) {
-            out.extend(v.iter().map(|&idx| Resolved { idx }));
-        }
+    let mut out: Vec<usize> = (candidates.iter())
+        .filter_map(|c| by_qname.get(&c.join("::")))
+        .flatten()
+        .copied()
+        .collect();
+    // Same-module sibling: `helper(…)`.
+    if path.len() == 1 {
+        out.extend(by_modfn.get(&(caller.module.clone(), head.clone())).into_iter().flatten());
     }
 
     // `Type::method(…)` — last two segments against every workspace impl
     // of a type with that name (path qualifiers may not match module
     // layout, e.g. re-exports).
-    if out.is_empty() && path.len() >= 2 {
-        let ty = &path[path.len() - 2];
-        let name = &path[path.len() - 1];
-        if ty.chars().next().is_some_and(char::is_uppercase) {
-            if let Some(v) = by_typefn.get(&(ty.clone(), name.clone())) {
-                out.extend(v.iter().map(|&idx| Resolved { idx }));
-            }
+    if let [.., ty, name] = path {
+        if out.is_empty() && ty.starts_with(char::is_uppercase) {
+            out.extend(by_typefn.get(&(ty.clone(), name.clone())).into_iter().flatten());
         }
     }
-
-    out.sort_unstable_by_key(|r| r.idx);
-    out.dedup_by_key(|r| r.idx);
+    out.sort_unstable();
+    out.dedup();
     out
 }
 

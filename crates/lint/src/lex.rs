@@ -254,6 +254,48 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
+/// The identifier at `i`, if that token is one.
+pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i).map(|t| &t.kind) {
+        Some(Tok::Ident(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Is the token at `i` the punctuation `c`?
+pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Punct(p)) if *p == c)
+}
+
+/// Index just past the group opened at `open` by `(`, `[`, `{` or `<`
+/// (the `>` of a `->` inside angles closes nothing), or `open + 1` when
+/// no group opens there; the end of `toks` when it is unbalanced.
+pub(crate) fn group_end(toks: &[Token], open: usize) -> usize {
+    let close = match toks.get(open).map(|t| &t.kind) {
+        Some(Tok::Punct('(')) => ')',
+        Some(Tok::Punct('[')) => ']',
+        Some(Tok::Punct('{')) => '}',
+        Some(Tok::Punct('<')) => '>',
+        _ => return open + 1,
+    };
+    let (opener, mut depth, mut i) = (&toks[open].kind, 0usize, open);
+    while i < toks.len() {
+        match &toks[i].kind {
+            Tok::Punct('-') if close == '>' && punct_at(toks, i + 1, '>') => i += 1,
+            k if k == opener => depth += 1,
+            Tok::Punct(c) if *c == close => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    toks.len()
+}
+
 fn is_string_prefix(word: &str) -> bool {
     matches!(word, "r" | "b" | "br" | "c" | "cr")
 }

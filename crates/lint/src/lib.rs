@@ -13,24 +13,25 @@
 //!   operation. The shim itself and the model checker are exempt.
 //!
 //! Any finding fails the gate; there is no ledger of accepted ones. The
-//! line-level rules (SAFETY contracts, no `.unwrap()` in rt/core library
-//! code) are clippy configuration: `clippy.toml` and the crates' lints.
+//! line-level rules (SAFETY contracts; no `.unwrap()`/`.expect()`, console
+//! or file I/O or sleeping in the library code of rt, core, kernels and
+//! serve) are clippy configuration: `clippy.toml` and the crates' lints.
 
 pub mod callgraph;
 pub mod config;
 pub mod hotpath;
 pub mod lex;
+pub mod macros;
 pub mod parse;
 pub mod syncgraph;
 
 use callgraph::CallGraph;
-use lex::{Comment, Tok};
+use lex::{group_end, ident_at, punct_at, Comment, Tok};
 use parse::{parse_file, ParsedFile};
+use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use syncgraph::{
-    ident_at, match_paren, module_exempt, punct_at, receiver_chain, FnCtx, SyncFinding, SyncRule,
-};
+use syncgraph::{module_exempt, receiver_chain, FnCtx, SyncFinding, SyncRule};
 
 /// How many preceding lines a justifying comment may sit above the
 /// construct it justifies (multi-line comments push the marker up).
@@ -45,8 +46,9 @@ pub(crate) fn marked(comments: &[Comment], line: usize, marker: &str) -> bool {
         .any(|c| (lo..=line).contains(&c.line) && c.text.contains(marker))
 }
 
-/// Atomic methods whose ordering arguments the Relaxed rule reads.
-const ATOMIC_OPS: &[&str] = &[
+/// Atomic methods: the Relaxed rule reads their ordering arguments, and
+/// the call graph links no edge by their names.
+pub(crate) const ATOMIC_OPS: &[&str] = &[
     "load",
     "store",
     "swap",
@@ -64,6 +66,30 @@ const ATOMIC_OPS: &[&str] = &[
 ];
 
 const ORDERINGS: &[&str] = &["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"];
+
+/// One finding of a pass whose rules are `R`.
+#[derive(Debug, Clone)]
+pub struct Finding<R> {
+    /// The violated rule.
+    pub rule: R,
+    /// Source file of the offending site.
+    pub file: String,
+    /// 1-based line of the offending site.
+    pub line: usize,
+    /// Qualified name of the function it is in.
+    pub function: String,
+    /// What was seen (`Vec::with_capacity`, `.lock()`, `vec!`, …).
+    pub detail: String,
+    /// The witness chain that makes it a finding.
+    pub chain: Vec<String>,
+}
+
+impl<R: fmt::Display> Finding<R> {
+    /// Line-free key (the report's `key`), stable across unrelated edits.
+    pub fn key(&self) -> String {
+        format!("{}|{}|{}", self.rule, self.function, self.detail)
+    }
+}
 
 /// A set of sources parsed once: the call graph every pass runs on.
 pub struct Workspace {
@@ -106,26 +132,22 @@ impl Workspace {
         }
     }
 
-    /// Every library source of the workspace in the current directory
-    /// (`crates/*/src/**/*.rs`).
-    pub fn load() -> Workspace {
+    /// Every library source of the workspace at `root`
+    /// (`crates/*/src/**/*.rs`), named relative to `root`.
+    pub fn load(root: &Path) -> Workspace {
         let mut paths = Vec::new();
-        for krate in std::fs::read_dir("crates").into_iter().flatten().flatten() {
+        for krate in std::fs::read_dir(root.join("crates")).into_iter().flatten().flatten() {
             collect_rs(&krate.path().join("src"), &mut paths);
         }
         paths.sort();
-        let files: Vec<(String, String, String)> = paths
-            .iter()
+        let files: Vec<(String, String, String)> = (paths.iter())
             .filter_map(|p| {
+                let rel = p.strip_prefix(root).ok()?;
                 let src = std::fs::read_to_string(p).ok()?;
-                Some((p.to_string_lossy().into_owned(), module_path(p)?, src))
+                Some((rel.to_string_lossy().into_owned(), module_path(rel)?, src))
             })
             .collect();
-        Workspace::parse(
-            files
-                .iter()
-                .map(|(f, m, s)| (f.clone(), m.as_str(), s.as_str())),
-        )
+        Workspace::parse(files.iter().map(|(f, m, s)| (f.clone(), m.as_str(), s.as_str())))
     }
 }
 
@@ -198,7 +220,7 @@ fn unjustified_relaxed(pf: &ParsedFile, file: &str, module: &str) -> Vec<SyncFin
                 return None;
             }
             let orders: Vec<&str> = t
-                .get(i + 3..match_paren(t, i + 2))
+                .get(i + 3..group_end(t, i + 2) - 1)
                 .unwrap_or_default()
                 .iter()
                 .filter_map(|tok| match &tok.kind {

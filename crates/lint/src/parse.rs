@@ -7,15 +7,19 @@
 //!   file's path, supplied by the workspace scanner);
 //! * `use` imports, per module, for call-path resolution;
 //! * every function (free, `impl` method, trait default method) with the
-//!   *events* in its body: path calls, method calls, macro invocations
-//!   and index expressions;
+//!   type parameters in scope and the *events* in its body: path calls,
+//!   method calls, macro invocations and index expressions;
+//! * what the file's own `macro_rules!` items write ([`crate::macros`]):
+//!   an item-position invocation is parsed as the items it expands to,
+//!   an expression-position one contributes its expansion's events;
 //! * the comments (via [`crate::lex`]) so rules can check justification
 //!   markers (`// BOUNDS:`, `// ALLOC:`, …) near an event.
 //!
 //! `#[cfg(test)]` / `#[cfg(all(test, …))]` items are skipped entirely —
 //! test code is allowed to allocate, lock and panic.
 
-use crate::lex::{lex, Comment, Tok, Token};
+use crate::lex::{group_end, ident_at, lex, punct_at, Comment, Tok, Token};
+use crate::macros::{self, Macros};
 use std::collections::HashMap;
 
 /// Something a function body does that the rules care about.
@@ -35,11 +39,21 @@ pub enum Event {
         /// 1-based source line.
         line: usize,
     },
-    /// `name!(…)` macro invocation (contents are *not* descended into).
+    /// `name!(…)` invocation of a macro the file does not define (std's;
+    /// its contents are *not* descended into). The file's own macros are
+    /// expanded in place.
     Macro {
         /// Macro name (first path segment).
         name: String,
         /// 1-based source line.
+        line: usize,
+    },
+    /// An invocation of one of the file's own macros that the expander
+    /// could not expand ([`crate::macros`]): code the rules cannot see.
+    Opaque {
+        /// Macro name.
+        name: String,
+        /// 1-based source line of the invocation.
         line: usize,
     },
     /// `expr[…]` index/slice expression.
@@ -56,6 +70,7 @@ impl Event {
             Event::Call { line, .. }
             | Event::Method { line, .. }
             | Event::Macro { line, .. }
+            | Event::Opaque { line, .. }
             | Event::Index { line } => *line,
         }
     }
@@ -72,15 +87,16 @@ pub struct Function {
     pub self_type: Option<String>,
     /// Bare function name.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
+    /// Type parameters in scope: the enclosing `impl`'s, then the fn's.
+    pub generics: Vec<String>,
     /// Body events, in order.
     pub events: Vec<Event>,
     /// Half-open token range of the body (inside the braces) into the
-    /// owning [`ParsedFile::tokens`] stream. `(0, 0)` for bodyless fns.
+    /// owning [`ParsedFile::tokens`] stream. `(0, 0)` for a function a
+    /// macro expansion defines: its tokens are not the file's.
     pub body: (usize, usize),
     /// Half-open token range of the signature (from just after the name
-    /// to the opening body brace). `(0, 0)` for bodyless fns.
+    /// to the opening body brace); `(0, 0)` like `body`.
     pub sig: (usize, usize),
 }
 
@@ -118,6 +134,7 @@ pub(crate) fn is_expr_keyword(s: &str) -> bool {
 /// location (e.g. `dagfact_rt::native`).
 pub fn parse_file(src: &str, module: &str) -> ParsedFile {
     let lexed = lex(src);
+    let macros = macros::collect(&lexed.tokens);
     let mut out = ParsedFile {
         comments: lexed.comments,
         ..Default::default()
@@ -125,8 +142,10 @@ pub fn parse_file(src: &str, module: &str) -> ParsedFile {
     let mut p = Parser {
         toks: &lexed.tokens,
         pos: 0,
+        macros: &macros,
+        depth: 0,
     };
-    p.items(module, None, &mut out);
+    p.items(module, None, &[], &mut out);
     out.tokens = lexed.tokens;
     out
 }
@@ -134,6 +153,10 @@ pub fn parse_file(src: &str, module: &str) -> ParsedFile {
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// The file's own `macro_rules!` items.
+    macros: &'a Macros,
+    /// Macro expansion depth: 0 on the file's tokens.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -141,72 +164,25 @@ impl Parser<'_> {
         self.toks.get(self.pos + off).map(|t| &t.kind)
     }
 
-    fn line(&self) -> usize {
-        self.toks
-            .get(self.pos.min(self.toks.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
-    }
-
     fn bump(&mut self) {
         self.pos += 1;
     }
 
     fn is_punct(&self, off: usize, c: char) -> bool {
-        matches!(self.peek(off), Some(Tok::Punct(p)) if *p == c)
+        punct_at(self.toks, self.pos + off, c)
     }
 
     fn ident_at(&self, off: usize) -> Option<&str> {
-        match self.peek(off) {
-            Some(Tok::Ident(s)) => Some(s.as_str()),
-            _ => None,
-        }
+        ident_at(self.toks, self.pos + off)
     }
 
-    /// Skip a balanced delimiter group starting at the current token
-    /// (which must be an opener); leaves the cursor one past the closer.
-    fn skip_group(&mut self, open: char, close: char) {
-        debug_assert!(self.is_punct(0, open));
-        let mut depth = 0usize;
-        while self.pos < self.toks.len() {
-            if self.is_punct(0, open) {
-                depth += 1;
-            } else if self.is_punct(0, close) {
-                depth -= 1;
-                if depth == 0 {
-                    self.bump();
-                    return;
-                }
-            }
-            self.bump();
-        }
+    /// Step over the group that opens at the cursor, or one token.
+    fn skip(&mut self) {
+        self.pos = group_end(self.toks, self.pos);
     }
 
-    /// Skip a balanced `<…>` generic-argument group (cursor on `<`).
-    /// `->` inside (fn-pointer types) is handled by skipping the `-`
-    /// before testing `>`.
-    fn skip_angles(&mut self) {
-        let mut depth = 0usize;
-        while self.pos < self.toks.len() {
-            if self.is_punct(0, '-') && self.is_punct(1, '>') {
-                self.bump();
-                self.bump();
-                continue;
-            }
-            if self.is_punct(0, '<') {
-                depth += 1;
-            } else if self.is_punct(0, '>') {
-                depth -= 1;
-                if depth == 0 {
-                    self.bump();
-                    return;
-                }
-            }
-            self.bump();
-        }
-    }
-
-    /// Parse an attribute starting at `#`; returns true when it is a
-    /// `cfg(test)` / `cfg(all(test, …))` attribute.
+    /// Skip the attribute at the cursor (`#[…]`, `#![…]`); true when it
+    /// is `cfg(test)` or `cfg(all(test, …))`.
     fn attribute_is_cfg_test(&mut self) -> bool {
         self.bump(); // '#'
         if self.is_punct(0, '!') {
@@ -215,34 +191,21 @@ impl Parser<'_> {
         if !self.is_punct(0, '[') {
             return false;
         }
-        // Collect the idents of the attribute for a shape check.
         let start = self.pos;
-        self.skip_group('[', ']');
-        let toks = &self.toks[start..self.pos];
-        let mut idents = toks.iter().filter_map(|t| match &t.kind {
-            Tok::Ident(s) => Some(s.as_str()),
-            _ => None,
-        });
-        match idents.next() {
-            Some("cfg") => {}
-            _ => return false,
-        }
-        matches!(idents.next(), Some("test")) || {
-            // cfg(all(test, …))
-            let mut idents = toks.iter().filter_map(|t| match &t.kind {
-                Tok::Ident(s) => Some(s.as_str()),
-                _ => None,
-            });
-            idents.next(); // cfg
-            matches!(
-                (idents.next(), idents.next()),
-                (Some("all"), Some("test"))
-            )
-        }
+        self.skip();
+        let words: Vec<&str> = (start..self.pos).filter_map(|i| ident_at(self.toks, i)).take(3).collect();
+        matches!(words[..], ["cfg", "test", ..] | ["cfg", "all", "test"])
     }
 
     /// Parse items until the end of the slice or an unmatched `}`.
-    fn items(&mut self, module: &str, self_type: Option<&str>, out: &mut ParsedFile) {
+    /// `generics` are the type parameters of an enclosing `impl`.
+    fn items(
+        &mut self,
+        module: &str,
+        self_type: Option<&str>,
+        generics: &[String],
+        out: &mut ParsedFile,
+    ) {
         let mut cfg_test = false;
         let mut test_from = 0;
         while self.pos < self.toks.len() {
@@ -261,7 +224,7 @@ impl Parser<'_> {
                 Some(Tok::Punct('{')) => {
                     // Stray block at item level (e.g. const body we did
                     // not skip precisely) — skip balanced.
-                    self.skip_group('{', '}');
+                    self.skip();
                     cfg_test = false;
                 }
                 Some(Tok::Ident(word)) => {
@@ -271,15 +234,13 @@ impl Parser<'_> {
                             self.bump();
                             let name = self.ident_at(0).unwrap_or("").to_string();
                             self.bump();
-                            if self.is_punct(0, ';') {
-                                self.bump(); // file module: path-derived
-                            } else if self.is_punct(0, '{') {
+                            if self.is_punct(0, '{') {
                                 if cfg_test {
-                                    self.skip_group('{', '}');
+                                    self.skip();
                                 } else {
                                     self.bump(); // '{'
                                     let sub = format!("{module}::{name}");
-                                    self.items(&sub, None, out);
+                                    self.items(&sub, None, &[], out);
                                 }
                             }
                             cfg_test = false;
@@ -289,65 +250,48 @@ impl Parser<'_> {
                             if !cfg_test {
                                 self.parse_use(module, out);
                             } else {
-                                self.skip_to_semi();
+                                self.skip_item_tail();
                             }
                             cfg_test = false;
                         }
                         "fn" => {
                             if cfg_test {
-                                self.skip_fn(true);
+                                self.skip_item_tail();
                             } else {
-                                self.parse_fn(module, self_type, out);
+                                self.parse_fn(module, self_type, generics, out);
                             }
                             cfg_test = false;
                         }
                         "impl" => {
                             self.bump();
-                            if self.is_punct(0, '<') {
-                                self.skip_angles();
-                            }
+                            let params = self.generic_names();
                             // Read the head up to `{`; if a `for` appears
                             // the type is what follows it.
                             let mut ty = String::new();
-                            let mut after_for = false;
                             while self.pos < self.toks.len() && !self.is_punct(0, '{') {
-                                match self.peek(0) {
-                                    Some(Tok::Ident(s)) if s == "for" => {
-                                        after_for = true;
-                                        ty.clear();
-                                        self.bump();
-                                    }
-                                    Some(Tok::Ident(s)) if s == "where" => {
-                                        // where-clause: skip to '{'.
-                                        while self.pos < self.toks.len()
-                                            && !self.is_punct(0, '{')
-                                        {
-                                            if self.is_punct(0, '<') {
-                                                self.skip_angles();
-                                            } else {
-                                                self.bump();
-                                            }
+                                match self.ident_at(0) {
+                                    Some("for") => ty.clear(),
+                                    // The where-clause names no type.
+                                    Some("where") => {
+                                        while self.pos < self.toks.len() && !self.is_punct(0, '{') {
+                                            self.skip();
                                         }
                                         break;
                                     }
-                                    Some(Tok::Ident(s)) => {
-                                        // Last path segment wins (strip
-                                        // the module qualifier).
-                                        ty = s.clone();
-                                        self.bump();
-                                    }
-                                    Some(Tok::Punct('<')) => self.skip_angles(),
-                                    _ => self.bump(),
+                                    // Last path segment wins (strip the
+                                    // module qualifier).
+                                    Some(s) => ty = s.to_string(),
+                                    None => {}
                                 }
+                                self.skip();
                             }
-                            let _ = after_for;
                             if self.is_punct(0, '{') {
                                 if cfg_test {
-                                    self.skip_group('{', '}');
+                                    self.skip();
                                 } else {
                                     self.bump();
                                     let st = if ty.is_empty() { None } else { Some(ty) };
-                                    self.items(module, st.as_deref(), out);
+                                    self.items(module, st.as_deref(), &params, out);
                                 }
                             }
                             cfg_test = false;
@@ -357,24 +301,23 @@ impl Parser<'_> {
                             let name = self.ident_at(0).unwrap_or("").to_string();
                             // Skip to the body brace.
                             while self.pos < self.toks.len() && !self.is_punct(0, '{') {
-                                if self.is_punct(0, '<') {
-                                    self.skip_angles();
-                                } else if self.is_punct(0, ';') {
+                                if self.is_punct(0, ';') {
                                     break; // trait alias
-                                } else {
-                                    self.bump();
                                 }
+                                self.skip();
                             }
                             if self.is_punct(0, '{') {
                                 if cfg_test {
-                                    self.skip_group('{', '}');
+                                    self.skip();
                                 } else {
                                     self.bump();
-                                    self.items(module, Some(&name), out);
+                                    self.items(module, Some(&name), &[], out);
                                 }
                             }
                             cfg_test = false;
                         }
+                        // `const fn` is a function.
+                        "const" if self.ident_at(1) == Some("fn") => self.bump(),
                         "struct" | "enum" | "union" | "static" | "const" | "type" => {
                             self.bump();
                             self.skip_item_tail();
@@ -382,14 +325,18 @@ impl Parser<'_> {
                         }
                         "macro_rules" => {
                             self.bump(); // macro_rules
-                            if self.is_punct(0, '!') {
-                                self.bump();
-                            }
-                            if self.ident_at(0).is_some() {
-                                self.bump();
-                            }
-                            if self.is_punct(0, '{') {
-                                self.skip_group('{', '}');
+                            self.bump(); // !
+                            self.bump(); // name
+                            self.skip();
+                            cfg_test = false;
+                        }
+                        _ if self.is_punct(1, '!') && self.macros.contains_key(&word) => {
+                            let line = self.toks[self.pos].line;
+                            let (open, end) = (self.pos + 2, group_end(self.toks, self.pos + 2));
+                            self.pos = end;
+                            if !cfg_test {
+                                let args = self.toks.get(open + 1..end - 1).unwrap_or_default();
+                                self.expand_items(&word, args, line, module, self_type, generics, out);
                             }
                             cfg_test = false;
                         }
@@ -398,21 +345,52 @@ impl Parser<'_> {
                 }
                 _ => self.bump(),
             }
-            if in_test && !cfg_test {
+            if in_test && !cfg_test && self.depth == 0 {
                 out.test_spans.push((test_from, self.pos));
             }
         }
     }
 
-    fn skip_to_semi(&mut self) {
-        while self.pos < self.toks.len() && !self.is_punct(0, ';') {
-            if self.is_punct(0, '{') {
-                self.skip_group('{', '}');
-                return;
-            }
-            self.bump();
+    /// Parse the items an item-position invocation of the file's macro
+    /// `name` expands to. When it cannot be expanded, each identifier of
+    /// the invocation and each `fn` name the macro's rules write stands
+    /// in for a function it may define, with the unexpanded site as its
+    /// one event, so a hot call into it fails there.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_items(
+        &self,
+        name: &str,
+        args: &[Token],
+        line: usize,
+        module: &str,
+        self_type: Option<&str>,
+        generics: &[String],
+        out: &mut ParsedFile,
+    ) {
+        let rules = &self.macros[name];
+        if let Some(toks) = macros::expand(rules, args, self.depth) {
+            let depth = self.depth + 1;
+            let mut sub = Parser { toks: &toks, pos: 0, depth, ..*self };
+            return sub.items(module, self_type, generics, out);
         }
-        self.bump();
+        let written = rules.iter().flat_map(|(_, body)| {
+            (1..body.len()).filter(|&k| ident_at(body, k - 1) == Some("fn")).filter_map(|k| ident_at(body, k))
+        });
+        let mut names: Vec<&str> = (0..args.len()).filter_map(|k| ident_at(args, k)).chain(written).collect();
+        names.sort_unstable();
+        names.dedup();
+        for f in names {
+            out.functions.push(Function {
+                qname: qualify(module, self_type, f),
+                module: module.to_string(),
+                self_type: self_type.map(str::to_string),
+                name: f.to_string(),
+                generics: Vec::new(),
+                events: vec![Event::Opaque { name: name.to_string(), line }],
+                body: (0, 0),
+                sig: (0, 0),
+            });
+        }
     }
 
     /// Skip an item body: either `… ;` or `… { … }` (whichever first).
@@ -422,17 +400,39 @@ impl Parser<'_> {
                 self.bump();
                 return;
             }
-            if self.is_punct(0, '{') {
-                self.skip_group('{', '}');
-                // struct Foo { … } has no trailing `;`.
-                return;
+            let brace = self.is_punct(0, '{');
+            self.skip();
+            if brace {
+                return; // struct Foo { … } has no trailing `;`
             }
-            if self.is_punct(0, '<') {
-                self.skip_angles();
-                continue;
-            }
-            self.bump();
         }
+    }
+
+    /// The type parameters of the `<…>` group at the cursor (none without
+    /// one); leaves the cursor past it.
+    fn generic_names(&mut self) -> Vec<String> {
+        if !self.is_punct(0, '<') {
+            return Vec::new();
+        }
+        let (start, end) = (self.pos, group_end(self.toks, self.pos));
+        self.pos = end;
+        let mut depth = 0usize;
+        let mut names = Vec::new();
+        for i in start..end {
+            match &self.toks[i].kind {
+                Tok::Punct('<') => depth += 1,
+                Tok::Punct('>') if !punct_at(self.toks, i - 1, '-') => depth -= 1,
+                Tok::Ident(s)
+                    if depth == 1
+                        && s != "const"
+                        && (i == start + 1 || punct_at(self.toks, i - 1, ',')) =>
+                {
+                    names.push(s.clone());
+                }
+                _ => {}
+            }
+        }
+        names
     }
 
     /// Parse `use …;` recording aliases into the module's import map.
@@ -507,253 +507,144 @@ impl Parser<'_> {
         prefix.truncate(depth0);
     }
 
-    /// Skip a `fn` item (cursor on `fn`), including its body if any.
-    fn skip_fn(&mut self, _cfg_test: bool) {
-        self.bump(); // fn
-        while self.pos < self.toks.len() {
-            if self.is_punct(0, ';') {
-                self.bump();
-                return;
-            }
-            if self.is_punct(0, '{') {
-                self.skip_group('{', '}');
-                return;
-            }
-            if self.is_punct(0, '<') {
-                self.skip_angles();
-                continue;
-            }
-            self.bump();
-        }
-    }
-
     /// Parse a `fn` item (cursor on `fn`) and record it.
-    fn parse_fn(&mut self, module: &str, self_type: Option<&str>, out: &mut ParsedFile) {
-        let line = self.line();
+    fn parse_fn(
+        &mut self,
+        module: &str,
+        self_type: Option<&str>,
+        generics: &[String],
+        out: &mut ParsedFile,
+    ) {
         self.bump(); // fn
         let Some(name) = self.ident_at(0).map(str::to_string) else {
             return;
         };
         self.bump();
         let sig_start = self.pos;
+        let mut generics = generics.to_vec();
+        generics.extend(self.generic_names());
         // Signature: skip to the body `{` or a `;` (trait method decl).
-        while self.pos < self.toks.len() {
+        while self.pos < self.toks.len() && !self.is_punct(0, '{') {
             if self.is_punct(0, ';') {
                 self.bump();
                 return; // no body
             }
-            if self.is_punct(0, '{') {
-                break;
-            }
-            if self.is_punct(0, '<') {
-                self.skip_angles();
-                continue;
-            }
-            if self.is_punct(0, '(') {
-                self.skip_group('(', ')');
-                continue;
-            }
-            self.bump();
+            self.skip();
         }
         if !self.is_punct(0, '{') {
             return;
         }
         // Body: event extraction over the balanced region.
         let body_start = self.pos;
-        self.skip_group('{', '}');
-        let body_range = (body_start + 1, self.pos.saturating_sub(1));
-        let body = &self.toks[body_range.0..body_range.1];
-        let events = extract_events(body);
-        let qname = match self_type {
-            Some(t) => format!("{module}::{t}::{name}"),
-            None => format!("{module}::{name}"),
+        self.skip();
+        let body = self.toks.get(body_start + 1..self.pos - 1).unwrap_or_default();
+        let events = extract_events(body, self.macros, self.depth);
+        let (body, sig) = match self.depth {
+            0 => ((body_start + 1, self.pos - 1), (sig_start, body_start)),
+            _ => ((0, 0), (0, 0)),
         };
         out.functions.push(Function {
-            qname,
+            qname: qualify(module, self_type, &name),
             module: module.to_string(),
             self_type: self_type.map(str::to_string),
             name,
-            line,
+            generics,
             events,
-            body: body_range,
-            sig: (sig_start, body_start),
+            body,
+            sig,
         });
     }
 }
 
+/// `module::f` or `module::Type::f`.
+fn qualify(module: &str, self_type: Option<&str>, name: &str) -> String {
+    match self_type {
+        Some(t) => format!("{module}::{t}::{name}"),
+        None => format!("{module}::{name}"),
+    }
+}
+
+/// Does a `(`, `[` or `{` group open at `i`?
+fn opens_group(toks: &[Token], i: usize) -> bool {
+    punct_at(toks, i, '(') || punct_at(toks, i, '[') || punct_at(toks, i, '{')
+}
+
 /// Extract call/method/macro/index events from a body token slice.
 /// Nested items (closures, blocks) contribute to the same event list;
-/// macro argument groups are skipped.
-fn extract_events(toks: &[Token]) -> Vec<Event> {
+/// an invocation of one of the file's `macros` contributes the events
+/// of its expansion, any other macro's argument group none.
+fn extract_events(toks: &[Token], macros: &Macros, depth: usize) -> Vec<Event> {
     let mut events = Vec::new();
     let mut i = 0usize;
-    let n = toks.len();
-    // Kind of the previous *significant* token, for index detection.
-    let mut prev_indexable = false;
-
-    let punct = |t: &Token, c: char| matches!(t.kind, Tok::Punct(p) if p == c);
-
-    while i < n {
+    // Does the previous significant token end an expression, so that a
+    // `[` after it indexes?
+    let mut indexable = false;
+    while i < toks.len() {
+        let line = toks[i].line;
         match &toks[i].kind {
-            Tok::Punct('#') if i + 1 < n && punct(&toks[i + 1], '[') => {
-                // In-body attribute: skip it (and never treat its `[` as
-                // an index).
-                i += 1;
-                let mut depth = 0usize;
-                while i < n {
-                    if punct(&toks[i], '[') {
-                        depth += 1;
-                    } else if punct(&toks[i], ']') {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-                prev_indexable = false;
+            Tok::Punct('#') if punct_at(toks, i + 1, '[') => {
+                // In-body attribute: its `[` is no index.
+                i = group_end(toks, i + 1);
+                indexable = false;
             }
-            Tok::Punct('.') => {
-                // `.name(` or `.name::<…>(` method call; `.await`, field
-                // access and tuple indices fall through.
-                if let Some(Tok::Ident(name)) = toks.get(i + 1).map(|t| &t.kind) {
-                    let line = toks[i + 1].line;
-                    let mut j = i + 2;
-                    // Optional turbofish.
-                    if j + 2 < n
-                        && punct(&toks[j], ':')
-                        && punct(&toks[j + 1], ':')
-                        && punct(&toks[j + 2], '<')
-                    {
-                        j += 2;
-                        let mut depth = 0usize;
-                        while j < n {
-                            if punct(&toks[j], '<') {
-                                depth += 1;
-                            } else if punct(&toks[j], '>') {
-                                depth -= 1;
-                                if depth == 0 {
-                                    j += 1;
-                                    break;
-                                }
-                            }
-                            j += 1;
-                        }
-                    }
-                    if j < n && punct(&toks[j], '(') {
-                        events.push(Event::Method {
-                            name: name.clone(),
-                            line,
-                        });
-                    }
-                    i += 2;
-                    prev_indexable = true; // field access / call result
-                    continue;
+            Tok::Punct('.') if ident_at(toks, i + 1).is_some() => {
+                // `.name(` or `.name::<…>(` method call; `.await` and
+                // field access fall through.
+                let mut j = i + 2;
+                if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
+                    j = group_end(toks, j + 2);
                 }
-                i += 1;
-                prev_indexable = false;
+                if punct_at(toks, j, '(') {
+                    let name = ident_at(toks, i + 1).unwrap_or_default().to_string();
+                    events.push(Event::Method { name, line });
+                }
+                i += 2;
+                indexable = true; // field access / call result
             }
             Tok::Punct('[') => {
-                if prev_indexable {
-                    events.push(Event::Index {
-                        line: toks[i].line,
-                    });
+                if indexable {
+                    events.push(Event::Index { line });
                 }
                 i += 1;
-                prev_indexable = false;
+                indexable = false;
             }
             Tok::Punct(')') | Tok::Punct(']') => {
                 i += 1;
-                prev_indexable = true;
+                indexable = true;
             }
-            Tok::Punct(_) => {
-                i += 1;
-                prev_indexable = false;
-            }
-            Tok::Ident(first) => {
-                if EXPR_KEYWORDS.contains(&first.as_str()) {
-                    i += 1;
-                    prev_indexable = false;
-                    continue;
-                }
-                // Collect the `a::b::c` path.
-                let line = toks[i].line;
+            Tok::Ident(first) if !EXPR_KEYWORDS.contains(&first.as_str()) => {
+                // Collect the `a::b::c` path, past any turbofish.
                 let mut path = vec![first.clone()];
                 let mut j = i + 1;
-                loop {
-                    if j + 1 < n && punct(&toks[j], ':') && punct(&toks[j + 1], ':') {
-                        if let Some(Tok::Ident(seg)) = toks.get(j + 2).map(|t| &t.kind) {
-                            path.push(seg.clone());
-                            j += 3;
-                            continue;
-                        }
-                        // Turbofish `::<…>`.
-                        if j + 2 < n && punct(&toks[j + 2], '<') {
-                            j += 2;
-                            let mut depth = 0usize;
-                            while j < n {
-                                if punct(&toks[j], '<') {
-                                    depth += 1;
-                                } else if punct(&toks[j], '>') {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        j += 1;
-                                        break;
-                                    }
-                                }
-                                j += 1;
-                            }
-                            continue;
-                        }
+                while punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') {
+                    match ident_at(toks, j + 2) {
+                        Some(seg) => path.push(seg.to_string()),
+                        None if punct_at(toks, j + 2, '<') => {}
+                        None => break,
                     }
-                    break;
+                    j = group_end(toks, j + 2);
                 }
-                if j < n && punct(&toks[j], '!') {
-                    // Macro invocation: record and skip the delimiter
-                    // group so its contents produce no events.
-                    events.push(Event::Macro {
-                        name: path[0].clone(),
-                        line,
-                    });
-                    i = j + 1;
-                    if i < n {
-                        let (open, close) = match toks[i].kind {
-                            Tok::Punct('(') => ('(', ')'),
-                            Tok::Punct('[') => ('[', ']'),
-                            Tok::Punct('{') => ('{', '}'),
-                            _ => {
-                                prev_indexable = false;
-                                continue;
-                            }
-                        };
-                        let mut depth = 0usize;
-                        while i < n {
-                            if punct(&toks[i], open) {
-                                depth += 1;
-                            } else if punct(&toks[i], close) {
-                                depth -= 1;
-                                if depth == 0 {
-                                    i += 1;
-                                    break;
-                                }
-                            }
-                            i += 1;
-                        }
+                if punct_at(toks, j, '!') && opens_group(toks, j + 1) {
+                    let end = group_end(toks, j + 1);
+                    let args = toks.get(j + 2..end - 1).unwrap_or_default();
+                    let name = first.clone();
+                    match macros.get(first).map(|rules| macros::expand(rules, args, depth)) {
+                        Some(Some(t)) => events.extend(extract_events(&t, macros, depth + 1)),
+                        Some(None) => events.push(Event::Opaque { name, line }),
+                        None => events.push(Event::Macro { name, line }),
                     }
-                    prev_indexable = true;
-                    continue;
+                    i = end;
+                } else {
+                    if punct_at(toks, j, '(') {
+                        events.push(Event::Call { path, line });
+                    }
+                    i = j;
                 }
-                if j < n && punct(&toks[j], '(') {
-                    events.push(Event::Call { path, line });
-                }
-                i = j;
-                prev_indexable = true;
-                continue;
+                indexable = true;
             }
             _ => {
                 i += 1;
-                prev_indexable = false;
+                indexable = false;
             }
         }
     }

@@ -32,7 +32,7 @@
 //! and the sanctioned wrapper, not subjects.
 
 use crate::callgraph::CallGraph;
-use crate::lex::{Comment, Tok, Token};
+use crate::lex::{group_end, ident_at, punct_at, Comment, Tok, Token};
 use crate::parse::Function;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -61,34 +61,13 @@ impl SyncRule {
     }
 }
 
+/// One sync-discipline violation: its chain runs from the holding
+/// function to the offending one, or lists a cycle's edges.
+pub type SyncFinding = crate::Finding<SyncRule>;
+
 impl fmt::Display for SyncRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.key())
-    }
-}
-
-/// One sync-discipline violation.
-#[derive(Debug, Clone)]
-pub struct SyncFinding {
-    /// The violated rule.
-    pub rule: SyncRule,
-    /// Source file of the offending site (or the holding call site).
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// Fully qualified function containing the site.
-    pub function: String,
-    /// Human-readable specifics (stable across line churn).
-    pub detail: String,
-    /// Witness chain: holding function → … → offending function, or the
-    /// participating edges for a cycle.
-    pub chain: Vec<String>,
-}
-
-impl SyncFinding {
-    /// Line-free key (the report's `key`; findings deduplicate on it).
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.rule.key(), self.function, self.detail)
     }
 }
 
@@ -169,108 +148,42 @@ pub(crate) fn module_exempt(module: &str) -> bool {
         || module.contains("::model")
 }
 
-pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i).map(|t| &t.kind) {
-        Some(Tok::Ident(s)) => Some(s),
-        _ => None,
-    }
-}
-
-pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
-    matches!(toks.get(i).map(|t| &t.kind), Some(Tok::Punct(p)) if *p == c)
-}
-
-/// Index just past a balanced `<…>` group starting at `open` (which must
-/// be `<`). Conservative: gives up (returns `open`) on suspicious runs.
-fn skip_angles(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() && i < open + 64 {
-        match toks[i].kind {
-            Tok::Punct('<') => depth += 1,
-            Tok::Punct('>') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            Tok::Punct(';') | Tok::Punct('{') => return open,
-            _ => {}
-        }
-        i += 1;
-    }
-    open
-}
-
-/// Index of the `)` matching the `(` at `open`.
-pub(crate) fn match_paren(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < toks.len() {
-        match toks[i].kind {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
 /// Walk the receiver chain backwards from the `.` at `dot`: identifier
 /// segments joined by `.`, looking through index groups (`x[i].lock()`
 /// → `["x"]`… the indexed segment is kept: `self.ready[w].lock()` →
 /// `["self", "ready"]`). An opaque receiver (call result, parenthesized
 /// expression) yields an empty chain.
 pub(crate) fn receiver_chain(toks: &[Token], dot: usize) -> Vec<String> {
-    let mut chain: Vec<String> = Vec::new();
-    let mut k = dot;
+    let mut chain = Vec::new();
+    let mut k = dot; // one past the segment to read
     loop {
-        if k == 0 {
+        // Look through trailing index groups: `…foo[w]` ← cursor past `]`.
+        while k > 0 && punct_at(toks, k - 1, ']') {
+            let mut depth = 0usize;
+            loop {
+                let Some(j) = k.checked_sub(1) else {
+                    return Vec::new();
+                };
+                k = j;
+                match toks[k].kind {
+                    Tok::Punct(']') => depth += 1,
+                    Tok::Punct('[') if depth == 1 => break,
+                    Tok::Punct('[') => depth -= 1,
+                    _ => {}
+                }
+            }
+        }
+        // Anything but an identifier (a `)` of a call, a literal…): opaque.
+        let Some(seg) = k.checked_sub(1).and_then(|j| ident_at(toks, j)) else {
+            return Vec::new();
+        };
+        chain.push(seg.to_string());
+        k -= 1;
+        // Continue only through a `.` immediately before the segment.
+        if k == 0 || !punct_at(toks, k - 1, '.') {
             break;
         }
         k -= 1;
-        // Look through trailing index groups: `…foo[w]` ← cursor on `]`.
-        while punct_at(toks, k, ']') {
-            let mut depth = 0usize;
-            loop {
-                match toks.get(k).map(|t| &t.kind) {
-                    Some(Tok::Punct(']')) => depth += 1,
-                    Some(Tok::Punct('[')) => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    None => return Vec::new(),
-                    _ => {}
-                }
-                if k == 0 {
-                    return Vec::new();
-                }
-                k -= 1;
-            }
-            if k == 0 {
-                return Vec::new();
-            }
-            k -= 1;
-        }
-        match toks.get(k).map(|t| &t.kind) {
-            Some(Tok::Ident(s)) => chain.push(s.clone()),
-            // Anything else (a `)` of a call, a literal…): opaque.
-            _ => return Vec::new(),
-        }
-        // Continue only through a `.` immediately before the segment.
-        if k >= 1 && punct_at(toks, k - 1, '.') {
-            k -= 1; // onto the `.`; loop decrements onto the segment
-        } else {
-            break;
-        }
     }
     chain.reverse();
     chain
@@ -283,31 +196,12 @@ fn param_types(tokens: &[Token], sig: (usize, usize)) -> HashMap<String, String>
         Some(t) => t,
         None => return out,
     };
-    // First *top-level* paren: a leading generics group may itself
-    // contain parens (`fn run<F: FnOnce() -> T>(…)`), so track angle
-    // depth, ignoring the `>` of `->` arrows.
-    let mut adepth = 0usize;
-    let mut open_at = None;
-    for (idx, t) in toks.iter().enumerate() {
-        match t.kind {
-            Tok::Punct('<') => adepth += 1,
-            Tok::Punct('>')
-                if adepth > 0
-                    && !(idx > 0 && matches!(toks[idx - 1].kind, Tok::Punct('-'))) =>
-            {
-                adepth -= 1;
-            }
-            Tok::Punct('(') if adepth == 0 => {
-                open_at = Some(idx);
-                break;
-            }
-            _ => {}
-        }
-    }
-    let Some(open) = open_at else {
+    // The parameter list follows the generics, if any.
+    let open = if punct_at(toks, 0, '<') { group_end(toks, 0) } else { 0 };
+    if !punct_at(toks, open, '(') {
         return out;
-    };
-    let close = match_paren(toks, open);
+    }
+    let close = group_end(toks, open) - 1;
     let mut i = open + 1;
     let mut pname: Option<String> = None;
     let mut in_type = false;
@@ -441,14 +335,14 @@ fn scan_fn(
                 let mut j = i + 2;
                 if punct_at(toks, j, ':') && punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, '<')
                 {
-                    j = skip_angles(toks, j + 2);
+                    j = group_end(toks, j + 2);
                 }
                 if !punct_at(toks, j, '(') {
                     i += 2; // field access / method reference
                     continue;
                 }
                 let open = j;
-                let close = match_paren(toks, open);
+                let close = group_end(toks, open) - 1;
                 let is_acquire = name == "lock"
                     || name == "try_lock"
                     || ((name == "read" || name == "write") && close == open + 1);
@@ -513,7 +407,7 @@ fn scan_fn(
                     continue;
                 }
                 let open = j;
-                let close = match_paren(toks, open);
+                let close = group_end(toks, open) - 1;
                 let last = *segs.last().unwrap_or(&"");
                 if last == "drop" && close == open + 2 {
                     if let Some(nm) = ident_at(toks, open + 1) {
@@ -648,109 +542,45 @@ pub fn analyze(graph: &CallGraph, ctxs: &[FnCtx]) -> SyncReport {
     }
 }
 
-/// Kosaraju SCC over the edge list; SCCs of size > 1 (or with a
-/// self-edge) become [`SyncRule::LockCycle`] findings.
+/// The lock-order graph's cycles: each set of identities that reach one
+/// another (or one identity that reaches itself: a self-edge) becomes a
+/// [`SyncRule::LockCycle`] finding.
 fn find_cycles(edges: &[LockEdge]) -> Vec<SyncFinding> {
-    let mut ids: BTreeSet<&str> = BTreeSet::new();
+    let mut next: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for e in edges {
-        ids.insert(&e.from);
-        ids.insert(&e.to);
+        next.entry(&e.from).or_default().insert(&e.to);
     }
-    let index: BTreeMap<&str, usize> = ids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-    let names: Vec<&str> = ids.iter().copied().collect();
-    let n = names.len();
-    let mut fwd = vec![Vec::new(); n];
-    let mut rev = vec![Vec::new(); n];
-    let mut selfloop = vec![false; n];
-    for e in edges {
-        let (u, v) = (index[e.from.as_str()], index[e.to.as_str()]);
-        if u == v {
-            selfloop[u] = true;
-        } else {
-            fwd[u].push(v);
-            rev[v].push(u);
-        }
-    }
-    // Pass 1: finish order.
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    for s in 0..n {
-        if seen[s] {
-            continue;
-        }
-        // Iterative DFS with an explicit child cursor.
-        let mut stack: Vec<(usize, usize)> = vec![(s, 0)];
-        seen[s] = true;
-        while let Some(&mut (u, ref mut cursor)) = stack.last_mut() {
-            if *cursor < fwd[u].len() {
-                let v = fwd[u][*cursor];
-                *cursor += 1;
-                if !seen[v] {
-                    seen[v] = true;
-                    stack.push((v, 0));
-                }
-            } else {
-                order.push(u);
-                stack.pop();
-            }
-        }
-    }
-    // Pass 2: reverse-graph components in reverse finish order.
-    let mut comp = vec![usize::MAX; n];
-    let mut ncomp = 0usize;
-    for &s in order.iter().rev() {
-        if comp[s] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![s];
-        comp[s] = ncomp;
+    let reach = |from: &str| {
+        let (mut seen, mut stack) = (BTreeSet::new(), vec![from]);
         while let Some(u) = stack.pop() {
-            for &v in &rev[u] {
-                if comp[v] == usize::MAX {
-                    comp[v] = ncomp;
+            for &v in next.get(u).into_iter().flatten() {
+                if seen.insert(v) {
                     stack.push(v);
                 }
             }
         }
-        ncomp += 1;
-    }
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
-    for (v, &c) in comp.iter().enumerate() {
-        members[c].push(v);
-    }
+        seen
+    };
+    let reached: BTreeMap<&str, BTreeSet<&str>> = next.keys().map(|&u| (u, reach(u))).collect();
+    let back = |u: &str, v: &str| reached.get(v).is_some_and(|r| r.contains(u));
+    let sccs: BTreeSet<Vec<&str>> = (reached.iter())
+        .filter(|(u, r)| r.contains(*u))
+        .map(|(u, r)| r.iter().copied().filter(|v| back(u, v)).collect())
+        .collect();
     let mut out = Vec::new();
-    for m in members {
-        let cyclic = m.len() > 1 || (m.len() == 1 && selfloop[m[0]]);
-        if !cyclic {
-            continue;
-        }
-        let in_scc: BTreeSet<&str> = m.iter().map(|&v| names[v]).collect();
-        let mut internal: Vec<&LockEdge> = edges
-            .iter()
-            .filter(|e| {
-                in_scc.contains(e.from.as_str())
-                    && in_scc.contains(e.to.as_str())
-                    && (e.from != e.to || m.len() == 1)
-            })
+    for m in sccs {
+        let inside = |id: &String| m.contains(&id.as_str());
+        let mut internal: Vec<&LockEdge> = (edges.iter())
+            .filter(|e| inside(&e.from) && inside(&e.to) && (e.from != e.to || m.len() == 1))
             .collect();
         internal.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         let Some(first) = internal.first() else {
             continue;
         };
-        let mut cycle_ids: Vec<&str> = in_scc.iter().copied().collect();
-        cycle_ids.sort_unstable();
-        let chain: Vec<String> = internal
-            .iter()
+        let chain = (internal.iter())
             .map(|e| {
-                format!(
-                    "{} -> {} in {} ({}:{}) via {}",
-                    e.from,
-                    e.to,
-                    e.function,
-                    e.file,
-                    e.line,
-                    e.chain.join(" -> ")
-                )
+                let via = e.chain.join(" -> ");
+                format!("{} -> {} in {} ({}:{}) via {via}", e.from, e.to, e.function, e.file, e.line)
             })
             .collect();
         out.push(SyncFinding {
@@ -758,7 +588,7 @@ fn find_cycles(edges: &[LockEdge]) -> Vec<SyncFinding> {
             file: first.file.clone(),
             line: first.line,
             function: first.function.clone(),
-            detail: format!("lock-order cycle: {}", cycle_ids.join(" <-> ")),
+            detail: format!("lock-order cycle: {}", m.join(" <-> ")),
             chain,
         });
     }

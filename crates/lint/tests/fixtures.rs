@@ -151,28 +151,6 @@ fn panic_marker_silences_explicit_checks() {
 }
 
 #[test]
-fn panic_marker_never_silences_unwrap_or_expect() {
-    let f = analyze(
-        &[(
-            "r::ptg",
-            "pub fn hot() {\n\
-             \x20 // PANIC: an implicit panic is fixed, never justified.\n\
-             \x20 x.unwrap();\n\
-             \x20 y.expect(\"msg\");\n\
-             }",
-        )],
-        "r::ptg::hot",
-    );
-    assert_eq!(
-        golden(&f),
-        vec![
-            (HotRule::Panic, ".unwrap()".into()),
-            (HotRule::Panic, ".expect()".into())
-        ]
-    );
-}
-
-#[test]
 fn panic_negative_debug_assert_is_free() {
     let f = analyze(
         &[(
@@ -211,27 +189,6 @@ fn index_positive_and_bounds_negative() {
         "k::trsm::hot",
     );
     assert!(f.is_empty(), "expected clean, got {f:?}");
-}
-
-// --- rule: blocking I/O --------------------------------------------------
-
-#[test]
-fn io_positive_macros_files_sleep() {
-    let f = analyze(
-        &[(
-            "r::native",
-            "pub fn hot() { println!(\"{}\", 1); let f = File::open(p); thread::sleep(d); }",
-        )],
-        "r::native::hot",
-    );
-    assert_eq!(
-        golden(&f),
-        vec![
-            (HotRule::Io, "println!".into()),
-            (HotRule::Io, "File::open".into()),
-            (HotRule::Io, "thread::sleep".into()),
-        ]
-    );
 }
 
 // --- rule: tracing -------------------------------------------------------
@@ -317,6 +274,132 @@ fn cfg_test_modules_are_invisible() {
         "r::native::hot",
     );
     assert!(f.is_empty(), "test-only twin must not shadow the hot fn");
+}
+
+// --- calls through type parameters ---------------------------------------
+
+#[test]
+fn call_through_a_type_parameter_reaches_every_impl() {
+    let f = analyze(
+        &[
+            (
+                "k::tile",
+                "pub trait Lanes { fn fmadd(); }\n\
+                 pub fn hot<Elem: Copy, Wide: Lanes>() { Wide::fmadd(); }",
+            ),
+            (
+                "k::x86",
+                "pub struct Zmm;\n\
+                 impl Lanes for Zmm { fn fmadd() { let v = Vec::with_capacity(8); } }",
+            ),
+        ],
+        "k::tile::hot",
+    );
+    assert_eq!(golden(&f), vec![(HotRule::Alloc, "Vec::with_capacity".into())]);
+    assert_eq!(f[0].chain, vec!["k::tile::hot", "k::x86::Zmm::fmadd"]);
+}
+
+#[test]
+fn impl_type_parameters_are_in_scope_and_other_paths_are_not_parameters() {
+    let src = "pub struct Tile<W>(W);\n\
+               impl<'a, W: Lanes, const N: usize> Tile<W> { pub fn run(&self) { W::grow(); } }\n\
+               pub fn hot(t: &Tile<u8>) { t.run(); }\n\
+               pub fn cold() { Q::grow(); }\n\
+               pub struct Buf;\n\
+               impl Lanes for Buf { fn grow() { v.push(1); } }";
+    let f = analyze(&[("k::m", src)], "k::m::hot");
+    assert_eq!(golden(&f), vec![(HotRule::Alloc, ".push()".into())]);
+    assert_eq!(f[0].chain, vec!["k::m::hot", "k::m::Tile::run", "k::m::Buf::grow"]);
+    // `Q` is no type parameter of `cold`: its path resolves like any
+    // other, to nothing here.
+    assert!(analyze(&[("k::m", src)], "k::m::cold").is_empty());
+}
+
+// --- macro-generated code ------------------------------------------------
+
+#[test]
+fn a_function_a_macro_defines_is_in_the_graph() {
+    let f = analyze(
+        &[(
+            "k::update",
+            "macro_rules! entry {\n\
+             \x20 ($name:ident, $ty:ty) => {\n\
+             \x20   pub fn $name(n: usize) -> Vec<$ty> { Vec::with_capacity(n) }\n\
+             \x20 };\n\
+             }\n\
+             entry!(planted, f64);\n\
+             pub fn update_via_buffer() { planted(4); }",
+        )],
+        "k::update::update_via_buffer",
+    );
+    assert_eq!(golden(&f), vec![(HotRule::Alloc, "Vec::with_capacity".into())]);
+    assert_eq!(f[0].chain, vec!["k::update::update_via_buffer", "k::update::planted"]);
+    assert_eq!(f[0].line, 3, "the finding points into the macro's body");
+}
+
+#[test]
+fn macro_repetitions_and_expression_macros_expand() {
+    let f = analyze(
+        &[(
+            "r::m",
+            "macro_rules! ops {\n\
+             \x20 ($ty:ident, [$($op:ident),*]) => { impl $ty { $(pub fn $op(&self) { q.lock(); })* } };\n\
+             }\n\
+             macro_rules! grow { ($v:expr) => { $v.push(1) }; }\n\
+             pub struct Cell;\n\
+             ops!(Cell, [first, second]);\n\
+             pub fn hot(c: &Cell) { c.second(); grow!(buf); }",
+        )],
+        "r::m::hot",
+    );
+    assert_eq!(
+        golden(&f),
+        vec![(HotRule::Lock, ".lock()".into()), (HotRule::Alloc, ".push()".into())]
+    );
+    assert_eq!(f[0].function, "r::m::Cell::second");
+}
+
+#[test]
+fn a_macro_the_parser_cannot_expand_fails_where_a_hot_root_reaches_it() {
+    let src = "macro_rules! entry { ($name:ident) => { pub fn $name() {} }; }\n\
+               entry!(planted, extra);\n\
+               pub fn hot() { planted(); }\n\
+               pub fn expr() {\n\
+               \x20 // ALLOC: no marker lets an unexpanded macro through.\n\
+               \x20 entry!(1 + 2);\n\
+               }";
+    let f = analyze(&[("k::m", src)], "k::m::hot");
+    assert_eq!(golden(&f), vec![(HotRule::Macro, "`entry!` not expanded".into())]);
+    assert_eq!((f[0].line, f[0].function.as_str()), (2, "k::m::planted"));
+    let f = analyze(&[("k::m", src)], "k::m::expr");
+    assert_eq!(golden(&f), vec![(HotRule::Macro, "`entry!` not expanded".into())]);
+    assert_eq!(f[0].line, 6);
+}
+
+// --- the real workspace --------------------------------------------------
+
+#[test]
+fn the_hot_roots_reach_the_register_tile_and_the_task_bodies() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let ws = Workspace::load(&root);
+    let toml = std::fs::read_to_string(root.join("lint-hotpaths.toml")).unwrap();
+    let roots: Vec<usize> = parse_hotpaths(&toml)
+        .unwrap()
+        .iter()
+        .flat_map(|r| ws.graph.by_qname[&r.path].clone())
+        .collect();
+    let reached = ws.graph.reach(&roots);
+    for qname in [
+        "dagfact_kernels::simd::x86::Zmm::fmadd",
+        "dagfact_kernels::simd::x86::Ymm::fmadd",
+        "dagfact_kernels::simd::x86::halves",
+        "dagfact_core::numeric::NumericCtx::panel_task",
+        "dagfact_core::numeric::NumericCtx::update_task",
+    ] {
+        let idx = ws.graph.by_qname.get(qname).unwrap_or_else(|| panic!("{qname} not parsed"));
+        assert!(idx.iter().any(|i| reached.contains_key(i)), "{qname} is not reachable");
+    }
+    assert!(check_hot_paths(&ws.graph, &roots, &ws.ctxs).is_empty());
 }
 
 // --- hot-roots config ----------------------------------------------------

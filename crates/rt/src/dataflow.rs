@@ -30,6 +30,7 @@ use crate::{DataId, TaskId};
 const NIL: u32 = u32::MAX;
 
 /// Index of the next cell of a pool (or the next task id).
+#[allow(clippy::expect_used)] // graph construction, not a task: a size limit
 fn next_cell(len: usize) -> u32 {
     u32::try_from(len)
         .ok()

@@ -261,6 +261,7 @@ fn push_or_spill(deque: &WorkerDeque, injector: &Injector<TaskId>, task: TaskId)
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests sleep to shape schedules
 mod tests {
     use super::*;
     use crate::native::{NativeDag, NativeTask};

@@ -504,6 +504,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests sleep to shape schedules
 mod tests {
     use super::*;
 

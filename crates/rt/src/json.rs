@@ -97,6 +97,7 @@ impl Json {
 /// Write `doc` to `results/<name>.json` (pretty-printed with a trailing
 /// newline), creating the directory if needed. Returns the written path —
 /// the shared sink for every binary's machine-readable output.
+#[allow(clippy::disallowed_methods)] // the binaries' one file sink
 pub fn write_results(name: &str, doc: &Json) -> std::io::Result<std::path::PathBuf> {
     let out = std::path::Path::new("results").join(format!("{name}.json"));
     std::fs::create_dir_all("results")?;

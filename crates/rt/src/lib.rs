@@ -51,7 +51,10 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 // Typed `EngineError`s, not unwraps, in library code (tests: clippy.toml).
-#![deny(clippy::unwrap_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+// No console or file I/O and no sleeping but where a site allows it in
+// place (clippy.toml's disallowed methods).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
 
 pub mod budget;
 pub mod dataflow;
@@ -60,7 +63,7 @@ pub mod exec;
 pub mod fault;
 pub mod json;
 // A model-checker panic IS the counterexample: it must abort exploration.
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::print_stderr)]
 pub mod model;
 pub mod native;
 pub mod ptg;

@@ -150,6 +150,8 @@ impl<T> SharedSlice<T> {
     /// be separated from this one by a dependency edge.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn range_mut(&self, range: core::ops::Range<usize>) -> &mut [T] {
+        // PANIC: the view's precondition: an out-of-range view would
+        // read past the allocation.
         assert!(range.end <= self.len());
         // SAFETY: in-bounds (asserted); the view covers only `range`, so
         // concurrent borrows of disjoint ranges never alias. Exclusivity
@@ -167,6 +169,8 @@ impl<T> SharedSlice<T> {
     /// # Safety
     /// No thread may be mutating elements of `range` during the borrow.
     pub unsafe fn range(&self, range: core::ops::Range<usize>) -> &[T] {
+        // PANIC: the view's precondition: an out-of-range view would
+        // read past the allocation.
         assert!(range.end <= self.len());
         // SAFETY: in-bounds (asserted); absence of concurrent writers to
         // `range` is the caller's obligation — every writer of an

@@ -426,6 +426,7 @@ impl<K: std::hash::Hash + Eq + Clone, V> GenCache<K, V> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests sleep to shape schedules
 mod tests {
     use super::*;
 

@@ -199,6 +199,7 @@ pub struct Service {
 
 impl Service {
     /// Start the worker pool and the deadline monitor.
+    #[allow(clippy::expect_used)] // a daemon that cannot spawn its threads cannot start
     pub fn start(config: ServeConfig) -> Service {
         let inner = Arc::new(ServiceInner {
             pattern_cache: GenCache::new(config.budget.clone()),
@@ -351,9 +352,8 @@ fn worker_loop(inner: &Arc<ServiceInner>) {
                             if batchable(inner, &q[i].spec)
                                 && coalescable(&batch[0].spec, &q[i].spec)
                             {
-                                let follower =
-                                    q.remove(i).expect("index bounded by queue len");
-                                batch.push(follower);
+                                // i < q.len(): `remove` returns the job.
+                                batch.extend(q.remove(i));
                             } else {
                                 i += 1;
                             }
