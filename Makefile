@@ -88,8 +88,8 @@ check-robust:
 # renumbering sweep (10 renumberings of 16³-28³ boxes and grids: nnz(L)
 # within 1%), nested dissection against the plane reference, and a
 # warning-free clippy pass (which carries the no-unwrap/expect, no-I/O
-# and SAFETY-contract rules: clippy.toml, the rt/core/kernels/serve
-# lib.rs and the rt/core/kernels manifests).
+# and SAFETY-contract rules: clippy.toml, the lib.rs of every crate a hot
+# root reaches and the rt/core/kernels manifests).
 check-analysis: lint
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-rt verify
 	RUST_BACKTRACE=1 cargo test -q -p dagfact-core --test verify_graph

@@ -26,6 +26,12 @@
 //! The library half hosts the proxy-matrix registry substituting for the
 //! University of Florida set (DESIGN.md §2).
 
+// Errors, not unwraps, in library code (tests: clippy.toml), and no
+// console or file I/O and no sleeping but where a site allows it in place
+// (clippy.toml's disallowed methods).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
+
 pub mod matrices;
 
 pub use matrices::{proxies, MatrixProxy};

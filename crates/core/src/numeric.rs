@@ -56,7 +56,8 @@ use dagfact_rt::sync::Mutex;
 use dagfact_rt::{EngineError, RunConfig, RunReport, RuntimeKind, SharedSlice};
 use dagfact_sparse::CscMatrix;
 use dagfact_symbolic::FactoKind;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Per-worker scratch memory ("constant memory overhead per working
 /// thread", §V-B).
@@ -92,11 +93,9 @@ struct NumericCtx<'a, T: Scalar> {
     /// retired to the pager (preferred spill victim).
     remaining_reads: Vec<AtomicUsize>,
     pivots_repaired: AtomicUsize,
-    /// First error; once set, remaining tasks no-op.
-    error: Mutex<Option<SolverError>>,
-    /// Set under `error` when the first error is recorded, so a task's
-    /// "has the run failed" check is one load, not a lock.
-    has_failed: AtomicBool,
+    /// First error; once set, remaining tasks no-op. A task's "has the
+    /// run failed" check is one load, not a lock.
+    error: OnceLock<SolverError>,
     workspaces: Vec<Mutex<Workspace<T>>>,
 }
 
@@ -121,8 +120,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 .map(|cb| AtomicUsize::new(cb.block_end - cb.block_begin - 1))
                 .collect(),
             pivots_repaired: AtomicUsize::new(0),
-            error: Mutex::new(None),
-            has_failed: AtomicBool::new(false),
+            error: OnceLock::new(),
             workspaces: (0..nworkers.max(1))
                 .map(|_| Mutex::new(Workspace::default()))
                 .collect(),
@@ -130,17 +128,12 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 
     fn failed(&self) -> bool {
-        self.has_failed.load(Ordering::Acquire)
+        self.error.get().is_some()
     }
 
     /// Keep `e` unless an error is already recorded: the first one wins.
     fn record_error(&self, e: SolverError) {
-        // LOCK: error path only; the run stops taking tasks after it.
-        let mut guard = self.error.lock();
-        if guard.is_none() {
-            *guard = Some(e);
-            self.has_failed.store(true, Ordering::Release);
-        }
+        let _ = self.error.set(e);
     }
 
     /// Unwrap the result of a pin or a workspace charge; a failure is
@@ -647,13 +640,13 @@ impl Analysis {
         } else {
             epsilon * a.norm_inf().max(1.0)
         };
-        let ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, source);
-        let run_numeric = || -> Result<RunReport, SolverError> {
+        let mut ctx = NumericCtx::new(self, &tab, &d, threshold, nthreads, source);
+        let mut run_numeric = || -> Result<RunReport, SolverError> {
             let report = self.run_engine(&ctx, runtime, nthreads, exec.run.clone());
             // A task-level error is the root cause when present (the
             // engine drains cleanly around it); otherwise an engine error
             // is fatal on its own.
-            if let Some(e) = ctx.error.lock().take() {
+            if let Some(e) = ctx.error.take() {
                 return Err(e);
             }
             Ok(report?)

@@ -163,7 +163,7 @@ fn main() {
     findings.iter().for_each(|f| report(f, "\n    via: "));
     eprintln!(
         "lint: {} finding(s). Fix each, or justify it in place with its marker (// ALLOC: / \
-         LOCK: / BOUNDS: / PANIC: / TRACE: / ORDERING:; an unexpanded macro and a lock-order \
+         LOCK: / BOUNDS: / PANIC: / TRACE: / ORDERING:; a workspace macro and a lock-order \
          cycle take none); nothing is grandfathered.",
         hot.len() + findings.len()
     );

@@ -12,8 +12,9 @@
 //!   parameter `P` of the enclosing fn or impl (`W::fmadd` in a tile
 //!   generic over its width) — except for a stoplist of std-common names
 //!   (`new`, `push`, `lock`, `clone`, the atomic operations, …) whose
-//!   edges would drag the whole workspace into every hot path (the
-//!   atomics into the model checker's). Stoplisted operations are
+//!   edges would drag the whole workspace into every hot path (so the
+//!   register tile's `W::load`/`W::store`/`W::swap` are not followed:
+//!   they would reach `Workspace::load`). Stoplisted operations are
 //!   still visible to the purity rules directly (the rules look at raw
 //!   events, not graph edges), so nothing is lost for rule coverage —
 //!   only transitive reachability through, say, an unrelated `Foo::len`
@@ -34,9 +35,9 @@ use std::collections::{HashMap, VecDeque};
 /// every `len` in the workspace would make everything reachable from
 /// everything. The purity rules still see these calls as raw events.
 pub const METHOD_STOPLIST: &[&str] = &[
-    "new", "default", "len", "is_empty", "clone", "push", "pop", "insert", "remove", "get",
+    "new", "default", "len", "is_empty", "clone", "push", "pop", "insert", "remove", "get", "set",
     "get_mut", "contains", "contains_key", "iter", "iter_mut", "into_iter", "next", "collect",
-    "lock", "read", "write", "wait", "notify_one", "notify_all", "into_inner", "clear", "drain",
+    "lock", "read", "write", "wait", "notify_one", "notify_all", "clear", "drain",
     "extend", "resize", "reserve", "with_capacity", "take", "replace", "as_ref", "as_mut",
     "as_slice", "as_mut_slice", "as_ptr", "as_mut_ptr", "to_vec", "to_string", "to_owned",
     "unwrap", "expect", "unwrap_or", "unwrap_or_else", "unwrap_or_default", "map", "and_then",

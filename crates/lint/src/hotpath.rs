@@ -11,20 +11,22 @@
 //! | panic   | `panic!`, `assert!`, `unreachable!`, …                 | `// PANIC:`          |
 //! | index   | `a[i]` slice/array indexing                            | `// BOUNDS:`         |
 //! | trace   | recorder-only tracing methods (`merge_lane`, `now_ns`…)| `// TRACE:`          |
-//! | macro   | a file's own macro that the parser could not expand    | none                 |
+//! | macro   | an invocation of a file's own `macro_rules!` item      | none                 |
 //!
 //! A marker must appear on the event's line or within the preceding
 //! [`crate::WINDOW`] lines. An explicit `assert!`/`panic!`/`unreachable!`
 //! is safety code: `// PANIC:` names the precondition or invariant it
 //! checks. The `debug_assert!` family is exempt — it compiles out of
-//! release builds. An unexpanded macro is code the rules cannot see, so
-//! no marker lets a hot root reach it.
+//! release builds. Macros are not expanded, so a workspace macro is code
+//! the rules cannot see and no marker lets a hot root reach it: hot code
+//! is written out.
 //!
 //! What other gates enforce is not repeated here: `.unwrap()`/`.expect()`
 //! are clippy's `unwrap_used`/`expect_used`, console and file I/O and
 //! sleeping are clippy's `print_stdout`/`print_stderr`/`dbg_macro` and
 //! `disallowed_methods` (`clippy.toml`), each denied in the library code
-//! of the crates hot roots live in.
+//! of every crate a hot root reaches: rt, core, kernels, serve, sparse,
+//! symbolic, order and bench (the last through a method-name link).
 //!
 //! Known approximations (documented, deliberate):
 //! * The graph has no types. `.f(…)` and `P::f(…)` through a type
@@ -32,9 +34,9 @@
 //!   std-common names of [`crate::callgraph::METHOD_STOPLIST`]; a call
 //!   that resolves to nothing (std, a closure) is judged by name only.
 //! * A macro the file does not define — std's, or a workspace macro
-//!   defined in another file (none is today) — is judged by name; its
-//!   arguments are not descended into, so a `vec!` inside an `assert!`
-//!   is invisible.
+//!   defined in another file (none is today) — is judged by name; no
+//!   macro's arguments are descended into, so a `vec!` inside an
+//!   `assert!` is invisible.
 //! * `.record(…)` / `.now(…)` are Lane methods that are themselves the
 //!   sanctioned single detached-check branch, so the trace rule flags
 //!   only `TraceRecorder`-unique names.
@@ -58,7 +60,7 @@ pub enum HotRule {
     Index,
     /// Tracing call outside the sanctioned detached-check wrappers.
     Trace,
-    /// A workspace macro invocation the parser could not expand.
+    /// An invocation of a workspace macro, which the parser does not expand.
     Macro,
 }
 
@@ -174,7 +176,9 @@ fn judge(ev: &Event) -> Option<(HotRule, String)> {
             };
             Some((rule, format!("{n}!")))
         }
-        Event::Opaque { name, .. } => Some((HotRule::Macro, format!("`{name}!` not expanded"))),
+        Event::Opaque { name, .. } => {
+            Some((HotRule::Macro, format!("`{name}!` is a workspace macro")))
+        }
         Event::Index { .. } => Some((HotRule::Index, "slice indexing".to_string())),
         Event::Call { .. } => None,
     }

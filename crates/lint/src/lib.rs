@@ -21,7 +21,6 @@ pub mod callgraph;
 pub mod config;
 pub mod hotpath;
 pub mod lex;
-pub mod macros;
 pub mod parse;
 pub mod syncgraph;
 

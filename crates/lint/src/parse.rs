@@ -9,9 +9,9 @@
 //! * every function (free, `impl` method, trait default method) with the
 //!   type parameters in scope and the *events* in its body: path calls,
 //!   method calls, macro invocations and index expressions;
-//! * what the file's own `macro_rules!` items write ([`crate::macros`]):
-//!   an item-position invocation is parsed as the items it expands to,
-//!   an expression-position one contributes its expansion's events;
+//! * invocations of the file's own `macro_rules!` items, which are not
+//!   expanded: an expression-position one is an [`Event::Opaque`], and an
+//!   item-position one stands in for each function it may define;
 //! * the comments (via [`crate::lex`]) so rules can check justification
 //!   markers (`// BOUNDS:`, `// ALLOC:`, …) near an event.
 //!
@@ -19,7 +19,6 @@
 //! test code is allowed to allocate, lock and panic.
 
 use crate::lex::{group_end, ident_at, lex, punct_at, Comment, Tok, Token};
-use crate::macros::{self, Macros};
 use std::collections::HashMap;
 
 /// Something a function body does that the rules care about.
@@ -40,16 +39,15 @@ pub enum Event {
         line: usize,
     },
     /// `name!(…)` invocation of a macro the file does not define (std's;
-    /// its contents are *not* descended into). The file's own macros are
-    /// expanded in place.
+    /// its contents are *not* descended into).
     Macro {
         /// Macro name (first path segment).
         name: String,
         /// 1-based source line.
         line: usize,
     },
-    /// An invocation of one of the file's own macros that the expander
-    /// could not expand ([`crate::macros`]): code the rules cannot see.
+    /// An invocation of one of the file's own `macro_rules!` items: code
+    /// the rules cannot see, since macros are not expanded.
     Opaque {
         /// Macro name.
         name: String,
@@ -92,8 +90,8 @@ pub struct Function {
     /// Body events, in order.
     pub events: Vec<Event>,
     /// Half-open token range of the body (inside the braces) into the
-    /// owning [`ParsedFile::tokens`] stream. `(0, 0)` for a function a
-    /// macro expansion defines: its tokens are not the file's.
+    /// owning [`ParsedFile::tokens`] stream. `(0, 0)` for the stand-in of
+    /// a function a macro invocation may define: it has no body.
     pub body: (usize, usize),
     /// Half-open token range of the signature (from just after the name
     /// to the opening body brace); `(0, 0)` like `body`.
@@ -134,7 +132,7 @@ pub(crate) fn is_expr_keyword(s: &str) -> bool {
 /// location (e.g. `dagfact_rt::native`).
 pub fn parse_file(src: &str, module: &str) -> ParsedFile {
     let lexed = lex(src);
-    let macros = macros::collect(&lexed.tokens);
+    let macros = own_macros(&lexed.tokens);
     let mut out = ParsedFile {
         comments: lexed.comments,
         ..Default::default()
@@ -143,7 +141,6 @@ pub fn parse_file(src: &str, module: &str) -> ParsedFile {
         toks: &lexed.tokens,
         pos: 0,
         macros: &macros,
-        depth: 0,
     };
     p.items(module, None, &[], &mut out);
     out.tokens = lexed.tokens;
@@ -155,8 +152,6 @@ struct Parser<'a> {
     pos: usize,
     /// The file's own `macro_rules!` items.
     macros: &'a Macros,
-    /// Macro expansion depth: 0 on the file's tokens.
-    depth: usize,
 }
 
 impl Parser<'_> {
@@ -336,7 +331,7 @@ impl Parser<'_> {
                             self.pos = end;
                             if !cfg_test {
                                 let args = self.toks.get(open + 1..end - 1).unwrap_or_default();
-                                self.expand_items(&word, args, line, module, self_type, generics, out);
+                                self.stand_ins(&word, args, line, module, self_type, out);
                             }
                             cfg_test = false;
                         }
@@ -345,38 +340,28 @@ impl Parser<'_> {
                 }
                 _ => self.bump(),
             }
-            if in_test && !cfg_test && self.depth == 0 {
+            if in_test && !cfg_test {
                 out.test_spans.push((test_from, self.pos));
             }
         }
     }
 
-    /// Parse the items an item-position invocation of the file's macro
-    /// `name` expands to. When it cannot be expanded, each identifier of
-    /// the invocation and each `fn` name the macro's rules write stands
-    /// in for a function it may define, with the unexpanded site as its
+    /// An item-position invocation of the file's macro `name`: each
+    /// identifier of the invocation and each `fn` name the macro's rules
+    /// write stands in for a function it may define, with the site as its
     /// one event, so a hot call into it fails there.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_items(
+    fn stand_ins(
         &self,
         name: &str,
         args: &[Token],
         line: usize,
         module: &str,
         self_type: Option<&str>,
-        generics: &[String],
         out: &mut ParsedFile,
     ) {
-        let rules = &self.macros[name];
-        if let Some(toks) = macros::expand(rules, args, self.depth) {
-            let depth = self.depth + 1;
-            let mut sub = Parser { toks: &toks, pos: 0, depth, ..*self };
-            return sub.items(module, self_type, generics, out);
-        }
-        let written = rules.iter().flat_map(|(_, body)| {
-            (1..body.len()).filter(|&k| ident_at(body, k - 1) == Some("fn")).filter_map(|k| ident_at(body, k))
-        });
-        let mut names: Vec<&str> = (0..args.len()).filter_map(|k| ident_at(args, k)).chain(written).collect();
+        let written = self.macros[name].iter().map(String::as_str);
+        let mut names: Vec<&str> =
+            (0..args.len()).filter_map(|k| ident_at(args, k)).chain(written).collect();
         names.sort_unstable();
         names.dedup();
         for f in names {
@@ -538,11 +523,7 @@ impl Parser<'_> {
         let body_start = self.pos;
         self.skip();
         let body = self.toks.get(body_start + 1..self.pos - 1).unwrap_or_default();
-        let events = extract_events(body, self.macros, self.depth);
-        let (body, sig) = match self.depth {
-            0 => ((body_start + 1, self.pos - 1), (sig_start, body_start)),
-            _ => ((0, 0), (0, 0)),
-        };
+        let events = extract_events(body, self.macros);
         out.functions.push(Function {
             qname: qualify(module, self_type, &name),
             module: module.to_string(),
@@ -550,10 +531,33 @@ impl Parser<'_> {
             name,
             generics,
             events,
-            body,
-            sig,
+            body: (body_start + 1, self.pos - 1),
+            sig: (sig_start, body_start),
         });
     }
+}
+
+/// A file's `macro_rules!` items by name, each with the names its rules
+/// write after `fn`.
+type Macros = HashMap<String, Vec<String>>;
+
+/// Every `macro_rules! name { … }` of a token stream.
+fn own_macros(toks: &[Token]) -> Macros {
+    let mut out = Macros::new();
+    for i in 0..toks.len() {
+        let Some(name) = ident_at(toks, i + 2) else {
+            continue;
+        };
+        if ident_at(toks, i) != Some("macro_rules") || !punct_at(toks, i + 1, '!') {
+            continue;
+        }
+        let body = toks.get(i + 3..group_end(toks, i + 3)).unwrap_or_default();
+        let fns = (1..body.len())
+            .filter(|&k| ident_at(body, k - 1) == Some("fn"))
+            .filter_map(|k| ident_at(body, k));
+        out.entry(name.to_string()).or_default().extend(fns.map(str::to_string));
+    }
+    out
 }
 
 /// `module::f` or `module::Type::f`.
@@ -571,9 +575,8 @@ fn opens_group(toks: &[Token], i: usize) -> bool {
 
 /// Extract call/method/macro/index events from a body token slice.
 /// Nested items (closures, blocks) contribute to the same event list;
-/// an invocation of one of the file's `macros` contributes the events
-/// of its expansion, any other macro's argument group none.
-fn extract_events(toks: &[Token], macros: &Macros, depth: usize) -> Vec<Event> {
+/// a macro's argument group contributes none.
+fn extract_events(toks: &[Token], macros: &Macros) -> Vec<Event> {
     let mut events = Vec::new();
     let mut i = 0usize;
     // Does the previous significant token end an expression, so that a
@@ -625,15 +628,12 @@ fn extract_events(toks: &[Token], macros: &Macros, depth: usize) -> Vec<Event> {
                     j = group_end(toks, j + 2);
                 }
                 if punct_at(toks, j, '!') && opens_group(toks, j + 1) {
-                    let end = group_end(toks, j + 1);
-                    let args = toks.get(j + 2..end - 1).unwrap_or_default();
                     let name = first.clone();
-                    match macros.get(first).map(|rules| macros::expand(rules, args, depth)) {
-                        Some(Some(t)) => events.extend(extract_events(&t, macros, depth + 1)),
-                        Some(None) => events.push(Event::Opaque { name, line }),
-                        None => events.push(Event::Macro { name, line }),
-                    }
-                    i = end;
+                    events.push(match macros.contains_key(first) {
+                        true => Event::Opaque { name, line },
+                        false => Event::Macro { name, line },
+                    });
+                    i = group_end(toks, j + 1);
                 } else {
                     if punct_at(toks, j, '(') {
                         events.push(Event::Call { path, line });

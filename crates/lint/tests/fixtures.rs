@@ -315,10 +315,10 @@ fn impl_type_parameters_are_in_scope_and_other_paths_are_not_parameters() {
     assert!(analyze(&[("k::m", src)], "k::m::cold").is_empty());
 }
 
-// --- macro-generated code ------------------------------------------------
+// --- workspace macros ----------------------------------------------------
 
 #[test]
-fn a_function_a_macro_defines_is_in_the_graph() {
+fn a_function_a_macro_defines_fails_where_a_hot_root_calls_it() {
     let f = analyze(
         &[(
             "k::update",
@@ -332,48 +332,27 @@ fn a_function_a_macro_defines_is_in_the_graph() {
         )],
         "k::update::update_via_buffer",
     );
-    assert_eq!(golden(&f), vec![(HotRule::Alloc, "Vec::with_capacity".into())]);
+    assert_eq!(golden(&f), vec![(HotRule::Macro, "`entry!` is a workspace macro".into())]);
     assert_eq!(f[0].chain, vec!["k::update::update_via_buffer", "k::update::planted"]);
-    assert_eq!(f[0].line, 3, "the finding points into the macro's body");
+    assert_eq!(f[0].line, 6, "the finding points at the invocation");
 }
 
 #[test]
-fn macro_repetitions_and_expression_macros_expand() {
-    let f = analyze(
-        &[(
-            "r::m",
-            "macro_rules! ops {\n\
-             \x20 ($ty:ident, [$($op:ident),*]) => { impl $ty { $(pub fn $op(&self) { q.lock(); })* } };\n\
-             }\n\
-             macro_rules! grow { ($v:expr) => { $v.push(1) }; }\n\
-             pub struct Cell;\n\
-             ops!(Cell, [first, second]);\n\
-             pub fn hot(c: &Cell) { c.second(); grow!(buf); }",
-        )],
-        "r::m::hot",
-    );
-    assert_eq!(
-        golden(&f),
-        vec![(HotRule::Lock, ".lock()".into()), (HotRule::Alloc, ".push()".into())]
-    );
-    assert_eq!(f[0].function, "r::m::Cell::second");
-}
-
-#[test]
-fn a_macro_the_parser_cannot_expand_fails_where_a_hot_root_reaches_it() {
-    let src = "macro_rules! entry { ($name:ident) => { pub fn $name() {} }; }\n\
-               entry!(planted, extra);\n\
-               pub fn hot() { planted(); }\n\
+fn a_workspace_macro_fails_a_hot_root_with_no_marker() {
+    let src = "macro_rules! ops { () => { pub fn second() {} }; }\n\
+               macro_rules! grow { ($v:expr) => { $v.push(1) }; }\n\
+               ops!();\n\
+               pub fn hot() { second(); }\n\
                pub fn expr() {\n\
-               \x20 // ALLOC: no marker lets an unexpanded macro through.\n\
-               \x20 entry!(1 + 2);\n\
+               \x20 // ALLOC: no marker lets a workspace macro through.\n\
+               \x20 grow!(buf);\n\
                }";
     let f = analyze(&[("k::m", src)], "k::m::hot");
-    assert_eq!(golden(&f), vec![(HotRule::Macro, "`entry!` not expanded".into())]);
-    assert_eq!((f[0].line, f[0].function.as_str()), (2, "k::m::planted"));
+    assert_eq!(golden(&f), vec![(HotRule::Macro, "`ops!` is a workspace macro".into())]);
+    assert_eq!((f[0].line, f[0].function.as_str()), (3, "k::m::second"));
     let f = analyze(&[("k::m", src)], "k::m::expr");
-    assert_eq!(golden(&f), vec![(HotRule::Macro, "`entry!` not expanded".into())]);
-    assert_eq!(f[0].line, 6);
+    assert_eq!(golden(&f), vec![(HotRule::Macro, "`grow!` is a workspace macro".into())]);
+    assert_eq!(f[0].line, 7);
 }
 
 // --- the real workspace --------------------------------------------------

@@ -30,6 +30,12 @@
 //! orders the two sides of a large split on two threads while the host has
 //! spare ones, with the same result at every thread count.
 
+// Errors, not unwraps, in library code (tests: clippy.toml), and no
+// console or file I/O and no sleeping but where a site allows it in place
+// (clippy.toml's disallowed methods).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
+
 pub mod md;
 mod multilevel;
 pub mod nd;

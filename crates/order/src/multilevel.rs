@@ -146,6 +146,7 @@ pub(crate) fn separator(graph: &Graph, vertices: &[usize], local: &mut [usize]) 
         levels.push(coarse);
         maps.push(map);
     }
+    #[allow(clippy::expect_used)] // `levels` starts with the aggregates
     let coarsest = levels.last().expect("the aggregates are a level");
     let everything: Vec<usize> = (0..coarsest.len()).collect();
     let mut heap = Moves::new();
@@ -156,6 +157,7 @@ pub(crate) fn separator(graph: &Graph, vertices: &[usize], local: &mut [usize]) 
         let key = (overweight(w), cut_weight(coarsest, &part), w[0].abs_diff(w[1]));
         (key, part, boundary)
     });
+    #[allow(clippy::expect_used)] // SEEDS > 0 candidates
     let (_, mut part, mut boundary) = grown.min_by_key(|(key, ..)| *key).expect("SEEDS > 0");
     for (fine, map) in levels.iter().zip(&maps[1..]).rev() {
         (part, boundary) = project(fine, map, &part, &boundary, &mut heap);

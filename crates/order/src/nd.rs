@@ -238,6 +238,7 @@ impl Dissection<'_> {
             let ncomp = graph.components(&vertices, &mut ws.traversal);
             let mut parts: Vec<Vec<usize>> = vec![Vec::new(); ncomp];
             for &v in &vertices {
+                #[allow(clippy::expect_used)] // `components` labels every vertex
                 let comp = ws.traversal.label(v).expect("components labels every vertex");
                 parts[comp].push(v);
             }
@@ -393,6 +394,7 @@ fn level_set_separator(
 
     // side: 0 = A (levels < cut), 1 = B (levels > cut), 2 = S.
     for &v in vertices {
+        #[allow(clippy::expect_used)] // the caller split off the components
         let level = traversal.label(v).expect("the subgraph is connected");
         debug_assert_eq!(side[v], NO_SIDE, "the previous split left a side behind");
         side[v] = match level.cmp(&cut_level) {

@@ -98,6 +98,7 @@ impl<T: Scalar> TripletBuilder<T> {
     /// Assemble into CSC form, summing duplicate coordinates. Entries whose
     /// sum is exactly zero are *kept* (explicit zeros preserve the
     /// structural information the analysis relies on).
+    #[allow(clippy::expect_used)] // the panicking form, by contract
     pub fn build(self) -> CscMatrix<T> {
         self.try_build().expect("triplet assembly failed")
     }
@@ -135,11 +136,14 @@ impl<T: Scalar> TripletBuilder<T> {
             // Merge with the previous entry when it has the same
             // coordinates (sorting made duplicates adjacent); the bound
             // check keeps merges within the current column.
-            if rowind.len() > *colptr.last().unwrap() && *rowind.last().unwrap() == r {
-                *values.last_mut().unwrap() += v;
-            } else {
-                rowind.push(r);
-                values.push(v);
+            let start = colptr.last().copied().unwrap_or(0);
+            let merge = rowind.len() > start && rowind.last() == Some(&r);
+            match values.last_mut() {
+                Some(sum) if merge => *sum += v,
+                _ => {
+                    rowind.push(r);
+                    values.push(v);
+                }
             }
         }
         while cur_col < self.ncols {

@@ -17,6 +17,12 @@
 //!   unsymmetric),
 //! * [`mm`] — Matrix Market I/O for interoperability.
 
+// Errors, not unwraps, in library code (tests: clippy.toml), and no
+// console or file I/O and no sleeping but where a site allows it in place
+// (clippy.toml's disallowed methods).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
+
 pub mod coo;
 pub mod csc;
 pub mod gen;

@@ -165,6 +165,7 @@ where
 }
 
 /// Read a Matrix Market file from disk.
+#[allow(clippy::disallowed_methods)] // file I/O is this function's job
 pub fn read_matrix_market_file<T: Scalar>(path: impl AsRef<Path>) -> Result<CscMatrix<T>, SparseError> {
     read_matrix_market(std::fs::File::open(path)?)
 }
@@ -197,6 +198,7 @@ pub fn write_matrix_market<T: Scalar, W: Write>(
 }
 
 /// Write a Matrix Market file to disk.
+#[allow(clippy::disallowed_methods)] // file I/O is this function's job
 pub fn write_matrix_market_file<T: Scalar>(
     matrix: &CscMatrix<T>,
     path: impl AsRef<Path>,

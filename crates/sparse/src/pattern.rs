@@ -22,7 +22,7 @@ impl SparsityPattern {
     /// malformed.
     pub fn from_csc(nrows: usize, ncols: usize, colptr: Vec<usize>, mut rowind: Vec<usize>) -> Self {
         assert_eq!(colptr.len(), ncols + 1, "colptr must have ncols+1 entries");
-        assert_eq!(*colptr.last().unwrap(), rowind.len());
+        assert_eq!(colptr.last(), Some(&rowind.len()), "colptr must end at the entry count");
         assert!(colptr.windows(2).all(|w| w[0] <= w[1]), "colptr must be monotone");
         let mut write = 0usize;
         let mut new_colptr = Vec::with_capacity(ncols + 1);

@@ -185,6 +185,7 @@ pub fn static_schedule(
     let mut data_ready = vec![0.0f64; ncblk];
     while let Some((_, core::cmp::Reverse(c))) = ready.pop() {
         // Pick the worker that can start it earliest.
+        #[allow(clippy::unwrap_used)] // one worker at least, and times are never NaN
         let (w, _) = worker_time
             .iter()
             .enumerate()
@@ -236,6 +237,7 @@ struct ordered_f64(f64);
 impl Eq for ordered_f64 {}
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for ordered_f64 {
+    #[allow(clippy::unwrap_used)] // NaN-free by construction
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
         self.partial_cmp(other).unwrap()
     }

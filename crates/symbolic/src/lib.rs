@@ -21,6 +21,12 @@
 //!    path priorities, and the list-scheduling cost simulation behind the
 //!    native scheduler's static mapping.
 
+// Errors, not unwraps, in library code (tests: clippy.toml), and no
+// console or file I/O and no sleeping but where a site allows it in place
+// (clippy.toml's disallowed methods).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
+
 pub mod cluster;
 pub mod cost;
 pub mod counts;

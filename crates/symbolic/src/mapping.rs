@@ -77,6 +77,7 @@ pub fn proportional_mapping(
         // A panel whose candidate range spans several nodes (a top
         // separator) goes to the currently least-loaded candidate — the
         // greedy balance PaStiX applies within candidate sets.
+        #[allow(clippy::unwrap_used)] // lo < hi, and the loads are never NaN
         let target = (lo..hi)
             .min_by(|&a, &b| work[a].partial_cmp(&work[b]).unwrap())
             .unwrap();

@@ -261,6 +261,7 @@ impl Candidates {
     fn take(&mut self, i: usize) -> (i64, usize) {
         let last = self.heap.len() - 1;
         self.swap(i, last);
+        #[allow(clippy::expect_used)] // position i is in the heap
         let entry = self.heap.pop().expect("the heap holds position i");
         self.at[entry.1] = NO_PARENT;
         if i < self.heap.len() {
