@@ -81,7 +81,7 @@ check-robust:
 # Static-analysis gate: the source analyzers (`lint`: hot paths, lock-order
 # cycles, ORDERING notes, sync shim), the graph-verifier suites,
 # the sweep over the 9 proxies' task graphs (one facto-independent graph
-# each: the 3 engines' derivation check plus one static proof; release:
+# each, the one all 3 engines run: one static proof; release:
 # the graphs are large), the analysis identity at the benchmark's full
 # sizes (the only sizes whose nested dissection forks onto a second
 # thread; the quick sizes run in the workspace tests) with the full

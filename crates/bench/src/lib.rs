@@ -20,8 +20,8 @@
 //! * `ablation` — design-choice studies beyond the paper (amalgamation
 //!   ratio sweep, 1D vs 2D task split, data-reuse on/off);
 //! * `comm`   — fan-out vs fan-in traffic prediction at 1/2/4/8 nodes;
-//! * `verify_sweep` — derivation check and static race/deadlock proof of
-//!   the task graph of each of the 9 proxies (writes no file).
+//! * `verify_sweep` — static race/deadlock/count proof of the task graph
+//!   of each of the 9 proxies (writes no file).
 //!
 //! The library half hosts the proxy-matrix registry substituting for the
 //! University of Florida set (DESIGN.md §2).

@@ -3,12 +3,12 @@
 //!
 //! Everything here is value-free. Thanks to static pivoting, the block
 //! structure produced once by [`Analysis::new`] fixes every task DAG for
-//! all subsequent factorizations, solves and simulations, so both DAGs are
+//! all subsequent factorizations, solves and simulations, so the graph is
 //! built here, once ([`crate::tasks`]): the two words per block the
 //! factorization's two-level graph is computed from
-//! ([`Analysis::two_level`]). Only the dataflow policy derives edges per
-//! run: inferring them at submission is that model. The triangular solve needs no graph: elimination order is
-//! its schedule.
+//! ([`Analysis::two_level`]). All three policies run it; none derives
+//! edges per run. The triangular solve needs no graph: elimination order
+//! is its schedule.
 
 use crate::tasks::TaskGraph;
 use dagfact_order::{compute_ordering, OrderingKind, Permutation};

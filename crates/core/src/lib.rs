@@ -45,7 +45,6 @@ pub mod tasks;
 pub mod verify;
 
 pub use analysis::{Analysis, AnalysisStats, SolverOptions};
-pub use verify::VerifyOutcome;
 pub use distributed::{comm_study_json, fan_in_study, CommStats, FanInStudy};
 pub use numeric::{ExecOptions, FactorStats, Factors};
 pub use refine::RefinedSolve;

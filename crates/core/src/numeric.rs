@@ -69,9 +69,6 @@ struct Workspace<T> {
     diag: Vec<T>,
     /// Row scatter map (destination storage rows).
     row_map: Vec<usize>,
-    /// Global row index of each mapped row (LU's U-side scatter needs to
-    /// know which rows fall inside the destination's diagonal block).
-    row_glob: Vec<usize>,
     /// Bytes of `tmp` currently charged to the budget (high-water; the
     /// charge is released once when the factorization finishes). The
     /// small O(blocksize²) `diag`/`row_map` scratch is deliberately not
@@ -358,7 +355,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         // local_offset lies inside panel c's stride rows.
         let tcb = &symbol.cblks[j];
         let k = cb.width();
-        build_row_map(symbol, c, bi, j, &mut ws.row_map, &mut ws.row_glob);
+        build_row_map(symbol, c, bi, j, &mut ws.row_map);
         let col_off = block.frow - tcb.fcol;
         let a1 = &lsrc[block.local_offset..];
         let a2 = &lsrc[block.local_offset..];
@@ -404,6 +401,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                 //     triangle of the target's *diagonal block*, stored
                 //     transposed in the L panel (full square);
                 //   * rows beyond go into the target's U panel.
+                // The diagonal block is the target's first block, so a row
+                // lies in it exactly when its (ascending) storage row is
+                // below the target's width, and that storage row is
+                // `r − fcol`.
                 if m > n {
                     // BOUNDS: block b's n rows end inside the panel, and
                     // the L-side call left `ws.tmp` at least m·n long.
@@ -423,23 +424,24 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                         T::zero(),
                         tmp, mu,
                     );
+                    // BOUNDS: the map holds m = n + mu rows.
+                    let below = &ws.row_map[n..m];
+                    let split = below.partition_point(|&row| row < tcb.width());
                     for jj in 0..n {
-                        // Column of the target panel.
-                        let cglob = block.frow + jj;
-                        // BOUNDS: maps of m = n + mu rows, tmp mu×n; r < lcol lies
-                        // in the target's diagonal block, others in its U panel.
-                        for ii in 0..mu {
-                            let r = ws.row_glob[n + ii]; // global row (r > cglob)
-                            let v = tmp[jj * mu + ii];
-                            if r < tcb.lcol {
-                                // U[cglob, r] inside the diagonal block:
-                                // column r of the L panel, storage row of
-                                // cglob.
-                                ldst[(r - tcb.fcol) * tcb.stride + (cglob - tcb.fcol)] -= v;
-                            } else {
-                                // Uᵀ[r, cglob] in the U panel.
-                                udst[(cglob - tcb.fcol) * tcb.stride + ws.row_map[n + ii]] -= v;
-                            }
+                        // Storage row of the target column cglob = frow + jj.
+                        let col = block.frow + jj - tcb.fcol;
+                        // BOUNDS: tmp is mu×n; a row below `split` lies in
+                        // the target's diagonal block, the rest in its U
+                        // panel.
+                        let vals = &tmp[jj * mu..(jj + 1) * mu];
+                        for (&row, &v) in below[..split].iter().zip(&vals[..split]) {
+                            // U[cglob, r] inside the diagonal block: column
+                            // r of the L panel, storage row of cglob.
+                            ldst[row * tcb.stride + col] -= v;
+                        }
+                        for (&row, &v) in below[split..].iter().zip(&vals[split..]) {
+                            // Uᵀ[r, cglob] in the U panel.
+                            udst[col * tcb.stride + row] -= v;
                         }
                     }
                 }
@@ -473,19 +475,16 @@ fn copy_diag_block<T: Scalar>(panel: &[T], stride: usize, w: usize, out: &mut Ve
     pack_block(w, w, panel, stride, out);
 }
 
-/// Destination storage row (`out`) and global index (`glob`) of every
-/// source-panel row at-or-below block `bi`, by a merge walk over the two
-/// sorted block lists.
+/// Destination storage row (`out`) of every source-panel row at-or-below
+/// block `bi`, by a merge walk over the two sorted block lists.
 fn build_row_map(
     symbol: &dagfact_symbolic::SymbolMatrix,
     c: usize,
     bi: usize,
     j: usize,
     out: &mut Vec<usize>,
-    glob: &mut Vec<usize>,
 ) {
     out.clear();
-    glob.clear();
     // BOUNDS: c and bi name the update's panel and block, j its facing
     // panel; the walk stays inside `tblocks` by the assert below.
     let cb = &symbol.cblks[c];
@@ -506,7 +505,6 @@ fn build_row_map(
             // tallest update once per factorization.
             // BOUNDS: ti < tblocks.len() by the walk above.
             out.push(tblocks[ti].local_offset + (row - tblocks[ti].frow));
-            glob.push(row);
         }
     }
 }

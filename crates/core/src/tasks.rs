@@ -7,7 +7,8 @@
 //! of tasks is bound by the number of blocks in the symbolic structure".
 //! That bound is the numbering: **task `b` is block `b`** — a diagonal
 //! block is its panel's task, an off-diagonal block the update it
-//! generates — so ids ascend in the dataflow policy's submission order.
+//! generates — so ids ascend in program order: panel `k`, then the
+//! updates it generates, ascending `k`.
 //!
 //! * `update(k, b)` runs after `panel(k)` and after the previous update
 //!   into the same destination (updates commute numerically but need
@@ -17,16 +18,17 @@
 //!
 //! Nothing stores those edges: [`TaskGraph`] computes them from two words
 //! per block, built once by [`Analysis::new`]. All three policies run that
-//! one graph; PaStiX's analyze-time static mapping (§III) survives as the
-//! native policy's *seed placement* — a task's static owner is the
-//! cost-model list schedule's owner of its source panel.
+//! one graph and differ only in placement: PaStiX's analyze-time static
+//! mapping (§III) survives as the native policy's *seed placement* — a
+//! task's static owner is the cost-model list schedule's owner of its
+//! source panel — and the dataflow policy sends every ready task through
+//! one central queue.
 //! [`Analysis::program`] is the only constructor of what a policy
 //! executes — the factorization runs it, the verifier extracts its spec
 //! from it, the simulator lowers it — and [`TaskKind::accesses`] states
 //! once what a task touches.
 
 use crate::analysis::Analysis;
-use dagfact_rt::dataflow::DataflowGraph;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::verify::Mode;
 use dagfact_rt::RuntimeKind;
@@ -158,19 +160,10 @@ impl TaskGraph {
     }
 }
 
-/// Where a [`Program`] reads its edges: computed from
-/// [`Analysis::two_level`], or the same tasks' hazard-inferred edges — built
-/// per program: inferring them at submission *is* the dataflow model.
-enum Graph {
-    TwoLevel,
-    Inferred(DataflowGraph),
-}
-
 /// What a placement policy executes for an analysis: its DAG, the cost
 /// model's priorities and static owners, and one shared task body.
 pub struct Program<'a, F> {
     analysis: &'a Analysis,
-    graph: Graph,
     costs: TaskCosts,
     /// Critical-path priority per panel; a task inherits its source's.
     prio: Vec<f64>,
@@ -182,10 +175,9 @@ pub struct Program<'a, F> {
 
 impl Analysis {
     /// `runtime`'s program: the two-level graph computed from the cached
-    /// tables (ptg; native, with the static owners of an `nworkers` list
-    /// schedule as seed placement) or inferred from a sequential
-    /// submission (dataflow). `body(task, worker)` executes a task; costs
-    /// and priorities are the real or `complex` cost model's.
+    /// tables, with the static owners of an `nworkers` list schedule as
+    /// seed placement under native. `body(task, worker)` executes a task;
+    /// costs and priorities are the real or `complex` cost model's.
     pub fn program<F: Fn(TaskKind, usize) + Sync>(
         &self,
         runtime: RuntimeKind,
@@ -201,21 +193,7 @@ impl Analysis {
         } else {
             Vec::new()
         };
-        let graph = match runtime {
-            RuntimeKind::Native | RuntimeKind::Ptg => Graph::TwoLevel,
-            RuntimeKind::Dataflow => {
-                // Program-order submission — panel k, then the updates it
-                // generates, ascending k: "the simple sequential submission
-                // loops typically used with STARPU" (§IV).
-                let mut g = DataflowGraph::new(self.symbol.ncblk());
-                for t in 0..self.symbol.blocks.len() {
-                    let task = self.two_level.kind(&self.symbol, t);
-                    g.submit(task.accesses());
-                }
-                Graph::Inferred(g)
-            }
-        };
-        Program { analysis: self, graph, costs, prio, owners, body }
+        Program { analysis: self, costs, prio, owners, body }
     }
 }
 
@@ -245,17 +223,11 @@ impl<F: Fn(TaskKind, usize) + Sync> PtgProgram for Program<'_, F> {
     }
     fn num_predecessors(&self, task: usize) -> u32 {
         let an = self.analysis;
-        match &self.graph {
-            Graph::TwoLevel => an.two_level.num_predecessors(&an.symbol, task),
-            Graph::Inferred(g) => g.num_predecessors(task),
-        }
+        an.two_level.num_predecessors(&an.symbol, task)
     }
     fn successors(&self, task: usize, out: &mut Vec<usize>) {
         let an = self.analysis;
-        match &self.graph {
-            Graph::TwoLevel => an.two_level.successors(&an.symbol, task, out),
-            Graph::Inferred(g) => g.successors(task, out),
-        }
+        an.two_level.successors(&an.symbol, task, out)
     }
     fn execute(&self, task: usize, worker: usize) {
         (self.body)(self.kind(task), worker);
@@ -287,50 +259,45 @@ mod tests {
         out
     }
 
-    type NoOp = fn(TaskKind, usize);
-
-    /// Every policy's program: the computed graph (native, ptg) and the
-    /// inferred one (dataflow).
-    fn programs(an: &Analysis) -> [Program<'_, NoOp>; 3] {
-        RuntimeKind::ALL.map(|rt| an.program(rt, 2, false, (|_, _| {}) as NoOp))
+    /// The one program every policy runs (placement aside).
+    fn program(an: &Analysis) -> Program<'_, impl Fn(TaskKind, usize) + Sync> {
+        an.program(RuntimeKind::Ptg, 2, false, |_, _| {})
     }
 
     #[test]
     fn task_count_matches_block_count() {
         let an = analysis();
-        for p in programs(&an) {
-            assert_eq!(p.num_tasks(), an.symbol.blocks.len());
-            assert_eq!(p.num_tasks(), an.symbol.ncblk() + an.symbol.n_update_tasks());
-        }
+        let p = program(&an);
+        assert_eq!(p.num_tasks(), an.symbol.blocks.len());
+        assert_eq!(p.num_tasks(), an.symbol.ncblk() + an.symbol.n_update_tasks());
     }
 
     #[test]
     fn topological_order_visits_updates_between_panels() {
         let an = analysis();
         let panel = |c: usize| an.symbol.cblks[c].block_begin;
-        for p in programs(&an) {
-            // Kahn traversal; every task must come out (no cycle).
-            let n = p.num_tasks();
-            let mut npred: Vec<u32> = (0..n).map(|t| p.num_predecessors(t)).collect();
-            let mut stack: Vec<usize> = (0..n).filter(|&t| npred[t] == 0).collect();
-            let mut pos = vec![usize::MAX; n];
-            let mut visited = 0;
-            while let Some(t) = stack.pop() {
-                pos[t] = visited;
-                visited += 1;
-                for s in succs(&p, t) {
-                    npred[s] -= 1;
-                    if npred[s] == 0 {
-                        stack.push(s);
-                    }
+        let p = program(&an);
+        // Kahn traversal; every task must come out (no cycle).
+        let n = p.num_tasks();
+        let mut npred: Vec<u32> = (0..n).map(|t| p.num_predecessors(t)).collect();
+        let mut stack: Vec<usize> = (0..n).filter(|&t| npred[t] == 0).collect();
+        let mut pos = vec![usize::MAX; n];
+        let mut visited = 0;
+        while let Some(t) = stack.pop() {
+            pos[t] = visited;
+            visited += 1;
+            for s in succs(&p, t) {
+                npred[s] -= 1;
+                if npred[s] == 0 {
+                    stack.push(s);
                 }
             }
-            assert_eq!(visited, n, "task graph has a cycle");
-            for t in 0..n {
-                if let TaskKind::Update { cblk, target, .. } = p.kind(t) {
-                    assert!(pos[panel(cblk)] < pos[t], "update before its source panel");
-                    assert!(pos[t] < pos[panel(target)], "update after its target panel");
-                }
+        }
+        assert_eq!(visited, n, "task graph has a cycle");
+        for t in 0..n {
+            if let TaskKind::Update { cblk, target, .. } = p.kind(t) {
+                assert!(pos[panel(cblk)] < pos[t], "update before its source panel");
+                assert!(pos[t] < pos[panel(target)], "update after its target panel");
             }
         }
     }
@@ -338,20 +305,19 @@ mod tests {
     #[test]
     fn update_chains_serialize_per_target() {
         let an = analysis();
-        for p in programs(&an) {
-            // For each target, its update tasks in id order, then its panel
-            // task: each must be a direct predecessor of the next.
-            let mut per_target: Vec<Vec<usize>> = vec![Vec::new(); an.symbol.ncblk()];
-            for t in 0..p.num_tasks() {
-                if let TaskKind::Update { target, .. } = p.kind(t) {
-                    per_target[target].push(t);
-                }
+        let p = program(&an);
+        // For each target, its update tasks in id order, then its panel
+        // task: each must be a direct predecessor of the next.
+        let mut per_target: Vec<Vec<usize>> = vec![Vec::new(); an.symbol.ncblk()];
+        for t in 0..p.num_tasks() {
+            if let TaskKind::Update { target, .. } = p.kind(t) {
+                per_target[target].push(t);
             }
-            for (target, chain) in per_target.iter_mut().enumerate() {
-                chain.push(an.symbol.cblks[target].block_begin);
-                for w in chain.windows(2) {
-                    assert!(succs(&p, w[0]).contains(&w[1]), "missing chain edge {} -> {}", w[0], w[1]);
-                }
+        }
+        for (target, chain) in per_target.iter_mut().enumerate() {
+            chain.push(an.symbol.cblks[target].block_begin);
+            for w in chain.windows(2) {
+                assert!(succs(&p, w[0]).contains(&w[1]), "missing chain edge {} -> {}", w[0], w[1]);
             }
         }
     }

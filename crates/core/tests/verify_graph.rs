@@ -1,14 +1,15 @@
 //! End-to-end verification of the task graph over real factorization
-//! problems: every policy's program derives the algebraic graph and that
-//! graph is statically race- and deadlock-free — plus the negative cases:
-//! a program that drops a successor or overstates a predecessor count
-//! fails the derivation check, and a dropped dependency edge fails the
+//! problems: the one graph every policy runs is statically race- and
+//! deadlock-free with every predecessor count its task's in-degree, and
+//! each of its edges orders a conflicting panel access — plus the
+//! negative cases: a program that drops a successor or overstates a
+//! predecessor count, and a spec missing a dependency edge, fail the
 //! static proof.
 
 use dagfact_core::tasks::TaskKind;
 use dagfact_core::{Analysis, SolverOptions};
 use dagfact_rt::ptg::PtgProgram;
-use dagfact_rt::verify::check_static;
+use dagfact_rt::verify::{check_static, GraphSpec, StaticRace};
 use dagfact_rt::RuntimeKind;
 use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_2d, grid_laplacian_3d};
 use dagfact_symbolic::FactoKind;
@@ -38,24 +39,38 @@ fn edges_of(program: &impl PtgProgram) -> BTreeSet<(usize, usize)> {
         .collect()
 }
 
-/// The dataflow policy infers its edges from the declared accesses of a
-/// sequential submission; the ptg and native policies compute them from
-/// the block structure. The derivation check holds all three to the
-/// algebraic graph, and the static proof holds that graph race-free.
+/// The static proof holds the graph all three policies run race-free,
+/// deadlock-free and correctly counted.
 #[test]
 fn every_facto_verifies_clean() {
     for facto in FACTOS {
         let an = analysis_of(facto);
-        let outcome = an.verify_task_graph();
-        assert!(
-            outcome.is_clean(),
-            "{facto:?} failed verification:\n{outcome}"
-        );
-        assert!(
-            outcome.stat.nedges > an.symbol.ncblk(),
-            "{facto:?}: trivial graph"
-        );
-        assert!(outcome.stat.pairs_checked > 0, "{facto:?}: checked nothing");
+        let report = an.verify_task_graph();
+        assert!(report.is_clean(), "{facto:?} failed verification:\n{report}");
+        assert!(report.nedges > an.symbol.ncblk(), "{facto:?}: trivial graph");
+        assert!(report.pairs_checked > 0, "{facto:?}: checked nothing");
+    }
+}
+
+/// No edge is spurious: the two ends of every edge touch some panel in
+/// conflicting modes. Together with the race proof this pins the graph to
+/// the hazards of [`TaskKind::accesses`] from both sides — an
+/// over-constrained chain rule, or an access table that forgets an
+/// update's read of its source, fails here.
+#[test]
+fn every_edge_orders_a_conflicting_access() {
+    for facto in FACTOS {
+        let an = analysis_of(facto);
+        let program = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
+        let edges = edges_of(&program);
+        assert!(!edges.is_empty(), "{facto:?}: no edges");
+        for (t, s) in edges {
+            let (a, b) = (program.kind(t), program.kind(s));
+            let conflict = a
+                .accesses()
+                .any(|(p, m)| b.accesses().any(|(q, n)| p == q && m.conflicts_with(n)));
+            assert!(conflict, "{facto:?}: edge {t} -> {s} ({a:?} -> {b:?}) orders no conflict");
+        }
     }
 }
 
@@ -97,44 +112,48 @@ impl<P: PtgProgram> PtgProgram for Mutant<'_, P> {
     }
 }
 
-/// The derivation check has teeth: a program that forgets one successor,
-/// or expects one predecessor too many (the executor would never release
-/// it), is reported by task.
+/// The static proof of a program: its edges and counts, the accesses of
+/// the tasks it shares ids with.
+fn spec_of(program: &impl PtgProgram, kind: impl Fn(usize) -> TaskKind) -> GraphSpec {
+    let mut spec = GraphSpec::from_dag(program);
+    for t in 0..spec.ntasks() {
+        for (panel, mode) in kind(t).accesses() {
+            spec.access(t, panel, mode);
+        }
+    }
+    spec
+}
+
+/// The count check has teeth: a program that forgets one successor
+/// races and leaves that successor counted too high (the executor would
+/// never release it), and one that expects a predecessor too many is
+/// reported by task.
 #[test]
-fn derivation_check_names_the_broken_task() {
+fn broken_programs_fail_the_static_proof_by_task() {
     let an = analysis_of(FactoKind::Cholesky);
     let ptg = an.program(RuntimeKind::Ptg, 1, false, |_, _| {});
     let kind = |t| ptg.kind(t);
-    assert_eq!(
-        an.derivation_errors("ptg", &ptg, kind),
-        Vec::<String>::new()
-    );
+    let report = check_static(&spec_of(&ptg, kind));
+    assert!(report.is_clean(), "{report}");
     // The first update task: it has exactly one successor.
     let t = (0..ptg.num_tasks())
         .find(|&t| matches!(ptg.kind(t), TaskKind::Update { .. }))
         .expect("a 3D grid factorization has update tasks");
-    let named = |errors: Vec<String>| {
-        assert!(
-            !errors.is_empty(),
-            "mutant of task {t} passed the derivation check"
-        );
-        assert!(
-            errors.iter().any(|e| e.contains(&format!("task {t} "))),
-            "no message names task {t}: {errors:?}"
-        );
-    };
-    let dropped = Mutant {
-        inner: &ptg,
-        drop_from: Some(t),
-        overcount: None,
-    };
-    named(an.derivation_errors("dropped", &dropped, kind));
-    let overcounted = Mutant {
-        inner: &ptg,
-        drop_from: None,
-        overcount: Some(t),
-    };
-    named(an.derivation_errors("overcounted", &overcounted, kind));
+    let mut succ = Vec::new();
+    ptg.successors(t, &mut succ);
+    let [s] = succ[..] else { panic!("update {t} has successors {succ:?}") };
+
+    let dropped = Mutant { inner: &ptg, drop_from: Some(t), overcount: None };
+    let report = check_static(&spec_of(&dropped, kind));
+    let pair = |r: &StaticRace| [(r.first, r.second), (r.second, r.first)].contains(&(t, s));
+    assert!(report.races.iter().any(pair), "{report}");
+    assert_eq!(report.miscounted, [(s, ptg.num_predecessors(s), ptg.num_predecessors(s) - 1)]);
+
+    let overcounted = Mutant { inner: &ptg, drop_from: None, overcount: Some(t) };
+    let report = check_static(&spec_of(&overcounted, kind));
+    assert!(report.races.is_empty(), "{report}");
+    assert_eq!(report.miscounted, [(t, ptg.num_predecessors(t) + 1, ptg.num_predecessors(t))]);
+    assert!(report.to_string().contains(&format!("task {t} counts")), "{report}");
 }
 
 /// The last dependency edge into a panel task orders the final update's

@@ -163,8 +163,8 @@ fn main() {
     findings.iter().for_each(|f| report(f, "\n    via: "));
     eprintln!(
         "lint: {} finding(s). Fix each, or justify it in place with its marker (// ALLOC: / \
-         LOCK: / BOUNDS: / PANIC: / TRACE: / ORDERING:; a workspace macro and a lock-order \
-         cycle take none); nothing is grandfathered.",
+         LOCK: / BOUNDS: / PANIC: / TRACE: / ORDERING:; a workspace macro, a crate root \
+         without the denies and a lock-order cycle take none); nothing is grandfathered.",
         hot.len() + findings.len()
     );
     std::process::exit(1);

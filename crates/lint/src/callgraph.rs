@@ -67,6 +67,8 @@ pub struct CallGraph {
     pub by_qname: HashMap<String, Vec<usize>>,
     /// Adjacency: caller index → callee indices (deduped).
     pub edges: Vec<Vec<usize>>,
+    /// Parsed crate root → whether it denies [`crate::ROOT_DENIES`].
+    pub root_denies: HashMap<String, bool>,
 }
 
 impl CallGraph {
@@ -133,6 +135,7 @@ impl CallGraph {
             functions,
             by_qname,
             edges,
+            root_denies: HashMap::new(),
         }
     }
 

@@ -12,6 +12,7 @@
 //! | index   | `a[i]` slice/array indexing                            | `// BOUNDS:`         |
 //! | trace   | recorder-only tracing methods (`merge_lane`, `now_ns`…)| `// TRACE:`          |
 //! | macro   | an invocation of a file's own `macro_rules!` item      | none                 |
+//! | deny    | a reached crate's root lacks [`crate::ROOT_DENIES`]    | none                 |
 //!
 //! A marker must appear on the event's line or within the preceding
 //! [`crate::WINDOW`] lines. An explicit `assert!`/`panic!`/`unreachable!`
@@ -62,6 +63,8 @@ pub enum HotRule {
     Trace,
     /// An invocation of a workspace macro, which the parser does not expand.
     Macro,
+    /// A reached crate whose root does not deny [`crate::ROOT_DENIES`].
+    Deny,
 }
 
 impl HotRule {
@@ -74,6 +77,7 @@ impl HotRule {
             HotRule::Index => "index",
             HotRule::Trace => "trace",
             HotRule::Macro => "macro",
+            HotRule::Deny => "deny",
         }
     }
 
@@ -85,7 +89,7 @@ impl HotRule {
             HotRule::Panic => Some("PANIC:"),
             HotRule::Index => Some("BOUNDS:"),
             HotRule::Trace => Some("TRACE:"),
-            HotRule::Macro => None,
+            HotRule::Macro | HotRule::Deny => None,
         }
     }
 }
@@ -184,16 +188,30 @@ fn judge(ev: &Event) -> Option<(HotRule, String)> {
     }
 }
 
-/// Run the purity rules over every function reachable from `roots`;
-/// `ctxs[i]` is the context of `graph.functions[i]`.
+/// Run the purity rules over every function reachable from `roots`,
+/// and fail once per reached crate whose parsed root does not deny
+/// [`crate::ROOT_DENIES`]; `ctxs[i]` is the context of `graph.functions[i]`.
 pub fn check_hot_paths(graph: &CallGraph, roots: &[usize], ctxs: &[FnCtx]) -> Vec<HotFinding> {
     let parent = graph.reach(roots);
     let mut reached: Vec<usize> = parent.keys().copied().collect();
     reached.sort_unstable();
 
-    let mut findings = Vec::new();
+    let (mut findings, mut undenied) = (Vec::new(), std::collections::HashSet::new());
     for &i in &reached {
         let f = &graph.functions[i];
+        let finding = |rule, line, detail| HotFinding {
+            rule,
+            file: ctxs[i].file.clone(),
+            line,
+            function: f.qname.clone(),
+            detail,
+            chain: graph.witness(&parent, i),
+        };
+        let krate = f.module.split("::").next().unwrap_or_default();
+        if graph.root_denies.get(krate) == Some(&false) && undenied.insert(krate) {
+            let detail = format!("crate `{krate}` is reached but its root does not deny {:?}", crate::ROOT_DENIES);
+            findings.push(finding(HotRule::Deny, ctxs[i].tokens.get(f.sig.0).map_or(1, |t| t.line), detail));
+        }
         for ev in &f.events {
             let Some((rule, detail)) = judge(ev) else {
                 continue;
@@ -205,14 +223,7 @@ pub fn check_hot_paths(graph: &CallGraph, roots: &[usize], ctxs: &[FnCtx]) -> Ve
             if exempt || justified {
                 continue;
             }
-            findings.push(HotFinding {
-                rule,
-                file: ctxs[i].file.clone(),
-                line: ev.line(),
-                function: f.qname.clone(),
-                detail,
-                chain: graph.witness(&parent, i),
-            });
+            findings.push(finding(rule, ev.line(), detail));
         }
     }
     findings.sort_by(|a, b| {

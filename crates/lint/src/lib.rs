@@ -14,8 +14,9 @@
 //!
 //! Any finding fails the gate; there is no ledger of accepted ones. The
 //! line-level rules (SAFETY contracts; no `.unwrap()`/`.expect()`, console
-//! or file I/O or sleeping in the library code of rt, core, kernels and
-//! serve) are clippy configuration: `clippy.toml` and the crates' lints.
+//! or file I/O or sleeping in library code) are clippy configuration:
+//! `clippy.toml` and the crates' lints; the hot-path pass checks that
+//! every crate it reaches denies [`ROOT_DENIES`] at its root.
 
 pub mod callgraph;
 pub mod config;
@@ -66,6 +67,11 @@ pub(crate) const ATOMIC_OPS: &[&str] = &[
 
 const ORDERINGS: &[&str] = &["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"];
 
+/// The clippy lints whose `#![deny(…)]` at a crate's root put it under the
+/// no-unwrap and no-I/O rules this lint does not repeat.
+pub const ROOT_DENIES: &[&str] =
+    &["unwrap_used", "expect_used", "print_stdout", "print_stderr", "dbg_macro", "disallowed_methods"];
+
 /// One finding of a pass whose rules are `R`.
 #[derive(Debug, Clone)]
 pub struct Finding<R> {
@@ -107,8 +113,12 @@ impl Workspace {
     /// Parse `(path, module, source)` files and build the call graph.
     pub fn parse<'a>(files: impl IntoIterator<Item = (String, &'a str, &'a str)>) -> Workspace {
         let (mut parsed, mut ctxs, mut found) = (Vec::new(), Vec::new(), Vec::new());
+        let mut root_denies = std::collections::HashMap::new();
         for (file, module, src) in files {
             let mut pf = parse_file(src, module);
+            if !module.contains("::") {
+                *root_denies.entry(module.to_string()).or_default() |= denies_all(&pf.tokens);
+            }
             if !module_exempt(module) {
                 found.extend(unjustified_relaxed(&pf, &file, module));
                 found.extend(shim_bypasses(&pf, &file, module));
@@ -123,8 +133,9 @@ impl Workspace {
             parsed.push(pf);
         }
         let nfiles = parsed.len();
+        let graph = CallGraph { root_denies, ..CallGraph::build(parsed) };
         Workspace {
-            graph: CallGraph::build(parsed),
+            graph,
             ctxs,
             token_findings: found,
             nfiles,
@@ -182,6 +193,16 @@ fn module_path(rel: &Path) -> Option<String> {
         }
     }
     Some(segs.join("::"))
+}
+
+/// Do the file's `#![deny(…)]` attributes name every lint of
+/// [`ROOT_DENIES`]?
+fn denies_all(t: &[lex::Token]) -> bool {
+    let attrs = (0..t.len())
+        .filter(|&i| punct_at(t, i, '#') && punct_at(t, i + 1, '!') && ident_at(t, i + 3) == Some("deny"));
+    let named: Vec<&str> =
+        attrs.flat_map(|i| (i + 4..group_end(t, i + 2)).filter_map(|j| ident_at(t, j))).collect();
+    ROOT_DENIES.iter().all(|l| named.contains(l))
 }
 
 fn in_test(pf: &ParsedFile, i: usize) -> bool {

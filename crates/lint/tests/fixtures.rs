@@ -410,7 +410,7 @@ fn one_finding_fails_the_gate_with_no_way_to_grandfather_it() {
     );
     write(
         "crates/fx/src/lib.rs",
-        "pub fn hot() { let v = Vec::with_capacity(8); }\n",
+        &format!("{DENIES}pub fn hot() {{ let v = Vec::with_capacity(8); }}\n"),
     );
     // What the deleted ledger used to accept: the finding's key on file.
     write(
@@ -447,8 +447,45 @@ fn one_finding_fails_the_gate_with_no_way_to_grandfather_it() {
     // The way through is the fix or its justification, in place.
     write(
         "crates/fx/src/lib.rs",
-        "pub fn hot() {\n  // ALLOC: once per run.\n  let v = Vec::with_capacity(8);\n}\n",
+        &format!("{DENIES}pub fn hot() {{\n  // ALLOC: once per run.\n  let v = Vec::with_capacity(8);\n}}\n"),
     );
     let (code, stderr) = lint(&[]);
+    assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// The crate-root lines that put a crate under clippy's no-unwrap and
+/// no-I/O rules.
+const DENIES: &str = "#![deny(clippy::unwrap_used, clippy::expect_used)]\n\
+    #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]\n";
+
+/// Run the `lint` binary on a fixture workspace: a hot root in crate `fx`
+/// (whose root denies) calling into crate `gx`, whose root is `gx_root`.
+fn lint_with_callee_root(name: &str, gx_root: &str) -> (Option<i32>, String) {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&root);
+    for krate in ["fx", "gx"] {
+        std::fs::create_dir_all(root.join("crates").join(krate).join("src")).unwrap();
+    }
+    let write = |rel: &str, text: &str| std::fs::write(root.join(rel), text).unwrap();
+    write("lint-hotpaths.toml", "[[root]]\npath = \"dagfact_fx::hot\"\n");
+    write("crates/fx/src/lib.rs", &format!("{DENIES}pub fn hot() {{ dagfact_gx::helper(); }}\n"));
+    write("crates/gx/src/lib.rs", &format!("{gx_root}pub fn helper() {{}}\n"));
+    let out = Command::new(env!("CARGO_BIN_EXE_lint")).current_dir(&root).output().unwrap();
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A crate a hot root reaches is under clippy's no-unwrap and no-I/O
+/// rules only if its root denies them: without the two lines the gate
+/// fails at the reached function, with them it passes.
+#[test]
+fn a_reached_crate_must_deny_unwraps_and_io_at_its_root() {
+    let (code, stderr) = lint_with_callee_root("lint-deny-missing", "");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("[deny] crate `dagfact_gx` is reached"), "{stderr}");
+    assert!(stderr.contains("dagfact_fx::hot -> dagfact_gx::helper"), "{stderr}");
+    // One of the two lines is not enough.
+    let half = DENIES.lines().next().unwrap();
+    assert_eq!(lint_with_callee_root("lint-deny-half", half).0, Some(1));
+    let (code, stderr) = lint_with_callee_root("lint-deny-present", DENIES);
     assert_eq!(code, Some(0), "{stderr}");
 }

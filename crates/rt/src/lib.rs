@@ -14,13 +14,15 @@
 //!   the completing worker's, and idle workers steal — the "dynamic
 //!   scheduler based on a work-stealing strategy [that reduces] idle
 //!   times while preserving a good locality" of \[1\].
-//! * [`RuntimeKind::Dataflow`] — StarPU-like: tasks are *submitted
-//!   sequentially* with data access modes (R/W/RW) and
-//!   [`dataflow::DataflowGraph`] infers the dependencies from data hazards
-//!   (RAW/WAR/WAW); every ready task goes through one **centralized**
-//!   queue. Centralization mirrors StarPU's single scheduling domain and
-//!   is the modeled reason for its small multicore overhead ("lack of
-//!   cache reuse policy", §V-A).
+//! * [`RuntimeKind::Dataflow`] — StarPU-like: every ready task goes
+//!   through one **centralized** queue. Centralization mirrors StarPU's
+//!   single scheduling domain and is the modeled reason for its small
+//!   multicore overhead ("lack of cache reuse policy", §V-A). StarPU
+//!   infers its DAG from the data access modes of a sequential
+//!   submission; that derivation is the algebraic graph the other two
+//!   policies run (the factorization's panel chains order every
+//!   conflicting access), so this policy runs that graph too, and the
+//!   submission's cost lives in `dagfact-gpusim`'s scheduler model.
 //! * [`RuntimeKind::Ptg`] — PaRSEC-like: the graph is given
 //!   *algebraically* (successor/predecessor-count functions, the analogue
 //!   of PaRSEC's parameterized task graph), nothing is materialized before
@@ -57,7 +59,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro, clippy::disallowed_methods)]
 
 pub mod budget;
-pub mod dataflow;
 pub mod deque;
 pub mod exec;
 pub mod fault;

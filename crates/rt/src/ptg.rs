@@ -12,9 +12,7 @@
 //! chain link per block, cached with the analysis.
 //!
 //! An explicit graph is the special case whose functions read a table:
-//! [`crate::native::NativeDag`] (a task array carrying static owners) and
-//! a program over [`crate::dataflow::DataflowGraph`] (StarPU-style
-//! submitted tasks with hazard-inferred edges).
+//! [`crate::native::NativeDag`] (a task array carrying static owners).
 
 /// Algebraic task-graph description (the PTG). Task ids form the dense
 /// range `0..num_tasks()`; the shape functions must be pure.

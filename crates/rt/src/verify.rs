@@ -10,8 +10,11 @@
 //! function — the one the executor calls — and the caller declares each
 //! task's accesses). Every pair of tasks touching the same datum with a
 //! conflicting mode must be transitively ordered by edges; cycles,
-//! dangling edges, self-edges and duplicate edges are reported too. A
-//! clean report means *no schedule* of the DAG can race or deadlock.
+//! dangling edges, self-edges and duplicate edges are reported too, and so
+//! is a task whose declared predecessor count is not its in-degree (the
+//! executor never releases a task counted too high and underflows on one
+//! counted too low). A clean report means *no schedule* of the DAG can
+//! race or deadlock.
 //!
 //! `dagfact-core` builds the spec from an `Analysis` and checks it in
 //! `Analysis::verify_task_graph` and the `dagfact verify` CLI command.
@@ -20,16 +23,14 @@ use crate::ptg::PtgProgram;
 use crate::{DataId, TaskId};
 use std::fmt;
 
-/// How a task touches a datum: StarPU-style access modes, declared at
-/// submission ([`crate::dataflow::DataflowGraph::submit`]) and checked by
-/// the verifier. There is no commutative-accumulation mode: the
-/// factorization orders every writer of a panel by a chain.
+/// How a task touches a datum: StarPU-style access modes, declared per
+/// task by the program's owner (`dagfact-core`'s `TaskKind::accesses`)
+/// and checked by the verifier. There is no commutative-accumulation
+/// mode: the factorization orders every writer of a panel by a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Read-only.
     Read,
-    /// Write-only.
-    Write,
     /// Read-modify-write (exclusive).
     ReadWrite,
 }
@@ -42,7 +43,7 @@ impl Mode {
 
     /// Does the access modify the datum?
     pub fn writes(self) -> bool {
-        !matches!(self, Mode::Read)
+        self == Mode::ReadWrite
     }
 
     /// Conservative merge of two accesses by the *same task* to the same
@@ -56,8 +57,9 @@ impl Mode {
     }
 }
 
-/// Engine-independent description of a submitted task graph: tasks,
-/// happens-before edges, and per-task data accesses.
+/// Engine-independent description of a task graph: tasks, happens-before
+/// edges, per-task data accesses and, when extracted from a program, each
+/// task's declared predecessor count.
 ///
 /// Task ids are the dense range `0..ntasks`. Edges may be recorded
 /// verbatim (including duplicates, self-edges, or out-of-range endpoints);
@@ -70,6 +72,9 @@ pub struct GraphSpec {
     ndata: usize,
     accesses: Vec<Vec<(DataId, Mode)>>,
     edges: Vec<(TaskId, TaskId)>,
+    /// `num_predecessors` per task ([`GraphSpec::from_dag`]; empty when
+    /// the edges were recorded by hand).
+    npred: Vec<u32>,
 }
 
 impl GraphSpec {
@@ -80,6 +85,7 @@ impl GraphSpec {
             ndata: 0,
             accesses: vec![Vec::new(); ntasks],
             edges: Vec::new(),
+            npred: Vec::new(),
         }
     }
 
@@ -126,8 +132,9 @@ impl GraphSpec {
     }
 
     /// Extract the happens-before relation of a DAG by evaluating its
-    /// successor function over the dense task range (accesses must be
-    /// added by the caller; the trait only carries structure).
+    /// successor function over the dense task range, and record its
+    /// predecessor counts (accesses must be added by the caller; the trait
+    /// only carries structure).
     pub fn from_dag<D: PtgProgram>(dag: &D) -> GraphSpec {
         let n = dag.num_tasks();
         let mut spec = GraphSpec::new(n);
@@ -139,6 +146,7 @@ impl GraphSpec {
                 spec.edge(t, s);
             }
         }
+        spec.npred = (0..n).map(|t| dag.num_predecessors(t)).collect();
         spec
     }
 
@@ -191,18 +199,22 @@ pub struct StaticReport {
     pub self_edges: Vec<TaskId>,
     /// Edges recorded more than once.
     pub duplicate_edges: Vec<(TaskId, TaskId)>,
+    /// `(task, declared, in-degree)` for every task whose declared
+    /// predecessor count is not the number of recorded edges into it.
+    pub miscounted: Vec<(TaskId, u32, u32)>,
     /// Conflicting frontier pairs whose ordering was checked.
     pub pairs_checked: usize,
 }
 
 impl StaticReport {
-    /// No races, no cycles, no malformed edges.
+    /// No races, no cycles, no malformed edges, no miscounted task.
     pub fn is_clean(&self) -> bool {
         self.races.is_empty()
             && self.deadlocked.is_empty()
             && self.dangling_edges.is_empty()
             && self.self_edges.is_empty()
             && self.duplicate_edges.is_empty()
+            && self.miscounted.is_empty()
     }
 }
 
@@ -211,7 +223,7 @@ impl fmt::Display for StaticReport {
         write!(
             f,
             "{} tasks, {} edges, {} ordered pairs checked: {} race(s), {} deadlocked, \
-             {} dangling / {} self / {} duplicate edge(s)",
+             {} dangling / {} self / {} duplicate edge(s), {} miscounted",
             self.ntasks,
             self.nedges,
             self.pairs_checked,
@@ -220,7 +232,12 @@ impl fmt::Display for StaticReport {
             self.dangling_edges.len(),
             self.self_edges.len(),
             self.duplicate_edges.len(),
-        )
+            self.miscounted.len(),
+        )?;
+        if let Some((t, declared, indegree)) = self.miscounted.first() {
+            write!(f, " (first: task {t} counts {declared} predecessor(s), its in-degree is {indegree})")?;
+        }
+        Ok(())
     }
 }
 
@@ -301,15 +318,21 @@ struct Frontier {
 }
 
 /// Statically verify a [`GraphSpec`]: race-freedom (every conflicting
-/// access pair transitively ordered), deadlock-freedom (no cycles), and
-/// well-formedness (no dangling / self / duplicate edges).
+/// access pair transitively ordered), deadlock-freedom (no cycles),
+/// well-formedness (no dangling / self / duplicate edges) and, for a
+/// spec extracted from a program, predecessor counts equal to in-degrees.
 pub fn check_static(spec: &GraphSpec) -> StaticReport {
     let n = spec.ntasks;
-    // 1) Classify edges.
+    // 1) Classify edges; the in-degree counts each recorded edge into a
+    //    task once, as the executor's release does.
     let mut dangling_edges = Vec::new();
     let mut self_edges = Vec::new();
     let mut succs: Vec<Vec<TaskId>> = vec![Vec::new(); n];
+    let mut indegree = vec![0u32; n];
     for &(p, s) in &spec.edges {
+        if let Some(d) = indegree.get_mut(s) {
+            *d += 1;
+        }
         if p >= n || s >= n {
             dangling_edges.push((p, s));
         } else if p == s {
@@ -320,6 +343,10 @@ pub fn check_static(spec: &GraphSpec) -> StaticReport {
     }
     self_edges.sort_unstable();
     self_edges.dedup();
+    let miscounted = (spec.npred.iter().zip(&indegree).enumerate())
+        .filter(|(_, (np, d))| np != d)
+        .map(|(t, (&np, &d))| (t, np, d))
+        .collect();
     let mut duplicate_edges = Vec::new();
     for (p, list) in succs.iter_mut().enumerate() {
         list.sort_unstable();
@@ -390,7 +417,7 @@ pub fn check_static(spec: &GraphSpec) -> StaticReport {
             let mut fr = fr;
             match mode {
                 Mode::Read => fr.readers.push(t),
-                Mode::Write | Mode::ReadWrite => {
+                Mode::ReadWrite => {
                     fr.writer = Some((t, mode));
                     fr.readers.clear();
                 }
@@ -409,6 +436,7 @@ pub fn check_static(spec: &GraphSpec) -> StaticReport {
         dangling_edges,
         self_edges,
         duplicate_edges,
+        miscounted,
         pairs_checked,
     }
 }
@@ -441,7 +469,7 @@ mod tests {
         // 0→1→2 but 0 and 2 share the datum; 1 does not touch it. The
         // frontier keeps 0 as last writer and must find the 0→1→2 path.
         let mut spec = GraphSpec::new(3);
-        spec.access(0, 0, Mode::Write);
+        spec.access(0, 0, Mode::ReadWrite);
         spec.access(2, 0, Mode::ReadWrite);
         spec.edge(0, 1);
         spec.edge(1, 2);
@@ -462,7 +490,7 @@ mod tests {
     #[test]
     fn read_read_needs_no_order() {
         let mut spec = GraphSpec::new(3);
-        spec.access(0, 0, Mode::Write);
+        spec.access(0, 0, Mode::ReadWrite);
         spec.access(1, 0, Mode::Read);
         spec.access(2, 0, Mode::Read);
         spec.edge(0, 1);
@@ -497,13 +525,17 @@ mod tests {
 
     #[test]
     fn spec_extraction_from_a_dag() {
-        struct Chain;
+        /// A 3-chain whose task `overcount` declares one predecessor too
+        /// many.
+        struct Chain {
+            overcount: Option<usize>,
+        }
         impl PtgProgram for Chain {
             fn num_tasks(&self) -> usize {
                 3
             }
             fn num_predecessors(&self, t: usize) -> u32 {
-                u32::from(t > 0)
+                u32::from(t > 0) + u32::from(self.overcount == Some(t))
             }
             fn successors(&self, t: usize, out: &mut Vec<usize>) {
                 if t + 1 < 3 {
@@ -512,11 +544,19 @@ mod tests {
             }
             fn execute(&self, _: usize, _: usize) {}
         }
-        let mut spec = GraphSpec::from_dag(&Chain);
-        for t in 0..3 {
-            spec.access(t, 0, Mode::ReadWrite);
-        }
+        let spec_of = |overcount| {
+            let mut spec = GraphSpec::from_dag(&Chain { overcount });
+            for t in 0..3 {
+                spec.access(t, 0, Mode::ReadWrite);
+            }
+            spec
+        };
+        let spec = spec_of(None);
         assert!(check_static(&spec).is_clean());
         assert_eq!(spec.nedges(), 2);
+        let report = check_static(&spec_of(Some(1)));
+        assert_eq!(report.miscounted, vec![(1, 2, 1)]);
+        assert!(!report.is_clean());
+        assert!(report.to_string().contains("task 1 counts 2 predecessor(s), its in-degree is 1"), "{report}");
     }
 }
