@@ -4,7 +4,10 @@
 //! panel (`stride × width`). PaStiX calls this the *coeftab*. For LU two
 //! coeftabs exist: `L` (which also holds the full, square diagonal blocks)
 //! and `U`, stored **transposed** so the U panel shares the L panel's row
-//! structure and every kernel stays column-major.
+//! structure below the diagonal block and every kernel stays column-major.
+//! The U panel holds only those rows, `(stride − width) × width` (the
+//! diagonal block lives whole in the L panel); each side is reserved and
+//! charged by its own length ([`PanelLayout`]).
 //!
 //! Storage is *per panel* (one slot each). A panel is
 //!
@@ -48,26 +51,38 @@ use dagfact_symbolic::structure::SymbolMatrix;
 use dagfact_symbolic::FactoKind;
 
 /// Panel sizes: storage is per panel, this is the canonical description
-/// of how long each one is and of their total.
+/// of how long each one is and of each side's total.
 #[derive(Debug, Clone)]
 pub struct PanelLayout {
-    /// Total length of all panels of one side.
+    /// Total length of the L side's panels, `Σ stride·width`.
     pub len: usize,
+    /// Total length of the Uᵀ side's panels, `Σ (stride − width)·width`
+    /// (0 without a U side).
+    pub u_len: usize,
 }
 
 impl PanelLayout {
-    /// Compute the layout for a symbol structure.
-    pub fn new(symbol: &SymbolMatrix) -> PanelLayout {
-        let len = symbol.cblks.iter().map(|cb| cb.stride * cb.width()).sum();
-        PanelLayout { len }
+    /// Compute the layout for a symbol structure, with a U side for `lu`.
+    pub fn new(symbol: &SymbolMatrix, lu: bool) -> PanelLayout {
+        let ncblk = symbol.ncblk();
+        let side = |keys: std::ops::Range<usize>| keys.map(|k| Self::panel_len(symbol, k)).sum();
+        PanelLayout { len: side(0..ncblk), u_len: if lu { side(ncblk..2 * ncblk) } else { 0 } }
     }
 
-    /// Length of panel `c`.
-    pub fn panel_len(&self, symbol: &SymbolMatrix, c: usize) -> usize {
-        // BOUNDS: `c` names a column block of `symbol` (caller contract;
-        // anything else is a bug worth the panic).
-        let cb = &symbol.cblks[c];
-        cb.stride * cb.width()
+    /// Length of slot `key`'s panel: L panel `key` (`key < ncblk`), else
+    /// Uᵀ panel `key − ncblk`, the rows below its diagonal block.
+    pub fn panel_len(symbol: &SymbolMatrix, key: usize) -> usize {
+        let ncblk = symbol.ncblk();
+        // BOUNDS: `key` names a slot of `symbol`'s column blocks (caller
+        // contract; anything else is a bug worth the panic).
+        let cb = &symbol.cblks[key % ncblk];
+        let rows = if key < ncblk { cb.stride } else { cb.height_below() };
+        rows * cb.width()
+    }
+
+    /// Elements stored over both sides.
+    pub fn total(&self) -> usize {
+        self.len + self.u_len
     }
 }
 
@@ -234,13 +249,15 @@ impl<'a, T: Scalar> PanelSource<'a, T> {
         // on their entries are this panel's: L takes `P·A·Pᵀ` from the
         // diagonal down (LU: from the top of its full, square diagonal
         // block; a symmetric kind reads only the lower triangle of a fully
-        // stored matrix), Uᵀ the rows of `A` right of the diagonal block.
+        // stored matrix), Uᵀ the rows of `A` right of the diagonal block,
+        // which its storage starts at (`skip` rows up).
         let lu = self.at.is_some();
         let m = match &self.at {
             Some(at) if upper => at,
             _ => self.a,
         };
-        for (col, out) in (cb.fcol..cb.lcol).zip(data.chunks_exact_mut(cb.stride)) {
+        let (ld, skip) = if upper { (cb.height_below(), cb.width()) } else { (cb.stride, 0) };
+        for (j, col) in (cb.fcol..cb.lcol).enumerate() {
             let first = if upper { cb.lcol } else if lu { cb.fcol } else { col };
             // BOUNDS: `perm`/`iperm` are bijections of `0..n` and `a` is
             // `n × n` (`Analysis::accepts`; an `assemble` of another order
@@ -249,7 +266,9 @@ impl<'a, T: Scalar> PanelSource<'a, T> {
             let old = iperm[col];
             for (&i, &v) in m.col_rows(old).iter().zip(m.col_values(old)) {
                 // BOUNDS: as above; `offset` is a storage row of panel
-                // `c`, below its `stride` — the length of `out`.
+                // `c`, below its `stride`, and at least `skip` for a row
+                // right of the diagonal block: `j·ld + offset − skip` lies
+                // in column `j` of `data` (`ld` rows of `width` columns).
                 let row = perm[i];
                 if row >= first {
                     let Some(offset) = symbol.row_offset_in_panel(c, row) else {
@@ -258,7 +277,7 @@ impl<'a, T: Scalar> PanelSource<'a, T> {
                             "matrix entry at permuted ({row}, {col}) is outside the analyzed pattern"
                         )));
                     };
-                    out[offset] += v;
+                    data[j * ld + offset - skip] += v;
                 }
             }
         }
@@ -274,7 +293,7 @@ impl<T: Scalar> CoefTab<T> {
         let tab = Self::reserve(analysis, &MemoryOptions::default());
         let src = PanelSource::new(analysis, a);
         for key in 0..tab.slots.len() {
-            let len = tab.layout.panel_len(&analysis.symbol, key % tab.ncblk);
+            let len = PanelLayout::panel_len(&analysis.symbol, key);
             // With no budget, the one failure left is the matrix itself.
             if let Err(e) = tab.pin(key, len, Some(&src)) {
                 panic!("cannot assemble: {e}");
@@ -285,20 +304,20 @@ impl<T: Scalar> CoefTab<T> {
 
     /// One untouched slot per panel under `mem`. Without a cap every
     /// panel's capacity is reserved now (charging the ledger, if any, in
-    /// one step); with a cap nothing is allocated until a panel is pinned.
+    /// one step: both sides' [`PanelLayout::total`]); with a cap nothing is
+    /// allocated until a panel is pinned.
     pub fn reserve(analysis: &Analysis, mem: &MemoryOptions) -> CoefTab<T> {
         let symbol = &analysis.symbol;
-        let layout = PanelLayout::new(symbol);
         let ncblk = symbol.ncblk();
         let lu = analysis.facto == FactoKind::Lu;
+        let layout = PanelLayout::new(symbol, lu);
         let lazy = mem.budget.as_ref().is_some_and(|b| b.cap().is_some());
-        let sides = if lu { 2 } else { 1 };
-        let nsides = sides * ncblk;
+        let nsides = if lu { 2 * ncblk } else { ncblk };
         // An uncapped ledger cannot refuse: the whole factor is counted
         // in one step.
         let eager_charged = match &mem.budget {
             Some(b) if !lazy => {
-                let bytes = sides * layout.len * std::mem::size_of::<T>();
+                let bytes = layout.total() * std::mem::size_of::<T>();
                 b.charge_forced(bytes);
                 bytes
             }
@@ -316,7 +335,7 @@ impl<T: Scalar> CoefTab<T> {
             clock: AtomicU64::new(0),
         };
         for key in 0..nsides {
-            let len = if lazy { 0 } else { tab.layout.panel_len(symbol, key % ncblk) };
+            let len = if lazy { 0 } else { PanelLayout::panel_len(symbol, key) };
             tab.slots.push(Slot::new(Vec::with_capacity(len)));
         }
         tab
@@ -336,10 +355,11 @@ impl<T: Scalar> CoefTab<T> {
         c: usize,
         src: Option<&PanelSource<'_, T>>,
     ) -> Result<PanelPin<'_, T>, SolverError> {
-        self.pin(c, self.layout.panel_len(symbol, c), src)
+        self.pin(c, PanelLayout::panel_len(symbol, c), src)
     }
 
-    /// Pin the Uᵀ panel of column block `c` (LU only).
+    /// Pin the Uᵀ panel of column block `c` (LU only): its rows below the
+    /// diagonal block, leading dimension `stride − width`.
     pub fn pin_u(
         &self,
         symbol: &SymbolMatrix,
@@ -347,7 +367,7 @@ impl<T: Scalar> CoefTab<T> {
         src: Option<&PanelSource<'_, T>>,
     ) -> Result<PanelPin<'_, T>, SolverError> {
         debug_assert!(self.lu, "U panel requested for a non-LU factorization");
-        self.pin(self.ncblk + c, self.layout.panel_len(symbol, c), src)
+        self.pin(self.ncblk + c, PanelLayout::panel_len(symbol, self.ncblk + c), src)
     }
 
     fn pin(
@@ -625,7 +645,7 @@ mod tests {
         // Budgeted: a cap small enough to force paging but larger than
         // any single panel.
         let max_panel: usize = (0..symbol.ncblk())
-            .map(|c| eager.layout.panel_len(symbol, c))
+            .map(|c| PanelLayout::panel_len(symbol, c))
             .max()
             .unwrap_or(0)
             * std::mem::size_of::<f64>();
@@ -670,9 +690,8 @@ mod tests {
         let a = grid_laplacian_2d(8, 8);
         let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
         let symbol = &an.symbol;
-        let layout = PanelLayout::new(symbol);
         let max_panel: usize = (0..symbol.ncblk())
-            .map(|c| layout.panel_len(symbol, c))
+            .map(|c| PanelLayout::panel_len(symbol, c))
             .max()
             .unwrap_or(0)
             * std::mem::size_of::<f64>();
@@ -706,8 +725,7 @@ mod tests {
         let a = grid_laplacian_2d(8, 8);
         let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
         let symbol = &an.symbol;
-        let layout = PanelLayout::new(symbol);
-        let bytes = |c| layout.panel_len(symbol, c) * std::mem::size_of::<f64>();
+        let bytes = |c| PanelLayout::panel_len(symbol, c) * std::mem::size_of::<f64>();
         let budget = MemoryBudget::with_cap(bytes(0) + bytes(1));
         let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: None };
         let tab = CoefTab::<f64>::reserve(&an, &mem);
@@ -750,9 +768,11 @@ mod tests {
     #[test]
     fn budget_release_on_drop_balances_ledger() {
         // An uncapped reservation charges every side of the whole factor
-        // in one step (LLᵀ one side, LU two), and drop returns it all.
+        // in one step, each by what it stores — LLᵀ its L panels, LU also
+        // the Uᵀ panels' rows below their diagonal blocks — and drop
+        // returns it all.
         let a = grid_laplacian_2d(6, 6);
-        for (facto, sides) in [(FactoKind::Cholesky, 1), (FactoKind::Lu, 2)] {
+        for facto in [FactoKind::Cholesky, FactoKind::Lu] {
             let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
             let budget = MemoryBudget::unbounded();
             let mem = MemoryOptions {
@@ -760,8 +780,12 @@ mod tests {
                 spill_dir: None,
             };
             let tab = CoefTab::<f64>::reserve(&an, &mem);
-            let whole = sides * tab.layout.len * std::mem::size_of::<f64>();
-            assert!(whole > 0);
+            let cblks = &an.symbol.cblks;
+            let l: usize = cblks.iter().map(|cb| cb.stride * cb.width()).sum();
+            let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
+            let stored = if facto == FactoKind::Lu { l + u } else { l };
+            assert!(u > 0 && u < l, "a U side with no rows below its diagonal blocks");
+            let whole = stored * std::mem::size_of::<f64>();
             assert_eq!((budget.used(), budget.peak()), (whole, whole), "{facto:?}");
             drop(tab);
             assert_eq!(budget.used(), 0, "{facto:?}: drop must release every charge");

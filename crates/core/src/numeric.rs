@@ -260,8 +260,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                             &mut l[w..],
                             stride,
                         );
-                        // U side (stored transposed): Uᵀ ← Uᵀ · L_kk⁻ᵀ.
-                        // BOUNDS: the U panel has the L panel's shape.
+                        // U side (stored transposed, the rows below the
+                        // diagonal block only): Uᵀ ← Uᵀ · L_kk⁻ᵀ.
                         trsm(
                             Side::Right,
                             Uplo::Lower,
@@ -271,8 +271,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                             w,
                             &ws.diag,
                             w,
-                            &mut u[w..],
-                            stride,
+                            u,
+                            below,
                         );
                     }
                 }
@@ -381,14 +381,16 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
             Some((us, ud)) => {
                 // SAFETY: same discipline as the L side.
                 let (usrc, udst) = unsafe { (us.slice(), ud.slice_mut()) };
-                // BOUNDS: the U panel has the L panel's shape.
-                let ut = &usrc[block.local_offset..];
+                // A Uᵀ panel stores the L panel's rows from the width on,
+                // shifted up by the width. BOUNDS: k <= local_offset.
+                let (ldu, tldu) = (cb.height_below(), tcb.height_below());
+                let ut = &usrc[block.local_offset - k..];
                 // C_L -= L[R≥b, c] · (Uᵀ[R_b, c])ᵀ
                 update_via_buffer(
                     m, n, k,
                     -T::one(),
                     a1, cb.stride,
-                    ut, cb.stride,
+                    ut, ldu,
                     None,
                     &mut ws.tmp,
                     ldst, tcb.stride,
@@ -409,7 +411,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                     // BOUNDS: block b's n rows end inside the panel, and
                     // the L-side call left `ws.tmp` at least m·n long.
                     let mu = m - n;
-                    let ut_below = &usrc[block.local_offset + n..];
+                    let ut_below = &usrc[block.local_offset + n - k..];
                     let a2l = &lsrc[block.local_offset..];
                     // The L-side call above left `ws.tmp` at least m·n
                     // long; β = 0 overwrites its stale contents.
@@ -419,7 +421,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                         Trans::Trans,
                         mu, n, k,
                         T::one(),
-                        ut_below, cb.stride,
+                        ut_below, ldu,
                         a2l, cb.stride,
                         T::zero(),
                         tmp, mu,
@@ -440,8 +442,8 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
                             ldst[row * tcb.stride + col] -= v;
                         }
                         for (&row, &v) in below[split..].iter().zip(&vals[split..]) {
-                            // Uᵀ[r, cglob] in the U panel.
-                            udst[col * tcb.stride + row] -= v;
+                            // Uᵀ[r, cglob] in the U panel, from row `tcb.width()` on.
+                            udst[col * tldu + row - tcb.width()] -= v;
                         }
                     }
                 }
@@ -456,9 +458,10 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
     }
 }
 
-/// No NaN or infinity in `v`.
+/// No NaN or infinity in `v`. A fold that never stops early, so the
+/// loop vectorizes; no square root per complex entry.
 fn all_finite<T: Scalar>(v: &[T]) -> bool {
-    v.iter().all(|x| x.modulus().is_finite())
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
 }
 
 /// Copy the leading `w×w` block of a panel into the front of the compact,
@@ -736,5 +739,31 @@ impl Analysis {
             rec.set_edges(edges);
         }
         dagfact_rt::exec::run(&program, runtime, nthreads, config)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::all_finite;
+    use dagfact_kernels::C64;
+
+    #[test]
+    fn the_finite_sweep_flags_nan_and_infinities_only() {
+        // 1e200 is finite but its square is not: a verdict through the
+        // complex modulus (|z|² first) would call it non-finite.
+        let huge = 1e200;
+        assert!(all_finite(&[1.0, -huge, huge, f64::MAX, 0.0]));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut v = [1.0, huge, 2.0, 3.0, 4.0];
+            v[3] = bad;
+            assert!(!all_finite(&v), "{bad} passed");
+        }
+        let z = |re, im| C64::new(re, im);
+        assert!(all_finite(&[z(huge, huge), z(-huge, 1.0), z(0.0, f64::MAX)]));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!all_finite(&[z(1.0, 1.0), z(bad, 0.0)]), "re {bad} passed");
+            assert!(!all_finite(&[z(0.0, bad), z(1.0, 1.0)]), "im {bad} passed");
+        }
+        assert!(all_finite::<f64>(&[]));
     }
 }

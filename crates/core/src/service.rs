@@ -207,8 +207,7 @@ impl<T: Scalar> SharedFactors<T> {
     /// to a [`dagfact_rt::MemoryBudget`] ledger for holding it.
     pub fn resident_bytes(&self) -> usize {
         let elt = core::mem::size_of::<T>();
-        let sides = if self.factors.tab.has_u() { 2 } else { 1 };
-        let coef = self.factors.tab.layout.len.saturating_mul(elt * sides);
+        let coef = self.factors.tab.layout.total().saturating_mul(elt);
         let diag = self.factors.d.len().saturating_mul(elt);
         // CSC: values + row indices + column pointers.
         let matrix = self
@@ -288,5 +287,32 @@ mod tests {
         assert!(x2.iter().all(|v| (v - 0.5).abs() < 1e-9), "scaled solve wrong");
         assert!(sf.resident_bytes() > 0);
         assert!(analysis.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn lu_coefficients_are_charged_and_counted_as_stored() {
+        // L panels whole, Uᵀ panels without the square above their rows
+        // below the diagonal block: the uncapped ledger's one charge and
+        // the handle's footprint both count exactly that.
+        use crate::coeftab::{CoefTab, MemoryOptions};
+        let a = dagfact_sparse::gen::convection_diffusion_3d(8, 8, 3, 0.3);
+        let analysis =
+            Arc::new(Analysis::new(a.pattern(), FactoKind::Lu, &SolverOptions::default()));
+        let elt = core::mem::size_of::<f64>();
+        let cblks = &analysis.symbol.cblks;
+        let l: usize = cblks.iter().map(|cb| cb.stride * cb.width()).sum();
+        let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
+        let stored = (l + u) * elt;
+        let budget = dagfact_rt::MemoryBudget::unbounded();
+        let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: None };
+        drop(CoefTab::<f64>::reserve(&analysis, &mem));
+        assert_eq!(budget.peak(), stored, "the reservation's forced charge");
+        let exec = ExecOptions::default();
+        let sf = SharedFactors::factorize(analysis, &a, RuntimeKind::Native, 1, &exec)
+            .expect("factorize");
+        let usz = core::mem::size_of::<usize>();
+        let matrix = a.nnz() * (elt + usz) + (a.ncols() + 1) * usz;
+        let diag = sf.factors.d.len() * elt;
+        assert_eq!(sf.resident_bytes(), stored + diag + matrix);
     }
 }

@@ -106,6 +106,8 @@ pub fn build_sim_dag(
     let program = analysis.program(RuntimeKind::Ptg, 1, options.complex, |_, _| {});
     let costs = program.costs();
     let scalar_bytes = if options.complex { 16.0 } else { 8.0 };
+    // PaStiX's layout, `stride × w` per side, which the paper's transfers
+    // move: the solver's trimmed Uᵀ panels would change Table I, Figs 2–4.
     let sides = analysis.facto.sides() as f64;
     let data: Vec<SimData> = symbol
         .cblks

@@ -40,7 +40,10 @@
 //! each other one on a scoped thread. The result is bitwise the 1-worker
 //! one at every worker count, and no two threads share a writable
 //! element. Every buffer is allocated on the calling thread before the
-//! fork, so the forked threads allocate nothing. A single column never
+//! fork, so the forked threads allocate nothing. The `n × nrhs` working
+//! buffer is the result: each group permutes its columns back in place,
+//! one at a time through an `n`-long scratch column of its own, so the
+//! right-hand sides are held once, not twice. A single column never
 //! splits: [`Factors::solve`], and refinement with it, stays on the
 //! calling thread.
 
@@ -125,22 +128,23 @@ impl<T: Scalar> Factors<'_, T> {
         );
         let width = group_width(nrhs, groups);
         let tallest = symbol.cblks.iter().map(|cb| cb.height_below()).max().unwrap_or(0).max(1);
-        // ALLOC: the permuted right-hand sides, the groups' product
-        // scratch and the result, once per solve, on the calling thread.
+        // ALLOC: the working buffer (the result), the groups' product
+        // scratch and one permutation column per group, once per solve,
+        // on the calling thread.
         let mut x = vec![T::zero(); n * nrhs];
         let mut tmp = vec![T::zero(); tallest * nrhs];
-        let mut out = vec![T::zero(); n * nrhs];
+        let mut cols = vec![T::zero(); n * nrhs.div_ceil(width)];
         // One slab of each buffer per group; none at all when n == 0.
         let slab = (n * width).max(1);
         let mut slabs = b
             .chunks(slab)
             .zip(x.chunks_mut(slab))
             .zip(tmp.chunks_mut(tallest * width))
-            .zip(out.chunks_mut(slab));
+            .zip(cols.chunks_mut(n.max(1)));
         let first = slabs.next();
         let solve_first = || {
-            if let Some((((b, x), tmp), out)) = first {
-                self.solve_group(b, x, tmp, out);
+            if let Some((((b, x), tmp), col)) = first {
+                self.solve_group(b, x, tmp, col);
             }
         };
         if width == nrhs {
@@ -151,20 +155,21 @@ impl<T: Scalar> Factors<'_, T> {
                 // but the first, only above `SPLIT_FLOOR` (or when
                 // `solve_parallel_many` asks for it); the forked threads
                 // allocate nothing.
-                for (((b, x), tmp), out) in slabs {
-                    s.spawn(move || self.solve_group(b, x, tmp, out));
+                for (((b, x), tmp), col) in slabs {
+                    s.spawn(move || self.solve_group(b, x, tmp, col));
                 }
                 solve_first();
             });
         }
-        out
+        x
     }
 
     /// The sequential solve of one column group: `b`'s columns permuted
     /// into `x`, the forward sweep, the LDLᵀ diagonal, the backward sweep,
-    /// `x` permuted back into `out`. `x` and `out` hold as many columns as
-    /// `b`; `tmp` that many times the tallest off-diagonal part of a panel.
-    fn solve_group(&self, b: &[T], x: &mut [T], tmp: &mut [T], out: &mut [T]) {
+    /// `x` permuted back in place, a column at a time through `col`. `x`
+    /// holds as many columns as `b`, `col` one; `tmp` that many times the
+    /// tallest off-diagonal part of a panel.
+    fn solve_group(&self, b: &[T], x: &mut [T], tmp: &mut [T], col: &mut [T]) {
         let symbol = &self.analysis.symbol;
         let n = symbol.n;
         let nrhs = x.len() / n;
@@ -190,11 +195,12 @@ impl<T: Scalar> Factors<'_, T> {
         for c in (0..symbol.ncblk()).rev() {
             self.backward_panel(c, x, tmp, nrhs);
         }
-        // out[i, :] = x[perm[i], :]
-        // BOUNDS: as for the permutation in.
-        for (oc, xc) in out.chunks_exact_mut(n).zip(x.chunks_exact(n)) {
-            for (o, &new) in oc.iter_mut().zip(perm) {
-                *o = xc[new];
+        // x[i, :] = x[perm[i], :], each column read from its copy in `col`
+        // BOUNDS: as for the permutation in; `col` has length n.
+        for xc in x.chunks_exact_mut(n) {
+            col.copy_from_slice(xc);
+            for (o, &new) in xc.iter_mut().zip(perm) {
+                *o = col[new];
             }
         }
     }
@@ -256,8 +262,10 @@ impl<T: Scalar> Factors<'_, T> {
         let upin = lu.then(|| self.tab.pin_u_solve(symbol, c));
         // SAFETY: read-only factor panels, as in `forward_panel`.
         let l = unsafe { lpin.slice() };
+        // The off-diagonal rows: LU's Uᵀ panel holds only those (leading
+        // dimension h), L has them below its diagonal block. BOUNDS: w <= stride.
         // SAFETY: as for `l`.
-        let u = upin.as_ref().map_or(l, |p| unsafe { p.slice() });
+        let (u, ldu) = upin.as_ref().map_or((&l[w..], cb.stride), |p| (unsafe { p.slice() }, h));
         if h > 0 {
             for b in symbol.off_blocks(c) {
                 // BOUNDS: as in `forward_panel`'s subtraction.
@@ -267,7 +275,7 @@ impl<T: Scalar> Factors<'_, T> {
             }
             // BOUNDS: as in `forward_panel`'s product, transposed.
             let xc = &mut x[cb.fcol..];
-            gemm(Trans::Trans, Trans::NoTrans, w, nrhs, h, -T::one(), &u[w..], cb.stride, tmp, h, T::one(), xc, n);
+            gemm(Trans::Trans, Trans::NoTrans, w, nrhs, h, -T::one(), u, ldu, tmp, h, T::one(), xc, n);
         }
         let (uplo, trans, diag) = match self.analysis.facto {
             FactoKind::Lu => (Uplo::Upper, Trans::NoTrans, Diag::NonUnit),

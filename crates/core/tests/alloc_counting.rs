@@ -6,8 +6,9 @@
 //! the matrix at first touch, with no per-panel entry list, and the
 //! graph is computed from the analysis, never built out of per-task lists
 //! and boxed closures. The triangular solve
-//! holds the same line: its buffers (the permuted right-hand sides, one
-//! product scratch, the result) are allocated once per call on the calling
+//! holds the same line: its buffers (the permuted right-hand sides, which
+//! become the result, one product scratch, one permutation column per
+//! column group) are allocated once per call on the calling
 //! thread, so a warm `solve_many` costs the same few allocations whatever
 //! the panel count, plus a constant when it splits its columns over
 //! threads — which allocate nothing themselves.
@@ -123,6 +124,12 @@ fn no_policy_allocates_per_task() {
     // tables. Measured 60 native / 68 dataflow / 70 ptg on the LU case;
     // the margin of 10 is a few more doublings of a grow-only buffer.
     const SETUP: usize = 80;
+    // The bytes of that set-up besides the transpose and the diagonal.
+    // Measured 1 275 119 native / 1 182 919 dataflow / 1 307 855 ptg on
+    // the LU case. A Uᵀ panel stores only the rows below its diagonal
+    // block; the dead `w × w` squares above them would add 1 382 384 bytes
+    // (Σ w² · 8) here, so the bound fails on a layout that stores them.
+    const SETUP_BYTES: usize = 1_600_000;
     // The `shell_lu` benchmark proxy at a third of its side: tiny fronts,
     // so tasks — not flops — are what there is a lot of. Then a symmetric
     // kind (one side) on a 3D grid.
@@ -134,15 +141,30 @@ fn no_policy_allocates_per_task() {
         let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
         let (ntasks, ncblk) = (an.symbol.blocks.len(), an.symbol.ncblk());
         assert!(ntasks >= min_tasks, "{facto:?}: only {ntasks} tasks");
+        // The bytes an uncapped LU factorization may ask for: the L
+        // panels, the Uᵀ panels' rows below their diagonal blocks, what
+        // building `Aᵀ` allocates, the diagonal, and the set-up.
+        let cblks = &an.symbol.cblks;
+        let l: usize = cblks.iter().map(|cb| cb.stride * cb.width()).sum();
+        let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
+        let transpose = allocated_during(|| drop(a.transpose())).1;
+        let elt = std::mem::size_of::<f64>();
+        let max_bytes = (l + u + a.nrows()) * elt + transpose + SETUP_BYTES;
         for rt in RuntimeKind::ALL {
             // One worker: the run stays on this (measured) thread.
-            let n = allocs_during(|| {
+            let (n, bytes) = allocated_during(|| {
                 an.factorize(a, rt, 1).expect("factorization succeeds");
             });
             assert!(
                 n <= sides * ncblk + SETUP,
                 "{facto:?}, {}: {n} allocations for {ncblk} panels x {sides} side(s) and \
                  {ntasks} tasks; the bound is the panels + {SETUP}",
+                rt.label()
+            );
+            assert!(
+                facto != FactoKind::Lu || bytes <= max_bytes,
+                "LU, {}: {bytes} bytes allocated, the bound is {max_bytes} (L {l} + Uᵀ {u} \
+                 elements, Aᵀ {transpose} bytes, set-up {SETUP_BYTES})",
                 rt.label()
             );
         }
@@ -157,6 +179,9 @@ fn warm_solve_allocations_do_not_depend_on_panel_count() {
     // (4 outside it). The forked thread itself allocates nothing.
     const ONE_THREAD: usize = 4;
     const TWO_GROUPS: usize = 9;
+    // The bytes of the fork's bookkeeping, measured 224 for one extra
+    // thread (0 on one thread).
+    const FORK_BYTES: usize = 1024;
     // (panels, groups `solve_many` picks for 16 RHS, allocations of a warm
     // 16-RHS solve in two groups, of its forked thread, of `solve_many`,
     // of a warm 1-RHS solve) at a grid side, on factors from two workers.
@@ -168,9 +193,21 @@ fn warm_solve_allocations_do_not_depend_on_panel_count() {
         f.solve_parallel_many(&b, 16, 2);
         f.solve(&b1);
         let (split, forked) = forked_allocs_during(|| drop(f.solve_parallel_many(&b, 16, 2)));
-        let many = allocs_during(|| drop(f.solve_many(&b, 16)));
+        let (many, many_bytes) = allocated_during(|| drop(f.solve_many(&b, 16)));
         let one = allocs_during(|| drop(f.solve(&b1)));
-        (an.symbol.ncblk(), f.solve_groups(16), [split, forked, many, one])
+        // The right-hand sides are held once — the working buffer is the
+        // result — beside one permutation column per group and the
+        // product scratch: a solve that kept a separate result would ask
+        // for n · 16 elements more.
+        let (n, groups) = (a.nrows(), f.solve_groups(16));
+        let tallest = an.symbol.cblks.iter().map(|cb| cb.height_below()).max().unwrap_or(0);
+        let max_bytes =
+            (n * 16 + groups * n + tallest * 16) * std::mem::size_of::<f64>() + FORK_BYTES;
+        assert!(
+            many_bytes <= max_bytes,
+            "side {side}: solve_many(16) asked for {many_bytes} bytes, the bound is {max_bytes}"
+        );
+        (an.symbol.ncblk(), groups, [split, forked, many, one])
     };
     let (few, small_groups, small) = measure(10);
     let (many, large_groups, large) = measure(40);

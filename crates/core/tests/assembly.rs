@@ -20,7 +20,8 @@ use dagfact_symbolic::FactoKind;
 /// panel of a column block holds its columns' rows of the block structure
 /// (at and below the diagonal for a symmetric kind, the full square
 /// diagonal block for LU); the Uᵀ panel holds, transposed, the rows of `U`
-/// right of the diagonal block.
+/// right of the diagonal block, and nothing above them: its storage rows
+/// are the L panel's from the block's width on.
 fn reference_panels<T: Scalar>(an: &Analysis, a: &CscMatrix<T>) -> Vec<Vec<T>> {
     let (n, perm, symbol) = (a.nrows(), an.perm.perm(), &an.symbol);
     let lu = an.facto == FactoKind::Lu;
@@ -33,8 +34,10 @@ fn reference_panels<T: Scalar>(an: &Analysis, a: &CscMatrix<T>) -> Vec<Vec<T>> {
     let side = |upper: bool| -> Vec<Vec<T>> {
         let panel = |c: usize| {
             let cb = &symbol.cblks[c];
-            let mut panel = vec![T::zero(); cb.stride * cb.width()];
-            for (col, out) in (cb.fcol..cb.lcol).zip(panel.chunks_exact_mut(cb.stride)) {
+            let skip = if upper { cb.width() } else { 0 };
+            let ld = cb.stride - skip;
+            let mut panel = vec![T::zero(); ld * cb.width()];
+            for (j, col) in (cb.fcol..cb.lcol).enumerate() {
                 for b in symbol.panel_blocks(c) {
                     for row in b.frow..b.lrow {
                         let kept = match (upper, lu) {
@@ -43,8 +46,9 @@ fn reference_panels<T: Scalar>(an: &Analysis, a: &CscMatrix<T>) -> Vec<Vec<T>> {
                             (false, false) => row >= col,
                         };
                         if kept {
-                            let (i, j) = if upper { (col, row) } else { (row, col) };
-                            out[b.local_offset + (row - b.frow)] = dense[j * n + i];
+                            let (i, jj) = if upper { (col, row) } else { (row, col) };
+                            let at = j * ld + b.local_offset + (row - b.frow) - skip;
+                            panel[at] = dense[jj * n + i];
                         }
                     }
                 }

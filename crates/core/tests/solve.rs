@@ -190,7 +190,8 @@ fn factor_and_solve_hashes<T: Scalar>(a: &CscMatrix<T>, facto: FactoKind) -> (u6
 /// vectorized triangle) is held to it here. One pin per tier class — the
 /// SIMD tiers are bitwise one another (`isa_identity.rs`), the portable
 /// tier rounds without FMA — so every leg of the kernel gate checks one.
-/// A deliberate change of the arithmetic re-captures them.
+/// A deliberate change of the arithmetic, or of what a panel stores,
+/// re-captures them.
 #[test]
 #[cfg_attr(miri, ignore = "the pins are of the full-size problems")]
 fn factors_and_solutions_are_pinned_bitwise() {
@@ -204,7 +205,7 @@ fn factors_and_solutions_are_pinned_bitwise() {
     // (factors, solves) per problem: SIMD tiers, then the portable tier.
     const PINS: [[(u64, u64); 2]; 3] = [
         [(0x79fe_9135_dcad_441b, 0xf3b7_1c87_2db4_ebb1), (0x3380_3a9e_6c1f_5e39, 0xa7aa_8b7a_6e01_6b3c)],
-        [(0x3c4e_780b_261d_d55a, 0xa38b_8eed_9f29_5d6a), (0x80fc_b754_cffd_6d3c, 0xfee0_1ea6_fc07_19e6)],
+        [(0xe96e_1097_b5ea_161a, 0xa38b_8eed_9f29_5d6a), (0x20f3_fe2e_fe30_24fc, 0xfee0_1ea6_fc07_19e6)],
         [(0x29b1_719d_8fc9_81d6, 0x872e_f40d_6552_8566), (0x852a_81b5_94b3_cfb7, 0x642c_111c_404f_85c6)],
     ];
     for ((name, got), pins) in got.iter().zip(PINS) {

@@ -93,7 +93,7 @@ fn getrf_unblocked<T: Scalar>(
     for k in 0..n {
         // BOUNDS: k < n <= m against the caller's m×n extent in `a`.
         let mut piv = a[k * lda + k];
-        if !piv.modulus().is_finite() {
+        if !piv.is_finite() {
             return Err(KernelError::NonFinitePivot { column: col0 + k });
         }
         if piv.modulus() < small_pivot_threshold {

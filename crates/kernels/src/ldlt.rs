@@ -106,7 +106,7 @@ fn ldlt_unblocked<T: Scalar>(
         for k in 0..j {
             dj -= a[k * lda + j] * w[k];
         }
-        if !dj.modulus().is_finite() {
+        if !dj.is_finite() {
             return Err(KernelError::NonFinitePivot { column: col0 + j });
         }
         if dj.modulus() < small_pivot_threshold {

@@ -76,7 +76,7 @@ fn potrf_unblocked<T: Scalar>(
             let l = a[k * lda + j];
             d -= l * l;
         }
-        if !d.modulus().is_finite() {
+        if !d.is_finite() {
             return Err(KernelError::NonFinitePivot { column: col0 + j });
         }
         // Positivity check on the real part; complex symmetric blocks may

@@ -296,7 +296,9 @@ impl<T> Injector<T> {
 
     /// Enqueue at the back.
     pub fn push(&self, value: T) {
-        // LOCK: global injector — seed time and overflow spills only.
+        // LOCK: global injector — one lock per push: every seed of the
+        // ptg and dataflow policies, every task dataflow releases, and
+        // deque overflow spills.
         // ALLOC: VecDeque growth amortized over the run.
         let mut q = self.queue.lock();
         q.push_back(value);
@@ -313,7 +315,8 @@ impl<T> Injector<T> {
         if self.len.load(Ordering::Relaxed) == 0 {
             return None;
         }
-        // LOCK: global injector mutex.
+        // LOCK: global injector mutex, one lock per pop of a non-empty
+        // queue (under dataflow, nearly every task a worker runs).
         let mut q = self.queue.lock();
         let v = q.pop_front();
         // ORDERING: Relaxed — heuristic mirror, see `push`.

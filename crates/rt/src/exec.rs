@@ -22,9 +22,13 @@
 //! Every worker runs the same loop: own deque → injector → batch-steal
 //! from the most loaded victim → [`Supervisor::run_task`] → checked
 //! fan-in release of the successors → place them → `task_done` (or drain
-//! on abort). Ready tasks live in bounded Chase-Lev rings ([`crate::deque`]) that spill to
-//! the mutex-backed [`Injector`] on overflow, so correctness never depends
-//! on a capacity.
+//! on abort). The shared queue is the mutex-backed FIFO [`Injector`], one
+//! lock per push and per pop: it takes every seed of `Ptg` and `Dataflow`
+//! and, under `Dataflow`, every released task too. The workers' deques are
+//! bounded Chase-Lev rings ([`crate::deque`]) that spill to the injector
+//! on overflow, so correctness never depends on a capacity. (A bounded
+//! lock-free injector measured no gain for `Dataflow`: its gap to `Ptg` is
+//! the lost locality of a FIFO, not the lock — EXPERIMENTS.md.)
 //!
 //! Priority is a heuristic, not an invariant: within one seed or release
 //! batch the most critical task is the one taken first (pushed last onto
