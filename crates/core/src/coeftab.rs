@@ -27,9 +27,13 @@
 //! the whole factor — must fit. [`CoefTab::assemble`] ("fully assembled
 //! on return") is a reservation plus a pin of every slot.
 //!
-//! Access goes through [`CoefTab::pin_l`]/[`CoefTab::pin_u`], which
-//! return a [`PanelPin`] guard: while pins are outstanding the pager
-//! will not evict the panel.
+//! A task takes what [`TaskKind::accesses`] declares in one step,
+//! [`CoefTab::acquire`]: every panel, both sides for LU, plus its worker's
+//! GEMM-buffer growth, held as [`TaskPins`] until the body returns. The
+//! solve pins panel by panel ([`CoefTab::pin_solve`]). The pager never
+//! evicts a pinned panel. Under a cap acquisitions take turns: a set that
+//! finds no room waits for another task's release, holding nothing, and
+//! is forced over the cap only while no other set is held.
 //!
 //! Dropping an unbudgeted tab leaves one element allocated (`HEAP_PIN`):
 //! glibc hands the top of the heap back to the OS once a dropped factor
@@ -39,10 +43,11 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::analysis::Analysis;
 use crate::spill::SpillStore;
+use crate::tasks::TaskKind;
 use crate::SolverError;
 use dagfact_kernels::Scalar;
 use dagfact_rt::budget::{site, MemoryBudget};
@@ -100,6 +105,8 @@ enum SlotState<T> {
 /// One panel slot: its state plus the pager bookkeeping.
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
+    /// Panel length in elements ([`PanelLayout::panel_len`]).
+    len: usize,
     /// Outstanding [`PanelPin`]s; an evictor skips pinned slots.
     /// Increments happen under the state lock, so lock-plus-zero-check
     /// is a sound eviction guard; decrements (pin drops) are lock-free.
@@ -114,10 +121,11 @@ struct Slot<T> {
 }
 
 impl<T> Slot<T> {
-    /// An untouched slot over `storage` (length 0).
-    fn new(storage: Vec<T>) -> Slot<T> {
+    /// An untouched slot of a `len`-element panel over `storage` (length 0).
+    fn new(storage: Vec<T>, len: usize) -> Slot<T> {
         Slot {
             state: Mutex::new(SlotState::Untouched(storage)),
+            len,
             pins: AtomicUsize::new(0),
             resident: AtomicBool::new(false),
             stamp: AtomicU64::new(0),
@@ -136,20 +144,9 @@ impl<T> Slot<T> {
 pub struct PanelPin<'a, T> {
     slot: &'a Slot<T>,
     ptr: *mut T,
-    len: usize,
 }
 
 impl<T> PanelPin<'_, T> {
-    /// Panel length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the panel empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Immutable view of the panel.
     ///
     /// # Safety
@@ -158,9 +155,9 @@ impl<T> PanelPin<'_, T> {
     /// [`dagfact_rt::SharedSlice::slice`], discharged by the engines'
     /// dependency ordering (and machine-checked by `rt::verify`).
     pub unsafe fn slice(&self) -> &[T] {
-        // SAFETY: ptr/len describe the resident allocation, kept alive
-        // by the pin; aliasing discipline is the caller's contract.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        // SAFETY: ptr and the slot's len describe the resident allocation,
+        // kept alive by the pin; aliasing discipline is the caller's contract.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.slot.len) }
     }
 
     /// Mutable view of the panel.
@@ -172,7 +169,7 @@ impl<T> PanelPin<'_, T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn slice_mut(&self) -> &mut [T] {
         // SAFETY: as above, with exclusivity guaranteed by the caller.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.slot.len) }
     }
 }
 
@@ -182,14 +179,75 @@ impl<T> Drop for PanelPin<'_, T> {
     }
 }
 
-/// Memory-management options for a factorization.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryOptions {
-    /// The ledger. `None` disables accounting entirely; a ledger without
-    /// a cap tracks peaks but never degrades.
-    pub budget: Option<Arc<MemoryBudget>>,
-    /// Base directory for the spill store (default: system temp dir).
-    pub spill_dir: Option<std::path::PathBuf>,
+/// Which of a panel's stores: the L panel or LU's Uᵀ panel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PanelSide {
+    /// The L panel (with the whole diagonal block).
+    L,
+    /// The Uᵀ panel (LU only).
+    U,
+}
+
+/// An acquisition's outcome: `None` when a charge found no room and may
+/// not overcommit.
+type Acquired<R> = Result<Option<R>, SolverError>;
+
+/// What one task holds while its body runs: a pin of every panel it
+/// declares (at most two panels of two sides, inline, so acquiring
+/// allocates nothing). Dropping it releases the pins and, under a cap,
+/// wakes the acquisitions waiting for room.
+pub struct TaskPins<'a, T: 'static> {
+    tab: &'a CoefTab<T>,
+    pins: [Option<(usize, PanelPin<'a, T>)>; 4],
+    /// Counted among the tab's holders (capped ledger only).
+    held: bool,
+}
+
+impl<T: Scalar> TaskPins<'_, T> {
+    /// The pin of panel `c`'s `side`; `None` for the U side of a tab
+    /// without one.
+    fn find(&self, c: usize, side: PanelSide) -> Option<&PanelPin<'_, T>> {
+        if side == PanelSide::U && !self.tab.lu {
+            return None;
+        }
+        let key = self.tab.slot_of(c, side);
+        let found = self.pins.iter().flatten().find(|(k, _)| *k == key);
+        // PANIC: a body touches only the panels its task declares.
+        Some(&found.unwrap_or_else(|| panic!("panel slot {key} is not in the task's set")).1)
+    }
+
+    /// Panel `c`'s `side`, read-only; empty for a U side the tab lacks.
+    ///
+    /// # Safety
+    /// As [`PanelPin::slice`].
+    pub unsafe fn slice(&self, c: usize, side: PanelSide) -> &[T] {
+        // SAFETY: the caller's contract.
+        self.find(c, side).map_or(&[], |p| unsafe { p.slice() })
+    }
+
+    /// Panel `c`'s `side`, mutable; empty for a U side the tab lacks.
+    ///
+    /// # Safety
+    /// As [`PanelPin::slice_mut`].
+    #[allow(clippy::mut_from_ref)]
+    pub unsafe fn slice_mut(&self, c: usize, side: PanelSide) -> &mut [T] {
+        // SAFETY: the caller's contract.
+        self.find(c, side).map_or(&mut [], |p| unsafe { p.slice_mut() })
+    }
+}
+
+impl<T: 'static> Drop for TaskPins<'_, T> {
+    fn drop(&mut self) {
+        if self.held {
+            // Unpinned before the count drops: an acquirer that sees no
+            // holder finds every panel evictable.
+            self.pins = Default::default();
+            // LOCK: capped ledger only, the holder count.
+            let mut holders = self.tab.holders.lock().unwrap_or_else(PoisonError::into_inner);
+            *holders -= 1;
+            self.tab.released.notify_all();
+        }
+    }
 }
 
 thread_local! {
@@ -216,6 +274,10 @@ pub struct CoefTab<T: 'static> {
     eager_charged: usize,
     /// LRU clock.
     clock: AtomicU64,
+    /// Capped ledger only: held task sets; acquisitions take turns under it.
+    holders: Mutex<usize>,
+    /// Notified when a held set is released.
+    released: Condvar,
 }
 
 /// What an untouched panel is filled from: the entries of the *original*
@@ -290,32 +352,37 @@ impl<T: Scalar> CoefTab<T> {
     /// accounting: every panel is touched here, on the calling thread.
     /// Panics if `a` has an entry outside the analyzed pattern.
     pub fn assemble(analysis: &Analysis, a: &CscMatrix<T>) -> CoefTab<T> {
-        let tab = Self::reserve(analysis, &MemoryOptions::default());
+        let tab = Self::reserve(analysis, None, None);
         let src = PanelSource::new(analysis, a);
         for key in 0..tab.slots.len() {
-            let len = PanelLayout::panel_len(&analysis.symbol, key);
             // With no budget, the one failure left is the matrix itself.
-            if let Err(e) = tab.pin(key, len, Some(&src)) {
+            if let Err(e) = tab.pin(key, Some(&src), true) {
                 panic!("cannot assemble: {e}");
             }
         }
         tab
     }
 
-    /// One untouched slot per panel under `mem`. Without a cap every
+    /// One untouched slot per panel, charged to `budget` (none: no
+    /// accounting; without a cap: peaks only) and spilled under
+    /// `spill_dir` (default: the system temp dir). Without a cap every
     /// panel's capacity is reserved now (charging the ledger, if any, in
     /// one step: both sides' [`PanelLayout::total`]); with a cap nothing is
     /// allocated until a panel is pinned.
-    pub fn reserve(analysis: &Analysis, mem: &MemoryOptions) -> CoefTab<T> {
+    pub fn reserve(
+        analysis: &Analysis,
+        budget: Option<&Arc<MemoryBudget>>,
+        spill_dir: Option<&std::path::Path>,
+    ) -> CoefTab<T> {
         let symbol = &analysis.symbol;
         let ncblk = symbol.ncblk();
         let lu = analysis.facto == FactoKind::Lu;
         let layout = PanelLayout::new(symbol, lu);
-        let lazy = mem.budget.as_ref().is_some_and(|b| b.cap().is_some());
+        let lazy = budget.is_some_and(|b| b.cap().is_some());
         let nsides = if lu { 2 * ncblk } else { ncblk };
         // An uncapped ledger cannot refuse: the whole factor is counted
         // in one step.
-        let eager_charged = match &mem.budget {
+        let eager_charged = match budget {
             Some(b) if !lazy => {
                 let bytes = layout.total() * std::mem::size_of::<T>();
                 b.charge_forced(bytes);
@@ -329,14 +396,16 @@ impl<T: Scalar> CoefTab<T> {
             ncblk,
             lu,
             lazy,
-            budget: mem.budget.clone(),
-            spill: lazy.then(|| SpillStore::new(mem.spill_dir.as_deref())),
+            budget: budget.cloned(),
+            spill: lazy.then(|| SpillStore::new(spill_dir)),
             eager_charged,
             clock: AtomicU64::new(0),
+            holders: Mutex::new(0),
+            released: Condvar::new(),
         };
         for key in 0..nsides {
-            let len = if lazy { 0 } else { PanelLayout::panel_len(symbol, key) };
-            tab.slots.push(Slot::new(Vec::with_capacity(len)));
+            let len = PanelLayout::panel_len(symbol, key);
+            tab.slots.push(Slot::new(Vec::with_capacity(if lazy { 0 } else { len }), len));
         }
         tab
     }
@@ -346,36 +415,61 @@ impl<T: Scalar> CoefTab<T> {
         self.lu
     }
 
-    /// Pin the L panel of column block `c`, faulting it in if needed. The
-    /// panel's first pin fills it from `src`; `None` is for a tab whose
-    /// panels have all been touched (the solve, [`CoefTab::assemble`]).
-    pub fn pin_l(
-        &self,
-        symbol: &SymbolMatrix,
-        c: usize,
-        src: Option<&PanelSource<'_, T>>,
-    ) -> Result<PanelPin<'_, T>, SolverError> {
-        self.pin(c, PanelLayout::panel_len(symbol, c), src)
+    /// Slot of panel `c`'s `side`: L panels first, then the Uᵀ panels.
+    fn slot_of(&self, c: usize, side: PanelSide) -> usize {
+        c + if side == PanelSide::U { self.ncblk } else { 0 }
     }
 
-    /// Pin the Uᵀ panel of column block `c` (LU only): its rows below the
-    /// diagonal block, leading dimension `stride − width`.
-    pub fn pin_u(
-        &self,
-        symbol: &SymbolMatrix,
-        c: usize,
-        src: Option<&PanelSource<'_, T>>,
-    ) -> Result<PanelPin<'_, T>, SolverError> {
-        debug_assert!(self.lu, "U panel requested for a non-LU factorization");
-        self.pin(self.ncblk + c, PanelLayout::panel_len(symbol, self.ncblk + c), src)
+    /// Acquire what `task` declares ([`TaskKind::accesses`]) in one step:
+    /// every panel, both sides for LU, resident and pinned (first touches
+    /// filled from `src`), plus `grow` bytes of its worker's GEMM buffer —
+    /// all of it or, on an error, none. Without a cap that is one pin per
+    /// panel and nothing shared. Under a cap acquisitions take turns; a set
+    /// that finds no room after evicting every unpinned panel drops what
+    /// it pinned and waits for another set's release (a pin wait), and is
+    /// forced over the cap (an overcommit) only while no other set is held.
+    pub fn acquire(&self, task: TaskKind, src: &PanelSource<'_, T>, grow: usize) -> Result<TaskPins<'_, T>, SolverError> {
+        // Nothing refuses room without a cap: one attempt does.
+        if !self.lazy {
+            if let Some(set) = self.try_acquire(task, src, grow, true)? {
+                return Ok(set);
+            }
+        }
+        // LOCK: capped ledger only; held across the attempt, never by a body.
+        let mut holders = self.holders.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(mut set) = self.try_acquire(task, src, grow, *holders == 0)? {
+                *holders += 1;
+                set.held = true;
+                return Ok(set);
+            }
+            if let Some(b) = &self.budget {
+                b.note_pin_wait();
+            }
+            // LOCK: capped ledger only; the wait holds no pin and no slot.
+            holders = self.released.wait(holders).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
-    fn pin(
-        &self,
-        key: usize,
-        len: usize,
-        src: Option<&PanelSource<'_, T>>,
-    ) -> Result<PanelPin<'_, T>, SolverError> {
+    /// One attempt at `task`'s set.
+    fn try_acquire(&self, task: TaskKind, src: &PanelSource<'_, T>, grow: usize, overcommit: bool) -> Acquired<TaskPins<'_, T>> {
+        let mut set = TaskPins { tab: self, pins: Default::default(), held: false };
+        let sides: &[PanelSide] = if self.lu { &[PanelSide::L, PanelSide::U] } else { &[PanelSide::L] };
+        let keys = task.accesses().flat_map(|(c, _)| sides.iter().map(move |&side| self.slot_of(c, side)));
+        for (entry, key) in set.pins.iter_mut().zip(keys) {
+            let Some(pin) = self.pin(key, Some(src), overcommit)? else {
+                return Ok(None);
+            };
+            *entry = Some((key, pin));
+        }
+        let room = grow == 0 || self.charge_grow(grow, site::WORKSPACE, overcommit)?;
+        Ok(room.then_some(set))
+    }
+
+    /// Pin slot `key`, faulting it in if needed. The panel's first pin
+    /// fills it from `src`; `None` is for a tab whose panels have all been
+    /// touched (the solve, [`CoefTab::assemble`]).
+    fn pin(&self, key: usize, src: Option<&PanelSource<'_, T>>, overcommit: bool) -> Acquired<PanelPin<'_, T>> {
         // BOUNDS: `key` is `c` or `ncblk + c` (LU) for a column block `c`
         // of the analysis the slot table was laid out for.
         let slot = &self.slots[key];
@@ -385,7 +479,7 @@ impl<T: Scalar> CoefTab<T> {
         // lock; a stale value only skews eviction order, never safety.
         slot.stamp
             .store(self.clock.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-        let esize = std::mem::size_of::<T>();
+        let (esize, len) = (std::mem::size_of::<T>(), slot.len);
         match &mut *st {
             SlotState::Resident(_) => {}
             SlotState::Untouched(storage) => {
@@ -394,8 +488,8 @@ impl<T: Scalar> CoefTab<T> {
                     unreachable!("panel slot {key} pinned without a source before its first touch")
                 };
                 // Nothing is mutated before the charge succeeds.
-                if self.lazy {
-                    self.charge_grow(len * esize, site::PANEL_BASE + key)?;
+                if self.lazy && !self.charge_grow(len * esize, site::PANEL_BASE + key, overcommit)? {
+                    return Ok(None);
                 }
                 let mut data = std::mem::take(storage);
                 // ALLOC: once per panel per factorization — into the
@@ -409,7 +503,9 @@ impl<T: Scalar> CoefTab<T> {
                 gathered?;
             }
             SlotState::Spilled => {
-                self.charge_grow(len * esize, site::SPILL_READBACK)?;
+                if !self.charge_grow(len * esize, site::SPILL_READBACK, overcommit)? {
+                    return Ok(None);
+                }
                 // LOCK: ALLOC: capped ledger only (`read` is the spill file).
                 let spill = self
                     .spill
@@ -440,22 +536,21 @@ impl<T: Scalar> CoefTab<T> {
             // PANIC: unreachable — both other arms above transition to Resident.
             _ => unreachable!("panel not resident after pin transition"),
         };
-        Ok(PanelPin { slot, ptr, len })
+        Ok(Some(PanelPin { slot, ptr }))
     }
 
-    /// [`CoefTab::pin_l`] for the solve phase, which has no error
-    /// channel. PANIC: a spill-store failure or a panel larger than the
-    /// whole cap (capped ledger only) panics.
-    pub fn pin_l_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
-        self.pin_l(symbol, c, None)
-            .unwrap_or_else(|e| panic!("cannot fault L panel {c} back in for the solve: {e}"))
-    }
-
-    /// [`CoefTab::pin_u`], solve-phase variant (PANIC: see
-    /// [`CoefTab::pin_l_solve`]).
-    pub fn pin_u_solve(&self, symbol: &SymbolMatrix, c: usize) -> PanelPin<'_, T> {
-        self.pin_u(symbol, c, None)
-            .unwrap_or_else(|e| panic!("cannot fault U panel {c} back in for the solve: {e}"))
+    /// Pin panel `c`'s `side` of a factored tab (the U side: its rows
+    /// below the diagonal block, leading dimension `stride − width`),
+    /// faulting it back in if spilled. For the solve phase, which has no
+    /// error channel: a charge that finds no room overcommits.
+    pub fn pin_solve(&self, c: usize, side: PanelSide) -> PanelPin<'_, T> {
+        // PANIC: a spill-store failure or a panel larger than the whole
+        // cap (capped ledger only); an overcommitting charge always fits.
+        match self.pin(self.slot_of(c, side), None, true) {
+            Ok(Some(pin)) => pin,
+            Ok(None) => unreachable!("an overcommitting charge found no room"),
+            Err(e) => panic!("cannot fault {side:?} panel {c} back in for the solve: {e}"),
+        }
     }
 
     /// Mark column block `c`'s panels cold: the factorization will no
@@ -473,16 +568,16 @@ impl<T: Scalar> CoefTab<T> {
         }
     }
 
-    /// Charge `bytes` at `site`, evicting cold panels (and finally
-    /// overcommitting) to guarantee progress. Only a single request
+    /// Charge `bytes` at `site`, evicting cold panels to make room. With
+    /// nothing left to evict it is forced over the cap if `overcommit`,
+    /// else refused: `Ok(false)`, nothing charged. Only a single request
     /// larger than the whole cap — where spilling provably cannot help —
-    /// is returned as an error. Panels charge here
-    /// as they materialize or fault in, and so do the workers' GEMM
-    /// workspaces as they grow (`numeric.rs`): one pager makes room for
-    /// every large allocation of the numeric phase.
-    pub(crate) fn charge_grow(&self, bytes: usize, at: usize) -> Result<(), SolverError> {
+    /// is an error. Panels charge here as they materialize or fault in,
+    /// and so do the workers' GEMM buffers as they grow: one pager makes
+    /// room for every large allocation of the numeric phase.
+    fn charge_grow(&self, bytes: usize, at: usize, overcommit: bool) -> Result<bool, SolverError> {
         let Some(b) = &self.budget else {
-            return Ok(());
+            return Ok(true);
         };
         while let Err(e) = b.try_charge(bytes, at) {
             if b.cap().is_some_and(|cap| bytes > cap) {
@@ -490,13 +585,15 @@ impl<T: Scalar> CoefTab<T> {
                 return Err(SolverError::from_budget(e));
             }
             if !self.evict_one() {
-                // Nothing evictable (everything pinned or already
-                // spilled): overcommit rather than deadlock.
+                // Nothing evictable (everything pinned or already spilled).
+                if !overcommit {
+                    return Ok(false);
+                }
                 b.charge_forced(bytes);
                 break;
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Spill one unpinned resident panel — retired panels first, then
@@ -610,6 +707,12 @@ mod tests {
     use crate::analysis::SolverOptions;
     use dagfact_sparse::gen::grid_laplacian_2d;
     use dagfact_symbolic::FactoKind;
+    use std::time::{Duration, Instant};
+
+    /// Panel `c`'s task set: its first touch, or a pin while held.
+    fn panel(c: usize) -> TaskKind {
+        TaskKind::Panel { cblk: c }
+    }
 
     #[test]
     fn a_dropped_unbudgeted_tab_leaves_one_element_as_heap_pin() {
@@ -626,9 +729,8 @@ mod tests {
         let pin = pinned().expect("an unbudgeted drop leaves a pin");
         assert_eq!(pin.1, 1, "the pin is one element, not a panel");
         // A budgeted tab's storage all returns to the ledger.
-        let mem = MemoryOptions { budget: Some(MemoryBudget::unbounded()), spill_dir: None };
-        let budgeted = CoefTab::<f64>::reserve(&an, &mem);
-        drop(budgeted.pin_l(&an.symbol, 0, Some(&PanelSource::new(&an, &a))).expect("pin"));
+        let budgeted = CoefTab::<f64>::reserve(&an, Some(&MemoryBudget::unbounded()), None);
+        drop(budgeted.acquire(panel(0), &PanelSource::new(&an, &a), 0).expect("pin"));
         drop(budgeted);
         assert_eq!(pinned(), Some(pin), "a budgeted drop must not touch the pin");
     }
@@ -650,23 +752,19 @@ mod tests {
             .unwrap_or(0)
             * std::mem::size_of::<f64>();
         let budget = MemoryBudget::with_cap((max_panel * 3).max(4096));
-        let mem = MemoryOptions {
-            budget: Some(budget.clone()),
-            spill_dir: None,
-        };
-        let lazy = CoefTab::reserve(&an, &mem);
+        let lazy = CoefTab::reserve(&an, Some(&budget), None);
         assert_eq!(budget.used(), 0, "a capped tab holds nothing until a panel is touched");
         let src = PanelSource::new(&an, &a);
 
         // Touch every panel in order (forces materialize + evictions),
         // then touch them all again (forces fault-ins) and compare.
         for c in 0..symbol.ncblk() {
-            let _ = lazy.pin_l(symbol, c, Some(&src)).expect("first touch");
+            let _ = lazy.acquire(panel(c), &src, 0).expect("first touch");
             lazy.retire(c);
         }
         for c in 0..symbol.ncblk() {
-            let lp = lazy.pin_l(symbol, c, None).expect("second touch");
-            let ep = eager.pin_l(symbol, c, None).expect("eager pin");
+            let lp = lazy.pin_solve(c, PanelSide::L);
+            let ep = eager.pin_solve(c, PanelSide::L);
             // SAFETY: single-threaded test — no concurrent writer.
             let (lzy, egr) = unsafe { (lp.slice(), ep.slice()) };
             for (x, y) in lzy.iter().zip(egr.iter()) {
@@ -696,22 +794,18 @@ mod tests {
             .unwrap_or(0)
             * std::mem::size_of::<f64>();
         let budget = MemoryBudget::with_cap((max_panel * 2).max(2048));
-        let mem = MemoryOptions {
-            budget: Some(budget),
-            spill_dir: None,
-        };
-        let tab = CoefTab::reserve(&an, &mem);
+        let tab = CoefTab::reserve(&an, Some(&budget), None);
         let src = PanelSource::new(&an, &a);
-        let pin0 = tab.pin_l(symbol, 0, Some(&src)).expect("pin 0");
+        let pin0 = tab.acquire(panel(0), &src, 0).expect("pin 0");
         // SAFETY: single-threaded test — no concurrent writer.
-        let before = unsafe { pin0.slice() }.to_vec();
+        let before = unsafe { pin0.slice(0, PanelSide::L) }.to_vec();
         // Hammer the pager: materialize everything else while 0 is pinned.
         for c in 1..symbol.ncblk() {
-            let _ = tab.pin_l(symbol, c, Some(&src)).expect("pin");
+            let _ = tab.acquire(panel(c), &src, 0).expect("pin");
         }
         // Panel 0 must still be resident and unchanged under the pin.
         // SAFETY: single-threaded test — no concurrent writer.
-        let after = unsafe { pin0.slice() };
+        let after = unsafe { pin0.slice(0, PanelSide::L) };
         for (x, y) in before.iter().zip(after.iter()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -727,14 +821,13 @@ mod tests {
         let symbol = &an.symbol;
         let bytes = |c| PanelLayout::panel_len(symbol, c) * std::mem::size_of::<f64>();
         let budget = MemoryBudget::with_cap(bytes(0) + bytes(1));
-        let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: None };
-        let tab = CoefTab::<f64>::reserve(&an, &mem);
+        let tab = CoefTab::<f64>::reserve(&an, Some(&budget), None);
         let src = PanelSource::new(&an, &a);
         for c in [0, 1] {
-            drop(tab.pin_l(symbol, c, Some(&src)).expect("first touch"));
+            drop(tab.acquire(panel(c), &src, 0).expect("first touch"));
         }
         tab.retire(1);
-        tab.charge_grow(bytes(1), site::WORKSPACE).expect("room by eviction");
+        assert!(tab.charge_grow(bytes(1), site::WORKSPACE, false).expect("room by eviction"));
         let resident = |key: usize| tab.slots[key].resident.load(Ordering::Acquire);
         assert!(!resident(1), "the retired panel was not the victim");
         assert!(resident(0), "a live panel was evicted while a retired one was resident");
@@ -747,13 +840,9 @@ mod tests {
         // others (DESIGN.md §16): the evictor must only ever try-lock.
         let a = grid_laplacian_2d(8, 8);
         let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
-        let mem = MemoryOptions {
-            budget: Some(MemoryBudget::with_cap(1 << 30)),
-            spill_dir: None,
-        };
-        let tab = CoefTab::<f64>::reserve(&an, &mem);
+        let tab = CoefTab::<f64>::reserve(&an, Some(&MemoryBudget::with_cap(1 << 30)), None);
         let src = PanelSource::new(&an, &a);
-        drop(tab.pin_l(&an.symbol, 0, Some(&src)).expect("pin"));
+        drop(tab.acquire(panel(0), &src, 0).expect("pin"));
         let (tab, held) = (&tab, tab.slots[0].lock());
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
@@ -775,11 +864,7 @@ mod tests {
         for facto in [FactoKind::Cholesky, FactoKind::Lu] {
             let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
             let budget = MemoryBudget::unbounded();
-            let mem = MemoryOptions {
-                budget: Some(budget.clone()),
-                spill_dir: None,
-            };
-            let tab = CoefTab::<f64>::reserve(&an, &mem);
+            let tab = CoefTab::<f64>::reserve(&an, Some(&budget), None);
             let cblks = &an.symbol.cblks;
             let l: usize = cblks.iter().map(|cb| cb.stride * cb.width()).sum();
             let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
@@ -791,5 +876,108 @@ mod tests {
             assert_eq!(budget.used(), 0, "{facto:?}: drop must release every charge");
             assert_eq!(budget.stats().overcommit_events, 0);
         }
+    }
+
+    /// A leaked problem and its source, so that a thread stuck past a
+    /// test's time bound cannot outlive what it borrows.
+    fn leaked() -> (&'static Analysis, &'static PanelSource<'static, f64>) {
+        let a = Box::leak(Box::new(grid_laplacian_2d(8, 8)));
+        let an = Analysis::new(a.pattern(), FactoKind::Cholesky, &SolverOptions::default());
+        let an: &'static Analysis = Box::leak(Box::new(an));
+        (an, Box::leak(Box::new(PanelSource::new(an, a))))
+    }
+
+    fn bytes(an: &Analysis, c: usize) -> usize {
+        PanelLayout::panel_len(&an.symbol, c) * std::mem::size_of::<f64>()
+    }
+
+    /// The first update out of panel `c`, with its source and target.
+    fn first_update(an: &Analysis, c: usize) -> (TaskKind, usize, usize) {
+        let block = an.symbol.cblks[c].block_begin + 1;
+        let target = an.symbol.blocks[block].facing;
+        (TaskKind::Update { cblk: c, block, target }, c, target)
+    }
+
+    #[test]
+    fn a_set_without_room_waits_for_a_release() {
+        // Room for one of two panels: the second set waits, holding
+        // nothing, until the first is dropped, then evicts its panel.
+        let (an, src) = leaked();
+        let budget = MemoryBudget::with_cap(bytes(an, 0).max(bytes(an, 1)));
+        let tab = Arc::new(CoefTab::<f64>::reserve(an, Some(&budget), None));
+        let first = tab.acquire(panel(0), src, 0).expect("room for one");
+        let (done, finished) = std::sync::mpsc::channel();
+        let second = {
+            let tab = tab.clone();
+            std::thread::spawn(move || done.send(tab.acquire(panel(1), src, 0).is_ok()))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while budget.stats().pin_waits == 0 {
+            assert!(Instant::now() < deadline, "the second set did not wait");
+            std::thread::yield_now();
+        }
+        drop(first);
+        let acquired = finished.recv_timeout(Duration::from_secs(10));
+        assert_eq!(acquired, Ok(true), "the waiting set did not complete");
+        second.join().expect("acquirer").expect("send");
+        let stats = budget.stats();
+        assert_eq!((stats.overcommit_events, stats.spill_events), (0, 1), "{stats:?}");
+        assert!(stats.pin_waits >= 1);
+    }
+
+    #[test]
+    fn a_set_without_room_and_no_other_holder_overcommits() {
+        // Each panel of the update fits the cap, both together do not, and
+        // no other set is held to wait for: forced, counted.
+        let (an, src) = leaked();
+        let (task, c, target) = first_update(an, 0);
+        let budget = MemoryBudget::with_cap(bytes(an, c).max(bytes(an, target)));
+        let tab = CoefTab::<f64>::reserve(an, Some(&budget), None);
+        drop(tab.acquire(task, src, 0).expect("forced"));
+        let stats = budget.stats();
+        assert_eq!((stats.overcommit_events, stats.pin_waits), (1, 0), "{stats:?}");
+    }
+
+    #[test]
+    fn crossing_sets_both_finish() {
+        // Two tasks each read the panel the other writes (the second is
+        // made up: no block of `q` faces `p`), under a cap that holds one
+        // such set. Between rounds each takes a third panel, which waits
+        // while the other holds the pair. A wait holds nothing, so neither
+        // blocks the other for good, and no set ever needs more than the
+        // cap.
+        let (an, src) = leaked();
+        let (forward, p, q) = first_update(an, 0);
+        let backward = TaskKind::Update { cblk: q, block: 0, target: p };
+        let cap = bytes(an, p) + bytes(an, q);
+        let ncblk = an.symbol.ncblk();
+        let r = (0..ncblk).find(|&r| r != p && r != q && bytes(an, r) <= cap).expect("a third panel");
+        let budget = MemoryBudget::with_cap(cap);
+        let tab = Arc::new(CoefTab::<f64>::reserve(an, Some(&budget), None));
+        let (done, finished) = std::sync::mpsc::channel();
+        let threads: Vec<_> = [forward, backward]
+            .into_iter()
+            .map(|task| {
+                let (tab, done) = (tab.clone(), done.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        let set = tab.acquire(task, src, 0).expect("crossing set");
+                        std::thread::yield_now();
+                        drop(set);
+                        drop(tab.acquire(panel(r), src, 0).expect("third panel"));
+                    }
+                    done.send(())
+                })
+            })
+            .collect();
+        for _ in &threads {
+            let finished = finished.recv_timeout(Duration::from_secs(20));
+            assert_eq!(finished, Ok(()), "a crossing set never finished");
+        }
+        for t in threads {
+            t.join().expect("acquirer").expect("send");
+        }
+        let stats = budget.stats();
+        assert_eq!(stats.overcommit_events, 0, "{stats:?}");
     }
 }

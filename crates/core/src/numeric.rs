@@ -27,30 +27,32 @@
 //! When [`ExecOptions::run`] carries a [`MemoryBudget`], every large
 //! allocation of the factorization is charged to it: the coefficient
 //! panels and the per-worker GEMM buffers (`site::WORKSPACE`) through the
-//! pager in [`CoefTab`], the pivot diagonal directly. Under a hard cap
+//! pager in [`CoefTab`], the LDLᵀ diagonal directly. Under a hard cap
 //! the run degrades instead of failing, by demand paging alone: a charge
 //! that does not fit evicts cold panels (those whose consumers are all
 //! done first, then least recently used) to the disk-backed
 //! [`crate::spill::SpillStore`]; they fault back in on the next touch
-//! (usually the solve), and only when nothing is evictable is the charge
-//! forced over the cap (counted).
+//! (usually the solve). A task that still finds no room waits for another
+//! task to finish, and only with none running is it forced over the cap
+//! (counted).
 //!
 //! There is one update kernel at every pressure, so a capped run produces
 //! the factors of the unconstrained run bit for bit.
 //!
-//! Task bodies pin every panel they touch and charge their workspace
-//! *before* mutating anything, so a refused charge (`BudgetExceeded`)
-//! fails the factorization without leaving a half-written panel.
+//! A task body takes what its [`TaskKind::accesses`] declares — every
+//! panel, plus its worker's GEMM-buffer growth — in one
+//! [`CoefTab::acquire`] *before* mutating anything, so a refused charge
+//! (`BudgetExceeded`) fails the factorization without leaving a
+//! half-written panel.
 
 use crate::analysis::Analysis;
-use crate::coeftab::{CoefTab, MemoryOptions, PanelSource};
+use crate::coeftab::{CoefTab, PanelSide, PanelSource, TaskPins};
 use crate::tasks::TaskKind;
 use crate::SolverError;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
 use dagfact_kernels::update::{scratch_len, update_via_buffer, Scatter};
 use dagfact_kernels::{getrf, ldlt, ldlt_apply_diag, pack_block, potrf, Scalar};
-use dagfact_rt::budget::site;
 use dagfact_rt::ptg::PtgProgram;
 use dagfact_rt::sync::Mutex;
 use dagfact_rt::{EngineError, RunConfig, RunReport, RuntimeKind, SharedSlice};
@@ -82,7 +84,7 @@ struct NumericCtx<'a, T: Scalar> {
     tab: &'a CoefTab<T>,
     /// The matrix entries a panel's first pin fills it from.
     source: PanelSource<'a, T>,
-    /// LDLᵀ diagonal (length n; unused otherwise).
+    /// LDLᵀ diagonal (length n; empty otherwise).
     d: &'a SharedSlice<T>,
     /// Absolute static-pivot threshold.
     threshold: f64,
@@ -133,23 +135,16 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let _ = self.error.set(e);
     }
 
-    /// Unwrap the result of a pin or a workspace charge; a failure is
+    /// A task body's one acquisition and one failure route: `task`'s
+    /// declared panels and its worker's `tmp` buffer charged up to
+    /// `scratch` elements, before anything is mutated. A failure is
     /// recorded, so the remaining tasks no-op and the factorization
     /// returns it.
-    fn ok_or_fail<R>(&self, r: Result<R, SolverError>) -> Option<R> {
-        r.map_err(|e| self.record_error(e)).ok()
-    }
-
-    /// Grow the charged high-water of a worker's `tmp` buffer to `elems`
-    /// elements, through the pager: cold panels are evicted to make room
-    /// and the charge overcommits only when nothing is evictable.
-    fn charge_workspace(&self, ws: &mut Workspace<T>, elems: usize) -> Result<(), SolverError> {
-        let bytes = elems * std::mem::size_of::<T>();
-        if bytes > ws.tmp_charged {
-            self.tab.charge_grow(bytes - ws.tmp_charged, site::WORKSPACE)?;
-            ws.tmp_charged = bytes;
-        }
-        Ok(())
+    fn acquire(&self, task: TaskKind, ws: &mut Workspace<T>, scratch: usize) -> Option<TaskPins<'a, T>> {
+        let grow = (scratch * std::mem::size_of::<T>()).saturating_sub(ws.tmp_charged);
+        let set = self.tab.acquire(task, &self.source, grow).map_err(|e| self.record_error(e)).ok()?;
+        ws.tmp_charged += grow;
+        Some(set)
     }
 
     // ------------------------------------------------------------------
@@ -161,126 +156,59 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if self.failed() {
             return;
         }
-        let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
         // BOUNDS: the DAG's panel ids are < ncblk.
-        let cb = &symbol.cblks[c];
+        let cb = &self.analysis.symbol.cblks[c];
         let (w, stride) = (cb.width(), cb.stride);
         let below = stride - w;
-        // Pin before mutating anything: a refused charge leaves the
-        // panel untouched.
-        let Some(lpin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src)) else {
-            return;
-        };
-        let upin = if self.analysis.facto == FactoKind::Lu {
-            match self.ok_or_fail(self.tab.pin_u(symbol, c, src)) {
-                Some(p) => Some(p),
-                None => return,
-            }
-        } else {
-            None
-        };
-        // SAFETY: the DAG gives panel(c) exclusive access to panel c: its
-        // L side, its U side and its range of the diagonal.
-        let l = unsafe { lpin.slice_mut() };
-        let u: &mut [T] = match &upin {
-            // SAFETY: as for L, on the U side.
-            Some(up) => unsafe { up.slice_mut() },
-            None => &mut [],
-        };
-        // SAFETY: as for L, on panel c's range of the diagonal.
-        let d = unsafe { self.d.range_mut(cb.fcol..cb.lcol) };
         // LOCK: the worker's own workspace, never contended: the executor
         // runs one task at a time per worker id.
         // BOUNDS: worker < nworkers == workspaces.len().
         let mut ws = self.workspaces[worker].lock();
-        let result: Result<(), SolverError> = (|| {
+        let Some(set) = self.acquire(TaskKind::Panel { cblk: c }, &mut ws, 0) else {
+            return;
+        };
+        // SAFETY: the DAG gives panel(c) exclusive access to panel c: its
+        // L side, its U side (empty without one) and its range of the
+        // diagonal (LDLᵀ only).
+        let (l, u) = unsafe { (set.slice_mut(c, PanelSide::L), set.slice_mut(c, PanelSide::U)) };
+        let d: &mut [T] = match self.analysis.facto {
+            // SAFETY: as above.
+            FactoKind::Ldlt => unsafe { self.d.range_mut(cb.fcol..cb.lcol) },
+            _ => &mut [],
+        };
+        // Factor the diagonal block, then solve each stored side's
+        // off-diagonal rows against a copy of it.
+        let factored = match self.analysis.facto {
+            FactoKind::Cholesky => potrf(w, l, stride).map(|()| 0),
+            FactoKind::Ldlt => ldlt(w, l, stride, d, self.threshold),
+            FactoKind::Lu => getrf(w, l, stride, self.threshold).map(|stats| stats.repaired),
+        };
+        match factored {
+            // ORDERING: statistics counter; no memory is published.
+            Ok(repaired) => self.pivots_repaired.fetch_add(repaired, Ordering::Relaxed),
+            Err(e) => return self.record_error(e.into()),
+        };
+        if below > 0 {
+            copy_diag_block(l, stride, w, &mut ws.diag);
+            // BOUNDS: w <= stride: `l[w..]` is the panel's off-diagonal rows.
+            let (diag, off) = (&ws.diag, &mut l[w..]);
             match self.analysis.facto {
+                // L ← L · L_kk⁻ᵀ.
                 FactoKind::Cholesky => {
-                    potrf(w, l, stride)?;
-                    if below > 0 {
-                        copy_diag_block(l, stride, w, &mut ws.diag);
-                        // BOUNDS: w <= stride: `l[w..]` is the panel's
-                        // off-diagonal rows.
-                        trsm(
-                            Side::Right,
-                            Uplo::Lower,
-                            Trans::Trans,
-                            Diag::NonUnit,
-                            below,
-                            w,
-                            &ws.diag,
-                            w,
-                            &mut l[w..],
-                            stride,
-                        );
-                    }
+                    trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::NonUnit, below, w, diag, w, off, stride)
                 }
+                // L ← L · L_kk⁻ᵀ · D⁻¹, unit L_kk.
                 FactoKind::Ldlt => {
-                    let repaired = ldlt(w, l, stride, d, self.threshold)?;
-                    // ORDERING: statistics counter; no memory is
-                    // published.
-                    self.pivots_repaired.fetch_add(repaired, Ordering::Relaxed);
-                    if below > 0 {
-                        copy_diag_block(l, stride, w, &mut ws.diag);
-                        // BOUNDS: w <= stride, as in the Cholesky arm.
-                        trsm(
-                            Side::Right,
-                            Uplo::Lower,
-                            Trans::Trans,
-                            Diag::Unit,
-                            below,
-                            w,
-                            &ws.diag,
-                            w,
-                            &mut l[w..],
-                            stride,
-                        );
-                        // BOUNDS: as above.
-                        ldlt_apply_diag(below, w, d, &mut l[w..], stride);
-                    }
+                    trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::Unit, below, w, diag, w, off, stride);
+                    ldlt_apply_diag(below, w, d, off, stride);
                 }
+                // L side: L ← L · U_kk⁻¹. U side (stored transposed, the
+                // rows below the diagonal block only): Uᵀ ← Uᵀ · L_kk⁻ᵀ.
                 FactoKind::Lu => {
-                    let stats = getrf(w, l, stride, self.threshold)?;
-                    // ORDERING: statistics counter; no memory is
-                    // published.
-                    self.pivots_repaired.fetch_add(stats.repaired, Ordering::Relaxed);
-                    if below > 0 {
-                        copy_diag_block(l, stride, w, &mut ws.diag);
-                        // L side: A_ik ← A_ik · U_kk⁻¹.
-                        // BOUNDS: w <= stride, as in the Cholesky arm.
-                        trsm(
-                            Side::Right,
-                            Uplo::Upper,
-                            Trans::NoTrans,
-                            Diag::NonUnit,
-                            below,
-                            w,
-                            &ws.diag,
-                            w,
-                            &mut l[w..],
-                            stride,
-                        );
-                        // U side (stored transposed, the rows below the
-                        // diagonal block only): Uᵀ ← Uᵀ · L_kk⁻ᵀ.
-                        trsm(
-                            Side::Right,
-                            Uplo::Lower,
-                            Trans::Trans,
-                            Diag::Unit,
-                            below,
-                            w,
-                            &ws.diag,
-                            w,
-                            u,
-                            below,
-                        );
-                    }
+                    trsm(Side::Right, Uplo::Upper, Trans::NoTrans, Diag::NonUnit, below, w, diag, w, off, stride);
+                    trsm(Side::Right, Uplo::Lower, Trans::Trans, Diag::Unit, below, w, diag, w, u, below);
                 }
             }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            return self.record_error(e);
         }
         // The panel is final from here on, so this is the one place each
         // of its coefficients is checked: numeric breakdown the pivot
@@ -308,7 +236,7 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         if self.failed() {
             return;
         }
-        let (symbol, src) = (&self.analysis.symbol, Some(&self.source));
+        let symbol = &self.analysis.symbol;
         // BOUNDS: the DAG's update (c, bi) names panel c < ncblk and one
         // of its blocks bi < nblocks.
         let cb = &symbol.cblks[c];
@@ -316,41 +244,18 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         let j = block.facing;
         let n = block.nrows();
         let m = cb.stride - block.local_offset;
-        // Pin every panel up front, before any mutation: a pin failure
-        // then leaves every panel as it was.
-        let Some(lsrc_pin) = self.ok_or_fail(self.tab.pin_l(symbol, c, src)) else {
-            return;
-        };
-        let Some(ldst_pin) = self.ok_or_fail(self.tab.pin_l(symbol, j, src)) else {
-            return;
-        };
-        let upins = if self.analysis.facto == FactoKind::Lu {
-            let Some(us) = self.ok_or_fail(self.tab.pin_u(symbol, c, src)) else {
-                return;
-            };
-            let Some(ud) = self.ok_or_fail(self.tab.pin_u(symbol, j, src)) else {
-                return;
-            };
-            Some((us, ud))
-        } else {
-            None
-        };
         // LOCK: the worker's own workspace, as in `panel_task`.
         // BOUNDS: worker < nworkers == workspaces.len().
         let mut ws = self.workspaces[worker].lock();
         let ws = &mut *ws;
-        // Charge the GEMM buffer before any mutation, so a failure routes
-        // like a failed pin.
         let scratch = scratch_len(m, n, cb.width(), self.analysis.facto == FactoKind::Ldlt);
-        let Some(()) = self.ok_or_fail(self.charge_workspace(ws, scratch)) else {
+        let Some(set) = self.acquire(TaskKind::Update { cblk: c, block: bi, target: j }, ws, scratch) else {
             return;
         };
         // SAFETY: the DAG guarantees panel c is read-only here, and the
         // chain into panel j orders its writers; the two panels are
-        // distinct allocations held by their pins.
-        let lsrc = unsafe { lsrc_pin.slice() };
-        // SAFETY: as above, the chain into panel j orders its writers.
-        let ldst = unsafe { ldst_pin.slice_mut() };
+        // distinct allocations held by the set.
+        let (lsrc, ldst) = unsafe { (set.slice(c, PanelSide::L), set.slice_mut(j, PanelSide::L)) };
         // BOUNDS: j = block.facing is a panel id, and block b's
         // local_offset lies inside panel c's stride rows.
         let tcb = &symbol.cblks[j];
@@ -358,94 +263,54 @@ impl<'a, T: Scalar> NumericCtx<'a, T> {
         build_row_map(symbol, c, bi, j, &mut ws.row_map);
         let col_off = block.frow - tcb.fcol;
         let a1 = &lsrc[block.local_offset..];
-        let a2 = &lsrc[block.local_offset..];
-        // `upins` is there exactly for LU.
-        match &upins {
-            None => {
-                // LDLᵀ rescales by D inside every update ("the full LDLᵀ
-                // operation at each update", §V-A).
-                // SAFETY: d[cols of c] was finalized by panel(c).
-                let d = (self.analysis.facto == FactoKind::Ldlt)
-                    .then(|| unsafe { self.d.range(cb.fcol..cb.lcol) });
-                update_via_buffer(
-                    m, n, k,
-                    -T::one(),
-                    a1, cb.stride,
-                    a2, cb.stride,
-                    d,
-                    &mut ws.tmp,
-                    ldst, tcb.stride,
-                    Scatter { row_map: &ws.row_map, col_offset: col_off },
-                );
-            }
-            Some((us, ud)) => {
-                // SAFETY: same discipline as the L side.
-                let (usrc, udst) = unsafe { (us.slice(), ud.slice_mut()) };
-                // A Uᵀ panel stores the L panel's rows from the width on,
-                // shifted up by the width. BOUNDS: k <= local_offset.
-                let (ldu, tldu) = (cb.height_below(), tcb.height_below());
-                let ut = &usrc[block.local_offset - k..];
-                // C_L -= L[R≥b, c] · (Uᵀ[R_b, c])ᵀ
-                update_via_buffer(
-                    m, n, k,
-                    -T::one(),
-                    a1, cb.stride,
-                    ut, ldu,
-                    None,
-                    &mut ws.tmp,
-                    ldst, tcb.stride,
-                    Scatter { row_map: &ws.row_map, col_offset: col_off },
-                );
-                // C_U -= Uᵀ[R>b, c] · (L[R_b, c])ᵀ for the rows strictly
-                // below block b (the diagonal part went into C_L's full
-                // square). The destination splits in two:
-                //   * rows inside the target's column range are the upper
-                //     triangle of the target's *diagonal block*, stored
-                //     transposed in the L panel (full square);
-                //   * rows beyond go into the target's U panel.
-                // The diagonal block is the target's first block, so a row
-                // lies in it exactly when its (ascending) storage row is
-                // below the target's width, and that storage row is
-                // `r − fcol`.
-                if m > n {
-                    // BOUNDS: block b's n rows end inside the panel, and
-                    // the L-side call left `ws.tmp` at least m·n long.
-                    let mu = m - n;
-                    let ut_below = &usrc[block.local_offset + n - k..];
-                    let a2l = &lsrc[block.local_offset..];
-                    // The L-side call above left `ws.tmp` at least m·n
-                    // long; β = 0 overwrites its stale contents.
-                    let tmp = &mut ws.tmp[..mu * n];
-                    gemm(
-                        Trans::NoTrans,
-                        Trans::Trans,
-                        mu, n, k,
-                        T::one(),
-                        ut_below, ldu,
-                        a2l, cb.stride,
-                        T::zero(),
-                        tmp, mu,
-                    );
-                    // BOUNDS: the map holds m = n + mu rows.
-                    let below = &ws.row_map[n..m];
-                    let split = below.partition_point(|&row| row < tcb.width());
-                    for jj in 0..n {
-                        // Storage row of the target column cglob = frow + jj.
-                        let col = block.frow + jj - tcb.fcol;
-                        // BOUNDS: tmp is mu×n; a row below `split` lies in
-                        // the target's diagonal block, the rest in its U
-                        // panel.
-                        let vals = &tmp[jj * mu..(jj + 1) * mu];
-                        for (&row, &v) in below[..split].iter().zip(&vals[..split]) {
-                            // U[cglob, r] inside the diagonal block: column
-                            // r of the L panel, storage row of cglob.
-                            ldst[row * tcb.stride + col] -= v;
-                        }
-                        for (&row, &v) in below[split..].iter().zip(&vals[split..]) {
-                            // Uᵀ[r, cglob] in the U panel, from row `tcb.width()` on.
-                            udst[col * tldu + row - tcb.width()] -= v;
-                        }
-                    }
+        let lu = self.analysis.facto == FactoKind::Lu;
+        // SAFETY: same discipline as the L side; empty without a U side.
+        let (usrc, udst) = unsafe { (set.slice(c, PanelSide::U), set.slice_mut(j, PanelSide::U)) };
+        // A Uᵀ panel stores the L panel's rows from the width on, shifted
+        // up by the width. BOUNDS: k <= local_offset.
+        let (ldu, tldu) = (cb.height_below(), tcb.height_below());
+        // C_L -= L[R≥b, c] · (L[R_b, c])ᵀ, or LU's (Uᵀ[R_b, c])ᵀ. LDLᵀ
+        // rescales by D inside every update ("the full LDLᵀ operation at
+        // each update", §V-A).
+        let (a2, lda2) = if lu { (&usrc[block.local_offset - k..], ldu) } else { (a1, cb.stride) };
+        // SAFETY: d[cols of c] was finalized by panel(c).
+        let d = (self.analysis.facto == FactoKind::Ldlt).then(|| unsafe { self.d.range(cb.fcol..cb.lcol) });
+        let scatter = Scatter { row_map: &ws.row_map, col_offset: col_off };
+        update_via_buffer(m, n, k, -T::one(), a1, cb.stride, a2, lda2, d, &mut ws.tmp, ldst, tcb.stride, scatter);
+        // C_U -= Uᵀ[R>b, c] · (L[R_b, c])ᵀ for the rows strictly below
+        // block b (the diagonal part went into C_L's full square). The
+        // destination splits in two:
+        //   * rows inside the target's column range are the upper
+        //     triangle of the target's *diagonal block*, stored
+        //     transposed in the L panel (full square);
+        //   * rows beyond go into the target's U panel.
+        // The diagonal block is the target's first block, so a row lies in
+        // it exactly when its (ascending) storage row is below the
+        // target's width, and that storage row is `r − fcol`.
+        if lu && m > n {
+            // BOUNDS: block b's n rows end inside the panel, and the call
+            // above left `ws.tmp` at least m·n long; β = 0 overwrites its
+            // stale contents.
+            let mu = m - n;
+            let (ut_below, tmp) = (&usrc[block.local_offset + n - k..], &mut ws.tmp[..mu * n]);
+            gemm(Trans::NoTrans, Trans::Trans, mu, n, k, T::one(), ut_below, ldu, a1, cb.stride, T::zero(), tmp, mu);
+            // BOUNDS: the map holds m = n + mu rows.
+            let below = &ws.row_map[n..m];
+            let split = below.partition_point(|&row| row < tcb.width());
+            for jj in 0..n {
+                // Storage row of the target column cglob = frow + jj.
+                let col = block.frow + jj - tcb.fcol;
+                // BOUNDS: tmp is mu×n; a row below `split` lies in the
+                // target's diagonal block, the rest in its U panel.
+                let vals = &tmp[jj * mu..(jj + 1) * mu];
+                for (&row, &v) in below[..split].iter().zip(&vals[..split]) {
+                    // U[cglob, r] inside the diagonal block: column r of
+                    // the L panel, storage row of cglob.
+                    ldst[row * tcb.stride + col] -= v;
+                }
+                for (&row, &v) in below[split..].iter().zip(&vals[split..]) {
+                    // Uᵀ[r, cglob] in the U panel, from row `tcb.width()` on.
+                    udst[col * tldu + row - tcb.width()] -= v;
                 }
             }
         }
@@ -606,10 +471,6 @@ impl Analysis {
     ) -> Result<Factors<'a, T>, SolverError> {
         self.accepts(a)?;
         let nthreads = nthreads.max(1);
-        let mem = MemoryOptions {
-            budget: exec.run.budget.clone(),
-            spill_dir: exec.spill_dir.clone(),
-        };
         let tracer = exec.run.trace.clone();
         if let Some(rec) = &tracer {
             // A recovery-loop retry re-runs the numeric phase with task
@@ -618,18 +479,20 @@ impl Analysis {
             rec.reset_tasks();
         }
         // The coefficients arrive inside the graph, at first touch.
-        let reserve = || (CoefTab::reserve(self, &mem), PanelSource::new(self, a));
+        let budget = exec.run.budget.as_ref();
+        let reserve = || (CoefTab::reserve(self, budget, exec.spill_dir.as_deref()), PanelSource::new(self, a));
         let (tab, source) = match &tracer {
             Some(rec) => rec.phase("assembly", reserve),
             None => reserve(),
         };
-        let d_bytes = self.symbol.n * std::mem::size_of::<T>();
-        if let Some(b) = &exec.run.budget {
-            // The diagonal is O(n) — forced (never degrades), but still
-            // visible to accounting.
+        // LDLᵀ's diagonal is O(n) — forced (never degrades), but still
+        // visible to accounting. No other kind stores one.
+        let d_len = if self.facto == FactoKind::Ldlt { self.symbol.n } else { 0 };
+        let d_bytes = d_len * std::mem::size_of::<T>();
+        if let Some(b) = budget {
             b.charge_forced(d_bytes);
         }
-        let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); self.symbol.n]);
+        let d: SharedSlice<T> = SharedSlice::from_vec(vec![T::zero(); d_len]);
         // Static pivoting threshold ε·‖A‖∞ (PaStiX-style); Cholesky has
         // its own positivity check instead, and ε = 0 turns repair off even
         // when ‖A‖∞ is infinite.
@@ -659,7 +522,7 @@ impl Analysis {
         // Scratch charges are released on every path so a solver-level
         // retry starts from a balanced ledger (the coefficient panels
         // release through `CoefTab`'s own drop).
-        if let Some(b) = &exec.run.budget {
+        if let Some(b) = budget {
             for wsm in &ctx.workspaces {
                 let mut ws = wsm.lock();
                 b.release(ws.tmp_charged);

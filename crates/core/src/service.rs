@@ -294,7 +294,7 @@ mod tests {
         // L panels whole, Uᵀ panels without the square above their rows
         // below the diagonal block: the uncapped ledger's one charge and
         // the handle's footprint both count exactly that.
-        use crate::coeftab::{CoefTab, MemoryOptions};
+        use crate::coeftab::CoefTab;
         let a = dagfact_sparse::gen::convection_diffusion_3d(8, 8, 3, 0.3);
         let analysis =
             Arc::new(Analysis::new(a.pattern(), FactoKind::Lu, &SolverOptions::default()));
@@ -304,15 +304,14 @@ mod tests {
         let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
         let stored = (l + u) * elt;
         let budget = dagfact_rt::MemoryBudget::unbounded();
-        let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: None };
-        drop(CoefTab::<f64>::reserve(&analysis, &mem));
+        drop(CoefTab::<f64>::reserve(&analysis, Some(&budget), None));
         assert_eq!(budget.peak(), stored, "the reservation's forced charge");
         let exec = ExecOptions::default();
         let sf = SharedFactors::factorize(analysis, &a, RuntimeKind::Native, 1, &exec)
             .expect("factorize");
         let usz = core::mem::size_of::<usize>();
         let matrix = a.nnz() * (elt + usz) + (a.ncols() + 1) * usz;
-        let diag = sf.factors.d.len() * elt;
-        assert_eq!(sf.resident_bytes(), stored + diag + matrix);
+        assert!(sf.factors.d.is_empty(), "only LDLᵀ stores a diagonal");
+        assert_eq!(sf.resident_bytes(), stored + matrix);
     }
 }

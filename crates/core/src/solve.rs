@@ -47,6 +47,7 @@
 //! splits: [`Factors::solve`], and refinement with it, stays on the
 //! calling thread.
 
+use crate::coeftab::PanelSide;
 use crate::numeric::Factors;
 use dagfact_kernels::gemm::{gemm, Trans};
 use dagfact_kernels::trsm::{trsm, Diag, Side, Uplo};
@@ -219,7 +220,7 @@ impl<T: Scalar> Factors<'_, T> {
             FactoKind::Cholesky => Diag::NonUnit,
             FactoKind::Ldlt | FactoKind::Lu => Diag::Unit,
         };
-        let lpin = self.tab.pin_l_solve(symbol, c);
+        let lpin = self.tab.pin_solve(c, PanelSide::L);
         // SAFETY: factorization finished and `self` is borrowed shared for
         // the whole solve, so the factor panels have no writer.
         let l = unsafe { lpin.slice() };
@@ -258,8 +259,8 @@ impl<T: Scalar> Factors<'_, T> {
         let cb = &symbol.cblks[c];
         let (w, h) = (cb.width(), cb.height_below());
         let lu = self.analysis.facto == FactoKind::Lu;
-        let lpin = self.tab.pin_l_solve(symbol, c);
-        let upin = lu.then(|| self.tab.pin_u_solve(symbol, c));
+        let lpin = self.tab.pin_solve(c, PanelSide::L);
+        let upin = lu.then(|| self.tab.pin_solve(c, PanelSide::U));
         // SAFETY: read-only factor panels, as in `forward_panel`.
         let l = unsafe { lpin.slice() };
         // The off-diagonal rows: LU's Uᵀ panel holds only those (leading

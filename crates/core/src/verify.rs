@@ -16,7 +16,10 @@
 //! transitively ordered), deadlock-free, well formed (no
 //! dangling/self/duplicate edges) and correctly counted (each
 //! `num_predecessors` is the task's in-degree). Nothing is transcribed:
-//! what is checked is what runs.
+//! what is checked is what runs — the edges are the program's, and the
+//! accesses are the ones each task body acquires
+//! ([`CoefTab::acquire`](crate::coeftab::CoefTab::acquire) takes exactly
+//! the declared panels).
 
 use crate::analysis::Analysis;
 use dagfact_rt::verify::{check_static, GraphSpec, StaticReport};

@@ -119,12 +119,12 @@ fn nothing_allocates_per_task_or_per_panel() {
 fn no_policy_allocates_per_task() {
     // Everything a factorization allocates besides its panels — one
     // allocation per panel per side, reserved before the graph runs: the
-    // slot table, LU's transpose (4), the diagonal, the context's
+    // slot table, LU's transpose (4), the context's
     // per-panel counters, per-worker workspaces and the executor's
     // tables. Measured 60 native / 68 dataflow / 70 ptg on the LU case;
     // the margin of 10 is a few more doublings of a grow-only buffer.
     const SETUP: usize = 80;
-    // The bytes of that set-up besides the transpose and the diagonal.
+    // The bytes of that set-up besides the transpose.
     // Measured 1 275 119 native / 1 182 919 dataflow / 1 307 855 ptg on
     // the LU case. A Uᵀ panel stores only the rows below its diagonal
     // block; the dead `w × w` squares above them would add 1 382 384 bytes
@@ -143,13 +143,14 @@ fn no_policy_allocates_per_task() {
         assert!(ntasks >= min_tasks, "{facto:?}: only {ntasks} tasks");
         // The bytes an uncapped LU factorization may ask for: the L
         // panels, the Uᵀ panels' rows below their diagonal blocks, what
-        // building `Aᵀ` allocates, the diagonal, and the set-up.
+        // building `Aᵀ` allocates, and the set-up (no diagonal: only
+        // LDLᵀ stores one).
         let cblks = &an.symbol.cblks;
         let l: usize = cblks.iter().map(|cb| cb.stride * cb.width()).sum();
         let u: usize = cblks.iter().map(|cb| (cb.stride - cb.width()) * cb.width()).sum();
         let transpose = allocated_during(|| drop(a.transpose())).1;
         let elt = std::mem::size_of::<f64>();
-        let max_bytes = (l + u + a.nrows()) * elt + transpose + SETUP_BYTES;
+        let max_bytes = (l + u) * elt + transpose + SETUP_BYTES;
         for rt in RuntimeKind::ALL {
             // One worker: the run stays on this (measured) thread.
             let (n, bytes) = allocated_during(|| {

@@ -4,7 +4,8 @@
 //! (every panel touched on return) and under a memory cap that makes the
 //! panels materialize one by one, spill, and fault back in.
 
-use dagfact_core::coeftab::{CoefTab, MemoryOptions, PanelSource};
+use dagfact_core::coeftab::{CoefTab, PanelSide, PanelSource};
+use dagfact_core::tasks::TaskKind;
 use dagfact_core::{Analysis, SolverOptions};
 use dagfact_kernels::{Scalar, C64};
 use dagfact_rt::MemoryBudget;
@@ -73,7 +74,7 @@ fn same_bits<T: Scalar>(got: &[T], want: &[T]) -> bool {
 /// entry accounted for (nothing dropped on the way).
 fn assert_first_touch_is_the_dense_scatter<T: Scalar>(name: &str, facto: FactoKind, a: &CscMatrix<T>) {
     let an = Analysis::new(a.pattern(), facto, &SolverOptions::default());
-    let (symbol, ncblk) = (&an.symbol, an.symbol.ncblk());
+    let ncblk = an.symbol.ncblk();
     let want = reference_panels(&an, a);
     let nonzeros: usize = want.iter().flatten().filter(|v| v.modulus() != 0.0).count();
     let stored = a.values().iter().filter(|v| v.modulus() != 0.0).count();
@@ -82,12 +83,8 @@ fn assert_first_touch_is_the_dense_scatter<T: Scalar>(name: &str, facto: FactoKi
     }
     let check = |tab: &CoefTab<T>, route: &str| {
         for (key, want) in want.iter().enumerate() {
-            let pin = if key < ncblk {
-                tab.pin_l(symbol, key, None)
-            } else {
-                tab.pin_u(symbol, key - ncblk, None)
-            }
-            .expect("pin");
+            let side = if key < ncblk { PanelSide::L } else { PanelSide::U };
+            let pin = tab.pin_solve(key % ncblk, side);
             // SAFETY: single-threaded test — no concurrent writer.
             let got = unsafe { pin.slice() };
             assert!(same_bits(got, want), "{name}/{facto:?}, {route}: slot {key} differs");
@@ -104,14 +101,11 @@ fn assert_first_touch_is_the_dense_scatter<T: Scalar>(name: &str, facto: FactoKi
     let budget = MemoryBudget::with_cap(largest + (total - largest) / 3);
     let dir = std::env::temp_dir().join(format!("dagfact-assembly-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("spill dir");
-    let mem = MemoryOptions { budget: Some(budget.clone()), spill_dir: Some(dir.clone()) };
-    let tab = CoefTab::reserve(&an, &mem);
+    let tab = CoefTab::reserve(&an, Some(&budget), Some(&dir));
     let src = PanelSource::new(&an, a);
     for c in 0..ncblk {
-        drop(tab.pin_l(symbol, c, Some(&src)).expect("first touch"));
-        if tab.has_u() {
-            drop(tab.pin_u(symbol, c, Some(&src)).expect("first touch"));
-        }
+        // Both sides of panel c at once.
+        drop(tab.acquire(TaskKind::Panel { cblk: c }, &src, 0).expect("first touch"));
     }
     drop(src);
     check(&tab, "capped");

@@ -1,6 +1,7 @@
 //! End-to-end correctness of the factorization and solve across every
 //! factorization kind × runtime × arithmetic combination.
 
+use dagfact_core::coeftab::PanelSide;
 use dagfact_core::{Analysis, ExecOptions, RuntimeKind, SolverError, SolverOptions};
 use dagfact_kernels::{Scalar, C64};
 use dagfact_rt::{chrome_trace, Json, RunConfig, SpanKind, Trace, TraceRecorder};
@@ -166,10 +167,10 @@ fn factor_values<T: Scalar>(analysis: &Analysis, a: &CscMatrix<T>, rt: RuntimeKi
     let mut values = Vec::new();
     for c in 0..symbol.ncblk() {
         // SAFETY: the factorization has returned; nothing mutates `f`.
-        values.extend_from_slice(unsafe { f.tab.pin_l(symbol, c, None).unwrap().slice() });
+        values.extend_from_slice(unsafe { f.tab.pin_solve(c, PanelSide::L).slice() });
         if f.tab.has_u() {
             // SAFETY: as above.
-            values.extend_from_slice(unsafe { f.tab.pin_u(symbol, c, None).unwrap().slice() });
+            values.extend_from_slice(unsafe { f.tab.pin_solve(c, PanelSide::U).slice() });
         }
     }
     values.extend_from_slice(&f.d);

@@ -5,6 +5,7 @@
 //! LDLᵀ in `C64`, each under all three policies. One test in a binary of
 //! its own: the forced tier is process-global.
 
+use dagfact_core::coeftab::PanelSide;
 use dagfact_core::{Analysis, RuntimeKind, SolverOptions};
 use dagfact_kernels::{force_isa, isa, Isa, Scalar};
 use dagfact_sparse::gen::{convection_diffusion_3d, grid_laplacian_3d, helmholtz_3d};
@@ -27,10 +28,10 @@ fn run<T: Scalar>(facto: FactoKind, a: &CscMatrix<T>) -> Vec<Vec<(u64, u64)>> {
             let mut values = Vec::new();
             for c in 0..symbol.ncblk() {
                 // SAFETY: the factorization has returned; nothing mutates `f`.
-                values.extend_from_slice(unsafe { f.tab.pin_l(symbol, c, None).unwrap().slice() });
+                values.extend_from_slice(unsafe { f.tab.pin_solve(c, PanelSide::L).slice() });
                 if f.tab.has_u() {
                     // SAFETY: as above.
-                    values.extend_from_slice(unsafe { f.tab.pin_u(symbol, c, None).unwrap().slice() });
+                    values.extend_from_slice(unsafe { f.tab.pin_solve(c, PanelSide::U).slice() });
                 }
             }
             values.extend_from_slice(&f.d);

@@ -8,13 +8,13 @@
 //! `dagfact-core` charges the ledger before allocating and releases it
 //! when the storage is dropped or spilled.
 //!
-//! The ledger is the one input of the demand pager in
-//! `core/src/coeftab.rs` (DESIGN.md §9): every charge of the numeric
-//! phase — panels as they materialize or fault in, and the per-worker
-//! GEMM workspaces as they grow — goes through it, and a charge that does
-//! not fit evicts cold panels to a disk-backed store
-//! (`core/src/spill.rs`), retired panels first and then least recently
-//! used, before it is forced over the cap and counted as an overcommit.
+//! The ledger is the one input of the demand pager in `core/src/coeftab.rs`
+//! (DESIGN.md §9): every charge of the numeric phase — panels as they
+//! materialize or fault in, and the per-worker GEMM workspaces as they
+//! grow — goes through it, and a charge that does not fit evicts cold
+//! panels to a disk-backed store (`core/src/spill.rs`), retired first, then
+//! least recently used. A task that still finds no room waits for another's
+//! release (a pin wait); with none running it overcommits, counted.
 //!
 //! A typed [`BudgetError::Exceeded`] is the ledger's one refusal; the
 //! pager turns it into a spill or an overcommit, and only a request that
@@ -94,6 +94,8 @@ pub struct MemoryStats {
     pub fault_in_events: usize,
     /// Charges forced above the cap because nothing was evictable.
     pub overcommit_events: usize,
+    /// Task acquisitions that found no room and waited for a release.
+    pub pin_waits: usize,
 }
 
 /// The ledger. Cheap to share (`Arc`); every counter is an atomic.
@@ -106,6 +108,7 @@ pub struct MemoryBudget {
     spill_events: AtomicUsize,
     fault_in_events: AtomicUsize,
     overcommit_events: AtomicUsize,
+    pin_waits: AtomicUsize,
 }
 
 impl MemoryBudget {
@@ -216,6 +219,12 @@ impl MemoryBudget {
         self.fault_in_events.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record a task acquisition that waits for room.
+    pub fn note_pin_wait(&self) {
+        // ORDERING: statistics counter; no memory is published.
+        self.pin_waits.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot every counter.
     pub fn stats(&self) -> MemoryStats {
         // ORDERING: statistics snapshot; counters are independent and
@@ -228,6 +237,7 @@ impl MemoryBudget {
             spill_events: self.spill_events.load(Ordering::Relaxed),
             fault_in_events: self.fault_in_events.load(Ordering::Relaxed),
             overcommit_events: self.overcommit_events.load(Ordering::Relaxed),
+            pin_waits: self.pin_waits.load(Ordering::Relaxed),
         }
     }
 }

@@ -311,6 +311,10 @@ impl Service {
 
     fn drain(&mut self) {
         self.inner.begin_shutdown();
+        // A worker checks the latch and waits under the queue lock: taking
+        // it here waits out one between the two, which would miss the
+        // notification and sleep through the join.
+        drop(self.inner.queue.lock());
         self.inner.queue_cond.notify_all();
         self.inner.deadline_cond.notify_all();
         for h in self.workers.drain(..) {
@@ -1088,18 +1092,22 @@ mod tests {
     /// `drain` must hold no queue guard across its joins.
     #[test]
     fn shutdown_joins_idle_workers_promptly() {
-        let service = Service::start(ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        });
-        let (tx, rx) = std::sync::mpsc::channel();
-        let closer = std::thread::spawn(move || {
-            let _ = tx.send(service.shutdown());
-        });
-        let stats = rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("shutdown hung in its joins");
-        closer.join().expect("shutdown thread");
-        assert_eq!(stats.submitted, 0);
+        // Many cycles: a worker caught between its latch check and its
+        // wait when the drain notifies is a narrow window.
+        for cycle in 0..1000 {
+            let service = Service::start(ServeConfig {
+                workers: 2,
+                ..ServeConfig::default()
+            });
+            let (tx, rx) = std::sync::mpsc::channel();
+            let closer = std::thread::spawn(move || {
+                let _ = tx.send(service.shutdown());
+            });
+            let stats = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("shutdown hung in its joins (cycle {cycle})"));
+            closer.join().expect("shutdown thread");
+            assert_eq!(stats.submitted, 0);
+        }
     }
 }
